@@ -10,13 +10,14 @@
 //! 3. no copy → forward the GET to the origin and cache the result.
 //!
 //! When the origin misbehaves the proxy degrades instead of failing:
-//! every origin fetch runs under connect/read timeouts, failed fetches
-//! are retried with exponential backoff and deterministic jitter, a
-//! per-origin circuit breaker fast-fails while an origin is known bad
-//! (closed → open → half-open), and a stale cached copy is served — with
-//! a `Warning: 110` degraded marker — when revalidation fails entirely
-//! (`stale-if-error` semantics). Every degradation is counted in
-//! [`ProxyStats`].
+//! every origin fetch (one exchange on the worker's persistent origin
+//! connection, [`crate::upstream`]) runs under connect/read timeouts,
+//! failed fetches are retried with exponential backoff and deterministic
+//! jitter, a per-origin circuit breaker fast-fails while an origin is
+//! known bad (closed → open → half-open), and a stale cached copy is
+//! served — with a `Warning: 110` degraded marker — when revalidation
+//! fails entirely (`stale-if-error` semantics). Every degradation is
+//! counted in [`ProxyStats`].
 //!
 //! ## Concurrency
 //!
@@ -30,12 +31,14 @@
 //! the connection with `503` rather than growing without bound
 //! (counted in [`ProxyStats::rejected`]).
 
+use crate::accesslog::AccessLog;
 use crate::cluster::{self, ClusterConfig, ClusterState};
 use crate::fault::splitmix64;
 use crate::http::HttpError;
 use crate::http::{self, Request, Response};
 use crate::iofault::IoFaultInjector;
 use crate::persist::{self, JournalOp, PersistConfig, PersistError};
+use crate::upstream::{Fetched, Upstream};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -135,9 +138,10 @@ pub struct ProxyConfig {
     /// `WEBCACHE_SERVING_BACKEND` environment variable overrides it (so
     /// an unmodified test suite can be replayed against the reactor).
     pub backend: ServingBackend,
-    /// Record one CLF-like line per served request (the default). The
-    /// log line is the single inherent per-hit heap allocation, so
-    /// benchmarks and the steady-state allocation test turn it off.
+    /// Record one CLF-like line per served request (the default), in a
+    /// ring of the last 4096. The ring is behind one mutex and allocates
+    /// until its line buffers have grown, so benchmarks and the
+    /// steady-state allocation test turn it off.
     pub access_log: bool,
 }
 
@@ -366,6 +370,19 @@ struct Breaker {
     failures: u32,
     /// Logical tick at which the breaker last opened.
     opened_at: u64,
+}
+
+/// What a breaker says to a fetch about to start.
+enum Admission {
+    /// Closed with no failure on record — the common case; a success
+    /// then has nothing to clear.
+    Pristine,
+    /// Closed, with failures a success clears.
+    Closed,
+    /// Half-open: one probe attempt, whose outcome decides.
+    Probe,
+    /// Open and inside its cooldown: fail fast.
+    Refused,
 }
 
 /// Why a resilient origin fetch returned no response.
@@ -633,7 +650,7 @@ pub(crate) struct ProxyState {
     /// of [`ProxyStats`] — it describes the serving engine, not the
     /// cache — but observable via [`ProxyServer::worker_jobs`].
     worker_jobs: AtomicU64,
-    log: Mutex<Vec<String>>,
+    log: Mutex<AccessLog>,
     /// Cluster state when running as a cluster node
     /// ([`ProxyServer::start_clustered`]); `None` single-node.
     cluster: Option<Arc<ClusterState>>,
@@ -651,6 +668,14 @@ impl ProxyState {
     /// Count one unit of work occupying a worker thread.
     pub(crate) fn count_worker_job(&self) {
         AtomicProxyStats::add(&self.worker_jobs, 1);
+    }
+
+    /// Append a line to the access log when it is on: a `200` of `size`
+    /// bytes for `target`, served as `outcome` (`HIT`, `MISS`, …).
+    fn log_access(&self, on: bool, now: u64, target: &str, size: u64, outcome: &str) {
+        if on {
+            self.log.lock().record(now, target, size, outcome);
+        }
     }
 }
 
@@ -1056,9 +1081,10 @@ impl ProxyServer {
         self.state.cluster.clone()
     }
 
-    /// The proxy's Common-Log-Format access log so far.
+    /// The proxy's Common-Log-Format access log: its most recent 4096
+    /// lines, oldest first.
     pub fn access_log(&self) -> String {
-        self.state.log.lock().join("\n")
+        self.state.log.lock().tail()
     }
 
     /// Bytes currently cached (lock-free, summed over shards).
@@ -1102,7 +1128,7 @@ fn new_state(
         breakers: Mutex::new(HashMap::new()),
         jitter_seq: AtomicU64::new(0),
         worker_jobs: AtomicU64::new(0),
-        log: Mutex::new(Vec::new()),
+        log: Mutex::new(AccessLog::new()),
         cluster,
         persist_health: OnceLock::new(),
     })
@@ -1142,9 +1168,10 @@ fn start_threaded(
             let queue = Arc::clone(&queue);
             let state = Arc::clone(state);
             std::thread::spawn(move || {
+                let mut up = Upstream::new(origin, &config);
                 while let Some(mut stream) = queue.pop() {
                     AtomicProxyStats::add(&state.worker_jobs, 1);
-                    serve_connection(&mut stream, origin, config, &state);
+                    serve_connection(&mut stream, &mut up, config, &state);
                 }
             })
         })
@@ -1804,7 +1831,7 @@ fn is_timeout(e: &HttpError) -> bool {
 /// client pipelined after its first request are ignored.
 fn serve_connection(
     stream: &mut TcpStream,
-    origin: SocketAddr,
+    up: &mut Upstream,
     config: ProxyConfig,
     state: &Arc<ProxyState>,
 ) {
@@ -1812,7 +1839,7 @@ fn serve_connection(
     let _ = stream.set_write_timeout(Some(config.read_timeout));
     match http::read_request(stream) {
         Ok(req) => {
-            let _ = respond(stream, origin, config, state, req);
+            let _ = respond(stream, up, config, state, req);
         }
         Err(e) => {
             let status = if is_timeout(&e) { 504 } else { 400 };
@@ -1821,53 +1848,30 @@ fn serve_connection(
     }
 }
 
-/// One bounded fetch attempt: connect under a timeout, then read under a
-/// timeout. A stalled or truncating origin surfaces as `Err`, never as a
-/// hang or a short body.
-fn fetch_once(
-    origin: SocketAddr,
-    req: &Request,
-    config: &ProxyConfig,
-) -> Result<Response, HttpError> {
-    let mut stream = TcpStream::connect_timeout(&origin, config.connect_timeout)?;
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    stream.set_write_timeout(Some(config.read_timeout))?;
-    http::write_request(&mut stream, req)?;
-    http::read_response(&mut stream)
-}
-
 /// Fetch from the origin with retries, backoff, and the host's circuit
-/// breaker. A `5xx` response counts as a failed attempt. No lock is
-/// held across network I/O or backoff sleeps.
+/// breaker. Each attempt is one [`Upstream::fetch`]; a `5xx` response
+/// counts as a failed attempt. No lock is held across network I/O or
+/// backoff sleeps.
 fn fetch_origin_resilient(
-    origin: SocketAddr,
-    req: &Request,
+    up: &mut Upstream,
+    target: &str,
+    if_modified_since: Option<u64>,
     config: &ProxyConfig,
     state: &Arc<ProxyState>,
     host: &str,
-) -> Result<Response, FetchError> {
+) -> Result<Fetched, FetchError> {
     // Breaker admission: open → fast-fail (or half-open probe after the
     // cooldown); a probe gets exactly one attempt.
-    let probing = {
-        let now = state.now.load(Ordering::SeqCst);
-        let mut breakers = state.breakers.lock();
-        let breaker = breakers.entry(host.to_string()).or_default();
-        match breaker.state {
-            BreakerState::Closed => false,
-            BreakerState::HalfOpen => true,
-            BreakerState::Open => {
-                if now.saturating_sub(breaker.opened_at) >= config.breaker_cooldown {
-                    breaker.state = BreakerState::HalfOpen;
-                    true
-                } else {
-                    AtomicProxyStats::add(&state.stats.breaker_fast_fails, 1);
-                    return Err(FetchError::BreakerOpen);
-                }
-            }
-        }
+    let admission = breaker_admit(state, host, config);
+    if matches!(admission, Admission::Refused) {
+        AtomicProxyStats::add(&state.stats.breaker_fast_fails, 1);
+        return Err(FetchError::BreakerOpen);
+    }
+    let attempts = if matches!(admission, Admission::Probe) {
+        1
+    } else {
+        1 + config.max_retries
     };
-
-    let attempts = if probing { 1 } else { 1 + config.max_retries };
     let mut timed_out = false;
     for attempt in 0..attempts {
         if attempt > 0 {
@@ -1882,12 +1886,11 @@ fn fetch_origin_resilient(
                 config.backoff_base * (1 << (attempt - 1)) + Duration::from_millis(jitter_ms);
             std::thread::sleep(sleep);
         }
-        match fetch_once(origin, req, config) {
+        match up.fetch(target, if_modified_since) {
             Ok(resp) if resp.status < 500 => {
-                let mut breakers = state.breakers.lock();
-                let breaker = breakers.entry(host.to_string()).or_default();
-                breaker.state = BreakerState::Closed;
-                breaker.failures = 0;
+                if !matches!(admission, Admission::Pristine) {
+                    breaker_on_success(state, host);
+                }
                 return Ok(resp);
             }
             Ok(_server_error) => {}
@@ -1900,27 +1903,10 @@ fn fetch_origin_resilient(
         }
     }
 
-    // All attempts failed: record it and account the breaker. A failed
-    // half-open probe re-opens immediately; a closed breaker opens once
-    // consecutive failures reach the threshold.
+    // All attempts failed: record it and account the breaker.
     AtomicProxyStats::add(&state.stats.origin_failures, 1);
     let now = state.now.load(Ordering::SeqCst);
-    let tripped = {
-        let mut breakers = state.breakers.lock();
-        let breaker = breakers.entry(host.to_string()).or_default();
-        breaker.failures += 1;
-        let opens = match breaker.state {
-            BreakerState::HalfOpen => true,
-            BreakerState::Closed => breaker.failures >= config.breaker_threshold,
-            BreakerState::Open => false,
-        };
-        if opens {
-            breaker.state = BreakerState::Open;
-            breaker.opened_at = now;
-        }
-        opens
-    };
-    if tripped {
+    if breaker_on_failure(state, host, config, now) {
         AtomicProxyStats::add(&state.stats.breaker_trips, 1);
     }
     Err(FetchError::Exhausted { timed_out })
@@ -1937,7 +1923,7 @@ fn error_response(e: &FetchError) -> Response {
 
 fn respond(
     stream: &mut TcpStream,
-    origin: SocketAddr,
+    up: &mut Upstream,
     config: ProxyConfig,
     state: &Arc<ProxyState>,
     req: Request,
@@ -1953,7 +1939,7 @@ fn respond(
     if !req.target.starts_with("http://") {
         return http::write_response(stream, &Response::status_only(400));
     }
-    let resp = proxy_get(origin, config, state, &req.target)?;
+    let resp = proxy_get(up, config, state, &req.target)?;
     http::write_response(stream, &finalize_response(&req, resp))
 }
 
@@ -2061,13 +2047,13 @@ pub(crate) fn begin_request(state: &Arc<ProxyState>, target: &str) -> (UrlId, u6
 
 /// The proxy's core GET logic, factored out for direct (in-process) use.
 fn proxy_get(
-    origin: SocketAddr,
+    up: &mut Upstream,
     config: ProxyConfig,
     state: &Arc<ProxyState>,
     target: &str,
 ) -> Result<Response, HttpError> {
     let (url, now) = begin_request(state, target);
-    Ok(proxy_get_at(origin, config, state, target, url, now))
+    Ok(proxy_get_at(up, config, state, target, url, now))
 }
 
 /// Reactor fast path: serve a fresh cache hit inline on the event loop,
@@ -2105,12 +2091,7 @@ pub(crate) fn try_serve_fresh_hit(
     })??;
     AtomicProxyStats::add(&state.stats.hits, 1);
     AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
-    if config.access_log {
-        state.log.lock().push(format!(
-            "client - - [t{now}] \"GET {target} HTTP/1.0\" 200 {} HIT",
-            meta.size
-        ));
-    }
+    state.log_access(config.access_log, now, target, meta.size, "HIT");
     Some((body, meta.last_modified))
 }
 
@@ -2118,7 +2099,7 @@ pub(crate) fn try_serve_fresh_hit(
 /// admitted by [`begin_request`]. May block on origin I/O and backoff
 /// sleeps — never run this on the reactor's event loop.
 pub(crate) fn proxy_get_at(
-    origin: SocketAddr,
+    up: &mut Upstream,
     config: ProxyConfig,
     state: &Arc<ProxyState>,
     target: &str,
@@ -2148,20 +2129,12 @@ pub(crate) fn proxy_get_at(
             // Case 1: consistent copy, serve it (already touched above).
             AtomicProxyStats::add(&state.stats.hits, 1);
             AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
-            if config.access_log {
-                state.log.lock().push(format!(
-                    "client - - [t{now}] \"GET {target} HTTP/1.0\" 200 {} HIT",
-                    meta.size
-                ));
-            }
+            state.log_access(config.access_log, now, target, meta.size, "HIT");
             return Response::ok(body, meta.last_modified).with_cache_status(true);
         }
         // Case 2: revalidate with a conditional GET.
-        let cond = Request::get(target).with_header(
-            "If-Modified-Since",
-            &meta.last_modified.unwrap_or(0).to_string(),
-        );
-        return match fetch_origin_resilient(origin, &cond, &config, state, host) {
+        let since = Some(meta.last_modified.unwrap_or(0));
+        return match fetch_origin_resilient(up, target, since, &config, state, host) {
             Ok(origin_resp) if origin_resp.status == 304 => {
                 AtomicProxyStats::add(&state.stats.revalidated, 1);
                 state.cache.with_shard_for(url, |_, ext| {
@@ -2180,7 +2153,7 @@ pub(crate) fn proxy_get_at(
             }
             // Origin answered but with neither 304 nor a document (e.g.
             // the document is gone): pass it through, keep our copy.
-            Ok(origin_resp) => origin_resp,
+            Ok(origin_resp) => origin_resp.into_response(),
             Err(_e) if config.serve_stale => {
                 // Revalidation failed: serve the expired copy, marked
                 // degraded, rather than surfacing the origin failure
@@ -2191,12 +2164,7 @@ pub(crate) fn proxy_get_at(
                 AtomicProxyStats::add(&state.stats.stale_serves, 1);
                 AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
                 touch_resident(state, url, target, &meta, &body, now);
-                if config.access_log {
-                    state.log.lock().push(format!(
-                        "client - - [t{now}] \"GET {target} HTTP/1.0\" 200 {} STALE",
-                        meta.size
-                    ));
-                }
+                state.log_access(config.access_log, now, target, meta.size, "STALE");
                 Response::ok(body, meta.last_modified)
                     .with_cache_status(true)
                     .with_degraded()
@@ -2212,13 +2180,12 @@ pub(crate) fn proxy_get_at(
     if let Some(resp) = cluster_peer_lookup(&config, state, target, now) {
         return resp;
     }
-    let origin_resp =
-        match fetch_origin_resilient(origin, &Request::get(target), &config, state, host) {
-            Ok(resp) => resp,
-            Err(e) => return error_response(&e),
-        };
+    let origin_resp = match fetch_origin_resilient(up, target, None, &config, state, host) {
+        Ok(resp) => resp,
+        Err(e) => return error_response(&e),
+    };
     if origin_resp.status != 200 {
-        return origin_resp;
+        return origin_resp.into_response();
     }
     // A non-owner serves but does not store: each key has one home, so
     // exactly one removal-policy instance governs its lifetime, and the
@@ -2257,7 +2224,7 @@ fn cluster_peer_lookup(
     // Peer-breaker admission: one bounded attempt, no retries — the
     // origin is always available as the fallback, so a sick peer must
     // never add more than one timeout of latency.
-    if !breaker_admits(state, &key, config) {
+    if matches!(breaker_admit(state, &key, config), Admission::Refused) {
         cluster.count_failure();
         return None;
     }
@@ -2277,11 +2244,7 @@ fn cluster_peer_lookup(
             let size = body.len() as u64;
             AtomicProxyStats::add(&state.stats.hits, 1);
             AtomicProxyStats::add(&state.stats.bytes_from_cache, size);
-            if config.access_log {
-                state.log.lock().push(format!(
-                    "client - - [t{now}] \"GET {target} HTTP/1.0\" 200 {size} PEER-HIT"
-                ));
-            }
+            state.log_access(config.access_log, now, target, size, "PEER-HIT");
             Some(Response::ok(Bytes::from(body), last_modified).with_cache_status(true))
         }
         Ok(cluster::Frame::Miss { .. }) => {
@@ -2305,39 +2268,46 @@ fn cluster_peer_lookup(
     }
 }
 
-/// Peer-breaker admission: `true` to attempt one bounded lookup. The
-/// same closed → open → half-open discipline as the origin breaker, but
-/// single-shot (no retry budget to size).
-fn breaker_admits(state: &Arc<ProxyState>, key: &str, config: &ProxyConfig) -> bool {
+/// Breaker admission for `key` (an origin host, or `peer#<node>`):
+/// closed → open → half-open, the cooldown counted in logical ticks. A
+/// key with no entry has never failed — entries are created by
+/// [`breaker_on_failure`] alone, so the path of a healthy origin looks
+/// its host up by `&str` and allocates nothing.
+fn breaker_admit(state: &Arc<ProxyState>, key: &str, config: &ProxyConfig) -> Admission {
     let now = state.now.load(Ordering::SeqCst);
     let mut breakers = state.breakers.lock();
-    let b = breakers.entry(key.to_string()).or_default();
+    let Some(b) = breakers.get_mut(key) else {
+        return Admission::Pristine;
+    };
     match b.state {
-        BreakerState::Closed | BreakerState::HalfOpen => true,
-        BreakerState::Open => {
-            if now.saturating_sub(b.opened_at) >= config.breaker_cooldown {
-                b.state = BreakerState::HalfOpen;
-                true
-            } else {
-                false
-            }
+        BreakerState::Closed if b.failures == 0 => Admission::Pristine,
+        BreakerState::Closed => Admission::Closed,
+        BreakerState::HalfOpen => Admission::Probe,
+        BreakerState::Open if now.saturating_sub(b.opened_at) >= config.breaker_cooldown => {
+            b.state = BreakerState::HalfOpen;
+            Admission::Probe
         }
+        BreakerState::Open => Admission::Refused,
     }
 }
 
 /// A healthy answer closes the breaker and clears its failure count.
 fn breaker_on_success(state: &Arc<ProxyState>, key: &str) {
-    let mut breakers = state.breakers.lock();
-    let b = breakers.entry(key.to_string()).or_default();
-    b.state = BreakerState::Closed;
-    b.failures = 0;
+    if let Some(b) = state.breakers.lock().get_mut(key) {
+        b.state = BreakerState::Closed;
+        b.failures = 0;
+    }
 }
 
 /// Count one failure; `true` when this failure tripped the breaker
-/// open (a failed half-open probe re-opens immediately).
+/// open: a failed half-open probe re-opens immediately, a closed breaker
+/// opens once consecutive failures reach the threshold.
 fn breaker_on_failure(state: &Arc<ProxyState>, key: &str, config: &ProxyConfig, now: u64) -> bool {
     let mut breakers = state.breakers.lock();
-    let b = breakers.entry(key.to_string()).or_default();
+    if !breakers.contains_key(key) {
+        breakers.insert(key.to_string(), Breaker::default());
+    }
+    let b = breakers.get_mut(key).expect("present: inserted above");
     b.failures += 1;
     let opens = match b.state {
         BreakerState::HalfOpen => true,
@@ -2429,20 +2399,15 @@ fn peer_lookup_local(
 fn serve_uncached(
     state: &Arc<ProxyState>,
     target: &str,
-    origin_resp: Response,
+    origin_resp: Fetched,
     now: u64,
     log: bool,
 ) -> Response {
     let size = origin_resp.body.len() as u64;
     AtomicProxyStats::add(&state.stats.misses, 1);
     AtomicProxyStats::add(&state.stats.bytes_from_origin, size);
-    if log {
-        state.log.lock().push(format!(
-            "client - - [t{now}] \"GET {target} HTTP/1.0\" 200 {size} MISS"
-        ));
-    }
-    let last_modified = origin_resp.last_modified();
-    Response::ok(origin_resp.body, last_modified).with_cache_status(false)
+    state.log_access(log, now, target, size, "MISS");
+    Response::ok(origin_resp.body, origin_resp.last_modified).with_cache_status(false)
 }
 
 /// Re-reference a document we are serving from memory, so the policy
@@ -2531,12 +2496,7 @@ fn record_cache_hit(
     touch_resident(state, url, target, meta, body, now);
     AtomicProxyStats::add(&state.stats.hits, 1);
     AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
-    if log {
-        state.log.lock().push(format!(
-            "client - - [t{now}] \"GET {target} HTTP/1.0\" 200 {} HIT",
-            meta.size
-        ));
-    }
+    state.log_access(log, now, target, meta.size, "HIT");
 }
 
 /// Store a 200 origin response (evicting via the policy) and serve it.
@@ -2544,14 +2504,14 @@ fn store_and_serve(
     state: &Arc<ProxyState>,
     url: UrlId,
     target: &str,
-    origin_resp: Response,
+    origin_resp: Fetched,
     now: u64,
     log: bool,
 ) -> Response {
     let size = origin_resp.body.len() as u64;
     AtomicProxyStats::add(&state.stats.misses, 1);
     AtomicProxyStats::add(&state.stats.bytes_from_origin, size);
-    let last_modified = origin_resp.last_modified();
+    let last_modified = origin_resp.last_modified;
     state.cache.with_shard_for(url, |cache, ext| {
         let r = webcache_trace::Request {
             time: now,
@@ -2602,11 +2562,7 @@ fn store_and_serve(
             }
         }
     });
-    if log {
-        state.log.lock().push(format!(
-            "client - - [t{now}] \"GET {target} HTTP/1.0\" 200 {size} MISS"
-        ));
-    }
+    state.log_access(log, now, target, size, "MISS");
     Response::ok(origin_resp.body, last_modified).with_cache_status(false)
 }
 

@@ -220,11 +220,7 @@ pub(crate) fn write_segments<W: WriteTwo>(
         if *pos >= total {
             return Event::Done;
         }
-        let (a, b): (&[u8], &[u8]) = if *pos < head.len() {
-            (&head[*pos..], body)
-        } else {
-            (&body[*pos - head.len()..], &[])
-        };
+        let (a, b) = http::unsent(head, body, *pos);
         match w.write_two(a, b) {
             Ok(0) => return Event::Done,
             Ok(n) => *pos += n,

@@ -10,6 +10,11 @@
 //! ([`FaultPlan::schedule`]) and assert the proxy's degradation counters
 //! against the injected plan — while still driving real sockets, real
 //! timeouts, and real partial reads through the production code path.
+//!
+//! The schedule is per connection, so the shim opts out of persistent
+//! connections: it serves one request per connection and says so
+//! (`Connection: close`), whatever the client asked for. Every origin
+//! fetch through it is therefore a fresh connection with its own index.
 
 use crate::http::{self, Response};
 use std::io::Write as _;
@@ -294,11 +299,13 @@ impl Drop for FaultyOrigin {
     }
 }
 
-/// Forward one request to the upstream and return its response.
-fn forward(upstream: SocketAddr, req: &http::Request) -> Result<Response, http::HttpError> {
+/// Forward one request to the upstream — on a connection of its own, with
+/// the client's `Connection` header dropped — and return its response.
+fn forward(upstream: SocketAddr, mut req: http::Request) -> Result<Response, http::HttpError> {
+    req.headers.remove("connection");
     let mut s = TcpStream::connect(upstream)?;
-    http::write_request(&mut s, req)?;
-    http::read_response(&mut s)
+    http::write_request(&mut s, &req)?;
+    Ok(http::read_response(&mut s)?.with_connection(false))
 }
 
 fn serve_faulty(
@@ -318,19 +325,19 @@ fn serve_faulty(
         Some(FaultKind::ServerError) => {
             stats.server_errors.fetch_add(1, Ordering::Relaxed);
             let _ = http::read_request(stream)?;
-            http::write_response(stream, &Response::status_only(503))
+            http::write_response(stream, &Response::status_only(503).with_connection(false))
         }
         Some(FaultKind::Delay) => {
             stats.delayed.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(plan.delay_for);
             let req = http::read_request(stream)?;
-            let resp = forward(upstream, &req)?;
+            let resp = forward(upstream, req)?;
             http::write_response(stream, &resp)
         }
         Some(FaultKind::StallMidBody) => {
             stats.stalled.fetch_add(1, Ordering::Relaxed);
             let req = http::read_request(stream)?;
-            let resp = forward(upstream, &req)?;
+            let resp = forward(upstream, req)?;
             // Half of the whole encoded response, then go silent while
             // holding the socket open: the client's read must time out.
             // Byte-identical to concatenating head+body and halving, but
@@ -351,7 +358,7 @@ fn serve_faulty(
         Some(FaultKind::TruncateBody) => {
             stats.truncated.fetch_add(1, Ordering::Relaxed);
             let req = http::read_request(stream)?;
-            let resp = forward(upstream, &req)?;
+            let resp = forward(upstream, req)?;
             // A truthful head, then only half the promised body and an
             // immediate close: the client sees a short read, not a hang.
             stream.write_all(&http::encode_response_head(&resp))?;
@@ -362,7 +369,7 @@ fn serve_faulty(
         Some(FaultKind::SlowBody) => {
             stats.slowed.fetch_add(1, Ordering::Relaxed);
             let req = http::read_request(stream)?;
-            let resp = forward(upstream, &req)?;
+            let resp = forward(upstream, req)?;
             // Head promptly, then the body in small chunks paced so the
             // whole transfer spans `slow_for`: every byte arrives and the
             // response is correct, just slow. Per-chunk pauses stay well
@@ -383,7 +390,7 @@ fn serve_faulty(
         None => {
             stats.passed.fetch_add(1, Ordering::Relaxed);
             let req = http::read_request(stream)?;
-            let resp = forward(upstream, &req)?;
+            let resp = forward(upstream, req)?;
             http::write_response(stream, &resp)
         }
     }

@@ -1,11 +1,15 @@
 //! A minimal HTTP/1.0 message layer: exactly what a 1996 CERN-style proxy
 //! needed — `GET`/conditional-`GET` requests, status-line responses, and
-//! `Content-Length` body framing. No chunked encoding, no keep-alive
-//! (HTTP/1.0 closes per request), no TLS.
+//! `Content-Length` body framing. No chunked encoding, no TLS. The
+//! readers and writers here handle one message and know nothing about
+//! connection reuse; the proxy's persistent origin connections
+//! (`Connection: keep-alive`, see [`crate::upstream`]) are built on top,
+//! with [`read_response`] / [`write_request`] kept as the blocking oracle
+//! the upstream reader is tested against.
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 
 /// Upper bound accepted for `Content-Length`, so a corrupt or hostile
 /// peer cannot make the reader allocate unbounded memory.
@@ -137,6 +141,16 @@ impl Response {
         self.headers.get("x-cache").map(String::as_str) == Some("HIT")
     }
 
+    /// Say whether the connection stays open after this response:
+    /// `Connection: keep-alive`, or an explicit `Connection: close`.
+    pub fn with_connection(mut self, keep_alive: bool) -> Response {
+        self.headers.insert(
+            "connection".to_string(),
+            if keep_alive { "keep-alive" } else { "close" }.to_string(),
+        );
+        self
+    }
+
     /// Mark this response as degraded: a stale cached copy served because
     /// the origin could not be reached (HTTP `Warning: 110`, the
     /// "response is stale" code RFC 7234 pairs with `stale-if-error`).
@@ -187,8 +201,13 @@ fn read_line_bounded<R: BufRead>(reader: &mut R) -> Result<String, HttpError> {
 /// Read one request from a stream (any `Read` — a socket or a test
 /// buffer).
 pub fn read_request<S: Read>(stream: &mut S) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let line = read_line_bounded(&mut reader)?;
+    read_request_from(&mut BufReader::new(stream))
+}
+
+/// [`read_request`] over a caller-owned buffered reader, so a server that
+/// keeps a connection open reads successive requests through one buffer.
+pub fn read_request_from<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
+    let line = read_line_bounded(reader)?;
     let mut parts = line.split_ascii_whitespace();
     let method = parts
         .next()
@@ -202,7 +221,7 @@ pub fn read_request<S: Read>(stream: &mut S) -> Result<Request, HttpError> {
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::Malformed(format!("bad version {version:?}")));
     }
-    let headers = read_headers(&mut reader)?;
+    let headers = read_headers(reader)?;
     Ok(Request {
         method,
         target,
@@ -260,7 +279,7 @@ pub fn read_response<S: Read>(stream: &mut S) -> Result<Response, HttpError> {
 /// Append the decimal digits of `n` to `buf` without going through
 /// `format!`/`String` — the head encoders below run on the reactor's
 /// allocation-free hit path.
-fn push_u64(buf: &mut Vec<u8>, n: u64) {
+pub(crate) fn push_u64(buf: &mut Vec<u8>, n: u64) {
     // u64::MAX has 20 digits.
     let mut digits = [0u8; 20];
     let mut i = digits.len();
@@ -335,11 +354,41 @@ pub fn encode_response_head(resp: &Response) -> Vec<u8> {
     out
 }
 
-/// Write a response to a stream.
+/// Write a response to a stream: head and body leave in one vectored
+/// write, so on a socket they share a segment instead of the body waiting
+/// behind the head for Nagle's algorithm and the peer's delayed ACK.
 pub fn write_response<S: Write>(stream: &mut S, resp: &Response) -> Result<(), HttpError> {
-    stream.write_all(&encode_response_head(resp))?;
-    stream.write_all(&resp.body)?;
+    write_all_two(stream, &encode_response_head(resp), &resp.body)?;
     stream.flush()?;
+    Ok(())
+}
+
+/// What is left of a two-segment message (`head`, then `body`, never
+/// concatenated) once its first `pos` bytes are sent. A segment already
+/// flushed comes back empty, so a vectored write never sees a stale byte.
+pub(crate) fn unsent<'a>(head: &'a [u8], body: &'a [u8], pos: usize) -> (&'a [u8], &'a [u8]) {
+    if pos < head.len() {
+        (&head[pos..], body)
+    } else {
+        (&body[pos - head.len()..], &[])
+    }
+}
+
+/// `write_all` over two segments: a short write resumes at the next
+/// unsent byte wherever it landed — inside the head, on the boundary, or
+/// inside the body — as `conn::write_segments` does for the reactor's
+/// non-blocking sockets.
+fn write_all_two<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let mut pos = 0;
+    while pos < head.len() + body.len() {
+        let (a, b) = unsent(head, body, pos);
+        match w.write_vectored(&[IoSlice::new(a), IoSlice::new(b)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => pos += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(())
 }
 
@@ -840,6 +889,66 @@ mod tests {
         let mut fast = Vec::new();
         encode_not_modified_hit_head_into(&mut fast);
         assert_eq!(fast, oracle);
+    }
+
+    /// A sink that takes at most `budget` bytes per call, through either
+    /// entry point, and counts the calls.
+    struct Trickle {
+        budget: usize,
+        sent: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut left = self.budget;
+            for b in bufs {
+                let n = left.min(b.len());
+                self.sent.extend_from_slice(&b[..n]);
+                left -= n;
+            }
+            Ok(self.budget - left)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_response_is_one_vectored_write_and_resumes_short_writes() {
+        for resp in [
+            Response::ok(synthetic_body("http://s/x", 300), Some(77)).with_cache_status(false),
+            Response::status_only(304),
+        ] {
+            let mut wire = encode_response_head(&resp);
+            wire.extend_from_slice(&resp.body);
+            // Every budget from one byte a call to more than the whole
+            // message: short writes land inside the head, on the
+            // head/body boundary and inside the body.
+            for budget in 1..=wire.len() + 1 {
+                let mut w = Trickle {
+                    budget,
+                    sent: Vec::new(),
+                    calls: 0,
+                };
+                write_response(&mut w, &resp).unwrap();
+                assert_eq!(w.sent, wire, "budget {budget}");
+                assert_eq!(w.calls, wire.len().div_ceil(budget), "budget {budget}");
+            }
+        }
+        // A sink that accepts nothing is an error, not a spin.
+        let mut w = Trickle {
+            budget: 0,
+            sent: Vec::new(),
+            calls: 0,
+        };
+        assert!(write_response(&mut w, &Response::status_only(200)).is_err());
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   a readiness-driven reactor (epoll event loop owning every client
 //!   socket non-blocking; workers only ever see complete requests, so
 //!   slow clients pin buffers, not threads).
+//! * [`upstream`] — the proxy's connections to its origin: one
+//!   persistent (`Connection: keep-alive`) socket per worker, reused
+//!   from miss to miss, and the allocation-light
+//!   [`upstream::ResponseReader`] both backends fetch through.
 //! * [`persist`] — crash-safe cache persistence: per-shard snapshots +
 //!   append-only journals with checksummed frames, giving a SIGKILLed
 //!   proxy a warm restart that recovers its working set (quarantining —
@@ -52,6 +56,7 @@
 
 #![warn(missing_docs)]
 
+mod accesslog;
 mod bufpool;
 pub mod cache_proxy;
 pub mod cluster;
@@ -62,6 +67,7 @@ pub mod iofault;
 pub mod origin;
 pub mod persist;
 mod reactor;
+pub mod upstream;
 
 pub use cache_proxy::{
     PersistHealth, PersistHealthState, ProxyConfig, ProxyServer, ProxyStats, RecoveryReport,

@@ -1,6 +1,11 @@
 //! A synthetic origin Web server: serves a document store over HTTP/1.0,
 //! including conditional GET (`If-Modified-Since` → `304 Not Modified`),
 //! the consistency mechanism section 1 of the paper describes.
+//!
+//! A client that sends `Connection: keep-alive` keeps its connection: the
+//! origin answers in kind and serves request after request on it, one
+//! thread per connection, until the peer closes. Any other client gets
+//! HTTP/1.0's one request per connection.
 
 #[cfg(test)]
 use crate::http::Request;
@@ -8,7 +13,8 @@ use crate::http::{self, Response};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::BufReader;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -87,6 +93,9 @@ pub struct OriginStats {
     pub not_modified: AtomicU64,
     /// Body bytes sent.
     pub bytes_sent: AtomicU64,
+    /// Connections accepted — with persistent upstream connections, far
+    /// fewer than requests served.
+    pub connections: AtomicU64,
 }
 
 /// A running origin server.
@@ -110,16 +119,33 @@ impl OriginServer {
             let stats = Arc::clone(&stats);
             let shutdown = Arc::clone(&shutdown);
             std::thread::spawn(move || {
+                // Every connection still being served: a second handle to
+                // its socket and the thread serving it.
+                let mut live: Vec<(TcpStream, std::thread::JoinHandle<()>)> = Vec::new();
                 for conn in listener.incoming() {
                     if shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(mut stream) = conn else { continue };
+                    let Ok(stream) = conn else { continue };
+                    let Ok(handle) = stream.try_clone() else {
+                        continue;
+                    };
+                    stats.connections.fetch_add(1, Ordering::Relaxed);
+                    live.retain(|(_, thread)| !thread.is_finished());
                     let store = Arc::clone(&store);
                     let stats = Arc::clone(&stats);
-                    std::thread::spawn(move || {
-                        let _ = serve_one(&mut stream, &store, &stats);
+                    let thread = std::thread::spawn(move || {
+                        let _ = serve_connection(stream, &store, &stats);
                     });
+                    live.push((handle, thread));
+                }
+                // A dropped origin is a dead origin: persistent
+                // connections end with it, so a proxy holding one sees the
+                // failure on its next fetch, not a server that outlived
+                // its owner.
+                for (stream, thread) in live {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    let _ = thread.join();
                 }
             })
         };
@@ -182,17 +208,40 @@ fn lookup(store: &DocStore, target: &str) -> Option<(String, Doc)> {
     None
 }
 
-fn serve_one(
-    stream: &mut TcpStream,
+/// Serve one connection: a single request, or — for a client that asks
+/// with `Connection: keep-alive` — requests until it closes or errs.
+fn serve_connection(
+    stream: TcpStream,
     store: &DocStore,
     stats: &OriginStats,
-) -> Result<(), crate::http::HttpError> {
-    let req = http::read_request(stream)?;
+) -> Result<(), http::HttpError> {
+    // Responses are written whole; without this a persistent socket
+    // would hold each one back for the peer's delayed ACK.
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream);
+    loop {
+        let req = http::read_request_from(&mut reader)?;
+        let keep_alive = req
+            .headers
+            .get("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"));
+        let mut resp = respond(&req, store, stats);
+        if keep_alive {
+            resp = resp.with_connection(true);
+        }
+        http::write_response(reader.get_mut(), &resp)?;
+        if !keep_alive {
+            return Ok(());
+        }
+    }
+}
+
+fn respond(req: &http::Request, store: &DocStore, stats: &OriginStats) -> Response {
     if req.method != "GET" && req.method != "HEAD" {
-        return http::write_response(stream, &Response::status_only(501));
+        return Response::status_only(501);
     }
     let Some((_, doc)) = lookup(store, &req.target) else {
-        return http::write_response(stream, &Response::status_only(404));
+        return Response::status_only(404);
     };
     // Conditional GET: "P sends an HTTP conditional GET message to S
     // containing the Last-Modified time of its copy; if the original was
@@ -200,7 +249,7 @@ fn serve_one(
     if let Some(since) = req.if_modified_since() {
         if doc.last_modified <= since {
             stats.not_modified.fetch_add(1, Ordering::Relaxed);
-            return http::write_response(stream, &Response::status_only(304));
+            return Response::status_only(304);
         }
     }
     stats.full_responses.fetch_add(1, Ordering::Relaxed);
@@ -217,7 +266,7 @@ fn serve_one(
         resp.headers
             .insert("content-length".to_string(), "0".to_string());
     }
-    http::write_response(stream, &resp)
+    resp
 }
 
 #[cfg(test)]

@@ -35,8 +35,9 @@
 //!   queue, counted in the same [`crate::ProxyStats::rejected`]).
 //!   Workers run the unchanged blocking [`cache_proxy::proxy_get_at`] —
 //!   retries, backoff, breakers, serve-stale and all stats semantics
-//!   are shared code, not a reimplementation — and post completions
-//!   back through an `eventfd`.
+//!   are shared code, not a reimplementation — each through its own
+//!   persistent origin connection ([`crate::upstream`]), and post
+//!   completions back through an `eventfd`.
 
 use crate::bufpool::BufPool;
 use crate::cache_proxy::{
@@ -44,6 +45,7 @@ use crate::cache_proxy::{
 };
 use crate::conn::{Conn, ConnState, Event};
 use crate::http::{Request, RequestParser, Response};
+use crate::upstream::Upstream;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -535,10 +537,17 @@ impl Reactor {
                 let waker = Arc::clone(&waker);
                 let state = Arc::clone(&state);
                 std::thread::spawn(move || {
+                    let mut up = Upstream::new(origin, &config);
                     while let Some(job) = jobs.pop() {
                         state.count_worker_job();
-                        let resp =
-                            proxy_get_at(origin, config, &state, &job.req.target, job.url, job.now);
+                        let resp = proxy_get_at(
+                            &mut up,
+                            config,
+                            &state,
+                            &job.req.target,
+                            job.url,
+                            job.now,
+                        );
                         let resp = finalize_response(&job.req, resp);
                         completions.lock().push(Completion {
                             token: job.token,

@@ -1,0 +1,518 @@
+//! Persistent upstream connections (`proxy::upstream`): misses reuse a
+//! worker's origin connection, a stale idle connection is replaced
+//! without the retry loop or the breaker noticing, a dead origin is still
+//! a dead origin, the fault shim is never reused, a body is never served
+//! short — and the reader behind it all agrees with the blocking oracle
+//! `http::read_response`.
+
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+use webcache_core::policy::named;
+use webcache_proxy::http::{self, HttpError, Request, Response, MAX_BODY, MAX_HEADERS, MAX_LINE};
+use webcache_proxy::upstream::ResponseReader;
+use webcache_proxy::{
+    DocStore, FaultPlan, FaultyOrigin, OriginServer, ProxyConfig, ProxyServer, ServingBackend,
+};
+
+// -----------------------------------------------------------------------
+// Largest single allocation per thread, so a test can show that a hostile
+// `Content-Length` was refused before anything was reserved for it.
+
+struct PeakAllocator;
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // The thread-local may be gone during thread teardown; skip then.
+    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for PeakAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PeakAllocator = PeakAllocator;
+
+// -----------------------------------------------------------------------
+
+fn get(proxy: &ProxyServer, url: &str) -> Response {
+    let mut s = TcpStream::connect(proxy.addr()).expect("connect proxy");
+    http::write_request(&mut s, &Request::get(url)).expect("send");
+    http::read_response(&mut s).expect("recv")
+}
+
+fn doc_url(i: usize) -> String {
+    format!("http://o.test/doc{i}.html")
+}
+
+fn origin_with_docs(n: usize) -> OriginServer {
+    let store = Arc::new(DocStore::new());
+    for i in 0..n {
+        store.put_synthetic(&doc_url(i), 700 + i as u64, 10);
+    }
+    OriginServer::start(store).expect("origin")
+}
+
+/// What a [`ScriptedOrigin`] does with one request.
+#[derive(Clone, Copy)]
+enum Reply {
+    /// The whole 1000-byte document, promising `Connection: keep-alive`.
+    Full,
+    /// The same head, 400 of the 1000 bytes, then close.
+    Short,
+}
+
+const SCRIPTED_BODY: u64 = 1000;
+
+/// An origin that follows a script: connection `i` answers one request
+/// per entry of `script[i]` and is then closed, whatever it promised.
+struct ScriptedOrigin {
+    addr: SocketAddr,
+    connections: Arc<AtomicU64>,
+    shutdown: Arc<AtomicBool>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl ScriptedOrigin {
+    fn start(script: Vec<Vec<Reply>>) -> ScriptedOrigin {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let connections = Arc::new(AtomicU64::new(0));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let handle = {
+            let connections = Arc::clone(&connections);
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || {
+                for conn in listener.incoming() {
+                    if shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = conn else { continue };
+                    let index = connections.fetch_add(1, Ordering::SeqCst) as usize;
+                    let replies = script.get(index).cloned().unwrap_or_default();
+                    let mut reader = std::io::BufReader::new(stream);
+                    for reply in replies {
+                        let Ok(req) = http::read_request_from(&mut reader) else {
+                            break;
+                        };
+                        let body = http::synthetic_body(&req.target, SCRIPTED_BODY);
+                        let resp = Response::ok(body, Some(10)).with_connection(true);
+                        let stream = reader.get_mut();
+                        match reply {
+                            Reply::Full => {
+                                let _ = http::write_response(stream, &resp);
+                            }
+                            Reply::Short => {
+                                let _ = stream.write_all(&http::encode_response_head(&resp));
+                                let _ = stream.write_all(&resp.body[..400]);
+                                break;
+                            }
+                        }
+                    }
+                }
+            })
+        };
+        ScriptedOrigin {
+            addr,
+            connections,
+            shutdown,
+            handle: Some(handle),
+        }
+    }
+
+    fn connections(&self) -> u64 {
+        self.connections.load(Ordering::SeqCst)
+    }
+}
+
+impl Drop for ScriptedOrigin {
+    fn drop(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+/// (a) 200 sequential misses through a 2-worker proxy open at most two
+/// origin connections, under either backend.
+#[test]
+fn sequential_misses_reuse_each_workers_connection() {
+    for backend in [ServingBackend::Threaded, ServingBackend::Reactor] {
+        let origin = origin_with_docs(200);
+        let config = ProxyConfig::new(1 << 30)
+            .with_backend(backend)
+            .with_workers(2, 16);
+        let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
+        for i in 0..200 {
+            let r = get(&proxy, &doc_url(i));
+            assert_eq!(r.status, 200, "{backend:?} doc {i}");
+            assert!(!r.is_cache_hit());
+            assert_eq!(r.body, http::synthetic_body(&doc_url(i), 700 + i as u64));
+        }
+        let opened = origin.stats().connections.load(Ordering::Relaxed);
+        assert!(
+            (1..=2).contains(&opened),
+            "{backend:?}: {opened} origin connections for 200 misses"
+        );
+        assert_eq!(origin.stats().full_responses.load(Ordering::Relaxed), 200);
+        let s = proxy.stats();
+        assert_eq!((s.misses, s.retries, s.origin_failures), (200, 0, 0));
+    }
+}
+
+/// Revalidations travel on the kept connection too, and a `304` (no
+/// body) leaves it reusable.
+#[test]
+fn revalidations_share_the_connection() {
+    let origin = origin_with_docs(3);
+    let config = ProxyConfig::new(1 << 20).with_workers(1, 8).with_ttl(1);
+    let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
+    for round in 0..4 {
+        for i in 0..3 {
+            let r = get(&proxy, &doc_url(i));
+            assert_eq!(r.status, 200);
+            assert_eq!(r.is_cache_hit(), round > 0, "round {round} doc {i}");
+        }
+    }
+    assert_eq!(proxy.stats().revalidated, 9);
+    assert_eq!(origin.stats().not_modified.load(Ordering::Relaxed), 9);
+    assert_eq!(origin.stats().connections.load(Ordering::Relaxed), 1);
+}
+
+/// (b) The origin closes a connection it promised to keep: the next miss
+/// finds the idle socket dead, replaces it, and nobody counts a fault.
+#[test]
+fn stale_idle_connection_is_replaced_invisibly() {
+    let origin = ScriptedOrigin::start(vec![vec![Reply::Full]; 3]);
+    let config = ProxyConfig::new(1 << 20)
+        .with_workers(1, 8)
+        .with_retries(0, Duration::from_millis(1))
+        .with_breaker(1, 1000);
+    let proxy = ProxyServer::start(origin.addr, config, || Box::new(named::lru())).unwrap();
+    for i in 0..3 {
+        let r = get(&proxy, &doc_url(i));
+        assert_eq!(r.status, 200, "miss {i} after the origin closed");
+        assert_eq!(r.body, http::synthetic_body(&doc_url(i), SCRIPTED_BODY));
+    }
+    assert_eq!(origin.connections(), 3, "each closed socket was replaced");
+    let s = proxy.stats();
+    assert_eq!(
+        (s.retries, s.timeouts, s.origin_failures, s.breaker_trips),
+        (0, 0, 0, 0)
+    );
+    assert_eq!(s.misses, 3);
+}
+
+/// (c) Dropping the origin ends its persistent connections: a pooled
+/// socket does not keep a dead origin alive.
+#[test]
+fn dropped_origin_is_dead_despite_pooled_connections() {
+    let origin = origin_with_docs(4);
+    let config = ProxyConfig::new(1 << 20)
+        .with_workers(1, 8)
+        .with_ttl(1)
+        .with_retries(0, Duration::from_millis(1))
+        .with_breaker(50, 1000);
+    let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
+    let first = get(&proxy, &doc_url(0));
+    assert_eq!(get(&proxy, &doc_url(1)).status, 200);
+    assert_eq!(
+        origin.stats().connections.load(Ordering::Relaxed),
+        1,
+        "the worker's connection is pooled"
+    );
+    drop(origin);
+    // Uncached: bad gateway, as before persistent connections.
+    assert_eq!(get(&proxy, &doc_url(2)).status, 502);
+    assert_eq!(get(&proxy, &doc_url(3)).status, 502);
+    // Cached but expired: revalidation fails, the copy is served stale.
+    let r = get(&proxy, &doc_url(0));
+    assert_eq!(r.status, 200);
+    assert!(r.is_cache_hit() && r.is_degraded());
+    assert_eq!(r.body, first.body);
+    let s = proxy.stats();
+    assert_eq!((s.origin_failures, s.stale_serves), (3, 1));
+}
+
+/// (d) The fault shim never has a connection reused — its schedule is per
+/// connection — and a truncated body is a failed attempt, retried.
+#[test]
+fn fault_shim_connections_are_never_reused() {
+    let origin = origin_with_docs(3);
+    let plan = FaultPlan::new(3).truncate(1.0).active_range(1, 2);
+    let faulty = FaultyOrigin::start(origin.addr(), plan).expect("shim");
+    let config = ProxyConfig::new(1 << 20)
+        .with_workers(1, 8)
+        .with_retries(1, Duration::from_millis(1))
+        .with_breaker(50, 1000);
+    let proxy = ProxyServer::start(faulty.addr(), config, || Box::new(named::lru())).unwrap();
+    for i in 0..3 {
+        let r = get(&proxy, &doc_url(i));
+        assert_eq!(r.status, 200);
+        assert_eq!(r.body.len() as u64, 700 + i as u64, "never a short body");
+    }
+    let s = proxy.stats();
+    assert_eq!(
+        (s.misses, s.retries, s.timeouts, s.origin_failures),
+        (3, 1, 0, 0)
+    );
+    // One shim connection per request sent: three misses and one retry.
+    assert_eq!(faulty.connections(), 4);
+    assert_eq!(faulty.stats().truncated.load(Ordering::Relaxed), 1);
+    // And the shim's own forwards are one connection each.
+    assert_eq!(origin.stats().connections.load(Ordering::Relaxed), 4);
+}
+
+/// (d) A short body is an error on any connection. On a fresh one it is
+/// the origin's failure; on a reused one the socket is discarded and the
+/// attempt redone — either way the client never sees a short document.
+#[test]
+fn short_bodies_are_errors_and_discard_the_socket() {
+    let origin = ScriptedOrigin::start(vec![
+        vec![Reply::Short],
+        vec![Reply::Full, Reply::Short],
+        vec![Reply::Full],
+    ]);
+    let config = ProxyConfig::new(1 << 20)
+        .with_workers(1, 8)
+        .with_retries(0, Duration::from_millis(1))
+        .with_breaker(50, 1000);
+    let proxy = ProxyServer::start(origin.addr, config, || Box::new(named::lru())).unwrap();
+    // Fresh connection 0, short body: a failed fetch.
+    assert_eq!(get(&proxy, &doc_url(0)).status, 502);
+    assert_eq!(proxy.stats().origin_failures, 1);
+    // Fresh connection 1, complete: served and kept.
+    assert_eq!(get(&proxy, &doc_url(1)).body.len() as u64, SCRIPTED_BODY);
+    // Reused connection 1, short body: discarded, redone on connection 2.
+    let r = get(&proxy, &doc_url(2));
+    assert_eq!(r.status, 200);
+    assert_eq!(r.body, http::synthetic_body(&doc_url(2), SCRIPTED_BODY));
+    assert_eq!(origin.connections(), 3);
+    let s = proxy.stats();
+    assert_eq!(
+        (s.misses, s.retries, s.timeouts, s.origin_failures),
+        (2, 0, 0, 1)
+    );
+}
+
+// -----------------------------------------------------------------------
+// (e) The reader against the oracle.
+
+/// One generated response head and its body.
+#[derive(Debug, Clone)]
+struct Case {
+    status: u16,
+    /// The `content-length` value to send, if any, and the body length
+    /// that goes with it.
+    length: Option<(String, usize)>,
+    last_modified: Option<String>,
+    connection: Option<&'static str>,
+    /// Distinct filler headers before the blank line.
+    fillers: usize,
+    /// Pad one filler so its line is this many bytes, newline included.
+    long_line: Option<usize>,
+    upper: bool,
+    pad: usize,
+    crlf: bool,
+    /// Rotation of the header order.
+    rotate: usize,
+    /// Bytes cut off the end of the body.
+    cut: usize,
+}
+
+fn styled(name: &str, upper: bool) -> String {
+    if upper {
+        name.to_ascii_uppercase()
+    } else {
+        name.to_string()
+    }
+}
+
+impl Case {
+    fn wire(&self) -> Vec<u8> {
+        let eol = if self.crlf { "\r\n" } else { "\n" };
+        let pad = " ".repeat(self.pad);
+        let mut headers: Vec<String> = Vec::new();
+        if let Some((value, _)) = &self.length {
+            headers.push(format!(
+                "{}:{pad}{value}{pad}",
+                styled("content-length", self.upper)
+            ));
+        }
+        if let Some(lm) = &self.last_modified {
+            headers.push(format!("{}{pad}:{lm}", styled("Last-Modified", self.upper)));
+        }
+        if let Some(c) = self.connection {
+            headers.push(format!("{}: {pad}{c}", styled("Connection", self.upper)));
+        }
+        for i in 0..self.fillers {
+            let mut line = format!("x-filler-{i}: v");
+            if let (0, Some(total)) = (i, self.long_line) {
+                let short_by = total.saturating_sub(line.len() + eol.len());
+                line.push_str(&"v".repeat(short_by));
+            }
+            headers.push(line);
+        }
+        if !headers.is_empty() {
+            let by = self.rotate % headers.len();
+            headers.rotate_left(by);
+        }
+        let mut wire = format!("HTTP/1.0 {} Whatever{eol}", self.status).into_bytes();
+        for h in &headers {
+            wire.extend_from_slice(h.as_bytes());
+            wire.extend_from_slice(eol.as_bytes());
+        }
+        wire.extend_from_slice(eol.as_bytes());
+        let body_len = self.length.as_ref().map_or(0, |(_, n)| *n);
+        let body = http::synthetic_body("http://o.test/generated", body_len as u64);
+        wire.extend_from_slice(&body[..body_len - self.cut.min(body_len)]);
+        wire
+    }
+}
+
+fn case_strategy() -> impl Strategy<Value = Case> {
+    let length = prop::sample::select(vec![
+        None,
+        Some(("0".to_string(), 0)),
+        Some(("1".to_string(), 1)),
+        Some(("2500".to_string(), 2500)),
+        Some(("+17".to_string(), 17)),
+        Some(("20000".to_string(), 20000)),
+        Some(("banana".to_string(), 0)),
+        Some(("-3".to_string(), 0)),
+        Some(((MAX_BODY + 1).to_string(), 0)),
+        Some((u64::MAX.to_string(), 0)),
+    ]);
+    let last_modified = prop::sample::select(vec![
+        None,
+        Some("0".to_string()),
+        Some(" 77 ".to_string()),
+        Some("yesterday".to_string()),
+    ]);
+    let connection = prop::sample::select(vec![
+        None,
+        Some("keep-alive"),
+        Some("Keep-Alive"),
+        Some("close"),
+    ]);
+    let fillers = prop::sample::select(vec![
+        0,
+        1,
+        5,
+        MAX_HEADERS - 4,
+        MAX_HEADERS - 3,
+        MAX_HEADERS - 1,
+        MAX_HEADERS,
+        MAX_HEADERS + 1,
+    ]);
+    let long_line = prop::sample::select(vec![
+        None,
+        None,
+        None,
+        Some(MAX_LINE - 1),
+        Some(MAX_LINE),
+        Some(MAX_LINE + 1),
+        Some(2 * MAX_LINE),
+    ]);
+    (
+        prop::sample::select(vec![200u16, 304, 404, 503]),
+        (length, last_modified, connection),
+        (fillers, long_line),
+        (0u8..2, 0usize..3, 0u8..2),
+        0usize..200,
+        prop::sample::select(vec![0usize, 0, 0, 1, 300]),
+    )
+        .prop_map(
+            |(
+                status,
+                (length, last_modified, connection),
+                (fillers, long_line),
+                style,
+                rotate,
+                cut,
+            )| {
+                Case {
+                    status,
+                    length,
+                    last_modified,
+                    connection,
+                    fillers,
+                    long_line,
+                    upper: style.0 == 1,
+                    pad: style.1,
+                    crlf: style.2 == 1,
+                    rotate,
+                    cut,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    /// On generated heads — header case, padding and order, a missing
+    /// `content-length`, bodyless statuses, every bound — the reader
+    /// returns what the oracle returns, or both refuse.
+    #[test]
+    fn reader_agrees_with_the_blocking_oracle(case in case_strategy()) {
+        let wire = case.wire();
+        let oracle = http::read_response(&mut wire.as_slice());
+        let mut reader = ResponseReader::new();
+        PEAK.with(|p| p.set(0));
+        let got = reader.read(&mut wire.as_slice());
+        let peak = PEAK.with(Cell::get);
+        match (oracle, got) {
+            (Ok(o), Ok((head, body))) => {
+                prop_assert_eq!(head.status, o.status);
+                prop_assert_eq!(head.last_modified, o.last_modified());
+                prop_assert_eq!(head.content_length, o.body.len() as u64);
+                prop_assert_eq!(&body, &o.body);
+                let asked = o
+                    .headers
+                    .get("connection")
+                    .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"));
+                prop_assert_eq!(
+                    head.keep_alive,
+                    asked && o.headers.contains_key("content-length")
+                );
+            }
+            (Err(_), Err(e)) => {
+                if matches!(&case.length, Some((v, _)) if v.len() > 9) {
+                    // Refused for its size: before reserving anything.
+                    prop_assert!(matches!(e, HttpError::Malformed(_)), "{e}");
+                    prop_assert!(peak < 64 * 1024, "allocated {peak} bytes first");
+                }
+            }
+            (o, g) => prop_assert!(
+                false,
+                "oracle {:?} but reader {:?} on {case:?}",
+                o.map(|r| (r.status, r.body.len())),
+                g.map(|(h, b)| (h, b.len()))
+            ),
+        }
+    }
+}
