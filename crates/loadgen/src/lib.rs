@@ -4,7 +4,7 @@
 //! against a live [`webcache_proxy::ProxyServer`] backed by a
 //! fault-free [`webcache_proxy::origin::OriginServer`], measuring what
 //! the offline benchmarks cannot: served-traffic latency and
-//! throughput, under either serving backend.
+//! throughput.
 //!
 //! Two pacing modes:
 //!
@@ -22,9 +22,8 @@
 //! Independently, [`ReplayConfig::slow_clients`] adds a population of
 //! clients that dribble their request bytes a few at a time, always
 //! inside the proxy's read timeout — well-behaved wire traffic that
-//! completes eventually. Under the threaded backend each one pins a
-//! worker for the duration of its dribble; under the reactor they cost
-//! only buffers. Their outcomes are tracked separately
+//! completes eventually, and costs the proxy's reactor only buffers,
+//! never a worker. Their outcomes are tracked separately
 //! ([`ReplayReport::slow_ok`] / [`ReplayReport::slow_errors`]) so the
 //! closed-loop error gate stays meaningful.
 //!
@@ -32,9 +31,9 @@
 //! microseconds into a [`webcache_stats::Histogram`] (log₂ bins) and
 //! reported as p50/p90/p99 plus the exact maximum, together with
 //! aggregate req/s and goodput (200-responses only). The sweep in
-//! `src/main.rs` replays the same trace across shard counts and both
-//! serving backends; results land in `BENCH_proxy.json` (see README
-//! "Serving benchmark").
+//! `src/main.rs` replays the same trace across shard counts and
+//! slow-client populations; results land in `BENCH_proxy.json` (see
+//! README "Serving benchmark").
 
 #![warn(missing_docs)]
 
@@ -46,7 +45,7 @@ use std::time::{Duration, Instant};
 use webcache_core::policy::RemovalPolicy;
 use webcache_proxy::http::{self, Request, Response};
 use webcache_proxy::origin::{DocStore, OriginServer};
-use webcache_proxy::{PersistConfig, ProxyConfig, ProxyServer, ServingBackend};
+use webcache_proxy::{PersistConfig, ProxyConfig, ProxyServer};
 use webcache_stats::Histogram;
 use webcache_trace::Trace;
 
@@ -59,12 +58,10 @@ pub struct ReplayConfig {
     pub shards: usize,
     /// Proxy worker threads.
     pub workers: usize,
-    /// Proxy connection-queue bound.
+    /// Proxy job-queue bound.
     pub queue_depth: usize,
     /// Proxy cache capacity in bytes.
     pub capacity: u64,
-    /// Serving backend the proxy runs.
-    pub backend: ServingBackend,
     /// Additional clients dribbling their requests slowly (but always
     /// within the read timeout). Zero disables them.
     pub slow_clients: usize,
@@ -77,8 +74,8 @@ pub struct ReplayConfig {
     /// (aggressive cadence: snapshot every 250 ms, journal group-fsync
     /// every 10 ms — so even short replays overlap several snapshot
     /// rounds). `None` replays without persistence. Used for the
-    /// persistence-overhead A/B: same trace, same backend, with and
-    /// without the persister running.
+    /// persistence-overhead A/B: same trace, with and without the
+    /// persister running.
     pub persist_dir: Option<std::path::PathBuf>,
 }
 
@@ -90,7 +87,6 @@ impl Default for ReplayConfig {
             workers: 4,
             queue_depth: 64,
             capacity: 1 << 20,
-            backend: ServingBackend::Threaded,
             slow_clients: 0,
             time_scale: None,
             persist_dir: None,
@@ -115,8 +111,6 @@ pub struct LatencySummary {
 /// The outcome of replaying one trace through one proxy configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayReport {
-    /// Serving backend the proxy ran.
-    pub backend: ServingBackend,
     /// Shard count the proxy ran with.
     pub shards: usize,
     /// Client threads used.
@@ -133,8 +127,7 @@ pub struct ReplayReport {
     /// Requests completed by the slow-client population.
     pub slow_ok: u64,
     /// Failures among the slow-client population (tracked apart from
-    /// `errors`: under the threaded backend an overloaded proxy sheds
-    /// them by design).
+    /// `errors`, which covers the measured clients only).
     pub slow_errors: u64,
     /// Proxy-side hits (cache-served + revalidated).
     pub hits: u64,
@@ -235,7 +228,6 @@ pub fn replay(
     let pconfig = ProxyConfig::new(cfg.capacity)
         .with_shards(cfg.shards)
         .with_workers(cfg.workers, cfg.queue_depth)
-        .with_backend(cfg.backend)
         // The per-request log line is the one heap allocation left on
         // the proxy's hit path; benchmarks measure serving, not logging.
         .with_access_log(false);
@@ -367,7 +359,6 @@ pub fn replay(
         }
     };
     Ok(ReplayReport {
-        backend: cfg.backend,
         shards: cfg.shards,
         clients: cfg.clients.max(1),
         slow_clients: cfg.slow_clients,
@@ -442,21 +433,19 @@ mod tests {
     }
 
     #[test]
-    fn reactor_replay_with_slow_clients_stays_clean() {
+    fn replay_with_slow_clients_stays_clean() {
         let trace = tiny_trace();
         let report = replay(
             &trace,
             ReplayConfig {
                 clients: 4,
                 shards: 2,
-                backend: ServingBackend::Reactor,
                 slow_clients: 8,
                 ..ReplayConfig::default()
             },
             || Box::new(named::lru()),
         )
         .expect("replay");
-        assert_eq!(report.backend, ServingBackend::Reactor);
         assert_eq!(report.errors, 0, "reactor must absorb slow clients");
         assert_eq!(
             report.slow_errors, 0,

@@ -1,12 +1,11 @@
 //! Serving benchmark: replay a packed `.wct` trace against a live
-//! proxy/origin pair across shard counts and serving backends, and
+//! proxy/origin pair across shard counts and slow-client populations, and
 //! write `BENCH_proxy.json` at the repository root (format documented
 //! in README "Serving benchmark").
 //!
 //! ```text
 //! loadgen [--trace path.wct] [--profile u] [--scale 0.05] [--seed 1]
 //!         [--clients N] [--workers N] [--shards 1,2,4]
-//!         [--serving-backend threaded|reactor|both]
 //!         [--slow-clients 0,4,1000] [--open-loop] [--time-scale K]
 //!         [--capacity-frac 0.25] [--json path] [--smoke] [--cluster]
 //! ```
@@ -17,12 +16,12 @@
 //! path as production replays.
 //!
 //! `--slow-clients` sweeps populations of clients that dribble request
-//! bytes inside the read timeout: the A/B stressor that pins threaded
-//! workers but costs the reactor only buffers. `--open-loop --time-scale K` issues
+//! bytes inside the read timeout: well-behaved traffic that must cost
+//! the proxy buffers, never workers. `--open-loop --time-scale K` issues
 //! requests at trace timestamps compressed K-fold instead of closed
-//! loop. `--smoke` is the CI gate: a tiny trace, both backends with a
-//! handful of slow clients, asserting zero client-visible errors on
-//! each and reactor goodput at least matching threaded. `--cluster`
+//! loop. `--smoke` is the CI gate: a tiny trace with a handful of slow
+//! clients, asserting zero client-visible errors on every run and that
+//! every slow client completes. `--cluster`
 //! replays the trace through consistent-hash rings of 1, 2, and 4
 //! child proxies and SIGKILLs one of two nodes mid-run, gating on zero
 //! client-visible errors and on the 2-node aggregate hit rate at least
@@ -39,7 +38,6 @@ use webcache_core::policy::named;
 use webcache_loadgen::{replay, seed_origin, ReplayConfig, ReplayReport};
 use webcache_proxy::http::{self, Request};
 use webcache_proxy::origin::OriginServer;
-use webcache_proxy::ServingBackend;
 use webcache_trace::binfmt;
 use webcache_trace::Trace;
 use webcache_workload::{generator, profiles};
@@ -52,7 +50,6 @@ struct Args {
     clients: usize,
     workers: usize,
     shards: Option<Vec<usize>>,
-    backends: Vec<ServingBackend>,
     slow_clients: Vec<usize>,
     open_loop: bool,
     time_scale: f64,
@@ -87,7 +84,6 @@ fn parse_args() -> Args {
         clients: (2 * cores).max(4),
         workers: 4 * cores,
         shards: None,
-        backends: vec![ServingBackend::Threaded],
         slow_clients: vec![0],
         open_loop: false,
         time_scale: 1000.0,
@@ -119,14 +115,6 @@ fn parse_args() -> Args {
                     &val("--shards"),
                     "--shards: comma-separated integers",
                 ))
-            }
-            "--serving-backend" => {
-                let v = val("--serving-backend");
-                args.backends = match v.as_str() {
-                    "both" => vec![ServingBackend::Threaded, ServingBackend::Reactor],
-                    name => vec![ServingBackend::parse(name)
-                        .unwrap_or_else(|| die(&format!("unknown backend {name:?}")))],
-                };
             }
             "--slow-clients" => {
                 args.slow_clients = parse_list_or_die(
@@ -195,14 +183,13 @@ fn load_trace(args: &Args) -> Trace {
 
 fn run_json(r: &ReplayReport, cores: usize) -> String {
     format!(
-        "    {{\"backend\": \"{}\", \"cores\": {}, \"shards\": {}, \"requests\": {}, \
+        "    {{\"cores\": {}, \"shards\": {}, \"requests\": {}, \
          \"errors\": {}, \"slow_clients\": {}, \"slow_ok\": {}, \"slow_errors\": {}, \
          \"time_scale\": {}, \"hits\": {}, \"hit_rate\": {:.4}, \"elapsed_secs\": {:.3}, \
          \"requests_per_sec\": {:.1}, \"ok_per_sec\": {:.1}, \"bytes_per_sec\": {:.0}, \
          \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}, \
          \"hit_p50_us\": {}, \"hit_p99_us\": {}, \"hit_max_us\": {}, \
          \"miss_p50_us\": {}, \"miss_p99_us\": {}, \"miss_max_us\": {}}}",
-        r.backend.name(),
         cores,
         r.shards,
         r.requests,
@@ -278,7 +265,7 @@ fn spawn_proxy(origin: SocketAddr, dir: &Path, capacity: u64, shards: usize) -> 
 }
 
 /// [`spawn_proxy`] with extra command-line flags (fault injection,
-/// degraded policy, backend selection).
+/// degraded policy).
 fn spawn_proxy_with(
     origin: SocketAddr,
     dir: &Path,
@@ -444,7 +431,7 @@ fn run_kill_restart(
     }
 }
 
-/// Persistence-overhead A/B on the reactor hit path: same trace, same
+/// Persistence-overhead A/B on the hit path: same trace, same
 /// configuration, with and without the persister running (snapshotting
 /// every 250 ms during the replay). Returns goodput ratio
 /// (persistent / baseline), best of two attempts to absorb noise.
@@ -455,7 +442,6 @@ fn run_persist_ab(trace: &Trace, capacity: u64, shards: usize, args: &Args) -> f
         workers: args.workers,
         queue_depth: 16 * args.workers.max(1),
         capacity,
-        backend: ServingBackend::Reactor,
         slow_clients: 0,
         time_scale: None,
         persist_dir,
@@ -487,9 +473,7 @@ fn run_persist_ab(trace: &Trace, capacity: u64, shards: usize, args: &Args) -> f
         ratio = ratio.max(run(true) / base);
     }
     let _ = std::fs::remove_dir_all(&dir);
-    eprintln!(
-        "loadgen: persistence overhead: reactor goodput {ratio:.2}x the no-persistence baseline"
-    );
+    eprintln!("loadgen: persistence overhead: goodput {ratio:.2}x the no-persistence baseline");
     ratio
 }
 
@@ -521,8 +505,8 @@ struct ChaosReport {
 }
 
 /// Dribble `GET` requests byte-by-byte at `addr` until `stop` is raised:
-/// the overload component of the chaos run (pins buffers on the reactor,
-/// would pin workers on threaded).
+/// the overload component of the chaos run (pins buffers in the proxy,
+/// never workers).
 fn dribble_requests(
     addr: SocketAddr,
     url: String,
@@ -627,13 +611,7 @@ fn run_chaos(trace: &Trace, capacity: u64, shards: usize) -> ChaosReport {
     let base_dir = std::env::temp_dir().join(format!("loadgen-chaos-base-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base_dir);
     let (baseline_hit_rate, baseline_ok_per_sec) = {
-        let p = spawn_proxy_with(
-            origin.addr(),
-            &base_dir,
-            capacity,
-            shards,
-            &["--backend", "reactor"],
-        );
+        let p = spawn_proxy(origin.addr(), &base_dir, capacity, shards);
         let _ = drive_parallel(p.addr, &urls[..warm_n], 4); // warm first
         let (ok, took) = drive_parallel(p.addr, &urls[..warm_n], 4);
         let ok_per_sec = ok as f64 / took.as_secs_f64().max(1e-9);
@@ -662,8 +640,6 @@ fn run_chaos(trace: &Trace, capacity: u64, shards: usize) -> ChaosReport {
         capacity,
         shards,
         &[
-            "--backend",
-            "reactor",
             "--iofault",
             "seed=9,append=1.0,sync=1.0",
             "--degraded-backoff",
@@ -753,13 +729,7 @@ fn run_chaos(trace: &Trace, capacity: u64, shards: usize) -> ChaosReport {
 
     // Pass 3 — fault-free restart from the chaos directory.
     eprintln!("loadgen: chaos: fault-free warm restart");
-    let p2 = spawn_proxy_with(
-        origin.addr(),
-        &dir,
-        capacity,
-        shards,
-        &["--backend", "reactor"],
-    );
+    let p2 = spawn_proxy(origin.addr(), &dir, capacity, shards);
     let recovered_docs = p2.recovered_docs;
     let post_restart_hit_rate = probe_hit_rate(p2.addr, &probe);
     let mut p2 = p2;
@@ -1071,14 +1041,10 @@ fn run_cluster(trace: &Trace, capacity_per_node: u64, shards: usize) -> ClusterR
 fn main() -> ExitCode {
     let mut args = parse_args();
     if args.smoke {
-        // CI gate: tiny trace, both backends, a handful of slow clients
-        // (enough to pin threaded workers, small enough to finish fast),
-        // strict assertions.
+        // CI gate: tiny trace, a handful of slow clients (one per worker,
+        // small enough to finish fast), strict assertions.
         args.scale = args.scale.min(0.002);
         args.shards.get_or_insert_with(|| vec![2]);
-        if args.backends.len() == 1 {
-            args.backends = vec![ServingBackend::Threaded, ServingBackend::Reactor];
-        }
         if args.slow_clients == [0] {
             args.slow_clients = vec![args.workers.max(2)];
         }
@@ -1098,8 +1064,7 @@ fn main() -> ExitCode {
 
     eprintln!(
         "loadgen: trace {} ({} requests, {} uniques, {} bytes), capacity {capacity}, \
-         {} clients, slow clients {:?}, {} workers, shards {shard_counts:?}, \
-         backends {:?}, pacing {}",
+         {} clients, slow clients {:?}, {} workers, shards {shard_counts:?}, pacing {}",
         trace.name,
         trace.len(),
         trace.interner.url_count(),
@@ -1107,7 +1072,6 @@ fn main() -> ExitCode {
         args.clients,
         args.slow_clients,
         args.workers,
-        args.backends.iter().map(|b| b.name()).collect::<Vec<_>>(),
         if args.open_loop {
             format!("open-loop /{}", args.time_scale)
         } else {
@@ -1116,80 +1080,53 @@ fn main() -> ExitCode {
     );
 
     let mut runs: Vec<ReplayReport> = Vec::new();
-    for &backend in &args.backends {
-        for &slow_clients in &args.slow_clients {
-            for &shards in &shard_counts {
-                let cfg = ReplayConfig {
-                    clients: args.clients,
-                    shards,
-                    workers: args.workers,
-                    queue_depth: 16 * args.workers.max(1),
-                    capacity,
-                    backend,
-                    slow_clients,
-                    time_scale: args.open_loop.then_some(args.time_scale),
-                    persist_dir: None,
-                };
-                let report = replay(&trace, cfg, || Box::new(named::lru())).expect("replay");
-                eprintln!(
-                    "  {:>8} slow {:>5} shards {:>3}: {:>8.1} req/s ({:>8.1} ok/s, \
-                     {:>9.0} B/s), p50 {} µs, p99 {} µs (hit p99 {} µs), max {} µs, \
-                     hit rate {:.3}, errors {}, slow ok/err {}/{}",
-                    report.backend.name(),
-                    report.slow_clients,
-                    report.shards,
-                    report.requests_per_sec,
-                    report.ok_per_sec,
-                    report.bytes_per_sec,
-                    report.latency.p50_us,
-                    report.latency.p99_us,
-                    report.hit_latency.p99_us,
-                    report.latency.max_us,
-                    report.hit_rate,
-                    report.errors,
-                    report.slow_ok,
-                    report.slow_errors,
-                );
-                runs.push(report);
-            }
+    for &slow_clients in &args.slow_clients {
+        for &shards in &shard_counts {
+            let cfg = ReplayConfig {
+                clients: args.clients,
+                shards,
+                workers: args.workers,
+                queue_depth: 16 * args.workers.max(1),
+                capacity,
+                slow_clients,
+                time_scale: args.open_loop.then_some(args.time_scale),
+                persist_dir: None,
+            };
+            let report = replay(&trace, cfg, || Box::new(named::lru())).expect("replay");
+            eprintln!(
+                "  slow {:>5} shards {:>3}: {:>8.1} req/s ({:>8.1} ok/s, \
+                 {:>9.0} B/s), p50 {} µs, p99 {} µs (hit p99 {} µs), max {} µs, \
+                 hit rate {:.3}, errors {}, slow ok/err {}/{}",
+                report.slow_clients,
+                report.shards,
+                report.requests_per_sec,
+                report.ok_per_sec,
+                report.bytes_per_sec,
+                report.latency.p50_us,
+                report.latency.p99_us,
+                report.hit_latency.p99_us,
+                report.latency.max_us,
+                report.hit_rate,
+                report.errors,
+                report.slow_ok,
+                report.slow_errors,
+            );
+            runs.push(report);
         }
     }
 
     // Shard scaling is judged at the lightest slow-client load in the
     // sweep, where throughput is lock-bound rather than worker-bound.
     let min_slow = args.slow_clients.iter().copied().min().unwrap_or(0);
-    let baseline = runs.iter().find(|r| {
-        r.shards == 1 && r.backend == ServingBackend::Threaded && r.slow_clients == min_slow
-    });
-    let best = runs
-        .iter()
-        .filter(|r| r.backend == ServingBackend::Threaded && r.slow_clients == min_slow)
-        .max_by_key(|r| r.shards);
+    let lightest = || runs.iter().filter(|r| r.slow_clients == min_slow);
+    let baseline = lightest().find(|r| r.shards == 1);
+    let best = lightest().max_by_key(|r| r.shards);
     let shard_speedup = match (baseline, best) {
         (Some(b), Some(m)) if b.requests_per_sec > 0.0 && m.shards > 1 => {
             Some(m.requests_per_sec / b.requests_per_sec)
         }
         _ => None,
     };
-    // Reactor vs threaded at equal shards/workers: goodput ratio at the
-    // heaviest slow-client load where threaded still delivers *any*
-    // goodput (past that the ratio is infinite — the rows speak for
-    // themselves), at the highest shard count both backends ran.
-    let ab_speedup = args
-        .slow_clients
-        .iter()
-        .copied()
-        .rev()
-        .flat_map(|sc| shard_counts.iter().rev().map(move |&s| (sc, s)))
-        .find_map(|(sc, s)| {
-            let row = |backend| {
-                runs.iter()
-                    .find(|r| r.backend == backend && r.shards == s && r.slow_clients == sc)
-            };
-            let t = row(ServingBackend::Threaded)?;
-            let x = row(ServingBackend::Reactor)?;
-            (t.ok_per_sec > 0.0).then(|| x.ok_per_sec / t.ok_per_sec)
-        });
 
     // Crash/warm-restart scenario plus the persistence-overhead A/B,
     // run against the highest shard count in the sweep.
@@ -1292,7 +1229,7 @@ fn main() -> ExitCode {
          \"total_bytes\": {},\n  \"capacity\": {},\n  \"clients\": {},\n  \
          \"slow_clients\": {:?},\n  \"workers\": {},\n  \
          \"machine_parallelism\": {},\n  \"runs\": [\n{}\n  ],\n  \
-         \"speedup_max_shards_vs_1\": {},\n  \"speedup_reactor_vs_threaded\": {}{}\n}}\n",
+         \"speedup_max_shards_vs_1\": {}{}\n}}\n",
         trace.name,
         trace.len(),
         trace.interner.url_count(),
@@ -1307,7 +1244,6 @@ fn main() -> ExitCode {
             .collect::<Vec<_>>()
             .join(",\n"),
         shard_speedup.map_or("null".to_string(), |s| format!("{s:.2}")),
-        ab_speedup.map_or("null".to_string(), |s| format!("{s:.2}")),
         extra,
     );
     binfmt::write_atomic(&args.json, json.as_bytes()).expect("write BENCH_proxy.json");
@@ -1319,52 +1255,11 @@ fn main() -> ExitCode {
             .find(|r| r.errors > 0 || r.hits == 0 || r.requests == 0 || r.slow_errors > 0);
         if let Some(r) = bad {
             eprintln!(
-                "loadgen --smoke FAILED: {} shards {} saw {} errors ({} slow), {} hits \
+                "loadgen --smoke FAILED: shards {} saw {} errors ({} slow), {} hits \
                  over {} requests",
-                r.backend.name(),
-                r.shards,
-                r.errors,
-                r.slow_errors,
-                r.hits,
-                r.requests
+                r.shards, r.errors, r.slow_errors, r.hits, r.requests
             );
             return ExitCode::FAILURE;
-        }
-        if let Some(ab) = ab_speedup {
-            // Allow a whisker of measurement noise on tiny traces; the
-            // real margin at any meaningful slow-client count is large.
-            if ab < 0.95 {
-                eprintln!("loadgen --smoke FAILED: reactor goodput {ab:.2}x threaded (< 0.95)");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("loadgen --smoke: reactor goodput {ab:.2}x threaded");
-        }
-        // Hit-path gate: at the lightest slow-client load and the
-        // highest shard count (the configuration dominated by cache
-        // hits, not by slow-client absorption), the reactor's zero-copy
-        // inline hit path must at least match threaded goodput. Same
-        // 0.95 noise whisker as above.
-        let max_shards = shard_counts.iter().copied().max().unwrap_or(1);
-        let hit_row = |backend| {
-            runs.iter().find(|r| {
-                r.backend == backend && r.shards == max_shards && r.slow_clients == min_slow
-            })
-        };
-        if let (Some(t), Some(x)) = (
-            hit_row(ServingBackend::Threaded),
-            hit_row(ServingBackend::Reactor),
-        ) {
-            if t.ok_per_sec > 0.0 {
-                let ratio = x.ok_per_sec / t.ok_per_sec;
-                if ratio < 0.95 {
-                    eprintln!(
-                        "loadgen --smoke FAILED: reactor hit-path goodput {ratio:.2}x \
-                         threaded (< 0.95) at slow {min_slow}, shards {max_shards}"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("loadgen --smoke: reactor hit-path goodput {ratio:.2}x threaded");
-            }
         }
         // Warm-restart gates: the restarted proxy must actually have
         // recovered documents, and the probe set must hit at >= 0.9x its
@@ -1389,7 +1284,7 @@ fn main() -> ExitCode {
         if let Some(r) = persist_ratio {
             if r < 0.95 {
                 eprintln!(
-                    "loadgen --smoke FAILED: persistence overhead — reactor goodput {r:.2}x \
+                    "loadgen --smoke FAILED: persistence overhead — goodput {r:.2}x \
                      no-persistence baseline (< 0.95)"
                 );
                 return ExitCode::FAILURE;

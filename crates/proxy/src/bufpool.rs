@@ -1,4 +1,4 @@
-//! Free-lists of per-connection buffers for the reactor backend.
+//! Free-lists of per-connection buffers for the reactor.
 //!
 //! Every reactor connection needs a [`RequestParser`] (whose line buffer
 //! and method/target strings grow to fit the request head) and a head

@@ -1,4 +1,4 @@
-//! Per-connection state machine for the reactor serving backend.
+//! Per-connection state machine for the reactor.
 //!
 //! One [`Conn`] exists per accepted client socket, always in
 //! non-blocking mode. The reactor drives it through three phases:
@@ -35,8 +35,7 @@ pub(crate) enum ConnState {
     Reading,
     /// Parsed request handed to a worker; waiting for its response.
     /// Client readiness is ignored meanwhile (any pipelined bytes sit
-    /// in the kernel buffer, exactly as the threaded backend ignores
-    /// them).
+    /// unread in the kernel buffer: one connection, one request).
     Dispatched,
     /// Draining the two-segment response (`Conn::head`, then `body`) to
     /// the socket. `pos` counts flushed bytes across *both* segments —
@@ -108,10 +107,9 @@ impl Conn {
         let mut buf = [0u8; 4096];
         loop {
             match self.stream.read(&mut buf) {
-                // EOF before a complete request: the threaded backend's
-                // blocking reader surfaces this as malformed and answers
-                // 400 (usually into a closed socket; the write simply
-                // fails).
+                // EOF before a complete request: malformed, as the
+                // blocking `http::read_request` has it, so 400 (usually
+                // into a closed socket; the write simply fails).
                 Ok(0) => return Event::Reject(400),
                 Ok(n) => match self.parser.feed_complete(&buf[..n]) {
                     Ok(true) => return Event::Request,
@@ -362,7 +360,7 @@ mod tests {
     #[test]
     fn vectored_writer_output_is_byte_identical_to_blocking_writer() {
         // The authoritative comparison: the same Response serialised by
-        // the threaded backend's blocking writer and drained through the
+        // the blocking `http::write_response` and drained through the
         // two-segment writer under hostile fragmentation must put the
         // same bytes on the wire.
         let body = http::synthetic_body("http://o.test/a", 3000);

@@ -865,7 +865,8 @@ mod tests {
     fn hit_head_encoders_match_response_based_encoding_byte_for_byte() {
         // The direct hit-head encoders must stay bit-identical to the
         // generic Response path: the reactor fast path uses them while
-        // the threaded backend (and every test oracle) uses the latter.
+        // worker-built responses, the blocking `write_response` and
+        // every test oracle use the latter.
         for (len, lm) in [
             (0u64, None),
             (1, Some(0)),

@@ -15,16 +15,15 @@
 //!   makes room using any [`webcache_core::policy::RemovalPolicy`].
 //!   Degrades gracefully when the origin misbehaves: connect/read
 //!   timeouts, bounded retries with backoff, a per-origin circuit
-//!   breaker, and serve-stale-on-error. Two serving cores share that
-//!   logic (selected by [`ServingBackend`]): the default threaded
-//!   backend (bounded accept queue drained by a fixed worker pool) and
-//!   a readiness-driven reactor (epoll event loop owning every client
-//!   socket non-blocking; workers only ever see complete requests, so
-//!   slow clients pin buffers, not threads).
+//!   breaker, and serve-stale-on-error. One serving engine fronts it:
+//!   an epoll event loop owning every client socket non-blocking, so
+//!   workers only ever see complete requests and slow clients pin
+//!   buffers, not threads. (The module's own docs map the private
+//!   modules the proxy is split into.)
 //! * [`upstream`] — the proxy's connections to its origin: one
 //!   persistent (`Connection: keep-alive`) socket per worker, reused
 //!   from miss to miss, and the allocation-light
-//!   [`upstream::ResponseReader`] both backends fetch through.
+//!   [`upstream::ResponseReader`] every fetch goes through.
 //! * [`persist`] — crash-safe cache persistence: per-shard snapshots +
 //!   append-only journals with checksummed frames, giving a SIGKILLed
 //!   proxy a warm restart that recovers its working set (quarantining —
@@ -57,21 +56,26 @@
 #![warn(missing_docs)]
 
 mod accesslog;
+mod breaker;
 mod bufpool;
 pub mod cache_proxy;
 pub mod cluster;
+mod config;
 mod conn;
 pub mod fault;
+mod fetch;
 pub mod http;
 pub mod iofault;
 pub mod origin;
 pub mod persist;
+mod persister;
 mod reactor;
+mod serve;
+mod stats;
 pub mod upstream;
 
 pub use cache_proxy::{
     PersistHealth, PersistHealthState, ProxyConfig, ProxyServer, ProxyStats, RecoveryReport,
-    ServingBackend,
 };
 pub use cluster::{ClusterConfig, ClusterState};
 pub use fault::{FaultKind, FaultPlan, FaultyOrigin};

@@ -20,7 +20,6 @@ use std::time::Duration;
 use webcache_core::policy::{named, RemovalPolicy};
 use webcache_proxy::{
     ClusterConfig, IoFaultPlan, PersistConfig, PersistHealth, ProxyConfig, ProxyServer,
-    ServingBackend,
 };
 
 const USAGE: &str = "\
@@ -30,7 +29,6 @@ usage: webcache-proxy --origin ADDR [options]
   --capacity BYTES       total cache capacity            [default: 1048576]
   --shards N             shard count (power of two)      [default: 8]
   --workers N            worker threads                  [default: 4]
-  --backend NAME         threaded | reactor              [default: threaded]
   --ttl TICKS            freshness lifetime in logical ticks (omit: no TTL)
   --policy NAME          removal policy (lru, size, lfu, fifo, hyper-g)
                                                          [default: size]
@@ -70,7 +68,6 @@ fn parse_args() -> Args {
     let mut capacity: u64 = 1 << 20;
     let mut shards: usize = 8;
     let mut workers: usize = 4;
-    let mut backend = ServingBackend::Threaded;
     let mut ttl: Option<u64> = None;
     let mut policy = String::from("size");
     let mut persist_dir: Option<PathBuf> = None;
@@ -108,10 +105,6 @@ fn parse_args() -> Args {
             "--workers" => match value.parse() {
                 Ok(v) => workers = v,
                 Err(_) => die(&format!("bad --workers: {value}")),
-            },
-            "--backend" => match ServingBackend::parse(&value) {
-                Some(b) => backend = b,
-                None => die(&format!("bad --backend: {value}")),
             },
             "--ttl" => match value.parse() {
                 Ok(v) => ttl = Some(v),
@@ -163,8 +156,7 @@ fn parse_args() -> Args {
     }
     let mut config = ProxyConfig::new(capacity)
         .with_shards(shards)
-        .with_workers(workers, workers.max(4) * 8)
-        .with_backend(backend);
+        .with_workers(workers, workers.max(4) * 8);
     config.ttl = ttl;
     let cluster = seed_list.map(|list| {
         if !list.iter().any(|(id, _)| *id == node_id) {
@@ -204,33 +196,21 @@ fn main() {
     if args.persist.is_some() && args.cluster.is_some() {
         die("--persist-dir and --cluster-seed-list cannot be combined (yet)");
     }
-    let server = match (args.persist, args.cluster) {
+    let started = match (args.persist, args.cluster) {
         (Some(persist), None) => {
-            match ProxyServer::start_persistent(args.origin, args.config, persist, make_policy) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("webcache-proxy: failed to start: {e}");
-                    std::process::exit(1);
-                }
-            }
+            ProxyServer::start_persistent(args.origin, args.config, persist, make_policy)
+                .map_err(|e| e.to_string())
         }
         (None, Some(cluster)) => {
-            match ProxyServer::start_clustered(args.origin, args.config, cluster, make_policy) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("webcache-proxy: failed to start: {e}");
-                    std::process::exit(1);
-                }
-            }
+            ProxyServer::start_clustered(args.origin, args.config, cluster, make_policy)
+                .map_err(|e| e.to_string())
         }
-        _ => match ProxyServer::start(args.origin, args.config, make_policy) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("webcache-proxy: failed to start: {e}");
-                std::process::exit(1);
-            }
-        },
+        _ => ProxyServer::start(args.origin, args.config, make_policy).map_err(|e| e.to_string()),
     };
+    let server = started.unwrap_or_else(|e| {
+        eprintln!("webcache-proxy: failed to start: {e}");
+        std::process::exit(1);
+    });
 
     if let Some(c) = server.cluster_state() {
         println!(
@@ -249,7 +229,7 @@ fn main() {
     while !webcache_core::lifecycle::stop_requested() {
         std::thread::sleep(Duration::from_millis(25));
     }
-    // Graceful shutdown: drain the backend, flush the journal, take the
+    // Graceful shutdown: drain the reactor, flush the journal, take the
     // final snapshot (all inside ProxyServer's Drop). Keep the health
     // handle across the drop — the final snapshot can still change it.
     let stats = server.stats();

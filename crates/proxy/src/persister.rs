@@ -1,0 +1,780 @@
+//! The proxy side of crash-safe persistence ([`crate::persist`] owns the
+//! file formats): the [`PersistHealth`] state machine, the per-shard
+//! journal buffers the serving path logs into, the background persister
+//! thread that drains, fsyncs and snapshots them, and the application of
+//! recovered snapshots and journals to a cold cache.
+
+use crate::cache_proxy::{ProxyState, RecoveryReport, Resident, ShardExt};
+use crate::iofault::IoFaultInjector;
+use crate::persist::{self, JournalOp, PersistConfig, PersistError};
+use crate::serve::{install, reference, touch_resident};
+use bytes::Bytes;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use webcache_core::cache::{CacheState, DocMeta, Outcome, RestoreOutcome};
+use webcache_trace::UrlId;
+
+/// Persistence health, as seen by operators and the exit status.
+///
+/// The proxy *serves* in every state; only durability varies:
+///
+/// * [`Healthy`](PersistHealth::Healthy) — journal + snapshots as
+///   designed; loss window is the journal fsync interval.
+/// * [`Degraded`](PersistHealth::Degraded) — a persist write failed.
+///   Journaling is suspended (an errored journal file may be torn, so
+///   further appends would be unreadable anyway) but snapshots continue
+///   on cadence: the loss window widens from the fsync interval to the
+///   snapshot interval. A re-arm probe retries the disk with capped
+///   exponential backoff; on success one full snapshot heals the gap
+///   and journaling resumes.
+/// * [`Disabled`](PersistHealth::Disabled) — the probe failed
+///   `degraded_max_retries` times in a row. Persistence is switched off
+///   entirely (journal buffers freed); the proxy keeps serving from
+///   memory and the exit status reports the loss.
+///
+/// Invariant in every state: a degraded or healed store may restart
+/// *colder*, never *wrong* — replay truncates at the first torn frame
+/// or sequence gap, and every recovered body is checksum-verified.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PersistHealth {
+    /// Journal + snapshots operating normally.
+    Healthy,
+    /// Journaling suspended, snapshot-grade durability, probing to heal.
+    Degraded,
+    /// Persistence off; serving continues from memory only.
+    Disabled,
+}
+
+impl PersistHealth {
+    /// Lowercase state name as printed in log lines.
+    pub fn name(&self) -> &'static str {
+        match self {
+            PersistHealth::Healthy => "healthy",
+            PersistHealth::Degraded => "degraded",
+            PersistHealth::Disabled => "disabled",
+        }
+    }
+
+    fn from_u8(v: u8) -> PersistHealth {
+        match v {
+            0 => PersistHealth::Healthy,
+            1 => PersistHealth::Degraded,
+            _ => PersistHealth::Disabled,
+        }
+    }
+}
+
+const HEALTH_HEALTHY: u8 = 0;
+const HEALTH_DEGRADED: u8 = 1;
+const HEALTH_DISABLED: u8 = 2;
+
+/// Shared persistence-health state: the current [`PersistHealth`] plus
+/// durability-loss accounting. Worker threads read `state` on every
+/// journaled mutation; only the persister thread transitions it.
+#[derive(Debug, Default)]
+pub struct PersistHealthState {
+    /// Encoded [`PersistHealth`] (`0`/`1`/`2`).
+    state: AtomicU8,
+    /// `Healthy -> Degraded` edges (one per fault episode).
+    degraded_transitions: AtomicU64,
+    /// `Degraded -> Healthy` edges.
+    heals: AtomicU64,
+    /// Records never written: suspended journaling + failed appends.
+    lost_records: AtomicU64,
+    /// Records evicted drop-oldest from a full buffer.
+    dropped_records: AtomicU64,
+    /// Set when dropped records mean the journal alone no longer covers
+    /// the snapshot gap; the persister must snapshot before trusting it.
+    force_snapshot: AtomicBool,
+}
+
+impl PersistHealthState {
+    /// Current health.
+    pub fn health(&self) -> PersistHealth {
+        PersistHealth::from_u8(self.state.load(Ordering::Acquire))
+    }
+
+    /// `Healthy -> Degraded` transitions so far.
+    pub fn degraded_transitions(&self) -> u64 {
+        self.degraded_transitions.load(Ordering::Relaxed)
+    }
+
+    /// `Degraded -> Healthy` recoveries so far.
+    pub fn heals(&self) -> u64 {
+        self.heals.load(Ordering::Relaxed)
+    }
+
+    /// Journal records lost to suspension or failed appends.
+    pub fn lost_records(&self) -> u64 {
+        self.lost_records.load(Ordering::Relaxed)
+    }
+
+    /// Journal records dropped oldest-first from a full buffer.
+    pub fn dropped_records(&self) -> u64 {
+        self.dropped_records.load(Ordering::Relaxed)
+    }
+
+    /// Whether new journal records are being accepted.
+    fn is_accepting(&self) -> bool {
+        self.state.load(Ordering::Acquire) == HEALTH_HEALTHY
+    }
+
+    /// Count `n` records that never reached the journal.
+    fn count_lost(&self, n: u64) {
+        self.lost_records.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count `n` records evicted drop-oldest and demand a snapshot: the
+    /// journal's tail no longer joins up with the last snapshot.
+    fn record_overflow(&self, n: u64) {
+        self.dropped_records.fetch_add(n, Ordering::Relaxed);
+        self.force_snapshot.store(true, Ordering::Release);
+    }
+
+    /// Consume a pending forced-snapshot demand.
+    fn take_force_snapshot(&self) -> bool {
+        self.force_snapshot.swap(false, Ordering::AcqRel)
+    }
+
+    /// Begin a fault episode. Only a `Healthy` store transitions (a
+    /// store already degraded stays in its episode); returns whether
+    /// this call was the edge.
+    fn degrade(&self, context: &str, e: &PersistError) -> bool {
+        let edged = self
+            .state
+            .compare_exchange(
+                HEALTH_HEALTHY,
+                HEALTH_DEGRADED,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .is_ok();
+        if edged {
+            self.degraded_transitions.fetch_add(1, Ordering::Relaxed);
+            println!(
+                "webcache-proxy: persist: health degraded ({context}: {e}); \
+                 journaling suspended, snapshots continue, serving unaffected"
+            );
+        }
+        edged
+    }
+
+    /// End a fault episode after a successful probe + snapshot.
+    fn heal(&self) {
+        let edged = self
+            .state
+            .compare_exchange(
+                HEALTH_DEGRADED,
+                HEALTH_HEALTHY,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .is_ok();
+        if edged {
+            self.heals.fetch_add(1, Ordering::Relaxed);
+            println!(
+                "webcache-proxy: persist: health healed \
+                 (snapshot committed, journaling resumed)"
+            );
+        }
+    }
+
+    /// Give up on the disk after `probes` consecutive failed probes.
+    fn disable(&self, probes: u32) {
+        if self.state.swap(HEALTH_DISABLED, Ordering::AcqRel) != HEALTH_DISABLED {
+            println!(
+                "webcache-proxy: persist: health disabled after {probes} failed \
+                 probe(s); serving continues without persistence"
+            );
+        }
+    }
+}
+
+/// Per-shard buffer of journal records awaiting the persister's next
+/// drain. Sequence numbers are assigned here, under the shard lock, so
+/// records for one shard are totally ordered. The buffer is bounded
+/// (`PersistConfig::journal_buf_records`): a stalled persister costs
+/// the oldest records (counted, snapshot forced), never unbounded
+/// memory.
+#[derive(Debug)]
+pub(crate) struct JournalBuf {
+    /// Records not yet handed to the persister thread.
+    pending: VecDeque<(u64, JournalOp)>,
+    /// Next sequence number to assign (starts at 1; replay treats
+    /// `seq <= snapshot.seq` as already covered).
+    next_seq: u64,
+    /// Maximum `pending` length before drop-oldest kicks in.
+    cap: usize,
+    /// Shared health: gates acceptance and takes the loss accounting.
+    health: Arc<PersistHealthState>,
+}
+
+impl JournalBuf {
+    /// An empty buffer whose first record will carry `next_seq`.
+    pub(crate) fn new(next_seq: u64, cap: usize, health: Arc<PersistHealthState>) -> JournalBuf {
+        JournalBuf {
+            pending: VecDeque::new(),
+            next_seq,
+            cap,
+            health,
+        }
+    }
+
+    /// Buffer one cache mutation, under the shard lock.
+    pub(crate) fn log(&mut self, op: JournalOp) {
+        if !self.health.is_accepting() {
+            // Journaling suspended (degraded disk): the mutation is
+            // durability loss until the next snapshot covers it.
+            // `next_seq` does not advance, so post-heal records stay
+            // contiguous with the healing snapshot's sequence.
+            self.health.count_lost(1);
+            return;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.pending.push_back((seq, op));
+        let mut dropped = 0u64;
+        while self.pending.len() > self.cap {
+            self.pending.pop_front();
+            dropped += 1;
+        }
+        if dropped > 0 {
+            self.health.record_overflow(dropped);
+        }
+    }
+}
+
+fn log_persist_error(context: &str, e: &PersistError) {
+    eprintln!("webcache-proxy: persist: {context}: {e}");
+}
+
+/// The background persister: drains per-shard journal buffers every tick,
+/// group-fsyncs on [`PersistConfig::journal_fsync`], snapshots on
+/// [`PersistConfig::snapshot_interval`], and — once `stop` is raised —
+/// performs a final drain + fsync + snapshot before exiting. Shard locks
+/// are held only for the drain/export critical sections; all file I/O
+/// happens with no lock held, so the serving hit path never waits on the
+/// disk.
+///
+/// This loop also drives the [`PersistHealth`] state machine:
+///
+/// * **Healthy** — as above. Any persist write error (append, sync,
+///   snapshot) transitions to Degraded; the first re-arm probe is
+///   scheduled one `degraded_backoff` out. A forced-snapshot demand
+///   (buffer overflow dropped records) snapshots immediately.
+/// * **Degraded** — journaling is suspended ([`JournalBuf::log`] counts
+///   instead of buffering; anything still pending is discarded as
+///   counted loss, since appending past a torn tail would be unreadable
+///   anyway). Snapshots continue on cadence — degraded durability is
+///   snapshot-grade rather than none, and with the journal path dead
+///   snapshots may still succeed (different files, different fault
+///   classes). When due, a disk probe runs through the same injection
+///   hook; success is confirmed by a full snapshot, which covers every
+///   suspended/dropped record and rotates the torn journals clean —
+///   only then does journaling resume (heal). Probe failures back off
+///   exponentially (capped at 32x) and after
+///   [`PersistConfig::degraded_max_retries`] in a row persistence is
+///   Disabled.
+/// * **Disabled** — journal buffers are freed and the loop idles until
+///   stop. The proxy serves from memory; the exit status reports it.
+///
+/// On stop the loop attempts one final drain + sync + snapshot in
+/// Healthy or Degraded (never probing, so a dead disk cannot delay
+/// shutdown) and exits in whatever state it reached.
+pub(crate) fn persister_loop(
+    state: &Arc<ProxyState>,
+    cfg: &PersistConfig,
+    mut writers: Vec<persist::JournalWriter>,
+    mut gen: u64,
+    stop: &AtomicBool,
+    health: &Arc<PersistHealthState>,
+    hook: Option<&IoFaultInjector>,
+) {
+    let tick = cfg
+        .journal_fsync
+        .min(cfg.snapshot_interval)
+        .clamp(Duration::from_millis(1), Duration::from_millis(50));
+    let mut last_sync = Instant::now();
+    let mut last_snap = Instant::now();
+    let mut probe_failures: u32 = 0;
+    let mut next_probe = Instant::now();
+    let mut journals_freed = false;
+    // Every snapshot attempt consumes a generation, success or not: a
+    // retry must never reuse a generation some file may already carry.
+    let snapshot_once =
+        |writers: &mut Vec<persist::JournalWriter>, gen: &mut u64| -> Result<(), PersistError> {
+            let r = take_snapshot(state, cfg, writers, *gen, health, hook);
+            *gen += 1;
+            r
+        };
+    loop {
+        let stopping = stop.load(Ordering::SeqCst);
+        match health.health() {
+            PersistHealth::Healthy => {
+                drain_pending(state, &mut writers, health);
+                if health.health() == PersistHealth::Healthy
+                    && (stopping || last_sync.elapsed() >= cfg.journal_fsync)
+                {
+                    for w in &mut writers {
+                        if let Err(e) = w.sync() {
+                            health.degrade("journal sync", &e);
+                            break;
+                        }
+                    }
+                    last_sync = Instant::now();
+                }
+                let force = health.take_force_snapshot();
+                if health.health() == PersistHealth::Healthy
+                    && (stopping || force || last_snap.elapsed() >= cfg.snapshot_interval)
+                {
+                    if let Err(e) = snapshot_once(&mut writers, &mut gen) {
+                        health.degrade("snapshot", &e);
+                    }
+                    last_snap = Instant::now();
+                }
+                if health.health() != PersistHealth::Healthy {
+                    // A fresh fault episode: first probe one backoff out.
+                    probe_failures = 0;
+                    next_probe = Instant::now() + cfg.degraded_backoff;
+                }
+            }
+            PersistHealth::Degraded => {
+                discard_pending(state, health);
+                if stopping || last_snap.elapsed() >= cfg.snapshot_interval {
+                    if let Err(e) = snapshot_once(&mut writers, &mut gen) {
+                        log_persist_error("degraded snapshot", &e);
+                    }
+                    last_snap = Instant::now();
+                }
+                if !stopping && Instant::now() >= next_probe {
+                    let healed = match persist::probe_disk(&cfg.dir, hook) {
+                        Ok(()) => match snapshot_once(&mut writers, &mut gen) {
+                            Ok(()) => {
+                                last_snap = Instant::now();
+                                true
+                            }
+                            Err(e) => {
+                                log_persist_error("re-arm snapshot", &e);
+                                last_snap = Instant::now();
+                                false
+                            }
+                        },
+                        Err(e) => {
+                            log_persist_error("disk probe", &e);
+                            false
+                        }
+                    };
+                    if healed {
+                        health.heal();
+                        probe_failures = 0;
+                    } else {
+                        probe_failures += 1;
+                        if probe_failures >= cfg.degraded_max_retries {
+                            health.disable(probe_failures);
+                        } else {
+                            let shift = probe_failures.min(5); // cap at 32x
+                            next_probe = Instant::now() + cfg.degraded_backoff * (1 << shift);
+                        }
+                    }
+                }
+            }
+            PersistHealth::Disabled => {
+                if !journals_freed {
+                    free_journal_buffers(state);
+                    journals_freed = true;
+                }
+            }
+        }
+        if stopping {
+            break;
+        }
+        std::thread::sleep(tick);
+    }
+}
+
+/// Move every shard's buffered journal records to its writer (append
+/// only — durability comes from the caller's group fsync). An append
+/// failure is explicit durability loss: the batch is counted (the next
+/// successful snapshot covers the state it described) and the store
+/// degrades; remaining shards still get their drain, since their
+/// journal files may be on healthier ground.
+fn drain_pending(
+    state: &Arc<ProxyState>,
+    writers: &mut [persist::JournalWriter],
+    health: &PersistHealthState,
+) {
+    for (s, w) in writers.iter_mut().enumerate() {
+        let mut pending = state.cache.with_shard(s, |_, ext| take_pending(ext).0);
+        if !pending.is_empty() {
+            if let Err(e) = w.append(pending.make_contiguous()) {
+                health.count_lost(pending.len() as u64);
+                health.degrade("journal append", &e);
+            }
+        }
+    }
+}
+
+/// Throw away buffered records while degraded, counting them as loss.
+/// Appending them would be futile: an errored journal file may end in a
+/// torn frame, making everything after it unreadable on replay. The
+/// healing snapshot covers the live state they described.
+fn discard_pending(state: &Arc<ProxyState>, health: &PersistHealthState) {
+    for s in 0..state.cache.shard_count() {
+        let n = state
+            .cache
+            .with_shard(s, |_, ext| take_pending(ext).0.len());
+        if n > 0 {
+            health.count_lost(n as u64);
+        }
+    }
+}
+
+/// Empty a shard's journal buffer (under its lock): the records awaiting
+/// the persister, and the sequence number of the newest record assigned
+/// so far. Nothing and zero without a buffer.
+fn take_pending(ext: &mut ShardExt) -> (VecDeque<(u64, JournalOp)>, u64) {
+    match ext.journal.as_deref_mut() {
+        Some(j) => (std::mem::take(&mut j.pending), j.next_seq - 1),
+        None => (VecDeque::new(), 0),
+    }
+}
+
+/// Remove the per-shard journal buffers once persistence is Disabled:
+/// `ShardExt::log_op` becomes a no-op again and the buffers' memory is
+/// returned.
+fn free_journal_buffers(state: &Arc<ProxyState>) {
+    for s in 0..state.cache.shard_count() {
+        state.cache.with_shard(s, |_, ext| {
+            ext.journal = None;
+        });
+    }
+}
+
+/// One shard's state captured under its lock for snapshotting.
+struct CapturedShard {
+    snap_seq: u64,
+    cs: CacheState,
+    /// Body and fetch time per entry of `cs.docs`, in the same order.
+    residents: Vec<Resident>,
+}
+
+/// Write one consistent generation: per-shard snapshots plus the URL
+/// table, then rotate the journals. Crash-ordering argument:
+///
+/// 1. Records drained during capture (all `seq <= snap_seq`) are
+///    appended *before* the snapshot that supersedes them — a crash
+///    before the snapshot commits still replays them from the journal.
+/// 2. The URL table is dumped *after* every shard capture; it is
+///    append-only in the writing process, so every id a snapshot
+///    references is below the table's length.
+/// 3. Snapshot files are written atomically (tmp + fsync + rename), so
+///    recovery sees either the old or the new generation, never a torn
+///    one.
+/// 4. Journals rotate only after every snapshot of this generation is
+///    durable; every record dropped has `seq <= snap_seq`, which replay
+///    skips anyway — a crash between commit and rotation is harmless.
+fn take_snapshot(
+    state: &Arc<ProxyState>,
+    cfg: &PersistConfig,
+    writers: &mut [persist::JournalWriter],
+    gen: u64,
+    health: &PersistHealthState,
+    hook: Option<&IoFaultInjector>,
+) -> Result<(), PersistError> {
+    let nshards = writers.len();
+    let mut caps = Vec::with_capacity(nshards);
+    for (s, w) in writers.iter_mut().enumerate() {
+        let (mut pending, cap) = state.cache.with_shard(s, |cache, ext| {
+            let (pending, snap_seq) = take_pending(ext);
+            let cs = cache.export_state();
+            let residents = cs
+                .docs
+                .iter()
+                .map(|m| ext.get(m.url).cloned().unwrap_or_default())
+                .collect();
+            (
+                pending,
+                CapturedShard {
+                    snap_seq,
+                    cs,
+                    residents,
+                },
+            )
+        });
+        // A failed append here is tolerable: every taken record has
+        // `seq <= snap_seq`, so the snapshot this function is about to
+        // write covers the same state. Count the loss (a crash before
+        // the snapshot commits would lose them) and carry on.
+        if !pending.is_empty() {
+            if let Err(e) = w.append(pending.make_contiguous()) {
+                health.count_lost(pending.len() as u64);
+                log_persist_error("snapshot pre-append", &e);
+            }
+        }
+        caps.push(cap);
+    }
+    // Dump the URL table after the captures (see ordering note above).
+    let urls: Vec<String> = {
+        let interner = state.interner.lock();
+        (0..interner.url_count())
+            .map(|i| {
+                interner
+                    .url_text(UrlId(i as u32))
+                    .unwrap_or_default()
+                    .to_string()
+            })
+            .collect()
+    };
+    let now = state.now.load(Ordering::SeqCst);
+    persist::write_interner_hooked(&cfg.dir, gen, now, &urls, hook)?;
+    for (s, cap) in caps.iter().enumerate() {
+        let docs = cap
+            .cs
+            .docs
+            .iter()
+            .enumerate()
+            .map(|(i, m)| persist::SnapshotDoc {
+                meta: *m,
+                url: urls.get(m.url.0 as usize).cloned().unwrap_or_default(),
+                fetched_at: cap.residents[i].fetched_at,
+                body: cap.residents[i].body.clone(),
+            })
+            .collect();
+        persist::write_shard_snapshot_hooked(
+            &cfg.dir,
+            &persist::ShardSnapshot {
+                shard: s as u32,
+                nshards: nshards as u32,
+                gen,
+                seq: cap.snap_seq,
+                now,
+                capacity: cap.cs.capacity,
+                current_day: cap.cs.current_day,
+                stats: cap.cs.stats,
+                policy_state: cap.cs.policy_state.clone(),
+                docs,
+            },
+            hook,
+        )?;
+    }
+    for w in writers.iter_mut() {
+        w.sync()?;
+        w.rotate()?;
+    }
+    persist::gc_old_generations(&cfg.dir, nshards as u32, gen);
+    Ok(())
+}
+
+/// Reinstate recovered snapshots + journals into a freshly built (empty)
+/// [`ProxyState`]. Never fails: anything that cannot be applied is
+/// skipped, leaving those documents as cache misses.
+pub(crate) fn apply_recovery(
+    state: &Arc<ProxyState>,
+    rec: &persist::RecoveredData,
+) -> RecoveryReport {
+    let nshards = state.cache.shard_count();
+    let mut report = RecoveryReport {
+        quarantined: rec.shards.iter().flatten().map(|r| r.quarantined).sum(),
+        truncated_journals: rec.journals.iter().filter(|j| j.note.is_some()).count() as u64,
+        ..RecoveryReport::default()
+    };
+
+    // Re-intern the persisted URL table in order: on this fresh interner
+    // ids are assigned sequentially, so a surviving table maps every old
+    // id to itself. Snapshot documents carry their URL text as well,
+    // covering a lost or truncated table.
+    let mut id_map: HashMap<u32, UrlId> = HashMap::new();
+    {
+        let mut interner = state.interner.lock();
+        if let Some(urls) = &rec.interner {
+            for (i, u) in urls.iter().enumerate() {
+                id_map.insert(i as u32, interner.url(u));
+            }
+        }
+        for rs in rec.shards.iter().flatten() {
+            for d in &rs.snap.docs {
+                id_map
+                    .entry(d.meta.url.0)
+                    .or_insert_with(|| interner.url(&d.url));
+            }
+        }
+    }
+
+    // Policy rank state and per-shard stats are expressed in the writing
+    // process's ids; they transfer only when every document keeps its id
+    // and the shard layout is unchanged. Otherwise the policy order is
+    // rebuilt by replaying inserts ([`Cache::restore_state_lenient`]).
+    let identity = rec.shards.iter().flatten().all(|rs| {
+        rs.snap.nshards as usize == nshards
+            && rs
+                .snap
+                .docs
+                .iter()
+                .all(|d| id_map.get(&d.meta.url.0) == Some(&UrlId(d.meta.url.0)))
+    });
+
+    // Route every verified document to the shard its (new) id hashes to.
+    let mut per_shard: Vec<Vec<(DocMeta, u64, Bytes)>> = (0..nshards).map(|_| Vec::new()).collect();
+    for rs in rec.shards.iter().flatten() {
+        for d in &rs.snap.docs {
+            let Some(&new_id) = id_map.get(&d.meta.url.0) else {
+                continue;
+            };
+            let mut meta = d.meta;
+            meta.url = new_id;
+            per_shard[state.cache.shard_index(new_id)].push((meta, d.fetched_at, d.body.clone()));
+        }
+    }
+
+    let mut max_now = rec
+        .shards
+        .iter()
+        .flatten()
+        .map(|rs| rs.snap.now)
+        .max()
+        .unwrap_or(0);
+
+    for (s, mut docs) in per_shard.into_iter().enumerate() {
+        if docs.is_empty() {
+            continue;
+        }
+        let capacity = state.cache.shard_capacity(s);
+        // A changed shard layout can overfill a shard: shed the least
+        // recently used documents until the snapshot fits.
+        let mut total: u64 = docs.iter().map(|(m, _, _)| m.size).sum();
+        if total > capacity {
+            docs.sort_by_key(|(m, _, _)| std::cmp::Reverse(m.last_access));
+            while total > capacity {
+                let Some((m, _, _)) = docs.pop() else { break };
+                total -= m.size;
+            }
+        }
+        docs.sort_by_key(|(m, _, _)| m.url.0);
+        let old = if identity {
+            rec.shards[s].as_ref()
+        } else {
+            None
+        };
+        let cache_state = CacheState {
+            capacity,
+            current_day: old.map(|rs| rs.snap.current_day).unwrap_or(0),
+            stats: old.map(|rs| rs.snap.stats).unwrap_or_default(),
+            docs: docs.iter().map(|(m, _, _)| *m).collect(),
+            policy_state: old
+                .map(|rs| rs.snap.policy_state.clone())
+                .unwrap_or_default(),
+        };
+        state.cache.with_shard(s, |cache, ext| {
+            if cache.restore_state_lenient(&cache_state) == RestoreOutcome::Failed {
+                return;
+            }
+            for (m, fetched, body) in &docs {
+                ext.insert(m.url, body.clone(), *fetched);
+            }
+        });
+    }
+
+    // Replay journal records newer than each shard's snapshot, in append
+    // order. Ids are resolved through the same map; an `Insert` extends
+    // it (the record carries its URL text).
+    for (old_shard, jr) in rec.journals.iter().enumerate() {
+        let snap_seq = rec
+            .shards
+            .get(old_shard)
+            .and_then(|o| o.as_ref())
+            .map(|r| r.snap.seq)
+            .unwrap_or(0);
+        for (seq, op) in &jr.ops {
+            if *seq <= snap_seq {
+                continue;
+            }
+            max_now = max_now.max(apply_journal_op(state, op, &mut id_map));
+            report.replayed += 1;
+        }
+    }
+
+    report.bytes = state.cache.used();
+    report.docs = (0..nshards)
+        .map(|s| state.cache.with_shard(s, |cache, _| cache.len() as u64))
+        .sum();
+    if max_now > 0 {
+        state.now.store(max_now, Ordering::SeqCst);
+    }
+    report
+}
+
+/// Apply one replayed journal record; returns the record's clock stamp
+/// (0 when it carries none) so recovery can restore the logical clock.
+fn apply_journal_op(
+    state: &Arc<ProxyState>,
+    op: &JournalOp,
+    id_map: &mut HashMap<u32, UrlId>,
+) -> u64 {
+    match op {
+        JournalOp::Insert {
+            old_id,
+            url,
+            now,
+            size,
+            doc_type,
+            last_modified,
+            fetched_at,
+            body,
+        } => {
+            // The frame checksum already covered the body; the length
+            // check is belt-and-braces against a logic bug upstream.
+            if body.len() as u64 != *size {
+                return *now;
+            }
+            let new_id = *id_map
+                .entry(*old_id)
+                .or_insert_with(|| state.interner.lock().url(url));
+            state.cache.with_shard_for(new_id, |cache, ext| {
+                let r = reference(new_id, *now, *size, *doc_type, *last_modified);
+                // A `Hit` record was logged with the copy's fetch time as
+                // it stood, so every arm reinstates the record's.
+                let evicted = match cache.request(&r) {
+                    Outcome::Hit => Vec::new(),
+                    Outcome::Miss { evicted } | Outcome::MissModified { evicted } => evicted,
+                    Outcome::MissTooBig => return,
+                };
+                install(ext, evicted, &r, url, body, *fetched_at);
+            });
+            *now
+        }
+        JournalOp::Touch { old_id, now, size } => {
+            if let Some(&new_id) = id_map.get(old_id) {
+                state.cache.with_shard_for(new_id, |cache, ext| {
+                    let Some(meta) = cache.meta(new_id).copied() else {
+                        return;
+                    };
+                    if meta.size != *size {
+                        return;
+                    }
+                    let body = ext.get(new_id).map(|r| r.body.clone()).unwrap_or_default();
+                    touch_resident(cache, ext, new_id, "", &meta, &body, *now);
+                });
+            }
+            *now
+        }
+        JournalOp::Evict { old_id } => {
+            if let Some(&new_id) = id_map.get(old_id) {
+                state.cache.with_shard_for(new_id, |cache, ext| {
+                    cache.remove(new_id);
+                    ext.remove(new_id);
+                });
+            }
+            0
+        }
+        JournalOp::Refresh { old_id, fetched_at } => {
+            if let Some(&new_id) = id_map.get(old_id) {
+                state
+                    .cache
+                    .with_shard_for(new_id, |_, ext| ext.restamp(new_id, *fetched_at));
+            }
+            *fetched_at
+        }
+    }
+}

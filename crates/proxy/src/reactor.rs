@@ -1,12 +1,11 @@
-//! Readiness-driven serving core: one event-loop thread owns every
-//! client socket, worker threads only run cache/origin work.
+//! The serving engine: one event-loop thread owns every client socket,
+//! worker threads only run cache/origin work.
 //!
-//! The threaded backend spends a worker thread per in-flight
-//! connection, so its concurrency ceiling is `workers + queue_depth`
-//! regardless of what those connections are doing — a thousand clients
-//! dribbling bytes pin the whole pool while the CPU idles. The reactor
-//! inverts that: client I/O (accepting, incremental request parsing,
-//! response draining, stall timeouts) happens on a single thread
+//! A thread per in-flight connection would cap concurrency at the pool
+//! size regardless of what those connections are doing — a thousand
+//! clients dribbling bytes would pin every thread while the CPU idles.
+//! The reactor inverts that: client I/O (accepting, incremental request
+//! parsing, response draining, stall timeouts) happens on a single thread
 //! multiplexed by `epoll`, and a connection only costs a worker for the
 //! duration of actual cache/origin work. In-flight connections are
 //! bounded by file descriptors, not threads.
@@ -23,28 +22,27 @@
 //!   are detected and dropped.
 //! * **deadline wheel** — client stall timeouts are hashed-wheel ticks,
 //!   not per-socket `SO_RCVTIMEO`. A connection stalling mid-request
-//!   past [`crate::ProxyConfig::read_timeout`] gets `504`, exactly as
-//!   under the threaded backend; progress re-arms the deadline just as
-//!   each successful blocking read did.
+//!   past [`crate::ProxyConfig::read_timeout`] gets `504`; progress
+//!   re-arms the deadline, as each successful read of a blocking reader
+//!   under `SO_RCVTIMEO` would.
 //! * **dispatch** — a parsed request is first offered the inline fast
-//!   path ([`cache_proxy::try_serve_fresh_hit`]): a fresh cache hit is
-//!   served on the event loop under a single `try_lock`ed shard guard,
-//!   with no worker round trip. Contended, missing, or expired entries
-//!   go to the bounded worker job queue; a full queue sheds with `503`
-//!   (the reactor's analogue of the threaded backend's full connection
-//!   queue, counted in the same [`crate::ProxyStats::rejected`]).
-//!   Workers run the unchanged blocking [`cache_proxy::proxy_get_at`] —
-//!   retries, backoff, breakers, serve-stale and all stats semantics
-//!   are shared code, not a reimplementation — each through its own
-//!   persistent origin connection ([`crate::upstream`]), and post
-//!   completions back through an `eventfd`.
+//!   path ([`try_serve_fresh_hit`]): a fresh cache hit is served on the
+//!   event loop under a single `try_lock`ed shard guard, with no worker
+//!   round trip. Contended, missing, or expired entries go to the
+//!   bounded worker job queue; a full queue sheds with `503` (counted in
+//!   [`crate::ProxyStats::rejected`]). Workers run the blocking
+//!   [`proxy_get_at`] — retries, backoff, breakers, serve-stale and all
+//!   stats semantics — each through its own persistent origin connection
+//!   ([`crate::upstream`]), and post completions back through an
+//!   `eventfd`.
 
 use crate::bufpool::BufPool;
-use crate::cache_proxy::{
-    begin_request, finalize_response, proxy_get_at, try_serve_fresh_hit, ProxyConfig, ProxyState,
-};
+use crate::cache_proxy::ProxyState;
+use crate::config::ProxyConfig;
 use crate::conn::{Conn, ConnState, Event};
 use crate::http::{Request, RequestParser, Response};
+use crate::serve::{begin_request, finalize_response, proxy_get_at, try_serve_fresh_hit};
+use crate::stats::{admin_stats_response, ADMIN_STATS_TARGET};
 use crate::upstream::Upstream;
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -441,9 +439,7 @@ struct Completion {
     resp: Response,
 }
 
-/// Bounded MPMC job queue (the reactor-side analogue of the threaded
-/// backend's connection queue; a full queue sheds the request with
-/// `503`).
+/// Bounded MPMC job queue; a full queue sheds the request with `503`.
 struct JobQueue {
     inner: StdMutex<JobQueueInner>,
     ready: Condvar,
@@ -502,8 +498,8 @@ impl JobQueue {
 // ---------------------------------------------------------------------
 // The reactor proper.
 
-/// Handles to a running reactor backend: the event-loop thread plus its
-/// worker pool.
+/// Handles to a running reactor: the event-loop thread plus its worker
+/// pool.
 pub(crate) struct Reactor {
     shutdown: Arc<AtomicBool>,
     waker: Arc<EventFd>,
@@ -760,7 +756,7 @@ impl EventLoop {
             };
             if conn.parser.method() != "GET" {
                 FastOutcome::Reject(501)
-            } else if conn.parser.target() == crate::cache_proxy::ADMIN_STATS_TARGET {
+            } else if conn.parser.target() == ADMIN_STATS_TARGET {
                 FastOutcome::Admin
             } else if !conn.parser.target().starts_with("http://") {
                 FastOutcome::Reject(400)
@@ -790,7 +786,7 @@ impl EventLoop {
         match outcome {
             FastOutcome::Reject(status) => self.respond(token, Response::status_only(status)),
             FastOutcome::Admin => {
-                let resp = crate::cache_proxy::admin_stats_response(&self.state);
+                let resp = admin_stats_response(&self.state);
                 self.respond(token, resp);
             }
             FastOutcome::Hit {
@@ -877,15 +873,13 @@ impl EventLoop {
         let done: Vec<Completion> = std::mem::take(&mut *self.completions.lock());
         for c in done {
             // The connection may have timed out or died while the
-            // worker ran; the response is then simply dropped, exactly
-            // as the threaded backend's failed write would be.
+            // worker ran; the response is then simply dropped.
             self.respond(c.token, c.resp);
         }
     }
 
     /// Expire connections whose I/O deadline passed: a client stalled
-    /// mid-request gets `504` (the threaded backend's read-timeout
-    /// answer); a client stalled mid-response is dropped.
+    /// mid-request gets `504`; a client stalled mid-response is dropped.
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
         // Take/put-back keeps one scratch Vec alive across iterations so
@@ -965,6 +959,21 @@ mod tests {
         assert!(slab.get(t1).is_none(), "old token must not resolve");
         assert!(slab.get(t2).is_some());
         assert!(slab.remove(t1).is_none());
+    }
+
+    #[test]
+    fn non_proxy_requests_are_rejected() {
+        use crate::cache_proxy::test_support::orphan_proxy;
+        use crate::http;
+        let proxy = orphan_proxy(ProxyConfig::new(100_000));
+        let mut s = TcpStream::connect(proxy.addr()).unwrap();
+        http::write_request(&mut s, &Request::get("/origin-form")).unwrap();
+        assert_eq!(http::read_response(&mut s).unwrap().status, 400);
+        let mut s = TcpStream::connect(proxy.addr()).unwrap();
+        let mut post = Request::get("http://o.test/a.html");
+        post.method = "POST".to_string();
+        http::write_request(&mut s, &post).unwrap();
+        assert_eq!(http::read_response(&mut s).unwrap().status, 501);
     }
 
     #[test]

@@ -1,0 +1,617 @@
+//! The per-request cache logic: the three cases of the paper's section 1
+//! ([`proxy_get_at`]), the event loop's inline fresh-hit path
+//! ([`try_serve_fresh_hit`]), and the cluster peer glue around them.
+//! Everything here runs under at most one shard lock and never holds it
+//! across network I/O.
+
+use crate::breaker::Admission;
+use crate::cache_proxy::{ProxyState, ShardExt};
+use crate::cluster::{self, ClusterState};
+use crate::config::ProxyConfig;
+use crate::fetch::{error_response, fetch_origin_resilient, host_of};
+use crate::http::{Request, Response};
+use crate::persist::JournalOp;
+use crate::stats::AtomicProxyStats;
+use crate::upstream::{Fetched, Upstream};
+use bytes::Bytes;
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use webcache_core::cache::{Cache, DocMeta, Outcome};
+use webcache_core::cluster::Membership;
+use webcache_trace::{ClientId, DocType, ServerId, UrlId};
+
+/// Apply the downstream conditional GET (a client cache or a child proxy
+/// in a hierarchy, as in the paper's case 2): if our copy is not newer
+/// than the caller's, a bodyless 304 suffices.
+pub(crate) fn finalize_response(req: &Request, resp: Response) -> Response {
+    if let (Some(since), Some(lm)) = (req.if_modified_since(), resp.last_modified()) {
+        if resp.status == 200 && lm <= since {
+            let mut not_modified = Response::status_only(304);
+            if resp.is_cache_hit() {
+                not_modified = not_modified.with_cache_status(true);
+            }
+            return not_modified;
+        }
+    }
+    resp
+}
+
+/// Admit one request: tick the logical clock, count it, intern the URL.
+/// Exactly one call per client request, on the event loop, before the
+/// inline hit path or a worker sees it.
+pub(crate) fn begin_request(state: &Arc<ProxyState>, target: &str) -> (UrlId, u64) {
+    let now = state.now.fetch_add(1, Ordering::SeqCst) + 1;
+    AtomicProxyStats::add(&state.stats.requests, 1);
+    let url = state.interner.lock().url(target);
+    (url, now)
+}
+
+/// The resident copy of `url` — metadata, body (a refcount clone), and
+/// whether it is still inside its freshness lifetime at `now`.
+fn peek(
+    cache: &Cache,
+    ext: &ShardExt,
+    url: UrlId,
+    ttl: Option<u64>,
+    now: u64,
+) -> Option<(DocMeta, Bytes, bool)> {
+    let meta = *cache.meta(url)?;
+    let (body, fetched) = ext
+        .get(url)
+        .map(|r| (r.body.clone(), r.fetched_at))
+        .unwrap_or_default();
+    let fresh = ttl.is_none_or(|ttl| now.saturating_sub(fetched) <= ttl);
+    Some((meta, body, fresh))
+}
+
+/// Fast path: serve a fresh cache hit inline on the event loop,
+/// without a worker round-trip. Declines (`None`) when the shard lock is
+/// contended, the document is absent, or the copy is past its TTL — the
+/// request is then dispatched to a worker with the same `(url, now)`, so
+/// the logical clock still ticks exactly once per request.
+///
+/// Returns the raw `(body, last_modified)` pair rather than a built
+/// [`Response`]: the reactor encodes the fixed-form hit head directly
+/// into a pooled buffer, so constructing a header map here would be the
+/// fast path's only allocation. The body `Bytes` is a refcount clone of
+/// the shard's copy — the document is never memcpy'd. Peek and policy
+/// touch happen under one `try_lock`ed shard guard; the shard lock is
+/// taken exactly once per hit.
+pub(crate) fn try_serve_fresh_hit(
+    config: &ProxyConfig,
+    state: &Arc<ProxyState>,
+    target: &str,
+    url: UrlId,
+    now: u64,
+) -> Option<(Bytes, Option<u64>)> {
+    let (meta, body) = state.cache.try_with_shard_for(url, |cache, ext| {
+        let (meta, body, fresh) = peek(cache, ext, url, config.ttl, now)?;
+        if !fresh {
+            return None;
+        }
+        touch_resident(cache, ext, url, target, &meta, &body, now);
+        Some((meta, body))
+    })??;
+    AtomicProxyStats::add(&state.stats.hits, 1);
+    AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
+    state.log_access(config.access_log, now, target, meta.size, "HIT");
+    Some((body, meta.last_modified))
+}
+
+/// The three cases of the paper's section 1, for a request already
+/// admitted by [`begin_request`]. May block on origin I/O and backoff
+/// sleeps — never run this on the reactor's event loop.
+pub(crate) fn proxy_get_at(
+    up: &mut Upstream,
+    config: ProxyConfig,
+    state: &Arc<ProxyState>,
+    target: &str,
+    url: UrlId,
+    now: u64,
+) -> Response {
+    // Phase 1: consult the cache under the owning shard's lock only. A
+    // fresh hit records its policy touch under the same guard, so the
+    // hot path enters the shard lock exactly once (the reactor fast path
+    // in `try_serve_fresh_hit` follows the same single-visit protocol).
+    let peeked = state.cache.with_shard_for(url, |cache, ext| {
+        let (meta, body, fresh) = peek(cache, ext, url, config.ttl, now)?;
+        if fresh {
+            touch_resident(cache, ext, url, target, &meta, &body, now);
+        }
+        Some((meta, body, fresh))
+    });
+
+    let host = host_of(target);
+    if let Some((meta, body, fresh)) = peeked {
+        if fresh {
+            // Case 1: consistent copy, serve it (already touched above).
+            AtomicProxyStats::add(&state.stats.hits, 1);
+            AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
+            state.log_access(config.access_log, now, target, meta.size, "HIT");
+            return Response::ok(body, meta.last_modified).with_cache_status(true);
+        }
+        // Case 2: revalidate with a conditional GET.
+        let since = Some(meta.last_modified.unwrap_or(0));
+        return match fetch_origin_resilient(up, target, since, &config, state, host) {
+            Ok(origin_resp) if origin_resp.status == 304 => {
+                AtomicProxyStats::add(&state.stats.revalidated, 1);
+                // The shard guard was dropped for the origin round trip, so
+                // this is a second visit (fresh hits touch under the guard
+                // they peeked with).
+                state.cache.with_shard_for(url, |cache, ext| {
+                    ext.restamp(url, now);
+                    ext.log_op(JournalOp::Refresh {
+                        old_id: url.0,
+                        fetched_at: now,
+                    });
+                    touch_resident(cache, ext, url, target, &meta, &body, now);
+                });
+                AtomicProxyStats::add(&state.stats.hits, 1);
+                AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
+                state.log_access(config.access_log, now, target, meta.size, "HIT");
+                Response::ok(body, meta.last_modified).with_cache_status(true)
+            }
+            Ok(origin_resp) if origin_resp.status == 200 => {
+                // Modified: insert the fresh copy.
+                serve_miss(state, Some(url), target, origin_resp, now, config)
+            }
+            // Origin answered but with neither 304 nor a document (e.g.
+            // the document is gone): pass it through, keep our copy.
+            Ok(origin_resp) => origin_resp.into_response(),
+            Err(_e) if config.serve_stale => {
+                // Revalidation failed: serve the expired copy, marked
+                // degraded, rather than surfacing the origin failure
+                // (`stale-if-error`). Freshness is NOT renewed — the next
+                // request past the TTL revalidates again. The policy sees
+                // the reference, but no hit is counted: degraded serves
+                // are reported separately in `stale_serves`.
+                AtomicProxyStats::add(&state.stats.stale_serves, 1);
+                AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
+                state.cache.with_shard_for(url, |cache, ext| {
+                    touch_resident(cache, ext, url, target, &meta, &body, now)
+                });
+                state.log_access(config.access_log, now, target, meta.size, "STALE");
+                Response::ok(body, meta.last_modified)
+                    .with_cache_status(true)
+                    .with_degraded()
+            }
+            Err(e) => error_response(&e),
+        };
+    }
+
+    // Case 3: no copy. In cluster mode, ask the key's owner first — a
+    // `FOUND` serves without touching the origin; `MISS`, timeout, or a
+    // dead peer all fall through to the origin (degrading to
+    // single-node behaviour, never a client-visible error).
+    if let Some(resp) = cluster_peer_lookup(&config, state, target, now) {
+        return resp;
+    }
+    let origin_resp = match fetch_origin_resilient(up, target, None, &config, state, host) {
+        Ok(resp) => resp,
+        Err(e) => return error_response(&e),
+    };
+    if origin_resp.status != 200 {
+        return origin_resp.into_response();
+    }
+    // A non-owner serves but does not store: each key has one home, so
+    // exactly one removal-policy instance governs its lifetime, and the
+    // cluster's aggregate capacity is not spent on duplicates.
+    let home = state
+        .cluster
+        .as_ref()
+        .is_none_or(|c| c.owner(target) == c.node_id());
+    serve_miss(state, home.then_some(url), target, origin_resp, now, config)
+}
+
+/// Ask the owner of `target` for a fresh copy before paying the origin
+/// round trip (cluster mode, case 3). Returns `Some` only for a `FOUND`
+/// answer; every other outcome — we own the key, a healthy `MISS`, a
+/// dead peer, an open peer breaker — returns `None` and the caller
+/// falls through to the origin. A tripped peer breaker declares the
+/// peer dead: membership is bumped without it (re-homing its keys) and
+/// the new epoch broadcast to the survivors.
+fn cluster_peer_lookup(
+    config: &ProxyConfig,
+    state: &Arc<ProxyState>,
+    target: &str,
+    now: u64,
+) -> Option<Response> {
+    let cluster = state.cluster.as_ref()?;
+    let owner = cluster.owner(target);
+    if owner == cluster.node_id() {
+        return None;
+    }
+    let addr = cluster.config().addr_of(owner)?;
+    let key = format!("peer#{owner}");
+    cluster.count_lookup();
+    // Peer-breaker admission: one bounded attempt, no retries — the
+    // origin is always available as the fallback, so a sick peer must
+    // never add more than one timeout of latency.
+    let admission = state.breakers.admit(
+        &key,
+        state.now.load(Ordering::SeqCst),
+        config.breaker_cooldown,
+    );
+    if matches!(admission, Admission::Refused) {
+        cluster.count_failure();
+        return None;
+    }
+    let query = cluster::Frame::Query {
+        sender: cluster.node_id(),
+        epoch: cluster.epoch(),
+        url: target.to_string(),
+    };
+    match cluster::call_peer(addr, &query, cluster.config().peer_timeout) {
+        Ok(cluster::Frame::Found {
+            last_modified,
+            body,
+            ..
+        }) => {
+            state.breakers.on_success(&key);
+            cluster.count_hit();
+            let size = body.len() as u64;
+            AtomicProxyStats::add(&state.stats.hits, 1);
+            AtomicProxyStats::add(&state.stats.bytes_from_cache, size);
+            state.log_access(config.access_log, now, target, size, "PEER-HIT");
+            Some(Response::ok(Bytes::from(body), last_modified).with_cache_status(true))
+        }
+        Ok(cluster::Frame::Miss { .. }) => {
+            state.breakers.on_success(&key);
+            cluster.count_miss();
+            None
+        }
+        Ok(_) | Err(_) => {
+            cluster.count_failure();
+            if state
+                .breakers
+                .on_failure(&key, config.breaker_threshold, now)
+            {
+                AtomicProxyStats::add(&state.stats.breaker_trips, 1);
+                if let Some(m) = cluster.remove_peer(owner) {
+                    // Broadcast off the request path: the client's
+                    // response must not wait on peer round trips.
+                    let cluster = Arc::clone(cluster);
+                    std::thread::spawn(move || cluster.broadcast_membership(&m));
+                }
+            }
+            None
+        }
+    }
+}
+
+/// One inbound peer connection, one frame. A `Query` is answered from
+/// the local cache only — never by fetching from the origin on a peer's
+/// behalf, so lookups cannot recurse — and a `Membership` is adopted if
+/// strictly newer, then answered with whatever this node now believes.
+pub(crate) fn serve_peer_connection(
+    mut stream: TcpStream,
+    config: ProxyConfig,
+    state: &Arc<ProxyState>,
+    cluster: &Arc<ClusterState>,
+) {
+    let timeout = cluster.config().peer_timeout;
+    let _ = stream.set_read_timeout(Some(timeout));
+    let _ = stream.set_write_timeout(Some(timeout));
+    let Ok(frame) = cluster::read_frame(&mut stream) else {
+        return;
+    };
+    let reply = match frame {
+        cluster::Frame::Query { url, .. } => match peer_lookup_local(&config, state, &url) {
+            Some((body, last_modified)) => {
+                cluster.count_served();
+                cluster::Frame::Found {
+                    epoch: cluster.epoch(),
+                    last_modified,
+                    body: body.to_vec(),
+                }
+            }
+            None => cluster::Frame::Miss {
+                epoch: cluster.epoch(),
+            },
+        },
+        cluster::Frame::Membership { epoch, members, .. } => {
+            let _ = cluster.install(Membership::new(epoch, members));
+            let m = cluster.current_membership();
+            cluster::Frame::Membership {
+                sender: cluster.node_id(),
+                epoch: m.epoch,
+                members: m.members,
+            }
+        }
+        // FOUND/MISS are replies; receiving one as a request is a
+        // protocol error — drop the connection.
+        _ => return,
+    };
+    let _ = stream.write_all(&cluster::encode_frame(&reply));
+}
+
+/// Look up `target` in the local cache on behalf of a peer: a fresh
+/// copy or nothing. Does not tick the logical clock or count a client
+/// request — a peer query is not client demand — but does touch the
+/// policy, since the document was genuinely referenced.
+fn peer_lookup_local(
+    config: &ProxyConfig,
+    state: &Arc<ProxyState>,
+    target: &str,
+) -> Option<(Bytes, Option<u64>)> {
+    let url = state.interner.lock().url(target);
+    let now = state.now.load(Ordering::SeqCst);
+    state.cache.with_shard_for(url, |cache, ext| {
+        let (meta, body, fresh) = peek(cache, ext, url, config.ttl, now)?;
+        if !fresh || meta.size > cluster::MAX_PEER_BODY {
+            return None;
+        }
+        touch_resident(cache, ext, url, target, &meta, &body, now);
+        Some((body, meta.last_modified))
+    })
+}
+
+/// Re-reference a document we are serving from memory, so the policy
+/// sees it, under the owning shard's guard (the fast path touches under
+/// the same `try_lock` it peeked with, so peek and touch are one atomic
+/// step). Tolerates losing a race with an eviction since the peek: the
+/// cache request then re-inserts the copy being served, and its body is
+/// restored alongside.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn touch_resident(
+    cache: &mut Cache,
+    ext: &mut ShardExt,
+    url: UrlId,
+    target: &str,
+    meta: &DocMeta,
+    body: &Bytes,
+    now: u64,
+) {
+    let r = reference(url, now, meta.size, meta.doc_type, meta.last_modified);
+    match cache.request(&r) {
+        Outcome::Hit => {
+            ext.log_op(JournalOp::Touch {
+                old_id: url.0,
+                now,
+                size: meta.size,
+            });
+        }
+        Outcome::Miss { evicted } | Outcome::MissModified { evicted } => {
+            let fetched = ext.get(url).map_or(now, |r| r.fetched_at);
+            install(ext, evicted, &r, target, body, fetched);
+        }
+        Outcome::MissTooBig => {}
+    }
+}
+
+/// One reference to a document as the cache sees it. The proxy tells
+/// neither clients nor servers apart, so both ids are zero.
+pub(crate) fn reference(
+    url: UrlId,
+    now: u64,
+    size: u64,
+    doc_type: DocType,
+    last_modified: Option<u64>,
+) -> webcache_trace::Request {
+    webcache_trace::Request {
+        time: now,
+        client: ClientId(0),
+        server: ServerId(0),
+        url,
+        size,
+        doc_type,
+        last_modified,
+    }
+}
+
+/// Make `body` the resident copy of the document `r` referenced, fetched
+/// at `fetched_at`: drop what the policy evicted to make room for it, and
+/// journal every step.
+pub(crate) fn install(
+    ext: &mut ShardExt,
+    evicted: Vec<DocMeta>,
+    r: &webcache_trace::Request,
+    target: &str,
+    body: &Bytes,
+    fetched_at: u64,
+) {
+    for m in evicted {
+        ext.remove(m.url);
+        ext.log_op(JournalOp::Evict { old_id: m.url.0 });
+    }
+    ext.insert(r.url, body.clone(), fetched_at);
+    ext.log_op(JournalOp::Insert {
+        old_id: r.url.0,
+        url: target.to_string(),
+        now: r.time,
+        size: r.size,
+        doc_type: r.doc_type,
+        last_modified: r.last_modified,
+        fetched_at,
+        body: body.clone(),
+    });
+}
+
+/// Serve a 200 origin response — a miss: the bytes moved from the
+/// origin — after storing it (evicting via the policy) under `store_as`,
+/// or without storing it when this node is not the key's home.
+fn serve_miss(
+    state: &Arc<ProxyState>,
+    store_as: Option<UrlId>,
+    target: &str,
+    origin_resp: Fetched,
+    now: u64,
+    config: ProxyConfig,
+) -> Response {
+    let size = origin_resp.body.len() as u64;
+    AtomicProxyStats::add(&state.stats.misses, 1);
+    AtomicProxyStats::add(&state.stats.bytes_from_origin, size);
+    let last_modified = origin_resp.last_modified;
+    if let Some(url) = store_as {
+        state.cache.with_shard_for(url, |cache, ext| {
+            let r = reference(url, now, size, DocType::classify(target), last_modified);
+            let (evicted, fetched) = match cache.request(&r) {
+                // Same URL and size already cached (raced with another
+                // thread): just refresh the body.
+                Outcome::Hit => (Vec::new(), ext.get(url).map_or(now, |r| r.fetched_at)),
+                Outcome::Miss { evicted } | Outcome::MissModified { evicted } => (evicted, now),
+                // Larger than a shard's capacity: pass through uncached.
+                Outcome::MissTooBig => return,
+            };
+            install(ext, evicted, &r, target, &origin_resp.body, fetched);
+        });
+    }
+    state.log_access(config.access_log, now, target, size, "MISS");
+    Response::ok(origin_resp.body, last_modified).with_cache_status(false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache_proxy::test_support::get;
+    use crate::origin::{DocStore, OriginServer};
+    use crate::ProxyServer;
+    use std::time::Duration;
+    use webcache_core::policy::named;
+
+    fn setup(config: ProxyConfig) -> (OriginServer, ProxyServer) {
+        let store = Arc::new(DocStore::new());
+        store.put_synthetic("http://o.test/a.html", 1000, 10);
+        store.put_synthetic("http://o.test/b.gif", 3000, 10);
+        store.put_synthetic("http://o.test/c.au", 6000, 10);
+        let origin = OriginServer::start(store).unwrap();
+        let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::size())).unwrap();
+        (origin, proxy)
+    }
+
+    #[test]
+    fn second_request_is_a_cache_hit() {
+        let (origin, proxy) = setup(ProxyConfig::new(100_000));
+        let first = get(&proxy, "http://o.test/a.html");
+        assert_eq!(first.status, 200);
+        assert!(!first.is_cache_hit());
+        let second = get(&proxy, "http://o.test/a.html");
+        assert!(second.is_cache_hit());
+        assert_eq!(second.body, first.body);
+        // Origin saw exactly one full fetch.
+        assert_eq!(origin.stats().full_responses.load(Ordering::Relaxed), 1);
+        let s = proxy.stats();
+        assert_eq!(s.requests, 2);
+        assert_eq!(s.hits, 1);
+        assert_eq!(s.misses, 1);
+    }
+
+    #[test]
+    fn eviction_follows_the_size_policy() {
+        let (_origin, proxy) = setup(ProxyConfig::new(9_500));
+        get(&proxy, "http://o.test/a.html"); // 1000
+        get(&proxy, "http://o.test/b.gif"); // 3000
+        get(&proxy, "http://o.test/c.au"); // 6000 -> evicts c? no: inserting c (6000) needs room: 1000+3000+6000 = 10000 > 9500, SIZE evicts largest resident (b.gif 3000).
+        assert_eq!(proxy.cached_bytes(), 7000);
+        // a and c are hits; b was evicted and misses.
+        assert!(get(&proxy, "http://o.test/a.html").is_cache_hit());
+        assert!(get(&proxy, "http://o.test/c.au").is_cache_hit());
+        assert!(!get(&proxy, "http://o.test/b.gif").is_cache_hit());
+    }
+
+    #[test]
+    fn sharded_proxy_still_serves_hits() {
+        let store = Arc::new(DocStore::new());
+        for i in 0..16 {
+            store.put_synthetic(&format!("http://o.test/d{i}.html"), 500 + i * 10, 10);
+        }
+        let origin = OriginServer::start(store).unwrap();
+        let config = ProxyConfig::new(1 << 20).with_shards(4);
+        let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
+        assert_eq!(proxy.shard_count(), 4);
+        for i in 0..16 {
+            assert!(!get(&proxy, &format!("http://o.test/d{i}.html")).is_cache_hit());
+        }
+        for i in 0..16 {
+            let r = get(&proxy, &format!("http://o.test/d{i}.html"));
+            assert!(r.is_cache_hit(), "d{i} should be resident");
+            assert_eq!(r.body.len() as u64, 500 + i * 10);
+        }
+        let s = proxy.stats();
+        assert_eq!(s.requests, 32);
+        assert_eq!(s.hits, 16);
+        assert_eq!(s.misses, 16);
+    }
+
+    #[test]
+    fn ttl_expiry_triggers_revalidation_not_refetch() {
+        let (origin, proxy) = setup(ProxyConfig::new(100_000).with_ttl(1));
+        get(&proxy, "http://o.test/a.html");
+        // Advance the logical clock past the TTL with unrelated traffic.
+        get(&proxy, "http://o.test/b.gif");
+        get(&proxy, "http://o.test/c.au");
+        let r = get(&proxy, "http://o.test/a.html");
+        assert!(r.is_cache_hit(), "revalidated copy still served from cache");
+        assert_eq!(origin.stats().not_modified.load(Ordering::Relaxed), 1);
+        assert_eq!(proxy.stats().revalidated, 1);
+    }
+
+    #[test]
+    fn modified_document_is_refetched_after_expiry() {
+        let (origin, proxy) = setup(ProxyConfig::new(100_000).with_ttl(1));
+        let before = get(&proxy, "http://o.test/a.html");
+        origin.store().modify("http://o.test/a.html", 1500, 99);
+        get(&proxy, "http://o.test/b.gif"); // advance clock
+        get(&proxy, "http://o.test/c.au");
+        let after = get(&proxy, "http://o.test/a.html");
+        assert!(!after.is_cache_hit());
+        assert_eq!(after.body.len(), 1500);
+        assert_ne!(after.body, before.body);
+        // And the fresh copy serves as a hit again.
+        assert!(get(&proxy, "http://o.test/a.html").is_cache_hit());
+    }
+
+    #[test]
+    fn access_log_is_clf_like() {
+        let (_origin, proxy) = setup(ProxyConfig::new(100_000));
+        get(&proxy, "http://o.test/a.html");
+        get(&proxy, "http://o.test/a.html");
+        let log = proxy.access_log();
+        assert!(log.contains("MISS"));
+        assert!(log.contains("HIT"));
+        assert_eq!(log.lines().count(), 2);
+    }
+
+    #[test]
+    fn stale_copy_is_served_degraded_when_origin_dies() {
+        // Tuned for fast failure detection.
+        let (origin, proxy) = setup(
+            ProxyConfig::new(100_000)
+                .with_ttl(1)
+                .with_retries(1, Duration::from_millis(1))
+                .with_breaker(50, 1000),
+        );
+        let first = get(&proxy, "http://o.test/a.html");
+        assert!(!first.is_degraded());
+        drop(origin); // origin goes away
+        get(&proxy, "http://o.test/b.gif"); // advance clock past TTL (5xx, uncached)
+        get(&proxy, "http://o.test/c.au");
+        let r = get(&proxy, "http://o.test/a.html");
+        assert_eq!(r.status, 200, "cached doc must survive origin death");
+        assert!(r.is_cache_hit());
+        assert!(r.is_degraded(), "stale serve must carry the 110 warning");
+        assert_eq!(r.body, first.body);
+        let s = proxy.stats();
+        assert_eq!(s.stale_serves, 1);
+        assert!(s.origin_failures >= 1);
+    }
+
+    #[test]
+    fn serve_stale_can_be_disabled() {
+        let (origin, proxy) = setup(
+            ProxyConfig::new(100_000)
+                .with_ttl(1)
+                .with_retries(0, Duration::from_millis(1))
+                .with_serve_stale(false),
+        );
+        get(&proxy, "http://o.test/a.html");
+        drop(origin);
+        get(&proxy, "http://o.test/x"); // advance clock
+        get(&proxy, "http://o.test/y");
+        let r = get(&proxy, "http://o.test/a.html");
+        assert!(r.status >= 500, "without serve-stale the error surfaces");
+        assert_eq!(proxy.stats().stale_serves, 0);
+    }
+}

@@ -31,7 +31,7 @@
 //! error, never an implicit end of headers, and [`http::MAX_HEADERS`]
 //! counts header lines rather than distinct names.
 
-use crate::cache_proxy::ProxyConfig;
+use crate::config::ProxyConfig;
 use crate::http::{self, HttpError, Response, MAX_BODY, MAX_HEADERS, MAX_LINE};
 use bytes::Bytes;
 use std::io::{ErrorKind, Read, Write};

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use webcache_core::policy::named;
 use webcache_proxy::http::{self, Request};
-use webcache_proxy::{DocStore, OriginServer, ProxyConfig, ProxyServer, ServingBackend};
+use webcache_proxy::{DocStore, OriginServer, ProxyConfig, ProxyServer};
 
 struct CountingAllocator;
 
@@ -101,7 +101,6 @@ fn warmed_reactor_serves_hits_without_allocating() {
     store.put_synthetic("http://o.test/hot.html", 4096, 10);
     let origin = OriginServer::start(store).unwrap();
     let config = ProxyConfig::new(1 << 20)
-        .with_backend(ServingBackend::Reactor)
         .with_workers(1, 8)
         // The CLF log line is the one inherent per-hit allocation;
         // serving and logging are separable concerns, and this test

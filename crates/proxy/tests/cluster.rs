@@ -11,7 +11,7 @@
 //!   the dead node;
 //! * non-owners do not store keys they do not own;
 //! * the `GET /__webcache/stats` admin endpoint reports the cluster
-//!   block (and `null` without one) on both serving backends.
+//!   block (and `null` without one).
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use webcache_core::policy::named;
 use webcache_proxy::cache_proxy::ADMIN_STATS_TARGET;
 use webcache_proxy::http::{self, Request, Response};
 use webcache_proxy::origin::{DocStore, OriginServer};
-use webcache_proxy::{ClusterConfig, ProxyConfig, ProxyServer, ServingBackend};
+use webcache_proxy::{ClusterConfig, ProxyConfig, ProxyServer};
 
 /// Reserve `n` distinct ephemeral addresses (bind, record, drop).
 fn free_addrs(n: usize) -> Vec<SocketAddr> {
@@ -206,18 +206,16 @@ fn admin_stats_reports_cluster_block() {
 }
 
 #[test]
-fn admin_stats_works_without_cluster_and_on_reactor() {
+fn admin_stats_works_without_cluster() {
     let origin = origin_with_docs(4);
-    for backend in [ServingBackend::Threaded, ServingBackend::Reactor] {
-        let config = ProxyConfig::new(100_000).with_backend(backend);
-        let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru()))
-            .expect("proxy start");
-        let _ = get(proxy.addr(), "http://o.test/d1.html");
-        let resp = get(proxy.addr(), ADMIN_STATS_TARGET);
-        assert_eq!(resp.status, 200, "backend {}", backend.name());
-        let body = String::from_utf8(resp.body.to_vec()).expect("stats is UTF-8 JSON");
-        assert!(body.contains("\"cluster\":null"), "{body}");
-        assert!(body.contains("\"misses\":1"), "{body}");
-        assert!(body.contains("\"cached_bytes\":1000"), "{body}");
-    }
+    let config = ProxyConfig::new(100_000);
+    let proxy =
+        ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).expect("proxy start");
+    let _ = get(proxy.addr(), "http://o.test/d1.html");
+    let resp = get(proxy.addr(), ADMIN_STATS_TARGET);
+    assert_eq!(resp.status, 200);
+    let body = String::from_utf8(resp.body.to_vec()).expect("stats is UTF-8 JSON");
+    assert!(body.contains("\"cluster\":null"), "{body}");
+    assert!(body.contains("\"misses\":1"), "{body}");
+    assert!(body.contains("\"cached_bytes\":1000"), "{body}");
 }

@@ -13,7 +13,7 @@ use webcache_core::cache::Cache;
 use webcache_core::policy::named;
 use webcache_proxy::http::{self, Request, Response};
 use webcache_proxy::{DocStore, FaultKind, FaultPlan, FaultyOrigin, OriginServer};
-use webcache_proxy::{ProxyConfig, ProxyServer, ServingBackend};
+use webcache_proxy::{ProxyConfig, ProxyServer};
 use webcache_trace::{ClientId, ServerId, Trace};
 use webcache_workload::generator::generate;
 use webcache_workload::profiles;
@@ -393,13 +393,13 @@ fn slow_body_degrades_latency_but_never_correctness() {
     assert_eq!(s.stale_serves, 0);
 }
 
-/// The same sustained-slow origin through the reactor backend: the
+/// The same sustained-slow origin, watched from the event loop: the
 /// dribbled upstream read happens on a dispatched worker job, so the
 /// event loop keeps accepting and serving other clients at full speed
 /// while a miss dribbles in — and the slowed body still arrives
 /// complete and byte-correct.
 #[test]
-fn slow_body_under_reactor_backend_stays_correct_and_responsive() {
+fn slow_body_leaves_the_event_loop_responsive() {
     let plan = FaultPlan::new(29).slow_body(1.0, Duration::from_millis(60));
     let store = Arc::new(DocStore::new());
     store.put_synthetic("http://o.test/a.html", 1000, 10);
@@ -408,9 +408,7 @@ fn slow_body_under_reactor_backend_stays_correct_and_responsive() {
     let faulty = FaultyOrigin::start(origin.addr(), plan).expect("shim");
     let proxy = ProxyServer::start(
         faulty.addr(),
-        ProxyConfig::new(1 << 20)
-            .with_backend(ServingBackend::Reactor)
-            .with_retries(0, Duration::from_millis(1)),
+        ProxyConfig::new(1 << 20).with_retries(0, Duration::from_millis(1)),
         || Box::new(named::lru()),
     )
     .expect("proxy");

@@ -1,8 +1,8 @@
-//! Reactor-backend integration tests: slow and idle clients must never
-//! occupy a worker thread, fragmented requests must parse across many
-//! readiness events, stalled clients must time out with `504`, dispatch
-//! overload must shed with `503`, and behaviour must match the threaded
-//! backend wherever both can serve the same exchange.
+//! Reactor integration tests: slow and idle clients must never occupy a
+//! worker thread, fragmented requests must parse across many readiness
+//! events, stalled clients must time out with `504`, dispatch overload
+//! must shed with `503`, and a fixed exchange must keep its golden
+//! statuses and counters.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -11,7 +11,7 @@ use std::time::Duration;
 use webcache_core::policy::named;
 use webcache_proxy::fault::{FaultPlan, FaultyOrigin};
 use webcache_proxy::http::{self, Request, Response};
-use webcache_proxy::{DocStore, OriginServer, ProxyConfig, ProxyServer, ServingBackend};
+use webcache_proxy::{DocStore, OriginServer, ProxyConfig, ProxyServer};
 
 fn origin_with_docs() -> OriginServer {
     let store = Arc::new(DocStore::new());
@@ -19,10 +19,6 @@ fn origin_with_docs() -> OriginServer {
     store.put_synthetic("http://o.test/b.gif", 3000, 10);
     store.put_synthetic("http://o.test/c.au", 6000, 10);
     OriginServer::start(store).unwrap()
-}
-
-fn reactor_config(capacity: u64) -> ProxyConfig {
-    ProxyConfig::new(capacity).with_backend(ServingBackend::Reactor)
 }
 
 fn get(proxy: &ProxyServer, url: &str) -> Response {
@@ -34,12 +30,11 @@ fn get(proxy: &ProxyServer, url: &str) -> Response {
 #[test]
 fn idle_connections_never_occupy_a_worker() {
     let origin = origin_with_docs();
-    let config = reactor_config(100_000).with_workers(2, 8);
+    let config = ProxyConfig::new(100_000).with_workers(2, 8);
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
-    assert_eq!(proxy.backend(), ServingBackend::Reactor);
 
-    // Fifty connections that send nothing: under the threaded backend
-    // these would pin 50 worker slots; here they must pin zero.
+    // Fifty connections that send nothing: a thread per connection
+    // would pin 50 worker slots; here they must pin zero.
     let loris: Vec<TcpStream> = (0..50)
         .map(|_| TcpStream::connect(proxy.addr()).unwrap())
         .collect();
@@ -62,7 +57,7 @@ fn idle_connections_never_occupy_a_worker() {
 #[test]
 fn fragmented_request_parses_across_readiness_events() {
     let origin = origin_with_docs();
-    let proxy = ProxyServer::start(origin.addr(), reactor_config(100_000), || {
+    let proxy = ProxyServer::start(origin.addr(), ProxyConfig::new(100_000), || {
         Box::new(named::lru())
     })
     .unwrap();
@@ -82,7 +77,7 @@ fn fragmented_request_parses_across_readiness_events() {
 #[test]
 fn stalled_mid_request_client_gets_504_without_blocking_others() {
     let origin = origin_with_docs();
-    let config = reactor_config(100_000)
+    let config = ProxyConfig::new(100_000)
         .with_workers(1, 4)
         .with_timeouts(Duration::from_secs(1), Duration::from_millis(200));
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
@@ -111,7 +106,7 @@ fn stalled_mid_request_client_gets_504_without_blocking_others() {
 #[test]
 fn slow_but_live_clients_complete_within_the_deadline() {
     let origin = origin_with_docs();
-    let config = reactor_config(100_000)
+    let config = ProxyConfig::new(100_000)
         .with_workers(1, 4)
         .with_timeouts(Duration::from_secs(1), Duration::from_millis(400));
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
@@ -136,15 +131,14 @@ fn slow_but_live_clients_complete_within_the_deadline() {
 fn dispatch_overload_sheds_with_503() {
     // A delaying origin makes every miss hold its worker; with one
     // worker and a one-deep job queue, concurrent misses beyond two
-    // must be refused at dispatch with `503` — the reactor's analogue
-    // of the threaded backend's accept-time shedding.
+    // must be refused at dispatch with `503`.
     let origin = origin_with_docs();
     let slow = FaultyOrigin::start(
         origin.addr(),
         FaultPlan::new(7).delay(1.0, Duration::from_millis(400)),
     )
     .unwrap();
-    let config = reactor_config(100_000)
+    let config = ProxyConfig::new(100_000)
         .with_workers(1, 1)
         .with_retries(0, Duration::from_millis(1))
         .with_timeouts(Duration::from_secs(2), Duration::from_secs(2));
@@ -175,56 +169,44 @@ fn dispatch_overload_sheds_with_503() {
 }
 
 #[test]
-fn reactor_matches_threaded_behaviour_end_to_end() {
-    // Same request sequence against both backends: hit/miss/revalidate
-    // accounting, downstream 304 conversion, and breaker fast-fails
-    // must be identical — the reactor is a serving-core change, not a
-    // semantics change.
-    let run = |backend: ServingBackend| {
-        let origin = origin_with_docs();
-        let config = ProxyConfig::new(100_000)
-            .with_backend(backend)
-            .with_ttl(2)
-            .with_retries(0, Duration::from_millis(1))
-            .with_breaker(2, 1000);
-        let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
-        let mut statuses = Vec::new();
-        for url in [
-            "http://o.test/a.html",
-            "http://o.test/a.html",
-            "http://o.test/b.gif",
-            "http://o.test/c.au",
-            "http://o.test/a.html", // past TTL: revalidates
-        ] {
-            statuses.push(get(&proxy, url).status);
-        }
-        // Downstream conditional GET: our copy (last-modified 10) is
-        // not newer, so the proxy answers a bodyless 304.
-        let mut s = TcpStream::connect(proxy.addr()).unwrap();
-        let req = Request::get("http://o.test/a.html").with_header("If-Modified-Since", "10");
-        http::write_request(&mut s, &req).unwrap();
-        let cond = http::read_response(&mut s).unwrap();
-        statuses.push(cond.status);
-        assert!(cond.is_cache_hit());
-        // Kill the origin: failures trip the breaker, then fast-fail.
-        drop(origin);
-        statuses.push(get(&proxy, "http://x.test/1").status);
-        statuses.push(get(&proxy, "http://x.test/2").status);
-        statuses.push(get(&proxy, "http://x.test/3").status);
-        let st = proxy.stats();
-        (
-            statuses,
-            st.hits,
-            st.revalidated,
-            st.misses,
-            st.breaker_trips,
-        )
-    };
-    let threaded = run(ServingBackend::Threaded);
-    let reactor = run(ServingBackend::Reactor);
-    assert_eq!(threaded, reactor);
+fn fixed_exchange_keeps_its_golden_statuses_and_counters() {
+    // Hit/miss/revalidate accounting, downstream 304 conversion, and
+    // breaker fast-fails over one fixed request sequence. The literals
+    // are what the blocking thread-per-connection engine this reactor
+    // replaced produced for the same exchange (DESIGN.md D19).
+    let origin = origin_with_docs();
+    let config = ProxyConfig::new(100_000)
+        .with_ttl(2)
+        .with_retries(0, Duration::from_millis(1))
+        .with_breaker(2, 1000);
+    let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
+    let mut statuses = Vec::new();
+    for url in [
+        "http://o.test/a.html",
+        "http://o.test/a.html",
+        "http://o.test/b.gif",
+        "http://o.test/c.au",
+        "http://o.test/a.html", // past TTL: revalidates
+    ] {
+        statuses.push(get(&proxy, url).status);
+    }
+    // Downstream conditional GET: our copy (last-modified 10) is
+    // not newer, so the proxy answers a bodyless 304.
+    let mut s = TcpStream::connect(proxy.addr()).unwrap();
+    let req = Request::get("http://o.test/a.html").with_header("If-Modified-Since", "10");
+    http::write_request(&mut s, &req).unwrap();
+    let cond = http::read_response(&mut s).unwrap();
+    statuses.push(cond.status);
+    assert!(cond.is_cache_hit());
+    // Kill the origin: failures trip the breaker, then fast-fail.
+    drop(origin);
+    statuses.push(get(&proxy, "http://x.test/1").status);
+    statuses.push(get(&proxy, "http://x.test/2").status);
+    statuses.push(get(&proxy, "http://x.test/3").status);
+    assert_eq!(statuses, vec![200, 200, 200, 200, 200, 304, 502, 502, 503]);
+    let st = proxy.stats();
     assert_eq!(
-        threaded.0,
-        vec![200, 200, 200, 200, 200, 304, 502, 502, 503]
+        (st.hits, st.revalidated, st.misses, st.breaker_trips),
+        (3, 1, 3, 1)
     );
 }

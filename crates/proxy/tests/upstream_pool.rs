@@ -16,9 +16,7 @@ use std::time::Duration;
 use webcache_core::policy::named;
 use webcache_proxy::http::{self, HttpError, Request, Response, MAX_BODY, MAX_HEADERS, MAX_LINE};
 use webcache_proxy::upstream::ResponseReader;
-use webcache_proxy::{
-    DocStore, FaultPlan, FaultyOrigin, OriginServer, ProxyConfig, ProxyServer, ServingBackend,
-};
+use webcache_proxy::{DocStore, FaultPlan, FaultyOrigin, OriginServer, ProxyConfig, ProxyServer};
 
 // -----------------------------------------------------------------------
 // Largest single allocation per thread, so a test can show that a hostile
@@ -157,30 +155,26 @@ impl Drop for ScriptedOrigin {
 }
 
 /// (a) 200 sequential misses through a 2-worker proxy open at most two
-/// origin connections, under either backend.
+/// origin connections.
 #[test]
 fn sequential_misses_reuse_each_workers_connection() {
-    for backend in [ServingBackend::Threaded, ServingBackend::Reactor] {
-        let origin = origin_with_docs(200);
-        let config = ProxyConfig::new(1 << 30)
-            .with_backend(backend)
-            .with_workers(2, 16);
-        let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
-        for i in 0..200 {
-            let r = get(&proxy, &doc_url(i));
-            assert_eq!(r.status, 200, "{backend:?} doc {i}");
-            assert!(!r.is_cache_hit());
-            assert_eq!(r.body, http::synthetic_body(&doc_url(i), 700 + i as u64));
-        }
-        let opened = origin.stats().connections.load(Ordering::Relaxed);
-        assert!(
-            (1..=2).contains(&opened),
-            "{backend:?}: {opened} origin connections for 200 misses"
-        );
-        assert_eq!(origin.stats().full_responses.load(Ordering::Relaxed), 200);
-        let s = proxy.stats();
-        assert_eq!((s.misses, s.retries, s.origin_failures), (200, 0, 0));
+    let origin = origin_with_docs(200);
+    let config = ProxyConfig::new(1 << 30).with_workers(2, 16);
+    let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
+    for i in 0..200 {
+        let r = get(&proxy, &doc_url(i));
+        assert_eq!(r.status, 200, "doc {i}");
+        assert!(!r.is_cache_hit());
+        assert_eq!(r.body, http::synthetic_body(&doc_url(i), 700 + i as u64));
     }
+    let opened = origin.stats().connections.load(Ordering::Relaxed);
+    assert!(
+        (1..=2).contains(&opened),
+        "{opened} origin connections for 200 misses"
+    );
+    assert_eq!(origin.stats().full_responses.load(Ordering::Relaxed), 200);
+    let s = proxy.stats();
+    assert_eq!((s.misses, s.retries, s.origin_failures), (200, 0, 0));
 }
 
 /// Revalidations travel on the kept connection too, and a `304` (no
