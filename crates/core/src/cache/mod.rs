@@ -1,6 +1,11 @@
 //! The proxy cache itself: document store, space accounting, and the
 //! request-handling semantics of section 1.1 of the paper.
 //!
+//! A [`Cache`] keeps one entry per resident document — its [`DocMeta`]
+//! plus a caller payload `P` (`()` in simulation, the body in the live
+//! proxy) — and removes both together on every removal path (DESIGN.md
+//! D20).
+//!
 //! A [`Cache`] owns a [`RemovalPolicy`](crate::policy::RemovalPolicy) and
 //! applies the paper's hit definition: a request hits iff the cache holds a
 //! copy with the *same URL and the same size*. A re-reference with a
@@ -13,7 +18,7 @@ pub mod sharded;
 pub mod store;
 
 pub use sharded::{ShardStats, ShardedCache};
-pub use store::{DocStore, HashStore, SlabStore};
+pub use store::SlabStore;
 
 use crate::policy::RemovalPolicy;
 use serde::{Deserialize, Serialize};
@@ -162,7 +167,8 @@ pub struct CacheStats {
 /// by [`Cache::export_state`] and reinstated by [`Cache::restore_state`].
 ///
 /// The resident set is stored as plain [`DocMeta`] (sorted by URL for a
-/// deterministic encoding); policy order is *not* stored — restore replays
+/// deterministic encoding; payloads travel beside it, see
+/// [`Cache::export_entries`]); policy order is *not* stored — restore replays
 /// the metadata through `on_insert`, which reconstructs every taxonomy
 /// policy's order exactly, then applies the opaque
 /// [`policy_state`](CacheState::policy_state) bytes for policies whose
@@ -181,7 +187,7 @@ pub struct CacheState {
     pub policy_state: Vec<u8>,
 }
 
-/// How [`Cache::restore_state_lenient`] reinstated a snapshot.
+/// How [`Cache::restore_entries`] reinstated a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreOutcome {
     /// Resident set restored and the opaque policy bytes imported exactly.
@@ -197,21 +203,22 @@ pub enum RestoreOutcome {
 
 /// A single-level proxy cache with a pluggable removal policy.
 ///
-/// Generic over its resident-set container (`S`); the default
-/// [`SlabStore`] indexes documents densely by `UrlId` and is what every
-/// production path uses. [`HashStore`] exists for equivalence testing and
-/// sparse-id callers.
-pub struct Cache<S: DocStore = SlabStore> {
+/// Each resident document is one slab entry: its [`DocMeta`] and a caller
+/// payload `P`, inserted together and dropped together on every removal
+/// path — [`Cache::remove`], on-demand eviction, the periodic purge and
+/// size-change invalidation (DESIGN.md D20). The simulator runs `P = ()`;
+/// the live proxy carries each document's body and fetch time.
+pub struct Cache<P = ()> {
     capacity: u64,
     used: u64,
-    docs: S,
+    docs: SlabStore<P>,
     policy: Box<dyn RemovalPolicy>,
     stats: CacheStats,
     decorator: Option<MetaDecorator>,
     current_day: u64,
 }
 
-impl<S: DocStore> std::fmt::Debug for Cache<S> {
+impl<P> std::fmt::Debug for Cache<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cache")
             .field("capacity", &self.capacity)
@@ -222,10 +229,11 @@ impl<S: DocStore> std::fmt::Debug for Cache<S> {
     }
 }
 
+/// The simulator's cache: metadata only.
 impl Cache {
     /// Create a cache of `capacity` bytes using `policy` for removal.
     pub fn new(capacity: u64, policy: Box<dyn RemovalPolicy>) -> Cache {
-        Cache::new_in(capacity, policy)
+        Cache::with_payload(capacity, policy)
     }
 
     /// Create an unbounded cache (Experiment 1: "simulating an infinite
@@ -234,16 +242,34 @@ impl Cache {
     pub fn infinite(policy: Box<dyn RemovalPolicy>) -> Cache {
         Cache::new(u64::MAX, policy)
     }
+
+    /// Handle one client request per the section 1.1 semantics.
+    // Inlined so per-request drivers (simulate, MultiSim) can elide the
+    // Outcome when the caller discards it.
+    #[inline]
+    pub fn request(&mut self, r: &Request) -> Outcome {
+        self.request_with(r, || ())
+    }
+
+    /// Reinstate a snapshot into a freshly constructed cache (same
+    /// capacity, same policy, nothing resident); see
+    /// [`Cache::restore_entries`]. Returns `false` if the snapshot is
+    /// inconsistent with this cache (wrong capacity, cache not empty,
+    /// resident bytes over capacity, or policy-state rejection); the cache
+    /// is then in an unspecified state and must be discarded.
+    pub fn restore_state(&mut self, state: &CacheState) -> bool {
+        self.restore_entries(state, std::iter::repeat(())) == RestoreOutcome::Imported
+    }
 }
 
-impl<S: DocStore> Cache<S> {
-    /// Create a cache of `capacity` bytes with an explicitly chosen
-    /// document store (e.g. `Cache::<HashStore>::new_in(...)`).
-    pub fn new_in(capacity: u64, policy: Box<dyn RemovalPolicy>) -> Cache<S> {
+impl<P> Cache<P> {
+    /// Create a cache of `capacity` bytes whose entries carry a `P` each
+    /// (e.g. `Cache::<Bytes>::with_payload(...)`).
+    pub fn with_payload(capacity: u64, policy: Box<dyn RemovalPolicy>) -> Cache<P> {
         Cache {
             capacity,
             used: 0,
-            docs: S::default(),
+            docs: SlabStore::default(),
             policy,
             stats: CacheStats::default(),
             decorator: None,
@@ -252,7 +278,7 @@ impl<S: DocStore> Cache<S> {
     }
 
     /// Attach a [`MetaDecorator`] that enriches metadata at insert time.
-    pub fn with_decorator(mut self, d: MetaDecorator) -> Cache<S> {
+    pub fn with_decorator(mut self, d: MetaDecorator) -> Cache<P> {
         self.decorator = Some(d);
         self
     }
@@ -302,6 +328,17 @@ impl<S: DocStore> Cache<S> {
         self.docs.get(url)
     }
 
+    /// Metadata and payload of a resident document, from one lookup.
+    pub fn entry(&self, url: UrlId) -> Option<(&DocMeta, &P)> {
+        self.docs.entry(url)
+    }
+
+    /// Mutable payload of a resident document. The metadata stays the
+    /// cache's to change: the policy ranks by it.
+    pub fn payload_mut(&mut self, url: UrlId) -> Option<&mut P> {
+        self.docs.entry_mut(url).map(|(_, p)| p)
+    }
+
     /// Position of a resident document in the policy's removal order
     /// (0 = next victim), when the policy exposes one. Appendix A's
     /// "location in sorted list of each URL hit".
@@ -319,14 +356,20 @@ impl<S: DocStore> Cache<S> {
 
     /// Iterate over resident documents (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = &DocMeta> {
+        self.docs.iter().map(|(m, _)| m)
+    }
+
+    /// Iterate over resident entries, payloads included (arbitrary order).
+    pub fn entries(&self) -> impl Iterator<Item = (&DocMeta, &P)> {
         self.docs.iter()
     }
 
-    /// Handle one client request per the section 1.1 semantics.
-    // Inlined so per-request drivers (simulate, MultiSim) can elide the
-    // Outcome when the caller discards it.
+    /// Handle one client request per the section 1.1 semantics, calling
+    /// `payload` for the entry's payload only if the document is inserted.
+    /// A hit keeps the resident payload; a document too big to store never
+    /// asks for one.
     #[inline]
-    pub fn request(&mut self, r: &Request) -> Outcome {
+    pub fn request_with(&mut self, r: &Request, payload: impl FnOnce() -> P) -> Outcome {
         self.advance_time(r.time);
         self.stats.counts.requests += 1;
         self.stats.counts.bytes_requested += r.size;
@@ -345,49 +388,53 @@ impl<S: DocStore> Cache<S> {
             // Modified at origin: invalidate the stale copy.
             self.remove(r.url);
             self.stats.modified_invalidations += 1;
-            let evicted = self.insert(r);
+            let evicted = self.insert(r, payload);
             return match evicted {
                 Some(evicted) => Outcome::MissModified { evicted },
                 None => Outcome::MissTooBig,
             };
         }
-        match self.insert(r) {
+        match self.insert(r, payload) {
             Some(evicted) => Outcome::Miss { evicted },
             None => Outcome::MissTooBig,
         }
     }
 
     /// Remove a document by URL (used for invalidation and by multi-level
-    /// coordination). Returns its metadata if it was resident.
+    /// coordination). Returns its metadata if it was resident; the payload
+    /// is dropped.
     pub fn remove(&mut self, url: UrlId) -> Option<DocMeta> {
-        let meta = self.docs.remove(url)?;
+        let (meta, _) = self.docs.remove(url)?;
         self.used -= meta.size;
         self.policy.on_remove(url);
+        Some(meta)
+    }
+
+    /// Remove the policy's next victim to make room for `incoming_size`
+    /// bytes at `now`, payload and all. `None` when the policy offers none.
+    fn evict_one(&mut self, now: Timestamp, incoming_size: u64) -> Option<DocMeta> {
+        let victim = self.policy.victim(now, incoming_size)?;
+        let meta = self
+            .remove(victim)
+            .expect("policy returned a victim that is not resident");
+        self.stats.evicted_bytes += meta.size;
         Some(meta)
     }
 
     /// Insert the document named by `r`, evicting until it fits. Returns
     /// the eviction list, or `None` when the document exceeds capacity and
     /// was not stored.
-    fn insert(&mut self, r: &Request) -> Option<Vec<DocMeta>> {
+    fn insert(&mut self, r: &Request, payload: impl FnOnce() -> P) -> Option<Vec<DocMeta>> {
         if r.size > self.capacity {
             self.stats.too_big += 1;
             return None;
         }
         let mut evicted = Vec::new();
         while self.used + r.size > self.capacity {
-            let victim = self
-                .policy
-                .victim(r.time, r.size)
-                .expect("cache is over capacity but the policy offered no victim");
             let meta = self
-                .docs
-                .remove(victim)
-                .expect("policy returned a victim that is not resident");
-            self.used -= meta.size;
-            self.policy.on_remove(victim);
+                .evict_one(r.time, r.size)
+                .expect("cache is over capacity but the policy offered no victim");
             self.stats.evictions += 1;
-            self.stats.evicted_bytes += meta.size;
             evicted.push(meta);
         }
         let mut meta = DocMeta {
@@ -407,38 +454,29 @@ impl<S: DocStore> Cache<S> {
         }
         self.used += meta.size;
         self.stats.max_used = self.stats.max_used.max(self.used);
-        self.docs.insert(meta);
+        self.docs.insert(meta, payload());
         self.policy.on_insert(&meta);
         Some(evicted)
     }
 
-    /// Insert a document directly from its metadata, evicting to fit.
-    /// Used by the two-level cache to push L1 evictions down into L2.
-    /// Returns `false` when the document exceeds capacity.
-    pub fn insert_meta(&mut self, mut meta: DocMeta) -> bool {
+    /// Insert a document directly from its metadata and payload, evicting
+    /// to fit. Used by the two-level cache to push L1 evictions down into
+    /// L2. Returns `false` when the document exceeds capacity.
+    pub fn insert_meta(&mut self, mut meta: DocMeta, payload: P) -> bool {
         if meta.size > self.capacity {
             return false;
         }
-        if let Some(old) = self.docs.remove(meta.url) {
-            self.used -= old.size;
-            self.policy.on_remove(meta.url);
-        }
+        self.remove(meta.url);
         while self.used + meta.size > self.capacity {
-            let victim = self
-                .policy
-                .victim(meta.last_access, meta.size)
+            self.evict_one(meta.last_access, meta.size)
                 .expect("cache is over capacity but the policy offered no victim");
-            let v = self.docs.remove(victim).expect("victim not resident");
-            self.used -= v.size;
-            self.policy.on_remove(victim);
             self.stats.evictions += 1;
-            self.stats.evicted_bytes += v.size;
         }
         // A pushed-down document keeps its history but is re-entered now.
         meta.entry_time = meta.last_access;
         self.used += meta.size;
         self.stats.max_used = self.stats.max_used.max(self.used);
-        self.docs.insert(meta);
+        self.docs.insert(meta, payload);
         self.policy.on_insert(&meta);
         true
     }
@@ -455,15 +493,8 @@ impl<S: DocStore> Cache<S> {
                 .policy
                 .periodic_target(boundary, self.used, self.capacity)
             {
-                while self.used > target {
-                    let Some(victim) = self.policy.victim(boundary, 0) else {
-                        break;
-                    };
-                    let meta = self.docs.remove(victim).expect("victim not resident");
-                    self.used -= meta.size;
-                    self.policy.on_remove(victim);
+                while self.used > target && self.evict_one(boundary, 0).is_some() {
                     self.stats.periodic_evictions += 1;
-                    self.stats.evicted_bytes += meta.size;
                 }
             }
         }
@@ -471,64 +502,61 @@ impl<S: DocStore> Cache<S> {
 
     /// Snapshot the cache's complete simulation state for a checkpoint.
     pub fn export_state(&self) -> CacheState {
-        let mut docs: Vec<DocMeta> = self.docs.iter().copied().collect();
-        docs.sort_unstable_by_key(|m| m.url);
         CacheState {
             capacity: self.capacity,
             current_day: self.current_day,
             stats: self.stats,
-            docs,
+            // The slab iterates in URL-id order: already sorted.
+            docs: self.docs.iter().map(|(m, _)| *m).collect(),
             policy_state: self.policy.export_state(),
         }
     }
 
-    /// Reinstate a snapshot into a freshly constructed cache (same
-    /// capacity, same policy, nothing resident). Each document is
-    /// re-inserted directly — bypassing [`Cache::insert_meta`], which
-    /// resets entry times and may evict — and then the policy's opaque
-    /// state is applied. Returns `false` if the snapshot is inconsistent
-    /// with this cache (wrong capacity, cache not empty, resident bytes
-    /// over capacity, or policy-state rejection); the cache is then in an
-    /// unspecified state and must be discarded.
-    pub fn restore_state(&mut self, state: &CacheState) -> bool {
-        if !self.docs.is_empty() || self.used != 0 || self.capacity != state.capacity {
-            return false;
-        }
-        for m in &state.docs {
-            self.docs.insert(*m);
-            self.used += m.size;
-            self.policy.on_insert(m);
-        }
-        if self.used > self.capacity || !self.policy.import_state(&state.policy_state) {
-            return false;
-        }
-        self.stats = state.stats;
-        self.current_day = state.current_day;
-        true
+    /// [`Cache::export_state`] plus every resident payload, in the order
+    /// of the state's `docs`.
+    pub fn export_entries(&self) -> (CacheState, Vec<P>)
+    where
+        P: Clone,
+    {
+        let payloads = self.docs.iter().map(|(_, p)| p.clone()).collect();
+        (self.export_state(), payloads)
     }
 
-    /// Like [`Cache::restore_state`], but tolerant of policy-state
-    /// rejection: the resident set is always reinstated (each document
-    /// replayed through `on_insert`, which fully rebuilds every taxonomy
-    /// policy's rank order), and the opaque policy bytes are applied
-    /// opportunistically on top. Crash recovery needs this split because
-    /// a quarantined (corrupt-on-disk) document shrinks the resident set,
-    /// which makes an exact-match importer such as GreedyDual-Size's
-    /// reject the exported bytes — a warm cache with insertion-order rank
-    /// state beats discarding the whole shard.
+    /// Reinstate a snapshot into a freshly constructed cache (same
+    /// capacity, same policy, nothing resident), taking one payload from
+    /// `payloads` per document of `state.docs`, in order. Each document is
+    /// re-inserted directly — bypassing [`Cache::insert_meta`], which
+    /// resets entry times and may evict — and replayed through the
+    /// policy's `on_insert`, which fully rebuilds every taxonomy policy's
+    /// rank order; the opaque policy bytes are applied on top.
     ///
-    /// [`RestoreOutcome::Failed`] is only returned for structural
-    /// inconsistency (cache not empty, capacity mismatch, resident bytes
-    /// over capacity); the cache must then be discarded, exactly as with
-    /// a `false` from `restore_state`. Importers must validate before
-    /// mutating (all in-tree ones do), so `Replayed` leaves the policy in
-    /// its clean replayed-on-insert state.
-    pub fn restore_state_lenient(&mut self, state: &CacheState) -> RestoreOutcome {
+    /// A policy that rejects those bytes yields
+    /// [`RestoreOutcome::Replayed`], not a failure. Crash recovery needs
+    /// the split because a quarantined (corrupt-on-disk) document shrinks
+    /// the resident set, which makes an exact-match importer such as
+    /// GreedyDual-Size's reject the exported bytes — a warm cache with
+    /// insertion-order rank state beats discarding the whole shard.
+    /// Importers must validate before mutating (all in-tree ones do), so
+    /// `Replayed` leaves the policy in its clean replayed-on-insert state.
+    ///
+    /// [`RestoreOutcome::Failed`] means structural inconsistency (cache
+    /// not empty, capacity mismatch, resident bytes over capacity, fewer
+    /// payloads than documents); the cache is then in an unspecified state
+    /// and must be discarded.
+    pub fn restore_entries(
+        &mut self,
+        state: &CacheState,
+        payloads: impl IntoIterator<Item = P>,
+    ) -> RestoreOutcome {
         if !self.docs.is_empty() || self.used != 0 || self.capacity != state.capacity {
             return RestoreOutcome::Failed;
         }
+        let mut payloads = payloads.into_iter();
         for m in &state.docs {
-            self.docs.insert(*m);
+            let Some(payload) = payloads.next() else {
+                return RestoreOutcome::Failed;
+            };
+            self.docs.insert(*m, payload);
             self.used += m.size;
             self.policy.on_insert(m);
         }
@@ -548,7 +576,7 @@ impl<S: DocStore> Cache<S> {
     /// sum of resident sizes, within capacity, and the policy tracks
     /// exactly the resident set.
     pub fn check_invariants(&self) {
-        let sum: u64 = self.docs.iter().map(|m| m.size).sum();
+        let sum: u64 = self.iter().map(|m| m.size).sum();
         assert_eq!(sum, self.used, "used-bytes accounting drifted");
         assert!(self.used <= self.capacity, "cache exceeds capacity");
         assert_eq!(
@@ -791,18 +819,114 @@ mod tests {
         // bytes still describe both documents.
         snap.docs.retain(|m| m.url != UrlId(2));
         let mut back = Cache::new(2000, Box::new(crate::policy::GreedyDualSize::new()));
-        assert_eq!(back.restore_state_lenient(&snap), RestoreOutcome::Replayed);
+        let units = std::iter::repeat(());
+        assert_eq!(
+            back.restore_entries(&snap, units.clone()),
+            RestoreOutcome::Replayed
+        );
         back.check_invariants();
         assert!(back.contains(UrlId(1)));
         assert!(!back.contains(UrlId(2)));
         // An untouched snapshot imports exactly.
         let snap = full.export_state();
         let mut exact = Cache::new(2000, Box::new(crate::policy::GreedyDualSize::new()));
-        assert_eq!(exact.restore_state_lenient(&snap), RestoreOutcome::Imported);
+        assert_eq!(
+            exact.restore_entries(&snap, units.clone()),
+            RestoreOutcome::Imported
+        );
         exact.check_invariants();
         // Structural mismatch still fails.
         let mut wrong = Cache::new(100, Box::new(crate::policy::GreedyDualSize::new()));
-        assert_eq!(wrong.restore_state_lenient(&snap), RestoreOutcome::Failed);
+        assert_eq!(wrong.restore_entries(&snap, units), RestoreOutcome::Failed);
+        // So does running out of payloads.
+        let mut short = Cache::new(2000, Box::new(crate::policy::GreedyDualSize::new()));
+        assert_eq!(short.restore_entries(&snap, [()]), RestoreOutcome::Failed);
+    }
+
+    /// A payload that counts its own drops.
+    struct Tracked(std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn payload_leaves_with_its_document_on_every_removal_path() {
+        let drops = std::rc::Rc::new(std::cell::Cell::new(0));
+        let tracked = || Tracked(drops.clone());
+        // Every payload ever made is either resident or dropped.
+        let check = |c: &Cache<Tracked>, made: usize| {
+            c.check_invariants();
+            assert_eq!(c.entries().count(), c.len());
+            assert_eq!(drops.get() + c.len(), made);
+        };
+
+        let mut c = Cache::with_payload(100, Box::new(named::lru()));
+        for (t, url) in [(0, 1), (1, 2), (2, 3)] {
+            c.request_with(&req(t, url, 30), tracked);
+        }
+        check(&c, 3);
+        // A hit keeps the resident payload and asks for no new one.
+        let out = c.request_with(&req(3, 1, 30), || panic!("hit built a payload"));
+        assert!(out.is_hit());
+        // Explicit removal.
+        assert!(c.remove(UrlId(1)).is_some());
+        assert_eq!(drops.get(), 1);
+        // On-demand eviction: 60 resident + 80 incoming evicts both.
+        let out = c.request_with(&req(4, 4, 80), tracked);
+        assert_eq!(evicted_urls(&out), vec![UrlId(2), UrlId(3)]);
+        assert_eq!(drops.get(), 3);
+        check(&c, 4);
+        // Size change to more than the whole cache: the stale copy goes
+        // and nothing replaces it.
+        let out = c.request_with(&req(5, 4, 500), || panic!("too big built a payload"));
+        assert_eq!(out, Outcome::MissTooBig);
+        assert_eq!((drops.get(), c.len()), (4, 0));
+        // Size change that fits: old payload out, new one in.
+        c.request_with(&req(6, 5, 10), tracked);
+        let out = c.request_with(&req(7, 5, 20), tracked);
+        assert!(matches!(out, Outcome::MissModified { .. }));
+        check(&c, 6);
+        // Push-down replaces a resident entry's payload too.
+        let meta = *c.meta(UrlId(5)).unwrap();
+        assert!(c.insert_meta(meta, tracked()));
+        check(&c, 7);
+
+        // Periodic purge: at the end of the day Pitkow/Recker removes
+        // documents until the full cache is back at its comfort level.
+        drops.set(0);
+        let mut c = Cache::with_payload(1000, Box::new(crate::policy::PitkowRecker::default()));
+        for url in 0..10 {
+            c.request_with(&req(100 + url as u64, url, 100), tracked);
+        }
+        check(&c, 10);
+        c.advance_time(webcache_trace::SECONDS_PER_DAY);
+        assert_eq!(c.stats().periodic_evictions, 3);
+        assert_eq!(drops.get(), 3);
+        check(&c, 10);
+        drop(c);
+        assert_eq!(drops.get(), 10);
+    }
+
+    #[test]
+    fn export_entries_round_trips_payloads() {
+        let mut c = Cache::with_payload(1000, Box::new(named::lru()));
+        for url in [7u32, 2, 9] {
+            c.request_with(&req(url as u64, url, 10), || url * 10);
+        }
+        *c.payload_mut(UrlId(2)).unwrap() += 1;
+        let (state, payloads) = c.export_entries();
+        assert_eq!(state, c.export_state());
+        assert_eq!(payloads, vec![21, 70, 90], "payloads follow state.docs");
+        let mut back = Cache::with_payload(1000, Box::new(named::lru()));
+        assert_eq!(
+            back.restore_entries(&state, payloads),
+            RestoreOutcome::Imported
+        );
+        let (m, p) = back.entry(UrlId(9)).unwrap();
+        assert_eq!((m.size, *p), (10, 90));
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl TwoLevelCache {
             if meta.url == r.url || self.l2.contains(meta.url) {
                 continue;
             }
-            self.l2.insert_meta(*meta);
+            self.l2.insert_meta(*meta, ());
         }
     }
 

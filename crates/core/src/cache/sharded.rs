@@ -74,7 +74,7 @@ pub struct ShardStats {
 impl ShardStats {
     /// Mirror the shard cache's counters (called with the shard lock
     /// held, so stores never race with each other).
-    fn mirror(&self, cache: &Cache) {
+    fn mirror<P>(&self, cache: &Cache<P>) {
         let s = cache.stats();
         self.requests.store(s.counts.requests, Ordering::Relaxed);
         self.hits.store(s.counts.hits, Ordering::Relaxed);
@@ -123,25 +123,27 @@ impl ShardStats {
 }
 
 /// One shard: its cache plus a caller-supplied extension slot (`X`) that
-/// lives under the same lock. The proxy stores its body/freshness maps
-/// there so one lock acquisition covers a whole cache-plus-sidecar
-/// operation; simulation callers use `X = ()`.
-struct Shard<X> {
-    cache: Cache,
+/// lives under the same lock. Per-document state rides in the cache's own
+/// entries (`P`); the slot is for per-shard state — the proxy keeps its
+/// journal buffer there so one lock acquisition covers a cache mutation
+/// and its journal record. Simulation callers use `P = ()`, `X = ()`.
+struct Shard<P, X> {
+    cache: Cache<P>,
     ext: X,
 }
 
 /// A concurrent cache of N independent [`Cache`] shards (see the module
-/// docs for semantics). `X` is per-shard extension state guarded by the
-/// shard's own lock.
-pub struct ShardedCache<X = ()> {
-    shards: Vec<Mutex<Shard<X>>>,
+/// docs for semantics). `P` is the per-document payload of every shard's
+/// cache; `X` is per-shard extension state guarded by the shard's own
+/// lock.
+pub struct ShardedCache<P = (), X = ()> {
+    shards: Vec<Mutex<Shard<P, X>>>,
     stats: Vec<ShardStats>,
     mask: u64,
     capacity: u64,
 }
 
-impl<X> std::fmt::Debug for ShardedCache<X> {
+impl<P, X> std::fmt::Debug for ShardedCache<P, X> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCache")
             .field("shards", &self.shards.len())
@@ -159,7 +161,7 @@ pub fn default_shard_count() -> usize {
         .next_power_of_two()
 }
 
-impl<X: Default> ShardedCache<X> {
+impl<P, X: Default> ShardedCache<P, X> {
     /// Create a sharded cache of `total_capacity` bytes split over
     /// `shards` shards (must be a nonzero power of two), each with a
     /// fresh policy from `policy`.
@@ -172,7 +174,7 @@ impl<X: Default> ShardedCache<X> {
         total_capacity: u64,
         shards: usize,
         mut policy: impl FnMut() -> Box<dyn RemovalPolicy>,
-    ) -> ShardedCache<X> {
+    ) -> ShardedCache<P, X> {
         assert!(
             shards > 0 && shards.is_power_of_two(),
             "shard count must be a nonzero power of two, got {shards}"
@@ -190,7 +192,7 @@ impl<X: Default> ShardedCache<X> {
                     // byte each so the budget is split exactly.
                     let cap = base + u64::from((i as u64) < remainder);
                     Mutex::new(Shard {
-                        cache: Cache::new(cap, policy()),
+                        cache: Cache::with_payload(cap, policy()),
                         ext: X::default(),
                     })
                 })
@@ -202,7 +204,7 @@ impl<X: Default> ShardedCache<X> {
     }
 }
 
-impl<X> ShardedCache<X> {
+impl<P, X> ShardedCache<P, X> {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -247,13 +249,13 @@ impl<X> ShardedCache<X> {
     /// invocation, so a hit enters the shard lock exactly once and the
     /// body leaves the shard without re-entering it.
     #[inline]
-    pub fn with_shard_for<R>(&self, url: UrlId, f: impl FnOnce(&mut Cache, &mut X) -> R) -> R {
+    pub fn with_shard_for<R>(&self, url: UrlId, f: impl FnOnce(&mut Cache<P>, &mut X) -> R) -> R {
         self.with_shard(self.shard_index(url), f)
     }
 
     /// Run `f` under the lock of shard `idx` (see
     /// [`ShardedCache::with_shard_for`]).
-    pub fn with_shard<R>(&self, idx: usize, f: impl FnOnce(&mut Cache, &mut X) -> R) -> R {
+    pub fn with_shard<R>(&self, idx: usize, f: impl FnOnce(&mut Cache<P>, &mut X) -> R) -> R {
         let mut guard = self.shards[idx].lock();
         let shard = &mut *guard;
         let out = f(&mut shard.cache, &mut shard.ext);
@@ -274,7 +276,7 @@ impl<X> ShardedCache<X> {
     pub fn try_with_shard_for<R>(
         &self,
         url: UrlId,
-        f: impl FnOnce(&mut Cache, &mut X) -> R,
+        f: impl FnOnce(&mut Cache<P>, &mut X) -> R,
     ) -> Option<R> {
         self.try_with_shard(self.shard_index(url), f)
     }
@@ -284,20 +286,13 @@ impl<X> ShardedCache<X> {
     pub fn try_with_shard<R>(
         &self,
         idx: usize,
-        f: impl FnOnce(&mut Cache, &mut X) -> R,
+        f: impl FnOnce(&mut Cache<P>, &mut X) -> R,
     ) -> Option<R> {
         let mut guard = self.shards[idx].try_lock()?;
         let shard = &mut *guard;
         let out = f(&mut shard.cache, &mut shard.ext);
         self.stats[idx].mirror(&shard.cache);
         Some(out)
-    }
-
-    /// Handle one request in the shard owning its URL, with the exact
-    /// [`Cache::request`] semantics at per-shard capacity.
-    #[inline]
-    pub fn request(&self, r: &Request) -> Outcome {
-        self.with_shard_for(r.url, |cache, _| cache.request(r))
     }
 
     /// Is this document resident? Locks only the owning shard.
@@ -377,6 +372,15 @@ impl<X> ShardedCache<X> {
             self.capacity
         );
         assert_eq!(total_used, self.used(), "atomic used-bytes mirror drifted");
+    }
+}
+
+impl<X> ShardedCache<(), X> {
+    /// Handle one request in the shard owning its URL, with the exact
+    /// [`Cache::request`] semantics at per-shard capacity.
+    #[inline]
+    pub fn request(&self, r: &Request) -> Outcome {
+        self.with_shard_for(r.url, |cache, _| cache.request(r))
     }
 }
 
@@ -493,7 +497,7 @@ mod tests {
 
     #[test]
     fn extension_state_lives_under_the_shard_lock() {
-        let sharded: ShardedCache<Vec<u32>> =
+        let sharded: ShardedCache<(), Vec<u32>> =
             ShardedCache::new(1 << 20, 2, || Box::new(named::lru()));
         for id in 0..100 {
             sharded.with_shard_for(UrlId(id), |cache, seen| {

@@ -1,84 +1,75 @@
-//! Document stores: the cache's resident-set container, pluggable so the
-//! dense slab used by the simulation engine can be checked against a plain
-//! hash map.
+//! The cache's resident-set container: one slab entry per document.
 //!
 //! [`UrlId`]s are dense small integers assigned by trace interning, so the
-//! natural container is a slab (`Vec<Option<DocMeta>>`) indexed by the id —
-//! one bounds check and a pointer offset per lookup instead of a hash and
-//! probe sequence. [`SlabStore`] is the default store;
-//! [`HashStore`] preserves the original `HashMap`-backed layout and exists
-//! so property tests can assert the two behave identically (DESIGN.md D8).
+//! natural container is a slab indexed by the id — one bounds check and a
+//! pointer offset per lookup instead of a hash and probe sequence. Each
+//! occupied slot holds the document's [`DocMeta`] and a caller payload `P`
+//! (DESIGN.md D20): the simulator carries `()`, the proxy carries the body.
+//! The two are inserted together and leave together, so there is no second
+//! per-document map to keep in step.
 
 use crate::cache::DocMeta;
 use webcache_trace::UrlId;
 
-/// The resident-document container behind a
-/// [`Cache`](crate::cache::Cache).
-///
-/// Implementations must behave like a map keyed by [`UrlId`]: at most one
-/// document per URL, `insert` replacing (and returning) any previous entry.
-pub trait DocStore: Default + Send {
-    /// Metadata of a resident document.
-    fn get(&self, url: UrlId) -> Option<&DocMeta>;
-
-    /// Mutable metadata of a resident document.
-    fn get_mut(&mut self, url: UrlId) -> Option<&mut DocMeta>;
-
-    /// Insert `meta` under its own URL, returning the displaced entry if
-    /// the URL was already resident.
-    fn insert(&mut self, meta: DocMeta) -> Option<DocMeta>;
-
-    /// Remove and return the document stored under `url`.
-    fn remove(&mut self, url: UrlId) -> Option<DocMeta>;
-
-    /// Number of resident documents.
-    fn len(&self) -> usize;
-
-    /// True when no documents are resident.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Is this URL resident?
-    fn contains(&self, url: UrlId) -> bool {
-        self.get(url).is_some()
-    }
-
-    /// Iterate over resident documents (order unspecified).
-    fn iter(&self) -> impl Iterator<Item = &DocMeta> + '_;
-}
-
-/// Dense slab keyed directly by the `UrlId` integer. Lookups are a bounds
-/// check and an index; memory is proportional to the highest URL id seen,
-/// which for interned trace ids equals the number of distinct URLs.
-#[derive(Debug, Default, Clone)]
-pub struct SlabStore {
-    slots: Vec<Option<DocMeta>>,
+/// Dense slab keyed directly by the `UrlId` integer, behaving like a map:
+/// at most one document per URL, `insert` replacing (and returning) any
+/// previous entry. Lookups are a bounds check and an index; memory is
+/// proportional to the highest URL id seen, which for interned trace ids
+/// equals the number of distinct URLs.
+#[derive(Debug, Clone)]
+pub struct SlabStore<P = ()> {
+    slots: Vec<Option<(DocMeta, P)>>,
     len: usize,
 }
 
-impl DocStore for SlabStore {
-    fn get(&self, url: UrlId) -> Option<&DocMeta> {
-        self.slots.get(url.0 as usize)?.as_ref()
+impl<P> Default for SlabStore<P> {
+    fn default() -> Self {
+        SlabStore {
+            slots: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<P> SlabStore<P> {
+    /// Metadata of a resident document.
+    pub fn get(&self, url: UrlId) -> Option<&DocMeta> {
+        self.entry(url).map(|(m, _)| m)
     }
 
-    fn get_mut(&mut self, url: UrlId) -> Option<&mut DocMeta> {
-        self.slots.get_mut(url.0 as usize)?.as_mut()
+    /// Mutable metadata of a resident document.
+    pub fn get_mut(&mut self, url: UrlId) -> Option<&mut DocMeta> {
+        self.entry_mut(url).map(|(m, _)| m)
     }
 
-    fn insert(&mut self, meta: DocMeta) -> Option<DocMeta> {
+    /// Metadata and payload of a resident document, from one lookup.
+    pub fn entry(&self, url: UrlId) -> Option<(&DocMeta, &P)> {
+        let (m, p) = self.slots.get(url.0 as usize)?.as_ref()?;
+        Some((m, p))
+    }
+
+    /// Mutable metadata and payload of a resident document.
+    pub fn entry_mut(&mut self, url: UrlId) -> Option<(&mut DocMeta, &mut P)> {
+        let (m, p) = self.slots.get_mut(url.0 as usize)?.as_mut()?;
+        Some((m, p))
+    }
+
+    /// Insert `meta` and its payload under the document's own URL,
+    /// returning the displaced entry if the URL was already resident.
+    pub fn insert(&mut self, meta: DocMeta, payload: P) -> Option<(DocMeta, P)> {
         let i = meta.url.0 as usize;
         if i >= self.slots.len() {
-            self.slots.resize(i + 1, None);
+            self.slots.resize_with(i + 1, || None);
         }
-        let old = self.slots[i].replace(meta);
+        let old = self.slots[i].replace((meta, payload));
         if old.is_none() {
             self.len += 1;
         }
         old
     }
 
-    fn remove(&mut self, url: UrlId) -> Option<DocMeta> {
+    /// Remove and return the entry stored under `url`.
+    pub fn remove(&mut self, url: UrlId) -> Option<(DocMeta, P)> {
         let old = self.slots.get_mut(url.0 as usize)?.take();
         if old.is_some() {
             self.len -= 1;
@@ -86,46 +77,26 @@ impl DocStore for SlabStore {
         old
     }
 
-    fn len(&self) -> usize {
+    /// Number of resident documents.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn iter(&self) -> impl Iterator<Item = &DocMeta> + '_ {
-        self.slots.iter().filter_map(|s| s.as_ref())
-    }
-}
-
-/// The original `HashMap`-backed store. Kept as the reference
-/// implementation for equivalence tests and as the sensible choice when
-/// URL ids are sparse (e.g. a cache fed a filtered sub-trace).
-#[derive(Debug, Default, Clone)]
-pub struct HashStore {
-    docs: std::collections::HashMap<UrlId, DocMeta>,
-}
-
-impl DocStore for HashStore {
-    fn get(&self, url: UrlId) -> Option<&DocMeta> {
-        self.docs.get(&url)
+    /// True when no documents are resident.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    fn get_mut(&mut self, url: UrlId) -> Option<&mut DocMeta> {
-        self.docs.get_mut(&url)
+    /// Is this URL resident?
+    pub fn contains(&self, url: UrlId) -> bool {
+        self.entry(url).is_some()
     }
 
-    fn insert(&mut self, meta: DocMeta) -> Option<DocMeta> {
-        self.docs.insert(meta.url, meta)
-    }
-
-    fn remove(&mut self, url: UrlId) -> Option<DocMeta> {
-        self.docs.remove(&url)
-    }
-
-    fn len(&self) -> usize {
-        self.docs.len()
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &DocMeta> + '_ {
-        self.docs.values()
+    /// Iterate over resident entries in URL-id order.
+    pub fn iter(&self) -> impl Iterator<Item = (&DocMeta, &P)> + '_ {
+        self.slots
+            .iter()
+            .filter_map(|s| s.as_ref().map(|(m, p)| (m, p)))
     }
 }
 
@@ -149,36 +120,29 @@ mod tests {
         }
     }
 
-    fn exercise<S: DocStore>(mut s: S) {
+    #[test]
+    fn slab_store_map_semantics() {
+        let mut s = SlabStore::default();
         assert!(s.is_empty());
-        assert!(s.insert(meta(3, 10)).is_none());
-        assert!(s.insert(meta(0, 20)).is_none());
+        assert!(s.insert(meta(3, 10), "a").is_none());
+        assert!(s.insert(meta(0, 20), "b").is_none());
         assert_eq!(s.len(), 2);
-        // Replacement returns the displaced entry.
-        let old = s.insert(meta(3, 30)).unwrap();
-        assert_eq!(old.size, 10);
+        // Replacement returns the displaced entry, payload included.
+        let (old, payload) = s.insert(meta(3, 30), "c").unwrap();
+        assert_eq!((old.size, payload), (10, "a"));
         assert_eq!(s.len(), 2);
         assert_eq!(s.get(UrlId(3)).unwrap().size, 30);
         s.get_mut(UrlId(0)).unwrap().nrefs = 7;
-        assert_eq!(s.get(UrlId(0)).unwrap().nrefs, 7);
+        *s.entry_mut(UrlId(0)).unwrap().1 = "d";
+        let (m, p) = s.entry(UrlId(0)).unwrap();
+        assert_eq!((m.nrefs, *p), (7, "d"));
         assert!(s.contains(UrlId(0)));
         assert!(!s.contains(UrlId(99)));
         assert!(s.get(UrlId(99)).is_none());
-        let mut sizes: Vec<u64> = s.iter().map(|m| m.size).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![20, 30]);
-        assert_eq!(s.remove(UrlId(3)).unwrap().size, 30);
+        let seen: Vec<(u64, &str)> = s.iter().map(|(m, p)| (m.size, *p)).collect();
+        assert_eq!(seen, vec![(20, "d"), (30, "c")]);
+        assert_eq!(s.remove(UrlId(3)).unwrap().1, "c");
         assert!(s.remove(UrlId(3)).is_none());
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn slab_store_map_semantics() {
-        exercise(SlabStore::default());
-    }
-
-    #[test]
-    fn hash_store_map_semantics() {
-        exercise(HashStore::default());
     }
 }

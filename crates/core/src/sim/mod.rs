@@ -20,7 +20,7 @@ pub use multi::{LaneSpec, MultiSim};
 
 use crate::cache::multilevel::{SharedL2, TwoLevelCache};
 use crate::cache::partitioned::PartitionedCache;
-use crate::cache::{Cache, Counts, DocStore};
+use crate::cache::{Cache, Counts};
 use crate::policy::{NeverEvict, RemovalPolicy};
 use serde::{Deserialize, Serialize};
 use webcache_trace::{Request, Trace};
@@ -39,7 +39,7 @@ pub trait CacheSystem {
     fn gauges(&self) -> Vec<(String, u64)>;
 }
 
-impl<S: DocStore> CacheSystem for Cache<S> {
+impl CacheSystem for Cache {
     fn handle(&mut self, r: &Request) {
         let _ = self.request(r);
     }

@@ -227,10 +227,7 @@ pub fn replay(
     let origin = OriginServer::start(seed_origin(trace))?;
     let pconfig = ProxyConfig::new(cfg.capacity)
         .with_shards(cfg.shards)
-        .with_workers(cfg.workers, cfg.queue_depth)
-        // The per-request log line is the one heap allocation left on
-        // the proxy's hit path; benchmarks measure serving, not logging.
-        .with_access_log(false);
+        .with_workers(cfg.workers, cfg.queue_depth);
     let proxy = match &cfg.persist_dir {
         Some(dir) => {
             let pc = PersistConfig::new(dir)

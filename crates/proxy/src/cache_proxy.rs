@@ -21,9 +21,9 @@
 //!
 //! ## Concurrency
 //!
-//! The serving path is built on [`ShardedCache`]: document metadata,
-//! bodies and freshness stamps for one URL all live under that URL's
-//! shard lock (the proxy's maps ride in the shard extension slot), so a
+//! The serving path is built on [`ShardedCache`]: a document's metadata,
+//! body and freshness stamp are one cache entry ([`Resident`] is the
+//! entry's payload, DESIGN.md D20) under that URL's shard lock, so a
 //! request takes exactly one shard lock on the cache path and never
 //! holds it across network I/O. Client sockets belong to the reactor's
 //! event loop, which answers fresh hits inline and hands everything else
@@ -34,12 +34,12 @@
 //!
 //! ## Where things live
 //!
-//! This module owns the shared state ([`ProxyState`], the per-shard
-//! sidecar) and the life cycle of a [`ProxyServer`]. The request logic is
-//! in `serve`, the resilient origin fetch in `fetch`, circuit breakers in
-//! `breaker`, counters and the admin endpoint in `stats`, the persister
-//! thread and recovery in `persister`, tunables in `config`, and client
-//! socket multiplexing in `reactor`.
+//! This module owns the shared state ([`ProxyState`], the per-document
+//! payload, the per-shard journal slot) and the life cycle of a
+//! [`ProxyServer`]. The request logic is in `serve`, the resilient origin
+//! fetch in `fetch`, circuit breakers in `breaker`, counters and the admin
+//! endpoint in `stats`, the persister thread and recovery in `persister`,
+//! tunables in `config`, and client socket multiplexing in `reactor`.
 
 use crate::accesslog::AccessLog;
 use crate::breaker::Breakers;
@@ -52,21 +52,21 @@ use crate::serve::serve_peer_connection;
 use crate::stats::AtomicProxyStats;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use webcache_core::cache::ShardedCache;
+use webcache_core::cache::{Cache, ShardedCache};
 use webcache_core::policy::RemovalPolicy;
-use webcache_trace::{Interner, UrlId};
+use webcache_trace::Interner;
 
 pub use crate::config::ProxyConfig;
 pub use crate::persister::{PersistHealth, PersistHealthState};
 pub use crate::stats::{ProxyStats, ADMIN_STATS_TARGET};
 
 /// What the proxy keeps for one resident document beside the cache's own
-/// [`webcache_core::cache::DocMeta`].
-#[derive(Debug, Clone, Default)]
+/// [`webcache_core::cache::DocMeta`]: the payload of the document's cache
+/// entry, inserted and removed with it.
+#[derive(Debug, Clone)]
 pub(crate) struct Resident {
     /// The document body.
     pub(crate) body: Bytes,
@@ -74,11 +74,13 @@ pub(crate) struct Resident {
     pub(crate) fetched_at: u64,
 }
 
-/// Per-shard proxy sidecar, guarded by the owning shard's lock.
+/// One shard's cache: every entry carries its document's [`Resident`].
+pub(crate) type ShardCache = Cache<Resident>;
+
+/// Per-shard proxy state beside the cache, guarded by the owning shard's
+/// lock.
 #[derive(Debug, Default)]
 pub(crate) struct ShardExt {
-    /// Body and fetch time of every document resident in the shard.
-    resident: HashMap<UrlId, Resident>,
     /// Journal buffer — `Some` only when the proxy was started with
     /// persistence ([`ProxyServer::start_persistent`]). `None` keeps the
     /// non-persistent hit path allocation-free.
@@ -86,26 +88,6 @@ pub(crate) struct ShardExt {
 }
 
 impl ShardExt {
-    pub(crate) fn get(&self, url: UrlId) -> Option<&Resident> {
-        self.resident.get(&url)
-    }
-
-    pub(crate) fn insert(&mut self, url: UrlId, body: Bytes, fetched_at: u64) {
-        self.resident.insert(url, Resident { body, fetched_at });
-    }
-
-    pub(crate) fn remove(&mut self, url: UrlId) {
-        self.resident.remove(&url);
-    }
-
-    /// Renew the fetch time of a resident copy (a `304` revalidated it);
-    /// nothing to renew when the copy has been evicted meanwhile.
-    pub(crate) fn restamp(&mut self, url: UrlId, fetched_at: u64) {
-        if let Some(r) = self.resident.get_mut(&url) {
-            r.fetched_at = fetched_at;
-        }
-    }
-
     /// Record a cache mutation for the journal; no-op without persistence.
     pub(crate) fn log_op(&mut self, op: JournalOp) {
         if let Some(j) = self.journal.as_deref_mut() {
@@ -118,7 +100,7 @@ impl ShardExt {
 /// remaining fields are either atomics or their own short-lived locks,
 /// never held across network I/O.
 pub(crate) struct ProxyState {
-    pub(crate) cache: ShardedCache<ShardExt>,
+    pub(crate) cache: ShardedCache<Resident, ShardExt>,
     pub(crate) interner: Mutex<Interner>,
     pub(crate) stats: AtomicProxyStats,
     /// Logical clock: advances by one per request, so ATIME/ETIME/NREF
@@ -464,7 +446,8 @@ impl ProxyServer {
     }
 
     /// The proxy's Common-Log-Format access log: its most recent 4096
-    /// lines, oldest first.
+    /// lines, oldest first. Empty unless [`ProxyConfig::access_log`] is
+    /// on.
     pub fn access_log(&self) -> String {
         self.state.log.lock().tail()
     }
@@ -570,5 +553,55 @@ pub(crate) mod test_support {
             Box::new(webcache_core::policy::named::size())
         })
         .unwrap()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::test_support::get;
+    use super::*;
+    use crate::origin::{DocStore, OriginServer};
+    use webcache_core::policy::PitkowRecker;
+    use webcache_trace::SECONDS_PER_DAY;
+
+    /// Pitkow/Recker's end-of-day purge runs inside `Cache::advance_time`,
+    /// where the proxy never sees a victim list: the bodies must leave
+    /// with the entries the purge removes.
+    #[test]
+    fn periodic_purge_takes_the_bodies_with_it() {
+        let store = Arc::new(DocStore::new());
+        for i in 0..10 {
+            store.put_synthetic(&format!("http://o.test/d{i}.html"), 1000, 10);
+        }
+        let origin = OriginServer::start(store).unwrap();
+        let proxy = ProxyServer::start(origin.addr(), ProxyConfig::new(10_000), || {
+            Box::new(PitkowRecker::default())
+        })
+        .unwrap();
+        // Ten requests fill the cache on the last seconds of day 0.
+        proxy
+            .state
+            .now
+            .store(SECONDS_PER_DAY - 11, Ordering::SeqCst);
+        for i in 0..10 {
+            get(&proxy, &format!("http://o.test/d{i}.html"));
+        }
+        assert_eq!(proxy.cached_bytes(), 10_000);
+        // The next one crosses midnight: purge down to the comfort level.
+        get(&proxy, "http://o.test/d0.html");
+        assert_eq!(proxy.state.now.load(Ordering::SeqCst) / SECONDS_PER_DAY, 1);
+        assert!(proxy.state.cache.stats().periodic_evictions > 0);
+        assert!(proxy.cached_bytes() < 10_000);
+        let held: u64 = (0..proxy.shard_count())
+            .map(|s| {
+                proxy.state.cache.with_shard(s, |cache, _| {
+                    cache
+                        .entries()
+                        .map(|(_, r)| r.body.len() as u64)
+                        .sum::<u64>()
+                })
+            })
+            .sum();
+        assert_eq!(held, proxy.cached_bytes());
     }
 }

@@ -70,7 +70,11 @@ const KIND_MEMBERSHIP: u8 = 4;
 
 /// Hard cap on an accepted frame, against corrupt or hostile length
 /// prefixes. Bodies larger than this are simply not peer-served.
-const MAX_FRAME: u32 = 64 << 20;
+pub const MAX_FRAME: u32 = 64 << 20;
+
+/// Payload capacity reserved on the strength of a length prefix alone;
+/// beyond it the buffer follows the bytes received.
+const FRAME_READ_AHEAD: usize = 4096;
 
 /// Largest body a node serves in a `FOUND` reply (safely under
 /// [`MAX_FRAME`]); a bigger document answers `MISS` and the asker
@@ -150,25 +154,37 @@ impl ClusterConfig {
 
 /// One peer-protocol frame (see the module docs for the wire layout).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Frame {
+pub enum Frame {
     /// "Serve this URL from your cache if you can."
     Query {
+        /// The asking node.
         sender: u32,
+        /// The asker's membership epoch.
         epoch: u64,
+        /// The absolute URL wanted.
         url: String,
     },
     /// A fresh copy of the queried document.
     Found {
+        /// The answering node's membership epoch.
         epoch: u64,
+        /// The copy's `Last-Modified`, when known.
         last_modified: Option<u64>,
+        /// The document body.
         body: Vec<u8>,
     },
     /// No fresh copy; ask the origin.
-    Miss { epoch: u64 },
+    Miss {
+        /// The answering node's membership epoch.
+        epoch: u64,
+    },
     /// A versioned member set (join probe / bump broadcast / reply).
     Membership {
+        /// The sending node.
         sender: u32,
+        /// The epoch of this member set.
         epoch: u64,
+        /// Member node ids.
         members: Vec<u32>,
     },
 }
@@ -256,16 +272,25 @@ impl<'a> Cur<'a> {
 }
 
 /// Read one frame from `r` (blocking, bounded by the socket timeouts
-/// the caller set).
-pub(crate) fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
+/// the caller set). The length prefix is the peer's claim, not a fact:
+/// the payload buffer grows with the bytes that actually arrive, so a
+/// header promising [`MAX_FRAME`] costs nothing until the peer pays for
+/// it.
+pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
-    if len == 0 || len > MAX_FRAME {
+    let len = u32::from_le_bytes(len) as usize;
+    if len == 0 || len > MAX_FRAME as usize {
         return Err(bad("cluster frame length out of range"));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(FRAME_READ_AHEAD));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "cluster frame shorter than its length prefix",
+        ));
+    }
     let kind = payload[0];
     let mut cur = Cur(&payload[1..]);
     match kind {

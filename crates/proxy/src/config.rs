@@ -48,10 +48,10 @@ pub struct ProxyConfig {
     /// Serve an expired cached copy (marked degraded) when revalidation
     /// fails, instead of surfacing the origin error.
     pub serve_stale: bool,
-    /// Record one CLF-like line per served request (the default), in a
-    /// ring of the last 4096. The ring is behind one mutex and allocates
-    /// until its line buffers have grown, so benchmarks and the
-    /// steady-state allocation test turn it off.
+    /// Record one CLF-like line per served request in a ring of the last
+    /// 4096, read back with [`crate::ProxyServer::access_log`]. Off by
+    /// default: the ring is behind one mutex and only a library caller
+    /// can read it.
     pub access_log: bool,
 }
 
@@ -59,7 +59,8 @@ impl ProxyConfig {
     /// A config with the given capacity, no TTL, one shard, and
     /// resilience defaults: 1 s connect / 2 s read timeouts, 2 retries
     /// with 10 ms backoff base, breaker opening after 5 failures for 32
-    /// ticks, serve-stale on, 4×cores workers over a 16×workers queue.
+    /// ticks, serve-stale on, access log off, 4×cores workers over a
+    /// 16×workers queue.
     pub fn new(capacity: u64) -> ProxyConfig {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -78,7 +79,7 @@ impl ProxyConfig {
             breaker_threshold: 5,
             breaker_cooldown: 32,
             serve_stale: true,
-            access_log: true,
+            access_log: false,
         }
     }
 

@@ -32,7 +32,7 @@
 //!   policy's opaque rank state — survive the restart; when it is lost,
 //!   recovery degrades to re-interning URLs and replaying policy order
 //!   from insertion metadata (see
-//!   [`Cache::restore_state_lenient`](webcache_core::cache::Cache::restore_state_lenient)).
+//!   [`Cache::restore_entries`](webcache_core::cache::Cache::restore_entries)).
 //!
 //! Every decode path returns a typed [`PersistError`] (this module is
 //! written under the workspace's `clippy::unwrap-used` gate); recovery as

@@ -8,12 +8,11 @@ use crate::cache_proxy::{ProxyState, RecoveryReport, Resident, ShardExt};
 use crate::iofault::IoFaultInjector;
 use crate::persist::{self, JournalOp, PersistConfig, PersistError};
 use crate::serve::{install, reference, touch_resident};
-use bytes::Bytes;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use webcache_core::cache::{CacheState, DocMeta, Outcome, RestoreOutcome};
+use webcache_core::cache::{CacheState, DocMeta, RestoreOutcome};
 use webcache_trace::UrlId;
 
 /// Persistence health, as seen by operators and the exit status.
@@ -488,12 +487,7 @@ fn take_snapshot(
     for (s, w) in writers.iter_mut().enumerate() {
         let (mut pending, cap) = state.cache.with_shard(s, |cache, ext| {
             let (pending, snap_seq) = take_pending(ext);
-            let cs = cache.export_state();
-            let residents = cs
-                .docs
-                .iter()
-                .map(|m| ext.get(m.url).cloned().unwrap_or_default())
-                .collect();
+            let (cs, residents) = cache.export_entries();
             (
                 pending,
                 CapturedShard {
@@ -605,7 +599,7 @@ pub(crate) fn apply_recovery(
     // Policy rank state and per-shard stats are expressed in the writing
     // process's ids; they transfer only when every document keeps its id
     // and the shard layout is unchanged. Otherwise the policy order is
-    // rebuilt by replaying inserts ([`Cache::restore_state_lenient`]).
+    // rebuilt by replaying inserts ([`Cache::restore_entries`]).
     let identity = rec.shards.iter().flatten().all(|rs| {
         rs.snap.nshards as usize == nshards
             && rs
@@ -616,7 +610,7 @@ pub(crate) fn apply_recovery(
     });
 
     // Route every verified document to the shard its (new) id hashes to.
-    let mut per_shard: Vec<Vec<(DocMeta, u64, Bytes)>> = (0..nshards).map(|_| Vec::new()).collect();
+    let mut per_shard: Vec<Vec<(DocMeta, Resident)>> = (0..nshards).map(|_| Vec::new()).collect();
     for rs in rec.shards.iter().flatten() {
         for d in &rs.snap.docs {
             let Some(&new_id) = id_map.get(&d.meta.url.0) else {
@@ -624,7 +618,11 @@ pub(crate) fn apply_recovery(
             };
             let mut meta = d.meta;
             meta.url = new_id;
-            per_shard[state.cache.shard_index(new_id)].push((meta, d.fetched_at, d.body.clone()));
+            let copy = Resident {
+                body: d.body.clone(),
+                fetched_at: d.fetched_at,
+            };
+            per_shard[state.cache.shard_index(new_id)].push((meta, copy));
         }
     }
 
@@ -643,15 +641,15 @@ pub(crate) fn apply_recovery(
         let capacity = state.cache.shard_capacity(s);
         // A changed shard layout can overfill a shard: shed the least
         // recently used documents until the snapshot fits.
-        let mut total: u64 = docs.iter().map(|(m, _, _)| m.size).sum();
+        let mut total: u64 = docs.iter().map(|(m, _)| m.size).sum();
         if total > capacity {
-            docs.sort_by_key(|(m, _, _)| std::cmp::Reverse(m.last_access));
+            docs.sort_by_key(|(m, _)| std::cmp::Reverse(m.last_access));
             while total > capacity {
-                let Some((m, _, _)) = docs.pop() else { break };
+                let Some((m, _)) = docs.pop() else { break };
                 total -= m.size;
             }
         }
-        docs.sort_by_key(|(m, _, _)| m.url.0);
+        docs.sort_by_key(|(m, _)| m.url.0);
         let old = if identity {
             rec.shards[s].as_ref()
         } else {
@@ -661,19 +659,16 @@ pub(crate) fn apply_recovery(
             capacity,
             current_day: old.map(|rs| rs.snap.current_day).unwrap_or(0),
             stats: old.map(|rs| rs.snap.stats).unwrap_or_default(),
-            docs: docs.iter().map(|(m, _, _)| *m).collect(),
+            docs: docs.iter().map(|(m, _)| *m).collect(),
             policy_state: old
                 .map(|rs| rs.snap.policy_state.clone())
                 .unwrap_or_default(),
         };
-        state.cache.with_shard(s, |cache, ext| {
-            if cache.restore_state_lenient(&cache_state) == RestoreOutcome::Failed {
-                return;
-            }
-            for (m, fetched, body) in &docs {
-                ext.insert(m.url, body.clone(), *fetched);
-            }
-        });
+        let copies = docs.into_iter().map(|(_, copy)| copy);
+        let outcome = state
+            .cache
+            .with_shard(s, |cache, _| cache.restore_entries(&cache_state, copies));
+        debug_assert_ne!(outcome, RestoreOutcome::Failed, "shard {s} was shed to fit");
     }
 
     // Replay journal records newer than each shard's snapshot, in append
@@ -731,48 +726,45 @@ fn apply_journal_op(
             let new_id = *id_map
                 .entry(*old_id)
                 .or_insert_with(|| state.interner.lock().url(url));
-            state.cache.with_shard_for(new_id, |cache, ext| {
-                let r = reference(new_id, *now, *size, *doc_type, *last_modified);
-                // A `Hit` record was logged with the copy's fetch time as
-                // it stood, so every arm reinstates the record's.
-                let evicted = match cache.request(&r) {
-                    Outcome::Hit => Vec::new(),
-                    Outcome::Miss { evicted } | Outcome::MissModified { evicted } => evicted,
-                    Outcome::MissTooBig => return,
-                };
-                install(ext, evicted, &r, url, body, *fetched_at);
-            });
+            let r = reference(new_id, *now, *size, *doc_type, *last_modified);
+            let copy = Resident {
+                body: body.clone(),
+                fetched_at: *fetched_at,
+            };
+            state
+                .cache
+                .with_shard_for(new_id, |cache, ext| install(cache, ext, &r, url, &copy));
             *now
         }
         JournalOp::Touch { old_id, now, size } => {
             if let Some(&new_id) = id_map.get(old_id) {
                 state.cache.with_shard_for(new_id, |cache, ext| {
-                    let Some(meta) = cache.meta(new_id).copied() else {
+                    let Some((meta, copy)) = cache.entry(new_id).map(|(m, c)| (*m, c.clone()))
+                    else {
                         return;
                     };
-                    if meta.size != *size {
-                        return;
+                    if meta.size == *size {
+                        touch_resident(cache, ext, "", &meta, &copy, *now);
                     }
-                    let body = ext.get(new_id).map(|r| r.body.clone()).unwrap_or_default();
-                    touch_resident(cache, ext, new_id, "", &meta, &body, *now);
                 });
             }
             *now
         }
         JournalOp::Evict { old_id } => {
             if let Some(&new_id) = id_map.get(old_id) {
-                state.cache.with_shard_for(new_id, |cache, ext| {
+                state.cache.with_shard_for(new_id, |cache, _| {
                     cache.remove(new_id);
-                    ext.remove(new_id);
                 });
             }
             0
         }
         JournalOp::Refresh { old_id, fetched_at } => {
             if let Some(&new_id) = id_map.get(old_id) {
-                state
-                    .cache
-                    .with_shard_for(new_id, |_, ext| ext.restamp(new_id, *fetched_at));
+                state.cache.with_shard_for(new_id, |cache, _| {
+                    if let Some(resident) = cache.payload_mut(new_id) {
+                        resident.fetched_at = *fetched_at;
+                    }
+                });
             }
             *fetched_at
         }

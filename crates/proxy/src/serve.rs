@@ -5,7 +5,7 @@
 //! across network I/O.
 
 use crate::breaker::Admission;
-use crate::cache_proxy::{ProxyState, ShardExt};
+use crate::cache_proxy::{ProxyState, Resident, ShardCache, ShardExt};
 use crate::cluster::{self, ClusterState};
 use crate::config::ProxyConfig;
 use crate::fetch::{error_response, fetch_origin_resilient, host_of};
@@ -18,7 +18,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use webcache_core::cache::{Cache, DocMeta, Outcome};
+use webcache_core::cache::{DocMeta, Outcome};
 use webcache_core::cluster::Membership;
 use webcache_trace::{ClientId, DocType, ServerId, UrlId};
 
@@ -48,22 +48,17 @@ pub(crate) fn begin_request(state: &Arc<ProxyState>, target: &str) -> (UrlId, u6
     (url, now)
 }
 
-/// The resident copy of `url` — metadata, body (a refcount clone), and
-/// whether it is still inside its freshness lifetime at `now`.
+/// The resident copy of `url` — its cache entry (the body a refcount
+/// clone), and whether it is still inside its freshness lifetime at `now`.
 fn peek(
-    cache: &Cache,
-    ext: &ShardExt,
+    cache: &ShardCache,
     url: UrlId,
     ttl: Option<u64>,
     now: u64,
-) -> Option<(DocMeta, Bytes, bool)> {
-    let meta = *cache.meta(url)?;
-    let (body, fetched) = ext
-        .get(url)
-        .map(|r| (r.body.clone(), r.fetched_at))
-        .unwrap_or_default();
-    let fresh = ttl.is_none_or(|ttl| now.saturating_sub(fetched) <= ttl);
-    Some((meta, body, fresh))
+) -> Option<(DocMeta, Resident, bool)> {
+    let (meta, copy) = cache.entry(url)?;
+    let fresh = ttl.is_none_or(|ttl| now.saturating_sub(copy.fetched_at) <= ttl);
+    Some((*meta, copy.clone(), fresh))
 }
 
 /// Fast path: serve a fresh cache hit inline on the event loop,
@@ -86,18 +81,18 @@ pub(crate) fn try_serve_fresh_hit(
     url: UrlId,
     now: u64,
 ) -> Option<(Bytes, Option<u64>)> {
-    let (meta, body) = state.cache.try_with_shard_for(url, |cache, ext| {
-        let (meta, body, fresh) = peek(cache, ext, url, config.ttl, now)?;
+    let (meta, copy) = state.cache.try_with_shard_for(url, |cache, ext| {
+        let (meta, copy, fresh) = peek(cache, url, config.ttl, now)?;
         if !fresh {
             return None;
         }
-        touch_resident(cache, ext, url, target, &meta, &body, now);
-        Some((meta, body))
+        touch_resident(cache, ext, target, &meta, &copy, now);
+        Some((meta, copy))
     })??;
     AtomicProxyStats::add(&state.stats.hits, 1);
     AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
     state.log_access(config.access_log, now, target, meta.size, "HIT");
-    Some((body, meta.last_modified))
+    Some((copy.body, meta.last_modified))
 }
 
 /// The three cases of the paper's section 1, for a request already
@@ -116,21 +111,21 @@ pub(crate) fn proxy_get_at(
     // hot path enters the shard lock exactly once (the reactor fast path
     // in `try_serve_fresh_hit` follows the same single-visit protocol).
     let peeked = state.cache.with_shard_for(url, |cache, ext| {
-        let (meta, body, fresh) = peek(cache, ext, url, config.ttl, now)?;
+        let (meta, copy, fresh) = peek(cache, url, config.ttl, now)?;
         if fresh {
-            touch_resident(cache, ext, url, target, &meta, &body, now);
+            touch_resident(cache, ext, target, &meta, &copy, now);
         }
-        Some((meta, body, fresh))
+        Some((meta, copy, fresh))
     });
 
     let host = host_of(target);
-    if let Some((meta, body, fresh)) = peeked {
+    if let Some((meta, copy, fresh)) = peeked {
         if fresh {
             // Case 1: consistent copy, serve it (already touched above).
             AtomicProxyStats::add(&state.stats.hits, 1);
             AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
             state.log_access(config.access_log, now, target, meta.size, "HIT");
-            return Response::ok(body, meta.last_modified).with_cache_status(true);
+            return Response::ok(copy.body, meta.last_modified).with_cache_status(true);
         }
         // Case 2: revalidate with a conditional GET.
         let since = Some(meta.last_modified.unwrap_or(0));
@@ -141,17 +136,19 @@ pub(crate) fn proxy_get_at(
                 // this is a second visit (fresh hits touch under the guard
                 // they peeked with).
                 state.cache.with_shard_for(url, |cache, ext| {
-                    ext.restamp(url, now);
+                    touch_resident(cache, ext, target, &meta, &copy, now);
+                    if let Some(resident) = cache.payload_mut(url) {
+                        resident.fetched_at = now;
+                    }
                     ext.log_op(JournalOp::Refresh {
                         old_id: url.0,
                         fetched_at: now,
                     });
-                    touch_resident(cache, ext, url, target, &meta, &body, now);
                 });
                 AtomicProxyStats::add(&state.stats.hits, 1);
                 AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
                 state.log_access(config.access_log, now, target, meta.size, "HIT");
-                Response::ok(body, meta.last_modified).with_cache_status(true)
+                Response::ok(copy.body, meta.last_modified).with_cache_status(true)
             }
             Ok(origin_resp) if origin_resp.status == 200 => {
                 // Modified: insert the fresh copy.
@@ -170,10 +167,10 @@ pub(crate) fn proxy_get_at(
                 AtomicProxyStats::add(&state.stats.stale_serves, 1);
                 AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
                 state.cache.with_shard_for(url, |cache, ext| {
-                    touch_resident(cache, ext, url, target, &meta, &body, now)
+                    touch_resident(cache, ext, target, &meta, &copy, now)
                 });
                 state.log_access(config.access_log, now, target, meta.size, "STALE");
-                Response::ok(body, meta.last_modified)
+                Response::ok(copy.body, meta.last_modified)
                     .with_cache_status(true)
                     .with_degraded()
             }
@@ -339,12 +336,12 @@ fn peer_lookup_local(
     let url = state.interner.lock().url(target);
     let now = state.now.load(Ordering::SeqCst);
     state.cache.with_shard_for(url, |cache, ext| {
-        let (meta, body, fresh) = peek(cache, ext, url, config.ttl, now)?;
+        let (meta, copy, fresh) = peek(cache, url, config.ttl, now)?;
         if !fresh || meta.size > cluster::MAX_PEER_BODY {
             return None;
         }
-        touch_resident(cache, ext, url, target, &meta, &body, now);
-        Some((body, meta.last_modified))
+        touch_resident(cache, ext, target, &meta, &copy, now);
+        Some((copy.body, meta.last_modified))
     })
 }
 
@@ -352,30 +349,26 @@ fn peer_lookup_local(
 /// sees it, under the owning shard's guard (the fast path touches under
 /// the same `try_lock` it peeked with, so peek and touch are one atomic
 /// step). Tolerates losing a race with an eviction since the peek: the
-/// cache request then re-inserts the copy being served, and its body is
-/// restored alongside.
-#[allow(clippy::too_many_arguments)]
+/// cache request then re-inserts `copy`, the one being served.
 pub(crate) fn touch_resident(
-    cache: &mut Cache,
+    cache: &mut ShardCache,
     ext: &mut ShardExt,
-    url: UrlId,
     target: &str,
     meta: &DocMeta,
-    body: &Bytes,
+    copy: &Resident,
     now: u64,
 ) {
-    let r = reference(url, now, meta.size, meta.doc_type, meta.last_modified);
-    match cache.request(&r) {
+    let r = reference(meta.url, now, meta.size, meta.doc_type, meta.last_modified);
+    match cache.request_with(&r, || copy.clone()) {
         Outcome::Hit => {
             ext.log_op(JournalOp::Touch {
-                old_id: url.0,
+                old_id: meta.url.0,
                 now,
                 size: meta.size,
             });
         }
         Outcome::Miss { evicted } | Outcome::MissModified { evicted } => {
-            let fetched = ext.get(url).map_or(now, |r| r.fetched_at);
-            install(ext, evicted, &r, target, body, fetched);
+            log_insert(ext, evicted, &r, target, copy);
         }
         Outcome::MissTooBig => {}
     }
@@ -401,22 +394,46 @@ pub(crate) fn reference(
     }
 }
 
-/// Make `body` the resident copy of the document `r` referenced, fetched
-/// at `fetched_at`: drop what the policy evicted to make room for it, and
-/// journal every step.
+/// Reference the document `r` names and make `copy` its resident copy:
+/// a body just fetched from the origin, or one a journal record carries.
+/// The cache entry takes body and fetch time together, drops with them
+/// whatever the policy evicts to make room, and every step is journaled.
 pub(crate) fn install(
+    cache: &mut ShardCache,
+    ext: &mut ShardExt,
+    r: &webcache_trace::Request,
+    target: &str,
+    copy: &Resident,
+) {
+    let evicted = match cache.request_with(r, || copy.clone()) {
+        // Same URL and size already cached (another worker fetched it
+        // meanwhile, or the origin changed it in place): the new copy
+        // replaces the old one.
+        Outcome::Hit => {
+            if let Some(resident) = cache.payload_mut(r.url) {
+                *resident = copy.clone();
+            }
+            Vec::new()
+        }
+        Outcome::Miss { evicted } | Outcome::MissModified { evicted } => evicted,
+        // Larger than a shard's capacity: pass through uncached.
+        Outcome::MissTooBig => return,
+    };
+    log_insert(ext, evicted, r, target, copy);
+}
+
+/// Journal an insertion of `copy` under `r` and the evictions that made
+/// room for it.
+fn log_insert(
     ext: &mut ShardExt,
     evicted: Vec<DocMeta>,
     r: &webcache_trace::Request,
     target: &str,
-    body: &Bytes,
-    fetched_at: u64,
+    copy: &Resident,
 ) {
     for m in evicted {
-        ext.remove(m.url);
         ext.log_op(JournalOp::Evict { old_id: m.url.0 });
     }
-    ext.insert(r.url, body.clone(), fetched_at);
     ext.log_op(JournalOp::Insert {
         old_id: r.url.0,
         url: target.to_string(),
@@ -424,8 +441,8 @@ pub(crate) fn install(
         size: r.size,
         doc_type: r.doc_type,
         last_modified: r.last_modified,
-        fetched_at,
-        body: body.clone(),
+        fetched_at: copy.fetched_at,
+        body: copy.body.clone(),
     });
 }
 
@@ -445,18 +462,14 @@ fn serve_miss(
     AtomicProxyStats::add(&state.stats.bytes_from_origin, size);
     let last_modified = origin_resp.last_modified;
     if let Some(url) = store_as {
-        state.cache.with_shard_for(url, |cache, ext| {
-            let r = reference(url, now, size, DocType::classify(target), last_modified);
-            let (evicted, fetched) = match cache.request(&r) {
-                // Same URL and size already cached (raced with another
-                // thread): just refresh the body.
-                Outcome::Hit => (Vec::new(), ext.get(url).map_or(now, |r| r.fetched_at)),
-                Outcome::Miss { evicted } | Outcome::MissModified { evicted } => (evicted, now),
-                // Larger than a shard's capacity: pass through uncached.
-                Outcome::MissTooBig => return,
-            };
-            install(ext, evicted, &r, target, &origin_resp.body, fetched);
-        });
+        let r = reference(url, now, size, DocType::classify(target), last_modified);
+        let copy = Resident {
+            body: origin_resp.body.clone(),
+            fetched_at: now,
+        };
+        state
+            .cache
+            .with_shard_for(url, |cache, ext| install(cache, ext, &r, target, &copy));
     }
     state.log_access(config.access_log, now, target, size, "MISS");
     Response::ok(origin_resp.body, last_modified).with_cache_status(false)
@@ -565,7 +578,7 @@ mod tests {
 
     #[test]
     fn access_log_is_clf_like() {
-        let (_origin, proxy) = setup(ProxyConfig::new(100_000));
+        let (_origin, proxy) = setup(ProxyConfig::new(100_000).with_access_log(true));
         get(&proxy, "http://o.test/a.html");
         get(&proxy, "http://o.test/a.html");
         let log = proxy.access_log();

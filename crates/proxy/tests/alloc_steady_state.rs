@@ -100,12 +100,7 @@ fn warmed_reactor_serves_hits_without_allocating() {
     let store = Arc::new(DocStore::new());
     store.put_synthetic("http://o.test/hot.html", 4096, 10);
     let origin = OriginServer::start(store).unwrap();
-    let config = ProxyConfig::new(1 << 20)
-        .with_workers(1, 8)
-        // The CLF log line is the one inherent per-hit allocation;
-        // serving and logging are separable concerns, and this test
-        // measures serving.
-        .with_access_log(false);
+    let config = ProxyConfig::new(1 << 20).with_workers(1, 8);
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
 
     // One miss populates the cache (all its allocations are allowed and

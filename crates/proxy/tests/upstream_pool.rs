@@ -3,7 +3,8 @@
 //! without the retry loop or the breaker noticing, a dead origin is still
 //! a dead origin, the fault shim is never reused, a body is never served
 //! short — and the reader behind it all agrees with the blocking oracle
-//! `http::read_response`.
+//! `http::read_response`. The cluster frame reader is held to the same
+//! allocation rule here, beside the tracker that can show it.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -14,6 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use webcache_core::policy::named;
+use webcache_proxy::cluster::{read_frame, MAX_FRAME};
 use webcache_proxy::http::{self, HttpError, Request, Response, MAX_BODY, MAX_HEADERS, MAX_LINE};
 use webcache_proxy::upstream::ResponseReader;
 use webcache_proxy::{DocStore, FaultPlan, FaultyOrigin, OriginServer, ProxyConfig, ProxyServer};
@@ -463,6 +465,33 @@ fn case_strategy() -> impl Strategy<Value = Case> {
                 }
             },
         )
+}
+
+/// A peer's length prefix reserves next to nothing: the payload buffer
+/// grows with the bytes that arrive, so promising `MAX_FRAME` and hanging
+/// up costs the reader a few KiB, not 64 MiB.
+#[test]
+fn frame_reader_allocates_for_bytes_received_not_bytes_promised() {
+    let header = MAX_FRAME.to_le_bytes();
+    PEAK.with(|p| p.set(0));
+    let got = read_frame(&mut header.as_slice());
+    let peak = PEAK.with(Cell::get);
+    let e = got.expect_err("a frame cut off after its header");
+    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}");
+    assert!(
+        peak <= 8 * 1024,
+        "allocated {peak} bytes for an empty frame"
+    );
+
+    // Ten KiB of the promised 64 MiB arrive: still an error, and the
+    // buffer never got ahead of them by more than a doubling.
+    let mut wire = header.to_vec();
+    wire.resize(4 + 10 * 1024, 3);
+    PEAK.with(|p| p.set(0));
+    let got = read_frame(&mut wire.as_slice());
+    let peak = PEAK.with(Cell::get);
+    assert!(got.is_err());
+    assert!(peak <= 64 * 1024, "allocated {peak} bytes for 10 KiB");
 }
 
 proptest! {

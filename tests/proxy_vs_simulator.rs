@@ -94,10 +94,9 @@ fn proxy_log_validates_through_the_trace_pipeline() {
     let trace = generate(&profile, 5);
     let (store, seq) = static_sequence(&trace);
     let origin = OriginServer::start(store).expect("origin");
-    let proxy = ProxyServer::start(origin.addr(), ProxyConfig::new(10_000_000), || {
-        Box::new(named::lru())
-    })
-    .expect("proxy");
+    let config = ProxyConfig::new(10_000_000).with_access_log(true);
+    let proxy =
+        ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).expect("proxy");
     for (url, _) in &seq {
         let mut s = TcpStream::connect(proxy.addr()).expect("connect");
         write_request(&mut s, &Request::get(url)).expect("send");
