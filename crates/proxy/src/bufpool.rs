@@ -11,11 +11,13 @@
 //! `alloc_steady_state` integration test).
 //!
 //! Ownership model: the pool is owned by the event loop thread and never
-//! shared, so it needs no lock. Buffers are checked out in `accept_ready`
-//! and returned in `close_conn`; a buffer's lifetime is exactly the
-//! connection's lifetime. Returns reset content but keep capacity; the
-//! pool is bounded so a burst of ten thousand concurrent connections
-//! doesn't leave ten thousand idle buffers pinned forever.
+//! shared, so it needs no lock. Buffers are checked out when the loop
+//! admits a connection and returned when it lets go of it — at close, or
+//! at dispatch, when the socket moves to a worker; a buffer's lifetime is
+//! exactly the connection's time in the loop. Returns reset content but
+//! keep capacity; the pool is bounded so a burst of ten thousand
+//! concurrent connections doesn't leave ten thousand idle buffers pinned
+//! forever.
 
 use crate::http::RequestParser;
 

@@ -116,6 +116,10 @@ pub(crate) struct ProxyState {
     /// describes the serving engine, not the cache — but observable via
     /// [`ProxyServer::worker_jobs`].
     worker_jobs: AtomicU64,
+    /// Responses a worker could not finish writing (the client socket
+    /// was full) and handed back to the event loop to drain; see
+    /// [`ProxyServer::write_handbacks`].
+    write_handbacks: AtomicU64,
     log: Mutex<AccessLog>,
     /// Cluster state when running as a cluster node
     /// ([`ProxyServer::start_clustered`]); `None` single-node.
@@ -134,6 +138,19 @@ impl ProxyState {
     /// Count one job picked up by a worker thread.
     pub(crate) fn count_worker_job(&self) {
         AtomicProxyStats::add(&self.worker_jobs, 1);
+    }
+
+    /// Count one response a worker returned to the event loop unfinished.
+    pub(crate) fn count_write_handback(&self) {
+        AtomicProxyStats::add(&self.write_handbacks, 1);
+    }
+
+    pub(crate) fn worker_jobs(&self) -> u64 {
+        self.worker_jobs.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn write_handbacks(&self) -> u64 {
+        self.write_handbacks.load(Ordering::Relaxed)
     }
 
     /// Append a line to the access log when it is on: a `200` of `size`
@@ -466,7 +483,15 @@ impl ProxyServer {
     /// the event loop never count). Lets tests assert that idle or slow
     /// clients never pin a worker.
     pub fn worker_jobs(&self) -> u64 {
-        self.state.worker_jobs.load(Ordering::Relaxed)
+        self.state.worker_jobs()
+    }
+
+    /// Of those jobs, how many the worker could not finish writing in
+    /// its one non-blocking attempt and returned to the event loop (a
+    /// body larger than the socket buffer, a slow reader). The rest
+    /// crossed threads once.
+    pub fn write_handbacks(&self) -> u64 {
+        self.state.write_handbacks()
     }
 }
 
@@ -500,6 +525,7 @@ fn new_state(
         breakers: Breakers::default(),
         jitter_seq: AtomicU64::new(0),
         worker_jobs: AtomicU64::new(0),
+        write_handbacks: AtomicU64::new(0),
         log: Mutex::new(AccessLog::new()),
         cluster,
         persist_health: OnceLock::new(),

@@ -1,12 +1,20 @@
 //! Per-connection state machine for the reactor.
 //!
-//! One [`Conn`] exists per accepted client socket, always in
-//! non-blocking mode. The reactor drives it through three phases:
+//! One [`Conn`] exists per client socket the event loop holds, always in
+//! non-blocking mode. In the loop the machine has two states; the phase
+//! between them, when a worker runs the request, is not a state of the
+//! `Conn` at all — the connection is dismantled and its socket travels
+//! in the job (see `reactor.rs`):
 //!
 //! ```text
-//! Reading ──parsed──▶ Dispatched ──completion──▶ Writing ──drained──▶ closed
-//!    │                                              ▲
-//!    └── fresh cache hit (inline fast path) ────────┘
+//!              fresh hit, reject, admin (inline)
+//! Reading ──────────────────────────────────────────▶ Writing ──drained──▶ closed
+//!    │                                                   ▲
+//!    │ parsed, not servable inline                       │ socket full (EAGAIN):
+//!    ▼                                                   │ head, body, pos handed back
+//!  [stream moves into a Job] ──▶ worker: fetch, one non-blocking write
+//!                                   │
+//!                                   └── all sent, or client gone ──▶ closed by the worker
 //! ```
 //!
 //! The connection owns only buffers — a pooled [`RequestParser`], a
@@ -33,10 +41,6 @@ pub(crate) enum ConnState {
     /// Accumulating request bytes through the incremental parser (which
     /// lives on [`Conn`] itself so it can be recycled at close).
     Reading,
-    /// Parsed request handed to a worker; waiting for its response.
-    /// Client readiness is ignored meanwhile (any pipelined bytes sit
-    /// unread in the kernel buffer: one connection, one request).
-    Dispatched,
     /// Draining the two-segment response (`Conn::head`, then `body`) to
     /// the socket. `pos` counts flushed bytes across *both* segments —
     /// a single cursor makes partial-write resumption trivial to reason
@@ -77,25 +81,29 @@ pub(crate) struct Conn {
     /// earlier ones, so late epoll events or deadline-wheel entries for
     /// a recycled slot are recognised as stale.
     pub gen: u32,
-    /// Absolute deadline for the current I/O phase. `None` while a
-    /// worker owns the request — that phase is bounded by the origin
-    /// connect/read timeouts, not by client readiness.
-    pub deadline: Option<Instant>,
-    /// Whether a deadline-wheel entry for this connection is live (at
-    /// most one per connection; re-arming only moves `deadline`).
-    pub in_wheel: bool,
+    /// Absolute deadline for the current I/O phase, moved forward on
+    /// progress. The connection's one deadline-wheel entry is checked
+    /// against it when it fires.
+    pub deadline: Instant,
 }
 
 impl Conn {
-    pub fn new(stream: TcpStream, gen: u32, parser: RequestParser, head: Vec<u8>) -> Conn {
+    /// A connection entering the loop in `state`; the slab stamps `gen`
+    /// when it stores it.
+    pub fn new(
+        stream: TcpStream,
+        parser: RequestParser,
+        head: Vec<u8>,
+        state: ConnState,
+        deadline: Instant,
+    ) -> Conn {
         Conn {
             stream,
-            state: ConnState::Reading,
+            state,
             parser,
             head,
-            gen,
-            deadline: None,
-            in_wheel: false,
+            gen: 0,
+            deadline,
         }
     }
 
@@ -172,11 +180,11 @@ impl Conn {
         write_segments(&mut self.stream, &self.head, body, pos)
     }
 
-    /// Dismantle the connection, handing its pooled buffers back to the
-    /// caller (the event loop returns them to the pool). The stream —
-    /// and with it the socket — is dropped here.
-    pub fn recycle(self) -> (RequestParser, Vec<u8>) {
-        (self.parser, self.head)
+    /// Dismantle the connection: the pooled buffers go back to the
+    /// event loop's pool, the stream is either dropped (closing the
+    /// socket) or moved into a worker job.
+    pub fn into_parts(self) -> (TcpStream, RequestParser, Vec<u8>) {
+        (self.stream, self.parser, self.head)
     }
 }
 
@@ -242,7 +250,13 @@ mod tests {
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
-        let mut conn = Conn::new(server, 0, RequestParser::new(), Vec::new());
+        let mut conn = Conn::new(
+            server,
+            RequestParser::new(),
+            Vec::new(),
+            ConnState::Reading,
+            Instant::now(),
+        );
         conn.start_response(&Response::status_only(204));
         assert!(matches!(conn.on_readable(), Event::Continue));
         assert!(matches!(conn.on_writable(), Event::Done));

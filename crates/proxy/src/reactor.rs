@@ -1,14 +1,21 @@
-//! The serving engine: one event-loop thread owns every client socket,
-//! worker threads only run cache/origin work.
+//! The serving engine: one event-loop thread waits on every client
+//! socket, worker threads run cache/origin work and make one
+//! non-blocking attempt to write its result.
 //!
 //! A thread per in-flight connection would cap concurrency at the pool
 //! size regardless of what those connections are doing — a thousand
 //! clients dribbling bytes would pin every thread while the CPU idles.
-//! The reactor inverts that: client I/O (accepting, incremental request
-//! parsing, response draining, stall timeouts) happens on a single thread
-//! multiplexed by `epoll`, and a connection only costs a worker for the
-//! duration of actual cache/origin work. In-flight connections are
-//! bounded by file descriptors, not threads.
+//! The reactor inverts that: everything that can wait on a client
+//! (accepting, incremental request parsing, draining a response the
+//! socket would not take whole, stall timeouts) happens on a single
+//! thread multiplexed by `epoll`, and a connection only costs a worker
+//! for the duration of actual cache/origin work. In-flight connections
+//! are bounded by file descriptors, not threads.
+//!
+//! Ownership rule: the thread that holds a connection's `TcpStream` is
+//! the only one that touches its fd. A stream is in exactly one place —
+//! the loop's slab, a [`Job`], or a [`Completion`] — and moves between
+//! them by value.
 //!
 //! ## Anatomy
 //!
@@ -28,19 +35,27 @@
 //! * **dispatch** — a parsed request is first offered the inline fast
 //!   path ([`try_serve_fresh_hit`]): a fresh cache hit is served on the
 //!   event loop under a single `try_lock`ed shard guard, with no worker
-//!   round trip. Contended, missing, or expired entries go to the
-//!   bounded worker job queue; a full queue sheds with `503` (counted in
-//!   [`crate::ProxyStats::rejected`]). Workers run the blocking
+//!   round trip. For a contended, missing, or expired entry the loop
+//!   gives the connection away: it leaves the slab and epoll, its pooled
+//!   buffers go back, and the stream itself rides in the [`Job`] on the
+//!   bounded worker queue. A full queue hands the stream straight back
+//!   and the loop sheds with `503` (counted in
+//!   [`crate::ProxyStats::rejected`]). A worker runs the blocking
 //!   [`proxy_get_at`] — retries, backoff, breakers, serve-stale and all
-//!   stats semantics — each through its own persistent origin connection
-//!   ([`crate::upstream`]), and post completions back through an
-//!   `eventfd`.
+//!   stats semantics — through its own persistent origin connection
+//!   ([`crate::upstream`]), then writes the response with the same
+//!   non-blocking two-segment `writev` the loop uses and closes the
+//!   socket by dropping it: a miss crosses threads once. Only a response
+//!   the socket would not take whole (`EAGAIN`: a body larger than the
+//!   send buffer, a slow reader) comes back as a [`Completion`] through
+//!   an `eventfd`, to be drained under `EPOLLOUT` and the deadline
+//!   wheel like any other — so a worker never waits on a client.
 
 use crate::bufpool::BufPool;
 use crate::cache_proxy::ProxyState;
 use crate::config::ProxyConfig;
-use crate::conn::{Conn, ConnState, Event};
-use crate::http::{Request, RequestParser, Response};
+use crate::conn::{write_segments, Conn, ConnState, Event};
+use crate::http::{self, Request, Response};
 use crate::serve::{begin_request, finalize_response, proxy_get_at, try_serve_fresh_hit};
 use crate::stats::{admin_stats_response, ADMIN_STATS_TARGET};
 use crate::upstream::Upstream;
@@ -49,7 +64,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -87,6 +102,8 @@ const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
+const SOCK_CLOEXEC: i32 = 0o2000000;
+const SOCK_NONBLOCK: i32 = 0o4000;
 
 /// One segment of a vectored write: field-compatible with `struct iovec`
 /// from `<sys/uio.h>` (`iov_base`, `iov_len`).
@@ -102,6 +119,7 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
+    fn accept4(fd: i32, addr: *mut u8, addrlen: *mut u32, flags: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
@@ -136,6 +154,28 @@ pub(crate) fn write_two(fd: RawFd, a: &[u8], b: &[u8]) -> io::Result<usize> {
         return Err(io::Error::last_os_error());
     }
     Ok(n as usize)
+}
+
+/// Accept one connection, already non-blocking and close-on-exec: one
+/// syscall where `TcpListener::accept` + `set_nonblocking` is two. The
+/// peer address is not asked for — nothing reads it.
+fn accept_nonblocking(listener: &TcpListener) -> io::Result<TcpStream> {
+    // SAFETY: null address and length pointers are how `accept4` is told
+    // not to report the peer; the listener fd is open for the call.
+    let fd = unsafe {
+        accept4(
+            listener.as_raw_fd(),
+            std::ptr::null_mut(),
+            std::ptr::null_mut(),
+            SOCK_NONBLOCK | SOCK_CLOEXEC,
+        )
+    };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: `fd` is a socket `accept4` just returned; nothing else
+    // holds it, so the `TcpStream` is its sole owner.
+    Ok(unsafe { TcpStream::from_raw_fd(fd) })
 }
 
 /// A readiness queue: the thinnest safe wrapper over the three epoll
@@ -177,6 +217,9 @@ impl Epoll {
         self.ctl(EPOLL_CTL_MOD, fd, events, token)
     }
 
+    /// Stop watching an fd that stays open. Only dispatch needs this (the
+    /// socket moves to a worker); closing a socket that was never
+    /// duplicated removes it from the set by itself.
     fn del(&self, fd: RawFd) {
         let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
     }
@@ -186,6 +229,12 @@ impl Epoll {
     /// unaligned) kernel buffer.
     fn wait(&self, out: &mut Vec<(u32, u64)>, timeout: Option<Duration>) -> io::Result<()> {
         const MAX_EVENTS: usize = 256;
+        // Before the syscall, not after: the caller hands its previous
+        // batch back in as `out` to reuse the allocation, and an
+        // interrupted wait (a signal during a graceful flush) returns
+        // early below. Left uncleared, that batch would be replayed
+        // against connections that have since changed state or owner.
+        out.clear();
         let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
         let timeout_ms = match timeout {
             // Round up so a 0.4 ms residue does not busy-spin.
@@ -200,7 +249,6 @@ impl Epoll {
             }
             return Err(e);
         }
-        out.clear();
         for ev in &buf[..n as usize] {
             // Copy fields out of the packed struct; taking references
             // into it would be UB.
@@ -219,9 +267,9 @@ impl Drop for Epoll {
     }
 }
 
-/// An `eventfd`-based waker: worker threads nudge the event loop out of
-/// `epoll_wait` when a completion is ready (and shutdown uses the same
-/// doorbell).
+/// An `eventfd`-based waker: a worker nudges the event loop out of
+/// `epoll_wait` when it hands a connection back (and shutdown uses the
+/// same doorbell).
 struct EventFd {
     fd: RawFd,
 }
@@ -284,7 +332,8 @@ struct Slab {
 }
 
 impl Slab {
-    fn insert(&mut self, stream: TcpStream, parser: RequestParser, head: Vec<u8>) -> u64 {
+    /// Store `conn`, stamping it with its slot's current generation.
+    fn insert(&mut self, mut conn: Conn) -> u64 {
         let idx = match self.free.pop() {
             Some(idx) => idx,
             None => {
@@ -294,7 +343,8 @@ impl Slab {
             }
         };
         let gen = self.gens[idx];
-        self.slots[idx] = Some(Conn::new(stream, gen, parser, head));
+        conn.gen = gen;
+        self.slots[idx] = Some(conn);
         self.live += 1;
         pack_token(idx, gen)
     }
@@ -331,11 +381,13 @@ impl Slab {
 // ---------------------------------------------------------------------
 // Deadline wheel.
 
-/// A hashed timing wheel over connection tokens. Entries are lazy: a
-/// connection re-arms by moving its `deadline` field, not by touching
-/// the wheel; when its (single) entry fires early, the wheel reinserts
-/// it at the new deadline. Stale entries for closed connections fall
-/// out on the generation check.
+/// A hashed timing wheel over connection tokens. Every connection in
+/// the slab has exactly one entry, scheduled when it is admitted.
+/// Entries are lazy: a connection re-arms by moving its `deadline`
+/// field, not by touching the wheel; when its entry fires early, the
+/// event loop reinserts it at the new deadline. Stale entries for
+/// connections that closed or moved to a worker fall out on the
+/// generation check.
 struct Wheel {
     slots: Vec<Vec<u64>>,
     granularity: Duration,
@@ -423,20 +475,28 @@ impl Wheel {
 // ---------------------------------------------------------------------
 // Worker handoff.
 
-/// A request admitted by the event loop, bound for a worker. Carries
-/// the pre-assigned `(url, now)` so the logical clock has already
-/// ticked exactly once, whether or not the fast path declined.
+/// A connection the event loop could not serve inline, bound for a
+/// worker: the client socket itself (already out of the slab and out of
+/// epoll — whoever holds the `Job` is the only one touching the fd) and
+/// its parsed request. Carries the pre-assigned `(url, now)` so the
+/// logical clock has already ticked exactly once, whether or not the
+/// fast path declined. Dropping a `Job` closes its socket.
 struct Job {
-    token: u64,
+    stream: TcpStream,
     req: Request,
     url: UrlId,
     now: u64,
 }
 
-/// A worker's finished response, headed back to the event loop.
+/// A connection on its way back to the event loop because the socket
+/// would not take the worker's response whole: what is left of it is
+/// `head` then `body` from byte `pos` (the cursor of
+/// [`write_segments`]).
 struct Completion {
-    token: u64,
-    resp: Response,
+    stream: TcpStream,
+    head: Vec<u8>,
+    body: Bytes,
+    pos: usize,
 }
 
 /// Bounded MPMC job queue; a full queue sheds the request with `503`.
@@ -486,11 +546,13 @@ impl JobQueue {
         }
     }
 
+    /// Refuse further jobs and drop the ones still queued, which closes
+    /// their sockets; a job a worker already holds runs to its end.
     fn close(&self) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed = true;
+        let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        q.closed = true;
+        q.jobs.clear();
+        drop(q);
         self.ready.notify_all();
     }
 }
@@ -534,7 +596,10 @@ impl Reactor {
                 let state = Arc::clone(&state);
                 std::thread::spawn(move || {
                     let mut up = Upstream::new(origin, &config);
-                    while let Some(job) = jobs.pop() {
+                    // Response-head buffer kept across jobs (it leaves
+                    // with a hand-back and is grown again).
+                    let mut head = Vec::new();
+                    while let Some(mut job) = jobs.pop() {
                         state.count_worker_job();
                         let resp = proxy_get_at(
                             &mut up,
@@ -545,11 +610,24 @@ impl Reactor {
                             job.now,
                         );
                         let resp = finalize_response(&job.req, resp);
-                        completions.lock().push(Completion {
-                            token: job.token,
-                            resp,
-                        });
-                        waker.notify();
+                        http::encode_response_head_into(&mut head, &resp);
+                        let mut pos = 0;
+                        // One non-blocking attempt, never a wait: on
+                        // `Done` (all sent, or the client is gone) the
+                        // job drops here and that closes the socket; a
+                        // socket that is full goes back to the loop.
+                        if let Event::Continue =
+                            write_segments(&mut job.stream, &head, &resp.body, &mut pos)
+                        {
+                            state.count_write_handback();
+                            completions.lock().push(Completion {
+                                stream: job.stream,
+                                head: std::mem::take(&mut head),
+                                body: resp.body,
+                                pos,
+                            });
+                            waker.notify();
+                        }
                     }
                 })
             })
@@ -587,7 +665,10 @@ impl Reactor {
         })
     }
 
-    /// Stop the event loop and the workers, joining all threads.
+    /// Stop the event loop and the workers, joining all threads. Every
+    /// client socket closes with its holder: the loop closes its slab,
+    /// queued jobs and undelivered completions are dropped, and a worker
+    /// mid-job finishes it and answers.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.waker.notify();
@@ -667,8 +748,8 @@ impl EventLoop {
             events = drained;
             self.expire_deadlines();
         }
-        // Shutdown: close every connection; workers are joined by
-        // `Reactor::shutdown` after the job queue closes.
+        // Shutdown: close every connection the loop holds; workers are
+        // joined by `Reactor::shutdown` after the job queue closes.
         for token in self.slab.tokens() {
             self.close_conn(token);
         }
@@ -679,20 +760,10 @@ impl EventLoop {
     /// and applies backpressure at dispatch instead.
     fn accept_ready(&mut self) {
         loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let (parser, head) = (self.pool.get_parser(), self.pool.get_head());
-                    let token = self.slab.insert(stream, parser, head);
-                    let conn = self.slab.get(token).expect("freshly inserted");
-                    let fd = conn.stream.as_raw_fd();
-                    if self.epoll.add(fd, EPOLLIN, token).is_err() {
-                        self.slab.remove(token);
-                        continue;
-                    }
-                    self.arm_deadline(token);
+            match accept_nonblocking(&self.listener) {
+                Ok(stream) => {
+                    let head = self.pool.get_head();
+                    self.admit(stream, head, ConnState::Reading);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -701,17 +772,35 @@ impl EventLoop {
         }
     }
 
-    /// Set/refresh the current connection's I/O deadline, inserting a
-    /// wheel entry only if it does not already carry one.
+    /// Give a connection a slab slot, an epoll registration, an I/O
+    /// deadline and its one wheel entry. A fresh accept enters in
+    /// `Reading` under `EPOLLIN`; a connection coming back from the
+    /// worker side (a hand-back, a shed job) enters in `Writing` under
+    /// `EPOLLOUT`.
+    fn admit(&mut self, stream: TcpStream, head: Vec<u8>, state: ConnState) {
+        let fd = stream.as_raw_fd();
+        let interest = match state {
+            ConnState::Reading => EPOLLIN,
+            ConnState::Writing { .. } => EPOLLOUT,
+        };
+        let deadline = Instant::now() + self.config.read_timeout;
+        let parser = self.pool.get_parser();
+        let token = self
+            .slab
+            .insert(Conn::new(stream, parser, head, state, deadline));
+        if self.epoll.add(fd, interest, token).is_err() {
+            self.close_conn(token);
+            return;
+        }
+        self.wheel.schedule(token, deadline);
+    }
+
+    /// The connection made progress: push its I/O deadline out. Its
+    /// wheel entry stays where it is and is walked forward when it fires.
     fn arm_deadline(&mut self, token: u64) {
         let deadline = Instant::now() + self.config.read_timeout;
-        let Some(conn) = self.slab.get(token) else {
-            return;
-        };
-        conn.deadline = Some(deadline);
-        if !conn.in_wheel {
-            conn.in_wheel = true;
-            self.wheel.schedule(token, deadline);
+        if let Some(conn) = self.slab.get(token) {
+            conn.deadline = deadline;
         }
     }
 
@@ -746,8 +835,8 @@ impl EventLoop {
 
     /// A parsed request head (still inside the connection's parser —
     /// nothing has been allocated for it): validate, try the inline fast
-    /// path, otherwise materialise a [`Request`] and dispatch to the
-    /// worker pool (shedding with `503` when full).
+    /// path, otherwise materialise a [`Request`] and give the connection
+    /// to the worker pool (shedding with `503` when full).
     fn handle_request(&mut self, token: u64) {
         // Decide under one connection borrow; act after it ends.
         let outcome = {
@@ -805,36 +894,37 @@ impl EventLoop {
                 self.flush_response(token);
             }
             FastOutcome::Dispatch { url, now } => {
-                let Some(req) = self.dispatch_prepare(token) else {
+                let Some(mut conn) = self.slab.remove(token) else {
                     return;
                 };
-                if let Err(_job) = self.jobs.try_push(Job {
-                    token,
+                // The miss path allocates here — method/target clones
+                // and the moved header map — which is fine: a miss's
+                // cost is dominated by the origin round trip.
+                let req = conn.take_request();
+                // The one explicit `del`: this fd stays open past its
+                // registration. (The slot's wheel entry goes stale and
+                // falls out on the generation check; the origin
+                // timeouts bound the time a worker holds the socket.)
+                self.epoll.del(conn.stream.as_raw_fd());
+                let stream = self.release(conn);
+                let job = Job {
+                    stream,
                     req,
                     url,
                     now,
-                }) {
+                };
+                if let Err(job) = self.jobs.try_push(job) {
                     self.state.count_rejected();
-                    self.respond(token, Response::status_only(503));
+                    let mut head = self.pool.get_head();
+                    http::encode_response_head_into(&mut head, &Response::status_only(503));
+                    let unsent = ConnState::Writing {
+                        body: Bytes::new(),
+                        pos: 0,
+                    };
+                    self.admit(job.stream, head, unsent);
                 }
             }
         }
-    }
-
-    /// Move a connection into the Dispatched state and build the owned
-    /// [`Request`] a worker thread needs. The miss path allocates here —
-    /// method/target clones and the moved header map — which is fine:
-    /// a miss's cost is dominated by the origin round trip.
-    fn dispatch_prepare(&mut self, token: u64) -> Option<Request> {
-        let conn = self.slab.get(token)?;
-        let req = conn.take_request();
-        conn.state = ConnState::Dispatched;
-        conn.deadline = None;
-        // Stop watching readability: with level-triggered epoll,
-        // leftover pipelined bytes would otherwise spin the loop.
-        let fd = conn.stream.as_raw_fd();
-        let _ = self.epoll.modify(fd, 0, token);
-        Some(req)
     }
 
     /// Queue a response on the connection and start draining it.
@@ -868,13 +958,17 @@ impl EventLoop {
         }
     }
 
-    /// Hand every finished worker response to its connection.
+    /// Take back every connection a worker could not finish. The worker
+    /// has just seen `EAGAIN`, so there is no write attempt here: the
+    /// rest drains when `EPOLLOUT` fires, under a fresh deadline.
     fn drain_completions(&mut self) {
         let done: Vec<Completion> = std::mem::take(&mut *self.completions.lock());
         for c in done {
-            // The connection may have timed out or died while the
-            // worker ran; the response is then simply dropped.
-            self.respond(c.token, c.resp);
+            let unsent = ConnState::Writing {
+                body: c.body,
+                pos: c.pos,
+            };
+            self.admit(c.stream, c.head, unsent);
         }
     }
 
@@ -888,40 +982,41 @@ impl EventLoop {
         self.wheel.advance_into(now, &mut fired);
         for &token in &fired {
             let Some(conn) = self.slab.get(token) else {
-                continue; // connection already closed: entry is stale
+                continue; // closed or given to a worker: entry is stale
             };
-            conn.in_wheel = false;
-            match conn.deadline {
-                None => {} // dispatched: origin timeouts bound this phase
-                Some(d) if d <= now => match conn.state {
-                    ConnState::Reading => {
-                        // One best-effort shot at the 504 — the client
-                        // is stalled, not necessarily reading.
-                        conn.start_response(&Response::status_only(504));
-                        let _ = conn.on_writable();
-                        self.close_conn(token);
-                    }
-                    _ => self.close_conn(token),
-                },
-                Some(d) => {
-                    // Re-armed since this entry was scheduled: walk the
-                    // single entry forward to the new deadline.
-                    conn.in_wheel = true;
-                    self.wheel.schedule(token, d);
-                }
+            if conn.deadline > now {
+                // Re-armed since this entry was scheduled: walk the
+                // single entry forward to the new deadline.
+                let deadline = conn.deadline;
+                self.wheel.schedule(token, deadline);
+                continue;
             }
+            if matches!(conn.state, ConnState::Reading) {
+                // One best-effort shot at the 504 — the client is
+                // stalled, not necessarily reading.
+                conn.start_response(&Response::status_only(504));
+                let _ = conn.on_writable();
+            }
+            self.close_conn(token);
         }
         self.fired_scratch = fired;
     }
 
+    /// Return a removed connection's parser and head buffer to the pool
+    /// for the next accept; what is left of it is the socket.
+    fn release(&mut self, conn: Conn) -> TcpStream {
+        let (stream, parser, head) = conn.into_parts();
+        self.pool.put_parser(parser);
+        self.pool.put_head(head);
+        stream
+    }
+
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.slab.remove(token) {
-            self.epoll.del(conn.stream.as_raw_fd());
-            // Dropping the stream closes the socket; the parser and head
-            // buffer go back to the pool for the next accept.
-            let (parser, head) = conn.recycle();
-            self.pool.put_parser(parser);
-            self.pool.put_head(head);
+            // Dropping the stream closes the socket, and closing takes
+            // it out of the epoll set: the fd was never duplicated, so
+            // no `EPOLL_CTL_DEL` is spent on it.
+            drop(self.release(conn));
         }
     }
 }
@@ -929,6 +1024,7 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::RequestParser;
 
     #[test]
     fn tokens_round_trip_and_tag_generations() {
@@ -948,13 +1044,22 @@ mod tests {
         let mut slab = Slab::default();
         let _c1 = TcpStream::connect(addr).unwrap();
         let (s1, _) = listener.accept().unwrap();
-        let t1 = slab.insert(s1, RequestParser::new(), Vec::new());
+        let conn = |s| {
+            Conn::new(
+                s,
+                RequestParser::new(),
+                Vec::new(),
+                ConnState::Reading,
+                Instant::now(),
+            )
+        };
+        let t1 = slab.insert(conn(s1));
         assert!(slab.get(t1).is_some());
         slab.remove(t1).unwrap();
         // Recycle the slot with a new connection.
         let _c2 = TcpStream::connect(addr).unwrap();
         let (s2, _) = listener.accept().unwrap();
-        let t2 = slab.insert(s2, RequestParser::new(), Vec::new());
+        let t2 = slab.insert(conn(s2));
         assert_eq!(unpack_token(t1).0, unpack_token(t2).0, "slot recycled");
         assert!(slab.get(t1).is_none(), "old token must not resolve");
         assert!(slab.get(t2).is_some());

@@ -124,7 +124,10 @@ impl AtomicProxyStats {
 
 /// Target of the admin stats endpoint: `GET /__webcache/stats` returns
 /// a JSON snapshot of every [`ProxyStats`] counter plus derived hit
-/// rate, resident bytes, breaker-table size, persistence health, and —
+/// rate, resident bytes, breaker-table size, the serving engine's
+/// `worker_jobs` and `write_handbacks` (requests dispatched to a worker,
+/// and how many of those came back to the event loop to finish
+/// writing), persistence health, and —
 /// in cluster mode — the ring epoch, member set, and peer counters.
 /// Origin-form (no `http://` host), so it can never collide with a
 /// cacheable URL.
@@ -138,7 +141,8 @@ pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
         "{{\"requests\":{},\"hits\":{},\"revalidated\":{},\"misses\":{},\"hit_rate\":{:.6},\
          \"bytes_from_cache\":{},\"bytes_from_origin\":{},\"cached_bytes\":{},\"retries\":{},\
          \"timeouts\":{},\"origin_failures\":{},\"breaker_trips\":{},\"breaker_fast_fails\":{},\
-         \"stale_serves\":{},\"rejected\":{},\"breaker_entries\":{}",
+         \"stale_serves\":{},\"rejected\":{},\"breaker_entries\":{},\
+         \"worker_jobs\":{},\"write_handbacks\":{}",
         s.requests,
         s.hits,
         s.revalidated,
@@ -155,6 +159,8 @@ pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
         s.stale_serves,
         s.rejected,
         state.breakers.len(),
+        state.worker_jobs(),
+        state.write_handbacks(),
     );
     match state.persist_health.get() {
         Some(h) => {

@@ -2,12 +2,14 @@
 //! worker thread, fragmented requests must parse across many readiness
 //! events, stalled clients must time out with `504`, dispatch overload
 //! must shed with `503`, and a fixed exchange must keep its golden
-//! statuses and counters.
+//! statuses and counters. A dispatched connection belongs to its worker:
+//! the worker writes the response and closes the socket, and hands back
+//! to the event loop only what the socket would not take.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use webcache_core::policy::named;
 use webcache_proxy::fault::{FaultPlan, FaultyOrigin};
 use webcache_proxy::http::{self, Request, Response};
@@ -25,6 +27,50 @@ fn get(proxy: &ProxyServer, url: &str) -> Response {
     let mut s = TcpStream::connect(proxy.addr()).unwrap();
     http::write_request(&mut s, &Request::get(url)).unwrap();
     http::read_response(&mut s).unwrap()
+}
+
+/// Poll `cond` until it holds; the tests below wait on the proxy's own
+/// counters this way instead of sleeping for a guessed interval.
+fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < give_up, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Far more than a loopback socket pair buffers for a reader that is
+/// not reading (send buffer ≤ 4 MiB plus an unopened receive window).
+const BIG: u64 = 16 << 20;
+const BIG_URL: &str = "http://o.test/big.bin";
+
+fn origin_with_a_big_doc() -> OriginServer {
+    let store = Arc::new(DocStore::new());
+    store.put_synthetic(BIG_URL, BIG, 10);
+    store.put_synthetic("http://o.test/a.html", 1000, 10);
+    OriginServer::start(store).unwrap()
+}
+
+/// Send a miss for [`BIG_URL`] and read nothing until the one worker has
+/// made its write attempt, found the socket full and handed the
+/// connection back to the event loop.
+fn big_miss_handed_back(proxy: &ProxyServer) -> TcpStream {
+    let mut s = TcpStream::connect(proxy.addr()).unwrap();
+    http::write_request(&mut s, &Request::get(BIG_URL)).unwrap();
+    wait_for("the hand-back", || proxy.write_handbacks() == 1);
+    s
+}
+
+/// A reader that takes at most 64 KiB at a time and sleeps before each
+/// read: a live but slow client.
+struct Sleepy(TcpStream);
+
+impl Read for Sleepy {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        std::thread::sleep(Duration::from_millis(1));
+        let n = buf.len().min(64 << 10);
+        self.0.read(&mut buf[..n])
+    }
 }
 
 #[test]
@@ -209,4 +255,134 @@ fn fixed_exchange_keeps_its_golden_statuses_and_counters() {
         (st.hits, st.revalidated, st.misses, st.breaker_trips),
         (3, 1, 3, 1)
     );
+}
+
+#[test]
+fn small_miss_is_written_and_closed_by_its_worker() {
+    let origin = origin_with_docs();
+    let proxy = ProxyServer::start(origin.addr(), ProxyConfig::new(100_000), || {
+        Box::new(named::lru())
+    })
+    .unwrap();
+    let r = get(&proxy, "http://o.test/c.au");
+    assert_eq!(r.status, 200);
+    assert!(!r.is_cache_hit());
+    assert_eq!(r.body, http::synthetic_body("http://o.test/c.au", 6000));
+    // The socket took the whole response, so nothing crossed back to
+    // the event loop — and an operator can read that off the endpoint.
+    assert_eq!((proxy.worker_jobs(), proxy.write_handbacks()), (1, 0));
+    let mut s = TcpStream::connect(proxy.addr()).unwrap();
+    http::write_request(&mut s, &Request::get("/__webcache/stats")).unwrap();
+    let stats = http::read_response(&mut s).unwrap();
+    let json = String::from_utf8(stats.body.to_vec()).unwrap();
+    assert!(
+        json.contains("\"worker_jobs\":1,\"write_handbacks\":0"),
+        "{json}"
+    );
+}
+
+#[test]
+fn body_larger_than_the_socket_is_finished_by_the_event_loop() {
+    let origin = origin_with_a_big_doc();
+    let config = ProxyConfig::new(100_000)
+        .with_workers(1, 4)
+        .with_timeouts(Duration::from_secs(1), Duration::from_secs(2));
+    let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
+
+    let slow = big_miss_handed_back(&proxy);
+
+    // Not one byte of the big response has been read, yet the only
+    // worker is free: a second miss goes through it right now.
+    let r = get(&proxy, "http://o.test/a.html");
+    assert_eq!(r.status, 200);
+    assert_eq!(proxy.worker_jobs(), 2);
+
+    // The event loop drains the rest at the client's pace, byte-exact.
+    let resp = http::read_response(&mut Sleepy(slow)).unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(
+        resp.body == http::synthetic_body(BIG_URL, BIG),
+        "handed-back body differs from the origin's ({} bytes)",
+        resp.body.len()
+    );
+    assert_eq!(proxy.write_handbacks(), 1, "the small miss crossed back");
+}
+
+#[test]
+fn client_stalling_mid_response_is_dropped_by_the_deadline_wheel() {
+    let origin = origin_with_a_big_doc();
+    let config = ProxyConfig::new(100_000)
+        .with_workers(1, 4)
+        .with_timeouts(Duration::from_secs(1), Duration::from_millis(200));
+    let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
+
+    let mut stalled = big_miss_handed_back(&proxy);
+    // Read a little, then nothing for five read timeouts: the handed-back
+    // connection is under the wheel again and gets dropped, not parked.
+    let mut some = vec![0u8; 64 << 10];
+    stalled.read_exact(&mut some).unwrap();
+    std::thread::sleep(Duration::from_secs(1));
+    // What the kernel had already buffered still arrives (or the read
+    // fails on a reset); the rest of the body never does.
+    let mut rest = Vec::new();
+    let _ = stalled.read_to_end(&mut rest);
+    let got = (some.len() + rest.len()) as u64;
+    assert!(got < BIG, "a stalled client was sent all {got} bytes");
+
+    assert_eq!(get(&proxy, "http://o.test/a.html").status, 200);
+}
+
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").unwrap().count()
+}
+
+#[test]
+#[ignore = "counts the fds of the whole test process: run with --ignored --test-threads 1"]
+fn clients_that_hang_up_while_dispatched_leak_nothing() {
+    const GONE: usize = 200;
+    let store = Arc::new(DocStore::new());
+    for i in 0..GONE {
+        store.put_synthetic(&format!("http://o.test/gone{i}.html"), 500, 10);
+        store.put_synthetic(&format!("http://o.test/live{i}.html"), 500, 10);
+    }
+    let origin = OriginServer::start(store).unwrap();
+    // Every fetch takes 5 ms, so a client that closes right after its
+    // request is gone well before its worker has an answer to write.
+    let held = FaultyOrigin::start(
+        origin.addr(),
+        FaultPlan::new(7).delay(1.0, Duration::from_millis(5)),
+    )
+    .unwrap();
+    let config = ProxyConfig::new(1 << 20)
+        .with_workers(1, 2 * GONE)
+        .with_retries(0, Duration::from_millis(1));
+    let proxy = ProxyServer::start(held.addr(), config, || Box::new(named::lru())).unwrap();
+
+    assert_eq!(get(&proxy, "http://o.test/live0.html").status, 200);
+    let baseline = open_fds();
+
+    let mut normal = 0;
+    for i in 0..GONE {
+        let mut s = TcpStream::connect(proxy.addr()).unwrap();
+        let url = format!("http://o.test/gone{i}.html");
+        http::write_request(&mut s, &Request::get(&url)).unwrap();
+        drop(s);
+        if i % 10 == 1 {
+            // Queued behind the abandoned jobs, served all the same.
+            let r = get(&proxy, &format!("http://o.test/live{i}.html"));
+            assert_eq!(r.status, 200, "normal request {i}");
+            normal += 1;
+        }
+    }
+    let jobs = (1 + GONE + normal) as u64;
+    wait_for("every job to reach the worker", || {
+        proxy.worker_jobs() == jobs
+    });
+    // Every socket is closed by its worker's drop…
+    wait_for("the fd count to return to its baseline", || {
+        open_fds() == baseline
+    });
+    // …and a failed write was the whole cost: nothing shed, nothing
+    // handed back to the loop.
+    assert_eq!((proxy.stats().rejected, proxy.write_handbacks()), (0, 0));
 }

@@ -494,6 +494,26 @@ fn frame_reader_allocates_for_bytes_received_not_bytes_promised() {
     assert!(peak <= 64 * 1024, "allocated {peak} bytes for 10 KiB");
 }
 
+/// A fetched body stays in the allocation it was read into: the reader
+/// reserves exactly `content-length` bytes and `Bytes::from(Vec)` adopts
+/// them. A `Bytes` that copied would show here as one allocation larger
+/// than the body (the copy plus its reference counts).
+#[test]
+fn a_fetched_body_is_not_copied_on_its_way_to_the_cache() {
+    const LEN: usize = 1 << 20;
+    let mut wire = format!("HTTP/1.0 200 OK\r\ncontent-length: {LEN}\r\n\r\n").into_bytes();
+    wire.resize(wire.len() + LEN, 9);
+    let mut reader = ResponseReader::new();
+    PEAK.with(|p| p.set(0));
+    let (_, body) = reader.read(&mut wire.as_slice()).unwrap();
+    let peak = PEAK.with(Cell::get);
+    assert_eq!(body.len(), LEN);
+    assert_eq!(
+        peak, LEN,
+        "largest allocation while reading a {LEN}-byte body"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(600))]
 
