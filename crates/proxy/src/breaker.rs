@@ -5,8 +5,12 @@
 //! The table holds only keys with a failure on record. A key with no
 //! entry has never failed or has since recovered — entries are created
 //! by [`Breakers::on_failure`] and removed by [`Breakers::on_success`],
-//! so the table is bounded by the hosts failing *now*, and the path of a
-//! healthy origin looks its host up by `&str` and allocates nothing.
+//! so the path of a healthy origin looks its host up by `&str` and
+//! allocates nothing. Hosts that fail and are never asked for again
+//! would stay for good, so the table is also capped at [`MAX_ENTRIES`]:
+//! a new failing key then replaces the entry that opened longest ago,
+//! which at worst gives a host that is still dead a fresh set of
+//! attempts before it trips again.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -32,6 +36,9 @@ struct Breaker {
     /// Logical tick at which the breaker last opened.
     opened_at: u64,
 }
+
+/// Entries the table holds at most.
+const MAX_ENTRIES: usize = 1024;
 
 /// What a breaker says to a fetch about to start.
 pub(crate) enum Admission {
@@ -71,6 +78,13 @@ impl Breakers {
         }
     }
 
+    /// No failure on record for `key`: what [`Breakers::admit`] would
+    /// call [`Admission::Pristine`], without the side effect of turning
+    /// an open breaker half-open.
+    pub(crate) fn is_pristine(&self, key: &str) -> bool {
+        !self.table.lock().contains_key(key)
+    }
+
     /// A healthy answer forgets the key: closed, no failures on record.
     pub(crate) fn on_success(&self, key: &str) {
         self.table.lock().remove(key);
@@ -82,6 +96,16 @@ impl Breakers {
     pub(crate) fn on_failure(&self, key: &str, threshold: u32, now: u64) -> bool {
         let mut table = self.table.lock();
         if !table.contains_key(key) {
+            if table.len() >= MAX_ENTRIES {
+                // Ties (entries that never opened) go by key, so which
+                // one leaves does not depend on the map's iteration order.
+                let oldest = table
+                    .iter()
+                    .min_by_key(|(k, b)| (b.opened_at, k.as_str()))
+                    .map(|(k, _)| k.clone())
+                    .expect("a full table is not empty");
+                table.remove(&oldest);
+            }
             table.insert(key.to_string(), Breaker::default());
         }
         let b = table.get_mut(key).expect("present: inserted above");
@@ -106,12 +130,38 @@ impl Breakers {
 
 #[cfg(test)]
 mod tests {
+    use super::{Admission, Breakers, MAX_ENTRIES};
     use crate::cache_proxy::test_support::{get, orphan_proxy};
     use crate::stats::ADMIN_STATS_TARGET;
     use crate::{DocStore, FaultPlan, FaultyOrigin, OriginServer, ProxyConfig, ProxyServer};
     use std::sync::Arc;
     use std::time::Duration;
     use webcache_core::policy::named;
+
+    #[test]
+    fn a_stream_of_distinct_dead_hosts_cannot_grow_the_table() {
+        let breakers = Breakers::default();
+        let hosts = 10 * MAX_ENTRIES as u64;
+        for i in 0..hosts {
+            // Threshold 1: every host trips on its first failure, at tick i.
+            assert!(breakers.on_failure(&format!("dead{i}.test"), 1, i));
+            assert!(breakers.len() <= MAX_ENTRIES);
+        }
+        // `len` is the number `/__webcache/stats` reports as
+        // `breaker_entries`.
+        assert_eq!(breakers.len(), MAX_ENTRIES);
+        // The hosts that opened last are the ones still remembered.
+        let newest = format!("dead{}.test", hosts - 1);
+        let kept = format!("dead{}.test", hosts - MAX_ENTRIES as u64);
+        let gone = format!("dead{}.test", hosts - MAX_ENTRIES as u64 - 1);
+        for host in [&newest, &kept] {
+            assert!(matches!(
+                breakers.admit(host, hosts, u64::MAX),
+                Admission::Refused
+            ));
+        }
+        assert!(breakers.is_pristine(&gone) && breakers.is_pristine("dead0.test"));
+    }
 
     #[test]
     fn failed_half_open_probe_reopens_the_breaker() {

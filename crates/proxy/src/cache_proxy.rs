@@ -10,7 +10,7 @@
 //! 3. no copy → forward the GET to the origin and cache the result.
 //!
 //! When the origin misbehaves the proxy degrades instead of failing:
-//! every origin fetch (one exchange on the worker's persistent origin
+//! every origin fetch (one exchange on a pooled persistent origin
 //! connection, [`crate::upstream`]) runs under connect/read timeouts,
 //! failed fetches are retried with exponential backoff and deterministic
 //! jitter, a per-origin circuit breaker fast-fails while an origin is
@@ -26,11 +26,12 @@
 //! entry's payload, DESIGN.md D20) under that URL's shard lock, so a
 //! request takes exactly one shard lock on the cache path and never
 //! holds it across network I/O. Client sockets belong to the reactor's
-//! event loop, which answers fresh hits inline and hands everything else
-//! to a fixed pool of worker threads ([`ProxyConfig::workers`]) through a
-//! bounded job queue; when the queue is full the request is shed with
-//! `503` rather than queued without bound (counted in
-//! [`ProxyStats::rejected`]).
+//! event loop, which answers fresh hits inline, runs a miss's origin
+//! exchange itself when an idle origin connection is at hand and nothing
+//! about it can block, and hands everything else to a fixed pool of
+//! worker threads ([`ProxyConfig::workers`]) through a bounded job queue;
+//! when the queue is full the request is shed with `503` rather than
+//! queued without bound (counted in [`ProxyStats::rejected`]).
 //!
 //! ## Where things live
 //!
@@ -120,6 +121,13 @@ pub(crate) struct ProxyState {
     /// was full) and handed back to the event loop to drain; see
     /// [`ProxyServer::write_handbacks`].
     write_handbacks: AtomicU64,
+    /// Origin exchanges the event loop ran and concluded itself — misses
+    /// and revalidations that never reached a worker; see
+    /// [`ProxyServer::inline_fetches`].
+    inline_fetches: AtomicU64,
+    /// Inline attempts given up and handed to a worker; see
+    /// [`ProxyServer::inline_fallbacks`].
+    inline_fallbacks: AtomicU64,
     log: Mutex<AccessLog>,
     /// Cluster state when running as a cluster node
     /// ([`ProxyServer::start_clustered`]); `None` single-node.
@@ -145,12 +153,30 @@ impl ProxyState {
         AtomicProxyStats::add(&self.write_handbacks, 1);
     }
 
+    /// Count one origin exchange run and concluded on the event loop.
+    pub(crate) fn count_inline_fetch(&self) {
+        AtomicProxyStats::add(&self.inline_fetches, 1);
+    }
+
+    /// Count one inline attempt handed to a worker.
+    pub(crate) fn count_inline_fallback(&self) {
+        AtomicProxyStats::add(&self.inline_fallbacks, 1);
+    }
+
     pub(crate) fn worker_jobs(&self) -> u64 {
         self.worker_jobs.load(Ordering::Relaxed)
     }
 
     pub(crate) fn write_handbacks(&self) -> u64 {
         self.write_handbacks.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn inline_fetches(&self) -> u64 {
+        self.inline_fetches.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn inline_fallbacks(&self) -> u64 {
+        self.inline_fallbacks.load(Ordering::Relaxed)
     }
 
     /// Append a line to the access log when it is on: a `200` of `size`
@@ -493,6 +519,22 @@ impl ProxyServer {
     pub fn write_handbacks(&self) -> u64 {
         self.state.write_handbacks()
     }
+
+    /// Misses and revalidations the event loop answered without a worker:
+    /// it found an idle origin connection, ran the exchange under `epoll`
+    /// and stored and wrote the result itself. These crossed threads
+    /// zero times and are not in [`ProxyServer::worker_jobs`].
+    pub fn inline_fetches(&self) -> u64 {
+        self.state.inline_fetches()
+    }
+
+    /// Inline attempts the event loop gave up — the origin connection
+    /// failed, stalled or answered `5xx`, or the document's shard was
+    /// busy when the body was in — and handed to a worker, which are
+    /// therefore in [`ProxyServer::worker_jobs`] too.
+    pub fn inline_fallbacks(&self) -> u64 {
+        self.state.inline_fallbacks()
+    }
 }
 
 /// The start-up prologue every `start*` shares: check the pool sizes,
@@ -526,6 +568,8 @@ fn new_state(
         jitter_seq: AtomicU64::new(0),
         worker_jobs: AtomicU64::new(0),
         write_handbacks: AtomicU64::new(0),
+        inline_fetches: AtomicU64::new(0),
+        inline_fallbacks: AtomicU64::new(0),
         log: Mutex::new(AccessLog::new()),
         cluster,
         persist_health: OnceLock::new(),
@@ -557,9 +601,16 @@ impl Drop for ProxyServer {
 /// Helpers shared by the unit tests of the modules around this one.
 #[cfg(test)]
 pub(crate) mod test_support {
-    use super::{ProxyConfig, ProxyServer};
+    use super::{ProxyConfig, ProxyServer, ProxyState};
     use crate::http::{self, Request, Response};
     use std::net::{TcpListener, TcpStream};
+    use std::sync::Arc;
+
+    /// The state behind `proxy`, for tests that must hold one of its
+    /// locks at a chosen moment.
+    pub(crate) fn state_of(proxy: &ProxyServer) -> Arc<ProxyState> {
+        Arc::clone(&proxy.state)
+    }
 
     /// One GET through `proxy`.
     pub(crate) fn get(proxy: &ProxyServer, url: &str) -> Response {

@@ -1,17 +1,22 @@
 //! Per-connection state machine for the reactor.
 //!
 //! One [`Conn`] exists per client socket the event loop holds, always in
-//! non-blocking mode. In the loop the machine has two states; the phase
-//! between them, when a worker runs the request, is not a state of the
-//! `Conn` at all — the connection is dismantled and its socket travels
-//! in the job (see `reactor.rs`):
+//! non-blocking mode. In the loop the machine has three states; the phase
+//! in which a worker runs the request is not a state of the `Conn` at all
+//! — the connection is dismantled and its socket travels in the job (see
+//! `reactor.rs`):
 //!
 //! ```text
 //!              fresh hit, reject, admin (inline)
 //! Reading ──────────────────────────────────────────▶ Writing ──drained──▶ closed
-//!    │                                                   ▲
-//!    │ parsed, not servable inline                       │ socket full (EAGAIN):
-//!    ▼                                                   │ head, body, pos handed back
+//!    │                                                 ▲    ▲
+//!    │ miss or expired copy, and an idle origin        │    │ socket full (EAGAIN):
+//!    │ socket is at hand: request sent on it           │    │ head, body, pos handed back
+//!    ├──▶ Fetching ── last body byte in, stored ───────┘    │
+//!    │       │                                              │
+//!    │       │ origin socket failed, stalled or said 5xx,   │
+//!    │       │ or the shard is busy                         │
+//!    ▼       ▼                                              │
 //!  [stream moves into a Job] ──▶ worker: fetch, one non-blocking write
 //!                                   │
 //!                                   └── all sent, or client gone ──▶ closed by the worker
@@ -19,16 +24,21 @@
 //!
 //! The connection owns only buffers — a pooled [`RequestParser`], a
 //! pooled response-head `Vec`, and (while writing) a refcounted `Bytes`
-//! body straight out of the cache shard. The response is never
+//! body straight out of the cache shard — plus, while `Fetching`, the
+//! origin socket its request went out on: the "one holder per
+//! `TcpStream`" rule covers that socket too, from the idle pool to the
+//! connection and back (or to its close). The response is never
 //! assembled into one contiguous buffer: [`Conn::on_writable`] flushes
 //! head and body as two segments with vectored I/O, so a cache hit
 //! moves document bytes from shard to socket with zero copies. The
-//! connection never blocks and never touches the cache or the origin;
-//! all I/O methods translate readiness into an [`Event`] the reactor
-//! interprets — the reactor alone talks to epoll, the deadline wheel,
-//! and the worker pool.
+//! connection never blocks and never touches the cache; all I/O methods
+//! translate readiness into an [`Event`] (or, for the origin socket, a
+//! [`crate::upstream::Progress`]) the reactor interprets — the reactor alone talks to
+//! epoll, the deadline wheel, the cache and the worker pool.
 
-use crate::http::{self, Request, RequestParser, Response};
+use crate::http::{self, RequestParser, Response};
+use crate::serve::Miss;
+use crate::upstream::InlineExchange;
 use bytes::Bytes;
 use std::io::{self, ErrorKind, Read};
 use std::net::TcpStream;
@@ -36,11 +46,23 @@ use std::os::fd::AsRawFd;
 use std::time::Instant;
 
 /// Where a connection is in its single request/response exchange.
+// `Fetching` is much the largest variant. Boxing it would put an
+// allocation on every inline miss, while the space it takes here is a
+// slab slot's, reused from connection to connection.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub(crate) enum ConnState {
     /// Accumulating request bytes through the incremental parser (which
     /// lives on [`Conn`] itself so it can be recycled at close).
     Reading,
+    /// The request is parsed (and stays readable in the parser), the
+    /// cache had no fresh copy, and the origin is being asked on
+    /// `exchange`'s socket, which is registered with epoll under this
+    /// connection's token while the client socket is not.
+    Fetching {
+        exchange: InlineExchange,
+        miss: Miss,
+    },
     /// Draining the two-segment response (`Conn::head`, then `body`) to
     /// the socket. `pos` counts flushed bytes across *both* segments —
     /// a single cursor makes partial-write resumption trivial to reason
@@ -131,10 +153,16 @@ impl Conn {
         }
     }
 
-    /// Materialise the parsed request head as an owned [`Request`] (the
-    /// miss path needs one to hand to a worker thread).
-    pub fn take_request(&mut self) -> Request {
-        self.parser.take_request()
+    /// Leave `Fetching` with what it held, back in `Reading` with the
+    /// request still in the parser; `None` in any other state.
+    pub fn take_fetch(&mut self) -> Option<(InlineExchange, Miss)> {
+        match std::mem::replace(&mut self.state, ConnState::Reading) {
+            ConnState::Fetching { exchange, miss } => Some((exchange, miss)),
+            other => {
+                self.state = other;
+                None
+            }
+        }
     }
 
     /// Queue a response and switch to the writing phase. The caller

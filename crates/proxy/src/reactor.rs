@@ -1,6 +1,7 @@
 //! The serving engine: one event-loop thread waits on every client
-//! socket, worker threads run cache/origin work and make one
-//! non-blocking attempt to write its result.
+//! socket — and on the origin sockets of the misses it runs itself —
+//! while worker threads do whatever may block or sleep and make one
+//! non-blocking attempt to write the result.
 //!
 //! A thread per in-flight connection would cap concurrency at the pool
 //! size regardless of what those connections are doing — a thousand
@@ -9,13 +10,15 @@
 //! (accepting, incremental request parsing, draining a response the
 //! socket would not take whole, stall timeouts) happens on a single
 //! thread multiplexed by `epoll`, and a connection only costs a worker
-//! for the duration of actual cache/origin work. In-flight connections
-//! are bounded by file descriptors, not threads.
+//! when its request needs something the loop cannot do without waiting.
+//! In-flight connections are bounded by file descriptors, not threads.
 //!
-//! Ownership rule: the thread that holds a connection's `TcpStream` is
-//! the only one that touches its fd. A stream is in exactly one place —
-//! the loop's slab, a [`Job`], or a [`Completion`] — and moves between
-//! them by value.
+//! Ownership rule: the thread that holds a `TcpStream` is the only one
+//! that touches its fd. A client stream is in exactly one place — the
+//! loop's slab, a [`Job`], or a [`Completion`] — and moves between them
+//! by value. An origin stream likewise: the idle pool
+//! ([`crate::upstream`]), a worker's exchange, or the `Fetching` state
+//! of one connection in the slab.
 //!
 //! ## Anatomy
 //!
@@ -27,42 +30,62 @@
 //! * **slab** — connections live in a generation-tagged slab; the epoll
 //!   token packs `(generation, index)` so events for a recycled slot
 //!   are detected and dropped.
-//! * **deadline wheel** — client stall timeouts are hashed-wheel ticks,
-//!   not per-socket `SO_RCVTIMEO`. A connection stalling mid-request
-//!   past [`crate::ProxyConfig::read_timeout`] gets `504`; progress
+//! * **deadline wheel** — stall timeouts are hashed-wheel ticks, not
+//!   per-socket `SO_RCVTIMEO`. A client stalling mid-request past
+//!   [`crate::ProxyConfig::read_timeout`] gets `504`; an origin stalling
+//!   mid-exchange past it loses the exchange to a worker; progress
 //!   re-arms the deadline, as each successful read of a blocking reader
 //!   under `SO_RCVTIMEO` would.
-//! * **dispatch** — a parsed request is first offered the inline fast
-//!   path ([`try_serve_fresh_hit`]): a fresh cache hit is served on the
-//!   event loop under a single `try_lock`ed shard guard, with no worker
-//!   round trip. For a contended, missing, or expired entry the loop
-//!   gives the connection away: it leaves the slab and epoll, its pooled
-//!   buffers go back, and the stream itself rides in the [`Job`] on the
-//!   bounded worker queue. A full queue hands the stream straight back
-//!   and the loop sheds with `503` (counted in
-//!   [`crate::ProxyStats::rejected`]). A worker runs the blocking
-//!   [`proxy_get_at`] — retries, backoff, breakers, serve-stale and all
-//!   stats semantics — through its own persistent origin connection
-//!   ([`crate::upstream`]), then writes the response with the same
-//!   non-blocking two-segment `writev` the loop uses and closes the
-//!   socket by dropping it: a miss crosses threads once. Only a response
-//!   the socket would not take whole (`EAGAIN`: a body larger than the
-//!   send buffer, a slow reader) comes back as a [`Completion`] through
-//!   an `eventfd`, to be drained under `EPOLLOUT` and the deadline
-//!   wheel like any other — so a worker never waits on a client.
+//! * **inline paths** — a parsed request is first offered to the cache
+//!   under a single `try_lock`ed shard guard ([`lookup`]). A fresh hit
+//!   is served right there. A miss or an expired copy is fetched right
+//!   there too *if* nothing about it can block: the host has no breaker
+//!   entry, this node is the key's home (no peer to ask), and an idle
+//!   kept-alive origin socket is at hand. The loop then sends the
+//!   (conditional) GET with `MSG_DONTWAIT`, parks the connection in
+//!   `Fetching` with the origin socket registered under the connection's
+//!   own token (the client socket is out of epoll meanwhile), feeds the
+//!   resumable response parser whatever each `EPOLLIN` brings, and on the
+//!   last body byte stores the document ([`Miss::conclude`], again under
+//!   a try-lock) and writes the response — no [`Job`], no owned request,
+//!   no second thread. The table of connections in `Fetching` is the
+//!   loop's record of the fetches in flight.
+//! * **dispatch** — everything else goes to a worker: a contended shard,
+//!   a host with a breaker entry, a cluster non-owner, no idle origin
+//!   socket (cold start, an origin that answers `Connection: close`),
+//!   and **any** failure of an inline attempt — I/O error, end of
+//!   stream, short body, wheel expiry, malformed head, `5xx`: the origin
+//!   socket is discarded and the request redone on a worker from the
+//!   top, uncounted, so retries, backoff, timeouts, breakers and
+//!   serve-stale are accounted in one place only ([`proxy_get_at`]). A
+//!   finished inline fetch whose shard is contended rides along with its
+//!   body. The connection leaves the slab and epoll, its pooled buffers
+//!   go back, and the stream itself travels in the [`Job`] on the bounded
+//!   worker queue; a full queue hands the stream straight back and the
+//!   loop sheds with `503` (counted in [`crate::ProxyStats::rejected`]).
+//!   The worker writes the response with the same non-blocking
+//!   two-segment `writev` the loop uses and closes the socket by dropping
+//!   it: a dispatched request crosses threads once. Only a response the
+//!   socket would not take whole (`EAGAIN`: a body larger than the send
+//!   buffer, a slow reader) comes back as a [`Completion`] through an
+//!   `eventfd`, to be drained under `EPOLLOUT` and the deadline wheel
+//!   like any other — so a worker never waits on a client.
 
 use crate::bufpool::BufPool;
 use crate::cache_proxy::ProxyState;
 use crate::config::ProxyConfig;
 use crate::conn::{write_segments, Conn, ConnState, Event};
-use crate::http::{self, Request, Response};
-use crate::serve::{begin_request, finalize_response, proxy_get_at, try_serve_fresh_hit};
+use crate::fetch::host_of;
+use crate::http::{self, Response};
+use crate::serve::{
+    begin_request, finalize_response, lookup, proxy_get_at, Lookup, Miss, ShardLock, WAITED,
+};
 use crate::stats::{admin_stats_response, ADMIN_STATS_TARGET};
-use crate::upstream::Upstream;
+use crate::upstream::{Begun, Fetched, IdlePool, InlineUpstream, Progress, Upstream};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,6 +127,8 @@ const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
 const SOCK_CLOEXEC: i32 = 0o2000000;
 const SOCK_NONBLOCK: i32 = 0o4000;
+const MSG_DONTWAIT: i32 = 0x40;
+const MSG_NOSIGNAL: i32 = 0x4000;
 
 /// One segment of a vectored write: field-compatible with `struct iovec`
 /// from `<sys/uio.h>` (`iov_base`, `iov_len`).
@@ -123,6 +148,8 @@ extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
+    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
+    fn send(fd: i32, buf: *const u8, len: usize, flags: i32) -> isize;
     fn close(fd: i32) -> i32;
 }
 
@@ -154,6 +181,54 @@ pub(crate) fn write_two(fd: RawFd, a: &[u8], b: &[u8]) -> io::Result<usize> {
         return Err(io::Error::last_os_error());
     }
     Ok(n as usize)
+}
+
+/// A socket read and written without ever waiting, whatever mode the
+/// socket itself is in (`MSG_DONTWAIT`): when nothing can be transferred
+/// at once the call fails with `WouldBlock`. This is how the event loop
+/// uses an origin socket that a worker, next time, will block on.
+pub(crate) struct DontWait<'a>(pub &'a TcpStream);
+
+impl Read for DontWait<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        // SAFETY: `buf` is valid for writes of `buf.len()` bytes and the
+        // fd is open for as long as the borrowed stream lives.
+        let n = unsafe {
+            recv(
+                self.0.as_raw_fd(),
+                buf.as_mut_ptr(),
+                buf.len(),
+                MSG_DONTWAIT,
+            )
+        };
+        if n < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(n as usize)
+    }
+}
+
+impl Write for DontWait<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        // SAFETY: `buf` is valid for reads of `buf.len()` bytes and the
+        // fd is open for as long as the borrowed stream lives.
+        let n = unsafe {
+            send(
+                self.0.as_raw_fd(),
+                buf.as_ptr(),
+                buf.len(),
+                MSG_DONTWAIT | MSG_NOSIGNAL,
+            )
+        };
+        if n < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(n as usize)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Accept one connection, already non-blocking and close-on-exec: one
@@ -213,13 +288,10 @@ impl Epoll {
         self.ctl(EPOLL_CTL_ADD, fd, events, token)
     }
 
-    fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, events, token)
-    }
-
-    /// Stop watching an fd that stays open. Only dispatch needs this (the
-    /// socket moves to a worker); closing a socket that was never
-    /// duplicated removes it from the set by itself.
+    /// Stop watching an fd that stays open: a client socket bound for a
+    /// worker or parked behind an inline fetch, an origin socket going
+    /// back to the idle pool. Closing a socket that was never duplicated
+    /// removes it from the set by itself.
     fn del(&self, fd: RawFd) {
         let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
     }
@@ -478,14 +550,36 @@ impl Wheel {
 /// A connection the event loop could not serve inline, bound for a
 /// worker: the client socket itself (already out of the slab and out of
 /// epoll — whoever holds the `Job` is the only one touching the fd) and
-/// its parsed request. Carries the pre-assigned `(url, now)` so the
-/// logical clock has already ticked exactly once, whether or not the
-/// fast path declined. Dropping a `Job` closes its socket.
+/// what of its request the worker needs. Dropping a `Job` closes its
+/// socket.
 struct Job {
     stream: TcpStream,
-    req: Request,
-    url: UrlId,
-    now: u64,
+    target: String,
+    /// The client's `If-Modified-Since`.
+    if_modified_since: Option<u64>,
+    work: Work,
+}
+
+/// What a worker is asked to do for a [`Job`].
+enum Work {
+    /// The whole request ([`proxy_get_at`]). Carries the pre-assigned
+    /// `(url, now)` so the logical clock has already ticked exactly
+    /// once, whether or not an inline path was tried first.
+    Request { url: UrlId, now: u64 },
+    /// The loop fetched the document but found its shard busy: store
+    /// and serve it, waiting for the lock.
+    Conclude(Box<(Miss, Fetched)>),
+}
+
+impl Work {
+    /// The whole request over again, for a miss the loop could not see
+    /// through.
+    fn redo(miss: &Miss) -> Work {
+        Work::Request {
+            url: miss.url,
+            now: miss.now,
+        }
+    }
 }
 
 /// A connection on its way back to the event loop because the socket
@@ -529,6 +623,9 @@ impl JobQueue {
             return Err(job);
         }
         q.jobs.push_back(job);
+        // Wake a worker only once the queue is unlocked: woken under the
+        // lock, its first act would be to block on it.
+        drop(q);
         self.ready.notify_one();
         Ok(())
     }
@@ -587,29 +684,39 @@ impl Reactor {
         let jobs = Arc::new(JobQueue::new(config.queue_depth));
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
         let shutdown = Arc::new(AtomicBool::new(false));
+        let idle = Arc::new(IdlePool::new());
 
         let workers = (0..config.workers)
             .map(|_| {
                 let jobs = Arc::clone(&jobs);
+                let idle = Arc::clone(&idle);
                 let completions = Arc::clone(&completions);
                 let waker = Arc::clone(&waker);
                 let state = Arc::clone(&state);
                 std::thread::spawn(move || {
-                    let mut up = Upstream::new(origin, &config);
+                    let mut up = Upstream::new(origin, &config, idle);
                     // Response-head buffer kept across jobs (it leaves
                     // with a hand-back and is grown again).
                     let mut head = Vec::new();
                     while let Some(mut job) = jobs.pop() {
                         state.count_worker_job();
-                        let resp = proxy_get_at(
-                            &mut up,
-                            config,
-                            &state,
-                            &job.req.target,
-                            job.url,
-                            job.now,
-                        );
-                        let resp = finalize_response(&job.req, resp);
+                        let resp = match job.work {
+                            Work::Request { url, now } => {
+                                proxy_get_at(&mut up, config, &state, &job.target, url, now)
+                            }
+                            Work::Conclude(fetch) => {
+                                let (miss, fetched) = *fetch;
+                                miss.conclude(
+                                    &config,
+                                    &state,
+                                    &job.target,
+                                    fetched,
+                                    ShardLock::Wait,
+                                )
+                                .expect(WAITED)
+                            }
+                        };
+                        let resp = finalize_response(job.if_modified_since, resp);
                         http::encode_response_head_into(&mut head, &resp);
                         let mut pos = 0;
                         // One non-blocking attempt, never a wait: on
@@ -648,6 +755,7 @@ impl Reactor {
                     slab: Slab::default(),
                     wheel: Wheel::new(config.read_timeout),
                     pool: BufPool::new(),
+                    upstream: InlineUpstream::new(idle),
                     fired_scratch: Vec::new(),
                     config,
                     state,
@@ -694,6 +802,8 @@ struct EventLoop {
     /// Free-list of parser/head buffers cycled through connections, so a
     /// warmed loop accepts and serves without heap allocation.
     pool: BufPool,
+    /// The loop's own way to the origin, for the misses it runs itself.
+    upstream: InlineUpstream,
     /// Reused output buffer for [`Wheel::advance_into`].
     fired_scratch: Vec<u64>,
     config: ProxyConfig,
@@ -718,8 +828,11 @@ enum FastOutcome {
         /// `finalize_response`, done inline so no `Response` is built).
         not_modified: bool,
     },
-    /// Miss/expired/contended: hand the request to the worker pool.
-    Dispatch { url: UrlId, now: u64 },
+    /// No fresh copy: ask the origin — from here if nothing about that
+    /// can block, else through a worker.
+    Miss(Miss),
+    /// The shard is contended: a worker waits for it.
+    Contended { url: UrlId, now: u64 },
 }
 
 impl EventLoop {
@@ -763,7 +876,7 @@ impl EventLoop {
             match accept_nonblocking(&self.listener) {
                 Ok(stream) => {
                     let head = self.pool.get_head();
-                    self.admit(stream, head, ConnState::Reading);
+                    self.admit(stream, head, None);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -775,13 +888,14 @@ impl EventLoop {
     /// Give a connection a slab slot, an epoll registration, an I/O
     /// deadline and its one wheel entry. A fresh accept enters in
     /// `Reading` under `EPOLLIN`; a connection coming back from the
-    /// worker side (a hand-back, a shed job) enters in `Writing` under
-    /// `EPOLLOUT`.
-    fn admit(&mut self, stream: TcpStream, head: Vec<u8>, state: ConnState) {
+    /// worker side (a hand-back, a shed job) has `unsent`, the body and
+    /// cursor of a response whose head is in `head`, and enters in
+    /// `Writing` under `EPOLLOUT`.
+    fn admit(&mut self, stream: TcpStream, head: Vec<u8>, unsent: Option<(Bytes, usize)>) {
         let fd = stream.as_raw_fd();
-        let interest = match state {
-            ConnState::Reading => EPOLLIN,
-            ConnState::Writing { .. } => EPOLLOUT,
+        let (state, interest) = match unsent {
+            None => (ConnState::Reading, EPOLLIN),
+            Some((body, pos)) => (ConnState::Writing { body, pos }, EPOLLOUT),
         };
         let deadline = Instant::now() + self.config.read_timeout;
         let parser = self.pool.get_parser();
@@ -808,6 +922,19 @@ impl EventLoop {
         let Some(conn) = self.slab.get(token) else {
             return; // stale event for a recycled slot
         };
+        if let ConnState::Fetching { exchange, .. } = &mut conn.state {
+            // Only the origin socket is registered under this token now,
+            // and its errors and hang-ups surface from the read.
+            match exchange.on_readable() {
+                Progress::Pending => self.arm_deadline(token),
+                Progress::Done {
+                    fetched,
+                    keep_alive,
+                } => self.finish_fetch(token, fetched, keep_alive),
+                Progress::Failed => self.abandon_fetch(token),
+            }
+            return;
+        }
         if events & (EPOLLERR | EPOLLHUP) != 0 && events & (EPOLLIN | EPOLLOUT) == 0 {
             self.close_conn(token);
             return;
@@ -834,9 +961,9 @@ impl EventLoop {
     }
 
     /// A parsed request head (still inside the connection's parser —
-    /// nothing has been allocated for it): validate, try the inline fast
-    /// path, otherwise materialise a [`Request`] and give the connection
-    /// to the worker pool (shedding with `503` when full).
+    /// nothing has been allocated for it): validate, serve a fresh hit
+    /// inline, start an inline fetch for a miss, or give the connection
+    /// to the worker pool.
     fn handle_request(&mut self, token: u64) {
         // Decide under one connection borrow; act after it ends.
         let outcome = {
@@ -850,10 +977,13 @@ impl EventLoop {
             } else if !conn.parser.target().starts_with("http://") {
                 FastOutcome::Reject(400)
             } else {
-                let (url, now) = begin_request(&self.state, conn.parser.target());
-                match try_serve_fresh_hit(&self.config, &self.state, conn.parser.target(), url, now)
-                {
-                    Some((body, last_modified)) => {
+                let target = conn.parser.target();
+                let (url, now) = begin_request(&self.state, target);
+                match lookup(&self.config, &self.state, target, url, now, ShardLock::Try) {
+                    Some(Lookup::Hit {
+                        body,
+                        last_modified,
+                    }) => {
                         // Inline replica of `finalize_response`'s only
                         // applicable arm (status is always 200 here): a
                         // conditional GET whose copy is not newer gets a
@@ -868,7 +998,8 @@ impl EventLoop {
                             not_modified,
                         }
                     }
-                    None => FastOutcome::Dispatch { url, now },
+                    Some(Lookup::Miss(miss)) => FastOutcome::Miss(miss),
+                    None => FastOutcome::Contended { url, now },
                 }
             }
         };
@@ -891,39 +1022,131 @@ impl EventLoop {
                 } else {
                     conn.start_hit(body, last_modified);
                 }
-                self.flush_response(token);
+                self.flush_response(token, EPOLL_CTL_MOD);
             }
-            FastOutcome::Dispatch { url, now } => {
-                let Some(mut conn) = self.slab.remove(token) else {
-                    return;
-                };
-                // The miss path allocates here — method/target clones
-                // and the moved header map — which is fine: a miss's
-                // cost is dominated by the origin round trip.
-                let req = conn.take_request();
-                // The one explicit `del`: this fd stays open past its
-                // registration. (The slot's wheel entry goes stale and
-                // falls out on the generation check; the origin
-                // timeouts bound the time a worker holds the socket.)
-                self.epoll.del(conn.stream.as_raw_fd());
-                let stream = self.release(conn);
-                let job = Job {
-                    stream,
-                    req,
-                    url,
-                    now,
-                };
-                if let Err(job) = self.jobs.try_push(job) {
-                    self.state.count_rejected();
-                    let mut head = self.pool.get_head();
-                    http::encode_response_head_into(&mut head, &Response::status_only(503));
-                    let unsent = ConnState::Writing {
-                        body: Bytes::new(),
-                        pos: 0,
-                    };
-                    self.admit(job.stream, head, unsent);
+            FastOutcome::Miss(miss) => self.start_fetch(token, miss),
+            FastOutcome::Contended { url, now } => {
+                self.unwatch_client(token);
+                self.dispatch(token, Work::Request { url, now });
+            }
+        }
+    }
+
+    /// Take a connection's client socket out of epoll: its request is
+    /// parsed, and until there is a response to write nothing the client
+    /// does is of interest (level-triggered epoll would spin on extra
+    /// bytes or a half-close). The fd stays open past its registration,
+    /// so this is an explicit `del`.
+    fn unwatch_client(&mut self, token: u64) {
+        if let Some(conn) = self.slab.get(token) {
+            self.epoll.del(conn.stream.as_raw_fd());
+        }
+    }
+
+    /// A miss or an expired copy: run the origin exchange from here when
+    /// nothing about it can block (module docs), else dispatch. On the
+    /// inline path the connection stays in its slab slot, in `Fetching`,
+    /// under its own deadline.
+    fn start_fetch(&mut self, token: u64, miss: Miss) {
+        self.unwatch_client(token);
+        let Some(conn) = self.slab.get(token) else {
+            return;
+        };
+        let target = conn.parser.target();
+        let request = Work::redo(&miss);
+        if !self.state.breakers.is_pristine(host_of(target)) || !Miss::is_home(&self.state, target)
+        {
+            return self.dispatch(token, request);
+        }
+        let exchange = match self.upstream.begin(target, miss.if_modified_since()) {
+            Begun::Sent(exchange) => exchange,
+            Begun::NoIdleSocket => return self.dispatch(token, request),
+            Begun::SendFailed => {
+                self.state.count_inline_fallback();
+                return self.dispatch(token, request);
+            }
+        };
+        let origin_fd = exchange.stream().as_raw_fd();
+        conn.state = ConnState::Fetching { exchange, miss };
+        if self.epoll.add(origin_fd, EPOLLIN, token).is_err() {
+            return self.abandon_fetch(token);
+        }
+        self.arm_deadline(token);
+    }
+
+    /// The origin's whole answer is in. Conclude — store, count, build
+    /// the response — and write it, unless that needs a worker after
+    /// all: a `5xx` is a failed attempt in the resilient fetch's books,
+    /// so the request is redone there; a contended shard is waited for
+    /// there, with the body riding along.
+    fn finish_fetch(&mut self, token: u64, fetched: Fetched, keep_alive: bool) {
+        let Some(conn) = self.slab.get(token) else {
+            return;
+        };
+        let Some((exchange, miss)) = conn.take_fetch() else {
+            return;
+        };
+        if keep_alive {
+            // Out of epoll before it is anyone else's to take.
+            self.epoll.del(exchange.stream().as_raw_fd());
+        }
+        self.upstream.end(exchange, keep_alive);
+        let work = if fetched.status >= 500 {
+            Work::redo(&miss)
+        } else {
+            let target = conn.parser.target();
+            match miss.conclude(&self.config, &self.state, target, fetched, ShardLock::Try) {
+                Ok(resp) => {
+                    self.state.count_inline_fetch();
+                    let resp = finalize_response(conn.parser.if_modified_since(), resp);
+                    conn.start_response(&resp);
+                    return self.flush_response(token, EPOLL_CTL_ADD);
                 }
+                Err(fetch) => Work::Conclude(fetch),
             }
+        };
+        self.state.count_inline_fallback();
+        self.dispatch(token, work);
+    }
+
+    /// Give up an inline fetch — the origin socket failed or stalled —
+    /// and hand the request to a worker to run from the top. The socket
+    /// is closed (which also takes it out of epoll), never reused.
+    fn abandon_fetch(&mut self, token: u64) {
+        let Some((exchange, miss)) = self.slab.get(token).and_then(Conn::take_fetch) else {
+            return;
+        };
+        self.upstream.end(exchange, false);
+        self.state.count_inline_fallback();
+        self.dispatch(token, Work::redo(&miss));
+    }
+
+    /// Give a connection whose client socket is already out of epoll to
+    /// the worker pool: it leaves the slab (its wheel entry goes stale
+    /// and falls out on the generation check; the origin timeouts bound
+    /// the time a worker holds the socket), its pooled buffers go back,
+    /// and the stream rides in the [`Job`]. A full queue sheds with `503`.
+    fn dispatch(&mut self, token: u64, work: Work) {
+        let Some(conn) = self.slab.remove(token) else {
+            return;
+        };
+        // The dispatch path allocates here — the target's `String`, the
+        // queue slot — which is fine: it is about to cost a thread
+        // hand-off and, usually, a TCP handshake.
+        let target = conn.parser.target().to_string();
+        let if_modified_since = conn.parser.if_modified_since();
+        let stream = self.release(conn);
+        let job = Job {
+            stream,
+            target,
+            if_modified_since,
+            work,
+        };
+        if let Err(job) = self.jobs.try_push(job) {
+            self.state.count_rejected();
+            let mut head = self.pool.get_head();
+            http::encode_response_head_into(&mut head, &Response::status_only(503));
+            self.admit(job.stream, head, Some((Bytes::new(), 0)));
         }
     }
 
@@ -933,12 +1156,15 @@ impl EventLoop {
             return;
         };
         conn.start_response(&resp);
-        self.flush_response(token);
+        self.flush_response(token, EPOLL_CTL_MOD);
     }
 
     /// Drain whatever response the connection has queued, falling back
-    /// to `EPOLLOUT` if the socket buffer fills.
-    fn flush_response(&mut self, token: u64) {
+    /// to `EPOLLOUT` if the socket buffer fills: `watch` is the epoll
+    /// operation that sets that interest — `EPOLL_CTL_MOD` for a client
+    /// socket still registered from `Reading`, `EPOLL_CTL_ADD` for one
+    /// that was taken out while the origin was asked.
+    fn flush_response(&mut self, token: u64, watch: i32) {
         let Some(conn) = self.slab.get(token) else {
             return;
         };
@@ -949,7 +1175,7 @@ impl EventLoop {
                     return;
                 };
                 let fd = conn.stream.as_raw_fd();
-                if self.epoll.modify(fd, EPOLLOUT, token).is_err() {
+                if self.epoll.ctl(watch, fd, EPOLLOUT, token).is_err() {
                     self.close_conn(token);
                     return;
                 }
@@ -964,16 +1190,13 @@ impl EventLoop {
     fn drain_completions(&mut self) {
         let done: Vec<Completion> = std::mem::take(&mut *self.completions.lock());
         for c in done {
-            let unsent = ConnState::Writing {
-                body: c.body,
-                pos: c.pos,
-            };
-            self.admit(c.stream, c.head, unsent);
+            self.admit(c.stream, c.head, Some((c.body, c.pos)));
         }
     }
 
     /// Expire connections whose I/O deadline passed: a client stalled
-    /// mid-request gets `504`; a client stalled mid-response is dropped.
+    /// mid-request gets `504`; a client stalled mid-response is dropped;
+    /// an origin stalled mid-exchange loses the request to a worker.
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
         // Take/put-back keeps one scratch Vec alive across iterations so
@@ -989,6 +1212,10 @@ impl EventLoop {
                 // single entry forward to the new deadline.
                 let deadline = conn.deadline;
                 self.wheel.schedule(token, deadline);
+                continue;
+            }
+            if matches!(conn.state, ConnState::Fetching { .. }) {
+                self.abandon_fetch(token);
                 continue;
             }
             if matches!(conn.state, ConnState::Reading) {
@@ -1024,7 +1251,7 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::RequestParser;
+    use crate::http::{Request, RequestParser};
 
     #[test]
     fn tokens_round_trip_and_tag_generations() {
@@ -1079,6 +1306,91 @@ mod tests {
         post.method = "POST".to_string();
         http::write_request(&mut s, &post).unwrap();
         assert_eq!(http::read_response(&mut s).unwrap().status, 501);
+    }
+
+    /// The loop looked the document up, found nothing and went to the
+    /// origin itself; by the time the body is in, someone else holds the
+    /// shard. The loop must not wait for it: body and all, the connection
+    /// goes to a worker, who does.
+    #[test]
+    fn inline_fetch_that_finds_its_shard_busy_is_concluded_by_a_worker() {
+        use crate::cache_proxy::test_support::{get, state_of};
+        use crate::{ProxyConfig, ProxyServer};
+        use std::sync::mpsc::channel;
+        use webcache_core::policy::named;
+
+        // A keep-alive origin of one connection that answers its second
+        // request only when told to.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let origin_addr = listener.local_addr().unwrap();
+        let (asked_tx, asked) = channel();
+        let (answer, answer_rx) = channel::<()>();
+        let requests = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let served = Arc::clone(&requests);
+        let origin = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = std::io::BufReader::new(stream);
+            for nth in 0.. {
+                let Ok(req) = http::read_request_from(&mut reader) else {
+                    return;
+                };
+                if nth == 1 {
+                    asked_tx.send(()).unwrap();
+                    answer_rx.recv().unwrap();
+                }
+                let body = http::synthetic_body(&req.target, 900);
+                let resp = Response::ok(body, Some(10)).with_connection(true);
+                http::write_response(reader.get_mut(), &resp).unwrap();
+                served.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+
+        let config = ProxyConfig::new(100_000).with_workers(1, 4);
+        let proxy = ProxyServer::start(origin_addr, config, || Box::new(named::lru())).unwrap();
+        let state = state_of(&proxy);
+        assert_eq!(get(&proxy, "http://o.test/warm.html").status, 200);
+
+        let url = "http://o.test/contended.html";
+        let addr = proxy.addr();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            http::write_request(&mut s, &Request::get(url)).unwrap();
+            http::read_response(&mut s).unwrap()
+        });
+        // The request is at the origin, so the loop's lookup is behind it.
+        asked.recv().unwrap();
+        let (held_tx, held) = channel();
+        let (let_go, let_go_rx) = channel::<()>();
+        let holder = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || {
+                state.cache.with_shard(0, |_, _| {
+                    held_tx.send(()).unwrap();
+                    let_go_rx.recv().unwrap();
+                })
+            })
+        };
+        held.recv().unwrap();
+        answer.send(()).unwrap();
+        // The loop has the body and no lock: nothing is stored or counted,
+        // and the job is a worker's.
+        while proxy.inline_fallbacks() == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!((proxy.stats().misses, proxy.cached_bytes()), (1, 900));
+        let_go.send(()).unwrap();
+        holder.join().unwrap();
+        let resp = client.join().unwrap();
+        assert_eq!(resp.status, 200);
+        assert!(!resp.is_cache_hit());
+        assert_eq!(resp.body, http::synthetic_body(url, 900));
+        assert_eq!((proxy.stats().misses, proxy.cached_bytes()), (2, 1800));
+        // The worker was handed the body: it did not ask the origin again.
+        assert_eq!(requests.load(Ordering::SeqCst), 2);
+        assert_eq!((proxy.worker_jobs(), proxy.inline_fetches()), (2, 0));
+        assert!(get(&proxy, url).is_cache_hit());
+        drop(proxy);
+        origin.join().unwrap();
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! The per-request cache logic: the three cases of the paper's section 1
-//! ([`proxy_get_at`]), the event loop's inline fresh-hit path
-//! ([`try_serve_fresh_hit`]), and the cluster peer glue around them.
-//! Everything here runs under at most one shard lock and never holds it
-//! across network I/O.
+//! as lookup → fetch → conclude. [`lookup`] and [`Miss::conclude`] are the
+//! cache's side of a request and run on whichever thread has it — a
+//! worker, which waits for the shard lock and may block on the origin in
+//! between ([`proxy_get_at`]), or the event loop, which only tries the
+//! lock and drives the fetch itself under `epoll` (`reactor.rs`). The
+//! cluster peer glue is here too. Everything runs under at most one shard
+//! lock and never holds it across network I/O.
 
 use crate::breaker::Admission;
 use crate::cache_proxy::{ProxyState, Resident, ShardCache, ShardExt};
 use crate::cluster::{self, ClusterState};
 use crate::config::ProxyConfig;
 use crate::fetch::{error_response, fetch_origin_resilient, host_of};
-use crate::http::{Request, Response};
+use crate::http::Response;
 use crate::persist::JournalOp;
 use crate::stats::AtomicProxyStats;
 use crate::upstream::{Fetched, Upstream};
@@ -24,9 +27,9 @@ use webcache_trace::{ClientId, DocType, ServerId, UrlId};
 
 /// Apply the downstream conditional GET (a client cache or a child proxy
 /// in a hierarchy, as in the paper's case 2): if our copy is not newer
-/// than the caller's, a bodyless 304 suffices.
-pub(crate) fn finalize_response(req: &Request, resp: Response) -> Response {
-    if let (Some(since), Some(lm)) = (req.if_modified_since(), resp.last_modified()) {
+/// than the caller's `If-Modified-Since`, a bodyless 304 suffices.
+pub(crate) fn finalize_response(if_modified_since: Option<u64>, resp: Response) -> Response {
+    if let (Some(since), Some(lm)) = (if_modified_since, resp.last_modified()) {
         if resp.status == 200 && lm <= since {
             let mut not_modified = Response::status_only(304);
             if resp.is_cache_hit() {
@@ -40,7 +43,7 @@ pub(crate) fn finalize_response(req: &Request, resp: Response) -> Response {
 
 /// Admit one request: tick the logical clock, count it, intern the URL.
 /// Exactly one call per client request, on the event loop, before the
-/// inline hit path or a worker sees it.
+/// inline paths or a worker see it.
 pub(crate) fn begin_request(state: &Arc<ProxyState>, target: &str) -> (UrlId, u64) {
     let now = state.now.fetch_add(1, Ordering::SeqCst) + 1;
     AtomicProxyStats::add(&state.stats.requests, 1);
@@ -61,82 +64,148 @@ fn peek(
     Some((*meta, copy.clone(), fresh))
 }
 
-/// Fast path: serve a fresh cache hit inline on the event loop,
-/// without a worker round-trip. Declines (`None`) when the shard lock is
-/// contended, the document is absent, or the copy is past its TTL — the
-/// request is then dispatched to a worker with the same `(url, now)`, so
-/// the logical clock still ticks exactly once per request.
-///
-/// Returns the raw `(body, last_modified)` pair rather than a built
-/// [`Response`]: the reactor encodes the fixed-form hit head directly
-/// into a pooled buffer, so constructing a header map here would be the
-/// fast path's only allocation. The body `Bytes` is a refcount clone of
-/// the shard's copy — the document is never memcpy'd. Peek and policy
-/// touch happen under one `try_lock`ed shard guard; the shard lock is
-/// taken exactly once per hit.
-pub(crate) fn try_serve_fresh_hit(
-    config: &ProxyConfig,
-    state: &Arc<ProxyState>,
-    target: &str,
-    url: UrlId,
-    now: u64,
-) -> Option<(Bytes, Option<u64>)> {
-    let (meta, copy) = state.cache.try_with_shard_for(url, |cache, ext| {
-        let (meta, copy, fresh) = peek(cache, url, config.ttl, now)?;
-        if !fresh {
-            return None;
-        }
-        touch_resident(cache, ext, target, &meta, &copy, now);
-        Some((meta, copy))
-    })??;
-    AtomicProxyStats::add(&state.stats.hits, 1);
-    AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
-    state.log_access(config.access_log, now, target, meta.size, "HIT");
-    Some((copy.body, meta.last_modified))
+/// How a caller takes a shard lock. A worker waits for it. The event loop
+/// must never wait: it tries, and what it cannot do at once it gives to a
+/// worker.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ShardLock {
+    Wait,
+    Try,
 }
 
-/// The three cases of the paper's section 1, for a request already
-/// admitted by [`begin_request`]. May block on origin I/O and backoff
-/// sleeps — never run this on the reactor's event loop.
-pub(crate) fn proxy_get_at(
-    up: &mut Upstream,
-    config: ProxyConfig,
-    state: &Arc<ProxyState>,
+/// Why a caller that passed [`ShardLock::Wait`] may unwrap the answer.
+pub(crate) const WAITED: &str = "ShardLock::Wait is never refused";
+
+/// Run `f` under the lock of the shard owning `url`; `None` only when
+/// `lock` is [`ShardLock::Try`] and another thread holds the shard.
+fn visit<R>(
+    state: &ProxyState,
+    url: UrlId,
+    lock: ShardLock,
+    f: impl FnOnce(&mut ShardCache, &mut ShardExt) -> R,
+) -> Option<R> {
+    match lock {
+        ShardLock::Wait => Some(state.cache.with_shard_for(url, f)),
+        ShardLock::Try => state.cache.try_with_shard_for(url, f),
+    }
+}
+
+/// A request admitted by [`begin_request`] that the cache could not
+/// answer from memory: what it takes to fetch the document and conclude.
+#[derive(Debug)]
+pub(crate) struct Miss {
+    pub url: UrlId,
+    pub now: u64,
+    /// The resident copy past its freshness lifetime, if there is one:
+    /// the fetch is then a revalidation (case 2), else a plain GET
+    /// (case 3).
+    pub expired: Option<(DocMeta, Resident)>,
+}
+
+/// What the cache says to a request.
+pub(crate) enum Lookup {
+    /// Case 1: a consistent copy, already touched and counted. The raw
+    /// `(body, last_modified)` pair rather than a built [`Response`]: the
+    /// event loop encodes the fixed-form hit head directly into a pooled
+    /// buffer, so constructing a header map here would be the hit path's
+    /// only allocation. The body is a refcount clone of the shard's copy
+    /// — the document is never memcpy'd.
+    Hit {
+        body: Bytes,
+        last_modified: Option<u64>,
+    },
+    /// No copy, or an expired one: the origin must be asked.
+    Miss(Miss),
+}
+
+/// Count and log a document of `size` bytes served from memory.
+fn count_hit(config: &ProxyConfig, state: &ProxyState, target: &str, now: u64, size: u64) {
+    AtomicProxyStats::add(&state.stats.hits, 1);
+    AtomicProxyStats::add(&state.stats.bytes_from_cache, size);
+    state.log_access(config.access_log, now, target, size, "HIT");
+}
+
+/// Consult the cache for a request admitted by [`begin_request`]. Peek
+/// and (for a fresh copy) policy touch happen under one shard guard, so
+/// a hit enters the shard lock exactly once. `None` — nothing looked at,
+/// nothing counted — only under [`ShardLock::Try`] when the shard is
+/// contended; the request then goes to a worker with the same
+/// `(url, now)`, so the logical clock still ticks once per request.
+pub(crate) fn lookup(
+    config: &ProxyConfig,
+    state: &ProxyState,
     target: &str,
     url: UrlId,
     now: u64,
-) -> Response {
-    // Phase 1: consult the cache under the owning shard's lock only. A
-    // fresh hit records its policy touch under the same guard, so the
-    // hot path enters the shard lock exactly once (the reactor fast path
-    // in `try_serve_fresh_hit` follows the same single-visit protocol).
-    let peeked = state.cache.with_shard_for(url, |cache, ext| {
+    lock: ShardLock,
+) -> Option<Lookup> {
+    let resident = visit(state, url, lock, |cache, ext| {
         let (meta, copy, fresh) = peek(cache, url, config.ttl, now)?;
         if fresh {
             touch_resident(cache, ext, target, &meta, &copy, now);
         }
         Some((meta, copy, fresh))
-    });
-
-    let host = host_of(target);
-    if let Some((meta, copy, fresh)) = peeked {
-        if fresh {
-            // Case 1: consistent copy, serve it (already touched above).
-            AtomicProxyStats::add(&state.stats.hits, 1);
-            AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
-            state.log_access(config.access_log, now, target, meta.size, "HIT");
-            return Response::ok(copy.body, meta.last_modified).with_cache_status(true);
+    })?;
+    Some(match resident {
+        Some((meta, copy, true)) => {
+            count_hit(config, state, target, now, meta.size);
+            Lookup::Hit {
+                body: copy.body,
+                last_modified: meta.last_modified,
+            }
         }
-        // Case 2: revalidate with a conditional GET.
-        let since = Some(meta.last_modified.unwrap_or(0));
-        return match fetch_origin_resilient(up, target, since, &config, state, host) {
-            Ok(origin_resp) if origin_resp.status == 304 => {
-                AtomicProxyStats::add(&state.stats.revalidated, 1);
-                // The shard guard was dropped for the origin round trip, so
-                // this is a second visit (fresh hits touch under the guard
-                // they peeked with).
-                state.cache.with_shard_for(url, |cache, ext| {
-                    touch_resident(cache, ext, target, &meta, &copy, now);
+        expired => Lookup::Miss(Miss {
+            url,
+            now,
+            expired: expired.map(|(meta, copy, _)| (meta, copy)),
+        }),
+    })
+}
+
+impl Miss {
+    /// The `If-Modified-Since` of the origin request: the expired copy's
+    /// modification time for a revalidation, nothing for a plain GET.
+    pub fn if_modified_since(&self) -> Option<u64> {
+        self.expired
+            .as_ref()
+            .map(|(meta, _)| meta.last_modified.unwrap_or(0))
+    }
+
+    /// Whether this node is the home of `target`'s key. A non-owner in a
+    /// cluster serves but does not store: each key has one home, so
+    /// exactly one removal-policy instance governs its lifetime, and the
+    /// cluster's aggregate capacity is not spent on duplicates.
+    pub fn is_home(state: &ProxyState, target: &str) -> bool {
+        state
+            .cluster
+            .as_ref()
+            .is_none_or(|c| c.owner(target) == c.node_id())
+    }
+
+    /// Conclude with the origin's answer (any status below 500): a `304`
+    /// to a revalidation refreshes the copy and serves it as a hit, a
+    /// `200` is a miss — the bytes moved from the origin — stored (evicting
+    /// via the policy) unless this node is not the key's home, and
+    /// anything else passes through while our copy, if any, stays.
+    /// `Err` gives everything back untouched and uncounted: the shard is
+    /// contended and `lock` is [`ShardLock::Try`]. (Boxed: it is the rare
+    /// case, and travels on to a worker as it is.)
+    pub fn conclude(
+        self,
+        config: &ProxyConfig,
+        state: &ProxyState,
+        target: &str,
+        fetched: Fetched,
+        lock: ShardLock,
+    ) -> Result<Response, Box<(Miss, Fetched)>> {
+        let Miss { url, now, .. } = self;
+        match (&self.expired, fetched.status) {
+            (Some((meta, copy)), 304) => {
+                // The shard guard was dropped for the origin round trip,
+                // so this is a second visit (fresh hits touch under the
+                // guard they peeked with).
+                let refreshed = visit(state, url, lock, |cache, ext| {
+                    touch_resident(cache, ext, target, meta, copy, now);
                     if let Some(resident) = cache.payload_mut(url) {
                         resident.fetched_at = now;
                     }
@@ -145,19 +214,86 @@ pub(crate) fn proxy_get_at(
                         fetched_at: now,
                     });
                 });
-                AtomicProxyStats::add(&state.stats.hits, 1);
-                AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
-                state.log_access(config.access_log, now, target, meta.size, "HIT");
-                Response::ok(copy.body, meta.last_modified).with_cache_status(true)
+                if refreshed.is_none() {
+                    return Err(Box::new((self, fetched)));
+                }
+                AtomicProxyStats::add(&state.stats.revalidated, 1);
+                count_hit(config, state, target, now, meta.size);
+                Ok(Response::ok(copy.body.clone(), meta.last_modified).with_cache_status(true))
             }
-            Ok(origin_resp) if origin_resp.status == 200 => {
-                // Modified: insert the fresh copy.
-                serve_miss(state, Some(url), target, origin_resp, now, config)
+            (expired, 200) => {
+                let size = fetched.body.len() as u64;
+                // A modified document replaces the copy it was
+                // revalidating wherever that copy lives.
+                if expired.is_some() || Miss::is_home(state, target) {
+                    let r = reference(
+                        url,
+                        now,
+                        size,
+                        DocType::classify(target),
+                        fetched.last_modified,
+                    );
+                    let copy = Resident {
+                        body: fetched.body.clone(),
+                        fetched_at: now,
+                    };
+                    let stored = visit(state, url, lock, |cache, ext| {
+                        install(cache, ext, &r, target, &copy)
+                    });
+                    if stored.is_none() {
+                        return Err(Box::new((self, fetched)));
+                    }
+                }
+                AtomicProxyStats::add(&state.stats.misses, 1);
+                AtomicProxyStats::add(&state.stats.bytes_from_origin, size);
+                state.log_access(config.access_log, now, target, size, "MISS");
+                Ok(Response::ok(fetched.body, fetched.last_modified).with_cache_status(false))
             }
-            // Origin answered but with neither 304 nor a document (e.g.
-            // the document is gone): pass it through, keep our copy.
-            Ok(origin_resp) => origin_resp.into_response(),
-            Err(_e) if config.serve_stale => {
+            // The origin answered, but with neither a document nor a
+            // `304` to a revalidation (e.g. the document is gone).
+            _ => Ok(fetched.into_response()),
+        }
+    }
+}
+
+/// The three cases of the paper's section 1, for a request already
+/// admitted by [`begin_request`], run to the end on the calling thread.
+/// May block on origin I/O and backoff sleeps — never run this on the
+/// reactor's event loop.
+pub(crate) fn proxy_get_at(
+    up: &mut Upstream,
+    config: ProxyConfig,
+    state: &Arc<ProxyState>,
+    target: &str,
+    url: UrlId,
+    now: u64,
+) -> Response {
+    let miss = match lookup(&config, state, target, url, now, ShardLock::Wait).expect(WAITED) {
+        // Case 1: consistent copy, serve it.
+        Lookup::Hit {
+            body,
+            last_modified,
+        } => return Response::ok(body, last_modified).with_cache_status(true),
+        Lookup::Miss(miss) => miss,
+    };
+    // Case 3, no copy: in cluster mode, ask the key's owner first — a
+    // `FOUND` serves without touching the origin; `MISS`, timeout, or a
+    // dead peer all fall through to the origin (degrading to single-node
+    // behaviour, never a client-visible error).
+    if miss.expired.is_none() {
+        if let Some(resp) = cluster_peer_lookup(&config, state, target, now) {
+            return resp;
+        }
+    }
+    // Case 2 revalidates with a conditional GET; case 3 asks for the
+    // document.
+    let since = miss.if_modified_since();
+    match fetch_origin_resilient(up, target, since, &config, state, host_of(target)) {
+        Ok(fetched) => miss
+            .conclude(&config, state, target, fetched, ShardLock::Wait)
+            .expect(WAITED),
+        Err(e) => match miss.expired {
+            Some((meta, copy)) if config.serve_stale => {
                 // Revalidation failed: serve the expired copy, marked
                 // degraded, rather than surfacing the origin failure
                 // (`stale-if-error`). Freshness is NOT renewed — the next
@@ -174,32 +310,9 @@ pub(crate) fn proxy_get_at(
                     .with_cache_status(true)
                     .with_degraded()
             }
-            Err(e) => error_response(&e),
-        };
+            _ => error_response(&e),
+        },
     }
-
-    // Case 3: no copy. In cluster mode, ask the key's owner first — a
-    // `FOUND` serves without touching the origin; `MISS`, timeout, or a
-    // dead peer all fall through to the origin (degrading to
-    // single-node behaviour, never a client-visible error).
-    if let Some(resp) = cluster_peer_lookup(&config, state, target, now) {
-        return resp;
-    }
-    let origin_resp = match fetch_origin_resilient(up, target, None, &config, state, host) {
-        Ok(resp) => resp,
-        Err(e) => return error_response(&e),
-    };
-    if origin_resp.status != 200 {
-        return origin_resp.into_response();
-    }
-    // A non-owner serves but does not store: each key has one home, so
-    // exactly one removal-policy instance governs its lifetime, and the
-    // cluster's aggregate capacity is not spent on duplicates.
-    let home = state
-        .cluster
-        .as_ref()
-        .is_none_or(|c| c.owner(target) == c.node_id());
-    serve_miss(state, home.then_some(url), target, origin_resp, now, config)
 }
 
 /// Ask the owner of `target` for a fresh copy before paying the origin
@@ -444,35 +557,6 @@ fn log_insert(
         fetched_at: copy.fetched_at,
         body: copy.body.clone(),
     });
-}
-
-/// Serve a 200 origin response — a miss: the bytes moved from the
-/// origin — after storing it (evicting via the policy) under `store_as`,
-/// or without storing it when this node is not the key's home.
-fn serve_miss(
-    state: &Arc<ProxyState>,
-    store_as: Option<UrlId>,
-    target: &str,
-    origin_resp: Fetched,
-    now: u64,
-    config: ProxyConfig,
-) -> Response {
-    let size = origin_resp.body.len() as u64;
-    AtomicProxyStats::add(&state.stats.misses, 1);
-    AtomicProxyStats::add(&state.stats.bytes_from_origin, size);
-    let last_modified = origin_resp.last_modified;
-    if let Some(url) = store_as {
-        let r = reference(url, now, size, DocType::classify(target), last_modified);
-        let copy = Resident {
-            body: origin_resp.body.clone(),
-            fetched_at: now,
-        };
-        state
-            .cache
-            .with_shard_for(url, |cache, ext| install(cache, ext, &r, target, &copy));
-    }
-    state.log_access(config.access_log, now, target, size, "MISS");
-    Response::ok(origin_resp.body, last_modified).with_cache_status(false)
 }
 
 #[cfg(test)]

@@ -127,7 +127,9 @@ impl AtomicProxyStats {
 /// rate, resident bytes, breaker-table size, the serving engine's
 /// `worker_jobs` and `write_handbacks` (requests dispatched to a worker,
 /// and how many of those came back to the event loop to finish
-/// writing), persistence health, and —
+/// writing), `inline_fetches` and `inline_fallbacks` (origin exchanges
+/// the event loop ran itself, and inline attempts it handed to a worker
+/// after all), persistence health, and —
 /// in cluster mode — the ring epoch, member set, and peer counters.
 /// Origin-form (no `http://` host), so it can never collide with a
 /// cacheable URL.
@@ -142,7 +144,8 @@ pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
          \"bytes_from_cache\":{},\"bytes_from_origin\":{},\"cached_bytes\":{},\"retries\":{},\
          \"timeouts\":{},\"origin_failures\":{},\"breaker_trips\":{},\"breaker_fast_fails\":{},\
          \"stale_serves\":{},\"rejected\":{},\"breaker_entries\":{},\
-         \"worker_jobs\":{},\"write_handbacks\":{}",
+         \"worker_jobs\":{},\"write_handbacks\":{},\
+         \"inline_fetches\":{},\"inline_fallbacks\":{}",
         s.requests,
         s.hits,
         s.revalidated,
@@ -161,6 +164,8 @@ pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
         state.breakers.len(),
         state.worker_jobs(),
         state.write_handbacks(),
+        state.inline_fetches(),
+        state.inline_fallbacks(),
     );
     match state.persist_health.get() {
         Some(h) => {

@@ -1,24 +1,41 @@
-//! The proxy's side of the origin connection: persistent sockets and an
-//! allocation-light reader for the responses that arrive on them.
+//! The proxy's side of the origin connection: persistent sockets, an
+//! allocation-light reader for the responses that arrive on them, and the
+//! two ways an exchange is driven — blocking on a worker, or from the
+//! event loop under `epoll`.
 //!
 //! Every miss and every revalidation is one request/response exchange
-//! with the origin. Each proxy worker owns an [`Upstream`]: at most one
-//! idle `TcpStream` to the origin, a retained request buffer and a
-//! retained [`ResponseReader`]. A fetch asks for `Connection:
-//! keep-alive`; the socket goes back on the shelf only if the origin
-//! answered in kind with a `Content-Length`-delimited response, so the
-//! next miss on this worker skips the TCP handshake (and the origin's
+//! with the origin. Idle kept-alive sockets sit in one bounded
+//! [`IdlePool`] shared by the event loop and the workers: whoever runs an
+//! exchange takes a socket from it and puts it back only if the origin
+//! answered `Connection: keep-alive` with a `Content-Length`-delimited
+//! response, so the next miss skips the TCP handshake (and the origin's
 //! accept and thread hand-off). Any other answer — HTTP/1.0's default —
 //! closes the connection as before.
 //!
+//! **Two drivers, one parser.** [`ResponseReader`] is resumable: it keeps
+//! its place between reads, so the same code serves a worker that blocks
+//! on the socket ([`Upstream::fetch`], [`ResponseReader::read`]) and the
+//! event loop, which feeds it whatever has arrived each time `epoll`
+//! reports the socket readable ([`InlineExchange`]). Only a worker ever
+//! opens a connection, sleeps, retries or consults a breaker; the loop
+//! runs an exchange only on a socket that is already open and idle, and
+//! never waits on it: it sends and receives with `MSG_DONTWAIT`
+//! ([`DontWait`]), so a pooled socket stays in blocking mode with its
+//! timeouts set, ready for whichever side takes it next.
+//!
 //! **Stale connections.** An origin may close an idle connection at any
-//! time, and the proxy only finds out when it next uses it. An I/O error
-//! on a *reused* socket therefore says nothing about the origin's health:
-//! the socket is discarded and the same attempt runs once more on a fresh
-//! connection, inside [`Upstream::fetch`], so the retry loop, the timeout
-//! counter and the circuit breaker never see it. Only the fresh
-//! connection's outcome counts. (A malformed response is the origin
-//! talking nonsense, not a stale socket, and is returned as it is.)
+//! time, and the proxy only finds out when it next uses it. A failure on
+//! a *reused* socket therefore says nothing about the origin's health.
+//! On a worker an I/O error discards the socket and the same attempt runs
+//! once more on a fresh connection, inside [`Upstream::fetch`], so the
+//! retry loop, the timeout counter and the circuit breaker never see it;
+//! only the fresh connection's outcome counts. (A malformed response is
+//! the origin talking nonsense, not a stale socket, and is returned as it
+//! is.) On the event loop *any* failure — I/O error, end of stream, short
+//! body, stall, malformed head, `5xx` — discards the socket and hands the
+//! request to a worker, which runs the whole resilient fetch from the top:
+//! the same rule one level up, and the reason the inline path needs no
+//! retry, backoff, timeout or breaker accounting of its own.
 //!
 //! **Nagle.** Request and response each leave in a single write and the
 //! sockets set `TCP_NODELAY`: on a connection that stays open, a trailing
@@ -26,16 +43,20 @@
 //!
 //! [`http::read_response`] and [`http::write_request`] remain the
 //! blocking oracle: the reader here accepts the same grammar and bounds
-//! (`tests/upstream_pool.rs` holds the two equal on generated heads) and
-//! differs only where it is stricter — end of stream inside the head is an
-//! error, never an implicit end of headers, and [`http::MAX_HEADERS`]
-//! counts header lines rather than distinct names.
+//! (`tests/upstream_pool.rs` holds the two equal on generated heads,
+//! however the bytes are split across reads) and differs only where it is
+//! stricter — end of stream inside the head is an error, never an
+//! implicit end of headers, and [`http::MAX_HEADERS`] counts header lines
+//! rather than distinct names.
 
 use crate::config::ProxyConfig;
 use crate::http::{self, HttpError, Response, MAX_BODY, MAX_HEADERS, MAX_LINE};
+use crate::reactor::DontWait;
 use bytes::Bytes;
+use parking_lot::Mutex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What the proxy needs from a response head, parsed in place.
@@ -61,15 +82,44 @@ fn unexpected_eof(what: &str) -> HttpError {
     HttpError::Io(std::io::Error::new(ErrorKind::UnexpectedEof, what))
 }
 
-/// A reusable response reader: one fixed buffer, kept across responses,
-/// through which the head is read and parsed line by line without a
-/// `String` or a header map. The body is read into a `Vec` sized from the
-/// (bounded) `Content-Length` and never zero-filled.
+/// A reusable, resumable response reader: one fixed buffer, kept across
+/// responses, through which the head is read and parsed line by line
+/// without a `String` or a header map. The body is read into a `Vec`
+/// sized from the (bounded) `Content-Length` and never zero-filled.
+///
+/// The reader keeps its place between calls to [`ResponseReader::resume`],
+/// so a response may arrive over any number of them — that is how the
+/// event loop reads from a socket it must not wait on.
+/// [`ResponseReader::read`] is the blocking driver over the same steps.
 #[derive(Debug)]
 pub struct ResponseReader {
     /// Room for an unfinished line of up to [`MAX_LINE`] bytes plus a
     /// read of at least as much again.
     buf: Box<[u8]>,
+    /// Where the response in progress stands.
+    at: Place,
+}
+
+/// A [`ResponseReader`]'s place in one response; the default is the
+/// start of the next.
+#[derive(Debug, Default)]
+struct Place {
+    /// `buf[start..end]` holds bytes read but not yet parsed.
+    start: usize,
+    /// `buf[start..scan]` is known to hold no line break, so a head that
+    /// arrives a byte at a time is not rescanned on every read.
+    scan: usize,
+    end: usize,
+    /// Lines parsed so far, the status line included.
+    lines: usize,
+    head: ResponseHead,
+    /// The last `content-length` seen, `Some(None)` if unparseable.
+    length: Option<Option<u64>>,
+    /// The last `connection` header seen said `keep-alive`.
+    keep_alive_asked: bool,
+    /// The body received so far, once the head is complete; its capacity
+    /// is the `Content-Length`.
+    body: Option<Vec<u8>>,
 }
 
 impl Default for ResponseReader {
@@ -83,44 +133,99 @@ impl ResponseReader {
     pub fn new() -> ResponseReader {
         ResponseReader {
             buf: vec![0u8; 2 * MAX_LINE].into_boxed_slice(),
+            at: Place::default(),
         }
     }
 
+    /// Forget the response in progress, if any; the buffer is kept.
+    pub fn reset(&mut self) {
+        self.at = Place::default();
+    }
+
     /// Read one response — head, then exactly `Content-Length` body bytes
-    /// — from `stream`. A stream that ends early, in the head or in the
-    /// body, is an [`HttpError::Io`] of kind `UnexpectedEof`; a body is
-    /// never returned short. Nothing is allocated for the body until its
-    /// length has passed the [`MAX_BODY`] check.
+    /// — from `stream`, blocking as `stream` blocks. A stream that ends
+    /// early, in the head or in the body, is an [`HttpError::Io`] of kind
+    /// `UnexpectedEof`; a body is never returned short. Nothing is
+    /// allocated for the body until its length has passed the
+    /// [`MAX_BODY`] check.
     pub fn read<S: Read>(&mut self, stream: &mut S) -> Result<(ResponseHead, Bytes), HttpError> {
+        self.reset();
+        loop {
+            if let Some(response) = self.resume(stream, usize::MAX)? {
+                return Ok(response);
+            }
+        }
+    }
+
+    /// Take the response in progress further with what `stream` yields
+    /// now. `Ok(Some(..))` is the complete response (the reader is then
+    /// ready for [`ResponseReader::reset`]); `Ok(None)` means `budget`
+    /// body bytes were taken in this call and more are due — the event
+    /// loop's bound on one connection's turn. Every byte received stays
+    /// in place when `stream` returns an error, so after `WouldBlock` from
+    /// a socket that is not to be waited on, the next call picks up where
+    /// this one stopped. Errors and bounds are those of
+    /// [`ResponseReader::read`]; after any other error the reader must be
+    /// reset.
+    pub fn resume<S: Read>(
+        &mut self,
+        stream: &mut S,
+        budget: usize,
+    ) -> Result<Option<(ResponseHead, Bytes)>, HttpError> {
+        if self.at.body.is_none() {
+            self.resume_head(stream)?;
+        }
+        let len = self.at.head.content_length as usize;
+        let body = self.at.body.as_mut().expect("resume_head returned Ok");
+        let want = (len - body.len()).min(budget);
+        if want > 0 {
+            // `read_to_end` fills the spare capacity in place, and the
+            // limit keeps it from reading (or growing) past the body.
+            // What it read before an error stays in `body`.
+            let got = stream.by_ref().take(want as u64).read_to_end(body)?;
+            if got < want {
+                return Err(unexpected_eof("body shorter than its content-length"));
+            }
+        }
+        if body.len() < len {
+            return Ok(None);
+        }
+        let body = self.at.body.take().expect("checked above");
+        Ok(Some((self.at.head, Bytes::from(body))))
+    }
+
+    /// Read and parse head lines until the blank line, then check the
+    /// length and set `body` to the bytes that arrived with the head.
+    fn resume_head<S: Read>(&mut self, stream: &mut S) -> Result<(), HttpError> {
         let buf = &mut self.buf[..];
-        // buf[start..end] holds bytes read but not yet parsed;
-        // buf[start..scan] is known to hold no line break, so a head that
-        // arrives a byte at a time is not rescanned on every read.
-        let (mut start, mut scan, mut end) = (0usize, 0usize, 0usize);
-        let mut head = ResponseHead::default();
-        // Lines parsed so far, the status line included.
-        let mut lines = 0usize;
-        // The last `content-length` seen, `Some(None)` if unparseable.
-        let mut length: Option<Option<u64>> = None;
-        let mut connection_keep_alive = false;
+        let Place {
+            start,
+            scan,
+            end,
+            lines,
+            head,
+            length,
+            keep_alive_asked,
+            body,
+        } = &mut self.at;
         'head: loop {
-            while let Some(nl) = buf[scan..end].iter().position(|&b| b == b'\n') {
-                let line = &buf[start..=scan + nl];
-                start = scan + nl + 1;
-                scan = start;
+            while let Some(nl) = buf[*scan..*end].iter().position(|&b| b == b'\n') {
+                let line = &buf[*start..=*scan + nl];
+                *start = *scan + nl + 1;
+                *scan = *start;
                 if line.len() > MAX_LINE {
                     return Err(line_too_long());
                 }
                 let line = std::str::from_utf8(line)
                     .map_err(|_| malformed("non-UTF-8 bytes in response head"))?;
-                if lines == 0 {
+                if *lines == 0 {
                     head.status = parse_status_line(line)?;
                 } else {
                     let line = line.trim_end();
                     if line.is_empty() {
                         break 'head;
                     }
-                    if lines > MAX_HEADERS {
+                    if *lines > MAX_HEADERS {
                         return Err(malformed(format!("more than {MAX_HEADERS} headers")));
                     }
                     let (name, value) = line
@@ -130,31 +235,31 @@ impl ResponseReader {
                     // A repeated header replaces the earlier one, as in
                     // the oracle's map.
                     if name.eq_ignore_ascii_case("content-length") {
-                        length = Some(value.parse().ok());
+                        *length = Some(value.parse().ok());
                     } else if name.eq_ignore_ascii_case("last-modified") {
                         head.last_modified = value.parse().ok();
                     } else if name.eq_ignore_ascii_case("connection") {
-                        connection_keep_alive = value.eq_ignore_ascii_case("keep-alive");
+                        *keep_alive_asked = value.eq_ignore_ascii_case("keep-alive");
                     }
                 }
-                lines += 1;
+                *lines += 1;
             }
-            if end - start >= MAX_LINE {
+            if *end - *start >= MAX_LINE {
                 return Err(line_too_long());
             }
             // Move the unfinished line to the front: at least MAX_LINE
             // bytes of room follow it.
-            buf.copy_within(start..end, 0);
-            end -= start;
-            (start, scan) = (0, end);
-            match stream.read(&mut buf[end..]) {
+            buf.copy_within(*start..*end, 0);
+            *end -= *start;
+            (*start, *scan) = (0, *end);
+            match stream.read(&mut buf[*end..]) {
                 Ok(0) => return Err(unexpected_eof("stream ended inside the response head")),
-                Ok(n) => end += n,
+                Ok(n) => *end += n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        head.content_length = match length {
+        head.content_length = match *length {
             Some(parsed) => parsed.ok_or_else(|| malformed("bad content-length"))?,
             None => 0,
         };
@@ -166,26 +271,12 @@ impl ResponseReader {
         }
         let len = usize::try_from(head.content_length)
             .map_err(|_| malformed("content-length exceeds the address space"))?;
-        let read_ahead = &buf[start..end];
-        head.keep_alive = connection_keep_alive && length.is_some() && read_ahead.len() <= len;
-        if len == 0 {
-            return Ok((head, Bytes::new()));
-        }
-        let mut body = Vec::with_capacity(len);
-        body.extend_from_slice(&read_ahead[..read_ahead.len().min(len)]);
-        let missing = len - body.len();
-        if missing > 0 {
-            // `read_to_end` fills the spare capacity in place, and the
-            // limit keeps it from reading (or growing) past the body.
-            let got = stream
-                .by_ref()
-                .take(missing as u64)
-                .read_to_end(&mut body)?;
-            if got < missing {
-                return Err(unexpected_eof("body shorter than its content-length"));
-            }
-        }
-        Ok((head, Bytes::from(body)))
+        let read_ahead = &buf[*start..*end];
+        head.keep_alive = *keep_alive_asked && length.is_some() && read_ahead.len() <= len;
+        let mut received = Vec::with_capacity(len);
+        received.extend_from_slice(&read_ahead[..read_ahead.len().min(len)]);
+        *body = Some(received);
+        Ok(())
     }
 }
 
@@ -214,6 +305,14 @@ pub(crate) struct Fetched {
 }
 
 impl Fetched {
+    fn new(head: ResponseHead, body: Bytes) -> Fetched {
+        Fetched {
+            status: head.status,
+            last_modified: head.last_modified,
+            body,
+        }
+    }
+
     /// The answer as a client-facing response, for statuses the proxy
     /// passes through (neither a document nor a `304`).
     pub fn into_response(self) -> Response {
@@ -239,26 +338,63 @@ fn encode_request(buf: &mut Vec<u8>, target: &str, if_modified_since: Option<u64
     buf.extend_from_slice(b"\r\n");
 }
 
-/// One worker's connection to the origin (see the module docs). Dropped
-/// with the worker, which closes the idle socket.
+/// Idle sockets kept at most. Enough for every worker of a default
+/// configuration on a few cores plus the event loop's exchanges in
+/// flight; beyond it a finished exchange closes its socket, which is
+/// what every fetch did before connections were kept.
+const MAX_IDLE: usize = 32;
+
+/// The idle kept-alive origin sockets, shared by the event loop and the
+/// workers. A socket is in the pool only between exchanges, in blocking
+/// mode with its timeouts set; whoever takes it is its one holder until
+/// it is put back or dropped. Last in, first out: the socket most
+/// recently used is the one least likely to have been closed by the
+/// origin meanwhile.
+#[derive(Debug)]
+pub(crate) struct IdlePool {
+    sockets: Mutex<Vec<TcpStream>>,
+}
+
+impl IdlePool {
+    pub fn new() -> IdlePool {
+        IdlePool {
+            sockets: Mutex::new(Vec::with_capacity(MAX_IDLE)),
+        }
+    }
+
+    fn take(&self) -> Option<TcpStream> {
+        self.sockets.lock().pop()
+    }
+
+    /// Keep `stream` for the next exchange, or close it if the pool is
+    /// full.
+    fn put(&self, stream: TcpStream) {
+        let mut sockets = self.sockets.lock();
+        if sockets.len() < MAX_IDLE {
+            sockets.push(stream);
+        }
+    }
+}
+
+/// One worker's way to the origin (see the module docs): the shared idle
+/// pool, a retained request buffer and a retained reader.
 pub(crate) struct Upstream {
     origin: SocketAddr,
     connect_timeout: Duration,
     /// Read and write timeout of every origin socket.
     io_timeout: Duration,
-    /// The socket of the last exchange, when the origin agreed to keep it.
-    idle: Option<TcpStream>,
+    idle: Arc<IdlePool>,
     request: Vec<u8>,
     reader: ResponseReader,
 }
 
 impl Upstream {
-    pub fn new(origin: SocketAddr, config: &ProxyConfig) -> Upstream {
+    pub fn new(origin: SocketAddr, config: &ProxyConfig, idle: Arc<IdlePool>) -> Upstream {
         Upstream {
             origin,
             connect_timeout: config.connect_timeout,
             io_timeout: config.read_timeout,
-            idle: None,
+            idle,
             request: Vec::new(),
             reader: ResponseReader::new(),
         }
@@ -296,13 +432,117 @@ impl Upstream {
         stream.write_all(&self.request)?;
         let (head, body) = self.reader.read(&mut stream)?;
         if head.keep_alive {
-            self.idle = Some(stream);
+            self.idle.put(stream);
         }
-        Ok(Fetched {
-            status: head.status,
-            last_modified: head.last_modified,
-            body,
-        })
+        Ok(Fetched::new(head, body))
+    }
+}
+
+/// Body bytes the event loop takes from one origin socket per readiness
+/// event. A large document arrives over many events, with every other
+/// connection served in between, instead of in one long drain.
+const INLINE_READ_BUDGET: usize = 256 * 1024;
+
+/// Readers kept for the next inline exchange (16 KiB each).
+const MAX_SPARE_READERS: usize = 8;
+
+/// The event loop's way to the origin: the shared idle pool, and buffers
+/// kept across exchanges so that starting one allocates nothing.
+pub(crate) struct InlineUpstream {
+    idle: Arc<IdlePool>,
+    request: Vec<u8>,
+    readers: Vec<ResponseReader>,
+}
+
+/// How [`InlineUpstream::begin`] went.
+pub(crate) enum Begun {
+    /// Nothing was tried: the pool is empty.
+    NoIdleSocket,
+    /// The socket would not take the request whole at once; it is gone.
+    SendFailed,
+    /// The request is on its way.
+    Sent(InlineExchange),
+}
+
+/// An exchange in flight on the event loop: the socket (this is its one
+/// holder) and the reader that keeps the response's place between
+/// readiness events.
+#[derive(Debug)]
+pub(crate) struct InlineExchange {
+    stream: TcpStream,
+    reader: ResponseReader,
+}
+
+/// What a readiness event on an [`InlineExchange`] amounted to.
+pub(crate) enum Progress {
+    /// More is due; bytes arrived, so the origin is not stalled.
+    Pending,
+    /// The whole response; `keep_alive` says whether the socket may be
+    /// used again.
+    Done { fetched: Fetched, keep_alive: bool },
+    /// The exchange cannot be completed on this socket.
+    Failed,
+}
+
+impl InlineUpstream {
+    pub fn new(idle: Arc<IdlePool>) -> InlineUpstream {
+        InlineUpstream {
+            idle,
+            request: Vec::new(),
+            readers: Vec::new(),
+        }
+    }
+
+    /// Take an idle socket and send the request on it without waiting.
+    pub fn begin(&mut self, target: &str, if_modified_since: Option<u64>) -> Begun {
+        let Some(stream) = self.idle.take() else {
+            return Begun::NoIdleSocket;
+        };
+        encode_request(&mut self.request, target, if_modified_since);
+        // An idle socket's send buffer is empty, so a request that does
+        // not fit at once means the socket is no good.
+        match DontWait(&stream).write(&self.request) {
+            Ok(n) if n == self.request.len() => {}
+            _ => return Begun::SendFailed,
+        }
+        let mut reader = self.readers.pop().unwrap_or_default();
+        reader.reset();
+        Begun::Sent(InlineExchange { stream, reader })
+    }
+
+    /// Take back what a finished or abandoned exchange held: the reader
+    /// always, the socket when it may carry another request (the caller
+    /// has taken it out of epoll). A socket not kept is closed here.
+    pub fn end(&mut self, exchange: InlineExchange, keep_socket: bool) {
+        if keep_socket {
+            self.idle.put(exchange.stream);
+        }
+        if self.readers.len() < MAX_SPARE_READERS {
+            self.readers.push(exchange.reader);
+        }
+    }
+}
+
+impl InlineExchange {
+    /// The origin socket, for epoll registration.
+    pub fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    /// The socket is readable: take what has arrived, never waiting.
+    pub fn on_readable(&mut self) -> Progress {
+        match self
+            .reader
+            .resume(&mut DontWait(&self.stream), INLINE_READ_BUDGET)
+        {
+            Ok(Some((head, body))) => Progress::Done {
+                fetched: Fetched::new(head, body),
+                keep_alive: head.keep_alive,
+            },
+            Ok(None) => Progress::Pending,
+            Err(HttpError::Io(e)) if e.kind() == ErrorKind::WouldBlock => Progress::Pending,
+            Err(_) => Progress::Failed,
+        }
     }
 }
 

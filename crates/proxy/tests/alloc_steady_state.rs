@@ -29,9 +29,8 @@
 //! ## Documented miss-path allocations (allowed, outside the window)
 //!
 //! The miss path allocates by design — its cost is the origin round
-//! trip. Specifically: the owned `Request` built at dispatch (method and
-//! target `String` clones, the moved header `BTreeMap` nodes), the job
-//! queue push, the origin fetch's read buffers and `Response`, the
+//! trip. Specifically: the target `String` copied at dispatch, the job
+//! queue push, the origin fetch's reader, body and `Response`, the
 //! cache insert (shard maps, policy state, interner entry for a new
 //! URL), and the completion `Vec` regrowth. All happen before the
 //! measured window opens and are why the warmup does one miss first.

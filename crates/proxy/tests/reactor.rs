@@ -4,11 +4,17 @@
 //! must shed with `503`, and a fixed exchange must keep its golden
 //! statuses and counters. A dispatched connection belongs to its worker:
 //! the worker writes the response and closes the socket, and hands back
-//! to the event loop only what the socket would not take.
+//! to the event loop only what the socket would not take. A miss that
+//! finds an idle origin connection never leaves the event loop: the loop
+//! runs the exchange without blocking on it, answers with the bytes and
+//! counters a worker would have produced, and leaks neither socket when
+//! the client or the origin goes away mid-exchange.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::io::{BufReader, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use webcache_core::policy::named;
 use webcache_proxy::fault::{FaultPlan, FaultyOrigin};
@@ -27,6 +33,12 @@ fn get(proxy: &ProxyServer, url: &str) -> Response {
     let mut s = TcpStream::connect(proxy.addr()).unwrap();
     http::write_request(&mut s, &Request::get(url)).unwrap();
     http::read_response(&mut s).unwrap()
+}
+
+/// The body of `GET /__webcache/stats`.
+fn stats_json(proxy: &ProxyServer) -> String {
+    let stats = get(proxy, "/__webcache/stats");
+    String::from_utf8(stats.body.to_vec()).unwrap()
 }
 
 /// Poll `cond` until it holds; the tests below wait on the proxy's own
@@ -70,6 +82,146 @@ impl Read for Sleepy {
         std::thread::sleep(Duration::from_millis(1));
         let n = buf.len().min(64 << 10);
         self.0.read(&mut buf[..n])
+    }
+}
+
+/// A keep-alive origin for the inline-fetch tests, one thread per
+/// connection, serving synthetic documents (last-modified 10) whose size
+/// and manner follow from the URL:
+///
+/// * `held`: 64 KiB. The head and half the body go out, `started` is
+///   signalled, and the rest follows only once `release` is.
+/// * `cut`, on a connection that has answered before (a reused one): the
+///   head and half the body, then the connection is closed.
+/// * `late`: answered after a few milliseconds.
+///
+/// Everything else is 500 bytes at once.
+struct MoodyOrigin {
+    addr: SocketAddr,
+    connections: Arc<AtomicU64>,
+    started: Receiver<()>,
+    release: Sender<()>,
+    shutdown: Arc<AtomicBool>,
+    acceptor: Option<std::thread::JoinHandle<()>>,
+}
+
+fn moody_size(url: &str) -> u64 {
+    if url.contains("held") {
+        64 << 10
+    } else {
+        500
+    }
+}
+
+impl MoodyOrigin {
+    fn start() -> MoodyOrigin {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let connections = Arc::new(AtomicU64::new(0));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (started_tx, started) = channel();
+        let (release, release_rx) = channel();
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        let acceptor = {
+            let connections = Arc::clone(&connections);
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || {
+                let mut serving: Vec<std::thread::JoinHandle<()>> = Vec::new();
+                for conn in listener.incoming() {
+                    if shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = conn else { continue };
+                    connections.fetch_add(1, Ordering::SeqCst);
+                    serving.retain(|thread| !thread.is_finished());
+                    let shutdown = Arc::clone(&shutdown);
+                    let started = started_tx.clone();
+                    let release = Arc::clone(&release_rx);
+                    serving.push(std::thread::spawn(move || {
+                        let _ = moody_serve(stream, &shutdown, &started, &release);
+                    }));
+                }
+                for thread in serving {
+                    let _ = thread.join();
+                }
+            })
+        };
+        MoodyOrigin {
+            addr,
+            connections,
+            started,
+            release,
+            shutdown,
+            acceptor: Some(acceptor),
+        }
+    }
+
+    fn connections(&self) -> u64 {
+        self.connections.load(Ordering::SeqCst)
+    }
+}
+
+impl Drop for MoodyOrigin {
+    fn drop(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+        if let Some(h) = self.acceptor.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Serve one connection until the peer closes it, a `cut` closes it, or
+/// the origin shuts down (noticed within one poll of the idle socket).
+fn moody_serve(
+    stream: TcpStream,
+    shutdown: &AtomicBool,
+    started: &Sender<()>,
+    release: &Mutex<Receiver<()>>,
+) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(Duration::from_millis(20)))?;
+    let mut reader = BufReader::new(stream);
+    let mut answered = 0;
+    loop {
+        match reader.get_ref().peek(&mut [0u8; 1]) {
+            Ok(0) => return Ok(()),
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if shutdown.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+                continue;
+            }
+            Err(e) => return Err(e),
+        }
+        let Ok(req) = http::read_request_from(&mut reader) else {
+            return Ok(());
+        };
+        let url = req.target.as_str();
+        let body = http::synthetic_body(url, moody_size(url));
+        let resp = Response::ok(body, Some(10)).with_connection(true);
+        let half = resp.body.len() / 2;
+        let stream = reader.get_mut();
+        if url.contains("late") {
+            std::thread::sleep(Duration::from_millis(3));
+        }
+        if url.contains("held") {
+            stream.write_all(&http::encode_response_head(&resp))?;
+            stream.write_all(&resp.body[..half])?;
+            let _ = started.send(());
+            let _ = release.lock().unwrap().recv();
+            stream.write_all(&resp.body[half..])?;
+        } else if url.contains("cut") && answered > 0 {
+            stream.write_all(&http::encode_response_head(&resp))?;
+            stream.write_all(&resp.body[..half])?;
+            return Ok(());
+        } else {
+            if http::write_response(stream, &resp).is_err() {
+                return Ok(());
+            }
+        }
+        answered += 1;
     }
 }
 
@@ -271,10 +423,7 @@ fn small_miss_is_written_and_closed_by_its_worker() {
     // The socket took the whole response, so nothing crossed back to
     // the event loop — and an operator can read that off the endpoint.
     assert_eq!((proxy.worker_jobs(), proxy.write_handbacks()), (1, 0));
-    let mut s = TcpStream::connect(proxy.addr()).unwrap();
-    http::write_request(&mut s, &Request::get("/__webcache/stats")).unwrap();
-    let stats = http::read_response(&mut s).unwrap();
-    let json = String::from_utf8(stats.body.to_vec()).unwrap();
+    let json = stats_json(&proxy);
     assert!(
         json.contains("\"worker_jobs\":1,\"write_handbacks\":0"),
         "{json}"
@@ -291,11 +440,12 @@ fn body_larger_than_the_socket_is_finished_by_the_event_loop() {
 
     let slow = big_miss_handed_back(&proxy);
 
-    // Not one byte of the big response has been read, yet the only
-    // worker is free: a second miss goes through it right now.
+    // Not one byte of the big response has been read, yet nobody is
+    // waiting on that client: a second miss is answered right now (by
+    // the loop itself, on the origin connection the worker left idle).
     let r = get(&proxy, "http://o.test/a.html");
     assert_eq!(r.status, 200);
-    assert_eq!(proxy.worker_jobs(), 2);
+    assert_eq!((proxy.worker_jobs(), proxy.inline_fetches()), (1, 1));
 
     // The event loop drains the rest at the client's pace, byte-exact.
     let resp = http::read_response(&mut Sleepy(slow)).unwrap();
@@ -332,13 +482,158 @@ fn client_stalling_mid_response_is_dropped_by_the_deadline_wheel() {
     assert_eq!(get(&proxy, "http://o.test/a.html").status, 200);
 }
 
+#[test]
+fn hit_is_answered_while_an_inline_fetch_waits_on_a_dribbling_origin() {
+    let origin = MoodyOrigin::start();
+    let config = ProxyConfig::new(1 << 20).with_workers(1, 4);
+    let proxy = ProxyServer::start(origin.addr, config, || Box::new(named::lru())).unwrap();
+    // One miss through the worker leaves an idle origin connection
+    // behind, and a document to hit.
+    assert_eq!(get(&proxy, "http://o.test/a.html").status, 200);
+    assert_eq!((proxy.worker_jobs(), origin.connections()), (1, 1));
+
+    // The next miss goes out on it from the event loop, and the origin
+    // sits on the second half of the body.
+    let held = "http://o.test/held.bin";
+    let addr = proxy.addr();
+    let parked = std::thread::spawn(move || {
+        let mut s = TcpStream::connect(addr).unwrap();
+        http::write_request(&mut s, &Request::get(held)).unwrap();
+        http::read_response(&mut s).unwrap()
+    });
+    origin.started.recv().unwrap();
+
+    // Meanwhile the loop is not blocked: it answers a hit, and the stats
+    // endpoint, with the fetch still parked on its origin socket.
+    let hit = get(&proxy, "http://o.test/a.html");
+    assert!(hit.is_cache_hit());
+    let json = stats_json(&proxy);
+    assert!(
+        json.contains("\"worker_jobs\":1,") && json.contains("\"inline_fetches\":0,"),
+        "{json}"
+    );
+    assert_eq!(proxy.stats().misses, 1, "the held fetch is still out");
+
+    origin.release.send(()).unwrap();
+    let resp = parked.join().unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body, http::synthetic_body(held, moody_size(held)));
+    assert_eq!(
+        (
+            proxy.worker_jobs(),
+            proxy.inline_fetches(),
+            proxy.inline_fallbacks()
+        ),
+        (1, 1, 0)
+    );
+    assert_eq!(origin.connections(), 1);
+    assert!(get(&proxy, held).is_cache_hit(), "the loop stored it");
+}
+
+#[test]
+fn big_inline_miss_is_read_piecewise_and_drained_under_epollout() {
+    let origin = origin_with_a_big_doc();
+    let config = ProxyConfig::new(100_000)
+        .with_workers(1, 4)
+        .with_timeouts(Duration::from_secs(1), Duration::from_secs(2));
+    let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
+    assert_eq!(get(&proxy, "http://o.test/a.html").status, 200);
+    assert_eq!(proxy.worker_jobs(), 1);
+
+    // 16 MiB come in over the kept origin connection a budget at a time,
+    // and go out at the pace of a client that sleeps between reads: far
+    // more than the client socket takes at once, so the loop finishes the
+    // write under `EPOLLOUT`. No worker sees any of it.
+    let mut s = TcpStream::connect(proxy.addr()).unwrap();
+    http::write_request(&mut s, &Request::get(BIG_URL)).unwrap();
+    let resp = http::read_response(&mut Sleepy(s)).unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(!resp.is_cache_hit());
+    assert!(
+        resp.body == http::synthetic_body(BIG_URL, BIG),
+        "inline body differs from the origin's ({} bytes)",
+        resp.body.len()
+    );
+    assert_eq!(
+        (
+            proxy.worker_jobs(),
+            proxy.inline_fetches(),
+            proxy.inline_fallbacks(),
+            proxy.write_handbacks()
+        ),
+        (1, 1, 0, 0)
+    );
+    // And the origin connection came back in one piece.
+    assert_eq!(get(&proxy, "http://o.test/a.html").status, 200);
+    assert_eq!(origin.stats().connections.load(Ordering::Relaxed), 1);
+}
+
+/// Every byte a client reads until the proxy closes the connection.
+fn raw_exchange(proxy: &ProxyServer, req: &Request) -> Vec<u8> {
+    let mut s = TcpStream::connect(proxy.addr()).unwrap();
+    http::write_request(&mut s, req).unwrap();
+    let mut wire = Vec::new();
+    s.read_to_end(&mut wire).unwrap();
+    wire
+}
+
+#[test]
+fn inline_and_worker_paths_put_the_same_bytes_on_the_wire() {
+    // The same exchange through two proxies. One talks to the origin
+    // directly, so after the first miss the event loop runs every origin
+    // exchange itself; the other talks through the fault shim with no
+    // faults planned, which answers `Connection: close`, so every one of
+    // them is a worker's.
+    let origin = origin_with_docs();
+    let shim = FaultyOrigin::start(origin.addr(), FaultPlan::new(1)).unwrap();
+    let config = ProxyConfig::new(100_000).with_workers(1, 4).with_ttl(2);
+    let start = |addr| ProxyServer::start(addr, config, || Box::new(named::lru())).unwrap();
+    let (inline, worker) = (start(origin.addr()), start(shim.addr()));
+
+    let a = "http://o.test/a.html";
+    let exchange = [
+        Request::get(a),
+        Request::get("http://o.test/b.gif"),
+        // A client's conditional GET for a document not cached: fetched,
+        // stored, and answered `304` because its copy (10) is not newer.
+        Request::get("http://o.test/c.au").with_header("If-Modified-Since", "10"),
+        // Not there: the origin's `404` passes through.
+        Request::get("http://o.test/gone.html"),
+        // Past its TTL: revalidated with a conditional GET (`304`).
+        Request::get(a),
+        // The same, for a client whose copy is older: the document.
+        Request::get("http://o.test/b.gif").with_header("If-Modified-Since", "3"),
+        // Fresh again, and not newer than the client's: `304` off the
+        // hit path.
+        Request::get(a).with_header("If-Modified-Since", "10"),
+        // Revalidated and conditional at once.
+        Request::get("http://o.test/c.au").with_header("If-Modified-Since", "10"),
+    ];
+    for (i, req) in exchange.iter().enumerate() {
+        let (got, want) = (raw_exchange(&inline, req), raw_exchange(&worker, req));
+        assert!(
+            got == want,
+            "request {i}: inline path sent\n{}\nworker path sent\n{}",
+            String::from_utf8_lossy(&got[..got.len().min(300)]),
+            String::from_utf8_lossy(&want[..want.len().min(300)])
+        );
+    }
+    assert_eq!(inline.stats(), worker.stats());
+    let st = inline.stats();
+    assert_eq!((st.misses, st.revalidated), (3, 3));
+    // Seven origin exchanges each; the first had no idle connection yet.
+    assert_eq!((inline.worker_jobs(), inline.inline_fetches()), (1, 6));
+    assert_eq!((worker.worker_jobs(), worker.inline_fetches()), (7, 0));
+    assert_eq!(inline.inline_fallbacks() + worker.inline_fallbacks(), 0);
+}
+
 fn open_fds() -> usize {
     std::fs::read_dir("/proc/self/fd").unwrap().count()
 }
 
 #[test]
 #[ignore = "counts the fds of the whole test process: run with --ignored --test-threads 1"]
-fn clients_that_hang_up_while_dispatched_leak_nothing() {
+fn clients_and_origins_that_hang_up_mid_exchange_leak_nothing() {
     const GONE: usize = 200;
     let store = Arc::new(DocStore::new());
     for i in 0..GONE {
@@ -385,4 +680,54 @@ fn clients_that_hang_up_while_dispatched_leak_nothing() {
     // …and a failed write was the whole cost: nothing shed, nothing
     // handed back to the loop.
     assert_eq!((proxy.stats().rejected, proxy.write_handbacks()), (0, 0));
+    drop((proxy, held, origin));
+
+    // The same through the event loop's own origin exchanges, where a
+    // connection holds two sockets: clients that hang up while the loop
+    // waits for the origin, an origin that closes the kept socket
+    // mid-body, and normal requests in between. One request at a time, so
+    // the idle pool holds one connection before, throughout and after.
+    let origin = MoodyOrigin::start();
+    let config = ProxyConfig::new(1 << 20)
+        .with_workers(1, 8)
+        .with_retries(0, Duration::from_millis(1));
+    let proxy = ProxyServer::start(origin.addr, config, || Box::new(named::lru())).unwrap();
+    assert_eq!(get(&proxy, "http://o.test/warm.html").status, 200);
+    let baseline = open_fds();
+
+    let mut cut = 0;
+    for i in 0..GONE {
+        let answered = proxy.stats().misses;
+        match i % 4 {
+            // Gone before the origin has answered.
+            0 | 1 => {
+                let mut s = TcpStream::connect(proxy.addr()).unwrap();
+                let url = format!("http://o.test/late{i}.html");
+                http::write_request(&mut s, &Request::get(&url)).unwrap();
+                drop(s);
+            }
+            // The origin hangs up half-way through the body: a worker
+            // redoes the fetch on a connection of its own.
+            2 => {
+                let r = get(&proxy, &format!("http://o.test/cut{i}.html"));
+                assert_eq!((r.status, r.body.len()), (200, 500), "cut {i}");
+                cut += 1;
+            }
+            _ => {
+                let r = get(&proxy, &format!("http://o.test/live{i}.html"));
+                assert_eq!(r.status, 200, "normal request {i}");
+            }
+        }
+        wait_for("the request to be concluded", || {
+            proxy.stats().misses == answered + 1
+        });
+    }
+    wait_for("the fd count to return to its baseline", || {
+        open_fds() == baseline
+    });
+    assert_eq!(proxy.inline_fallbacks(), cut);
+    assert_eq!(proxy.inline_fetches(), GONE as u64 - cut);
+    assert_eq!(proxy.worker_jobs(), 1 + cut);
+    let st = proxy.stats();
+    assert_eq!((st.rejected, st.retries, st.origin_failures), (0, 0, 0));
 }

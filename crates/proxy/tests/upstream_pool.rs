@@ -1,15 +1,18 @@
 //! Persistent upstream connections (`proxy::upstream`): misses reuse a
-//! worker's origin connection, a stale idle connection is replaced
-//! without the retry loop or the breaker noticing, a dead origin is still
-//! a dead origin, the fault shim is never reused, a body is never served
-//! short — and the reader behind it all agrees with the blocking oracle
-//! `http::read_response`. The cluster frame reader is held to the same
-//! allocation rule here, beside the tracker that can show it.
+//! pooled origin connection — the event loop running the exchange itself
+//! once one is idle — a stale idle connection is replaced without the
+//! retry loop or the breaker noticing, whether it was closed, cut short
+//! or left hanging mid-exchange, a dead origin is still a dead origin,
+//! the fault shim is never reused, a body is never served short — and the
+//! reader behind it all agrees with the blocking oracle
+//! `http::read_response` however the bytes are split across reads. The
+//! cluster frame reader is held to the same allocation rule here, beside
+//! the tracker that can show it.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,12 +84,19 @@ enum Reply {
     Full,
     /// The same head, 400 of the 1000 bytes, then close.
     Short,
+    /// The same head and 400 bytes, then nothing for [`STALL`], then
+    /// close.
+    Stall,
 }
+
+/// Several times the read timeout of the test that uses it.
+const STALL: Duration = Duration::from_millis(900);
 
 const SCRIPTED_BODY: u64 = 1000;
 
 /// An origin that follows a script: connection `i` answers one request
 /// per entry of `script[i]` and is then closed, whatever it promised.
+/// One thread per connection, so a stalled one does not hold up the next.
 struct ScriptedOrigin {
     addr: SocketAddr,
     connections: Arc<AtomicU64>,
@@ -104,6 +114,7 @@ impl ScriptedOrigin {
             let connections = Arc::clone(&connections);
             let shutdown = Arc::clone(&shutdown);
             std::thread::spawn(move || {
+                let mut serving = Vec::new();
                 for conn in listener.incoming() {
                     if shutdown.load(Ordering::SeqCst) {
                         break;
@@ -111,25 +122,10 @@ impl ScriptedOrigin {
                     let Ok(stream) = conn else { continue };
                     let index = connections.fetch_add(1, Ordering::SeqCst) as usize;
                     let replies = script.get(index).cloned().unwrap_or_default();
-                    let mut reader = std::io::BufReader::new(stream);
-                    for reply in replies {
-                        let Ok(req) = http::read_request_from(&mut reader) else {
-                            break;
-                        };
-                        let body = http::synthetic_body(&req.target, SCRIPTED_BODY);
-                        let resp = Response::ok(body, Some(10)).with_connection(true);
-                        let stream = reader.get_mut();
-                        match reply {
-                            Reply::Full => {
-                                let _ = http::write_response(stream, &resp);
-                            }
-                            Reply::Short => {
-                                let _ = stream.write_all(&http::encode_response_head(&resp));
-                                let _ = stream.write_all(&resp.body[..400]);
-                                break;
-                            }
-                        }
-                    }
+                    serving.push(std::thread::spawn(move || follow(stream, replies)));
+                }
+                for thread in serving {
+                    let _ = thread.join();
                 }
             })
         };
@@ -146,6 +142,32 @@ impl ScriptedOrigin {
     }
 }
 
+/// Answer one request per entry of `replies`, then close.
+fn follow(stream: TcpStream, replies: Vec<Reply>) {
+    let mut reader = std::io::BufReader::new(stream);
+    for reply in replies {
+        let Ok(req) = http::read_request_from(&mut reader) else {
+            break;
+        };
+        let body = http::synthetic_body(&req.target, SCRIPTED_BODY);
+        let resp = Response::ok(body, Some(10)).with_connection(true);
+        let stream = reader.get_mut();
+        match reply {
+            Reply::Full => {
+                let _ = http::write_response(stream, &resp);
+            }
+            Reply::Short | Reply::Stall => {
+                let _ = stream.write_all(&http::encode_response_head(&resp));
+                let _ = stream.write_all(&resp.body[..400]);
+                if let Reply::Stall = reply {
+                    std::thread::sleep(STALL);
+                }
+                break;
+            }
+        }
+    }
+}
+
 impl Drop for ScriptedOrigin {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -157,9 +179,10 @@ impl Drop for ScriptedOrigin {
 }
 
 /// (a) 200 sequential misses through a 2-worker proxy open at most two
-/// origin connections.
+/// origin connections, and once one is idle the event loop runs the
+/// exchanges itself: at most two requests ever reach a worker.
 #[test]
-fn sequential_misses_reuse_each_workers_connection() {
+fn sequential_misses_reuse_a_pooled_connection() {
     let origin = origin_with_docs(200);
     let config = ProxyConfig::new(1 << 30).with_workers(2, 16);
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
@@ -177,6 +200,10 @@ fn sequential_misses_reuse_each_workers_connection() {
     assert_eq!(origin.stats().full_responses.load(Ordering::Relaxed), 200);
     let s = proxy.stats();
     assert_eq!((s.misses, s.retries, s.origin_failures), (200, 0, 0));
+    let jobs = proxy.worker_jobs();
+    assert!((1..=2).contains(&jobs), "{jobs} worker jobs for 200 misses");
+    assert_eq!(proxy.inline_fetches(), 200 - jobs);
+    assert_eq!(proxy.inline_fallbacks(), 0);
 }
 
 /// Revalidations travel on the kept connection too, and a `304` (no
@@ -196,6 +223,8 @@ fn revalidations_share_the_connection() {
     assert_eq!(proxy.stats().revalidated, 9);
     assert_eq!(origin.stats().not_modified.load(Ordering::Relaxed), 9);
     assert_eq!(origin.stats().connections.load(Ordering::Relaxed), 1);
+    // Only the very first miss had no idle connection to go out on.
+    assert_eq!((proxy.worker_jobs(), proxy.inline_fetches()), (1, 11));
 }
 
 /// (b) The origin closes a connection it promised to keep: the next miss
@@ -220,6 +249,10 @@ fn stale_idle_connection_is_replaced_invisibly() {
         (0, 0, 0, 0)
     );
     assert_eq!(s.misses, 3);
+    // Misses 1 and 2 went out on the kept socket from the event loop,
+    // found it dead, and were redone by a worker.
+    assert_eq!((proxy.inline_fallbacks(), proxy.inline_fetches()), (2, 0));
+    assert_eq!(proxy.worker_jobs(), 3);
 }
 
 /// (c) Dropping the origin ends its persistent connections: a pooled
@@ -312,6 +345,36 @@ fn short_bodies_are_errors_and_discard_the_socket() {
         (s.misses, s.retries, s.timeouts, s.origin_failures),
         (2, 0, 0, 1)
     );
+    // The reused connection was the event loop's; a worker redid it.
+    assert_eq!(proxy.inline_fallbacks(), 1);
+}
+
+/// An origin that stops sending mid-body on a kept connection, without
+/// closing it: the event loop's deadline wheel gives the exchange up
+/// after `read_timeout` and a worker redoes it on a fresh connection.
+/// The stall is the socket's fault, so nothing counts it.
+#[test]
+fn stalled_kept_connection_is_given_up_and_redone() {
+    let origin = ScriptedOrigin::start(vec![vec![Reply::Full, Reply::Stall], vec![Reply::Full]]);
+    let config = ProxyConfig::new(1 << 20)
+        .with_workers(1, 8)
+        .with_timeouts(Duration::from_secs(1), STALL / 6)
+        .with_retries(0, Duration::from_millis(1))
+        .with_breaker(1, 1000);
+    let proxy = ProxyServer::start(origin.addr, config, || Box::new(named::lru())).unwrap();
+    assert_eq!(get(&proxy, &doc_url(0)).status, 200);
+    let asked = std::time::Instant::now();
+    let r = get(&proxy, &doc_url(1));
+    assert_eq!(r.status, 200);
+    assert_eq!(r.body, http::synthetic_body(&doc_url(1), SCRIPTED_BODY));
+    assert!(asked.elapsed() < STALL, "waited the stall out");
+    assert_eq!(origin.connections(), 2);
+    let s = proxy.stats();
+    assert_eq!(
+        (s.misses, s.retries, s.timeouts, s.origin_failures),
+        (2, 0, 0, 0)
+    );
+    assert_eq!((proxy.inline_fallbacks(), proxy.worker_jobs()), (1, 2));
 }
 
 // -----------------------------------------------------------------------
@@ -467,6 +530,51 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         )
 }
 
+/// Hands `wire` out in pieces: at each of `cuts` (offsets into `wire`)
+/// the stream says `WouldBlock` once, as a socket that is not to be
+/// waited on does when it has nothing more yet. After the last byte it is
+/// at its end.
+struct Splits<'a> {
+    wire: &'a [u8],
+    cuts: Vec<usize>,
+    pos: usize,
+}
+
+impl Read for Splits<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let mut upto = self.wire.len();
+        if let Some(&cut) = self.cuts.first() {
+            if cut <= self.pos {
+                self.cuts.remove(0);
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            upto = cut;
+        }
+        let n = out.len().min(upto - self.pos);
+        out[..n].copy_from_slice(&self.wire[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Drive the resumable reader over `stream` the way the event loop does:
+/// call again after every `WouldBlock`, and after every exhausted budget.
+fn resume_to_the_end(
+    reader: &mut ResponseReader,
+    stream: &mut Splits,
+    budget: usize,
+) -> Result<(webcache_proxy::upstream::ResponseHead, bytes::Bytes), HttpError> {
+    reader.reset();
+    loop {
+        match reader.resume(stream, budget) {
+            Ok(Some(done)) => return Ok(done),
+            Ok(None) => {}
+            Err(HttpError::Io(e)) if e.kind() == ErrorKind::WouldBlock => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// A peer's length prefix reserves next to nothing: the payload buffer
 /// grows with the bytes that arrive, so promising `MAX_FRAME` and hanging
 /// up costs the reader a few KiB, not 64 MiB.
@@ -519,10 +627,33 @@ proptest! {
 
     /// On generated heads — header case, padding and order, a missing
     /// `content-length`, bodyless statuses, every bound — the reader
-    /// returns what the oracle returns, or both refuse.
+    /// returns what the oracle returns, or both refuse; and fed the same
+    /// bytes in pieces split at arbitrary points, with a small budget per
+    /// call, the resumable reader says exactly what the blocking one said.
     #[test]
-    fn reader_agrees_with_the_blocking_oracle(case in case_strategy()) {
+    fn reader_agrees_with_the_blocking_oracle(
+        case in case_strategy(),
+        cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+        budget in prop::sample::select(vec![1usize, 700, usize::MAX]),
+    ) {
         let wire = case.wire();
+        let mut cuts: Vec<usize> =
+            cuts.iter().map(|f| (f * wire.len() as f64) as usize).collect();
+        cuts.sort_unstable();
+        let mut pieces = Splits { wire: &wire, cuts, pos: 0 };
+        let mut resumable = ResponseReader::new();
+        PEAK.with(|p| p.set(0));
+        let in_pieces = resume_to_the_end(&mut resumable, &mut pieces, budget);
+        let peak_in_pieces = PEAK.with(Cell::get);
+        // The head lives in the reader's fixed buffer (room for one
+        // `MAX_LINE` line and one read), so the only allocation that
+        // grows with the input is the body, made once its length has
+        // passed the `MAX_BODY` check; error messages are small.
+        let body_len = case.length.as_ref().map_or(0, |(_, n)| *n);
+        prop_assert!(
+            peak_in_pieces <= body_len.max(2 * MAX_LINE),
+            "allocated {peak_in_pieces} bytes for a {body_len}-byte body"
+        );
         let oracle = http::read_response(&mut wire.as_slice());
         let mut reader = ResponseReader::new();
         PEAK.with(|p| p.set(0));
@@ -530,6 +661,9 @@ proptest! {
         let peak = PEAK.with(Cell::get);
         match (oracle, got) {
             (Ok(o), Ok((head, body))) => {
+                let (pieced_head, pieced_body) = in_pieces.expect("whole read succeeded");
+                prop_assert_eq!(pieced_head, head);
+                prop_assert_eq!(&pieced_body, &body);
                 prop_assert_eq!(head.status, o.status);
                 prop_assert_eq!(head.last_modified, o.last_modified());
                 prop_assert_eq!(head.content_length, o.body.len() as u64);
@@ -544,6 +678,11 @@ proptest! {
                 );
             }
             (Err(_), Err(e)) => {
+                let pieced = in_pieces.expect_err("whole read failed");
+                prop_assert!(
+                    std::mem::discriminant(&pieced) == std::mem::discriminant(&e),
+                    "in pieces {pieced} but whole {e}"
+                );
                 if matches!(&case.length, Some((v, _)) if v.len() > 9) {
                     // Refused for its size: before reserving anything.
                     prop_assert!(matches!(e, HttpError::Malformed(_)), "{e}");
