@@ -99,6 +99,16 @@ impl Outcome {
     }
 }
 
+/// An [`Outcome`] without its eviction list: what [`Cache::resolve`]
+/// decides before the caller has said what to do with the victims.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resolution {
+    Hit,
+    Miss,
+    MissModified,
+    MissTooBig,
+}
+
 /// Cumulative request counters; the minimal set from which HR and WHR are
 /// computed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -244,11 +254,16 @@ impl Cache {
     }
 
     /// Handle one client request per the section 1.1 semantics.
-    // Inlined so per-request drivers (simulate, MultiSim) can elide the
-    // Outcome when the caller discards it.
-    #[inline]
     pub fn request(&mut self, r: &Request) -> Outcome {
         self.request_with(r, || ())
+    }
+
+    /// Handle one client request and say only whether it hit. What is
+    /// evicted is dropped as it goes, so nothing is allocated: the path of
+    /// the simulator's drivers, which read counters and never the list.
+    #[inline]
+    pub fn request_hit(&mut self, r: &Request) -> bool {
+        self.resolve(r, || (), &mut |_| ()) == Resolution::Hit
     }
 
     /// Reinstate a snapshot into a freshly constructed cache (same
@@ -368,35 +383,50 @@ impl<P> Cache<P> {
     /// `payload` for the entry's payload only if the document is inserted.
     /// A hit keeps the resident payload; a document too big to store never
     /// asks for one.
-    #[inline]
     pub fn request_with(&mut self, r: &Request, payload: impl FnOnce() -> P) -> Outcome {
+        let mut evicted = Vec::new();
+        match self.resolve(r, payload, &mut |meta| evicted.push(meta)) {
+            Resolution::Hit => Outcome::Hit,
+            Resolution::Miss => Outcome::Miss { evicted },
+            Resolution::MissModified => Outcome::MissModified { evicted },
+            Resolution::MissTooBig => Outcome::MissTooBig,
+        }
+    }
+
+    /// The one copy of the section 1.1 semantics. Every document evicted
+    /// to make room goes to `evicted` in removal order; the caller decides
+    /// whether that is a list or nothing.
+    #[inline]
+    fn resolve(
+        &mut self,
+        r: &Request,
+        payload: impl FnOnce() -> P,
+        evicted: &mut impl FnMut(DocMeta),
+    ) -> Resolution {
         self.advance_time(r.time);
         self.stats.counts.requests += 1;
         self.stats.counts.bytes_requested += r.size;
 
+        let mut miss = Resolution::Miss;
         if let Some(meta) = self.docs.get_mut(r.url) {
             if meta.size == r.size {
                 // Hit: same URL, same size.
                 meta.last_access = r.time;
                 meta.nrefs += 1;
-                let snapshot = *meta;
-                self.policy.on_access(&snapshot);
+                self.policy.on_access(meta);
                 self.stats.counts.hits += 1;
                 self.stats.counts.bytes_hit += r.size;
-                return Outcome::Hit;
+                return Resolution::Hit;
             }
             // Modified at origin: invalidate the stale copy.
             self.remove(r.url);
             self.stats.modified_invalidations += 1;
-            let evicted = self.insert(r, payload);
-            return match evicted {
-                Some(evicted) => Outcome::MissModified { evicted },
-                None => Outcome::MissTooBig,
-            };
+            miss = Resolution::MissModified;
         }
-        match self.insert(r, payload) {
-            Some(evicted) => Outcome::Miss { evicted },
-            None => Outcome::MissTooBig,
+        if self.insert(r, payload, evicted) {
+            miss
+        } else {
+            Resolution::MissTooBig
         }
     }
 
@@ -421,21 +451,25 @@ impl<P> Cache<P> {
         Some(meta)
     }
 
-    /// Insert the document named by `r`, evicting until it fits. Returns
-    /// the eviction list, or `None` when the document exceeds capacity and
-    /// was not stored.
-    fn insert(&mut self, r: &Request, payload: impl FnOnce() -> P) -> Option<Vec<DocMeta>> {
+    /// Insert the document named by `r`, evicting until it fits and
+    /// handing each victim to `evicted`. Returns `false` when the document
+    /// exceeds capacity and was not stored.
+    fn insert(
+        &mut self,
+        r: &Request,
+        payload: impl FnOnce() -> P,
+        evicted: &mut impl FnMut(DocMeta),
+    ) -> bool {
         if r.size > self.capacity {
             self.stats.too_big += 1;
-            return None;
+            return false;
         }
-        let mut evicted = Vec::new();
         while self.used + r.size > self.capacity {
             let meta = self
                 .evict_one(r.time, r.size)
                 .expect("cache is over capacity but the policy offered no victim");
             self.stats.evictions += 1;
-            evicted.push(meta);
+            evicted(meta);
         }
         let mut meta = DocMeta {
             url: r.url,
@@ -456,7 +490,7 @@ impl<P> Cache<P> {
         self.stats.max_used = self.stats.max_used.max(self.used);
         self.docs.insert(meta, payload());
         self.policy.on_insert(&meta);
-        Some(evicted)
+        true
     }
 
     /// Insert a document directly from its metadata and payload, evicting

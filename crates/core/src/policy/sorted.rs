@@ -4,21 +4,35 @@
 //! [`KeySpec`] rank triple, exactly as the paper describes: "the class of
 //! removal policies in §1.2 maintains a sorted list. If the list is kept
 //! sorted as the proxy operates, then the removal policy merely removes the
-//! head of the list" (section 1.3). The structure here is a min-heap over
-//! `(rank, url)` with *lazy deletion*: a rank update pushes the new entry
-//! and leaves the old one in place, and victim selection pops entries whose
-//! rank no longer matches the [`RankSlab`] ground truth. Head selection is
-//! therefore amortised `O(log n)` with array (not pointer-chasing)
-//! constants, and picks exactly the entry a fully-sorted list would — the
-//! smallest live `(rank, url)`. DESIGN.md decisions D1 and D8; the
-//! alternatives (re-sorting on demand, `BTreeSet` ordering) are measured by
-//! the `ablation` bench and the `sweep` binary.
+//! head of the list" (section 1.3). The structure here is two queues over
+//! `(rank, url)` entries with *lazy deletion*: a rank update files the new
+//! entry and leaves the old one in place, and victim selection drops
+//! entries whose rank no longer matches the [`RankSlab`] ground truth.
+//!
+//! * The **run** is a `VecDeque` of entries that arrived in non-decreasing
+//!   order — each was no smaller than the run's back when it was filed, so
+//!   the run is a sorted list and its head leaves in O(1). Keys that grow
+//!   with the clock (ETIME, ATIME: FIFO and LRU) file nearly everything
+//!   here.
+//! * The **heap** is a binary min-heap that takes every other entry, at
+//!   amortised `O(log n)` with array (not pointer-chasing) constants. Keys
+//!   unrelated to arrival order (SIZE, NREF) file mostly here.
+//!
+//! Which queue an entry joins is decided by the data's own arrival order,
+//! never by the key's name. The victim is the smaller of the two live
+//! heads — exactly the entry a fully-sorted list would remove, the smallest
+//! live `(rank, url)`. Stale entries that never reach a head (re-ranked
+//! hits in a cache that never evicts) are discarded wholesale once they
+//! outnumber the live ones by [`STALE_FACTOR`] and [`STALE_FLOOR`], so
+//! memory stays proportional to the resident set. DESIGN.md decisions D1, D8 and D23;
+//! the alternatives to the heap (re-sorting on demand, `BTreeSet`
+//! ordering) are measured by the `ablation` bench.
 
 use crate::cache::DocMeta;
 use crate::policy::key::KeySpec;
 use crate::policy::RemovalPolicy;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use webcache_trace::{Timestamp, UrlId};
 
 /// Rank triple plus URL id: a total order over cached documents.
@@ -146,19 +160,34 @@ impl PositionIndex {
     }
 }
 
+/// The queues are rebuilt from the slab once they hold more than
+/// `STALE_FACTOR × live + STALE_FLOOR` entries, so their memory stays
+/// proportional to the resident set however many hits re-rank it. A
+/// rebuild scans every slab slot and never looks at the stale entries; the
+/// floor spaces rebuilds at least that many filings apart, which keeps the
+/// scan to a handful of slots per filing even when the slab (indexed by
+/// every URL id the shard has seen) is far longer than the resident set,
+/// and keeps a small hot set (4 k documents, all hits) from paying for a
+/// rebuild every few thousand requests (DESIGN.md D23).
+const STALE_FACTOR: usize = 8;
+const STALE_FLOOR: usize = 1 << 16;
+
 /// A removal policy defined by a [`KeySpec`] (primary, secondary, tertiary
 /// key), per the paper's taxonomy. 36 combinations of Table 1 keys —
 /// including FIFO, LRU, LFU and Hyper-G — are instances of this one type.
 #[derive(Debug, Clone)]
 pub struct SortedPolicy {
     spec: KeySpec,
-    /// Min-heap over `(rank, url)` with lazy deletion: entries whose rank
-    /// disagrees with `ranks` are stale and get popped during
-    /// [`victim`](RemovalPolicy::victim). `ranks` is the ground truth for
-    /// residency and rank; the heap only orders it.
+    /// Entries that were no smaller than the back when filed: ascending.
+    run: VecDeque<Entry>,
+    /// Min-heap of every other entry. In both queues an entry whose rank
+    /// disagrees with `ranks` is stale and is dropped when it reaches a
+    /// head during [`victim`](RemovalPolicy::victim), or by a rebuild.
+    /// `ranks` is the ground truth for residency and rank; the queues only
+    /// order it.
     heap: BinaryHeap<Reverse<Entry>>,
     ranks: RankSlab,
-    /// Live entry count (the heap length includes stale entries).
+    /// Live entry count (the queue lengths include stale entries).
     live: usize,
     positions: Option<PositionIndex>,
     name_override: Option<&'static str>,
@@ -169,6 +198,7 @@ impl SortedPolicy {
     pub fn new(spec: KeySpec) -> SortedPolicy {
         SortedPolicy {
             spec,
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             ranks: RankSlab::default(),
             live: 0,
@@ -201,20 +231,45 @@ impl SortedPolicy {
     fn upsert(&mut self, meta: &DocMeta) {
         let rank = self.spec.rank(meta);
         match self.ranks.insert(meta.url, rank) {
-            // Rank unchanged: the heap entry is still live, nothing to do.
+            // Rank unchanged: the queued entry is still live, nothing to do.
             Some(old) if old == rank => return,
             Some(old) => {
-                // Old entry goes stale in the heap; victim() will skip it.
+                // Old entry goes stale where it is; victim() will skip it.
                 if let Some(idx) = &mut self.positions {
                     idx.remove(&(old, meta.url));
                 }
             }
             None => self.live += 1,
         }
-        self.heap.push(Reverse((rank, meta.url)));
-        if let Some(idx) = &mut self.positions {
-            idx.insert((rank, meta.url));
+        let entry = (rank, meta.url);
+        if self.run.back().is_some_and(|back| entry < *back) {
+            self.heap.push(Reverse(entry));
+        } else {
+            self.run.push_back(entry);
         }
+        if let Some(idx) = &mut self.positions {
+            idx.insert(entry);
+        }
+        if self.queued() > STALE_FACTOR * self.live + STALE_FLOOR {
+            self.rebuild_queues();
+        }
+    }
+
+    /// Entries held across both queues, stale ones included.
+    fn queued(&self) -> usize {
+        self.run.len() + self.heap.len()
+    }
+
+    /// Forget every queued entry and queue the live ones afresh from the
+    /// slab, one per resident document. That costs `O(slots)` whatever the
+    /// queues held: the stale entries are never looked at. The live ones go
+    /// to the heap because building a heap is linear; entries filed from
+    /// now on start a new run.
+    #[cold]
+    fn rebuild_queues(&mut self) {
+        self.run.clear();
+        self.heap.clear();
+        self.heap.extend(self.ranks.entries().map(Reverse));
     }
 }
 
@@ -239,7 +294,7 @@ impl RemovalPolicy for SortedPolicy {
 
     fn on_remove(&mut self, url: UrlId) {
         if let Some(rank) = self.ranks.remove(url) {
-            // The heap entry goes stale; victim() pops it lazily.
+            // The queued entry goes stale; victim() drops it lazily.
             self.live -= 1;
             if let Some(idx) = &mut self.positions {
                 idx.remove(&(rank, url));
@@ -248,16 +303,24 @@ impl RemovalPolicy for SortedPolicy {
     }
 
     fn victim(&mut self, _now: Timestamp, _incoming_size: u64) -> Option<UrlId> {
-        // Pop stale entries (removed documents or superseded ranks) until
-        // the head agrees with the slab — that head is the smallest live
-        // `(rank, url)`, exactly what a fully-sorted list would remove.
-        while let Some(&Reverse((rank, url))) = self.heap.peek() {
-            if self.ranks.get(url) == Some(rank) {
-                return Some(url);
-            }
+        // Drop stale heads (removed documents or superseded ranks) until
+        // each queue's head agrees with the slab. The smaller of the two
+        // is the smallest live `(rank, url)`, exactly what a fully-sorted
+        // list would remove.
+        let ranks = &self.ranks;
+        let live = |&(rank, url): &Entry| ranks.get(url) == Some(rank);
+        while self.run.front().is_some_and(|e| !live(e)) {
+            self.run.pop_front();
+        }
+        while self.heap.peek().is_some_and(|Reverse(e)| !live(e)) {
             self.heap.pop();
         }
-        None
+        let head = match (self.run.front(), self.heap.peek()) {
+            (Some(a), Some(Reverse(b))) => a.min(b),
+            (Some(e), None) | (None, Some(Reverse(e))) => e,
+            (None, None) => return None,
+        };
+        Some(head.1)
     }
 
     fn len(&self) -> usize {
@@ -418,6 +481,68 @@ mod tests {
         // heads the order.
         for i in 0..50 {
             assert_eq!(p.removal_position(UrlId(i)), Some(49 - i as usize));
+        }
+    }
+
+    #[test]
+    fn a_run_in_front_of_the_heap_still_yields_the_sorted_head() {
+        let mut p = SortedPolicy::new(KeySpec::primary(Key::AccessTime));
+        // Arrivals in rank order are filed in the run...
+        for i in 0..10u32 {
+            p.on_insert(&meta(i, 5, i as u64, 10 + i as u64, 1));
+        }
+        assert_eq!((p.run.len(), p.heap.len()), (10, 0));
+        // ...and one that is older than the run's back goes to the heap.
+        p.on_insert(&meta(99, 5, 0, 3, 1));
+        assert_eq!((p.run.len(), p.heap.len()), (10, 1));
+        assert_eq!(p.victim(100, 0), Some(UrlId(99)));
+        p.on_remove(UrlId(99));
+        // Touching the head leaves a stale entry at the front of the run.
+        p.on_access(&meta(0, 5, 0, 50, 2));
+        assert_eq!(p.victim(100, 0), Some(UrlId(1)));
+        assert_eq!(p.sorted_urls().first(), Some(&UrlId(1)));
+        // Draining by victim order empties both queues.
+        let mut order = Vec::new();
+        while let Some(v) = p.victim(100, 0) {
+            order.push(v.0);
+            p.on_remove(v);
+        }
+        assert_eq!(order, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 0]);
+        assert_eq!(p.queued(), 0);
+    }
+
+    #[test]
+    fn queues_stay_proportional_to_the_resident_set_when_nothing_is_evicted() {
+        // 4 k documents that all fit, hit a million times: every hit
+        // re-ranks its document and nothing ever asks for a victim. LRU
+        // files in the run, the NREF-first policies mostly in the heap.
+        const DOCS: u32 = 4096;
+        for spec in [
+            KeySpec::primary(Key::AccessTime),
+            KeySpec::pair(Key::NRef, Key::AccessTime),
+            KeySpec::pair(Key::NRef, Key::Size),
+        ] {
+            let mut p = SortedPolicy::new(spec);
+            let mut nrefs = vec![1u64; DOCS as usize];
+            for url in 0..DOCS {
+                p.on_insert(&meta(url, 1024, 0, 0, 1));
+            }
+            let mut x = 1u64;
+            for t in 1..=1_000_000u64 {
+                x = crate::util::splitmix64(x);
+                let url = (x % DOCS as u64) as u32;
+                nrefs[url as usize] += 1;
+                p.on_access(&meta(url, 1024, 0, t / 64, nrefs[url as usize]));
+                assert!(
+                    p.queued() <= STALE_FACTOR * p.len() + STALE_FLOOR,
+                    "{}: {} entries queued for {} documents",
+                    spec.name(),
+                    p.queued(),
+                    p.len()
+                );
+            }
+            assert_eq!(p.len(), DOCS as usize);
+            assert_eq!(p.victim(0, 0), p.sorted_urls().first().copied());
         }
     }
 

@@ -517,8 +517,7 @@ pub fn run_resumable(
                 remaining.min((interval - since_ckpt).max(1) as usize)
             };
             let slice = &requests[pos..pos + stride];
-            let chunk = lanes.len().div_ceil(rayon::current_num_threads().max(1));
-            lanes.par_chunks_mut(chunk.max(1)).for_each(|chunk| {
+            lanes.par_chunks_mut(1).for_each(|chunk| {
                 for lane in chunk {
                     for r in slice {
                         lane.cache.handle(r);

@@ -41,7 +41,7 @@ pub trait CacheSystem {
 
 impl CacheSystem for Cache {
     fn handle(&mut self, r: &Request) {
-        let _ = self.request(r);
+        self.request_hit(r);
     }
 
     fn streams(&self) -> Vec<(String, Counts)> {

@@ -1,26 +1,26 @@
-//! [`MultiSim`]: the single-pass multi-policy simulation engine.
+//! [`MultiSim`]: the multi-policy simulation engine.
 //!
 //! A policy sweep (Experiment 2 runs 36 policies per workload) used to
 //! hand-roll a [`simulate_policy`](crate::sim::simulate_policy) loop per
 //! caller, re-implementing day-boundary bookkeeping and per-day stream
 //! snapshots each time. `MultiSim` drives N independent [`Cache`] *lanes*
-//! over one shared borrowed [`&Trace`](Trace) behind a single API: lanes
-//! are split into contiguous chunks across threads (`par_chunks_mut`),
-//! and within a chunk they are driven in blocks of [`LANE_BLOCK`] lanes
-//! per day-ordered trace pass, with each block's caches materialised only
-//! while the block runs (both bounds chosen empirically — see DESIGN.md
-//! D8 and `BENCH_sweep.json`: interleaving many resident sets, or keeping
-//! them all allocated at once, costs far more than re-iterating the
-//! borrowed trace).
+//! over one shared borrowed [`&Trace`](Trace) behind a single API. Each
+//! worker thread claims the next undriven lane, builds its cache, replays
+//! the whole day-ordered trace into it and drops the cache again, so a
+//! thread holds one resident set at a time (interleaving many resident
+//! sets, or keeping them all allocated at once, costs far more than
+//! re-iterating the borrowed trace — DESIGN.md D8) and lanes of unequal
+//! cost balance across the cores (D23).
 //!
-//! Because lanes never share mutable state and chunking is contiguous,
-//! the output is **bit-identical to running [`simulate_policy`] serially
-//! per policy** — the determinism tests in `webcache-experiments` assert
-//! exactly this, stream by stream and gauge by gauge.
+//! Because lanes never share mutable state and results are stored by lane
+//! index, the output is **bit-identical to running [`simulate_policy`]
+//! serially per policy** — `tests/sweep_identity.rs` and the determinism
+//! tests in `webcache-experiments` assert exactly this, stream by stream
+//! and gauge by gauge.
 //!
 //! [`simulate_policy`]: crate::sim::simulate_policy
 
-use crate::cache::{Cache, Counts, MetaDecorator, Outcome};
+use crate::cache::{Cache, Counts, MetaDecorator};
 use crate::policy::RemovalPolicy;
 use crate::sim::{CacheSystem, SimResult, StreamResult};
 use rayon::prelude::*;
@@ -53,23 +53,6 @@ impl LaneSpec {
         self.decorator = Some(d);
         self
     }
-}
-
-/// A lane mid-flight: its pending policy, per-day snapshot state, and the
-/// result fields filled in once its block has been driven. The cache
-/// itself lives only while the lane's block is running — keeping all N
-/// caches alive at once measurably thrashes the allocator and TLB, whereas
-/// per-block caches reuse the same hot pages.
-struct Lane<O> {
-    label: String,
-    policy: Option<Box<dyn RemovalPolicy>>,
-    decorator: Option<MetaDecorator>,
-    observer: O,
-    prev: Counts,
-    daily: Vec<Counts>,
-    system: String,
-    total: Counts,
-    gauges: Vec<(String, u64)>,
 }
 
 /// The single-pass engine. Construct with a shared trace and a per-lane
@@ -124,7 +107,7 @@ impl<'t> MultiSim<'t> {
     }
 
     /// Like [`run`](MultiSim::run), but every lane also feeds each
-    /// `(request, outcome)` pair into a per-lane observer state built by
+    /// request and whether it hit into a per-lane observer state built by
     /// `init` — how Experiment 5 computes text-only hit rates and latency
     /// totals without a second pass.
     pub fn run_observed<O, F>(
@@ -135,47 +118,13 @@ impl<'t> MultiSim<'t> {
     ) -> Vec<(String, SimResult, O)>
     where
         O: Send,
-        F: Fn(&mut O, &Request, &Outcome) + Sync,
+        F: Fn(&mut O, &Request, bool) + Sync,
     {
-        let mut lanes: Vec<Lane<O>> = specs
-            .into_iter()
-            .map(|spec| Lane {
-                label: spec.label,
-                policy: Some(spec.policy),
-                decorator: spec.decorator,
-                observer: init(),
-                prev: Counts::default(),
-                daily: Vec::new(),
-                system: String::new(),
-                total: Counts::default(),
-                gauges: Vec::new(),
-            })
-            .collect();
-
-        if !lanes.is_empty() {
-            let chunk = lanes.len().div_ceil(rayon::current_num_threads().max(1));
-            let trace = self.trace;
-            let capacity = self.capacity;
-            lanes
-                .par_chunks_mut(chunk)
-                .for_each(|chunk| drive_chunk(trace, capacity, chunk, &observe));
-        }
-
+        let (trace, capacity) = (self.trace, self.capacity);
+        let lanes: Vec<(LaneSpec, O)> = specs.into_iter().map(|spec| (spec, init())).collect();
         lanes
-            .into_iter()
-            .map(|lane| {
-                let result = SimResult {
-                    workload: self.trace.name.clone(),
-                    system: lane.system,
-                    streams: vec![StreamResult {
-                        name: "cache".to_string(),
-                        daily: lane.daily,
-                        total: lane.total,
-                    }],
-                    gauges: lane.gauges,
-                };
-                (lane.label, result, lane.observer)
-            })
+            .into_par_iter()
+            .map(|(spec, observer)| drive(trace, capacity, spec, observer, &observe))
             .collect()
     }
 }
@@ -188,53 +137,46 @@ fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "lane panicked with a non-string payload".to_string())
 }
 
-/// How many lanes share one day-ordered trace pass. Day-interleaving many
-/// lanes amortises trace iteration, but every lane switch touches a cold
-/// cache/policy working set; with tens of lanes the combined state blows
-/// the LLC and the sweep runs slower than serial passes (measured in
-/// BENCH_sweep.json's predecessor runs). Trace iteration is cheap compared
-/// to per-request policy work, so the block is kept small.
-const LANE_BLOCK: usize = 1;
-
-/// Drive every lane of one chunk through the whole trace in blocks of
-/// [`LANE_BLOCK`]: the day loop runs once per block, each day's request
-/// slice is replayed into each lane of the block, and the per-day counter
-/// delta is snapshotted exactly as `simulate()` does. Caches are built at
-/// block start and dropped at block end, so at most `LANE_BLOCK` resident
-/// sets are live per thread at any moment.
-fn drive_chunk<O, F>(trace: &Trace, capacity: u64, lanes: &mut [Lane<O>], observe: &F)
+/// Drive one lane through the whole trace: the day loop replays each
+/// day's request slice and snapshots the per-day counter delta exactly as
+/// `simulate()` does. The cache is built here and dropped here, so a
+/// thread holds one resident set at a time.
+fn drive<O, F>(
+    trace: &Trace,
+    capacity: u64,
+    spec: LaneSpec,
+    mut observer: O,
+    observe: &F,
+) -> (String, SimResult, O)
 where
-    F: Fn(&mut O, &Request, &Outcome) + Sync,
+    F: Fn(&mut O, &Request, bool) + Sync,
 {
-    for block in lanes.chunks_mut(LANE_BLOCK) {
-        let mut caches: Vec<Cache> = block
-            .iter_mut()
-            .map(|lane| {
-                let mut cache =
-                    Cache::new(capacity, lane.policy.take().expect("lane driven twice"));
-                if let Some(d) = lane.decorator.take() {
-                    cache = cache.with_decorator(d);
-                }
-                cache
-            })
-            .collect();
-        for (_day, requests) in trace.days() {
-            for (lane, cache) in block.iter_mut().zip(&mut caches) {
-                for r in requests {
-                    let out = cache.request(r);
-                    observe(&mut lane.observer, r, &out);
-                }
-                let counts = cache.counts();
-                lane.daily.push(counts.delta(&lane.prev));
-                lane.prev = counts;
-            }
-        }
-        for (lane, cache) in block.iter_mut().zip(caches) {
-            lane.system = cache.policy_name();
-            lane.total = cache.counts();
-            lane.gauges = cache.gauges();
-        }
+    let mut cache = Cache::new(capacity, spec.policy);
+    if let Some(d) = spec.decorator {
+        cache = cache.with_decorator(d);
     }
+    let mut prev = Counts::default();
+    let mut daily = Vec::new();
+    for (_day, requests) in trace.days() {
+        for r in requests {
+            let hit = cache.request_hit(r);
+            observe(&mut observer, r, hit);
+        }
+        let counts = cache.counts();
+        daily.push(counts.delta(&prev));
+        prev = counts;
+    }
+    let result = SimResult {
+        workload: trace.name.clone(),
+        system: cache.policy_name(),
+        streams: vec![StreamResult {
+            name: "cache".to_string(),
+            daily,
+            total: cache.counts(),
+        }],
+        gauges: cache.gauges(),
+    };
+    (spec.label, result, observer)
 }
 
 #[cfg(test)]
@@ -303,9 +245,9 @@ mod tests {
                 LaneSpec::new("b", Box::new(named::size())),
             ],
             || (0u64, 0u64),
-            |acc, r, out| {
+            |acc, r, hit| {
                 acc.0 += 1;
-                if out.is_hit() {
+                if hit {
                     acc.1 += r.size;
                 }
             },

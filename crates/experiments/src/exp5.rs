@@ -15,7 +15,7 @@
 
 use crate::runner::Ctx;
 use serde::{Deserialize, Serialize};
-use webcache_core::cache::{DocMeta, Outcome};
+use webcache_core::cache::DocMeta;
 use webcache_core::policy::{Key, KeySpec, RemovalPolicy, SortedPolicy};
 use webcache_core::sim::{max_needed, LaneSpec, MultiSim};
 use webcache_stats::{report, Table};
@@ -75,8 +75,7 @@ struct ExtObserver {
 }
 
 impl ExtObserver {
-    fn observe(&mut self, r: &Request, out: &Outcome) {
-        let hit = out.is_hit();
+    fn observe(&mut self, r: &Request, hit: bool) {
         if r.doc_type == DocType::Text {
             self.text_reqs += 1;
             if hit {
@@ -111,9 +110,7 @@ pub fn run(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Vec<ExtensionRun> 
         lane("LRU", KeySpec::primary(Key::AccessTime)),
     ];
     MultiSim::new(&trace, capacity)
-        .run_observed(lanes, ExtObserver::default, |obs, r, out| {
-            obs.observe(r, out)
-        })
+        .run_observed(lanes, ExtObserver::default, ExtObserver::observe)
         .into_iter()
         .map(|(label, result, obs)| {
             let c = result.stream("cache").expect("cache stream").total;

@@ -19,10 +19,11 @@
 //! Two proxy-side structures grow amortised and must reach a stable
 //! capacity before measuring:
 //!
-//! * The LRU policy (`SortedPolicy`) pushes one lazy-heap entry per
-//!   access. `Vec` doubles: capacities 4, 8, …, 512. After 1 miss +
-//!   `WARMUP = 400` hits the heap holds ~401 entries with capacity 512,
-//!   so the 100 measured hits fit without reallocation.
+//! * The LRU policy (`SortedPolicy`) queues one entry per access; the
+//!   proxy's clock ticks per request, so every one lands in the sorted
+//!   run. The run doubles: capacities 4, 8, …, 512. After 1 miss +
+//!   `WARMUP = 400` hits it holds ~401 entries with capacity 512, so the
+//!   100 measured hits fit without reallocation.
 //! * The buffer pool warms on the first connection cycle: accept #2
 //!   onward reuses the returned parser and head buffer.
 //!
@@ -104,7 +105,7 @@ fn warmed_reactor_serves_hits_without_allocating() {
 
     // One miss populates the cache (all its allocations are allowed and
     // happen here), then enough hits to warm every amortised structure:
-    // the policy's lazy heap reaches capacity 512 > 401 + 100, and the
+    // the policy's sorted run reaches capacity 512 > 401 + 100, and the
     // buffer pool cycles its first parser/head pair.
     const WARMUP: usize = 400;
     const MEASURED: usize = 100;
