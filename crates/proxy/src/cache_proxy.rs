@@ -61,6 +61,8 @@ use webcache_core::policy::RemovalPolicy;
 use webcache_trace::Interner;
 
 pub use crate::config::ProxyConfig;
+#[doc(hidden)]
+pub use crate::persister::{JournalShard, JournalShardDoc};
 pub use crate::persister::{PersistHealth, PersistHealthState};
 pub use crate::stats::{ProxyStats, ADMIN_STATS_TARGET};
 
@@ -554,7 +556,7 @@ fn bind_client_port(config: &ProxyConfig) -> std::io::Result<(TcpListener, Socke
 }
 
 /// Build the shared proxy state for a fresh (cold) proxy.
-fn new_state(
+pub(crate) fn new_state(
     config: &ProxyConfig,
     cluster: Option<Arc<ClusterState>>,
     policy: impl FnMut() -> Box<dyn RemovalPolicy>,

@@ -3,6 +3,14 @@
 //! journal buffers the serving path logs into, the background persister
 //! thread that drains, fsyncs and snapshots them, and the application of
 //! recovered snapshots and journals to a cold cache.
+//!
+//! The write path is proportional to what is still resident when the
+//! persister gets to it (DESIGN.md D24): a buffered `Insert` whose
+//! document is evicted before the drain is rewritten as an `Evict` and
+//! its body never reaches the disk; an idle persister neither fsyncs nor
+//! snapshots; and [`PersistHealthState`] counts what was written
+//! (`journal_elided`, `journal_bytes`, `snapshot_bytes`, `snapshots`,
+//! `snapshots_skipped`) for `/__webcache/stats`.
 
 use crate::cache_proxy::{ProxyState, RecoveryReport, Resident, ShardExt};
 use crate::iofault::IoFaultInjector;
@@ -87,6 +95,18 @@ pub struct PersistHealthState {
     /// Set when dropped records mean the journal alone no longer covers
     /// the snapshot gap; the persister must snapshot before trusting it.
     force_snapshot: AtomicBool,
+    /// `Insert`s rewritten as `Evict` while still buffered: bodies that
+    /// were gone from the cache before the persister came for them.
+    journal_elided: AtomicU64,
+    /// Bytes appended to the journal files.
+    journal_bytes: AtomicU64,
+    /// Bytes written into snapshot, body and URL-table files.
+    snapshot_bytes: AtomicU64,
+    /// Snapshot generations committed.
+    snapshots: AtomicU64,
+    /// Cadence snapshots not taken because nothing was logged since the
+    /// last one.
+    snapshots_skipped: AtomicU64,
 }
 
 impl PersistHealthState {
@@ -113,6 +133,33 @@ impl PersistHealthState {
     /// Journal records dropped oldest-first from a full buffer.
     pub fn dropped_records(&self) -> u64 {
         self.dropped_records.load(Ordering::Relaxed)
+    }
+
+    /// Buffered `Insert`s whose document was evicted before the persister
+    /// drained them, so the journal got an `Evict` and no body.
+    pub fn journal_elided(&self) -> u64 {
+        self.journal_elided.load(Ordering::Relaxed)
+    }
+
+    /// Bytes appended to the journal files so far.
+    pub fn journal_bytes(&self) -> u64 {
+        self.journal_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Bytes written into snapshot, body and URL-table files so far.
+    pub fn snapshot_bytes(&self) -> u64 {
+        self.snapshot_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Snapshot generations committed so far.
+    pub fn snapshots(&self) -> u64 {
+        self.snapshots.load(Ordering::Relaxed)
+    }
+
+    /// Cadence snapshots skipped because no record had been logged since
+    /// the last committed one.
+    pub fn snapshots_skipped(&self) -> u64 {
+        self.snapshots_skipped.load(Ordering::Relaxed)
     }
 
     /// Whether new journal records are being accepted.
@@ -197,10 +244,20 @@ impl PersistHealthState {
 /// (`PersistConfig::journal_buf_records`): a stalled persister costs
 /// the oldest records (counted, snapshot forced), never unbounded
 /// memory.
+///
+/// A document evicted while its `Insert` is still buffered never reaches
+/// the disk: the `Insert` is rewritten in place as `Evict` of the same
+/// document (DESIGN.md D24), keeping its sequence number and dropping its
+/// body and URL. Under SIZE, which removes the largest document first,
+/// that is most of the bytes inserted.
 #[derive(Debug)]
 pub(crate) struct JournalBuf {
-    /// Records not yet handed to the persister thread.
+    /// Records not yet handed to the persister thread, sequence numbers
+    /// contiguous.
     pending: VecDeque<(u64, JournalOp)>,
+    /// `old_id -> seq` of the newest `Insert` in `pending` per document.
+    /// Every entry names a record still in `pending`.
+    inserts: HashMap<u32, u64>,
     /// Next sequence number to assign (starts at 1; replay treats
     /// `seq <= snapshot.seq` as already covered).
     next_seq: u64,
@@ -215,6 +272,7 @@ impl JournalBuf {
     pub(crate) fn new(next_seq: u64, cap: usize, health: Arc<PersistHealthState>) -> JournalBuf {
         JournalBuf {
             pending: VecDeque::new(),
+            inserts: HashMap::new(),
             next_seq,
             cap,
             health,
@@ -233,15 +291,51 @@ impl JournalBuf {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
+        match op {
+            JournalOp::Insert { old_id, .. } => {
+                self.inserts.insert(old_id, seq);
+            }
+            JournalOp::Evict { old_id } => {
+                let front = self.pending.front().map_or(seq, |(front, _)| *front);
+                let buffered = self
+                    .inserts
+                    .remove(&old_id)
+                    .and_then(|at| self.pending.get_mut(at.checked_sub(front)? as usize));
+                if let Some((_, insert)) = buffered {
+                    // Replay removes the document here instead of
+                    // storing it; whatever was logged about it between
+                    // this record and the `Evict` pushed below then finds
+                    // it absent, which replay treats as nothing to do.
+                    *insert = JournalOp::Evict { old_id };
+                    self.health.journal_elided.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            JournalOp::Touch { .. } | JournalOp::Refresh { .. } => {}
+        }
         self.pending.push_back((seq, op));
         let mut dropped = 0u64;
         while self.pending.len() > self.cap {
-            self.pending.pop_front();
+            if let Some((seq, JournalOp::Insert { old_id, .. })) = self.pending.pop_front() {
+                if self.inserts.get(&old_id) == Some(&seq) {
+                    self.inserts.remove(&old_id);
+                }
+            }
             dropped += 1;
         }
         if dropped > 0 {
             self.health.record_overflow(dropped);
         }
+    }
+
+    /// Empty the buffer: the records awaiting the persister.
+    fn take(&mut self) -> VecDeque<(u64, JournalOp)> {
+        self.inserts.clear();
+        std::mem::take(&mut self.pending)
+    }
+
+    /// Sequence number of the newest record assigned so far.
+    fn newest_seq(&self) -> u64 {
+        self.next_seq - 1
     }
 }
 
@@ -259,7 +353,10 @@ fn log_persist_error(context: &str, e: &PersistError) {
 ///
 /// This loop also drives the [`PersistHealth`] state machine:
 ///
-/// * **Healthy** — as above. Any persist write error (append, sync,
+/// * **Healthy** — as above, except that a journal nothing was appended
+///   to is not fsynced, and a snapshot due on cadence is skipped when no
+///   shard has logged a record since the last committed one (what is on
+///   disk is what is in memory). Any persist write error (append, sync,
 ///   snapshot) transitions to Degraded; the first re-arm probe is
 ///   scheduled one `degraded_backoff` out. A forced-snapshot demand
 ///   (buffer overflow dropped records) snapshots immediately.
@@ -300,14 +397,19 @@ pub(crate) fn persister_loop(
     let mut probe_failures: u32 = 0;
     let mut next_probe = Instant::now();
     let mut journals_freed = false;
+    // Per shard, the sequence number the last committed snapshot covers.
+    let mut covered: Option<Vec<u64>> = None;
     // Every snapshot attempt consumes a generation, success or not: a
     // retry must never reuse a generation some file may already carry.
-    let snapshot_once =
-        |writers: &mut Vec<persist::JournalWriter>, gen: &mut u64| -> Result<(), PersistError> {
-            let r = take_snapshot(state, cfg, writers, *gen, health, hook);
-            *gen += 1;
-            r
-        };
+    let snapshot_once = |writers: &mut Vec<persist::JournalWriter>,
+                         gen: &mut u64,
+                         covered: &mut Option<Vec<u64>>|
+     -> Result<(), PersistError> {
+        let r = take_snapshot(state, cfg, writers, *gen, health, hook);
+        *gen += 1;
+        *covered = Some(r?);
+        Ok(())
+    };
     loop {
         let stopping = stop.load(Ordering::SeqCst);
         match health.health() {
@@ -328,7 +430,16 @@ pub(crate) fn persister_loop(
                 if health.health() == PersistHealth::Healthy
                     && (stopping || force || last_snap.elapsed() >= cfg.snapshot_interval)
                 {
-                    if let Err(e) = snapshot_once(&mut writers, &mut gen) {
+                    // On cadence alone, a cache no record has touched
+                    // since the last snapshot is already on disk.
+                    let idle = !stopping
+                        && !force
+                        && covered
+                            .as_deref()
+                            .is_some_and(|covered| nothing_logged_since(state, covered));
+                    if idle {
+                        health.snapshots_skipped.fetch_add(1, Ordering::Relaxed);
+                    } else if let Err(e) = snapshot_once(&mut writers, &mut gen, &mut covered) {
                         health.degrade("snapshot", &e);
                     }
                     last_snap = Instant::now();
@@ -342,14 +453,14 @@ pub(crate) fn persister_loop(
             PersistHealth::Degraded => {
                 discard_pending(state, health);
                 if stopping || last_snap.elapsed() >= cfg.snapshot_interval {
-                    if let Err(e) = snapshot_once(&mut writers, &mut gen) {
+                    if let Err(e) = snapshot_once(&mut writers, &mut gen, &mut covered) {
                         log_persist_error("degraded snapshot", &e);
                     }
                     last_snap = Instant::now();
                 }
                 if !stopping && Instant::now() >= next_probe {
                     let healed = match persist::probe_disk(&cfg.dir, hook) {
-                        Ok(()) => match snapshot_once(&mut writers, &mut gen) {
+                        Ok(()) => match snapshot_once(&mut writers, &mut gen, &mut covered) {
                             Ok(()) => {
                                 last_snap = Instant::now();
                                 true
@@ -368,6 +479,10 @@ pub(crate) fn persister_loop(
                     if healed {
                         health.heal();
                         probe_failures = 0;
+                        // What changed between that snapshot's capture
+                        // and this moment was counted, not numbered: the
+                        // next cadence snapshot is not one to skip.
+                        covered = None;
                     } else {
                         probe_failures += 1;
                         if probe_failures >= cfg.degraded_max_retries {
@@ -405,14 +520,38 @@ fn drain_pending(
     health: &PersistHealthState,
 ) {
     for (s, w) in writers.iter_mut().enumerate() {
-        let mut pending = state.cache.with_shard(s, |_, ext| take_pending(ext).0);
-        if !pending.is_empty() {
-            if let Err(e) = w.append(pending.make_contiguous()) {
-                health.count_lost(pending.len() as u64);
-                health.degrade("journal append", &e);
-            }
+        let mut pending = state.cache.with_shard(s, |_, ext| take_pending(ext));
+        if let Err(e) = append_counted(w, &mut pending, health) {
+            health.degrade("journal append", &e);
         }
     }
+}
+
+/// Append `pending` to `w`, counting the bytes that reached the file and,
+/// when the append fails, its records as lost.
+fn append_counted(
+    w: &mut persist::JournalWriter,
+    pending: &mut VecDeque<(u64, JournalOp)>,
+    health: &PersistHealthState,
+) -> Result<(), PersistError> {
+    let before = w.bytes_appended();
+    let appended = w.append(pending.make_contiguous());
+    health
+        .journal_bytes
+        .fetch_add(w.bytes_appended() - before, Ordering::Relaxed);
+    if appended.is_err() {
+        health.count_lost(pending.len() as u64);
+    }
+    appended
+}
+
+/// Whether every shard's newest assigned sequence number is still the one
+/// in `covered` (per shard, what the last committed snapshot covers).
+fn nothing_logged_since(state: &Arc<ProxyState>, covered: &[u64]) -> bool {
+    covered
+        .iter()
+        .enumerate()
+        .all(|(s, &seq)| state.cache.with_shard(s, |_, ext| newest_seq(ext)) == seq)
 }
 
 /// Throw away buffered records while degraded, counting them as loss.
@@ -421,9 +560,7 @@ fn drain_pending(
 /// healing snapshot covers the live state they described.
 fn discard_pending(state: &Arc<ProxyState>, health: &PersistHealthState) {
     for s in 0..state.cache.shard_count() {
-        let n = state
-            .cache
-            .with_shard(s, |_, ext| take_pending(ext).0.len());
+        let n = state.cache.with_shard(s, |_, ext| take_pending(ext).len());
         if n > 0 {
             health.count_lost(n as u64);
         }
@@ -431,13 +568,16 @@ fn discard_pending(state: &Arc<ProxyState>, health: &PersistHealthState) {
 }
 
 /// Empty a shard's journal buffer (under its lock): the records awaiting
-/// the persister, and the sequence number of the newest record assigned
-/// so far. Nothing and zero without a buffer.
-fn take_pending(ext: &mut ShardExt) -> (VecDeque<(u64, JournalOp)>, u64) {
-    match ext.journal.as_deref_mut() {
-        Some(j) => (std::mem::take(&mut j.pending), j.next_seq - 1),
-        None => (VecDeque::new(), 0),
-    }
+/// the persister. Nothing without a buffer.
+fn take_pending(ext: &mut ShardExt) -> VecDeque<(u64, JournalOp)> {
+    let pending = ext.journal.as_deref_mut().map(JournalBuf::take);
+    pending.unwrap_or_default()
+}
+
+/// Sequence number of the newest record a shard's journal buffer has
+/// assigned so far; zero without a buffer.
+fn newest_seq(ext: &ShardExt) -> u64 {
+    ext.journal.as_deref().map_or(0, JournalBuf::newest_seq)
 }
 
 /// Remove the per-shard journal buffers once persistence is Disabled:
@@ -474,6 +614,8 @@ struct CapturedShard {
 /// 4. Journals rotate only after every snapshot of this generation is
 ///    durable; every record dropped has `seq <= snap_seq`, which replay
 ///    skips anyway — a crash between commit and rotation is harmless.
+///
+/// Returns each shard's `snap_seq`: what the committed generation covers.
 fn take_snapshot(
     state: &Arc<ProxyState>,
     cfg: &PersistConfig,
@@ -481,17 +623,17 @@ fn take_snapshot(
     gen: u64,
     health: &PersistHealthState,
     hook: Option<&IoFaultInjector>,
-) -> Result<(), PersistError> {
+) -> Result<Vec<u64>, PersistError> {
     let nshards = writers.len();
     let mut caps = Vec::with_capacity(nshards);
     for (s, w) in writers.iter_mut().enumerate() {
         let (mut pending, cap) = state.cache.with_shard(s, |cache, ext| {
-            let (pending, snap_seq) = take_pending(ext);
+            let pending = take_pending(ext);
             let (cs, residents) = cache.export_entries();
             (
                 pending,
                 CapturedShard {
-                    snap_seq,
+                    snap_seq: newest_seq(ext),
                     cs,
                     residents,
                 },
@@ -501,16 +643,13 @@ fn take_snapshot(
         // `seq <= snap_seq`, so the snapshot this function is about to
         // write covers the same state. Count the loss (a crash before
         // the snapshot commits would lose them) and carry on.
-        if !pending.is_empty() {
-            if let Err(e) = w.append(pending.make_contiguous()) {
-                health.count_lost(pending.len() as u64);
-                log_persist_error("snapshot pre-append", &e);
-            }
+        if let Err(e) = append_counted(w, &mut pending, health) {
+            log_persist_error("snapshot pre-append", &e);
         }
         caps.push(cap);
     }
     // Dump the URL table after the captures (see ordering note above).
-    let urls: Vec<String> = {
+    let mut urls: Vec<String> = {
         let interner = state.interner.lock();
         (0..interner.url_count())
             .map(|i| {
@@ -522,21 +661,26 @@ fn take_snapshot(
             .collect()
     };
     let now = state.now.load(Ordering::SeqCst);
-    persist::write_interner_hooked(&cfg.dir, gen, now, &urls, hook)?;
-    for (s, cap) in caps.iter().enumerate() {
-        let docs = cap
-            .cs
-            .docs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| persist::SnapshotDoc {
-                meta: *m,
-                url: urls.get(m.url.0 as usize).cloned().unwrap_or_default(),
-                fetched_at: cap.residents[i].fetched_at,
-                body: cap.residents[i].body.clone(),
+    let written = |bytes: u64| health.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
+    written(persist::write_interner_hooked(
+        &cfg.dir, gen, now, &urls, hook,
+    )?);
+    let covered = caps.iter().map(|cap| cap.snap_seq).collect();
+    for (s, cap) in caps.into_iter().enumerate() {
+        // The table is on disk; a resident document is in one shard, so
+        // its snapshot entry takes the table's copy of the URL.
+        let docs = std::iter::zip(cap.cs.docs, cap.residents)
+            .map(|(meta, resident)| persist::SnapshotDoc {
+                meta,
+                url: urls
+                    .get_mut(meta.url.0 as usize)
+                    .map(std::mem::take)
+                    .unwrap_or_default(),
+                fetched_at: resident.fetched_at,
+                body: resident.body,
             })
             .collect();
-        persist::write_shard_snapshot_hooked(
+        written(persist::write_shard_snapshot_hooked(
             &cfg.dir,
             &persist::ShardSnapshot {
                 shard: s as u32,
@@ -547,18 +691,19 @@ fn take_snapshot(
                 capacity: cap.cs.capacity,
                 current_day: cap.cs.current_day,
                 stats: cap.cs.stats,
-                policy_state: cap.cs.policy_state.clone(),
+                policy_state: cap.cs.policy_state,
                 docs,
             },
             hook,
-        )?;
+        )?);
     }
     for w in writers.iter_mut() {
         w.sync()?;
         w.rotate()?;
     }
     persist::gc_old_generations(&cfg.dir, nshards as u32, gen);
-    Ok(())
+    health.snapshots.fetch_add(1, Ordering::Relaxed);
+    Ok(covered)
 }
 
 /// Reinstate recovered snapshots + journals into a freshly built (empty)
@@ -768,5 +913,270 @@ fn apply_journal_op(
             }
             *fetched_at
         }
+    }
+}
+
+/// One shard of the proxy's store path with no sockets and no persister
+/// thread: requests go through [`touch_resident`] and [`install`] and are
+/// logged into a real [`JournalBuf`]; the caller decides when the buffer
+/// is drained, and replays a recovered journal with the function
+/// recovery uses. For `tests/journal_elision.rs`, which needs to choose
+/// the drain points a running persister picks by the clock.
+#[doc(hidden)]
+pub struct JournalShard {
+    state: Arc<ProxyState>,
+    health: Arc<PersistHealthState>,
+}
+
+/// One resident document of a [`JournalShard`].
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JournalShardDoc {
+    /// URL text.
+    pub url: String,
+    /// Cache metadata; `url` is this shard's own id for the text above.
+    pub meta: DocMeta,
+    /// Logical time of the fetch.
+    pub fetched_at: u64,
+    /// Body bytes.
+    pub body: bytes::Bytes,
+}
+
+impl JournalShard {
+    /// A cold shard of `capacity` bytes. With `journal_records` it logs
+    /// every mutation into a buffer of that many records (a live shard);
+    /// without, nothing is logged (a recovery target).
+    pub fn new(
+        capacity: u64,
+        policy: Box<dyn webcache_core::policy::RemovalPolicy>,
+        journal_records: Option<usize>,
+    ) -> JournalShard {
+        let config = crate::ProxyConfig::new(capacity).with_shards(1);
+        let mut policy = Some(policy);
+        let state = crate::cache_proxy::new_state(&config, None, || {
+            policy.take().expect("one shard asks for one policy")
+        });
+        let health = Arc::new(PersistHealthState::default());
+        if let Some(cap) = journal_records {
+            state.cache.with_shard(0, |_, ext| {
+                ext.journal = Some(Box::new(JournalBuf::new(1, cap, Arc::clone(&health))));
+            });
+        }
+        JournalShard { state, health }
+    }
+
+    /// One client request for `url`, currently `size` bytes at the origin,
+    /// on the next tick of the logical clock (returned): a resident copy
+    /// of that size is touched, as a hit does; anything else calls `fetch`
+    /// for the body and stores it, as a concluded miss does.
+    pub fn request(&self, url: &str, size: u64, fetch: impl FnOnce() -> bytes::Bytes) -> u64 {
+        let id = self.state.interner.lock().url(url);
+        let now = self.state.now.fetch_add(1, Ordering::SeqCst) + 1;
+        self.state.cache.with_shard(0, |cache, ext| {
+            match cache.entry(id).map(|(m, copy)| (*m, copy.clone())) {
+                Some((meta, copy)) if meta.size == size => {
+                    touch_resident(cache, ext, url, &meta, &copy, now)
+                }
+                _ => {
+                    let r = reference(id, now, size, webcache_trace::DocType::classify(url), None);
+                    let copy = Resident {
+                        body: fetch(),
+                        fetched_at: now,
+                    };
+                    install(cache, ext, &r, url, &copy);
+                }
+            }
+        });
+        now
+    }
+
+    /// What the persister's drain takes: the buffered records.
+    pub fn drain(&self) -> Vec<(u64, JournalOp)> {
+        self.state
+            .cache
+            .with_shard(0, |_, ext| take_pending(ext))
+            .into()
+    }
+
+    /// Replay recovered journal records, as [`apply_recovery`] does after
+    /// the snapshots.
+    pub fn replay(&self, ops: &[(u64, JournalOp)]) {
+        let mut id_map = HashMap::new();
+        for (_, op) in ops {
+            apply_journal_op(&self.state, op, &mut id_map);
+        }
+    }
+
+    /// The resident documents, sorted by URL.
+    pub fn residents(&self) -> Vec<JournalShardDoc> {
+        let interner = self.state.interner.lock();
+        let mut docs: Vec<JournalShardDoc> = self.state.cache.with_shard(0, |cache, _| {
+            cache
+                .entries()
+                .map(|(meta, copy)| JournalShardDoc {
+                    url: interner.url_text(meta.url).unwrap_or_default().to_string(),
+                    meta: *meta,
+                    fetched_at: copy.fetched_at,
+                    body: copy.body.clone(),
+                })
+                .collect()
+        });
+        docs.sort_by(|a, b| a.url.cmp(&b.url));
+        docs
+    }
+
+    /// Buffered `Insert`s rewritten as `Evict` so far.
+    pub fn elided(&self) -> u64 {
+        self.health.journal_elided()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use webcache_trace::DocType;
+
+    fn insert(id: u32, body: &'static [u8]) -> JournalOp {
+        JournalOp::Insert {
+            old_id: id,
+            url: format!("http://j.test/{id}"),
+            now: 1,
+            size: body.len() as u64,
+            doc_type: DocType::Text,
+            last_modified: None,
+            fetched_at: 1,
+            body: Bytes::copy_from_slice(body),
+        }
+    }
+
+    fn evict(id: u32) -> JournalOp {
+        JournalOp::Evict { old_id: id }
+    }
+
+    fn buf(cap: usize) -> JournalBuf {
+        JournalBuf::new(1, cap, Arc::new(PersistHealthState::default()))
+    }
+
+    fn seqs(j: &JournalBuf) -> Vec<u64> {
+        j.pending.iter().map(|(seq, _)| *seq).collect()
+    }
+
+    #[test]
+    fn evict_in_the_window_of_its_insert_takes_the_body_out() {
+        let mut j = buf(16);
+        j.log(insert(7, b"seven"));
+        j.log(JournalOp::Touch {
+            old_id: 7,
+            now: 2,
+            size: 5,
+        });
+        j.log(insert(8, b"eight"));
+        j.log(evict(7));
+        // Same records, same sequence numbers; only the first lost its
+        // body, and the index forgot it.
+        assert_eq!(seqs(&j), vec![1, 2, 3, 4]);
+        assert_eq!(j.pending[0].1, evict(7));
+        assert_eq!(j.pending[2].1, insert(8, b"eight"));
+        assert_eq!(j.pending[3].1, evict(7));
+        assert_eq!(j.inserts, HashMap::from([(8, 3)]));
+        assert_eq!(j.health.journal_elided(), 1);
+    }
+
+    #[test]
+    fn evict_after_the_drain_is_a_plain_evict() {
+        let mut j = buf(16);
+        j.log(insert(7, b"seven"));
+        let drained = j.take();
+        assert_eq!(drained, VecDeque::from([(1, insert(7, b"seven"))]));
+        assert!(j.inserts.is_empty(), "the drain clears the index");
+        j.log(evict(7));
+        assert_eq!(j.pending, VecDeque::from([(2, evict(7))]));
+        assert_eq!(j.health.journal_elided(), 0);
+    }
+
+    #[test]
+    fn reinsert_after_an_elided_insert_keeps_its_body() {
+        let mut j = buf(16);
+        j.log(insert(7, b"first"));
+        j.log(evict(7));
+        j.log(insert(7, b"second"));
+        assert_eq!(
+            j.pending,
+            VecDeque::from([(1, evict(7)), (2, evict(7)), (3, insert(7, b"second"))])
+        );
+        assert_eq!(j.inserts, HashMap::from([(7, 3)]));
+        // A replacement leaves the older copy alone: only the newest
+        // insert of a document is indexed.
+        j.log(insert(7, b"third"));
+        j.log(evict(7));
+        assert_eq!(j.pending[2].1, insert(7, b"second"));
+        assert_eq!(j.pending[3].1, evict(7));
+        assert_eq!(j.health.journal_elided(), 2);
+    }
+
+    #[test]
+    fn insert_dropped_oldest_first_leaves_the_index_with_it() {
+        let mut j = buf(2);
+        j.log(insert(7, b"seven"));
+        j.log(insert(8, b"eight"));
+        j.log(insert(9, b"nine")); // drops seq 1
+        assert_eq!(seqs(&j), vec![2, 3]);
+        assert_eq!(j.inserts, HashMap::from([(8, 2), (9, 3)]));
+        assert_eq!(j.health.dropped_records(), 1);
+        // The evict finds nothing to rewrite and must not touch the
+        // record now at the front.
+        j.log(evict(7)); // drops seq 2
+        assert_eq!(
+            j.pending,
+            VecDeque::from([(3, insert(9, b"nine")), (4, evict(7))])
+        );
+        assert_eq!(j.inserts, HashMap::from([(9, 3)]));
+        assert_eq!(j.health.journal_elided(), 0);
+        // An index entry that outlived its record would point before the
+        // front: that reads as gone, not as a position.
+        j.inserts.insert(5, 1);
+        j.log(evict(5));
+        assert_eq!(seqs(&j), vec![4, 5]);
+        assert_eq!(j.health.journal_elided(), 0);
+    }
+
+    #[test]
+    fn degraded_logging_neither_indexes_nor_numbers() {
+        let mut j = buf(16);
+        let e = PersistError::Mismatch("test".into());
+        assert!(j.health.degrade("test", &e));
+        j.log(insert(7, b"seven"));
+        j.log(evict(7));
+        assert!(j.pending.is_empty() && j.inserts.is_empty());
+        assert_eq!(j.next_seq, 1);
+        assert_eq!(j.health.lost_records(), 2);
+        j.health.heal();
+        j.log(evict(7));
+        assert_eq!(j.pending, VecDeque::from([(1, evict(7))]));
+    }
+
+    #[test]
+    fn freeing_the_buffers_frees_the_index() {
+        let shard = JournalShard::new(
+            1 << 20,
+            Box::new(webcache_core::policy::named::size()),
+            Some(16),
+        );
+        shard.request("http://j.test/a.html", 5, || {
+            Bytes::copy_from_slice(b"hello")
+        });
+        let indexed = |ext: &ShardExt| ext.journal.as_deref().map(|j| j.inserts.len());
+        assert_eq!(
+            shard.state.cache.with_shard(0, |_, ext| indexed(ext)),
+            Some(1)
+        );
+        free_journal_buffers(&shard.state);
+        assert_eq!(shard.state.cache.with_shard(0, |_, ext| indexed(ext)), None);
+        // Logging is a no-op again.
+        shard.request("http://j.test/b.html", 5, || {
+            Bytes::copy_from_slice(b"world")
+        });
+        assert!(shard.drain().is_empty());
     }
 }

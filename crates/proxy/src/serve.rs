@@ -529,8 +529,13 @@ pub(crate) fn install(
             Vec::new()
         }
         Outcome::Miss { evicted } | Outcome::MissModified { evicted } => evicted,
-        // Larger than a shard's capacity: pass through uncached.
-        Outcome::MissTooBig => return,
+        // Larger than a shard's capacity: pass through uncached. A
+        // smaller copy that was resident is gone (invalidated before the
+        // new size was found not to fit), and replay must drop it too.
+        Outcome::MissTooBig => {
+            ext.log_op(JournalOp::Evict { old_id: r.url.0 });
+            return;
+        }
     };
     log_insert(ext, evicted, r, target, copy);
 }

@@ -129,7 +129,10 @@ impl AtomicProxyStats {
 /// and how many of those came back to the event loop to finish
 /// writing), `inline_fetches` and `inline_fallbacks` (origin exchanges
 /// the event loop ran itself, and inline attempts it handed to a worker
-/// after all), persistence health, and —
+/// after all), persistence health and what the persister wrote
+/// (`journal_elided`: buffered inserts whose document was evicted before
+/// the drain and so never reached the disk; `journal_bytes`,
+/// `snapshot_bytes`, `snapshots`, `snapshots_skipped`), and —
 /// in cluster mode — the ring epoch, member set, and peer counters.
 /// Origin-form (no `http://` host), so it can never collide with a
 /// cacheable URL.
@@ -171,12 +174,19 @@ pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
         Some(h) => {
             json.push_str(&format!(
                 ",\"persist\":{{\"health\":\"{}\",\"journal_lost_records\":{},\
-                 \"journal_dropped\":{},\"degraded_transitions\":{},\"heals\":{}}}",
+                 \"journal_dropped\":{},\"degraded_transitions\":{},\"heals\":{},\
+                 \"journal_elided\":{},\"journal_bytes\":{},\"snapshot_bytes\":{},\
+                 \"snapshots\":{},\"snapshots_skipped\":{}}}",
                 h.health().name(),
                 h.lost_records(),
                 h.dropped_records(),
                 h.degraded_transitions(),
                 h.heals(),
+                h.journal_elided(),
+                h.journal_bytes(),
+                h.snapshot_bytes(),
+                h.snapshots(),
+                h.snapshots_skipped(),
             ));
         }
         None => json.push_str(",\"persist\":null"),
@@ -212,6 +222,34 @@ pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache_proxy::new_state;
+    use crate::config::ProxyConfig;
+    use crate::persister::PersistHealthState;
+    use webcache_core::policy::named;
+
+    #[test]
+    fn persist_block_keeps_its_keys_and_appends_the_persister_counters() {
+        let state = new_state(&ProxyConfig::new(1 << 20), None, || Box::new(named::size()));
+        let body = |state: &Arc<ProxyState>| {
+            String::from_utf8(admin_stats_response(state).body.to_vec()).unwrap()
+        };
+        assert!(body(&state).contains(",\"persist\":null,\"cluster\":null}"));
+        let _ = state
+            .persist_health
+            .set(Arc::new(PersistHealthState::default()));
+        // The benchmark reads `journal_dropped` and `journal_lost_records`
+        // by name; everything new comes after what was there.
+        assert!(
+            body(&state).contains(
+                ",\"persist\":{\"health\":\"healthy\",\"journal_lost_records\":0,\
+                 \"journal_dropped\":0,\"degraded_transitions\":0,\"heals\":0,\
+                 \"journal_elided\":0,\"journal_bytes\":0,\"snapshot_bytes\":0,\
+                 \"snapshots\":0,\"snapshots_skipped\":0},\"cluster\":null}"
+            ),
+            "{}",
+            body(&state)
+        );
+    }
 
     #[test]
     fn hit_rate_accounts_revalidations() {

@@ -154,6 +154,20 @@ fn full_append_failure_serves_full_run_and_restarts_warm() {
     // down; the final snapshot also runs in the Degraded arm.
     drop(p);
     assert_eq!(health.health(), PersistHealth::Degraded);
+    assert_eq!(
+        health.journal_bytes(),
+        0,
+        "every append was refused before it wrote"
+    );
+    assert!(
+        health.snapshots() > 0 && health.snapshot_bytes() > 0,
+        "degraded-mode snapshots are counted with what they wrote"
+    );
+    assert_eq!(
+        health.snapshots_skipped(),
+        0,
+        "only a healthy store skips a cadence snapshot"
+    );
 
     // Fault-free restart: warm, possibly colder, never wrong.
     let p2 = start(origin.addr(), PersistConfig::new(dir.0.clone()));
@@ -343,6 +357,8 @@ fn journal_buffer_overflow_is_counted_and_forces_snapshot() {
             .unwrap_or(false)
     });
     assert!(forced, "dropped records must force a snapshot off-cadence");
+    assert!(wait_for(Duration::from_secs(5), || health.snapshots() > 0));
+    assert!(health.snapshot_bytes() > 0 && health.journal_bytes() > 0);
     drop(p);
 
     let p2 = start(origin.addr(), PersistConfig::new(dir.0.clone()));
@@ -351,6 +367,83 @@ fn journal_buffer_overflow_is_counted_and_forces_snapshot() {
         let (_, body) = get(p2.addr(), url).expect("post-restart fetch");
         assert!(!body.is_empty(), "empty recovered body for {url}");
     }
+}
+
+/// Newest snapshot generation on disk and the latest modification time
+/// of any journal.
+fn disk_state(dir: &CaseDir) -> (u64, std::time::SystemTime) {
+    let names = || {
+        std::fs::read_dir(&dir.0)
+            .expect("read persist dir")
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+    };
+    let gen = names()
+        .filter_map(|name| name.strip_suffix(".wcs")?.split_once("-g")?.1.parse().ok())
+        .max()
+        .unwrap_or(0);
+    let mtime = names()
+        .filter(|name| name.ends_with(".wcj"))
+        .map(|name| {
+            let journal = std::fs::metadata(dir.0.join(name)).expect("journal exists");
+            journal.modified().expect("mtime")
+        })
+        .max()
+        .expect("a journal per shard");
+    (gen, mtime)
+}
+
+/// An idle persister leaves the disk alone: with nothing logged since the
+/// last committed snapshot the cadence snapshot is skipped (no new
+/// generation, no rotation) and the group fsync finds nothing to sync.
+/// One request later it is back at work.
+#[test]
+fn idle_persister_writes_nothing_until_the_next_request() {
+    let (origin, urls) = test_origin(4);
+    let dir = CaseDir::new("idle");
+    let pcfg = PersistConfig::new(dir.0.clone())
+        .with_snapshot_interval(Duration::from_millis(50))
+        .with_journal_fsync(Duration::from_millis(5));
+    let p = start(origin.addr(), pcfg);
+    let health = p.persist_health_state().expect("persistent proxy");
+    for url in &urls {
+        assert!(get(p.addr(), url).is_some());
+    }
+    // A skip decided after the last response says a snapshot covering
+    // every request committed; the second one from here on cannot have
+    // been under way while they were still being logged.
+    let settled = |skips: u64| {
+        wait_for(Duration::from_secs(5), || {
+            health.snapshots_skipped() >= skips
+        })
+    };
+    assert!(
+        settled(health.snapshots_skipped() + 2),
+        "an idle cache is never skipped"
+    );
+    let (gen, mtime) = disk_state(&dir);
+    let (snapshots, journal_bytes) = (health.snapshots(), health.journal_bytes());
+    assert!(gen > 0 && snapshots > 0 && journal_bytes > 0);
+
+    // Three more snapshot intervals go by.
+    assert!(settled(health.snapshots_skipped() + 3));
+    assert_eq!(disk_state(&dir), (gen, mtime), "an idle persister wrote");
+    assert_eq!(health.snapshots(), snapshots);
+    assert_eq!(health.journal_bytes(), journal_bytes);
+
+    // A hit logs a touch: journal appended, next cadence snapshot taken.
+    assert_eq!(get(p.addr(), &urls[0]).map(|(hit, _)| hit), Some(true));
+    assert!(wait_for(Duration::from_secs(5), || {
+        health.snapshots() > snapshots
+    }));
+    let (gen_after, mtime_after) = disk_state(&dir);
+    assert!(gen_after > gen, "generation {gen_after} after {gen}");
+    assert!(
+        mtime_after > mtime,
+        "the journal was appended to and rotated"
+    );
+    assert!(health.journal_bytes() > journal_bytes);
+    assert_eq!(health.health(), PersistHealth::Healthy);
 }
 
 /// The `webcache-proxy` binary reports persistence loss in its exit
