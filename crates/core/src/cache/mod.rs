@@ -534,7 +534,7 @@ impl<P> Cache<P> {
         }
     }
 
-    /// Snapshot the cache's complete simulation state for a checkpoint.
+    /// Export the cache's complete simulation state for a snapshot.
     pub fn export_state(&self) -> CacheState {
         CacheState {
             capacity: self.capacity,

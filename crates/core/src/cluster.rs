@@ -14,7 +14,7 @@
 //!
 //! Every node of a [`Membership`] contributes `vnodes` points on a
 //! 64-bit ring; a point is the [`Hasher64`] (the same FNV-1a word
-//! discipline that checksums `.wct`/`.wcp` sections) digest of
+//! discipline that checksums `.wct`/`.wcs` sections) digest of
 //! `(seed, node_id, replica)`. A key is hashed the same way over its
 //! URL text — the *text*, not the per-process interned id, so every
 //! node and every client computes the identical owner. The owner of a

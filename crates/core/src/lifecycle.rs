@@ -1,12 +1,8 @@
 //! Process-wide stop flag and SIGINT/SIGTERM handlers.
 //!
-//! Extracted from `experiments::lifecycle` so every long-running binary in
-//! the workspace — the experiments sweep driver and the standalone caching
-//! proxy — shares one flag and one handler installation. Sweeps poll the
-//! flag between request strides to flush a final checkpoint; the proxy
-//! polls it to flush its journal and write a final cache snapshot before
-//! exiting, so a `kill` (SIGTERM) or Ctrl-C never loses the warm working
-//! set.
+//! The standalone caching proxy polls the flag to flush its journal and
+//! write a final cache snapshot before exiting, so a `kill` (SIGTERM) or
+//! Ctrl-C never loses the warm working set.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -16,24 +12,6 @@ static STOP: AtomicBool = AtomicBool::new(false);
 /// True once a termination signal has been received.
 pub fn stop_requested() -> bool {
     STOP.load(Ordering::SeqCst)
-}
-
-/// Raise the stop flag by hand (tests; equivalent to receiving SIGINT).
-pub fn request_stop() {
-    STOP.store(true, Ordering::SeqCst);
-}
-
-/// Clear the stop flag. Only meaningful for tests and harnesses that
-/// outlive an interrupted run within one process; a signalled CLI run
-/// exits instead.
-pub fn reset_stop() {
-    STOP.store(false, Ordering::SeqCst);
-}
-
-/// The flag itself, for callers that need to hand a `&'static AtomicBool`
-/// into a polling loop (e.g. `sim::run_resumable`'s stop parameter).
-pub fn stop_flag() -> &'static AtomicBool {
-    &STOP
 }
 
 #[cfg(unix)]
@@ -64,25 +42,8 @@ mod signals {
 }
 
 /// Install SIGINT/SIGTERM handlers that raise the stop flag so in-flight
-/// work flushes its final checkpoint/snapshot and exits cleanly. No-op off
-/// Unix.
+/// work flushes its final snapshot and exits cleanly. No-op off Unix.
 pub fn install_signal_handlers() {
     #[cfg(unix)]
     signals::install();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stop_flag_round_trip() {
-        reset_stop();
-        assert!(!stop_requested());
-        request_stop();
-        assert!(stop_requested());
-        assert!(stop_flag().load(std::sync::atomic::Ordering::SeqCst));
-        reset_stop();
-        assert!(!stop_requested());
-    }
 }

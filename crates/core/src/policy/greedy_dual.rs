@@ -144,7 +144,7 @@ impl RemovalPolicy for GreedyDualSize {
     /// Overwrite the replay-derived `H` values with the exported ones.
     /// Every exported url must already be resident (replayed through
     /// `on_insert`) and the counts must match exactly; anything else means
-    /// the checkpoint is inconsistent and the restore is rejected.
+    /// the snapshot is inconsistent and the restore is rejected.
     fn import_state(&mut self, bytes: &[u8]) -> bool {
         if bytes.len() < 8 || !(bytes.len() - 8).is_multiple_of(12) {
             return false;

@@ -95,7 +95,7 @@ pub trait RemovalPolicy: Send {
         None
     }
 
-    /// Serialize any policy state that a checkpoint restore cannot
+    /// Serialize any policy state that a snapshot restore cannot
     /// reconstruct by replaying [`RemovalPolicy::on_insert`] over the
     /// resident documents' metadata. Most policies derive their entire
     /// order from `DocMeta` fields and return an empty vector (the
@@ -108,7 +108,7 @@ pub trait RemovalPolicy: Send {
     /// Restore state exported by [`RemovalPolicy::export_state`], called
     /// *after* the resident set has been replayed through `on_insert`.
     /// Returns `false` when the bytes are malformed or inconsistent with
-    /// the resident set (the caller must then discard the checkpoint).
+    /// the resident set (the caller must then discard the snapshot).
     /// The default accepts exactly the default export: empty bytes.
     fn import_state(&mut self, bytes: &[u8]) -> bool {
         bytes.is_empty()

@@ -8,14 +8,9 @@
 //! stream the system exposes (one stream for a plain cache; L1 and L2
 //! streams for a hierarchy; per-partition streams for a partitioned cache).
 
-pub mod checkpoint;
 pub mod instrument;
 pub mod multi;
 
-pub use checkpoint::{
-    decode_results, encode_results, run_resumable, LaneState, ResumeError, SweepCheckpoint,
-    SweepMeta, SweepOutcome,
-};
 pub use multi::{LaneSpec, MultiSim};
 
 use crate::cache::multilevel::{SharedL2, TwoLevelCache};

@@ -5,14 +5,11 @@
 //! simulation is then the size needed for no document replacements to
 //! occur, denoted MaxNeeded." (section 3.2)
 
-use crate::lifecycle::Supervisor;
 use crate::runner::{Ctx, PAPER_MAX_NEEDED_MB, WORKLOADS};
 use serde::{Deserialize, Serialize};
-use webcache_core::policy::{NeverEvict, RemovalPolicy};
-use webcache_core::sim::{simulate_infinite, SimResult, SweepMeta};
+use webcache_core::sim::simulate_infinite;
 use webcache_stats::series::DailySeries;
 use webcache_stats::{report, Table};
-use webcache_trace::binfmt::trace_content_hash;
 
 /// Results of Experiment 1 for one workload: one of Figs. 3-7.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -40,10 +37,10 @@ pub struct Exp1 {
     pub workloads: Vec<Exp1Workload>,
 }
 
-/// Derive one workload's Experiment 1 row from its infinite-cache
-/// simulation result. Pure: a fresh run, a resumed run, and a salvaged
-/// result all produce bit-identical rows from equal [`SimResult`]s.
-pub fn workload_from_result(workload: &str, res: &SimResult) -> Exp1Workload {
+/// Run Experiment 1 on one workload.
+pub fn run_one(ctx: &Ctx, workload: &str) -> Exp1Workload {
+    let trace = ctx.trace(workload);
+    let res = simulate_infinite(&trace);
     let stream = res.stream("cache").expect("single cache stream");
     let hr = DailySeries::new(stream.daily_hr());
     let whr = DailySeries::new(stream.daily_whr());
@@ -58,59 +55,11 @@ pub fn workload_from_result(workload: &str, res: &SimResult) -> Exp1Workload {
     }
 }
 
-/// Run Experiment 1 on one workload.
-pub fn run_one(ctx: &Ctx, workload: &str) -> Exp1Workload {
-    let trace = ctx.trace(workload);
-    workload_from_result(workload, &simulate_infinite(&trace))
-}
-
-/// Supervised variant of [`run_one`]: the infinite-cache pass runs under
-/// the checkpoint/resume lifecycle (cell `exp1-{workload}`). Returns
-/// `None` when the sweep was interrupted by a signal; rerunning with
-/// `--resume` continues from the flushed checkpoint and yields a row
-/// bit-identical to an uninterrupted run.
-pub fn run_one_supervised(ctx: &Ctx, sup: &Supervisor, workload: &str) -> Option<Exp1Workload> {
-    let cell = format!("exp1-{workload}");
-    if let Some(results) = sup.saved_result(&cell) {
-        if let Some((_, res)) = results.first() {
-            return Some(workload_from_result(workload, res));
-        }
-    }
-    let trace = ctx.trace(workload);
-    let meta = SweepMeta {
-        experiment: "exp1".to_string(),
-        workload: workload.to_string(),
-        capacity: u64::MAX,
-        trace_hash: trace_content_hash(&trace),
-        seed: ctx.seed(),
-        scale_ppm: ctx.scale_ppm(),
-    };
-    let results = sup.run_cell(&cell, &trace, &meta, || {
-        vec![(
-            "infinite".to_string(),
-            Box::new(NeverEvict::new()) as Box<dyn RemovalPolicy>,
-        )]
-    })?;
-    sup.save_result(&cell, &results);
-    Some(workload_from_result(workload, &results[0].1))
-}
-
 /// Run Experiment 1 on all five workloads (Figs. 3-7).
 pub fn run(ctx: &Ctx) -> Exp1 {
     Exp1 {
         workloads: WORKLOADS.iter().map(|w| run_one(ctx, w)).collect(),
     }
-}
-
-/// Supervised [`run`]: each workload is one resumable cell; completed
-/// cells are salvaged and short-circuit on resume. `None` means a signal
-/// interrupted the sweep mid-cell (state is checkpointed on disk).
-pub fn run_supervised(ctx: &Ctx, sup: &Supervisor) -> Option<Exp1> {
-    let mut workloads = Vec::with_capacity(WORKLOADS.len());
-    for w in WORKLOADS {
-        workloads.push(run_one_supervised(ctx, sup, w)?);
-    }
-    Some(Exp1 { workloads })
 }
 
 impl Exp1 {
@@ -218,24 +167,6 @@ mod tests {
             after < before,
             "expected decline: before {before} after {after}"
         );
-    }
-
-    #[test]
-    fn supervised_run_matches_unsupervised_and_salvages() {
-        let dir = std::env::temp_dir().join(format!("wcp_exp1_sup_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ctx = Ctx::with_scale(0.01, 5);
-        let sup = Supervisor::new(dir.clone(), true, 0);
-        let supervised = run_one_supervised(&ctx, &sup, "C").expect("uninterrupted");
-        let plain = run_one(&ctx, "C");
-        let json = |w: &Exp1Workload| serde_json::to_string(w).unwrap();
-        assert_eq!(json(&supervised), json(&plain));
-        // The completed cell was salvaged; a second supervised run serves
-        // it without recomputing and stays bit-identical.
-        assert!(dir.join("exp1-C.result.wcp").exists());
-        let again = run_one_supervised(&ctx, &sup, "C").expect("salvaged");
-        assert_eq!(json(&again), json(&plain));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! comparison, the full 36-combination sweep of the paper's experiment
 //! design (Table 5), and the Fig. 15 secondary-key study.
 
-use crate::lifecycle::Supervisor;
 use crate::runner::Ctx;
 use serde::{Deserialize, Serialize};
 use webcache_core::policy::{named, Key, KeySpec, RemovalPolicy, SortedPolicy};
-use webcache_core::sim::{simulate_infinite, SimResult, SweepMeta};
+use webcache_core::sim::{simulate_infinite, SimResult};
 use webcache_stats::series::{ratio_percent, DailySeries};
 use webcache_stats::{report, Table};
-use webcache_trace::binfmt::trace_content_hash;
 
 /// Result of one policy run against one workload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -105,16 +103,6 @@ fn spec_policy(spec: KeySpec) -> (String, Box<dyn RemovalPolicy + Send>) {
     (spec.name(), Box::new(SortedPolicy::new(spec)))
 }
 
-/// A [`PolicySet`]'s stable slug, used in checkpoint cell names.
-pub fn set_slug(set: PolicySet) -> &'static str {
-    match set {
-        PolicySet::Figures => "figures",
-        PolicySet::Primaries => "primaries",
-        PolicySet::All36 => "all36",
-        PolicySet::Named => "named",
-    }
-}
-
 /// The infinite-cache reference numbers shared by every Experiment 2 run
 /// of one workload.
 struct InfiniteRef {
@@ -138,8 +126,7 @@ fn infinite_ref(trace: &webcache_trace::Trace, cache_fraction: f64) -> InfiniteR
     }
 }
 
-/// Derive one policy's Figs. 8-12 row from its simulation result. Pure, so
-/// fresh, resumed, and salvaged results all yield bit-identical rows.
+/// Derive one policy's Figs. 8-12 row from its simulation result.
 fn policy_run(policy: String, res: &SimResult, inf: &InfiniteRef) -> PolicyRun {
     let s = res.stream("cache").expect("cache stream");
     let hr_ma = DailySeries::new(s.daily_hr()).moving_average(7);
@@ -183,62 +170,6 @@ pub fn run_one(ctx: &Ctx, workload: &str, cache_fraction: f64, set: PolicySet) -
         partial: !failed.is_empty(),
         failed,
     }
-}
-
-/// Supervised [`run_one`]: the policy sweep runs as one resumable cell
-/// (`exp2-{workload}-f{fraction_ppm}-{set}`), checkpointed every
-/// `--checkpoint-interval` records and salvaged on completion. Returns
-/// `None` when interrupted by a signal; rerunning with `--resume`
-/// continues bit-identically.
-pub fn run_one_supervised(
-    ctx: &Ctx,
-    sup: &Supervisor,
-    workload: &str,
-    cache_fraction: f64,
-    set: PolicySet,
-) -> Option<Exp2Workload> {
-    let trace = ctx.trace(workload);
-    let inf = infinite_ref(&trace, cache_fraction);
-    let cell = format!(
-        "exp2-{workload}-f{}-{}",
-        (cache_fraction * 1e6).round() as u64,
-        set_slug(set)
-    );
-    let results = match sup.saved_result(&cell) {
-        Some(r) => r,
-        None => {
-            let meta = SweepMeta {
-                experiment: "exp2".to_string(),
-                workload: workload.to_string(),
-                capacity: inf.capacity,
-                trace_hash: trace_content_hash(&trace),
-                seed: ctx.seed(),
-                scale_ppm: ctx.scale_ppm(),
-            };
-            let r = sup.run_cell(&cell, &trace, &meta, || {
-                policies(set)
-                    .into_iter()
-                    .map(|(label, p)| (label, p as Box<dyn RemovalPolicy>))
-                    .collect()
-            })?;
-            sup.save_result(&cell, &r);
-            r
-        }
-    };
-    let runs = results
-        .iter()
-        .map(|(policy, res)| policy_run(policy.clone(), res, &inf))
-        .collect();
-    Some(Exp2Workload {
-        workload: workload.to_string(),
-        cache_fraction,
-        capacity: inf.capacity,
-        infinite_hr: inf.infinite_hr,
-        infinite_whr: inf.infinite_whr,
-        runs,
-        partial: false,
-        failed: Vec::new(),
-    })
 }
 
 impl Exp2Workload {
@@ -450,25 +381,6 @@ mod tests {
             );
         }
         assert!(s.table().contains("LOG2(SIZE)"));
-    }
-
-    #[test]
-    fn supervised_sweep_matches_unsupervised_bit_identically() {
-        // The supervised path drives lanes through the resumable engine
-        // and rebuilds rows from raw SimResults; the plain path uses
-        // MultiSim. Both must serialise identically.
-        let dir = std::env::temp_dir().join(format!("wcp_exp2_sup_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ctx = Ctx::with_scale(0.01, 9);
-        let sup = Supervisor::new(dir.clone(), true, 0);
-        let a = run_one_supervised(&ctx, &sup, "C", 0.1, PolicySet::Figures).unwrap();
-        let b = run_one(&ctx, "C", 0.1, PolicySet::Figures);
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-        assert!(dir.join("exp2-C-f100000-figures.result.wcp").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,14 +4,6 @@
 //! multi-seed replication harness quantifying how stable every headline
 //! number is across trace realisations (the paper had one trace per
 //! workload and could not do this).
-//!
-//! This experiment deliberately stays outside the checkpoint/resume layer
-//! (`webcache_core::sim::checkpoint`): its lanes attach arbitrary closure
-//! decorators and accumulate observer state (`ExtObserver`) that has no
-//! serialisable form, so a checkpoint could not capture the lane state
-//! completely. It is also the cheapest sweep (five lanes, one workload).
-//! Under a supervised run the CLI emits a heartbeat before the sweep, and
-//! interruption simply reruns it from scratch.
 
 use crate::runner::Ctx;
 use serde::{Deserialize, Serialize};

@@ -23,8 +23,6 @@ pub mod exp3;
 pub mod exp4;
 pub mod exp5;
 pub mod figures;
-pub mod lifecycle;
 pub mod runner;
 
-pub use lifecycle::Supervisor;
 pub use runner::Ctx;

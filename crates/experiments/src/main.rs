@@ -1,9 +1,7 @@
 //! `experiments` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--scale F] [--seed N] [--json DIR]
-//!             [--checkpoint-dir DIR] [--checkpoint-interval N] [--resume]
-//!             <command> [args]
+//! experiments [--scale F] [--seed N] [--json DIR] <command> [args]
 //!
 //! Commands:
 //!   table1 | table3            definitional tables
@@ -18,15 +16,8 @@
 //!   exp4 [FRAC]                partitioned cache on BR
 //!   all                        everything above, in order
 //! ```
-//!
-//! With `--checkpoint-dir`, exp1 and exp2 sweeps run supervised: state is
-//! checkpointed every `--checkpoint-interval` records (default 100000),
-//! SIGINT/SIGTERM flush a final checkpoint and exit 130, and `--resume`
-//! continues from the latest valid checkpoint — the final results are
-//! bit-identical to an uninterrupted run.
 
-use std::path::PathBuf;
-use webcache_experiments::{exp1, exp2, exp3, exp4, exp5, figures, lifecycle, Ctx, Supervisor};
+use webcache_experiments::{exp1, exp2, exp3, exp4, exp5, figures, Ctx};
 
 /// Report a usage error and exit with status 2 (conventional bad-usage).
 fn usage_error(msg: &str) -> ! {
@@ -53,13 +44,6 @@ fn write_json_atomic(dir: &str, name: &str, json: &str) -> std::io::Result<Strin
     Ok(path)
 }
 
-/// Report an interrupted supervised sweep and exit 130 (conventional
-/// SIGINT status). The final checkpoint is already flushed to disk.
-fn interrupted() -> ! {
-    eprintln!("sweep interrupted; rerun with --resume to continue");
-    std::process::exit(130);
-}
-
 /// Warn on stderr about policy lanes salvaged out of a partial Experiment
 /// 2 result.
 fn report_failed_lanes(e: &exp2::Exp2Workload) {
@@ -76,9 +60,6 @@ fn main() {
     let mut scale = 1.0f64;
     let mut seed = 1u64;
     let mut json_dir: Option<String> = None;
-    let mut ckpt_dir: Option<String> = None;
-    let mut ckpt_interval = 100_000u64;
-    let mut resume = false;
     let mut rest: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -91,29 +72,11 @@ fn main() {
                         .unwrap_or_else(|| usage_error("--json requires a directory")),
                 )
             }
-            "--checkpoint-dir" => {
-                ckpt_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--checkpoint-dir requires a directory")),
-                )
-            }
-            "--checkpoint-interval" => {
-                ckpt_interval = parse_flag("--checkpoint-interval", it.next())
-            }
-            "--resume" => resume = true,
+            "--help" => rest.insert(0, "help".to_string()),
+            f if f.starts_with("--") => usage_error(&format!("unknown flag {f}")),
             _ => rest.push(a),
         }
     }
-    if resume && ckpt_dir.is_none() {
-        usage_error("--resume requires --checkpoint-dir");
-    }
-    let sup = match &ckpt_dir {
-        Some(d) => {
-            lifecycle::install_signal_handlers();
-            Supervisor::new(PathBuf::from(d), resume, ckpt_interval)
-        }
-        None => Supervisor::disabled(),
-    };
     let ctx = match Ctx::try_with_scale(scale, seed) {
         Ok(ctx) => ctx,
         Err(e) => usage_error(&e.to_string()),
@@ -188,20 +151,11 @@ fn main() {
             }
         }
         "exp1" => {
-            let e = if sup.enabled() {
-                match arg(1) {
-                    Some(_) => exp1::run_one_supervised(&ctx, &sup, &wl_arg(1, "BL"))
-                        .map(|w| exp1::Exp1 { workloads: vec![w] }),
-                    None => exp1::run_supervised(&ctx, &sup),
-                }
-                .unwrap_or_else(|| interrupted())
-            } else {
-                match arg(1) {
-                    Some(_) => exp1::Exp1 {
-                        workloads: vec![exp1::run_one(&ctx, &wl_arg(1, "BL"))],
-                    },
-                    None => exp1::run(&ctx),
-                }
+            let e = match arg(1) {
+                Some(_) => exp1::Exp1 {
+                    workloads: vec![exp1::run_one(&ctx, &wl_arg(1, "BL"))],
+                },
+                None => exp1::run(&ctx),
             };
             save("exp1", &e);
             for w in &e.workloads {
@@ -225,12 +179,7 @@ fn main() {
                     .collect(),
             };
             for w in &workloads {
-                let e = if sup.enabled() {
-                    exp2::run_one_supervised(&ctx, &sup, w, frac, set)
-                        .unwrap_or_else(|| interrupted())
-                } else {
-                    exp2::run_one(&ctx, w, frac, set)
-                };
+                let e = exp2::run_one(&ctx, w, frac, set);
                 report_failed_lanes(&e);
                 save(&format!("exp2_{w}"), &e);
                 println!("{}", e.figure());
@@ -240,14 +189,12 @@ fn main() {
         "exp2b" => {
             let wl = &wl_arg(1, "G");
             let frac: f64 = arg(2).and_then(|v| v.parse().ok()).unwrap_or(0.1);
-            sup.heartbeat("exp2b", &format!("exp2b-{wl}"), 0);
             let s = exp2::run_secondary(&ctx, wl, frac);
             save("exp2b", &s);
             println!("{}", s.table());
         }
         "exp3" => {
             let frac: f64 = arg(1).and_then(|v| v.parse().ok()).unwrap_or(0.1);
-            sup.heartbeat("exp3", "exp3", 0);
             let out = exp3::run(&ctx, frac);
             for (w, err) in &out.failed {
                 eprintln!(
@@ -275,9 +222,6 @@ fn main() {
         "exp5" => {
             let wl = &wl_arg(1, "BL");
             let frac: f64 = arg(2).and_then(|v| v.parse().ok()).unwrap_or(0.1);
-            // Exp5's observer lanes are not checkpointable (see its module
-            // docs); under supervision it still reports liveness.
-            sup.heartbeat("exp5", &format!("exp5-{wl}"), 0);
             let runs = exp5::run(&ctx, wl, frac);
             save("exp5", &runs);
             println!("{}", exp5::table(wl, &runs));
@@ -335,7 +279,6 @@ fn main() {
         }
         "exp4" => {
             let frac: f64 = arg(1).and_then(|v| v.parse().ok()).unwrap_or(0.1);
-            sup.heartbeat("exp4", "exp4-BR", 0);
             let e = exp4::run(&ctx, "BR", frac);
             for (fraction, err) in &e.failed {
                 eprintln!(
@@ -356,20 +299,11 @@ fn main() {
                 "{}",
                 figures::render_fig13(&figures::fig13(&ctx, "BL"), "BL")
             );
-            let e1 = if sup.enabled() {
-                exp1::run_supervised(&ctx, &sup).unwrap_or_else(|| interrupted())
-            } else {
-                exp1::run(&ctx)
-            };
+            let e1 = exp1::run(&ctx);
             save("exp1", &e1);
             println!("{}", e1.summary_table(ctx.scale()));
             for w in webcache_experiments::runner::WORKLOADS {
-                let e = if sup.enabled() {
-                    exp2::run_one_supervised(&ctx, &sup, w, 0.1, exp2::PolicySet::Figures)
-                        .unwrap_or_else(|| interrupted())
-                } else {
-                    exp2::run_one(&ctx, w, 0.1, exp2::PolicySet::Figures)
-                };
+                let e = exp2::run_one(&ctx, w, 0.1, exp2::PolicySet::Figures);
                 report_failed_lanes(&e);
                 save(&format!("exp2_{w}"), &e);
                 println!("{}", e.table());
@@ -377,29 +311,23 @@ fn main() {
             let s = exp2::run_secondary(&ctx, "G", 0.1);
             save("exp2b", &s);
             println!("{}", s.table());
-            sup.heartbeat("exp3", "exp3", 0);
             let e3 = exp3::run(&ctx, 0.1);
             save("exp3", &e3);
             println!("{}", exp3::table(&e3.rows));
-            sup.heartbeat("exp4", "exp4-BR", 0);
             let e4 = exp4::run(&ctx, "BR", 0.1);
             save("exp4", &e4);
             println!("{}", e4.table());
         }
-        _ => {
+        "help" => {
             println!(
-                "usage: experiments [--scale F] [--seed N] [--json DIR]\n\
-                 \x20                  [--checkpoint-dir DIR] [--checkpoint-interval N] [--resume]\n\
-                 \x20                  <command>\n\
+                "usage: experiments [--scale F] [--seed N] [--json DIR] <command>\n\
                  commands: table1 table3 table4 fig1 fig2 fig13 fig14\n\
                  exp1 [WL] | exp2 [WL] [FRAC] [figures|primaries|all36|named] |\n\
                  exp2b [WL] [FRAC] | exp3 [FRAC] | exp3-shared WL [GROUPS] | exp4 [FRAC] |\n\
-                 exp5 [WL] [FRAC] | replicate [WL] [SEEDS] | all\n\
-                 --checkpoint-dir enables crash-safe supervised sweeps (exp1/exp2):\n\
-                 state is checkpointed every --checkpoint-interval records (default 100000)\n\
-                 and --resume continues bit-identically after a crash or signal"
+                 exp5 [WL] [FRAC] | replicate [WL] [SEEDS] | all"
             );
         }
+        other => usage_error(&format!("unknown command {other:?}")),
     }
 }
 

@@ -115,24 +115,13 @@ impl Ctx {
         self.scale
     }
 
-    /// The context's workload-generator seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Scale in parts-per-million — the exact integral form embedded in
-    /// pack-file names and checkpoint metadata, so equality checks never
-    /// compare floats.
-    pub fn scale_ppm(&self) -> u64 {
-        (self.scale * 1e6).round() as u64
-    }
-
     /// Path of the packed cache file for a workload under this context's
     /// `(scale, seed)`, if a pack directory is configured. Scale is keyed
     /// in parts-per-million so distinct scales never collide in one file.
     fn pack_path(&self, name: &str) -> Option<PathBuf> {
         let dir = self.pack_dir.as_ref()?;
-        Some(dir.join(format!("{name}-s{}-r{}.wct", self.scale_ppm(), self.seed)))
+        let ppm = (self.scale * 1e6).round() as u64;
+        Some(dir.join(format!("{name}-s{ppm}-r{}.wct", self.seed)))
     }
 
     /// The (possibly scaled) trace for a workload, generated on first use.

@@ -1,0 +1,51 @@
+//! The `experiments` command line has one way to run a sweep: the
+//! checkpoint/resume flags are gone, and a flag or command it does not
+//! know is a usage error — never a silent fall-through to the help text
+//! with exit 0, which let a script "succeed" having run nothing.
+
+use std::process::{Command, Output};
+
+fn experiments(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("run experiments")
+}
+
+#[test]
+fn unknown_flags_and_commands_exit_2_with_nothing_on_stdout() {
+    for args in [
+        &["--checkpoint-dir", "x", "exp1"][..],
+        &["--resume", "exp1"],
+        &["--scael", "0.1", "all"],
+        &["nonsense"],
+    ] {
+        let out = experiments(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("error:"),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn help_exits_0_and_lists_no_checkpoint_flag() {
+    for args in [&["help"][..], &[]] {
+        let out = experiments(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("--scale") && !text.contains("checkpoint"),
+            "{text}"
+        );
+    }
+}
+
+#[test]
+fn a_small_sweep_runs() {
+    let out = experiments(&["--scale", "0.01", "exp1", "C"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("MaxNeeded"));
+}

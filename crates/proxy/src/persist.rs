@@ -7,8 +7,8 @@
 //!
 //! * **Snapshots** (`shard-{i}-g{gen}.wcs` + `…​.wcsb`): a point-in-time
 //!   image of one shard, written by a background task under short
-//!   per-shard critical sections. The `.wcs` file reuses the checksummed
-//!   `.wcp` section container and carries the shard's
+//!   per-shard critical sections. The `.wcs` file is `binfmt`'s
+//!   checksummed section container and carries the shard's
 //!   [`CacheState`](webcache_core::cache::CacheState) (resident metadata +
 //!   opaque policy rank state), per-document URL strings, freshness
 //!   stamps, and a per-document FNV checksum of the body. Bodies

@@ -77,13 +77,14 @@ pub const HEADER_SIZE: usize = 80;
 pub const FOOTER_MAGIC: [u8; 4] = *b"WCTS";
 /// Size of the checksum footer in bytes (version ≥ 2).
 pub const FOOTER_SIZE: usize = 40;
-/// Checkpoint container magic: "WCP" + format generation byte.
+/// Section container magic (`.wcs` shard snapshots, the `.wci` interner
+/// table): "WCP" + format generation byte.
 pub const CKPT_MAGIC: [u8; 4] = *b"WCP\x01";
-/// Checkpoint container footer magic.
+/// Section container footer magic.
 pub const CKPT_FOOTER_MAGIC: [u8; 4] = *b"WCPS";
-/// Current checkpoint container version.
+/// Current section container version.
 pub const CKPT_VERSION: u16 = 1;
-/// Size of the fixed checkpoint container header in bytes.
+/// Size of the fixed section container header in bytes.
 pub const CKPT_HEADER_SIZE: usize = 16;
 
 /// Streaming checksum over a byte section: FNV-1a over little-endian
@@ -225,8 +226,8 @@ impl From<io::Error> for BinError {
 }
 
 /// Stable wire tag of a document type (its index in [`DocType::ALL`]).
-/// Public so other binary formats (the `.wcp` checkpoint encoder) share
-/// one tag space with the packed trace format.
+/// Public so other binary formats (the proxy's `.wcs` snapshots and
+/// `.wcj` journals) share one tag space with the packed trace format.
 pub fn doc_type_tag(t: DocType) -> u8 {
     DocType::ALL
         .iter()
@@ -253,23 +254,6 @@ fn encode_record(r: &Request, rec: &mut [u8; RECORD_SIZE]) {
     rec[22..24].copy_from_slice(&[0u8; 2]);
     rec[24..32].copy_from_slice(&r.size.to_le_bytes());
     rec[32..40].copy_from_slice(&r.last_modified.unwrap_or(0).to_le_bytes());
-}
-
-/// Content hash of a trace: [`Hasher64`] over the trace name and every
-/// request's fixed-width record encoding. Two traces with the same name
-/// and identical request sequences hash equal regardless of how they were
-/// produced (generator, CLF parse, packed load). Checkpoints store this so
-/// a resume against a regenerated-but-different trace (changed seed,
-/// scale, or generator version) is detected instead of trusted.
-pub fn trace_content_hash(trace: &Trace) -> u64 {
-    let mut h = Hasher64::new();
-    h.update(trace.name.as_bytes());
-    let mut rec = [0u8; RECORD_SIZE];
-    for r in &trace.requests {
-        encode_record(r, &mut rec);
-        h.update(&rec);
-    }
-    h.finish()
 }
 
 /// Serialise a trace into the packed format (version 2, checksummed).
@@ -378,9 +362,9 @@ pub fn to_bytes(trace: &Trace) -> io::Result<Vec<u8>> {
 /// written, flushed, fsynced, and renamed into place, so a crashed or
 /// killed run leaves either the previous complete file or the new one —
 /// never a torn write. This is the workspace's single crash-discipline
-/// helper, shared by packed traces ([`save`]), checkpoint containers
-/// ([`save_sections`]), the experiments runner's result JSON, and the
-/// supervisor's heartbeat file.
+/// helper, shared by packed traces ([`save`]), the proxy's snapshot files
+/// (through [`write_atomic_with`]) and the experiments runner's result
+/// JSON.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     write_atomic_with(path, |w| w.write_all(bytes)).map(drop)
 }
@@ -423,8 +407,8 @@ pub fn save(trace: &Trace, path: &Path) -> io::Result<()> {
 
 /// Byte-slice reader with explicit little-endian decoding. Every read is
 /// bounds-checked and fails as [`BinError::Truncated`] rather than
-/// panicking; used by the packed-trace decoder and by the checkpoint
-/// (`.wcp`) decoders in other crates.
+/// panicking; used by the packed-trace decoder and by the proxy's
+/// snapshot and journal decoders.
 pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -644,12 +628,12 @@ pub fn load(path: &Path) -> Result<Trace, BinError> {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint section container (`.wcp`)
+// Section container (`.wcs` shard snapshots, the `.wci` interner table)
 // ---------------------------------------------------------------------------
 //
-// A `.wcp` file is a generic checksummed container of opaque byte
-// sections; the simulation checkpoint layer (webcache-core) defines what
-// each section holds. Layout (all integers little-endian):
+// A generic checksummed container of opaque byte sections; the proxy's
+// persistence layer (`webcache_proxy::persist`) defines what each section
+// holds. Layout (all integers little-endian):
 //
 // ```text
 // offset size  field
@@ -667,10 +651,9 @@ pub fn load(path: &Path) -> Result<Trace, BinError> {
 // Every section checksum covers the length prefix, payload and padding,
 // so a corrupted length cannot silently shift section boundaries. As with
 // `.wct` v2, every checksum is verified before any payload byte is handed
-// to a decoder, and [`save_sections`] writes through a sibling temporary
-// file renamed into place after fsync.
+// to a decoder.
 
-/// Serialise opaque byte sections into a checksummed `.wcp` container.
+/// Serialise opaque byte sections into a checksummed section container.
 pub fn sections_to_bytes(sections: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         CKPT_HEADER_SIZE
@@ -704,7 +687,7 @@ pub fn sections_to_bytes(sections: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// Decode a `.wcp` container, verifying the header and every section
+/// Decode a section container, verifying the header and every section
 /// against the footer checksums before returning any payload. A flipped
 /// bit anywhere — header, length prefix, payload, padding, footer — is a
 /// typed [`BinError`], never a silently wrong section.
@@ -757,20 +740,6 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<Vec<u8>>, BinError> {
         return Err(BinError::TrailingBytes);
     }
     Ok(sections)
-}
-
-/// Write a `.wcp` container to `path` atomically (via [`write_atomic`] —
-/// the same crash discipline as [`save`]), so a killed run leaves either
-/// the previous complete checkpoint or the new one, never a torn file.
-pub fn save_sections(path: &Path, sections: &[Vec<u8>]) -> io::Result<()> {
-    write_atomic(path, &sections_to_bytes(sections))
-}
-
-/// Load and verify a `.wcp` container from `path`.
-pub fn load_sections(path: &Path) -> Result<Vec<Vec<u8>>, BinError> {
-    let mut buf = Vec::new();
-    io::BufReader::new(File::open(path)?).read_to_end(&mut buf)?;
-    read_sections(&buf)
 }
 
 #[cfg(test)]
@@ -1043,26 +1012,5 @@ mod tests {
             read_sections(&bytes),
             Err(BinError::BadVersion(99))
         ));
-    }
-
-    #[test]
-    fn save_sections_round_trips_on_disk() {
-        let dir = std::env::temp_dir().join(format!("wcp_save_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.wcp");
-        let sections = vec![b"one".to_vec(), vec![], b"three".to_vec()];
-        save_sections(&path, &sections).unwrap();
-        assert_eq!(load_sections(&path).unwrap(), sections);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn trace_content_hash_is_stable_and_sensitive() {
-        let t = sample_trace();
-        let h1 = trace_content_hash(&t);
-        assert_eq!(h1, trace_content_hash(&t));
-        let mut t2 = sample_trace();
-        t2.requests[0].size += 1;
-        assert_ne!(h1, trace_content_hash(&t2));
     }
 }
