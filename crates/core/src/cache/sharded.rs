@@ -152,15 +152,6 @@ impl<P, X> std::fmt::Debug for ShardedCache<P, X> {
     }
 }
 
-/// The default shard count: the machine's available parallelism, rounded
-/// up to a power of two.
-pub fn default_shard_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .next_power_of_two()
-}
-
 impl<P, X: Default> ShardedCache<P, X> {
     /// Create a sharded cache of `total_capacity` bytes split over
     /// `shards` shards (must be a nonzero power of two), each with a

@@ -26,16 +26,21 @@ const USAGE: &str = "\
 usage: webcache-proxy --origin ADDR [options]
 
   --origin ADDR          origin server address (required), e.g. 127.0.0.1:8080
-  --capacity BYTES       total cache capacity            [default: 1048576]
+  --capacity BYTES       total cache capacity, at least one byte per shard
+                                                         [default: 1048576]
   --shards N             shard count (power of two)      [default: 8]
-  --workers N            worker threads                  [default: 4]
+  --workers N            worker threads (at least one)   [default: 4]
   --ttl TICKS            freshness lifetime in logical ticks (omit: no TTL)
-  --policy NAME          removal policy (lru, size, lfu, fifo, hyper-g)
-                                                         [default: size]
+  --policy NAME          removal policy: lru, size, lfu, fifo, hyper-g,
+                         log2size-lru, lru-min, pitkow-recker, gd-size, or
+                         KEY/KEY (primary/secondary sort key) over size,
+                         log2size, etime, atime, day, nref, random, doctype,
+                         latency, expiry                 [default: size]
   --persist-dir PATH     enable crash-safe persistence into PATH
   --snapshot-interval MS snapshot cadence in milliseconds [default: 2000]
   --journal-fsync MS     journal group-fsync interval     [default: 25]
-  --iofault SPEC         inject disk faults into the persist paths, e.g.
+  --iofault SPEC         inject disk faults into the persist paths (needs
+                         --persist-dir), e.g.
                          seed=7,append=1.0,sync=0.5,short=0.1,snapshot=0.2,
                          slow=0.1,slow-ms=50,from=100,to=200
   --degraded-backoff MS  re-arm probe backoff base        [default: 200]
@@ -154,6 +159,22 @@ fn parse_args() -> Args {
     if named::by_name(&policy).is_none() {
         die(&format!("unknown --policy: {policy}"));
     }
+    if !shards.is_power_of_two() {
+        die(&format!(
+            "--shards must be a nonzero power of two, got {shards}"
+        ));
+    }
+    if workers == 0 {
+        die("--workers must be at least 1");
+    }
+    if capacity < shards as u64 {
+        die(&format!(
+            "--capacity {capacity} is less than a byte for each of {shards} shards"
+        ));
+    }
+    if iofault.is_some() && persist_dir.is_none() {
+        die("--iofault needs --persist-dir: there is no disk path to fault");
+    }
     let mut config = ProxyConfig::new(capacity)
         .with_shards(shards)
         .with_workers(workers, workers.max(4) * 8);
@@ -220,7 +241,8 @@ fn main() {
             c.epoch(),
         );
     }
-    // The driver (loadgen, tests, CI) parses this line for the port.
+    // Whatever starts this process (tests, the benchmark) parses this
+    // line for the port.
     println!("webcache-proxy: listening on {}", server.addr());
     use std::io::Write;
     let _ = std::io::stdout().flush();

@@ -11,12 +11,21 @@
 //!   the dead node;
 //! * non-owners do not store keys they do not own;
 //! * the `GET /__webcache/stats` admin endpoint reports the cluster
-//!   block (and `null` without one).
+//!   block (and `null` without one);
+//! * as child processes, with clients that route by the same ring: the
+//!   paper's Undergrad workload through 1, 2 and 4 nodes, and through two
+//!   nodes one of which is SIGKILLed half-way, never surfaces an error to
+//!   a client, and a second node does not cost hit rate.
 
+mod common;
+
+use common::{drive, ChildProxy};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use webcache_core::cluster::{HashRing, Membership, DEFAULT_VNODES};
 use webcache_core::policy::named;
 use webcache_proxy::cache_proxy::ADMIN_STATS_TARGET;
+use webcache_proxy::cluster::DEFAULT_RING_SEED;
 use webcache_proxy::http::{self, Request, Response};
 use webcache_proxy::origin::{DocStore, OriginServer};
 use webcache_proxy::{ClusterConfig, ProxyConfig, ProxyServer};
@@ -218,4 +227,103 @@ fn admin_stats_works_without_cluster() {
     assert!(body.contains("\"cluster\":null"), "{body}");
     assert!(body.contains("\"misses\":1"), "{body}");
     assert!(body.contains("\"cached_bytes\":1000"), "{body}");
+}
+
+/// `n` child nodes on one ring. No persistence: the binary takes either
+/// `--persist-dir` or `--cluster-seed-list`.
+fn spawn_ring(origin: SocketAddr, n: u32, capacity_per_node: u64) -> Vec<ChildProxy> {
+    let seed_list = free_addrs(n as usize)
+        .iter()
+        .enumerate()
+        .map(|(i, a)| format!("{i}={a}"))
+        .collect::<Vec<_>>()
+        .join(",");
+    (0..n)
+        .map(|i| {
+            ChildProxy::spawn(&[
+                "--origin",
+                &origin.to_string(),
+                "--capacity",
+                &capacity_per_node.to_string(),
+                "--shards",
+                "2",
+                "--workers",
+                "4",
+                "--policy",
+                "lru",
+                "--cluster-seed-list",
+                &seed_list,
+                "--node-id",
+                &i.to_string(),
+            ])
+        })
+        .collect()
+}
+
+/// The ring as the nodes build it from their seed list (same seed, same
+/// vnode count), so a client's routing agrees with their ownership.
+fn client_ring(members: Vec<u32>) -> HashRing {
+    HashRing::build(
+        DEFAULT_RING_SEED,
+        &Membership::new(0, members),
+        DEFAULT_VNODES,
+    )
+}
+
+#[test]
+fn child_rings_serve_without_errors_and_two_nodes_hit_no_less_than_one() {
+    let trace = common::paper_trace(0.01);
+    let capacity_per_node = common::quarter_capacity(&trace);
+    let origin = OriginServer::start(common::seed_origin(&trace)).expect("origin");
+    let urls = common::urls(&trace);
+
+    // The same capacity per node, so what the ring holds grows with it.
+    let hit_rates: Vec<f64> = [1u32, 2, 4]
+        .into_iter()
+        .map(|n| {
+            let nodes = spawn_ring(origin.addr(), n, capacity_per_node);
+            let ring = client_ring((0..n).collect());
+            let tally = drive(&urls, 4, |url| nodes[ring.owner(url) as usize].addr);
+            assert_eq!(
+                (tally.errors, tally.ok),
+                (0, urls.len()),
+                "client-visible errors on the {n}-node ring"
+            );
+            tally.hits as f64 / tally.ok as f64
+        })
+        .collect();
+    // A whisker for replay order among four clients.
+    assert!(
+        hit_rates[1] + 0.01 >= hit_rates[0],
+        "2-node hit rate below the single node's: {hit_rates:?}"
+    );
+}
+
+#[test]
+fn sigkilled_child_node_costs_one_reroute_and_no_client_error() {
+    let trace = common::paper_trace(0.01);
+    let origin = OriginServer::start(common::seed_origin(&trace)).expect("origin");
+    let urls = common::urls(&trace);
+    let mut nodes = spawn_ring(origin.addr(), 2, common::quarter_capacity(&trace));
+    let mut ring = client_ring(vec![0, 1]);
+
+    let (before, after) = urls.split_at(urls.len() / 2);
+    let warm = drive(before, 4, |url| nodes[ring.owner(url) as usize].addr);
+    assert_eq!(warm.errors, 0);
+    nodes[0].sigkill();
+
+    // The client does what the nodes do: drop the dead node from the
+    // membership, rebuild the ring, try the new owner once.
+    let mut failovers = 0;
+    for url in after {
+        let owner = ring.owner(url);
+        if common::get(nodes[owner as usize].addr, url).is_none() {
+            failovers += 1;
+            let survivors = ring.members().iter().copied().filter(|&m| m != owner);
+            ring = client_ring(survivors.collect());
+            let rerouted = common::get(nodes[ring.owner(url) as usize].addr, url);
+            assert!(rerouted.is_some(), "{url} failed on the survivor too");
+        }
+    }
+    assert!(failovers >= 1, "node 0 owned nothing of the second half");
 }

@@ -7,59 +7,24 @@
 //! and a later fault-free restart must recover a cache that is at most
 //! *colder* than what was served — never wrong.
 
+mod common;
+
 use bytes::Bytes;
+use common::{fetch, get, hit_rate, ChildProxy, TempDir};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::Read;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webcache_core::cache::{CacheStats, DocMeta};
 use webcache_core::policy::named;
-use webcache_proxy::http::{self, Request};
 use webcache_proxy::persist::{self, JournalOp, JournalWriter, ShardSnapshot, SnapshotDoc};
 use webcache_proxy::{
     DocStore, IoFaultInjector, IoFaultPlan, OriginServer, PersistConfig, PersistHealth,
     ProxyConfig, ProxyServer,
 };
 use webcache_trace::{DocType, UrlId};
-
-/// A temp dir that cleans itself up.
-struct CaseDir(PathBuf);
-
-impl CaseDir {
-    fn new(tag: &str) -> CaseDir {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("wc-iofault-{tag}-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create case dir");
-        CaseDir(dir)
-    }
-}
-
-impl Drop for CaseDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn get(addr: SocketAddr, url: &str) -> Option<(bool, Vec<u8>)> {
-    let mut s = TcpStream::connect(addr).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    http::write_request(&mut s, &Request::get(url)).ok()?;
-    let resp = http::read_response(&mut s).ok()?;
-    (resp.status == 200).then(|| (resp.is_cache_hit(), resp.body.to_vec()))
-}
-
-fn hit_rate(addr: SocketAddr, urls: &[String]) -> f64 {
-    let hits = urls
-        .iter()
-        .filter(|u| get(addr, u).map(|(h, _)| h) == Some(true))
-        .count();
-    hits as f64 / urls.len().max(1) as f64
-}
 
 /// Poll `cond` every 10 ms until it holds or `deadline` passes.
 fn wait_for(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -103,7 +68,7 @@ fn full_append_failure_serves_full_run_and_restarts_warm() {
     let (origin, urls) = test_origin(60);
 
     // Baseline: identical workload, no faults.
-    let base_dir = CaseDir::new("accept-base");
+    let base_dir = TempDir::new("accept-base");
     let baseline = {
         let p = start(origin.addr(), PersistConfig::new(base_dir.0.clone()));
         for url in &urls {
@@ -117,7 +82,7 @@ fn full_append_failure_serves_full_run_and_restarts_warm() {
     // Faulted run: every journal append fails, probes fail too (the
     // probe draws from the append class), and the backoff keeps the
     // retry budget from running out during the test — one long episode.
-    let dir = CaseDir::new("accept-fault");
+    let dir = TempDir::new("accept-fault");
     let pcfg = PersistConfig::new(dir.0.clone())
         .with_snapshot_interval(Duration::from_millis(100))
         .with_journal_fsync(Duration::from_millis(5))
@@ -186,7 +151,7 @@ fn full_append_failure_serves_full_run_and_restarts_warm() {
 #[test]
 fn fault_episode_heals_via_probe_and_snapshot() {
     let (origin, urls) = test_origin(20);
-    let dir = CaseDir::new("heal");
+    let dir = TempDir::new("heal");
     // Fault window: the first two append-class ops fail (the initial
     // drain plus the first probe), then the disk "recovers". Snapshots
     // only on demand (60 s cadence) so the op sequence stays append-only
@@ -228,7 +193,7 @@ fn fault_episode_heals_via_probe_and_snapshot() {
 #[test]
 fn exhausted_probes_disable_persistence_but_serving_continues() {
     let (origin, urls) = test_origin(20);
-    let dir = CaseDir::new("disable");
+    let dir = TempDir::new("disable");
     let pcfg = PersistConfig::new(dir.0.clone())
         .with_snapshot_interval(Duration::from_millis(50))
         .with_journal_fsync(Duration::from_millis(5))
@@ -275,7 +240,7 @@ fn exhausted_probes_disable_persistence_but_serving_continues() {
 #[test]
 fn shutdown_under_snapshot_faults_exits_degraded_and_journal_recovers() {
     let (origin, urls) = test_origin(30);
-    let dir = CaseDir::new("shutdown");
+    let dir = TempDir::new("shutdown");
     // Snapshot-class writes always fail; journal appends and fsyncs
     // succeed, so the journal is the only durable record.
     let pcfg = PersistConfig::new(dir.0.clone())
@@ -312,9 +277,9 @@ fn shutdown_under_snapshot_faults_exits_degraded_and_journal_recovers() {
     );
     // Never wrong: every body served post-restart matches the origin.
     for url in &urls {
-        let (_, body) = get(p2.addr(), url).expect("post-restart fetch");
-        let (_, again) = get(p2.addr(), url).expect("post-restart refetch");
-        assert_eq!(body, again, "unstable body for {url} after recovery");
+        let first = fetch(p2.addr(), url).expect("post-restart fetch");
+        let again = fetch(p2.addr(), url).expect("post-restart refetch");
+        assert_eq!(first.body, again.body, "unstable body for {url}");
     }
 }
 
@@ -324,7 +289,7 @@ fn shutdown_under_snapshot_faults_exits_degraded_and_journal_recovers() {
 #[test]
 fn journal_buffer_overflow_is_counted_and_forces_snapshot() {
     let (origin, urls) = test_origin(120);
-    let dir = CaseDir::new("overflow");
+    let dir = TempDir::new("overflow");
     // Cap of 1 record: any two mutations between persister ticks (50 ms
     // here) overflow. Cadence snapshots are 60 s out, so any snapshot
     // file that appears is the forced one.
@@ -364,14 +329,14 @@ fn journal_buffer_overflow_is_counted_and_forces_snapshot() {
     let p2 = start(origin.addr(), PersistConfig::new(dir.0.clone()));
     assert!(p2.recovery_report().expect("report").docs > 0);
     for url in urls.iter().take(20) {
-        let (_, body) = get(p2.addr(), url).expect("post-restart fetch");
-        assert!(!body.is_empty(), "empty recovered body for {url}");
+        let resp = fetch(p2.addr(), url).expect("post-restart fetch");
+        assert!(!resp.body.is_empty(), "empty recovered body for {url}");
     }
 }
 
 /// Newest snapshot generation on disk and the latest modification time
 /// of any journal.
-fn disk_state(dir: &CaseDir) -> (u64, std::time::SystemTime) {
+fn disk_state(dir: &TempDir) -> (u64, std::time::SystemTime) {
     let names = || {
         std::fs::read_dir(&dir.0)
             .expect("read persist dir")
@@ -400,7 +365,7 @@ fn disk_state(dir: &CaseDir) -> (u64, std::time::SystemTime) {
 #[test]
 fn idle_persister_writes_nothing_until_the_next_request() {
     let (origin, urls) = test_origin(4);
-    let dir = CaseDir::new("idle");
+    let dir = TempDir::new("idle");
     let pcfg = PersistConfig::new(dir.0.clone())
         .with_snapshot_interval(Duration::from_millis(50))
         .with_journal_fsync(Duration::from_millis(5));
@@ -432,7 +397,7 @@ fn idle_persister_writes_nothing_until_the_next_request() {
     assert_eq!(health.journal_bytes(), journal_bytes);
 
     // A hit logs a touch: journal appended, next cadence snapshot taken.
-    assert_eq!(get(p.addr(), &urls[0]).map(|(hit, _)| hit), Some(true));
+    assert_eq!(get(p.addr(), &urls[0]), Some(true));
     assert!(wait_for(Duration::from_secs(5), || {
         health.snapshots() > snapshots
     }));
@@ -481,55 +446,36 @@ fn exit_status_reflects_final_persist_health() {
             "health disabled",
         ),
     ] {
-        let dir = CaseDir::new(&format!("exit-{tag}"));
+        let dir = TempDir::new(&format!("exit-{tag}"));
+        let origin_addr = origin.addr().to_string();
+        let dir_arg = dir.arg();
         let mut args = vec![
-            "--origin".to_string(),
-            origin.addr().to_string(),
-            "--persist-dir".to_string(),
-            dir.0.display().to_string(),
-            "--snapshot-interval".to_string(),
-            "50".to_string(),
-            "--journal-fsync".to_string(),
-            "5".to_string(),
+            "--origin",
+            &origin_addr,
+            "--persist-dir",
+            &dir_arg,
+            "--snapshot-interval",
+            "50",
+            "--journal-fsync",
+            "5",
         ];
-        args.extend(extra_args.into_iter().map(String::from));
-        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_webcache-proxy"))
-            .args(&args)
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .expect("spawn webcache-proxy");
-        let mut reader = std::io::BufReader::new(child.stdout.take().expect("stdout piped"));
-        let addr: SocketAddr = {
-            use std::io::BufRead;
-            let mut line = String::new();
-            loop {
-                line.clear();
-                let n = reader.read_line(&mut line).expect("read child stdout");
-                assert!(n > 0, "{tag}: child exited before listening");
-                if let Some(rest) = line.trim().strip_prefix("webcache-proxy: listening on ") {
-                    break rest.parse().expect("child addr");
-                }
-            }
-        };
+        args.extend(extra_args);
+        let mut p = ChildProxy::spawn(&args);
         for url in &urls {
-            assert!(get(addr, url).is_some(), "{tag}: fetch through child");
+            assert!(get(p.addr, url).is_some(), "{tag}: fetch through child");
         }
         // Give the persister time to hit the faulting disk and walk the
         // state machine, then terminate gracefully (std cannot send
         // SIGTERM; shell out to kill(1)).
         std::thread::sleep(Duration::from_millis(600));
         let term = std::process::Command::new("kill")
-            .args(["-TERM", &child.id().to_string()])
+            .args(["-TERM", &p.child.id().to_string()])
             .status()
             .expect("send SIGTERM");
         assert!(term.success(), "{tag}: SIGTERM failed");
         let mut rest = String::new();
-        {
-            use std::io::Read;
-            let _ = reader.read_to_string(&mut rest);
-        }
-        let status = child.wait().expect("wait child");
+        let _ = p.stdout.take().expect("stdout").read_to_string(&mut rest);
+        let status = p.child.wait().expect("wait child");
         assert_eq!(
             status.code(),
             Some(want_code),
@@ -603,7 +549,7 @@ proptest! {
         sizes in prop::collection::vec(1usize..2_000, 1..10),
         tail in prop::collection::vec((0usize..10, 0u8..4), 0..24),
     ) {
-        let dir = CaseDir::new("prop");
+        let dir = TempDir::new("prop");
         let nshards = 2u32;
         let plan = IoFaultPlan::new(seed)
             .append_error(append_p)

@@ -1,114 +1,21 @@
 //! Kill-point integration tests for crash-safe persistence: a real
 //! `webcache-proxy` child process is warmed through a [`FaultyOrigin`],
 //! SIGKILLed at hostile moments — before any snapshot exists, mid-journal
-//! with a snapshot behind it, and while snapshots are being written — and
-//! restarted from the same directory. The warm restart must preserve the
+//! with a snapshot behind it, while snapshots are being written, and with
+//! a cache too small for its documents — and restarted from the same
+//! directory. The warm restart must preserve the
 //! working set: the post-restart hit rate over an identical probe set
 //! must be at least 0.9× the pre-kill rate.
 
-use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdout, Command, Stdio};
+mod common;
+
+use common::{get, hit_rate, ChildProxy, TempDir};
 use std::sync::Arc;
 use std::time::Duration;
-use webcache_proxy::http::{self, Request};
 use webcache_proxy::{DocStore, FaultPlan, FaultyOrigin, OriginServer};
 
-/// A child `webcache-proxy` with its parsed startup lines.
-struct ChildProxy {
-    child: Child,
-    addr: SocketAddr,
-    /// Kept open: dropping the pipe would SIGPIPE the child on its next
-    /// print.
-    _stdout: BufReader<ChildStdout>,
-    recovered_docs: u64,
-}
-
-impl ChildProxy {
-    fn spawn(origin: SocketAddr, dir: &Path, snapshot_ms: u64, fsync_ms: u64) -> ChildProxy {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_webcache-proxy"))
-            .args([
-                "--origin",
-                &origin.to_string(),
-                "--capacity",
-                &(1u64 << 22).to_string(),
-                "--shards",
-                "4",
-                "--workers",
-                "4",
-                "--persist-dir",
-                &dir.display().to_string(),
-                "--snapshot-interval",
-                &snapshot_ms.to_string(),
-                "--journal-fsync",
-                &fsync_ms.to_string(),
-            ])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("spawn webcache-proxy");
-        let mut reader = BufReader::new(child.stdout.take().expect("stdout piped"));
-        let mut recovered_docs = 0u64;
-        let mut line = String::new();
-        let addr = loop {
-            line.clear();
-            let n = reader.read_line(&mut line).expect("read child stdout");
-            assert!(n > 0, "webcache-proxy exited before listening");
-            let line = line.trim();
-            if let Some(rest) = line.strip_prefix("webcache-proxy: recovered ") {
-                recovered_docs = rest
-                    .split_whitespace()
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(0);
-            }
-            if let Some(rest) = line.strip_prefix("webcache-proxy: listening on ") {
-                break rest.parse().expect("parse child address");
-            }
-        };
-        ChildProxy {
-            child,
-            addr,
-            _stdout: reader,
-            recovered_docs,
-        }
-    }
-
-    fn sigkill(mut self) {
-        self.child.kill().expect("SIGKILL child");
-        let _ = self.child.wait();
-    }
-}
-
-fn get(addr: SocketAddr, url: &str) -> Option<bool> {
-    let mut s = TcpStream::connect(addr).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    http::write_request(&mut s, &Request::get(url)).ok()?;
-    let resp = http::read_response(&mut s).ok()?;
-    (resp.status == 200).then(|| resp.is_cache_hit())
-}
-
-fn hit_rate(addr: SocketAddr, urls: &[String]) -> f64 {
-    let hits = urls.iter().filter(|u| get(addr, u) == Some(true)).count();
-    hits as f64 / urls.len().max(1) as f64
-}
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("wc-restart-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+/// Room for all 80 test documents (227 KB) many times over.
+const ROOMY: u64 = 1 << 22;
 
 /// Warm a child through a lightly faulty origin, SIGKILL it, restart it
 /// from the same directory, and require the warm restart to preserve at
@@ -117,13 +24,16 @@ impl Drop for TempDir {
 /// `snapshot_ms` positions the kill relative to the snapshot machinery;
 /// `settle` is how long the persister gets between the probe and the
 /// kill.
-fn kill_and_restart(tag: &str, snapshot_ms: u64, fsync_ms: u64, settle: Duration) {
+fn kill_and_restart(tag: &str, capacity: u64, snapshot_ms: u64, fsync_ms: u64, settle: Duration) {
     let store = Arc::new(DocStore::new());
     let urls: Vec<String> = (0..80)
         .map(|i| format!("http://kp.test/doc-{i}.html"))
         .collect();
+    let mut total_bytes = 0;
     for (i, url) in urls.iter().enumerate() {
-        store.put_synthetic(url, 1_000 + (i as u64 * 211) % 4_000, 3);
+        let size = 1_000 + (i as u64 * 211) % 4_000;
+        store.put_synthetic(url, size, 3);
+        total_bytes += size;
     }
     let origin = OriginServer::start(store).expect("origin");
     // A lightly hostile origin during warm-up: short delays the proxy
@@ -131,8 +41,26 @@ fn kill_and_restart(tag: &str, snapshot_ms: u64, fsync_ms: u64, settle: Duration
     let plan = FaultPlan::new(5).delay(0.2, Duration::from_millis(2));
     let faulty = FaultyOrigin::start(origin.addr(), plan).expect("fault shim");
     let dir = TempDir::new(tag);
+    let spawn = || {
+        ChildProxy::spawn(&[
+            "--origin",
+            &faulty.addr().to_string(),
+            "--capacity",
+            &capacity.to_string(),
+            "--shards",
+            "4",
+            "--workers",
+            "4",
+            "--persist-dir",
+            &dir.arg(),
+            "--snapshot-interval",
+            &snapshot_ms.to_string(),
+            "--journal-fsync",
+            &fsync_ms.to_string(),
+        ])
+    };
 
-    let p1 = ChildProxy::spawn(faulty.addr(), &dir.0, snapshot_ms, fsync_ms);
+    let mut p1 = spawn();
     for url in &urls {
         assert_eq!(get(p1.addr, url), Some(false), "cold fetch of {url}");
     }
@@ -143,19 +71,23 @@ fn kill_and_restart(tag: &str, snapshot_ms: u64, fsync_ms: u64, settle: Duration
     std::thread::sleep(settle);
     p1.sigkill();
 
-    let p2 = ChildProxy::spawn(faulty.addr(), &dir.0, snapshot_ms, fsync_ms);
+    let p2 = spawn();
     assert!(
         p2.recovered_docs > 0,
         "{tag}: warm restart recovered nothing"
     );
     let post = hit_rate(p2.addr, &urls);
-    p2.sigkill();
 
     assert!(
         post >= 0.9 * pre,
         "{tag}: warm-restart hit rate {post:.3} fell below 0.9x the pre-kill {pre:.3}"
     );
     assert!(pre > 0.5, "{tag}: pre-kill probe too cold to be meaningful");
+    assert_eq!(
+        pre < 1.0,
+        capacity < total_bytes,
+        "{tag}: the probe misses exactly when the cache is too small for the documents"
+    );
 }
 
 /// Kill before the first snapshot ever fires: recovery must come
@@ -164,7 +96,7 @@ fn kill_and_restart(tag: &str, snapshot_ms: u64, fsync_ms: u64, settle: Duration
 fn sigkill_before_first_snapshot_recovers_from_journal() {
     // Snapshot interval far beyond the test's lifetime; aggressive
     // fsync so the journal tail is durable when the kill lands.
-    kill_and_restart("journal-only", 60_000, 5, Duration::from_millis(100));
+    kill_and_restart("journal-only", ROOMY, 60_000, 5, Duration::from_millis(100));
 }
 
 /// Kill with a snapshot on disk and fresh journal records beyond it:
@@ -173,7 +105,7 @@ fn sigkill_before_first_snapshot_recovers_from_journal() {
 fn sigkill_mid_journal_recovers_snapshot_plus_tail() {
     // One snapshot lands during the settle window; the probe's touches
     // keep journaling after it.
-    kill_and_restart("mid-journal", 300, 5, Duration::from_millis(450));
+    kill_and_restart("mid-journal", ROOMY, 300, 5, Duration::from_millis(450));
 }
 
 /// Kill while snapshots are being written continuously: whatever
@@ -183,5 +115,15 @@ fn sigkill_during_snapshot_writes_falls_back_to_valid_generation() {
     // Snapshots every 25 ms and no settle: the SIGKILL races snapshot
     // writing itself; the rename-commit protocol must leave a valid
     // generation behind.
-    kill_and_restart("during-snapshot", 25, 5, Duration::from_millis(0));
+    kill_and_restart("during-snapshot", ROOMY, 25, 5, Duration::from_millis(0));
+}
+
+/// Kill a cache that has been evicting since its warm-up, under the
+/// binary's default SIZE policy: snapshot and journal carry inserts,
+/// evictions and inserts evicted before they were ever written, and the
+/// restart must come back with the documents that had survived.
+#[test]
+fn sigkill_of_an_evicting_cache_recovers_the_survivors() {
+    // Two thirds of what the documents weigh; kill point as `mid-journal`.
+    kill_and_restart("evicting", 150_000, 300, 5, Duration::from_millis(450));
 }

@@ -8,7 +8,11 @@
 //! finds an idle origin connection never leaves the event loop: the loop
 //! runs the exchange without blocking on it, answers with the bytes and
 //! counters a worker would have produced, and leaks neither socket when
-//! the client or the origin goes away mid-exchange.
+//! the client or the origin goes away mid-exchange. And a replay of the
+//! paper's workload beside clients that dribble their requests sees no
+//! error on either side.
+
+mod common;
 
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -323,6 +327,66 @@ fn slow_but_live_clients_complete_within_the_deadline() {
     let resp = http::read_response(&mut s).unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body.len(), 6000);
+}
+
+#[test]
+fn trace_replay_beside_slow_clients_sees_no_error_on_either_side() {
+    const SLOW_CLIENTS: usize = 4;
+    let trace = common::paper_trace(0.002);
+    let origin = OriginServer::start(common::seed_origin(&trace)).unwrap();
+    let config = ProxyConfig::new(common::quarter_capacity(&trace))
+        .with_shards(2)
+        .with_workers(4, 64)
+        .with_timeouts(Duration::from_secs(1), Duration::from_millis(300));
+    let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
+    let (addr, urls) = (proxy.addr(), common::urls(&trace));
+    // Unambiguously alive, unambiguously slow: every four bytes land a
+    // third of the way into the read deadline they re-arm. One request takes over
+    // a second, many times a replay of the trace.
+    let pace = config.read_timeout / 3;
+
+    let slow_ok: Vec<AtomicU64> = (0..SLOW_CLIENTS).map(|_| AtomicU64::new(0)).collect();
+    let slow_errors = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+    let mut fast = common::Tally::default();
+    std::thread::scope(|scope| {
+        for ok in &slow_ok {
+            // The first trace URL: a hit after its first fetch, so the
+            // load is the dribble and not the miss.
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    if common::fetch_slowly(addr, urls[0], 4, pace, &stop) {
+                        ok.fetch_add(1, Ordering::Relaxed);
+                    } else if !stop.load(Ordering::Relaxed) {
+                        slow_errors.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(pace);
+                    }
+                }
+            });
+        }
+        // Replay until every slow client has been through one whole
+        // exchange beside it, or has had ten times as long as that takes.
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while slow_ok.iter().any(|ok| ok.load(Ordering::Relaxed) == 0) && Instant::now() < give_up {
+            fast += common::drive(&urls, 4, |_| addr);
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    let slow_ok: Vec<u64> = slow_ok
+        .iter()
+        .map(|ok| ok.load(Ordering::Relaxed))
+        .collect();
+    assert_eq!(
+        slow_errors.load(Ordering::Relaxed),
+        0,
+        "a slow but live client was timed out or refused"
+    );
+    assert!(
+        slow_ok.iter().all(|&ok| ok >= 1),
+        "exchanges completed per slow client: {slow_ok:?}"
+    );
+    assert_eq!(fast.errors, 0, "{fast:?}");
+    assert!(fast.ok >= urls.len() && proxy.stats().hits > 0, "{fast:?}");
 }
 
 #[test]
