@@ -14,7 +14,10 @@
 //!   exp3 [FRAC]                two-level cache
 //!   exp3-shared WL [GROUPS]    shared-L2 extension
 //!   exp4 [FRAC]                partitioned cache on BR
-//!   all                        everything above, in order
+//!   exp5 [WL] [FRAC]           section 5 extension policies
+//!   replicate [WL] [SEEDS]     SIZE vs LRU over several seeds
+//!   hitpos [WL]                Appendix A: where in the sorted list hits fall
+//!   all                        the tables, figures and experiments 1-4, in order
 //! ```
 
 use webcache_experiments::{exp1, exp2, exp3, exp4, exp5, figures, Ctx};
@@ -324,7 +327,7 @@ fn main() {
                  commands: table1 table3 table4 fig1 fig2 fig13 fig14\n\
                  exp1 [WL] | exp2 [WL] [FRAC] [figures|primaries|all36|named] |\n\
                  exp2b [WL] [FRAC] | exp3 [FRAC] | exp3-shared WL [GROUPS] | exp4 [FRAC] |\n\
-                 exp5 [WL] [FRAC] | replicate [WL] [SEEDS] | all"
+                 exp5 [WL] [FRAC] | replicate [WL] [SEEDS] | hitpos [WL] | all"
             );
         }
         other => usage_error(&format!("unknown command {other:?}")),

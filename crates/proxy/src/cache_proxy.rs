@@ -23,9 +23,10 @@
 //!
 //! The serving path is built on [`ShardedCache`]: a document's metadata,
 //! body and freshness stamp are one cache entry ([`Resident`] is the
-//! entry's payload, DESIGN.md D20) under that URL's shard lock, so a
-//! request takes exactly one shard lock on the cache path and never
-//! holds it across network I/O. Client sockets belong to the reactor's
+//! entry's payload, DESIGN.md D20) under that URL's shard lock, and so is
+//! the id the URL's text has there (`url_table`, D26), so a request takes
+//! exactly one lock on the cache path and never holds it across network
+//! I/O. Client sockets belong to the reactor's
 //! event loop, which answers fresh hits inline, runs a miss's origin
 //! exchange itself when an idle origin connection is at hand and nothing
 //! about it can block, and hands everything else to a fixed pool of
@@ -36,7 +37,7 @@
 //! ## Where things live
 //!
 //! This module owns the shared state ([`ProxyState`], the per-document
-//! payload, the per-shard journal slot) and the life cycle of a
+//! payload, the per-shard URL table and journal slot) and the life cycle of a
 //! [`ProxyServer`]. The request logic is in `serve`, the resilient origin
 //! fetch in `fetch`, circuit breakers in `breaker`, counters and the admin
 //! endpoint in `stats`, the persister thread and recovery in `persister`,
@@ -51,14 +52,16 @@ use crate::persister::{apply_recovery, persister_loop, JournalBuf};
 use crate::reactor::Reactor;
 use crate::serve::serve_peer_connection;
 use crate::stats::AtomicProxyStats;
+use crate::url_table::UrlTable;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use webcache_core::cache::{Cache, ShardedCache};
+use webcache_core::cluster::key_hash;
 use webcache_core::policy::RemovalPolicy;
-use webcache_trace::Interner;
+use webcache_core::util::splitmix64;
 
 pub use crate::config::ProxyConfig;
 #[doc(hidden)]
@@ -71,6 +74,9 @@ pub use crate::stats::{ProxyStats, ADMIN_STATS_TARGET};
 /// entry, inserted and removed with it.
 #[derive(Debug, Clone)]
 pub(crate) struct Resident {
+    /// The document's URL, shared with its shard's [`UrlTable`]: the
+    /// entry's slot id says nothing outside the shard lock, this does.
+    pub(crate) url: Arc<str>,
     /// The document body.
     pub(crate) body: Bytes,
     /// Logical time of the fetch or last revalidation (for TTL freshness).
@@ -84,6 +90,8 @@ pub(crate) type ShardCache = Cache<Resident>;
 /// lock.
 #[derive(Debug, Default)]
 pub(crate) struct ShardExt {
+    /// Which slot id each URL of this shard has.
+    pub(crate) urls: UrlTable,
     /// Journal buffer — `Some` only when the proxy was started with
     /// persistence ([`ProxyServer::start_persistent`]). `None` keeps the
     /// non-persistent hit path allocation-free.
@@ -104,7 +112,6 @@ impl ShardExt {
 /// never held across network I/O.
 pub(crate) struct ProxyState {
     pub(crate) cache: ShardedCache<Resident, ShardExt>,
-    pub(crate) interner: Mutex<Interner>,
     pub(crate) stats: AtomicProxyStats,
     /// Logical clock: advances by one per request, so ATIME/ETIME/NREF
     /// behave exactly as in simulation. Wall time is deliberately not
@@ -140,6 +147,12 @@ pub(crate) struct ProxyState {
 }
 
 impl ProxyState {
+    /// The shard `target` lives in, from its text alone: the same on
+    /// every node and after every restart.
+    pub(crate) fn shard_of(&self, target: &str) -> usize {
+        (splitmix64(key_hash(target)) & (self.cache.shard_count() as u64 - 1)) as usize
+    }
+
     /// Count a request shed with `503` (job queue full).
     pub(crate) fn count_rejected(&self) {
         AtomicProxyStats::add(&self.stats.rejected, 1);
@@ -563,7 +576,6 @@ pub(crate) fn new_state(
 ) -> Arc<ProxyState> {
     Arc::new(ProxyState {
         cache: ShardedCache::new(config.capacity, config.shards, policy),
-        interner: Mutex::new(Interner::new()),
         stats: AtomicProxyStats::default(),
         now: AtomicU64::new(0),
         breakers: Breakers::default(),

@@ -7,15 +7,15 @@
 //! leave a real torn tail on disk, and slow or failing fsyncs. An
 //! [`IoFaultInjector`] carries the plan plus a shared op counter and is
 //! threaded through every write path in [`crate::persist`]
-//! ([`crate::persist::JournalWriter`], the snapshot and interner
-//! writers), so tests drive real files, real torn tails, and real
-//! recovery through the production code — and can precompute the exact
-//! fault schedule ([`IoFaultPlan::schedule`]) to assert the proxy's
-//! degradation counters against.
+//! ([`crate::persist::JournalWriter`], the snapshot writers), so tests
+//! drive real files, real torn tails, and real recovery through the
+//! production code — and can precompute the exact fault schedule
+//! ([`IoFaultPlan::schedule`]) to assert the proxy's degradation counters
+//! against.
 //!
 //! Fault kinds are grouped into op classes: journal appends (and the
 //! degraded-mode re-arm probe) consult the *append* class, fsyncs the
-//! *sync* class, snapshot/interner file writes the *snapshot* class. One
+//! *sync* class, snapshot file writes the *snapshot* class. One
 //! monotone op counter spans all classes, so a single plan describes a
 //! whole episode of disk misbehaviour.
 
@@ -37,7 +37,7 @@ pub enum IoFaultKind {
     /// An fsync succeeds but only after
     /// [`IoFaultPlan::slow_sync_for`] — a saturated or degrading disk.
     SlowSync,
-    /// A snapshot or interner file write fails with `ENOSPC` before its
+    /// A snapshot file write fails with `ENOSPC` before its
     /// atomic rename — the previous generation stays the newest.
     SnapshotError,
 }
@@ -62,7 +62,7 @@ pub enum IoOpClass {
     Append,
     /// A journal group-fsync (or the probe's fsync).
     Sync,
-    /// A snapshot, bodies, or interner file write.
+    /// A snapshot or bodies file write.
     Snapshot,
 }
 
@@ -151,7 +151,7 @@ impl IoFaultPlan {
         self.rate(IoFaultKind::SlowSync, p)
     }
 
-    /// Fail a fraction `p` of snapshot/interner writes with `ENOSPC`.
+    /// Fail a fraction `p` of snapshot writes with `ENOSPC`.
     pub fn snapshot_error(self, p: f64) -> IoFaultPlan {
         self.rate(IoFaultKind::SnapshotError, p)
     }
@@ -260,7 +260,7 @@ pub struct IoFaultStats {
     pub sync_errors: AtomicU64,
     /// Fsyncs delayed, then allowed through.
     pub slow_syncs: AtomicU64,
-    /// Snapshot/interner writes failed before their rename.
+    /// Snapshot writes failed before their rename.
     pub snapshot_errors: AtomicU64,
     /// Ops that passed through untouched.
     pub passed: AtomicU64,
@@ -370,7 +370,7 @@ impl IoFaultInjector {
         }
     }
 
-    /// Consult the plan for one snapshot/interner file write.
+    /// Consult the plan for one snapshot file write.
     pub fn on_snapshot(&self) -> Result<(), std::io::Error> {
         match self.next(IoOpClass::Snapshot) {
             Some(IoFaultKind::SnapshotError) => {

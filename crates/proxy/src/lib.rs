@@ -73,6 +73,8 @@ mod reactor;
 mod serve;
 mod stats;
 pub mod upstream;
+#[doc(hidden)]
+pub mod url_table;
 
 pub use cache_proxy::{
     PersistHealth, PersistHealthState, ProxyConfig, ProxyServer, ProxyStats, RecoveryReport,

@@ -34,11 +34,11 @@
 //!   garbage-collected), verify every body checksum
 //!   (quarantine-and-miss on mismatch — a corrupt body is never served),
 //!   then replay journal records with sequence numbers beyond the
-//!   snapshot's. The global URL interner table (`interner-g{gen}.wci`) is
-//!   persisted so document ids — and therefore shard placement and the
-//!   policy's opaque rank state — survive the restart; when it is lost,
-//!   recovery degrades to re-interning URLs and replaying policy order
-//!   from insertion metadata (see
+//!   snapshot's. A document's id is its slot in the shard that wrote it
+//!   and its shard follows from its URL text, which every snapshot entry
+//!   and every `Insert` carries: a shard recovered whole keeps its ids,
+//!   and with them the policy's opaque rank state; anything else gets
+//!   fresh ids and policy order replayed from insertion metadata (see
 //!   [`Cache::restore_entries`](webcache_core::cache::Cache::restore_entries)).
 //!
 //! Every decode path returns a typed [`PersistError`] (this module is
@@ -66,7 +66,7 @@ use webcache_trace::{DocType, UrlId};
 
 /// Magic prefix of a journal file (`.wcj`).
 const JOURNAL_MAGIC: &[u8; 4] = b"WCJ\x01";
-/// Snapshot format version stamped into every `.wcs`/`.wcsb`/`.wci`.
+/// Snapshot format version stamped into every `.wcs`/`.wcsb`.
 const SNAPSHOT_VERSION: u64 = 1;
 /// Sanity cap on a single journal record or body frame (bytes). Anything
 /// larger is treated as a tear: the proxy never caches documents close to
@@ -203,17 +203,17 @@ impl PersistConfig {
 // Journal operations
 // ---------------------------------------------------------------------------
 
-/// One logged cache mutation. Documents are referenced by the id they had
-/// in the writing process (`old_id`); an `Insert` additionally carries the
-/// URL text, which lets replay rebuild an id mapping even when the
-/// persisted interner table is lost.
+/// One logged cache mutation. Documents are referenced by `old_id`, the
+/// writing shard's slot id: it names one URL from the `Insert` that
+/// carries the text (or the shard's snapshot) until the next `Insert`
+/// under the same id, which may bind it to another.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalOp {
     /// A document entered (or replaced its copy in) the cache.
     Insert {
         /// The writer's id for this URL.
         old_id: u32,
-        /// URL text (replay re-interns it).
+        /// URL text (replay binds `old_id` to it).
         url: String,
         /// Logical clock at insert.
         now: u64,
@@ -716,7 +716,7 @@ pub fn read_journal(dir: &Path, shard: u32) -> JournalRead {
 /// One resident document inside a [`ShardSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotDoc {
-    /// Cache metadata (ids are the writing process's).
+    /// Cache metadata (ids are the writing shard's).
     pub meta: DocMeta,
     /// URL text.
     pub url: String,
@@ -759,10 +759,6 @@ fn snapshot_path(dir: &Path, shard: u32, gen: u64) -> PathBuf {
 
 fn bodies_path(dir: &Path, shard: u32, gen: u64) -> PathBuf {
     dir.join(format!("shard-{shard}-g{gen}.wcsb"))
-}
-
-fn interner_path(dir: &Path, gen: u64) -> PathBuf {
-    dir.join(format!("interner-g{gen}.wci"))
 }
 
 fn push_doc_meta(out: &mut Vec<u8>, m: &DocMeta) {
@@ -1020,33 +1016,6 @@ pub fn write_shard_snapshot_hooked(
     Ok(bodies + meta)
 }
 
-/// Write the interner table (`id -> URL`, dense in id order) for `gen`.
-pub fn write_interner(dir: &Path, gen: u64, now: u64, urls: &[String]) -> Result<(), PersistError> {
-    write_interner_hooked(dir, gen, now, urls, None).map(drop)
-}
-
-/// [`write_interner`] with a disk-fault injection hook. Returns the bytes
-/// written.
-pub fn write_interner_hooked(
-    dir: &Path,
-    gen: u64,
-    now: u64,
-    urls: &[String],
-    hook: Option<&IoFaultInjector>,
-) -> Result<u64, PersistError> {
-    std::fs::create_dir_all(dir)?;
-    let mut sec = Vec::new();
-    push_u64(&mut sec, SNAPSHOT_VERSION);
-    push_u64(&mut sec, gen);
-    push_u64(&mut sec, now);
-    push_u64(&mut sec, urls.len() as u64);
-    for u in urls {
-        push_string(&mut sec, u);
-    }
-    let table = sections_to_bytes(&[sec]);
-    write_atomic_hooked(&interner_path(dir, gen), hook, |w| w.write_all(&table))
-}
-
 /// Degraded-mode re-arm probe: write and fsync a scratch file in the
 /// persist directory, through the injector's append/sync classes. A
 /// success is evidence the disk accepts writes again; the caller then
@@ -1074,27 +1043,8 @@ pub fn probe_disk(dir: &Path, hook: Option<&IoFaultInjector>) -> Result<(), Pers
     Ok(())
 }
 
-fn decode_interner(bytes: &[u8]) -> Result<(u64, Vec<String>), PersistError> {
-    let sections = read_sections(bytes)?;
-    let sec = sections.first().ok_or(BinError::Truncated)?;
-    let mut cur = Cursor::new(sec);
-    if cur.u64()? != SNAPSHOT_VERSION {
-        return Err(PersistError::Mismatch("unknown interner version".into()));
-    }
-    let gen = cur.u64()?;
-    let _now = cur.u64()?;
-    let n = cur.u64()? as usize;
-    let mut urls = Vec::with_capacity(n.min(sec.len() / 4 + 1));
-    for _ in 0..n {
-        urls.push(cur.string()?);
-    }
-    if !cur.is_at_end() {
-        return Err(BinError::TrailingBytes.into());
-    }
-    Ok((gen, urls))
-}
-
-/// Delete snapshot/interner generations older than `keep_gen`.
+/// Delete snapshot generations older than `keep_gen`, and any URL table
+/// (`interner-g{gen}.wci`) a version before D26 left: nothing reads one.
 pub fn gc_old_generations(dir: &Path, nshards: u32, keep_gen: u64) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -1102,42 +1052,25 @@ pub fn gc_old_generations(dir: &Path, nshards: u32, keep_gen: u64) {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let stale = parse_gen_file(name).is_some_and(|(kind, shard, gen)| {
-            gen < keep_gen
-                && match kind {
-                    GenFile::Snapshot | GenFile::Bodies => shard < nshards,
-                    GenFile::Interner => true,
-                }
-        });
+        let stale = (name.starts_with("interner-g") && name.ends_with(".wci"))
+            || parse_gen_file(name)
+                .is_some_and(|(_, shard, gen)| gen < keep_gen && shard < nshards);
         if stale {
             let _ = std::fs::remove_file(entry.path());
         }
     }
 }
 
-#[derive(PartialEq)]
-enum GenFile {
-    Snapshot,
-    Bodies,
-    Interner,
-}
-
-/// Parse `shard-{i}-g{gen}.wcs[b]` / `interner-g{gen}.wci` file names.
-fn parse_gen_file(name: &str) -> Option<(GenFile, u32, u64)> {
-    if let Some(rest) = name.strip_prefix("interner-g") {
-        let gen = rest.strip_suffix(".wci")?.parse().ok()?;
-        return Some((GenFile::Interner, 0, gen));
-    }
+/// Parse a `shard-{i}-g{gen}.wcs[b]` file name: whether it is the
+/// metadata file (`.wcs`, not the bodies beside it), shard and generation.
+fn parse_gen_file(name: &str) -> Option<(bool, u32, u64)> {
     let rest = name.strip_prefix("shard-")?;
-    let (kind, rest) = if let Some(r) = rest.strip_suffix(".wcsb") {
-        (GenFile::Bodies, r)
-    } else if let Some(r) = rest.strip_suffix(".wcs") {
-        (GenFile::Snapshot, r)
-    } else {
-        return None;
+    let (is_meta, rest) = match rest.strip_suffix(".wcs") {
+        Some(rest) => (true, rest),
+        None => (false, rest.strip_suffix(".wcsb")?),
     };
     let (shard, gen) = rest.split_once("-g")?;
-    Some((kind, shard.parse().ok()?, gen.parse().ok()?))
+    Some((is_meta, shard.parse().ok()?, gen.parse().ok()?))
 }
 
 // ---------------------------------------------------------------------------
@@ -1158,9 +1091,6 @@ pub struct RecoveredShard {
 /// Everything [`recover`] could salvage from a persistence directory.
 #[derive(Debug, Default)]
 pub struct RecoveredData {
-    /// The persisted interner table (newest valid generation), if any.
-    /// When present, recovered ids are stable across the restart.
-    pub interner: Option<Vec<String>>,
     /// Per original shard index: the newest valid snapshot, or `None`
     /// (cold shard).
     pub shards: Vec<Option<RecoveredShard>>,
@@ -1249,35 +1179,18 @@ pub fn recover(dir: &Path, nshards: u32) -> RecoveredData {
         journals: (0..nshards).map(|_| JournalRead::default()).collect(),
         ..RecoveredData::default()
     };
-    // Enumerate generations per shard plus interner generations.
+    // Enumerate generations per shard.
     let mut shard_gens: HashMap<u32, Vec<u64>> = HashMap::new();
-    let mut interner_gens: Vec<u64> = Vec::new();
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if let Some((kind, shard, gen)) = parse_gen_file(name) {
+            if let Some((is_meta, shard, gen)) = parse_gen_file(name) {
                 out.max_gen = out.max_gen.max(gen);
-                match kind {
-                    GenFile::Snapshot => shard_gens.entry(shard).or_default().push(gen),
-                    GenFile::Interner => interner_gens.push(gen),
-                    GenFile::Bodies => {}
+                if is_meta {
+                    shard_gens.entry(shard).or_default().push(gen);
                 }
             }
-        }
-    }
-    interner_gens.sort_unstable_by(|a, b| b.cmp(a));
-    for gen in interner_gens {
-        let path = interner_path(dir, gen);
-        match std::fs::read(&path)
-            .map_err(PersistError::from)
-            .and_then(|b| decode_interner(&b))
-        {
-            Ok((_, urls)) => {
-                out.interner = Some(urls);
-                break;
-            }
-            Err(e) => out.notes.push(format!("{}: invalid ({e})", path.display())),
         }
     }
     for shard in 0..nshards {
@@ -1292,11 +1205,8 @@ pub fn recover(dir: &Path, nshards: u32) -> RecoveredData {
         }
         out.journals[shard as usize] = jr;
     }
-    // Snapshots written for a *different* shard count are not directly
-    // usable as per-shard states, but their documents still carry URL
-    // text, so the caller re-routes them; we only need to surface them.
-    // Any shard files beyond `nshards` are folded into shard 0's slot
-    // queue? No: keep it simple — note and ignore them.
+    // A snapshot of a shard this configuration does not have is not
+    // loaded: its documents are misses.
     for (&shard, gens) in shard_gens.iter() {
         if !gens.is_empty() {
             out.notes.push(format!(
@@ -1603,20 +1513,6 @@ mod tests {
         let healthy = IoFaultInjector::new(IoFaultPlan::new(1));
         assert!(probe_disk(&dir, Some(&healthy)).is_ok());
         assert!(!dir.join("probe.tmp").exists(), "probe cleans up");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn interner_round_trip_and_gc() {
-        let dir = tmp("interner");
-        let urls: Vec<String> = (0..10).map(|i| format!("http://h/{i}")).collect();
-        write_interner(&dir, 1, 5, &urls).expect("write gen 1");
-        write_interner(&dir, 2, 9, &urls).expect("write gen 2");
-        let rec = recover(&dir, 1);
-        assert_eq!(rec.interner.as_deref(), Some(&urls[..]));
-        gc_old_generations(&dir, 1, 2);
-        assert!(!interner_path(&dir, 1).exists());
-        assert!(interner_path(&dir, 2).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,11 +12,12 @@
 //! (`journal_elided`, `journal_bytes`, `snapshot_bytes`, `snapshots`,
 //! `snapshots_skipped`) for `/__webcache/stats`.
 
-use crate::cache_proxy::{ProxyState, RecoveryReport, Resident, ShardExt};
+use crate::cache_proxy::{ProxyState, RecoveryReport, Resident, ShardCache, ShardExt};
 use crate::iofault::IoFaultInjector;
 use crate::persist::{self, JournalOp, PersistConfig, PersistError};
-use crate::serve::{install, reference, touch_resident};
-use std::collections::{HashMap, VecDeque};
+use crate::serve::{install, peek, touch_resident};
+use crate::url_table::UrlTable;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -100,7 +101,7 @@ pub struct PersistHealthState {
     journal_elided: AtomicU64,
     /// Bytes appended to the journal files.
     journal_bytes: AtomicU64,
-    /// Bytes written into snapshot, body and URL-table files.
+    /// Bytes written into snapshot and body files.
     snapshot_bytes: AtomicU64,
     /// Snapshot generations committed.
     snapshots: AtomicU64,
@@ -146,7 +147,7 @@ impl PersistHealthState {
         self.journal_bytes.load(Ordering::Relaxed)
     }
 
-    /// Bytes written into snapshot, body and URL-table files so far.
+    /// Bytes written into snapshot and body files so far.
     pub fn snapshot_bytes(&self) -> u64 {
         self.snapshot_bytes.load(Ordering::Relaxed)
     }
@@ -595,23 +596,21 @@ fn free_journal_buffers(state: &Arc<ProxyState>) {
 struct CapturedShard {
     snap_seq: u64,
     cs: CacheState,
-    /// Body and fetch time per entry of `cs.docs`, in the same order.
+    /// URL, body and fetch time per entry of `cs.docs`, in the same
+    /// order: refcount clones, no text copied under the lock.
     residents: Vec<Resident>,
 }
 
-/// Write one consistent generation: per-shard snapshots plus the URL
-/// table, then rotate the journals. Crash-ordering argument:
+/// Write one consistent generation: per-shard snapshots, then rotate the
+/// journals. Crash-ordering argument:
 ///
 /// 1. Records drained during capture (all `seq <= snap_seq`) are
 ///    appended *before* the snapshot that supersedes them — a crash
 ///    before the snapshot commits still replays them from the journal.
-/// 2. The URL table is dumped *after* every shard capture; it is
-///    append-only in the writing process, so every id a snapshot
-///    references is below the table's length.
-/// 3. Snapshot files are written atomically (tmp + fsync + rename), so
+/// 2. Snapshot files are written atomically (tmp + fsync + rename), so
 ///    recovery sees either the old or the new generation, never a torn
 ///    one.
-/// 4. Journals rotate only after every snapshot of this generation is
+/// 3. Journals rotate only after every snapshot of this generation is
 ///    durable; every record dropped has `seq <= snap_seq`, which replay
 ///    skips anyway — a crash between commit and rotation is harmless.
 ///
@@ -648,34 +647,14 @@ fn take_snapshot(
         }
         caps.push(cap);
     }
-    // Dump the URL table after the captures (see ordering note above).
-    let mut urls: Vec<String> = {
-        let interner = state.interner.lock();
-        (0..interner.url_count())
-            .map(|i| {
-                interner
-                    .url_text(UrlId(i as u32))
-                    .unwrap_or_default()
-                    .to_string()
-            })
-            .collect()
-    };
     let now = state.now.load(Ordering::SeqCst);
     let written = |bytes: u64| health.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
-    written(persist::write_interner_hooked(
-        &cfg.dir, gen, now, &urls, hook,
-    )?);
     let covered = caps.iter().map(|cap| cap.snap_seq).collect();
     for (s, cap) in caps.into_iter().enumerate() {
-        // The table is on disk; a resident document is in one shard, so
-        // its snapshot entry takes the table's copy of the URL.
         let docs = std::iter::zip(cap.cs.docs, cap.residents)
             .map(|(meta, resident)| persist::SnapshotDoc {
                 meta,
-                url: urls
-                    .get_mut(meta.url.0 as usize)
-                    .map(std::mem::take)
-                    .unwrap_or_default(),
+                url: resident.url.to_string(),
                 fetched_at: resident.fetched_at,
                 body: resident.body,
             })
@@ -720,64 +699,32 @@ pub(crate) fn apply_recovery(
         ..RecoveryReport::default()
     };
 
-    // Re-intern the persisted URL table in order: on this fresh interner
-    // ids are assigned sequentially, so a surviving table maps every old
-    // id to itself. Snapshot documents carry their URL text as well,
-    // covering a lost or truncated table.
-    let mut id_map: HashMap<u32, UrlId> = HashMap::new();
-    {
-        let mut interner = state.interner.lock();
-        if let Some(urls) = &rec.interner {
-            for (i, u) in urls.iter().enumerate() {
-                id_map.insert(i as u32, interner.url(u));
-            }
-        }
-        for rs in rec.shards.iter().flatten() {
-            for d in &rs.snap.docs {
-                id_map
-                    .entry(d.meta.url.0)
-                    .or_insert_with(|| interner.url(&d.url));
-            }
-        }
-    }
-
-    // Policy rank state and per-shard stats are expressed in the writing
-    // process's ids; they transfer only when every document keeps its id
-    // and the shard layout is unchanged. Otherwise the policy order is
-    // rebuilt by replaying inserts ([`Cache::restore_entries`]).
-    let identity = rec.shards.iter().flatten().all(|rs| {
-        rs.snap.nshards as usize == nshards
-            && rs
-                .snap
-                .docs
-                .iter()
-                .all(|d| id_map.get(&d.meta.url.0) == Some(&UrlId(d.meta.url.0)))
-    });
-
-    // Route every verified document to the shard its (new) id hashes to.
-    let mut per_shard: Vec<Vec<(DocMeta, Resident)>> = (0..nshards).map(|_| Vec::new()).collect();
-    for rs in rec.shards.iter().flatten() {
-        for d in &rs.snap.docs {
-            let Some(&new_id) = id_map.get(&d.meta.url.0) else {
-                continue;
-            };
-            let mut meta = d.meta;
-            meta.url = new_id;
+    // Route every verified document to the shard its URL hashes to,
+    // newest generation first: a crash between two shards' snapshots of
+    // a generation that moved documents (another shard count, the
+    // placement before D26) leaves a URL in two of them.
+    let mut snaps: Vec<(usize, &persist::ShardSnapshot)> = rec
+        .shards
+        .iter()
+        .enumerate()
+        .filter_map(|(from, rs)| Some((from, &rs.as_ref()?.snap)))
+        .collect();
+    snaps.sort_by_key(|(_, snap)| std::cmp::Reverse(snap.gen));
+    let mut routed = HashSet::new();
+    let mut per_shard: Vec<Vec<(usize, DocMeta, Resident)>> =
+        (0..nshards).map(|_| Vec::new()).collect();
+    for (from, snap) in &snaps {
+        for d in snap.docs.iter().filter(|d| routed.insert(d.url.as_str())) {
             let copy = Resident {
+                url: Arc::from(d.url.as_str()),
                 body: d.body.clone(),
                 fetched_at: d.fetched_at,
             };
-            per_shard[state.cache.shard_index(new_id)].push((meta, copy));
+            per_shard[state.shard_of(&d.url)].push((*from, d.meta, copy));
         }
     }
 
-    let mut max_now = rec
-        .shards
-        .iter()
-        .flatten()
-        .map(|rs| rs.snap.now)
-        .max()
-        .unwrap_or(0);
+    let mut max_now = snaps.iter().map(|(_, snap)| snap.now).max().unwrap_or(0);
 
     for (s, mut docs) in per_shard.into_iter().enumerate() {
         if docs.is_empty() {
@@ -786,51 +733,69 @@ pub(crate) fn apply_recovery(
         let capacity = state.cache.shard_capacity(s);
         // A changed shard layout can overfill a shard: shed the least
         // recently used documents until the snapshot fits.
-        let mut total: u64 = docs.iter().map(|(m, _)| m.size).sum();
+        let mut total: u64 = docs.iter().map(|(_, m, _)| m.size).sum();
         if total > capacity {
-            docs.sort_by_key(|(m, _)| std::cmp::Reverse(m.last_access));
+            docs.sort_by_key(|(_, m, _)| std::cmp::Reverse(m.last_access));
             while total > capacity {
-                let Some((m, _)) = docs.pop() else { break };
+                let Some((_, m, _)) = docs.pop() else { break };
                 total -= m.size;
             }
         }
-        docs.sort_by_key(|(m, _)| m.url.0);
-        let old = if identity {
-            rec.shards[s].as_ref()
-        } else {
-            None
-        };
+        // Policy rank state and stats are in the writing shard's slot
+        // ids. They transfer when the shard comes back whole: written for
+        // this shard count, nothing routed in from another snapshot, ids
+        // distinct and no sparser than a slab should grow for (a file
+        // need not be one a table wrote). Otherwise ids are dealt afresh
+        // and the policy order is rebuilt by replaying inserts
+        // ([`Cache::restore_entries`]).
+        docs.sort_by_key(|(_, m, _)| m.url.0);
+        let whole = rec.shards[s].as_ref().map(|rs| &rs.snap).filter(|snap| {
+            snap.nshards as usize == nshards
+                && docs.iter().all(|(from, ..)| *from == s)
+                && docs.windows(2).all(|w| w[0].1.url != w[1].1.url)
+                && docs
+                    .last()
+                    .is_some_and(|(_, m, _)| (m.url.0 as usize) < 4 * docs.len() + 1024)
+        });
+        if whole.is_none() {
+            for (id, (_, meta, _)) in docs.iter_mut().enumerate() {
+                meta.url = UrlId(id as u32);
+            }
+        }
         let cache_state = CacheState {
             capacity,
-            current_day: old.map(|rs| rs.snap.current_day).unwrap_or(0),
-            stats: old.map(|rs| rs.snap.stats).unwrap_or_default(),
-            docs: docs.iter().map(|(m, _)| *m).collect(),
-            policy_state: old
-                .map(|rs| rs.snap.policy_state.clone())
+            current_day: whole.map_or(0, |snap| snap.current_day),
+            stats: whole.map(|snap| snap.stats).unwrap_or_default(),
+            docs: docs.iter().map(|(_, m, _)| *m).collect(),
+            policy_state: whole
+                .map(|snap| snap.policy_state.clone())
                 .unwrap_or_default(),
         };
-        let copies = docs.into_iter().map(|(_, copy)| copy);
-        let outcome = state
-            .cache
-            .with_shard(s, |cache, _| cache.restore_entries(&cache_state, copies));
+        let outcome = state.cache.with_shard(s, |cache, ext| {
+            ext.urls = UrlTable::restore(docs.iter().map(|(_, m, c)| (Arc::clone(&c.url), m.url)));
+            cache.restore_entries(&cache_state, docs.into_iter().map(|(_, _, copy)| copy))
+        });
         debug_assert_ne!(outcome, RestoreOutcome::Failed, "shard {s} was shed to fit");
     }
 
     // Replay journal records newer than each shard's snapshot, in append
-    // order. Ids are resolved through the same map; an `Insert` extends
-    // it (the record carries its URL text).
+    // order, under the bindings the snapshot was taken with.
     for (old_shard, jr) in rec.journals.iter().enumerate() {
-        let snap_seq = rec
+        let snap = rec
             .shards
             .get(old_shard)
             .and_then(|o| o.as_ref())
-            .map(|r| r.snap.seq)
-            .unwrap_or(0);
+            .map(|r| &r.snap);
+        let snap_seq = snap.map_or(0, |snap| snap.seq);
+        let mut names = Names::default();
+        for d in snap.into_iter().flat_map(|snap| &snap.docs) {
+            names.bind(d.meta.url.0, &d.url);
+        }
         for (seq, op) in &jr.ops {
             if *seq <= snap_seq {
                 continue;
             }
-            max_now = max_now.max(apply_journal_op(state, op, &mut id_map));
+            max_now = max_now.max(apply_journal_op(state, op, &mut names));
             report.replayed += 1;
         }
     }
@@ -845,13 +810,42 @@ pub(crate) fn apply_recovery(
     report
 }
 
+/// What the writing shard's slot ids mean at one point of its journal.
+/// Ids are reused, so an id means what the last `Insert` under it said;
+/// and a URL has one id at a time, so an `Insert` under a new id ends what
+/// the old one meant — the `Insert` that re-bound the old id may have been
+/// elided to an `Evict`, or never logged (a document too big to store),
+/// and a record under it must find nothing rather than this document.
+#[derive(Default)]
+struct Names<'a> {
+    url_of: HashMap<u32, &'a str>,
+    id_of: HashMap<&'a str, u32>,
+}
+
+impl<'a> Names<'a> {
+    fn bind(&mut self, id: u32, url: &'a str) {
+        if let Some(unbound) = self.url_of.insert(id, url).filter(|old| *old != url) {
+            self.id_of.remove(unbound);
+        }
+        if let Some(freed) = self.id_of.insert(url, id).filter(|old| *old != id) {
+            self.url_of.remove(&freed);
+        }
+    }
+}
+
 /// Apply one replayed journal record; returns the record's clock stamp
 /// (0 when it carries none) so recovery can restore the logical clock.
-fn apply_journal_op(
-    state: &Arc<ProxyState>,
-    op: &JournalOp,
-    id_map: &mut HashMap<u32, UrlId>,
-) -> u64 {
+fn apply_journal_op<'a>(state: &Arc<ProxyState>, op: &'a JournalOp, names: &mut Names<'a>) -> u64 {
+    // Run `f` on the document `old_id` names, if this cache holds it.
+    let resident = |old_id: &u32, f: &mut dyn FnMut(&mut ShardCache, &mut ShardExt, UrlId)| {
+        if let Some(url) = names.url_of.get(old_id) {
+            state.cache.with_shard(state.shard_of(url), |cache, ext| {
+                if let Some(id) = ext.urls.get(url) {
+                    f(cache, ext, id);
+                }
+            });
+        }
+    };
     match op {
         JournalOp::Insert {
             old_id,
@@ -863,54 +857,45 @@ fn apply_journal_op(
             fetched_at,
             body,
         } => {
+            names.bind(*old_id, url);
             // The frame checksum already covered the body; the length
             // check is belt-and-braces against a logic bug upstream.
             if body.len() as u64 != *size {
                 return *now;
             }
-            let new_id = *id_map
-                .entry(*old_id)
-                .or_insert_with(|| state.interner.lock().url(url));
-            let r = reference(new_id, *now, *size, *doc_type, *last_modified);
             let copy = Resident {
+                url: Arc::from(url.as_str()),
                 body: body.clone(),
                 fetched_at: *fetched_at,
             };
-            state
-                .cache
-                .with_shard_for(new_id, |cache, ext| install(cache, ext, &r, url, &copy));
+            state.cache.with_shard(state.shard_of(url), |cache, ext| {
+                install(cache, ext, *now, *doc_type, *last_modified, &copy)
+            });
             *now
         }
         JournalOp::Touch { old_id, now, size } => {
-            if let Some(&new_id) = id_map.get(old_id) {
-                state.cache.with_shard_for(new_id, |cache, ext| {
-                    let Some((meta, copy)) = cache.entry(new_id).map(|(m, c)| (*m, c.clone()))
-                    else {
-                        return;
-                    };
-                    if meta.size == *size {
-                        touch_resident(cache, ext, "", &meta, &copy, *now);
-                    }
-                });
-            }
+            resident(old_id, &mut |cache, ext, id| {
+                let Some((meta, copy)) = cache.entry(id).map(|(m, c)| (*m, c.clone())) else {
+                    return;
+                };
+                if meta.size == *size {
+                    touch_resident(cache, ext, id, &meta, &copy, *now);
+                }
+            });
             *now
         }
         JournalOp::Evict { old_id } => {
-            if let Some(&new_id) = id_map.get(old_id) {
-                state.cache.with_shard_for(new_id, |cache, _| {
-                    cache.remove(new_id);
-                });
-            }
+            resident(old_id, &mut |cache, _, id| {
+                cache.remove(id);
+            });
             0
         }
         JournalOp::Refresh { old_id, fetched_at } => {
-            if let Some(&new_id) = id_map.get(old_id) {
-                state.cache.with_shard_for(new_id, |cache, _| {
-                    if let Some(resident) = cache.payload_mut(new_id) {
-                        resident.fetched_at = *fetched_at;
-                    }
-                });
-            }
+            resident(old_id, &mut |cache, _, id| {
+                if let Some(resident) = cache.payload_mut(id) {
+                    resident.fetched_at = *fetched_at;
+                }
+            });
             *fetched_at
         }
     }
@@ -970,23 +955,23 @@ impl JournalShard {
     /// of that size is touched, as a hit does; anything else calls `fetch`
     /// for the body and stores it, as a concluded miss does.
     pub fn request(&self, url: &str, size: u64, fetch: impl FnOnce() -> bytes::Bytes) -> u64 {
-        let id = self.state.interner.lock().url(url);
         let now = self.state.now.fetch_add(1, Ordering::SeqCst) + 1;
-        self.state.cache.with_shard(0, |cache, ext| {
-            match cache.entry(id).map(|(m, copy)| (*m, copy.clone())) {
-                Some((meta, copy)) if meta.size == size => {
-                    touch_resident(cache, ext, url, &meta, &copy, now)
+        self.state
+            .cache
+            .with_shard(0, |cache, ext| match peek(cache, ext, url, None, now) {
+                Some((id, meta, copy, _)) if meta.size == size => {
+                    touch_resident(cache, ext, id, &meta, &copy, now)
                 }
                 _ => {
-                    let r = reference(id, now, size, webcache_trace::DocType::classify(url), None);
                     let copy = Resident {
+                        url: Arc::from(url),
                         body: fetch(),
                         fetched_at: now,
                     };
-                    install(cache, ext, &r, url, &copy);
+                    let doc_type = webcache_trace::DocType::classify(url);
+                    install(cache, ext, now, doc_type, None, &copy);
                 }
-            }
-        });
+            });
         now
     }
 
@@ -1001,20 +986,19 @@ impl JournalShard {
     /// Replay recovered journal records, as [`apply_recovery`] does after
     /// the snapshots.
     pub fn replay(&self, ops: &[(u64, JournalOp)]) {
-        let mut id_map = HashMap::new();
+        let mut names = Names::default();
         for (_, op) in ops {
-            apply_journal_op(&self.state, op, &mut id_map);
+            apply_journal_op(&self.state, op, &mut names);
         }
     }
 
     /// The resident documents, sorted by URL.
     pub fn residents(&self) -> Vec<JournalShardDoc> {
-        let interner = self.state.interner.lock();
         let mut docs: Vec<JournalShardDoc> = self.state.cache.with_shard(0, |cache, _| {
             cache
                 .entries()
                 .map(|(meta, copy)| JournalShardDoc {
-                    url: interner.url_text(meta.url).unwrap_or_default().to_string(),
+                    url: copy.url.to_string(),
                     meta: *meta,
                     fetched_at: copy.fetched_at,
                     body: copy.body.clone(),

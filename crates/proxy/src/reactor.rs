@@ -91,7 +91,6 @@ use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::{Duration, Instant};
-use webcache_trace::UrlId;
 
 // ---------------------------------------------------------------------
 // Raw epoll / eventfd bindings (Linux). Small and direct, per the
@@ -563,9 +562,9 @@ struct Job {
 /// What a worker is asked to do for a [`Job`].
 enum Work {
     /// The whole request ([`proxy_get_at`]). Carries the pre-assigned
-    /// `(url, now)` so the logical clock has already ticked exactly
-    /// once, whether or not an inline path was tried first.
-    Request { url: UrlId, now: u64 },
+    /// `now`, so the logical clock has already ticked exactly once,
+    /// whether or not an inline path was tried first.
+    Request { now: u64 },
     /// The loop fetched the document but found its shard busy: store
     /// and serve it, waiting for the lock.
     Conclude(Box<(Miss, Fetched)>),
@@ -575,10 +574,7 @@ impl Work {
     /// The whole request over again, for a miss the loop could not see
     /// through.
     fn redo(miss: &Miss) -> Work {
-        Work::Request {
-            url: miss.url,
-            now: miss.now,
-        }
+        Work::Request { now: miss.now }
     }
 }
 
@@ -701,8 +697,8 @@ impl Reactor {
                     while let Some(mut job) = jobs.pop() {
                         state.count_worker_job();
                         let resp = match job.work {
-                            Work::Request { url, now } => {
-                                proxy_get_at(&mut up, config, &state, &job.target, url, now)
+                            Work::Request { now } => {
+                                proxy_get_at(&mut up, config, &state, &job.target, now)
                             }
                             Work::Conclude(fetch) => {
                                 let (miss, fetched) = *fetch;
@@ -832,7 +828,7 @@ enum FastOutcome {
     /// can block, else through a worker.
     Miss(Miss),
     /// The shard is contended: a worker waits for it.
-    Contended { url: UrlId, now: u64 },
+    Contended { now: u64 },
 }
 
 impl EventLoop {
@@ -978,8 +974,8 @@ impl EventLoop {
                 FastOutcome::Reject(400)
             } else {
                 let target = conn.parser.target();
-                let (url, now) = begin_request(&self.state, target);
-                match lookup(&self.config, &self.state, target, url, now, ShardLock::Try) {
+                let now = begin_request(&self.state);
+                match lookup(&self.config, &self.state, target, now, ShardLock::Try) {
                     Some(Lookup::Hit {
                         body,
                         last_modified,
@@ -999,7 +995,7 @@ impl EventLoop {
                         }
                     }
                     Some(Lookup::Miss(miss)) => FastOutcome::Miss(miss),
-                    None => FastOutcome::Contended { url, now },
+                    None => FastOutcome::Contended { now },
                 }
             }
         };
@@ -1025,9 +1021,9 @@ impl EventLoop {
                 self.flush_response(token, EPOLL_CTL_MOD);
             }
             FastOutcome::Miss(miss) => self.start_fetch(token, miss),
-            FastOutcome::Contended { url, now } => {
+            FastOutcome::Contended { now } => {
                 self.unwatch_client(token);
-                self.dispatch(token, Work::Request { url, now });
+                self.dispatch(token, Work::Request { now });
             }
         }
     }

@@ -41,27 +41,28 @@ pub(crate) fn finalize_response(if_modified_since: Option<u64>, resp: Response) 
     resp
 }
 
-/// Admit one request: tick the logical clock, count it, intern the URL.
-/// Exactly one call per client request, on the event loop, before the
-/// inline paths or a worker see it.
-pub(crate) fn begin_request(state: &Arc<ProxyState>, target: &str) -> (UrlId, u64) {
-    let now = state.now.fetch_add(1, Ordering::SeqCst) + 1;
+/// Admit one request: tick the logical clock and count it. Exactly one
+/// call per client request, on the event loop, before the inline paths or
+/// a worker see it.
+pub(crate) fn begin_request(state: &ProxyState) -> u64 {
     AtomicProxyStats::add(&state.stats.requests, 1);
-    let url = state.interner.lock().url(target);
-    (url, now)
+    state.now.fetch_add(1, Ordering::SeqCst) + 1
 }
 
-/// The resident copy of `url` — its cache entry (the body a refcount
-/// clone), and whether it is still inside its freshness lifetime at `now`.
-fn peek(
+/// The resident copy of `target` — the id its shard has for it, its cache
+/// entry (body and URL refcount clones) — and whether it is still inside
+/// its freshness lifetime at `now`. Adds nothing to the shard's table.
+pub(crate) fn peek(
     cache: &ShardCache,
-    url: UrlId,
+    ext: &ShardExt,
+    target: &str,
     ttl: Option<u64>,
     now: u64,
-) -> Option<(DocMeta, Resident, bool)> {
-    let (meta, copy) = cache.entry(url)?;
+) -> Option<(UrlId, DocMeta, Resident, bool)> {
+    let id = ext.urls.get(target)?;
+    let (meta, copy) = cache.entry(id)?;
     let fresh = ttl.is_none_or(|ttl| now.saturating_sub(copy.fetched_at) <= ttl);
-    Some((*meta, copy.clone(), fresh))
+    Some((id, *meta, copy.clone(), fresh))
 }
 
 /// How a caller takes a shard lock. A worker waits for it. The event loop
@@ -76,17 +77,18 @@ pub(crate) enum ShardLock {
 /// Why a caller that passed [`ShardLock::Wait`] may unwrap the answer.
 pub(crate) const WAITED: &str = "ShardLock::Wait is never refused";
 
-/// Run `f` under the lock of the shard owning `url`; `None` only when
+/// Run `f` under the lock of the shard owning `target`; `None` only when
 /// `lock` is [`ShardLock::Try`] and another thread holds the shard.
 fn visit<R>(
     state: &ProxyState,
-    url: UrlId,
+    target: &str,
     lock: ShardLock,
     f: impl FnOnce(&mut ShardCache, &mut ShardExt) -> R,
 ) -> Option<R> {
+    let shard = state.shard_of(target);
     match lock {
-        ShardLock::Wait => Some(state.cache.with_shard_for(url, f)),
-        ShardLock::Try => state.cache.try_with_shard_for(url, f),
+        ShardLock::Wait => Some(state.cache.with_shard(shard, f)),
+        ShardLock::Try => state.cache.try_with_shard(shard, f),
     }
 }
 
@@ -94,11 +96,12 @@ fn visit<R>(
 /// answer from memory: what it takes to fetch the document and conclude.
 #[derive(Debug)]
 pub(crate) struct Miss {
-    pub url: UrlId,
     pub now: u64,
     /// The resident copy past its freshness lifetime, if there is one:
     /// the fetch is then a revalidation (case 2), else a plain GET
-    /// (case 3).
+    /// (case 3). Size, type and dates are the copy's; the id in the
+    /// metadata was its slot's when the guard was held and is not used
+    /// again.
     pub expired: Option<(DocMeta, Resident)>,
 }
 
@@ -129,20 +132,19 @@ fn count_hit(config: &ProxyConfig, state: &ProxyState, target: &str, now: u64, s
 /// and (for a fresh copy) policy touch happen under one shard guard, so
 /// a hit enters the shard lock exactly once. `None` — nothing looked at,
 /// nothing counted — only under [`ShardLock::Try`] when the shard is
-/// contended; the request then goes to a worker with the same
-/// `(url, now)`, so the logical clock still ticks once per request.
+/// contended; the request then goes to a worker with the same `now`, so
+/// the logical clock still ticks once per request.
 pub(crate) fn lookup(
     config: &ProxyConfig,
     state: &ProxyState,
     target: &str,
-    url: UrlId,
     now: u64,
     lock: ShardLock,
 ) -> Option<Lookup> {
-    let resident = visit(state, url, lock, |cache, ext| {
-        let (meta, copy, fresh) = peek(cache, url, config.ttl, now)?;
+    let resident = visit(state, target, lock, |cache, ext| {
+        let (id, meta, copy, fresh) = peek(cache, ext, target, config.ttl, now)?;
         if fresh {
-            touch_resident(cache, ext, target, &meta, &copy, now);
+            touch_resident(cache, ext, id, &meta, &copy, now);
         }
         Some((meta, copy, fresh))
     })?;
@@ -155,7 +157,6 @@ pub(crate) fn lookup(
             }
         }
         expired => Lookup::Miss(Miss {
-            url,
             now,
             expired: expired.map(|(meta, copy, _)| (meta, copy)),
         }),
@@ -198,19 +199,20 @@ impl Miss {
         fetched: Fetched,
         lock: ShardLock,
     ) -> Result<Response, Box<(Miss, Fetched)>> {
-        let Miss { url, now, .. } = self;
+        let now = self.now;
         match (&self.expired, fetched.status) {
             (Some((meta, copy)), 304) => {
                 // The shard guard was dropped for the origin round trip,
                 // so this is a second visit (fresh hits touch under the
                 // guard they peeked with).
-                let refreshed = visit(state, url, lock, |cache, ext| {
-                    touch_resident(cache, ext, target, meta, copy, now);
-                    if let Some(resident) = cache.payload_mut(url) {
+                let refreshed = visit(state, target, lock, |cache, ext| {
+                    let id = bind(cache, ext, copy);
+                    touch_resident(cache, ext, id, meta, copy, now);
+                    if let Some(resident) = cache.payload_mut(id) {
                         resident.fetched_at = now;
                     }
                     ext.log_op(JournalOp::Refresh {
-                        old_id: url.0,
+                        old_id: id.0,
                         fetched_at: now,
                     });
                 });
@@ -226,19 +228,18 @@ impl Miss {
                 // A modified document replaces the copy it was
                 // revalidating wherever that copy lives.
                 if expired.is_some() || Miss::is_home(state, target) {
-                    let r = reference(
-                        url,
-                        now,
-                        size,
-                        DocType::classify(target),
-                        fetched.last_modified,
-                    );
                     let copy = Resident {
+                        url: match expired {
+                            Some((_, old)) => Arc::clone(&old.url),
+                            None => Arc::from(target),
+                        },
                         body: fetched.body.clone(),
                         fetched_at: now,
                     };
-                    let stored = visit(state, url, lock, |cache, ext| {
-                        install(cache, ext, &r, target, &copy)
+                    let (doc_type, last_modified) =
+                        (DocType::classify(target), fetched.last_modified);
+                    let stored = visit(state, target, lock, |cache, ext| {
+                        install(cache, ext, now, doc_type, last_modified, &copy)
                     });
                     if stored.is_none() {
                         return Err(Box::new((self, fetched)));
@@ -265,10 +266,9 @@ pub(crate) fn proxy_get_at(
     config: ProxyConfig,
     state: &Arc<ProxyState>,
     target: &str,
-    url: UrlId,
     now: u64,
 ) -> Response {
-    let miss = match lookup(&config, state, target, url, now, ShardLock::Wait).expect(WAITED) {
+    let miss = match lookup(&config, state, target, now, ShardLock::Wait).expect(WAITED) {
         // Case 1: consistent copy, serve it.
         Lookup::Hit {
             body,
@@ -302,8 +302,9 @@ pub(crate) fn proxy_get_at(
                 // are reported separately in `stale_serves`.
                 AtomicProxyStats::add(&state.stats.stale_serves, 1);
                 AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
-                state.cache.with_shard_for(url, |cache, ext| {
-                    touch_resident(cache, ext, target, &meta, &copy, now)
+                visit(state, target, ShardLock::Wait, |cache, ext| {
+                    let id = bind(cache, ext, &copy);
+                    touch_resident(cache, ext, id, &meta, &copy, now)
                 });
                 state.log_access(config.access_log, now, target, meta.size, "STALE");
                 Response::ok(copy.body, meta.last_modified)
@@ -446,42 +447,51 @@ fn peer_lookup_local(
     state: &Arc<ProxyState>,
     target: &str,
 ) -> Option<(Bytes, Option<u64>)> {
-    let url = state.interner.lock().url(target);
     let now = state.now.load(Ordering::SeqCst);
-    state.cache.with_shard_for(url, |cache, ext| {
-        let (meta, copy, fresh) = peek(cache, url, config.ttl, now)?;
+    let found = visit(state, target, ShardLock::Wait, |cache, ext| {
+        let (id, meta, copy, fresh) = peek(cache, ext, target, config.ttl, now)?;
         if !fresh || meta.size > cluster::MAX_PEER_BODY {
             return None;
         }
-        touch_resident(cache, ext, target, &meta, &copy, now);
+        touch_resident(cache, ext, id, &meta, &copy, now);
         Some((copy.body, meta.last_modified))
-    })
+    });
+    found.expect(WAITED)
+}
+
+/// The id this shard has for `copy`'s URL, bound now if it has none: for
+/// a second visit to the shard, whose first guard — and with it the id
+/// [`peek`] found — is gone, and for a document about to be stored.
+fn bind(cache: &ShardCache, ext: &mut ShardExt, copy: &Resident) -> UrlId {
+    ext.urls
+        .bind(&copy.url, cache.len(), |id| cache.contains(id))
 }
 
 /// Re-reference a document we are serving from memory, so the policy
-/// sees it, under the owning shard's guard (the fast path touches under
+/// sees it, under the guard that gave `id`: the fast path touches under
 /// the same `try_lock` it peeked with, so peek and touch are one atomic
-/// step). Tolerates losing a race with an eviction since the peek: the
-/// cache request then re-inserts `copy`, the one being served.
+/// step. A second visit tolerates losing a race with an eviction since
+/// the peek: the cache request then re-inserts `copy`, the one being
+/// served.
 pub(crate) fn touch_resident(
     cache: &mut ShardCache,
     ext: &mut ShardExt,
-    target: &str,
+    id: UrlId,
     meta: &DocMeta,
     copy: &Resident,
     now: u64,
 ) {
-    let r = reference(meta.url, now, meta.size, meta.doc_type, meta.last_modified);
+    let r = reference(id, now, meta.size, meta.doc_type, meta.last_modified);
     match cache.request_with(&r, || copy.clone()) {
         Outcome::Hit => {
             ext.log_op(JournalOp::Touch {
-                old_id: meta.url.0,
+                old_id: id.0,
                 now,
                 size: meta.size,
             });
         }
         Outcome::Miss { evicted } | Outcome::MissModified { evicted } => {
-            log_insert(ext, evicted, &r, target, copy);
+            log_insert(ext, evicted, &r, copy);
         }
         Outcome::MissTooBig => {}
     }
@@ -507,23 +517,27 @@ pub(crate) fn reference(
     }
 }
 
-/// Reference the document `r` names and make `copy` its resident copy:
-/// a body just fetched from the origin, or one a journal record carries.
-/// The cache entry takes body and fetch time together, drops with them
-/// whatever the policy evicts to make room, and every step is journaled.
+/// Reference `copy`'s document at `now` and make `copy` its resident
+/// copy: a body just fetched from the origin, or one a journal record
+/// carries. The cache entry takes URL, body and fetch time together, drops
+/// with them whatever the policy evicts to make room, and every step is
+/// journaled.
 pub(crate) fn install(
     cache: &mut ShardCache,
     ext: &mut ShardExt,
-    r: &webcache_trace::Request,
-    target: &str,
+    now: u64,
+    doc_type: DocType,
+    last_modified: Option<u64>,
     copy: &Resident,
 ) {
+    let id = bind(cache, ext, copy);
+    let r = &reference(id, now, copy.body.len() as u64, doc_type, last_modified);
     let evicted = match cache.request_with(r, || copy.clone()) {
         // Same URL and size already cached (another worker fetched it
         // meanwhile, or the origin changed it in place): the new copy
         // replaces the old one.
         Outcome::Hit => {
-            if let Some(resident) = cache.payload_mut(r.url) {
+            if let Some(resident) = cache.payload_mut(id) {
                 *resident = copy.clone();
             }
             Vec::new()
@@ -533,11 +547,11 @@ pub(crate) fn install(
         // smaller copy that was resident is gone (invalidated before the
         // new size was found not to fit), and replay must drop it too.
         Outcome::MissTooBig => {
-            ext.log_op(JournalOp::Evict { old_id: r.url.0 });
+            ext.log_op(JournalOp::Evict { old_id: id.0 });
             return;
         }
     };
-    log_insert(ext, evicted, r, target, copy);
+    log_insert(ext, evicted, r, copy);
 }
 
 /// Journal an insertion of `copy` under `r` and the evictions that made
@@ -546,7 +560,6 @@ fn log_insert(
     ext: &mut ShardExt,
     evicted: Vec<DocMeta>,
     r: &webcache_trace::Request,
-    target: &str,
     copy: &Resident,
 ) {
     for m in evicted {
@@ -554,7 +567,7 @@ fn log_insert(
     }
     ext.log_op(JournalOp::Insert {
         old_id: r.url.0,
-        url: target.to_string(),
+        url: copy.url.to_string(),
         now: r.time,
         size: r.size,
         doc_type: r.doc_type,

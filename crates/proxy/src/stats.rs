@@ -124,7 +124,9 @@ impl AtomicProxyStats {
 
 /// Target of the admin stats endpoint: `GET /__webcache/stats` returns
 /// a JSON snapshot of every [`ProxyStats`] counter plus derived hit
-/// rate, resident bytes, breaker-table size, the serving engine's
+/// rate, resident bytes, breaker-table size, `url_table_entries` (URLs the
+/// shards' tables hold an id for: the resident documents plus what the
+/// next sweeps will drop), the serving engine's
 /// `worker_jobs` and `write_handbacks` (requests dispatched to a worker,
 /// and how many of those came back to the event loop to finish
 /// writing), `inline_fetches` and `inline_fallbacks` (origin exchanges
@@ -142,12 +144,15 @@ pub const ADMIN_STATS_TARGET: &str = "/__webcache/stats";
 pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
     let s = state.stats.snapshot();
     let hit_rate = s.hit_rate();
+    let url_table_entries: usize = (0..state.cache.shard_count())
+        .map(|shard| state.cache.with_shard(shard, |_, ext| ext.urls.entries()))
+        .sum();
     let mut json = format!(
         "{{\"requests\":{},\"hits\":{},\"revalidated\":{},\"misses\":{},\"hit_rate\":{:.6},\
          \"bytes_from_cache\":{},\"bytes_from_origin\":{},\"cached_bytes\":{},\"retries\":{},\
          \"timeouts\":{},\"origin_failures\":{},\"breaker_trips\":{},\"breaker_fast_fails\":{},\
          \"stale_serves\":{},\"rejected\":{},\"breaker_entries\":{},\
-         \"worker_jobs\":{},\"write_handbacks\":{},\
+         \"url_table_entries\":{},\"worker_jobs\":{},\"write_handbacks\":{},\
          \"inline_fetches\":{},\"inline_fallbacks\":{}",
         s.requests,
         s.hits,
@@ -165,6 +170,7 @@ pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
         s.stale_serves,
         s.rejected,
         state.breakers.len(),
+        url_table_entries,
         state.worker_jobs(),
         state.write_handbacks(),
         state.inline_fetches(),
@@ -234,6 +240,8 @@ mod tests {
             String::from_utf8(admin_stats_response(state).body.to_vec()).unwrap()
         };
         assert!(body(&state).contains(",\"persist\":null,\"cluster\":null}"));
+        // One additive key since: the shards' URL tables, summed.
+        assert!(body(&state).contains(",\"breaker_entries\":0,\"url_table_entries\":0,\"worker_"));
         let _ = state
             .persist_health
             .set(Arc::new(PersistHealthState::default()));

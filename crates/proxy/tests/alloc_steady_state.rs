@@ -32,7 +32,7 @@
 //! The miss path allocates by design — its cost is the origin round
 //! trip. Specifically: the target `String` copied at dispatch, the job
 //! queue push, the origin fetch's reader, body and `Response`, the
-//! cache insert (shard maps, policy state, interner entry for a new
+//! cache insert (shard slab, policy state, URL-table entry for a new
 //! URL), and the completion `Vec` regrowth. All happen before the
 //! measured window opens and are why the warmup does one miss first.
 

@@ -10,6 +10,8 @@
 //!   and the tripped peer breaker bumps the membership epoch without
 //!   the dead node;
 //! * non-owners do not store keys they do not own;
+//! * a peer `QUERY` for a URL the owner does not hold adds nothing to the
+//!   owner's URL tables, and nothing to the asker's (DESIGN.md D26);
 //! * the `GET /__webcache/stats` admin endpoint reports the cluster
 //!   block (and `null` without one);
 //! * as child processes, with clients that route by the same ring: the
@@ -19,7 +21,7 @@
 
 mod common;
 
-use common::{drive, ChildProxy};
+use common::{drive, stat, ChildProxy};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use webcache_core::cluster::{HashRing, Membership, DEFAULT_VNODES};
@@ -143,6 +145,33 @@ fn non_owner_serves_but_does_not_store() {
     // Once the owner warms, the same request becomes a peer hit.
     assert_eq!(get(nodes[0].addr(), &url).status, 200);
     assert!(get(nodes[1].addr(), &url).is_cache_hit());
+}
+
+/// A peer can ask about any URL it likes: what this node does not hold
+/// it does not name either. (The parent interned every queried URL, for
+/// good.)
+#[test]
+fn peer_queries_for_absent_urls_grow_no_table() {
+    let origin = origin_with_docs(64);
+    let nodes = start_cluster(origin.addr(), 2, 3);
+    let held = url_owned_by(&nodes[0], 0, 64);
+    assert_eq!(get(nodes[0].addr(), &held).status, 200);
+    assert_eq!(stat(nodes[0].addr(), "url_table_entries"), 1);
+
+    let cluster = nodes[0].cluster_state().expect("clustered node");
+    let foreign: Vec<String> = (0..64)
+        .map(|i| format!("http://o.test/d{i}.html"))
+        .filter(|u| *u != held && cluster.owner(u) == 0)
+        .collect();
+    assert!(foreign.len() > 8, "the ring gave node 0 almost nothing");
+    for url in &foreign {
+        let r = get(nodes[1].addr(), url);
+        assert_eq!(r.status, 200);
+        assert!(!r.is_cache_hit());
+    }
+    assert_eq!(nodes[1].stats().peer_misses, foreign.len() as u64);
+    assert_eq!(stat(nodes[0].addr(), "url_table_entries"), 1);
+    assert_eq!(stat(nodes[1].addr(), "url_table_entries"), 0);
 }
 
 #[test]

@@ -93,6 +93,20 @@ pub fn get(addr: SocketAddr, url: &str) -> Option<bool> {
     fetch(addr, url).map(|resp| resp.is_cache_hit())
 }
 
+/// The number `/__webcache/stats` reports under its top-level `key`.
+pub fn stat(addr: SocketAddr, key: &str) -> u64 {
+    let resp = fetch(addr, "/__webcache/stats").expect("admin stats");
+    let json = String::from_utf8(resp.body.to_vec()).expect("stats is UTF-8 JSON");
+    let tail = json
+        .split_once(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("no {key} in {json}"))
+        .1;
+    let digits = tail.split(|c: char| !c.is_ascii_digit()).next();
+    digits
+        .and_then(|d| d.parse().ok())
+        .unwrap_or_else(|| panic!("{key} is not a count in {json}"))
+}
+
 /// Hit rate over `urls` as a client observes it (`X-Cache: HIT`).
 pub fn hit_rate<S: AsRef<str>>(addr: SocketAddr, urls: &[S]) -> f64 {
     let hits = urls

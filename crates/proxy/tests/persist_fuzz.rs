@@ -50,9 +50,9 @@ impl Drop for CaseDir {
     }
 }
 
-/// Populate `dir` with a fully valid persisted state: an interner table,
-/// one snapshot per shard, and a journal tail of inserts / touches /
-/// refreshes / evicts. Returns the reference `url -> body` map.
+/// Populate `dir` with a fully valid persisted state: one snapshot per
+/// shard, and a journal tail of inserts / touches / refreshes / evicts.
+/// Returns the reference `url -> body` map.
 fn build_state(
     dir: &std::path::Path,
     nshards: u32,
@@ -83,8 +83,6 @@ fn build_state(
             body: Bytes::from(body),
         });
     }
-    let urls: Vec<String> = (0..sizes.len()).map(url_for).collect();
-    persist::write_interner(dir, 1, 100, &urls).expect("write interner");
     for (shard, docs) in per_shard.into_iter().enumerate() {
         persist::write_shard_snapshot(
             dir,
@@ -276,7 +274,6 @@ proptest! {
         let replayable: usize = rec.journals.iter().map(|j| j.ops.len()).sum();
         let expected_tail = if sizes.is_empty() { 0 } else { tail.len() };
         prop_assert_eq!(replayable, expected_tail);
-        prop_assert!(rec.interner.is_some(), "lost the interner table without corruption");
         assert_bodies_authentic(&rec, &expected);
     }
 

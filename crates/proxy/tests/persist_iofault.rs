@@ -562,8 +562,6 @@ proptest! {
         // or journal). Recovery may return any faulted-away subset, but
         // whatever it returns must match this map exactly.
         let mut expected: HashMap<String, Vec<u8>> = HashMap::new();
-        let urls: Vec<String> = (0..sizes.len()).map(url_for).collect();
-        let _ = persist::write_interner_hooked(&dir.0, 1, 100, &urls, Some(&inj));
         let mut per_shard: Vec<Vec<SnapshotDoc>> =
             (0..nshards).map(|_| Vec::new()).collect();
         for (i, &size) in sizes.iter().enumerate() {

@@ -5,10 +5,10 @@
 //!   way allocates in proportion to them. A counting global allocator
 //!   (bytes, not calls — the claim is about volume) measures a second
 //!   append and a second snapshot after the retained buffers have grown.
-//! * **Byte identity.** The `.wcj`, `.wcsb`, `.wcs` and `.wci` files for
-//!   one fixed input hash to what the commit before the write path was
-//!   rebuilt wrote (FNVs recorded from that commit), so either side
-//!   recovers the other's files.
+//! * **Byte identity.** The `.wcj`, `.wcsb` and `.wcs` files for one fixed
+//!   input hash to what the commit before the write path was rebuilt wrote
+//!   (FNVs recorded from that commit), so either side recovers the other's
+//!   files.
 
 use bytes::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -227,21 +227,17 @@ fn byte_identity() {
     snap.shard = 3;
     snap.nshards = 4;
     persist::write_shard_snapshot(&dir.0, &snap).expect("snapshot");
-    let urls: Vec<String> = (0..6).map(url).collect();
-    persist::write_interner(&dir.0, 4, 1234, &urls).expect("interner");
 
     let got = [
         ("shard-3.wcj", file_sum(&dir.0.join("shard-3.wcj"))),
         ("shard-3-g4.wcsb", file_sum(&dir.0.join("shard-3-g4.wcsb"))),
         ("shard-3-g4.wcs", file_sum(&dir.0.join("shard-3-g4.wcs"))),
-        ("interner-g4.wci", file_sum(&dir.0.join("interner-g4.wci"))),
     ];
     // (length, FNV) of each file as commit 4f18eb5 wrote it.
     let parent = [
         ("shard-3.wcj", (1_119_100, 16770914152300953966)),
         ("shard-3-g4.wcsb", (1_135_265, 10651987350071629141)),
         ("shard-3-g4.wcs", (920, 7125360998070879116)),
-        ("interner-g4.wci", (264, 15798487382792600108)),
     ];
     assert_eq!(
         got, parent,

@@ -5,7 +5,9 @@
 use std::net::TcpStream;
 use std::sync::Arc;
 use webcache::core::cache::Cache;
-use webcache::core::policy::named;
+use webcache::core::cluster::key_hash;
+use webcache::core::policy::{named, Key, KeySpec, RemovalPolicy, SortedPolicy};
+use webcache::core::util::splitmix64;
 use webcache::proxy::http::{read_response, write_request, Request};
 use webcache::proxy::{DocStore, OriginServer, ProxyConfig, ProxyServer};
 use webcache::workload::{generate, profiles};
@@ -33,8 +35,11 @@ fn static_sequence(trace: &Trace) -> (Arc<DocStore>, Vec<(String, u64)>) {
     (store, seq)
 }
 
-#[test]
-fn proxy_hits_match_simulator_hits() {
+/// Replay one sequence through a simulator and through a real proxy over
+/// loopback TCP, same policy and capacity, and require the same hits. With
+/// `shards > 1` the simulator is one cache per shard, a URL in the shard
+/// its text hashes to — the proxy's own placement (DESIGN.md D26).
+fn proxy_and_simulator_agree(policy: fn() -> Box<dyn RemovalPolicy>, shards: u64) {
     let profile = profiles::c().scaled(0.01);
     let trace = generate(&profile, 99);
     let (store, seq) = static_sequence(&trace);
@@ -42,7 +47,9 @@ fn proxy_hits_match_simulator_hits() {
 
     // Simulator, with the proxy's logical clock: one tick per request.
     let capacity: u64 = 2_000_000;
-    let mut sim_cache = Cache::new(capacity, Box::new(named::size()));
+    let mut sim_caches: Vec<Cache> = (0..shards)
+        .map(|_| Cache::new(capacity / shards, policy()))
+        .collect();
     let mut interner = webcache_trace::Interner::new();
     let mut sim_hits = 0u64;
     for (i, (url, size)) in seq.iter().enumerate() {
@@ -55,17 +62,15 @@ fn proxy_hits_match_simulator_hits() {
             doc_type: webcache_trace::DocType::classify(url),
             last_modified: None,
         };
-        if sim_cache.request(&r).is_hit() {
+        let shard = splitmix64(key_hash(url)) & (shards - 1);
+        if sim_caches[shard as usize].request(&r).is_hit() {
             sim_hits += 1;
         }
     }
 
-    // Real proxy over loopback TCP, same policy and capacity.
     let origin = OriginServer::start(store).expect("origin");
-    let proxy = ProxyServer::start(origin.addr(), ProxyConfig::new(capacity), || {
-        Box::new(named::size())
-    })
-    .expect("proxy");
+    let config = ProxyConfig::new(capacity).with_shards(shards as usize);
+    let proxy = ProxyServer::start(origin.addr(), config, policy).expect("proxy");
     let mut proxy_hits = 0u64;
     for (url, size) in &seq {
         let mut s = TcpStream::connect(proxy.addr()).expect("connect");
@@ -86,6 +91,35 @@ fn proxy_hits_match_simulator_hits() {
     );
     assert_eq!(proxy.stats().hits, sim_hits);
     assert!(sim_hits > 0, "degenerate sequence: no hits at all");
+    let evictions: u64 = sim_caches.iter().map(|c| c.stats().evictions).sum();
+    assert!(evictions > 0, "degenerate sequence: the policy never chose");
+}
+
+/// SIZE breaks ties between documents of one size by a hash of their ids,
+/// and the proxy's ids (a slot of the shard) are not the simulator's (one
+/// per URL ever seen). On this trace the count does not depend on which of
+/// two equal-size documents goes first: it is the same with the
+/// simulator's ids reversed.
+#[test]
+fn proxy_hits_match_simulator_hits() {
+    proxy_and_simulator_agree(|| Box::new(named::size()), 1);
+}
+
+fn size_then_atime() -> Box<dyn RemovalPolicy> {
+    Box::new(SortedPolicy::new(KeySpec::pair(Key::Size, Key::AccessTime)))
+}
+
+/// SIZE then ATIME: no two documents are touched on one tick of the
+/// proxy's clock, so the order never reaches the id and the agreement is
+/// exact by construction.
+#[test]
+fn proxy_hits_match_simulator_hits_whatever_the_ids() {
+    proxy_and_simulator_agree(size_then_atime, 1);
+}
+
+#[test]
+fn sharded_proxy_hits_match_a_simulator_partitioned_by_the_same_hash() {
+    proxy_and_simulator_agree(size_then_atime, 4);
 }
 
 #[test]
