@@ -62,7 +62,7 @@ pub enum IoOpClass {
     Append,
     /// A journal group-fsync (or the probe's fsync).
     Sync,
-    /// A snapshot or bodies file write.
+    /// A snapshot file write.
     Snapshot,
 }
 

@@ -37,19 +37,23 @@ usage: webcache-proxy --origin ADDR [options]
                          log2size, etime, atime, day, nref, random, doctype,
                          latency, expiry                 [default: size]
   --persist-dir PATH     enable crash-safe persistence into PATH
+  --cluster-seed-list L  run as a cluster node; L maps node ids to peer
+                         ports, e.g. 0=127.0.0.1:7000,1=127.0.0.1:7001
+
+ needs --persist-dir:
   --snapshot-interval MS snapshot cadence in milliseconds [default: 2000]
   --journal-fsync MS     journal group-fsync interval     [default: 25]
-  --iofault SPEC         inject disk faults into the persist paths (needs
-                         --persist-dir), e.g.
+  --iofault SPEC         inject disk faults into the persist paths, e.g.
                          seed=7,append=1.0,sync=0.5,short=0.1,snapshot=0.2,
                          slow=0.1,slow-ms=50,from=100,to=200
   --degraded-backoff MS  re-arm probe backoff base        [default: 200]
   --degraded-retries N   failed probes before persistence is disabled
                                                          [default: 8]
-  --cluster-seed-list L  run as a cluster node; L maps node ids to peer
-                         ports, e.g. 0=127.0.0.1:7000,1=127.0.0.1:7001
+
+ needs --cluster-seed-list:
   --node-id N            this node's id in the seed list  [default: 0]
-  --peer-timeout MS      peer connect/read timeout        [default: 250]
+  --peer-timeout MS      peer connect/read timeout, at least 1
+                                                         [default: 250]
 
 exit status: 0 ok; 2 usage; 3 persistence ended degraded; 4 disabled
 ";
@@ -75,14 +79,16 @@ fn parse_args() -> Args {
     let mut workers: usize = 4;
     let mut ttl: Option<u64> = None;
     let mut policy = String::from("size");
+    // Flags that configure persistence or the cluster stay `None` unless
+    // given, so one given without its subsystem is caught below.
     let mut persist_dir: Option<PathBuf> = None;
-    let mut snapshot_interval = Duration::from_millis(2000);
-    let mut journal_fsync = Duration::from_millis(25);
+    let mut snapshot_interval: Option<Duration> = None;
+    let mut journal_fsync: Option<Duration> = None;
     let mut iofault: Option<IoFaultPlan> = None;
-    let mut degraded_backoff = Duration::from_millis(200);
-    let mut degraded_retries: u32 = 8;
+    let mut degraded_backoff: Option<Duration> = None;
+    let mut degraded_retries: Option<u32> = None;
     let mut seed_list: Option<Vec<(u32, SocketAddr)>> = None;
-    let mut node_id: u32 = 0;
+    let mut node_id: Option<u32> = None;
     let mut peer_timeout: Option<Duration> = None;
 
     let mut it = std::env::args().skip(1);
@@ -118,11 +124,11 @@ fn parse_args() -> Args {
             "--policy" => policy = value,
             "--persist-dir" => persist_dir = Some(PathBuf::from(value)),
             "--snapshot-interval" => match value.parse() {
-                Ok(ms) => snapshot_interval = Duration::from_millis(ms),
+                Ok(ms) => snapshot_interval = Some(Duration::from_millis(ms)),
                 Err(_) => die(&format!("bad --snapshot-interval: {value}")),
             },
             "--journal-fsync" => match value.parse() {
-                Ok(ms) => journal_fsync = Duration::from_millis(ms),
+                Ok(ms) => journal_fsync = Some(Duration::from_millis(ms)),
                 Err(_) => die(&format!("bad --journal-fsync: {value}")),
             },
             "--iofault" => match IoFaultPlan::parse(&value) {
@@ -130,11 +136,11 @@ fn parse_args() -> Args {
                 Err(e) => die(&format!("bad --iofault: {e}")),
             },
             "--degraded-backoff" => match value.parse() {
-                Ok(ms) => degraded_backoff = Duration::from_millis(ms),
+                Ok(ms) => degraded_backoff = Some(Duration::from_millis(ms)),
                 Err(_) => die(&format!("bad --degraded-backoff: {value}")),
             },
             "--degraded-retries" => match value.parse() {
-                Ok(n) => degraded_retries = n,
+                Ok(n) => degraded_retries = Some(n),
                 Err(_) => die(&format!("bad --degraded-retries: {value}")),
             },
             "--cluster-seed-list" => match ClusterConfig::parse_seed_list(&value) {
@@ -142,10 +148,13 @@ fn parse_args() -> Args {
                 Err(e) => die(&format!("bad --cluster-seed-list: {e}")),
             },
             "--node-id" => match value.parse() {
-                Ok(n) => node_id = n,
+                Ok(n) => node_id = Some(n),
                 Err(_) => die(&format!("bad --node-id: {value}")),
             },
             "--peer-timeout" => match value.parse() {
+                // A zero timeout is one `connect_timeout` rejects: every
+                // peer call would fail and the breakers drop every peer.
+                Ok(0) => die("--peer-timeout must be at least 1 ms"),
                 Ok(ms) => peer_timeout = Some(Duration::from_millis(ms)),
                 Err(_) => die(&format!("bad --peer-timeout: {value}")),
             },
@@ -172,14 +181,37 @@ fn parse_args() -> Args {
             "--capacity {capacity} is less than a byte for each of {shards} shards"
         ));
     }
-    if iofault.is_some() && persist_dir.is_none() {
-        die("--iofault needs --persist-dir: there is no disk path to fault");
+    let persist_flags = [
+        ("--snapshot-interval", snapshot_interval.is_some()),
+        ("--journal-fsync", journal_fsync.is_some()),
+        ("--iofault", iofault.is_some()),
+        ("--degraded-backoff", degraded_backoff.is_some()),
+        ("--degraded-retries", degraded_retries.is_some()),
+    ];
+    let cluster_flags = [
+        ("--node-id", node_id.is_some()),
+        ("--peer-timeout", peer_timeout.is_some()),
+    ];
+    for (needs, enabled, flags) in [
+        ("--persist-dir", persist_dir.is_some(), &persist_flags[..]),
+        (
+            "--cluster-seed-list",
+            seed_list.is_some(),
+            &cluster_flags[..],
+        ),
+    ] {
+        if let Some((flag, _)) = flags.iter().find(|(_, given)| *given && !enabled) {
+            die(&format!(
+                "{flag} needs {needs}: without it the flag does nothing"
+            ));
+        }
     }
     let mut config = ProxyConfig::new(capacity)
         .with_shards(shards)
         .with_workers(workers, workers.max(4) * 8);
     config.ttl = ttl;
     let cluster = seed_list.map(|list| {
+        let node_id = node_id.unwrap_or(0);
         if !list.iter().any(|(id, _)| *id == node_id) {
             die(&format!("--node-id {node_id} is not in the seed list"));
         }
@@ -195,13 +227,12 @@ fn parse_args() -> Args {
         policy,
         cluster,
         persist: persist_dir.map(|dir| {
-            let mut cfg = PersistConfig::new(dir)
-                .with_snapshot_interval(snapshot_interval)
-                .with_journal_fsync(journal_fsync)
-                .with_degraded_policy(degraded_backoff, degraded_retries);
-            if let Some(plan) = iofault.take() {
-                cfg = cfg.with_iofault(plan);
-            }
+            let mut cfg = PersistConfig::new(dir);
+            cfg.snapshot_interval = snapshot_interval.unwrap_or(cfg.snapshot_interval);
+            cfg.journal_fsync = journal_fsync.unwrap_or(cfg.journal_fsync);
+            cfg.iofault = iofault;
+            cfg.degraded_backoff = degraded_backoff.unwrap_or(cfg.degraded_backoff);
+            cfg.degraded_max_retries = degraded_retries.unwrap_or(cfg.degraded_max_retries);
             cfg
         }),
     }

@@ -5,19 +5,15 @@
 //! paper's sustained HR/WHR numbers assume away. This module gives
 //! [`crate::ProxyServer`] a warm restart:
 //!
-//! * **Snapshots** (`shard-{i}-g{gen}.wcs` + `…​.wcsb`): a point-in-time
-//!   image of one shard, written by a background task under short
-//!   per-shard critical sections. The `.wcs` file is `binfmt`'s
-//!   checksummed section container and carries the shard's
-//!   [`CacheState`](webcache_core::cache::CacheState) (resident metadata +
-//!   opaque policy rank state), per-document URL strings, freshness
-//!   stamps, and a per-document FNV checksum of the body. Bodies
-//!   themselves live in the sibling `.wcsb` file as independently
-//!   checksummed frames, so one corrupt body quarantines one document —
-//!   never the shard. Files are written body-file-first via the atomic
-//!   tmp+fsync+rename writer; the `.wcs` rename is the commit point. The
-//!   body file is streamed into its temporary file frame by frame, each
-//!   body from the `Bytes` the cache holds — never assembled in memory.
+//! * **Snapshots** (`shard-{i}-g{gen}.wcs`): a point-in-time image of
+//!   one shard, captured under a short per-shard critical section and
+//!   written by a background task. One file of the journal's frames: its
+//!   magic, a header frame (the shard's configuration, stats, document
+//!   count and opaque policy rank state) and one frame per document
+//!   (`DocMeta`, URL, freshness stamp, body). The file is streamed into
+//!   the atomic tmp+fsync+rename writer frame by frame, each body from
+//!   the `Bytes` the cache holds and hashed once on its way; the rename
+//!   is the commit point.
 //! * **Journals** (`shard-{i}.wcj`): an append-only log of
 //!   insert/touch/evict/refresh deltas since the last snapshot, framed as
 //!   `[len][payload][fnv64]` records carrying a per-shard sequence
@@ -31,23 +27,26 @@
 //!   document evicted before the drain leaves an `Evict` and no body.
 //! * **Recovery** ([`recover`]): per shard, load the *newest valid*
 //!   snapshot generation (older generations are fallbacks until
-//!   garbage-collected), verify every body checksum
-//!   (quarantine-and-miss on mismatch — a corrupt body is never served),
-//!   then replay journal records with sequence numbers beyond the
-//!   snapshot's. A document's id is its slot in the shard that wrote it
-//!   and its shard follows from its URL text, which every snapshot entry
-//!   and every `Insert` carries: a shard recovered whole keeps its ids,
-//!   and with them the policy's opaque rank state; anything else gets
-//!   fresh ids and policy order replayed from insertion metadata (see
+//!   garbage-collected) — a snapshot is valid when its magic and header
+//!   frame are; its documents are read up to the first frame that is
+//!   torn, fails its checksum or disagrees with its own `DocMeta`, and
+//!   that document and every later one are quarantined (misses, never
+//!   corrupt bytes) — then replay journal records with sequence numbers
+//!   beyond the snapshot's. Snapshot and journal share one frame walk.
+//!   A document's id is its slot in the shard that wrote it and its
+//!   shard follows from its URL text, which every snapshot entry and
+//!   every `Insert` carries: a shard recovered whole keeps its ids, and
+//!   with them the policy's opaque rank state; anything else gets fresh
+//!   ids and policy order replayed from insertion metadata (see
 //!   [`Cache::restore_entries`](webcache_core::cache::Cache::restore_entries)).
 //!
-//! Every decode path returns a typed [`PersistError`] (this module is
-//! written under the workspace's `clippy::unwrap-used` gate); recovery as
-//! a whole never fails — the worst outcome of any corruption is a colder
-//! cache, reported in [`RecoveredData::notes`].
+//! Every decode path is bounds-checked (this module is written under the
+//! workspace's `clippy::unwrap-used` gate) and recovery as a whole never
+//! fails — the worst outcome of any corruption is a colder cache,
+//! reported in [`RecoveredData::notes`].
 //!
 //! See DESIGN.md D15 for the format layout and crash-ordering argument,
-//! D24 for the write path.
+//! D24 for the write path, D27 for the single snapshot file.
 
 use crate::iofault::{IoFaultInjector, IoFaultPlan};
 use bytes::Bytes;
@@ -59,16 +58,16 @@ use std::sync::Arc;
 use std::time::Duration;
 use webcache_core::cache::{CacheStats, DocMeta};
 use webcache_trace::binfmt::{
-    checksum, doc_type_from_tag, doc_type_tag, read_sections, sections_to_bytes, write_atomic_with,
-    BinError, Cursor, Hasher64,
+    checksum, doc_type_from_tag, doc_type_tag, write_atomic_with, BinError, Cursor, Hasher64,
 };
 use webcache_trace::{DocType, UrlId};
 
 /// Magic prefix of a journal file (`.wcj`).
 const JOURNAL_MAGIC: &[u8; 4] = b"WCJ\x01";
-/// Snapshot format version stamped into every `.wcs`/`.wcsb`.
-const SNAPSHOT_VERSION: u64 = 1;
-/// Sanity cap on a single journal record or body frame (bytes). Anything
+/// Magic prefix of a snapshot file (`.wcs`). A `.wcs` the container
+/// format before DESIGN.md D27 wrote starts `WCP\x01` and is no snapshot.
+const SNAPSHOT_MAGIC: &[u8; 4] = b"WCS\x02";
+/// Sanity cap on a single journal record or snapshot frame (bytes). Anything
 /// larger is treated as a tear: the proxy never caches documents close to
 /// this size.
 const MAX_FRAME: u64 = 1 << 31;
@@ -84,24 +83,18 @@ const STAGED_BODY_MAX: usize = 4096;
 // Errors and configuration
 // ---------------------------------------------------------------------------
 
-/// Typed error for every persistence path.
+/// Typed error for every persistence write path. Reads never fail: what
+/// they cannot decode becomes a note (see [`recover`]).
 #[derive(Debug)]
 pub enum PersistError {
     /// An underlying filesystem operation failed.
     Io(std::io::Error),
-    /// A container or record failed structural/checksum validation.
-    Bin(BinError),
-    /// A decoded file disagrees with what the caller expects (wrong shard
-    /// index, wrong version, …). Carries a human-readable reason.
-    Mismatch(String),
 }
 
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PersistError::Io(e) => write!(f, "persist i/o error: {e}"),
-            PersistError::Bin(e) => write!(f, "persist decode error: {e}"),
-            PersistError::Mismatch(m) => write!(f, "persist mismatch: {m}"),
         }
     }
 }
@@ -111,12 +104,6 @@ impl std::error::Error for PersistError {}
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> PersistError {
         PersistError::Io(e)
-    }
-}
-
-impl From<BinError> for PersistError {
-    fn from(e: BinError) -> PersistError {
-        PersistError::Bin(e)
     }
 }
 
@@ -651,62 +638,65 @@ pub fn read_journal(dir: &Path, shard: u32) -> JournalRead {
             ..JournalRead::default()
         };
     }
-    let mut ops = Vec::new();
-    let mut at = head_len;
-    let mut note = None;
-    while at < bytes.len() {
-        let tear = |why: &str| {
-            Some(format!(
-                "{}: {} at byte {at}; journal truncated there",
-                path.display(),
-                why
-            ))
-        };
-        if bytes.len() - at < 4 {
-            note = tear("torn frame header");
-            break;
-        }
-        let mut len_bytes = [0u8; 4];
-        len_bytes.copy_from_slice(&bytes[at..at + 4]);
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len as u64 > MAX_FRAME || bytes.len() - at < 4 + len + 8 {
-            note = tear("torn record");
-            break;
-        }
-        let payload = &bytes[at + 4..at + 4 + len];
-        let mut sum_bytes = [0u8; 8];
-        sum_bytes.copy_from_slice(&bytes[at + 4 + len..at + 4 + len + 8]);
-        if checksum(payload) != u64::from_le_bytes(sum_bytes) {
-            note = tear("record checksum mismatch");
-            break;
-        }
-        match decode_op(payload) {
-            // Within one journal file sequence numbers are contiguous by
-            // construction (assigned under the shard lock, appended in
-            // order). A gap means records were lost in between — a
-            // drop-oldest overflow or an append the disk rejected — so
-            // everything after the gap describes a state the journal
-            // cannot faithfully rebuild (e.g. an insert superseding a
-            // lost insert would replay as fresh). Truncate: colder,
-            // never wrong.
-            Ok((seq, _)) if ops.last().is_some_and(|(prev, _)| seq != prev + 1) => {
-                let prev = ops.last().map(|(p, _)| *p).unwrap_or(0);
-                note = tear(&format!("sequence gap ({prev} -> {seq}), records lost"));
-                break;
-            }
-            Ok(rec) => ops.push(rec),
-            Err(e) => {
-                note = tear(&format!("undecodable record ({e})"));
-                break;
+    let mut ops: Vec<(u64, JournalOp)> = Vec::new();
+    let (valid_len, why) = walk_frames(&bytes, head_len, |payload| {
+        let (seq, op) = decode_op(payload).map_err(|e| format!("undecodable record ({e})"))?;
+        // Within one journal file sequence numbers are contiguous by
+        // construction (assigned under the shard lock, appended in
+        // order). A gap means records were lost in between — a
+        // drop-oldest overflow or an append the disk rejected — so
+        // everything after the gap describes a state the journal cannot
+        // faithfully rebuild (e.g. an insert superseding a lost insert
+        // would replay as fresh). Truncate: colder, never wrong.
+        if let Some(&(prev, _)) = ops.last() {
+            if seq != prev + 1 {
+                return Err(format!("sequence gap ({prev} -> {seq}), records lost"));
             }
         }
-        at += 4 + len + 8;
-    }
+        ops.push((seq, op));
+        Ok(())
+    });
     JournalRead {
         ops,
-        valid_len: at as u64,
-        note,
+        valid_len: valid_len as u64,
+        note: why.map(|why| {
+            format!(
+                "{}: {why} at byte {valid_len}; journal truncated there",
+                path.display()
+            )
+        }),
     }
+}
+
+/// Walk the `[u32 len][payload][u64 FNV(payload)]` frames of `bytes` from
+/// offset `at`, handing each intact payload to `visit` in order. Stops at
+/// the end of `bytes`, at the first frame that runs past it, is longer
+/// than [`MAX_FRAME`] or fails its checksum, or at the first payload
+/// `visit` refuses. Returns the offset of the first frame not accepted
+/// and, unless that is the end, why it was not.
+fn walk_frames<'a>(
+    bytes: &'a [u8],
+    mut at: usize,
+    mut visit: impl FnMut(&'a [u8]) -> Result<(), String>,
+) -> (usize, Option<String>) {
+    while at < bytes.len() {
+        let mut cur = Cursor::new(&bytes[at..]);
+        let Ok(len) = cur.u32() else {
+            return (at, Some("torn frame header".into()));
+        };
+        let (payload, sum) = match (cur.take(len as usize), cur.u64()) {
+            (Ok(payload), Ok(sum)) if len as u64 <= MAX_FRAME => (payload, sum),
+            _ => return (at, Some("torn frame".into())),
+        };
+        if checksum(payload) != sum {
+            return (at, Some("frame checksum mismatch".into()));
+        }
+        if let Err(why) = visit(payload) {
+            return (at, Some(why));
+        }
+        at += 4 + payload.len() + 8;
+    }
+    (at, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -755,10 +745,6 @@ pub struct ShardSnapshot {
 
 fn snapshot_path(dir: &Path, shard: u32, gen: u64) -> PathBuf {
     dir.join(format!("shard-{shard}-g{gen}.wcs"))
-}
-
-fn bodies_path(dir: &Path, shard: u32, gen: u64) -> PathBuf {
-    dir.join(format!("shard-{shard}-g{gen}.wcsb"))
 }
 
 fn push_doc_meta(out: &mut Vec<u8>, m: &DocMeta) {
@@ -817,203 +803,120 @@ fn read_stats(cur: &mut Cursor) -> Result<CacheStats, BinError> {
     Ok(s)
 }
 
-/// Serialise the metadata file (`.wcs`) of a snapshot. Body bytes are
-/// *not* included — only their sizes and checksums.
-fn encode_shard_meta(s: &ShardSnapshot) -> Vec<u8> {
-    let mut sec = Vec::new();
-    push_u64(&mut sec, SNAPSHOT_VERSION);
-    push_u32(&mut sec, s.shard);
-    push_u32(&mut sec, s.nshards);
-    push_u64(&mut sec, s.gen);
-    push_u64(&mut sec, s.seq);
-    push_u64(&mut sec, s.now);
-    push_u64(&mut sec, s.capacity);
-    push_u64(&mut sec, s.current_day);
-    push_stats(&mut sec, &s.stats);
-    push_u64(&mut sec, s.docs.len() as u64);
-    for d in &s.docs {
-        push_doc_meta(&mut sec, &d.meta);
-        push_string(&mut sec, &d.url);
-        push_u64(&mut sec, d.fetched_at);
-        push_u64(&mut sec, d.body.len() as u64);
-        push_u64(&mut sec, checksum(&d.body));
-    }
-    push_u64(&mut sec, s.policy_state.len() as u64);
-    sec.extend_from_slice(&s.policy_state);
-    sections_to_bytes(&[sec])
-}
-
-/// A decoded `.wcs`: the snapshot minus bodies, plus each document's
-/// expected body length and checksum.
-struct ShardMeta {
-    snap: ShardSnapshot, // docs have empty bodies
-    body_sums: Vec<(u64, u64)>,
-}
-
-fn decode_shard_meta(bytes: &[u8]) -> Result<ShardMeta, PersistError> {
-    let sections = read_sections(bytes)?;
-    let sec = sections.first().ok_or(BinError::Truncated)?;
-    let mut cur = Cursor::new(sec);
-    if cur.u64()? != SNAPSHOT_VERSION {
-        return Err(PersistError::Mismatch("unknown snapshot version".into()));
-    }
-    let shard = cur.u32()?;
-    let nshards = cur.u32()?;
-    let gen = cur.u64()?;
-    let seq = cur.u64()?;
-    let now = cur.u64()?;
-    let capacity = cur.u64()?;
-    let current_day = cur.u64()?;
-    let stats = read_stats(&mut cur)?;
-    let ndocs = cur.u64()? as usize;
-    let mut docs = Vec::with_capacity(ndocs.min(sec.len() / 64 + 1));
-    let mut body_sums = Vec::with_capacity(ndocs.min(sec.len() / 64 + 1));
-    for _ in 0..ndocs {
-        let meta = read_doc_meta(&mut cur)?;
-        let url = cur.string()?;
-        let fetched_at = cur.u64()?;
-        let body_len = cur.u64()?;
-        let body_sum = cur.u64()?;
-        docs.push(SnapshotDoc {
-            meta,
-            url,
-            fetched_at,
-            body: Bytes::new(),
-        });
-        body_sums.push((body_len, body_sum));
-    }
-    let plen = cur.u64()? as usize;
-    let policy_state = cur.take(plen)?.to_vec();
-    if !cur.is_at_end() {
-        return Err(BinError::TrailingBytes.into());
-    }
-    Ok(ShardMeta {
-        snap: ShardSnapshot {
-            shard,
-            nshards,
-            gen,
-            seq,
-            now,
-            capacity,
-            current_day,
-            stats,
-            policy_state,
-            docs,
-        },
-        body_sums,
-    })
-}
-
-/// Stream the bodies file (`.wcsb`) into `out`: a header then one
-/// independently checksummed frame per document, each body written from
-/// the snapshot's own `Bytes`.
-fn write_bodies(s: &ShardSnapshot, out: &mut impl Write) -> std::io::Result<()> {
-    let mut head = Vec::with_capacity(24);
-    head.extend_from_slice(b"WCSB");
-    push_u64(&mut head, SNAPSHOT_VERSION);
+/// Stream a snapshot file into `out`: the magic, the header frame, then
+/// one frame per document, each body written from the snapshot's own
+/// `Bytes`.
+fn write_snapshot(s: &ShardSnapshot, out: &mut impl Write) -> std::io::Result<()> {
+    out.write_all(SNAPSHOT_MAGIC)?;
+    let mut head = Vec::with_capacity(256);
     push_u32(&mut head, s.shard);
+    push_u32(&mut head, s.nshards);
     push_u64(&mut head, s.gen);
-    out.write_all(&head)?;
+    push_u64(&mut head, s.seq);
+    push_u64(&mut head, s.now);
+    push_u64(&mut head, s.capacity);
+    push_u64(&mut head, s.current_day);
+    push_stats(&mut head, &s.stats);
+    push_u64(&mut head, s.docs.len() as u64);
+    push_u64(&mut head, s.policy_state.len() as u64);
+    write_frame(out, &head, &s.policy_state)?;
     for d in &s.docs {
-        // Frame: [u32 url_len][url][u64 body_len][body][u64 fnv(url++body)]
         head.clear();
+        push_doc_meta(&mut head, &d.meta);
         push_string(&mut head, &d.url);
+        push_u64(&mut head, d.fetched_at);
         push_u64(&mut head, d.body.len() as u64);
-        out.write_all(&head)?;
-        out.write_all(&d.body)?;
-        let mut h = Hasher64::new();
-        h.update(d.url.as_bytes());
-        h.update(&d.body);
-        out.write_all(&h.finish().to_le_bytes())?;
+        write_frame(out, &head, &d.body)?;
     }
     Ok(())
 }
 
-/// Decode a bodies file into `url -> body`, stopping (not failing) at the
-/// first torn or corrupt frame.
-fn decode_bodies(bytes: &[u8]) -> HashMap<String, Bytes> {
-    let mut map = HashMap::new();
-    let head = 4 + 8 + 4 + 8;
-    if bytes.len() < head || &bytes[..4] != b"WCSB" {
-        return map;
+/// Write one frame whose payload is `head` followed by `tail`, each from
+/// where it lies: the frame [`walk_frames`] reads.
+fn write_frame(out: &mut impl Write, head: &[u8], tail: &[u8]) -> std::io::Result<()> {
+    let len = head.len() + tail.len();
+    if len as u64 > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "snapshot frame larger than MAX_FRAME",
+        ));
     }
-    let mut at = head;
-    loop {
-        // Frame: [u32 url_len][url][u64 body_len][body][u64 fnv(url++body)]
-        if bytes.len() - at < 4 {
-            return map;
-        }
-        let mut b4 = [0u8; 4];
-        b4.copy_from_slice(&bytes[at..at + 4]);
-        let url_len = u32::from_le_bytes(b4) as usize;
-        if url_len as u64 > MAX_FRAME || bytes.len() - at < 4 + url_len + 8 {
-            return map;
-        }
-        let url_bytes = &bytes[at + 4..at + 4 + url_len];
-        let mut b8 = [0u8; 8];
-        b8.copy_from_slice(&bytes[at + 4 + url_len..at + 4 + url_len + 8]);
-        let body_len = u64::from_le_bytes(b8) as usize;
-        let rest = at + 4 + url_len + 8;
-        if body_len as u64 > MAX_FRAME || bytes.len() - rest < body_len + 8 {
-            return map;
-        }
-        let body = &bytes[rest..rest + body_len];
-        b8.copy_from_slice(&bytes[rest + body_len..rest + body_len + 8]);
-        let mut h = Hasher64::new();
-        h.update(url_bytes);
-        h.update(body);
-        if h.finish() != u64::from_le_bytes(b8) {
-            return map;
-        }
-        let Ok(url) = std::str::from_utf8(url_bytes) else {
-            return map;
-        };
-        map.insert(url.to_string(), Bytes::copy_from_slice(body));
-        at = rest + body_len + 8;
-        if at == bytes.len() {
-            return map;
-        }
-    }
+    out.write_all(&(len as u32).to_le_bytes())?;
+    out.write_all(head)?;
+    out.write_all(tail)?;
+    let mut h = Hasher64::new();
+    h.update(head);
+    h.update(tail);
+    out.write_all(&h.finish().to_le_bytes())
 }
 
-/// One snapshot-class file write, consulting the injection hook first;
-/// `fill` streams the contents. An injected fault fails *before* the
-/// atomic rename, exactly like a full disk: the previous generation stays
-/// the newest valid one. Returns the length of the file written.
-fn write_atomic_hooked(
-    path: &Path,
-    hook: Option<&IoFaultInjector>,
-    fill: impl FnOnce(&mut std::io::BufWriter<File>) -> std::io::Result<()>,
-) -> Result<u64, PersistError> {
-    if let Some(h) = hook {
-        h.on_snapshot().map_err(PersistError::Io)?;
+/// Decode a header frame: the snapshot without its documents, and how
+/// many documents it announces.
+fn decode_snapshot_head(payload: &[u8]) -> Result<(ShardSnapshot, u64), BinError> {
+    let mut cur = Cursor::new(payload);
+    let mut snap = ShardSnapshot {
+        shard: cur.u32()?,
+        nshards: cur.u32()?,
+        gen: cur.u64()?,
+        seq: cur.u64()?,
+        now: cur.u64()?,
+        capacity: cur.u64()?,
+        current_day: cur.u64()?,
+        stats: read_stats(&mut cur)?,
+        policy_state: Vec::new(),
+        docs: Vec::new(),
+    };
+    let ndocs = cur.u64()?;
+    let plen = cur.u64()?;
+    snap.policy_state = cur
+        .take(usize::try_from(plen).map_err(|_| BinError::Truncated)?)?
+        .to_vec();
+    if !cur.is_at_end() {
+        return Err(BinError::TrailingBytes);
     }
-    Ok(write_atomic_with(path, fill)?)
+    Ok((snap, ndocs))
 }
 
-/// Write one shard snapshot: bodies first, then the metadata file. The
-/// `.wcs` rename is the commit point — a crash in between leaves the
-/// previous generation as the newest valid snapshot.
+/// Decode a document frame.
+fn decode_snapshot_doc(payload: &[u8]) -> Result<SnapshotDoc, BinError> {
+    let mut cur = Cursor::new(payload);
+    let meta = read_doc_meta(&mut cur)?;
+    let url = cur.string()?;
+    let fetched_at = cur.u64()?;
+    let blen = usize::try_from(cur.u64()?).map_err(|_| BinError::Truncated)?;
+    let body = Bytes::copy_from_slice(cur.take(blen)?);
+    if !cur.is_at_end() {
+        return Err(BinError::TrailingBytes);
+    }
+    Ok(SnapshotDoc {
+        meta,
+        url,
+        fetched_at,
+        body,
+    })
+}
+
+/// Write one shard snapshot, one file: the rename that puts it in place
+/// is the commit point — a crash before it leaves the previous
+/// generation as the newest valid snapshot.
 pub fn write_shard_snapshot(dir: &Path, s: &ShardSnapshot) -> Result<(), PersistError> {
     write_shard_snapshot_hooked(dir, s, None).map(drop)
 }
 
-/// [`write_shard_snapshot`] with a disk-fault injection hook. Returns the
-/// bytes written, both files together.
+/// [`write_shard_snapshot`] with a disk-fault injection hook, consulted
+/// once: an injected fault fails *before* the rename, exactly like a full
+/// disk. Returns the length of the file written.
 pub fn write_shard_snapshot_hooked(
     dir: &Path,
     s: &ShardSnapshot,
     hook: Option<&IoFaultInjector>,
 ) -> Result<u64, PersistError> {
     std::fs::create_dir_all(dir)?;
-    let bodies = write_atomic_hooked(&bodies_path(dir, s.shard, s.gen), hook, |w| {
-        write_bodies(s, w)
-    })?;
-    let meta = encode_shard_meta(s);
-    let meta = write_atomic_hooked(&snapshot_path(dir, s.shard, s.gen), hook, |w| {
-        w.write_all(&meta)
-    })?;
-    Ok(bodies + meta)
+    if let Some(h) = hook {
+        h.on_snapshot().map_err(PersistError::Io)?;
+    }
+    let path = snapshot_path(dir, s.shard, s.gen);
+    Ok(write_atomic_with(&path, |w| write_snapshot(s, w))?)
 }
 
 /// Degraded-mode re-arm probe: write and fsync a scratch file in the
@@ -1043,8 +946,10 @@ pub fn probe_disk(dir: &Path, hook: Option<&IoFaultInjector>) -> Result<(), Pers
     Ok(())
 }
 
-/// Delete snapshot generations older than `keep_gen`, and any URL table
-/// (`interner-g{gen}.wci`) a version before D26 left: nothing reads one.
+/// Delete snapshot generations older than `keep_gen`, and what a version
+/// before this one left that nothing reads: URL tables
+/// (`interner-g{gen}.wci`, before D26) and body files
+/// (`shard-{i}-g{gen}.wcsb`, before D27).
 pub fn gc_old_generations(dir: &Path, nshards: u32, keep_gen: u64) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -1053,38 +958,34 @@ pub fn gc_old_generations(dir: &Path, nshards: u32, keep_gen: u64) {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let stale = (name.starts_with("interner-g") && name.ends_with(".wci"))
-            || parse_gen_file(name)
-                .is_some_and(|(_, shard, gen)| gen < keep_gen && shard < nshards);
+            || (name.starts_with("shard-") && name.ends_with(".wcsb"))
+            || parse_gen_file(name).is_some_and(|(shard, gen)| gen < keep_gen && shard < nshards);
         if stale {
             let _ = std::fs::remove_file(entry.path());
         }
     }
 }
 
-/// Parse a `shard-{i}-g{gen}.wcs[b]` file name: whether it is the
-/// metadata file (`.wcs`, not the bodies beside it), shard and generation.
-fn parse_gen_file(name: &str) -> Option<(bool, u32, u64)> {
-    let rest = name.strip_prefix("shard-")?;
-    let (is_meta, rest) = match rest.strip_suffix(".wcs") {
-        Some(rest) => (true, rest),
-        None => (false, rest.strip_suffix(".wcsb")?),
-    };
+/// Parse a `shard-{i}-g{gen}.wcs` file name into shard and generation.
+fn parse_gen_file(name: &str) -> Option<(u32, u64)> {
+    let rest = name.strip_prefix("shard-")?.strip_suffix(".wcs")?;
     let (shard, gen) = rest.split_once("-g")?;
-    Some((is_meta, shard.parse().ok()?, gen.parse().ok()?))
+    Some((shard.parse().ok()?, gen.parse().ok()?))
 }
 
 // ---------------------------------------------------------------------------
 // Recovery
 // ---------------------------------------------------------------------------
 
-/// One shard recovered from its newest valid snapshot, bodies verified.
+/// One shard recovered from its newest valid snapshot.
 #[derive(Debug)]
 pub struct RecoveredShard {
-    /// The decoded snapshot; `docs` contains only documents whose body
-    /// matched its recorded length and checksum.
+    /// The decoded snapshot; `docs` holds the documents before the first
+    /// frame that failed (see [`recover`]).
     pub snap: ShardSnapshot,
-    /// Documents dropped because their body was missing, truncated, or
-    /// failed its checksum. These become misses, never corrupt bytes.
+    /// The header's document count minus the documents recovered: the
+    /// document whose frame failed and every one after it. These become
+    /// misses, never corrupt bytes.
     pub quarantined: u64,
 }
 
@@ -1107,8 +1008,48 @@ pub struct RecoveredData {
     pub notes: Vec<String>,
 }
 
+/// Decode a snapshot file. Without its magic and an intact header frame
+/// it is no snapshot (`Err`, with why). Documents are read up to the
+/// first frame that is torn, fails its checksum, does not decode, carries
+/// a body whose length is not its `DocMeta`'s size, or lies past the
+/// header's count. Returns the snapshot, how many documents it announced
+/// and did not deliver, and why the read stopped short, if it did.
+fn read_snapshot(bytes: &[u8]) -> Result<(ShardSnapshot, u64, Option<String>), String> {
+    if !bytes.starts_with(SNAPSHOT_MAGIC) {
+        return Err("not a snapshot (bad magic)".into());
+    }
+    let mut head: Option<(ShardSnapshot, u64)> = None;
+    let (_, why) = walk_frames(bytes, SNAPSHOT_MAGIC.len(), |payload| {
+        let Some((snap, ndocs)) = head.as_mut() else {
+            let decoded = decode_snapshot_head(payload);
+            head = Some(decoded.map_err(|e| format!("undecodable header ({e})"))?);
+            return Ok(());
+        };
+        if snap.docs.len() as u64 == *ndocs {
+            return Err("frame past the document count".into());
+        }
+        let doc =
+            decode_snapshot_doc(payload).map_err(|e| format!("undecodable document ({e})"))?;
+        if doc.body.len() as u64 != doc.meta.size {
+            return Err(format!(
+                "body of {} bytes where its DocMeta says {}",
+                doc.body.len(),
+                doc.meta.size
+            ));
+        }
+        snap.docs.push(doc);
+        Ok(())
+    });
+    let Some((snap, ndocs)) = head else {
+        return Err(why.unwrap_or_else(|| "no header frame".into()));
+    };
+    let quarantined = ndocs - snap.docs.len() as u64;
+    let why = why.or_else(|| (quarantined > 0).then(|| "file ends early".into()));
+    Ok((snap, quarantined, why))
+}
+
 /// Load the newest valid snapshot for `shard`, trying older generations
-/// on corruption, verifying every body checksum.
+/// when one is unreadable, not a snapshot, or names another shard/gen.
 fn recover_shard(
     dir: &Path,
     shard: u32,
@@ -1118,51 +1059,25 @@ fn recover_shard(
     gens.sort_unstable_by(|a, b| b.cmp(a));
     for gen in gens {
         let path = snapshot_path(dir, shard, gen);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
+        let read = std::fs::read(&path)
+            .map_err(|e| format!("unreadable ({e})"))
+            .and_then(|bytes| read_snapshot(&bytes).map_err(|e| format!("invalid ({e})")));
+        let (snap, quarantined, why) = match read {
+            Ok(read) if read.0.shard == shard && read.0.gen == gen => read,
+            Ok(_) => {
+                notes.push(format!("{}: names another shard/gen", path.display()));
+                continue;
+            }
             Err(e) => {
-                notes.push(format!("{}: unreadable ({e})", path.display()));
+                notes.push(format!("{}: {e}", path.display()));
                 continue;
             }
         };
-        let meta = match decode_shard_meta(&bytes) {
-            Ok(m) => m,
-            Err(e) => {
-                notes.push(format!("{}: invalid ({e})", path.display()));
-                continue;
-            }
-        };
-        if meta.snap.shard != shard || meta.snap.gen != gen {
-            notes.push(format!("{}: names another shard/gen", path.display()));
-            continue;
-        }
-        let bodies = match std::fs::read(bodies_path(dir, shard, gen)) {
-            Ok(b) => decode_bodies(&b),
-            Err(_) => HashMap::new(),
-        };
-        let ShardMeta {
-            mut snap,
-            body_sums,
-        } = meta;
-        let mut quarantined = 0u64;
-        let mut kept = Vec::with_capacity(snap.docs.len());
-        for (mut doc, (blen, bsum)) in snap.docs.into_iter().zip(body_sums) {
-            match bodies.get(&doc.url) {
-                Some(body)
-                    if body.len() as u64 == blen
-                        && blen == doc.meta.size
-                        && checksum(body) == bsum =>
-                {
-                    doc.body = body.clone();
-                    kept.push(doc);
-                }
-                _ => quarantined += 1,
-            }
-        }
-        snap.docs = kept;
-        if quarantined > 0 {
+        if let Some(why) = why {
             notes.push(format!(
-                "shard {shard} gen {gen}: quarantined {quarantined} document(s) with missing or corrupt bodies"
+                "{}: quarantined {quarantined} document(s) after the first {}: {why}",
+                path.display(),
+                snap.docs.len()
             ));
         }
         return Some(RecoveredShard { snap, quarantined });
@@ -1171,8 +1086,12 @@ fn recover_shard(
 }
 
 /// Recover everything salvageable from `dir` for a proxy configured with
-/// `nshards` shards. Never fails: corruption only makes the result colder
-/// (and is reported in [`RecoveredData::notes`]).
+/// `nshards` shards: per shard, the newest generation whose magic and
+/// header frame are intact, with its documents up to the first frame
+/// that is torn, fails its checksum or disagrees with its own `DocMeta`
+/// — that document and every later one are quarantined — and the
+/// journal. Never fails: corruption only makes the result colder (and is
+/// reported in [`RecoveredData::notes`]).
 pub fn recover(dir: &Path, nshards: u32) -> RecoveredData {
     let mut out = RecoveredData {
         shards: (0..nshards).map(|_| None).collect(),
@@ -1185,11 +1104,9 @@ pub fn recover(dir: &Path, nshards: u32) -> RecoveredData {
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if let Some((is_meta, shard, gen)) = parse_gen_file(name) {
+            if let Some((shard, gen)) = parse_gen_file(name) {
                 out.max_gen = out.max_gen.max(gen);
-                if is_meta {
-                    shard_gens.entry(shard).or_default().push(gen);
-                }
+                shard_gens.entry(shard).or_default().push(gen);
             }
         }
     }
@@ -1207,12 +1124,10 @@ pub fn recover(dir: &Path, nshards: u32) -> RecoveredData {
     }
     // A snapshot of a shard this configuration does not have is not
     // loaded: its documents are misses.
-    for (&shard, gens) in shard_gens.iter() {
-        if !gens.is_empty() {
-            out.notes.push(format!(
-                "ignoring snapshot(s) for shard {shard} beyond the configured {nshards} shards"
-            ));
-        }
+    for shard in shard_gens.keys() {
+        out.notes.push(format!(
+            "ignoring snapshot(s) for shard {shard} beyond the configured {nshards} shards"
+        ));
     }
     out
 }
@@ -1261,6 +1176,12 @@ mod tests {
                     fetched_at: 91,
                     body: Bytes::copy_from_slice(b"hello"),
                 },
+                SnapshotDoc {
+                    meta: meta(2, 10),
+                    url: "http://c/z".into(),
+                    fetched_at: 92,
+                    body: Bytes::copy_from_slice(b"wide world"),
+                },
             ],
         }
         .tap_write(dir)
@@ -1296,25 +1217,74 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Flip the first byte of `needle` in shard 1's generation-`gen` file.
+    fn flip(dir: &Path, gen: u64, needle: &[u8]) {
+        let path = snapshot_path(dir, 1, gen);
+        let mut bytes = std::fs::read(&path).expect("read snapshot");
+        let pos = bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("needle present");
+        bytes[pos] ^= 0xff;
+        std::fs::write(&path, &bytes).expect("rewrite");
+    }
+
     #[test]
     fn corrupt_body_quarantines_only_that_doc() {
+        // The last document's body: no document comes after it.
         let dir = tmp("snap_quarantine");
         let s = snap(&dir, 1);
-        // Flip a byte inside the second body's bytes in the .wcsb file.
-        let bp = bodies_path(&dir, 1, 1);
-        let mut bytes = std::fs::read(&bp).expect("read bodies");
-        let pos = bytes
-            .windows(5)
-            .position(|w| w == b"hello")
-            .expect("body present");
-        bytes[pos] ^= 0xff;
-        std::fs::write(&bp, &bytes).expect("rewrite");
+        flip(&dir, 1, b"wide world");
         let rec = recover(&dir, 4);
         let got = rec.shards[1].as_ref().expect("recovered");
         assert_eq!(got.quarantined, 1);
-        assert_eq!(got.snap.docs.len(), 1);
-        assert_eq!(got.snap.docs[0].url, s.docs[0].url);
-        assert_eq!(got.snap.docs[0].body, s.docs[0].body);
+        assert_eq!(got.snap.docs, s.docs[..2]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_frame_quarantines_its_document_and_every_later_one() {
+        // A flipped byte in the second of three bodies, and a second body
+        // whose length is not the size its `DocMeta` records.
+        let (flipped, lying) = (tmp("snap_flipped"), tmp("snap_lying"));
+        let s = snap(&flipped, 1);
+        flip(&flipped, 1, b"hello");
+        let mut liar = s.clone();
+        liar.docs[1].meta.size = 4;
+        write_shard_snapshot(&lying, &liar).expect("write snapshot");
+        for dir in [flipped, lying] {
+            let rec = recover(&dir, 4);
+            let got = rec.shards[1].as_ref().expect("recovered");
+            assert_eq!(got.quarantined, 2, "{}", dir.display());
+            assert_eq!(got.snap.docs, s.docs[..1], "{}", dir.display());
+            assert!(
+                rec.notes.iter().any(|n| n.contains("quarantined 2")),
+                "{:?}",
+                rec.notes
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_header_claiming_2_pow_40_documents_recovers_what_is_there() {
+        let dir = tmp("snap_claim");
+        let s = snap(&dir, 1);
+        let path = snapshot_path(&dir, 1, 1);
+        let mut bytes = std::fs::read(&path).expect("read");
+        assert!(bytes.len() < 1024);
+        // The header frame follows the magic; its document count follows
+        // shard and nshards, five u64s and ten words of stats. Re-sum it.
+        let len = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
+        let count = 8 + 4 + 4 + 5 * 8 + 10 * 8;
+        bytes[count..count + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let sum = checksum(&bytes[8..8 + len]);
+        bytes[8 + len..16 + len].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite");
+        let rec = recover(&dir, 4);
+        let got = rec.shards[1].as_ref().expect("recovered");
+        assert_eq!(got.snap.docs, s.docs);
+        assert_eq!(got.quarantined, (1 << 40) - 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1322,18 +1292,20 @@ mod tests {
     fn corrupt_meta_falls_back_to_older_generation() {
         let dir = tmp("snap_fallback");
         let old = snap(&dir, 1);
+        // Generation 2's header frame fails its checksum; generation 3 is
+        // a `.wcs` in the container format before D27.
         let _new = snap(&dir, 2);
         let sp = snapshot_path(&dir, 1, 2);
         let mut bytes = std::fs::read(&sp).expect("read");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
+        bytes[12] ^= 0x40;
         std::fs::write(&sp, &bytes).expect("rewrite");
+        std::fs::write(snapshot_path(&dir, 1, 3), b"WCP\x01\x01\x00\x00\x00").expect("write");
         let rec = recover(&dir, 4);
         let got = rec.shards[1].as_ref().expect("recovered");
         assert_eq!(got.snap.gen, 1);
         assert_eq!(got.snap, old);
-        assert!(!rec.notes.is_empty());
-        assert_eq!(rec.max_gen, 2);
+        assert_eq!(rec.notes.len(), 2, "{:?}", rec.notes);
+        assert_eq!(rec.max_gen, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1489,17 +1461,26 @@ mod tests {
     fn snapshot_fault_keeps_previous_generation() {
         use crate::iofault::{IoFaultInjector, IoFaultPlan};
         let dir = tmp("snap_fault");
-        let good = snap(&dir, 1);
-        // Every snapshot-class write fails: generation 2 never commits.
-        let inj = IoFaultInjector::new(IoFaultPlan::new(3).snapshot_error(1.0));
-        let mut newer = good.clone();
-        newer.gen = 2;
-        let err = write_shard_snapshot_hooked(&dir, &newer, Some(&inj));
-        assert!(err.is_err());
+        let mut s = snap(&dir, 1);
+        // The first snapshot-class write passes, every later one fails.
+        let plan = IoFaultPlan::new(3).snapshot_error(1.0);
+        let inj = IoFaultInjector::new(plan.active_range(1, u64::MAX));
+        s.gen = 2;
+        write_shard_snapshot_hooked(&dir, &s, Some(&inj)).expect("write snapshot");
+        assert_eq!(inj.ops(), 1, "one consultation per shard snapshot");
+        let good = s.clone();
+        s.gen = 3;
+        assert!(write_shard_snapshot_hooked(&dir, &s, Some(&inj)).is_err());
+        // One file per shard and generation, and nothing of the failed one.
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .expect("list")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["shard-1-g1.wcs", "shard-1-g2.wcs"]);
         let rec = recover(&dir, 4);
-        let got = rec.shards[1].as_ref().expect("recovered");
-        assert_eq!(got.snap.gen, 1);
-        assert_eq!(got.snap, good);
+        assert_eq!(rec.shards[1].as_ref().expect("recovered").snap, good);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -101,7 +101,7 @@ pub struct PersistHealthState {
     journal_elided: AtomicU64,
     /// Bytes appended to the journal files.
     journal_bytes: AtomicU64,
-    /// Bytes written into snapshot and body files.
+    /// Bytes written into snapshot files.
     snapshot_bytes: AtomicU64,
     /// Snapshot generations committed.
     snapshots: AtomicU64,
@@ -147,7 +147,7 @@ impl PersistHealthState {
         self.journal_bytes.load(Ordering::Relaxed)
     }
 
-    /// Bytes written into snapshot and body files so far.
+    /// Bytes written into snapshot files so far.
     pub fn snapshot_bytes(&self) -> u64 {
         self.snapshot_bytes.load(Ordering::Relaxed)
     }
@@ -607,9 +607,9 @@ struct CapturedShard {
 /// 1. Records drained during capture (all `seq <= snap_seq`) are
 ///    appended *before* the snapshot that supersedes them — a crash
 ///    before the snapshot commits still replays them from the journal.
-/// 2. Snapshot files are written atomically (tmp + fsync + rename), so
-///    recovery sees either the old or the new generation, never a torn
-///    one.
+/// 2. A shard's snapshot is one file, written atomically (tmp + fsync +
+///    rename: the rename is its commit), so recovery sees either the old
+///    or the new generation of the shard, never a torn one.
 /// 3. Journals rotate only after every snapshot of this generation is
 ///    durable; every record dropped has `seq <= snap_seq`, which replay
 ///    skips anyway — a crash between commit and rotation is harmless.
@@ -1128,7 +1128,7 @@ mod tests {
     #[test]
     fn degraded_logging_neither_indexes_nor_numbers() {
         let mut j = buf(16);
-        let e = PersistError::Mismatch("test".into());
+        let e = PersistError::Io(std::io::ErrorKind::Other.into());
         assert!(j.health.degrade("test", &e));
         j.log(insert(7, b"seven"));
         j.log(evict(7));

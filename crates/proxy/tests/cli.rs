@@ -2,7 +2,9 @@
 //! engine: `--help` must not mention `--backend` (the benchmark's child
 //! launcher passes the flag only while the help text lists it), and the
 //! flag itself is rejected like any other unknown one. And a value the
-//! proxy cannot run with is a usage error, not a panic further in.
+//! proxy cannot run with is a usage error, not a panic further in, as is
+//! a flag given without the subsystem it configures, which would do
+//! nothing.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -54,6 +56,18 @@ fn values_the_proxy_cannot_run_with_are_usage_errors() {
         &["--capacity", "0"],
         &["--capacity", "7", "--shards", "8"],
         &["--iofault", "seed=7,append=1.0"],
+        &["--snapshot-interval", "100"],
+        &["--journal-fsync", "5"],
+        &["--degraded-backoff", "50"],
+        &["--degraded-retries", "2"],
+        &["--node-id", "1"],
+        &["--peer-timeout", "100"],
+        &[
+            "--cluster-seed-list",
+            "0=127.0.0.1:7000",
+            "--peer-timeout",
+            "0",
+        ],
     ] {
         let out = proxy(&[&["--origin", "127.0.0.1:1"], bad].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -147,7 +147,8 @@ fn sigkill_of_an_evicting_cache_recovers_the_survivors() {
 /// in the shard its *id* hashed to, and the interner's table in a `.wci`
 /// file beside the snapshots. Every document comes back warm — in the
 /// shard its *text* hashes to — and the next generation's garbage
-/// collection takes the `.wci` with it.
+/// collection takes the `.wci` with it, and the `.wcsb` body file a
+/// build before D27 wrote beside each snapshot.
 #[test]
 fn a_directory_the_parent_wrote_recovers_warm_and_loses_its_wci() {
     let dir = TempDir::new("parent-dir");
@@ -195,6 +196,8 @@ fn a_directory_the_parent_wrote_recovers_warm_and_loses_its_wci() {
     }
     let wci = dir.0.join("interner-g1.wci");
     std::fs::write(&wci, b"a URL table nothing reads any more").expect("write .wci");
+    let wcsb = dir.0.join("shard-0-g1.wcsb");
+    std::fs::write(&wcsb, b"a body file nothing reads any more").expect("write .wcsb");
 
     let origin = OriginServer::start(store).expect("origin");
     let p = ChildProxy::spawn(&[
@@ -220,6 +223,10 @@ fn a_directory_the_parent_wrote_recovers_warm_and_loses_its_wci() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(!wci.exists(), "generation 2 was collected around the .wci");
+    assert!(
+        !wcsb.exists(),
+        "generation 2 was collected around the .wcsb"
+    );
     assert!(dir.0.join("shard-0-g2.wcs").exists());
     assert!(!dir.0.join("shard-0-g1.wcs").exists());
 }

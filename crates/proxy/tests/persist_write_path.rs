@@ -5,10 +5,12 @@
 //!   way allocates in proportion to them. A counting global allocator
 //!   (bytes, not calls — the claim is about volume) measures a second
 //!   append and a second snapshot after the retained buffers have grown.
-//! * **Byte identity.** The `.wcj`, `.wcsb` and `.wcs` files for one fixed
-//!   input hash to what the commit before the write path was rebuilt wrote
-//!   (FNVs recorded from that commit), so either side recovers the other's
-//!   files.
+//! * **Byte identity.** The `.wcj` file for one fixed input hashes to what
+//!   the commit before the write path was rebuilt (D24) wrote, and did not
+//!   move when DESIGN.md D27 gave snapshots the journal's frame walk; the
+//!   `.wcs` file — one file per shard and generation since D27 — hashes
+//!   to what D27 wrote. (Length, FNV) pins: a change that moves a byte of
+//!   either file changes what every reader of it must accept.
 
 use bytes::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -230,17 +232,16 @@ fn byte_identity() {
 
     let got = [
         ("shard-3.wcj", file_sum(&dir.0.join("shard-3.wcj"))),
-        ("shard-3-g4.wcsb", file_sum(&dir.0.join("shard-3-g4.wcsb"))),
         ("shard-3-g4.wcs", file_sum(&dir.0.join("shard-3-g4.wcs"))),
     ];
-    // (length, FNV) of each file as commit 4f18eb5 wrote it.
-    let parent = [
+    // (length, FNV) of each file: the journal as commit 4f18eb5 wrote it,
+    // the snapshot as D27 did.
+    let pinned = [
         ("shard-3.wcj", (1_119_100, 16770914152300953966)),
-        ("shard-3-g4.wcsb", (1_135_265, 10651987350071629141)),
-        ("shard-3-g4.wcs", (920, 7125360998070879116)),
+        ("shard-3-g4.wcs", (1_135_862, 7382689990087127219)),
     ];
     assert_eq!(
-        got, parent,
-        "a persist file no longer has the bytes the parent commit wrote"
+        got, pinned,
+        "a persist file no longer has the bytes it was pinned at"
     );
 }

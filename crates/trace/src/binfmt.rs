@@ -15,7 +15,7 @@
 //! ```text
 //! offset size  field
 //!      0    4  magic  b"WCT\x01"
-//!      4    2  format version (2; version-1 files still load)
+//!      4    2  format version (2)
 //!      6    2  flags (0)
 //!      8    8  request count          (u64)
 //!     16    4  unique URL count       (u32)
@@ -32,7 +32,7 @@
 //!              size u64 | last_modified u64
 //!           …  string tables: URLs, then servers, then clients;
 //!              each string is u32 length + UTF-8 bytes, in id order
-//!          40  checksum footer (version ≥ 2 only):
+//!          40  checksum footer:
 //!              magic b"WCTS" | reserved u32 (0) |
 //!              header, name, records, tables checksums (4 × u64)
 //! ```
@@ -42,9 +42,9 @@
 //! little-endian byte reads, so any alignment (and any host endianness)
 //! is correct.
 //!
-//! ## Integrity (version 2)
+//! ## Integrity
 //!
-//! Version 2 appends a fixed-size footer carrying one checksum per file
+//! The file ends in a fixed-size footer carrying one checksum per file
 //! section (fixed header, padded name, request records, string tables),
 //! computed by [`checksum`] — a word-at-a-time FNV-1a variant that also
 //! absorbs the section length. [`read_trace`] verifies every section
@@ -52,9 +52,10 @@
 //! file surfaces as [`BinError::ChecksumMismatch`] rather than a silently
 //! wrong trace, and a truncated file fails the footer check (or the
 //! strict no-trailing-bytes check) instead of yielding a short trace.
-//! Version-1 files, which predate the footer, still load unverified.
-//! [`save`] writes through a sibling temporary file and renames it into
-//! place, so a killed run never leaves a half-written `.wct` behind.
+//! Any other version, the footer-less version 1 included, is
+//! [`BinError::BadVersion`]. [`save`] writes through a sibling temporary
+//! file and renames it into place, so a killed run never leaves a
+//! half-written `.wct` behind.
 
 use crate::record::{ClientId, DocType, Interner, Request, ServerId, UrlId};
 use crate::stream::Trace;
@@ -65,27 +66,17 @@ use std::path::Path;
 
 /// File magic: "WCT" + format generation byte.
 pub const MAGIC: [u8; 4] = *b"WCT\x01";
-/// Current format version (written by [`write_trace`]).
+/// Format version, the only one [`write_trace`] writes and [`read_trace`]
+/// reads.
 pub const VERSION: u16 = 2;
-/// Oldest format version [`read_trace`] still accepts.
-pub const MIN_VERSION: u16 = 1;
 /// Size of one fixed-width request record in bytes.
 pub const RECORD_SIZE: usize = 40;
 /// Size of the fixed header in bytes (before the trace name).
 pub const HEADER_SIZE: usize = 80;
-/// Checksum footer magic (version ≥ 2).
+/// Checksum footer magic.
 pub const FOOTER_MAGIC: [u8; 4] = *b"WCTS";
-/// Size of the checksum footer in bytes (version ≥ 2).
+/// Size of the checksum footer in bytes.
 pub const FOOTER_SIZE: usize = 40;
-/// Section container magic (`.wcs` shard snapshots, the `.wci` interner
-/// table): "WCP" + format generation byte.
-pub const CKPT_MAGIC: [u8; 4] = *b"WCP\x01";
-/// Section container footer magic.
-pub const CKPT_FOOTER_MAGIC: [u8; 4] = *b"WCPS";
-/// Current section container version.
-pub const CKPT_VERSION: u16 = 1;
-/// Size of the fixed section container header in bytes.
-pub const CKPT_HEADER_SIZE: usize = 16;
 
 /// Streaming checksum over a byte section: FNV-1a over little-endian
 /// 64-bit words (with a zero-padded tail word), finished by absorbing the
@@ -178,7 +169,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 pub enum BinError {
     /// The buffer does not start with the `.wct` magic.
     BadMagic,
-    /// The format version is newer than this reader understands.
+    /// The format version is not [`VERSION`].
     BadVersion(u16),
     /// The buffer ended before the announced contents.
     Truncated,
@@ -188,7 +179,7 @@ pub enum BinError {
     BadDocType(u8),
     /// A request record referenced an id beyond its string table.
     BadId(u32),
-    /// The version ≥ 2 checksum footer is missing or malformed.
+    /// The checksum footer is missing or malformed.
     BadFooter,
     /// A section's stored checksum disagrees with its contents.
     ChecksumMismatch(&'static str),
@@ -468,7 +459,7 @@ fn le_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-/// Verify the version-2 checksum footer against the body's sections.
+/// Verify the checksum footer against the body's sections.
 /// Section boundaries are recomputed from the (already header-checksummed)
 /// counts, with every arithmetic step bounds-checked, so a corrupted count
 /// reads as a checksum or truncation error, never an out-of-range slice.
@@ -509,9 +500,8 @@ fn verify_footer(body: &[u8], footer: &[u8]) -> Result<(), BinError> {
 }
 
 /// Decode a packed trace from a byte slice (a memory map or an owned
-/// buffer read from disk). Version-2 buffers have every section verified
-/// against the checksum footer before any record is decoded; version-1
-/// buffers decode unverified.
+/// buffer read from disk), every section verified against the checksum
+/// footer before any record is decoded.
 pub fn read_trace(bytes: &[u8]) -> Result<Trace, BinError> {
     if bytes.len() < 8 {
         return Err(BinError::Truncated);
@@ -519,34 +509,25 @@ pub fn read_trace(bytes: &[u8]) -> Result<Trace, BinError> {
     if bytes[0..4] != MAGIC {
         return Err(BinError::BadMagic);
     }
-    match u16::from_le_bytes([bytes[4], bytes[5]]) {
-        1 => read_body(bytes),
-        2 => {
-            let body_len = bytes
-                .len()
-                .checked_sub(FOOTER_SIZE)
-                .ok_or(BinError::Truncated)?;
-            let (body, footer) = bytes.split_at(body_len);
-            verify_footer(body, footer)?;
-            read_body(body)
-        }
-        v => Err(BinError::BadVersion(v)),
+    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    if version != VERSION {
+        return Err(BinError::BadVersion(version));
     }
+    let body_len = bytes
+        .len()
+        .checked_sub(FOOTER_SIZE)
+        .ok_or(BinError::Truncated)?;
+    let (body, footer) = bytes.split_at(body_len);
+    verify_footer(body, footer)?;
+    read_body(body)
 }
 
 /// Decode the checksum-free portion of a packed trace (header through
 /// string tables), requiring the buffer to end exactly where the
-/// announced contents do.
+/// announced contents do. Magic and version are [`read_trace`]'s.
 fn read_body(bytes: &[u8]) -> Result<Trace, BinError> {
     let mut c = Cursor { buf: bytes, pos: 0 };
-    if c.take(4)? != MAGIC {
-        return Err(BinError::BadMagic);
-    }
-    let version = c.u16()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(BinError::BadVersion(version));
-    }
-    let _flags = c.u16()?;
+    let _magic_version_flags = c.take(8)?;
     let n_requests = c.u64()? as usize;
     let n_urls = c.u32()?;
     let n_servers = c.u32()?;
@@ -625,121 +606,6 @@ pub fn load(path: &Path) -> Result<Trace, BinError> {
             read_trace(&buf)
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Section container (`.wcs` shard snapshots, the `.wci` interner table)
-// ---------------------------------------------------------------------------
-//
-// A generic checksummed container of opaque byte sections; the proxy's
-// persistence layer (`webcache_proxy::persist`) defines what each section
-// holds. Layout (all integers little-endian):
-//
-// ```text
-// offset size  field
-//      0    4  magic  b"WCP\x01"
-//      4    2  format version (1)
-//      6    2  flags (0)
-//      8    4  section count (u32)
-//     12    4  reserved (0)
-//           …  × section count: u64 payload length | payload bytes,
-//              padded to the next 8-byte boundary
-//          16+8n  footer: magic b"WCPS" | reserved u32 (0) |
-//              header checksum u64 | one checksum per section (u64)
-// ```
-//
-// Every section checksum covers the length prefix, payload and padding,
-// so a corrupted length cannot silently shift section boundaries. As with
-// `.wct` v2, every checksum is verified before any payload byte is handed
-// to a decoder.
-
-/// Serialise opaque byte sections into a checksummed section container.
-pub fn sections_to_bytes(sections: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        CKPT_HEADER_SIZE
-            + sections.iter().map(|s| 16 + s.len()).sum::<usize>()
-            + 16
-            + 8 * sections.len(),
-    );
-    out.extend_from_slice(&CKPT_MAGIC);
-    out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    let header_ck = checksum(&out[..CKPT_HEADER_SIZE]);
-
-    let mut section_cks = Vec::with_capacity(sections.len());
-    for s in sections {
-        let start = out.len();
-        out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-        out.extend_from_slice(s);
-        let pad = (8 - s.len() % 8) % 8;
-        out.extend_from_slice(&[0u8; 8][..pad]);
-        section_cks.push(checksum(&out[start..]));
-    }
-
-    out.extend_from_slice(&CKPT_FOOTER_MAGIC);
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&header_ck.to_le_bytes());
-    for ck in section_cks {
-        out.extend_from_slice(&ck.to_le_bytes());
-    }
-    out
-}
-
-/// Decode a section container, verifying the header and every section
-/// against the footer checksums before returning any payload. A flipped
-/// bit anywhere — header, length prefix, payload, padding, footer — is a
-/// typed [`BinError`], never a silently wrong section.
-pub fn read_sections(bytes: &[u8]) -> Result<Vec<Vec<u8>>, BinError> {
-    if bytes.len() < CKPT_HEADER_SIZE {
-        return Err(BinError::Truncated);
-    }
-    if bytes[0..4] != CKPT_MAGIC {
-        return Err(BinError::BadMagic);
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != CKPT_VERSION {
-        return Err(BinError::BadVersion(version));
-    }
-    let count = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-    let footer_len = 16usize
-        .checked_add(count.checked_mul(8).ok_or(BinError::Truncated)?)
-        .ok_or(BinError::Truncated)?;
-    let body_len = bytes
-        .len()
-        .checked_sub(footer_len)
-        .ok_or(BinError::Truncated)?;
-    let (body, footer) = bytes.split_at(body_len);
-    if footer[0..4] != CKPT_FOOTER_MAGIC || footer[4..8] != [0u8; 4] {
-        return Err(BinError::BadFooter);
-    }
-    if checksum(&body[..CKPT_HEADER_SIZE]) != le_u64(footer, 8) {
-        return Err(BinError::ChecksumMismatch("header"));
-    }
-
-    let mut pos = CKPT_HEADER_SIZE;
-    let mut sections = Vec::with_capacity(count);
-    for i in 0..count {
-        let len_end = pos.checked_add(8).ok_or(BinError::Truncated)?;
-        let len_bytes = body.get(pos..len_end).ok_or(BinError::Truncated)?;
-        let len = le_u64(len_bytes, 0) as usize;
-        let pad = (8 - len % 8) % 8;
-        let end = len_end
-            .checked_add(len)
-            .and_then(|v| v.checked_add(pad))
-            .ok_or(BinError::Truncated)?;
-        let framed = body.get(pos..end).ok_or(BinError::Truncated)?;
-        if checksum(framed) != le_u64(footer, 16 + i * 8) {
-            return Err(BinError::ChecksumMismatch("section"));
-        }
-        sections.push(framed[8..8 + len].to_vec());
-        pos = end;
-    }
-    if pos != body.len() {
-        return Err(BinError::TrailingBytes);
-    }
-    Ok(sections)
 }
 
 #[cfg(test)]
@@ -834,15 +700,6 @@ mod tests {
         HEADER_SIZE + name_len + (8 - (HEADER_SIZE + name_len) % 8) % 8
     }
 
-    /// The sample trace as a version-1 buffer: the v2 body with the
-    /// footer stripped and the version field rewritten.
-    fn v1_bytes(t: &Trace) -> Vec<u8> {
-        let bytes = to_bytes(t).unwrap();
-        let mut v1 = bytes[..bytes.len() - FOOTER_SIZE].to_vec();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        v1
-    }
-
     #[test]
     fn rejects_corrupt_input() {
         let t = sample_trace();
@@ -852,12 +709,14 @@ mod tests {
             read_trace(b"NOPE\x01\x00\x00\x00"),
             Err(BinError::BadMagic)
         ));
-        let mut wrong_version = bytes.clone();
-        wrong_version[4] = 99;
-        assert!(matches!(
-            read_trace(&wrong_version),
-            Err(BinError::BadVersion(99))
-        ));
+        for version in [1, 99] {
+            let mut wrong_version = bytes.clone();
+            wrong_version[4] = version;
+            assert!(matches!(
+                read_trace(&wrong_version),
+                Err(BinError::BadVersion(v)) if v == version as u16
+            ));
+        }
         // Truncation shifts the footer window: the footer check fails.
         let truncated = &bytes[..bytes.len() - 3];
         assert!(read_trace(truncated).is_err());
@@ -894,36 +753,6 @@ mod tests {
     }
 
     #[test]
-    fn version1_files_still_load() {
-        let t = sample_trace();
-        let v1 = v1_bytes(&t);
-        let back = read_trace(&v1).unwrap();
-        assert_eq!(back.requests, t.requests);
-        assert_eq!(back.validation, t.validation);
-        // Unchecksummed v1 decoding still catches structural corruption.
-        let start = rec_start(&t);
-        let mut bad_tag = v1.clone();
-        bad_tag[start + 20] = 200;
-        assert!(matches!(
-            read_trace(&bad_tag),
-            Err(BinError::BadDocType(200))
-        ));
-        let mut bad_id = v1.clone();
-        bad_id[start + 8..start + 12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(read_trace(&bad_id), Err(BinError::BadId(_))));
-        assert!(matches!(
-            read_trace(&v1[..v1.len() - 3]),
-            Err(BinError::Truncated)
-        ));
-        let mut trailing = v1;
-        trailing.extend_from_slice(&[0u8; 40]);
-        assert!(matches!(
-            read_trace(&trailing),
-            Err(BinError::TrailingBytes)
-        ));
-    }
-
-    #[test]
     fn checksum_distinguishes_length_and_padding() {
         assert_ne!(checksum(b"ab"), checksum(b"ab\0"));
         assert_ne!(checksum(b""), checksum(b"\0"));
@@ -957,60 +786,5 @@ mod tests {
             "temp files left behind: {leftovers:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sections_round_trip() {
-        let cases: Vec<Vec<Vec<u8>>> = vec![
-            vec![],
-            vec![vec![]],
-            vec![b"hello".to_vec()],
-            vec![vec![0u8; 8], vec![1, 2, 3], vec![], vec![0xff; 65]],
-        ];
-        for sections in cases {
-            let bytes = sections_to_bytes(&sections);
-            assert_eq!(read_sections(&bytes).unwrap(), sections);
-        }
-    }
-
-    #[test]
-    fn sections_detect_any_single_bit_flip() {
-        let sections = vec![b"alpha".to_vec(), b"beta-section".to_vec()];
-        let bytes = sections_to_bytes(&sections);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x10;
-            // Every byte is covered by the header checksum, a section
-            // checksum, or the footer comparison itself, so no flip may
-            // decode successfully.
-            assert!(
-                read_sections(&bad).is_err(),
-                "bit flip at byte {i} went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn sections_reject_truncation_and_trailing() {
-        let bytes = sections_to_bytes(&[b"payload".to_vec()]);
-        for cut in 0..bytes.len() {
-            assert!(read_sections(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut trailing = sections_to_bytes(&[]);
-        trailing.push(0);
-        assert!(read_sections(&trailing).is_err());
-    }
-
-    #[test]
-    fn sections_reject_bad_magic_and_version() {
-        let mut bytes = sections_to_bytes(&[vec![1]]);
-        bytes[0] = b'X';
-        assert!(matches!(read_sections(&bytes), Err(BinError::BadMagic)));
-        let mut bytes = sections_to_bytes(&[vec![1]]);
-        bytes[4] = 99;
-        assert!(matches!(
-            read_sections(&bytes),
-            Err(BinError::BadVersion(99))
-        ));
     }
 }
