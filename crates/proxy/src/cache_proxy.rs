@@ -137,6 +137,9 @@ pub(crate) struct ProxyState {
     /// Inline attempts given up and handed to a worker; see
     /// [`ProxyServer::inline_fallbacks`].
     inline_fallbacks: AtomicU64,
+    /// Connections whose whole request head was read at accept; see
+    /// [`ProxyServer::read_at_accept`].
+    read_at_accept: AtomicU64,
     log: Mutex<AccessLog>,
     /// Cluster state when running as a cluster node
     /// ([`ProxyServer::start_clustered`]); `None` single-node.
@@ -178,6 +181,11 @@ impl ProxyState {
         AtomicProxyStats::add(&self.inline_fallbacks, 1);
     }
 
+    /// Count one connection whose request head was whole at accept.
+    pub(crate) fn count_read_at_accept(&self) {
+        AtomicProxyStats::add(&self.read_at_accept, 1);
+    }
+
     pub(crate) fn worker_jobs(&self) -> u64 {
         self.worker_jobs.load(Ordering::Relaxed)
     }
@@ -192,6 +200,10 @@ impl ProxyState {
 
     pub(crate) fn inline_fallbacks(&self) -> u64 {
         self.inline_fallbacks.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn read_at_accept(&self) -> u64 {
+        self.read_at_accept.load(Ordering::Relaxed)
     }
 
     /// Append a line to the access log when it is on: a `200` of `size`
@@ -550,6 +562,15 @@ impl ProxyServer {
     pub fn inline_fallbacks(&self) -> u64 {
         self.state.inline_fallbacks()
     }
+
+    /// Connections whose whole request head was read at accept (the
+    /// listener defers each accept until the first bytes are in), so the
+    /// event loop answered, forwarded or dispatched them without ever
+    /// registering their socket with epoll. The rest were still missing
+    /// bytes then and waited under `EPOLLIN`.
+    pub fn read_at_accept(&self) -> u64 {
+        self.state.read_at_accept()
+    }
 }
 
 /// The start-up prologue every `start*` shares: check the pool sizes,
@@ -584,6 +605,7 @@ pub(crate) fn new_state(
         write_handbacks: AtomicU64::new(0),
         inline_fetches: AtomicU64::new(0),
         inline_fallbacks: AtomicU64::new(0),
+        read_at_accept: AtomicU64::new(0),
         log: Mutex::new(AccessLog::new()),
         cluster,
         persist_health: OnceLock::new(),

@@ -4,7 +4,18 @@
 //! non-blocking mode. In the loop the machine has three states; the phase
 //! in which a worker runs the request is not a state of the `Conn` at all
 //! — the connection is dismantled and its socket travels in the job (see
-//! `reactor.rs`):
+//! `reactor.rs`). A fresh accept enters `Reading` *unregistered*, its
+//! first bytes already in (the listener defers accepts until they are),
+//! and is read at once; only if the head is still incomplete does its
+//! socket join the epoll set, under `EPOLLIN` ([`Conn::watched`]):
+//!
+//! ```text
+//! accept ──▶ Reading, unregistered ── head incomplete ──▶ Reading under EPOLLIN
+//!                 │ whole head read at accept                  │ rest of the head
+//!                 └────────────▶ request parsed ◀──────────────┘
+//! ```
+//!
+//! From there, in the same turn:
 //!
 //! ```text
 //!              fresh hit, reject, admin (inline)
@@ -107,6 +118,11 @@ pub(crate) struct Conn {
     /// progress. The connection's one deadline-wheel entry is checked
     /// against it when it fires.
     pub deadline: Instant,
+    /// Whether `stream` is in the event loop's epoll set. A connection
+    /// enters the loop unregistered; one whose whole request was read at
+    /// accept and answered, forwarded or dispatched in that turn never
+    /// joins it, and one waiting on the origin has left it.
+    pub watched: bool,
 }
 
 impl Conn {
@@ -126,6 +142,7 @@ impl Conn {
             head,
             gen: 0,
             deadline,
+            watched: false,
         }
     }
 

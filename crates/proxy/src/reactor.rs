@@ -27,6 +27,19 @@
 //!   vendored-deps convention of small direct `extern "C"` blocks
 //!   (see `vendor/memmap2`) instead of a new dependency. Note
 //!   `epoll_event` is packed on x86-64.
+//! * **first turn** — the listener is set to `TCP_DEFER_ACCEPT` (for
+//!   the read timeout, in whole seconds), so the kernel wakes the loop
+//!   for a connection once its first bytes are in, not at the
+//!   handshake. The loop reads at accept: a whole request head goes
+//!   straight on — a hit is written and closed, a miss sent to the
+//!   origin, a dispatch handed to a worker — and that socket is never
+//!   registered with epoll (counted in `read_at_accept`). `Reading` may
+//!   therefore begin unregistered; only a connection whose head is still
+//!   incomplete is added under `EPOLLIN`. `Conn::watched` records whether
+//!   the client fd is in the epoll set, so `ADD` versus `MOD`, and
+//!   whether a `DEL` is owed, are never guessed. A client that sends
+//!   nothing stays in the kernel until the deferral lapses, then waits
+//!   out its read timeout here like any other.
 //! * **slab** — connections live in a generation-tagged slab; the epoll
 //!   token packs `(generation, index)` so events for a recycled slot
 //!   are detected and dropped.
@@ -35,7 +48,12 @@
 //!   [`crate::ProxyConfig::read_timeout`] gets `504`; an origin stalling
 //!   mid-exchange past it loses the exchange to a worker; progress
 //!   re-arms the deadline, as each successful read of a blocking reader
-//!   under `SO_RCVTIMEO` would.
+//!   under `SO_RCVTIMEO` would. A connection gets its one entry when its
+//!   first turn ends in the slab; one answered in that turn never has
+//!   one. The ticks also bound how long the listener stays out of epoll
+//!   after `accept4` found no descriptor to accept into (`EMFILE` and
+//!   kin): it goes back at the next tick or the loop's next close,
+//!   whichever is first, instead of waking the loop at once, forever.
 //! * **inline paths** — a parsed request is first offered to the cache
 //!   under a single `try_lock`ed shard guard ([`lookup`]). A fresh hit
 //!   is served right there. A miss or an expired copy is fetched right
@@ -59,8 +77,8 @@
 //!   top, uncounted, so retries, backoff, timeouts, breakers and
 //!   serve-stale are accounted in one place only ([`proxy_get_at`]). A
 //!   finished inline fetch whose shard is contended rides along with its
-//!   body. The connection leaves the slab and epoll, its pooled buffers
-//!   go back, and the stream itself travels in the [`Job`] on the bounded
+//!   body. The connection leaves the slab (and epoll, if it was in),
+//!   its pooled buffers go back, and the stream itself travels in the [`Job`] on the bounded
 //!   worker queue; a full queue hands the stream straight back and the
 //!   loop sheds with `503` (counted in [`crate::ProxyStats::rejected`]).
 //!   The worker writes the response with the same non-blocking
@@ -128,6 +146,12 @@ const SOCK_CLOEXEC: i32 = 0o2000000;
 const SOCK_NONBLOCK: i32 = 0o4000;
 const MSG_DONTWAIT: i32 = 0x40;
 const MSG_NOSIGNAL: i32 = 0x4000;
+const IPPROTO_TCP: i32 = 6;
+const TCP_DEFER_ACCEPT: i32 = 9;
+
+/// `errno`s with which `accept4` says the process or the kernel is out of
+/// descriptors or memory: `ENOMEM`, `ENFILE`, `EMFILE`, `ENOBUFS`.
+const OUT_OF_RESOURCES: [i32; 4] = [12, 23, 24, 105];
 
 /// One segment of a vectored write: field-compatible with `struct iovec`
 /// from `<sys/uio.h>` (`iov_base`, `iov_len`).
@@ -144,6 +168,7 @@ extern "C" {
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
     fn accept4(fd: i32, addr: *mut u8, addrlen: *mut u32, flags: i32) -> i32;
+    fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
@@ -252,6 +277,31 @@ fn accept_nonblocking(listener: &TcpListener) -> io::Result<TcpStream> {
     Ok(unsafe { TcpStream::from_raw_fd(fd) })
 }
 
+/// Have the kernel hold each new connection on `listener` until its
+/// first bytes arrive, for up to `wait` rounded up to whole seconds (the
+/// kernel rounds further, up to its SYN-ACK retransmission schedule):
+/// the loop then wakes once per connection, with the request already
+/// there to read. A connection that stays silent that long is accepted
+/// without data, as are those past the listen backlog (syncookies).
+fn defer_accept(listener: &TcpListener, wait: Duration) -> io::Result<()> {
+    let secs = wait.as_secs() + u64::from(wait.subsec_nanos() > 0);
+    let secs = secs.min(i32::MAX as u64) as i32;
+    // SAFETY: `secs` outlives the call and the length is its size.
+    let rc = unsafe {
+        setsockopt(
+            listener.as_raw_fd(),
+            IPPROTO_TCP,
+            TCP_DEFER_ACCEPT,
+            &secs,
+            std::mem::size_of::<i32>() as u32,
+        )
+    };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
 /// A readiness queue: the thinnest safe wrapper over the three epoll
 /// syscalls.
 struct Epoll {
@@ -289,8 +339,9 @@ impl Epoll {
 
     /// Stop watching an fd that stays open: a client socket bound for a
     /// worker or parked behind an inline fetch, an origin socket going
-    /// back to the idle pool. Closing a socket that was never duplicated
-    /// removes it from the set by itself.
+    /// back to the idle pool, a listener with no descriptor to accept
+    /// into. Closing a socket that was never duplicated removes it from
+    /// the set by itself.
     fn del(&self, fd: RawFd) {
         let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
     }
@@ -453,7 +504,8 @@ impl Slab {
 // Deadline wheel.
 
 /// A hashed timing wheel over connection tokens. Every connection in
-/// the slab has exactly one entry, scheduled when it is admitted.
+/// the slab has exactly one entry, scheduled when its first turn ends
+/// (one answered or dispatched within that turn never gets one).
 /// Entries are lazy: a connection re-arms by moving its `deadline`
 /// field, not by touching the wheel; when its entry fires early, the
 /// event loop reinserts it at the new deadline. Stale entries for
@@ -514,10 +566,11 @@ impl Wheel {
     /// candidate's actual deadline and either expires it or hands it
     /// back via [`Wheel::schedule`]. Taking the output buffer as a
     /// parameter lets the event loop reuse one scratch `Vec` forever
-    /// instead of allocating a fresh one per loop iteration.
-    fn advance_into(&mut self, now: Instant, fired: &mut Vec<u64>) {
+    /// instead of allocating a fresh one per loop iteration. Returns
+    /// whether the clock passed a tick at all.
+    fn advance_into(&mut self, now: Instant, fired: &mut Vec<u64>) -> bool {
         fired.clear();
-        let target = self.tick_of(now);
+        let (from, target) = (self.cursor, self.tick_of(now));
         while self.cursor < target {
             self.cursor += 1;
             let slot = (self.cursor % self.slots.len() as u64) as usize;
@@ -525,21 +578,23 @@ impl Wheel {
             self.slots[slot].clear();
         }
         self.entries -= fired.len();
+        self.cursor != from
     }
 
     /// How long `epoll_wait` may sleep before the next slot is due;
     /// `None` when the wheel is empty.
     fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        if self.entries == 0 {
-            return None;
-        }
+        (self.entries != 0).then(|| self.until_next_tick(now))
+    }
+
+    /// Time from `now` to the next tick, whether or not anything is
+    /// scheduled for it.
+    fn until_next_tick(&self, now: Instant) -> Duration {
         let next_due = self.start
             + Duration::from_nanos((self.cursor + 1) * self.granularity.as_nanos() as u64);
-        Some(
-            next_due
-                .saturating_duration_since(now)
-                .max(Duration::from_millis(1)),
-        )
+        next_due
+            .saturating_duration_since(now)
+            .max(Duration::from_millis(1))
     }
 }
 
@@ -672,6 +727,7 @@ impl Reactor {
         state: Arc<ProxyState>,
     ) -> io::Result<Reactor> {
         listener.set_nonblocking(true)?;
+        defer_accept(&listener, config.read_timeout)?;
         let epoll = Epoll::new()?;
         let waker = Arc::new(EventFd::new()?);
         epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
@@ -753,6 +809,7 @@ impl Reactor {
                     pool: BufPool::new(),
                     upstream: InlineUpstream::new(idle),
                     fired_scratch: Vec::new(),
+                    listener_parked: false,
                     config,
                     state,
                 };
@@ -802,6 +859,12 @@ struct EventLoop {
     upstream: InlineUpstream,
     /// Reused output buffer for [`Wheel::advance_into`].
     fired_scratch: Vec<u64>,
+    /// The listener is out of epoll because the last `accept4` found the
+    /// process or the kernel out of descriptors: level-triggered, it
+    /// would wake the loop again at once, for as long as that lasts. It
+    /// goes back in when the loop next closes a connection or the wheel
+    /// next ticks, whichever comes first.
+    listener_parked: bool,
     config: ProxyConfig,
     state: Arc<ProxyState>,
 }
@@ -836,7 +899,11 @@ impl EventLoop {
         let mut events: Vec<(u32, u64)> = Vec::new();
         loop {
             let now = Instant::now();
-            let timeout = self.wheel.next_timeout(now);
+            let timeout = if self.listener_parked {
+                Some(self.wheel.until_next_tick(now))
+            } else {
+                self.wheel.next_timeout(now)
+            };
             if self.epoll.wait(&mut events, timeout).is_err() {
                 break;
             }
@@ -866,7 +933,9 @@ impl EventLoop {
 
     /// Accept until the backlog is dry. Accepting is cheap (a few
     /// hundred bytes of state), so the reactor admits every connection
-    /// and applies backpressure at dispatch instead.
+    /// and applies backpressure at dispatch instead. Out of descriptors,
+    /// the listener is parked rather than polled (see
+    /// [`EventLoop::listener_parked`]).
     fn accept_ready(&mut self) {
         loop {
             match accept_nonblocking(&self.listener) {
@@ -876,33 +945,57 @@ impl EventLoop {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e)
+                    if e.raw_os_error()
+                        .is_some_and(|n| OUT_OF_RESOURCES.contains(&n)) =>
+                {
+                    self.epoll.del(self.listener.as_raw_fd());
+                    self.listener_parked = true;
+                    return;
+                }
                 Err(_) => return,
             }
         }
     }
 
-    /// Give a connection a slab slot, an epoll registration, an I/O
-    /// deadline and its one wheel entry. A fresh accept enters in
-    /// `Reading` under `EPOLLIN`; a connection coming back from the
-    /// worker side (a hand-back, a shed job) has `unsent`, the body and
-    /// cursor of a response whose head is in `head`, and enters in
+    /// Put a parked listener back into epoll.
+    fn unpark_listener(&mut self) {
+        if self.listener_parked
+            && self
+                .epoll
+                .add(self.listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)
+                .is_ok()
+        {
+            self.listener_parked = false;
+        }
+    }
+
+    /// Give a connection a slab slot, an I/O deadline and its first
+    /// turn; if that turn leaves it in the slab, its one wheel entry. A
+    /// fresh accept enters in `Reading`, unregistered, and is read at
+    /// once (module docs, *first turn*). A connection coming back from
+    /// the worker side (a hand-back, a shed job) has `unsent`, the body
+    /// and cursor of a response whose head is in `head`, and enters in
     /// `Writing` under `EPOLLOUT`.
     fn admit(&mut self, stream: TcpStream, head: Vec<u8>, unsent: Option<(Bytes, usize)>) {
-        let fd = stream.as_raw_fd();
-        let (state, interest) = match unsent {
-            None => (ConnState::Reading, EPOLLIN),
-            Some((body, pos)) => (ConnState::Writing { body, pos }, EPOLLOUT),
+        let (state, fresh) = match unsent {
+            None => (ConnState::Reading, true),
+            Some((body, pos)) => (ConnState::Writing { body, pos }, false),
         };
         let deadline = Instant::now() + self.config.read_timeout;
         let parser = self.pool.get_parser();
         let token = self
             .slab
             .insert(Conn::new(stream, parser, head, state, deadline));
-        if self.epoll.add(fd, interest, token).is_err() {
-            self.close_conn(token);
-            return;
+        if fresh {
+            self.read_request(token);
+        } else {
+            self.watch_client(token, EPOLLOUT);
         }
-        self.wheel.schedule(token, deadline);
+        if let Some(conn) = self.slab.get(token) {
+            let deadline = conn.deadline;
+            self.wheel.schedule(token, deadline);
+        }
     }
 
     /// The connection made progress: push its I/O deadline out. Its
@@ -912,6 +1005,50 @@ impl EventLoop {
         if let Some(conn) = self.slab.get(token) {
             conn.deadline = deadline;
         }
+    }
+
+    /// Read what the client has sent and act on it. A request whose head
+    /// is still incomplete waits under `EPOLLIN`: registered now if this
+    /// was the read at accept, its deadline pushed out otherwise.
+    fn read_request(&mut self, token: u64) {
+        let Some(conn) = self.slab.get(token) else {
+            return;
+        };
+        match conn.on_readable() {
+            Event::Continue if conn.watched => self.arm_deadline(token),
+            Event::Continue => self.watch_client(token, EPOLLIN),
+            Event::Request => {
+                if !conn.watched {
+                    self.state.count_read_at_accept();
+                }
+                self.handle_request(token);
+            }
+            Event::Reject(status) => self.respond(token, Response::status_only(status)),
+            Event::Done => self.close_conn(token),
+        }
+    }
+
+    /// Set the client socket's epoll interest to `interest`: `ADD` if it
+    /// is not in the set yet, `MOD` if it is. A socket epoll refuses is
+    /// closed.
+    fn watch_client(&mut self, token: u64, interest: u32) {
+        let Some(conn) = self.slab.get(token) else {
+            return;
+        };
+        let op = if conn.watched {
+            EPOLL_CTL_MOD
+        } else {
+            EPOLL_CTL_ADD
+        };
+        if self
+            .epoll
+            .ctl(op, conn.stream.as_raw_fd(), interest, token)
+            .is_err()
+        {
+            self.close_conn(token);
+            return;
+        }
+        conn.watched = true;
     }
 
     fn conn_ready(&mut self, token: u64, events: u32) {
@@ -936,12 +1073,7 @@ impl EventLoop {
             return;
         }
         if events & EPOLLIN != 0 && matches!(conn.state, ConnState::Reading) {
-            match conn.on_readable() {
-                Event::Continue => self.arm_deadline(token),
-                Event::Request => self.handle_request(token),
-                Event::Reject(status) => self.respond(token, Response::status_only(status)),
-                Event::Done => self.close_conn(token),
-            }
+            self.read_request(token);
             return;
         }
         if events & EPOLLOUT != 0 {
@@ -1018,24 +1150,23 @@ impl EventLoop {
                 } else {
                     conn.start_hit(body, last_modified);
                 }
-                self.flush_response(token, EPOLL_CTL_MOD);
+                self.flush_response(token);
             }
             FastOutcome::Miss(miss) => self.start_fetch(token, miss),
-            FastOutcome::Contended { now } => {
-                self.unwatch_client(token);
-                self.dispatch(token, Work::Request { now });
-            }
+            FastOutcome::Contended { now } => self.dispatch(token, Work::Request { now }),
         }
     }
 
-    /// Take a connection's client socket out of epoll: its request is
-    /// parsed, and until there is a response to write nothing the client
-    /// does is of interest (level-triggered epoll would spin on extra
-    /// bytes or a half-close). The fd stays open past its registration,
-    /// so this is an explicit `del`.
+    /// Take a connection's client socket out of epoll, if it is in: its
+    /// request is parsed, and until there is a response to write nothing
+    /// the client does is of interest (level-triggered epoll would spin
+    /// on extra bytes or a half-close). The fd stays open past its
+    /// registration, so this is an explicit `del`.
     fn unwatch_client(&mut self, token: u64) {
         if let Some(conn) = self.slab.get(token) {
-            self.epoll.del(conn.stream.as_raw_fd());
+            if std::mem::take(&mut conn.watched) {
+                self.epoll.del(conn.stream.as_raw_fd());
+            }
         }
     }
 
@@ -1096,7 +1227,7 @@ impl EventLoop {
                     self.state.count_inline_fetch();
                     let resp = finalize_response(conn.parser.if_modified_since(), resp);
                     conn.start_response(&resp);
-                    return self.flush_response(token, EPOLL_CTL_ADD);
+                    return self.flush_response(token);
                 }
                 Err(fetch) => Work::Conclude(fetch),
             }
@@ -1117,12 +1248,13 @@ impl EventLoop {
         self.dispatch(token, Work::redo(&miss));
     }
 
-    /// Give a connection whose client socket is already out of epoll to
-    /// the worker pool: it leaves the slab (its wheel entry goes stale
+    /// Give a connection to the worker pool: its client socket leaves
+    /// epoll if it is in, it leaves the slab (its wheel entry goes stale
     /// and falls out on the generation check; the origin timeouts bound
     /// the time a worker holds the socket), its pooled buffers go back,
     /// and the stream rides in the [`Job`]. A full queue sheds with `503`.
     fn dispatch(&mut self, token: u64, work: Work) {
+        self.unwatch_client(token);
         let Some(conn) = self.slab.remove(token) else {
             return;
         };
@@ -1152,29 +1284,19 @@ impl EventLoop {
             return;
         };
         conn.start_response(&resp);
-        self.flush_response(token, EPOLL_CTL_MOD);
+        self.flush_response(token);
     }
 
     /// Drain whatever response the connection has queued, falling back
-    /// to `EPOLLOUT` if the socket buffer fills: `watch` is the epoll
-    /// operation that sets that interest — `EPOLL_CTL_MOD` for a client
-    /// socket still registered from `Reading`, `EPOLL_CTL_ADD` for one
-    /// that was taken out while the origin was asked.
-    fn flush_response(&mut self, token: u64, watch: i32) {
+    /// to `EPOLLOUT` if the socket buffer fills.
+    fn flush_response(&mut self, token: u64) {
         let Some(conn) = self.slab.get(token) else {
             return;
         };
         match conn.on_writable() {
             Event::Done => self.close_conn(token),
             _ => {
-                let Some(conn) = self.slab.get(token) else {
-                    return;
-                };
-                let fd = conn.stream.as_raw_fd();
-                if self.epoll.ctl(watch, fd, EPOLLOUT, token).is_err() {
-                    self.close_conn(token);
-                    return;
-                }
+                self.watch_client(token, EPOLLOUT);
                 self.arm_deadline(token);
             }
         }
@@ -1192,13 +1314,17 @@ impl EventLoop {
 
     /// Expire connections whose I/O deadline passed: a client stalled
     /// mid-request gets `504`; a client stalled mid-response is dropped;
-    /// an origin stalled mid-exchange loses the request to a worker.
+    /// an origin stalled mid-exchange loses the request to a worker. A
+    /// tick also gives a parked listener its next try, for descriptors
+    /// freed outside the loop (a worker's close, another process).
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
         // Take/put-back keeps one scratch Vec alive across iterations so
         // steady-state ticks do not allocate.
         let mut fired = std::mem::take(&mut self.fired_scratch);
-        self.wheel.advance_into(now, &mut fired);
+        if self.wheel.advance_into(now, &mut fired) {
+            self.unpark_listener();
+        }
         for &token in &fired {
             let Some(conn) = self.slab.get(token) else {
                 continue; // closed or given to a worker: entry is stale
@@ -1234,12 +1360,15 @@ impl EventLoop {
         stream
     }
 
+    /// Close a connection; the descriptor it frees is the one a parked
+    /// listener waits for.
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.slab.remove(token) {
             // Dropping the stream closes the socket, and closing takes
             // it out of the epoll set: the fd was never duplicated, so
             // no `EPOLL_CTL_DEL` is spent on it.
             drop(self.release(conn));
+            self.unpark_listener();
         }
     }
 }

@@ -131,11 +131,13 @@ impl AtomicProxyStats {
 /// and how many of those came back to the event loop to finish
 /// writing), `inline_fetches` and `inline_fallbacks` (origin exchanges
 /// the event loop ran itself, and inline attempts it handed to a worker
-/// after all), persistence health and what the persister wrote
-/// (`journal_elided`: buffered inserts whose document was evicted before
-/// the drain and so never reached the disk; `journal_bytes`,
-/// `snapshot_bytes`, `snapshots`, `snapshots_skipped`), and —
-/// in cluster mode — the ring epoch, member set, and peer counters.
+/// after all), `read_at_accept` (connections whose whole request head
+/// was read at accept, never registered with epoll), persistence health
+/// and what the persister wrote (`journal_elided`: buffered inserts
+/// whose document was evicted before the drain and so never reached the
+/// disk; `journal_bytes`, `snapshot_bytes`, `snapshots`,
+/// `snapshots_skipped`), and — in cluster mode — the ring epoch, member
+/// set, and peer counters.
 /// Origin-form (no `http://` host), so it can never collide with a
 /// cacheable URL.
 pub const ADMIN_STATS_TARGET: &str = "/__webcache/stats";
@@ -153,7 +155,7 @@ pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
          \"timeouts\":{},\"origin_failures\":{},\"breaker_trips\":{},\"breaker_fast_fails\":{},\
          \"stale_serves\":{},\"rejected\":{},\"breaker_entries\":{},\
          \"url_table_entries\":{},\"worker_jobs\":{},\"write_handbacks\":{},\
-         \"inline_fetches\":{},\"inline_fallbacks\":{}",
+         \"inline_fetches\":{},\"inline_fallbacks\":{},\"read_at_accept\":{}",
         s.requests,
         s.hits,
         s.revalidated,
@@ -175,6 +177,7 @@ pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
         state.write_handbacks(),
         state.inline_fetches(),
         state.inline_fallbacks(),
+        state.read_at_accept(),
     );
     match state.persist_health.get() {
         Some(h) => {
@@ -240,8 +243,10 @@ mod tests {
             String::from_utf8(admin_stats_response(state).body.to_vec()).unwrap()
         };
         assert!(body(&state).contains(",\"persist\":null,\"cluster\":null}"));
-        // One additive key since: the shards' URL tables, summed.
+        // Additive keys since: the shards' URL tables, summed, and the
+        // connections read at accept.
         assert!(body(&state).contains(",\"breaker_entries\":0,\"url_table_entries\":0,\"worker_"));
+        assert!(body(&state).contains(",\"inline_fallbacks\":0,\"read_at_accept\":0,\"persist\":"));
         let _ = state
             .persist_health
             .set(Arc::new(PersistHealthState::default()));

@@ -27,6 +27,11 @@
 //! * The buffer pool warms on the first connection cycle: accept #2
 //!   onward reuses the returned parser and head buffer.
 //!
+//! The path measured is the one a request sent in a single write takes:
+//! the listener defers the accept until the request is in, the event loop
+//! reads it at accept and writes the hit in that turn, and the socket is
+//! never registered with epoll (`read_at_accept` counts it).
+//!
 //! ## Documented miss-path allocations (allowed, outside the window)
 //!
 //! The miss path allocates by design — its cost is the origin round
@@ -118,6 +123,7 @@ fn warmed_reactor_serves_hits_without_allocating() {
         assert_eq!(r.body.len(), 4096);
     }
     let jobs_before = proxy.worker_jobs();
+    let read_before = proxy.read_at_accept();
 
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..MEASURED {
@@ -131,6 +137,13 @@ fn warmed_reactor_serves_hits_without_allocating() {
         proxy.worker_jobs(),
         jobs_before,
         "a measured hit reached a worker — the fast path declined"
+    );
+    // Each request is one write and the listener defers the accept until
+    // it is in, so every measured hit took the read-at-accept path.
+    assert_eq!(
+        proxy.read_at_accept() - read_before,
+        MEASURED as u64,
+        "a measured hit was not read at accept"
     );
     assert_eq!(
         delta, 0,

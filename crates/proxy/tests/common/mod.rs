@@ -33,8 +33,25 @@ pub struct ChildProxy {
 impl ChildProxy {
     /// Spawn `webcache-proxy ARGS` and wait for its address.
     pub fn spawn<S: AsRef<str>>(args: &[S]) -> ChildProxy {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_webcache-proxy"))
-            .args(args.iter().map(|a| a.as_ref()))
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_webcache-proxy"));
+        cmd.args(args.iter().map(|a| a.as_ref()));
+        ChildProxy::start(cmd)
+    }
+
+    /// [`ChildProxy::spawn`] with the child's descriptor limit lowered to
+    /// `nofile` first: a shell sets it and `exec`s the proxy, so the
+    /// child's pid is the proxy's.
+    pub fn spawn_with_fd_limit<S: AsRef<str>>(nofile: u32, args: &[S]) -> ChildProxy {
+        let mut cmd = Command::new("sh");
+        cmd.arg("-c")
+            .arg(format!("ulimit -n {nofile} && exec \"$0\" \"$@\""))
+            .arg(env!("CARGO_BIN_EXE_webcache-proxy"))
+            .args(args.iter().map(|a| a.as_ref()));
+        ChildProxy::start(cmd)
+    }
+
+    fn start(mut cmd: Command) -> ChildProxy {
+        let mut child = cmd
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
@@ -70,6 +87,43 @@ impl ChildProxy {
     pub fn sigkill(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+    }
+
+    /// Send the child `signal` (`STOP`, `CONT`, …) with `kill(1)`.
+    pub fn signal(&self, signal: &str) {
+        let status = Command::new("kill")
+            .arg(format!("-{signal}"))
+            .arg(self.child.id().to_string())
+            .status()
+            .expect("run kill");
+        assert!(status.success(), "kill -{signal} failed");
+    }
+
+    /// The CPU time, user plus system, the child has used so far:
+    /// `utime` and `stime` of `/proc/<pid>/stat`, in the kernel's
+    /// 100 Hz clock ticks.
+    pub fn cpu_time(&self) -> Duration {
+        let stat = std::fs::read_to_string(format!("/proc/{}/stat", self.child.id()))
+            .expect("read /proc/<pid>/stat");
+        // Fields after the parenthesised command name, from `state` on.
+        let fields: Vec<&str> = stat
+            .rsplit_once(')')
+            .expect("stat has a command name")
+            .1
+            .split_whitespace()
+            .collect();
+        let ticks: u64 = fields[11..13]
+            .iter()
+            .map(|f| f.parse::<u64>().expect("utime/stime"))
+            .sum();
+        Duration::from_millis(ticks * 10)
+    }
+
+    /// How many descriptors the child has open.
+    pub fn open_fds(&self) -> usize {
+        std::fs::read_dir(format!("/proc/{}/fd", self.child.id()))
+            .expect("list /proc/<pid>/fd")
+            .count()
     }
 }
 

@@ -10,7 +10,11 @@
 //! counters a worker would have produced, and leaks neither socket when
 //! the client or the origin goes away mid-exchange. And a replay of the
 //! paper's workload beside clients that dribble their requests sees no
-//! error on either side.
+//! error on either side. A request that is whole when its connection is
+//! accepted is read and answered at accept, one that is not waits for the
+//! rest, and a client that sends nothing is accepted only when the
+//! kernel's deferral lapses; out of descriptors, the event loop waits for
+//! one instead of spinning on its listener.
 
 mod common;
 
@@ -794,4 +798,151 @@ fn clients_and_origins_that_hang_up_mid_exchange_leak_nothing() {
     assert_eq!(proxy.worker_jobs(), 1 + cut);
     let st = proxy.stats();
     assert_eq!((st.rejected, st.retries, st.origin_failures), (0, 0, 0));
+}
+
+/// How long the kernel holds a connection that sends nothing when the
+/// listener defers accepts for `secs` seconds: SYN-ACK retransmissions
+/// 1 s, 2 s, 4 s, … apart, up to the first that covers `secs`.
+fn deferral_lapse(secs: u64) -> Duration {
+    let (mut lapse, mut rto) = (1, 1);
+    while lapse < secs {
+        rto *= 2;
+        lapse += rto;
+    }
+    Duration::from_secs(lapse)
+}
+
+#[test]
+fn a_stopped_proxy_reads_whole_requests_at_accept_and_registers_only_the_rest() {
+    const WHOLE: u64 = 16;
+    let store = Arc::new(DocStore::new());
+    store.put_synthetic("http://o.test/a.html", 1000, 10);
+    let origin = OriginServer::start(store).unwrap();
+    let child = common::ChildProxy::spawn(&["--origin", &origin.addr().to_string()]);
+    let (addr, url) = (child.addr, "http://o.test/a.html");
+    assert_eq!(
+        common::get(addr, url),
+        Some(false),
+        "the miss that warms it"
+    );
+    let jobs = common::stat(addr, "worker_jobs");
+    let read = common::stat(addr, "read_at_accept");
+
+    // While the proxy is stopped the kernel completes every handshake
+    // and queues every byte, so when it runs again each of these is in
+    // exactly one state at accept: whole, half a head, or nothing.
+    child.signal("STOP");
+    let whole: Vec<TcpStream> = (0..WHOLE)
+        .map(|_| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            http::write_request(&mut s, &Request::get(url)).unwrap();
+            s
+        })
+        .collect();
+    let mut half = TcpStream::connect(addr).unwrap();
+    half.write_all(b"GET http://o.test/a.html HT").unwrap();
+    let mut silent = TcpStream::connect(addr).unwrap();
+    let connected = Instant::now();
+    std::thread::sleep(Duration::from_millis(100));
+    child.signal("CONT");
+
+    for mut s in whole {
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert!(http::read_response(&mut s).unwrap().is_cache_hit());
+    }
+    // The stats request is itself read at accept; the half head is not.
+    assert_eq!(common::stat(addr, "read_at_accept"), read + WHOLE + 1);
+    half.write_all(b"TP/1.0\r\n\r\n").unwrap();
+    half.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert!(http::read_response(&mut half).unwrap().is_cache_hit());
+    assert_eq!(common::stat(addr, "read_at_accept"), read + WHOLE + 2);
+
+    // The silent client waits out the deferral in the kernel and then
+    // its read timeout in the loop, and never costs a worker.
+    let read_timeout = ProxyConfig::new(1).read_timeout;
+    silent
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    assert_eq!(http::read_response(&mut silent).unwrap().status, 504);
+    let waited = connected.elapsed();
+    let due = deferral_lapse(read_timeout.as_secs()) + read_timeout;
+    assert!(
+        waited + Duration::from_millis(500) >= due && waited <= due + Duration::from_secs(1),
+        "silent client answered after {waited:?}, due at {due:?}"
+    );
+    assert_eq!(common::stat(addr, "worker_jobs"), jobs);
+}
+
+#[test]
+#[ignore = "reads the child's CPU time: run with --ignored --test-threads 1"]
+fn out_of_descriptors_the_event_loop_waits_instead_of_spinning() {
+    const NOFILE: u32 = 48;
+    const IDLE: usize = 80;
+    let store = Arc::new(DocStore::new());
+    store.put_synthetic("http://o.test/a.html", 1000, 10);
+    let origin = OriginServer::start(store).unwrap();
+    let child =
+        common::ChildProxy::spawn_with_fd_limit(NOFILE, &["--origin", &origin.addr().to_string()]);
+    let (addr, url) = (child.addr, "http://o.test/a.html");
+    assert_eq!(common::get(addr, url), Some(false));
+
+    // More clients than descriptors, each alive: one byte of its header
+    // every few hundred milliseconds, well inside the read timeout. Those
+    // the proxy has no descriptor for wait in the accept queue, on a
+    // listener that stays readable.
+    let idle: Vec<TcpStream> = (0..IDLE)
+        .map(|_| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET http://o.test/a.html HTTP/1.0\r\nx: ")
+                .unwrap();
+            s
+        })
+        .collect();
+    let stop = AtomicBool::new(false);
+    let (exhausted, spent, fds) = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                for mut s in &idle {
+                    let _ = s.write_all(b"a");
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        // Nothing in here may panic before `stop` is raised: the
+        // dribbling thread would keep the scope open forever.
+        let give_up = Instant::now() + Duration::from_secs(10);
+        let exhausted = loop {
+            if child.open_fds() == NOFILE as usize {
+                break true;
+            }
+            if Instant::now() > give_up {
+                break false;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        let before = child.cpu_time();
+        if exhausted {
+            std::thread::sleep(Duration::from_secs(2));
+        }
+        let measured = (exhausted, child.cpu_time() - before, child.open_fds());
+        stop.store(true, Ordering::Relaxed);
+        measured
+    });
+    assert!(exhausted, "the proxy never ran out of descriptors");
+    assert_eq!(fds, NOFILE as usize, "descriptors were freed meanwhile");
+    assert!(
+        spent < Duration::from_millis(200),
+        "{spent:?} of CPU in 2 s with no descriptor to accept into"
+    );
+
+    // The idle clients go; the first descriptor the loop frees puts the
+    // listener back, and the queue behind them is worked off.
+    drop(idle);
+    let gone = Instant::now();
+    assert_eq!(common::get(addr, url), Some(true));
+    assert!(
+        gone.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        gone.elapsed()
+    );
 }
