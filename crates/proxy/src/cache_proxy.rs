@@ -140,6 +140,9 @@ pub(crate) struct ProxyState {
     /// Connections whose whole request head was read at accept; see
     /// [`ProxyServer::read_at_accept`].
     read_at_accept: AtomicU64,
+    /// Responses sent with the listener's cork taken out first; see
+    /// [`ProxyServer::uncorked`].
+    uncorked: AtomicU64,
     log: Mutex<AccessLog>,
     /// Cluster state when running as a cluster node
     /// ([`ProxyServer::start_clustered`]); `None` single-node.
@@ -186,6 +189,11 @@ impl ProxyState {
         AtomicProxyStats::add(&self.read_at_accept, 1);
     }
 
+    /// Count one response the event loop sent uncorked.
+    pub(crate) fn count_uncorked(&self) {
+        AtomicProxyStats::add(&self.uncorked, 1);
+    }
+
     pub(crate) fn worker_jobs(&self) -> u64 {
         self.worker_jobs.load(Ordering::Relaxed)
     }
@@ -204,6 +212,10 @@ impl ProxyState {
 
     pub(crate) fn read_at_accept(&self) -> u64 {
         self.read_at_accept.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn uncorked(&self) -> u64 {
+        self.uncorked.load(Ordering::Relaxed)
     }
 
     /// Append a line to the access log when it is on: a `200` of `size`
@@ -571,6 +583,18 @@ impl ProxyServer {
     pub fn read_at_accept(&self) -> u64 {
         self.state.read_at_accept()
     }
+
+    /// Responses sent with the client socket's cork taken out first. The
+    /// listener corks every socket it accepts, so a response's last bytes
+    /// leave with the FIN of the close that follows; but closing a socket
+    /// with unread client bytes resets it and discards what the cork
+    /// held. So a response stays corked only for a well-formed `GET`
+    /// whose head came in a read that did not fill the read buffer; a
+    /// `400`, a `501`, a `504` and an answer to a head that filled its
+    /// read are counted here.
+    pub fn uncorked(&self) -> u64 {
+        self.state.uncorked()
+    }
 }
 
 /// The start-up prologue every `start*` shares: check the pool sizes,
@@ -606,6 +630,7 @@ pub(crate) fn new_state(
         inline_fetches: AtomicU64::new(0),
         inline_fallbacks: AtomicU64::new(0),
         read_at_accept: AtomicU64::new(0),
+        uncorked: AtomicU64::new(0),
         log: Mutex::new(AccessLog::new()),
         cluster,
         persist_health: OnceLock::new(),

@@ -30,6 +30,10 @@
 //!   after an epoch bump, and returned as the reply to an inbound
 //!   `MEMBERSHIP`; the receiver adopts strictly higher epochs.
 //!
+//! `len` covers a frame's fields exactly: a frame with bytes after its
+//! last field is refused like a truncated one, so a length that
+//! disagrees with its fields never passes for a frame.
+//!
 //! ## Failure semantics
 //!
 //! Peer I/O is bounded by [`ClusterConfig::peer_timeout`] (the same
@@ -189,8 +193,11 @@ pub enum Frame {
     },
 }
 
-/// Encode `frame` into the length-prefixed wire form.
-pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
+/// Encode `frame` into the length-prefixed wire form. A URL or member
+/// list longer than its `u16` count allows is cut to that count, and a
+/// `last_modified` of `u64::MAX`, which `lm_plus_1` cannot carry, is sent
+/// as `u64::MAX - 1`.
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut payload = Vec::new();
     match frame {
         Frame::Query { sender, epoch, url } => {
@@ -208,7 +215,8 @@ pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
         } => {
             payload.push(KIND_FOUND);
             payload.extend_from_slice(&epoch.to_le_bytes());
-            payload.extend_from_slice(&last_modified.map_or(0, |lm| lm + 1).to_le_bytes());
+            let lm_plus_1 = last_modified.map_or(0, |lm| lm.saturating_add(1));
+            payload.extend_from_slice(&lm_plus_1.to_le_bytes());
             payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
             payload.extend_from_slice(body);
         }
@@ -275,7 +283,7 @@ impl<'a> Cur<'a> {
 /// the caller set). The length prefix is the peer's claim, not a fact:
 /// the payload buffer grows with the bytes that actually arrive, so a
 /// header promising [`MAX_FRAME`] costs nothing until the peer pays for
-/// it.
+/// it. A payload with bytes after the frame's last field is an error.
 pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -293,7 +301,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
     }
     let kind = payload[0];
     let mut cur = Cur(&payload[1..]);
-    match kind {
+    let frame = match kind {
         KIND_QUERY => {
             let sender = cur.u32()?;
             let epoch = cur.u64()?;
@@ -301,36 +309,42 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
             let url = std::str::from_utf8(cur.take(url_len)?)
                 .map_err(|_| bad("query URL is not UTF-8"))?
                 .to_string();
-            Ok(Frame::Query { sender, epoch, url })
+            Frame::Query { sender, epoch, url }
         }
         KIND_FOUND => {
             let epoch = cur.u64()?;
             let lm = cur.u64()?;
             let body_len = cur.u32()? as usize;
             let body = cur.take(body_len)?.to_vec();
-            Ok(Frame::Found {
+            Frame::Found {
                 epoch,
                 last_modified: lm.checked_sub(1),
                 body,
-            })
+            }
         }
-        KIND_MISS => Ok(Frame::Miss { epoch: cur.u64()? }),
+        KIND_MISS => Frame::Miss { epoch: cur.u64()? },
         KIND_MEMBERSHIP => {
             let sender = cur.u32()?;
             let epoch = cur.u64()?;
             let n = cur.u16()? as usize;
-            let mut members = Vec::with_capacity(n);
+            // The count is the peer's claim too: reserve only for the
+            // members whose bytes are there.
+            let mut members = Vec::with_capacity(n.min(cur.0.len() / 4));
             for _ in 0..n {
                 members.push(cur.u32()?);
             }
-            Ok(Frame::Membership {
+            Frame::Membership {
                 sender,
                 epoch,
                 members,
-            })
+            }
         }
-        _ => Err(bad("unknown cluster frame kind")),
+        _ => return Err(bad("unknown cluster frame kind")),
+    };
+    if !cur.0.is_empty() {
+        return Err(bad("bytes after the cluster frame's last field"));
     }
+    Ok(frame)
 }
 
 /// Send one frame to `addr` and read one frame back, every step bounded

@@ -33,6 +33,16 @@
 //!                                   └── all sent, or client gone ──▶ closed by the worker
 //! ```
 //!
+//! The last turn is the close, right after the last response byte is
+//! handed to the kernel. The socket is corked (it inherits `TCP_CORK` from
+//! the listener), so a partial last segment waits for that close and
+//! leaves with its FIN. A close that finds unread client bytes resets the
+//! connection instead and discards what the cork held, so
+//! [`Conn::on_readable`] records whether the read that completed the head
+//! came back short of the buffer ([`Conn::head_drained`]): only then did
+//! the kernel hold nothing more from the client. Otherwise the reactor
+//! uncorks before the response is written.
+//!
 //! The connection owns only buffers — a pooled [`RequestParser`], a
 //! pooled response-head `Vec`, and (while writing) a refcounted `Bytes`
 //! body straight out of the cache shard — plus, while `Fetching`, the
@@ -123,6 +133,11 @@ pub(crate) struct Conn {
     /// accept and answered, forwarded or dispatched in that turn never
     /// joins it, and one waiting on the origin has left it.
     pub watched: bool,
+    /// The read that completed the request head came back short of the
+    /// buffer: the kernel held nothing more from the client then, so the
+    /// close after the response finds no unread bytes and the response
+    /// may keep the listener's cork (module docs, *last turn*).
+    pub head_drained: bool,
 }
 
 impl Conn {
@@ -143,23 +158,29 @@ impl Conn {
             gen: 0,
             deadline,
             watched: false,
+            head_drained: false,
         }
     }
 
-    /// Pull whatever bytes are ready and feed the parser.
-    pub fn on_readable(&mut self) -> Event {
+    /// Pull whatever bytes are ready through `buf`, the event loop's one
+    /// read buffer, and feed the parser. A completed head records whether
+    /// its read left the kernel's receive queue empty
+    /// ([`Conn::head_drained`]).
+    pub fn on_readable(&mut self, buf: &mut [u8]) -> Event {
         if !matches!(self.state, ConnState::Reading) {
             return Event::Continue;
         }
-        let mut buf = [0u8; 4096];
         loop {
-            match self.stream.read(&mut buf) {
+            match self.stream.read(buf) {
                 // EOF before a complete request: malformed, as the
                 // blocking `http::read_request` has it, so 400 (usually
                 // into a closed socket; the write simply fails).
                 Ok(0) => return Event::Reject(400),
                 Ok(n) => match self.parser.feed_complete(&buf[..n]) {
-                    Ok(true) => return Event::Request,
+                    Ok(true) => {
+                        self.head_drained = n < buf.len();
+                        return Event::Request;
+                    }
                     Ok(false) => continue,
                     Err(_) => return Event::Reject(400),
                 },
@@ -303,7 +324,7 @@ mod tests {
             Instant::now(),
         );
         conn.start_response(&Response::status_only(204));
-        assert!(matches!(conn.on_readable(), Event::Continue));
+        assert!(matches!(conn.on_readable(&mut [0; 64]), Event::Continue));
         assert!(matches!(conn.on_writable(), Event::Done));
         drop(client);
     }

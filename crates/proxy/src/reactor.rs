@@ -40,6 +40,23 @@
 //!   whether a `DEL` is owed, are never guessed. A client that sends
 //!   nothing stays in the kernel until the deferral lapses, then waits
 //!   out its read timeout here like any other.
+//! * **last turn** — the listener is also set to `TCP_CORK`, and every
+//!   socket accepted from it inherits the option. A corked socket sends
+//!   full segments at once and holds back only a partial last one. Every
+//!   response is followed by `close`, and the kernel (`tcp_send_fin`)
+//!   puts the FIN on that held tail and pushes it: the response's last
+//!   bytes and the FIN leave as one segment, whoever wrote them — the
+//!   loop, a worker, a hand-back drained under `EPOLLOUT`, the `503` shed
+//!   — with no syscall per request. The hazard is a close over unread
+//!   client bytes: the kernel then resets the connection and discards
+//!   what the cork held. So a response keeps the cork only for a
+//!   well-formed `GET` whose head came in a read that did not fill the
+//!   loop's read buffer (`Conn::head_drained`). A head that filled it, a
+//!   `400`, a `501` and a `504` are uncorked first (`TCP_CORK` 0, which
+//!   also pushes) and leave as they are written, counted in `uncorked`.
+//!   A connection kept open after its response would have to uncork, or
+//!   push, the same way, or its tail would wait out the kernel's 200 ms
+//!   cork ceiling.
 //! * **slab** — connections live in a generation-tagged slab; the epoll
 //!   token packs `(generation, index)` so events for a recycled slot
 //!   are detected and dropped.
@@ -147,7 +164,15 @@ const SOCK_NONBLOCK: i32 = 0o4000;
 const MSG_DONTWAIT: i32 = 0x40;
 const MSG_NOSIGNAL: i32 = 0x4000;
 const IPPROTO_TCP: i32 = 6;
+const TCP_CORK: i32 = 3;
 const TCP_DEFER_ACCEPT: i32 = 9;
+
+/// Readiness entries one `epoll_wait` may return.
+const MAX_EVENTS: usize = 256;
+
+/// The event loop's one client read buffer. A request head that fills it
+/// in one read may have more bytes behind it (module docs, *last turn*).
+const READ_BUF: usize = 4096;
 
 /// `errno`s with which `accept4` says the process or the kernel is out of
 /// descriptors or memory: `ENOMEM`, `ENFILE`, `EMFILE`, `ENOBUFS`.
@@ -286,13 +311,18 @@ fn accept_nonblocking(listener: &TcpListener) -> io::Result<TcpStream> {
 fn defer_accept(listener: &TcpListener, wait: Duration) -> io::Result<()> {
     let secs = wait.as_secs() + u64::from(wait.subsec_nanos() > 0);
     let secs = secs.min(i32::MAX as u64) as i32;
-    // SAFETY: `secs` outlives the call and the length is its size.
+    set_tcp_option(listener.as_raw_fd(), TCP_DEFER_ACCEPT, secs)
+}
+
+/// Set the `IPPROTO_TCP` option `name` of socket `fd` to `value`.
+fn set_tcp_option(fd: RawFd, name: i32, value: i32) -> io::Result<()> {
+    // SAFETY: `value` outlives the call and the length is its size.
     let rc = unsafe {
         setsockopt(
-            listener.as_raw_fd(),
+            fd,
             IPPROTO_TCP,
-            TCP_DEFER_ACCEPT,
-            &secs,
+            name,
+            &value,
             std::mem::size_of::<i32>() as u32,
         )
     };
@@ -346,38 +376,28 @@ impl Epoll {
         let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
     }
 
-    /// Wait for readiness; `timeout` of `None` blocks indefinitely.
-    /// Returns `(events, token)` pairs copied out of the (possibly
-    /// unaligned) kernel buffer.
-    fn wait(&self, out: &mut Vec<(u32, u64)>, timeout: Option<Duration>) -> io::Result<()> {
-        const MAX_EVENTS: usize = 256;
-        // Before the syscall, not after: the caller hands its previous
-        // batch back in as `out` to reuse the allocation, and an
-        // interrupted wait (a signal during a graceful flush) returns
-        // early below. Left uncleared, that batch would be replayed
-        // against connections that have since changed state or owner.
-        out.clear();
-        let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+    /// Wait for readiness into `events`, a buffer the caller keeps from
+    /// one wait to the next (so it is zeroed once, not per wait);
+    /// `timeout` of `None` blocks indefinitely. Returns how many entries
+    /// the kernel filled: none for an interrupted wait (a signal during a
+    /// graceful flush), so an earlier batch is never replayed.
+    fn wait(&self, events: &mut [EpollEvent], timeout: Option<Duration>) -> io::Result<usize> {
         let timeout_ms = match timeout {
             // Round up so a 0.4 ms residue does not busy-spin.
             Some(t) => t.as_millis().max(1).min(i32::MAX as u128) as i32,
             None => -1,
         };
-        let n = unsafe { epoll_wait(self.fd, buf.as_mut_ptr(), MAX_EVENTS as i32, timeout_ms) };
+        let max = events.len().min(i32::MAX as usize) as i32;
+        // SAFETY: the kernel writes at most `max` entries into `events`.
+        let n = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), max, timeout_ms) };
         if n < 0 {
             let e = io::Error::last_os_error();
             if e.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
+                return Ok(0);
             }
             return Err(e);
         }
-        for ev in &buf[..n as usize] {
-            // Copy fields out of the packed struct; taking references
-            // into it would be UB.
-            let (events, data) = (ev.events, ev.data);
-            out.push((events, data));
-        }
-        Ok(())
+        Ok(n as usize)
     }
 }
 
@@ -728,6 +748,9 @@ impl Reactor {
     ) -> io::Result<Reactor> {
         listener.set_nonblocking(true)?;
         defer_accept(&listener, config.read_timeout)?;
+        // Every socket accepted from the listener inherits the cork
+        // (module docs, *last turn*).
+        set_tcp_option(listener.as_raw_fd(), TCP_CORK, 1)?;
         let epoll = Epoll::new()?;
         let waker = Arc::new(EventFd::new()?);
         epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
@@ -809,6 +832,7 @@ impl Reactor {
                     pool: BufPool::new(),
                     upstream: InlineUpstream::new(idle),
                     fired_scratch: Vec::new(),
+                    read_buf: vec![0; READ_BUF].into_boxed_slice(),
                     listener_parked: false,
                     config,
                     state,
@@ -859,6 +883,8 @@ struct EventLoop {
     upstream: InlineUpstream,
     /// Reused output buffer for [`Wheel::advance_into`].
     fired_scratch: Vec<u64>,
+    /// Every client read goes through this one buffer, zeroed once.
+    read_buf: Box<[u8]>,
     /// The listener is out of epoll because the last `accept4` found the
     /// process or the kernel out of descriptors: level-triggered, it
     /// would wake the loop again at once, for as long as that lasts. It
@@ -896,7 +922,7 @@ enum FastOutcome {
 
 impl EventLoop {
     fn run(&mut self) {
-        let mut events: Vec<(u32, u64)> = Vec::new();
+        let mut events = vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
         loop {
             let now = Instant::now();
             let timeout = if self.listener_parked {
@@ -904,14 +930,16 @@ impl EventLoop {
             } else {
                 self.wheel.next_timeout(now)
             };
-            if self.epoll.wait(&mut events, timeout).is_err() {
+            let Ok(n) = self.epoll.wait(&mut events, timeout) else {
                 break;
-            }
+            };
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let drained = std::mem::take(&mut events);
-            for &(evs, token) in &drained {
+            for ev in &events[..n] {
+                // Copy fields out of the packed struct; taking references
+                // into it would be UB.
+                let (evs, token) = (ev.events, ev.data);
                 match token {
                     LISTENER_TOKEN => self.accept_ready(),
                     WAKER_TOKEN => {
@@ -921,7 +949,6 @@ impl EventLoop {
                     _ => self.conn_ready(token, evs),
                 }
             }
-            events = drained;
             self.expire_deadlines();
         }
         // Shutdown: close every connection the loop holds; workers are
@@ -1014,7 +1041,7 @@ impl EventLoop {
         let Some(conn) = self.slab.get(token) else {
             return;
         };
-        match conn.on_readable() {
+        match conn.on_readable(&mut self.read_buf) {
             Event::Continue if conn.watched => self.arm_deadline(token),
             Event::Continue => self.watch_client(token, EPOLLIN),
             Event::Request => {
@@ -1023,9 +1050,30 @@ impl EventLoop {
                 }
                 self.handle_request(token);
             }
-            Event::Reject(status) => self.respond(token, Response::status_only(status)),
+            Event::Reject(status) => self.reject(token, status),
             Event::Done => self.close_conn(token),
         }
+    }
+
+    /// Take the listener's cork out of a connection's socket before its
+    /// response is written, and count it in `uncorked`. The client may
+    /// have sent bytes the loop will never read, and closing over unread
+    /// bytes resets the connection and discards what the cork still holds;
+    /// uncorked, the response leaves as it is written (module docs, *last
+    /// turn*).
+    fn uncork(&mut self, token: u64) {
+        let Some(conn) = self.slab.get(token) else {
+            return;
+        };
+        if set_tcp_option(conn.stream.as_raw_fd(), TCP_CORK, 0).is_ok() {
+            self.state.count_uncorked();
+        }
+    }
+
+    /// Answer `status` uncorked and close.
+    fn reject(&mut self, token: u64, status: u16) {
+        self.uncork(token);
+        self.respond(token, Response::status_only(status));
     }
 
     /// Set the client socket's epoll interest to `interest`: `ADD` if it
@@ -1094,11 +1142,11 @@ impl EventLoop {
     /// to the worker pool.
     fn handle_request(&mut self, token: u64) {
         // Decide under one connection borrow; act after it ends.
-        let outcome = {
+        let (outcome, head_drained) = {
             let Some(conn) = self.slab.get(token) else {
                 return;
             };
-            if conn.parser.method() != "GET" {
+            let outcome = if conn.parser.method() != "GET" {
                 FastOutcome::Reject(501)
             } else if conn.parser.target() == ADMIN_STATS_TARGET {
                 FastOutcome::Admin
@@ -1129,10 +1177,16 @@ impl EventLoop {
                     Some(Lookup::Miss(miss)) => FastOutcome::Miss(miss),
                     None => FastOutcome::Contended { now },
                 }
-            }
+            };
+            (outcome, conn.head_drained)
         };
+        // A well-formed `GET` whose head left the receive queue empty keeps
+        // the cork, whoever writes its response; a refusal uncorks below.
+        if !head_drained && !matches!(outcome, FastOutcome::Reject(_)) {
+            self.uncork(token);
+        }
         match outcome {
-            FastOutcome::Reject(status) => self.respond(token, Response::status_only(status)),
+            FastOutcome::Reject(status) => self.reject(token, status),
             FastOutcome::Admin => {
                 let resp = admin_stats_response(&self.state);
                 self.respond(token, resp);
@@ -1341,10 +1395,11 @@ impl EventLoop {
                 continue;
             }
             if matches!(conn.state, ConnState::Reading) {
-                // One best-effort shot at the 504 — the client is
-                // stalled, not necessarily reading.
-                conn.start_response(&Response::status_only(504));
-                let _ = conn.on_writable();
+                // One best-effort shot at the 504, uncorked like every
+                // refusal — the client is stalled, not necessarily
+                // reading, so what the socket does not take at once goes
+                // with the close below.
+                self.reject(token, 504);
             }
             self.close_conn(token);
         }

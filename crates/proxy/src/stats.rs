@@ -132,7 +132,9 @@ impl AtomicProxyStats {
 /// writing), `inline_fetches` and `inline_fallbacks` (origin exchanges
 /// the event loop ran itself, and inline attempts it handed to a worker
 /// after all), `read_at_accept` (connections whose whole request head
-/// was read at accept, never registered with epoll), persistence health
+/// was read at accept, never registered with epoll), `uncorked`
+/// (responses sent with the listener's cork taken out first, because the
+/// client may have sent bytes the proxy will not read), persistence health
 /// and what the persister wrote (`journal_elided`: buffered inserts
 /// whose document was evicted before the drain and so never reached the
 /// disk; `journal_bytes`, `snapshot_bytes`, `snapshots`,
@@ -155,7 +157,7 @@ pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
          \"timeouts\":{},\"origin_failures\":{},\"breaker_trips\":{},\"breaker_fast_fails\":{},\
          \"stale_serves\":{},\"rejected\":{},\"breaker_entries\":{},\
          \"url_table_entries\":{},\"worker_jobs\":{},\"write_handbacks\":{},\
-         \"inline_fetches\":{},\"inline_fallbacks\":{},\"read_at_accept\":{}",
+         \"inline_fetches\":{},\"inline_fallbacks\":{},\"read_at_accept\":{},\"uncorked\":{}",
         s.requests,
         s.hits,
         s.revalidated,
@@ -178,6 +180,7 @@ pub(crate) fn admin_stats_response(state: &Arc<ProxyState>) -> Response {
         state.inline_fetches(),
         state.inline_fallbacks(),
         state.read_at_accept(),
+        state.uncorked(),
     );
     match state.persist_health.get() {
         Some(h) => {
@@ -243,10 +246,11 @@ mod tests {
             String::from_utf8(admin_stats_response(state).body.to_vec()).unwrap()
         };
         assert!(body(&state).contains(",\"persist\":null,\"cluster\":null}"));
-        // Additive keys since: the shards' URL tables, summed, and the
-        // connections read at accept.
+        // Additive keys since: the shards' URL tables, summed, the
+        // connections read at accept, and the responses sent uncorked.
         assert!(body(&state).contains(",\"breaker_entries\":0,\"url_table_entries\":0,\"worker_"));
-        assert!(body(&state).contains(",\"inline_fallbacks\":0,\"read_at_accept\":0,\"persist\":"));
+        assert!(body(&state)
+            .contains(",\"inline_fallbacks\":0,\"read_at_accept\":0,\"uncorked\":0,\"persist\":"));
         let _ = state
             .persist_health
             .set(Arc::new(PersistHealthState::default()));

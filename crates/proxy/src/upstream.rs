@@ -85,7 +85,11 @@ fn unexpected_eof(what: &str) -> HttpError {
 /// A reusable, resumable response reader: one fixed buffer, kept across
 /// responses, through which the head is read and parsed line by line
 /// without a `String` or a header map. The body is read into a `Vec`
-/// sized from the (bounded) `Content-Length` and never zero-filled.
+/// sized from the (bounded) `Content-Length`, in place. From a
+/// `TcpStream`, a worker's, std's `read_to_end` reads into the spare
+/// capacity without filling it first; from a reader that implements only
+/// `read`, the event loop's `DontWait`, it zero-fills each stretch before
+/// reading into it, in 8, 16, 32 KiB… steps.
 ///
 /// The reader keeps its place between calls to [`ResponseReader::resume`],
 /// so a response may arrive over any number of them — that is how the
