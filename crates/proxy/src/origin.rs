@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// One origin document.
 #[derive(Debug, Clone)]
@@ -119,23 +119,24 @@ impl OriginServer {
             let stats = Arc::clone(&stats);
             let shutdown = Arc::clone(&shutdown);
             std::thread::spawn(move || {
-                // Every connection still being served: a second handle to
-                // its socket and the thread serving it.
-                let mut live: Vec<(TcpStream, std::thread::JoinHandle<()>)> = Vec::new();
+                // Every connection still being served: a weak handle to its
+                // socket and the thread serving it. The thread holds the
+                // one strong handle, so a connection it is done with closes
+                // then, not when the list is next pruned.
+                let mut live: Vec<(Weak<TcpStream>, std::thread::JoinHandle<()>)> = Vec::new();
                 for conn in listener.incoming() {
                     if shutdown.load(Ordering::SeqCst) {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    let Ok(handle) = stream.try_clone() else {
-                        continue;
-                    };
+                    let stream = Arc::new(stream);
                     stats.connections.fetch_add(1, Ordering::Relaxed);
                     live.retain(|(_, thread)| !thread.is_finished());
+                    let handle = Arc::downgrade(&stream);
                     let store = Arc::clone(&store);
                     let stats = Arc::clone(&stats);
                     let thread = std::thread::spawn(move || {
-                        let _ = serve_connection(stream, &store, &stats);
+                        let _ = serve_connection(&stream, &store, &stats);
                     });
                     live.push((handle, thread));
                 }
@@ -144,7 +145,9 @@ impl OriginServer {
                 // failure on its next fetch, not a server that outlived
                 // its owner.
                 for (stream, thread) in live {
-                    let _ = stream.shutdown(Shutdown::Both);
+                    if let Some(stream) = stream.upgrade() {
+                        let _ = stream.shutdown(Shutdown::Both);
+                    }
                     let _ = thread.join();
                 }
             })
@@ -211,7 +214,7 @@ fn lookup(store: &DocStore, target: &str) -> Option<(String, Doc)> {
 /// Serve one connection: a single request, or — for a client that asks
 /// with `Connection: keep-alive` — requests until it closes or errs.
 fn serve_connection(
-    stream: TcpStream,
+    stream: &TcpStream,
     store: &DocStore,
     stats: &OriginStats,
 ) -> Result<(), http::HttpError> {

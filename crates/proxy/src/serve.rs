@@ -555,17 +555,21 @@ pub(crate) fn install(
 }
 
 /// Journal an insertion of `copy` under `r` and the evictions that made
-/// room for it.
+/// room for it. A shard without a journal builds no record: the insert's
+/// URL `String` and body reference would only be dropped.
 fn log_insert(
     ext: &mut ShardExt,
     evicted: Vec<DocMeta>,
     r: &webcache_trace::Request,
     copy: &Resident,
 ) {
+    let Some(journal) = ext.journal.as_deref_mut() else {
+        return;
+    };
     for m in evicted {
-        ext.log_op(JournalOp::Evict { old_id: m.url.0 });
+        journal.log(JournalOp::Evict { old_id: m.url.0 });
     }
-    ext.log_op(JournalOp::Insert {
+    journal.log(JournalOp::Insert {
         old_id: r.url.0,
         url: copy.url.to_string(),
         now: r.time,
