@@ -11,7 +11,7 @@
 //!
 //! When the origin misbehaves the proxy degrades instead of failing:
 //! every origin fetch (one exchange on a pooled persistent origin
-//! connection, [`crate::upstream`]) runs under connect/read timeouts,
+//! connection, `upstream`) runs under connect/read timeouts,
 //! failed fetches are retried with exponential backoff and deterministic
 //! jitter, a per-origin circuit breaker fast-fails while an origin is
 //! known bad (closed → open → half-open), and a stale cached copy is

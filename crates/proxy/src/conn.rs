@@ -172,9 +172,8 @@ impl Conn {
         }
         loop {
             match self.stream.read(buf) {
-                // EOF before a complete request: malformed, as the
-                // blocking `http::read_request` has it, so 400 (usually
-                // into a closed socket; the write simply fails).
+                // EOF before a complete request: 400 (usually into a
+                // closed socket; the write simply fails).
                 Ok(0) => return Event::Reject(400),
                 Ok(n) => match self.parser.feed_complete(&buf[..n]) {
                     Ok(true) => {

@@ -1,15 +1,22 @@
 //! A minimal HTTP/1.0 message layer: exactly what a 1996 CERN-style proxy
 //! needed — `GET`/conditional-`GET` requests, status-line responses, and
-//! `Content-Length` body framing. No chunked encoding, no TLS. The
-//! readers and writers here handle one message and know nothing about
-//! connection reuse; the proxy's persistent origin connections
-//! (`Connection: keep-alive`, see [`crate::upstream`]) are built on top,
-//! with [`read_response`] / [`write_request`] kept as the blocking oracle
-//! the upstream reader is tested against.
+//! `Content-Length` body framing. No chunked encoding, no TLS.
+//!
+//! **One parser per direction.** A request head is parsed by
+//! [`RequestParser`], a response by [`ResponseReader`]. Each keeps its
+//! place between reads, so the event loop feeds it whatever a socket it
+//! must not wait on yields. The blocking readers drive the same two:
+//! [`read_request_from`] feeds a `RequestParser` a line at a time and
+//! leaves whatever follows the head in the caller's buffer, and
+//! [`read_response`] is [`ResponseReader::read`] plus the header map a
+//! [`Response`] carries. The grammar and its bounds ([`MAX_LINE`],
+//! [`MAX_HEADERS`], [`MAX_BODY`]) live in this module alone; the proxy's
+//! persistent origin connections (`Connection: keep-alive`) are built on
+//! top of it.
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, IoSlice, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
 
 /// Upper bound accepted for `Content-Length`, so a corrupt or hostile
 /// peer cannot make the reader allocate unbounded memory.
@@ -185,17 +192,40 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Read one line of at most [`MAX_LINE`] bytes. A longer line is rejected
-/// as malformed instead of buffering without bound.
-fn read_line_bounded<R: BufRead>(reader: &mut R) -> Result<String, HttpError> {
-    let mut line = String::new();
-    reader.by_ref().take(MAX_LINE as u64).read_line(&mut line)?;
-    if line.len() >= MAX_LINE && !line.ends_with('\n') {
-        return Err(HttpError::Malformed(format!(
-            "line exceeds the {MAX_LINE}-byte limit"
-        )));
+// The error constructors are cold: kept out of line, they leave the
+// parsers' per-line loops as tight as the hit path needs.
+#[cold]
+fn malformed(what: impl Into<String>) -> HttpError {
+    HttpError::Malformed(what.into())
+}
+
+#[cold]
+fn unexpected_eof(what: &str) -> HttpError {
+    HttpError::Io(std::io::Error::new(ErrorKind::UnexpectedEof, what))
+}
+
+#[cold]
+fn line_too_long() -> HttpError {
+    malformed(format!("line exceeds the {MAX_LINE}-byte limit"))
+}
+
+/// A head's line after its first, given the `count` header lines before
+/// it: `None` for the blank line that ends the head, otherwise the
+/// header's name and value, trimmed. Header *lines* are counted, so a
+/// peer that repeats one name is refused like any other past
+/// [`MAX_HEADERS`].
+fn header_line(line: &str, count: usize) -> Result<Option<(&str, &str)>, HttpError> {
+    let line = line.trim_end();
+    if line.is_empty() {
+        return Ok(None);
     }
-    Ok(line)
+    if count >= MAX_HEADERS {
+        return Err(malformed(format!("more than {MAX_HEADERS} headers")));
+    }
+    let (name, value) = line
+        .split_once(':')
+        .ok_or_else(|| malformed(format!("bad header {line:?}")))?;
+    Ok(Some((name.trim(), value.trim())))
 }
 
 /// Read one request from a stream (any `Read` — a socket or a test
@@ -204,29 +234,32 @@ pub fn read_request<S: Read>(stream: &mut S) -> Result<Request, HttpError> {
     read_request_from(&mut BufReader::new(stream))
 }
 
-/// [`read_request`] over a caller-owned buffered reader, so a server that
-/// keeps a connection open reads successive requests through one buffer.
+/// [`read_request`] over a caller-owned buffered reader: a
+/// [`RequestParser`] fed from `fill_buf` one line per call — up to and
+/// including the next `\n`, or all the buffer holds if it has none — and
+/// `consume`d by exactly what it was fed. Whatever follows the head stays
+/// in `reader`, so a server that keeps a connection open reads successive
+/// requests through one buffer. A stream that ends inside the head is an
+/// [`HttpError::Io`] of kind `UnexpectedEof`.
 pub fn read_request_from<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
-    let line = read_line_bounded(reader)?;
-    let mut parts = line.split_ascii_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty request line".into()))?
-        .to_string();
-    let target = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("missing target".into()))?
-        .to_string();
-    let version = parts.next().unwrap_or("HTTP/1.0");
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Malformed(format!("bad version {version:?}")));
+    let mut parser = RequestParser::new();
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok([]) => return Err(unexpected_eof("stream ended inside the request head")),
+            Ok(buf) => buf,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let n = buf
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(buf.len(), |nl| nl + 1);
+        let complete = parser.feed_complete(&buf[..n]);
+        reader.consume(n);
+        if complete? {
+            return Ok(parser.take_request());
+        }
     }
-    let headers = read_headers(reader)?;
-    Ok(Request {
-        method,
-        target,
-        headers,
-    })
 }
 
 /// Write a request to a stream.
@@ -240,39 +273,18 @@ pub fn write_request<S: Write>(stream: &mut S, req: &Request) -> Result<(), Http
     Ok(())
 }
 
-/// Read a response (headers + `Content-Length` body) from a stream.
+/// Read a response (head + `Content-Length` body) from a stream:
+/// [`ResponseReader::read`] plus the header map, names lower-cased, a
+/// repeated name keeping its last value.
 pub fn read_response<S: Read>(stream: &mut S) -> Result<Response, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let line = read_line_bounded(&mut reader)?;
-    let mut parts = line.split_ascii_whitespace();
-    let version = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty status line".into()))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Malformed(format!("bad version {version:?}")));
-    }
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| HttpError::Malformed("bad status".into()))?;
-    let headers = read_headers(&mut reader)?;
-    let len: u64 = match headers.get("content-length") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))?,
-        None => 0,
-    };
-    if len > MAX_BODY {
-        return Err(HttpError::Malformed(format!(
-            "content-length {len} exceeds the {MAX_BODY}-byte limit"
-        )));
-    }
-    let mut body = vec![0u8; len as usize];
-    reader.read_exact(&mut body)?;
+    let mut headers = BTreeMap::new();
+    let (head, body) = ResponseReader::new().read_with(stream, |name, value| {
+        headers.insert(name.to_ascii_lowercase(), value.to_string());
+    })?;
     Ok(Response {
-        status,
+        status: head.status,
         headers,
-        body: Bytes::from(body),
+        body,
     })
 }
 
@@ -392,17 +404,17 @@ fn write_all_two<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> std::io::Resu
     Ok(())
 }
 
-/// Incremental, resumable HTTP/1.0 request parser for non-blocking
-/// readers: the reactor feeds it whatever bytes each readiness event
-/// yields (possibly one at a time), and it either produces the parsed
-/// [`Request`], asks for more bytes, or rejects the stream.
+/// Incremental, resumable HTTP/1.0 request parser, the only one: the
+/// reactor feeds it whatever bytes each readiness event yields (possibly
+/// one at a time), [`read_request_from`] a line at a time, and it either
+/// produces the parsed [`Request`], asks for more bytes, or rejects the
+/// stream.
 ///
-/// Parsing semantics are exactly [`read_request`]'s — same accepted
-/// grammar, same [`MAX_LINE`] / [`MAX_HEADERS`] bounds — but the bounds
-/// are enforced *mid-stream*: an attacker dribbling an endless header
-/// line is rejected as soon as the line passes the limit, long before a
-/// terminator arrives, so a hostile peer can neither buffer unbounded
-/// memory nor park a connection in a huge parse state.
+/// The [`MAX_LINE`] / [`MAX_HEADERS`] bounds are enforced *mid-stream*:
+/// an attacker dribbling an endless header line is rejected as soon as
+/// the line passes the limit, long before a terminator arrives, so a
+/// hostile peer can neither buffer unbounded memory nor park a connection
+/// in a huge parse state.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     /// Bytes of the current, not-yet-terminated line.
@@ -411,6 +423,8 @@ pub struct RequestParser {
     method: String,
     target: String,
     headers: BTreeMap<String, String>,
+    /// Header lines parsed so far; a repeated name counts each time.
+    header_lines: usize,
     /// Total bytes fed so far (diagnostics; lets callers distinguish an
     /// idle connection from one mid-request).
     fed: usize,
@@ -436,10 +450,9 @@ impl RequestParser {
     }
 
     /// Consume `bytes`. Returns `Ok(Some(request))` once the final
-    /// header terminator has been seen (further bytes are ignored, as
-    /// the blocking path ignores pipelined bytes), `Ok(None)` when more
-    /// input is needed, or the same [`HttpError::Malformed`] the
-    /// blocking reader would produce.
+    /// header terminator has been seen (further bytes in the same call
+    /// are ignored), `Ok(None)` when more input is needed, or
+    /// [`HttpError::Malformed`].
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Option<Request>, HttpError> {
         if self.feed_complete(bytes)? {
             return Ok(Some(self.take_request()));
@@ -464,12 +477,10 @@ impl RequestParser {
             match rest.iter().position(|&b| b == b'\n') {
                 None => {
                     self.line.extend_from_slice(rest);
-                    // Same bound as read_line_bounded: a line of MAX_LINE
-                    // bytes none of which is the terminator is malformed.
+                    // A line of MAX_LINE bytes none of which is the
+                    // terminator is malformed, as in ResponseReader.
                     if self.line.len() >= MAX_LINE {
-                        return Err(HttpError::Malformed(format!(
-                            "line exceeds the {MAX_LINE}-byte limit"
-                        )));
+                        return Err(line_too_long());
                     }
                     rest = &[];
                 }
@@ -477,9 +488,7 @@ impl RequestParser {
                     self.line.extend_from_slice(&rest[..=nl]);
                     rest = &rest[nl + 1..];
                     if self.line.len() > MAX_LINE {
-                        return Err(HttpError::Malformed(format!(
-                            "line exceeds the {MAX_LINE}-byte limit"
-                        )));
+                        return Err(line_too_long());
                     }
                     // Lend the line buffer out for the borrow, then put
                     // it back cleared so its capacity is reused for the
@@ -497,20 +506,17 @@ impl RequestParser {
 
     /// Process one complete line (terminator included).
     fn consume_line(&mut self, raw: &[u8]) -> Result<(), HttpError> {
-        // The blocking reader goes through String (read_line); mirror its
-        // lossy-free behaviour: HTTP/1.0 here is ASCII, and invalid UTF-8
-        // cannot match any accepted grammar, so reject it as malformed.
-        let line = std::str::from_utf8(raw)
-            .map_err(|_| HttpError::Malformed("non-UTF-8 bytes in request head".into()))?;
+        // HTTP/1.0 here is ASCII, and invalid UTF-8 cannot match any
+        // accepted grammar, so reject it as malformed.
+        let line =
+            std::str::from_utf8(raw).map_err(|_| malformed("non-UTF-8 bytes in request head"))?;
         match self.state {
             ParseState::RequestLine => {
                 let mut parts = line.split_ascii_whitespace();
                 let method = parts
                     .next()
-                    .ok_or_else(|| HttpError::Malformed("empty request line".into()))?;
-                let target = parts
-                    .next()
-                    .ok_or_else(|| HttpError::Malformed("missing target".into()))?;
+                    .ok_or_else(|| malformed("empty request line"))?;
+                let target = parts.next().ok_or_else(|| malformed("missing target"))?;
                 // push_str into the retained Strings: a pooled parser
                 // re-parses typical request lines with no allocation.
                 self.method.clear();
@@ -519,26 +525,18 @@ impl RequestParser {
                 self.target.push_str(target);
                 let version = parts.next().unwrap_or("HTTP/1.0");
                 if !version.starts_with("HTTP/1.") {
-                    return Err(HttpError::Malformed(format!("bad version {version:?}")));
+                    return Err(malformed(format!("bad version {version:?}")));
                 }
                 self.state = ParseState::Headers;
             }
             ParseState::Headers => {
-                let line = line.trim_end();
-                if line.is_empty() {
+                let Some((name, value)) = header_line(line, self.header_lines)? else {
                     self.state = ParseState::Done;
                     return Ok(());
-                }
-                if self.headers.len() >= MAX_HEADERS {
-                    return Err(HttpError::Malformed(format!(
-                        "more than {MAX_HEADERS} headers"
-                    )));
-                }
-                let (name, value) = line
-                    .split_once(':')
-                    .ok_or_else(|| HttpError::Malformed(format!("bad header {line:?}")))?;
+                };
+                self.header_lines += 1;
                 self.headers
-                    .insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+                    .insert(name.to_ascii_lowercase(), value.to_string());
             }
             ParseState::Done => {}
         }
@@ -587,28 +585,255 @@ impl RequestParser {
         self.method.clear();
         self.target.clear();
         self.headers.clear();
+        self.header_lines = 0;
         self.fed = 0;
     }
 }
 
-fn read_headers<R: BufRead>(reader: &mut R) -> Result<BTreeMap<String, String>, HttpError> {
-    let mut headers = BTreeMap::new();
-    loop {
-        let line = read_line_bounded(reader)?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            return Ok(headers);
+/// What the proxy needs from a response head, parsed in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ResponseHead {
+    /// Status code.
+    pub status: u16,
+    /// `Content-Length`; zero when the header is absent.
+    pub content_length: u64,
+    /// `Last-Modified`, if present and valid.
+    pub last_modified: Option<u64>,
+    /// The connection may carry another request: the peer answered
+    /// `Connection: keep-alive`, delimited the body with a
+    /// `Content-Length`, and sent nothing beyond it.
+    pub keep_alive: bool,
+}
+
+/// A reusable, resumable response reader, the only one: one fixed buffer,
+/// kept across responses, through which the head is read and parsed line
+/// by line without a `String` or a header map. The body is read into a
+/// `Vec` sized from the (bounded) `Content-Length`, in place. From a
+/// `TcpStream`, a worker's, std's `read_to_end` reads into the spare
+/// capacity without filling it first; from a reader that implements only
+/// `read`, the event loop's `DontWait`, it zero-fills each stretch before
+/// reading into it, in 8, 16, 32 KiB… steps.
+///
+/// The reader keeps its place between calls to [`ResponseReader::resume`],
+/// so a response may arrive over any number of them — that is how the
+/// event loop reads from a socket it must not wait on.
+/// [`ResponseReader::read`] is the blocking loop over the same steps,
+/// and [`read_response`] that loop with a header map.
+#[derive(Debug)]
+pub struct ResponseReader {
+    /// Room for an unfinished line of up to [`MAX_LINE`] bytes plus a
+    /// read of at least as much again.
+    buf: Box<[u8]>,
+    /// Where the response in progress stands.
+    at: Place,
+}
+
+/// A [`ResponseReader`]'s place in one response; the default is the
+/// start of the next.
+#[derive(Debug, Default)]
+struct Place {
+    /// `buf[start..end]` holds bytes read but not yet parsed.
+    start: usize,
+    /// `buf[start..scan]` is known to hold no line break, so a head that
+    /// arrives a byte at a time is not rescanned on every read.
+    scan: usize,
+    end: usize,
+    /// Lines parsed so far, the status line included.
+    lines: usize,
+    head: ResponseHead,
+    /// The last `content-length` seen, `Some(None)` if unparseable.
+    length: Option<Option<u64>>,
+    /// The last `connection` header seen said `keep-alive`.
+    keep_alive_asked: bool,
+    /// The body received so far, once the head is complete; its capacity
+    /// is the `Content-Length`.
+    body: Option<Vec<u8>>,
+}
+
+impl Default for ResponseReader {
+    fn default() -> Self {
+        ResponseReader::new()
+    }
+}
+
+impl ResponseReader {
+    /// A reader with its buffer allocated.
+    pub fn new() -> ResponseReader {
+        ResponseReader {
+            buf: vec![0u8; 2 * MAX_LINE].into_boxed_slice(),
+            at: Place::default(),
         }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::Malformed(format!(
-                "more than {MAX_HEADERS} headers"
+    }
+
+    /// Forget the response in progress, if any; the buffer is kept.
+    pub fn reset(&mut self) {
+        self.at = Place::default();
+    }
+
+    /// Read one response — head, then exactly `Content-Length` body bytes
+    /// — from `stream`, blocking as `stream` blocks. A stream that ends
+    /// early, in the head or in the body, is an [`HttpError::Io`] of kind
+    /// `UnexpectedEof`; a body is never returned short. Nothing is
+    /// allocated for the body until its length has passed the
+    /// [`MAX_BODY`] check.
+    pub fn read<S: Read>(&mut self, stream: &mut S) -> Result<(ResponseHead, Bytes), HttpError> {
+        self.read_with(stream, |_, _| {})
+    }
+
+    /// [`ResponseReader::read`], handing each header's trimmed name and
+    /// value to `on_header` as its line is parsed.
+    fn read_with<S: Read>(
+        &mut self,
+        stream: &mut S,
+        mut on_header: impl FnMut(&str, &str),
+    ) -> Result<(ResponseHead, Bytes), HttpError> {
+        self.reset();
+        loop {
+            if let Some(response) = self.resume_with(stream, usize::MAX, &mut on_header)? {
+                return Ok(response);
+            }
+        }
+    }
+
+    /// Take the response in progress further with what `stream` yields
+    /// now. `Ok(Some(..))` is the complete response (the reader is then
+    /// ready for [`ResponseReader::reset`]); `Ok(None)` means `budget`
+    /// body bytes were taken in this call and more are due — the event
+    /// loop's bound on one connection's turn. Every byte received stays
+    /// in place when `stream` returns an error, so after `WouldBlock` from
+    /// a socket that is not to be waited on, the next call picks up where
+    /// this one stopped. Errors and bounds are those of
+    /// [`ResponseReader::read`]; after any other error the reader must be
+    /// reset.
+    pub fn resume<S: Read>(
+        &mut self,
+        stream: &mut S,
+        budget: usize,
+    ) -> Result<Option<(ResponseHead, Bytes)>, HttpError> {
+        self.resume_with(stream, budget, &mut |_, _| {})
+    }
+
+    fn resume_with<S: Read>(
+        &mut self,
+        stream: &mut S,
+        budget: usize,
+        on_header: &mut impl FnMut(&str, &str),
+    ) -> Result<Option<(ResponseHead, Bytes)>, HttpError> {
+        if self.at.body.is_none() {
+            self.resume_head(stream, on_header)?;
+        }
+        let len = self.at.head.content_length as usize;
+        let body = self.at.body.as_mut().expect("resume_head returned Ok");
+        let want = (len - body.len()).min(budget);
+        if want > 0 {
+            // `read_to_end` fills the spare capacity in place, and the
+            // limit keeps it from reading (or growing) past the body.
+            // What it read before an error stays in `body`.
+            let got = stream.by_ref().take(want as u64).read_to_end(body)?;
+            if got < want {
+                return Err(unexpected_eof("body shorter than its content-length"));
+            }
+        }
+        if body.len() < len {
+            return Ok(None);
+        }
+        let body = self.at.body.take().expect("checked above");
+        Ok(Some((self.at.head, Bytes::from(body))))
+    }
+
+    /// Read and parse head lines until the blank line, then check the
+    /// length and set `body` to the bytes that arrived with the head.
+    fn resume_head<S: Read>(
+        &mut self,
+        stream: &mut S,
+        on_header: &mut impl FnMut(&str, &str),
+    ) -> Result<(), HttpError> {
+        let buf = &mut self.buf[..];
+        let Place {
+            start,
+            scan,
+            end,
+            lines,
+            head,
+            length,
+            keep_alive_asked,
+            body,
+        } = &mut self.at;
+        'head: loop {
+            while let Some(nl) = buf[*scan..*end].iter().position(|&b| b == b'\n') {
+                let line = &buf[*start..=*scan + nl];
+                *start = *scan + nl + 1;
+                *scan = *start;
+                if line.len() > MAX_LINE {
+                    return Err(line_too_long());
+                }
+                let line = std::str::from_utf8(line)
+                    .map_err(|_| malformed("non-UTF-8 bytes in response head"))?;
+                if *lines == 0 {
+                    head.status = parse_status_line(line)?;
+                } else {
+                    let Some((name, value)) = header_line(line, *lines - 1)? else {
+                        break 'head;
+                    };
+                    on_header(name, value);
+                    // A repeated header replaces the earlier one, as in
+                    // a header map.
+                    if name.eq_ignore_ascii_case("content-length") {
+                        *length = Some(value.parse().ok());
+                    } else if name.eq_ignore_ascii_case("last-modified") {
+                        head.last_modified = value.parse().ok();
+                    } else if name.eq_ignore_ascii_case("connection") {
+                        *keep_alive_asked = value.eq_ignore_ascii_case("keep-alive");
+                    }
+                }
+                *lines += 1;
+            }
+            if *end - *start >= MAX_LINE {
+                return Err(line_too_long());
+            }
+            // Move the unfinished line to the front: at least MAX_LINE
+            // bytes of room follow it.
+            buf.copy_within(*start..*end, 0);
+            *end -= *start;
+            (*start, *scan) = (0, *end);
+            match stream.read(&mut buf[*end..]) {
+                Ok(0) => return Err(unexpected_eof("stream ended inside the response head")),
+                Ok(n) => *end += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        head.content_length = match *length {
+            Some(parsed) => parsed.ok_or_else(|| malformed("bad content-length"))?,
+            None => 0,
+        };
+        if head.content_length > MAX_BODY {
+            return Err(malformed(format!(
+                "content-length {} exceeds the {MAX_BODY}-byte limit",
+                head.content_length
             )));
         }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("bad header {line:?}")))?;
-        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+        let len = usize::try_from(head.content_length)
+            .map_err(|_| malformed("content-length exceeds the address space"))?;
+        let read_ahead = &buf[*start..*end];
+        head.keep_alive = *keep_alive_asked && length.is_some() && read_ahead.len() <= len;
+        let mut received = Vec::with_capacity(len);
+        received.extend_from_slice(&read_ahead[..read_ahead.len().min(len)]);
+        *body = Some(received);
+        Ok(())
     }
+}
+
+fn parse_status_line(line: &str) -> Result<u16, HttpError> {
+    let mut parts = line.split_ascii_whitespace();
+    let version = parts.next().ok_or_else(|| malformed("empty status line"))?;
+    if !version.starts_with("HTTP/1.") {
+        return Err(malformed(format!("bad version {version:?}")));
+    }
+    parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| malformed("bad status"))
 }
 
 /// Deterministic document body of a given size for a URL: the origin
@@ -761,24 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_matches_blocking_reader_byte_by_byte() {
-        let req = Request::get("http://server0.x.edu/doc1.html")
-            .with_header("If-Modified-Since", "12345")
-            .with_header("X-Forwarded-For", " 10.0.0.1 ");
-        let mut wire = Vec::new();
-        write_request(&mut wire, &req).unwrap();
-        let blocking = read_request(&mut wire.as_slice()).unwrap();
-        for chunk in [1, 2, 3, 7, wire.len()] {
-            let inc = feed_chunked(&wire, chunk)
-                .unwrap()
-                .unwrap_or_else(|| panic!("parser incomplete at chunk size {chunk}"));
-            assert_eq!(inc.method, blocking.method);
-            assert_eq!(inc.target, blocking.target);
-            assert_eq!(inc.headers, blocking.headers, "chunk size {chunk}");
-        }
-    }
-
-    #[test]
     fn incremental_parser_is_resumable_across_header_fragments() {
         // Header name and value split across readiness events, including
         // mid-CRLF.
@@ -851,8 +1058,7 @@ mod tests {
             p.feed(b"one-too-many: v\r\n"),
             Err(HttpError::Malformed(_))
         ));
-        // A request line exactly at the limit (incl. newline) parses, as
-        // in the blocking reader.
+        // A request line exactly at the limit (incl. newline) parses.
         let target_len = MAX_LINE - "GET  HTTP/1.0\r\n".len();
         let exact = format!("GET {} HTTP/1.0\r\n\r\n", "b".repeat(target_len));
         let req = feed_chunked(exact.as_bytes(), 1)
@@ -966,6 +1172,80 @@ mod tests {
         assert_eq!(p.bytes_fed(), 0);
         let req2 = p.feed(b"GET http://o.test/b HTTP/1.0\r\n\r\n").unwrap();
         assert_eq!(req2.unwrap().target, "http://o.test/b");
+    }
+
+    #[test]
+    fn reader_splits_head_from_body_wherever_reads_land() {
+        let body = synthetic_body("http://s/x", 5000);
+        let mut wire = b"HTTP/1.0 200 OK\r\nContent-Length: 5000\r\nlast-modified: 7\r\n\
+                         Connection: Keep-Alive\r\n\r\n"
+            .to_vec();
+        wire.extend_from_slice(&body);
+        /// Hands out at most `chunk` bytes per read.
+        struct Dribble<'a>(&'a [u8], usize);
+        impl Read for Dribble<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.1.min(out.len()).min(self.0.len());
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let mut reader = ResponseReader::new();
+        for chunk in [1, 2, 7, 64, 4096, wire.len()] {
+            let (head, got) = reader.read(&mut Dribble(&wire, chunk)).unwrap();
+            assert_eq!(
+                head,
+                ResponseHead {
+                    status: 200,
+                    content_length: 5000,
+                    last_modified: Some(7),
+                    keep_alive: true,
+                },
+                "chunk {chunk}"
+            );
+            assert_eq!(got, body, "chunk {chunk}");
+        }
+        // Bytes beyond the body: the response stands, the connection is
+        // not reused.
+        wire.extend_from_slice(b"surplus");
+        let (head, got) = reader.read(&mut wire.as_slice()).unwrap();
+        assert!(!head.keep_alive);
+        assert_eq!(got, body);
+    }
+
+    #[test]
+    fn early_end_of_stream_is_an_io_error_never_a_short_message() {
+        let wire = b"HTTP/1.0 200 OK\r\ncontent-length: 10\r\n\r\n0123456789";
+        let mut reader = ResponseReader::new();
+        for cut in 0..wire.len() {
+            match reader.read(&mut &wire[..cut]) {
+                Err(HttpError::Io(e)) => assert_eq!(e.kind(), ErrorKind::UnexpectedEof),
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
+        assert!(reader.read(&mut &wire[..]).is_ok());
+    }
+
+    #[test]
+    fn keep_alive_needs_the_header_and_a_length() {
+        let mut reader = ResponseReader::new();
+        for (wire, keep) in [
+            (
+                &b"HTTP/1.0 304 Not Modified\r\ncontent-length: 0\r\nconnection: keep-alive\r\n\r\n"[..],
+                true,
+            ),
+            (b"HTTP/1.0 200 OK\r\nconnection: keep-alive\r\n\r\n", false),
+            (b"HTTP/1.0 200 OK\r\ncontent-length: 0\r\n\r\n", false),
+            (
+                b"HTTP/1.0 200 OK\r\ncontent-length: 0\r\nconnection: close\r\n\r\n",
+                false,
+            ),
+        ] {
+            let (head, body) = reader.read(&mut &wire[..]).unwrap();
+            assert_eq!(head.keep_alive, keep, "{}", String::from_utf8_lossy(wire));
+            assert!(body.is_empty());
+        }
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! in the network itself through so-called proxy servers").
 //!
 //! * [`http`] — the minimal HTTP/1.0 message layer (GET, conditional GET,
-//!   `Content-Length` framing) over `std::net`, with both a blocking
-//!   reader and an incremental [`http::RequestParser`] that consumes
-//!   bytes as they arrive.
+//!   `Content-Length` framing) over `std::net`, with one parser per
+//!   direction: the incremental [`http::RequestParser`] and the resumable
+//!   [`http::ResponseReader`], each consuming bytes as they arrive. The
+//!   blocking [`http::read_request`] and [`http::read_response`] run
+//!   on the same two, not on a second grammar.
 //! * [`origin`] — an origin Web server over a mutable document store,
 //!   answering conditional GETs with `304 Not Modified`.
 //! * [`cache_proxy`] — the proxy: serves fresh copies from cache,
@@ -18,12 +20,11 @@
 //!   breaker, and serve-stale-on-error. One serving engine fronts it:
 //!   an epoll event loop owning every client socket non-blocking, so
 //!   workers only ever see complete requests and slow clients pin
-//!   buffers, not threads. (The module's own docs map the private
-//!   modules the proxy is split into.)
-//! * [`upstream`] — the proxy's connections to its origin: one
-//!   persistent (`Connection: keep-alive`) socket per worker, reused
-//!   from miss to miss, and the allocation-light
-//!   [`upstream::ResponseReader`] every fetch goes through.
+//!   buffers, not threads. Its origin connections (the private
+//!   `upstream`) are one pool of persistent (`Connection: keep-alive`)
+//!   sockets shared by the workers and the event loop, every response on
+//!   them read by the same [`http::ResponseReader`]. (The module's own
+//!   docs map the private modules the proxy is split into.)
 //! * [`persist`] — crash-safe cache persistence: per-shard snapshots +
 //!   append-only journals with checksummed frames, giving a SIGKILLed
 //!   proxy a warm restart that recovers its working set (quarantining —
@@ -72,7 +73,7 @@ mod persister;
 mod reactor;
 mod serve;
 mod stats;
-pub mod upstream;
+mod upstream;
 #[doc(hidden)]
 pub mod url_table;
 

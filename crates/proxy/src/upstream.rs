@@ -1,7 +1,8 @@
-//! The proxy's side of the origin connection: persistent sockets, an
-//! allocation-light reader for the responses that arrive on them, and the
+//! The proxy's side of the origin connection: persistent sockets, and the
 //! two ways an exchange is driven — blocking on a worker, or from the
-//! event loop under `epoll`.
+//! event loop under `epoll`. Connections only: the responses that arrive
+//! on them are parsed by [`http::ResponseReader`], the one response
+//! parser.
 //!
 //! Every miss and every revalidation is one request/response exchange
 //! with the origin. Idle kept-alive sockets sit in one bounded
@@ -16,8 +17,9 @@
 //! its place between reads, so the same code serves a worker that blocks
 //! on the socket ([`Upstream::fetch`], [`ResponseReader::read`]) and the
 //! event loop, which feeds it whatever has arrived each time `epoll`
-//! reports the socket readable ([`InlineExchange`]). Only a worker ever
-//! opens a connection, sleeps, retries or consults a breaker; the loop
+//! reports the socket readable ([`InlineExchange`]). Neither builds a
+//! header map: the reader keeps only the [`ResponseHead`]. Only a worker
+//! ever opens a connection, sleeps, retries or consults a breaker; the loop
 //! runs an exchange only on a socket that is already open and idle, and
 //! never waits on it: it sends and receives with `MSG_DONTWAIT`
 //! ([`DontWait`]), so a pooled socket stays in blocking mode with its
@@ -40,265 +42,16 @@
 //! **Nagle.** Request and response each leave in a single write and the
 //! sockets set `TCP_NODELAY`: on a connection that stays open, a trailing
 //! partial segment would otherwise wait for the peer's delayed ACK.
-//!
-//! [`http::read_response`] and [`http::write_request`] remain the
-//! blocking oracle: the reader here accepts the same grammar and bounds
-//! (`tests/upstream_pool.rs` holds the two equal on generated heads,
-//! however the bytes are split across reads) and differs only where it is
-//! stricter — end of stream inside the head is an error, never an
-//! implicit end of headers, and [`http::MAX_HEADERS`] counts header lines
-//! rather than distinct names.
 
 use crate::config::ProxyConfig;
-use crate::http::{self, HttpError, Response, MAX_BODY, MAX_HEADERS, MAX_LINE};
+use crate::http::{self, HttpError, Response, ResponseHead, ResponseReader};
 use crate::reactor::DontWait;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// What the proxy needs from a response head, parsed in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResponseHead {
-    /// Status code.
-    pub status: u16,
-    /// `Content-Length`; zero when the header is absent.
-    pub content_length: u64,
-    /// `Last-Modified`, if present and valid.
-    pub last_modified: Option<u64>,
-    /// The connection may carry another request: the peer answered
-    /// `Connection: keep-alive`, delimited the body with a
-    /// `Content-Length`, and sent nothing beyond it.
-    pub keep_alive: bool,
-}
-
-fn malformed(what: impl Into<String>) -> HttpError {
-    HttpError::Malformed(what.into())
-}
-
-fn unexpected_eof(what: &str) -> HttpError {
-    HttpError::Io(std::io::Error::new(ErrorKind::UnexpectedEof, what))
-}
-
-/// A reusable, resumable response reader: one fixed buffer, kept across
-/// responses, through which the head is read and parsed line by line
-/// without a `String` or a header map. The body is read into a `Vec`
-/// sized from the (bounded) `Content-Length`, in place. From a
-/// `TcpStream`, a worker's, std's `read_to_end` reads into the spare
-/// capacity without filling it first; from a reader that implements only
-/// `read`, the event loop's `DontWait`, it zero-fills each stretch before
-/// reading into it, in 8, 16, 32 KiB… steps.
-///
-/// The reader keeps its place between calls to [`ResponseReader::resume`],
-/// so a response may arrive over any number of them — that is how the
-/// event loop reads from a socket it must not wait on.
-/// [`ResponseReader::read`] is the blocking driver over the same steps.
-#[derive(Debug)]
-pub struct ResponseReader {
-    /// Room for an unfinished line of up to [`MAX_LINE`] bytes plus a
-    /// read of at least as much again.
-    buf: Box<[u8]>,
-    /// Where the response in progress stands.
-    at: Place,
-}
-
-/// A [`ResponseReader`]'s place in one response; the default is the
-/// start of the next.
-#[derive(Debug, Default)]
-struct Place {
-    /// `buf[start..end]` holds bytes read but not yet parsed.
-    start: usize,
-    /// `buf[start..scan]` is known to hold no line break, so a head that
-    /// arrives a byte at a time is not rescanned on every read.
-    scan: usize,
-    end: usize,
-    /// Lines parsed so far, the status line included.
-    lines: usize,
-    head: ResponseHead,
-    /// The last `content-length` seen, `Some(None)` if unparseable.
-    length: Option<Option<u64>>,
-    /// The last `connection` header seen said `keep-alive`.
-    keep_alive_asked: bool,
-    /// The body received so far, once the head is complete; its capacity
-    /// is the `Content-Length`.
-    body: Option<Vec<u8>>,
-}
-
-impl Default for ResponseReader {
-    fn default() -> Self {
-        ResponseReader::new()
-    }
-}
-
-impl ResponseReader {
-    /// A reader with its buffer allocated.
-    pub fn new() -> ResponseReader {
-        ResponseReader {
-            buf: vec![0u8; 2 * MAX_LINE].into_boxed_slice(),
-            at: Place::default(),
-        }
-    }
-
-    /// Forget the response in progress, if any; the buffer is kept.
-    pub fn reset(&mut self) {
-        self.at = Place::default();
-    }
-
-    /// Read one response — head, then exactly `Content-Length` body bytes
-    /// — from `stream`, blocking as `stream` blocks. A stream that ends
-    /// early, in the head or in the body, is an [`HttpError::Io`] of kind
-    /// `UnexpectedEof`; a body is never returned short. Nothing is
-    /// allocated for the body until its length has passed the
-    /// [`MAX_BODY`] check.
-    pub fn read<S: Read>(&mut self, stream: &mut S) -> Result<(ResponseHead, Bytes), HttpError> {
-        self.reset();
-        loop {
-            if let Some(response) = self.resume(stream, usize::MAX)? {
-                return Ok(response);
-            }
-        }
-    }
-
-    /// Take the response in progress further with what `stream` yields
-    /// now. `Ok(Some(..))` is the complete response (the reader is then
-    /// ready for [`ResponseReader::reset`]); `Ok(None)` means `budget`
-    /// body bytes were taken in this call and more are due — the event
-    /// loop's bound on one connection's turn. Every byte received stays
-    /// in place when `stream` returns an error, so after `WouldBlock` from
-    /// a socket that is not to be waited on, the next call picks up where
-    /// this one stopped. Errors and bounds are those of
-    /// [`ResponseReader::read`]; after any other error the reader must be
-    /// reset.
-    pub fn resume<S: Read>(
-        &mut self,
-        stream: &mut S,
-        budget: usize,
-    ) -> Result<Option<(ResponseHead, Bytes)>, HttpError> {
-        if self.at.body.is_none() {
-            self.resume_head(stream)?;
-        }
-        let len = self.at.head.content_length as usize;
-        let body = self.at.body.as_mut().expect("resume_head returned Ok");
-        let want = (len - body.len()).min(budget);
-        if want > 0 {
-            // `read_to_end` fills the spare capacity in place, and the
-            // limit keeps it from reading (or growing) past the body.
-            // What it read before an error stays in `body`.
-            let got = stream.by_ref().take(want as u64).read_to_end(body)?;
-            if got < want {
-                return Err(unexpected_eof("body shorter than its content-length"));
-            }
-        }
-        if body.len() < len {
-            return Ok(None);
-        }
-        let body = self.at.body.take().expect("checked above");
-        Ok(Some((self.at.head, Bytes::from(body))))
-    }
-
-    /// Read and parse head lines until the blank line, then check the
-    /// length and set `body` to the bytes that arrived with the head.
-    fn resume_head<S: Read>(&mut self, stream: &mut S) -> Result<(), HttpError> {
-        let buf = &mut self.buf[..];
-        let Place {
-            start,
-            scan,
-            end,
-            lines,
-            head,
-            length,
-            keep_alive_asked,
-            body,
-        } = &mut self.at;
-        'head: loop {
-            while let Some(nl) = buf[*scan..*end].iter().position(|&b| b == b'\n') {
-                let line = &buf[*start..=*scan + nl];
-                *start = *scan + nl + 1;
-                *scan = *start;
-                if line.len() > MAX_LINE {
-                    return Err(line_too_long());
-                }
-                let line = std::str::from_utf8(line)
-                    .map_err(|_| malformed("non-UTF-8 bytes in response head"))?;
-                if *lines == 0 {
-                    head.status = parse_status_line(line)?;
-                } else {
-                    let line = line.trim_end();
-                    if line.is_empty() {
-                        break 'head;
-                    }
-                    if *lines > MAX_HEADERS {
-                        return Err(malformed(format!("more than {MAX_HEADERS} headers")));
-                    }
-                    let (name, value) = line
-                        .split_once(':')
-                        .ok_or_else(|| malformed(format!("bad header {line:?}")))?;
-                    let (name, value) = (name.trim(), value.trim());
-                    // A repeated header replaces the earlier one, as in
-                    // the oracle's map.
-                    if name.eq_ignore_ascii_case("content-length") {
-                        *length = Some(value.parse().ok());
-                    } else if name.eq_ignore_ascii_case("last-modified") {
-                        head.last_modified = value.parse().ok();
-                    } else if name.eq_ignore_ascii_case("connection") {
-                        *keep_alive_asked = value.eq_ignore_ascii_case("keep-alive");
-                    }
-                }
-                *lines += 1;
-            }
-            if *end - *start >= MAX_LINE {
-                return Err(line_too_long());
-            }
-            // Move the unfinished line to the front: at least MAX_LINE
-            // bytes of room follow it.
-            buf.copy_within(*start..*end, 0);
-            *end -= *start;
-            (*start, *scan) = (0, *end);
-            match stream.read(&mut buf[*end..]) {
-                Ok(0) => return Err(unexpected_eof("stream ended inside the response head")),
-                Ok(n) => *end += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        head.content_length = match *length {
-            Some(parsed) => parsed.ok_or_else(|| malformed("bad content-length"))?,
-            None => 0,
-        };
-        if head.content_length > MAX_BODY {
-            return Err(malformed(format!(
-                "content-length {} exceeds the {MAX_BODY}-byte limit",
-                head.content_length
-            )));
-        }
-        let len = usize::try_from(head.content_length)
-            .map_err(|_| malformed("content-length exceeds the address space"))?;
-        let read_ahead = &buf[*start..*end];
-        head.keep_alive = *keep_alive_asked && length.is_some() && read_ahead.len() <= len;
-        let mut received = Vec::with_capacity(len);
-        received.extend_from_slice(&read_ahead[..read_ahead.len().min(len)]);
-        *body = Some(received);
-        Ok(())
-    }
-}
-
-fn line_too_long() -> HttpError {
-    malformed(format!("line exceeds the {MAX_LINE}-byte limit"))
-}
-
-fn parse_status_line(line: &str) -> Result<u16, HttpError> {
-    let mut parts = line.split_ascii_whitespace();
-    let version = parts.next().ok_or_else(|| malformed("empty status line"))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(malformed(format!("bad version {version:?}")));
-    }
-    parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| malformed("bad status"))
-}
 
 /// An origin's answer, reduced to what the cache uses.
 #[derive(Debug)]
@@ -568,80 +321,6 @@ mod tests {
             http::write_request(&mut oracle, &req).unwrap();
             encode_request(&mut buf, target, since);
             assert_eq!(buf, oracle, "if-modified-since {since:?}");
-        }
-    }
-
-    #[test]
-    fn reader_splits_head_from_body_wherever_reads_land() {
-        let body = http::synthetic_body("http://s/x", 5000);
-        let mut wire = b"HTTP/1.0 200 OK\r\nContent-Length: 5000\r\nlast-modified: 7\r\n\
-                         Connection: Keep-Alive\r\n\r\n"
-            .to_vec();
-        wire.extend_from_slice(&body);
-        /// Hands out at most `chunk` bytes per read.
-        struct Dribble<'a>(&'a [u8], usize);
-        impl Read for Dribble<'_> {
-            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-                let n = self.1.min(out.len()).min(self.0.len());
-                out[..n].copy_from_slice(&self.0[..n]);
-                self.0 = &self.0[n..];
-                Ok(n)
-            }
-        }
-        let mut reader = ResponseReader::new();
-        for chunk in [1, 2, 7, 64, 4096, wire.len()] {
-            let (head, got) = reader.read(&mut Dribble(&wire, chunk)).unwrap();
-            assert_eq!(
-                head,
-                ResponseHead {
-                    status: 200,
-                    content_length: 5000,
-                    last_modified: Some(7),
-                    keep_alive: true,
-                },
-                "chunk {chunk}"
-            );
-            assert_eq!(got, body, "chunk {chunk}");
-        }
-        // Bytes beyond the body: the response stands, the connection is
-        // not reused.
-        wire.extend_from_slice(b"surplus");
-        let (head, got) = reader.read(&mut wire.as_slice()).unwrap();
-        assert!(!head.keep_alive);
-        assert_eq!(got, body);
-    }
-
-    #[test]
-    fn early_end_of_stream_is_an_io_error_never_a_short_message() {
-        let wire = b"HTTP/1.0 200 OK\r\ncontent-length: 10\r\n\r\n0123456789";
-        let mut reader = ResponseReader::new();
-        for cut in 0..wire.len() {
-            match reader.read(&mut &wire[..cut]) {
-                Err(HttpError::Io(e)) => assert_eq!(e.kind(), ErrorKind::UnexpectedEof),
-                other => panic!("cut at {cut}: {other:?}"),
-            }
-        }
-        assert!(reader.read(&mut &wire[..]).is_ok());
-    }
-
-    #[test]
-    fn keep_alive_needs_the_header_and_a_length() {
-        let mut reader = ResponseReader::new();
-        for (wire, keep) in [
-            (
-                &b"HTTP/1.0 304 Not Modified\r\ncontent-length: 0\r\nconnection: keep-alive\r\n\r\n"[..],
-                true,
-            ),
-            (b"HTTP/1.0 200 OK\r\nconnection: keep-alive\r\n\r\n", false),
-            (b"HTTP/1.0 200 OK\r\ncontent-length: 0\r\n\r\n", false),
-            (
-                b"HTTP/1.0 200 OK\r\ncontent-length: 0\r\nconnection: close\r\n\r\n",
-                false,
-            ),
-        ] {
-            let (head, body) = reader.read(&mut &wire[..]).unwrap();
-            assert_eq!(head.keep_alive, keep, "{}", String::from_utf8_lossy(wire));
-            assert!(body.is_empty());
         }
     }
 }

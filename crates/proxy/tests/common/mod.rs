@@ -1,10 +1,13 @@
 //! What the tests that run the real `webcache-proxy` binary as a child
 //! process share: the child itself, a client that tells a hit from a
 //! miss, a self-cleaning scratch directory, and the paper's Undergrad
-//! workload with an origin that serves it.
+//! workload with an origin that serves it. Also the naive HTTP
+//! references the parser tests compare against ([`reference`]).
 
 // Each test file is its own crate and uses its own subset.
 #![allow(dead_code)]
+
+pub mod reference;
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -8,13 +8,21 @@
 //! * the bytes fed whole, split anywhere, or one at a time — through a
 //!   fresh parser or a pooled one that was `reset` — give the same
 //!   outcome: the same head, the same refusal, or still incomplete;
+//! * that outcome is the naive whole-buffer reference's
+//!   (`common::reference::request`);
 //! * a line of [`MAX_LINE`] bytes or more is refused as soon as it holds
-//!   `MAX_LINE` of them, before any terminator arrives.
+//!   `MAX_LINE` of them, before any terminator arrives;
+//! * a head is bounded by its header lines, not its distinct names: the
+//!   line past [`MAX_HEADERS`] is refused even when every line repeats
+//!   one name.
 
+mod common;
+
+use common::reference::{self, Refusal};
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
 use std::collections::BTreeMap;
-use webcache_proxy::http::{HttpError, RequestParser, MAX_LINE};
+use webcache_proxy::http::{HttpError, RequestParser, MAX_HEADERS, MAX_LINE};
 
 /// What feeding a parser some bytes amounted to.
 #[derive(Debug, PartialEq)]
@@ -45,6 +53,20 @@ fn feed<'a>(parser: &mut RequestParser, chunks: impl Iterator<Item = &'a [u8]>) 
         }
     }
     Outcome::Incomplete
+}
+
+/// The outcome in the reference's terms.
+fn verdict(outcome: &Outcome) -> Result<(&str, &str, &BTreeMap<String, String>), Refusal> {
+    match outcome {
+        Outcome::Head {
+            method,
+            target,
+            headers,
+        } => Ok((method, target, headers)),
+        Outcome::Refused(why) if why.starts_with("line exceeds") => Err(Refusal::TooLong),
+        Outcome::Refused(_) => Err(Refusal::Malformed),
+        Outcome::Incomplete => Err(Refusal::Eof),
+    }
 }
 
 /// `wire` cut at `cuts`, fractions of its length (duplicates and
@@ -130,6 +152,12 @@ fn whole_split_and_byte_by_byte_feeds_agree_on_hostile_input() {
         let bytewise = feed(&mut parser, wire.chunks(1));
         prop_assert_eq!(&split, &whole);
         prop_assert_eq!(&bytewise, &whole);
+        let expected = reference::request(&wire);
+        let expected = expected
+            .as_ref()
+            .map(|r| (r.method.as_str(), r.target.as_str(), &r.headers))
+            .map_err(|&refusal| refusal);
+        prop_assert_eq!(verdict(&whole), expected);
         let class = match whole {
             Outcome::Head { .. } => "head",
             Outcome::Refused(why) if why.contains("exceeds") => "line too long",
@@ -146,6 +174,29 @@ fn whole_split_and_byte_by_byte_feeds_agree_on_hostile_input() {
     for class in ["head", "line too long", "refused", "incomplete"] {
         assert!(seen.get(class).copied().unwrap_or(0) >= 10, "{seen:?}");
     }
+}
+
+#[test]
+fn one_header_repeated_is_refused_on_the_line_past_max_headers() {
+    const LINE: &[u8] = b"x: y\r\n";
+    let head = |lines: usize| [REQUEST_LINE, &LINE.repeat(lines)].concat();
+    // MAX_HEADERS copies and the blank line: one header, the last copy.
+    let wire = [&head(MAX_HEADERS)[..], b"\r\n"].concat();
+    let mut parser = RequestParser::new();
+    let req = parser.feed(&wire).unwrap().expect("a whole head");
+    assert_eq!(req.headers, BTreeMap::from([("x".into(), "y".into())]));
+    // One copy more, a byte at a time: refused on the last byte of the
+    // line that is one too many, whole or not.
+    let wire = head(MAX_HEADERS + 1);
+    parser.reset();
+    let at = wire.iter().position(|&b| parser.feed(&[b]).is_err());
+    assert_eq!(at, Some(wire.len() - 1));
+    parser.reset();
+    match parser.feed(&wire) {
+        Err(HttpError::Malformed(why)) => assert!(why.contains("headers"), "{why}"),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(reference::request(&wire).err(), Some(Refusal::Malformed));
 }
 
 proptest! {

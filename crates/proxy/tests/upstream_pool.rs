@@ -4,11 +4,14 @@
 //! retry loop or the breaker noticing, whether it was closed, cut short
 //! or left hanging mid-exchange, a dead origin is still a dead origin,
 //! the fault shim is never reused, a body is never served short — and the
-//! reader behind it all agrees with the blocking oracle
-//! `http::read_response` however the bytes are split across reads. The
-//! cluster frame reader is held to the same allocation rule here, beside
-//! the tracker that can show it.
+//! reader behind it all, `http::ResponseReader`, agrees with a naive
+//! whole-buffer reference (`common::reference`) however the bytes are
+//! split across reads. The cluster frame reader is held to the same
+//! allocation rule here, beside the tracker that can show it.
 
+mod common;
+
+use common::reference::{self, Refusal};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,8 +22,10 @@ use std::sync::Arc;
 use std::time::Duration;
 use webcache_core::policy::named;
 use webcache_proxy::cluster::{read_frame, MAX_FRAME};
-use webcache_proxy::http::{self, HttpError, Request, Response, MAX_BODY, MAX_HEADERS, MAX_LINE};
-use webcache_proxy::upstream::ResponseReader;
+use webcache_proxy::http::{
+    self, HttpError, Request, Response, ResponseHead, ResponseReader, MAX_BODY, MAX_HEADERS,
+    MAX_LINE,
+};
 use webcache_proxy::{DocStore, FaultPlan, FaultyOrigin, OriginServer, ProxyConfig, ProxyServer};
 
 // -----------------------------------------------------------------------
@@ -378,7 +383,7 @@ fn stalled_kept_connection_is_given_up_and_redone() {
 }
 
 // -----------------------------------------------------------------------
-// (e) The reader against the oracle.
+// (e) The reader against the naive reference.
 
 /// One generated response head and its body.
 #[derive(Debug, Clone)]
@@ -570,7 +575,7 @@ fn resume_to_the_end(
     reader: &mut ResponseReader,
     stream: &mut Splits,
     budget: usize,
-) -> Result<(webcache_proxy::upstream::ResponseHead, bytes::Bytes), HttpError> {
+) -> Result<(ResponseHead, bytes::Bytes), HttpError> {
     reader.reset();
     loop {
         match reader.resume(stream, budget) {
@@ -634,12 +639,15 @@ proptest! {
 
     /// On generated heads — header case, padding and order, a missing
     /// `content-length`, bodyless statuses, every bound — the reader
-    /// returns what the oracle returns, or both refuse; and fed the same
-    /// bytes in pieces split at arbitrary points, by `WouldBlock` or by a
-    /// read shorter than asked, with a small budget per call, the
-    /// resumable reader says exactly what the blocking one said.
+    /// returns what the naive reference returns, or refuses as it does:
+    /// end of stream as `UnexpectedEof`, everything else as `Malformed`.
+    /// `http::read_response`, the reader with a header map, returns the
+    /// reference's map. Fed the same bytes in pieces split at arbitrary
+    /// points, by `WouldBlock` or by a read shorter than asked, with a
+    /// small budget per call, the resumable reader says exactly what the
+    /// blocking one said.
     #[test]
-    fn reader_agrees_with_the_blocking_oracle(
+    fn reader_agrees_with_the_naive_reference(
         case in case_strategy(),
         cuts in prop::collection::vec(0.0f64..1.0, 0..6),
         shorts in prop::collection::vec(0.0f64..1.0, 0..6),
@@ -667,13 +675,14 @@ proptest! {
             peak_in_pieces <= body_len.max(2 * MAX_LINE),
             "allocated {peak_in_pieces} bytes for a {body_len}-byte body"
         );
-        let oracle = http::read_response(&mut wire.as_slice());
+        let expected = reference::response(&wire);
         let mut reader = ResponseReader::new();
         PEAK.with(|p| p.set(0));
         let got = reader.read(&mut wire.as_slice());
         let peak = PEAK.with(Cell::get);
-        match (oracle, got) {
-            (Ok(o), Ok((head, body))) => {
+        let blocking = http::read_response(&mut wire.as_slice());
+        match (expected, got, blocking) {
+            (Ok(o), Ok((head, body)), Ok(b)) => {
                 let (pieced_head, pieced_body) = in_pieces.expect("whole read succeeded");
                 prop_assert_eq!(pieced_head, head);
                 prop_assert_eq!(&pieced_body, &body);
@@ -689,8 +698,11 @@ proptest! {
                     head.keep_alive,
                     asked && o.headers.contains_key("content-length")
                 );
+                prop_assert_eq!((b.status, &b.headers, &b.body), (o.status, &o.headers, &o.body));
             }
-            (Err(_), Err(e)) => {
+            (Err(refusal), Err(e), Err(b)) => {
+                prop_assert!(refusal_of(&e) == Some(refusal), "reference {refusal:?}, reader {e}");
+                prop_assert!(refusal_of(&b) == Some(refusal), "reference {refusal:?}, read_response {b}");
                 let pieced = in_pieces.expect_err("whole read failed");
                 prop_assert!(
                     std::mem::discriminant(&pieced) == std::mem::discriminant(&e),
@@ -702,12 +714,23 @@ proptest! {
                     prop_assert!(peak < 64 * 1024, "allocated {peak} bytes first");
                 }
             }
-            (o, g) => prop_assert!(
+            (o, g, b) => prop_assert!(
                 false,
-                "oracle {:?} but reader {:?} on {case:?}",
+                "reference {:?} but reader {:?} and read_response {:?} on {case:?}",
                 o.map(|r| (r.status, r.body.len())),
-                g.map(|(h, b)| (h, b.len()))
+                g.map(|(h, b)| (h, b.len())),
+                b.map(|r| (r.status, r.body.len()))
             ),
         }
+    }
+}
+
+/// What the reference calls a refusal the reader reported as `e`.
+fn refusal_of(e: &HttpError) -> Option<Refusal> {
+    match e {
+        HttpError::Io(io) if io.kind() == ErrorKind::UnexpectedEof => Some(Refusal::Eof),
+        HttpError::Malformed(why) if why.starts_with("line exceeds") => Some(Refusal::TooLong),
+        HttpError::Malformed(_) => Some(Refusal::Malformed),
+        HttpError::Io(_) => None,
     }
 }
