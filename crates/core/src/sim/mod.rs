@@ -179,30 +179,41 @@ impl SimResult {
 /// Drive `trace` through `system`, collecting per-day deltas of every
 /// stream.
 pub fn simulate<S: CacheSystem>(trace: &Trace, system: &mut S, label: &str) -> SimResult {
-    let names: Vec<String> = system.streams().into_iter().map(|(n, _)| n).collect();
-    let mut prev: Vec<Counts> = vec![Counts::default(); names.len()];
-    let mut daily: Vec<Vec<Counts>> = vec![Vec::new(); names.len()];
-    for (_day, requests) in trace.days() {
-        for r in requests {
-            system.handle(r);
-        }
-        for (i, (_, counts)) in system.streams().into_iter().enumerate() {
-            daily[i].push(counts.delta(&prev[i]));
-            prev[i] = counts;
-        }
-    }
-    let streams = names
-        .into_iter()
-        .zip(daily)
-        .zip(system.streams())
-        .map(|((name, daily), (_, total))| StreamResult { name, daily, total })
-        .collect();
+    let streams = replay_days(trace, system, |s, r| s.handle(r));
     SimResult {
         workload: trace.name.clone(),
         system: label.to_string(),
         streams,
         gauges: system.gauges(),
     }
+}
+
+/// The day loop every simulation runs ([`simulate`] and each
+/// [`MultiSim`] lane): feed each day's requests to `step`, then record
+/// the day's delta of every stream `system` exposes.
+fn replay_days<S: CacheSystem>(
+    trace: &Trace,
+    system: &mut S,
+    mut step: impl FnMut(&mut S, &Request),
+) -> Vec<StreamResult> {
+    let names: Vec<String> = system.streams().into_iter().map(|(n, _)| n).collect();
+    let mut prev: Vec<Counts> = vec![Counts::default(); names.len()];
+    let mut daily: Vec<Vec<Counts>> = vec![Vec::new(); names.len()];
+    for (_day, requests) in trace.days() {
+        for r in requests {
+            step(system, r);
+        }
+        for (i, (_, counts)) in system.streams().into_iter().enumerate() {
+            daily[i].push(counts.delta(&prev[i]));
+            prev[i] = counts;
+        }
+    }
+    names
+        .into_iter()
+        .zip(daily)
+        .zip(system.streams())
+        .map(|((name, daily), (_, total))| StreamResult { name, daily, total })
+        .collect()
 }
 
 /// Experiment 1: simulate an infinite cache. The result's `max_used` gauge

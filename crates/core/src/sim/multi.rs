@@ -20,9 +20,9 @@
 //!
 //! [`simulate_policy`]: crate::sim::simulate_policy
 
-use crate::cache::{Cache, Counts, MetaDecorator};
+use crate::cache::{Cache, MetaDecorator};
 use crate::policy::RemovalPolicy;
-use crate::sim::{CacheSystem, SimResult, StreamResult};
+use crate::sim::{replay_days, CacheSystem, SimResult};
 use rayon::prelude::*;
 use webcache_trace::{Request, Trace};
 
@@ -137,10 +137,10 @@ fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "lane panicked with a non-string payload".to_string())
 }
 
-/// Drive one lane through the whole trace: the day loop replays each
-/// day's request slice and snapshots the per-day counter delta exactly as
-/// `simulate()` does. The cache is built here and dropped here, so a
-/// thread holds one resident set at a time.
+/// Drive one lane through the whole trace in the day loop `simulate()`
+/// runs, telling the observer of each request whether it hit. The cache
+/// is built here and dropped here, so a thread holds one resident set at
+/// a time.
 fn drive<O, F>(
     trace: &Trace,
     capacity: u64,
@@ -155,25 +155,14 @@ where
     if let Some(d) = spec.decorator {
         cache = cache.with_decorator(d);
     }
-    let mut prev = Counts::default();
-    let mut daily = Vec::new();
-    for (_day, requests) in trace.days() {
-        for r in requests {
-            let hit = cache.request_hit(r);
-            observe(&mut observer, r, hit);
-        }
-        let counts = cache.counts();
-        daily.push(counts.delta(&prev));
-        prev = counts;
-    }
+    let streams = replay_days(trace, &mut cache, |cache, r| {
+        let hit = cache.request_hit(r);
+        observe(&mut observer, r, hit);
+    });
     let result = SimResult {
         workload: trace.name.clone(),
         system: cache.policy_name(),
-        streams: vec![StreamResult {
-            name: "cache".to_string(),
-            daily,
-            total: cache.counts(),
-        }],
+        streams,
         gauges: cache.gauges(),
     };
     (spec.label, result, observer)

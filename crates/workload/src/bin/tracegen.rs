@@ -5,31 +5,37 @@
 //! ```text
 //! tracegen <U|G|C|BR|BL> [--scale F] [--seed N] [--out FILE]
 //! ```
+//!
+//! Without `--out` the trace goes to stdout. Input the tool would have to
+//! ignore — a flag without its value, a scale outside `(0, 1]`, a second
+//! workload — is a usage error: exit 2, nothing on stdout.
 
 use std::io::Write as _;
 
 /// Unix time of 1995-09-17 00:00:00 UTC — the BR/BL collection start.
 const EPOCH: i64 = 811_296_000;
 
+const USAGE: &str = "usage: tracegen <U|G|C|BR|BL> [--scale F] [--seed N] [--out FILE]";
+
+/// Report a usage error and exit 2, writing nothing to stdout.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 /// Parse the next argument as `flag`'s value, refusing missing or
 /// malformed input instead of silently falling back to a default.
 fn parse_arg<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
     let Some(v) = it.next() else {
-        eprintln!("{flag} requires a value");
-        std::process::exit(2);
+        usage_error(&format!("{flag} requires a value"));
     };
-    match v.parse() {
-        Ok(parsed) => parsed,
-        Err(_) => {
-            eprintln!("invalid value {v:?} for {flag}");
-            std::process::exit(2);
-        }
-    }
+    v.parse()
+        .unwrap_or_else(|_| usage_error(&format!("invalid value {v:?} for {flag}")))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workload = None;
+    let mut workload: Option<String> = None;
     let mut scale = 1.0f64;
     let mut seed = 1u64;
     let mut out: Option<String> = None;
@@ -38,21 +44,26 @@ fn main() {
         match a.as_str() {
             "--scale" => scale = parse_arg(&mut it, "--scale"),
             "--seed" => seed = parse_arg(&mut it, "--seed"),
-            "--out" => out = it.next(),
-            w => workload = Some(w.to_string()),
+            "--out" => out = Some(parse_arg(&mut it, "--out")),
+            w => {
+                if let Some(first) = &workload {
+                    usage_error(&format!("one workload at a time: got {first:?} and {w:?}"));
+                }
+                workload = Some(w.to_string());
+            }
         }
     }
-    if !(scale > 0.0 && scale.is_finite()) {
-        eprintln!("--scale must be a positive finite number, got {scale}");
-        std::process::exit(2);
+    // The range `experiments --scale` accepts: a profile scales down only.
+    if !(scale > 0.0 && scale <= 1.0) {
+        usage_error(&format!("--scale must be in (0, 1], got {scale}"));
     }
     let Some(workload) = workload else {
-        eprintln!("usage: tracegen <U|G|C|BR|BL> [--scale F] [--seed N] [--out FILE]");
-        std::process::exit(2);
+        usage_error("no workload named");
     };
     let Some(profile) = webcache_workload::profiles::by_name(&workload) else {
-        eprintln!("unknown workload {workload:?}; choose U, G, C, BR or BL");
-        std::process::exit(2);
+        usage_error(&format!(
+            "unknown workload {workload:?}; choose U, G, C, BR or BL"
+        ));
     };
     let profile = if scale < 1.0 {
         profile.scaled(scale)

@@ -26,18 +26,21 @@
 //! budget counts *valid* accesses, matching how the paper reports its
 //! workloads.
 
-use crate::dist::{calibrate_universe, diurnal_second, ZipfSampler};
+use crate::dist::{diurnal_second, ZipfSampler, ZipfWeights};
 use crate::profile::WorkloadProfile;
 use crate::universe::Universe;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use std::fmt::Write as _;
 use webcache_trace::{ClientId, ServerId, Trace, UrlId, Validator, SECONDS_PER_DAY};
 
-/// Per-document mutable state during the serial fold.
+/// Per-document state during the serial fold, from the document's first
+/// request on.
 #[derive(Debug, Clone, Copy)]
-struct UrlState {
-    seen: bool,
+struct DocState {
+    url: UrlId,
+    server: ServerId,
     size: u64,
     last_modified: u64,
 }
@@ -100,6 +103,33 @@ fn requests_per_day(profile: &WorkloadProfile) -> Vec<u64> {
     counts
 }
 
+/// Split the request budget between the base universe and the
+/// fresh-phase universe: `(base_draws, fresh_draws)`.
+fn draws_per_universe(profile: &WorkloadProfile, day_requests: &[u64]) -> (u64, u64) {
+    let fresh_draws: u64 = profile.fresh.map_or(0, |f| {
+        day_requests[f.start_day as usize..]
+            .iter()
+            .map(|&n| (n as f64 * f.prob) as u64)
+            .sum()
+    });
+    (profile.total_requests - fresh_draws, fresh_draws)
+}
+
+/// The `(draws, target distinct)` pairs [`generate`] calibrates the size
+/// of `profile`'s base universe and, when it has a fresh phase, of its
+/// fresh universe against (see [`crate::dist::calibrate_universe`]).
+pub fn calibration_inputs(profile: &WorkloadProfile) -> [Option<(u64, u64)>; 2] {
+    profile.validate();
+    let (base_draws, fresh_draws) = draws_per_universe(profile, &requests_per_day(profile));
+    let fresh_draws = fresh_draws.max(1);
+    [
+        Some((base_draws, profile.target_unique_urls.min(base_draws))),
+        profile
+            .fresh
+            .map(|f| (fresh_draws, f.target_unique.min(fresh_draws))),
+    ]
+}
+
 /// Everything the day-event drawers and the fold share, built once per
 /// generation. Immutable after construction, so `&GenCtx` is `Sync` and
 /// day streams can be drawn on worker threads.
@@ -116,32 +146,17 @@ impl<'a> GenCtx<'a> {
     fn prepare(profile: &'a WorkloadProfile, seed: u64) -> GenCtx<'a> {
         profile.validate();
         let day_requests = requests_per_day(profile);
+        let (base_draws, fresh_draws) = draws_per_universe(profile, &day_requests);
 
-        // Split draws between the base universe and the fresh-phase
-        // universe, then calibrate each universe size to its distinct-URL
-        // target.
-        let fresh_draws: u64 = profile.fresh.map_or(0, |f| {
-            day_requests[f.start_day as usize..]
-                .iter()
-                .map(|&n| (n as f64 * f.prob) as u64)
-                .sum()
-        });
-        let base_draws = profile.total_requests - fresh_draws;
-        let base_size = calibrate_universe(
-            profile.zipf_alpha,
-            base_draws,
-            profile.target_unique_urls.min(base_draws),
-        );
-        let fresh_size = profile.fresh.map_or(0, |f| {
-            calibrate_universe(
-                profile.zipf_alpha,
-                fresh_draws.max(1),
-                f.target_unique.min(fresh_draws.max(1)),
-            )
-        });
+        // Calibrate each universe size to its distinct-URL target, both
+        // searches and the size rescale reading one weight table.
+        let mut weights = ZipfWeights::new(profile.zipf_alpha);
+        let [base_size, fresh_size] = calibration_inputs(profile)
+            .map(|input| input.map_or(0, |(draws, target)| weights.calibrate(draws, target)));
 
         let universe = Universe::build_calibrated(
             profile,
+            &mut weights,
             base_size,
             fresh_size,
             base_draws,
@@ -279,72 +294,81 @@ impl<'a> GenCtx<'a> {
     /// Fold day event lists (in day order) through document state and the
     /// validator, emitting interned requests. RNG-free and allocation-light:
     /// URL/server ids resolve once per document and client ids once per
-    /// client, not once per request.
+    /// client, not once per request, each text formatted into one reused
+    /// buffer.
     fn fold(&self, per_day: Vec<Vec<Event>>) -> Trace {
         let p = self.profile;
         let mut v = Validator::new();
-        let mut state: Vec<UrlState> = self
-            .universe
-            .urls
-            .iter()
-            .map(|u| UrlState {
-                seen: false,
-                size: u.base_size,
-                last_modified: 0,
-            })
-            .collect();
-        let mut doc_ids: Vec<Option<(UrlId, ServerId)>> = vec![None; self.universe.len()];
+        // `slot[idx]` is 1 + the index of document `idx`'s state in
+        // `docs`, 0 until its first request: a zeroed table, so the many
+        // documents never requested cost no state at all.
+        let mut slot: Vec<u32> = vec![0; self.universe.len()];
+        let mut docs: Vec<DocState> = Vec::new();
         let mut server_ids: Vec<Option<ServerId>> = vec![None; p.servers];
         let mut client_ids: Vec<Option<ClientId>> = vec![None; p.clients as usize];
 
         let total: usize = per_day.iter().map(Vec::len).sum();
         let mut requests = Vec::with_capacity(total);
+        let mut text = String::new();
         for events in &per_day {
             for ev in events {
                 let idx = ev.url as usize;
                 let spec = &self.universe.urls[idx];
-                let st = &mut state[idx];
-                if st.seen && ev.change_coin {
-                    st.size = Universe::apply_modification(spec.base_size, st.size, ev.mod_factor);
-                    st.last_modified = ev.time;
-                } else if st.seen && ev.same_mod_coin {
-                    st.last_modified = ev.time;
-                }
-                // Occasionally log a zero size for an already-seen
-                // document; validation restores the last known size.
-                let logged_size = if st.seen && ev.zero_coin { 0 } else { st.size };
-                st.seen = true;
-
-                let (url, server) = match doc_ids[idx] {
-                    Some(ids) => ids,
-                    None => {
+                let (doc, logged_size) = match slot[idx] {
+                    0 => {
                         // First request for this document: materialise and
                         // intern its URL text now — never-requested
                         // documents never pay for a string.
-                        let url_id = v.interner_mut().url(&self.universe.url_of(idx));
-                        let server_id = match server_ids[spec.server] {
+                        self.universe.write_url(idx, &mut text);
+                        let url = v.interner_mut().url(&text);
+                        let server = match server_ids[spec.server] {
                             Some(id) => id,
                             None => {
-                                let id = v.interner_mut().server(&self.universe.host_of(idx));
+                                self.universe.write_host(idx, &mut text);
+                                let id = v.interner_mut().server(&text);
                                 server_ids[spec.server] = Some(id);
                                 id
                             }
                         };
-                        doc_ids[idx] = Some((url_id, server_id));
-                        (url_id, server_id)
+                        let doc = DocState {
+                            url,
+                            server,
+                            size: spec.base_size,
+                            last_modified: 0,
+                        };
+                        docs.push(doc);
+                        slot[idx] = docs.len() as u32;
+                        (doc, doc.size)
+                    }
+                    s => {
+                        let st = &mut docs[s as usize - 1];
+                        if ev.change_coin {
+                            st.size = Universe::apply_modification(
+                                spec.base_size,
+                                st.size,
+                                ev.mod_factor,
+                            );
+                            st.last_modified = ev.time;
+                        } else if ev.same_mod_coin {
+                            st.last_modified = ev.time;
+                        }
+                        // Occasionally log a zero size for an already-seen
+                        // document; validation restores the last known size.
+                        (*st, if ev.zero_coin { 0 } else { st.size })
                     }
                 };
                 let client = match client_ids[ev.client as usize] {
                     Some(id) => id,
                     None => {
-                        let id = v
-                            .interner_mut()
-                            .client(&format!("client{}.clients.example", ev.client));
+                        text.clear();
+                        let _ = write!(text, "client{}.clients.example", ev.client);
+                        let id = v.interner_mut().client(&text);
                         client_ids[ev.client as usize] = Some(id);
                         id
                     }
                 };
-                let last_modified = p.record_last_modified.then_some(st.last_modified);
+                let DocState { url, server, .. } = doc;
+                let last_modified = p.record_last_modified.then_some(doc.last_modified);
                 if let Ok(r) = v.validate_interned(
                     ev.time,
                     client,

@@ -131,7 +131,8 @@ impl WorkloadProfile {
         self.total_bytes as f64 / self.total_requests as f64
     }
 
-    /// Validate internal consistency (shares ≈ 1, weights length, …).
+    /// Validate internal consistency (shares ≈ 1, one row per type,
+    /// weights length, …).
     pub fn validate(&self) {
         let refs: f64 = self.types.iter().map(|t| t.ref_share).sum();
         let bytes: f64 = self.types.iter().map(|t| t.byte_share).sum();
@@ -145,6 +146,14 @@ impl WorkloadProfile {
             "{}: byte shares sum to {bytes}",
             self.name
         );
+        for (i, t) in self.types.iter().enumerate() {
+            assert!(
+                self.types[..i].iter().all(|u| u.doc_type != t.doc_type),
+                "{}: {} has two type rows",
+                self.name,
+                t.doc_type
+            );
+        }
         assert_eq!(self.day_weights.len(), self.days as usize, "{}", self.name);
         assert!(self.day_weights.iter().any(|&w| w > 0.0));
         assert!(self.target_unique_urls <= self.total_requests);

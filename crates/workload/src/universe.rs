@@ -7,11 +7,12 @@
 //! Without stratification, a popular head URL landing on a rare type (BR's
 //! audio is 2.6% of references) would swing the realised mix wildly.
 
-use crate::dist::{SizeDist, ZipfSampler};
+use crate::dist::{SizeDist, ZipfSampler, ZipfWeights};
 use crate::profile::{TypeSpec, WorkloadProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use std::fmt::Write as _;
 use webcache_trace::DocType;
 
 /// Ranks per independent build stream. Fixed (never derived from thread
@@ -71,8 +72,9 @@ fn extension(t: DocType) -> &'static str {
     }
 }
 
-/// Assign types to `n` popularity ranks by largest-deficit quotas.
-fn stratified_types(types: &[TypeSpec], n: usize) -> Vec<DocType> {
+/// Assign types to `n` popularity ranks by largest-deficit quotas; each
+/// rank gets the index of its type in `types`.
+fn stratified_types(types: &[TypeSpec], n: usize) -> Vec<u8> {
     let mut counts = vec![0f64; types.len()];
     let mut out = Vec::with_capacity(n);
     for rank in 0..n {
@@ -86,7 +88,7 @@ fn stratified_types(types: &[TypeSpec], n: usize) -> Vec<DocType> {
             }
         }
         counts[best] += 1.0;
-        out.push(types[best].doc_type);
+        out.push(best as u8);
     }
     out
 }
@@ -96,55 +98,58 @@ impl Universe {
     /// `fresh` fresh-phase documents, with sizes calibrated so that the
     /// *popularity-weighted* request bytes per type hit the Table 4
     /// byte shares (`base_draws`/`fresh_draws` are the expected request
-    /// counts against each phase).
+    /// counts against each phase). The popularity weights are read from
+    /// `weights`, the table for `profile.zipf_alpha` the calibration
+    /// searches filled.
     ///
     /// Without the popularity weighting, a single hot head URL drawing a
     /// heavy-tailed size would swing a workload's realised byte mix by
     /// tens of percentage points (Zipf head × lognormal tail = enormous
     /// variance); the per-type rescaling pins the mix while preserving
     /// each distribution's shape.
-    pub fn build_calibrated(
+    pub(crate) fn build_calibrated(
         profile: &WorkloadProfile,
+        weights: &mut ZipfWeights,
         base: usize,
         fresh: usize,
         base_draws: u64,
         fresh_draws: u64,
         seed: u64,
     ) -> Universe {
+        assert_eq!(
+            weights.alpha().to_bits(),
+            profile.zipf_alpha.to_bits(),
+            "weights for another exponent"
+        );
+        weights.ensure(base.max(fresh));
         let mut u = Universe::build(profile, base, fresh, seed);
         let total_draws = (base_draws + fresh_draws).max(1);
         for (offset, count, draws) in [(0usize, base, base_draws), (base, fresh, fresh_draws)] {
             if count == 0 || draws == 0 {
                 continue;
             }
-            // Zipf request weight of rank i within the phase, precomputed
-            // once per phase instead of one powf per (type, rank) visit.
-            let raw: Vec<f64> = (1..=count)
-                .map(|i| (i as f64).powf(-profile.zipf_alpha))
-                .collect();
-            let h: f64 = raw.iter().sum();
+            // Zipf request weight of rank i within the phase.
+            let (raw, h) = (weights.weights(count), weights.total(count));
             let weight = |i: usize| raw[i] / h * draws as f64;
-            for t in &profile.types {
-                if t.ref_share <= 0.0 {
-                    continue;
+            let phase = &mut u.urls[offset..offset + count];
+            // One walk sums every type's popularity-weighted bytes; each
+            // type's sum adds its own ranks' terms in rank order.
+            let mut realized = [0.0f64; DocType::ALL.len()];
+            for (i, s) in phase.iter().enumerate() {
+                realized[s.doc_type as usize] += weight(i) * s.base_size as f64;
+            }
+            let mut factors = [None; DocType::ALL.len()];
+            for t in profile.types.iter().filter(|t| t.ref_share > 0.0) {
+                let realized = realized[t.doc_type as usize];
+                if realized > 0.0 {
+                    let target = t.byte_share
+                        * profile.total_bytes as f64
+                        * (draws as f64 / total_draws as f64);
+                    factors[t.doc_type as usize] = Some(target / realized);
                 }
-                let target =
-                    t.byte_share * profile.total_bytes as f64 * (draws as f64 / total_draws as f64);
-                let realized: f64 = u.urls[offset..offset + count]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.doc_type == t.doc_type)
-                    .map(|(i, s)| weight(i) * s.base_size as f64)
-                    .sum();
-                if realized <= 0.0 {
-                    continue;
-                }
-                let factor = target / realized;
-                for (_, s) in u.urls[offset..offset + count]
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(_, s)| s.doc_type == t.doc_type)
-                {
+            }
+            for s in phase {
+                if let Some(factor) = factors[s.doc_type as usize] {
                     s.base_size = ((s.base_size as f64 * factor) as u64).max(32);
                 }
             }
@@ -164,10 +169,16 @@ impl Universe {
     /// the build dominates generation's fixed cost.)
     pub fn build(profile: &WorkloadProfile, base: usize, fresh: usize, seed: u64) -> Universe {
         let server_sampler = ZipfSampler::new(profile.servers, profile.server_alpha);
-        let size_dists: Vec<(DocType, SizeDist)> = profile
+        let usable: Vec<TypeSpec> = profile
             .types
             .iter()
             .filter(|t| t.ref_share > 0.0)
+            .copied()
+            .collect();
+        // Each usable type with its size distribution, looked up by the
+        // index the stratification assigns.
+        let kinds: Vec<(DocType, SizeDist)> = usable
+            .iter()
             .map(|t| {
                 let mean = t
                     .mean_size(profile.total_requests, profile.total_bytes)
@@ -175,52 +186,41 @@ impl Universe {
                 (t.doc_type, SizeDist::with_mean(mean, t.sigma))
             })
             .collect();
-        let usable: Vec<TypeSpec> = profile
-            .types
-            .iter()
-            .filter(|t| t.ref_share > 0.0)
-            .copied()
-            .collect();
         let domain = profile.name.to_ascii_lowercase().replace('@', "-");
 
-        let mut urls = Vec::with_capacity(base + fresh);
+        // Every slot is overwritten below; chunks write in place.
+        let placeholder = UrlSpec {
+            server: 0,
+            doc_type: DocType::Unknown,
+            base_size: 0,
+        };
+        let mut urls = vec![placeholder; base + fresh];
+        let (base_urls, fresh_urls) = urls.split_at_mut(base);
         // Base and fresh ranks get independent stratifications so both
         // phases carry the Table 4 mix.
-        for (offset, count) in [(0usize, base), (base, fresh)] {
-            let types = stratified_types(&usable, count);
-            let starts: Vec<usize> = (0..count).step_by(BUILD_CHUNK.max(1)).collect();
-            let chunks: Vec<Vec<UrlSpec>> = starts
-                .into_par_iter()
-                .map(|start| {
-                    let end = (start + BUILD_CHUNK).min(count);
+        for (offset, phase) in [(0usize, base_urls), (base, fresh_urls)] {
+            let types = stratified_types(&usable, phase.len());
+            phase
+                .par_chunks_mut(BUILD_CHUNK)
+                .enumerate()
+                .for_each(|(c, chunk)| {
+                    let start = c * BUILD_CHUNK;
                     let mut rng = StdRng::seed_from_u64(chunk_stream_seed(seed, offset + start));
-                    (start..end)
-                        .map(|i| {
-                            let doc_type = types[i];
-                            let server =
-                                if profile.audio_on_one_server && doc_type == DocType::Audio {
-                                    0
-                                } else {
-                                    server_sampler.sample(&mut rng)
-                                };
-                            let dist = size_dists
-                                .iter()
-                                .find(|(t, _)| *t == doc_type)
-                                .map(|(_, d)| *d)
-                                .expect("every assigned type has a distribution");
-                            let base_size = dist.sample(&mut rng);
-                            UrlSpec {
-                                server,
-                                doc_type,
-                                base_size,
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            for chunk in chunks {
-                urls.extend(chunk);
-            }
+                    for (spec, &kind) in chunk.iter_mut().zip(&types[start..]) {
+                        let (doc_type, dist) = kinds[usize::from(kind)];
+                        let server = if profile.audio_on_one_server && doc_type == DocType::Audio {
+                            0
+                        } else {
+                            server_sampler.sample(&mut rng)
+                        };
+                        let base_size = dist.sample(&mut rng);
+                        *spec = UrlSpec {
+                            server,
+                            doc_type,
+                            base_size,
+                        };
+                    }
+                });
         }
         Universe {
             urls,
@@ -232,18 +232,35 @@ impl Universe {
     /// Full URL text of the document at `rank` (classifies back to its
     /// `doc_type` via the extension).
     pub fn url_of(&self, rank: usize) -> String {
+        let mut url = String::new();
+        self.write_url(rank, &mut url);
+        url
+    }
+
+    /// [`Universe::url_of`] into `out`, replacing what it held.
+    pub(crate) fn write_url(&self, rank: usize, out: &mut String) {
         let s = &self.urls[rank];
-        format!(
+        out.clear();
+        let _ = write!(
+            out,
             "http://server{}.{}.edu/doc{rank}.{}",
             s.server,
             self.domain,
             extension(s.doc_type)
-        )
+        );
     }
 
     /// Host name of the server serving the document at `rank`.
     pub fn host_of(&self, rank: usize) -> String {
-        format!("server{}.{}.edu", self.urls[rank].server, self.domain)
+        let mut host = String::new();
+        self.write_host(rank, &mut host);
+        host
+    }
+
+    /// [`Universe::host_of`] into `out`, replacing what it held.
+    pub(crate) fn write_host(&self, rank: usize, out: &mut String) {
+        out.clear();
+        let _ = write!(out, "server{}.{}.edu", self.urls[rank].server, self.domain);
     }
 
     /// Total documents (base + fresh).
@@ -314,7 +331,10 @@ mod tests {
                 sigma: 0.6,
             },
         ];
-        let assigned = stratified_types(&types, 1000);
+        let assigned: Vec<DocType> = stratified_types(&types, 1000)
+            .into_iter()
+            .map(|i| types[usize::from(i)].doc_type)
+            .collect();
         for prefix in [10, 100, 1000] {
             let g = assigned[..prefix]
                 .iter()
