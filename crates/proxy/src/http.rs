@@ -17,6 +17,7 @@
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
+use webcache_core::util::{splitmix64_finalise, SPLITMIX64_GAMMA};
 
 /// Upper bound accepted for `Content-Length`, so a corrupt or hostile
 /// peer cannot make the reader allocate unbounded memory.
@@ -836,20 +837,41 @@ fn parse_status_line(line: &str) -> Result<u16, HttpError> {
         .ok_or_else(|| malformed("bad status"))
 }
 
-/// Deterministic document body of a given size for a URL: the origin
-/// server's synthetic content.
+/// Deterministic document body of `size` bytes for `url`: the origin
+/// server's synthetic content, and what every check of a served body
+/// compares against.
+///
+/// The body is SplitMix64 in counter mode, a word at a time. With `s`
+/// the URL's bytes folded as `h * 1_000_003 + b`, word `k` (from 0) is
+/// `splitmix64_finalise(s + (k + 1) * SPLITMIX64_GAMMA)` with the top
+/// bit of each byte cleared, stored little-endian; the last word is cut
+/// to fit. No word depends on the one before it, so the fill has no
+/// serial chain.
+///
+/// The contract, pinned by this module's tests:
+/// - the bytes depend only on `(url, size)`;
+/// - prefix-stable: `synthetic_body(u, n)` is `synthetic_body(u, m)[..n]`
+///   for `n <= m`;
+/// - every byte is below `0x80`;
+/// - different URLs give different bodies, so `DocStore::modify`'s
+///   `"{url}#{now}"` changes a document at equal size.
 pub fn synthetic_body(url: &str, size: u64) -> Bytes {
-    let mut out = Vec::with_capacity(size as usize);
+    const SEVEN_BITS: u64 = 0x7F7F_7F7F_7F7F_7F7F;
     let seed = url.bytes().fold(0u64, |h, b| {
         h.wrapping_mul(1_000_003).wrapping_add(b as u64)
     });
-    let mut x = seed | 1;
-    while (out.len() as u64) < size {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        out.push((x & 0x7F) as u8);
+    let word = |k: usize| {
+        let counter = (k as u64).wrapping_add(1).wrapping_mul(SPLITMIX64_GAMMA);
+        (splitmix64_finalise(seed.wrapping_add(counter)) & SEVEN_BITS).to_le_bytes()
+    };
+    let mut out = vec![0u8; size as usize];
+    let mut words = out.chunks_exact_mut(8);
+    let whole = words.len();
+    for (k, chunk) in words.by_ref().enumerate() {
+        chunk.copy_from_slice(&word(k));
     }
+    let tail = words.into_remainder();
+    tail.copy_from_slice(&word(whole)[..tail.len()]);
     Bytes::from(out)
 }
 
@@ -1257,5 +1279,64 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.len(), 500);
         assert!(synthetic_body("x", 0).is_empty());
+
+        const MIB: u64 = 1 << 20;
+        let url = "http://s/contract";
+        for m in 0..=67u64 {
+            let body = synthetic_body(url, m);
+            assert_eq!(body.len() as u64, m);
+            assert!(body.iter().all(|&b| b < 0x80), "size {m}: a byte >= 0x80");
+            for n in 0..=m {
+                assert_eq!(synthetic_body(url, n)[..], body[..n as usize], "{n} vs {m}");
+            }
+        }
+        let big = synthetic_body(url, MIB + 5);
+        assert!(big[..(MIB + 3) as usize].iter().all(|&b| b < 0x80));
+        assert_eq!(synthetic_body(url, MIB + 3)[..], big[..(MIB + 3) as usize]);
+        assert_eq!(synthetic_body(url, MIB)[..], big[..MIB as usize]);
+
+        let distinct: std::collections::HashSet<Bytes> = (0..10_000)
+            .map(|i| synthetic_body(&format!("http://s/{i}"), 64))
+            .collect();
+        assert_eq!(distinct.len(), 10_000, "two URLs gave one body");
+    }
+
+    /// The content itself, as FNV-1a fingerprints: a change to what the
+    /// origin serves has to show up as an edit here.
+    #[test]
+    fn synthetic_body_fingerprints_are_pinned() {
+        fn fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        }
+        let sizes = [1u64, 7, 8, 9, 4096, (1 << 20) + 3];
+        for (url, pinned) in [
+            (
+                "http://server0.x.edu/doc1.html",
+                [
+                    0xaf63_e14c_8601_f50b,
+                    0x612e_dcf3_3d94_b9b4,
+                    0xb75b_0351_a3b7_5316,
+                    0x46f9_ccb9_3082_4eab,
+                    0x3bbb_c858_4820_3cbf,
+                    0x8aa6_4060_c23a_2b11,
+                ],
+            ),
+            (
+                "http://s/b",
+                [
+                    0xaf64_174c_8602_50cd,
+                    0x674c_c4dc_4c10_64df,
+                    0x97d7_0255_3fda_c580,
+                    0xdd1e_e2db_80be_5004,
+                    0x4c3e_ca5f_ba1b_7a4b,
+                    0x5c8e_007c_d7d4_46fa,
+                ],
+            ),
+        ] {
+            let got = sizes.map(|size| fnv1a(&synthetic_body(url, size)));
+            assert_eq!(got, pinned, "{url}: {got:#018x?}");
+        }
     }
 }

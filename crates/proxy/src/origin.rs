@@ -191,9 +191,9 @@ impl Drop for OriginServer {
 /// Resolve a proxy-form target (`http://host/path`) or origin-form path
 /// against the store's keys: the store is keyed by full URL, so
 /// origin-form requests are matched by suffix.
-fn lookup(store: &DocStore, target: &str) -> Option<(String, Doc)> {
+fn lookup(store: &DocStore, target: &str) -> Option<Doc> {
     if let Some(d) = store.get(target) {
-        return Some((target.to_string(), d));
+        return Some(d);
     }
     // Origin-form: match any stored URL whose path component equals it.
     if target.starts_with('/') {
@@ -202,7 +202,7 @@ fn lookup(store: &DocStore, target: &str) -> Option<(String, Doc)> {
             if let Some(rest) = url.strip_prefix("http://") {
                 if let Some(idx) = rest.find('/') {
                     if &rest[idx..] == target {
-                        return Some((url.clone(), d.clone()));
+                        return Some(d.clone());
                     }
                 }
             }
@@ -243,7 +243,7 @@ fn respond(req: &http::Request, store: &DocStore, stats: &OriginStats) -> Respon
     if req.method != "GET" && req.method != "HEAD" {
         return Response::status_only(501);
     }
-    let Some((_, doc)) = lookup(store, &req.target) else {
+    let Some(doc) = lookup(store, &req.target) else {
         return Response::status_only(404);
     };
     // Conditional GET: "P sends an HTTP conditional GET message to S
@@ -256,14 +256,14 @@ fn respond(req: &http::Request, store: &DocStore, stats: &OriginStats) -> Respon
         }
     }
     stats.full_responses.fetch_add(1, Ordering::Relaxed);
-    stats
-        .bytes_sent
-        .fetch_add(doc.body.len() as u64, Ordering::Relaxed);
     let body = if req.method == "HEAD" {
         Bytes::new()
     } else {
-        doc.body.clone()
+        doc.body
     };
+    stats
+        .bytes_sent
+        .fetch_add(body.len() as u64, Ordering::Relaxed);
     let mut resp = Response::ok(body, Some(doc.last_modified));
     if req.method == "HEAD" {
         resp.headers
@@ -336,6 +336,19 @@ mod tests {
         let mut req = Request::get("http://origin.test/a.html");
         req.method = "POST".to_string();
         assert_eq!(fetch(o.addr(), &req).status, 501);
+    }
+
+    #[test]
+    fn head_sends_and_counts_no_body() {
+        let o = start();
+        fetch(o.addr(), &Request::get("http://origin.test/a.html"));
+        assert_eq!(o.stats().bytes_sent.load(Ordering::Relaxed), 1200);
+        let mut req = Request::get("http://origin.test/a.html");
+        req.method = "HEAD".to_string();
+        let r = fetch(o.addr(), &req);
+        assert_eq!(r.status, 200);
+        assert!(r.body.is_empty());
+        assert_eq!(o.stats().bytes_sent.load(Ordering::Relaxed), 1200);
     }
 
     #[test]
