@@ -10,12 +10,13 @@
 //! `cost = 1` it blends SIZE with an aging mechanism.
 //!
 //! Including it lets the benchmarks show how the 1996 taxonomy's best key
-//! (SIZE) compares with its 1997 successor on the same workloads.
+//! (SIZE) compares with its 1997 successor on the same workloads. It is a
+//! rank function over the module's one sorted list: the documents are a
+//! `SortedList` ranked by `H`, ties broken by url.
 
 use crate::cache::DocMeta;
+use crate::policy::sorted::{rank_of, value_of, Rank, SortedList};
 use crate::policy::RemovalPolicy;
-use rustc_hash::FxHashMap;
-use std::collections::BTreeSet;
 use webcache_trace::{Timestamp, UrlId};
 
 /// Cost model for GreedyDual-Size.
@@ -27,9 +28,9 @@ pub enum GdCost {
     Bytes,
 }
 
-/// `H` values are stored as integer-scaled fixed point so the ordering set
-/// is total and hash-free. 2^20 fractional bits keeps `1/size` distinct for
-/// sizes up to a megabyte and degrades gracefully above.
+/// `H` values are stored as integer-scaled fixed point so the order is
+/// total and exact. 2^20 fractional bits keeps `1/size` distinct for sizes
+/// up to a megabyte and degrades gracefully above.
 const FRAC_BITS: u32 = 20;
 
 /// The GreedyDual-Size removal policy.
@@ -38,9 +39,13 @@ pub struct GreedyDualSize {
     cost: GdCost,
     /// Current inflation value `L` (fixed point).
     inflation: u64,
-    /// Docs ordered by ascending `H` (fixed point).
-    order: BTreeSet<(u64, UrlId)>,
-    values: FxHashMap<UrlId, u64>,
+    /// Resident docs by ascending `H` (fixed point, through [`rank_of`]).
+    list: SortedList,
+}
+
+/// The list rank of a document whose value is `h`.
+fn rank(h: u64) -> Rank {
+    (rank_of(h), 0, 0)
 }
 
 impl Default for GreedyDualSize {
@@ -60,8 +65,7 @@ impl GreedyDualSize {
         GreedyDualSize {
             cost,
             inflation: 0,
-            order: BTreeSet::new(),
-            values: FxHashMap::default(),
+            list: SortedList::default(),
         }
     }
 
@@ -78,11 +82,7 @@ impl GreedyDualSize {
     }
 
     fn upsert(&mut self, meta: &DocMeta) {
-        let h = self.h_value(meta);
-        if let Some(old) = self.values.insert(meta.url, h) {
-            self.order.remove(&(old, meta.url));
-        }
-        self.order.insert((h, meta.url));
+        self.list.upsert(meta.url, rank(self.h_value(meta)));
     }
 }
 
@@ -104,39 +104,38 @@ impl RemovalPolicy for GreedyDualSize {
     }
 
     fn on_remove(&mut self, url: UrlId) {
-        if let Some(h) = self.values.remove(&url) {
-            self.order.remove(&(h, url));
-        }
+        self.list.remove(url);
     }
 
     fn victim(&mut self, _now: Timestamp, _incoming_size: u64) -> Option<UrlId> {
-        let &(h, url) = self.order.first()?;
+        let ((h, _, _), url) = self.list.head()?;
         // Aging: the evicted document's H becomes the inflation level.
-        self.inflation = h;
+        self.inflation = value_of(h);
         Some(url)
     }
 
     fn len(&self) -> usize {
-        self.order.len()
+        self.list.len()
     }
 
     fn removal_position(&self, url: UrlId) -> Option<usize> {
-        let h = *self.values.get(&url)?;
-        Some(self.order.range(..(h, url)).count())
+        self.list.position(url)
+    }
+
+    fn enable_position_tracking(&mut self) {
+        self.list.track_positions();
     }
 
     /// GDS state depends on eviction history, not just resident metadata:
     /// the inflation level `L` and each document's frozen `H` value cannot
-    /// be recomputed from `DocMeta`. Export them explicitly, sorted by url
+    /// be recomputed from `DocMeta`. Export them explicitly, in url order
     /// so the byte encoding is deterministic.
     fn export_state(&self) -> Vec<u8> {
-        let mut pairs: Vec<(UrlId, u64)> = self.values.iter().map(|(&u, &h)| (u, h)).collect();
-        pairs.sort_unstable_by_key(|&(u, _)| u);
-        let mut out = Vec::with_capacity(8 + pairs.len() * 12);
+        let mut out = Vec::with_capacity(8 + self.list.len() * 12);
         out.extend_from_slice(&self.inflation.to_le_bytes());
-        for (url, h) in pairs {
+        for ((h, _, _), url) in self.list.entries() {
             out.extend_from_slice(&url.0.to_le_bytes());
-            out.extend_from_slice(&h.to_le_bytes());
+            out.extend_from_slice(&value_of(h).to_le_bytes());
         }
         out
     }
@@ -157,7 +156,7 @@ impl RemovalPolicy for GreedyDualSize {
         };
         let inflation = u64_at(0);
         let pairs = (bytes.len() - 8) / 12;
-        if pairs != self.values.len() {
+        if pairs != self.list.len() {
             return false;
         }
         let mut updates = Vec::with_capacity(pairs);
@@ -169,17 +168,13 @@ impl RemovalPolicy for GreedyDualSize {
                     .map(u32::from_le_bytes)
                     .unwrap_or_default(),
             );
-            let h = u64_at(at + 4);
-            if !self.values.contains_key(&url) {
+            if !self.list.contains(url) {
                 return false;
             }
-            updates.push((url, h));
+            updates.push((url, u64_at(at + 4)));
         }
         for (url, h) in updates {
-            if let Some(old) = self.values.insert(url, h) {
-                self.order.remove(&(old, url));
-            }
-            self.order.insert((h, url));
+            self.list.upsert(url, rank(h));
         }
         self.inflation = inflation;
         true
@@ -288,7 +283,7 @@ mod tests {
         }
         assert!(q.import_state(&state));
         assert_eq!(p.inflation, q.inflation);
-        assert_eq!(p.order, q.order);
+        assert!(p.list.entries().eq(q.list.entries()));
 
         // Both must now pick identical victims forever.
         for _ in 0..resident.len() {

@@ -18,6 +18,12 @@
 //! ATIME-ordered set. A victim query scans, for each threshold `S/2^k`, the
 //! partially-qualifying bucket plus the minima of all fully-qualifying
 //! larger buckets — `O(log(max_size))` bucket probes per step.
+//!
+//! This is the one ordered structure in the policy module that is not the
+//! shared [`SortedList`](crate::policy::sorted): the partially qualifying
+//! bucket is walked in ATIME order until a member of size ≥ `S` turns up,
+//! and the sorted list's lazy queues can only say which entry is smallest,
+//! not list the rest in order.
 
 use crate::cache::DocMeta;
 use crate::policy::RemovalPolicy;

@@ -7,14 +7,17 @@
 //! is satisfied." (section 1.2)
 //!
 //! * [`key`] — the Table 1 sorting keys and [`KeySpec`] combinations.
-//! * [`sorted`] — [`SortedPolicy`], the generic taxonomy policy backed by
-//!   an incrementally-maintained sorted structure.
+//! * [`sorted`] — the one incrementally-maintained sorted list, and
+//!   [`SortedPolicy`], the generic taxonomy policy built on it.
 //! * [`named`] — constructors for FIFO, LRU, LFU and Hyper-G (Table 3).
-//! * [`lru_min`] — the exact LRU-MIN algorithm of Abrams et al. 1995.
+//! * [`lru_min`] — the exact LRU-MIN algorithm of Abrams et al. 1995. It
+//!   keeps its own size buckets, each walked in ATIME order, which the
+//!   sorted list's lazy queues cannot do.
 //! * [`pitkow_recker`] — the exact Pitkow/Recker policy, including its
-//!   end-of-day periodic purge to a comfort level.
+//!   end-of-day periodic purge to a comfort level; two sorted lists.
 //! * [`greedy_dual`] — GreedyDual-Size (Cao & Irani 1997), included as an
-//!   extension showing the taxonomy generalises to value-based policies.
+//!   extension showing the taxonomy generalises to value-based policies;
+//!   one sorted list ranked by its value `H`.
 
 pub mod greedy_dual;
 pub mod key;
@@ -40,8 +43,8 @@ use webcache_trace::{Timestamp, UrlId};
 /// exactly the set of resident documents.
 ///
 /// `Send` is a supertrait so that boxed policies (and the caches holding
-/// them) can move across threads for parallel experiment sweeps and the
-/// threaded proxy.
+/// them) can move across threads: a sweep's lanes run on worker threads,
+/// and the proxy's shards are driven from its event loop and its workers.
 pub trait RemovalPolicy: Send {
     /// Display name (e.g. `"SIZE/RANDOM"`, `"LRU-MIN"`).
     fn name(&self) -> String;

@@ -11,25 +11,24 @@
 //!   it removes documents until free space reaches a *comfort level*
 //!   (a configurable fraction of capacity).
 //!
-//! Ties within a day are broken by the deterministic random order, matching
-//! the paper's use of random tie-breaks throughout.
+//! Ties within a day (and between equal sizes) are broken by the
+//! deterministic random order, matching the paper's use of random
+//! tie-breaks throughout: the full 64-bit `splitmix64(url ^ salt)`, then
+//! the url. The two orders are two of the module's sorted lists.
 
 use crate::cache::DocMeta;
 use crate::policy::key::splitmix64;
+use crate::policy::sorted::{rank_of, value_of, SortedList};
 use crate::policy::RemovalPolicy;
-use rustc_hash::FxHashMap;
-use std::collections::BTreeSet;
 use webcache_trace::{day_of, Timestamp, UrlId};
 
 /// The exact Pitkow/Recker removal policy.
 #[derive(Debug, Clone)]
 pub struct PitkowRecker {
     /// Docs ordered by `(day(atime), random)` — stalest day first.
-    by_day: BTreeSet<(u64, u64, UrlId)>,
-    /// Docs ordered by descending size (stored as `u64::MAX - size`).
-    by_size: BTreeSet<(u64, u64, UrlId)>,
-    /// Per-doc `(day, size)` for entry lookup.
-    docs: FxHashMap<UrlId, (u64, u64)>,
+    by_day: SortedList,
+    /// Docs ordered by `(descending size, random)` — largest first.
+    by_size: SortedList,
     /// Fraction of capacity that may remain *used* after the end-of-day
     /// purge (the "comfort level"). `None` disables periodic removal, which
     /// reduces the policy to its on-demand half.
@@ -57,31 +56,11 @@ impl PitkowRecker {
             );
         }
         PitkowRecker {
-            by_day: BTreeSet::new(),
-            by_size: BTreeSet::new(),
-            docs: FxHashMap::default(),
+            by_day: SortedList::default(),
+            by_size: SortedList::default(),
             comfort_used_fraction,
             salt,
         }
-    }
-
-    fn tiebreak(&self, url: UrlId) -> u64 {
-        splitmix64(url.0 as u64 ^ self.salt)
-    }
-
-    fn insert_entry(&mut self, url: UrlId, day: u64, size: u64) {
-        let tb = self.tiebreak(url);
-        self.by_day.insert((day, tb, url));
-        self.by_size.insert((u64::MAX - size, tb, url));
-        self.docs.insert(url, (day, size));
-    }
-
-    fn remove_entry(&mut self, url: UrlId) -> Option<(u64, u64)> {
-        let (day, size) = self.docs.remove(&url)?;
-        let tb = self.tiebreak(url);
-        self.by_day.remove(&(day, tb, url));
-        self.by_size.remove(&(u64::MAX - size, tb, url));
-        Some((day, size))
     }
 }
 
@@ -91,8 +70,12 @@ impl RemovalPolicy for PitkowRecker {
     }
 
     fn on_insert(&mut self, meta: &DocMeta) {
-        self.remove_entry(meta.url);
-        self.insert_entry(meta.url, day_of(meta.last_access), meta.size);
+        let tiebreak = rank_of(splitmix64(meta.url.0 as u64 ^ self.salt));
+        let day = rank_of(day_of(meta.last_access));
+        self.by_day.upsert(meta.url, (day, tiebreak, 0));
+        // `!size` is `u64::MAX - size`: the largest document ranks lowest.
+        self.by_size
+            .upsert(meta.url, (rank_of(!meta.size), tiebreak, 0));
     }
 
     fn on_access(&mut self, meta: &DocMeta) {
@@ -100,23 +83,23 @@ impl RemovalPolicy for PitkowRecker {
     }
 
     fn on_remove(&mut self, url: UrlId) {
-        self.remove_entry(url);
+        self.by_day.remove(url);
+        self.by_size.remove(url);
     }
 
     fn victim(&mut self, now: Timestamp, _incoming_size: u64) -> Option<UrlId> {
-        let today = day_of(now);
-        let &(stalest_day, _, stale_url) = self.by_day.first()?;
-        if stalest_day < today {
+        let ((stalest_day, _, _), stale_url) = self.by_day.head()?;
+        if value_of(stalest_day) < day_of(now) {
             // Some document was not accessed today: evict by DAY(ATIME).
             Some(stale_url)
         } else {
             // Everything was accessed today: evict the largest document.
-            self.by_size.first().map(|&(_, _, url)| url)
+            self.by_size.head().map(|(_, url)| url)
         }
     }
 
     fn len(&self) -> usize {
-        self.docs.len()
+        self.by_day.len()
     }
 
     fn periodic_target(&self, _now: Timestamp, used: u64, capacity: u64) -> Option<u64> {

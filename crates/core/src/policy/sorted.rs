@@ -1,13 +1,16 @@
-//! [`SortedPolicy`]: the generic taxonomy policy.
+//! `SortedList`, the policy module's one sorted list, and
+//! [`SortedPolicy`], the taxonomy policy built on it.
 //!
-//! Keeps the cached documents in a sorted structure ordered by the
-//! [`KeySpec`] rank triple, exactly as the paper describes: "the class of
-//! removal policies in §1.2 maintains a sorted list. If the list is kept
-//! sorted as the proxy operates, then the removal policy merely removes the
-//! head of the list" (section 1.3). The structure here is two queues over
-//! `(rank, url)` entries with *lazy deletion*: a rank update files the new
-//! entry and leaves the old one in place, and victim selection drops
-//! entries whose rank no longer matches the [`RankSlab`] ground truth.
+//! "If the list is kept sorted as the proxy operates, then the removal
+//! policy merely removes the head of the list" (section 1.3). Every ordered
+//! policy here is a rank function over a `SortedList` of `(rank, url)`
+//! entries: [`SortedPolicy`] ranks by its [`KeySpec`], GreedyDual-Size by
+//! its value `H`, Pitkow/Recker by `DAY(ATIME)` in one list and by
+//! descending `SIZE` in another. Only LRU-MIN keeps its own buckets (its
+//! module says why). The list is two queues with *lazy deletion*: a rank
+//! update files the new entry and leaves the old one in place, and the head
+//! query drops entries whose rank no longer matches the [`RankSlab`] ground
+//! truth.
 //!
 //! * The **run** is a `VecDeque` of entries that arrived in non-decreasing
 //!   order — each was no smaller than the run's back when it was filed, so
@@ -19,14 +22,14 @@
 //!   unrelated to arrival order (SIZE, NREF) file mostly here.
 //!
 //! Which queue an entry joins is decided by the data's own arrival order,
-//! never by the key's name. The victim is the smaller of the two live
+//! never by the key's name. The head is the smaller of the two live
 //! heads — exactly the entry a fully-sorted list would remove, the smallest
 //! live `(rank, url)`. Stale entries that never reach a head (re-ranked
 //! hits in a cache that never evicts) are discarded wholesale once they
 //! outnumber the live ones by [`STALE_FACTOR`] and [`STALE_FLOOR`], so
-//! memory stays proportional to the resident set. DESIGN.md decisions D1, D8 and D23;
-//! the alternatives to the heap (re-sorting on demand, `BTreeSet`
-//! ordering) are measured by the `ablation` bench.
+//! memory stays proportional to the resident set. DESIGN.md decisions D1,
+//! D8, D23 and D34; `core/tests/sorted_model.rs` holds the list to a sort
+//! of its rank slab, and GreedyDual-Size and Pitkow/Recker to naive scans.
 
 use crate::cache::DocMeta;
 use crate::policy::key::KeySpec;
@@ -35,8 +38,23 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use webcache_trace::{Timestamp, UrlId};
 
+/// A document's sort key: documents are removed in ascending order.
+pub(crate) type Rank = (i64, i64, i64);
+
 /// Rank triple plus URL id: a total order over cached documents.
-type Entry = ((i64, i64, i64), UrlId);
+type Entry = (Rank, UrlId);
+
+/// Map a `u64` into `i64` keeping its order, so an unsigned value can be a
+/// rank component: flipping the top bit sends `0` to `i64::MIN` and
+/// `u64::MAX` to `i64::MAX`.
+pub(crate) fn rank_of(x: u64) -> i64 {
+    (x ^ (1 << 63)) as i64
+}
+
+/// The inverse of [`rank_of`].
+pub(crate) fn value_of(rank: i64) -> u64 {
+    (rank as u64) ^ (1 << 63)
+}
 
 /// Current rank of each resident URL, stored as a dense slab indexed by
 /// the interned `UrlId` — the policy-side counterpart of the cache's
@@ -45,15 +63,15 @@ type Entry = ((i64, i64, i64), UrlId);
 /// bounds check instead of a hash-and-probe.
 #[derive(Debug, Clone, Default)]
 struct RankSlab {
-    slots: Vec<Option<(i64, i64, i64)>>,
+    slots: Vec<Option<Rank>>,
 }
 
 impl RankSlab {
-    fn get(&self, url: UrlId) -> Option<(i64, i64, i64)> {
+    fn get(&self, url: UrlId) -> Option<Rank> {
         *self.slots.get(url.0 as usize)?
     }
 
-    fn insert(&mut self, url: UrlId, rank: (i64, i64, i64)) -> Option<(i64, i64, i64)> {
+    fn insert(&mut self, url: UrlId, rank: Rank) -> Option<Rank> {
         let i = url.0 as usize;
         if i >= self.slots.len() {
             self.slots.resize(i + 1, None);
@@ -61,11 +79,11 @@ impl RankSlab {
         self.slots[i].replace(rank)
     }
 
-    fn remove(&mut self, url: UrlId) -> Option<(i64, i64, i64)> {
+    fn remove(&mut self, url: UrlId) -> Option<Rank> {
         self.slots.get_mut(url.0 as usize)?.take()
     }
 
-    /// All live `(rank, url)` entries, in slab (not rank) order.
+    /// All live `(rank, url)` entries, in slab (that is, url) order.
     fn entries(&self) -> impl Iterator<Item = Entry> + '_ {
         self.slots
             .iter()
@@ -80,14 +98,13 @@ impl RankSlab {
 /// workloads produce.
 const BUCKET_SPLIT: usize = 256;
 
-/// Order-statistic side index: the same entries as `SortedPolicy::order`,
-/// held as a sorted list of sorted buckets (sqrt-decomposition). A
-/// position query walks whole buckets until the target's bucket, then
-/// binary-searches inside it — O(√n) instead of the O(n)
-/// `order.range(..).count()` the `BTreeSet` forces (std's B-tree exposes
-/// no subtree counts). Maintained only when position tracking is enabled,
-/// since insert/remove in a bucket are O(bucket) memmoves the plain
-/// eviction path shouldn't pay.
+/// Order-statistic side index: the live entries of a [`SortedList`], held
+/// as a sorted list of sorted buckets (sqrt-decomposition). A position
+/// query walks whole buckets until the target's bucket, then
+/// binary-searches inside it — O(√n) instead of a count over every live
+/// entry. Maintained only when position tracking is enabled, since
+/// insert/remove in a bucket are O(bucket) memmoves the plain eviction
+/// path shouldn't pay.
 #[derive(Debug, Clone, Default)]
 struct PositionIndex {
     buckets: Vec<Vec<Entry>>,
@@ -172,76 +189,39 @@ impl PositionIndex {
 const STALE_FACTOR: usize = 8;
 const STALE_FLOOR: usize = 1 << 16;
 
-/// A removal policy defined by a [`KeySpec`] (primary, secondary, tertiary
-/// key), per the paper's taxonomy. 36 combinations of Table 1 keys —
-/// including FIFO, LRU, LFU and Hyper-G — are instances of this one type.
-#[derive(Debug, Clone)]
-pub struct SortedPolicy {
-    spec: KeySpec,
+/// The resident documents sorted by `(rank, url)`, smallest first: a sorted
+/// run in front of a lazy heap, with the rank slab as ground truth (see the
+/// module docs).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SortedList {
     /// Entries that were no smaller than the back when filed: ascending.
     run: VecDeque<Entry>,
     /// Min-heap of every other entry. In both queues an entry whose rank
     /// disagrees with `ranks` is stale and is dropped when it reaches a
-    /// head during [`victim`](RemovalPolicy::victim), or by a rebuild.
-    /// `ranks` is the ground truth for residency and rank; the queues only
-    /// order it.
+    /// head during [`head`](SortedList::head), or by a rebuild. `ranks` is
+    /// the ground truth for residency and rank; the queues only order it.
     heap: BinaryHeap<Reverse<Entry>>,
     ranks: RankSlab,
     /// Live entry count (the queue lengths include stale entries).
     live: usize,
     positions: Option<PositionIndex>,
-    name_override: Option<&'static str>,
 }
 
-impl SortedPolicy {
-    /// Create a policy sorting by `spec`.
-    pub fn new(spec: KeySpec) -> SortedPolicy {
-        SortedPolicy {
-            spec,
-            run: VecDeque::new(),
-            heap: BinaryHeap::new(),
-            ranks: RankSlab::default(),
-            live: 0,
-            positions: None,
-            name_override: None,
-        }
-    }
-
-    /// Create with a literature name (used by [`crate::policy::named`]).
-    pub fn named(spec: KeySpec, name: &'static str) -> SortedPolicy {
-        SortedPolicy {
-            name_override: Some(name),
-            ..SortedPolicy::new(spec)
-        }
-    }
-
-    /// The key specification this policy sorts by.
-    pub fn spec(&self) -> KeySpec {
-        self.spec
-    }
-
-    /// The documents in removal order (head first). Exposed for tests and
-    /// for reproducing Table 2's sorted lists.
-    pub fn sorted_urls(&self) -> Vec<UrlId> {
-        let mut live: Vec<Entry> = self.ranks.entries().collect();
-        live.sort_unstable();
-        live.into_iter().map(|(_, url)| url).collect()
-    }
-
-    fn upsert(&mut self, meta: &DocMeta) {
-        let rank = self.spec.rank(meta);
-        match self.ranks.insert(meta.url, rank) {
+impl SortedList {
+    /// File `url` at `rank`, replacing its previous rank if it has one.
+    pub(crate) fn upsert(&mut self, url: UrlId, rank: Rank) {
+        match self.ranks.insert(url, rank) {
             // Rank unchanged: the queued entry is still live, nothing to do.
             Some(old) if old == rank => return,
             Some(old) => {
-                // Old entry goes stale where it is; victim() will skip it.
+                // Old entry goes stale where it is; head() will skip it.
                 if let Some(idx) = &mut self.positions {
-                    idx.remove(&(old, meta.url));
+                    idx.remove(&(old, url));
                 }
             }
             None => self.live += 1,
         }
-        let entry = (rank, meta.url);
+        let entry = (rank, url);
         if self.run.back().is_some_and(|back| entry < *back) {
             self.heap.push(Reverse(entry));
         } else {
@@ -253,6 +233,79 @@ impl SortedPolicy {
         if self.queued() > STALE_FACTOR * self.live + STALE_FLOOR {
             self.rebuild_queues();
         }
+    }
+
+    /// Take `url` out of the list, if it is there; its queued entry goes
+    /// stale and the head query drops it lazily.
+    pub(crate) fn remove(&mut self, url: UrlId) {
+        if let Some(rank) = self.ranks.remove(url) {
+            self.live -= 1;
+            if let Some(idx) = &mut self.positions {
+                idx.remove(&(rank, url));
+            }
+        }
+    }
+
+    /// The smallest live `(rank, url)`, or `None` when the list is empty.
+    pub(crate) fn head(&mut self) -> Option<Entry> {
+        // Drop stale heads (removed documents or superseded ranks) until
+        // each queue's head agrees with the slab. The smaller of the two
+        // is the smallest live `(rank, url)`, exactly what a fully-sorted
+        // list would remove.
+        let ranks = &self.ranks;
+        let live = |&(rank, url): &Entry| ranks.get(url) == Some(rank);
+        while self.run.front().is_some_and(|e| !live(e)) {
+            self.run.pop_front();
+        }
+        while self.heap.peek().is_some_and(|Reverse(e)| !live(e)) {
+            self.heap.pop();
+        }
+        match (self.run.front(), self.heap.peek()) {
+            (Some(a), Some(Reverse(b))) => Some(*a.min(b)),
+            (Some(e), None) | (None, Some(Reverse(e))) => Some(*e),
+            (None, None) => None,
+        }
+    }
+
+    /// Whether `url` is in the list.
+    pub(crate) fn contains(&self, url: UrlId) -> bool {
+        self.ranks.get(url).is_some()
+    }
+
+    /// Number of live entries before `url`'s (0 = head), or `None` when it
+    /// is not in the list. O(√n) once [`track_positions`] has run, a scan
+    /// of every live entry before.
+    ///
+    /// [`track_positions`]: SortedList::track_positions
+    pub(crate) fn position(&self, url: UrlId) -> Option<usize> {
+        let entry = (self.ranks.get(url)?, url);
+        Some(match &self.positions {
+            Some(idx) => idx.position(&entry),
+            // Untracked fallback: fine for one-off test queries; per-request
+            // callers must enable tracking first.
+            None => self.ranks.entries().filter(|e| *e < entry).count(),
+        })
+    }
+
+    /// Start maintaining the index that makes [`position`] sublinear.
+    ///
+    /// [`position`]: SortedList::position
+    pub(crate) fn track_positions(&mut self) {
+        if self.positions.is_none() {
+            let mut live: Vec<Entry> = self.entries().collect();
+            live.sort_unstable();
+            self.positions = Some(PositionIndex::from_sorted(live.into_iter()));
+        }
+    }
+
+    /// Number of live entries.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Every live `(rank, url)`, in url (not rank) order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = Entry> + '_ {
+        self.ranks.entries()
     }
 
     /// Entries held across both queues, stale ones included.
@@ -273,6 +326,48 @@ impl SortedPolicy {
     }
 }
 
+/// A removal policy defined by a [`KeySpec`] (primary, secondary, tertiary
+/// key), per the paper's taxonomy. 36 combinations of Table 1 keys —
+/// including FIFO, LRU, LFU and Hyper-G — are instances of this one type.
+#[derive(Debug, Clone)]
+pub struct SortedPolicy {
+    spec: KeySpec,
+    list: SortedList,
+    name_override: Option<&'static str>,
+}
+
+impl SortedPolicy {
+    /// Create a policy sorting by `spec`.
+    pub fn new(spec: KeySpec) -> SortedPolicy {
+        SortedPolicy {
+            spec,
+            list: SortedList::default(),
+            name_override: None,
+        }
+    }
+
+    /// Create with a literature name (used by [`crate::policy::named`]).
+    pub fn named(spec: KeySpec, name: &'static str) -> SortedPolicy {
+        SortedPolicy {
+            name_override: Some(name),
+            ..SortedPolicy::new(spec)
+        }
+    }
+
+    /// The key specification this policy sorts by.
+    pub fn spec(&self) -> KeySpec {
+        self.spec
+    }
+
+    /// The documents in removal order (head first). Exposed for tests and
+    /// for reproducing Table 2's sorted lists.
+    pub fn sorted_urls(&self) -> Vec<UrlId> {
+        let mut live: Vec<Entry> = self.list.entries().collect();
+        live.sort_unstable();
+        live.into_iter().map(|(_, url)| url).collect()
+    }
+}
+
 impl RemovalPolicy for SortedPolicy {
     fn name(&self) -> String {
         match self.name_override {
@@ -282,68 +377,34 @@ impl RemovalPolicy for SortedPolicy {
     }
 
     fn on_insert(&mut self, meta: &DocMeta) {
-        self.upsert(meta);
+        self.list.upsert(meta.url, self.spec.rank(meta));
     }
 
     fn on_access(&mut self, meta: &DocMeta) {
         // Only re-rank when an access can change the rank.
         if self.spec.access_sensitive() {
-            self.upsert(meta);
+            self.list.upsert(meta.url, self.spec.rank(meta));
         }
     }
 
     fn on_remove(&mut self, url: UrlId) {
-        if let Some(rank) = self.ranks.remove(url) {
-            // The queued entry goes stale; victim() drops it lazily.
-            self.live -= 1;
-            if let Some(idx) = &mut self.positions {
-                idx.remove(&(rank, url));
-            }
-        }
+        self.list.remove(url);
     }
 
     fn victim(&mut self, _now: Timestamp, _incoming_size: u64) -> Option<UrlId> {
-        // Drop stale heads (removed documents or superseded ranks) until
-        // each queue's head agrees with the slab. The smaller of the two
-        // is the smallest live `(rank, url)`, exactly what a fully-sorted
-        // list would remove.
-        let ranks = &self.ranks;
-        let live = |&(rank, url): &Entry| ranks.get(url) == Some(rank);
-        while self.run.front().is_some_and(|e| !live(e)) {
-            self.run.pop_front();
-        }
-        while self.heap.peek().is_some_and(|Reverse(e)| !live(e)) {
-            self.heap.pop();
-        }
-        let head = match (self.run.front(), self.heap.peek()) {
-            (Some(a), Some(Reverse(b))) => a.min(b),
-            (Some(e), None) | (None, Some(Reverse(e))) => e,
-            (None, None) => return None,
-        };
-        Some(head.1)
+        self.list.head().map(|(_, url)| url)
     }
 
     fn len(&self) -> usize {
-        self.live
+        self.list.len()
     }
 
     fn removal_position(&self, url: UrlId) -> Option<usize> {
-        let rank = self.ranks.get(url)?;
-        match &self.positions {
-            Some(idx) => Some(idx.position(&(rank, url))),
-            // Untracked fallback: a linear scan of the live entries. Fine
-            // for one-off test queries; per-request callers must call
-            // `enable_position_tracking` first.
-            None => Some(self.ranks.entries().filter(|e| *e < (rank, url)).count()),
-        }
+        self.list.position(url)
     }
 
     fn enable_position_tracking(&mut self) {
-        if self.positions.is_none() {
-            let mut live: Vec<Entry> = self.ranks.entries().collect();
-            live.sort_unstable();
-            self.positions = Some(PositionIndex::from_sorted(live.into_iter()));
-        }
+        self.list.track_positions();
     }
 }
 
@@ -491,10 +552,10 @@ mod tests {
         for i in 0..10u32 {
             p.on_insert(&meta(i, 5, i as u64, 10 + i as u64, 1));
         }
-        assert_eq!((p.run.len(), p.heap.len()), (10, 0));
+        assert_eq!((p.list.run.len(), p.list.heap.len()), (10, 0));
         // ...and one that is older than the run's back goes to the heap.
         p.on_insert(&meta(99, 5, 0, 3, 1));
-        assert_eq!((p.run.len(), p.heap.len()), (10, 1));
+        assert_eq!((p.list.run.len(), p.list.heap.len()), (10, 1));
         assert_eq!(p.victim(100, 0), Some(UrlId(99)));
         p.on_remove(UrlId(99));
         // Touching the head leaves a stale entry at the front of the run.
@@ -508,7 +569,7 @@ mod tests {
             p.on_remove(v);
         }
         assert_eq!(order, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 0]);
-        assert_eq!(p.queued(), 0);
+        assert_eq!(p.list.queued(), 0);
     }
 
     #[test]
@@ -534,10 +595,10 @@ mod tests {
                 nrefs[url as usize] += 1;
                 p.on_access(&meta(url, 1024, 0, t / 64, nrefs[url as usize]));
                 assert!(
-                    p.queued() <= STALE_FACTOR * p.len() + STALE_FLOOR,
+                    p.list.queued() <= STALE_FACTOR * p.len() + STALE_FLOOR,
                     "{}: {} entries queued for {} documents",
                     spec.name(),
-                    p.queued(),
+                    p.list.queued(),
                     p.len()
                 );
             }

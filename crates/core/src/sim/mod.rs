@@ -232,6 +232,16 @@ pub fn max_needed(trace: &Trace) -> u64 {
         .expect("infinite cache reports max_used")
 }
 
+/// Render a caught panic's payload as a one-line message, for the
+/// per-lane and per-cell error strings of a sweep that salvages its
+/// healthy results.
+pub fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
+    e.downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| e.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Simulate a finite single-level cache under the given policy.
 pub fn simulate_policy(trace: &Trace, capacity: u64, policy: Box<dyn RemovalPolicy>) -> SimResult {
     let label = policy.name();

@@ -22,7 +22,7 @@
 
 use crate::cache::{Cache, MetaDecorator};
 use crate::policy::RemovalPolicy;
-use crate::sim::{replay_days, CacheSystem, SimResult};
+use crate::sim::{panic_message, replay_days, CacheSystem, SimResult};
 use rayon::prelude::*;
 use webcache_trace::{Request, Trace};
 
@@ -92,13 +92,13 @@ impl<'t> MultiSim<'t> {
         &self,
         policies: Vec<(String, Box<dyn RemovalPolicy>)>,
     ) -> Vec<(String, Result<SimResult, String>)> {
-        let trace = self.trace;
-        let capacity = self.capacity;
+        let (trace, capacity) = (self.trace, self.capacity);
         policies
             .into_par_iter()
             .map(|(label, policy)| {
+                let spec = LaneSpec::new(label.clone(), policy);
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    crate::sim::simulate_policy(trace, capacity, policy)
+                    drive(trace, capacity, spec, (), &|_: &mut (), _: &Request, _| ()).1
                 }))
                 .map_err(panic_message);
                 (label, result)
@@ -127,14 +127,6 @@ impl<'t> MultiSim<'t> {
             .map(|(spec, observer)| drive(trace, capacity, spec, observer, &observe))
             .collect()
     }
-}
-
-/// Human-readable message from a caught lane panic.
-fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
-    e.downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| e.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "lane panicked with a non-string payload".to_string())
 }
 
 /// Drive one lane through the whole trace in the day loop `simulate()`

@@ -1,12 +1,20 @@
-//! `SortedPolicy`'s order structure against an oracle (DESIGN.md D23).
+//! The policy module's one sorted list against oracles (DESIGN.md D23,
+//! D34).
 //!
-//! The policy orders its documents with a sorted run in front of a lazy
-//! heap and rebuilds both when stale entries pile up; `sorted_urls()`
+//! `SortedPolicy` orders its documents with a sorted run in front of a
+//! lazy heap and rebuilds both when stale entries pile up; `sorted_urls()`
 //! sorts the rank slab and never sees either. For every one of the 36
 //! key combinations and any mix of inserts, hits, size changes, removals
 //! and evictions, the head the queues produce must be the head of that
 //! sorted list — including after a checkpoint round trip
 //! (`export_state` / `restore_state`) and with position tracking on.
+//! GreedyDual-Size (both cost models) and Pitkow/Recker file into the
+//! same list, so the same streams drive them beside every `SortedPolicy`
+//! and hold them to naive O(n) scans: GreedyDual-Size's victim is the
+//! minimum `(H, url)` and sets the inflation value, its tracked
+//! `removal_position` is the count of smaller entries, and its state
+//! round trip continues identically; Pitkow/Recker evicts the stalest day
+//! if it is before today, else the largest document.
 //!
 //! Streams are built to hit the awkward cases: most requests share a
 //! second with their predecessor (so ETIME/ATIME tie and arrival order is
@@ -18,9 +26,14 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use webcache_core::cache::{Cache, Outcome};
-use webcache_core::policy::{Key, KeySpec, RemovalPolicy, SortedPolicy};
-use webcache_trace::{ClientId, DocType, Request, ServerId, UrlId, SECONDS_PER_DAY};
+use std::cmp::Reverse;
+use webcache_core::cache::{Cache, DocMeta, Outcome};
+use webcache_core::policy::greedy_dual::GdCost;
+use webcache_core::policy::{
+    GreedyDualSize, Key, KeySpec, PitkowRecker, RemovalPolicy, SortedPolicy,
+};
+use webcache_core::util::splitmix64;
+use webcache_trace::{day_of, ClientId, DocType, Request, ServerId, UrlId, SECONDS_PER_DAY};
 
 /// Two sizes per band so that LOG2SIZE ties while SIZE does not.
 const SIZES: [u64; 5] = [1024, 1500, 2048, 3000, 4096];
@@ -31,6 +44,8 @@ const GAPS: [u64; 8] = [0, 0, 0, 0, 1, 1, 7, SECONDS_PER_DAY / 2];
 const CAPACITY: u64 = 1 << 40;
 /// The document of that size; ids index a slab, so just past the others.
 const FLUSH_URL: u32 = 3000;
+/// Pitkow/Recker's tie-break salt.
+const PR_SALT: u64 = 0x5EED;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -84,17 +99,145 @@ fn evicted_urls(out: Outcome) -> Vec<UrlId> {
     }
 }
 
+/// GreedyDual-Size's `H` in 2^20 fixed point (Cao & Irani): the
+/// inflation value plus cost over size, never below `L + 1`.
+fn gds_value(cost: GdCost, inflation: u64, size: u64) -> u64 {
+    let cost = match cost {
+        GdCost::Uniform => 1 << 20,
+        GdCost::Bytes => size << 20,
+    };
+    inflation
+        .saturating_add(cost / size.max(1))
+        .max(inflation + 1)
+}
+
+/// A model's slot for `url`, the slab grown to hold it.
+fn slot<T: Clone>(slab: &mut Vec<Option<T>>, url: UrlId) -> &mut Option<T> {
+    let i = url.0 as usize;
+    if i >= slab.len() {
+        slab.resize(i + 1, None);
+    }
+    &mut slab[i]
+}
+
+/// The naive GreedyDual-Size: each resident document's `H`, by url id.
+struct GdsModel {
+    cost: GdCost,
+    inflation: u64,
+    values: Vec<Option<u64>>,
+}
+
+impl GdsModel {
+    /// Every resident `(H, url)`, in url order.
+    fn entries(&self) -> impl Iterator<Item = (u64, UrlId)> + '_ {
+        let slots = self.values.iter().enumerate();
+        slots.filter_map(|(i, h)| h.map(|h| (h, UrlId(i as u32))))
+    }
+
+    /// An insert or a hit: the document's value at today's inflation.
+    fn touch(&mut self, meta: &DocMeta) {
+        let h = gds_value(self.cost, self.inflation, meta.size);
+        *slot(&mut self.values, meta.url) = Some(h);
+    }
+
+    /// The minimum `(H, url)`, found by a scan; its `H` becomes `L`.
+    fn victim(&mut self) -> Option<UrlId> {
+        let (h, url) = self.entries().min()?;
+        self.inflation = h;
+        Some(url)
+    }
+
+    /// How many resident documents sort before `url`.
+    fn position(&self, url: UrlId) -> Option<usize> {
+        let key = ((*self.values.get(url.0 as usize)?)?, url);
+        Some(self.entries().filter(|&e| e < key).count())
+    }
+
+    /// `export_state`'s bytes: `L`, then `(url, H)` in url order.
+    fn state(&self) -> Vec<u8> {
+        let mut out = self.inflation.to_le_bytes().to_vec();
+        for (h, url) in self.entries() {
+            out.extend_from_slice(&url.0.to_le_bytes());
+            out.extend_from_slice(&h.to_le_bytes());
+        }
+        out
+    }
+}
+
+/// One GreedyDual-Size cost model: a bare policy, a position-tracking
+/// one, and the model they must agree with.
+struct GdsLane {
+    plain: GreedyDualSize,
+    tracked: GreedyDualSize,
+    model: GdsModel,
+}
+
+impl GdsLane {
+    fn new(cost: GdCost) -> GdsLane {
+        let mut tracked = GreedyDualSize::with_cost(cost);
+        tracked.enable_position_tracking();
+        GdsLane {
+            plain: GreedyDualSize::with_cost(cost),
+            tracked,
+            model: GdsModel {
+                cost,
+                inflation: 0,
+                values: Vec::new(),
+            },
+        }
+    }
+}
+
+/// The naive Pitkow/Recker: each resident document's `(DAY(ATIME), SIZE)`,
+/// by url id.
+#[derive(Default)]
+struct PrModel {
+    docs: Vec<Option<(u64, u64)>>,
+}
+
+impl PrModel {
+    /// Every resident `(url, day, size)`, in url order.
+    fn entries(&self) -> impl Iterator<Item = (UrlId, u64, u64)> + '_ {
+        let slots = self.docs.iter().enumerate();
+        slots.filter_map(|(i, d)| d.map(|(day, size)| (UrlId(i as u32), day, size)))
+    }
+
+    /// The stalest-day document if its day is before today, else the
+    /// largest; ties by `splitmix64(url ^ salt)`, then url.
+    fn victim(&self, now: u64) -> Option<UrlId> {
+        let (stale, day, _) = self
+            .entries()
+            .min_by_key(|&(u, day, _)| (day, pr_tiebreak(u), u))?;
+        if day < day_of(now) {
+            return Some(stale);
+        }
+        self.entries()
+            .min_by_key(|&(u, _, size)| (Reverse(size), pr_tiebreak(u), u))
+            .map(|(u, _, _)| u)
+    }
+}
+
+/// Pitkow/Recker's tie-break: the full 64 bits of the url's hash.
+fn pr_tiebreak(url: UrlId) -> u64 {
+    splitmix64(url.0 as u64 ^ PR_SALT)
+}
+
 /// The subjects: a cache whose own policy is never asked for a victim
-/// until the end (its queues keep every stale entry), and two bare
-/// policies fed the same events from the cache's metadata, one of them
-/// tracking positions. `check_every` is how often the bare policies'
-/// heads are compared with the oracle — asking pops stale heads, so
-/// asking rarely leaves a different structure behind than asking always.
+/// until the end (its queues keep every stale entry), and bare policies
+/// fed the same events from the cache's metadata — two `SortedPolicy`s,
+/// one of them tracking positions, a GreedyDual-Size lane per cost model
+/// and a Pitkow/Recker. `check_every` is how often the bare policies'
+/// heads are compared with the oracles — asking pops stale heads (and
+/// moves GreedyDual-Size's inflation value), so asking rarely leaves a
+/// different structure behind than asking always.
 struct Harness {
     spec: KeySpec,
     cache: Cache,
     plain: SortedPolicy,
     tracked: SortedPolicy,
+    gds: [GdsLane; 2],
+    pitkow_recker: PitkowRecker,
+    pr_model: PrModel,
     now: u64,
 }
 
@@ -107,8 +250,25 @@ impl Harness {
             cache: Cache::new(CAPACITY, Box::new(SortedPolicy::new(spec))),
             plain: SortedPolicy::new(spec),
             tracked,
+            gds: [GdsLane::new(GdCost::Uniform), GdsLane::new(GdCost::Bytes)],
+            pitkow_recker: PitkowRecker::new(None, PR_SALT),
+            pr_model: PrModel::default(),
             now: 0,
         }
+    }
+
+    /// Every bare policy.
+    fn subjects(&mut self) -> [&mut dyn RemovalPolicy; 7] {
+        let [a, b] = &mut self.gds;
+        [
+            &mut self.plain,
+            &mut self.tracked,
+            &mut a.plain,
+            &mut a.tracked,
+            &mut b.plain,
+            &mut b.tracked,
+            &mut self.pitkow_recker,
+        ]
     }
 
     fn apply(&mut self, op: Op) -> Result<(), TestCaseError> {
@@ -118,7 +278,7 @@ impl Harness {
                 let r = request(self.now, url, SIZES[size]);
                 let hit = self.cache.request(&r).is_hit();
                 let meta = *self.cache.meta(r.url).expect("just referenced");
-                for p in [&mut self.plain, &mut self.tracked] {
+                for p in self.subjects() {
                     if hit {
                         p.on_access(&meta);
                     } else {
@@ -126,6 +286,11 @@ impl Harness {
                         p.on_insert(&meta);
                     }
                 }
+                for lane in &mut self.gds {
+                    lane.model.touch(&meta);
+                }
+                let day = day_of(meta.last_access);
+                *slot(&mut self.pr_model.docs, meta.url) = Some((day, meta.size));
             }
             Op::Remove { url } => self.remove(UrlId(url)),
             Op::Evict => {
@@ -135,18 +300,31 @@ impl Harness {
                 }
             }
         }
-        prop_assert_eq!(self.plain.len(), self.cache.len());
-        prop_assert_eq!(self.tracked.len(), self.cache.len());
+        let resident = self.cache.len();
+        for p in self.subjects() {
+            prop_assert!(
+                p.len() == resident,
+                "{}: {} of {resident}",
+                p.name(),
+                p.len()
+            );
+        }
         Ok(())
     }
 
     fn remove(&mut self, url: UrlId) {
         self.cache.remove(url);
-        self.plain.on_remove(url);
-        self.tracked.on_remove(url);
+        for p in self.subjects() {
+            p.on_remove(url);
+        }
+        for lane in &mut self.gds {
+            *slot(&mut lane.model.values, url) = None;
+        }
+        *slot(&mut self.pr_model.docs, url) = None;
     }
 
-    /// Both bare policies' victims against the sorted slab.
+    /// Every bare policy's victim against its oracle; the `SortedPolicy`
+    /// head is the one returned.
     fn check_heads(&mut self) -> Result<Option<UrlId>, TestCaseError> {
         let want = self.plain.sorted_urls().first().copied();
         prop_assert_eq!(self.plain.victim(self.now, 0), want);
@@ -155,12 +333,52 @@ impl Harness {
             prop_assert_eq!(self.tracked.removal_position(url), Some(0));
             prop_assert_eq!(self.cache.removal_position(url), Some(0));
         }
+        for lane in &mut self.gds {
+            let head = lane.model.victim();
+            prop_assert_eq!(lane.plain.victim(self.now, 0), head);
+            prop_assert_eq!(lane.tracked.victim(self.now, 0), head);
+            // Every document while there are few, four or five after.
+            let resident = self.cache.len();
+            let stride = if resident <= 32 { 1 } else { resident / 4 };
+            for (_, url) in lane.model.entries().step_by(stride) {
+                let scan = lane.model.position(url);
+                prop_assert_eq!(lane.tracked.removal_position(url), scan);
+            }
+        }
+        let head = self.pr_model.victim(self.now);
+        prop_assert_eq!(self.pitkow_recker.victim(self.now, 0), head);
         Ok(want)
+    }
+
+    /// Replace each GreedyDual-Size lane's policies with ones restored
+    /// from their exported state: the resident documents replayed (in
+    /// reverse url order, at inflation zero), then the bytes imported.
+    fn restore_greedy_dual(&mut self) -> Result<(), TestCaseError> {
+        for lane in &mut self.gds {
+            let state = lane.plain.export_state();
+            prop_assert_eq!(&state, &lane.model.state());
+            prop_assert_eq!(&lane.tracked.export_state(), &state);
+            let mut plain = GreedyDualSize::with_cost(lane.model.cost);
+            let resident: Vec<(u64, UrlId)> = lane.model.entries().collect();
+            for &(_, url) in resident.iter().rev() {
+                plain.on_insert(self.cache.meta(url).expect("resident"));
+            }
+            let mut tracked = plain.clone();
+            prop_assert!(plain.import_state(&state));
+            tracked.enable_position_tracking();
+            prop_assert!(tracked.import_state(&state));
+            prop_assert_eq!(&tracked.export_state(), &state);
+            lane.plain = plain;
+            lane.tracked = tracked;
+        }
+        Ok(())
     }
 
     /// Empty the cache — and a copy restored from its checkpoint — with
     /// one request as large as the cache. Each must evict every document
     /// in exactly the oracle's order, through queues nobody has tidied.
+    /// Then drain the other bare policies victim by victim, each in its
+    /// model's order.
     fn flush(mut self) -> Result<(), TestCaseError> {
         self.check_heads()?;
         let want = self.plain.sorted_urls();
@@ -170,6 +388,37 @@ impl Harness {
         let everything = request(self.now, FLUSH_URL, CAPACITY);
         prop_assert_eq!(&evicted_urls(self.cache.request(&everything)), &want);
         prop_assert_eq!(&evicted_urls(restored.request(&everything)), &want);
+        // Nothing is inserted while draining, so the victims come in one
+        // fixed order, which a sort gives.
+        for lane in &mut self.gds {
+            let mut order: Vec<(u64, UrlId)> = lane.model.entries().collect();
+            order.sort_unstable();
+            for head in order.into_iter().map(|(_, u)| Some(u)).chain([None]) {
+                prop_assert_eq!(lane.plain.victim(self.now, 0), head);
+                prop_assert_eq!(lane.tracked.victim(self.now, 0), head);
+                if let Some(url) = head {
+                    lane.plain.on_remove(url);
+                    lane.tracked.on_remove(url);
+                }
+            }
+        }
+        let (mut stale, mut today): (Vec<_>, Vec<_>) = self
+            .pr_model
+            .entries()
+            .partition(|&(_, day, _)| day < day_of(self.now));
+        stale.sort_unstable_by_key(|&(u, day, _)| (day, pr_tiebreak(u), u));
+        today.sort_unstable_by_key(|&(u, _, size)| (Reverse(size), pr_tiebreak(u), u));
+        for head in stale
+            .iter()
+            .chain(&today)
+            .map(|&(u, _, _)| Some(u))
+            .chain([None])
+        {
+            prop_assert_eq!(self.pitkow_recker.victim(self.now, 0), head);
+            if let Some(url) = head {
+                self.pitkow_recker.on_remove(url);
+            }
+        }
         Ok(())
     }
 }
@@ -185,6 +434,32 @@ proptest! {
     ) {
         let mut h = Harness::new(KeySpec::all36(3)[combo]);
         for (step, &op) in ops.iter().enumerate() {
+            h.apply(op)?;
+            if step.is_multiple_of(check_every) {
+                h.check_heads()?;
+            }
+        }
+        h.flush()?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// GreedyDual-Size's state round trip at an arbitrary step: the
+    /// restored policies continue exactly as the model does.
+    #[test]
+    fn greedy_dual_continues_identically_after_a_state_round_trip(
+        combo in 0usize..36,
+        ops in ops(12, 400),
+        restore_at in 0usize..400,
+        check_every in prop::sample::select(vec![1usize, 5, 1000]),
+    ) {
+        let mut h = Harness::new(KeySpec::all36(3)[combo]);
+        for (step, &op) in ops.iter().enumerate() {
+            if step == restore_at {
+                h.restore_greedy_dual()?;
+            }
             h.apply(op)?;
             if step.is_multiple_of(check_every) {
                 h.check_heads()?;
@@ -248,5 +523,57 @@ fn victim_is_the_head_of_the_sorted_list_across_queue_rebuilds() {
         }
         h.flush()
             .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name()));
+    }
+}
+
+/// GreedyDual-Size across queue rebuilds. Its stale entries are usually
+/// swept by its own victims: the inflation value `L` climbs past them.
+/// Here it cannot keep up: the cache holds two megabyte documents, so
+/// nearly every request for one evicts another and raises `L` by one unit
+/// of `1/size`, while one-to-sixteen-byte documents, worth up to a million
+/// units, are hit in between and leave a stale entry far above `L` each
+/// time —
+/// tens of thousands of them against a few dozen residents, so the queues
+/// are rebuilt (twice in this run). Uniform cost only: under byte cost
+/// every document is worth the same above `L`, and the sweep keeps up. A
+/// cache under the policy, with position tracking on, must evict exactly
+/// as the model does and place every document where the model's count
+/// does.
+#[test]
+fn greedy_dual_matches_its_model_across_queue_rebuilds() {
+    const SMALL: u64 = 32;
+    const LARGE: u64 = 256;
+    let cost = GdCost::Uniform;
+    let mut cache = Cache::new(2 << 20, Box::new(GreedyDualSize::with_cost(cost)));
+    cache.enable_position_tracking();
+    let mut model = GdsLane::new(cost).model;
+    let mut x = 11u64;
+    for step in 0..300_000u64 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let draw = x >> 33;
+        let (url, size) = if draw.is_multiple_of(4) {
+            (SMALL + draw / 4 % LARGE, 1 << 20)
+        } else {
+            let url = draw / 4 % SMALL;
+            (url, 1 + url % 16)
+        };
+        let r = request(step / 4, url as u32, size);
+        let evicted = match cache.request(&r) {
+            out if out.is_hit() => Vec::new(),
+            out => evicted_urls(out),
+        };
+        for url in evicted {
+            assert_eq!(model.victim(), Some(url), "step {step}");
+            *slot(&mut model.values, url) = None;
+        }
+        model.touch(cache.meta(r.url).expect("just referenced"));
+        if step.is_multiple_of(10_000) {
+            for (_, url) in model.entries() {
+                let want = model.position(url);
+                assert_eq!(cache.removal_position(url), want, "step {step}");
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 use crate::runner::Ctx;
 use serde::{Deserialize, Serialize};
 use webcache_core::policy::{named, Key, KeySpec, RemovalPolicy, SortedPolicy};
-use webcache_core::sim::{simulate_infinite, SimResult};
+use webcache_core::sim::{simulate_infinite, MultiSim, SimResult};
 use webcache_stats::series::{ratio_percent, DailySeries};
 use webcache_stats::{report, Table};
 
@@ -64,14 +64,15 @@ pub enum PolicySet {
     Primaries,
     /// The full 36-combination design of Table 5.
     All36,
-    /// The literature policies (FIFO, LRU, LFU, Hyper-G, LRU-MIN,
-    /// Pitkow/Recker) plus SIZE and GreedyDual-Size.
+    /// Every policy of [`named::all_named`]: the literature policies (FIFO,
+    /// LRU, LFU, Hyper-G, LRU-MIN, Pitkow/Recker) plus SIZE, LOG2SIZE-LRU
+    /// and GreedyDual-Size.
     Named,
 }
 
 /// The `(label, policy)` instances of a [`PolicySet`], in sweep order.
 /// Public so benchmarks can replay the exact Experiment 2 sweep.
-pub fn policies(set: PolicySet) -> Vec<(String, Box<dyn RemovalPolicy + Send>)> {
+pub fn policies(set: PolicySet) -> Vec<(String, Box<dyn RemovalPolicy>)> {
     match set {
         PolicySet::Figures => [Key::Size, Key::EntryTime, Key::AccessTime, Key::NRef]
             .iter()
@@ -82,24 +83,14 @@ pub fn policies(set: PolicySet) -> Vec<(String, Box<dyn RemovalPolicy + Send>)> 
             .map(|&k| spec_policy(KeySpec::primary(k)))
             .collect(),
         PolicySet::All36 => KeySpec::all36(0).into_iter().map(spec_policy).collect(),
-        PolicySet::Named => {
-            let boxed: Vec<Box<dyn RemovalPolicy + Send>> = vec![
-                Box::new(named::fifo()),
-                Box::new(named::lru()),
-                Box::new(named::lfu()),
-                Box::new(named::hyper_g()),
-                Box::new(named::size()),
-                Box::new(named::log2size_lru()),
-                Box::new(webcache_core::policy::LruMin::new()),
-                Box::new(webcache_core::policy::PitkowRecker::default()),
-                Box::new(webcache_core::policy::GreedyDualSize::new()),
-            ];
-            boxed.into_iter().map(|p| (p.name(), p)).collect()
-        }
+        PolicySet::Named => named::all_named()
+            .into_iter()
+            .map(|p| (p.name(), p))
+            .collect(),
     }
 }
 
-fn spec_policy(spec: KeySpec) -> (String, Box<dyn RemovalPolicy + Send>) {
+fn spec_policy(spec: KeySpec) -> (String, Box<dyn RemovalPolicy>) {
     (spec.name(), Box::new(SortedPolicy::new(spec)))
 }
 
@@ -151,7 +142,7 @@ fn policy_run(policy: String, res: &SimResult, inf: &InfiniteRef) -> PolicyRun {
 pub fn run_one(ctx: &Ctx, workload: &str, cache_fraction: f64, set: PolicySet) -> Exp2Workload {
     let trace = ctx.trace(workload);
     let inf = infinite_ref(&trace, cache_fraction);
-    let results = crate::runner::parallel_sims_checked(&trace, inf.capacity, policies(set));
+    let results = MultiSim::new(&trace, inf.capacity).run_checked(policies(set));
     let mut runs = Vec::with_capacity(results.len());
     let mut failed = Vec::new();
     for (policy, res) in results {
@@ -264,11 +255,11 @@ pub fn run_secondary(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Secondar
         Key::NRef,
         Key::DayOfAccess,
     ];
-    let jobs: Vec<(String, Box<dyn RemovalPolicy + Send>)> = secondaries
+    let jobs = secondaries
         .iter()
         .map(|&s| spec_policy(KeySpec::pair(Key::Log2Size, s)))
         .collect();
-    let results = crate::runner::parallel_sims(&trace, capacity, jobs);
+    let results = MultiSim::new(&trace, capacity).run(jobs);
 
     let whr_of = |idx: usize| {
         let s = results[idx].1.stream("cache").expect("cache stream");

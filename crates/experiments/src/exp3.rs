@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use webcache_core::cache::multilevel::{SharedL2, TwoLevelCache};
 use webcache_core::cache::Cache;
 use webcache_core::policy::{named, NeverEvict};
-use webcache_core::sim::simulate;
+use webcache_core::sim::{panic_message, simulate};
 use webcache_stats::series::DailySeries;
 use webcache_stats::{report, Table};
 
@@ -86,7 +86,7 @@ pub fn run(ctx: &Ctx, cache_fraction: f64) -> Exp3Output {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_one(ctx, w, cache_fraction)
             }))
-            .map_err(crate::runner::panic_message);
+            .map_err(panic_message);
             (w, r)
         })
         .collect();

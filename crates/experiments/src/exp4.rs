@@ -10,7 +10,7 @@ use crate::runner::Ctx;
 use serde::{Deserialize, Serialize};
 use webcache_core::cache::partitioned::PartitionedCache;
 use webcache_core::policy::named;
-use webcache_core::sim::{simulate, simulate_infinite};
+use webcache_core::sim::{panic_message, simulate, simulate_infinite};
 use webcache_stats::series::DailySeries;
 use webcache_stats::{report, Table};
 use webcache_trace::DocType;
@@ -110,7 +110,7 @@ pub fn run(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Exp4 {
         }));
         match outcome {
             Ok(r) => runs.push(r),
-            Err(e) => failed.push((format!("{audio_fraction}"), crate::runner::panic_message(e))),
+            Err(e) => failed.push((format!("{audio_fraction}"), panic_message(e))),
         }
     }
     Exp4 {

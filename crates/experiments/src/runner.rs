@@ -1,12 +1,10 @@
-//! Shared orchestration: trace caching, the Table 5 experiment design
-//! constants, and parallel policy sweeps.
+//! Shared orchestration: trace caching and the Table 5 experiment design
+//! constants. Policy sweeps call `webcache_core::sim::MultiSim` directly.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use webcache_core::policy::RemovalPolicy;
-use webcache_core::sim::{MultiSim, SimResult};
 use webcache_trace::{binfmt, Trace};
 use webcache_workload::profiles;
 
@@ -201,53 +199,9 @@ impl Default for Ctx {
     }
 }
 
-/// Run one `(label, policy)` simulation per entry, preserving input order
-/// in the output. Delegates to [`MultiSim`], which drives all policy lanes
-/// through a single shared pass over the trace, chunked across threads.
-pub fn parallel_sims(
-    trace: &Trace,
-    capacity: u64,
-    policies: Vec<(String, Box<dyn RemovalPolicy + Send>)>,
-) -> Vec<(String, SimResult)> {
-    let lanes = policies
-        .into_iter()
-        .map(|(name, policy)| (name, policy as Box<dyn RemovalPolicy>))
-        .collect();
-    MultiSim::new(trace, capacity).run(lanes)
-}
-
-/// Fault-tolerant variant of [`parallel_sims`]: a lane that panics yields
-/// `Err(message)` in place, instead of poisoning the whole sweep and
-/// dropping every completed lane's result. Callers salvage the `Ok` lanes
-/// into their output JSON with a `"partial": true` marker.
-pub fn parallel_sims_checked(
-    trace: &Trace,
-    capacity: u64,
-    policies: Vec<(String, Box<dyn RemovalPolicy + Send>)>,
-) -> Vec<(String, Result<SimResult, String>)> {
-    let lanes = policies
-        .into_iter()
-        .map(|(name, policy)| (name, policy as Box<dyn RemovalPolicy>))
-        .collect();
-    MultiSim::new(trace, capacity).run_checked(lanes)
-}
-
-/// Render a `catch_unwind` payload as a one-line message for partial-result
-/// markers.
-pub fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache_core::policy::named;
 
     #[test]
     fn ctx_caches_traces() {
@@ -334,25 +288,6 @@ mod tests {
             ctx.try_trace("nope"),
             Err(CtxError::UnknownWorkload(_))
         ));
-    }
-
-    #[test]
-    fn parallel_sims_preserve_order_and_match_serial() {
-        let ctx = Ctx::with_scale(0.01, 3);
-        let trace = ctx.trace("G");
-        let cap = webcache_core::sim::max_needed(&trace) / 10;
-        let jobs: Vec<(String, Box<dyn RemovalPolicy + Send>)> = vec![
-            ("SIZE".into(), Box::new(named::size())),
-            ("LRU".into(), Box::new(named::lru())),
-        ];
-        let out = parallel_sims(&trace, cap, jobs);
-        assert_eq!(out[0].0, "SIZE");
-        assert_eq!(out[1].0, "LRU");
-        let serial = webcache_core::sim::simulate_policy(&trace, cap, Box::new(named::size()));
-        assert_eq!(
-            out[0].1.stream("cache").unwrap().total,
-            serial.stream("cache").unwrap().total
-        );
     }
 
     #[test]

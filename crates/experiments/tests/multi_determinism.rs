@@ -1,8 +1,8 @@
 //! The single-pass engine must be *bit-identical* to the serial
 //! simulator: same daily counters, same totals, same gauges, for every
-//! policy lane. This is the contract that lets `parallel_sims` and the
-//! experiment drivers swap `simulate_policy` loops for [`MultiSim`]
-//! without touching any published number.
+//! policy lane. This is the contract that lets the experiment drivers
+//! call [`MultiSim`]'s `run` and `run_checked` in place of
+//! `simulate_policy` loops without touching any published number.
 
 use webcache_core::policy::{named, GreedyDualSize, LruMin, PitkowRecker, RemovalPolicy};
 use webcache_core::sim::{max_needed, simulate_policy, MultiSim, SimResult};
