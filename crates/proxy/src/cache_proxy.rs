@@ -51,7 +51,7 @@ use crate::persist::{self, JournalOp, PersistConfig, PersistError};
 use crate::persister::{apply_recovery, persister_loop, JournalBuf};
 use crate::reactor::Reactor;
 use crate::serve::serve_peer_connection;
-use crate::stats::AtomicProxyStats;
+use crate::stats::Counters;
 use crate::url_table::UrlTable;
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -112,7 +112,9 @@ impl ShardExt {
 /// never held across network I/O.
 pub(crate) struct ProxyState {
     pub(crate) cache: ShardedCache<Resident, ShardExt>,
-    pub(crate) stats: AtomicProxyStats,
+    /// The counter table ([`crate::stats`]); the persister and the
+    /// cluster layer count into the same one.
+    pub(crate) counters: Arc<Counters>,
     /// Logical clock: advances by one per request, so ATIME/ETIME/NREF
     /// behave exactly as in simulation. Wall time is deliberately not
     /// used — tests stay deterministic.
@@ -121,34 +123,13 @@ pub(crate) struct ProxyState {
     pub(crate) breakers: Breakers,
     /// Counter feeding deterministic backoff jitter.
     pub(crate) jitter_seq: AtomicU64,
-    /// Cache/origin jobs dispatched to the worker pool (hits the event
-    /// loop served inline never count). Not part of [`ProxyStats`] — it
-    /// describes the serving engine, not the cache — but observable via
-    /// [`ProxyServer::worker_jobs`].
-    worker_jobs: AtomicU64,
-    /// Responses a worker could not finish writing (the client socket
-    /// was full) and handed back to the event loop to drain; see
-    /// [`ProxyServer::write_handbacks`].
-    write_handbacks: AtomicU64,
-    /// Origin exchanges the event loop ran and concluded itself — misses
-    /// and revalidations that never reached a worker; see
-    /// [`ProxyServer::inline_fetches`].
-    inline_fetches: AtomicU64,
-    /// Inline attempts given up and handed to a worker; see
-    /// [`ProxyServer::inline_fallbacks`].
-    inline_fallbacks: AtomicU64,
-    /// Connections whose whole request head was read at accept; see
-    /// [`ProxyServer::read_at_accept`].
-    read_at_accept: AtomicU64,
-    /// Responses sent with the listener's cork taken out first; see
-    /// [`ProxyServer::uncorked`].
-    uncorked: AtomicU64,
     log: Mutex<AccessLog>,
     /// Cluster state when running as a cluster node
     /// ([`ProxyServer::start_clustered`]); `None` single-node.
     pub(crate) cluster: Option<Arc<ClusterState>>,
-    /// Persistence health, mirrored here (set once at startup) so the
-    /// admin stats endpoint can report it from any serving thread.
+    /// Persistence health, set once at startup when the proxy persists:
+    /// the one handle, read by the admin stats endpoint on the event loop
+    /// and by [`ProxyServer::persist_health`].
     pub(crate) persist_health: OnceLock<Arc<PersistHealthState>>,
 }
 
@@ -157,65 +138,6 @@ impl ProxyState {
     /// every node and after every restart.
     pub(crate) fn shard_of(&self, target: &str) -> usize {
         (splitmix64(key_hash(target)) & (self.cache.shard_count() as u64 - 1)) as usize
-    }
-
-    /// Count a request shed with `503` (job queue full).
-    pub(crate) fn count_rejected(&self) {
-        AtomicProxyStats::add(&self.stats.rejected, 1);
-    }
-
-    /// Count one job picked up by a worker thread.
-    pub(crate) fn count_worker_job(&self) {
-        AtomicProxyStats::add(&self.worker_jobs, 1);
-    }
-
-    /// Count one response a worker returned to the event loop unfinished.
-    pub(crate) fn count_write_handback(&self) {
-        AtomicProxyStats::add(&self.write_handbacks, 1);
-    }
-
-    /// Count one origin exchange run and concluded on the event loop.
-    pub(crate) fn count_inline_fetch(&self) {
-        AtomicProxyStats::add(&self.inline_fetches, 1);
-    }
-
-    /// Count one inline attempt handed to a worker.
-    pub(crate) fn count_inline_fallback(&self) {
-        AtomicProxyStats::add(&self.inline_fallbacks, 1);
-    }
-
-    /// Count one connection whose request head was whole at accept.
-    pub(crate) fn count_read_at_accept(&self) {
-        AtomicProxyStats::add(&self.read_at_accept, 1);
-    }
-
-    /// Count one response the event loop sent uncorked.
-    pub(crate) fn count_uncorked(&self) {
-        AtomicProxyStats::add(&self.uncorked, 1);
-    }
-
-    pub(crate) fn worker_jobs(&self) -> u64 {
-        self.worker_jobs.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn write_handbacks(&self) -> u64 {
-        self.write_handbacks.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn inline_fetches(&self) -> u64 {
-        self.inline_fetches.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn inline_fallbacks(&self) -> u64 {
-        self.inline_fallbacks.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn read_at_accept(&self) -> u64 {
-        self.read_at_accept.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn uncorked(&self) -> u64 {
-        self.uncorked.load(Ordering::Relaxed)
     }
 
     /// Append a line to the access log when it is on: a `200` of `size`
@@ -246,7 +168,6 @@ pub struct ProxyServer {
 struct PersistRuntime {
     stop: Arc<AtomicBool>,
     thread: std::thread::JoinHandle<()>,
-    health: Arc<PersistHealthState>,
 }
 
 /// Handle to the cluster peer listener thread.
@@ -407,7 +328,7 @@ impl ProxyServer {
             .iofault
             .clone()
             .map(|plan| Arc::new(IoFaultInjector::new(plan)));
-        let health = Arc::new(PersistHealthState::default());
+        let health = Arc::new(PersistHealthState::new(Arc::clone(&state.counters)));
         let _ = state.persist_health.set(Arc::clone(&health));
 
         // Install journal buffers (sequence numbers continue above
@@ -450,7 +371,6 @@ impl ProxyServer {
             let state = Arc::clone(&state);
             let stop = Arc::clone(&stop);
             let gen = rec.max_gen + 1;
-            let health = Arc::clone(&health);
             std::thread::spawn(move || {
                 persister_loop(
                     &state,
@@ -469,11 +389,7 @@ impl ProxyServer {
             addr,
             state,
             reactor,
-            persist: Some(PersistRuntime {
-                stop,
-                thread,
-                health,
-            }),
+            persist: Some(PersistRuntime { stop, thread }),
             recovered: Some(report),
             cluster: None,
         })
@@ -487,14 +403,15 @@ impl ProxyServer {
     /// Current persistence health; `None` when started without
     /// persistence.
     pub fn persist_health(&self) -> Option<PersistHealth> {
-        self.persist.as_ref().map(|p| p.health.health())
+        self.state.persist_health.get().map(|h| h.health())
     }
 
-    /// Shared persistence-health handle, for reading state and counters
-    /// after the server has been dropped (the final snapshot on drop can
-    /// still change health). `None` without persistence.
+    /// Shared persistence-health handle, for reading health and the
+    /// counters ([`PersistHealthState::stats`]) after the server has been
+    /// dropped (the final snapshot on drop can still change both). `None`
+    /// without persistence.
     pub fn persist_health_state(&self) -> Option<Arc<PersistHealthState>> {
-        self.persist.as_ref().map(|p| Arc::clone(&p.health))
+        self.state.persist_health.get().cloned()
     }
 
     /// The proxy's socket address.
@@ -504,24 +421,10 @@ impl ProxyServer {
 
     /// Snapshot of the proxy's counters.
     pub fn stats(&self) -> ProxyStats {
-        let mut s = self.state.stats.snapshot();
-        if let Some(p) = &self.persist {
-            s.journal_lost_records = p.health.lost_records();
-            s.journal_dropped = p.health.dropped_records();
-            s.persist_degraded = p.health.degraded_transitions();
-            s.persist_heals = p.health.heals();
-        }
-        if let Some(c) = &self.state.cluster {
-            s.peer_lookups = c.peer_lookups();
-            s.peer_hits = c.peer_hits();
-            s.peer_misses = c.peer_misses();
-            s.peer_failures = c.peer_failures();
-            s.peer_served = c.peer_served();
-        }
-        s
+        self.state.counters.snapshot()
     }
 
-    /// Shared cluster state (ring, membership, peer counters), when
+    /// Shared cluster state (ring and membership), when
     /// started via [`ProxyServer::start_clustered`].
     pub fn cluster_state(&self) -> Option<Arc<ClusterState>> {
         self.state.cluster.clone()
@@ -542,58 +445,6 @@ impl ProxyServer {
     /// Number of cache shards the proxy is running with.
     pub fn shard_count(&self) -> usize {
         self.state.cache.shard_count()
-    }
-
-    /// Jobs dispatched to the worker pool so far (hits served inline on
-    /// the event loop never count). Lets tests assert that idle or slow
-    /// clients never pin a worker.
-    pub fn worker_jobs(&self) -> u64 {
-        self.state.worker_jobs()
-    }
-
-    /// Of those jobs, how many the worker could not finish writing in
-    /// its one non-blocking attempt and returned to the event loop (a
-    /// body larger than the socket buffer, a slow reader). The rest
-    /// crossed threads once.
-    pub fn write_handbacks(&self) -> u64 {
-        self.state.write_handbacks()
-    }
-
-    /// Misses and revalidations the event loop answered without a worker:
-    /// it found an idle origin connection, ran the exchange under `epoll`
-    /// and stored and wrote the result itself. These crossed threads
-    /// zero times and are not in [`ProxyServer::worker_jobs`].
-    pub fn inline_fetches(&self) -> u64 {
-        self.state.inline_fetches()
-    }
-
-    /// Inline attempts the event loop gave up — the origin connection
-    /// failed, stalled or answered `5xx`, or the document's shard was
-    /// busy when the body was in — and handed to a worker, which are
-    /// therefore in [`ProxyServer::worker_jobs`] too.
-    pub fn inline_fallbacks(&self) -> u64 {
-        self.state.inline_fallbacks()
-    }
-
-    /// Connections whose whole request head was read at accept (the
-    /// listener defers each accept until the first bytes are in), so the
-    /// event loop answered, forwarded or dispatched them without ever
-    /// registering their socket with epoll. The rest were still missing
-    /// bytes then and waited under `EPOLLIN`.
-    pub fn read_at_accept(&self) -> u64 {
-        self.state.read_at_accept()
-    }
-
-    /// Responses sent with the client socket's cork taken out first. The
-    /// listener corks every socket it accepts, so a response's last bytes
-    /// leave with the FIN of the close that follows; but closing a socket
-    /// with unread client bytes resets it and discards what the cork
-    /// held. So a response stays corked only for a well-formed `GET`
-    /// whose head came in a read that did not fill the read buffer; a
-    /// `400`, a `501`, a `504` and an answer to a head that filled its
-    /// read are counted here.
-    pub fn uncorked(&self) -> u64 {
-        self.state.uncorked()
     }
 }
 
@@ -621,16 +472,13 @@ pub(crate) fn new_state(
 ) -> Arc<ProxyState> {
     Arc::new(ProxyState {
         cache: ShardedCache::new(config.capacity, config.shards, policy),
-        stats: AtomicProxyStats::default(),
+        // A cluster node's table is its cluster state's, built first.
+        counters: cluster
+            .as_ref()
+            .map_or_else(Arc::default, |c| Arc::clone(&c.counters)),
         now: AtomicU64::new(0),
         breakers: Breakers::default(),
         jitter_seq: AtomicU64::new(0),
-        worker_jobs: AtomicU64::new(0),
-        write_handbacks: AtomicU64::new(0),
-        inline_fetches: AtomicU64::new(0),
-        inline_fallbacks: AtomicU64::new(0),
-        read_at_accept: AtomicU64::new(0),
-        uncorked: AtomicU64::new(0),
         log: Mutex::new(AccessLog::new()),
         cluster,
         persist_health: OnceLock::new(),

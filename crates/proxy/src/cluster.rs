@@ -49,10 +49,10 @@
 //! membership re-adds itself at a higher epoch: rejoin is just another
 //! bump.
 
+use crate::stats::Counters;
 use parking_lot::{Mutex, RwLock};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use webcache_core::cluster::{HashRing, Membership, DEFAULT_VNODES};
@@ -362,7 +362,7 @@ pub(crate) fn call_peer(
 }
 
 /// Shared, concurrently updated cluster state for one node: the current
-/// ring + membership and the lock-free peer counters.
+/// ring + membership.
 #[derive(Debug)]
 pub struct ClusterState {
     config: ClusterConfig,
@@ -373,19 +373,9 @@ pub struct ClusterState {
     /// Current membership; guarded separately so a bump can compute the
     /// successor set before swapping the ring.
     membership: Mutex<Membership>,
-    /// Peer lookups attempted (owner queried on a local miss).
-    peer_lookups: AtomicU64,
-    /// Lookups answered `FOUND` (served without an origin fetch).
-    peer_hits: AtomicU64,
-    /// Lookups answered `MISS` (healthy peer, no copy).
-    peer_misses: AtomicU64,
-    /// Lookups that failed: connect/read error, timeout, or breaker
-    /// fast-fail. Each one falls through to the origin.
-    peer_failures: AtomicU64,
-    /// Inbound peer queries this node answered with `FOUND`.
-    peer_served: AtomicU64,
-    /// Membership epoch bumps this node originated or adopted.
-    epoch_bumps: AtomicU64,
+    /// The node's counter table, created with its cluster state: the
+    /// proxy's state adopts it, and membership installs are counted in it.
+    pub(crate) counters: Arc<Counters>,
 }
 
 impl ClusterState {
@@ -407,12 +397,7 @@ impl ClusterState {
             config,
             ring: RwLock::new(ring),
             membership: Mutex::new(membership),
-            peer_lookups: AtomicU64::new(0),
-            peer_hits: AtomicU64::new(0),
-            peer_misses: AtomicU64::new(0),
-            peer_failures: AtomicU64::new(0),
-            peer_served: AtomicU64::new(0),
-            epoch_bumps: AtomicU64::new(0),
+            counters: Arc::default(),
         }
     }
 
@@ -451,56 +436,6 @@ impl ClusterState {
         self.ring.read().len()
     }
 
-    /// Peer lookups attempted so far.
-    pub fn peer_lookups(&self) -> u64 {
-        self.peer_lookups.load(Ordering::Relaxed)
-    }
-
-    /// Peer lookups answered `FOUND`.
-    pub fn peer_hits(&self) -> u64 {
-        self.peer_hits.load(Ordering::Relaxed)
-    }
-
-    /// Peer lookups answered `MISS`.
-    pub fn peer_misses(&self) -> u64 {
-        self.peer_misses.load(Ordering::Relaxed)
-    }
-
-    /// Peer lookups that failed (error, timeout, breaker fast-fail).
-    pub fn peer_failures(&self) -> u64 {
-        self.peer_failures.load(Ordering::Relaxed)
-    }
-
-    /// Inbound queries this node answered with `FOUND`.
-    pub fn peer_served(&self) -> u64 {
-        self.peer_served.load(Ordering::Relaxed)
-    }
-
-    /// Epoch bumps originated or adopted by this node.
-    pub fn epoch_bumps(&self) -> u64 {
-        self.epoch_bumps.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn count_lookup(&self) {
-        self.peer_lookups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_hit(&self) {
-        self.peer_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_miss(&self) {
-        self.peer_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_failure(&self) {
-        self.peer_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_served(&self) {
-        self.peer_served.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Install `m` if it is strictly newer than the current membership,
     /// re-adding this node first if the set excludes it (rejoin is a
     /// further bump). Returns the installed membership when anything
@@ -521,7 +456,7 @@ impl ClusterState {
         let ring = HashRing::build(self.config.ring_seed, &m, self.config.vnodes);
         *cur = m.clone();
         *self.ring.write() = ring;
-        self.epoch_bumps.fetch_add(1, Ordering::Relaxed);
+        self.counters.epoch_bumps.add(1);
         Some(m)
     }
 
@@ -683,7 +618,7 @@ mod tests {
         assert_eq!(m.epoch, 1);
         assert_eq!(s.epoch(), 1);
         assert_eq!(s.members(), vec![0, 1]);
-        assert_eq!(s.epoch_bumps(), 1);
+        assert_eq!(s.counters.snapshot().epoch_bumps, 1);
         // Idempotent: a second removal of the same peer is a no-op.
         assert!(s.remove_peer(2).is_none());
         assert_eq!(s.epoch(), 1);

@@ -8,7 +8,6 @@ use crate::cache_proxy::ProxyState;
 use crate::config::ProxyConfig;
 use crate::fault::splitmix64;
 use crate::http::{HttpError, Response};
-use crate::stats::AtomicProxyStats;
 use crate::upstream::{Fetched, Upstream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -56,7 +55,7 @@ pub(crate) fn fetch_origin_resilient(
         config.breaker_cooldown,
     );
     if matches!(admission, Admission::Refused) {
-        AtomicProxyStats::add(&state.stats.breaker_fast_fails, 1);
+        state.counters.breaker_fast_fails.add(1);
         return Err(FetchError::BreakerOpen);
     }
     let attempts = if matches!(admission, Admission::Probe) {
@@ -71,7 +70,7 @@ pub(crate) fn fetch_origin_resilient(
             // stream is seeded by a per-proxy counter, not wall time, so
             // runs are reproducible.
             let base_ms = config.backoff_base.as_millis().max(1) as u64;
-            AtomicProxyStats::add(&state.stats.retries, 1);
+            state.counters.retries.add(1);
             let seq = state.jitter_seq.fetch_add(1, Ordering::Relaxed) + 1;
             let jitter_ms = splitmix64(seq) % (base_ms / 2 + 1);
             let sleep =
@@ -89,20 +88,20 @@ pub(crate) fn fetch_origin_resilient(
             Err(e) => {
                 if is_timeout(&e) {
                     timed_out = true;
-                    AtomicProxyStats::add(&state.stats.timeouts, 1);
+                    state.counters.timeouts.add(1);
                 }
             }
         }
     }
 
     // All attempts failed: record it and account the breaker.
-    AtomicProxyStats::add(&state.stats.origin_failures, 1);
+    state.counters.origin_failures.add(1);
     let now = state.now.load(Ordering::SeqCst);
     if state
         .breakers
         .on_failure(host, config.breaker_threshold, now)
     {
-        AtomicProxyStats::add(&state.stats.breaker_trips, 1);
+        state.counters.breaker_trips.add(1);
     }
     Err(FetchError::Exhausted { timed_out })
 }

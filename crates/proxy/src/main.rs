@@ -293,14 +293,14 @@ fn main() {
         stats.requests, stats.hits
     );
     if let Some(h) = health {
-        let final_health = h.health();
+        let (final_health, s) = (h.health(), h.stats());
         println!(
             "webcache-proxy: persist: final health {} ({} lost, {} dropped, {} degraded, {} healed)",
             final_health.name(),
-            h.lost_records(),
-            h.dropped_records(),
-            h.degraded_transitions(),
-            h.heals(),
+            s.journal_lost_records,
+            s.journal_dropped,
+            s.degraded_transitions,
+            s.heals,
         );
         match final_health {
             PersistHealth::Healthy => {}

@@ -8,17 +8,18 @@
 //! persister gets to it (DESIGN.md D24): a buffered `Insert` whose
 //! document is evicted before the drain is rewritten as an `Evict` and
 //! its body never reaches the disk; an idle persister neither fsyncs nor
-//! snapshots; and [`PersistHealthState`] counts what was written
-//! (`journal_elided`, `journal_bytes`, `snapshot_bytes`, `snapshots`,
-//! `snapshots_skipped`) for `/__webcache/stats`.
+//! snapshots; and what was written (`journal_elided`, `journal_bytes`,
+//! `snapshot_bytes`, `snapshots`, `snapshots_skipped`) is counted in the
+//! proxy's counter table for `/__webcache/stats`.
 
 use crate::cache_proxy::{ProxyState, RecoveryReport, Resident, ShardCache, ShardExt};
 use crate::iofault::IoFaultInjector;
 use crate::persist::{self, JournalOp, PersistConfig, PersistError};
 use crate::serve::{install, peek, touch_resident};
+use crate::stats::{Counters, ProxyStats};
 use crate::url_table::UrlTable;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webcache_core::cache::{CacheState, DocMeta, RestoreOutcome};
@@ -78,89 +79,40 @@ const HEALTH_HEALTHY: u8 = 0;
 const HEALTH_DEGRADED: u8 = 1;
 const HEALTH_DISABLED: u8 = 2;
 
-/// Shared persistence-health state: the current [`PersistHealth`] plus
-/// durability-loss accounting. Worker threads read `state` on every
-/// journaled mutation; only the persister thread transitions it.
-#[derive(Debug, Default)]
+/// Shared persistence-health state: the current [`PersistHealth`], which
+/// worker threads read on every journaled mutation and only the persister
+/// thread transitions, and the demand for a forced snapshot. Its edges and
+/// the records lost are counted in the proxy's counter table.
+#[derive(Debug)]
 pub struct PersistHealthState {
     /// Encoded [`PersistHealth`] (`0`/`1`/`2`).
     state: AtomicU8,
-    /// `Healthy -> Degraded` edges (one per fault episode).
-    degraded_transitions: AtomicU64,
-    /// `Degraded -> Healthy` edges.
-    heals: AtomicU64,
-    /// Records never written: suspended journaling + failed appends.
-    lost_records: AtomicU64,
-    /// Records evicted drop-oldest from a full buffer.
-    dropped_records: AtomicU64,
     /// Set when dropped records mean the journal alone no longer covers
     /// the snapshot gap; the persister must snapshot before trusting it.
     force_snapshot: AtomicBool,
-    /// `Insert`s rewritten as `Evict` while still buffered: bodies that
-    /// were gone from the cache before the persister came for them.
-    journal_elided: AtomicU64,
-    /// Bytes appended to the journal files.
-    journal_bytes: AtomicU64,
-    /// Bytes written into snapshot files.
-    snapshot_bytes: AtomicU64,
-    /// Snapshot generations committed.
-    snapshots: AtomicU64,
-    /// Cadence snapshots not taken because nothing was logged since the
-    /// last one.
-    snapshots_skipped: AtomicU64,
+    /// The proxy's counter table.
+    counters: Arc<Counters>,
 }
 
 impl PersistHealthState {
+    /// A healthy store counting into `counters`.
+    pub(crate) fn new(counters: Arc<Counters>) -> PersistHealthState {
+        PersistHealthState {
+            state: AtomicU8::new(HEALTH_HEALTHY),
+            force_snapshot: AtomicBool::new(false),
+            counters,
+        }
+    }
+
     /// Current health.
     pub fn health(&self) -> PersistHealth {
         PersistHealth::from_u8(self.state.load(Ordering::Acquire))
     }
 
-    /// `Healthy -> Degraded` transitions so far.
-    pub fn degraded_transitions(&self) -> u64 {
-        self.degraded_transitions.load(Ordering::Relaxed)
-    }
-
-    /// `Degraded -> Healthy` recoveries so far.
-    pub fn heals(&self) -> u64 {
-        self.heals.load(Ordering::Relaxed)
-    }
-
-    /// Journal records lost to suspension or failed appends.
-    pub fn lost_records(&self) -> u64 {
-        self.lost_records.load(Ordering::Relaxed)
-    }
-
-    /// Journal records dropped oldest-first from a full buffer.
-    pub fn dropped_records(&self) -> u64 {
-        self.dropped_records.load(Ordering::Relaxed)
-    }
-
-    /// Buffered `Insert`s whose document was evicted before the persister
-    /// drained them, so the journal got an `Evict` and no body.
-    pub fn journal_elided(&self) -> u64 {
-        self.journal_elided.load(Ordering::Relaxed)
-    }
-
-    /// Bytes appended to the journal files so far.
-    pub fn journal_bytes(&self) -> u64 {
-        self.journal_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes written into snapshot files so far.
-    pub fn snapshot_bytes(&self) -> u64 {
-        self.snapshot_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot generations committed so far.
-    pub fn snapshots(&self) -> u64 {
-        self.snapshots.load(Ordering::Relaxed)
-    }
-
-    /// Cadence snapshots skipped because no record had been logged since
-    /// the last committed one.
-    pub fn snapshots_skipped(&self) -> u64 {
-        self.snapshots_skipped.load(Ordering::Relaxed)
+    /// The proxy's counters: like [`crate::ProxyServer::stats`], but
+    /// readable after the server is dropped, once its final snapshot ran.
+    pub fn stats(&self) -> ProxyStats {
+        self.counters.snapshot()
     }
 
     /// Whether new journal records are being accepted.
@@ -170,13 +122,13 @@ impl PersistHealthState {
 
     /// Count `n` records that never reached the journal.
     fn count_lost(&self, n: u64) {
-        self.lost_records.fetch_add(n, Ordering::Relaxed);
+        self.counters.journal_lost_records.add(n);
     }
 
     /// Count `n` records evicted drop-oldest and demand a snapshot: the
     /// journal's tail no longer joins up with the last snapshot.
     fn record_overflow(&self, n: u64) {
-        self.dropped_records.fetch_add(n, Ordering::Relaxed);
+        self.counters.journal_dropped.add(n);
         self.force_snapshot.store(true, Ordering::Release);
     }
 
@@ -199,7 +151,7 @@ impl PersistHealthState {
             )
             .is_ok();
         if edged {
-            self.degraded_transitions.fetch_add(1, Ordering::Relaxed);
+            self.counters.degraded_transitions.add(1);
             println!(
                 "webcache-proxy: persist: health degraded ({context}: {e}); \
                  journaling suspended, snapshots continue, serving unaffected"
@@ -220,7 +172,7 @@ impl PersistHealthState {
             )
             .is_ok();
         if edged {
-            self.heals.fetch_add(1, Ordering::Relaxed);
+            self.counters.heals.add(1);
             println!(
                 "webcache-proxy: persist: health healed \
                  (snapshot committed, journaling resumed)"
@@ -308,7 +260,7 @@ impl JournalBuf {
                     // this record and the `Evict` pushed below then finds
                     // it absent, which replay treats as nothing to do.
                     *insert = JournalOp::Evict { old_id };
-                    self.health.journal_elided.fetch_add(1, Ordering::Relaxed);
+                    self.health.counters.journal_elided.add(1);
                 }
             }
             JournalOp::Touch { .. } | JournalOp::Refresh { .. } => {}
@@ -439,7 +391,7 @@ pub(crate) fn persister_loop(
                             .as_deref()
                             .is_some_and(|covered| nothing_logged_since(state, covered));
                     if idle {
-                        health.snapshots_skipped.fetch_add(1, Ordering::Relaxed);
+                        state.counters.snapshots_skipped.add(1);
                     } else if let Err(e) = snapshot_once(&mut writers, &mut gen, &mut covered) {
                         health.degrade("snapshot", &e);
                     }
@@ -538,8 +490,9 @@ fn append_counted(
     let before = w.bytes_appended();
     let appended = w.append(pending.make_contiguous());
     health
+        .counters
         .journal_bytes
-        .fetch_add(w.bytes_appended() - before, Ordering::Relaxed);
+        .add(w.bytes_appended() - before);
     if appended.is_err() {
         health.count_lost(pending.len() as u64);
     }
@@ -648,7 +601,6 @@ fn take_snapshot(
         caps.push(cap);
     }
     let now = state.now.load(Ordering::SeqCst);
-    let written = |bytes: u64| health.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
     let covered = caps.iter().map(|cap| cap.snap_seq).collect();
     for (s, cap) in caps.into_iter().enumerate() {
         let docs = std::iter::zip(cap.cs.docs, cap.residents)
@@ -659,7 +611,7 @@ fn take_snapshot(
                 body: resident.body,
             })
             .collect();
-        written(persist::write_shard_snapshot_hooked(
+        let written = persist::write_shard_snapshot_hooked(
             &cfg.dir,
             &persist::ShardSnapshot {
                 shard: s as u32,
@@ -674,14 +626,15 @@ fn take_snapshot(
                 docs,
             },
             hook,
-        )?);
+        )?;
+        state.counters.snapshot_bytes.add(written);
     }
     for w in writers.iter_mut() {
         w.sync()?;
         w.rotate()?;
     }
     persist::gc_old_generations(&cfg.dir, nshards as u32, gen);
-    health.snapshots.fetch_add(1, Ordering::Relaxed);
+    state.counters.snapshots.add(1);
     Ok(covered)
 }
 
@@ -910,7 +863,6 @@ fn apply_journal_op<'a>(state: &Arc<ProxyState>, op: &'a JournalOp, names: &mut 
 #[doc(hidden)]
 pub struct JournalShard {
     state: Arc<ProxyState>,
-    health: Arc<PersistHealthState>,
 }
 
 /// One resident document of a [`JournalShard`].
@@ -941,13 +893,13 @@ impl JournalShard {
         let state = crate::cache_proxy::new_state(&config, None, || {
             policy.take().expect("one shard asks for one policy")
         });
-        let health = Arc::new(PersistHealthState::default());
+        let health = Arc::new(PersistHealthState::new(Arc::clone(&state.counters)));
         if let Some(cap) = journal_records {
             state.cache.with_shard(0, |_, ext| {
                 ext.journal = Some(Box::new(JournalBuf::new(1, cap, Arc::clone(&health))));
             });
         }
-        JournalShard { state, health }
+        JournalShard { state }
     }
 
     /// One client request for `url`, currently `size` bytes at the origin,
@@ -1011,7 +963,7 @@ impl JournalShard {
 
     /// Buffered `Insert`s rewritten as `Evict` so far.
     pub fn elided(&self) -> u64 {
-        self.health.journal_elided()
+        self.state.counters.snapshot().journal_elided
     }
 }
 
@@ -1039,7 +991,7 @@ mod tests {
     }
 
     fn buf(cap: usize) -> JournalBuf {
-        JournalBuf::new(1, cap, Arc::new(PersistHealthState::default()))
+        JournalBuf::new(1, cap, Arc::new(PersistHealthState::new(Arc::default())))
     }
 
     fn seqs(j: &JournalBuf) -> Vec<u64> {
@@ -1064,7 +1016,7 @@ mod tests {
         assert_eq!(j.pending[2].1, insert(8, b"eight"));
         assert_eq!(j.pending[3].1, evict(7));
         assert_eq!(j.inserts, HashMap::from([(8, 3)]));
-        assert_eq!(j.health.journal_elided(), 1);
+        assert_eq!(j.health.stats().journal_elided, 1);
     }
 
     #[test]
@@ -1076,7 +1028,7 @@ mod tests {
         assert!(j.inserts.is_empty(), "the drain clears the index");
         j.log(evict(7));
         assert_eq!(j.pending, VecDeque::from([(2, evict(7))]));
-        assert_eq!(j.health.journal_elided(), 0);
+        assert_eq!(j.health.stats().journal_elided, 0);
     }
 
     #[test]
@@ -1096,7 +1048,7 @@ mod tests {
         j.log(evict(7));
         assert_eq!(j.pending[2].1, insert(7, b"second"));
         assert_eq!(j.pending[3].1, evict(7));
-        assert_eq!(j.health.journal_elided(), 2);
+        assert_eq!(j.health.stats().journal_elided, 2);
     }
 
     #[test]
@@ -1107,7 +1059,7 @@ mod tests {
         j.log(insert(9, b"nine")); // drops seq 1
         assert_eq!(seqs(&j), vec![2, 3]);
         assert_eq!(j.inserts, HashMap::from([(8, 2), (9, 3)]));
-        assert_eq!(j.health.dropped_records(), 1);
+        assert_eq!(j.health.stats().journal_dropped, 1);
         // The evict finds nothing to rewrite and must not touch the
         // record now at the front.
         j.log(evict(7)); // drops seq 2
@@ -1116,13 +1068,13 @@ mod tests {
             VecDeque::from([(3, insert(9, b"nine")), (4, evict(7))])
         );
         assert_eq!(j.inserts, HashMap::from([(9, 3)]));
-        assert_eq!(j.health.journal_elided(), 0);
+        assert_eq!(j.health.stats().journal_elided, 0);
         // An index entry that outlived its record would point before the
         // front: that reads as gone, not as a position.
         j.inserts.insert(5, 1);
         j.log(evict(5));
         assert_eq!(seqs(&j), vec![4, 5]);
-        assert_eq!(j.health.journal_elided(), 0);
+        assert_eq!(j.health.stats().journal_elided, 0);
     }
 
     #[test]
@@ -1134,7 +1086,7 @@ mod tests {
         j.log(evict(7));
         assert!(j.pending.is_empty() && j.inserts.is_empty());
         assert_eq!(j.next_seq, 1);
-        assert_eq!(j.health.lost_records(), 2);
+        assert_eq!(j.health.stats().journal_lost_records, 2);
         j.health.heal();
         j.log(evict(7));
         assert_eq!(j.pending, VecDeque::from([(1, evict(7))]));

@@ -780,7 +780,7 @@ impl Reactor {
                     // with a hand-back and is grown again).
                     let mut head = Vec::new();
                     while let Some(mut job) = jobs.pop() {
-                        state.count_worker_job();
+                        state.counters.worker_jobs.add(1);
                         let resp = match job.work {
                             Work::Request { now } => {
                                 proxy_get_at(&mut up, config, &state, &job.target, now)
@@ -807,7 +807,7 @@ impl Reactor {
                         if let Event::Continue =
                             write_segments(&mut job.stream, &head, &resp.body, &mut pos)
                         {
-                            state.count_write_handback();
+                            state.counters.write_handbacks.add(1);
                             completions.lock().push(Completion {
                                 stream: job.stream,
                                 head: std::mem::take(&mut head),
@@ -1052,7 +1052,7 @@ impl EventLoop {
             Event::Continue => self.watch_client(token, EPOLLIN),
             Event::Request => {
                 if !conn.watched {
-                    self.state.count_read_at_accept();
+                    self.state.counters.read_at_accept.add(1);
                 }
                 self.handle_request(token);
             }
@@ -1072,7 +1072,7 @@ impl EventLoop {
             return;
         };
         if set_tcp_option(conn.stream.as_raw_fd(), TCP_CORK, 0).is_ok() {
-            self.state.count_uncorked();
+            self.state.counters.uncorked.add(1);
         }
     }
 
@@ -1249,7 +1249,7 @@ impl EventLoop {
             Begun::Sent(exchange) => exchange,
             Begun::NoIdleSocket => return self.dispatch(token, request),
             Begun::SendFailed => {
-                self.state.count_inline_fallback();
+                self.state.counters.inline_fallbacks.add(1);
                 return self.dispatch(token, request);
             }
         };
@@ -1284,7 +1284,7 @@ impl EventLoop {
             let target = conn.parser.target();
             match miss.conclude(&self.config, &self.state, target, fetched, ShardLock::Try) {
                 Ok(resp) => {
-                    self.state.count_inline_fetch();
+                    self.state.counters.inline_fetches.add(1);
                     let resp = finalize_response(conn.parser.if_modified_since(), resp);
                     conn.start_response(&resp);
                     return self.flush_response(token);
@@ -1292,7 +1292,7 @@ impl EventLoop {
                 Err(fetch) => Work::Conclude(fetch),
             }
         };
-        self.state.count_inline_fallback();
+        self.state.counters.inline_fallbacks.add(1);
         self.dispatch(token, work);
     }
 
@@ -1304,7 +1304,7 @@ impl EventLoop {
             return;
         };
         self.upstream.end(exchange, false);
-        self.state.count_inline_fallback();
+        self.state.counters.inline_fallbacks.add(1);
         self.dispatch(token, Work::redo(&miss));
     }
 
@@ -1331,7 +1331,7 @@ impl EventLoop {
             work,
         };
         if let Err(job) = self.jobs.try_push(job) {
-            self.state.count_rejected();
+            self.state.counters.rejected.add(1);
             let mut head = self.pool.get_head();
             http::encode_response_head_into(&mut head, &Response::status_only(503));
             self.admit(job.stream, head, Some((Bytes::new(), 0)));
@@ -1560,7 +1560,7 @@ mod tests {
         answer.send(()).unwrap();
         // The loop has the body and no lock: nothing is stored or counted,
         // and the job is a worker's.
-        while proxy.inline_fallbacks() == 0 {
+        while proxy.stats().inline_fallbacks == 0 {
             std::thread::yield_now();
         }
         assert_eq!((proxy.stats().misses, proxy.cached_bytes()), (1, 900));
@@ -1573,7 +1573,10 @@ mod tests {
         assert_eq!((proxy.stats().misses, proxy.cached_bytes()), (2, 1800));
         // The worker was handed the body: it did not ask the origin again.
         assert_eq!(requests.load(Ordering::SeqCst), 2);
-        assert_eq!((proxy.worker_jobs(), proxy.inline_fetches()), (2, 0));
+        assert_eq!(
+            (proxy.stats().worker_jobs, proxy.stats().inline_fetches),
+            (2, 0)
+        );
         assert!(get(&proxy, url).is_cache_hit());
         drop(proxy);
         origin.join().unwrap();

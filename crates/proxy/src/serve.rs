@@ -14,7 +14,6 @@ use crate::config::ProxyConfig;
 use crate::fetch::{error_response, fetch_origin_resilient, host_of};
 use crate::http::Response;
 use crate::persist::JournalOp;
-use crate::stats::AtomicProxyStats;
 use crate::upstream::{Fetched, Upstream};
 use bytes::Bytes;
 use std::io::Write;
@@ -45,7 +44,7 @@ pub(crate) fn finalize_response(if_modified_since: Option<u64>, resp: Response) 
 /// call per client request, on the event loop, before the inline paths or
 /// a worker see it.
 pub(crate) fn begin_request(state: &ProxyState) -> u64 {
-    AtomicProxyStats::add(&state.stats.requests, 1);
+    state.counters.requests.add(1);
     state.now.fetch_add(1, Ordering::SeqCst) + 1
 }
 
@@ -123,8 +122,8 @@ pub(crate) enum Lookup {
 
 /// Count and log a document of `size` bytes served from memory.
 fn count_hit(config: &ProxyConfig, state: &ProxyState, target: &str, now: u64, size: u64) {
-    AtomicProxyStats::add(&state.stats.hits, 1);
-    AtomicProxyStats::add(&state.stats.bytes_from_cache, size);
+    state.counters.hits.add(1);
+    state.counters.bytes_from_cache.add(size);
     state.log_access(config.access_log, now, target, size, "HIT");
 }
 
@@ -219,7 +218,7 @@ impl Miss {
                 if refreshed.is_none() {
                     return Err(Box::new((self, fetched)));
                 }
-                AtomicProxyStats::add(&state.stats.revalidated, 1);
+                state.counters.revalidated.add(1);
                 count_hit(config, state, target, now, meta.size);
                 Ok(Response::ok(copy.body.clone(), meta.last_modified).with_cache_status(true))
             }
@@ -245,8 +244,8 @@ impl Miss {
                         return Err(Box::new((self, fetched)));
                     }
                 }
-                AtomicProxyStats::add(&state.stats.misses, 1);
-                AtomicProxyStats::add(&state.stats.bytes_from_origin, size);
+                state.counters.misses.add(1);
+                state.counters.bytes_from_origin.add(size);
                 state.log_access(config.access_log, now, target, size, "MISS");
                 Ok(Response::ok(fetched.body, fetched.last_modified).with_cache_status(false))
             }
@@ -300,8 +299,8 @@ pub(crate) fn proxy_get_at(
                 // request past the TTL revalidates again. The policy sees
                 // the reference, but no hit is counted: degraded serves
                 // are reported separately in `stale_serves`.
-                AtomicProxyStats::add(&state.stats.stale_serves, 1);
-                AtomicProxyStats::add(&state.stats.bytes_from_cache, meta.size);
+                state.counters.stale_serves.add(1);
+                state.counters.bytes_from_cache.add(meta.size);
                 visit(state, target, ShardLock::Wait, |cache, ext| {
                     let id = bind(cache, ext, &copy);
                     touch_resident(cache, ext, id, &meta, &copy, now)
@@ -336,7 +335,7 @@ fn cluster_peer_lookup(
     }
     let addr = cluster.config().addr_of(owner)?;
     let key = format!("peer#{owner}");
-    cluster.count_lookup();
+    state.counters.peer_lookups.add(1);
     // Peer-breaker admission: one bounded attempt, no retries — the
     // origin is always available as the fallback, so a sick peer must
     // never add more than one timeout of latency.
@@ -346,7 +345,7 @@ fn cluster_peer_lookup(
         config.breaker_cooldown,
     );
     if matches!(admission, Admission::Refused) {
-        cluster.count_failure();
+        state.counters.peer_failures.add(1);
         return None;
     }
     let query = cluster::Frame::Query {
@@ -361,25 +360,25 @@ fn cluster_peer_lookup(
             ..
         }) => {
             state.breakers.on_success(&key);
-            cluster.count_hit();
+            state.counters.peer_hits.add(1);
             let size = body.len() as u64;
-            AtomicProxyStats::add(&state.stats.hits, 1);
-            AtomicProxyStats::add(&state.stats.bytes_from_cache, size);
+            state.counters.hits.add(1);
+            state.counters.bytes_from_cache.add(size);
             state.log_access(config.access_log, now, target, size, "PEER-HIT");
             Some(Response::ok(Bytes::from(body), last_modified).with_cache_status(true))
         }
         Ok(cluster::Frame::Miss { .. }) => {
             state.breakers.on_success(&key);
-            cluster.count_miss();
+            state.counters.peer_misses.add(1);
             None
         }
         Ok(_) | Err(_) => {
-            cluster.count_failure();
+            state.counters.peer_failures.add(1);
             if state
                 .breakers
                 .on_failure(&key, config.breaker_threshold, now)
             {
-                AtomicProxyStats::add(&state.stats.breaker_trips, 1);
+                state.counters.breaker_trips.add(1);
                 if let Some(m) = cluster.remove_peer(owner) {
                     // Broadcast off the request path: the client's
                     // response must not wait on peer round trips.
@@ -411,7 +410,7 @@ pub(crate) fn serve_peer_connection(
     let reply = match frame {
         cluster::Frame::Query { url, .. } => match peer_lookup_local(&config, state, &url) {
             Some((body, last_modified)) => {
-                cluster.count_served();
+                state.counters.peer_served.add(1);
                 cluster::Frame::Found {
                     epoch: cluster.epoch(),
                     last_modified,

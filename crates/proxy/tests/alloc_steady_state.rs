@@ -122,8 +122,8 @@ fn warmed_reactor_serves_hits_without_allocating() {
         assert!(r.is_cache_hit());
         assert_eq!(r.body.len(), 4096);
     }
-    let jobs_before = proxy.worker_jobs();
-    let read_before = proxy.read_at_accept();
+    let jobs_before = proxy.stats().worker_jobs;
+    let read_before = proxy.stats().read_at_accept;
 
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..MEASURED {
@@ -134,14 +134,14 @@ fn warmed_reactor_serves_hits_without_allocating() {
     let delta = ALLOCS.load(Ordering::SeqCst) - before;
 
     assert_eq!(
-        proxy.worker_jobs(),
+        proxy.stats().worker_jobs,
         jobs_before,
         "a measured hit reached a worker — the fast path declined"
     );
     // Each request is one write and the listener defers the accept until
     // it is in, so every measured hit took the read-at-accept path.
     assert_eq!(
-        proxy.read_at_accept() - read_before,
+        proxy.stats().read_at_accept - read_before,
         MEASURED as u64,
         "a measured hit was not read at accept"
     );

@@ -147,8 +147,11 @@ fn a_worker_written_miss_leaves_with_its_fin() {
     // No idle origin connection yet: a worker fetches and writes it.
     let resp = get_in_one_last_segment(&proxy, A);
     assert_eq!((resp.status, resp.is_cache_hit()), (200, false));
-    assert_eq!((proxy.worker_jobs(), proxy.write_handbacks()), (1, 0));
-    assert_eq!(proxy.uncorked(), 0);
+    assert_eq!(
+        (proxy.stats().worker_jobs, proxy.stats().write_handbacks),
+        (1, 0)
+    );
+    assert_eq!(proxy.stats().uncorked, 0);
 }
 
 #[test]
@@ -159,8 +162,11 @@ fn an_inline_miss_leaves_with_its_fin() {
     // The worker left its origin connection idle: the loop runs this one.
     let resp = get_in_one_last_segment(&proxy, B);
     assert_eq!((resp.status, resp.is_cache_hit()), (200, false));
-    assert_eq!((proxy.worker_jobs(), proxy.inline_fetches()), (1, 1));
-    assert_eq!(proxy.uncorked(), 0);
+    assert_eq!(
+        (proxy.stats().worker_jobs, proxy.stats().inline_fetches),
+        (1, 1)
+    );
+    assert_eq!(proxy.stats().uncorked, 0);
 }
 
 #[test]
@@ -168,11 +174,11 @@ fn a_hit_read_at_accept_leaves_with_its_fin() {
     let origin = origin_with(&[(A, 1000)]);
     let proxy = proxy_for(&origin);
     assert_eq!(common::get(proxy.addr(), A), Some(false));
-    let read = proxy.read_at_accept();
+    let read = proxy.stats().read_at_accept;
     let resp = get_in_one_last_segment(&proxy, A);
     assert!(resp.is_cache_hit());
-    assert_eq!(proxy.read_at_accept(), read + 1);
-    assert_eq!((proxy.worker_jobs(), proxy.uncorked()), (1, 0));
+    assert_eq!(proxy.stats().read_at_accept, read + 1);
+    assert_eq!((proxy.stats().worker_jobs, proxy.stats().uncorked), (1, 0));
 }
 
 #[test]
@@ -186,7 +192,7 @@ fn a_body_drained_under_epollout_leaves_with_its_fin() {
     let mut s = TcpStream::connect(proxy.addr()).unwrap();
     http::write_request(&mut s, &Request::get(BIG_URL)).unwrap();
     let give_up = Instant::now() + Duration::from_secs(10);
-    while proxy.write_handbacks() == 0 {
+    while proxy.stats().write_handbacks == 0 {
         assert!(Instant::now() < give_up, "no hand-back");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -196,7 +202,10 @@ fn a_body_drained_under_epollout_leaves_with_its_fin() {
     s.read_to_end(&mut wire).unwrap();
     let resp = assert_fin_rode_with_the_data(BIG_URL, &wire, dataless_segments_in(&s));
     assert!(resp.body == http::synthetic_body(BIG_URL, BIG));
-    assert_eq!((proxy.write_handbacks(), proxy.uncorked()), (1, 0));
+    assert_eq!(
+        (proxy.stats().write_handbacks, proxy.stats().uncorked),
+        (1, 0)
+    );
 }
 
 /// Everything the proxy sends on `s` before it closes or resets the
@@ -240,7 +249,7 @@ fn a_post_with_a_body_reads_its_501_before_the_reset() {
     // The proxy may reset the connection before the last of it is sent.
     let _ = s.write_all(&wire);
     assert_eq!(whole_response(&read_until_closed(&mut s)).status, 501);
-    assert_eq!(proxy.uncorked(), 1);
+    assert_eq!(proxy.stats().uncorked, 1);
 }
 
 #[test]
@@ -255,7 +264,7 @@ fn a_get_with_junk_behind_its_head_reads_its_response_before_the_reset() {
     let resp = whole_response(&read_until_closed(&mut s));
     assert!(resp.is_cache_hit());
     assert_eq!(resp.body, http::synthetic_body(A, 1000));
-    assert_eq!(proxy.uncorked(), 1);
+    assert_eq!(proxy.stats().uncorked, 1);
 }
 
 #[test]

@@ -103,10 +103,10 @@ fn full_append_failure_serves_full_run_and_restarts_warm() {
     );
     let s = p.stats();
     assert_eq!(
-        s.persist_degraded, 1,
+        s.degraded_transitions, 1,
         "one fault episode must be exactly one Healthy -> Degraded edge"
     );
-    assert_eq!(s.persist_heals, 0, "probes cannot heal while appends fail");
+    assert_eq!(s.heals, 0, "probes cannot heal while appends fail");
     assert!(
         s.journal_lost_records > 0,
         "suspended journaling must be accounted as durability loss"
@@ -120,16 +120,16 @@ fn full_append_failure_serves_full_run_and_restarts_warm() {
     drop(p);
     assert_eq!(health.health(), PersistHealth::Degraded);
     assert_eq!(
-        health.journal_bytes(),
+        health.stats().journal_bytes,
         0,
         "every append was refused before it wrote"
     );
     assert!(
-        health.snapshots() > 0 && health.snapshot_bytes() > 0,
+        health.stats().snapshots > 0 && health.stats().snapshot_bytes > 0,
         "degraded-mode snapshots are counted with what they wrote"
     );
     assert_eq!(
-        health.snapshots_skipped(),
+        health.stats().snapshots_skipped,
         0,
         "only a healthy store skips a cadence snapshot"
     );
@@ -168,13 +168,17 @@ fn fault_episode_heals_via_probe_and_snapshot() {
     }
     assert!(
         wait_for(Duration::from_secs(10), || {
-            health.health() == PersistHealth::Healthy && health.heals() == 1
+            health.health() == PersistHealth::Healthy && health.stats().heals == 1
         }),
         "episode never healed: health {:?}, {} heals",
         health.health(),
-        health.heals(),
+        health.stats().heals,
     );
-    assert_eq!(health.degraded_transitions(), 1, "one episode, one edge");
+    assert_eq!(
+        health.stats().degraded_transitions,
+        1,
+        "one episode, one edge"
+    );
     // Journaling resumed: touch everything again, then restart warm.
     let _ = hit_rate(p.addr(), &urls);
     drop(p);
@@ -216,8 +220,8 @@ fn exhausted_probes_disable_persistence_but_serving_continues() {
         "probes never exhausted into Disabled (health {:?})",
         health.health(),
     );
-    assert_eq!(health.degraded_transitions(), 1);
-    assert_eq!(health.heals(), 0);
+    assert_eq!(health.stats().degraded_transitions, 1);
+    assert_eq!(health.stats().heals, 0);
     // Persistence is gone; the proxy is not.
     let rate = hit_rate(p.addr(), &urls);
     assert!(
@@ -303,7 +307,7 @@ fn journal_buffer_overflow_is_counted_and_forces_snapshot() {
         assert!(get(p.addr(), url).is_some());
     }
     assert!(
-        health.dropped_records() > 0,
+        health.stats().journal_dropped > 0,
         "burst through a 1-record buffer must drop oldest"
     );
     assert_eq!(
@@ -311,7 +315,7 @@ fn journal_buffer_overflow_is_counted_and_forces_snapshot() {
         PersistHealth::Healthy,
         "overflow is loss, not a disk fault — no degrade"
     );
-    assert_eq!(p.stats().persist_degraded, 0);
+    assert_eq!(p.stats().degraded_transitions, 0);
     assert!(p.stats().journal_dropped > 0, "drops surface in ProxyStats");
     let forced = wait_for(Duration::from_secs(5), || {
         std::fs::read_dir(&dir.0)
@@ -322,8 +326,11 @@ fn journal_buffer_overflow_is_counted_and_forces_snapshot() {
             .unwrap_or(false)
     });
     assert!(forced, "dropped records must force a snapshot off-cadence");
-    assert!(wait_for(Duration::from_secs(5), || health.snapshots() > 0));
-    assert!(health.snapshot_bytes() > 0 && health.journal_bytes() > 0);
+    assert!(wait_for(Duration::from_secs(5), || health
+        .stats()
+        .snapshots
+        > 0));
+    assert!(health.stats().snapshot_bytes > 0 && health.stats().journal_bytes > 0);
     drop(p);
 
     let p2 = start(origin.addr(), PersistConfig::new(dir.0.clone()));
@@ -379,27 +386,27 @@ fn idle_persister_writes_nothing_until_the_next_request() {
     // been under way while they were still being logged.
     let settled = |skips: u64| {
         wait_for(Duration::from_secs(5), || {
-            health.snapshots_skipped() >= skips
+            health.stats().snapshots_skipped >= skips
         })
     };
     assert!(
-        settled(health.snapshots_skipped() + 2),
+        settled(health.stats().snapshots_skipped + 2),
         "an idle cache is never skipped"
     );
     let (gen, mtime) = disk_state(&dir);
-    let (snapshots, journal_bytes) = (health.snapshots(), health.journal_bytes());
+    let (snapshots, journal_bytes) = (health.stats().snapshots, health.stats().journal_bytes);
     assert!(gen > 0 && snapshots > 0 && journal_bytes > 0);
 
     // Three more snapshot intervals go by.
-    assert!(settled(health.snapshots_skipped() + 3));
+    assert!(settled(health.stats().snapshots_skipped + 3));
     assert_eq!(disk_state(&dir), (gen, mtime), "an idle persister wrote");
-    assert_eq!(health.snapshots(), snapshots);
-    assert_eq!(health.journal_bytes(), journal_bytes);
+    assert_eq!(health.stats().snapshots, snapshots);
+    assert_eq!(health.stats().journal_bytes, journal_bytes);
 
     // A hit logs a touch: journal appended, next cadence snapshot taken.
     assert_eq!(get(p.addr(), &urls[0]), Some(true));
     assert!(wait_for(Duration::from_secs(5), || {
-        health.snapshots() > snapshots
+        health.stats().snapshots > snapshots
     }));
     let (gen_after, mtime_after) = disk_state(&dir);
     assert!(gen_after > gen, "generation {gen_after} after {gen}");
@@ -407,7 +414,7 @@ fn idle_persister_writes_nothing_until_the_next_request() {
         mtime_after > mtime,
         "the journal was appended to and rotated"
     );
-    assert!(health.journal_bytes() > journal_bytes);
+    assert!(health.stats().journal_bytes > journal_bytes);
     assert_eq!(health.health(), PersistHealth::Healthy);
 }
 

@@ -205,10 +205,10 @@ fn sequential_misses_reuse_a_pooled_connection() {
     assert_eq!(origin.stats().full_responses.load(Ordering::Relaxed), 200);
     let s = proxy.stats();
     assert_eq!((s.misses, s.retries, s.origin_failures), (200, 0, 0));
-    let jobs = proxy.worker_jobs();
+    let jobs = proxy.stats().worker_jobs;
     assert!((1..=2).contains(&jobs), "{jobs} worker jobs for 200 misses");
-    assert_eq!(proxy.inline_fetches(), 200 - jobs);
-    assert_eq!(proxy.inline_fallbacks(), 0);
+    assert_eq!(proxy.stats().inline_fetches, 200 - jobs);
+    assert_eq!(proxy.stats().inline_fallbacks, 0);
 }
 
 /// Revalidations travel on the kept connection too, and a `304` (no
@@ -229,7 +229,10 @@ fn revalidations_share_the_connection() {
     assert_eq!(origin.stats().not_modified.load(Ordering::Relaxed), 9);
     assert_eq!(origin.stats().connections.load(Ordering::Relaxed), 1);
     // Only the very first miss had no idle connection to go out on.
-    assert_eq!((proxy.worker_jobs(), proxy.inline_fetches()), (1, 11));
+    assert_eq!(
+        (proxy.stats().worker_jobs, proxy.stats().inline_fetches),
+        (1, 11)
+    );
 }
 
 /// (b) The origin closes a connection it promised to keep: the next miss
@@ -256,8 +259,11 @@ fn stale_idle_connection_is_replaced_invisibly() {
     assert_eq!(s.misses, 3);
     // Misses 1 and 2 went out on the kept socket from the event loop,
     // found it dead, and were redone by a worker.
-    assert_eq!((proxy.inline_fallbacks(), proxy.inline_fetches()), (2, 0));
-    assert_eq!(proxy.worker_jobs(), 3);
+    assert_eq!(
+        (proxy.stats().inline_fallbacks, proxy.stats().inline_fetches),
+        (2, 0)
+    );
+    assert_eq!(proxy.stats().worker_jobs, 3);
 }
 
 /// (c) Dropping the origin ends its persistent connections: a pooled
@@ -351,7 +357,7 @@ fn short_bodies_are_errors_and_discard_the_socket() {
         (2, 0, 0, 1)
     );
     // The reused connection was the event loop's; a worker redid it.
-    assert_eq!(proxy.inline_fallbacks(), 1);
+    assert_eq!(proxy.stats().inline_fallbacks, 1);
 }
 
 /// An origin that stops sending mid-body on a kept connection, without
@@ -379,7 +385,10 @@ fn stalled_kept_connection_is_given_up_and_redone() {
         (s.misses, s.retries, s.timeouts, s.origin_failures),
         (2, 0, 0, 0)
     );
-    assert_eq!((proxy.inline_fallbacks(), proxy.worker_jobs()), (1, 2));
+    assert_eq!(
+        (proxy.stats().inline_fallbacks, proxy.stats().worker_jobs),
+        (1, 2)
+    );
 }
 
 // -----------------------------------------------------------------------
