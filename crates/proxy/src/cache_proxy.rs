@@ -48,7 +48,7 @@ use crate::breaker::Breakers;
 use crate::cluster::{self, ClusterConfig, ClusterState};
 use crate::iofault::IoFaultInjector;
 use crate::persist::{self, JournalOp, PersistConfig, PersistError};
-use crate::persister::{apply_recovery, persister_loop, JournalBuf};
+use crate::persister::{apply_recovery, install_journals, persister_loop, JournalBuf};
 use crate::reactor::Reactor;
 use crate::serve::serve_peer_connection;
 use crate::stats::Counters;
@@ -64,8 +64,6 @@ use webcache_core::policy::RemovalPolicy;
 use webcache_core::util::splitmix64;
 
 pub use crate::config::ProxyConfig;
-#[doc(hidden)]
-pub use crate::persister::{JournalShard, JournalShardDoc};
 pub use crate::persister::{PersistHealth, PersistHealthState};
 pub use crate::stats::{ProxyStats, ADMIN_STATS_TARGET};
 
@@ -331,23 +329,11 @@ impl ProxyServer {
         let health = Arc::new(PersistHealthState::new(Arc::clone(&state.counters)));
         let _ = state.persist_health.set(Arc::clone(&health));
 
-        // Install journal buffers (sequence numbers continue above
-        // everything already on disk) and reopen the journals for
-        // appending, truncating any torn tail replay ignored.
+        // Install journal buffers and reopen the journals for appending,
+        // truncating any torn tail replay ignored.
+        install_journals(&state, &rec, persist_cfg.journal_buf_records, &health);
         let mut writers = Vec::with_capacity(nshards);
-        for s in 0..nshards {
-            let jr = &rec.journals[s];
-            let snap_seq = rec.shards[s].as_ref().map(|r| r.snap.seq).unwrap_or(0);
-            let max_seq = jr.ops.last().map(|(seq, _)| *seq).unwrap_or(0);
-            let next_seq = snap_seq.max(max_seq) + 1;
-            let buf_health = Arc::clone(&health);
-            state.cache.with_shard(s, |_, ext| {
-                ext.journal = Some(Box::new(JournalBuf::new(
-                    next_seq,
-                    persist_cfg.journal_buf_records,
-                    buf_health,
-                )));
-            });
+        for (s, jr) in rec.journals.iter().enumerate() {
             writers.push(
                 persist::JournalWriter::open_append(&persist_cfg.dir, s as u32, jr.valid_len)?
                     .with_hook(injector.clone()),

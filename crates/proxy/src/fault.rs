@@ -22,6 +22,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use webcache_core::util::splitmix64;
 
 /// One kind of injected failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,13 +64,6 @@ impl FaultKind {
         FaultKind::SlowBody,
     ];
 }
-
-/// SplitMix64 — the shared deterministic mixer (`webcache_core::util`,
-/// the same one the workload generator seeds its per-day RNG streams
-/// with and `ShardedCache` keys shards with); here it maps
-/// `(seed, connection)` to a draw. Also used by the proxy's retry path
-/// for deterministic backoff jitter.
-pub(crate) use webcache_core::util::splitmix64;
 
 /// A seeded, deterministic plan of which connections fail and how.
 ///

@@ -6,20 +6,23 @@
 use crate::breaker::Admission;
 use crate::cache_proxy::ProxyState;
 use crate::config::ProxyConfig;
-use crate::fault::splitmix64;
 use crate::http::{HttpError, Response};
 use crate::upstream::{Fetched, Upstream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
+use webcache_core::util::splitmix64;
 
 /// Why a resilient origin fetch returned no response.
 #[derive(Debug)]
-pub(crate) enum FetchError {
+pub enum FetchError {
     /// The host's breaker is open; no connection was attempted.
     BreakerOpen,
-    /// Every attempt failed; `timed_out` if any attempt hit a timeout.
-    Exhausted { timed_out: bool },
+    /// Every attempt failed.
+    Exhausted {
+        /// Whether any attempt hit a timeout.
+        timed_out: bool,
+    },
 }
 
 /// The origin host named by a proxy-form target, for breaker keying.
@@ -45,8 +48,8 @@ pub(crate) fn fetch_origin_resilient(
     if_modified_since: Option<u64>,
     config: &ProxyConfig,
     state: &Arc<ProxyState>,
-    host: &str,
 ) -> Result<Fetched, FetchError> {
+    let host = host_of(target);
     // Breaker admission: open → fast-fail (or half-open probe after the
     // cooldown); a probe gets exactly one attempt.
     let admission = state.breakers.admit(

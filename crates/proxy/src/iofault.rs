@@ -19,9 +19,9 @@
 //! monotone op counter spans all classes, so a single plan describes a
 //! whole episode of disk misbehaviour.
 
-use crate::fault::splitmix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+use webcache_core::util::splitmix64;
 
 /// One kind of injected disk failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -63,6 +63,8 @@ pub mod cache_proxy;
 pub mod cluster;
 mod config;
 mod conn;
+#[doc(hidden)]
+pub mod driver;
 pub mod fault;
 mod fetch;
 pub mod http;

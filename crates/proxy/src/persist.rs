@@ -229,7 +229,8 @@ pub enum JournalOp {
         /// The writer's id for this URL.
         old_id: u32,
     },
-    /// A revalidation confirmed freshness (`304`): bump `fetched_at`.
+    /// A revalidation confirmed freshness (`304`): the document was
+    /// referenced at `fetched_at` and re-stamped with it.
     Refresh {
         /// The writer's id for this URL.
         old_id: u32,

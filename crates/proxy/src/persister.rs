@@ -15,7 +15,7 @@
 use crate::cache_proxy::{ProxyState, RecoveryReport, Resident, ShardCache, ShardExt};
 use crate::iofault::IoFaultInjector;
 use crate::persist::{self, JournalOp, PersistConfig, PersistError};
-use crate::serve::{install, peek, touch_resident};
+use crate::serve::{install, refresh_resident, touch_resident};
 use crate::stats::{Counters, ProxyStats};
 use crate::url_table::UrlTable;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -523,9 +523,28 @@ fn discard_pending(state: &Arc<ProxyState>, health: &PersistHealthState) {
 
 /// Empty a shard's journal buffer (under its lock): the records awaiting
 /// the persister. Nothing without a buffer.
-fn take_pending(ext: &mut ShardExt) -> VecDeque<(u64, JournalOp)> {
+pub(crate) fn take_pending(ext: &mut ShardExt) -> VecDeque<(u64, JournalOp)> {
     let pending = ext.journal.as_deref_mut().map(JournalBuf::take);
     pending.unwrap_or_default()
+}
+
+/// Give every shard a journal buffer of `cap` records whose sequence
+/// numbers continue above everything `rec` found on its disk.
+pub(crate) fn install_journals(
+    state: &ProxyState,
+    rec: &persist::RecoveredData,
+    cap: usize,
+    health: &Arc<PersistHealthState>,
+) {
+    for s in 0..state.cache.shard_count() {
+        let snap_seq = rec.shards.get(s).and_then(|r| Some(r.as_ref()?.snap.seq));
+        let last_seq = rec.journals.get(s).and_then(|jr| Some(jr.ops.last()?.0));
+        let next_seq = snap_seq.max(last_seq).unwrap_or(0) + 1;
+        let journal = Box::new(JournalBuf::new(next_seq, cap, Arc::clone(health)));
+        state
+            .cache
+            .with_shard(s, |_, ext| ext.journal = Some(journal));
+    }
 }
 
 /// Sequence number of the newest record a shard's journal buffer has
@@ -844,9 +863,9 @@ fn apply_journal_op<'a>(state: &Arc<ProxyState>, op: &'a JournalOp, names: &mut 
             0
         }
         JournalOp::Refresh { old_id, fetched_at } => {
-            resident(old_id, &mut |cache, _, id| {
-                if let Some(resident) = cache.payload_mut(id) {
-                    resident.fetched_at = *fetched_at;
+            resident(old_id, &mut |cache, ext, id| {
+                if let Some((meta, copy)) = cache.entry(id).map(|(m, c)| (*m, c.clone())) {
+                    refresh_resident(cache, ext, id, &meta, &copy, *fetched_at);
                 }
             });
             *fetched_at
@@ -854,123 +873,12 @@ fn apply_journal_op<'a>(state: &Arc<ProxyState>, op: &'a JournalOp, names: &mut 
     }
 }
 
-/// One shard of the proxy's store path with no sockets and no persister
-/// thread: requests go through [`touch_resident`] and [`install`] and are
-/// logged into a real [`JournalBuf`]; the caller decides when the buffer
-/// is drained, and replays a recovered journal with the function
-/// recovery uses. For `tests/journal_elision.rs`, which needs to choose
-/// the drain points a running persister picks by the clock.
-#[doc(hidden)]
-pub struct JournalShard {
-    state: Arc<ProxyState>,
-}
-
-/// One resident document of a [`JournalShard`].
-#[doc(hidden)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalShardDoc {
-    /// URL text.
-    pub url: String,
-    /// Cache metadata; `url` is this shard's own id for the text above.
-    pub meta: DocMeta,
-    /// Logical time of the fetch.
-    pub fetched_at: u64,
-    /// Body bytes.
-    pub body: bytes::Bytes,
-}
-
-impl JournalShard {
-    /// A cold shard of `capacity` bytes. With `journal_records` it logs
-    /// every mutation into a buffer of that many records (a live shard);
-    /// without, nothing is logged (a recovery target).
-    pub fn new(
-        capacity: u64,
-        policy: Box<dyn webcache_core::policy::RemovalPolicy>,
-        journal_records: Option<usize>,
-    ) -> JournalShard {
-        let config = crate::ProxyConfig::new(capacity).with_shards(1);
-        let mut policy = Some(policy);
-        let state = crate::cache_proxy::new_state(&config, None, || {
-            policy.take().expect("one shard asks for one policy")
-        });
-        let health = Arc::new(PersistHealthState::new(Arc::clone(&state.counters)));
-        if let Some(cap) = journal_records {
-            state.cache.with_shard(0, |_, ext| {
-                ext.journal = Some(Box::new(JournalBuf::new(1, cap, Arc::clone(&health))));
-            });
-        }
-        JournalShard { state }
-    }
-
-    /// One client request for `url`, currently `size` bytes at the origin,
-    /// on the next tick of the logical clock (returned): a resident copy
-    /// of that size is touched, as a hit does; anything else calls `fetch`
-    /// for the body and stores it, as a concluded miss does.
-    pub fn request(&self, url: &str, size: u64, fetch: impl FnOnce() -> bytes::Bytes) -> u64 {
-        let now = self.state.now.fetch_add(1, Ordering::SeqCst) + 1;
-        self.state
-            .cache
-            .with_shard(0, |cache, ext| match peek(cache, ext, url, None, now) {
-                Some((id, meta, copy, _)) if meta.size == size => {
-                    touch_resident(cache, ext, id, &meta, &copy, now)
-                }
-                _ => {
-                    let copy = Resident {
-                        url: Arc::from(url),
-                        body: fetch(),
-                        fetched_at: now,
-                    };
-                    let doc_type = webcache_trace::DocType::classify(url);
-                    install(cache, ext, now, doc_type, None, &copy);
-                }
-            });
-        now
-    }
-
-    /// What the persister's drain takes: the buffered records.
-    pub fn drain(&self) -> Vec<(u64, JournalOp)> {
-        self.state
-            .cache
-            .with_shard(0, |_, ext| take_pending(ext))
-            .into()
-    }
-
-    /// Replay recovered journal records, as [`apply_recovery`] does after
-    /// the snapshots.
-    pub fn replay(&self, ops: &[(u64, JournalOp)]) {
-        let mut names = Names::default();
-        for (_, op) in ops {
-            apply_journal_op(&self.state, op, &mut names);
-        }
-    }
-
-    /// The resident documents, sorted by URL.
-    pub fn residents(&self) -> Vec<JournalShardDoc> {
-        let mut docs: Vec<JournalShardDoc> = self.state.cache.with_shard(0, |cache, _| {
-            cache
-                .entries()
-                .map(|(meta, copy)| JournalShardDoc {
-                    url: copy.url.to_string(),
-                    meta: *meta,
-                    fetched_at: copy.fetched_at,
-                    body: copy.body.clone(),
-                })
-                .collect()
-        });
-        docs.sort_by(|a, b| a.url.cmp(&b.url));
-        docs
-    }
-
-    /// Buffered `Insert`s rewritten as `Evict` so far.
-    pub fn elided(&self) -> u64 {
-        self.state.counters.snapshot().journal_elided
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{Driver, Fetched};
     use bytes::Bytes;
+    use webcache_core::policy::named;
     use webcache_trace::DocType;
 
     fn insert(id: u32, body: &'static [u8]) -> JournalOp {
@@ -1094,14 +1002,19 @@ mod tests {
 
     #[test]
     fn freeing_the_buffers_frees_the_index() {
-        let shard = JournalShard::new(
-            1 << 20,
-            Box::new(webcache_core::policy::named::size()),
-            Some(16),
-        );
-        shard.request("http://j.test/a.html", 5, || {
-            Bytes::copy_from_slice(b"hello")
-        });
+        let config = crate::ProxyConfig::new(1 << 20);
+        let shard = Driver::new(config, || Box::new(named::size()), Some(16), None);
+        let served = |body: &'static str| {
+            let body = body.into();
+            move |_| {
+                Ok(Fetched {
+                    status: 200,
+                    last_modified: None,
+                    body,
+                })
+            }
+        };
+        shard.request("http://j.test/a.html", served("hello"));
         let indexed = |ext: &ShardExt| ext.journal.as_deref().map(|j| j.inserts.len());
         assert_eq!(
             shard.state.cache.with_shard(0, |_, ext| indexed(ext)),
@@ -1110,9 +1023,7 @@ mod tests {
         free_journal_buffers(&shard.state);
         assert_eq!(shard.state.cache.with_shard(0, |_, ext| indexed(ext)), None);
         // Logging is a no-op again.
-        shard.request("http://j.test/b.html", 5, || {
-            Bytes::copy_from_slice(b"world")
-        });
-        assert!(shard.drain().is_empty());
+        shard.request("http://j.test/b.html", served("world"));
+        assert!(shard.drain(0).is_empty());
     }
 }

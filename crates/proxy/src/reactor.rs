@@ -98,7 +98,8 @@
 //!   stream, short body, wheel expiry, malformed head, `5xx`: the origin
 //!   socket is discarded and the request redone on a worker from the
 //!   top, uncounted, so retries, backoff, timeouts, breakers and
-//!   serve-stale are accounted in one place only ([`proxy_get_at`]). A
+//!   serve-stale are accounted in one place only
+//!   ([`proxy_get_at`](crate::serve::proxy_get_at)). A
 //!   finished inline fetch whose shard is contended rides along with its
 //!   body. The connection leaves the slab (and epoll, if it was in),
 //!   its pooled buffers go back, and the stream itself travels in the [`Job`] on the bounded
@@ -116,11 +117,9 @@ use crate::bufpool::BufPool;
 use crate::cache_proxy::ProxyState;
 use crate::config::ProxyConfig;
 use crate::conn::{write_segments, Conn, ConnState, Event};
-use crate::fetch::host_of;
+use crate::fetch::{fetch_origin_resilient, host_of};
 use crate::http::{self, Response};
-use crate::serve::{
-    begin_request, finalize_response, lookup, proxy_get_at, Lookup, Miss, ShardLock, WAITED,
-};
+use crate::serve::{begin_request, finalize_response, lookup, Lookup, Miss, ShardLock, Work};
 use crate::stats::{admin_stats_response, ADMIN_STATS_TARGET};
 use crate::upstream::{Begun, Fetched, IdlePool, InlineUpstream, Progress, Upstream};
 use bytes::Bytes;
@@ -640,25 +639,6 @@ struct Job {
     work: Work,
 }
 
-/// What a worker is asked to do for a [`Job`].
-enum Work {
-    /// The whole request ([`proxy_get_at`]). Carries the pre-assigned
-    /// `now`, so the logical clock has already ticked exactly once,
-    /// whether or not an inline path was tried first.
-    Request { now: u64 },
-    /// The loop fetched the document but found its shard busy: store
-    /// and serve it, waiting for the lock.
-    Conclude(Box<(Miss, Fetched)>),
-}
-
-impl Work {
-    /// The whole request over again, for a miss the loop could not see
-    /// through.
-    fn redo(miss: &Miss) -> Work {
-        Work::Request { now: miss.now }
-    }
-}
-
 /// A connection on its way back to the event loop because the socket
 /// would not take the worker's response whole: what is left of it is
 /// `head` then `body` from byte `pos` (the cursor of
@@ -781,22 +761,10 @@ impl Reactor {
                     let mut head = Vec::new();
                     while let Some(mut job) = jobs.pop() {
                         state.counters.worker_jobs.add(1);
-                        let resp = match job.work {
-                            Work::Request { now } => {
-                                proxy_get_at(&mut up, config, &state, &job.target, now)
-                            }
-                            Work::Conclude(fetch) => {
-                                let (miss, fetched) = *fetch;
-                                miss.conclude(
-                                    &config,
-                                    &state,
-                                    &job.target,
-                                    fetched,
-                                    ShardLock::Wait,
-                                )
-                                .expect(WAITED)
-                            }
-                        };
+                        let target = &job.target;
+                        let origin =
+                            |since| fetch_origin_resilient(&mut up, target, since, &config, &state);
+                        let resp = job.work.run(origin, config, &state, target);
                         let resp = finalize_response(job.if_modified_since, resp);
                         http::encode_response_head_into(&mut head, &resp);
                         let mut pos = 0;
@@ -1278,22 +1246,19 @@ impl EventLoop {
             self.epoll.del(exchange.stream().as_raw_fd());
         }
         self.upstream.end(exchange, keep_alive);
-        let work = if fetched.status >= 500 {
-            Work::redo(&miss)
-        } else {
-            let target = conn.parser.target();
-            match miss.conclude(&self.config, &self.state, target, fetched, ShardLock::Try) {
-                Ok(resp) => {
-                    self.state.counters.inline_fetches.add(1);
-                    let resp = finalize_response(conn.parser.if_modified_since(), resp);
-                    conn.start_response(&resp);
-                    return self.flush_response(token);
-                }
-                Err(fetch) => Work::Conclude(fetch),
+        let target = conn.parser.target();
+        match miss.conclude_inline(&self.config, &self.state, target, fetched) {
+            Ok(resp) => {
+                self.state.counters.inline_fetches.add(1);
+                let resp = finalize_response(conn.parser.if_modified_since(), resp);
+                conn.start_response(&resp);
+                self.flush_response(token);
             }
-        };
-        self.state.counters.inline_fallbacks.add(1);
-        self.dispatch(token, work);
+            Err(work) => {
+                self.state.counters.inline_fallbacks.add(1);
+                self.dispatch(token, work);
+            }
+        }
     }
 
     /// Give up an inline fetch — the origin socket failed or stalled —

@@ -11,10 +11,10 @@ use crate::breaker::Admission;
 use crate::cache_proxy::{ProxyState, Resident, ShardCache, ShardExt};
 use crate::cluster::{self, ClusterState};
 use crate::config::ProxyConfig;
-use crate::fetch::{error_response, fetch_origin_resilient, host_of};
+use crate::fetch::{error_response, FetchError};
 use crate::http::Response;
 use crate::persist::JournalOp;
-use crate::upstream::{Fetched, Upstream};
+use crate::upstream::Fetched;
 use bytes::Bytes;
 use std::io::Write;
 use std::net::TcpStream;
@@ -74,7 +74,7 @@ pub(crate) enum ShardLock {
 }
 
 /// Why a caller that passed [`ShardLock::Wait`] may unwrap the answer.
-pub(crate) const WAITED: &str = "ShardLock::Wait is never refused";
+const WAITED: &str = "ShardLock::Wait is never refused";
 
 /// Run `f` under the lock of the shard owning `target`; `None` only when
 /// `lock` is [`ShardLock::Try`] and another thread holds the shard.
@@ -190,7 +190,7 @@ impl Miss {
     /// `Err` gives everything back untouched and uncounted: the shard is
     /// contended and `lock` is [`ShardLock::Try`]. (Boxed: it is the rare
     /// case, and travels on to a worker as it is.)
-    pub fn conclude(
+    fn conclude(
         self,
         config: &ProxyConfig,
         state: &ProxyState,
@@ -206,14 +206,7 @@ impl Miss {
                 // guard they peeked with).
                 let refreshed = visit(state, target, lock, |cache, ext| {
                     let id = bind(cache, ext, copy);
-                    touch_resident(cache, ext, id, meta, copy, now);
-                    if let Some(resident) = cache.payload_mut(id) {
-                        resident.fetched_at = now;
-                    }
-                    ext.log_op(JournalOp::Refresh {
-                        old_id: id.0,
-                        fetched_at: now,
-                    });
+                    refresh_resident(cache, ext, id, meta, copy, now);
                 });
                 if refreshed.is_none() {
                     return Err(Box::new((self, fetched)));
@@ -254,14 +247,70 @@ impl Miss {
             _ => Ok(fetched.into_response()),
         }
     }
+
+    /// The loop's end of an inline fetch: [`Miss::conclude`] under
+    /// [`ShardLock::Try`], or the worker's work instead — the whole request
+    /// after a `5xx` (a failed attempt in the resilient fetch's books), the
+    /// conclusion with its body when the shard is contended.
+    pub fn conclude_inline(
+        self,
+        config: &ProxyConfig,
+        state: &ProxyState,
+        target: &str,
+        fetched: Fetched,
+    ) -> Result<Response, Work> {
+        if fetched.status >= 500 {
+            return Err(Work::redo(&self));
+        }
+        self.conclude(config, state, target, fetched, ShardLock::Try)
+            .map_err(Work::Conclude)
+    }
+}
+
+/// What the event loop hands a worker for a request it admitted.
+#[derive(Debug)]
+pub(crate) enum Work {
+    /// The whole request ([`proxy_get_at`]) at its pre-assigned `now`: the
+    /// logical clock ticks exactly once per request.
+    Request { now: u64 },
+    /// A fetched document whose shard was busy: store and serve it.
+    Conclude(Box<(Miss, Fetched)>),
+}
+
+impl Work {
+    /// The whole request over again, for a miss the loop gave up on.
+    pub fn redo(miss: &Miss) -> Work {
+        Work::Request { now: miss.now }
+    }
+
+    /// Do it, waiting for the shard lock; `origin` is the origin exchange,
+    /// given the `If-Modified-Since` to send.
+    pub fn run(
+        self,
+        origin: impl FnOnce(Option<u64>) -> Result<Fetched, FetchError>,
+        config: ProxyConfig,
+        state: &Arc<ProxyState>,
+        target: &str,
+    ) -> Response {
+        match self {
+            Work::Request { now } => proxy_get_at(origin, config, state, target, now),
+            Work::Conclude(fetch) => {
+                let (miss, fetched) = *fetch;
+                miss.conclude(&config, state, target, fetched, ShardLock::Wait)
+                    .expect(WAITED)
+            }
+        }
+    }
 }
 
 /// The three cases of the paper's section 1, for a request already
-/// admitted by [`begin_request`], run to the end on the calling thread.
-/// May block on origin I/O and backoff sleeps — never run this on the
-/// reactor's event loop.
+/// admitted by [`begin_request`], run to the end on the calling thread,
+/// `origin` being the origin exchange (a worker's is
+/// [`fetch_origin_resilient`](crate::fetch::fetch_origin_resilient) over
+/// its upstream connection). May block on origin I/O and backoff sleeps —
+/// never run this on the reactor's event loop.
 pub(crate) fn proxy_get_at(
-    up: &mut Upstream,
+    origin: impl FnOnce(Option<u64>) -> Result<Fetched, FetchError>,
     config: ProxyConfig,
     state: &Arc<ProxyState>,
     target: &str,
@@ -286,8 +335,7 @@ pub(crate) fn proxy_get_at(
     }
     // Case 2 revalidates with a conditional GET; case 3 asks for the
     // document.
-    let since = miss.if_modified_since();
-    match fetch_origin_resilient(up, target, since, &config, state, host_of(target)) {
+    match origin(miss.if_modified_since()) {
         Ok(fetched) => miss
             .conclude(&config, state, target, fetched, ShardLock::Wait)
             .expect(WAITED),
@@ -487,6 +535,39 @@ pub(crate) fn touch_resident(
                 old_id: id.0,
                 now,
                 size: meta.size,
+            });
+        }
+        Outcome::Miss { evicted } | Outcome::MissModified { evicted } => {
+            log_insert(ext, evicted, &r, copy);
+        }
+        Outcome::MissTooBig => {}
+    }
+}
+
+/// [`touch_resident`] for a copy a `304` just confirmed, re-stamped `now`
+/// in the same step: one `Refresh` record, replayed by this call (or one
+/// `Insert` of the stamped copy, when it lost its slot since the peek).
+pub(crate) fn refresh_resident(
+    cache: &mut ShardCache,
+    ext: &mut ShardExt,
+    id: UrlId,
+    meta: &DocMeta,
+    copy: &Resident,
+    now: u64,
+) {
+    let copy = &Resident {
+        fetched_at: now,
+        ..copy.clone()
+    };
+    let r = reference(id, now, meta.size, meta.doc_type, meta.last_modified);
+    match cache.request_with(&r, || copy.clone()) {
+        Outcome::Hit => {
+            if let Some(resident) = cache.payload_mut(id) {
+                resident.fetched_at = now;
+            }
+            ext.log_op(JournalOp::Refresh {
+                old_id: id.0,
+                fetched_at: now,
             });
         }
         Outcome::Miss { evicted } | Outcome::MissModified { evicted } => {

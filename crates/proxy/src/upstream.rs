@@ -55,9 +55,12 @@ use std::time::Duration;
 
 /// An origin's answer, reduced to what the cache uses.
 #[derive(Debug)]
-pub(crate) struct Fetched {
+pub struct Fetched {
+    /// Status code.
     pub status: u16,
+    /// `Last-Modified`, if any.
     pub last_modified: Option<u64>,
+    /// Body bytes.
     pub body: Bytes,
 }
 

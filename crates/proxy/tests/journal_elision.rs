@@ -4,11 +4,11 @@
 //! A document evicted while its `Insert` is still buffered has that
 //! record rewritten as an `Evict`: the body never reaches the disk. The
 //! oracle here never looks at the buffer. It is the live cache — the
-//! resident set after every request, as [`JournalShard::residents`]
-//! reports it — and the journal *file*, read back with
-//! [`persist::read_journal`] and replayed with the function recovery
-//! uses. For any request stream, any choice of drain points and any byte
-//! at which the file is cut:
+//! resident set after every request, as the socketless [`Driver`] running
+//! the proxy's own request path reports it — and the journal *file*, read
+//! back with [`persist::read_journal`] and recovered into a cold driver
+//! the way a restarting proxy recovers. For any request stream, any
+//! choice of drain points and any byte at which the file is cut:
 //!
 //! * at every drain boundary the recovered cache is the live cache,
 //!   document for document: metadata, fetch time and body;
@@ -20,14 +20,19 @@
 //!   rewrote nothing would have written.
 //!
 //! Streams are built for churn: twelve URLs over five sizes in a cache
-//! that holds three or four of them, a document usually keeping its size
-//! (hits) and sometimes changing it (invalidate and re-insert under the
-//! same id, or — grown past the cache — invalidate and pass through),
-//! SIZE removing what was just inserted and LRU what was not. An id is a
-//! slot of the shard (DESIGN.md D26): with so few documents resident the
-//! shard's table sweeps every few requests, so the records of one journal
-//! use one id for several URLs, and each property checks that its
-//! generated cases did.
+//! that holds three or four of them, SIZE removing what was just inserted
+//! and LRU what was not. Copies are fresh for `TTL` ticks; the origin
+//! stamps each size a document takes as its `Last-Modified`. A document
+//! usually keeps its size: a fresh copy is a hit, an expired one is
+//! revalidated with a `304` (touch and re-stamp, one `Refresh` record).
+//! Sometimes it changes size, which the proxy learns only on expiry: the
+//! origin's `200` invalidates the copy and re-inserts under the same id,
+//! or — grown past the cache — invalidates it and passes through. Each
+//! property checks that its generated cases produced every one of those.
+//! An id is a slot of the shard (DESIGN.md D26): with so few documents
+//! resident the shard's table sweeps every few requests, so the records
+//! of one journal use one id for several URLs, and each property checks
+//! that its generated cases did.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -36,13 +41,17 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use webcache_core::policy::{named, RemovalPolicy};
-use webcache_proxy::cache_proxy::{JournalShard, JournalShardDoc};
-use webcache_proxy::persist::{self, JournalOp, JournalWriter};
+use webcache_proxy::driver::{Driver, FetchError, Fetched};
+use webcache_proxy::persist::{self, JournalOp, JournalWriter, SnapshotDoc};
+use webcache_proxy::ProxyConfig;
 use webcache_trace::UrlId;
 
 const URLS: u8 = 12;
 const SIZES: [u64; 5] = [100, 300, 700, 1500, 3000];
 const CAPACITY: u64 = 4000;
+/// Ticks a copy stays fresh. A document comes back every twelve requests
+/// or so: most come back expired, and a change of size is soon learnt.
+const TTL: u64 = 2;
 /// A size no cache of `CAPACITY` stores: the request passes through, and
 /// takes a smaller resident copy of the document with it.
 const TOO_BIG: u64 = 5000;
@@ -82,6 +91,11 @@ fn policy(lru: bool) -> Box<dyn RemovalPolicy> {
     }
 }
 
+/// One shard of `CAPACITY` bytes whose copies expire after `TTL` ticks.
+fn config() -> ProxyConfig {
+    ProxyConfig::new(CAPACITY).with_ttl(TTL)
+}
+
 fn url(u: u8) -> String {
     format!("http://elide.test/doc-{u}.html")
 }
@@ -94,6 +108,38 @@ fn body(u: u8, t: usize, size: u64) -> Bytes {
             .map(|j| (u.wrapping_mul(31) as u64 + 131 * t as u64 + 7 * j) as u8)
             .collect::<Vec<u8>>(),
     )
+}
+
+/// The origin's answer to request `i` (tick `i + 1`) of `step`. The
+/// origin's copy of each document is its size and the tick it took that
+/// size, its `Last-Modified`: a conditional GET no older than that gets a
+/// `304`, anything else the document.
+fn answer(
+    versions: &mut HashMap<u8, (u64, u64)>,
+    step: &Step,
+    i: usize,
+) -> impl FnOnce(Option<u64>) -> Result<Fetched, FetchError> {
+    let version = versions
+        .entry(step.url)
+        .or_insert((step.size, i as u64 + 1));
+    if version.0 != step.size {
+        *version = (step.size, i as u64 + 1);
+    }
+    let (u, size, modified) = (step.url, step.size, Some(version.1));
+    move |since| {
+        Ok(match since {
+            Some(since) if Some(since) >= modified => Fetched {
+                status: 304,
+                last_modified: modified,
+                body: Bytes::new(),
+            },
+            _ => Fetched {
+                status: 200,
+                last_modified: modified,
+                body: body(u, i, size),
+            },
+        })
+    }
 }
 
 /// A temp dir that cleans itself up when the case passes or fails.
@@ -116,8 +162,13 @@ impl Drop for CaseDir {
     }
 }
 
+/// The one shard's resident documents, sorted by URL.
+fn residents(driver: &Driver) -> Vec<SnapshotDoc> {
+    driver.shards().swap_remove(0).0
+}
+
 /// Ids are a process's own: compare documents by URL text.
-fn by_text(mut docs: Vec<JournalShardDoc>) -> Vec<JournalShardDoc> {
+fn by_text(mut docs: Vec<SnapshotDoc>) -> Vec<SnapshotDoc> {
     for d in &mut docs {
         d.meta.url = UrlId(0);
     }
@@ -126,21 +177,23 @@ fn by_text(mut docs: Vec<JournalShardDoc>) -> Vec<JournalShardDoc> {
 
 /// Recover the journal in `dir` into a cold cache: the records read and
 /// the resident set they rebuild.
-fn recover(dir: &CaseDir, lru: bool) -> (persist::JournalRead, Vec<JournalShardDoc>) {
+fn recover(dir: &CaseDir, lru: bool) -> (persist::JournalRead, Vec<SnapshotDoc>) {
     let read = persist::read_journal(&dir.0, 0);
-    let cold = JournalShard::new(CAPACITY, policy(lru), None);
-    cold.replay(&read.ops);
-    (read, by_text(cold.residents()))
+    let cold = Driver::new(config(), || policy(lru), None, Some(&dir.0));
+    (read, by_text(residents(&cold)))
 }
 
 /// What one replay of a stream left behind.
 struct Run {
     dir: CaseDir,
     /// The resident set after each request; index `t - 1` for tick `t`.
-    after: Vec<Vec<JournalShardDoc>>,
+    after: Vec<Vec<SnapshotDoc>>,
     elided: u64,
     /// Ids the live shard had two URLs resident under, one after the other.
     rebound: usize,
+    /// Fresh hits, `304` refreshes, size-change re-inserts and too-big
+    /// pass-throughs the stream produced.
+    made: [u64; 4],
 }
 
 impl Run {
@@ -154,22 +207,24 @@ impl Run {
 /// file must recover to the live cache.
 fn run(lru: bool, steps: &[Step], every_request: bool) -> Result<Run, TestCaseError> {
     let dir = CaseDir::new();
-    let live = JournalShard::new(CAPACITY, policy(lru), Some(BUFFER));
+    let live = Driver::new(config(), || policy(lru), Some(BUFFER), None);
     let mut w = JournalWriter::create(&dir.0, 0).expect("create journal");
     let mut after = Vec::with_capacity(steps.len());
     let mut seen: HashMap<UrlId, String> = HashMap::new();
     let mut rebound = 0;
+    let mut versions = HashMap::new();
     for (i, step) in steps.iter().enumerate() {
-        let t = live.request(&url(step.url), step.size, || body(step.url, i, step.size));
+        live.request(&url(step.url), answer(&mut versions, step, i));
+        let t = live.stats().requests;
         prop_assert_eq!(t, i as u64 + 1);
-        let residents = live.residents();
+        let residents = residents(&live);
         for d in &residents {
             let before = seen.insert(d.meta.url, d.url.clone());
             rebound += before.is_some_and(|before| before != d.url) as usize;
         }
         after.push(by_text(residents));
         if every_request || step.drain || i + 1 == steps.len() {
-            w.append(&live.drain()).expect("append");
+            w.append(&live.drain(0)).expect("append");
             let (read, recovered) = recover(&dir, lru);
             prop_assert!(read.note.is_none(), "{:?}", read.note);
             prop_assert!(
@@ -179,11 +234,18 @@ fn run(lru: bool, steps: &[Step], every_request: bool) -> Result<Run, TestCaseEr
             );
         }
     }
+    let (stats, cache) = (live.stats(), live.shards()[0].1);
     Ok(Run {
         dir,
         after,
-        elided: live.elided(),
+        elided: stats.journal_elided,
         rebound,
+        made: [
+            stats.hits - stats.revalidated,
+            stats.revalidated,
+            cache.modified_invalidations,
+            cache.too_big,
+        ],
     })
 }
 
@@ -194,15 +256,20 @@ fn last_tick(ops: &[(u64, JournalOp)]) -> u64 {
     ops.iter()
         .filter_map(|(_, op)| match op {
             JournalOp::Insert { now, .. } | JournalOp::Touch { now, .. } => Some(*now),
-            JournalOp::Evict { .. } | JournalOp::Refresh { .. } => None,
+            JournalOp::Refresh { fetched_at, .. } => Some(*fetched_at),
+            JournalOp::Evict { .. } => None,
         })
         .max()
         .unwrap_or(0)
 }
 
 /// Every property of the module docs for one stream and one cut; how many
-/// ids the live shard re-bound on the way.
-fn check(lru: bool, steps: &[Step], cut_permille: usize) -> Result<usize, TestCaseError> {
+/// ids the live shard re-bound on the way, and what else it made.
+fn check(
+    lru: bool,
+    steps: &[Step],
+    cut_permille: usize,
+) -> Result<(usize, [u64; 4]), TestCaseError> {
     let elided = run(lru, steps, false)?;
     let plain = run(lru, steps, true)?;
     // A buffer that holds one request at a time has nothing to rewrite.
@@ -217,7 +284,14 @@ fn check(lru: bool, steps: &[Step], cut_permille: usize) -> Result<usize, TestCa
     );
 
     // Tear the file anywhere, header included.
-    let cut = journal.len() * cut_permille / 1000;
+    check_cut(lru, &elided, journal.len() * cut_permille / 1000)?;
+    Ok((elided.rebound, elided.made))
+}
+
+/// The torn-prefix property of the module docs for `elided`'s journal cut
+/// at byte `cut`.
+fn check_cut(lru: bool, elided: &Run, cut: usize) -> Result<(), TestCaseError> {
+    let journal = elided.journal();
     let torn = CaseDir::new();
     std::fs::write(persist::journal_path(&torn.0, 0), &journal[..cut]).expect("write prefix");
     let (read, recovered) = recover(&torn, lru);
@@ -230,7 +304,7 @@ fn check(lru: bool, steps: &[Step], cut_permille: usize) -> Result<usize, TestCa
             note
         );
     }
-    let then: &[JournalShardDoc] = match last_tick(&read.ops) {
+    let then: &[SnapshotDoc] = match last_tick(&read.ops) {
         0 => &[],
         t => &elided.after[t as usize - 1],
     };
@@ -244,7 +318,7 @@ fn check(lru: bool, steps: &[Step], cut_permille: usize) -> Result<usize, TestCa
             last_tick(&read.ops)
         );
     }
-    Ok(elided.rebound)
+    Ok(())
 }
 
 /// [`check`] over generated streams and cuts, some of which must have made
@@ -256,16 +330,25 @@ fn recovers_what_survived(lru: bool) {
         (384, 240)
     };
     let mut rebinding_cases = 0;
+    let mut made = [0; 4];
     let outcome = TestRunner::new(ProptestConfig::with_cases(cases)).run(
         &(steps(max_len), 0usize..=1000),
         |(steps, cut)| {
-            rebinding_cases += (check(lru, &steps, cut)? > 0) as usize;
+            let (rebound, case_made) = check(lru, &steps, cut)?;
+            rebinding_cases += (rebound > 0) as usize;
+            for (made, case) in made.iter_mut().zip(case_made) {
+                *made += case;
+            }
             Ok(())
         },
     );
     if let Err(e) = outcome {
         panic!("{e}");
     }
+    assert!(
+        made.iter().all(|&n| n > 0),
+        "fresh hits, 304 refreshes, size-change re-inserts, too-big pass-throughs: {made:?}"
+    );
     assert!(
         rebinding_cases > 0,
         "no generated case bound one id to two URLs: replay under reused ids went untested"
@@ -319,4 +402,33 @@ fn size_churn_writes_strictly_fewer_bytes() {
     );
     let resident: Vec<&str> = elided.after[6].iter().map(|d| d.url.as_str()).collect();
     assert_eq!(resident, [url(0), url(1), url(5)]);
+}
+
+/// A revalidation is one record. Written as two — a `Touch`, then a
+/// `Refresh` — a journal cut between them recovered the copy touched but
+/// not re-stamped, which the live cache never held. Every cut of a journal
+/// that holds a `304`, that one included, recovers a state the cache held.
+#[test]
+fn no_cut_splits_a_revalidation() {
+    let step = |url, size| Step {
+        url,
+        size,
+        drain: false,
+    };
+    // Document 0 goes stale behind `TTL` requests for document 1 and is
+    // revalidated unchanged; the last request is a fresh hit on it.
+    let mut steps = vec![step(0, 100)];
+    steps.extend((0..TTL).map(|_| step(1, 300)));
+    steps.extend([step(0, 100), step(0, 100)]);
+    let live = run(false, &steps, false).expect("live run");
+    assert_eq!(
+        live.made,
+        [TTL, 1, 0, 0],
+        "hits, 304s, re-inserts, too-bigs"
+    );
+    for cut in 0..=live.journal().len() {
+        if let Err(e) = check_cut(false, &live, cut) {
+            panic!("{}", e.0);
+        }
+    }
 }

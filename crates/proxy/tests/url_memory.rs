@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use webcache_core::policy::named;
-use webcache_proxy::cache_proxy::JournalShard;
+use webcache_proxy::driver::{Driver, Fetched};
 use webcache_proxy::url_table::SLACK;
 use webcache_proxy::{http, DocStore, OriginServer, ProxyConfig, ProxyServer};
 
@@ -82,16 +82,28 @@ fn a_shard_keeps_nothing_for_the_urls_it_has_seen() {
     };
     LIVE.with(|live| live.set(Some(0)));
     let live = || LIVE.with(|live| live.get().expect("counting"));
-    let shard = JournalShard::new(1 << 20, Box::new(named::size()), None);
+    let config = ProxyConfig::new(1 << 20);
+    let shard = Driver::new(config, || Box::new(named::size()), None, None);
     let mut after_warmup = 0;
     for i in 0..urls {
-        shard.request(&distinct_url(i), 64, || Bytes::from(vec![i as u8; 64]));
+        shard.request(&distinct_url(i), |_| {
+            let body = Bytes::from(vec![i as u8; 64]);
+            Ok(Fetched {
+                status: 200,
+                last_modified: None,
+                body,
+            })
+        });
         if i + 1 == 100_000 {
             after_warmup = live();
         }
     }
     let grown = live() - after_warmup;
-    assert_eq!(shard.residents().len(), (1 << 20) / 64, "the cache is full");
+    assert_eq!(
+        shard.shards()[0].0.len(),
+        (1 << 20) / 64,
+        "the cache is full"
+    );
     assert!(
         after_warmup > MIB && grown.abs() < 4 * MIB,
         "live heap {after_warmup} bytes after 100 000 distinct URLs, {grown:+} after {} more",
