@@ -8,9 +8,8 @@
 //! its value `H`, Pitkow/Recker by `DAY(ATIME)` in one list and by
 //! descending `SIZE` in another. Only LRU-MIN keeps its own buckets (its
 //! module says why). The list is two queues with *lazy deletion*: a rank
-//! update files the new entry and leaves the old one in place, and the head
-//! query drops entries whose rank no longer matches the [`RankSlab`] ground
-//! truth.
+//! update leaves the old entry in place, and the head query drops entries
+//! whose rank no longer matches the [`RankSlab`] ground truth.
 //!
 //! * The **run** is a `VecDeque` of entries that arrived in non-decreasing
 //!   order — each was no smaller than the run's back when it was filed, so
@@ -22,14 +21,23 @@
 //!   unrelated to arrival order (SIZE, NREF) file mostly here.
 //!
 //! Which queue an entry joins is decided by the data's own arrival order,
-//! never by the key's name. The head is the smaller of the two live
-//! heads — exactly the entry a fully-sorted list would remove, the smallest
-//! live `(rank, url)`. Stale entries that never reach a head (re-ranked
-//! hits in a cache that never evicts) are discarded wholesale once they
-//! outnumber the live ones by [`STALE_FACTOR`] and [`STALE_FLOOR`], so
-//! memory stays proportional to the resident set. DESIGN.md decisions D1,
-//! D8, D23 and D34; `core/tests/sorted_model.rs` holds the list to a sort
-//! of its rank slab, and GreedyDual-Size and Pitkow/Recker to naive scans.
+//! never by the key's name. Inserts, falls in rank and raises that belong
+//! at the back of the run are filed. A raise that does not — a hit under
+//! NREF, or under ATIME as a secondary key — files nothing: the slab
+//! records the new rank as *unfiled*, and the entry already queued, at or
+//! below the old rank, stays as a **lower bound**. When a lower bound
+//! reaches a head, the head query re-files its document at the slab's
+//! rank and marks it filed; its other queued entries are then stale. So
+//! every resident document keeps a queued entry at or below its rank, and
+//! the smaller of the two settled heads is exactly the entry a
+//! fully-sorted list would remove, the smallest live `(rank, url)`: a hit
+//! costs a slab write, and only a document that nears eviction pays for
+//! its new place. Stale entries that never reach a head (LRU hits in a
+//! cache that never evicts) are discarded wholesale once they outnumber
+//! the live ones by [`STALE_FACTOR`] and [`STALE_FLOOR`], so memory stays
+//! proportional to the resident set. DESIGN.md decisions D1, D8, D23, D34
+//! and D37; `core/tests/sorted_model.rs` holds the list to a sort of its
+//! rank slab, and GreedyDual-Size and Pitkow/Recker to naive scans.
 
 use crate::cache::DocMeta;
 use crate::policy::key::KeySpec;
@@ -37,6 +45,14 @@ use crate::policy::RemovalPolicy;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use webcache_trace::{Timestamp, UrlId};
+
+thread_local! {
+    /// Lower-bound entries [`SortedList::head`] has re-filed at their
+    /// document's rank, on this thread. For tests that must show they
+    /// reached that path.
+    #[doc(hidden)]
+    pub static REFILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// A document's sort key: documents are removed in ascending order.
 pub(crate) type Rank = (i64, i64, i64);
@@ -56,6 +72,15 @@ pub(crate) fn value_of(rank: i64) -> u64 {
     (rank as u64) ^ (1 << 63)
 }
 
+/// A rank slab slot: the document's rank, and whether an entry at exactly
+/// that rank has been filed in a queue. An unfiled rank is one a hit
+/// raised: the queues hold an entry below it, a lower bound, which
+/// [`SortedList::head`] re-files when it reaches a head. Same size as an
+/// `Option<Rank>`: the `bool` is the niche.
+type Slot = Option<(Rank, bool)>;
+
+const _: () = assert!(std::mem::size_of::<Slot>() == std::mem::size_of::<Option<Rank>>());
+
 /// Current rank of each resident URL, stored as a dense slab indexed by
 /// the interned `UrlId` — the policy-side counterpart of the cache's
 /// `SlabStore`. Rank lookup happens on every access of a rank-sensitive
@@ -63,24 +88,30 @@ pub(crate) fn value_of(rank: i64) -> u64 {
 /// bounds check instead of a hash-and-probe.
 #[derive(Debug, Clone, Default)]
 struct RankSlab {
-    slots: Vec<Option<Rank>>,
+    slots: Vec<Slot>,
 }
 
 impl RankSlab {
-    fn get(&self, url: UrlId) -> Option<Rank> {
+    fn slot(&self, url: UrlId) -> Slot {
         *self.slots.get(url.0 as usize)?
     }
 
-    fn insert(&mut self, url: UrlId, rank: Rank) -> Option<Rank> {
+    fn get(&self, url: UrlId) -> Option<Rank> {
+        self.slot(url).map(|(rank, _)| rank)
+    }
+
+    /// `url`'s slot, the slab grown to hold it.
+    fn slot_mut(&mut self, url: UrlId) -> &mut Slot {
         let i = url.0 as usize;
         if i >= self.slots.len() {
             self.slots.resize(i + 1, None);
         }
-        self.slots[i].replace(rank)
+        &mut self.slots[i]
     }
 
     fn remove(&mut self, url: UrlId) -> Option<Rank> {
-        self.slots.get_mut(url.0 as usize)?.take()
+        let (rank, _) = self.slots.get_mut(url.0 as usize)?.take()?;
+        Some(rank)
     }
 
     /// All live `(rank, url)` entries, in slab (that is, url) order.
@@ -88,7 +119,15 @@ impl RankSlab {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, slot)| slot.map(|rank| (rank, UrlId(i as u32))))
+            .filter_map(|(i, slot)| slot.map(|(rank, _)| (rank, UrlId(i as u32))))
+    }
+
+    /// Mark every rank filed: the queues have just been rebuilt from the
+    /// slab.
+    fn mark_all_filed(&mut self) {
+        for (_, filed) in self.slots.iter_mut().flatten() {
+            *filed = true;
+        }
     }
 }
 
@@ -183,9 +222,13 @@ impl PositionIndex {
 /// rebuild scans every slab slot and never looks at the stale entries; the
 /// floor spaces rebuilds at least that many filings apart, which keeps the
 /// scan to a handful of slots per filing even when the slab (indexed by
-/// every URL id the shard has seen) is far longer than the resident set,
-/// and keeps a small hot set (4 k documents, all hits) from paying for a
-/// rebuild every few thousand requests (DESIGN.md D23).
+/// every URL id the shard has seen) is far longer than the resident set.
+/// Only raises that belong at the back of the run file an entry, so the
+/// stale entries of a small hot set (4 k documents, all hits, nothing
+/// evicted) come from keys that put ATIME first; the floor keeps such an
+/// LRU lane from paying for a rebuild every few thousand requests, and
+/// under every other key hits file nothing to rebuild from (DESIGN.md D23,
+/// D37).
 const STALE_FACTOR: usize = 8;
 const STALE_FLOOR: usize = 1 << 16;
 
@@ -197,9 +240,11 @@ pub(crate) struct SortedList {
     /// Entries that were no smaller than the back when filed: ascending.
     run: VecDeque<Entry>,
     /// Min-heap of every other entry. In both queues an entry whose rank
-    /// disagrees with `ranks` is stale and is dropped when it reaches a
-    /// head during [`head`](SortedList::head), or by a rebuild. `ranks` is
-    /// the ground truth for residency and rank; the queues only order it.
+    /// disagrees with `ranks` is a lower bound, re-filed when it reaches a
+    /// head during [`head`](SortedList::head), if its document's rank is
+    /// unfiled and above it, and stale otherwise: dropped there, or by a
+    /// rebuild. `ranks` is the ground truth for residency and rank; the
+    /// queues only order it.
     heap: BinaryHeap<Reverse<Entry>>,
     ranks: RankSlab,
     /// Live entry count (the queue lengths include stale entries).
@@ -210,28 +255,46 @@ pub(crate) struct SortedList {
 impl SortedList {
     /// File `url` at `rank`, replacing its previous rank if it has one.
     pub(crate) fn upsert(&mut self, url: UrlId, rank: Rank) {
-        match self.ranks.insert(url, rank) {
-            // Rank unchanged: the queued entry is still live, nothing to do.
-            Some(old) if old == rank => return,
-            Some(old) => {
-                // Old entry goes stale where it is; head() will skip it.
+        let entry = (rank, url);
+        let slot = self.ranks.slot_mut(url);
+        let filed = match *slot {
+            // Rank unchanged: the queued entry (or lower bound) still
+            // stands, nothing to do.
+            Some((old, _)) if old == rank => return,
+            Some((old, _)) => {
                 if let Some(idx) = &mut self.positions {
                     idx.remove(&(old, url));
                 }
+                // A raise files nothing unless it belongs at the back of
+                // the run: the entry queued at or below the old rank stays
+                // as a lower bound, and head() re-files it if it ever gets
+                // there. A fall is filed, and the old entry goes stale.
+                old > rank || self.run.back().is_none_or(|back| entry >= *back)
             }
-            None => self.live += 1,
+            None => {
+                self.live += 1;
+                true
+            }
+        };
+        *slot = Some((rank, filed));
+        if let Some(idx) = &mut self.positions {
+            idx.insert(entry);
         }
-        let entry = (rank, url);
+        if filed {
+            self.file(entry);
+            if self.queued() > STALE_FACTOR * self.live + STALE_FLOOR {
+                self.rebuild_queues();
+            }
+        }
+    }
+
+    /// Queue `entry`: at the back of the run if it is no smaller than the
+    /// back, else in the heap.
+    fn file(&mut self, entry: Entry) {
         if self.run.back().is_some_and(|back| entry < *back) {
             self.heap.push(Reverse(entry));
         } else {
             self.run.push_back(entry);
-        }
-        if let Some(idx) = &mut self.positions {
-            idx.insert(entry);
-        }
-        if self.queued() > STALE_FACTOR * self.live + STALE_FLOOR {
-            self.rebuild_queues();
         }
     }
 
@@ -248,23 +311,51 @@ impl SortedList {
 
     /// The smallest live `(rank, url)`, or `None` when the list is empty.
     pub(crate) fn head(&mut self) -> Option<Entry> {
-        // Drop stale heads (removed documents or superseded ranks) until
-        // each queue's head agrees with the slab. The smaller of the two
-        // is the smallest live `(rank, url)`, exactly what a fully-sorted
-        // list would remove.
-        let ranks = &self.ranks;
-        let live = |&(rank, url): &Entry| ranks.get(url) == Some(rank);
-        while self.run.front().is_some_and(|e| !live(e)) {
-            self.run.pop_front();
+        // Settle each queue's head until it agrees with the slab: a lower
+        // bound is re-filed at its document's rank, anything else that
+        // disagrees (a removed document, a superseded rank) is dropped.
+        // Every resident document keeps a queued entry at or below its
+        // rank, so the smaller of the two settled heads is the smallest
+        // live `(rank, url)`, exactly what a fully-sorted list would
+        // remove.
+        while let Some(&(bound, url)) = self.run.front() {
+            match self.ranks.slot(url) {
+                Some((rank, _)) if rank == bound => break,
+                Some((rank, false)) if rank > bound => {
+                    self.run.pop_front();
+                    self.refile(rank, url);
+                }
+                _ => {
+                    self.run.pop_front();
+                }
+            }
         }
-        while self.heap.peek().is_some_and(|Reverse(e)| !live(e)) {
-            self.heap.pop();
+        while let Some(&Reverse((bound, url))) = self.heap.peek() {
+            match self.ranks.slot(url) {
+                Some((rank, _)) if rank == bound => break,
+                Some((rank, false)) if rank > bound => {
+                    self.heap.pop();
+                    self.refile(rank, url);
+                }
+                _ => {
+                    self.heap.pop();
+                }
+            }
         }
         match (self.run.front(), self.heap.peek()) {
             (Some(a), Some(Reverse(b))) => Some(*a.min(b)),
             (Some(e), None) | (None, Some(Reverse(e))) => Some(*e),
             (None, None) => None,
         }
+    }
+
+    /// File `url` at `rank`, its unfiled rank: a lower bound of it has
+    /// just left a head.
+    #[cold]
+    fn refile(&mut self, rank: Rank, url: UrlId) {
+        *self.ranks.slot_mut(url) = Some((rank, true));
+        self.file((rank, url));
+        REFILES.with(|n| n.set(n.get() + 1));
     }
 
     /// Whether `url` is in the list.
@@ -314,14 +405,16 @@ impl SortedList {
     }
 
     /// Forget every queued entry and queue the live ones afresh from the
-    /// slab, one per resident document. That costs `O(slots)` whatever the
-    /// queues held: the stale entries are never looked at. The live ones go
-    /// to the heap because building a heap is linear; entries filed from
-    /// now on start a new run.
+    /// slab, one per resident document at its rank, which is then filed.
+    /// That costs `O(slots)` whatever the queues held: the stale entries
+    /// and lower bounds are never looked at. The live ones go to the heap
+    /// because building a heap is linear; entries filed from now on start
+    /// a new run.
     #[cold]
     fn rebuild_queues(&mut self) {
         self.run.clear();
         self.heap.clear();
+        self.ranks.mark_all_filed();
         self.heap.extend(self.ranks.entries().map(Reverse));
     }
 }
@@ -603,6 +696,55 @@ mod tests {
                 );
             }
             assert_eq!(p.len(), DOCS as usize);
+            assert_eq!(p.victim(0, 0), p.sorted_urls().first().copied());
+        }
+    }
+
+    #[test]
+    fn hits_on_a_resident_set_that_fits_queue_nothing_in_the_heap() {
+        // 4 k documents filed in rank order (all in the run), then a
+        // million hits and no victim. A raise that would not go at the
+        // back of the run files nothing, so the heap never grows, and the
+        // run gains only the raises that belong at its back — never
+        // enough for a rebuild, which would empty it.
+        const DOCS: u32 = 4096;
+        for spec in [
+            KeySpec::pair(Key::NRef, Key::Size),
+            KeySpec::pair(Key::Size, Key::AccessTime),
+            KeySpec::pair(Key::EntryTime, Key::NRef),
+        ] {
+            let mut p = SortedPolicy::new(spec);
+            let mut nrefs = vec![1u64; DOCS as usize];
+            // Larger documents first: SIZE ranks them lowest.
+            let size = |url: u32| 2 * DOCS as u64 - url as u64;
+            for url in 0..DOCS {
+                p.on_insert(&meta(url, size(url), url as u64, url as u64, 1));
+            }
+            let heap = p.list.heap.len();
+            let mut run = p.list.run.len();
+            assert_eq!((run, heap), (DOCS as usize, 0), "{}", spec.name());
+            let mut x = 1u64;
+            for t in 1..=1_000_000u64 {
+                x = crate::util::splitmix64(x);
+                let url = (x % DOCS as u64) as u32;
+                nrefs[url as usize] += 1;
+                let atime = DOCS as u64 + t;
+                p.on_access(&meta(
+                    url,
+                    size(url),
+                    url as u64,
+                    atime,
+                    nrefs[url as usize],
+                ));
+                assert!(
+                    p.list.heap.len() <= heap && p.list.run.len() >= run,
+                    "{}: hit {t} left {} in the heap, {} in the run (was {run})",
+                    spec.name(),
+                    p.list.heap.len(),
+                    p.list.run.len()
+                );
+                run = p.list.run.len();
+            }
             assert_eq!(p.victim(0, 0), p.sorted_urls().first().copied());
         }
     }

@@ -23,12 +23,20 @@
 //! counts restart at 1 on every re-insert (NREF ties), and a document
 //! that changes size and changes back within a second returns to the
 //! exact rank it had — A → B → A — while its first entry is still queued.
+//!
+//! A hit that raises a rank below the run's back files nothing and leaves
+//! the queued entry as a lower bound (D37). One document is scripted
+//! through every state that leaves its rank in, with the number of lower
+//! bounds re-filed on the way held exact, and the first property's own
+//! cases must re-file at least once.
 
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
+use proptest::test_runner::{TestCaseError, TestRunner};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use webcache_core::cache::{Cache, DocMeta, Outcome};
 use webcache_core::policy::greedy_dual::GdCost;
+use webcache_core::policy::sorted::REFILES;
 use webcache_core::policy::{
     GreedyDualSize, Key, KeySpec, PitkowRecker, RemovalPolicy, SortedPolicy,
 };
@@ -576,4 +584,162 @@ fn greedy_dual_matches_its_model_across_queue_rebuilds() {
             }
         }
     }
+}
+
+/// Lower bounds this thread's sorted lists have re-filed so far.
+fn refiles() -> u64 {
+    REFILES.with(Cell::get)
+}
+
+/// The first property's own cases (the runner is seeded as the macro's
+/// is) reach the path where a head re-files a lower bound at its
+/// document's rank.
+#[test]
+fn the_oracle_cases_refile_lower_bounds() {
+    let before = refiles();
+    let cases = (
+        0usize..36,
+        ops(12, 400),
+        prop::sample::select(vec![1usize, 5, 1000]),
+    );
+    TestRunner::new(ProptestConfig::with_cases(256))
+        .run(&cases, |(combo, ops, check_every)| {
+            let mut h = Harness::new(KeySpec::all36(3)[combo]);
+            for (step, &op) in ops.iter().enumerate() {
+                h.apply(op)?;
+                if step.is_multiple_of(check_every) {
+                    h.check_heads()?;
+                }
+            }
+            h.flush()
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
+    let refiled = refiles() - before;
+    assert!(refiled > 0, "256 cases re-filed no lower bound");
+}
+
+/// A position-tracking `SortedPolicy` beside its documents' metadata, for
+/// streams written out by hand.
+struct Scripted {
+    spec: KeySpec,
+    policy: SortedPolicy,
+    docs: Vec<Option<DocMeta>>,
+}
+
+impl Scripted {
+    fn new(spec: KeySpec) -> Scripted {
+        let mut policy = SortedPolicy::new(spec);
+        policy.enable_position_tracking();
+        Scripted {
+            spec,
+            policy,
+            docs: Vec::new(),
+        }
+    }
+
+    fn meta(url: u32, size: u64, nrefs: u64) -> DocMeta {
+        DocMeta {
+            url: UrlId(url),
+            size,
+            doc_type: DocType::Text,
+            entry_time: 0,
+            last_access: nrefs,
+            nrefs,
+            expires: None,
+            refetch_latency_ms: 0,
+            type_priority: 0,
+            last_modified: None,
+        }
+    }
+
+    fn insert(&mut self, url: u32, size: u64, nrefs: u64) {
+        let m = Scripted::meta(url, size, nrefs);
+        self.policy.on_insert(&m);
+        *slot(&mut self.docs, m.url) = Some(m);
+    }
+
+    fn hit(&mut self, url: u32, size: u64, nrefs: u64) {
+        let m = Scripted::meta(url, size, nrefs);
+        self.policy.on_access(&m);
+        *slot(&mut self.docs, m.url) = Some(m);
+    }
+
+    fn remove(&mut self, url: u32) {
+        self.policy.on_remove(UrlId(url));
+        *slot(&mut self.docs, UrlId(url)) = None;
+    }
+
+    /// The naive sort: every document by its rank, then url.
+    fn order(&self) -> Vec<UrlId> {
+        let docs = self.docs.iter().flatten();
+        let mut order: Vec<_> = docs.map(|m| (self.spec.rank(m), m.url)).collect();
+        order.sort_unstable();
+        order.into_iter().map(|(_, url)| url).collect()
+    }
+
+    /// The head and `url`'s tracked position are the naive sort's, and a
+    /// copy empties victim by victim in its order, re-filing `refiled`
+    /// lower bounds on the way.
+    fn check(&mut self, step: &str, url: u32, refiled: u64) {
+        let order = self.order();
+        assert_eq!(self.policy.victim(0, 0), order.first().copied(), "{step}");
+        let at = order.iter().position(|&u| u == UrlId(url));
+        assert_eq!(self.policy.removal_position(UrlId(url)), at, "{step}");
+        let mut copy = self.policy.clone();
+        let before = refiles();
+        for &url in &order {
+            assert_eq!(copy.victim(0, 0), Some(url), "{step}: drained out of order");
+            copy.on_remove(url);
+        }
+        assert_eq!(copy.victim(0, 0), None, "{step}");
+        assert_eq!(refiles() - before, refiled, "{step}: lower bounds re-filed");
+    }
+}
+
+/// One document taken through every state its rank can be in, under
+/// NREF/SIZE with a far more popular document at the back of the run so that each hit on it is
+/// a raise that files nothing: raised lazily, raised again, lowered by a
+/// size change (a re-insert while resident), raised over two queued
+/// entries, removed, re-inserted at one queued entry's rank and raised
+/// over three. After every step the policy is held to the naive sort, and
+/// a copy emptied through the state re-files exactly one lower bound when
+/// the document's rank is unfiled and none otherwise. Then the policy
+/// itself is emptied the same way.
+#[test]
+fn a_lower_bound_is_refiled_once_from_every_state() {
+    const DOC: u32 = 3;
+    const POPULAR: u32 = 9;
+    let mut s = Scripted::new(KeySpec::pair(Key::NRef, Key::Size));
+    s.insert(POPULAR, 1000, 1);
+    for nrefs in 2..=10 {
+        s.hit(POPULAR, 1000, nrefs);
+    }
+    // SIZE ranks larger documents lower: url 0 is the head.
+    let size = |url: u32| 2000 - u64::from(url);
+    for url in 0..POPULAR {
+        s.insert(url, size(url), 1);
+    }
+    s.check("filed", DOC, 0);
+    s.hit(DOC, size(DOC), 2);
+    s.check("raised", DOC, 1);
+    s.hit(DOC, size(DOC), 3);
+    s.check("raised twice", DOC, 1);
+    s.insert(DOC, 5000, 3);
+    s.check("lowered by a size change", DOC, 0);
+    s.hit(DOC, 5000, 4);
+    s.check("raised over two entries", DOC, 1);
+    s.remove(DOC);
+    s.check("removed", DOC, 0);
+    s.insert(DOC, 5000, 3);
+    s.check("re-inserted at a queued entry's rank", DOC, 0);
+    s.hit(DOC, 5000, 4);
+    s.check("raised over three entries", DOC, 1);
+
+    let before = refiles();
+    for url in s.order() {
+        assert_eq!(s.policy.victim(0, 0), Some(url));
+        s.remove(url.0);
+    }
+    assert_eq!(s.policy.victim(0, 0), None);
+    assert_eq!(refiles() - before, 1);
 }
