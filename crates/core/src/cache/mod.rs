@@ -22,7 +22,7 @@ pub use store::SlabStore;
 
 use crate::policy::RemovalPolicy;
 use serde::{Deserialize, Serialize};
-use webcache_trace::{day_of, DocType, Request, Timestamp, UrlId};
+use webcache_trace::{day_of, DocType, Request, Timestamp, UrlId, SECONDS_PER_DAY};
 
 /// Metadata the cache keeps per resident document — exactly the quantities
 /// the Table 1 sorting keys consume.
@@ -63,6 +63,12 @@ pub fn default_type_priority(t: DocType) -> u8 {
         DocType::Graphics => 4,
         DocType::Text => 5,
     }
+}
+
+/// The first second of `day`, or `Timestamp::MAX` when that is past the
+/// last second a timestamp can name.
+fn day_start(day: u64) -> Timestamp {
+    day.saturating_mul(SECONDS_PER_DAY)
 }
 
 /// Hook that lets callers enrich [`DocMeta`] at insertion time (set
@@ -226,6 +232,9 @@ pub struct Cache<P = ()> {
     stats: CacheStats,
     decorator: Option<MetaDecorator>,
     current_day: u64,
+    /// The first second of `current_day + 1`: a request before it crosses
+    /// no day boundary.
+    next_day_start: Timestamp,
 }
 
 impl<P> std::fmt::Debug for Cache<P> {
@@ -289,6 +298,7 @@ impl<P> Cache<P> {
             stats: CacheStats::default(),
             decorator: None,
             current_day: 0,
+            next_day_start: day_start(1),
         }
     }
 
@@ -517,12 +527,24 @@ impl<P> Cache<P> {
 
     /// Observe the passage of time. On a day boundary, run the policy's
     /// periodic removal (Pitkow/Recker's end-of-day purge) if it requests
-    /// one.
+    /// one. Within a day this is one comparison; the day index is only
+    /// computed when a boundary is crossed.
+    #[inline]
     pub fn advance_time(&mut self, now: Timestamp) {
+        if now >= self.next_day_start {
+            self.cross_days(now);
+        }
+    }
+
+    /// Run the policy's periodic removal at every day boundary from
+    /// `current_day + 1` to `now`'s day, at the boundary's first second.
+    #[cold]
+    fn cross_days(&mut self, now: Timestamp) {
         let day = day_of(now);
         while self.current_day < day {
             self.current_day += 1;
-            let boundary = self.current_day * webcache_trace::SECONDS_PER_DAY;
+            // No overflow: the boundary is at most `now`.
+            let boundary = self.current_day * SECONDS_PER_DAY;
             if let Some(target) = self
                 .policy
                 .periodic_target(boundary, self.used, self.capacity)
@@ -532,6 +554,7 @@ impl<P> Cache<P> {
                 }
             }
         }
+        self.next_day_start = day_start(self.current_day.saturating_add(1));
     }
 
     /// Export the cache's complete simulation state for a snapshot.
@@ -599,6 +622,7 @@ impl<P> Cache<P> {
         }
         self.stats = state.stats;
         self.current_day = state.current_day;
+        self.next_day_start = day_start(state.current_day.saturating_add(1));
         if self.policy.import_state(&state.policy_state) {
             RestoreOutcome::Imported
         } else {
@@ -974,5 +998,122 @@ mod tests {
         let m = c.meta(UrlId(1)).unwrap();
         assert_eq!(m.expires, Some(70));
         assert_eq!(m.refetch_latency_ms, 250);
+    }
+
+    /// LRU that records the time of every `periodic_target` call.
+    struct Recording {
+        inner: SortedPolicy,
+        calls: std::sync::Arc<std::sync::Mutex<Vec<Timestamp>>>,
+    }
+
+    impl RemovalPolicy for Recording {
+        fn name(&self) -> String {
+            "RECORDING".into()
+        }
+        fn on_insert(&mut self, meta: &DocMeta) {
+            self.inner.on_insert(meta);
+        }
+        fn on_access(&mut self, meta: &DocMeta) {
+            self.inner.on_access(meta);
+        }
+        fn on_remove(&mut self, url: UrlId) {
+            self.inner.on_remove(url);
+        }
+        fn victim(&mut self, now: Timestamp, incoming_size: u64) -> Option<UrlId> {
+            self.inner.victim(now, incoming_size)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn periodic_target(&self, now: Timestamp, _used: u64, _capacity: u64) -> Option<u64> {
+            self.calls.lock().expect("not poisoned").push(now);
+            None
+        }
+    }
+
+    /// A cache under [`Recording`], and the calls it has recorded.
+    fn recording() -> (Cache, impl Fn() -> Vec<Timestamp>) {
+        let calls = std::sync::Arc::default();
+        let policy = Recording {
+            inner: named::lru(),
+            calls: std::sync::Arc::clone(&calls),
+        };
+        let taken = move || std::mem::take(&mut *calls.lock().expect("not poisoned"));
+        (Cache::new(1000, Box::new(policy)), taken)
+    }
+
+    #[test]
+    fn each_crossed_day_boundary_is_one_periodic_call_at_its_first_second() {
+        let d = SECONDS_PER_DAY;
+        let (mut c, calls) = recording();
+        c.request(&req(10, 1, 10));
+        c.request(&req(d - 1, 2, 10));
+        assert!(calls().is_empty(), "day 0 crosses nothing");
+        c.request(&req(d, 1, 10));
+        assert_eq!(
+            calls(),
+            [d],
+            "a request at exactly k × day crosses into day k"
+        );
+        c.request(&req(d + 5, 3, 10));
+        assert!(calls().is_empty());
+        // Skipping days: one call per boundary, oldest first.
+        c.request(&req(4 * d + 3, 2, 10));
+        assert_eq!(calls(), [2 * d, 3 * d, 4 * d]);
+        // Time going back into an earlier day crosses nothing.
+        c.request(&req(2 * d, 4, 10));
+        c.advance_time(0);
+        c.request(&req(4 * d + 100, 1, 10));
+        assert!(calls().is_empty());
+        c.advance_time(5 * d);
+        c.advance_time(5 * d);
+        assert_eq!(calls(), [5 * d]);
+
+        // A restore in mid-day resumes at the snapshot's day.
+        let snap = c.export_state();
+        let (mut back, calls) = recording();
+        assert!(back.restore_state(&snap));
+        back.advance_time(5 * d + 7);
+        back.advance_time(3 * d);
+        assert!(calls().is_empty());
+        back.request(&req(7 * d - 1, 5, 10));
+        assert_eq!(calls(), [6 * d]);
+        assert_eq!(back.stats().counts.requests, c.stats().counts.requests + 1);
+
+        // Near the last second a timestamp can name, the next day's start
+        // saturates instead of overflowing.
+        let last = day_of(Timestamp::MAX);
+        let (mut end, calls) = recording();
+        let empty = CacheState {
+            current_day: last - 2,
+            ..end.export_state()
+        };
+        assert!(end.restore_state(&empty));
+        end.advance_time((last - 1) * d - 1);
+        assert!(calls().is_empty());
+        end.advance_time(Timestamp::MAX);
+        assert_eq!(calls(), [(last - 1) * d, last * d]);
+        end.advance_time(Timestamp::MAX);
+        end.request(&req(Timestamp::MAX, 1, 10));
+        assert!(calls().is_empty());
+    }
+
+    #[test]
+    fn pitkow_recker_purges_as_before_over_skipped_days() {
+        // 97 documents of stable sizes, one in fifty requested at a
+        // modified size; a day crossed every ~123 requests, and three more
+        // skipped after every 400th.
+        let mut c = Cache::new(2000, Box::new(crate::policy::PitkowRecker::default()));
+        for i in 0..3000u64 {
+            let url = (i * 2654435761 % 97) as u32;
+            let size = 10 + (url as u64 % 7) * 30 + if i % 50 == 0 { 5 } else { 0 };
+            c.request(&req(i * 700 + (i / 400) * 3 * SECONDS_PER_DAY, url, size));
+        }
+        let s = c.stats();
+        // Taken before the day boundary became a comparison.
+        assert_eq!(
+            (s.periodic_evictions, s.evictions, s.counts.hits),
+            (328, 2352, 278)
+        );
     }
 }

@@ -53,7 +53,11 @@ pub trait RemovalPolicy: Send {
     fn on_insert(&mut self, meta: &DocMeta);
 
     /// A resident document was accessed; `meta` carries the updated
-    /// `last_access` and `nrefs`.
+    /// `last_access` and `nrefs`. Those two fields are the only ones that
+    /// differ from the metadata last handed to the policy for this
+    /// document (by `on_insert` or `on_access`): a changed size is a
+    /// removal and an insert, never an access. A policy may therefore
+    /// keep whatever it derived from the other fields.
     fn on_access(&mut self, meta: &DocMeta);
 
     /// A document left the cache (eviction or invalidation).

@@ -35,12 +35,15 @@
 //! its new place. Stale entries that never reach a head (LRU hits in a
 //! cache that never evicts) are discarded wholesale once they outnumber
 //! the live ones by [`STALE_FACTOR`] and [`STALE_FLOOR`], so memory stays
-//! proportional to the resident set. DESIGN.md decisions D1, D8, D23, D34
-//! and D37; `core/tests/sorted_model.rs` holds the list to a sort of its
-//! rank slab, and GreedyDual-Size and Pitkow/Recker to naive scans.
+//! proportional to the resident set. [`SortedPolicy`] re-ranks a hit from
+//! the rank already in the slab, recomputing only the components a hit
+//! can move. DESIGN.md decisions D1, D8, D23, D34, D37 and D38;
+//! `core/tests/sorted_model.rs` holds the list to a sort of its rank slab,
+//! and GreedyDual-Size and Pitkow/Recker to naive scans;
+//! `core/tests/rerank.rs` holds a hit's re-rank to a full one.
 
 use crate::cache::DocMeta;
-use crate::policy::key::KeySpec;
+use crate::policy::key::{Key, KeySpec};
 use crate::policy::RemovalPolicy;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -255,8 +258,18 @@ pub(crate) struct SortedList {
 impl SortedList {
     /// File `url` at `rank`, replacing its previous rank if it has one.
     pub(crate) fn upsert(&mut self, url: UrlId, rank: Rank) {
-        let entry = (rank, url);
+        self.update(url, |_| Some(rank));
+    }
+
+    /// File `url` at `rank(old)`, `old` being its rank if it has one; a
+    /// `None` rank leaves the list as it is. The slab slot is looked up
+    /// once, for the read and the write.
+    fn update(&mut self, url: UrlId, rank: impl FnOnce(Option<Rank>) -> Option<Rank>) {
         let slot = self.ranks.slot_mut(url);
+        let Some(rank) = rank(slot.map(|(old, _)| old)) else {
+            return;
+        };
+        let entry = (rank, url);
         let filed = match *slot {
             // Rank unchanged: the queued entry (or lower bound) still
             // stands, nothing to do.
@@ -425,6 +438,10 @@ impl SortedList {
 #[derive(Debug, Clone)]
 pub struct SortedPolicy {
     spec: KeySpec,
+    /// The (primary, secondary, tertiary) keys a hit can move — ATIME,
+    /// DAY(ATIME) and NREF — each in its place and `None` elsewhere; no
+    /// array at all when no key moves.
+    moving: Option<[Option<Key>; 3]>,
     list: SortedList,
     name_override: Option<&'static str>,
 }
@@ -432,8 +449,12 @@ pub struct SortedPolicy {
 impl SortedPolicy {
     /// Create a policy sorting by `spec`.
     pub fn new(spec: KeySpec) -> SortedPolicy {
+        let keys = [spec.primary, spec.secondary, spec.tertiary];
         SortedPolicy {
             spec,
+            moving: spec
+                .access_sensitive()
+                .then(|| keys.map(|k| k.access_sensitive().then_some(k))),
             list: SortedList::default(),
             name_override: None,
         }
@@ -474,10 +495,17 @@ impl RemovalPolicy for SortedPolicy {
     }
 
     fn on_access(&mut self, meta: &DocMeta) {
-        // Only re-rank when an access can change the rank.
-        if self.spec.access_sensitive() {
-            self.list.upsert(meta.url, self.spec.rank(meta));
-        }
+        // A hit changes only `last_access` and `nrefs`, so only the
+        // components ranked by them move; every other one is kept from
+        // the rank already in the slab. None of the moving keys reads the
+        // salt.
+        let Some([a, b, c]) = self.moving else {
+            return;
+        };
+        let moved = |key: Option<Key>, old: i64| key.map_or(old, |k| k.rank(meta, 0));
+        self.list.update(meta.url, |old| {
+            old.map(|(p, s, t)| (moved(a, p), moved(b, s), moved(c, t)))
+        });
     }
 
     fn on_remove(&mut self, url: UrlId) {
@@ -504,7 +532,6 @@ impl RemovalPolicy for SortedPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::key::Key;
     use webcache_trace::DocType;
 
     fn meta(url: u32, size: u64, etime: u64, atime: u64, nrefs: u64) -> DocMeta {

@@ -149,8 +149,12 @@ impl CacheSystem for InstrumentedCache {
         let _ = self.request(r);
     }
 
-    fn streams(&self) -> Vec<(String, Counts)> {
-        self.cache.streams()
+    fn stream_names(&self) -> Vec<String> {
+        self.cache.stream_names()
+    }
+
+    fn snapshot(&self, out: &mut [Counts]) {
+        self.cache.snapshot(out);
     }
 
     fn gauges(&self) -> Vec<(String, u64)> {

@@ -25,9 +25,14 @@ pub trait CacheSystem {
     /// Handle one request.
     fn handle(&mut self, r: &Request);
 
-    /// Named cumulative counter streams (snapshotted per day by the
-    /// simulator).
-    fn streams(&self) -> Vec<(String, Counts)>;
+    /// Names of the cumulative counter streams the simulator snapshots
+    /// each day, in the order [`CacheSystem::snapshot`] writes them.
+    fn stream_names(&self) -> Vec<String>;
+
+    /// Write each stream's cumulative counters into `out`, which has one
+    /// slot per name of [`CacheSystem::stream_names`]. Called once a day
+    /// per lane, so it allocates nothing.
+    fn snapshot(&self, out: &mut [Counts]);
 
     /// Named gauges reported at the end of simulation (e.g. `max_used`,
     /// the paper's *MaxNeeded* when the cache is infinite).
@@ -39,8 +44,12 @@ impl CacheSystem for Cache {
         self.request_hit(r);
     }
 
-    fn streams(&self) -> Vec<(String, Counts)> {
-        vec![("cache".to_string(), self.counts())]
+    fn stream_names(&self) -> Vec<String> {
+        vec!["cache".to_string()]
+    }
+
+    fn snapshot(&self, out: &mut [Counts]) {
+        out.copy_from_slice(&[self.counts()]);
     }
 
     fn gauges(&self) -> Vec<(String, u64)> {
@@ -60,11 +69,12 @@ impl CacheSystem for TwoLevelCache {
         let _ = self.request(r);
     }
 
-    fn streams(&self) -> Vec<(String, Counts)> {
-        vec![
-            ("l1".to_string(), self.l1().counts()),
-            ("l2".to_string(), self.l2_counts_over_all_requests()),
-        ]
+    fn stream_names(&self) -> Vec<String> {
+        vec!["l1".to_string(), "l2".to_string()]
+    }
+
+    fn snapshot(&self, out: &mut [Counts]) {
+        out.copy_from_slice(&[self.l1().counts(), self.l2_counts_over_all_requests()]);
     }
 
     fn gauges(&self) -> Vec<(String, u64)> {
@@ -80,16 +90,21 @@ impl CacheSystem for PartitionedCache {
         let _ = self.request(r);
     }
 
-    fn streams(&self) -> Vec<(String, Counts)> {
-        let mut v = vec![("total".to_string(), self.total_counts())];
-        for p in self.partitions() {
-            v.push((
-                p.name.clone(),
-                self.counts_over_all_requests(&p.name)
-                    .expect("partition names its own stream"),
-            ));
+    fn stream_names(&self) -> Vec<String> {
+        let partitions = self.partitions().iter().map(|p| p.name.clone());
+        std::iter::once("total".to_string())
+            .chain(partitions)
+            .collect()
+    }
+
+    fn snapshot(&self, out: &mut [Counts]) {
+        let (total, partitions) = out.split_first_mut().expect("a total stream");
+        *total = self.total_counts();
+        for (out, p) in partitions.iter_mut().zip(self.partitions()) {
+            *out = self
+                .counts_over_all_requests(&p.name)
+                .expect("partition names its own stream");
         }
-        v
     }
 
     fn gauges(&self) -> Vec<(String, u64)> {
@@ -105,15 +120,17 @@ impl CacheSystem for SharedL2 {
         let _ = self.request_by_client(r);
     }
 
-    fn streams(&self) -> Vec<(String, Counts)> {
-        let mut v: Vec<(String, Counts)> = self
-            .l1s()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (format!("l1_{i}"), c.counts()))
-            .collect();
-        v.push(("l2".to_string(), self.l2_counts_over_all_requests()));
-        v
+    fn stream_names(&self) -> Vec<String> {
+        let l1s = (0..self.l1s().len()).map(|i| format!("l1_{i}"));
+        l1s.chain(std::iter::once("l2".to_string())).collect()
+    }
+
+    fn snapshot(&self, out: &mut [Counts]) {
+        let (l2, l1s) = out.split_last_mut().expect("an l2 stream");
+        for (out, c) in l1s.iter_mut().zip(self.l1s()) {
+            *out = c.counts();
+        }
+        *l2 = self.l2_counts_over_all_requests();
     }
 
     fn gauges(&self) -> Vec<(String, u64)> {
@@ -190,29 +207,34 @@ pub fn simulate<S: CacheSystem>(trace: &Trace, system: &mut S, label: &str) -> S
 
 /// The day loop every simulation runs ([`simulate`] and each
 /// [`MultiSim`] lane): feed each day's requests to `step`, then record
-/// the day's delta of every stream `system` exposes.
+/// the day's delta of every stream `system` exposes. The names are read
+/// once and every buffer is sized up front, so a day allocates nothing.
 fn replay_days<S: CacheSystem>(
     trace: &Trace,
     system: &mut S,
     mut step: impl FnMut(&mut S, &Request),
 ) -> Vec<StreamResult> {
-    let names: Vec<String> = system.streams().into_iter().map(|(n, _)| n).collect();
-    let mut prev: Vec<Counts> = vec![Counts::default(); names.len()];
-    let mut daily: Vec<Vec<Counts>> = vec![Vec::new(); names.len()];
+    let names = system.stream_names();
+    let days = trace.duration_days() as usize;
+    let mut prev = vec![Counts::default(); names.len()];
+    let mut now = prev.clone();
+    let mut daily: Vec<Vec<Counts>> = names.iter().map(|_| Vec::with_capacity(days)).collect();
     for (_day, requests) in trace.days() {
         for r in requests {
             step(system, r);
         }
-        for (i, (_, counts)) in system.streams().into_iter().enumerate() {
-            daily[i].push(counts.delta(&prev[i]));
-            prev[i] = counts;
+        system.snapshot(&mut now);
+        for ((daily, now), prev) in daily.iter_mut().zip(&now).zip(&mut prev) {
+            daily.push(now.delta(prev));
+            *prev = *now;
         }
     }
+    system.snapshot(&mut now);
     names
         .into_iter()
         .zip(daily)
-        .zip(system.streams())
-        .map(|((name, daily), (_, total))| StreamResult { name, daily, total })
+        .zip(now)
+        .map(|((name, daily), total)| StreamResult { name, daily, total })
         .collect()
 }
 

@@ -8,7 +8,9 @@
 //! * **Allocations.** The simulator's request path hands evicted documents
 //!   to a sink that drops them. Replaying a trace through a warmed cache
 //!   allocates only when a container grows — O(log n) times in total —
-//!   while `Cache::request` still returns the exact eviction list.
+//!   while `Cache::request` still returns the exact eviction list; and the
+//!   day loop around it snapshots each day's counters into buffers it
+//!   made once, so a multi-day replay adds nothing per day.
 //!
 //! The allocator below counts only on a thread that asked for it, so the
 //! identity test's worker threads do not disturb the allocation test.
@@ -17,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use webcache_core::cache::{Cache, Outcome};
 use webcache_core::policy::{named, KeySpec, RemovalPolicy, SortedPolicy};
-use webcache_core::sim::{max_needed, simulate_policy, CacheSystem, MultiSim, SimResult};
+use webcache_core::sim::{max_needed, simulate, simulate_policy, CacheSystem, MultiSim, SimResult};
 use webcache_trace::{Request, Trace};
 use webcache_workload::{generate, profiles};
 
@@ -167,5 +169,42 @@ fn a_warmed_cache_replays_a_trace_without_allocating_per_miss() {
         }
         assert_eq!(listed, cache.stats().evictions, "{name}");
         assert_eq!(listing.stats(), cache.stats(), "{name}");
+    }
+}
+
+#[test]
+fn a_warmed_lane_replays_its_days_without_allocating_per_day() {
+    let (trace, capacity) = u_trace(13);
+    // The same requests again, a trace-length later: the days before the
+    // first of them are empty, then every day of the trace recurs.
+    let span = trace.requests.last().expect("non-empty trace").time + 1;
+    let again = Trace {
+        requests: (trace.requests.iter())
+            .map(|r| Request {
+                time: r.time + span,
+                ..*r
+            })
+            .collect(),
+        ..trace.clone()
+    };
+    let days = again.duration_days() as usize;
+    assert!(days > 300, "{days} days");
+    for policy in [named::lru as fn() -> SortedPolicy, named::size, named::lfu] {
+        let mut cache = Cache::new(capacity, Box::new(policy()));
+        let name = cache.policy_name();
+        for r in &trace.requests {
+            cache.handle(r);
+        }
+        let mut replayed = None;
+        let allocations = allocations_during(|| replayed = Some(simulate(&again, &mut cache, "")));
+        let replayed = replayed.expect("ran");
+        assert_eq!(replayed.streams[0].daily.len(), days, "{name}");
+        // The result's names, buffers and gauges, and the policy's
+        // queues growing by doubling: nothing per day or per request.
+        assert!(
+            allocations <= 2 * again.len().ilog2() as u64,
+            "{name}: {allocations} allocations over {} requests and {days} days",
+            again.len()
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! the interner that names its URLs, servers and clients.
 
 use crate::clf;
-use crate::record::{Interner, RawRequest, RawRequestRef, Request, SECONDS_PER_DAY};
+use crate::record::{Interner, RawRequest, RawRequestRef, Request};
 use crate::validate::{ValidationStats, Validator};
 
 /// A complete validated workload trace.
@@ -121,11 +121,19 @@ impl Trace {
 
     /// Iterate over `(day_index, requests_in_day)` slices, including empty
     /// days, in order. Useful for building daily hit-rate series.
+    ///
+    /// Each day's end is found by binary search over the requests not yet
+    /// handed out, so the iteration costs O(days × log n) and reads only
+    /// the requests the search probes: that relies on `requests` being in
+    /// non-decreasing time order, as every constructor leaves it.
     pub fn days(&self) -> DayIter<'_> {
+        debug_assert!(
+            self.requests.is_sorted_by_key(|r| r.time),
+            "Trace::days needs requests in time order"
+        );
         DayIter {
-            requests: &self.requests,
+            rest: &self.requests,
             next_day: 0,
-            pos: 0,
             total_days: self.duration_days(),
         }
     }
@@ -133,9 +141,9 @@ impl Trace {
 
 /// Iterator over per-day slices of a trace. See [`Trace::days`].
 pub struct DayIter<'a> {
-    requests: &'a [Request],
+    /// The requests of `next_day` and every later day.
+    rest: &'a [Request],
     next_day: u64,
-    pos: usize,
     total_days: u64,
 }
 
@@ -148,12 +156,12 @@ impl<'a> Iterator for DayIter<'a> {
         }
         let day = self.next_day;
         self.next_day += 1;
-        let start = self.pos;
-        let end_time = (day + 1) * SECONDS_PER_DAY;
-        while self.pos < self.requests.len() && self.requests[self.pos].time < end_time {
-            self.pos += 1;
-        }
-        Some((day, &self.requests[start..self.pos]))
+        // Comparing day indices, not `time < (day + 1) * SECONDS_PER_DAY`,
+        // cannot overflow on the last day a `u64` time can reach.
+        let end = self.rest.partition_point(|r| r.day() <= day);
+        let (today, rest) = self.rest.split_at(end);
+        self.rest = rest;
+        Some((day, today))
     }
 }
 
