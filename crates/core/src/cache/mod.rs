@@ -20,7 +20,7 @@ pub mod store;
 pub use sharded::{ShardStats, ShardedCache};
 pub use store::SlabStore;
 
-use crate::policy::RemovalPolicy;
+use crate::policy::{RemovalPolicy, ResidentMeta};
 use serde::{Deserialize, Serialize};
 use webcache_trace::{day_of, DocType, Request, Timestamp, UrlId, SECONDS_PER_DAY};
 
@@ -237,6 +237,12 @@ pub struct Cache<P = ()> {
     next_day_start: Timestamp,
 }
 
+impl<P> ResidentMeta for Cache<P> {
+    fn meta(&self, url: UrlId) -> Option<&DocMeta> {
+        self.docs.get(url)
+    }
+}
+
 impl<P> std::fmt::Debug for Cache<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cache")
@@ -368,7 +374,7 @@ impl<P> Cache<P> {
     /// (0 = next victim), when the policy exposes one. Appendix A's
     /// "location in sorted list of each URL hit".
     pub fn removal_position(&self, url: UrlId) -> Option<usize> {
-        self.policy.removal_position(url)
+        self.policy.removal_position(url, &self.docs)
     }
 
     /// Ask the policy to maintain whatever auxiliary index it needs to
@@ -376,7 +382,7 @@ impl<P> Cache<P> {
     /// Appendix A instrumentation, which queries the position on every
     /// request; plain sweeps skip it and keep the leaner hot path.
     pub fn enable_position_tracking(&mut self) {
-        self.policy.enable_position_tracking();
+        self.policy.enable_position_tracking(&self.docs);
     }
 
     /// Iterate over resident documents (arbitrary order).
@@ -420,8 +426,9 @@ impl<P> Cache<P> {
         let mut miss = Resolution::Miss;
         if let Some(meta) = self.docs.get_mut(r.url) {
             if meta.size == r.size {
-                // Hit: same URL, same size.
-                meta.last_access = r.time;
+                // Hit: same URL, same size. `last_access` never falls, so
+                // a hit can only raise a rank (DESIGN.md D39).
+                meta.last_access = meta.last_access.max(r.time);
                 meta.nrefs += 1;
                 self.policy.on_access(meta);
                 self.stats.counts.hits += 1;
@@ -453,7 +460,7 @@ impl<P> Cache<P> {
     /// Remove the policy's next victim to make room for `incoming_size`
     /// bytes at `now`, payload and all. `None` when the policy offers none.
     fn evict_one(&mut self, now: Timestamp, incoming_size: u64) -> Option<DocMeta> {
-        let victim = self.policy.victim(now, incoming_size)?;
+        let victim = self.policy.victim(now, incoming_size, &self.docs)?;
         let meta = self
             .remove(victim)
             .expect("policy returned a victim that is not resident");
@@ -1000,6 +1007,50 @@ mod tests {
         assert_eq!(m.refetch_latency_ms, 250);
     }
 
+    /// A hit that arrives out of time order keeps the later `last_access`,
+    /// so a hit only ever raises a rank; and under every key pair, with
+    /// such hits mixed in, each miss evicts a prefix of the resident set
+    /// sorted by `spec.rank` of the cache's own metadata, although no
+    /// untracked sorted list files a hit.
+    #[test]
+    fn an_out_of_order_hit_keeps_the_later_access_and_victims_stay_sorted() {
+        let mut c = lru_cache(1000);
+        c.request(&req(100, 1, 10));
+        assert!(c.request(&req(40, 1, 10)).is_hit());
+        let m = c.meta(UrlId(1)).unwrap();
+        assert_eq!((m.last_access, m.nrefs), (100, 2));
+
+        for spec in KeySpec::all36(9) {
+            let mut c = Cache::new(600, Box::new(SortedPolicy::new(spec)));
+            let (mut x, mut late, mut evictions) = (7u64, 0, 0);
+            for i in 0..3000u64 {
+                x = crate::util::splitmix64(x);
+                let url = (x % 40) as u32;
+                // Time advances 97 s a request (days are crossed); one
+                // request in sixteen is up to 18 hours late.
+                let behind = if x >> 60 == 0 { x >> 8 & 0xFFFF } else { 0 };
+                let t = (i * 97).saturating_sub(behind);
+                let mut order: Vec<_> = c.iter().map(|m| (spec.rank(m), m.url)).collect();
+                order.sort_unstable();
+                let before = c.meta(UrlId(url)).map(|m| m.last_access);
+                match c.request(&req(t, url, 20 + (url as u64 % 5) * 25)) {
+                    Outcome::Hit => {
+                        let after = c.meta(UrlId(url)).unwrap().last_access;
+                        assert_eq!(Some(after), before.max(Some(t)));
+                        late += u64::from(after > t);
+                    }
+                    out => {
+                        let evicted = evicted_urls(&out);
+                        let order: Vec<UrlId> = order.into_iter().map(|(_, u)| u).collect();
+                        assert_eq!(evicted, order[..evicted.len()], "{} at {i}", spec.name());
+                        evictions += evicted.len();
+                    }
+                }
+            }
+            assert!(late > 0 && evictions > 0, "{}", spec.name());
+        }
+    }
+
     /// LRU that records the time of every `periodic_target` call.
     struct Recording {
         inner: SortedPolicy,
@@ -1019,8 +1070,13 @@ mod tests {
         fn on_remove(&mut self, url: UrlId) {
             self.inner.on_remove(url);
         }
-        fn victim(&mut self, now: Timestamp, incoming_size: u64) -> Option<UrlId> {
-            self.inner.victim(now, incoming_size)
+        fn victim(
+            &mut self,
+            now: Timestamp,
+            incoming_size: u64,
+            docs: &dyn ResidentMeta,
+        ) -> Option<UrlId> {
+            self.inner.victim(now, incoming_size, docs)
         }
         fn len(&self) -> usize {
             self.inner.len()

@@ -9,6 +9,7 @@
 //! per-document map to keep in step.
 
 use crate::cache::DocMeta;
+use crate::policy::ResidentMeta;
 use webcache_trace::UrlId;
 
 /// Dense slab keyed directly by the `UrlId` integer, behaving like a map:
@@ -97,6 +98,13 @@ impl<P> SlabStore<P> {
         self.slots
             .iter()
             .filter_map(|s| s.as_ref().map(|(m, p)| (m, p)))
+    }
+}
+
+/// The view a removal policy reads its resident documents' ranks from.
+impl<P> ResidentMeta for SlabStore<P> {
+    fn meta(&self, url: UrlId) -> Option<&DocMeta> {
+        self.get(url)
     }
 }
 

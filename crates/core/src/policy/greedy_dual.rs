@@ -15,8 +15,8 @@
 //! `SortedList` ranked by `H`, ties broken by url.
 
 use crate::cache::DocMeta;
-use crate::policy::sorted::{rank_of, value_of, Rank, SortedList};
-use crate::policy::RemovalPolicy;
+use crate::policy::sorted::{filed, rank_of, value_of, Rank, SortedList};
+use crate::policy::{RemovalPolicy, ResidentMeta};
 use webcache_trace::{Timestamp, UrlId};
 
 /// Cost model for GreedyDual-Size.
@@ -107,8 +107,13 @@ impl RemovalPolicy for GreedyDualSize {
         self.list.remove(url);
     }
 
-    fn victim(&mut self, _now: Timestamp, _incoming_size: u64) -> Option<UrlId> {
-        let ((h, _, _), url) = self.list.head()?;
+    fn victim(
+        &mut self,
+        _now: Timestamp,
+        _incoming_size: u64,
+        _docs: &dyn ResidentMeta,
+    ) -> Option<UrlId> {
+        let ((h, _, _), url) = self.list.head(filed)?;
         // Aging: the evicted document's H becomes the inflation level.
         self.inflation = value_of(h);
         Some(url)
@@ -118,12 +123,12 @@ impl RemovalPolicy for GreedyDualSize {
         self.list.len()
     }
 
-    fn removal_position(&self, url: UrlId) -> Option<usize> {
-        self.list.position(url)
+    fn removal_position(&self, url: UrlId, _docs: &dyn ResidentMeta) -> Option<usize> {
+        self.list.position(url, filed)
     }
 
-    fn enable_position_tracking(&mut self) {
-        self.list.track_positions();
+    fn enable_position_tracking(&mut self, _docs: &dyn ResidentMeta) {
+        self.list.track_positions(filed);
     }
 
     /// GDS state depends on eviction history, not just resident metadata:
@@ -184,6 +189,7 @@ impl RemovalPolicy for GreedyDualSize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::testing::WithDocs;
     use webcache_trace::DocType;
 
     fn meta(url: u32, size: u64) -> DocMeta {
@@ -203,7 +209,7 @@ mod tests {
 
     #[test]
     fn larger_documents_have_lower_value() {
-        let mut p = GreedyDualSize::new();
+        let mut p = WithDocs::new(GreedyDualSize::new());
         p.on_insert(&meta(1, 10));
         p.on_insert(&meta(2, 10_000));
         assert_eq!(p.victim(0, 0), Some(UrlId(2)));
@@ -211,7 +217,7 @@ mod tests {
 
     #[test]
     fn hit_refreshes_value_above_inflation() {
-        let mut p = GreedyDualSize::new();
+        let mut p = WithDocs::new(GreedyDualSize::new());
         p.on_insert(&meta(1, 100));
         p.on_insert(&meta(2, 100));
         // Evict 1 (tie broken by id) — inflation rises to its H.
@@ -230,7 +236,7 @@ mod tests {
 
     #[test]
     fn aging_lets_stale_small_docs_be_evicted() {
-        let mut p = GreedyDualSize::new();
+        let mut p = WithDocs::new(GreedyDualSize::new());
         p.on_insert(&meta(1, 10_000)); // small: H ≈ 104 above inflation
                                        // Cycle many large docs through; inflation climbs past the tiny
                                        // doc's H, so it eventually becomes the victim.
@@ -249,7 +255,7 @@ mod tests {
 
     #[test]
     fn byte_cost_model_is_size_neutral_at_insert() {
-        let mut p = GreedyDualSize::with_cost(GdCost::Bytes);
+        let mut p = WithDocs::new(GreedyDualSize::with_cost(GdCost::Bytes));
         p.on_insert(&meta(1, 10));
         p.on_insert(&meta(2, 10_000));
         // cost/size = 1 for both: tie, broken by url id.
@@ -261,7 +267,7 @@ mod tests {
     fn export_import_round_trips_inflation_and_values() {
         // Build a policy with non-trivial history so inflation != 0 and the
         // surviving docs carry H values a fresh replay could not recompute.
-        let mut p = GreedyDualSize::new();
+        let mut p = WithDocs::new(GreedyDualSize::new());
         let mut resident = Vec::new();
         for i in 1..50u32 {
             let m = meta(i, 100 + i as u64 * 37);
@@ -277,7 +283,7 @@ mod tests {
 
         // Cold restore: replay resident metas in a different order, then
         // import the exported state.
-        let mut q = GreedyDualSize::new();
+        let mut q = WithDocs::new(GreedyDualSize::new());
         for m in resident.iter().rev() {
             q.on_insert(m);
         }
@@ -299,18 +305,18 @@ mod tests {
 
     #[test]
     fn import_rejects_inconsistent_state() {
-        let mut p = GreedyDualSize::new();
+        let mut p = WithDocs::new(GreedyDualSize::new());
         p.on_insert(&meta(1, 10));
         // Truncated / misaligned byte strings.
         assert!(!p.import_state(&[0u8; 4]));
         assert!(!p.import_state(&[0u8; 15]));
         // Count mismatch: export from a policy with two docs.
-        let mut two = GreedyDualSize::new();
+        let mut two = WithDocs::new(GreedyDualSize::new());
         two.on_insert(&meta(1, 10));
         two.on_insert(&meta(2, 10));
         assert!(!p.import_state(&two.export_state()));
         // Non-resident url in the export.
-        let mut other = GreedyDualSize::new();
+        let mut other = WithDocs::new(GreedyDualSize::new());
         other.on_insert(&meta(9, 10));
         assert!(!p.import_state(&other.export_state()));
         // A valid self-export still imports.
@@ -320,7 +326,7 @@ mod tests {
 
     #[test]
     fn remove_and_empty_behaviour() {
-        let mut p = GreedyDualSize::new();
+        let mut p = WithDocs::new(GreedyDualSize::new());
         assert_eq!(p.victim(0, 0), None);
         p.on_insert(&meta(1, 10));
         p.on_remove(UrlId(1));

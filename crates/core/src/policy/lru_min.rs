@@ -26,7 +26,7 @@
 //! not list the rest in order.
 
 use crate::cache::DocMeta;
-use crate::policy::RemovalPolicy;
+use crate::policy::{RemovalPolicy, ResidentMeta};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeSet;
 use webcache_trace::{Timestamp, UrlId};
@@ -105,7 +105,12 @@ impl RemovalPolicy for LruMin {
         }
     }
 
-    fn victim(&mut self, _now: Timestamp, incoming_size: u64) -> Option<UrlId> {
+    fn victim(
+        &mut self,
+        _now: Timestamp,
+        incoming_size: u64,
+        _docs: &dyn ResidentMeta,
+    ) -> Option<UrlId> {
         if self.docs.is_empty() {
             return None;
         }
@@ -136,6 +141,7 @@ impl RemovalPolicy for LruMin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::testing::WithDocs;
     use webcache_trace::DocType;
 
     fn meta(url: u32, size: u64, atime: u64) -> DocMeta {
@@ -155,7 +161,7 @@ mod tests {
 
     #[test]
     fn prefers_lru_among_docs_at_least_incoming_size() {
-        let mut p = LruMin::new();
+        let mut p = WithDocs::new(LruMin::new());
         p.on_insert(&meta(1, 100, 5)); // big, fresher
         p.on_insert(&meta(2, 100, 1)); // big, stalest
         p.on_insert(&meta(3, 10, 0)); // small but stalest overall
@@ -166,7 +172,7 @@ mod tests {
 
     #[test]
     fn halves_threshold_when_no_doc_is_large_enough() {
-        let mut p = LruMin::new();
+        let mut p = WithDocs::new(LruMin::new());
         p.on_insert(&meta(1, 30, 5));
         p.on_insert(&meta(2, 40, 1));
         // Incoming 100: nothing ≥100 or ≥50; at ≥25 both qualify, LRU is 2.
@@ -175,7 +181,7 @@ mod tests {
 
     #[test]
     fn partially_qualifying_bucket_is_filtered_by_size() {
-        let mut p = LruMin::new();
+        let mut p = WithDocs::new(LruMin::new());
         // Both in bucket ⌊log₂⌋ = 6 (64..127), but only one is ≥ 100.
         p.on_insert(&meta(1, 70, 0)); // stalest, too small
         p.on_insert(&meta(2, 120, 5)); // qualifies
@@ -187,8 +193,8 @@ mod tests {
         // The paper's point: ⌊log₂ SIZE⌋+ATIME always removes from the
         // largest bucket; LRU-MIN may remove an equal-sized doc instead.
         use crate::policy::named::log2size_lru;
-        let mut lm = LruMin::new();
-        let mut lg = log2size_lru();
+        let mut lm = WithDocs::new(LruMin::new());
+        let mut lg = WithDocs::new(log2size_lru());
         for m in [meta(1, 4000, 0), meta(2, 1000, 1)] {
             lm.on_insert(&m);
             lg.on_insert(&m);
@@ -205,7 +211,7 @@ mod tests {
 
     #[test]
     fn empty_returns_none_and_removal_updates_state() {
-        let mut p = LruMin::new();
+        let mut p = WithDocs::new(LruMin::new());
         assert_eq!(p.victim(0, 10), None);
         p.on_insert(&meta(1, 10, 0));
         p.on_remove(UrlId(1));
@@ -215,7 +221,7 @@ mod tests {
 
     #[test]
     fn access_reorders_within_bucket() {
-        let mut p = LruMin::new();
+        let mut p = WithDocs::new(LruMin::new());
         p.on_insert(&meta(1, 100, 0));
         p.on_insert(&meta(2, 100, 1));
         p.on_access(&meta(1, 100, 9));
@@ -225,7 +231,7 @@ mod tests {
 
     #[test]
     fn huge_sizes_do_not_overflow_buckets() {
-        let mut p = LruMin::new();
+        let mut p = WithDocs::new(LruMin::new());
         p.on_insert(&meta(1, u64::MAX / 2, 0));
         assert_eq!(p.victim(1, u64::MAX / 2), Some(UrlId(1)));
     }

@@ -35,6 +35,15 @@ pub use sorted::SortedPolicy;
 use crate::cache::DocMeta;
 use webcache_trace::{Timestamp, UrlId};
 
+/// A read-only view of a cache's resident metadata, handed to the
+/// policy's queries. [`SlabStore`](crate::cache::SlabStore), the store
+/// behind every cache, implements it, and so does the
+/// [`Cache`](crate::cache::Cache) that owns one.
+pub trait ResidentMeta {
+    /// Metadata of a resident document.
+    fn meta(&self, url: UrlId) -> Option<&DocMeta>;
+}
+
 /// A cache removal policy.
 ///
 /// The [`Cache`](crate::cache::Cache) notifies the policy of every
@@ -56,8 +65,12 @@ pub trait RemovalPolicy: Send {
     /// `last_access` and `nrefs`. Those two fields are the only ones that
     /// differ from the metadata last handed to the policy for this
     /// document (by `on_insert` or `on_access`): a changed size is a
-    /// removal and an insert, never an access. A policy may therefore
-    /// keep whatever it derived from the other fields.
+    /// removal and an insert, never an access. Neither field ever falls:
+    /// the cache keeps `last_access` non-decreasing. A policy may
+    /// therefore keep whatever it derived from the other fields, and one
+    /// whose order only ever needs its head may do nothing here and read
+    /// the new values in [`RemovalPolicy::victim`]'s view instead, as
+    /// [`SortedPolicy`] does (DESIGN.md D39).
     fn on_access(&mut self, meta: &DocMeta);
 
     /// A document left the cache (eviction or invalidation).
@@ -65,9 +78,16 @@ pub trait RemovalPolicy: Send {
 
     /// Choose the next document to remove. `incoming_size` is the size of
     /// the document being fetched (LRU-MIN keys its thresholds off it;
-    /// taxonomy policies ignore it). Returns `None` only when no document
-    /// is resident.
-    fn victim(&mut self, now: Timestamp, incoming_size: u64) -> Option<UrlId>;
+    /// taxonomy policies ignore it). `docs` is the cache's metadata of
+    /// every resident document, as of this request: a policy that left
+    /// its hits unfiled reads their ranks from it. Returns `None` only
+    /// when no document is resident.
+    fn victim(
+        &mut self,
+        now: Timestamp,
+        incoming_size: u64,
+        docs: &dyn ResidentMeta,
+    ) -> Option<UrlId>;
 
     /// Number of documents the policy currently tracks.
     fn len(&self) -> usize;
@@ -78,20 +98,23 @@ pub trait RemovalPolicy: Send {
     }
 
     /// Position of a document in the current removal order (0 = next
-    /// victim), when the policy maintains an inspectable order. Used by
-    /// the Appendix A instrumentation ("location in sorted list of each
-    /// URL hit"); `None` when unknown or untracked. May be O(n) unless
+    /// victim), when the policy maintains an inspectable order; `docs` is
+    /// as for [`RemovalPolicy::victim`]. Used by the Appendix A
+    /// instrumentation ("location in sorted list of each URL hit");
+    /// `None` when unknown or untracked. May be O(n) unless
     /// [`RemovalPolicy::enable_position_tracking`] was called.
-    fn removal_position(&self, _url: UrlId) -> Option<usize> {
+    fn removal_position(&self, _url: UrlId, _docs: &dyn ResidentMeta) -> Option<usize> {
         None
     }
 
     /// Opt in to whatever auxiliary bookkeeping makes
-    /// [`RemovalPolicy::removal_position`] sublinear. Callers that query
-    /// positions on every request (the Appendix A instrumentation) invoke
-    /// this once up front; everyone else skips it so the hot path carries
-    /// no extra index maintenance. The default is a no-op.
-    fn enable_position_tracking(&mut self) {}
+    /// [`RemovalPolicy::removal_position`] sublinear, building it from
+    /// the ranks `docs` gives the resident documents now. Callers that
+    /// query positions on every request (the Appendix A instrumentation)
+    /// invoke this once up front; everyone else skips it so the hot path
+    /// carries no extra index maintenance. A tracking policy ranks every
+    /// hit as it happens. The default is a no-op.
+    fn enable_position_tracking(&mut self, _docs: &dyn ResidentMeta) {}
 
     /// Periodic-removal hook, called by the cache at each simulated day
     /// boundary. Returning `Some(target)` makes the cache evict victims
@@ -154,11 +177,86 @@ impl RemovalPolicy for NeverEvict {
         self.resident -= 1;
     }
 
-    fn victim(&mut self, _now: Timestamp, _incoming_size: u64) -> Option<UrlId> {
+    fn victim(
+        &mut self,
+        _now: Timestamp,
+        _incoming_size: u64,
+        _docs: &dyn ResidentMeta,
+    ) -> Option<UrlId> {
         panic!("NeverEvict asked for a victim: use it only with an infinite cache");
     }
 
     fn len(&self) -> usize {
         self.resident
+    }
+}
+
+/// Unit-test support shared by the policy modules.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use crate::cache::SlabStore;
+
+    /// A policy beside the metadata a cache would hold for it: every
+    /// `DocMeta` handed to the policy is kept, and the policy's queries
+    /// read it. Everything else reaches the policy through `Deref`.
+    pub(crate) struct WithDocs<T> {
+        policy: T,
+        docs: SlabStore,
+    }
+
+    impl<T: RemovalPolicy> WithDocs<T> {
+        pub(crate) fn new(policy: T) -> WithDocs<T> {
+            WithDocs {
+                policy,
+                docs: SlabStore::default(),
+            }
+        }
+
+        pub(crate) fn on_insert(&mut self, meta: &DocMeta) {
+            self.docs.insert(*meta, ());
+            self.policy.on_insert(meta);
+        }
+
+        pub(crate) fn on_access(&mut self, meta: &DocMeta) {
+            self.docs.insert(*meta, ());
+            self.policy.on_access(meta);
+        }
+
+        pub(crate) fn on_remove(&mut self, url: UrlId) {
+            self.docs.remove(url);
+            self.policy.on_remove(url);
+        }
+
+        pub(crate) fn victim(&mut self, now: Timestamp, incoming_size: u64) -> Option<UrlId> {
+            self.policy.victim(now, incoming_size, &self.docs)
+        }
+
+        pub(crate) fn removal_position(&self, url: UrlId) -> Option<usize> {
+            self.policy.removal_position(url, &self.docs)
+        }
+
+        pub(crate) fn enable_position_tracking(&mut self) {
+            self.policy.enable_position_tracking(&self.docs);
+        }
+    }
+
+    impl WithDocs<SortedPolicy> {
+        pub(crate) fn sorted_urls(&self) -> Vec<UrlId> {
+            self.policy.sorted_urls(&self.docs)
+        }
+    }
+
+    impl<T> std::ops::Deref for WithDocs<T> {
+        type Target = T;
+        fn deref(&self) -> &T {
+            &self.policy
+        }
+    }
+
+    impl<T> std::ops::DerefMut for WithDocs<T> {
+        fn deref_mut(&mut self) -> &mut T {
+            &mut self.policy
+        }
     }
 }

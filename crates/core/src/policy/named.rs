@@ -118,6 +118,7 @@ pub fn by_name(name: &str) -> Option<Box<dyn RemovalPolicy>> {
 mod tests {
     use super::*;
     use crate::cache::DocMeta;
+    use crate::policy::testing::WithDocs;
     use webcache_trace::{DocType, UrlId};
 
     fn meta(url: u32, size: u64, etime: u64, atime: u64, nrefs: u64) -> DocMeta {
@@ -138,7 +139,7 @@ mod tests {
     /// Table 3 equivalence: FIFO == sort by increasing ETIME.
     #[test]
     fn fifo_equivalence() {
-        let mut p = fifo();
+        let mut p = WithDocs::new(fifo());
         p.on_insert(&meta(1, 10, 3, 9, 5));
         p.on_insert(&meta(2, 99, 1, 99, 1));
         assert_eq!(p.victim(100, 0), Some(UrlId(2)));
@@ -148,7 +149,7 @@ mod tests {
     /// Table 3 equivalence: LFU == sort by increasing NREF.
     #[test]
     fn lfu_equivalence() {
-        let mut p = lfu();
+        let mut p = WithDocs::new(lfu());
         p.on_insert(&meta(1, 10, 0, 0, 1));
         p.on_insert(&meta(2, 10, 1, 1, 1));
         p.on_access(&meta(1, 10, 0, 2, 2));
@@ -159,7 +160,7 @@ mod tests {
     /// (largest-first on the final tie).
     #[test]
     fn hyper_g_key_cascade() {
-        let mut p = hyper_g();
+        let mut p = WithDocs::new(hyper_g());
         // Same NREF and ATIME, different sizes: larger goes first.
         p.on_insert(&meta(1, 10, 0, 5, 1));
         p.on_insert(&meta(2, 99, 0, 5, 1));

@@ -18,8 +18,8 @@
 
 use crate::cache::DocMeta;
 use crate::policy::key::splitmix64;
-use crate::policy::sorted::{rank_of, value_of, SortedList};
-use crate::policy::RemovalPolicy;
+use crate::policy::sorted::{filed, rank_of, value_of, SortedList};
+use crate::policy::{RemovalPolicy, ResidentMeta};
 use webcache_trace::{day_of, Timestamp, UrlId};
 
 /// The exact Pitkow/Recker removal policy.
@@ -87,14 +87,19 @@ impl RemovalPolicy for PitkowRecker {
         self.by_size.remove(url);
     }
 
-    fn victim(&mut self, now: Timestamp, _incoming_size: u64) -> Option<UrlId> {
-        let ((stalest_day, _, _), stale_url) = self.by_day.head()?;
+    fn victim(
+        &mut self,
+        now: Timestamp,
+        _incoming_size: u64,
+        _docs: &dyn ResidentMeta,
+    ) -> Option<UrlId> {
+        let ((stalest_day, _, _), stale_url) = self.by_day.head(filed)?;
         if value_of(stalest_day) < day_of(now) {
             // Some document was not accessed today: evict by DAY(ATIME).
             Some(stale_url)
         } else {
             // Everything was accessed today: evict the largest document.
-            self.by_size.head().map(|(_, url)| url)
+            self.by_size.head(filed).map(|(_, url)| url)
         }
     }
 
@@ -115,6 +120,7 @@ impl RemovalPolicy for PitkowRecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::testing::WithDocs;
     use webcache_trace::{DocType, SECONDS_PER_DAY};
 
     fn meta(url: u32, size: u64, atime: u64) -> DocMeta {
@@ -134,7 +140,7 @@ mod tests {
 
     #[test]
     fn stale_days_evicted_before_today() {
-        let mut p = PitkowRecker::default();
+        let mut p = WithDocs::new(PitkowRecker::default());
         let today = 5 * SECONDS_PER_DAY + 100;
         p.on_insert(&meta(1, 10, 3 * SECONDS_PER_DAY)); // 2 days stale
         p.on_insert(&meta(2, 10, 4 * SECONDS_PER_DAY)); // 1 day stale
@@ -145,7 +151,7 @@ mod tests {
 
     #[test]
     fn all_accessed_today_falls_back_to_size() {
-        let mut p = PitkowRecker::default();
+        let mut p = WithDocs::new(PitkowRecker::default());
         let today = 5 * SECONDS_PER_DAY;
         p.on_insert(&meta(1, 10, today + 1));
         p.on_insert(&meta(2, 9_999, today + 2));
@@ -155,7 +161,7 @@ mod tests {
 
     #[test]
     fn access_moves_doc_to_today() {
-        let mut p = PitkowRecker::default();
+        let mut p = WithDocs::new(PitkowRecker::default());
         let today = 5 * SECONDS_PER_DAY;
         p.on_insert(&meta(1, 10, 2 * SECONDS_PER_DAY));
         p.on_insert(&meta(2, 99, 3 * SECONDS_PER_DAY));
@@ -209,7 +215,7 @@ mod tests {
 
     #[test]
     fn removal_keeps_both_indexes_consistent() {
-        let mut p = PitkowRecker::default();
+        let mut p = WithDocs::new(PitkowRecker::default());
         p.on_insert(&meta(1, 10, 0));
         p.on_insert(&meta(2, 20, 0));
         p.on_remove(UrlId(1));

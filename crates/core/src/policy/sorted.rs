@@ -22,37 +22,41 @@
 //!
 //! Which queue an entry joins is decided by the data's own arrival order,
 //! never by the key's name. Inserts, falls in rank and raises that belong
-//! at the back of the run are filed. A raise that does not — a hit under
-//! NREF, or under ATIME as a secondary key — files nothing: the slab
-//! records the new rank as *unfiled*, and the entry already queued, at or
-//! below the old rank, stays as a **lower bound**. When a lower bound
-//! reaches a head, the head query re-files its document at the slab's
-//! rank and marks it filed; its other queued entries are then stale. So
+//! at the back of the run are filed. A raise that does not files nothing:
+//! the slab records the new rank as *unfiled*, and the entry already
+//! queued, at or below the old rank, stays as a **lower bound**. A hit
+//! files nothing at all, not even in the slab: the head query asks its
+//! owner for each document's *current* rank, which [`SortedPolicy`]
+//! recomputes from the cache's metadata — only the components a hit can
+//! move, which only rise. The head query looks only at the smaller of the
+//! two queue fronts: when that entry is below its document's current
+//! rank, the query re-files the document there and marks it filed (its
+//! other queued entries are then stale), and a stale entry it drops. So
 //! every resident document keeps a queued entry at or below its rank, and
-//! the smaller of the two settled heads is exactly the entry a
-//! fully-sorted list would remove, the smallest live `(rank, url)`: a hit
-//! costs a slab write, and only a document that nears eviction pays for
-//! its new place. Stale entries that never reach a head (LRU hits in a
-//! cache that never evicts) are discarded wholesale once they outnumber
-//! the live ones by [`STALE_FACTOR`] and [`STALE_FLOOR`], so memory stays
-//! proportional to the resident set. [`SortedPolicy`] re-ranks a hit from
-//! the rank already in the slab, recomputing only the components a hit
-//! can move. DESIGN.md decisions D1, D8, D23, D34, D37 and D38;
+//! the first front that is its document's current rank is exactly the
+//! entry a fully-sorted list would remove, the smallest live `(rank,
+//! url)`: a hit costs the list nothing, and only a document that nears
+//! eviction pays for its new place. Stale entries that never reach a head are discarded
+//! wholesale once they outnumber the live ones by [`STALE_FACTOR`] and
+//! [`STALE_FLOOR`], so memory stays proportional to the resident set.
+//! A list that tracks positions for Appendix A is the exception: its
+//! position index needs every rank current, so its owner files each hit.
+//! DESIGN.md decisions D1, D8, D23, D34, D37, D38 and D39;
 //! `core/tests/sorted_model.rs` holds the list to a sort of its rank slab,
 //! and GreedyDual-Size and Pitkow/Recker to naive scans;
-//! `core/tests/rerank.rs` holds a hit's re-rank to a full one.
+//! `core/tests/rerank.rs` holds a tracked hit's re-rank to a full one.
 
 use crate::cache::DocMeta;
 use crate::policy::key::{Key, KeySpec};
-use crate::policy::RemovalPolicy;
+use crate::policy::{RemovalPolicy, ResidentMeta};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use webcache_trace::{Timestamp, UrlId};
 
 thread_local! {
     /// Lower-bound entries [`SortedList::head`] has re-filed at their
-    /// document's rank, on this thread. For tests that must show they
-    /// reached that path.
+    /// document's current rank, on this thread. For tests that must show
+    /// they reached that path.
     #[doc(hidden)]
     pub static REFILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
@@ -75,20 +79,28 @@ pub(crate) fn value_of(rank: i64) -> u64 {
     (rank as u64) ^ (1 << 63)
 }
 
-/// A rank slab slot: the document's rank, and whether an entry at exactly
-/// that rank has been filed in a queue. An unfiled rank is one a hit
-/// raised: the queues hold an entry below it, a lower bound, which
-/// [`SortedList::head`] re-files when it reaches a head. Same size as an
+/// A document's rank as its slab slot holds it: [`SortedList::head`]'s
+/// `current` for a list whose owner files every change.
+pub(crate) fn filed((rank, _): Entry) -> Rank {
+    rank
+}
+
+/// A rank slab slot: the document's rank as last filed or raised, and
+/// whether an entry at exactly that rank has been filed in a queue. An
+/// unfiled rank is one a raise left behind the queues: they hold an entry
+/// below it, a lower bound, which [`SortedList::head`] re-files when it
+/// reaches a head. Hits the owner does not file leave the slot as it is:
+/// the document's current rank is then at or above it. Same size as an
 /// `Option<Rank>`: the `bool` is the niche.
 type Slot = Option<(Rank, bool)>;
 
 const _: () = assert!(std::mem::size_of::<Slot>() == std::mem::size_of::<Option<Rank>>());
 
-/// Current rank of each resident URL, stored as a dense slab indexed by
-/// the interned `UrlId` — the policy-side counterpart of the cache's
-/// `SlabStore`. Rank lookup happens on every access of a rank-sensitive
-/// policy, so it sits squarely on the sweep hot path; a slab makes it one
-/// bounds check instead of a hash-and-probe.
+/// Filed rank of each resident URL, stored as a dense slab indexed by the
+/// interned `UrlId` — the policy-side counterpart of the cache's
+/// `SlabStore`. Every head query and every filing looks a rank up, so it
+/// sits squarely on the sweep hot path; a slab makes it one bounds check
+/// instead of a hash-and-probe.
 #[derive(Debug, Clone, Default)]
 struct RankSlab {
     slots: Vec<Slot>,
@@ -123,6 +135,18 @@ impl RankSlab {
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| slot.map(|(rank, _)| (rank, UrlId(i as u32))))
+    }
+
+    /// Set every rank to `current` of it, unfiled where that differs.
+    fn raise(&mut self, current: impl Fn(Entry) -> Rank) {
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Some((rank, _)) = *slot {
+                let now = current((rank, UrlId(i as u32)));
+                if now != rank {
+                    *slot = Some((now, false));
+                }
+            }
+        }
     }
 
     /// Mark every rank filed: the queues have just been rebuilt from the
@@ -221,17 +245,17 @@ impl PositionIndex {
 
 /// The queues are rebuilt from the slab once they hold more than
 /// `STALE_FACTOR × live + STALE_FLOOR` entries, so their memory stays
-/// proportional to the resident set however many hits re-rank it. A
-/// rebuild scans every slab slot and never looks at the stale entries; the
-/// floor spaces rebuilds at least that many filings apart, which keeps the
-/// scan to a handful of slots per filing even when the slab (indexed by
-/// every URL id the shard has seen) is far longer than the resident set.
-/// Only raises that belong at the back of the run file an entry, so the
-/// stale entries of a small hot set (4 k documents, all hits, nothing
-/// evicted) come from keys that put ATIME first; the floor keeps such an
-/// LRU lane from paying for a rebuild every few thousand requests, and
-/// under every other key hits file nothing to rebuild from (DESIGN.md D23,
-/// D37).
+/// proportional to the resident set however many documents are re-ranked.
+/// A rebuild scans every slab slot and never looks at the stale entries;
+/// the floor spaces rebuilds at least that many filings apart, which keeps
+/// the scan to a handful of slots per filing even when the slab (indexed
+/// by every URL id the shard has seen) is far longer than the resident
+/// set. A hit files nothing unless positions are tracked, and a re-file
+/// at a head replaces the entry it pops, so stale entries come from
+/// removals, re-inserts and tracked hits; under a tracked LRU the floor
+/// keeps a small hot set (4 k documents, all hits, nothing evicted) from
+/// paying for a rebuild every few thousand requests (DESIGN.md D23, D37,
+/// D39).
 const STALE_FACTOR: usize = 8;
 const STALE_FLOOR: usize = 1 << 16;
 
@@ -242,12 +266,13 @@ const STALE_FLOOR: usize = 1 << 16;
 pub(crate) struct SortedList {
     /// Entries that were no smaller than the back when filed: ascending.
     run: VecDeque<Entry>,
-    /// Min-heap of every other entry. In both queues an entry whose rank
-    /// disagrees with `ranks` is a lower bound, re-filed when it reaches a
-    /// head during [`head`](SortedList::head), if its document's rank is
-    /// unfiled and above it, and stale otherwise: dropped there, or by a
-    /// rebuild. `ranks` is the ground truth for residency and rank; the
-    /// queues only order it.
+    /// Min-heap of every other entry. In both queues an entry below its
+    /// document's current rank is a lower bound, re-filed when it reaches
+    /// a head during [`head`](SortedList::head), if it is at its slab
+    /// slot's rank or the slot is unfiled and above it; any other entry
+    /// that disagrees with `ranks` is stale: dropped there, or by a
+    /// rebuild. `ranks` is the ground truth for residency and, with the
+    /// owner's `current`, for rank; the queues only order it.
     heap: BinaryHeap<Reverse<Entry>>,
     ranks: RankSlab,
     /// Live entry count (the queue lengths include stale entries).
@@ -323,51 +348,66 @@ impl SortedList {
     }
 
     /// The smallest live `(rank, url)`, or `None` when the list is empty.
-    pub(crate) fn head(&mut self) -> Option<Entry> {
-        // Settle each queue's head until it agrees with the slab: a lower
-        // bound is re-filed at its document's rank, anything else that
-        // disagrees (a removed document, a superseded rank) is dropped.
-        // Every resident document keeps a queued entry at or below its
-        // rank, so the smaller of the two settled heads is the smallest
-        // live `(rank, url)`, exactly what a fully-sorted list would
-        // remove.
-        while let Some(&(bound, url)) = self.run.front() {
+    /// `current` gives a document's rank now from the one its slab slot
+    /// holds: [`filed`] for a list whose owner files every change, the
+    /// rank recomputed from the cache's metadata for one that leaves its
+    /// hits unfiled. Either way a rank only ever rises.
+    pub(crate) fn head(&mut self, current: impl Fn(Entry) -> Rank) -> Option<Entry> {
+        // Settle the smaller of the two queue fronts until it is its
+        // document's current rank: a lower bound is re-filed there,
+        // anything else that disagrees with the slab (a removed document,
+        // a superseded rank) is dropped. Every queued entry is at or above
+        // that front, and every resident document keeps one at or below
+        // its rank, so a settled front is the smallest live `(rank, url)`,
+        // exactly what a fully-sorted list would remove.
+        loop {
+            let entry = match (self.run.front(), self.heap.peek()) {
+                (Some(&a), Some(&Reverse(b))) => a.min(b),
+                (Some(&e), None) | (None, Some(&Reverse(e))) => e,
+                (None, None) => return None,
+            };
+            let (bound, url) = entry;
             match self.ranks.slot(url) {
-                Some((rank, _)) if rank == bound => break,
-                Some((rank, false)) if rank > bound => {
-                    self.run.pop_front();
-                    self.refile(rank, url);
+                // The entry at the slab's rank, or one below a rank that
+                // was raised unfiled, still bounds its document.
+                Some((rank, filed)) if rank == bound || (!filed && rank > bound) => {
+                    let now = current((rank, url));
+                    if now == bound {
+                        return Some(entry);
+                    }
+                    self.pop(entry);
+                    self.refile(url, rank, now);
                 }
-                _ => {
-                    self.run.pop_front();
-                }
+                _ => self.pop(entry),
             }
-        }
-        while let Some(&Reverse((bound, url))) = self.heap.peek() {
-            match self.ranks.slot(url) {
-                Some((rank, _)) if rank == bound => break,
-                Some((rank, false)) if rank > bound => {
-                    self.heap.pop();
-                    self.refile(rank, url);
-                }
-                _ => {
-                    self.heap.pop();
-                }
-            }
-        }
-        match (self.run.front(), self.heap.peek()) {
-            (Some(a), Some(Reverse(b))) => Some(*a.min(b)),
-            (Some(e), None) | (None, Some(Reverse(e))) => Some(*e),
-            (None, None) => None,
         }
     }
 
-    /// File `url` at `rank`, its unfiled rank: a lower bound of it has
-    /// just left a head.
+    /// Take `entry`, the smaller of the two queue fronts, off its queue.
+    fn pop(&mut self, entry: Entry) {
+        if self.run.front() == Some(&entry) {
+            self.run.pop_front();
+        } else {
+            self.heap.pop();
+        }
+    }
+
+    /// File `url` at `now`, its current rank, at or above `rank`, the one
+    /// its slot holds: an entry that bounded it has just left a head.
     #[cold]
-    fn refile(&mut self, rank: Rank, url: UrlId) {
-        *self.ranks.slot_mut(url) = Some((rank, true));
-        self.file((rank, url));
+    fn refile(&mut self, url: UrlId, rank: Rank, now: Rank) {
+        assert!(
+            now >= rank,
+            "{url:?}: rank {rank:?} fell to {now:?} with no re-insert"
+        );
+        if rank != now {
+            if let Some(idx) = &mut self.positions {
+                idx.remove(&(rank, url));
+                idx.insert((now, url));
+            }
+        }
+        *self.ranks.slot_mut(url) = Some((now, true));
+        self.file((now, url));
         REFILES.with(|n| n.set(n.get() + 1));
     }
 
@@ -377,29 +417,52 @@ impl SortedList {
     }
 
     /// Number of live entries before `url`'s (0 = head), or `None` when it
-    /// is not in the list. O(√n) once [`track_positions`] has run, a scan
-    /// of every live entry before.
+    /// is not in the list; `current` is as for [`head`]. O(√n) once
+    /// [`track_positions`] has run, a scan of every live entry before.
     ///
+    /// [`head`]: SortedList::head
     /// [`track_positions`]: SortedList::track_positions
-    pub(crate) fn position(&self, url: UrlId) -> Option<usize> {
-        let entry = (self.ranks.get(url)?, url);
+    pub(crate) fn position(&self, url: UrlId, current: impl Fn(Entry) -> Rank) -> Option<usize> {
+        let rank = self.ranks.get(url)?;
         Some(match &self.positions {
-            Some(idx) => idx.position(&entry),
+            // A tracked list's owner files every change: its slab is
+            // current.
+            Some(idx) => idx.position(&(rank, url)),
             // Untracked fallback: fine for one-off test queries; per-request
             // callers must enable tracking first.
-            None => self.ranks.entries().filter(|e| *e < entry).count(),
+            None => {
+                let entry = (current((rank, url)), url);
+                let live = self.ranks.entries().map(|e| (current(e), e.1));
+                live.filter(|e| *e < entry).count()
+            }
         })
     }
 
+    /// Every live entry at its current rank, smallest first.
+    pub(crate) fn sorted(&self, current: impl Fn(Entry) -> Rank) -> Vec<Entry> {
+        let mut live: Vec<Entry> = self.ranks.entries().map(|e| (current(e), e.1)).collect();
+        live.sort_unstable();
+        live
+    }
+
     /// Start maintaining the index that makes [`position`] sublinear.
+    /// From here on the owner must file every change, so the slab is
+    /// first brought to each document's `current` rank: a rank that rose
+    /// is unfiled, its queued entry now a lower bound.
     ///
     /// [`position`]: SortedList::position
-    pub(crate) fn track_positions(&mut self) {
+    pub(crate) fn track_positions(&mut self, current: impl Fn(Entry) -> Rank) {
         if self.positions.is_none() {
-            let mut live: Vec<Entry> = self.entries().collect();
-            live.sort_unstable();
-            self.positions = Some(PositionIndex::from_sorted(live.into_iter()));
+            self.ranks.raise(current);
+            self.positions = Some(PositionIndex::from_sorted(self.sorted(filed).into_iter()));
         }
+    }
+
+    /// Whether [`track_positions`] has run.
+    ///
+    /// [`track_positions`]: SortedList::track_positions
+    pub(crate) fn tracks_positions(&self) -> bool {
+        self.positions.is_some()
     }
 
     /// Number of live entries.
@@ -435,6 +498,14 @@ impl SortedList {
 /// A removal policy defined by a [`KeySpec`] (primary, secondary, tertiary
 /// key), per the paper's taxonomy. 36 combinations of Table 1 keys —
 /// including FIFO, LRU, LFU and Hyper-G — are instances of this one type.
+///
+/// A hit files nothing. Only ATIME, DAY(ATIME) and NREF move on a hit,
+/// and only upwards, so the rank the slab holds stays a lower bound of
+/// the document's rank; [`RemovalPolicy::victim`] recomputes those
+/// components from the cache's metadata when the document reaches the
+/// head, and re-files it if its rank rose (DESIGN.md D39). Once position
+/// tracking is on, a hit is re-ranked as it happens: the position index
+/// needs every rank current.
 #[derive(Debug, Clone)]
 pub struct SortedPolicy {
     spec: KeySpec,
@@ -444,6 +515,32 @@ pub struct SortedPolicy {
     moving: Option<[Option<Key>; 3]>,
     list: SortedList,
     name_override: Option<&'static str>,
+}
+
+/// `rank` with its `moving` components recomputed from `meta` and every
+/// other one kept. None of the moving keys reads the salt.
+fn raised(moving: [Option<Key>; 3], (p, s, t): Rank, meta: &DocMeta) -> Rank {
+    let [a, b, c] = moving;
+    let moved = |key: Option<Key>, old: i64| key.map_or(old, |k| k.rank(meta, 0));
+    (moved(a, p), moved(b, s), moved(c, t))
+}
+
+/// A document's current rank from the one its slab slot holds: the
+/// `moving` components read from `docs`, which must hold every resident
+/// document.
+fn current(
+    moving: Option<[Option<Key>; 3]>,
+    docs: &dyn ResidentMeta,
+) -> impl Fn(Entry) -> Rank + '_ {
+    move |(rank, url)| match moving {
+        None => rank,
+        Some(keys) => {
+            let meta = docs
+                .meta(url)
+                .expect("the cache holds every resident document");
+            raised(keys, rank, meta)
+        }
+    }
 }
 
 impl SortedPolicy {
@@ -473,11 +570,11 @@ impl SortedPolicy {
         self.spec
     }
 
-    /// The documents in removal order (head first). Exposed for tests and
-    /// for reproducing Table 2's sorted lists.
-    pub fn sorted_urls(&self) -> Vec<UrlId> {
-        let mut live: Vec<Entry> = self.list.entries().collect();
-        live.sort_unstable();
+    /// The documents in removal order (head first), ranked from `docs`
+    /// as [`RemovalPolicy::victim`] ranks them. Exposed for tests and for
+    /// reproducing Table 2's sorted lists.
+    pub fn sorted_urls(&self, docs: &dyn ResidentMeta) -> Vec<UrlId> {
+        let live = self.list.sorted(current(self.moving, docs));
         live.into_iter().map(|(_, url)| url).collect()
     }
 }
@@ -495,43 +592,46 @@ impl RemovalPolicy for SortedPolicy {
     }
 
     fn on_access(&mut self, meta: &DocMeta) {
-        // A hit changes only `last_access` and `nrefs`, so only the
-        // components ranked by them move; every other one is kept from
-        // the rank already in the slab. None of the moving keys reads the
-        // salt.
-        let Some([a, b, c]) = self.moving else {
+        // Untracked, a hit files nothing: the head reads it from the
+        // cache's metadata (see the type's docs).
+        let Some(keys) = self.moving.filter(|_| self.list.tracks_positions()) else {
             return;
         };
-        let moved = |key: Option<Key>, old: i64| key.map_or(old, |k| k.rank(meta, 0));
-        self.list.update(meta.url, |old| {
-            old.map(|(p, s, t)| (moved(a, p), moved(b, s), moved(c, t)))
-        });
+        self.list
+            .update(meta.url, |old| old.map(|rank| raised(keys, rank, meta)));
     }
 
     fn on_remove(&mut self, url: UrlId) {
         self.list.remove(url);
     }
 
-    fn victim(&mut self, _now: Timestamp, _incoming_size: u64) -> Option<UrlId> {
-        self.list.head().map(|(_, url)| url)
+    fn victim(
+        &mut self,
+        _now: Timestamp,
+        _incoming_size: u64,
+        docs: &dyn ResidentMeta,
+    ) -> Option<UrlId> {
+        let head = self.list.head(current(self.moving, docs));
+        head.map(|(_, url)| url)
     }
 
     fn len(&self) -> usize {
         self.list.len()
     }
 
-    fn removal_position(&self, url: UrlId) -> Option<usize> {
-        self.list.position(url)
+    fn removal_position(&self, url: UrlId, docs: &dyn ResidentMeta) -> Option<usize> {
+        self.list.position(url, current(self.moving, docs))
     }
 
-    fn enable_position_tracking(&mut self) {
-        self.list.track_positions();
+    fn enable_position_tracking(&mut self, docs: &dyn ResidentMeta) {
+        self.list.track_positions(current(self.moving, docs));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::testing::WithDocs;
     use webcache_trace::DocType;
 
     fn meta(url: u32, size: u64, etime: u64, atime: u64, nrefs: u64) -> DocMeta {
@@ -551,7 +651,7 @@ mod tests {
 
     #[test]
     fn lru_order_updates_on_access() {
-        let mut p = SortedPolicy::new(KeySpec::primary(Key::AccessTime));
+        let mut p = WithDocs::new(SortedPolicy::new(KeySpec::primary(Key::AccessTime)));
         p.on_insert(&meta(1, 5, 0, 0, 1));
         p.on_insert(&meta(2, 5, 1, 1, 1));
         assert_eq!(p.victim(10, 0), Some(UrlId(1)));
@@ -563,7 +663,7 @@ mod tests {
 
     #[test]
     fn fifo_ignores_accesses() {
-        let mut p = SortedPolicy::new(KeySpec::primary(Key::EntryTime));
+        let mut p = WithDocs::new(SortedPolicy::new(KeySpec::primary(Key::EntryTime)));
         p.on_insert(&meta(1, 5, 0, 0, 1));
         p.on_insert(&meta(2, 5, 1, 1, 1));
         p.on_access(&meta(1, 5, 0, 99, 2));
@@ -572,7 +672,7 @@ mod tests {
 
     #[test]
     fn size_primary_with_lru_secondary_breaks_ties() {
-        let mut p = SortedPolicy::new(KeySpec::pair(Key::Size, Key::AccessTime));
+        let mut p = WithDocs::new(SortedPolicy::new(KeySpec::pair(Key::Size, Key::AccessTime)));
         p.on_insert(&meta(1, 100, 0, 50, 1)); // same size, fresher
         p.on_insert(&meta(2, 100, 0, 10, 1)); // same size, staler
         p.on_insert(&meta(3, 10, 0, 0, 1)); // small
@@ -581,7 +681,7 @@ mod tests {
 
     #[test]
     fn remove_keeps_structures_consistent() {
-        let mut p = SortedPolicy::new(KeySpec::primary(Key::Size));
+        let mut p = WithDocs::new(SortedPolicy::new(KeySpec::primary(Key::Size)));
         p.on_insert(&meta(1, 100, 0, 0, 1));
         p.on_insert(&meta(2, 50, 0, 0, 1));
         p.on_remove(UrlId(1));
@@ -597,7 +697,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_rank() {
-        let mut p = SortedPolicy::new(KeySpec::primary(Key::Size));
+        let mut p = WithDocs::new(SortedPolicy::new(KeySpec::primary(Key::Size)));
         p.on_insert(&meta(1, 100, 0, 0, 1));
         // Same URL re-inserted with a different size must not duplicate.
         p.on_insert(&meta(1, 10, 1, 1, 1));
@@ -609,7 +709,9 @@ mod tests {
     #[test]
     fn random_order_is_stable_and_salt_dependent() {
         let mk = |salt| {
-            let mut p = SortedPolicy::new(KeySpec::primary(Key::Random).with_salt(salt));
+            let mut p = WithDocs::new(SortedPolicy::new(
+                KeySpec::primary(Key::Random).with_salt(salt),
+            ));
             for i in 0..20 {
                 p.on_insert(&meta(i, 5, 0, 0, 1));
             }
@@ -624,8 +726,9 @@ mod tests {
         // Enough entries to force several PositionIndex bucket splits,
         // with accesses (re-ranks) and removals mixed in; the O(√n) index
         // must agree with the untracked O(n) walk at every URL.
-        let mut tracked = SortedPolicy::new(KeySpec::pair(Key::Size, Key::AccessTime));
-        let mut plain = SortedPolicy::new(KeySpec::pair(Key::Size, Key::AccessTime));
+        let mut tracked =
+            WithDocs::new(SortedPolicy::new(KeySpec::pair(Key::Size, Key::AccessTime)));
+        let mut plain = WithDocs::new(SortedPolicy::new(KeySpec::pair(Key::Size, Key::AccessTime)));
         tracked.enable_position_tracking();
         for i in 0..600u32 {
             let m = meta(i, (i as u64 * 37) % 500 + 1, i as u64, i as u64, 1);
@@ -653,7 +756,7 @@ mod tests {
 
     #[test]
     fn enabling_tracking_midstream_snapshots_existing_entries() {
-        let mut p = SortedPolicy::new(KeySpec::primary(Key::Size));
+        let mut p = WithDocs::new(SortedPolicy::new(KeySpec::primary(Key::Size)));
         for i in 0..50u32 {
             p.on_insert(&meta(i, 1 + i as u64, 0, 0, 1));
         }
@@ -667,7 +770,7 @@ mod tests {
 
     #[test]
     fn a_run_in_front_of_the_heap_still_yields_the_sorted_head() {
-        let mut p = SortedPolicy::new(KeySpec::primary(Key::AccessTime));
+        let mut p = WithDocs::new(SortedPolicy::new(KeySpec::primary(Key::AccessTime)));
         // Arrivals in rank order are filed in the run...
         for i in 0..10u32 {
             p.on_insert(&meta(i, 5, i as u64, 10 + i as u64, 1));
@@ -678,7 +781,8 @@ mod tests {
         assert_eq!((p.list.run.len(), p.list.heap.len()), (10, 1));
         assert_eq!(p.victim(100, 0), Some(UrlId(99)));
         p.on_remove(UrlId(99));
-        // Touching the head leaves a stale entry at the front of the run.
+        // Touching the head leaves its entry at the front of the run, a
+        // lower bound of its new rank.
         p.on_access(&meta(0, 5, 0, 50, 2));
         assert_eq!(p.victim(100, 0), Some(UrlId(1)));
         assert_eq!(p.sorted_urls().first(), Some(&UrlId(1)));
@@ -694,16 +798,18 @@ mod tests {
 
     #[test]
     fn queues_stay_proportional_to_the_resident_set_when_nothing_is_evicted() {
-        // 4 k documents that all fit, hit a million times: every hit
-        // re-ranks its document and nothing ever asks for a victim. LRU
-        // files in the run, the NREF-first policies mostly in the heap.
+        // 4 k documents that all fit, hit a million times, and nothing
+        // ever asks for a victim. An untracked list files no hit at all;
+        // a list that filed them (LRU in the run, the NREF-first policies
+        // mostly in the heap) must still rebuild before it outgrows the
+        // bound.
         const DOCS: u32 = 4096;
         for spec in [
             KeySpec::primary(Key::AccessTime),
             KeySpec::pair(Key::NRef, Key::AccessTime),
             KeySpec::pair(Key::NRef, Key::Size),
         ] {
-            let mut p = SortedPolicy::new(spec);
+            let mut p = WithDocs::new(SortedPolicy::new(spec));
             let mut nrefs = vec![1u64; DOCS as usize];
             for url in 0..DOCS {
                 p.on_insert(&meta(url, 1024, 0, 0, 1));
@@ -730,17 +836,17 @@ mod tests {
     #[test]
     fn hits_on_a_resident_set_that_fits_queue_nothing_in_the_heap() {
         // 4 k documents filed in rank order (all in the run), then a
-        // million hits and no victim. A raise that would not go at the
-        // back of the run files nothing, so the heap never grows, and the
-        // run gains only the raises that belong at its back — never
-        // enough for a rebuild, which would empty it.
+        // million hits and no victim. An untracked list files no hit, so
+        // the heap never grows and the run never shrinks; were hits
+        // filed, only the raises that belong at the run's back would be —
+        // never enough for a rebuild, which would empty it.
         const DOCS: u32 = 4096;
         for spec in [
             KeySpec::pair(Key::NRef, Key::Size),
             KeySpec::pair(Key::Size, Key::AccessTime),
             KeySpec::pair(Key::EntryTime, Key::NRef),
         ] {
-            let mut p = SortedPolicy::new(spec);
+            let mut p = WithDocs::new(SortedPolicy::new(spec));
             let mut nrefs = vec![1u64; DOCS as usize];
             // Larger documents first: SIZE ranks them lowest.
             let size = |url: u32| 2 * DOCS as u64 - url as u64;
@@ -777,8 +883,39 @@ mod tests {
     }
 
     #[test]
+    fn an_untracked_hit_leaves_the_slab_and_both_queues_as_they_were() {
+        // Every key pair a hit moves, with documents in both queues; some
+        // hits would belong at the back of the run, some would not, and
+        // each is repeated, moving the rank not at all.
+        for spec in KeySpec::all36(5)
+            .into_iter()
+            .filter(KeySpec::access_sensitive)
+        {
+            let mut p = SortedPolicy::new(spec);
+            for url in 0..64u32 {
+                let t = u64::from(url * 37 % 64);
+                p.on_insert(&meta(url, 100 + u64::from(url % 7), t, t, 1));
+            }
+            let state = |p: &SortedPolicy| {
+                let heap: Vec<Entry> = p.list.heap.iter().map(|e| e.0).collect();
+                (p.list.ranks.slots.clone(), p.list.run.clone(), heap)
+            };
+            let before = state(&p);
+            assert!(!before.1.is_empty() && !before.2.is_empty());
+            for url in 0..64u32 {
+                let size = 100 + u64::from(url % 7);
+                let t = u64::from(url * 37 % 64);
+                let hit = meta(url, size, t, 1_000 + u64::from(url * 13 % 64), 2);
+                p.on_access(&hit);
+                p.on_access(&hit);
+            }
+            assert!(state(&p) == before, "{}", spec.name());
+        }
+    }
+
+    #[test]
     fn nref_promotes_on_access() {
-        let mut p = SortedPolicy::new(KeySpec::pair(Key::NRef, Key::EntryTime));
+        let mut p = WithDocs::new(SortedPolicy::new(KeySpec::pair(Key::NRef, Key::EntryTime)));
         p.on_insert(&meta(1, 5, 0, 0, 1));
         p.on_insert(&meta(2, 5, 1, 1, 1));
         // 1 gets referenced twice more; 2 stays at 1 ref.

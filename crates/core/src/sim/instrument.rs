@@ -45,8 +45,12 @@ pub struct InstrumentReport {
 }
 
 impl InstrumentReport {
-    /// Fraction of hits found within the first `k` removal-order
-    /// positions — how close to eviction the useful documents were.
+    /// Fraction of all hits, those at an unknown position included, that
+    /// fall in a histogram bucket whose last position is at most `k` —
+    /// how close to eviction the useful documents were. Only whole
+    /// buckets count: bucket `i` ends at position `2^(i+1) - 2`, so
+    /// `k = 0` gives the hits at position 0 alone, and `k = 15` those at
+    /// positions 0 to 14 (the bucket of 15 ends at 30).
     pub fn hits_within_position(&self, k: usize) -> f64 {
         let total: u64 = self.hit_position_log2.iter().sum::<u64>() + self.hit_position_unknown;
         if total == 0 {

@@ -268,8 +268,9 @@ mod tests {
             &mut self,
             now: webcache_trace::Timestamp,
             incoming_size: u64,
+            docs: &dyn crate::policy::ResidentMeta,
         ) -> Option<webcache_trace::UrlId> {
-            self.inner.victim(now, incoming_size)
+            self.inner.victim(now, incoming_size, docs)
         }
         fn len(&self) -> usize {
             self.inner.len()

@@ -1,24 +1,26 @@
 //! A hit re-ranks only what it can move, over every key triple.
 //!
-//! `SortedPolicy::on_access` recomputes only the rank components a hit
-//! can change — ATIME, DAY(ATIME) and NREF, the keys ranked by
-//! `last_access` and `nrefs` — and keeps every other component from the
-//! rank already in its slab. That is exact only because a hit changes
-//! nothing else a key reads. Here every one of the 10³ (primary,
-//! secondary, tertiary) triples of the six Table 1 keys, RANDOM and the
-//! three extension keys runs a random stream of hits, misses and size
-//! changes through a `Cache` whose decorator sets each document's expiry,
-//! refetch latency and type priority. After every request the policy's
-//! `sorted_urls()` must be the resident set sorted by `spec.rank(meta)`
-//! of the cache's own metadata, every tracked position must be the
-//! document's index in that order, and a miss must evict a prefix of the
-//! order it found.
+//! `SortedPolicy` recomputes only the rank components a hit can change —
+//! ATIME, DAY(ATIME) and NREF, the keys ranked by `last_access` and
+//! `nrefs` — and keeps every other component from the rank already in
+//! its slab: in `on_access` once position tracking is on, as here, and
+//! otherwise when the document reaches the head (DESIGN.md D39, held to
+//! a sort by `cache::tests` and `sorted_model.rs`). That is exact only
+//! because a hit changes nothing else a key reads. Here every one of the
+//! 10³ (primary, secondary, tertiary) triples of the six Table 1 keys,
+//! RANDOM and the three extension keys runs a random stream of hits,
+//! misses and size changes through a `Cache` whose decorator sets each
+//! document's expiry, refetch latency and type priority. After every
+//! request the policy's `sorted_urls()` must be the resident set sorted
+//! by `spec.rank(meta)` of the cache's own metadata, every tracked
+//! position must be the document's index in that order, and a miss must
+//! evict a prefix of the order it found.
 
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRunner};
 use std::sync::{Arc, Mutex, MutexGuard};
 use webcache_core::cache::{Cache, DocMeta, Outcome};
-use webcache_core::policy::{Key, KeySpec, RemovalPolicy, SortedPolicy};
+use webcache_core::policy::{Key, KeySpec, RemovalPolicy, ResidentMeta, SortedPolicy};
 use webcache_core::util::splitmix64;
 use webcache_trace::{ClientId, DocType, Request, ServerId, Timestamp, UrlId, SECONDS_PER_DAY};
 
@@ -97,17 +99,22 @@ impl RemovalPolicy for Shared {
     fn on_remove(&mut self, url: UrlId) {
         self.get().on_remove(url);
     }
-    fn victim(&mut self, now: Timestamp, incoming_size: u64) -> Option<UrlId> {
-        self.get().victim(now, incoming_size)
+    fn victim(
+        &mut self,
+        now: Timestamp,
+        incoming_size: u64,
+        docs: &dyn ResidentMeta,
+    ) -> Option<UrlId> {
+        self.get().victim(now, incoming_size, docs)
     }
     fn len(&self) -> usize {
         self.get().len()
     }
-    fn removal_position(&self, url: UrlId) -> Option<usize> {
-        self.get().removal_position(url)
+    fn removal_position(&self, url: UrlId, docs: &dyn ResidentMeta) -> Option<usize> {
+        self.get().removal_position(url, docs)
     }
-    fn enable_position_tracking(&mut self) {
-        self.get().enable_position_tracking();
+    fn enable_position_tracking(&mut self, docs: &dyn ResidentMeta) {
+        self.get().enable_position_tracking(docs);
     }
 }
 
@@ -184,7 +191,7 @@ fn replay(triple: usize, stream: &[Step], seen: &mut Seen) -> Result<(), TestCas
         }
         cache.check_invariants();
         let order = naive_order(&cache, spec);
-        let sorted = policy.lock().expect("not poisoned").sorted_urls();
+        let sorted = policy.lock().expect("not poisoned").sorted_urls(&cache);
         prop_assert!(
             sorted == order,
             "{keys:?}: after request {i} the list is {sorted:?}, the naive sort {order:?}"

@@ -25,7 +25,11 @@
 //! exact rank it had — A → B → A — while its first entry is still queued.
 //!
 //! A hit that raises a rank below the run's back files nothing and leaves
-//! the queued entry as a lower bound (D37). One document is scripted
+//! the queued entry as a lower bound (D37). Since D39 an untracked list
+//! files no hit at all: the plain policies and the cache's own rank each
+//! document at the head, from the cache's metadata, while the tracked
+//! policies re-rank each hit as it happens; both are held to the same
+//! oracles. One document is scripted
 //! through every state that leaves its rank in, with the number of lower
 //! bounds re-filed on the way held exact, and the first property's own
 //! cases must re-file at least once.
@@ -34,7 +38,7 @@ use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRunner};
 use std::cell::Cell;
 use std::cmp::Reverse;
-use webcache_core::cache::{Cache, DocMeta, Outcome};
+use webcache_core::cache::{Cache, DocMeta, Outcome, SlabStore};
 use webcache_core::policy::greedy_dual::GdCost;
 use webcache_core::policy::sorted::REFILES;
 use webcache_core::policy::{
@@ -183,7 +187,7 @@ struct GdsLane {
 impl GdsLane {
     fn new(cost: GdCost) -> GdsLane {
         let mut tracked = GreedyDualSize::with_cost(cost);
-        tracked.enable_position_tracking();
+        tracked.enable_position_tracking(&SlabStore::<()>::default());
         GdsLane {
             plain: GreedyDualSize::with_cost(cost),
             tracked,
@@ -251,11 +255,12 @@ struct Harness {
 
 impl Harness {
     fn new(spec: KeySpec) -> Harness {
+        let cache = Cache::new(CAPACITY, Box::new(SortedPolicy::new(spec)));
         let mut tracked = SortedPolicy::new(spec);
-        tracked.enable_position_tracking();
+        tracked.enable_position_tracking(&cache);
         Harness {
             spec,
-            cache: Cache::new(CAPACITY, Box::new(SortedPolicy::new(spec))),
+            cache,
             plain: SortedPolicy::new(spec),
             tracked,
             gds: [GdsLane::new(GdCost::Uniform), GdsLane::new(GdCost::Bytes)],
@@ -334,27 +339,27 @@ impl Harness {
     /// Every bare policy's victim against its oracle; the `SortedPolicy`
     /// head is the one returned.
     fn check_heads(&mut self) -> Result<Option<UrlId>, TestCaseError> {
-        let want = self.plain.sorted_urls().first().copied();
-        prop_assert_eq!(self.plain.victim(self.now, 0), want);
-        prop_assert_eq!(self.tracked.victim(self.now, 0), want);
+        let want = self.plain.sorted_urls(&self.cache).first().copied();
+        prop_assert_eq!(self.plain.victim(self.now, 0, &self.cache), want);
+        prop_assert_eq!(self.tracked.victim(self.now, 0, &self.cache), want);
         if let Some(url) = want {
-            prop_assert_eq!(self.tracked.removal_position(url), Some(0));
+            prop_assert_eq!(self.tracked.removal_position(url, &self.cache), Some(0));
             prop_assert_eq!(self.cache.removal_position(url), Some(0));
         }
         for lane in &mut self.gds {
             let head = lane.model.victim();
-            prop_assert_eq!(lane.plain.victim(self.now, 0), head);
-            prop_assert_eq!(lane.tracked.victim(self.now, 0), head);
+            prop_assert_eq!(lane.plain.victim(self.now, 0, &self.cache), head);
+            prop_assert_eq!(lane.tracked.victim(self.now, 0, &self.cache), head);
             // Every document while there are few, four or five after.
             let resident = self.cache.len();
             let stride = if resident <= 32 { 1 } else { resident / 4 };
             for (_, url) in lane.model.entries().step_by(stride) {
                 let scan = lane.model.position(url);
-                prop_assert_eq!(lane.tracked.removal_position(url), scan);
+                prop_assert_eq!(lane.tracked.removal_position(url, &self.cache), scan);
             }
         }
         let head = self.pr_model.victim(self.now);
-        prop_assert_eq!(self.pitkow_recker.victim(self.now, 0), head);
+        prop_assert_eq!(self.pitkow_recker.victim(self.now, 0, &self.cache), head);
         Ok(want)
     }
 
@@ -373,7 +378,7 @@ impl Harness {
             }
             let mut tracked = plain.clone();
             prop_assert!(plain.import_state(&state));
-            tracked.enable_position_tracking();
+            tracked.enable_position_tracking(&self.cache);
             prop_assert!(tracked.import_state(&state));
             prop_assert_eq!(&tracked.export_state(), &state);
             lane.plain = plain;
@@ -389,7 +394,7 @@ impl Harness {
     /// model's order.
     fn flush(mut self) -> Result<(), TestCaseError> {
         self.check_heads()?;
-        let want = self.plain.sorted_urls();
+        let want = self.plain.sorted_urls(&self.cache);
         let state = self.cache.export_state();
         let mut restored = Cache::new(CAPACITY, Box::new(SortedPolicy::new(self.spec)));
         prop_assert!(restored.restore_state(&state));
@@ -402,8 +407,8 @@ impl Harness {
             let mut order: Vec<(u64, UrlId)> = lane.model.entries().collect();
             order.sort_unstable();
             for head in order.into_iter().map(|(_, u)| Some(u)).chain([None]) {
-                prop_assert_eq!(lane.plain.victim(self.now, 0), head);
-                prop_assert_eq!(lane.tracked.victim(self.now, 0), head);
+                prop_assert_eq!(lane.plain.victim(self.now, 0, &self.cache), head);
+                prop_assert_eq!(lane.tracked.victim(self.now, 0, &self.cache), head);
                 if let Some(url) = head {
                     lane.plain.on_remove(url);
                     lane.tracked.on_remove(url);
@@ -422,7 +427,7 @@ impl Harness {
             .map(|&(u, _, _)| Some(u))
             .chain([None])
         {
-            prop_assert_eq!(self.pitkow_recker.victim(self.now, 0), head);
+            prop_assert_eq!(self.pitkow_recker.victim(self.now, 0, &self.cache), head);
             if let Some(url) = head {
                 self.pitkow_recker.on_remove(url);
             }
@@ -623,18 +628,15 @@ fn the_oracle_cases_refile_lower_bounds() {
 struct Scripted {
     spec: KeySpec,
     policy: SortedPolicy,
-    docs: Vec<Option<DocMeta>>,
+    docs: SlabStore,
 }
 
 impl Scripted {
     fn new(spec: KeySpec) -> Scripted {
+        let docs = SlabStore::default();
         let mut policy = SortedPolicy::new(spec);
-        policy.enable_position_tracking();
-        Scripted {
-            spec,
-            policy,
-            docs: Vec::new(),
-        }
+        policy.enable_position_tracking(&docs);
+        Scripted { spec, policy, docs }
     }
 
     fn meta(url: u32, size: u64, nrefs: u64) -> DocMeta {
@@ -655,23 +657,23 @@ impl Scripted {
     fn insert(&mut self, url: u32, size: u64, nrefs: u64) {
         let m = Scripted::meta(url, size, nrefs);
         self.policy.on_insert(&m);
-        *slot(&mut self.docs, m.url) = Some(m);
+        self.docs.insert(m, ());
     }
 
     fn hit(&mut self, url: u32, size: u64, nrefs: u64) {
         let m = Scripted::meta(url, size, nrefs);
         self.policy.on_access(&m);
-        *slot(&mut self.docs, m.url) = Some(m);
+        self.docs.insert(m, ());
     }
 
     fn remove(&mut self, url: u32) {
         self.policy.on_remove(UrlId(url));
-        *slot(&mut self.docs, UrlId(url)) = None;
+        self.docs.remove(UrlId(url));
     }
 
     /// The naive sort: every document by its rank, then url.
     fn order(&self) -> Vec<UrlId> {
-        let docs = self.docs.iter().flatten();
+        let docs = self.docs.iter().map(|(m, ())| m);
         let mut order: Vec<_> = docs.map(|m| (self.spec.rank(m), m.url)).collect();
         order.sort_unstable();
         order.into_iter().map(|(_, url)| url).collect()
@@ -682,16 +684,28 @@ impl Scripted {
     /// lower bounds on the way.
     fn check(&mut self, step: &str, url: u32, refiled: u64) {
         let order = self.order();
-        assert_eq!(self.policy.victim(0, 0), order.first().copied(), "{step}");
+        assert_eq!(
+            self.policy.victim(0, 0, &self.docs),
+            order.first().copied(),
+            "{step}"
+        );
         let at = order.iter().position(|&u| u == UrlId(url));
-        assert_eq!(self.policy.removal_position(UrlId(url)), at, "{step}");
+        assert_eq!(
+            self.policy.removal_position(UrlId(url), &self.docs),
+            at,
+            "{step}"
+        );
         let mut copy = self.policy.clone();
         let before = refiles();
         for &url in &order {
-            assert_eq!(copy.victim(0, 0), Some(url), "{step}: drained out of order");
+            assert_eq!(
+                copy.victim(0, 0, &self.docs),
+                Some(url),
+                "{step}: drained out of order"
+            );
             copy.on_remove(url);
         }
-        assert_eq!(copy.victim(0, 0), None, "{step}");
+        assert_eq!(copy.victim(0, 0, &self.docs), None, "{step}");
         assert_eq!(refiles() - before, refiled, "{step}: lower bounds re-filed");
     }
 }
@@ -737,9 +751,9 @@ fn a_lower_bound_is_refiled_once_from_every_state() {
 
     let before = refiles();
     for url in s.order() {
-        assert_eq!(s.policy.victim(0, 0), Some(url));
+        assert_eq!(s.policy.victim(0, 0, &s.docs), Some(url));
         s.remove(url.0);
     }
-    assert_eq!(s.policy.victim(0, 0), None);
+    assert_eq!(s.policy.victim(0, 0, &s.docs), None);
     assert_eq!(refiles() - before, 1);
 }

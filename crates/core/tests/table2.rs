@@ -10,7 +10,7 @@
 //! whole bytes so that ⌊log₂ SIZE⌋ reproduces the table's middle rows
 //! (A,B,G → 10; C,D,E → 13; H → 12; F → 8).
 
-use webcache_core::cache::{Cache, DocMeta, Outcome};
+use webcache_core::cache::{Cache, DocMeta, Outcome, SlabStore};
 use webcache_core::policy::{named, Key, KeySpec, RemovalPolicy, SortedPolicy};
 use webcache_trace::{ClientId, DocType, Request, ServerId, UrlId};
 
@@ -124,7 +124,11 @@ fn sorted_list_for(spec: KeySpec) -> Vec<char> {
             policy.on_access(&snapshot);
         }
     }
-    policy.sorted_urls().into_iter().map(name_of).collect()
+    let mut docs = SlabStore::default();
+    for meta in metas.into_values() {
+        docs.insert(meta, ());
+    }
+    policy.sorted_urls(&docs).into_iter().map(name_of).collect()
 }
 
 /// The middle table of Table 2: key values of every document at time 15+.

@@ -151,8 +151,8 @@ proptest! {
             }
         }
         let t = reqs.last().map(|r| r.time + 1).unwrap_or(0);
-        prop_assert_eq!(shadow.victim(t, 0), {
-            let order = shadow.sorted_urls();
+        prop_assert_eq!(shadow.victim(t, 0, &cache), {
+            let order = shadow.sorted_urls(&cache);
             order.first().copied()
         });
     }
@@ -220,7 +220,7 @@ proptest! {
             lm.on_insert(m);
         }
         let any_big = cache.iter().any(|m| m.size >= incoming);
-        if let Some(victim) = lm.victim(u64::MAX, incoming) {
+        if let Some(victim) = lm.victim(u64::MAX, incoming, &cache) {
             let vsize = cache.meta(victim).unwrap().size;
             if any_big {
                 prop_assert!(vsize >= incoming, "victim {vsize} < incoming {incoming}");
