@@ -41,6 +41,7 @@ struct Breaker {
 const MAX_ENTRIES: usize = 1024;
 
 /// What a breaker says to a fetch about to start.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Admission {
     /// No failure on record — the common case; a success then has
     /// nothing to clear.
@@ -76,13 +77,6 @@ impl Breakers {
             }
             BreakerState::Open => Admission::Refused,
         }
-    }
-
-    /// No failure on record for `key`: what [`Breakers::admit`] would
-    /// call [`Admission::Pristine`], without the side effect of turning
-    /// an open breaker half-open.
-    pub(crate) fn is_pristine(&self, key: &str) -> bool {
-        !self.table.lock().contains_key(key)
     }
 
     /// A healthy answer forgets the key: closed, no failures on record.
@@ -160,7 +154,12 @@ mod tests {
                 Admission::Refused
             ));
         }
-        assert!(breakers.is_pristine(&gone) && breakers.is_pristine("dead0.test"));
+        for host in [gone.as_str(), "dead0.test"] {
+            assert!(matches!(
+                breakers.admit(host, hosts, 0),
+                Admission::Pristine
+            ));
+        }
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!
 //! Ownership model: the pool is owned by the event loop thread and never
 //! shared, so it needs no lock. Buffers are checked out when the loop
-//! admits a connection and returned when it lets go of it — at close, or
-//! at dispatch, when the socket moves to a worker; a buffer's lifetime is
-//! exactly the connection's time in the loop. Returns reset content but
+//! admits a connection and returned when it closes it; a buffer's lifetime
+//! is exactly the connection's time in the loop. Returns reset content but
 //! keep capacity; the pool is bounded so a burst of ten thousand
 //! concurrent connections doesn't leave ten thousand idle buffers pinned
 //! forever.

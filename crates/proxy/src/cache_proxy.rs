@@ -26,13 +26,14 @@
 //! entry's payload, DESIGN.md D20) under that URL's shard lock, and so is
 //! the id the URL's text has there (`url_table`, D26), so a request takes
 //! exactly one lock on the cache path and never holds it across network
-//! I/O. Client sockets belong to the reactor's
-//! event loop, which answers fresh hits inline, runs a miss's origin
-//! exchange itself when an idle origin connection is at hand and nothing
-//! about it can block, and hands everything else to a fixed pool of
-//! worker threads ([`ProxyConfig::workers`]) through a bounded job queue;
-//! when the queue is full the request is shed with `503` rather than
-//! queued without bound (counted in [`ProxyStats::rejected`]).
+//! I/O. One event-loop thread serves every request: it owns every client
+//! socket, answers fresh hits inline, and runs every origin and cluster
+//! peer exchange itself on non-blocking sockets under `epoll` — connect,
+//! send, read, retries after a backoff on its deadline wheel. It never
+//! waits for a shard lock: a step whose shard another thread (the
+//! persister, a peer's query) holds is parked and tried again after the
+//! next wait. Concurrent exchanges are bounded by file descriptors, as
+//! clients are.
 //!
 //! ## Where things live
 //!
@@ -202,15 +203,14 @@ impl ProxyServer {
     ///
     /// # Panics
     ///
-    /// Panics when `config.shards` is not a nonzero power of two, when
-    /// the per-shard capacity rounds to zero, or when `config.workers`
-    /// or `config.queue_depth` is zero.
+    /// Panics when `config.shards` is not a nonzero power of two, or when
+    /// the per-shard capacity rounds to zero.
     pub fn start(
         origin: SocketAddr,
         config: ProxyConfig,
         policy: impl FnMut() -> Box<dyn RemovalPolicy>,
     ) -> std::io::Result<ProxyServer> {
-        let (listener, addr) = bind_client_port(&config)?;
+        let (listener, addr) = bind_client_port()?;
         let state = new_state(&config, None, policy);
         let reactor = Reactor::start(listener, origin, config, Arc::clone(&state))?;
         Ok(ProxyServer {
@@ -243,7 +243,7 @@ impl ProxyServer {
         cluster_cfg: ClusterConfig,
         policy: impl FnMut() -> Box<dyn RemovalPolicy>,
     ) -> std::io::Result<ProxyServer> {
-        let (listener, addr) = bind_client_port(&config)?;
+        let (listener, addr) = bind_client_port()?;
         let cluster = Arc::new(ClusterState::new(cluster_cfg));
         let peer_addr = cluster
             .config()
@@ -310,7 +310,7 @@ impl ProxyServer {
         persist_cfg: PersistConfig,
         policy: impl FnMut() -> Box<dyn RemovalPolicy>,
     ) -> Result<ProxyServer, PersistError> {
-        let (listener, addr) = bind_client_port(&config)?;
+        let (listener, addr) = bind_client_port()?;
         std::fs::create_dir_all(&persist_cfg.dir)?;
         let state = new_state(&config, None, policy);
         let nshards = state.cache.shard_count();
@@ -434,17 +434,8 @@ impl ProxyServer {
     }
 }
 
-/// The start-up prologue every `start*` shares: check the pool sizes,
-/// bind the client port.
-fn bind_client_port(config: &ProxyConfig) -> std::io::Result<(TcpListener, SocketAddr)> {
-    assert!(
-        config.workers > 0,
-        "worker pool must have at least one thread"
-    );
-    assert!(
-        config.queue_depth > 0,
-        "job queue must hold at least one job"
-    );
+/// The start-up prologue every `start*` shares: bind the client port.
+fn bind_client_port() -> std::io::Result<(TcpListener, SocketAddr)> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     Ok((listener, addr))
@@ -474,7 +465,7 @@ pub(crate) fn new_state(
 impl Drop for ProxyServer {
     fn drop(&mut self) {
         self.reactor.shutdown();
-        // Stop the peer listener after the reactor drains (workers'
+        // Stop the peer listener after the reactor drains (the loop's
         // outbound peer lookups are unaffected by the inbound side).
         if let Some(c) = self.cluster.take() {
             c.shutdown.store(true, Ordering::SeqCst);
@@ -483,7 +474,7 @@ impl Drop for ProxyServer {
                 let _ = h.join();
             }
         }
-        // The reactor has drained: no worker can log another journal op.
+        // The reactor has drained: nothing logs another journal op.
         // Now stop the persister — it drains the remaining records,
         // fsyncs, and takes a final snapshot before exiting.
         if let Some(p) = self.persist.take() {

@@ -279,28 +279,14 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// Read one frame from `r` (blocking, bounded by the socket timeouts
-/// the caller set). The length prefix is the peer's claim, not a fact:
-/// the payload buffer grows with the bytes that actually arrive, so a
-/// header promising [`MAX_FRAME`] costs nothing until the peer pays for
-/// it. A payload with bytes after the frame's last field is an error.
-pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len == 0 || len > MAX_FRAME as usize {
-        return Err(bad("cluster frame length out of range"));
-    }
-    let mut payload = Vec::with_capacity(len.min(FRAME_READ_AHEAD));
-    r.take(len as u64).read_to_end(&mut payload)?;
-    if payload.len() < len {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "cluster frame shorter than its length prefix",
-        ));
-    }
-    let kind = payload[0];
-    let mut cur = Cur(&payload[1..]);
+/// Decode one frame's payload (kind byte and fields, without the length
+/// prefix). A payload with bytes after the frame's last field is an
+/// error, as is one that ends inside a field.
+pub fn decode(payload: &[u8]) -> std::io::Result<Frame> {
+    let (&kind, rest) = payload
+        .split_first()
+        .ok_or_else(|| bad("empty cluster frame"))?;
+    let mut cur = Cur(rest);
     let frame = match kind {
         KIND_QUERY => {
             let sender = cur.u32()?;
@@ -347,13 +333,70 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
     Ok(frame)
 }
 
+/// A frame read as its bytes arrive: the length prefix, then the payload
+/// it announces, then [`decode`]. The reader keeps its place between
+/// calls, so a socket that must not be waited on can feed it whatever it
+/// has each time it is readable. It never reads past the frame's last
+/// byte, and the prefix is the peer's claim, not a fact: the buffer grows
+/// with the bytes that actually arrive, so a header promising
+/// [`MAX_FRAME`] costs nothing until the peer pays for it.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    /// The prefix, then the payload, as received.
+    buf: Vec<u8>,
+}
+
+impl FrameReader {
+    /// Take the frame further with what `r` yields now: `Ok(Some(..))` is
+    /// the frame, `Ok(None)` means `r` would block with more due. A
+    /// stream that ends early is an `UnexpectedEof` error. One frame per
+    /// reader.
+    pub fn resume<R: Read>(&mut self, r: &mut R) -> std::io::Result<Option<Frame>> {
+        loop {
+            let end = match self.buf.first_chunk::<4>() {
+                None => 4,
+                Some(&prefix) => match u32::from_le_bytes(prefix) {
+                    len @ 1..=MAX_FRAME => 4 + len as usize,
+                    _ => return Err(bad("cluster frame length out of range")),
+                },
+            };
+            if self.buf.len() == end && end > 4 {
+                return decode(&self.buf[4..]).map(Some);
+            }
+            if self.buf.len() == 4 {
+                self.buf.reserve_exact((end - 4).min(FRAME_READ_AHEAD));
+            }
+            // `read_to_end` grows the buffer with what arrives and keeps
+            // what it read before an error; the limit stops it at the end
+            // of the prefix, then of the frame.
+            let want = (end - self.buf.len()) as u64;
+            match r.by_ref().take(want).read_to_end(&mut self.buf) {
+                Ok(_) if self.buf.len() == end => {}
+                Ok(_) => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "cluster frame shorter than its length prefix",
+                    ))
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// Read one frame from `r`, blocking as `r` blocks (bounded by the socket
+/// timeouts the caller set; one that lapses is a `WouldBlock` error): a
+/// [`FrameReader`] run to the end.
+pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
+    FrameReader::default()
+        .resume(r)?
+        .ok_or_else(|| std::io::ErrorKind::WouldBlock.into())
+}
+
 /// Send one frame to `addr` and read one frame back, every step bounded
 /// by `timeout`.
-pub(crate) fn call_peer(
-    addr: SocketAddr,
-    frame: &Frame,
-    timeout: Duration,
-) -> std::io::Result<Frame> {
+fn call_peer(addr: SocketAddr, frame: &Frame, timeout: Duration) -> std::io::Result<Frame> {
     let mut s = TcpStream::connect_timeout(&addr, timeout)?;
     s.set_read_timeout(Some(timeout))?;
     s.set_write_timeout(Some(timeout))?;

@@ -14,29 +14,22 @@ pub struct ProxyConfig {
     /// `webcache_core::cache::sharded` module docs for the accounting
     /// invariant). Serving deployments set this from `--shards`.
     pub shards: usize,
-    /// Worker threads running cache/origin work for requests the event
-    /// loop could not answer inline (misses, revalidations, contended
-    /// shards). Defaults to 4× the machine's available parallelism.
-    pub workers: usize,
-    /// Bound on jobs dispatched to the workers and not yet picked up; a
-    /// request arriving beyond it is shed with `503` (counted in
-    /// [`crate::ProxyStats::rejected`]) instead of queueing without bound.
-    pub queue_depth: usize,
     /// Freshness lifetime in seconds: a copy older than this is
     /// revalidated with a conditional GET. `None` trusts copies forever
     /// (the simulator's behaviour for unchanged sizes).
     pub ttl: Option<u64>,
     /// TCP connect timeout for origin fetches.
     pub connect_timeout: Duration,
-    /// Read/write timeout on an established origin connection — bounds
-    /// how long a stalled origin can wedge a worker. Also the client
-    /// stall deadline: a client making no progress on its request for
-    /// this long gets `504`, one stalled mid-response is dropped.
+    /// How long an established origin connection may make no progress
+    /// before the attempt on it fails (a timeout). Also the client stall
+    /// deadline: a client making no progress on its request for this long
+    /// gets `504`, one stalled mid-response is dropped.
     pub read_timeout: Duration,
     /// Retries after the first failed fetch (total attempts = 1 + this).
     pub max_retries: u32,
-    /// Base of the exponential backoff between retries; attempt `n`
-    /// sleeps `base * 2^(n-1)` plus deterministic jitter in `[0, base/2)`.
+    /// Base of the exponential backoff between retries: retry `n` waits
+    /// `base * 2^(n-1)` (saturating) plus deterministic jitter in
+    /// `[0, base/2]`, on the event loop's deadline wheel.
     pub backoff_base: Duration,
     /// Consecutive exhausted fetches to one origin host before its
     /// circuit breaker opens.
@@ -59,18 +52,11 @@ impl ProxyConfig {
     /// A config with the given capacity, no TTL, one shard, and
     /// resilience defaults: 1 s connect / 2 s read timeouts, 2 retries
     /// with 10 ms backoff base, breaker opening after 5 failures for 32
-    /// ticks, serve-stale on, access log off, 4×cores workers over a
-    /// 16×workers queue.
+    /// ticks, serve-stale on, access log off.
     pub fn new(capacity: u64) -> ProxyConfig {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let workers = 4 * cores;
         ProxyConfig {
             capacity,
             shards: 1,
-            workers,
-            queue_depth: 16 * workers,
             ttl: None,
             connect_timeout: Duration::from_secs(1),
             read_timeout: Duration::from_secs(2),
@@ -92,13 +78,6 @@ impl ProxyConfig {
     /// Set the shard count (must be a nonzero power of two).
     pub fn with_shards(mut self, shards: usize) -> ProxyConfig {
         self.shards = shards;
-        self
-    }
-
-    /// Set the worker-pool size and the job-queue bound.
-    pub fn with_workers(mut self, workers: usize, queue_depth: usize) -> ProxyConfig {
-        self.workers = workers;
-        self.queue_depth = queue_depth;
         self
     }
 

@@ -1,13 +1,11 @@
 //! Per-connection state machine for the reactor.
 //!
 //! One [`Conn`] exists per client socket the event loop holds, always in
-//! non-blocking mode. In the loop the machine has three states; the phase
-//! in which a worker runs the request is not a state of the `Conn` at all
-//! — the connection is dismantled and its socket travels in the job (see
-//! `reactor.rs`). A fresh accept enters `Reading` *unregistered*, its
-//! first bytes already in (the listener defers accepts until they are),
-//! and is read at once; only if the head is still incomplete does its
-//! socket join the epoll set, under `EPOLLIN` ([`Conn::watched`]):
+//! non-blocking mode, from accept to close: the loop is the only thread
+//! that serves a request. A fresh accept enters `Reading` *unregistered*,
+//! its first bytes already in (the listener defers accepts until they
+//! are), and is read at once; only if the head is still incomplete does
+//! its socket join the epoll set, under `EPOLLIN` ([`Conn::watched`]):
 //!
 //! ```text
 //! accept ──▶ Reading, unregistered ── head incomplete ──▶ Reading under EPOLLIN
@@ -21,16 +19,14 @@
 //!              fresh hit, reject, admin (inline)
 //! Reading ──────────────────────────────────────────▶ Writing ──drained──▶ closed
 //!    │                                                 ▲    ▲
-//!    │ miss or expired copy, and an idle origin        │    │ socket full (EAGAIN):
-//!    │ socket is at hand: request sent on it           │    │ head, body, pos handed back
-//!    ├──▶ Fetching ── last body byte in, stored ───────┘    │
-//!    │       │                                              │
-//!    │       │ origin socket failed, stalled or said 5xx,   │
-//!    │       │ or the shard is busy                         │
-//!    ▼       ▼                                              │
-//!  [stream moves into a Job] ──▶ worker: fetch, one non-blocking write
-//!                                   │
-//!                                   └── all sent, or client gone ──▶ closed by the worker
+//!    │ miss or expired copy                            │    │
+//!    ├──▶ Fetching ── answer, or none, concluded ──────┘    │
+//!    │     │ ▲  connect, send, read; a failed attempt       │
+//!    │     └─┘  waits out its backoff on the wheel          │
+//!    │     │                                                │
+//!    │     │ shard held at the conclusion                   │
+//!    ▼     ▼                                                │
+//!  Parked ── retried after the loop's next wait ────────────┘
 //! ```
 //!
 //! The last turn is the close, right after the last response byte is
@@ -46,7 +42,7 @@
 //! The connection owns only buffers — a pooled [`RequestParser`], a
 //! pooled response-head `Vec`, and (while writing) a refcounted `Bytes`
 //! body straight out of the cache shard — plus, while `Fetching`, the
-//! origin socket its request went out on: the "one holder per
+//! origin or peer socket its request went out on: the "one holder per
 //! `TcpStream`" rule covers that socket too, from the idle pool to the
 //! connection and back (or to its close). The response is never
 //! assembled into one contiguous buffer: [`Conn::on_writable`] flushes
@@ -55,35 +51,50 @@
 //! connection never blocks and never touches the cache; all I/O methods
 //! translate readiness into an [`Event`] (or, for the origin socket, a
 //! [`crate::upstream::Progress`]) the reactor interprets — the reactor alone talks to
-//! epoll, the deadline wheel, the cache and the worker pool.
+//! epoll, the deadline wheel and the cache.
 
+use crate::fetch::Tries;
 use crate::http::{self, RequestParser, Response};
-use crate::serve::Miss;
-use crate::upstream::InlineExchange;
+use crate::serve::{Miss, Parked};
+use crate::upstream::Exchange;
 use bytes::Bytes;
 use std::io::{self, ErrorKind, Read};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::Instant;
 
+/// A request's way to its document past the cache: first the key's
+/// owner when this node is a cluster member that does not own it, then
+/// the origin, attempt after attempt.
+#[derive(Debug)]
+pub(crate) struct Fetch {
+    pub miss: Miss,
+    /// The cluster peer (node id and address) whose reply is awaited.
+    pub peer: Option<(u32, SocketAddr)>,
+    /// The origin attempts, once the host's breaker admitted the fetch.
+    pub tries: Option<Tries>,
+    /// The exchange in flight; `None` while a backoff runs.
+    pub exchange: Option<Exchange>,
+}
+
 /// Where a connection is in its single request/response exchange.
 // `Fetching` is much the largest variant. Boxing it would put an
-// allocation on every inline miss, while the space it takes here is a
-// slab slot's, reused from connection to connection.
+// allocation on every miss, while the space it takes here is a slab
+// slot's, reused from connection to connection.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub(crate) enum ConnState {
     /// Accumulating request bytes through the incremental parser (which
     /// lives on [`Conn`] itself so it can be recycled at close).
     Reading,
-    /// The request is parsed (and stays readable in the parser), the
-    /// cache had no fresh copy, and the origin is being asked on
-    /// `exchange`'s socket, which is registered with epoll under this
-    /// connection's token while the client socket is not.
-    Fetching {
-        exchange: InlineExchange,
-        miss: Miss,
-    },
+    /// The request is parsed (and stays readable in the parser), and a
+    /// step of it waits for its shard's lock.
+    Parked(Parked),
+    /// The request is parsed, the cache had no fresh copy, and the
+    /// document is being asked for. The exchange's socket, if one is in
+    /// flight, is registered with epoll under this connection's token
+    /// while the client socket is not.
+    Fetching(Fetch),
     /// Draining the two-segment response (`Conn::head`, then `body`) to
     /// the socket. `pos` counts flushed bytes across *both* segments —
     /// a single cursor makes partial-write resumption trivial to reason
@@ -130,8 +141,8 @@ pub(crate) struct Conn {
     pub deadline: Instant,
     /// Whether `stream` is in the event loop's epoll set. A connection
     /// enters the loop unregistered; one whose whole request was read at
-    /// accept and answered, forwarded or dispatched in that turn never
-    /// joins it, and one waiting on the origin has left it.
+    /// accept and answered in that turn never joins it, and one waiting
+    /// on the origin or a shard has left it.
     pub watched: bool,
     /// The read that completed the request head came back short of the
     /// buffer: the kernel held nothing more from the client then, so the
@@ -190,18 +201,6 @@ impl Conn {
         }
     }
 
-    /// Leave `Fetching` with what it held, back in `Reading` with the
-    /// request still in the parser; `None` in any other state.
-    pub fn take_fetch(&mut self) -> Option<(InlineExchange, Miss)> {
-        match std::mem::replace(&mut self.state, ConnState::Reading) {
-            ConnState::Fetching { exchange, miss } => Some((exchange, miss)),
-            other => {
-                self.state = other;
-                None
-            }
-        }
-    }
-
     /// Queue a response and switch to the writing phase. The caller
     /// should follow up with [`Conn::on_writable`] immediately — the
     /// socket buffer usually has room, saving an epoll round trip.
@@ -246,8 +245,7 @@ impl Conn {
     }
 
     /// Dismantle the connection: the pooled buffers go back to the
-    /// event loop's pool, the stream is either dropped (closing the
-    /// socket) or moved into a worker job.
+    /// event loop's pool, and the stream is dropped, closing the socket.
     pub fn into_parts(self) -> (TcpStream, RequestParser, Vec<u8>) {
         (self.stream, self.parser, self.head)
     }

@@ -1,14 +1,14 @@
 //! The proxy core with no sockets and no threads (DESIGN.md D36), for
 //! tests that choose what a running proxy leaves to the clock. Each method
-//! is a call the event loop, a worker or `start_persistent` makes on a
-//! whole `ProxyState`; the test plays the origin and the persister.
+//! is a step the event loop or `start_persistent` takes on a whole
+//! `ProxyState`; the test plays the origin and the persister.
 
 use crate::cache_proxy::{new_state, ProxyState};
 use crate::config::ProxyConfig;
 use crate::http::Response;
 use crate::persist::{self, JournalOp, RecoveredData, SnapshotDoc};
 use crate::persister::{apply_recovery, install_journals, take_pending, PersistHealthState};
-use crate::serve::{begin_request, lookup, Lookup, Miss, ShardLock, Work};
+use crate::serve::{begin_request, lookup, Answer, Lookup, Miss, Parked};
 use crate::stats::ProxyStats;
 use std::path::Path;
 use std::sync::Arc;
@@ -26,11 +26,22 @@ pub struct Driver {
 }
 
 /// A request the event loop began and could not answer from memory: a
-/// miss it fetches itself, or work for a worker.
+/// miss waiting for the origin's answer, or a step parked on a held
+/// shard.
 #[derive(Debug)]
 pub struct Pending {
     target: String,
-    step: Result<Box<Miss>, Work>,
+    step: Result<Box<Miss>, Parked>,
+}
+
+impl Pending {
+    /// The `If-Modified-Since` the origin request carries, for a miss.
+    pub fn if_modified_since(&self) -> Option<u64> {
+        self.step
+            .as_ref()
+            .ok()
+            .and_then(|miss| miss.if_modified_since())
+    }
 }
 
 impl Driver {
@@ -54,63 +65,98 @@ impl Driver {
         Driver { config, state }
     }
 
-    /// One request as a worker runs it (`begin_request`, `proxy_get_at`);
-    /// `origin` is the origin exchange, given the `If-Modified-Since`.
+    /// One whole request with no shard held: [`Driver::begin`], then
+    /// `origin` — the origin exchange, given the `If-Modified-Since` —
+    /// for a miss, then [`Driver::conclude`] or [`Driver::fail`].
     pub fn request(
         &self,
         target: &str,
         origin: impl FnOnce(Option<u64>) -> Result<Fetched, FetchError>,
     ) -> Response {
-        let now = begin_request(&self.state);
-        Work::Request { now }.run(origin, self.config, &self.state, target)
+        let pending = match self.begin(target) {
+            Ok(hit) => return hit,
+            Err(pending) => pending,
+        };
+        let served = match origin(pending.if_modified_since()) {
+            Ok(answer) => self.conclude(pending, answer),
+            Err(e) => self.fail(pending, e),
+        };
+        served.expect("no shard is held")
     }
 
     /// One request as the event loop begins it: `begin_request`, then
-    /// `lookup` under `ShardLock::Try`. A fresh hit is served; a miss is
-    /// pending, and so, its shard held, is the whole request at this tick.
+    /// `lookup`. A fresh hit is served; a miss is pending, and so, its
+    /// shard held, is the lookup, parked at this tick.
     pub fn begin(&self, target: &str) -> Result<Response, Pending> {
         let now = begin_request(&self.state);
-        let step = match lookup(&self.config, &self.state, target, now, ShardLock::Try) {
+        self.look_up(target.to_string(), now)
+    }
+
+    fn look_up(&self, target: String, now: u64) -> Result<Response, Pending> {
+        let step = match lookup(&self.config, &self.state, &target, now) {
             Some(Lookup::Hit {
                 body,
                 last_modified,
             }) => return Ok(Response::ok(body, last_modified).with_cache_status(true)),
             Some(Lookup::Miss(miss)) => Ok(Box::new(miss)),
-            None => Err(Work::Request { now }),
+            None => Err(Parked::Lookup { now }),
         };
-        let target = target.to_string();
         Err(Pending { target, step })
     }
 
-    /// The origin's `answer` to a pending miss, concluded as the loop ends
-    /// an inline fetch (`Miss::conclude_inline`); a worker's work stays
-    /// pending.
+    /// The origin's `answer` to a pending miss, concluded as the loop
+    /// concludes a fetch (`Miss::conclude`); its shard held, the
+    /// conclusion is parked with the answer.
+    ///
+    /// # Panics
+    ///
+    /// When `pending` is parked rather than waiting for the origin.
     pub fn conclude(&self, pending: Pending, answer: Fetched) -> Result<Response, Pending> {
-        let Pending { target, step } = pending;
-        let (config, state) = (&self.config, &self.state);
-        let served = step.and_then(|miss| miss.conclude_inline(config, state, &target, answer));
-        served.map_err(|work| Pending {
-            target,
-            step: Err(work),
-        })
+        self.answer(pending, Ok(answer))
     }
 
-    /// A worker's run of pending work (`Work::run`). A miss still fetching
-    /// is redone from the top, as when the loop abandons an inline fetch.
-    pub fn finish(
-        &self,
-        pending: Pending,
-        origin: impl FnOnce(Option<u64>) -> Result<Fetched, FetchError>,
-    ) -> Response {
-        let work = pending
-            .step
-            .map_or_else(|work| work, |miss| Work::redo(&miss));
-        work.run(origin, self.config, &self.state, &pending.target)
+    /// A pending miss whose fetch failed, concluded as the loop concludes
+    /// one without an answer: serve-stale or the failure's status.
+    ///
+    /// # Panics
+    ///
+    /// As [`Driver::conclude`].
+    pub fn fail(&self, pending: Pending, e: FetchError) -> Result<Response, Pending> {
+        self.answer(pending, Err(e))
+    }
+
+    fn answer(&self, pending: Pending, answer: Answer) -> Result<Response, Pending> {
+        let Pending { target, step } = pending;
+        let Ok(miss) = step else {
+            panic!("a parked step is retried, not answered")
+        };
+        miss.conclude(&self.config, &self.state, &target, answer)
+            .map_err(|step| Pending {
+                target,
+                step: Err(Parked::Conclude(step)),
+            })
+    }
+
+    /// Try a parked step again, as the loop does after its next wait: a
+    /// lookup serves a hit or becomes a pending miss, a conclusion
+    /// concludes with the answer it holds; a held shard parks it again. A
+    /// miss waiting for the origin is returned as it is.
+    pub fn retry(&self, pending: Pending) -> Result<Response, Pending> {
+        let Pending { target, step } = pending;
+        match step {
+            Err(Parked::Lookup { now }) => self.look_up(target, now),
+            Err(Parked::Conclude(step)) => {
+                let (miss, answer) = *step;
+                let step = Ok(Box::new(miss));
+                self.answer(Pending { target, step }, answer)
+            }
+            step => Err(Pending { target, step }),
+        }
     }
 
     /// Run `f` while the shard owning `target` is held, as by another
-    /// thread: inside `f` a `begin` or `conclude` there is refused, and a
-    /// call that waits for it never returns.
+    /// thread: inside `f` every step there parks, and a call that waits
+    /// for the lock (`drain`) never returns.
     pub fn holding<R>(&self, target: &str, f: impl FnOnce() -> R) -> R {
         let shard = self.state.shard_of(target);
         self.state.cache.with_shard(shard, |_, _| f())

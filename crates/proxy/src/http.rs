@@ -609,11 +609,9 @@ pub struct ResponseHead {
 /// A reusable, resumable response reader, the only one: one fixed buffer,
 /// kept across responses, through which the head is read and parsed line
 /// by line without a `String` or a header map. The body is read into a
-/// `Vec` sized from the (bounded) `Content-Length`, in place. From a
-/// `TcpStream`, a worker's, std's `read_to_end` reads into the spare
-/// capacity without filling it first; from a reader that implements only
-/// `read`, the event loop's `DontWait`, it zero-fills each stretch before
-/// reading into it, in 8, 16, 32 KiB… steps.
+/// `Vec` sized from the (bounded) `Content-Length`, in place: from a
+/// `TcpStream`, std's `read_to_end` reads into the spare capacity without
+/// filling it first.
 ///
 /// The reader keeps its place between calls to [`ResponseReader::resume`],
 /// so a response may arrive over any number of them — that is how the
@@ -1093,7 +1091,7 @@ mod tests {
     fn hit_head_encoders_match_response_based_encoding_byte_for_byte() {
         // The direct hit-head encoders must stay bit-identical to the
         // generic Response path: the reactor fast path uses them while
-        // worker-built responses, the blocking `write_response` and
+        // the responses it concludes, the blocking `write_response` and
         // every test oracle use the latter.
         for (len, lm) in [
             (0u64, None),

@@ -17,14 +17,13 @@
 //!   makes room using any [`webcache_core::policy::RemovalPolicy`].
 //!   Degrades gracefully when the origin misbehaves: connect/read
 //!   timeouts, bounded retries with backoff, a per-origin circuit
-//!   breaker, and serve-stale-on-error. One serving engine fronts it:
-//!   an epoll event loop owning every client socket non-blocking, so
-//!   workers only ever see complete requests and slow clients pin
-//!   buffers, not threads. Its origin connections (the private
-//!   `upstream`) are one pool of persistent (`Connection: keep-alive`)
-//!   sockets shared by the workers and the event loop, every response on
-//!   them read by the same [`http::ResponseReader`]. (The module's own
-//!   docs map the private modules the proxy is split into.)
+//!   breaker, and serve-stale-on-error. One thread serves it: an epoll
+//!   event loop owning every client socket and every origin and peer
+//!   socket non-blocking, so slow clients and slow origins pin buffers,
+//!   not threads. Its origin connections (the private `upstream`) are a
+//!   pool of persistent (`Connection: keep-alive`) sockets, every
+//!   response on them read by the same [`http::ResponseReader`]. (The
+//!   module's own docs map the private modules the proxy is split into.)
 //! * [`persist`] — crash-safe cache persistence: per-shard snapshots +
 //!   append-only journals with checksummed frames, giving a SIGKILLed
 //!   proxy a warm restart that recovers its working set (quarantining —

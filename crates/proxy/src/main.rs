@@ -29,7 +29,8 @@ usage: webcache-proxy --origin ADDR [options]
   --capacity BYTES       total cache capacity, at least one byte per shard
                                                          [default: 1048576]
   --shards N             shard count (power of two)      [default: 8]
-  --workers N            worker threads (at least one)   [default: 4]
+  --workers N            ignored: one event loop serves every request;
+                         to be dropped once the benchmark stops passing it
   --ttl TICKS            freshness lifetime in logical ticks (omit: no TTL)
   --policy NAME          removal policy: lru, size, lfu, fifo, hyper-g,
                          log2size-lru, lru-min, pitkow-recker, gd-size, or
@@ -76,7 +77,6 @@ fn parse_args() -> Args {
     let mut origin: Option<SocketAddr> = None;
     let mut capacity: u64 = 1 << 20;
     let mut shards: usize = 8;
-    let mut workers: usize = 4;
     let mut ttl: Option<u64> = None;
     let mut policy = String::from("size");
     // Flags that configure persistence or the cluster stay `None` unless
@@ -113,10 +113,7 @@ fn parse_args() -> Args {
                 Ok(v) => shards = v,
                 Err(_) => die(&format!("bad --shards: {value}")),
             },
-            "--workers" => match value.parse() {
-                Ok(v) => workers = v,
-                Err(_) => die(&format!("bad --workers: {value}")),
-            },
+            "--workers" => {}
             "--ttl" => match value.parse() {
                 Ok(v) => ttl = Some(v),
                 Err(_) => die(&format!("bad --ttl: {value}")),
@@ -173,9 +170,6 @@ fn parse_args() -> Args {
             "--shards must be a nonzero power of two, got {shards}"
         ));
     }
-    if workers == 0 {
-        die("--workers must be at least 1");
-    }
     if capacity < shards as u64 {
         die(&format!(
             "--capacity {capacity} is less than a byte for each of {shards} shards"
@@ -206,9 +200,7 @@ fn parse_args() -> Args {
             ));
         }
     }
-    let mut config = ProxyConfig::new(capacity)
-        .with_shards(shards)
-        .with_workers(workers, workers.max(4) * 8);
+    let mut config = ProxyConfig::new(capacity).with_shards(shards);
     config.ttl = ttl;
     let cluster = seed_list.map(|list| {
         let node_id = node_id.unwrap_or(0);

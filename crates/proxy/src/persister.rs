@@ -80,7 +80,7 @@ const HEALTH_DEGRADED: u8 = 1;
 const HEALTH_DISABLED: u8 = 2;
 
 /// Shared persistence-health state: the current [`PersistHealth`], which
-/// worker threads read on every journaled mutation and only the persister
+/// the event loop reads on every journaled mutation and only the persister
 /// thread transitions, and the demand for a forced snapshot. Its edges and
 /// the records lost are counted in the proxy's counter table.
 #[derive(Debug)]

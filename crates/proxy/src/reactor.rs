@@ -1,24 +1,21 @@
 //! The serving engine: one event-loop thread waits on every client
-//! socket — and on the origin sockets of the misses it runs itself —
-//! while worker threads do whatever may block or sleep and make one
-//! non-blocking attempt to write the result.
+//! socket and on every origin and cluster-peer socket, and serves every
+//! request from accept to close. No request is handed to another thread.
 //!
 //! A thread per in-flight connection would cap concurrency at the pool
 //! size regardless of what those connections are doing — a thousand
 //! clients dribbling bytes would pin every thread while the CPU idles.
-//! The reactor inverts that: everything that can wait on a client
-//! (accepting, incremental request parsing, draining a response the
-//! socket would not take whole, stall timeouts) happens on a single
-//! thread multiplexed by `epoll`, and a connection only costs a worker
-//! when its request needs something the loop cannot do without waiting.
-//! In-flight connections are bounded by file descriptors, not threads.
+//! The reactor inverts that: everything that can wait (accepting,
+//! incremental request parsing, connecting to the origin, reading its
+//! answer, backing off between attempts, draining a response the socket
+//! would not take whole, stall timeouts) happens on a single thread
+//! multiplexed by `epoll`. In-flight connections — client and origin
+//! alike — are bounded by file descriptors, not threads.
 //!
-//! Ownership rule: the thread that holds a `TcpStream` is the only one
-//! that touches its fd. A client stream is in exactly one place — the
-//! loop's slab, a [`Job`], or a [`Completion`] — and moves between them
-//! by value. An origin stream likewise: the idle pool
-//! ([`crate::upstream`]), a worker's exchange, or the `Fetching` state
-//! of one connection in the slab.
+//! Ownership rule: the loop holds every `TcpStream` it serves with, and
+//! each is in exactly one place — a client stream in the loop's slab, an
+//! origin stream in the idle pool or in the `Fetching` state of one
+//! connection in the slab — and moves between them by value.
 //!
 //! ## Anatomy
 //!
@@ -26,110 +23,103 @@
 //!   ([`Epoll`], [`EventFd`]) over raw syscalls, following the
 //!   vendored-deps convention of small direct `extern "C"` blocks
 //!   (see `vendor/memmap2`) instead of a new dependency. Note
-//!   `epoll_event` is packed on x86-64.
+//!   `epoll_event` is packed on x86-64. `accept4` and a non-blocking
+//!   `connect` ([`connect_nonblocking`]) are bound the same way.
 //! * **first turn** — the listener is set to `TCP_DEFER_ACCEPT` (for
 //!   the read timeout, in whole seconds), so the kernel wakes the loop
 //!   for a connection once its first bytes are in, not at the
 //!   handshake. The loop reads at accept: a whole request head goes
 //!   straight on — a hit is written and closed, a miss sent to the
-//!   origin, a dispatch handed to a worker — and that socket is never
-//!   registered with epoll (counted in `read_at_accept`). `Reading` may
-//!   therefore begin unregistered; only a connection whose head is still
-//!   incomplete is added under `EPOLLIN`. `Conn::watched` records whether
-//!   the client fd is in the epoll set, so `ADD` versus `MOD`, and
-//!   whether a `DEL` is owed, are never guessed. A client that sends
-//!   nothing stays in the kernel until the deferral lapses, then waits
-//!   out its read timeout here like any other. Each listener readiness
-//!   takes one connection: the kernel reserves a descriptor and builds a
-//!   socket file before `accept4` looks at the queue, so an `accept4` that
-//!   finds it empty costs as much as one that does not, several times an
-//!   `epoll_wait`. The listener is level-triggered, so while connections
-//!   are queued the next wait reports it again (nginx's `multi_accept
-//!   off`).
+//!   origin — and that socket is never registered with epoll (counted in
+//!   `read_at_accept`). `Reading` may therefore begin unregistered; only
+//!   a connection whose head is still incomplete is added under
+//!   `EPOLLIN`. `Conn::watched` records whether the client fd is in the
+//!   epoll set, so `ADD` versus `MOD`, and whether a `DEL` is owed, are
+//!   never guessed. A client that sends nothing stays in the kernel until
+//!   the deferral lapses, then waits out its read timeout here like any
+//!   other. Each listener readiness takes one connection: the kernel
+//!   reserves a descriptor and builds a socket file before `accept4`
+//!   looks at the queue, so an `accept4` that finds it empty costs as
+//!   much as one that does not, several times an `epoll_wait`. The
+//!   listener is level-triggered, so while connections are queued the
+//!   next wait reports it again (nginx's `multi_accept off`).
 //! * **last turn** — the listener is also set to `TCP_CORK`, and every
 //!   socket accepted from it inherits the option. A corked socket sends
 //!   full segments at once and holds back only a partial last one. Every
 //!   response is followed by `close`, and the kernel (`tcp_send_fin`)
 //!   puts the FIN on that held tail and pushes it: the response's last
-//!   bytes and the FIN leave as one segment, whoever wrote them — the
-//!   loop, a worker, a hand-back drained under `EPOLLOUT`, the `503` shed
-//!   — with no syscall per request. The hazard is a close over unread
-//!   client bytes: the kernel then resets the connection and discards
-//!   what the cork held. So a response keeps the cork only for a
-//!   well-formed `GET` whose head came in a read that did not fill the
-//!   loop's read buffer (`Conn::head_drained`). A head that filled it, a
-//!   `400`, a `501` and a `504` are uncorked first (`TCP_CORK` 0, which
-//!   also pushes) and leave as they are written, counted in `uncorked`.
-//!   A connection kept open after its response would have to uncork, or
-//!   push, the same way, or its tail would wait out the kernel's 200 ms
-//!   cork ceiling.
+//!   bytes and the FIN leave as one segment, whether written at once or
+//!   drained under `EPOLLOUT`, with no syscall per request. The hazard is
+//!   a close over unread client bytes: the kernel then resets the
+//!   connection and discards what the cork held. So a response keeps the
+//!   cork only for a well-formed `GET` whose head came in a read that did
+//!   not fill the loop's read buffer (`Conn::head_drained`). A head that
+//!   filled it, a `400`, a `501` and a `504` are uncorked first
+//!   (`TCP_CORK` 0, which also pushes) and leave as they are written,
+//!   counted in `uncorked`. A connection kept open after its response
+//!   would have to uncork, or push, the same way, or its tail would wait
+//!   out the kernel's 200 ms cork ceiling.
 //! * **slab** — connections live in a generation-tagged slab; the epoll
 //!   token packs `(generation, index)` so events for a recycled slot
 //!   are detected and dropped.
-//! * **deadline wheel** — stall timeouts are hashed-wheel ticks, not
-//!   per-socket `SO_RCVTIMEO`. A client stalling mid-request past
-//!   [`crate::ProxyConfig::read_timeout`] gets `504`; an origin stalling
-//!   mid-exchange past it loses the exchange to a worker; progress
-//!   re-arms the deadline, as each successful read of a blocking reader
-//!   under `SO_RCVTIMEO` would. A connection gets its one entry when its
-//!   first turn ends in the slab; one answered in that turn never has
-//!   one. The ticks also bound how long the listener stays out of epoll
-//!   after `accept4` found no descriptor to accept into (`EMFILE` and
-//!   kin): it goes back at the next tick or the loop's next close,
-//!   whichever is first, instead of waking the loop at once, forever.
-//! * **inline paths** — a parsed request is first offered to the cache
-//!   under a single `try_lock`ed shard guard ([`lookup`]). A fresh hit
-//!   is served right there. A miss or an expired copy is fetched right
-//!   there too *if* nothing about it can block: the host has no breaker
-//!   entry, this node is the key's home (no peer to ask), and an idle
-//!   kept-alive origin socket is at hand. The loop then sends the
-//!   (conditional) GET with `MSG_DONTWAIT`, parks the connection in
-//!   `Fetching` with the origin socket registered under the connection's
-//!   own token (the client socket is out of epoll meanwhile), feeds the
-//!   resumable response parser whatever each `EPOLLIN` brings, and on the
-//!   last body byte stores the document ([`Miss::conclude`], again under
-//!   a try-lock) and writes the response — no [`Job`], no owned request,
-//!   no second thread. The table of connections in `Fetching` is the
-//!   loop's record of the fetches in flight.
-//! * **dispatch** — everything else goes to a worker: a contended shard,
-//!   a host with a breaker entry, a cluster non-owner, no idle origin
-//!   socket (cold start, an origin that answers `Connection: close`),
-//!   and **any** failure of an inline attempt — I/O error, end of
-//!   stream, short body, wheel expiry, malformed head, `5xx`: the origin
-//!   socket is discarded and the request redone on a worker from the
-//!   top, uncounted, so retries, backoff, timeouts, breakers and
-//!   serve-stale are accounted in one place only
-//!   ([`proxy_get_at`](crate::serve::proxy_get_at)). A
-//!   finished inline fetch whose shard is contended rides along with its
-//!   body. The connection leaves the slab (and epoll, if it was in),
-//!   its pooled buffers go back, and the stream itself travels in the [`Job`] on the bounded
-//!   worker queue; a full queue hands the stream straight back and the
-//!   loop sheds with `503` (counted in [`crate::ProxyStats::rejected`]).
-//!   The worker writes the response with the same non-blocking
-//!   two-segment `writev` the loop uses and closes the socket by dropping
-//!   it: a dispatched request crosses threads once. Only a response the
-//!   socket would not take whole (`EAGAIN`: a body larger than the send
-//!   buffer, a slow reader) comes back as a [`Completion`] through an
-//!   `eventfd`, to be drained under `EPOLLOUT` and the deadline wheel
-//!   like any other — so a worker never waits on a client.
+//! * **deadline wheel** — stall timeouts and backoffs are hashed-wheel
+//!   ticks, not per-socket `SO_RCVTIMEO` or a `sleep`. A client stalling
+//!   mid-request past [`crate::ProxyConfig::read_timeout`] gets `504`; an
+//!   origin stalling past it (or past the connect timeout while
+//!   connecting) fails the attempt with a timeout; progress re-arms the
+//!   deadline, as each successful read of a blocking reader under
+//!   `SO_RCVTIMEO` would. A retry's backoff is the connection's deadline
+//!   while it waits, and the tick is no coarser than the backoff base. A
+//!   connection gets its first entry when its first turn ends in the
+//!   slab; one answered in that turn never has one. The ticks also bound
+//!   how long the listener stays out of epoll after `accept4` found no
+//!   descriptor to accept into (`EMFILE` and kin): it goes back at the
+//!   next tick or the loop's next close, whichever is first, instead of
+//!   waking the loop at once, forever.
+//! * **cache** — a parsed request is offered to the cache under a single
+//!   `try_lock`ed shard guard ([`lookup`]). A fresh hit is served right
+//!   there. The loop never waits for a lock: when another thread (the
+//!   persister, a cluster peer's query) holds the shard, the step — the
+//!   lookup, or a fetch's conclusion with its answer — is parked in the
+//!   connection's slot ([`Parked`]) and retried after the loop's next
+//!   wait, which lasts at most [`PARKED_WAIT`] while anything is parked.
+//! * **fetch** — a miss or an expired copy is fetched by the loop, one
+//!   attempt machine per connection in `Fetching`: in cluster mode a
+//!   non-owner first asks the key's owner with a `QUERY` frame (under
+//!   the peer's breaker and timeout); then the origin host's breaker
+//!   admits the fetch, and each attempt takes an idle kept-alive socket
+//!   or connects a new one without waiting (`EINPROGRESS`, completed on
+//!   `EPOLLOUT`, checked with `SO_ERROR`), sends the (conditional) GET,
+//!   and feeds the resumable response parser whatever each `EPOLLIN`
+//!   brings. The socket is registered under the connection's own token
+//!   while the client socket is out of epoll. A failure on a reused idle
+//!   socket reruns the attempt on a fresh one, uncounted; a `5xx` or a
+//!   failure on a fresh connection — including no descriptor for it — is
+//!   a counted attempt, retried after its backoff or, none left, the
+//!   fetch's failure ([`Tries`]). The last body byte, or the failure,
+//!   concludes the request ([`Miss::conclude`]: store, or serve stale, or
+//!   the error status) and the response is written from the same slot.
+//!   The table of connections in `Fetching` is the loop's record of the
+//!   fetches in flight.
 
 use crate::bufpool::BufPool;
 use crate::cache_proxy::ProxyState;
+use crate::cluster::{self, FrameReader};
 use crate::config::ProxyConfig;
-use crate::conn::{write_segments, Conn, ConnState, Event};
-use crate::fetch::{fetch_origin_resilient, host_of};
-use crate::http::{self, Response};
-use crate::serve::{begin_request, finalize_response, lookup, Lookup, Miss, ShardLock, Work};
+use crate::conn::{Conn, ConnState, Event, Fetch};
+use crate::fetch::Tries;
+use crate::http::{Response, ResponseReader};
+use crate::serve::{
+    begin_request, finalize_response, lookup, peer_answered, peer_query, peer_to_ask, Answer,
+    Lookup, Miss, Parked,
+};
 use crate::stats::{admin_stats_response, ADMIN_STATS_TARGET};
-use crate::upstream::{Begun, Fetched, IdlePool, InlineUpstream, Progress, Upstream};
-use bytes::Bytes;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use crate::upstream::{encode_request, Exchange, Failure, Fetched, Progress, Reply, MAX_IDLE};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -166,8 +156,11 @@ const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
 const SOCK_CLOEXEC: i32 = 0o2000000;
 const SOCK_NONBLOCK: i32 = 0o4000;
-const MSG_DONTWAIT: i32 = 0x40;
-const MSG_NOSIGNAL: i32 = 0x4000;
+const AF_INET: i32 = 2;
+const AF_INET6: i32 = 10;
+const SOCK_STREAM: i32 = 1;
+const EINTR: i32 = 4;
+const EINPROGRESS: i32 = 115;
 const IPPROTO_TCP: i32 = 6;
 const TCP_CORK: i32 = 3;
 const TCP_DEFER_ACCEPT: i32 = 9;
@@ -202,8 +195,8 @@ extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
-    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
-    fn send(fd: i32, buf: *const u8, len: usize, flags: i32) -> isize;
+    fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+    fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
     fn close(fd: i32) -> i32;
 }
 
@@ -237,54 +230,6 @@ pub(crate) fn write_two(fd: RawFd, a: &[u8], b: &[u8]) -> io::Result<usize> {
     Ok(n as usize)
 }
 
-/// A socket read and written without ever waiting, whatever mode the
-/// socket itself is in (`MSG_DONTWAIT`): when nothing can be transferred
-/// at once the call fails with `WouldBlock`. This is how the event loop
-/// uses an origin socket that a worker, next time, will block on.
-pub(crate) struct DontWait<'a>(pub &'a TcpStream);
-
-impl Read for DontWait<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        // SAFETY: `buf` is valid for writes of `buf.len()` bytes and the
-        // fd is open for as long as the borrowed stream lives.
-        let n = unsafe {
-            recv(
-                self.0.as_raw_fd(),
-                buf.as_mut_ptr(),
-                buf.len(),
-                MSG_DONTWAIT,
-            )
-        };
-        if n < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(n as usize)
-    }
-}
-
-impl Write for DontWait<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        // SAFETY: `buf` is valid for reads of `buf.len()` bytes and the
-        // fd is open for as long as the borrowed stream lives.
-        let n = unsafe {
-            send(
-                self.0.as_raw_fd(),
-                buf.as_ptr(),
-                buf.len(),
-                MSG_DONTWAIT | MSG_NOSIGNAL,
-            )
-        };
-        if n < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(n as usize)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Accept one connection, already non-blocking and close-on-exec: one
 /// syscall where `TcpListener::accept` + `set_nonblocking` is two. The
 /// peer address is not asked for — nothing reads it.
@@ -305,6 +250,50 @@ fn accept_nonblocking(listener: &TcpListener) -> io::Result<TcpStream> {
     // SAFETY: `fd` is a socket `accept4` just returned; nothing else
     // holds it, so the `TcpStream` is its sole owner.
     Ok(unsafe { TcpStream::from_raw_fd(fd) })
+}
+
+/// Start a TCP connection to `addr` without waiting for it: a
+/// non-blocking, close-on-exec socket and a `connect` that returns at
+/// once. `true` beside the stream means the handshake is still under way
+/// (`EINPROGRESS`): the socket turns writable when it ends, and
+/// `SO_ERROR` then says how. Out of descriptors, `socket` fails here.
+pub(crate) fn connect_nonblocking(addr: SocketAddr) -> io::Result<(TcpStream, bool)> {
+    // `struct sockaddr_in` / `sockaddr_in6`: family (native order), port
+    // and address (network order), IPv6 flow label and scope id.
+    let mut raw = [0u8; 28];
+    let (family, len) = match addr {
+        SocketAddr::V4(a) => {
+            raw[4..8].copy_from_slice(&a.ip().octets());
+            (AF_INET, 16)
+        }
+        SocketAddr::V6(a) => {
+            raw[4..8].copy_from_slice(&a.flowinfo().to_be_bytes());
+            raw[8..24].copy_from_slice(&a.ip().octets());
+            raw[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+            (AF_INET6, 28)
+        }
+    };
+    raw[..2].copy_from_slice(&(family as u16).to_ne_bytes());
+    raw[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    // SAFETY: plain syscall; a descriptor it returns is owned below.
+    let fd = unsafe { socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: `fd` is a socket just created; nothing else holds it.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    stream.set_nodelay(true)?;
+    // SAFETY: `raw` outlives the call and `len` bytes of it are the
+    // address.
+    if unsafe { connect(fd, raw.as_ptr(), len) } == 0 {
+        return Ok((stream, false));
+    }
+    let e = io::Error::last_os_error();
+    match e.raw_os_error() {
+        // An interrupted connect goes on in the background all the same.
+        Some(EINPROGRESS | EINTR) => Ok((stream, true)),
+        _ => Err(e),
+    }
 }
 
 /// Have the kernel hold each new connection on `listener` until its
@@ -372,10 +361,9 @@ impl Epoll {
         self.ctl(EPOLL_CTL_ADD, fd, events, token)
     }
 
-    /// Stop watching an fd that stays open: a client socket bound for a
-    /// worker or parked behind an inline fetch, an origin socket going
-    /// back to the idle pool, a listener with no descriptor to accept
-    /// into. Closing a socket that was never duplicated removes it from
+    /// Stop watching an fd that stays open: a client socket parked
+    /// behind a fetch or a held shard, an origin socket going back to the
+    /// idle pool, a listener with no descriptor to accept into. Closing a socket that was never duplicated removes it from
     /// the set by itself.
     fn del(&self, fd: RawFd) {
         let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
@@ -414,9 +402,8 @@ impl Drop for Epoll {
     }
 }
 
-/// An `eventfd`-based waker: a worker nudges the event loop out of
-/// `epoll_wait` when it hands a connection back (and shutdown uses the
-/// same doorbell).
+/// An `eventfd`-based waker: shutdown's doorbell, nudging the event loop
+/// out of `epoll_wait`.
 struct EventFd {
     fd: RawFd,
 }
@@ -529,13 +516,13 @@ impl Slab {
 // Deadline wheel.
 
 /// A hashed timing wheel over connection tokens. Every connection in
-/// the slab has exactly one entry, scheduled when its first turn ends
-/// (one answered or dispatched within that turn never gets one).
-/// Entries are lazy: a connection re-arms by moving its `deadline`
-/// field, not by touching the wheel; when its entry fires early, the
-/// event loop reinserts it at the new deadline. Stale entries for
-/// connections that closed or moved to a worker fall out on the
-/// generation check.
+/// the slab has an entry, scheduled when its first turn ends (one
+/// answered within that turn never gets one), and one more for each
+/// deadline moved earlier (a connect timeout, a backoff). Entries are
+/// lazy: a connection re-arms by moving its `deadline` field, not by
+/// touching the wheel; when its entry fires early, the event loop
+/// reinserts it at the new deadline. Stale entries for connections that
+/// closed fall out on the generation check.
 struct Wheel {
     slots: Vec<Vec<u64>>,
     granularity: Duration,
@@ -548,14 +535,18 @@ struct Wheel {
 }
 
 impl Wheel {
-    fn new(read_timeout: Duration) -> Wheel {
-        // Aim for ~1/16 of the timeout per tick so expiry error is a
-        // small fraction of the timeout itself, bounded to sane wall
-        // times; size the wheel to hold two timeout horizons.
-        let granularity = (read_timeout / 16)
+    /// A wheel for deadlines about `horizon` ahead (the read timeout),
+    /// fine enough for delays as short as `finest` (the backoff base).
+    fn new(horizon: Duration, finest: Duration) -> Wheel {
+        // Aim for ~1/16 of the horizon per tick so expiry error is a
+        // small fraction of the timeout itself, and no coarser than the
+        // shortest delay scheduled; bounded to sane wall times. The wheel
+        // holds two horizons.
+        let granularity = (horizon / 16)
+            .min(finest)
             .max(Duration::from_millis(1))
             .min(Duration::from_millis(250));
-        let slots = (2 * read_timeout.as_millis() / granularity.as_millis().max(1) + 2) as usize;
+        let slots = (2 * horizon.as_millis() / granularity.as_millis().max(1) + 2) as usize;
         Wheel {
             // Pre-capacitied slots: a slot's first few entries must not
             // allocate, or the allocator sneaks back onto the hit path
@@ -624,104 +615,20 @@ impl Wheel {
 }
 
 // ---------------------------------------------------------------------
-// Worker handoff.
-
-/// A connection the event loop could not serve inline, bound for a
-/// worker: the client socket itself (already out of the slab and out of
-/// epoll — whoever holds the `Job` is the only one touching the fd) and
-/// what of its request the worker needs. Dropping a `Job` closes its
-/// socket.
-struct Job {
-    stream: TcpStream,
-    target: String,
-    /// The client's `If-Modified-Since`.
-    if_modified_since: Option<u64>,
-    work: Work,
-}
-
-/// A connection on its way back to the event loop because the socket
-/// would not take the worker's response whole: what is left of it is
-/// `head` then `body` from byte `pos` (the cursor of
-/// [`write_segments`]).
-struct Completion {
-    stream: TcpStream,
-    head: Vec<u8>,
-    body: Bytes,
-    pos: usize,
-}
-
-/// Bounded MPMC job queue; a full queue sheds the request with `503`.
-struct JobQueue {
-    inner: StdMutex<JobQueueInner>,
-    ready: Condvar,
-    depth: usize,
-}
-
-struct JobQueueInner {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-impl JobQueue {
-    fn new(depth: usize) -> JobQueue {
-        JobQueue {
-            inner: StdMutex::new(JobQueueInner {
-                jobs: VecDeque::with_capacity(depth),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            depth,
-        }
-    }
-
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if q.closed || q.jobs.len() >= self.depth {
-            return Err(job);
-        }
-        q.jobs.push_back(job);
-        // Wake a worker only once the queue is unlocked: woken under the
-        // lock, its first act would be to block on it.
-        drop(q);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    fn pop(&self) -> Option<Job> {
-        let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(j) = q.jobs.pop_front() {
-                return Some(j);
-            }
-            if q.closed {
-                return None;
-            }
-            q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Refuse further jobs and drop the ones still queued, which closes
-    /// their sockets; a job a worker already holds runs to its end.
-    fn close(&self) {
-        let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        q.closed = true;
-        q.jobs.clear();
-        drop(q);
-        self.ready.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------
 // The reactor proper.
 
-/// Handles to a running reactor: the event-loop thread plus its worker
-/// pool.
+/// How long the loop waits while a connection is parked on a held shard:
+/// the next retry comes after at most this, never in a busy spin.
+const PARKED_WAIT: Duration = Duration::from_millis(1);
+
+/// Response readers kept for the next origin exchange (16 KiB each).
+const MAX_SPARE_READERS: usize = 8;
+
+/// Handles to a running reactor: its one event-loop thread.
 pub(crate) struct Reactor {
     shutdown: Arc<AtomicBool>,
     waker: Arc<EventFd>,
-    jobs: Arc<JobQueue>,
     event_loop: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Reactor {
@@ -741,70 +648,25 @@ impl Reactor {
         let waker = Arc::new(EventFd::new()?);
         epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
         epoll.add(waker.fd, EPOLLIN, WAKER_TOKEN)?;
-
-        let jobs = Arc::new(JobQueue::new(config.queue_depth));
-        let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let idle = Arc::new(IdlePool::new());
-
-        let workers = (0..config.workers)
-            .map(|_| {
-                let jobs = Arc::clone(&jobs);
-                let idle = Arc::clone(&idle);
-                let completions = Arc::clone(&completions);
-                let waker = Arc::clone(&waker);
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || {
-                    let mut up = Upstream::new(origin, &config, idle);
-                    // Response-head buffer kept across jobs (it leaves
-                    // with a hand-back and is grown again).
-                    let mut head = Vec::new();
-                    while let Some(mut job) = jobs.pop() {
-                        state.counters.worker_jobs.add(1);
-                        let target = &job.target;
-                        let origin =
-                            |since| fetch_origin_resilient(&mut up, target, since, &config, &state);
-                        let resp = job.work.run(origin, config, &state, target);
-                        let resp = finalize_response(job.if_modified_since, resp);
-                        http::encode_response_head_into(&mut head, &resp);
-                        let mut pos = 0;
-                        // One non-blocking attempt, never a wait: on
-                        // `Done` (all sent, or the client is gone) the
-                        // job drops here and that closes the socket; a
-                        // socket that is full goes back to the loop.
-                        if let Event::Continue =
-                            write_segments(&mut job.stream, &head, &resp.body, &mut pos)
-                        {
-                            state.counters.write_handbacks.add(1);
-                            completions.lock().push(Completion {
-                                stream: job.stream,
-                                head: std::mem::take(&mut head),
-                                body: resp.body,
-                                pos,
-                            });
-                            waker.notify();
-                        }
-                    }
-                })
-            })
-            .collect();
 
         let event_loop = {
             let shutdown = Arc::clone(&shutdown);
             let waker = Arc::clone(&waker);
-            let jobs = Arc::clone(&jobs);
             std::thread::spawn(move || {
                 let mut lp = EventLoop {
                     epoll,
                     listener,
                     waker,
-                    completions,
-                    jobs,
                     shutdown,
                     slab: Slab::default(),
-                    wheel: Wheel::new(config.read_timeout),
+                    wheel: Wheel::new(config.read_timeout, config.backoff_base),
                     pool: BufPool::new(),
-                    upstream: InlineUpstream::new(idle),
+                    origin,
+                    idle: Vec::with_capacity(MAX_IDLE),
+                    readers: Vec::new(),
+                    request: Vec::new(),
+                    parked: Vec::new(),
                     fired_scratch: Vec::new(),
                     read_buf: vec![0; READ_BUF].into_boxed_slice(),
                     listener_parked: false,
@@ -818,24 +680,17 @@ impl Reactor {
         Ok(Reactor {
             shutdown,
             waker,
-            jobs,
             event_loop: Some(event_loop),
-            workers,
         })
     }
 
-    /// Stop the event loop and the workers, joining all threads. Every
-    /// client socket closes with its holder: the loop closes its slab,
-    /// queued jobs and undelivered completions are dropped, and a worker
-    /// mid-job finishes it and answers.
+    /// Stop the event loop and join it. Every socket closes with the
+    /// loop: the clients in its slab, the exchanges in flight and the idle
+    /// origin connections.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.waker.notify();
         if let Some(h) = self.event_loop.take() {
-            let _ = h.join();
-        }
-        self.jobs.close();
-        for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -845,16 +700,22 @@ struct EventLoop {
     epoll: Epoll,
     listener: TcpListener,
     waker: Arc<EventFd>,
-    completions: Arc<Mutex<Vec<Completion>>>,
-    jobs: Arc<JobQueue>,
     shutdown: Arc<AtomicBool>,
     slab: Slab,
     wheel: Wheel,
     /// Free-list of parser/head buffers cycled through connections, so a
     /// warmed loop accepts and serves without heap allocation.
     pool: BufPool,
-    /// The loop's own way to the origin, for the misses it runs itself.
-    upstream: InlineUpstream,
+    origin: SocketAddr,
+    /// Idle kept-alive origin sockets, out of epoll; the most recently
+    /// used last, as the one least likely to have been closed meanwhile.
+    idle: Vec<TcpStream>,
+    /// Response readers kept for the next origin exchange.
+    readers: Vec<ResponseReader>,
+    /// The request an exchange sends, encoded here.
+    request: Vec<u8>,
+    /// Connections parked on a held shard, retried after the next wait.
+    parked: Vec<u64>,
     /// Reused output buffer for [`Wheel::advance_into`].
     fired_scratch: Vec<u64>,
     /// Every client read goes through this one buffer, zeroed once.
@@ -869,37 +730,14 @@ struct EventLoop {
     state: Arc<ProxyState>,
 }
 
-/// What the event loop decided to do with a parsed request head, computed
-/// under the connection borrow and acted on after it ends (the actions
-/// re-borrow the slab and, for hits, consume the body).
-enum FastOutcome {
-    /// Malformed or unsupported request: answer this status and close.
-    Reject(u16),
-    /// Admin stats endpoint: build and serve the JSON snapshot inline
-    /// (no clock tick, no worker round trip).
-    Admin,
-    /// Fresh cache hit served inline — the zero-copy path.
-    Hit {
-        body: Bytes,
-        last_modified: Option<u64>,
-        /// Downstream conditional GET where our copy is not newer:
-        /// answer a bodyless `304` (same conversion as
-        /// `finalize_response`, done inline so no `Response` is built).
-        not_modified: bool,
-    },
-    /// No fresh copy: ask the origin — from here if nothing about that
-    /// can block, else through a worker.
-    Miss(Miss),
-    /// The shard is contended: a worker waits for it.
-    Contended { now: u64 },
-}
-
 impl EventLoop {
     fn run(&mut self) {
         let mut events = vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
         loop {
             let now = Instant::now();
-            let timeout = if self.listener_parked {
+            let timeout = if !self.parked.is_empty() {
+                Some(PARKED_WAIT)
+            } else if self.listener_parked {
                 Some(self.wheel.until_next_tick(now))
             } else {
                 self.wheel.next_timeout(now)
@@ -916,17 +754,14 @@ impl EventLoop {
                 let (evs, token) = (ev.events, ev.data);
                 match token {
                     LISTENER_TOKEN => self.accept_ready(),
-                    WAKER_TOKEN => {
-                        self.waker.drain();
-                        self.drain_completions();
-                    }
+                    WAKER_TOKEN => self.waker.drain(),
                     _ => self.conn_ready(token, evs),
                 }
             }
+            self.retry_parked();
             self.expire_deadlines();
         }
-        // Shutdown: close every connection the loop holds; workers are
-        // joined by `Reactor::shutdown` after the job queue closes.
+        // Shutdown: close every connection the loop holds.
         for token in self.slab.tokens() {
             self.close_conn(token);
         }
@@ -935,16 +770,12 @@ impl EventLoop {
     /// Accept one connection per readiness; the level-triggered listener
     /// reports the next (module docs, *first turn*). Accepting is cheap (a
     /// few hundred bytes of state), so the reactor admits every connection
-    /// and applies backpressure at dispatch instead. Out of descriptors,
-    /// the listener is parked rather than polled (see
-    /// [`EventLoop::listener_parked`]).
+    /// it has a descriptor for. Out of descriptors, the listener is parked
+    /// rather than polled (see [`EventLoop::listener_parked`]).
     fn accept_ready(&mut self) {
         loop {
             match accept_nonblocking(&self.listener) {
-                Ok(stream) => {
-                    let head = self.pool.get_head();
-                    return self.admit(stream, head, None);
-                }
+                Ok(stream) => return self.admit(stream),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e)
                     if e.raw_os_error()
@@ -971,41 +802,42 @@ impl EventLoop {
         }
     }
 
-    /// Give a connection a slab slot, an I/O deadline and its first
-    /// turn; if that turn leaves it in the slab, its one wheel entry. A
-    /// fresh accept enters in `Reading`, unregistered, and is read at
-    /// once (module docs, *first turn*). A connection coming back from
-    /// the worker side (a hand-back, a shed job) has `unsent`, the body
-    /// and cursor of a response whose head is in `head`, and enters in
-    /// `Writing` under `EPOLLOUT`.
-    fn admit(&mut self, stream: TcpStream, head: Vec<u8>, unsent: Option<(Bytes, usize)>) {
-        let (state, fresh) = match unsent {
-            None => (ConnState::Reading, true),
-            Some((body, pos)) => (ConnState::Writing { body, pos }, false),
-        };
+    /// Give a fresh accept a slab slot, an I/O deadline and its first
+    /// turn, in `Reading`, unregistered, read at once (module docs, *first
+    /// turn*); if that turn leaves it in the slab, a wheel entry.
+    fn admit(&mut self, stream: TcpStream) {
         let deadline = Instant::now() + self.config.read_timeout;
-        let parser = self.pool.get_parser();
-        let token = self
-            .slab
-            .insert(Conn::new(stream, parser, head, state, deadline));
-        if fresh {
-            self.read_request(token);
-        } else {
-            self.watch_client(token, EPOLLOUT);
-        }
+        let (parser, head) = (self.pool.get_parser(), self.pool.get_head());
+        let token = self.slab.insert(Conn::new(
+            stream,
+            parser,
+            head,
+            ConnState::Reading,
+            deadline,
+        ));
+        self.read_request(token);
         if let Some(conn) = self.slab.get(token) {
             let deadline = conn.deadline;
             self.wheel.schedule(token, deadline);
         }
     }
 
-    /// The connection made progress: push its I/O deadline out. Its
-    /// wheel entry stays where it is and is walked forward when it fires.
-    fn arm_deadline(&mut self, token: u64) {
-        let deadline = Instant::now() + self.config.read_timeout;
+    /// Move the connection's I/O deadline to `at`. A later one leaves its
+    /// wheel entry where it is, to be walked forward when it fires; an
+    /// earlier one (a connect timeout, a backoff) gets an entry of its own.
+    fn set_deadline(&mut self, token: u64, at: Instant) {
         if let Some(conn) = self.slab.get(token) {
-            conn.deadline = deadline;
+            let earlier = at < conn.deadline;
+            conn.deadline = at;
+            if earlier {
+                self.wheel.schedule(token, at);
+            }
         }
+    }
+
+    /// The connection made progress: push its I/O deadline out.
+    fn arm_deadline(&mut self, token: u64) {
+        self.set_deadline(token, Instant::now() + self.config.read_timeout);
     }
 
     /// Read what the client has sent and act on it. A request whose head
@@ -1077,17 +909,13 @@ impl EventLoop {
         let Some(conn) = self.slab.get(token) else {
             return; // stale event for a recycled slot
         };
-        if let ConnState::Fetching { exchange, .. } = &mut conn.state {
-            // Only the origin socket is registered under this token now,
-            // and its errors and hang-ups surface from the read.
-            match exchange.on_readable() {
-                Progress::Pending => self.arm_deadline(token),
-                Progress::Done {
-                    fetched,
-                    keep_alive,
-                } => self.finish_fetch(token, fetched, keep_alive),
-                Progress::Failed => self.abandon_fetch(token),
-            }
+        // Fetching, only the exchange's socket is registered under this
+        // token, and its errors and hang-ups surface from its I/O; parked,
+        // nothing is, and the event is stale.
+        if matches!(conn.state, ConnState::Fetching(_)) {
+            return self.exchange_ready(token, events);
+        }
+        if matches!(conn.state, ConnState::Parked(_)) {
             return;
         }
         if events & (EPOLLERR | EPOLLHUP) != 0 && events & (EPOLLIN | EPOLLOUT) == 0 {
@@ -1111,77 +939,68 @@ impl EventLoop {
     }
 
     /// A parsed request head (still inside the connection's parser —
-    /// nothing has been allocated for it): validate, serve a fresh hit
-    /// inline, start an inline fetch for a miss, or give the connection
-    /// to the worker pool.
+    /// nothing has been allocated for it): refuse it, serve the admin
+    /// endpoint (no clock tick), or ask the cache.
     fn handle_request(&mut self, token: u64) {
-        // Decide under one connection borrow; act after it ends.
-        let (outcome, head_drained) = {
+        let Some(conn) = self.slab.get(token) else {
+            return;
+        };
+        let target = conn.parser.target();
+        let admin = target == ADMIN_STATS_TARGET;
+        if conn.parser.method() != "GET" {
+            return self.reject(token, 501);
+        } else if !admin && !target.starts_with("http://") {
+            return self.reject(token, 400);
+        }
+        // A well-formed `GET` whose head left the receive queue empty keeps
+        // the cork.
+        if !conn.head_drained {
+            self.uncork(token);
+        }
+        if admin {
+            let resp = admin_stats_response(&self.state);
+            self.respond(token, resp);
+        } else {
+            let now = begin_request(&self.state);
+            self.look_up(token, now);
+        }
+    }
+
+    /// Look a request admitted at `now` up: serve a fresh hit inline,
+    /// fetch a miss, park the lookup if its shard is held.
+    fn look_up(&mut self, token: u64, now: u64) {
+        let next = {
             let Some(conn) = self.slab.get(token) else {
                 return;
             };
-            let outcome = if conn.parser.method() != "GET" {
-                FastOutcome::Reject(501)
-            } else if conn.parser.target() == ADMIN_STATS_TARGET {
-                FastOutcome::Admin
-            } else if !conn.parser.target().starts_with("http://") {
-                FastOutcome::Reject(400)
-            } else {
-                let target = conn.parser.target();
-                let now = begin_request(&self.state);
-                match lookup(&self.config, &self.state, target, now, ShardLock::Try) {
-                    Some(Lookup::Hit {
-                        body,
-                        last_modified,
-                    }) => {
-                        // Inline replica of `finalize_response`'s only
-                        // applicable arm (status is always 200 here): a
-                        // conditional GET whose copy is not newer gets a
-                        // bodyless 304 that still counts as a hit.
-                        let not_modified = conn
-                            .parser
-                            .if_modified_since()
-                            .is_some_and(|since| last_modified.is_some_and(|lm| lm <= since));
-                        FastOutcome::Hit {
-                            body,
-                            last_modified,
-                            not_modified,
-                        }
+            match lookup(&self.config, &self.state, conn.parser.target(), now) {
+                Some(Lookup::Hit {
+                    body,
+                    last_modified,
+                }) => {
+                    // Inline replica of `finalize_response`'s only
+                    // applicable arm (status is always 200 here): a
+                    // conditional GET whose copy is not newer gets a
+                    // bodyless 304 that still counts as a hit.
+                    let not_modified = conn
+                        .parser
+                        .if_modified_since()
+                        .is_some_and(|since| last_modified.is_some_and(|lm| lm <= since));
+                    if not_modified {
+                        conn.start_not_modified_hit();
+                    } else {
+                        conn.start_hit(body, last_modified);
                     }
-                    Some(Lookup::Miss(miss)) => FastOutcome::Miss(miss),
-                    None => FastOutcome::Contended { now },
+                    None
                 }
-            };
-            (outcome, conn.head_drained)
+                Some(Lookup::Miss(miss)) => Some(Ok(miss)),
+                None => Some(Err(Parked::Lookup { now })),
+            }
         };
-        // A well-formed `GET` whose head left the receive queue empty keeps
-        // the cork, whoever writes its response; a refusal uncorks below.
-        if !head_drained && !matches!(outcome, FastOutcome::Reject(_)) {
-            self.uncork(token);
-        }
-        match outcome {
-            FastOutcome::Reject(status) => self.reject(token, status),
-            FastOutcome::Admin => {
-                let resp = admin_stats_response(&self.state);
-                self.respond(token, resp);
-            }
-            FastOutcome::Hit {
-                body,
-                last_modified,
-                not_modified,
-            } => {
-                let Some(conn) = self.slab.get(token) else {
-                    return;
-                };
-                if not_modified {
-                    conn.start_not_modified_hit();
-                } else {
-                    conn.start_hit(body, last_modified);
-                }
-                self.flush_response(token);
-            }
-            FastOutcome::Miss(miss) => self.start_fetch(token, miss),
-            FastOutcome::Contended { now } => self.dispatch(token, Work::Request { now }),
+        match next {
+            None => self.flush_response(token),
+            Some(Ok(miss)) => self.start_fetch(token, miss),
+            Some(Err(step)) => self.park(token, step),
         }
     }
 
@@ -1198,108 +1017,352 @@ impl EventLoop {
         }
     }
 
-    /// A miss or an expired copy: run the origin exchange from here when
-    /// nothing about it can block (module docs), else dispatch. On the
-    /// inline path the connection stays in its slab slot, in `Fetching`,
-    /// under its own deadline.
+    /// Park a step whose shard is held; it is retried after the next wait.
+    fn park(&mut self, token: u64, step: Parked) {
+        self.unwatch_client(token);
+        if let Some(conn) = self.slab.get(token) {
+            conn.state = ConnState::Parked(step);
+            self.parked.push(token);
+        }
+    }
+
+    /// Retry every parked step once. One whose shard is still held parks
+    /// again, for the next batch.
+    fn retry_parked(&mut self) {
+        for token in std::mem::take(&mut self.parked) {
+            let Some(conn) = self.slab.get(token) else {
+                continue;
+            };
+            let state = std::mem::replace(&mut conn.state, ConnState::Reading);
+            match state {
+                ConnState::Parked(Parked::Lookup { now }) => self.look_up(token, now),
+                ConnState::Parked(Parked::Conclude(step)) => {
+                    let (miss, answer) = *step;
+                    self.conclude(token, miss, answer);
+                }
+                other => conn.state = other,
+            }
+        }
+    }
+
+    /// A miss or an expired copy: ask the key's owner first when this
+    /// node is a cluster member that does not own it and the copy is not
+    /// merely expired, then the origin. The connection stays in its slab
+    /// slot, in `Fetching`, under its own deadline.
     fn start_fetch(&mut self, token: u64, miss: Miss) {
         self.unwatch_client(token);
         let Some(conn) = self.slab.get(token) else {
             return;
         };
-        let target = conn.parser.target();
-        let request = Work::redo(&miss);
-        if !self.state.breakers.is_pristine(host_of(target)) || !Miss::is_home(&self.state, target)
-        {
-            return self.dispatch(token, request);
-        }
-        let exchange = match self.upstream.begin(target, miss.if_modified_since()) {
-            Begun::Sent(exchange) => exchange,
-            Begun::NoIdleSocket => return self.dispatch(token, request),
-            Begun::SendFailed => {
-                self.state.counters.inline_fallbacks.add(1);
-                return self.dispatch(token, request);
-            }
+        let peer = match miss.expired {
+            None => peer_to_ask(&self.config, &self.state, conn.parser.target()),
+            Some(_) => None,
         };
-        let origin_fd = exchange.stream().as_raw_fd();
-        conn.state = ConnState::Fetching { exchange, miss };
-        if self.epoll.add(origin_fd, EPOLLIN, token).is_err() {
-            return self.abandon_fetch(token);
+        conn.state = ConnState::Fetching(Fetch {
+            miss,
+            peer,
+            tries: None,
+            exchange: None,
+        });
+        match peer {
+            Some((_, addr)) => {
+                match Exchange::connect(addr, Reply::Frame(FrameReader::default())) {
+                    Ok(exchange) => self.begin_exchange(token, exchange),
+                    Err(_) => self.peer_replied(token, None),
+                }
+            }
+            None => self.ask_origin(token),
         }
-        self.arm_deadline(token);
     }
 
-    /// The origin's whole answer is in. Conclude — store, count, build
-    /// the response — and write it, unless that needs a worker after
-    /// all: a `5xx` is a failed attempt in the resilient fetch's books,
-    /// so the request is redone there; a contended shard is waited for
-    /// there, with the body riding along.
-    fn finish_fetch(&mut self, token: u64, fetched: Fetched, keep_alive: bool) {
+    /// The fetch's connection in `Fetching`.
+    fn fetch_mut(&mut self, token: u64) -> Option<&mut Fetch> {
+        match &mut self.slab.get(token)?.state {
+            ConnState::Fetching(fetch) => Some(fetch),
+            _ => None,
+        }
+    }
+
+    /// Take the exchange in flight out of the fetch (its socket closes
+    /// when it drops, which also takes it out of epoll).
+    fn end_exchange(&mut self, token: u64) -> Option<Exchange> {
+        self.fetch_mut(token)?.exchange.take()
+    }
+
+    /// Keep a finished exchange's reader for the next one.
+    fn recycle(&mut self, reply: Reply) {
+        if let Reply::Http(reader) = reply {
+            if self.readers.len() < MAX_SPARE_READERS {
+                self.readers.push(reader);
+            }
+        }
+    }
+
+    /// Ask the origin: the host's breaker admits the fetch (or fails it
+    /// fast), then the first attempt starts.
+    fn ask_origin(&mut self, token: u64) {
+        let admitted = {
+            let Some(conn) = self.slab.get(token) else {
+                return;
+            };
+            let admitted = Tries::admit(&self.config, &self.state, conn.parser.target());
+            let ConnState::Fetching(fetch) = &mut conn.state else {
+                return;
+            };
+            admitted.map(|tries| fetch.tries = Some(tries))
+        };
+        match admitted {
+            Ok(()) => self.attempt(token, false),
+            Err(e) => self.conclude_fetch(token, Err(e)),
+        }
+    }
+
+    /// Start an origin attempt: on an idle kept socket unless `fresh`,
+    /// else on a new connection. A connection the process has no
+    /// descriptor for, or one refused at once, is a failed attempt.
+    fn attempt(&mut self, token: u64, fresh: bool) {
+        let mut reader = self.readers.pop().unwrap_or_default();
+        reader.reset();
+        let reply = Reply::Http(reader);
+        let idle = if fresh { None } else { self.idle.pop() };
+        let exchange = match idle {
+            Some(stream) => Ok(Exchange::reuse(stream, reply)),
+            None => Exchange::connect(self.origin, reply),
+        };
+        match exchange {
+            Ok(exchange) => self.begin_exchange(token, exchange),
+            Err(e) => self.attempt_failed(token, Failure::from(&e) == Failure::TimedOut),
+        }
+    }
+
+    /// Give an exchange its time for the next step: a peer's every step
+    /// is bounded by the peer timeout, an origin's connect by the connect
+    /// timeout and the rest by the read timeout.
+    fn exchange_deadline(&mut self, token: u64, peer: bool, connecting: bool) {
+        let wait = match &self.state.cluster {
+            Some(c) if peer => c.config().peer_timeout,
+            _ if connecting => self.config.connect_timeout,
+            _ => self.config.read_timeout,
+        };
+        self.set_deadline(token, Instant::now() + wait);
+    }
+
+    /// Register an exchange's socket under the connection's token: a
+    /// connect still in progress waits to turn writable; a connected
+    /// socket sends the request and waits for the reply.
+    fn begin_exchange(&mut self, token: u64, exchange: Exchange) {
+        let (fd, connecting) = (exchange.stream().as_raw_fd(), exchange.connecting);
+        let Some(fetch) = self.fetch_mut(token) else {
+            return;
+        };
+        let peer = fetch.peer.is_some();
+        fetch.exchange = Some(exchange);
+        if !connecting {
+            if let Err(failure) = self.send_request(token) {
+                return self.exchange_failed(token, failure);
+            }
+        }
+        let interest = if connecting { EPOLLOUT } else { EPOLLIN };
+        if self.epoll.add(fd, interest, token).is_err() {
+            return self.exchange_failed(token, Failure::Io);
+        }
+        self.exchange_deadline(token, peer, connecting);
+    }
+
+    /// Send the exchange's request: a peer's `QUERY` frame, or the
+    /// origin's (conditional) GET.
+    fn send_request(&mut self, token: u64) -> Result<(), Failure> {
+        let Some(conn) = self.slab.get(token) else {
+            return Ok(());
+        };
+        let ConnState::Fetching(fetch) = &conn.state else {
+            return Ok(());
+        };
+        let Some(exchange) = &fetch.exchange else {
+            return Ok(());
+        };
+        let target = conn.parser.target();
+        match (&fetch.peer, &self.state.cluster) {
+            (Some(_), Some(cluster)) => exchange.send(&peer_query(cluster, target)),
+            _ => {
+                encode_request(&mut self.request, target, fetch.miss.if_modified_since());
+                exchange.send(&self.request)
+            }
+        }
+    }
+
+    /// The exchange's socket is ready: finish connecting and send, or
+    /// take what has arrived of the reply.
+    fn exchange_ready(&mut self, token: u64, events: u32) {
+        let Some(fetch) = self.fetch_mut(token) else {
+            return;
+        };
+        let peer = fetch.peer.is_some();
+        let Some(exchange) = fetch.exchange.as_mut() else {
+            return; // backing off: an event for the closed socket
+        };
+        if exchange.connecting {
+            if events & (EPOLLOUT | EPOLLERR | EPOLLHUP) == 0 {
+                return;
+            }
+            let fd = exchange.stream().as_raw_fd();
+            let sent = exchange
+                .connected()
+                .and_then(|()| self.send_request(token))
+                .and_then(|()| {
+                    let mod_in = self.epoll.ctl(EPOLL_CTL_MOD, fd, EPOLLIN, token);
+                    mod_in.map_err(|_| Failure::Io)
+                });
+            return match sent {
+                Ok(()) => self.exchange_deadline(token, peer, false),
+                Err(failure) => self.exchange_failed(token, failure),
+            };
+        }
+        match exchange.on_readable() {
+            Progress::Pending => self.exchange_deadline(token, peer, false),
+            Progress::Response {
+                fetched,
+                keep_alive,
+            } => self.origin_answered(token, fetched, keep_alive),
+            Progress::Frame(frame) => self.peer_replied(token, Some(frame)),
+            Progress::Failed(failure) => self.exchange_failed(token, failure),
+        }
+    }
+
+    /// The origin's whole answer is in. The socket goes back to the idle
+    /// pool if the origin keeps it open. A `5xx` is a failed attempt;
+    /// anything else concludes the request.
+    fn origin_answered(&mut self, token: u64, fetched: Fetched, keep_alive: bool) {
+        let Some(exchange) = self.end_exchange(token) else {
+            return;
+        };
+        let (stream, reply) = exchange.into_parts();
+        self.recycle(reply);
+        if keep_alive && self.idle.len() < MAX_IDLE {
+            // Out of epoll before it idles (a kept registration would
+            // wake the loop when the origin closes it).
+            self.epoll.del(stream.as_raw_fd());
+            self.idle.push(stream);
+        }
+        if fetched.status >= 500 {
+            return self.attempt_failed(token, false);
+        }
+        if let Some(conn) = self.slab.get(token) {
+            if let ConnState::Fetching(Fetch {
+                tries: Some(tries), ..
+            }) = &conn.state
+            {
+                tries.succeeded(&self.state, conn.parser.target());
+            }
+        }
+        self.conclude_fetch(token, Ok(fetched));
+    }
+
+    /// The exchange failed: its socket is closed. A peer's failure sends
+    /// the request on to the origin; a stale idle socket's runs the same
+    /// attempt again on a fresh connection, uncounted (`upstream` module
+    /// docs); any other is a failed attempt.
+    fn exchange_failed(&mut self, token: u64, failure: Failure) {
+        let Some(exchange) = self.end_exchange(token) else {
+            return;
+        };
+        let reused = exchange.reused;
+        let (_, reply) = exchange.into_parts();
+        self.recycle(reply);
+        if self.fetch_mut(token).is_some_and(|f| f.peer.is_some()) {
+            return self.peer_replied(token, None);
+        }
+        if reused && failure != Failure::Malformed {
+            return self.attempt(token, true);
+        }
+        self.attempt_failed(token, failure == Failure::TimedOut);
+    }
+
+    /// A counted attempt failed: back off on the wheel before the next,
+    /// or, none left, conclude without an answer.
+    fn attempt_failed(&mut self, token: u64, timed_out: bool) {
+        let next = {
+            let Some(conn) = self.slab.get(token) else {
+                return;
+            };
+            let target = conn.parser.target();
+            let ConnState::Fetching(Fetch {
+                tries: Some(tries), ..
+            }) = &mut conn.state
+            else {
+                return;
+            };
+            tries.failed(timed_out, &self.config, &self.state, target)
+        };
+        match next {
+            Ok(delay) => {
+                let now = Instant::now();
+                // A saturated backoff is past any horizon an `Instant`
+                // reaches; a century is as good.
+                let due = now
+                    .checked_add(delay)
+                    .unwrap_or(now + Duration::from_secs(100 * 365 * 86_400));
+                self.set_deadline(token, due);
+            }
+            Err(e) => self.conclude_fetch(token, Err(e)),
+        }
+    }
+
+    /// The key's owner replied (`None`: it did not). A `FOUND` is served;
+    /// anything else sends the request on to the origin.
+    fn peer_replied(&mut self, token: u64, reply: Option<cluster::Frame>) {
+        drop(self.end_exchange(token));
+        let served = {
+            let Some(conn) = self.slab.get(token) else {
+                return;
+            };
+            let ConnState::Fetching(fetch) = &mut conn.state else {
+                return;
+            };
+            let Some((owner, _)) = fetch.peer.take() else {
+                return;
+            };
+            let (target, now) = (conn.parser.target(), fetch.miss.now);
+            let served = peer_answered(&self.config, &self.state, target, now, owner, reply);
+            served.map(|resp| {
+                conn.state = ConnState::Reading;
+                let resp = finalize_response(conn.parser.if_modified_since(), resp);
+                conn.start_response(&resp);
+            })
+        };
+        match served {
+            Some(()) => self.flush_response(token),
+            None => self.ask_origin(token),
+        }
+    }
+
+    /// The fetch is over, with the origin's answer or without one.
+    fn conclude_fetch(&mut self, token: u64, answer: Answer) {
         let Some(conn) = self.slab.get(token) else {
             return;
         };
-        let Some((exchange, miss)) = conn.take_fetch() else {
+        if let ConnState::Fetching(fetch) = std::mem::replace(&mut conn.state, ConnState::Reading) {
+            self.conclude(token, fetch.miss, answer);
+        }
+    }
+
+    /// Conclude — store, count, build the response — and write it; or,
+    /// the shard held, park the conclusion with the answer riding along.
+    fn conclude(&mut self, token: u64, miss: Miss, answer: Answer) {
+        let Some(conn) = self.slab.get(token) else {
             return;
         };
-        if keep_alive {
-            // Out of epoll before it is anyone else's to take.
-            self.epoll.del(exchange.stream().as_raw_fd());
-        }
-        self.upstream.end(exchange, keep_alive);
-        let target = conn.parser.target();
-        match miss.conclude_inline(&self.config, &self.state, target, fetched) {
+        let answered = answer.is_ok();
+        match miss.conclude(&self.config, &self.state, conn.parser.target(), answer) {
             Ok(resp) => {
-                self.state.counters.inline_fetches.add(1);
+                if answered {
+                    self.state.counters.inline_fetches.add(1);
+                }
                 let resp = finalize_response(conn.parser.if_modified_since(), resp);
                 conn.start_response(&resp);
                 self.flush_response(token);
             }
-            Err(work) => {
-                self.state.counters.inline_fallbacks.add(1);
-                self.dispatch(token, work);
-            }
-        }
-    }
-
-    /// Give up an inline fetch — the origin socket failed or stalled —
-    /// and hand the request to a worker to run from the top. The socket
-    /// is closed (which also takes it out of epoll), never reused.
-    fn abandon_fetch(&mut self, token: u64) {
-        let Some((exchange, miss)) = self.slab.get(token).and_then(Conn::take_fetch) else {
-            return;
-        };
-        self.upstream.end(exchange, false);
-        self.state.counters.inline_fallbacks.add(1);
-        self.dispatch(token, Work::redo(&miss));
-    }
-
-    /// Give a connection to the worker pool: its client socket leaves
-    /// epoll if it is in, it leaves the slab (its wheel entry goes stale
-    /// and falls out on the generation check; the origin timeouts bound
-    /// the time a worker holds the socket), its pooled buffers go back,
-    /// and the stream rides in the [`Job`]. A full queue sheds with `503`.
-    fn dispatch(&mut self, token: u64, work: Work) {
-        self.unwatch_client(token);
-        let Some(conn) = self.slab.remove(token) else {
-            return;
-        };
-        // The dispatch path allocates here — the target's `String`, the
-        // queue slot — which is fine: it is about to cost a thread
-        // hand-off and, usually, a TCP handshake.
-        let target = conn.parser.target().to_string();
-        let if_modified_since = conn.parser.if_modified_since();
-        let stream = self.release(conn);
-        let job = Job {
-            stream,
-            target,
-            if_modified_since,
-            work,
-        };
-        if let Err(job) = self.jobs.try_push(job) {
-            self.state.counters.rejected.add(1);
-            let mut head = self.pool.get_head();
-            http::encode_response_head_into(&mut head, &Response::status_only(503));
-            self.admit(job.stream, head, Some((Bytes::new(), 0)));
+            Err(step) => self.park(token, Parked::Conclude(step)),
         }
     }
 
@@ -1327,21 +1390,12 @@ impl EventLoop {
         }
     }
 
-    /// Take back every connection a worker could not finish. The worker
-    /// has just seen `EAGAIN`, so there is no write attempt here: the
-    /// rest drains when `EPOLLOUT` fires, under a fresh deadline.
-    fn drain_completions(&mut self) {
-        let done: Vec<Completion> = std::mem::take(&mut *self.completions.lock());
-        for c in done {
-            self.admit(c.stream, c.head, Some((c.body, c.pos)));
-        }
-    }
-
-    /// Expire connections whose I/O deadline passed: a client stalled
+    /// Act on connections whose deadline passed: a client stalled
     /// mid-request gets `504`; a client stalled mid-response is dropped;
-    /// an origin stalled mid-exchange loses the request to a worker. A
+    /// an exchange that made no progress fails its attempt; a backoff
+    /// that ran out starts the next attempt; a parked step waits on. A
     /// tick also gives a parked listener its next try, for descriptors
-    /// freed outside the loop (a worker's close, another process).
+    /// freed outside the loop (another process).
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
         // Take/put-back keeps one scratch Vec alive across iterations so
@@ -1352,7 +1406,7 @@ impl EventLoop {
         }
         for &token in &fired {
             let Some(conn) = self.slab.get(token) else {
-                continue; // closed or given to a worker: entry is stale
+                continue; // closed: the entry is stale
             };
             if conn.deadline > now {
                 // Re-armed since this entry was scheduled: walk the
@@ -1361,39 +1415,46 @@ impl EventLoop {
                 self.wheel.schedule(token, deadline);
                 continue;
             }
-            if matches!(conn.state, ConnState::Fetching { .. }) {
-                self.abandon_fetch(token);
-                continue;
+            let stalled_exchange = match &conn.state {
+                ConnState::Fetching(fetch) => Some(fetch.exchange.is_some()),
+                _ => None,
+            };
+            match (&conn.state, stalled_exchange) {
+                (_, Some(true)) => self.exchange_failed(token, Failure::TimedOut),
+                (_, Some(false)) => self.attempt(token, false),
+                (ConnState::Parked(_), _) => conn.deadline = now + self.config.read_timeout,
+                (ConnState::Reading, _) => {
+                    // One best-effort shot at the 504, uncorked like every
+                    // refusal — the client is stalled, not necessarily
+                    // reading, so what the socket does not take at once
+                    // goes with the close below.
+                    self.reject(token, 504);
+                    self.close_conn(token);
+                }
+                _ => self.close_conn(token),
             }
-            if matches!(conn.state, ConnState::Reading) {
-                // One best-effort shot at the 504, uncorked like every
-                // refusal — the client is stalled, not necessarily
-                // reading, so what the socket does not take at once goes
-                // with the close below.
-                self.reject(token, 504);
+            // The fired entry is spent; a connection that lives on gets
+            // it back at its new deadline.
+            if let Some(conn) = self.slab.get(token) {
+                let deadline = conn.deadline;
+                self.wheel.schedule(token, deadline);
             }
-            self.close_conn(token);
         }
         self.fired_scratch = fired;
     }
 
-    /// Return a removed connection's parser and head buffer to the pool
-    /// for the next accept; what is left of it is the socket.
-    fn release(&mut self, conn: Conn) -> TcpStream {
-        let (stream, parser, head) = conn.into_parts();
-        self.pool.put_parser(parser);
-        self.pool.put_head(head);
-        stream
-    }
-
     /// Close a connection; the descriptor it frees is the one a parked
-    /// listener waits for.
+    /// listener waits for. Its parser and head buffer go back to the pool
+    /// for the next accept.
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.slab.remove(token) {
             // Dropping the stream closes the socket, and closing takes
             // it out of the epoll set: the fd was never duplicated, so
             // no `EPOLL_CTL_DEL` is spent on it.
-            drop(self.release(conn));
+            let (stream, parser, head) = conn.into_parts();
+            self.pool.put_parser(parser);
+            self.pool.put_head(head);
+            drop(stream);
             self.unpark_listener();
         }
     }
@@ -1402,7 +1463,7 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{Request, RequestParser};
+    use crate::http::{self, Request, RequestParser};
 
     #[test]
     fn tokens_round_trip_and_tag_generations() {
@@ -1447,7 +1508,6 @@ mod tests {
     #[test]
     fn non_proxy_requests_are_rejected() {
         use crate::cache_proxy::test_support::orphan_proxy;
-        use crate::http;
         let proxy = orphan_proxy(ProxyConfig::new(100_000));
         let mut s = TcpStream::connect(proxy.addr()).unwrap();
         http::write_request(&mut s, &Request::get("/origin-form")).unwrap();
@@ -1461,10 +1521,11 @@ mod tests {
 
     /// The loop looked the document up, found nothing and went to the
     /// origin itself; by the time the body is in, someone else holds the
-    /// shard. The loop must not wait for it: body and all, the connection
-    /// goes to a worker, who does.
+    /// shard. The loop must not wait for it: the conclusion is parked with
+    /// the body and retried until the shard is free, and every other
+    /// connection is served meanwhile.
     #[test]
-    fn inline_fetch_that_finds_its_shard_busy_is_concluded_by_a_worker() {
+    fn a_fetch_that_finds_its_shard_busy_is_parked_and_concluded_by_the_loop() {
         use crate::cache_proxy::test_support::{get, state_of};
         use crate::{ProxyConfig, ProxyServer};
         use std::sync::mpsc::channel;
@@ -1496,7 +1557,7 @@ mod tests {
             }
         });
 
-        let config = ProxyConfig::new(100_000).with_workers(1, 4);
+        let config = ProxyConfig::new(100_000);
         let proxy = ProxyServer::start(origin_addr, config, || Box::new(named::lru())).unwrap();
         let state = state_of(&proxy);
         assert_eq!(get(&proxy, "http://o.test/warm.html").status, 200);
@@ -1523,12 +1584,14 @@ mod tests {
         };
         held.recv().unwrap();
         answer.send(()).unwrap();
-        // The loop has the body and no lock: nothing is stored or counted,
-        // and the job is a worker's.
-        while proxy.stats().inline_fallbacks == 0 {
+        while requests.load(Ordering::SeqCst) < 2 {
             std::thread::yield_now();
         }
+        // The loop has the body and no lock: nothing is stored or counted,
+        // and the client waits.
+        std::thread::sleep(Duration::from_millis(100));
         assert_eq!((proxy.stats().misses, proxy.cached_bytes()), (1, 900));
+        assert!(!client.is_finished(), "answered while the shard was held");
         let_go.send(()).unwrap();
         holder.join().unwrap();
         let resp = client.join().unwrap();
@@ -1536,12 +1599,9 @@ mod tests {
         assert!(!resp.is_cache_hit());
         assert_eq!(resp.body, http::synthetic_body(url, 900));
         assert_eq!((proxy.stats().misses, proxy.cached_bytes()), (2, 1800));
-        // The worker was handed the body: it did not ask the origin again.
+        // The body rode along: the origin was not asked again.
         assert_eq!(requests.load(Ordering::SeqCst), 2);
-        assert_eq!(
-            (proxy.stats().worker_jobs, proxy.stats().inline_fetches),
-            (2, 0)
-        );
+        assert_eq!(proxy.stats().inline_fetches, 2);
         assert!(get(&proxy, url).is_cache_hit());
         drop(proxy);
         origin.join().unwrap();
@@ -1549,7 +1609,7 @@ mod tests {
 
     #[test]
     fn wheel_fires_after_the_deadline_not_before() {
-        let mut wheel = Wheel::new(Duration::from_millis(160));
+        let mut wheel = Wheel::new(Duration::from_millis(160), Duration::from_secs(1));
         let t0 = wheel.start;
         let mut fired = Vec::new();
         wheel.schedule(42, t0 + Duration::from_millis(100));
@@ -1572,7 +1632,7 @@ mod tests {
 
     #[test]
     fn wheel_clamps_far_deadlines_into_its_horizon() {
-        let mut wheel = Wheel::new(Duration::from_millis(20));
+        let mut wheel = Wheel::new(Duration::from_millis(20), Duration::from_secs(1));
         let t0 = wheel.start;
         let mut fired = Vec::new();
         // A deadline far past the horizon still lands in a slot…

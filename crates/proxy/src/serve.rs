@@ -1,11 +1,11 @@
 //! The per-request cache logic: the three cases of the paper's section 1
 //! as lookup → fetch → conclude. [`lookup`] and [`Miss::conclude`] are the
-//! cache's side of a request and run on whichever thread has it — a
-//! worker, which waits for the shard lock and may block on the origin in
-//! between ([`proxy_get_at`]), or the event loop, which only tries the
-//! lock and drives the fetch itself under `epoll` (`reactor.rs`). The
-//! cluster peer glue is here too. Everything runs under at most one shard
-//! lock and never holds it across network I/O.
+//! cache's side of a request; the event loop calls them between the
+//! steps of the origin exchange it runs under `epoll` (`reactor.rs`), and
+//! only ever tries a shard's lock: what it cannot take at once it parks
+//! and tries again ([`Parked`]). The cluster peer glue is here too.
+//! Everything runs under at most one shard lock and never holds it across
+//! network I/O.
 
 use crate::breaker::Admission;
 use crate::cache_proxy::{ProxyState, Resident, ShardCache, ShardExt};
@@ -17,7 +17,7 @@ use crate::persist::JournalOp;
 use crate::upstream::Fetched;
 use bytes::Bytes;
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use webcache_core::cache::{DocMeta, Outcome};
@@ -41,8 +41,7 @@ pub(crate) fn finalize_response(if_modified_since: Option<u64>, resp: Response) 
 }
 
 /// Admit one request: tick the logical clock and count it. Exactly one
-/// call per client request, on the event loop, before the inline paths or
-/// a worker see it.
+/// call per client request, on the event loop, before the cache sees it.
 pub(crate) fn begin_request(state: &ProxyState) -> u64 {
     state.counters.requests.add(1);
     state.now.fetch_add(1, Ordering::SeqCst) + 1
@@ -64,31 +63,15 @@ pub(crate) fn peek(
     Some((id, *meta, copy.clone(), fresh))
 }
 
-/// How a caller takes a shard lock. A worker waits for it. The event loop
-/// must never wait: it tries, and what it cannot do at once it gives to a
-/// worker.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ShardLock {
-    Wait,
-    Try,
-}
-
-/// Why a caller that passed [`ShardLock::Wait`] may unwrap the answer.
-const WAITED: &str = "ShardLock::Wait is never refused";
-
-/// Run `f` under the lock of the shard owning `target`; `None` only when
-/// `lock` is [`ShardLock::Try`] and another thread holds the shard.
+/// Run `f` under the lock of the shard owning `target` if it is free at
+/// once; `None`, with nothing done, when another thread holds it. The
+/// event loop never waits for a lock.
 fn visit<R>(
     state: &ProxyState,
     target: &str,
-    lock: ShardLock,
     f: impl FnOnce(&mut ShardCache, &mut ShardExt) -> R,
 ) -> Option<R> {
-    let shard = state.shard_of(target);
-    match lock {
-        ShardLock::Wait => Some(state.cache.with_shard(shard, f)),
-        ShardLock::Try => state.cache.try_with_shard(shard, f),
-    }
+    state.cache.try_with_shard(state.shard_of(target), f)
 }
 
 /// A request admitted by [`begin_request`] that the cache could not
@@ -102,6 +85,21 @@ pub(crate) struct Miss {
     /// metadata was its slot's when the guard was held and is not used
     /// again.
     pub expired: Option<(DocMeta, Resident)>,
+}
+
+/// What the origin exchange came to: the answer, or why there is none.
+pub(crate) type Answer = Result<Fetched, FetchError>;
+
+/// A step the event loop could not take because another thread held the
+/// shard: it is tried again after the loop's next wait, as it stands.
+#[derive(Debug)]
+pub(crate) enum Parked {
+    /// The lookup of a request admitted at `now` (the logical clock ticks
+    /// once per request, however often its lookup is tried).
+    Lookup { now: u64 },
+    /// The conclusion of a fetch, with the origin's answer riding along.
+    /// (Boxed: it is the rare case, and a slab slot holds the variant.)
+    Conclude(Box<(Miss, Answer)>),
 }
 
 /// What the cache says to a request.
@@ -130,17 +128,15 @@ fn count_hit(config: &ProxyConfig, state: &ProxyState, target: &str, now: u64, s
 /// Consult the cache for a request admitted by [`begin_request`]. Peek
 /// and (for a fresh copy) policy touch happen under one shard guard, so
 /// a hit enters the shard lock exactly once. `None` — nothing looked at,
-/// nothing counted — only under [`ShardLock::Try`] when the shard is
-/// contended; the request then goes to a worker with the same `now`, so
-/// the logical clock still ticks once per request.
+/// nothing counted — when the shard is contended; the lookup is then
+/// parked and tried again with the same `now`.
 pub(crate) fn lookup(
     config: &ProxyConfig,
     state: &ProxyState,
     target: &str,
     now: u64,
-    lock: ShardLock,
 ) -> Option<Lookup> {
-    let resident = visit(state, target, lock, |cache, ext| {
+    let resident = visit(state, target, |cache, ext| {
         let (id, meta, copy, fresh) = peek(cache, ext, target, config.ttl, now)?;
         if fresh {
             touch_resident(cache, ext, id, &meta, &copy, now);
@@ -175,41 +171,44 @@ impl Miss {
     /// cluster serves but does not store: each key has one home, so
     /// exactly one removal-policy instance governs its lifetime, and the
     /// cluster's aggregate capacity is not spent on duplicates.
-    pub fn is_home(state: &ProxyState, target: &str) -> bool {
+    fn is_home(state: &ProxyState, target: &str) -> bool {
         state
             .cluster
             .as_ref()
             .is_none_or(|c| c.owner(target) == c.node_id())
     }
 
-    /// Conclude with the origin's answer (any status below 500): a `304`
-    /// to a revalidation refreshes the copy and serves it as a hit, a
-    /// `200` is a miss — the bytes moved from the origin — stored (evicting
-    /// via the policy) unless this node is not the key's home, and
-    /// anything else passes through while our copy, if any, stays.
-    /// `Err` gives everything back untouched and uncounted: the shard is
-    /// contended and `lock` is [`ShardLock::Try`]. (Boxed: it is the rare
-    /// case, and travels on to a worker as it is.)
-    fn conclude(
+    /// Conclude with the origin exchange's `answer`. A `304` to a
+    /// revalidation refreshes the copy and serves it as a hit, a `200` is
+    /// a miss — the bytes moved from the origin — stored (evicting via the
+    /// policy) unless this node is not the key's home, and any other
+    /// status passes through while our copy, if any, stays. No answer
+    /// serves the expired copy degraded when serve-stale is on, and the
+    /// failure's status otherwise. `Err` gives everything back untouched
+    /// and uncounted: the shard is contended.
+    pub fn conclude(
         self,
         config: &ProxyConfig,
         state: &ProxyState,
         target: &str,
-        fetched: Fetched,
-        lock: ShardLock,
-    ) -> Result<Response, Box<(Miss, Fetched)>> {
+        answer: Answer,
+    ) -> Result<Response, Box<(Miss, Answer)>> {
         let now = self.now;
+        let fetched = match answer {
+            Ok(fetched) => fetched,
+            Err(e) => return self.fail(config, state, target, e),
+        };
         match (&self.expired, fetched.status) {
             (Some((meta, copy)), 304) => {
                 // The shard guard was dropped for the origin round trip,
                 // so this is a second visit (fresh hits touch under the
                 // guard they peeked with).
-                let refreshed = visit(state, target, lock, |cache, ext| {
+                let refreshed = visit(state, target, |cache, ext| {
                     let id = bind(cache, ext, copy);
                     refresh_resident(cache, ext, id, meta, copy, now);
                 });
                 if refreshed.is_none() {
-                    return Err(Box::new((self, fetched)));
+                    return Err(Box::new((self, Ok(fetched))));
                 }
                 state.counters.revalidated.add(1);
                 count_hit(config, state, target, now, meta.size);
@@ -230,11 +229,11 @@ impl Miss {
                     };
                     let (doc_type, last_modified) =
                         (DocType::classify(target), fetched.last_modified);
-                    let stored = visit(state, target, lock, |cache, ext| {
+                    let stored = visit(state, target, |cache, ext| {
                         install(cache, ext, now, doc_type, last_modified, &copy)
                     });
                     if stored.is_none() {
-                        return Err(Box::new((self, fetched)));
+                        return Err(Box::new((self, Ok(fetched))));
                     }
                 }
                 state.counters.misses.add(1);
@@ -248,147 +247,58 @@ impl Miss {
         }
     }
 
-    /// The loop's end of an inline fetch: [`Miss::conclude`] under
-    /// [`ShardLock::Try`], or the worker's work instead — the whole request
-    /// after a `5xx` (a failed attempt in the resilient fetch's books), the
-    /// conclusion with its body when the shard is contended.
-    pub fn conclude_inline(
+    /// [`Miss::conclude`] without an answer.
+    fn fail(
         self,
         config: &ProxyConfig,
         state: &ProxyState,
         target: &str,
-        fetched: Fetched,
-    ) -> Result<Response, Work> {
-        if fetched.status >= 500 {
-            return Err(Work::redo(&self));
+        e: FetchError,
+    ) -> Result<Response, Box<(Miss, Answer)>> {
+        let Some((meta, copy)) = self.expired.as_ref().filter(|_| config.serve_stale) else {
+            return Ok(error_response(&e));
+        };
+        // Revalidation failed: serve the expired copy, marked degraded,
+        // rather than surfacing the origin failure (`stale-if-error`).
+        // Freshness is NOT renewed — the next request past the TTL
+        // revalidates again. The policy sees the reference, but no hit
+        // is counted: degraded serves are reported in `stale_serves`.
+        let now = self.now;
+        let touched = visit(state, target, |cache, ext| {
+            let id = bind(cache, ext, copy);
+            touch_resident(cache, ext, id, meta, copy, now)
+        });
+        if touched.is_none() {
+            return Err(Box::new((self, Err(e))));
         }
-        self.conclude(config, state, target, fetched, ShardLock::Try)
-            .map_err(Work::Conclude)
+        state.counters.stale_serves.add(1);
+        state.counters.bytes_from_cache.add(meta.size);
+        state.log_access(config.access_log, now, target, meta.size, "STALE");
+        Ok(Response::ok(copy.body.clone(), meta.last_modified)
+            .with_cache_status(true)
+            .with_degraded())
     }
 }
 
-/// What the event loop hands a worker for a request it admitted.
-#[derive(Debug)]
-pub(crate) enum Work {
-    /// The whole request ([`proxy_get_at`]) at its pre-assigned `now`: the
-    /// logical clock ticks exactly once per request.
-    Request { now: u64 },
-    /// A fetched document whose shard was busy: store and serve it.
-    Conclude(Box<(Miss, Fetched)>),
-}
-
-impl Work {
-    /// The whole request over again, for a miss the loop gave up on.
-    pub fn redo(miss: &Miss) -> Work {
-        Work::Request { now: miss.now }
-    }
-
-    /// Do it, waiting for the shard lock; `origin` is the origin exchange,
-    /// given the `If-Modified-Since` to send.
-    pub fn run(
-        self,
-        origin: impl FnOnce(Option<u64>) -> Result<Fetched, FetchError>,
-        config: ProxyConfig,
-        state: &Arc<ProxyState>,
-        target: &str,
-    ) -> Response {
-        match self {
-            Work::Request { now } => proxy_get_at(origin, config, state, target, now),
-            Work::Conclude(fetch) => {
-                let (miss, fetched) = *fetch;
-                miss.conclude(&config, state, target, fetched, ShardLock::Wait)
-                    .expect(WAITED)
-            }
-        }
-    }
-}
-
-/// The three cases of the paper's section 1, for a request already
-/// admitted by [`begin_request`], run to the end on the calling thread,
-/// `origin` being the origin exchange (a worker's is
-/// [`fetch_origin_resilient`](crate::fetch::fetch_origin_resilient) over
-/// its upstream connection). May block on origin I/O and backoff sleeps —
-/// never run this on the reactor's event loop.
-pub(crate) fn proxy_get_at(
-    origin: impl FnOnce(Option<u64>) -> Result<Fetched, FetchError>,
-    config: ProxyConfig,
-    state: &Arc<ProxyState>,
-    target: &str,
-    now: u64,
-) -> Response {
-    let miss = match lookup(&config, state, target, now, ShardLock::Wait).expect(WAITED) {
-        // Case 1: consistent copy, serve it.
-        Lookup::Hit {
-            body,
-            last_modified,
-        } => return Response::ok(body, last_modified).with_cache_status(true),
-        Lookup::Miss(miss) => miss,
-    };
-    // Case 3, no copy: in cluster mode, ask the key's owner first — a
-    // `FOUND` serves without touching the origin; `MISS`, timeout, or a
-    // dead peer all fall through to the origin (degrading to single-node
-    // behaviour, never a client-visible error).
-    if miss.expired.is_none() {
-        if let Some(resp) = cluster_peer_lookup(&config, state, target, now) {
-            return resp;
-        }
-    }
-    // Case 2 revalidates with a conditional GET; case 3 asks for the
-    // document.
-    match origin(miss.if_modified_since()) {
-        Ok(fetched) => miss
-            .conclude(&config, state, target, fetched, ShardLock::Wait)
-            .expect(WAITED),
-        Err(e) => match miss.expired {
-            Some((meta, copy)) if config.serve_stale => {
-                // Revalidation failed: serve the expired copy, marked
-                // degraded, rather than surfacing the origin failure
-                // (`stale-if-error`). Freshness is NOT renewed — the next
-                // request past the TTL revalidates again. The policy sees
-                // the reference, but no hit is counted: degraded serves
-                // are reported separately in `stale_serves`.
-                state.counters.stale_serves.add(1);
-                state.counters.bytes_from_cache.add(meta.size);
-                visit(state, target, ShardLock::Wait, |cache, ext| {
-                    let id = bind(cache, ext, &copy);
-                    touch_resident(cache, ext, id, &meta, &copy, now)
-                });
-                state.log_access(config.access_log, now, target, meta.size, "STALE");
-                Response::ok(copy.body, meta.last_modified)
-                    .with_cache_status(true)
-                    .with_degraded()
-            }
-            _ => error_response(&e),
-        },
-    }
-}
-
-/// Ask the owner of `target` for a fresh copy before paying the origin
-/// round trip (cluster mode, case 3). Returns `Some` only for a `FOUND`
-/// answer; every other outcome — we own the key, a healthy `MISS`, a
-/// dead peer, an open peer breaker — returns `None` and the caller
-/// falls through to the origin. A tripped peer breaker declares the
-/// peer dead: membership is bumped without it (re-homing its keys) and
-/// the new epoch broadcast to the survivors.
-fn cluster_peer_lookup(
+/// A cluster peer to ask for `target` before paying the origin round trip
+/// (case 3): its owner, when that is another node whose breaker lets the
+/// query through. The peer breaker gives one bounded attempt, no retries
+/// — the origin is always there as the fallback, so a sick peer must
+/// never add more than one timeout of latency.
+pub(crate) fn peer_to_ask(
     config: &ProxyConfig,
-    state: &Arc<ProxyState>,
+    state: &ProxyState,
     target: &str,
-    now: u64,
-) -> Option<Response> {
+) -> Option<(u32, SocketAddr)> {
     let cluster = state.cluster.as_ref()?;
     let owner = cluster.owner(target);
     if owner == cluster.node_id() {
         return None;
     }
     let addr = cluster.config().addr_of(owner)?;
-    let key = format!("peer#{owner}");
     state.counters.peer_lookups.add(1);
-    // Peer-breaker admission: one bounded attempt, no retries — the
-    // origin is always available as the fallback, so a sick peer must
-    // never add more than one timeout of latency.
     let admission = state.breakers.admit(
-        &key,
+        &peer_key(owner),
         state.now.load(Ordering::SeqCst),
         config.breaker_cooldown,
     );
@@ -396,13 +306,40 @@ fn cluster_peer_lookup(
         state.counters.peer_failures.add(1);
         return None;
     }
-    let query = cluster::Frame::Query {
+    Some((owner, addr))
+}
+
+/// The breaker key of cluster peer `node`.
+fn peer_key(node: u32) -> String {
+    format!("peer#{node}")
+}
+
+/// The `QUERY` frame asking a peer for `target`.
+pub(crate) fn peer_query(cluster: &ClusterState, target: &str) -> Vec<u8> {
+    cluster::encode_frame(&cluster::Frame::Query {
         sender: cluster.node_id(),
         epoch: cluster.epoch(),
         url: target.to_string(),
-    };
-    match cluster::call_peer(addr, &query, cluster.config().peer_timeout) {
-        Ok(cluster::Frame::Found {
+    })
+}
+
+/// Account the peer `owner`'s `reply` to a query for `target`. `Some`
+/// only for a `FOUND`, which is served; every other outcome — a healthy
+/// `MISS`, an error, a timeout — returns `None` and the request goes on
+/// to the origin. A tripped peer breaker declares the peer dead:
+/// membership is bumped without it (re-homing its keys) and the new epoch
+/// broadcast to the survivors.
+pub(crate) fn peer_answered(
+    config: &ProxyConfig,
+    state: &ProxyState,
+    target: &str,
+    now: u64,
+    owner: u32,
+    reply: Option<cluster::Frame>,
+) -> Option<Response> {
+    let key = peer_key(owner);
+    match reply {
+        Some(cluster::Frame::Found {
             last_modified,
             body,
             ..
@@ -415,21 +352,22 @@ fn cluster_peer_lookup(
             state.log_access(config.access_log, now, target, size, "PEER-HIT");
             Some(Response::ok(Bytes::from(body), last_modified).with_cache_status(true))
         }
-        Ok(cluster::Frame::Miss { .. }) => {
+        Some(cluster::Frame::Miss { .. }) => {
             state.breakers.on_success(&key);
             state.counters.peer_misses.add(1);
             None
         }
-        Ok(_) | Err(_) => {
+        _ => {
             state.counters.peer_failures.add(1);
             if state
                 .breakers
                 .on_failure(&key, config.breaker_threshold, now)
             {
                 state.counters.breaker_trips.add(1);
+                let cluster = state.cluster.as_ref()?;
                 if let Some(m) = cluster.remove_peer(owner) {
-                    // Broadcast off the request path: the client's
-                    // response must not wait on peer round trips.
+                    // Broadcast off the event loop: the client's response
+                    // must not wait on peer round trips.
                     let cluster = Arc::clone(cluster);
                     std::thread::spawn(move || cluster.broadcast_membership(&m));
                 }
@@ -495,15 +433,16 @@ fn peer_lookup_local(
     target: &str,
 ) -> Option<(Bytes, Option<u64>)> {
     let now = state.now.load(Ordering::SeqCst);
-    let found = visit(state, target, ShardLock::Wait, |cache, ext| {
+    // A peer connection's own thread: it may wait for the lock.
+    let shard = state.shard_of(target);
+    state.cache.with_shard(shard, |cache, ext| {
         let (id, meta, copy, fresh) = peek(cache, ext, target, config.ttl, now)?;
         if !fresh || meta.size > cluster::MAX_PEER_BODY {
             return None;
         }
         touch_resident(cache, ext, id, &meta, &copy, now);
         Some((copy.body, meta.last_modified))
-    });
-    found.expect(WAITED)
+    })
 }
 
 /// The id this shard has for `copy`'s URL, bound now if it has none: for
@@ -613,7 +552,7 @@ pub(crate) fn install(
     let id = bind(cache, ext, copy);
     let r = &reference(id, now, copy.body.len() as u64, doc_type, last_modified);
     let evicted = match cache.request_with(r, || copy.clone()) {
-        // Same URL and size already cached (another worker fetched it
+        // Same URL and size already cached (another request fetched it
         // meanwhile, or the origin changed it in place): the new copy
         // replaces the old one.
         Outcome::Hit => {

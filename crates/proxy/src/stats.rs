@@ -136,29 +136,14 @@ counters! {
     /// Fetches refused locally because a breaker was open.
     Top breaker_fast_fails;
     /// Expired copies served (degraded) because revalidation failed.
-    Top stale_serves;
-    /// Requests shed with `503` because the worker job queue was full.
-    Top rejected then BreakerEntries, UrlTableEntries;
-    /// Jobs dispatched to the worker pool; hits the event loop served
-    /// inline never count, so idle or slow clients never pin a worker.
-    Top worker_jobs;
-    /// Of those jobs, responses the worker could not finish writing in its
-    /// one non-blocking attempt (a body larger than the socket buffer, a
-    /// slow reader) and handed back to the event loop to drain.
-    Top write_handbacks;
-    /// Misses and revalidations the event loop answered without a worker:
-    /// it found an idle origin connection, ran the exchange under `epoll`
-    /// and stored and wrote the result itself. Not in
-    /// [`ProxyStats::worker_jobs`].
+    Top stale_serves then BreakerEntries, UrlTableEntries;
+    /// Requests concluded with an answer from the origin — misses,
+    /// revalidations and statuses passed through — by the event loop,
+    /// which runs every origin exchange under `epoll`.
     Top inline_fetches;
-    /// Inline attempts the event loop gave up — the origin connection
-    /// failed, stalled or answered `5xx`, or the document's shard was busy
-    /// when the body was in — and handed to a worker, so they are in
-    /// [`ProxyStats::worker_jobs`] too.
-    Top inline_fallbacks;
     /// Connections whose whole request head was read at accept (the
-    /// listener defers each accept until the first bytes are in), answered,
-    /// forwarded or dispatched without ever registering with `epoll`.
+    /// listener defers each accept until the first bytes are in), answered
+    /// or sent on to the origin without ever registering with `epoll`.
     Top read_at_accept;
     /// Responses sent with the client socket's cork taken out first. The
     /// listener corks every socket it accepts, so a response's last bytes
@@ -347,17 +332,18 @@ mod tests {
     #[test]
     fn body_is_the_one_the_counters_were_rendered_into_before_the_table() {
         // What the proxy rendered for these values before its counters
-        // were one table, with one difference: `hit_rate` was
+        // were one table, with two differences: `hit_rate` was
         // (hits + revalidated) / requests = 1.997000, counting the
-        // revalidated hits twice; it is hits / requests = 0.999000.
+        // revalidated hits twice; it is hits / requests = 0.999000. And
+        // the worker pool's four lines left with the pool (DESIGN.md
+        // D40), its gauges now following `stale_serves`.
         const TOP: &str = "{\"requests\":1000,\"hits\":999,\"revalidated\":998,\
             \"misses\":997,\"hit_rate\":0.999000,\"bytes_from_cache\":996,\
             \"bytes_from_origin\":995,\"cached_bytes\":0,\"retries\":994,\
             \"timeouts\":993,\"origin_failures\":992,\"breaker_trips\":991,\
-            \"breaker_fast_fails\":990,\"stale_serves\":989,\"rejected\":988,\
-            \"breaker_entries\":0,\"url_table_entries\":0,\"worker_jobs\":987,\
-            \"write_handbacks\":986,\"inline_fetches\":985,\"inline_fallbacks\":984,\
-            \"read_at_accept\":983,\"uncorked\":982";
+            \"breaker_fast_fails\":990,\"stale_serves\":989,\
+            \"breaker_entries\":0,\"url_table_entries\":0,\"inline_fetches\":988,\
+            \"read_at_accept\":987,\"uncorked\":986";
         assert_eq!(
             body(&counted(false)),
             format!("{TOP},\"persist\":null,\"cluster\":null}}")
@@ -365,13 +351,13 @@ mod tests {
         assert_eq!(
             body(&counted(true)),
             format!(
-                "{TOP},\"persist\":{{\"health\":\"healthy\",\"journal_lost_records\":981,\
-                 \"journal_dropped\":980,\"degraded_transitions\":979,\"heals\":978,\
-                 \"journal_elided\":977,\"journal_bytes\":976,\"snapshot_bytes\":975,\
-                 \"snapshots\":974,\"snapshots_skipped\":973}},\"cluster\":{{\"node_id\":1,\
-                 \"epoch\":0,\"members\":[0,1,2],\"peer_lookups\":972,\"peer_hits\":971,\
-                 \"peer_misses\":970,\"peer_failures\":969,\"peer_served\":968,\
-                 \"epoch_bumps\":967}}}}"
+                "{TOP},\"persist\":{{\"health\":\"healthy\",\"journal_lost_records\":985,\
+                 \"journal_dropped\":984,\"degraded_transitions\":983,\"heals\":982,\
+                 \"journal_elided\":981,\"journal_bytes\":980,\"snapshot_bytes\":979,\
+                 \"snapshots\":978,\"snapshots_skipped\":977}},\"cluster\":{{\"node_id\":1,\
+                 \"epoch\":0,\"members\":[0,1,2],\"peer_lookups\":976,\"peer_hits\":975,\
+                 \"peer_misses\":974,\"peer_failures\":973,\"peer_served\":972,\
+                 \"epoch_bumps\":971}}}}"
             )
         );
     }
@@ -411,17 +397,14 @@ mod tests {
         }
 
         // A mixed exchange through a live proxy: a miss, a hit, a `404`
-        // passed through, a revalidation answered `304`, and a `503` shed
-        // while the one worker waits on the shard lock this test holds.
+        // passed through, a revalidation answered `304`, a miss parked
+        // while this test holds the one shard's lock, and a hit on it.
         let store = Arc::new(DocStore::new());
         for url in ["http://o.test/a.html", "http://o.test/b.html"] {
             store.put_synthetic(url, 1000, 10);
         }
         let origin = OriginServer::start(store).unwrap();
-        let config = ProxyConfig::new(1 << 20)
-            .with_shards(1)
-            .with_workers(1, 1)
-            .with_ttl(2);
+        let config = ProxyConfig::new(1 << 20).with_shards(1).with_ttl(2);
         let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
         let a = "http://o.test/a.html";
         let statuses: Vec<u16> = [a, a, "http://o.test/gone.html", a]
@@ -429,11 +412,6 @@ mod tests {
             .map(|url| get(&proxy, url).status)
             .collect();
         assert_eq!(statuses, [200, 200, 404, 200]);
-        let send = |url: &str| {
-            let mut s = TcpStream::connect(proxy.addr()).unwrap();
-            crate::http::write_request(&mut s, &crate::http::Request::get(url)).unwrap();
-            s
-        };
         let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
             let give_up = Instant::now() + Duration::from_secs(10);
             while !cond() {
@@ -441,27 +419,21 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(2));
             }
         };
-        let jobs = proxy.stats().worker_jobs;
-        let (held, queued, shed) = state_of(&proxy).cache.with_shard(0, |_, _| {
-            let held = send("http://o.test/b.html");
-            wait_for("the worker", &|| proxy.stats().worker_jobs == jobs + 1);
-            let queued = send("http://o.test/b.html");
-            let mut shed = send("http://o.test/c.html");
-            let resp = crate::http::read_response(&mut shed).unwrap();
-            (held, queued, resp.status)
+        let b = "http://o.test/b.html";
+        let requests = proxy.stats().requests;
+        let mut parked = state_of(&proxy).cache.with_shard(0, |_, _| {
+            let mut s = TcpStream::connect(proxy.addr()).unwrap();
+            crate::http::write_request(&mut s, &crate::http::Request::get(b)).unwrap();
+            wait_for("the lookup", &|| proxy.stats().requests == requests + 1);
+            s
         });
-        assert_eq!(shed, 503);
-        for mut s in [held, queued] {
-            assert_eq!(crate::http::read_response(&mut s).unwrap().status, 200);
-        }
+        let resp = crate::http::read_response(&mut parked).unwrap();
+        assert_eq!((resp.status, resp.is_cache_hit()), (200, false));
+        assert!(get(&proxy, b).is_cache_hit());
 
         let json = String::from_utf8(get(&proxy, ADMIN_STATS_TARGET).body.to_vec()).unwrap();
         let s = proxy.stats();
-        assert_eq!(
-            (s.hits, s.revalidated, s.misses, s.rejected),
-            (3, 1, 2, 1),
-            "{json}"
-        );
+        assert_eq!((s.hits, s.revalidated, s.misses), (3, 1, 2), "{json}");
         // A block the proxy does not run is `null`, and its counters zero.
         assert!(
             json.ends_with(",\"persist\":null,\"cluster\":null}"),

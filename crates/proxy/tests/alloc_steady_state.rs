@@ -9,10 +9,10 @@
 //! except on threads that set a thread-local suppress flag. The test
 //! thread (which runs the HTTP client: connects, `Request` building,
 //! response reading — all naturally allocating) suppresses itself, so
-//! the counter sees only proxy-side threads: the reactor event loop and
-//! its workers. During the measured window only the event loop runs
-//! (hits never reach a worker — `worker_jobs` stays flat), so a nonzero
-//! delta is an allocation on the hit path, failing the test.
+//! the counter sees only proxy-side threads: the reactor's one event
+//! loop. During the measured window it serves hits alone (no origin
+//! exchange — `inline_fetches` stays flat), so a nonzero delta is an
+//! allocation on the hit path, failing the test.
 //!
 //! ## Why warmup is deterministic
 //!
@@ -35,10 +35,9 @@
 //! ## Documented miss-path allocations (allowed, outside the window)
 //!
 //! The miss path allocates by design — its cost is the origin round
-//! trip. Specifically: the target `String` copied at dispatch, the job
-//! queue push, the origin fetch's reader, body and `Response`, the
+//! trip. Specifically: the origin fetch's reader, body and `Response`, the
 //! cache insert (shard slab, policy state, URL-table entry for a new
-//! URL), and the completion `Vec` regrowth. All happen before the
+//! URL). All happen before the
 //! measured window opens and are why the warmup does one miss first.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -105,7 +104,7 @@ fn warmed_reactor_serves_hits_without_allocating() {
     let store = Arc::new(DocStore::new());
     store.put_synthetic("http://o.test/hot.html", 4096, 10);
     let origin = OriginServer::start(store).unwrap();
-    let config = ProxyConfig::new(1 << 20).with_workers(1, 8);
+    let config = ProxyConfig::new(1 << 20);
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
 
     // One miss populates the cache (all its allocations are allowed and
@@ -122,7 +121,7 @@ fn warmed_reactor_serves_hits_without_allocating() {
         assert!(r.is_cache_hit());
         assert_eq!(r.body.len(), 4096);
     }
-    let jobs_before = proxy.stats().worker_jobs;
+    let fetches_before = proxy.stats().inline_fetches;
     let read_before = proxy.stats().read_at_accept;
 
     let before = ALLOCS.load(Ordering::SeqCst);
@@ -134,9 +133,9 @@ fn warmed_reactor_serves_hits_without_allocating() {
     let delta = ALLOCS.load(Ordering::SeqCst) - before;
 
     assert_eq!(
-        proxy.stats().worker_jobs,
-        jobs_before,
-        "a measured hit reached a worker — the fast path declined"
+        proxy.stats().inline_fetches,
+        fetches_before,
+        "a measured hit went to the origin — the fast path declined"
     );
     // Each request is one write and the listener defers the accept until
     // it is in, so every measured hit took the read-at-accept path.

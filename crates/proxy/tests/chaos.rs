@@ -31,8 +31,6 @@ fn spawn(origin: SocketAddr, dir: &TempDir, capacity: u64, extra: &[&str]) -> Ch
         &capacity,
         "--shards",
         "2",
-        "--workers",
-        "4",
         "--persist-dir",
         &dir,
         "--snapshot-interval",
@@ -116,7 +114,7 @@ fn degraded_but_up_under_origin_disk_and_overload_faults_then_warm_restart() {
     let (addr, stop) = (p.addr, &AtomicBool::new(false));
     let (chaos_goodput, chaos_hit_rate) = std::thread::scope(|scope| {
         // The overload: four clients dribbling requests a byte every 2 ms
-        // (they pin buffers in the proxy, never workers).
+        // (they pin buffers in the proxy, never a thread).
         let (slow_url, pace) = (urls[0], Duration::from_millis(2));
         for _ in 0..4 {
             scope.spawn(move || {

@@ -52,7 +52,6 @@ fn values_the_proxy_cannot_run_with_are_usage_errors() {
     for bad in [
         &["--shards", "3"][..],
         &["--shards", "0"],
-        &["--workers", "0"],
         &["--capacity", "0"],
         &["--capacity", "7", "--shards", "8"],
         &["--iofault", "seed=7,append=1.0"],

@@ -59,9 +59,7 @@ fn start_cluster(origin: SocketAddr, n: u32, breaker_threshold: u32) -> Vec<Prox
     let seed_list: Vec<(u32, SocketAddr)> = (0..n).map(|i| (i, peers[i as usize])).collect();
     (0..n)
         .map(|i| {
-            let config = ProxyConfig::new(200_000)
-                .with_breaker(breaker_threshold, 10_000)
-                .with_workers(2, 16);
+            let config = ProxyConfig::new(200_000).with_breaker(breaker_threshold, 10_000);
             ProxyServer::start_clustered(
                 origin,
                 config,
@@ -276,8 +274,6 @@ fn spawn_ring(origin: SocketAddr, n: u32, capacity_per_node: u64) -> Vec<ChildPr
                 &capacity_per_node.to_string(),
                 "--shards",
                 "2",
-                "--workers",
-                "4",
                 "--policy",
                 "lru",
                 "--cluster-seed-list",

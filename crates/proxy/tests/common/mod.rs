@@ -122,6 +122,15 @@ impl ChildProxy {
         Duration::from_millis(ticks * 10)
     }
 
+    /// How many threads the child runs: `Threads` of `/proc/<pid>/status`.
+    pub fn threads(&self) -> usize {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", self.child.id()))
+            .expect("read /proc/<pid>/status");
+        let line = status.lines().find_map(|l| l.strip_prefix("Threads:"));
+        line.and_then(|n| n.trim().parse().ok())
+            .expect("status has a thread count")
+    }
+
     /// How many descriptors the child has open.
     pub fn open_fds(&self) -> usize {
         std::fs::read_dir(format!("/proc/{}/fd", self.child.id()))

@@ -393,11 +393,11 @@ fn slow_body_degrades_latency_but_never_correctness() {
     assert_eq!(s.stale_serves, 0);
 }
 
-/// The same sustained-slow origin, watched from the event loop: the
-/// dribbled upstream read happens on a dispatched worker job, so the
-/// event loop keeps accepting and serving other clients at full speed
-/// while a miss dribbles in — and the slowed body still arrives
-/// complete and byte-correct.
+/// The same sustained-slow origin, watched from the event loop: the loop
+/// reads the dribbled upstream body as it arrives and never waits on it,
+/// so it keeps accepting and serving other clients at full speed while
+/// a miss dribbles in — and the slowed body still arrives complete and
+/// byte-correct.
 #[test]
 fn slow_body_leaves_the_event_loop_responsive() {
     let plan = FaultPlan::new(29).slow_body(1.0, Duration::from_millis(60));
@@ -425,7 +425,7 @@ fn slow_body_leaves_the_event_loop_responsive() {
         "miss did not pay the dribble window ({miss_latency:?})"
     );
 
-    // While a second document's slow miss is in flight on a worker, the
+    // While a second document's slow miss is in flight, the
     // already-cached document must still be served promptly: the
     // reactor's event loop is not pinned by the dribbling upstream.
     let handle = {
@@ -436,7 +436,7 @@ fn slow_body_leaves_the_event_loop_responsive() {
             http::read_response(&mut s).expect("recv")
         })
     };
-    std::thread::sleep(Duration::from_millis(10)); // let the miss dispatch
+    std::thread::sleep(Duration::from_millis(10)); // let the miss go out
     let t1 = std::time::Instant::now();
     let hit = get(&proxy, "http://o.test/a.html");
     let hit_latency = t1.elapsed();

@@ -1,7 +1,11 @@
-//! Hostile-input battery for [`webcache_proxy::cluster::read_frame`], the
-//! decoder every byte a cluster peer sends goes through. Over generated
-//! frames and arbitrary bytes, read whole or a few bytes per call as a
-//! socket may deliver them:
+//! Hostile-input battery for the cluster frame readers every byte a peer
+//! sends goes through: the blocking [`webcache_proxy::cluster::read_frame`]
+//! and the event loop's resumable [`FrameReader`], one length-prefix
+//! framing and one payload decoder under both. Over generated frames and
+//! arbitrary bytes, read whole or a few bytes per call as a socket may
+//! deliver them — to the resumable reader with the socket running dry
+//! (`WouldBlock`) between every two deliveries — both readers give the
+//! same result, and:
 //!
 //! * every frame round-trips through [`encode_frame`], and a stream of
 //!   frames reads back frame by frame;
@@ -20,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read};
-use webcache_proxy::cluster::{encode_frame, read_frame, Frame, MAX_FRAME};
+use webcache_proxy::cluster::{encode_frame, read_frame, Frame, FrameReader, MAX_FRAME};
 
 // -----------------------------------------------------------------------
 // Largest single allocation per thread.
@@ -57,14 +61,23 @@ static GLOBAL: PeakAllocator = PeakAllocator;
 
 // -----------------------------------------------------------------------
 
-/// A reader that hands out at most `step` bytes per call.
+/// A reader that hands out at most `step` bytes per call, and when `dry`,
+/// fails with `WouldBlock` before each delivery, as a non-blocking socket
+/// whose peer sends a little at a time.
 struct Trickle<'a> {
     rest: &'a [u8],
     step: usize,
+    dry: Option<bool>,
 }
 
 impl Read for Trickle<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if let Some(dry) = &mut self.dry {
+            *dry = !*dry;
+            if *dry {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+        }
         let n = buf.len().min(self.step).min(self.rest.len());
         buf[..n].copy_from_slice(&self.rest[..n]);
         self.rest = &self.rest[n..];
@@ -75,8 +88,31 @@ impl Read for Trickle<'_> {
 /// One `read_frame` over `wire` delivered `step` bytes per read: the
 /// frame or the kind of error, and how many bytes it consumed.
 fn decode(wire: &[u8], step: usize) -> (Result<Frame, ErrorKind>, usize) {
-    let mut r = Trickle { rest: wire, step };
+    let mut r = Trickle {
+        rest: wire,
+        step,
+        dry: None,
+    };
     let got = read_frame(&mut r).map_err(|e| e.kind());
+    (got, wire.len() - r.rest.len())
+}
+
+/// [`decode`] through one [`FrameReader`], resumed after every
+/// `WouldBlock` until it has the frame or an error.
+fn resume(wire: &[u8], step: usize) -> (Result<Frame, ErrorKind>, usize) {
+    let mut r = Trickle {
+        rest: wire,
+        step,
+        dry: Some(false),
+    };
+    let mut reader = FrameReader::default();
+    let got = loop {
+        match reader.resume(&mut r) {
+            Ok(Some(frame)) => break Ok(frame),
+            Ok(None) => {}
+            Err(e) => break Err(e.kind()),
+        }
+    };
     (got, wire.len() - r.rest.len())
 }
 
@@ -135,11 +171,13 @@ fn frame() -> impl Strategy<Value = Frame> {
         )
 }
 
-/// The same result, read whole and a few bytes at a time.
+/// The same result from both readers, read whole and a few bytes at a
+/// time.
 fn decode_every_way(wire: &[u8]) -> Result<(Result<Frame, ErrorKind>, usize), TestCaseError> {
     let whole = decode(wire, usize::MAX);
-    for step in [1, 3, 4096] {
+    for step in [1, 3, 4096, usize::MAX] {
         prop_assert_eq!(&decode(wire, step), &whole);
+        prop_assert_eq!(&resume(wire, step), &whole);
     }
     Ok(whole)
 }
@@ -157,7 +195,11 @@ proptest! {
         // Bytes past a frame's length prefix belong to the next frame.
         let mut stream = wire.clone();
         stream.extend_from_slice(&encode_frame(&second));
-        let mut r = Trickle { rest: &stream, step: 5 };
+        let mut r = Trickle {
+            rest: &stream,
+            step: 5,
+            dry: None,
+        };
         prop_assert_eq!(read_frame(&mut r).ok(), Some(first));
         prop_assert_eq!(read_frame(&mut r).ok(), Some(second));
         prop_assert!(r.rest.is_empty());
@@ -310,9 +352,11 @@ proptest! {
     fn the_largest_allocation_follows_the_bytes_received(wire in overpromise()) {
         // The reader's own read-ahead, reserved on any length prefix.
         const READ_AHEAD: usize = 4096;
-        for step in [1, usize::MAX] {
+        for (step, reader) in [1, usize::MAX].into_iter().flat_map(|step| {
+            [(step, decode as fn(&[u8], usize) -> _), (step, resume)]
+        }) {
             PEAK.with(|p| p.set(0));
-            let (got, _) = decode(&wire, step);
+            let (got, _) = reader(&wire, step);
             let peak = PEAK.with(Cell::get);
             prop_assert!(
                 peak <= 2 * wire.len().max(READ_AHEAD),

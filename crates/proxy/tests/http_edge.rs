@@ -1,7 +1,7 @@
 //! HTTP edge-case behaviour at the proxy boundary: pipelined bytes,
 //! oversized request lines, and clients that stall mid-request. The
 //! proxy must answer each with a clean status — never a panic, an
-//! unbounded buffer, or a wedged worker.
+//! unbounded buffer, or a wedged event loop.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -76,13 +76,13 @@ fn read_timeout_mid_header_gets_504() {
     let (_origin, proxy) = setup(Duration::from_millis(200));
     let mut s = TcpStream::connect(proxy.addr()).unwrap();
     // Send a request line and half a header, then stall past the read
-    // timeout. The worker must give up with 504 instead of pinning
-    // itself on the dead client.
+    // timeout. The proxy must give up with 504 instead of holding the
+    // connection for the dead client.
     s.write_all(b"GET http://o.test/a.html HTTP/1.0\r\nX-Half: ")
         .unwrap();
     let resp = read_full_response(&mut s);
     assert_eq!(resp.status, 504, "stalled client must time out with 504");
-    // The worker is free again afterwards.
+    // The proxy serves the next client as before.
     let mut s = TcpStream::connect(proxy.addr()).unwrap();
     http::write_request(&mut s, &Request::get("http://o.test/a.html")).unwrap();
     assert_eq!(read_full_response(&mut s).status, 200);

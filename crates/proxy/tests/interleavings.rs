@@ -1,7 +1,7 @@
 //! The interleavings a running proxy leaves to the clock, chosen one by
 //! one through the socketless driver (DESIGN.md D36): two misses for one
-//! URL in flight at once, a conclusion refused because another thread
-//! holds the shard, and a revalidation the origin fails. Each case
+//! URL in flight at once, a lookup and a conclusion parked because
+//! another thread holds the shard, and a revalidation the origin fails. Each case
 //! journals, and ends by draining every shard into a journal file and
 //! recovering it into a cold driver, which must hold what the live one
 //! holds.
@@ -108,23 +108,26 @@ fn two_misses_for_one_url_both_count_and_the_later_copy_stays() {
 }
 
 /// A conclusion tried while another thread holds the shard gives
-/// everything back, uncounted and unstored; a worker then concludes it,
-/// waiting for the lock, without asking the origin again. A request
-/// begun while the shard is held goes to a worker whole, at its tick.
+/// everything back, uncounted and unstored, parked with the answer; the
+/// loop's retry once the shard is free concludes it without asking the
+/// origin again. A request begun while the shard is held is parked before
+/// its lookup, at its tick.
 #[test]
-fn a_conclusion_refused_under_try_is_finished_by_a_worker() {
+fn a_conclusion_refused_under_try_is_parked_and_retried() {
     let config = ProxyConfig::new(100_000);
     let live = driver(config);
     let miss = begin_miss(&live, URL);
     let before = live.stats();
     let (refused, queued) = live.holding(URL, || {
         let refused = live.conclude(miss, ok("hello", None).expect("ok"));
+        let Err(refused) = refused else {
+            panic!("concluded while the shard was held")
+        };
+        // Retried while the shard is still held, it parks again.
+        let refused = live.retry(refused).expect_err("the shard is held");
         let queued = live.begin("http://mix.test/b.html");
         (refused, queued)
     });
-    let Err(refused) = refused else {
-        panic!("concluded while the shard was held")
-    };
     let stats = live.stats();
     assert_eq!(
         (stats.misses, stats.hits, stats.bytes_from_origin),
@@ -137,18 +140,18 @@ fn a_conclusion_refused_under_try_is_finished_by_a_worker() {
     );
     assert!(live.shards()[0].0.is_empty(), "nothing stored");
     assert!(live.drain(0).is_empty(), "nothing journaled");
-    // The refused conclusion is retried as it stands.
-    let refused = live.conclude(refused, ok("ignored", None).expect("ok"));
-    let refused = refused.expect_err("a worker's work stays a worker's");
-    let served = live.finish(refused, |_| panic!("the body rode along"));
+    // The refused conclusion is retried as it stands: the body rode
+    // along.
+    let served = live.retry(refused).expect("the shard is free");
     assert_eq!((served.status, &served.body[..]), (200, &b"hello"[..]));
     let Err(queued) = queued else {
         panic!("begun while the shard was held, and answered")
     };
-    let served = live.finish(queued, |since| {
-        assert_eq!(since, None);
-        ok("world", None)
-    });
+    // The parked lookup finds no copy: a miss, to fetch.
+    let queued = live.retry(queued).expect_err("not resident");
+    assert_eq!(queued.if_modified_since(), None);
+    let served = live.conclude(queued, ok("world", None).expect("ok"));
+    let served = served.expect("the shard is free");
     assert_eq!((served.status, served.is_cache_hit()), (200, false));
     let stats = live.stats();
     assert_eq!((stats.requests, stats.misses, stats.hits), (2, 2, 0));
@@ -156,9 +159,9 @@ fn a_conclusion_refused_under_try_is_finished_by_a_worker() {
     recovers_to_itself(&live, config);
 }
 
-/// An expired copy whose revalidation fails, on a worker and — a `5xx`
-/// to the loop's own exchange being redone on a worker — from the loop.
-/// With serve-stale the copy is served degraded and counted in
+/// An expired copy whose revalidation fails, through a whole request and
+/// through the loop's steps — a fetch begun, then failed. With
+/// serve-stale the copy is served degraded and counted in
 /// `stale_serves`, not as a hit; without, the failure is the client's.
 #[test]
 fn a_failed_revalidation_serves_stale_or_fails() {
@@ -178,15 +181,8 @@ fn a_failed_revalidation_serves_stale_or_fails() {
                 };
                 let served = if on_loop {
                     let miss = begin_miss(&live, URL);
-                    let answer = Fetched {
-                        status: 503,
-                        last_modified: None,
-                        body: Default::default(),
-                    };
-                    let redo = live
-                        .conclude(miss, answer)
-                        .expect_err("a 5xx goes to a worker");
-                    live.finish(redo, fail)
+                    let e = fail(miss.if_modified_since()).expect_err("a failure");
+                    live.fail(miss, e).expect("no shard is held")
                 } else {
                     live.request(URL, fail)
                 };

@@ -8,9 +8,9 @@
 //! segments without payload it received. Against a plain accept-write-close
 //! responder sending the same bytes, whose data has all left by the time it
 //! closes, the proxy's count must be one lower — the bare FIN — on every
-//! path that ends a connection: a hit read at accept, an inline miss, a
-//! miss a worker writes, and a body too big for the socket that the event
-//! loop drains under `EPOLLOUT`.
+//! path that ends a connection: a hit read at accept, a miss on a kept
+//! origin connection, a miss on a fresh one, and a body too big for the
+//! socket that the event loop drains under `EPOLLOUT`.
 //!
 //! Closing a socket over unread client bytes resets it, and a reset throws
 //! away whatever the cork still held. So the proxy uncorks first wherever
@@ -24,6 +24,7 @@ mod common;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webcache_core::policy::named;
@@ -133,7 +134,7 @@ fn origin_with(docs: &[(&str, u64)]) -> OriginServer {
 }
 
 fn proxy_for(origin: &OriginServer) -> ProxyServer {
-    let config = ProxyConfig::new(64 << 20).with_workers(1, 4);
+    let config = ProxyConfig::new(64 << 20);
     ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap()
 }
 
@@ -141,16 +142,13 @@ const A: &str = "http://o.test/a.html";
 const B: &str = "http://o.test/b.html";
 
 #[test]
-fn a_worker_written_miss_leaves_with_its_fin() {
+fn a_miss_on_a_fresh_origin_connection_leaves_with_its_fin() {
     let origin = origin_with(&[(A, 1000)]);
     let proxy = proxy_for(&origin);
-    // No idle origin connection yet: a worker fetches and writes it.
+    // No idle origin connection yet: the loop connects one.
     let resp = get_in_one_last_segment(&proxy, A);
     assert_eq!((resp.status, resp.is_cache_hit()), (200, false));
-    assert_eq!(
-        (proxy.stats().worker_jobs, proxy.stats().write_handbacks),
-        (1, 0)
-    );
+    assert_eq!(origin.stats().connections.load(Ordering::Relaxed), 1);
     assert_eq!(proxy.stats().uncorked, 0);
 }
 
@@ -159,13 +157,11 @@ fn an_inline_miss_leaves_with_its_fin() {
     let origin = origin_with(&[(A, 1000), (B, 3000)]);
     let proxy = proxy_for(&origin);
     assert_eq!(common::get(proxy.addr(), A), Some(false));
-    // The worker left its origin connection idle: the loop runs this one.
+    // The first miss left its origin connection idle: this one reuses it.
     let resp = get_in_one_last_segment(&proxy, B);
     assert_eq!((resp.status, resp.is_cache_hit()), (200, false));
-    assert_eq!(
-        (proxy.stats().worker_jobs, proxy.stats().inline_fetches),
-        (1, 1)
-    );
+    assert_eq!(proxy.stats().inline_fetches, 2);
+    assert_eq!(origin.stats().connections.load(Ordering::Relaxed), 1);
     assert_eq!(proxy.stats().uncorked, 0);
 }
 
@@ -178,7 +174,10 @@ fn a_hit_read_at_accept_leaves_with_its_fin() {
     let resp = get_in_one_last_segment(&proxy, A);
     assert!(resp.is_cache_hit());
     assert_eq!(proxy.stats().read_at_accept, read + 1);
-    assert_eq!((proxy.stats().worker_jobs, proxy.stats().uncorked), (1, 0));
+    assert_eq!(
+        (proxy.stats().inline_fetches, proxy.stats().uncorked),
+        (1, 0)
+    );
 }
 
 #[test]
@@ -187,13 +186,13 @@ fn a_body_drained_under_epollout_leaves_with_its_fin() {
     const BIG_URL: &str = "http://o.test/big.bin";
     let origin = origin_with(&[(BIG_URL, BIG)]);
     let proxy = proxy_for(&origin);
-    // Read nothing until the worker has found the socket full and handed
-    // the rest to the event loop.
+    // Read nothing until the loop has the whole body and has found the
+    // socket full.
     let mut s = TcpStream::connect(proxy.addr()).unwrap();
     http::write_request(&mut s, &Request::get(BIG_URL)).unwrap();
     let give_up = Instant::now() + Duration::from_secs(10);
-    while proxy.stats().write_handbacks == 0 {
-        assert!(Instant::now() < give_up, "no hand-back");
+    while proxy.stats().misses == 0 {
+        assert!(Instant::now() < give_up, "no answer from the origin");
         std::thread::sleep(Duration::from_millis(2));
     }
     // A tail still queued behind the receive window when the proxy closes
@@ -202,10 +201,7 @@ fn a_body_drained_under_epollout_leaves_with_its_fin() {
     s.read_to_end(&mut wire).unwrap();
     let resp = assert_fin_rode_with_the_data(BIG_URL, &wire, dataless_segments_in(&s));
     assert!(resp.body == http::synthetic_body(BIG_URL, BIG));
-    assert_eq!(
-        (proxy.stats().write_handbacks, proxy.stats().uncorked),
-        (1, 0)
-    );
+    assert_eq!(proxy.stats().uncorked, 0);
 }
 
 /// Everything the proxy sends on `s` before it closes or resets the

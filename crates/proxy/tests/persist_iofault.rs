@@ -51,7 +51,7 @@ fn test_origin(n: usize) -> (OriginServer, Vec<String>) {
 }
 
 fn proxy_config() -> ProxyConfig {
-    ProxyConfig::new(1 << 22).with_shards(4).with_workers(4, 32)
+    ProxyConfig::new(1 << 22).with_shards(4)
 }
 
 fn start(origin: SocketAddr, pcfg: PersistConfig) -> ProxyServer {

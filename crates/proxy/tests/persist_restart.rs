@@ -63,8 +63,6 @@ fn kill_and_restart(tag: &str, capacity: u64, snapshot_ms: u64, fsync_ms: u64, s
             &capacity.to_string(),
             "--shards",
             "4",
-            "--workers",
-            "4",
             "--persist-dir",
             &dir.arg(),
             "--snapshot-interval",

@@ -1,28 +1,29 @@
-//! Reactor integration tests: slow and idle clients must never occupy a
-//! worker thread, fragmented requests must parse across many readiness
-//! events, stalled clients must time out with `504`, dispatch overload
-//! must shed with `503`, and a fixed exchange must keep its golden
-//! statuses and counters. A dispatched connection belongs to its worker:
-//! the worker writes the response and closes the socket, and hands back
-//! to the event loop only what the socket would not take. A miss that
-//! finds an idle origin connection never leaves the event loop: the loop
-//! runs the exchange without blocking on it, answers with the bytes and
-//! counters a worker would have produced, and leaks neither socket when
-//! the client or the origin goes away mid-exchange. And a replay of the
-//! paper's workload beside clients that dribble their requests sees no
-//! error on either side. A request that is whole when its connection is
-//! accepted is read and answered at accept, one that is not waits for the
-//! rest, and a client that sends nothing is accepted only when the
-//! kernel's deferral lapses; out of descriptors, the event loop waits for
-//! one instead of spinning on its listener. Each listener wake-up takes
-//! one connection, yet a queue of connections strands none; and a kept
-//! origin socket the origin closes while it idles in the pool never wakes
-//! the loop.
+//! Reactor integration tests: one event loop serves every request, so
+//! slow and idle clients must never hold it up, fragmented requests must
+//! parse across many readiness events, stalled clients must time out with
+//! `504`, concurrent misses to a slow origin must all be served at once,
+//! a miss backing off between attempts must not delay a hit, and a fixed
+//! exchange must keep its golden statuses and counters. The loop runs
+//! every origin exchange without blocking on it — on a kept connection or
+//! a fresh one, with the same bytes on the wire either way — and leaks
+//! no socket when the client or the origin goes away mid-exchange, mid
+//! connect or mid backoff. A body larger than the client's socket is
+//! drained under `EPOLLOUT`. And a replay of the paper's workload beside
+//! clients that dribble their requests sees no error on either side. A
+//! request that is whole when its connection is accepted is read and
+//! answered at accept, one that is not waits for the rest, and a client
+//! that sends nothing is accepted only when the kernel's deferral lapses;
+//! out of descriptors, the event loop waits for one instead of spinning
+//! on its listener. Each listener wake-up takes one connection, yet a
+//! queue of connections strands none; a kept origin socket the origin
+//! closes while it idles in the pool never wakes the loop; and the proxy
+//! runs on two threads, `main` and the loop.
 
 mod common;
 
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -74,13 +75,12 @@ fn origin_with_a_big_doc() -> OriginServer {
     OriginServer::start(store).unwrap()
 }
 
-/// Send a miss for [`BIG_URL`] and read nothing until the one worker has
-/// made its write attempt, found the socket full and handed the
-/// connection back to the event loop.
-fn big_miss_handed_back(proxy: &ProxyServer) -> TcpStream {
+/// Send a miss for [`BIG_URL`] and read nothing until the event loop has
+/// the whole body and has found the socket full.
+fn big_miss_unread(proxy: &ProxyServer) -> TcpStream {
     let mut s = TcpStream::connect(proxy.addr()).unwrap();
     http::write_request(&mut s, &Request::get(BIG_URL)).unwrap();
-    wait_for("the hand-back", || proxy.stats().write_handbacks == 1);
+    wait_for("the origin's answer", || proxy.stats().misses == 1);
     s
 }
 
@@ -250,36 +250,28 @@ fn moody_serve(
 }
 
 #[test]
-fn idle_connections_never_occupy_a_worker() {
+fn idle_connections_never_hold_up_the_event_loop() {
     let origin = origin_with_docs();
-    let config = ProxyConfig::new(100_000).with_workers(2, 8);
+    let config = ProxyConfig::new(100_000);
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
 
     // Fifty connections that send nothing: a thread per connection
-    // would pin 50 worker slots; here they must pin zero.
+    // would pin 50 threads; here they are 50 idle slots, no request.
     let loris: Vec<TcpStream> = (0..50)
         .map(|_| TcpStream::connect(proxy.addr()).unwrap())
         .collect();
     std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(
-        proxy.stats().worker_jobs,
-        0,
-        "idle connections reached a worker"
-    );
+    assert_eq!(proxy.stats().requests, 0, "an idle connection was served");
 
     // Real traffic flows around them immediately.
     let r = get(&proxy, "http://o.test/a.html");
     assert_eq!(r.status, 200);
-    assert_eq!(proxy.stats().worker_jobs, 1, "one miss, one worker job");
+    assert_eq!(proxy.stats().inline_fetches, 1, "one miss, one exchange");
 
-    // A fresh cache hit is served inline on the event loop: no new job.
+    // A fresh cache hit is served inline: no origin exchange.
     let r = get(&proxy, "http://o.test/a.html");
     assert!(r.is_cache_hit());
-    assert_eq!(
-        proxy.stats().worker_jobs,
-        1,
-        "fast-path hit dispatched a job"
-    );
+    assert_eq!(proxy.stats().inline_fetches, 1, "a hit went to the origin");
     assert_eq!(proxy.stats().hits, 1);
     drop(loris);
 }
@@ -307,9 +299,8 @@ fn fragmented_request_parses_across_readiness_events() {
 #[test]
 fn stalled_mid_request_client_gets_504_without_blocking_others() {
     let origin = origin_with_docs();
-    let config = ProxyConfig::new(100_000)
-        .with_workers(1, 4)
-        .with_timeouts(Duration::from_secs(1), Duration::from_millis(200));
+    let config =
+        ProxyConfig::new(100_000).with_timeouts(Duration::from_secs(1), Duration::from_millis(200));
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
 
     // Send half a request line and stall.
@@ -317,8 +308,7 @@ fn stalled_mid_request_client_gets_504_without_blocking_others() {
     stalled.write_all(b"GET http://o.te").unwrap();
 
     // Other clients are served while the stalled one waits out its
-    // deadline — with only one worker, which the stalled client must
-    // therefore not hold.
+    // deadline on the same one thread.
     let r = get(&proxy, "http://o.test/b.gif");
     assert_eq!(r.status, 200);
 
@@ -331,18 +321,17 @@ fn stalled_mid_request_client_gets_504_without_blocking_others() {
         "stalled client must get the timeout status"
     );
     assert_eq!(
-        proxy.stats().worker_jobs,
-        1,
-        "the stall never reached a worker"
+        (proxy.stats().requests, proxy.stats().misses),
+        (1, 1),
+        "the stall was counted as a request"
     );
 }
 
 #[test]
 fn slow_but_live_clients_complete_within_the_deadline() {
     let origin = origin_with_docs();
-    let config = ProxyConfig::new(100_000)
-        .with_workers(1, 4)
-        .with_timeouts(Duration::from_secs(1), Duration::from_millis(400));
+    let config =
+        ProxyConfig::new(100_000).with_timeouts(Duration::from_secs(1), Duration::from_millis(400));
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
 
     // Dribble the request a few bytes at a time: each write lands well
@@ -368,7 +357,6 @@ fn trace_replay_beside_slow_clients_sees_no_error_on_either_side() {
     let origin = OriginServer::start(common::seed_origin(&trace)).unwrap();
     let config = ProxyConfig::new(common::quarter_capacity(&trace))
         .with_shards(2)
-        .with_workers(4, 64)
         .with_timeouts(Duration::from_secs(1), Duration::from_millis(300));
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
     let (addr, urls) = (proxy.addr(), common::urls(&trace));
@@ -422,31 +410,23 @@ fn trace_replay_beside_slow_clients_sees_no_error_on_either_side() {
 }
 
 #[test]
-fn dispatch_overload_sheds_with_503() {
-    // A delaying origin makes every miss hold its worker; with one
-    // worker and a one-deep job queue, concurrent misses beyond two
-    // must be refused at dispatch with `503`.
+fn concurrent_misses_to_a_slow_origin_are_all_served_at_once() {
+    // A delaying origin holds every exchange 400 ms. Four misses arrive
+    // within that: none is shed, and all four are in flight together, so
+    // the last is answered long before four delays have passed.
+    const DELAY: Duration = Duration::from_millis(400);
     let origin = origin_with_docs();
-    let slow = FaultyOrigin::start(
-        origin.addr(),
-        FaultPlan::new(7).delay(1.0, Duration::from_millis(400)),
-    )
-    .unwrap();
+    let slow = FaultyOrigin::start(origin.addr(), FaultPlan::new(7).delay(1.0, DELAY)).unwrap();
     let config = ProxyConfig::new(100_000)
-        .with_workers(1, 1)
         .with_retries(0, Duration::from_millis(1))
         .with_timeouts(Duration::from_secs(2), Duration::from_secs(2));
     let proxy = ProxyServer::start(slow.addr(), config, || Box::new(named::lru())).unwrap();
 
+    let started = Instant::now();
     let handles: Vec<_> = (0..4)
         .map(|i| {
             let addr = proxy.addr();
             std::thread::spawn(move || {
-                // Stagger arrivals well inside the 400 ms origin delay:
-                // request 0 must reach the worker (and request 1 the
-                // queue) before 2 and 3 arrive, otherwise all four can
-                // land in one epoll batch before the worker wakes and
-                // three get shed instead of two (a long-standing flake).
                 std::thread::sleep(Duration::from_millis(60 * i));
                 let mut s = TcpStream::connect(addr).unwrap();
                 let url = format!("http://o.test/doc{i}.html");
@@ -456,10 +436,61 @@ fn dispatch_overload_sheds_with_503() {
         })
         .collect();
     let statuses: Vec<u16> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let shed = statuses.iter().filter(|&&s| s == 503).count();
-    assert!(shed >= 1, "no request was shed at dispatch: {statuses:?}");
-    assert!(shed <= 2, "over-shedding: {statuses:?}");
-    assert_eq!(proxy.stats().rejected as usize, shed);
+    assert_eq!(statuses, [404; 4], "every miss reached the origin");
+    assert_eq!(slow.connections(), 4);
+    let took = started.elapsed();
+    assert!(took < 4 * DELAY, "served one at a time: {took:?}");
+}
+
+/// While a miss waits out its backoff between two attempts, the loop is
+/// free: a hit asked for once the first attempt failed is answered before
+/// the retry reaches the origin, and the miss after it.
+#[test]
+fn a_hit_is_answered_while_a_miss_backs_off() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let origin_addr = listener.local_addr().unwrap();
+    let (events, order) = channel();
+    let origin = {
+        let events = events.clone();
+        std::thread::spawn(move || {
+            for (nth, conn) in listener.incoming().take(3).enumerate() {
+                let mut stream = conn.unwrap();
+                match nth {
+                    // The miss's first attempt: closed unanswered.
+                    1 => continue,
+                    2 => events.send("retry").unwrap(),
+                    _ => {}
+                }
+                let req = http::read_request(&mut stream).unwrap();
+                let body = http::synthetic_body(&req.target, 500);
+                http::write_response(&mut stream, &Response::ok(body, Some(10))).unwrap();
+            }
+        })
+    };
+    let config = ProxyConfig::new(100_000).with_retries(1, Duration::from_millis(300));
+    let proxy = ProxyServer::start(origin_addr, config, || Box::new(named::lru())).unwrap();
+    assert_eq!(get(&proxy, "http://o.test/a.html").status, 200);
+
+    let miss = {
+        let (addr, events) = (proxy.addr(), events.clone());
+        std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            http::write_request(&mut s, &Request::get("http://o.test/b.gif")).unwrap();
+            assert_eq!(http::read_response(&mut s).unwrap().status, 200);
+            events.send("miss").unwrap();
+        })
+    };
+    wait_for("the first attempt to fail", || proxy.stats().retries == 1);
+    assert!(get(&proxy, "http://o.test/a.html").is_cache_hit());
+    events.send("hit").unwrap();
+    miss.join().unwrap();
+    origin.join().unwrap();
+    let order: Vec<&str> = order.try_iter().collect();
+    assert_eq!(order, ["hit", "retry", "miss"]);
+    assert_eq!(
+        (proxy.stats().retries, proxy.stats().origin_failures),
+        (1, 0)
+    );
 }
 
 #[test]
@@ -510,7 +541,7 @@ fn fixed_exchange_keeps_its_golden_statuses_and_counters() {
 }
 
 #[test]
-fn small_miss_is_written_and_closed_by_its_worker() {
+fn small_miss_is_written_and_closed_at_once() {
     let origin = origin_with_docs();
     let proxy = ProxyServer::start(origin.addr(), ProxyConfig::new(100_000), || {
         Box::new(named::lru())
@@ -520,65 +551,50 @@ fn small_miss_is_written_and_closed_by_its_worker() {
     assert_eq!(r.status, 200);
     assert!(!r.is_cache_hit());
     assert_eq!(r.body, http::synthetic_body("http://o.test/c.au", 6000));
-    // The socket took the whole response, so nothing crossed back to
-    // the event loop — and an operator can read that off the endpoint.
-    assert_eq!(
-        (proxy.stats().worker_jobs, proxy.stats().write_handbacks),
-        (1, 0)
-    );
+    // One origin exchange, and an operator can read that off the
+    // endpoint.
+    assert_eq!(proxy.stats().inline_fetches, 1);
     let json = stats_json(&proxy);
-    assert!(
-        json.contains("\"worker_jobs\":1,\"write_handbacks\":0"),
-        "{json}"
-    );
+    assert!(json.contains("\"inline_fetches\":1,"), "{json}");
 }
 
 #[test]
 fn body_larger_than_the_socket_is_finished_by_the_event_loop() {
     let origin = origin_with_a_big_doc();
-    let config = ProxyConfig::new(100_000)
-        .with_workers(1, 4)
-        .with_timeouts(Duration::from_secs(1), Duration::from_secs(2));
+    let config =
+        ProxyConfig::new(100_000).with_timeouts(Duration::from_secs(1), Duration::from_secs(2));
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
 
-    let slow = big_miss_handed_back(&proxy);
+    let slow = big_miss_unread(&proxy);
 
     // Not one byte of the big response has been read, yet nobody is
-    // waiting on that client: a second miss is answered right now (by
-    // the loop itself, on the origin connection the worker left idle).
+    // waiting on that client: a second miss is answered right now, on
+    // the origin connection the first left idle.
     let r = get(&proxy, "http://o.test/a.html");
     assert_eq!(r.status, 200);
-    assert_eq!(
-        (proxy.stats().worker_jobs, proxy.stats().inline_fetches),
-        (1, 1)
-    );
+    assert_eq!(proxy.stats().inline_fetches, 2);
+    assert_eq!(origin.stats().connections.load(Ordering::Relaxed), 1);
 
     // The event loop drains the rest at the client's pace, byte-exact.
     let resp = http::read_response(&mut Sleepy(slow)).unwrap();
     assert_eq!(resp.status, 200);
     assert!(
         resp.body == http::synthetic_body(BIG_URL, BIG),
-        "handed-back body differs from the origin's ({} bytes)",
+        "drained body differs from the origin's ({} bytes)",
         resp.body.len()
-    );
-    assert_eq!(
-        proxy.stats().write_handbacks,
-        1,
-        "the small miss crossed back"
     );
 }
 
 #[test]
 fn client_stalling_mid_response_is_dropped_by_the_deadline_wheel() {
     let origin = origin_with_a_big_doc();
-    let config = ProxyConfig::new(100_000)
-        .with_workers(1, 4)
-        .with_timeouts(Duration::from_secs(1), Duration::from_millis(200));
+    let config =
+        ProxyConfig::new(100_000).with_timeouts(Duration::from_secs(1), Duration::from_millis(200));
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
 
-    let mut stalled = big_miss_handed_back(&proxy);
-    // Read a little, then nothing for five read timeouts: the handed-back
-    // connection is under the wheel again and gets dropped, not parked.
+    let mut stalled = big_miss_unread(&proxy);
+    // Read a little, then nothing for five read timeouts: the connection
+    // is under the wheel and gets dropped, not kept.
     let mut some = vec![0u8; 64 << 10];
     stalled.read_exact(&mut some).unwrap();
     std::thread::sleep(Duration::from_secs(1));
@@ -595,15 +611,15 @@ fn client_stalling_mid_response_is_dropped_by_the_deadline_wheel() {
 #[test]
 fn hit_is_answered_while_an_inline_fetch_waits_on_a_dribbling_origin() {
     let origin = MoodyOrigin::start();
-    let config = ProxyConfig::new(1 << 20).with_workers(1, 4);
+    let config = ProxyConfig::new(1 << 20);
     let proxy = ProxyServer::start(origin.addr, config, || Box::new(named::lru())).unwrap();
-    // One miss through the worker leaves an idle origin connection
-    // behind, and a document to hit.
+    // One miss leaves an idle origin connection behind, and a document
+    // to hit.
     assert_eq!(get(&proxy, "http://o.test/a.html").status, 200);
-    assert_eq!((proxy.stats().worker_jobs, origin.connections()), (1, 1));
+    assert_eq!(origin.connections(), 1);
 
-    // The next miss goes out on it from the event loop, and the origin
-    // sits on the second half of the body.
+    // The next miss goes out on it, and the origin sits on the second
+    // half of the body.
     let held = "http://o.test/held.bin";
     let addr = proxy.addr();
     let parked = std::thread::spawn(move || {
@@ -618,24 +634,14 @@ fn hit_is_answered_while_an_inline_fetch_waits_on_a_dribbling_origin() {
     let hit = get(&proxy, "http://o.test/a.html");
     assert!(hit.is_cache_hit());
     let json = stats_json(&proxy);
-    assert!(
-        json.contains("\"worker_jobs\":1,") && json.contains("\"inline_fetches\":0,"),
-        "{json}"
-    );
+    assert!(json.contains("\"inline_fetches\":1,"), "{json}");
     assert_eq!(proxy.stats().misses, 1, "the held fetch is still out");
 
     origin.release.send(()).unwrap();
     let resp = parked.join().unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, http::synthetic_body(held, moody_size(held)));
-    assert_eq!(
-        (
-            proxy.stats().worker_jobs,
-            proxy.stats().inline_fetches,
-            proxy.stats().inline_fallbacks
-        ),
-        (1, 1, 0)
-    );
+    assert_eq!(proxy.stats().inline_fetches, 2);
     assert_eq!(origin.connections(), 1);
     assert!(get(&proxy, held).is_cache_hit(), "the loop stored it");
 }
@@ -643,17 +649,15 @@ fn hit_is_answered_while_an_inline_fetch_waits_on_a_dribbling_origin() {
 #[test]
 fn big_inline_miss_is_read_piecewise_and_drained_under_epollout() {
     let origin = origin_with_a_big_doc();
-    let config = ProxyConfig::new(100_000)
-        .with_workers(1, 4)
-        .with_timeouts(Duration::from_secs(1), Duration::from_secs(2));
+    let config =
+        ProxyConfig::new(100_000).with_timeouts(Duration::from_secs(1), Duration::from_secs(2));
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
     assert_eq!(get(&proxy, "http://o.test/a.html").status, 200);
-    assert_eq!(proxy.stats().worker_jobs, 1);
 
     // 16 MiB come in over the kept origin connection a budget at a time,
     // and go out at the pace of a client that sleeps between reads: far
     // more than the client socket takes at once, so the loop finishes the
-    // write under `EPOLLOUT`. No worker sees any of it.
+    // write under `EPOLLOUT`.
     let mut s = TcpStream::connect(proxy.addr()).unwrap();
     http::write_request(&mut s, &Request::get(BIG_URL)).unwrap();
     let resp = http::read_response(&mut Sleepy(s)).unwrap();
@@ -664,15 +668,7 @@ fn big_inline_miss_is_read_piecewise_and_drained_under_epollout() {
         "inline body differs from the origin's ({} bytes)",
         resp.body.len()
     );
-    assert_eq!(
-        (
-            proxy.stats().worker_jobs,
-            proxy.stats().inline_fetches,
-            proxy.stats().inline_fallbacks,
-            proxy.stats().write_handbacks
-        ),
-        (1, 1, 0, 0)
-    );
+    assert_eq!(proxy.stats().inline_fetches, 2);
     // And the origin connection came back in one piece.
     assert_eq!(get(&proxy, "http://o.test/a.html").status, 200);
     assert_eq!(origin.stats().connections.load(Ordering::Relaxed), 1);
@@ -688,17 +684,17 @@ fn raw_exchange(proxy: &ProxyServer, req: &Request) -> Vec<u8> {
 }
 
 #[test]
-fn inline_and_worker_paths_put_the_same_bytes_on_the_wire() {
+fn kept_and_fresh_origin_connections_put_the_same_bytes_on_the_wire() {
     // The same exchange through two proxies. One talks to the origin
-    // directly, so after the first miss the event loop runs every origin
-    // exchange itself; the other talks through the fault shim with no
+    // directly, so after the first miss every origin exchange goes out on
+    // the kept connection; the other talks through the fault shim with no
     // faults planned, which answers `Connection: close`, so every one of
-    // them is a worker's.
+    // them connects afresh.
     let origin = origin_with_docs();
     let shim = FaultyOrigin::start(origin.addr(), FaultPlan::new(1)).unwrap();
-    let config = ProxyConfig::new(100_000).with_workers(1, 4).with_ttl(2);
+    let config = ProxyConfig::new(100_000).with_ttl(2);
     let start = |addr| ProxyServer::start(addr, config, || Box::new(named::lru())).unwrap();
-    let (inline, worker) = (start(origin.addr()), start(shim.addr()));
+    let (kept, fresh) = (start(origin.addr()), start(shim.addr()));
 
     let a = "http://o.test/a.html";
     let exchange = [
@@ -720,38 +716,22 @@ fn inline_and_worker_paths_put_the_same_bytes_on_the_wire() {
         Request::get("http://o.test/c.au").with_header("If-Modified-Since", "10"),
     ];
     for (i, req) in exchange.iter().enumerate() {
-        let (got, want) = (raw_exchange(&inline, req), raw_exchange(&worker, req));
+        let (got, want) = (raw_exchange(&kept, req), raw_exchange(&fresh, req));
         assert!(
             got == want,
-            "request {i}: inline path sent\n{}\nworker path sent\n{}",
+            "request {i}: the kept connection's proxy sent\n{}\nthe other sent\n{}",
             String::from_utf8_lossy(&got[..got.len().min(300)]),
             String::from_utf8_lossy(&want[..want.len().min(300)])
         );
     }
-    // Which engine ran each exchange differs by design (the lines below
-    // pin it); every other counter is the same.
-    let engine_masked = |s: ProxyStats| ProxyStats {
-        worker_jobs: 0,
-        inline_fetches: 0,
-        inline_fallbacks: 0,
-        ..s
-    };
-    assert_eq!(engine_masked(inline.stats()), engine_masked(worker.stats()));
-    let st = inline.stats();
+    // Every counter is the same.
+    assert_eq!(kept.stats(), fresh.stats());
+    let st = kept.stats();
     assert_eq!((st.misses, st.revalidated), (3, 3));
-    // Seven origin exchanges each; the first had no idle connection yet.
-    assert_eq!(
-        (inline.stats().worker_jobs, inline.stats().inline_fetches),
-        (1, 6)
-    );
-    assert_eq!(
-        (worker.stats().worker_jobs, worker.stats().inline_fetches),
-        (7, 0)
-    );
-    assert_eq!(
-        inline.stats().inline_fallbacks + worker.stats().inline_fallbacks,
-        0
-    );
+    // Seven origin exchanges each: on one connection, and on seven.
+    assert_eq!(st.inline_fetches, 7);
+    assert_eq!(origin.stats().connections.load(Ordering::Relaxed), 1 + 7);
+    assert_eq!(shim.connections(), 7);
 }
 
 fn open_fds() -> usize {
@@ -794,15 +774,13 @@ fn clients_and_origins_that_hang_up_mid_exchange_leak_nothing() {
     }
     let origin = OriginServer::start(store).unwrap();
     // Every fetch takes 5 ms, so a client that closes right after its
-    // request is gone well before its worker has an answer to write.
+    // request is gone well before the loop has an answer to write.
     let held = FaultyOrigin::start(
         origin.addr(),
         FaultPlan::new(7).delay(1.0, Duration::from_millis(5)),
     )
     .unwrap();
-    let config = ProxyConfig::new(1 << 20)
-        .with_workers(1, 2 * GONE)
-        .with_retries(0, Duration::from_millis(1));
+    let config = ProxyConfig::new(1 << 20).with_retries(0, Duration::from_millis(1));
     let proxy = ProxyServer::start(held.addr(), config, || Box::new(named::lru())).unwrap();
 
     assert_eq!(get(&proxy, "http://o.test/live0.html").status, 200);
@@ -821,24 +799,23 @@ fn clients_and_origins_that_hang_up_mid_exchange_leak_nothing() {
         http::write_request(&mut s, &Request::get(&url)).unwrap();
         drop(s);
         if i % 10 == 1 {
-            // Queued behind the abandoned jobs, served all the same.
+            // Beside the abandoned exchanges, served all the same.
             let r = get(&proxy, &format!("http://o.test/live{i}.html"));
             assert_eq!(r.status, 200, "normal request {i}");
             normal += 1;
         }
     }
-    let jobs = (1 + GONE + normal) as u64;
-    wait_for("every job to reach the worker", || {
-        proxy.stats().worker_jobs == jobs
+    let concluded = (1 + GONE + normal) as u64;
+    wait_for("every request to be concluded", || {
+        proxy.stats().misses == concluded
     });
-    // Every socket is closed by its worker's drop…
+    // Every socket is closed…
     wait_for("the fd count to return to its baseline", || {
         open_fds() == baseline
     });
-    // …and a failed write was the whole cost: nothing shed, nothing
-    // handed back to the loop.
+    // …and a failed write was the whole cost: no attempt failed.
     assert_eq!(
-        (proxy.stats().rejected, proxy.stats().write_handbacks),
+        (proxy.stats().retries, proxy.stats().origin_failures),
         (0, 0)
     );
     drop((proxy, held, origin));
@@ -849,9 +826,7 @@ fn clients_and_origins_that_hang_up_mid_exchange_leak_nothing() {
     // mid-body, and normal requests in between. One request at a time, so
     // the idle pool holds one connection before, throughout and after.
     let origin = MoodyOrigin::start();
-    let config = ProxyConfig::new(1 << 20)
-        .with_workers(1, 8)
-        .with_retries(0, Duration::from_millis(1));
+    let config = ProxyConfig::new(1 << 20).with_retries(0, Duration::from_millis(1));
     let proxy = ProxyServer::start(origin.addr, config, || Box::new(named::lru())).unwrap();
     assert_eq!(get(&proxy, "http://o.test/warm.html").status, 200);
     let baseline = open_fds();
@@ -867,8 +842,8 @@ fn clients_and_origins_that_hang_up_mid_exchange_leak_nothing() {
                 http::write_request(&mut s, &Request::get(&url)).unwrap();
                 drop(s);
             }
-            // The origin hangs up half-way through the body: a worker
-            // redoes the fetch on a connection of its own.
+            // The origin hangs up half-way through the body: the loop
+            // redoes the fetch on a fresh connection, uncounted.
             2 => {
                 let r = get(&proxy, &format!("http://o.test/cut{i}.html"));
                 assert_eq!((r.status, r.body.len()), (200, 500), "cut {i}");
@@ -886,11 +861,81 @@ fn clients_and_origins_that_hang_up_mid_exchange_leak_nothing() {
     wait_for("the fd count to return to its baseline", || {
         open_fds() == baseline
     });
-    assert_eq!(proxy.stats().inline_fallbacks, cut);
-    assert_eq!(proxy.stats().inline_fetches, GONE as u64 - cut);
-    assert_eq!(proxy.stats().worker_jobs, 1 + cut);
+    assert_eq!(proxy.stats().inline_fetches, 1 + GONE as u64);
+    assert_eq!(origin.connections(), 1 + cut);
     let st = proxy.stats();
-    assert_eq!((st.rejected, st.retries, st.origin_failures), (0, 0, 0));
+    assert_eq!((st.retries, st.origin_failures), (0, 0));
+    drop((proxy, origin));
+
+    // Clients that hang up while the loop waits for a connect the origin
+    // never completes (its accept queue is full, so the handshake's SYN is
+    // dropped), and while it backs off between two attempts at an origin
+    // that refuses (a closed port). Each request ends in its `5xx`,
+    // written to a client that is gone.
+    let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+    // SAFETY: a plain syscall on a socket this test owns.
+    assert_eq!(unsafe { listen(silent.as_raw_fd(), 0) }, 0);
+    let _queued = TcpStream::connect(silent.local_addr().unwrap()).unwrap();
+    let refusing = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    // No breaker trips: every request makes its attempts.
+    let connecting = ProxyConfig::new(1 << 20)
+        .with_retries(0, Duration::from_millis(1))
+        .with_timeouts(Duration::from_millis(100), Duration::from_secs(2))
+        .with_breaker(u32::MAX, 1);
+    let backing_off = ProxyConfig::new(1 << 20)
+        .with_retries(1, Duration::from_millis(100))
+        .with_breaker(u32::MAX, 1);
+    let start = |addr, config| ProxyServer::start(addr, config, || Box::new(named::lru())).unwrap();
+    let proxies = [
+        start(silent.local_addr().unwrap(), connecting),
+        start(refusing, backing_off),
+    ];
+    // Hung up once the connect is under way, or the first attempt failed.
+    let reached: [fn(&ProxyStats, u64) -> bool; 2] =
+        [|s, i| s.requests == i + 1, |s, i| s.retries == i + 1];
+    let baseline = open_fds();
+    for i in 0..GONE as u64 / 10 {
+        for (proxy, reached) in proxies.iter().zip(reached) {
+            let failed = proxy.stats().origin_failures;
+            let mut s = TcpStream::connect(proxy.addr()).unwrap();
+            let url = format!("http://o.test/pending{i}.html");
+            http::write_request(&mut s, &Request::get(&url)).unwrap();
+            wait_for("the exchange to be under way", || {
+                reached(&proxy.stats(), i)
+            });
+            drop(s);
+            wait_for("the request to fail", || {
+                proxy.stats().origin_failures == failed + 1
+            });
+        }
+    }
+    wait_for("the fd count to return to its baseline", || {
+        open_fds() == baseline
+    });
+    let [connecting, backing_off] = proxies.map(|p| p.stats());
+    let runs = (GONE / 10) as u64;
+    assert_eq!((connecting.timeouts, connecting.retries), (runs, 0));
+    assert_eq!((backing_off.timeouts, backing_off.retries), (0, runs));
+}
+
+extern "C" {
+    fn listen(fd: i32, backlog: i32) -> i32;
+}
+
+/// One thread besides `main` serves everything: accepting, hits, misses,
+/// revalidations, retries.
+#[test]
+#[ignore = "reads the child's /proc/<pid>/status: run with --ignored --test-threads 1"]
+fn the_proxy_runs_on_main_and_one_event_loop() {
+    let origin = origin_with_docs();
+    let child = common::ChildProxy::spawn(&["--origin", &origin.addr().to_string()]);
+    assert_eq!(child.threads(), 2);
+    assert_eq!(common::get(child.addr, "http://o.test/a.html"), Some(false));
+    assert_eq!(common::get(child.addr, "http://o.test/a.html"), Some(true));
+    assert_eq!(child.threads(), 2);
 }
 
 /// How long the kernel holds a connection that sends nothing when the
@@ -918,7 +963,7 @@ fn a_stopped_proxy_reads_whole_requests_at_accept_and_registers_only_the_rest() 
         Some(false),
         "the miss that warms it"
     );
-    let jobs = common::stat(addr, "worker_jobs");
+    let fetched = common::stat(addr, "inline_fetches");
     let read = common::stat(addr, "read_at_accept");
 
     // While the proxy is stopped the kernel completes every handshake
@@ -951,7 +996,7 @@ fn a_stopped_proxy_reads_whole_requests_at_accept_and_registers_only_the_rest() 
     assert_eq!(common::stat(addr, "read_at_accept"), read + WHOLE + 2);
 
     // The silent client waits out the deferral in the kernel and then
-    // its read timeout in the loop, and never costs a worker.
+    // its read timeout in the loop, and never reaches the origin.
     let read_timeout = ProxyConfig::new(1).read_timeout;
     silent
         .set_read_timeout(Some(Duration::from_secs(15)))
@@ -963,7 +1008,7 @@ fn a_stopped_proxy_reads_whole_requests_at_accept_and_registers_only_the_rest() 
         waited + Duration::from_millis(500) >= due && waited <= due + Duration::from_secs(1),
         "silent client answered after {waited:?}, due at {due:?}"
     );
-    assert_eq!(common::stat(addr, "worker_jobs"), jobs);
+    assert_eq!(common::stat(addr, "inline_fetches"), fetched);
 }
 
 /// The loop takes one connection per listener readiness and relies on the
@@ -1015,18 +1060,18 @@ fn a_stopped_proxy_strands_none_of_its_queued_connections() {
 /// by nothing while it idles in the pool: when the origin closes it, the
 /// loop hears nothing (a registration left in the epoll set would wake
 /// it for the socket's end of stream, over and over). The next miss finds
-/// the socket dead and a worker redoes it.
+/// the socket dead and redoes it on a fresh connection.
 #[test]
 #[ignore = "reads the child's CPU time: run with --ignored --test-threads 1"]
 fn a_pooled_socket_the_origin_closes_never_wakes_the_event_loop() {
     let origin = MoodyOrigin::start();
     let child = common::ChildProxy::spawn(&["--origin", &origin.addr.to_string()]);
     let addr = child.addr;
-    // A worker opens the kept connection, then the loop runs an exchange
-    // on it, which registers it until the exchange ends.
+    // The first miss opens the kept connection, then the second runs an
+    // exchange on it, which registers it until the exchange ends.
     assert_eq!(common::get(addr, "http://o.test/a.html"), Some(false));
     assert_eq!(common::get(addr, "http://o.test/b.html"), Some(false));
-    assert_eq!(common::stat(addr, "inline_fetches"), 1);
+    assert_eq!(common::stat(addr, "inline_fetches"), 2);
     assert_eq!(origin.connections(), 1);
 
     origin.hang_up();
@@ -1040,7 +1085,7 @@ fn a_pooled_socket_the_origin_closes_never_wakes_the_event_loop() {
     );
 
     assert_eq!(common::get(addr, "http://o.test/c.html"), Some(false));
-    assert_eq!(common::stat(addr, "inline_fallbacks"), 1);
+    assert_eq!(common::stat(addr, "inline_fetches"), 3);
     assert_eq!(origin.connections(), 2);
 }
 

@@ -183,13 +183,12 @@ impl Drop for ScriptedOrigin {
     }
 }
 
-/// (a) 200 sequential misses through a 2-worker proxy open at most two
-/// origin connections, and once one is idle the event loop runs the
-/// exchanges itself: at most two requests ever reach a worker.
+/// (a) 200 sequential misses open at most two origin connections: once
+/// one is idle, every exchange after it goes out on it.
 #[test]
 fn sequential_misses_reuse_a_pooled_connection() {
     let origin = origin_with_docs(200);
-    let config = ProxyConfig::new(1 << 30).with_workers(2, 16);
+    let config = ProxyConfig::new(1 << 30);
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
     for i in 0..200 {
         let r = get(&proxy, &doc_url(i));
@@ -205,10 +204,7 @@ fn sequential_misses_reuse_a_pooled_connection() {
     assert_eq!(origin.stats().full_responses.load(Ordering::Relaxed), 200);
     let s = proxy.stats();
     assert_eq!((s.misses, s.retries, s.origin_failures), (200, 0, 0));
-    let jobs = proxy.stats().worker_jobs;
-    assert!((1..=2).contains(&jobs), "{jobs} worker jobs for 200 misses");
-    assert_eq!(proxy.stats().inline_fetches, 200 - jobs);
-    assert_eq!(proxy.stats().inline_fallbacks, 0);
+    assert_eq!(proxy.stats().inline_fetches, 200);
 }
 
 /// Revalidations travel on the kept connection too, and a `304` (no
@@ -216,7 +212,7 @@ fn sequential_misses_reuse_a_pooled_connection() {
 #[test]
 fn revalidations_share_the_connection() {
     let origin = origin_with_docs(3);
-    let config = ProxyConfig::new(1 << 20).with_workers(1, 8).with_ttl(1);
+    let config = ProxyConfig::new(1 << 20).with_ttl(1);
     let proxy = ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).unwrap();
     for round in 0..4 {
         for i in 0..3 {
@@ -229,10 +225,7 @@ fn revalidations_share_the_connection() {
     assert_eq!(origin.stats().not_modified.load(Ordering::Relaxed), 9);
     assert_eq!(origin.stats().connections.load(Ordering::Relaxed), 1);
     // Only the very first miss had no idle connection to go out on.
-    assert_eq!(
-        (proxy.stats().worker_jobs, proxy.stats().inline_fetches),
-        (1, 11)
-    );
+    assert_eq!(proxy.stats().inline_fetches, 12);
 }
 
 /// (b) The origin closes a connection it promised to keep: the next miss
@@ -241,7 +234,6 @@ fn revalidations_share_the_connection() {
 fn stale_idle_connection_is_replaced_invisibly() {
     let origin = ScriptedOrigin::start(vec![vec![Reply::Full]; 3]);
     let config = ProxyConfig::new(1 << 20)
-        .with_workers(1, 8)
         .with_retries(0, Duration::from_millis(1))
         .with_breaker(1, 1000);
     let proxy = ProxyServer::start(origin.addr, config, || Box::new(named::lru())).unwrap();
@@ -257,13 +249,9 @@ fn stale_idle_connection_is_replaced_invisibly() {
         (0, 0, 0, 0)
     );
     assert_eq!(s.misses, 3);
-    // Misses 1 and 2 went out on the kept socket from the event loop,
-    // found it dead, and were redone by a worker.
-    assert_eq!(
-        (proxy.stats().inline_fallbacks, proxy.stats().inline_fetches),
-        (2, 0)
-    );
-    assert_eq!(proxy.stats().worker_jobs, 3);
+    // Misses 1 and 2 went out on the kept socket, found it dead, and
+    // were redone on a fresh one: three connections, no fault counted.
+    assert_eq!(proxy.stats().inline_fetches, 3);
 }
 
 /// (c) Dropping the origin ends its persistent connections: a pooled
@@ -272,7 +260,6 @@ fn stale_idle_connection_is_replaced_invisibly() {
 fn dropped_origin_is_dead_despite_pooled_connections() {
     let origin = origin_with_docs(4);
     let config = ProxyConfig::new(1 << 20)
-        .with_workers(1, 8)
         .with_ttl(1)
         .with_retries(0, Duration::from_millis(1))
         .with_breaker(50, 1000);
@@ -282,7 +269,7 @@ fn dropped_origin_is_dead_despite_pooled_connections() {
     assert_eq!(
         origin.stats().connections.load(Ordering::Relaxed),
         1,
-        "the worker's connection is pooled"
+        "the first connection is pooled"
     );
     drop(origin);
     // Uncached: bad gateway, as before persistent connections.
@@ -305,7 +292,6 @@ fn fault_shim_connections_are_never_reused() {
     let plan = FaultPlan::new(3).truncate(1.0).active_range(1, 2);
     let faulty = FaultyOrigin::start(origin.addr(), plan).expect("shim");
     let config = ProxyConfig::new(1 << 20)
-        .with_workers(1, 8)
         .with_retries(1, Duration::from_millis(1))
         .with_breaker(50, 1000);
     let proxy = ProxyServer::start(faulty.addr(), config, || Box::new(named::lru())).unwrap();
@@ -337,7 +323,6 @@ fn short_bodies_are_errors_and_discard_the_socket() {
         vec![Reply::Full],
     ]);
     let config = ProxyConfig::new(1 << 20)
-        .with_workers(1, 8)
         .with_retries(0, Duration::from_millis(1))
         .with_breaker(50, 1000);
     let proxy = ProxyServer::start(origin.addr, config, || Box::new(named::lru())).unwrap();
@@ -356,19 +341,16 @@ fn short_bodies_are_errors_and_discard_the_socket() {
         (s.misses, s.retries, s.timeouts, s.origin_failures),
         (2, 0, 0, 1)
     );
-    // The reused connection was the event loop's; a worker redid it.
-    assert_eq!(proxy.stats().inline_fallbacks, 1);
 }
 
 /// An origin that stops sending mid-body on a kept connection, without
 /// closing it: the event loop's deadline wheel gives the exchange up
-/// after `read_timeout` and a worker redoes it on a fresh connection.
+/// after `read_timeout` and redoes it on a fresh connection.
 /// The stall is the socket's fault, so nothing counts it.
 #[test]
 fn stalled_kept_connection_is_given_up_and_redone() {
     let origin = ScriptedOrigin::start(vec![vec![Reply::Full, Reply::Stall], vec![Reply::Full]]);
     let config = ProxyConfig::new(1 << 20)
-        .with_workers(1, 8)
         .with_timeouts(Duration::from_secs(1), STALL / 6)
         .with_retries(0, Duration::from_millis(1))
         .with_breaker(1, 1000);
@@ -384,10 +366,6 @@ fn stalled_kept_connection_is_given_up_and_redone() {
     assert_eq!(
         (s.misses, s.retries, s.timeouts, s.origin_failures),
         (2, 0, 0, 0)
-    );
-    assert_eq!(
-        (proxy.stats().inline_fallbacks, proxy.stats().worker_jobs),
-        (1, 2)
     );
 }
 
