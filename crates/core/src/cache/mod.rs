@@ -231,6 +231,10 @@ pub struct Cache<P = ()> {
     policy: Box<dyn RemovalPolicy>,
     stats: CacheStats,
     decorator: Option<MetaDecorator>,
+    /// The policy's [`RemovalPolicy::observes_hits`], read when the cache
+    /// is built and after position tracking is switched on: a hit calls
+    /// `on_access` only when it is set.
+    observes_hits: bool,
     current_day: u64,
     /// The first second of `current_day + 1`: a request before it crosses
     /// no day boundary.
@@ -300,6 +304,7 @@ impl<P> Cache<P> {
             capacity,
             used: 0,
             docs: SlabStore::default(),
+            observes_hits: policy.observes_hits(),
             policy,
             stats: CacheStats::default(),
             decorator: None,
@@ -383,6 +388,7 @@ impl<P> Cache<P> {
     /// request; plain sweeps skip it and keep the leaner hot path.
     pub fn enable_position_tracking(&mut self) {
         self.policy.enable_position_tracking(&self.docs);
+        self.observes_hits = self.policy.observes_hits();
     }
 
     /// Iterate over resident documents (arbitrary order).
@@ -427,10 +433,13 @@ impl<P> Cache<P> {
         if let Some(meta) = self.docs.get_mut(r.url) {
             if meta.size == r.size {
                 // Hit: same URL, same size. `last_access` never falls, so
-                // a hit can only raise a rank (DESIGN.md D39).
+                // a hit can only raise a rank (DESIGN.md D39). A policy
+                // that reads hits at its head is not called (D41).
                 meta.last_access = meta.last_access.max(r.time);
                 meta.nrefs += 1;
-                self.policy.on_access(meta);
+                if self.observes_hits {
+                    self.policy.on_access(meta);
+                }
                 self.stats.counts.hits += 1;
                 self.stats.counts.bytes_hit += r.size;
                 return Resolution::Hit;
@@ -1049,6 +1058,54 @@ mod tests {
             }
             assert!(late > 0 && evictions > 0, "{}", spec.name());
         }
+    }
+
+    /// LRU that says it does not observe hits, and panics if handed one.
+    struct Deaf(SortedPolicy);
+
+    impl RemovalPolicy for Deaf {
+        fn name(&self) -> String {
+            "DEAF".into()
+        }
+        fn on_insert(&mut self, meta: &DocMeta) {
+            self.0.on_insert(meta);
+        }
+        fn on_access(&mut self, _meta: &DocMeta) {
+            panic!("a hit was delivered to a policy that does not observe hits");
+        }
+        fn observes_hits(&self) -> bool {
+            false
+        }
+        fn on_remove(&mut self, url: UrlId) {
+            self.0.on_remove(url);
+        }
+        fn victim(
+            &mut self,
+            now: Timestamp,
+            incoming_size: u64,
+            docs: &dyn ResidentMeta,
+        ) -> Option<UrlId> {
+            self.0.victim(now, incoming_size, docs)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    #[test]
+    fn a_policy_that_does_not_observe_hits_is_not_called_on_one() {
+        let mut c = Cache::new(30, Box::new(Deaf(named::lru())));
+        c.request(&req(0, 1, 10));
+        c.request(&req(1, 2, 10));
+        assert!(c.request(&req(2, 1, 10)).is_hit());
+        assert!(c.request_hit(&req(3, 1, 10)));
+        // The hits still count and still update the metadata the head
+        // reads: 1 is now more recent than 2.
+        let m = c.meta(UrlId(1)).unwrap();
+        assert_eq!((m.last_access, m.nrefs, c.counts().hits), (3, 3, 2));
+        c.request(&req(4, 3, 10));
+        assert_eq!(evicted_urls(&c.request(&req(5, 4, 10))), vec![UrlId(2)]);
+        c.check_invariants();
     }
 
     /// LRU that records the time of every `periodic_target` call.

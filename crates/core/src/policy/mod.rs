@@ -47,9 +47,10 @@ pub trait ResidentMeta {
 /// A cache removal policy.
 ///
 /// The [`Cache`](crate::cache::Cache) notifies the policy of every
-/// insertion, access (with already-updated metadata) and removal, and asks
-/// it for a victim whenever space must be freed. Implementations must track
-/// exactly the set of resident documents.
+/// insertion and removal, and of every access (with already-updated
+/// metadata) while [`RemovalPolicy::observes_hits`] is `true`, and asks
+/// it for a victim whenever space must be freed. Implementations must
+/// track exactly the set of resident documents.
 ///
 /// `Send` is a supertrait so that boxed policies (and the caches holding
 /// them) can move across threads: a sweep's lanes run on worker threads,
@@ -70,8 +71,23 @@ pub trait RemovalPolicy: Send {
     /// therefore keep whatever it derived from the other fields, and one
     /// whose order only ever needs its head may do nothing here and read
     /// the new values in [`RemovalPolicy::victim`]'s view instead, as
-    /// [`SortedPolicy`] does (DESIGN.md D39).
+    /// [`SortedPolicy`] does (DESIGN.md D39). Such a policy answers
+    /// `false` to [`RemovalPolicy::observes_hits`], and the cache then
+    /// does not call this at all (D41).
     fn on_access(&mut self, meta: &DocMeta);
+
+    /// Whether [`RemovalPolicy::on_access`] can change this policy.
+    /// `false` promises that it would leave the policy exactly as it is,
+    /// so the cache skips the call. The cache reads the answer when it is
+    /// built and again after [`RemovalPolicy::enable_position_tracking`],
+    /// and only there: the answer may change only inside that call,
+    /// reached through the [`Cache`](crate::cache::Cache). A policy whose
+    /// tracking is switched on behind the cache's back, through a shared
+    /// handle, loses its hits. A wrapper forwards the answer of the
+    /// policy it wraps. The default, `true`, delivers every hit.
+    fn observes_hits(&self) -> bool {
+        true
+    }
 
     /// A document left the cache (eviction or invalidation).
     fn on_remove(&mut self, url: UrlId);
@@ -113,7 +129,8 @@ pub trait RemovalPolicy: Send {
     /// query positions on every request (the Appendix A instrumentation)
     /// invoke this once up front; everyone else skips it so the hot path
     /// carries no extra index maintenance. A tracking policy ranks every
-    /// hit as it happens. The default is a no-op.
+    /// hit as it happens, so it observes hits from then on. The default
+    /// is a no-op.
     fn enable_position_tracking(&mut self, _docs: &dyn ResidentMeta) {}
 
     /// Periodic-removal hook, called by the cache at each simulated day
@@ -172,6 +189,10 @@ impl RemovalPolicy for NeverEvict {
     }
 
     fn on_access(&mut self, _meta: &DocMeta) {}
+
+    fn observes_hits(&self) -> bool {
+        false
+    }
 
     fn on_remove(&mut self, _url: UrlId) {
         self.resident -= 1;

@@ -41,7 +41,10 @@
 //! [`STALE_FLOOR`], so memory stays proportional to the resident set.
 //! A list that tracks positions for Appendix A is the exception: its
 //! position index needs every rank current, so its owner files each hit.
-//! DESIGN.md decisions D1, D8, D23, D34, D37, D38 and D39;
+//! An untracked [`SortedPolicy`] answers `false` to
+//! [`RemovalPolicy::observes_hits`], so the cache does not call it on a
+//! hit at all; it answers `true` once tracking is on.
+//! DESIGN.md decisions D1, D8, D23, D34, D37, D38, D39 and D41;
 //! `core/tests/sorted_model.rs` holds the list to a sort of its rank slab,
 //! and GreedyDual-Size and Pitkow/Recker to naive scans;
 //! `core/tests/rerank.rs` holds a tracked hit's re-rank to a full one.
@@ -503,9 +506,10 @@ impl SortedList {
 /// and only upwards, so the rank the slab holds stays a lower bound of
 /// the document's rank; [`RemovalPolicy::victim`] recomputes those
 /// components from the cache's metadata when the document reaches the
-/// head, and re-files it if its rank rose (DESIGN.md D39). Once position
-/// tracking is on, a hit is re-ranked as it happens: the position index
-/// needs every rank current.
+/// head, and re-files it if its rank rose (DESIGN.md D39). So, untracked,
+/// it does not observe hits and the cache skips `on_access` (D41). Once
+/// position tracking is on, a hit is re-ranked as it happens: the
+/// position index needs every rank current.
 #[derive(Debug, Clone)]
 pub struct SortedPolicy {
     spec: KeySpec,
@@ -593,12 +597,17 @@ impl RemovalPolicy for SortedPolicy {
 
     fn on_access(&mut self, meta: &DocMeta) {
         // Untracked, a hit files nothing: the head reads it from the
-        // cache's metadata (see the type's docs).
+        // cache's metadata (see the type's docs), and `observes_hits`
+        // tells the cache not to call.
         let Some(keys) = self.moving.filter(|_| self.list.tracks_positions()) else {
             return;
         };
         self.list
             .update(meta.url, |old| old.map(|rank| raised(keys, rank, meta)));
+    }
+
+    fn observes_hits(&self) -> bool {
+        self.moving.is_some() && self.list.tracks_positions()
     }
 
     fn on_remove(&mut self, url: UrlId) {

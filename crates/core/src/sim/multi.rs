@@ -261,6 +261,9 @@ mod tests {
         fn on_access(&mut self, meta: &crate::cache::DocMeta) {
             self.inner.on_access(meta);
         }
+        fn observes_hits(&self) -> bool {
+            self.inner.observes_hits()
+        }
         fn on_remove(&mut self, url: webcache_trace::UrlId) {
             self.inner.on_remove(url);
         }

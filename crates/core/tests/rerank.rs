@@ -77,7 +77,9 @@ fn decorate(r: &Request, m: &mut DocMeta) {
 }
 
 /// The policy inside the cache, shared with the test that reads its
-/// sorted list.
+/// sorted list. It forwards `observes_hits`, so the cache starts without
+/// calling `on_access` and must read the answer again when tracking is
+/// switched on through it.
 struct Shared(Arc<Mutex<SortedPolicy>>);
 
 impl Shared {
@@ -95,6 +97,9 @@ impl RemovalPolicy for Shared {
     }
     fn on_access(&mut self, meta: &DocMeta) {
         self.get().on_access(meta);
+    }
+    fn observes_hits(&self) -> bool {
+        self.get().observes_hits()
     }
     fn on_remove(&mut self, url: UrlId) {
         self.get().on_remove(url);

@@ -978,12 +978,12 @@ mod tests {
     fn oversized_lines_are_rejected_not_buffered() {
         // Request line 2×MAX_LINE long: malformed, not an unbounded read.
         let mut big = b"GET http://o.test/".to_vec();
-        big.extend(std::iter::repeat(b'a').take(2 * MAX_LINE));
+        big.extend(std::iter::repeat_n(b'a', 2 * MAX_LINE));
         big.extend_from_slice(b" HTTP/1.0\r\n\r\n");
         assert!(read_request(&mut big.as_slice()).is_err());
         // Oversized header line on the response path, too.
         let mut hdr = b"HTTP/1.0 200 OK\r\nx: ".to_vec();
-        hdr.extend(std::iter::repeat(b'v').take(2 * MAX_LINE));
+        hdr.extend(std::iter::repeat_n(b'v', 2 * MAX_LINE));
         hdr.extend_from_slice(b"\r\n\r\n");
         assert!(read_response(&mut hdr.as_slice()).is_err());
         // A line exactly at the limit (incl. newline) still parses.
@@ -1057,7 +1057,7 @@ mod tests {
                 Ok(None) => {}
                 Ok(Some(_)) => panic!("oversized header accepted"),
                 Err(HttpError::Malformed(_)) => {
-                    assert!(i >= MAX_LINE - 64 && i <= MAX_LINE, "bound off: {i}");
+                    assert!((MAX_LINE - 64..=MAX_LINE).contains(&i), "bound off: {i}");
                     rejected = true;
                     break;
                 }

@@ -60,7 +60,7 @@ fn oversized_request_line_gets_400_not_a_panic() {
     let (_origin, proxy) = setup(Duration::from_secs(2));
     let mut s = TcpStream::connect(proxy.addr()).unwrap();
     let mut line = b"GET http://o.test/".to_vec();
-    line.extend(std::iter::repeat(b'a').take(2 * MAX_LINE));
+    line.extend(std::iter::repeat_n(b'a', 2 * MAX_LINE));
     line.extend_from_slice(b" HTTP/1.0\r\n\r\n");
     s.write_all(&line).unwrap();
     let resp = read_full_response(&mut s);

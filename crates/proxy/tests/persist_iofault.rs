@@ -534,10 +534,7 @@ fn doc_meta(i: usize, size: usize) -> DocMeta {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any seeded fault schedule over the write path — failed appends,
     /// short writes, failed fsyncs, failed snapshot commits, in any
