@@ -23,17 +23,17 @@
 //!
 //! The serving path is built on [`ShardedCache`]: a document's metadata,
 //! body and freshness stamp are one cache entry ([`Resident`] is the
-//! entry's payload, DESIGN.md D20) under that URL's shard lock, and so is
-//! the id the URL's text has there (`url_table`, D26), so a request takes
-//! exactly one lock on the cache path and never holds it across network
-//! I/O. One event-loop thread serves every request: it owns every client
-//! socket, answers fresh hits inline, and runs every origin and cluster
-//! peer exchange itself on non-blocking sockets under `epoll` — connect,
-//! send, read, retries after a backoff on its deadline wheel. It never
-//! waits for a shard lock: a step whose shard another thread (the
-//! persister, a peer's query) holds is parked and tried again after the
-//! next wait. Concurrent exchanges are bounded by file descriptors, as
-//! clients are.
+//! entry's payload, DESIGN.md D20) in that URL's shard, and so is the id
+//! the URL's text has there (`url_table`, D26), so a request visits
+//! exactly one shard on the cache path and never across network I/O. One
+//! event-loop thread serves every request: it owns every client socket,
+//! answers fresh hits inline, and runs every origin and cluster peer
+//! exchange itself on non-blocking sockets under `epoll` — connect, send,
+//! read, retries after a backoff on its deadline wheel. It also answers
+//! inbound peer frames on the node's peer port and the persister's asks
+//! for journal records and snapshot captures, so while it runs it is the
+//! only thread that touches a shard (DESIGN.md D42). Concurrent exchanges
+//! are bounded by file descriptors, as clients are.
 //!
 //! ## Where things live
 //!
@@ -49,15 +49,14 @@ use crate::breaker::Breakers;
 use crate::cluster::{self, ClusterConfig, ClusterState};
 use crate::iofault::IoFaultInjector;
 use crate::persist::{self, JournalOp, PersistConfig, PersistError};
-use crate::persister::{apply_recovery, install_journals, persister_loop, JournalBuf};
+use crate::persister::{self, apply_recovery, install_journals, JournalBuf};
 use crate::reactor::Reactor;
-use crate::serve::serve_peer_connection;
 use crate::stats::Counters;
 use crate::url_table::UrlTable;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 use webcache_core::cache::{Cache, ShardedCache};
 use webcache_core::cluster::key_hash;
@@ -85,8 +84,7 @@ pub(crate) struct Resident {
 /// One shard's cache: every entry carries its document's [`Resident`].
 pub(crate) type ShardCache = Cache<Resident>;
 
-/// Per-shard proxy state beside the cache, guarded by the owning shard's
-/// lock.
+/// Per-shard proxy state beside the cache, in the same shard.
 #[derive(Debug, Default)]
 pub(crate) struct ShardExt {
     /// Which slot id each URL of this shard has.
@@ -106,7 +104,7 @@ impl ShardExt {
     }
 }
 
-/// Shared proxy state. The cache path locks only the owning shard; the
+/// Shared proxy state. The cache path visits only the owning shard; the
 /// remaining fields are either atomics or their own short-lived locks,
 /// never held across network I/O.
 pub(crate) struct ProxyState {
@@ -154,28 +152,11 @@ pub struct ProxyServer {
     state: Arc<ProxyState>,
     reactor: Reactor,
     /// Background persister, when started via
-    /// [`ProxyServer::start_persistent`]. Stopped (with a final journal
-    /// flush and snapshot) after the reactor drains on drop.
-    persist: Option<PersistRuntime>,
+    /// [`ProxyServer::start_persistent`]. It makes the final journal
+    /// flush and snapshot from the event loop's last captures, once the
+    /// reactor has stopped on drop.
+    persister: Option<std::thread::JoinHandle<()>>,
     recovered: Option<RecoveryReport>,
-    /// Peer listener runtime, when started via
-    /// [`ProxyServer::start_clustered`].
-    cluster: Option<ClusterRuntime>,
-}
-
-/// Handle to the background persister thread.
-struct PersistRuntime {
-    stop: Arc<AtomicBool>,
-    thread: std::thread::JoinHandle<()>,
-}
-
-/// Handle to the cluster peer listener thread.
-struct ClusterRuntime {
-    shutdown: Arc<AtomicBool>,
-    /// The bound peer-port address (used to wake the accept loop on
-    /// shutdown).
-    peer_addr: SocketAddr,
-    listener: Option<std::thread::JoinHandle<()>>,
 }
 
 /// What [`ProxyServer::start_persistent`] rebuilt from disk.
@@ -212,21 +193,21 @@ impl ProxyServer {
     ) -> std::io::Result<ProxyServer> {
         let (listener, addr) = bind_client_port()?;
         let state = new_state(&config, None, policy);
-        let reactor = Reactor::start(listener, origin, config, Arc::clone(&state))?;
+        let reactor = Reactor::start(listener, None, origin, config, &state, None)?;
         Ok(ProxyServer {
             addr,
             state,
             reactor,
-            persist: None,
+            persister: None,
             recovered: None,
-            cluster: None,
         })
     }
 
     /// Start a proxy as one node of a cache cluster (design decision
     /// D17). In addition to serving clients, the node binds its peer
     /// port from the seed list and answers ICP-style peer queries from
-    /// its local cache; on a local miss for a key another node owns, it
+    /// its local cache, on its event loop; on a local miss for a key
+    /// another node owns, it
     /// asks the owner (one bounded attempt, peer-breaker guarded)
     /// before falling through to the origin. A dead peer therefore
     /// degrades this node to single-node behaviour — never an error —
@@ -249,51 +230,25 @@ impl ProxyServer {
             .config()
             .self_addr()
             .expect("ClusterState::new checked the seed list");
-        let peer_listener = TcpListener::bind(peer_addr)?;
+        let peers = TcpListener::bind(peer_addr)?;
         let state = new_state(&config, Some(Arc::clone(&cluster)), policy);
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let listener_thread = {
-            let state = Arc::clone(&state);
-            let cluster = Arc::clone(&cluster);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                for conn in peer_listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    // Peer exchanges are one short frame each way;
-                    // a thread per connection is plenty.
-                    let state = Arc::clone(&state);
-                    let cluster = Arc::clone(&cluster);
-                    std::thread::spawn(move || {
-                        serve_peer_connection(stream, config, &state, &cluster)
-                    });
-                }
-            })
-        };
         cluster::startup_exchange(&cluster);
 
-        let reactor = Reactor::start(listener, origin, config, Arc::clone(&state))?;
+        let reactor = Reactor::start(listener, Some(peers), origin, config, &state, None)?;
         Ok(ProxyServer {
             addr,
             state,
             reactor,
-            persist: None,
+            persister: None,
             recovered: None,
-            cluster: Some(ClusterRuntime {
-                shutdown,
-                peer_addr,
-                listener: Some(listener_thread),
-            }),
         })
     }
 
     /// Start a proxy with crash-safe persistence: recover the warm cache
     /// from `persist_cfg.dir` (newest valid snapshots plus journal
     /// replay, bodies checksum-verified), then serve while a background
-    /// persister journals every cache mutation (group-fsynced every
+    /// persister journals every cache mutation the event loop hands it
+    /// (group-fsynced every
     /// [`PersistConfig::journal_fsync`]) and takes a point-in-time
     /// snapshot every [`PersistConfig::snapshot_interval`]. Dropping the
     /// server flushes the journal and takes a final snapshot.
@@ -352,32 +307,29 @@ impl ProxyServer {
             println!("webcache-proxy: recovery note: {note}");
         }
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
+        let (loop_end, persister_end) = persister::line(&health);
+        let reactor = Reactor::start(listener, None, origin, config, &state, Some(loop_end))?;
+        let persister_thread = {
+            let bell = reactor.waker();
             let gen = rec.max_gen + 1;
             std::thread::spawn(move || {
-                persister_loop(
-                    &state,
+                persister::persister_loop(
                     &persist_cfg,
                     writers,
                     gen,
-                    &stop,
+                    persister_end,
+                    bell,
                     &health,
                     injector.as_deref(),
                 )
             })
         };
-
-        let reactor = Reactor::start(listener, origin, config, Arc::clone(&state))?;
         Ok(ProxyServer {
             addr,
             state,
             reactor,
-            persist: Some(PersistRuntime { stop, thread }),
+            persister: Some(persister_thread),
             recovered: Some(report),
-            cluster: None,
         })
     }
 
@@ -464,22 +416,12 @@ pub(crate) fn new_state(
 
 impl Drop for ProxyServer {
     fn drop(&mut self) {
+        // The loop closes every connection and, its last act, captures
+        // every shard for the persister, which drains those records,
+        // fsyncs and takes a final snapshot before it exits.
         self.reactor.shutdown();
-        // Stop the peer listener after the reactor drains (the loop's
-        // outbound peer lookups are unaffected by the inbound side).
-        if let Some(c) = self.cluster.take() {
-            c.shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(c.peer_addr);
-            if let Some(h) = c.listener {
-                let _ = h.join();
-            }
-        }
-        // The reactor has drained: nothing logs another journal op.
-        // Now stop the persister — it drains the remaining records,
-        // fsyncs, and takes a final snapshot before exiting.
-        if let Some(p) = self.persist.take() {
-            p.stop.store(true, Ordering::SeqCst);
-            let _ = p.thread.join();
+        if let Some(persister) = self.persister.take() {
+            let _ = persister.join();
         }
     }
 }
@@ -524,6 +466,7 @@ mod tests {
     use super::test_support::get;
     use super::*;
     use crate::origin::{DocStore, OriginServer};
+    use std::sync::atomic::Ordering;
     use webcache_core::policy::PitkowRecker;
     use webcache_trace::SECONDS_PER_DAY;
 

@@ -76,6 +76,11 @@ const KIND_MEMBERSHIP: u8 = 4;
 /// prefixes. Bodies larger than this are simply not peer-served.
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// The longest frame a node is ever asked with: a `MEMBERSHIP` of
+/// `u16::MAX` members (a `QUERY`'s URL is at most `u16::MAX` bytes, a
+/// quarter of that). A peer port refuses a longer length prefix at once.
+pub const MAX_REQUEST_FRAME: u32 = 1 + 4 + 8 + 2 + 4 * u16::MAX as u32;
+
 /// Payload capacity reserved on the strength of a length prefix alone;
 /// beyond it the buffer follows the bytes received.
 const FRAME_READ_AHEAD: usize = 4096;
@@ -213,12 +218,10 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             last_modified,
             body,
         } => {
-            payload.push(KIND_FOUND);
-            payload.extend_from_slice(&epoch.to_le_bytes());
-            let lm_plus_1 = last_modified.map_or(0, |lm| lm.saturating_add(1));
-            payload.extend_from_slice(&lm_plus_1.to_le_bytes());
-            payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            payload.extend_from_slice(body);
+            let mut out = Vec::new();
+            encode_found_head(&mut out, *epoch, *last_modified, body.len());
+            out.extend_from_slice(body);
+            return out;
         }
         Frame::Miss { epoch } => {
             payload.push(KIND_MISS);
@@ -242,6 +245,25 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&payload);
     out
+}
+
+/// Everything of a `FOUND` frame but its body of `body_len` bytes, into
+/// `out`, cleared first: the length prefix, the kind and the fields. The
+/// event loop writes the body after it straight from the cache.
+pub(crate) fn encode_found_head(
+    out: &mut Vec<u8>,
+    epoch: u64,
+    last_modified: Option<u64>,
+    body_len: usize,
+) {
+    out.clear();
+    let len = 1 + 8 + 8 + 4 + body_len;
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.push(KIND_FOUND);
+    out.extend_from_slice(&epoch.to_le_bytes());
+    let lm_plus_1 = last_modified.map_or(0, |lm| lm.saturating_add(1));
+    out.extend_from_slice(&lm_plus_1.to_le_bytes());
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
 }
 
 fn bad(msg: &str) -> std::io::Error {
@@ -344,19 +366,35 @@ pub fn decode(payload: &[u8]) -> std::io::Result<Frame> {
 pub struct FrameReader {
     /// The prefix, then the payload, as received.
     buf: Vec<u8>,
+    /// On a peer port, where only requests arrive: a length prefix above
+    /// [`MAX_REQUEST_FRAME`] is refused.
+    inbound: bool,
 }
 
 impl FrameReader {
+    /// A reader for a peer port.
+    pub fn inbound() -> FrameReader {
+        FrameReader {
+            inbound: true,
+            ..FrameReader::default()
+        }
+    }
+
     /// Take the frame further with what `r` yields now: `Ok(Some(..))` is
     /// the frame, `Ok(None)` means `r` would block with more due. A
     /// stream that ends early is an `UnexpectedEof` error. One frame per
     /// reader.
     pub fn resume<R: Read>(&mut self, r: &mut R) -> std::io::Result<Option<Frame>> {
+        let limit = if self.inbound {
+            MAX_REQUEST_FRAME
+        } else {
+            MAX_FRAME
+        };
         loop {
             let end = match self.buf.first_chunk::<4>() {
                 None => 4,
                 Some(&prefix) => match u32::from_le_bytes(prefix) {
-                    len @ 1..=MAX_FRAME => 4 + len as usize,
+                    len if (1..=limit).contains(&len) => 4 + len as usize,
                     _ => return Err(bad("cluster frame length out of range")),
                 },
             };

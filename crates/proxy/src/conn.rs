@@ -18,16 +18,17 @@
 //! ```text
 //!              fresh hit, reject, admin (inline)
 //! Reading ──────────────────────────────────────────▶ Writing ──drained──▶ closed
-//!    │                                                 ▲    ▲
-//!    │ miss or expired copy                            │    │
-//!    ├──▶ Fetching ── answer, or none, concluded ──────┘    │
-//!    │     │ ▲  connect, send, read; a failed attempt       │
-//!    │     └─┘  waits out its backoff on the wheel          │
-//!    │     │                                                │
-//!    │     │ shard held at the conclusion                   │
-//!    ▼     ▼                                                │
-//!  Parked ── retried after the loop's next wait ────────────┘
+//!    │                                                 ▲
+//!    │ miss or expired copy                            │
+//!    └──▶ Fetching ── answer, or none, concluded ──────┘
+//!          │ ▲  connect, send, read; a failed attempt
+//!          └─┘  waits out its backoff on the wheel
 //! ```
+//!
+//! A cluster peer's connection, accepted on the peer port, reads its one
+//! request frame instead (`Peer`, registered under `EPOLLIN` once it
+//! would block) and is answered from the cache in the turn the frame is
+//! whole: `Peer ──▶ Writing ──▶ closed`.
 //!
 //! The last turn is the close, right after the last response byte is
 //! handed to the kernel. The socket is corked (it inherits `TCP_CORK` from
@@ -53,9 +54,10 @@
 //! [`crate::upstream::Progress`]) the reactor interprets — the reactor alone talks to
 //! epoll, the deadline wheel and the cache.
 
+use crate::cluster::FrameReader;
 use crate::fetch::Tries;
 use crate::http::{self, RequestParser, Response};
-use crate::serve::{Miss, Parked};
+use crate::serve::Miss;
 use crate::upstream::Exchange;
 use bytes::Bytes;
 use std::io::{self, ErrorKind, Read};
@@ -87,9 +89,8 @@ pub(crate) enum ConnState {
     /// Accumulating request bytes through the incremental parser (which
     /// lives on [`Conn`] itself so it can be recycled at close).
     Reading,
-    /// The request is parsed (and stays readable in the parser), and a
-    /// step of it waits for its shard's lock.
-    Parked(Parked),
+    /// A cluster peer's connection, its request frame read as it arrives.
+    Peer(FrameReader),
     /// The request is parsed, the cache had no fresh copy, and the
     /// document is being asked for. The exchange's socket, if one is in
     /// flight, is registered with epoll under this connection's token
@@ -142,7 +143,7 @@ pub(crate) struct Conn {
     /// Whether `stream` is in the event loop's epoll set. A connection
     /// enters the loop unregistered; one whose whole request was read at
     /// accept and answered in that turn never joins it, and one waiting
-    /// on the origin or a shard has left it.
+    /// on the origin has left it.
     pub watched: bool,
     /// The read that completed the request head came back short of the
     /// buffer: the kernel held nothing more from the client then, so the

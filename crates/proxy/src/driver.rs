@@ -8,7 +8,7 @@ use crate::config::ProxyConfig;
 use crate::http::Response;
 use crate::persist::{self, JournalOp, RecoveredData, SnapshotDoc};
 use crate::persister::{apply_recovery, install_journals, take_pending, PersistHealthState};
-use crate::serve::{begin_request, lookup, Answer, Lookup, Miss, Parked};
+use crate::serve::{begin_request, lookup, Lookup, Miss};
 use crate::stats::ProxyStats;
 use std::path::Path;
 use std::sync::Arc;
@@ -26,21 +26,17 @@ pub struct Driver {
 }
 
 /// A request the event loop began and could not answer from memory: a
-/// miss waiting for the origin's answer, or a step parked on a held
-/// shard.
+/// miss waiting for the origin's answer.
 #[derive(Debug)]
 pub struct Pending {
     target: String,
-    step: Result<Box<Miss>, Parked>,
+    miss: Box<Miss>,
 }
 
 impl Pending {
-    /// The `If-Modified-Since` the origin request carries, for a miss.
+    /// The `If-Modified-Since` the origin request carries.
     pub fn if_modified_since(&self) -> Option<u64> {
-        self.step
-            .as_ref()
-            .ok()
-            .and_then(|miss| miss.if_modified_since())
+        self.miss.if_modified_since()
     }
 }
 
@@ -65,101 +61,51 @@ impl Driver {
         Driver { config, state }
     }
 
-    /// One whole request with no shard held: [`Driver::begin`], then
-    /// `origin` — the origin exchange, given the `If-Modified-Since` —
-    /// for a miss, then [`Driver::conclude`] or [`Driver::fail`].
+    /// One whole request: [`Driver::begin`], then `origin` — the origin
+    /// exchange, given the `If-Modified-Since` — for a miss, then
+    /// [`Driver::conclude`] or [`Driver::fail`].
     pub fn request(
         &self,
         target: &str,
         origin: impl FnOnce(Option<u64>) -> Result<Fetched, FetchError>,
     ) -> Response {
-        let pending = match self.begin(target) {
-            Ok(hit) => return hit,
-            Err(pending) => pending,
-        };
-        let served = match origin(pending.if_modified_since()) {
-            Ok(answer) => self.conclude(pending, answer),
-            Err(e) => self.fail(pending, e),
-        };
-        served.expect("no shard is held")
+        match self.begin(target) {
+            Ok(hit) => hit,
+            Err(pending) => match origin(pending.if_modified_since()) {
+                Ok(answer) => self.conclude(pending, answer),
+                Err(e) => self.fail(pending, e),
+            },
+        }
     }
 
     /// One request as the event loop begins it: `begin_request`, then
-    /// `lookup`. A fresh hit is served; a miss is pending, and so, its
-    /// shard held, is the lookup, parked at this tick.
+    /// `lookup`. A fresh hit is served; a miss is pending.
     pub fn begin(&self, target: &str) -> Result<Response, Pending> {
         let now = begin_request(&self.state);
-        self.look_up(target.to_string(), now)
-    }
-
-    fn look_up(&self, target: String, now: u64) -> Result<Response, Pending> {
-        let step = match lookup(&self.config, &self.state, &target, now) {
-            Some(Lookup::Hit {
+        match lookup(&self.config, &self.state, target, now) {
+            Lookup::Hit {
                 body,
                 last_modified,
-            }) => return Ok(Response::ok(body, last_modified).with_cache_status(true)),
-            Some(Lookup::Miss(miss)) => Ok(Box::new(miss)),
-            None => Err(Parked::Lookup { now }),
-        };
-        Err(Pending { target, step })
+            } => Ok(Response::ok(body, last_modified).with_cache_status(true)),
+            Lookup::Miss(miss) => Err(Pending {
+                target: target.to_string(),
+                miss: Box::new(miss),
+            }),
+        }
     }
 
     /// The origin's `answer` to a pending miss, concluded as the loop
-    /// concludes a fetch (`Miss::conclude`); its shard held, the
-    /// conclusion is parked with the answer.
-    ///
-    /// # Panics
-    ///
-    /// When `pending` is parked rather than waiting for the origin.
-    pub fn conclude(&self, pending: Pending, answer: Fetched) -> Result<Response, Pending> {
-        self.answer(pending, Ok(answer))
+    /// concludes a fetch (`Miss::conclude`).
+    pub fn conclude(&self, pending: Pending, answer: Fetched) -> Response {
+        let Pending { target, miss } = pending;
+        miss.conclude(&self.config, &self.state, &target, Ok(answer))
     }
 
     /// A pending miss whose fetch failed, concluded as the loop concludes
     /// one without an answer: serve-stale or the failure's status.
-    ///
-    /// # Panics
-    ///
-    /// As [`Driver::conclude`].
-    pub fn fail(&self, pending: Pending, e: FetchError) -> Result<Response, Pending> {
-        self.answer(pending, Err(e))
-    }
-
-    fn answer(&self, pending: Pending, answer: Answer) -> Result<Response, Pending> {
-        let Pending { target, step } = pending;
-        let Ok(miss) = step else {
-            panic!("a parked step is retried, not answered")
-        };
-        miss.conclude(&self.config, &self.state, &target, answer)
-            .map_err(|step| Pending {
-                target,
-                step: Err(Parked::Conclude(step)),
-            })
-    }
-
-    /// Try a parked step again, as the loop does after its next wait: a
-    /// lookup serves a hit or becomes a pending miss, a conclusion
-    /// concludes with the answer it holds; a held shard parks it again. A
-    /// miss waiting for the origin is returned as it is.
-    pub fn retry(&self, pending: Pending) -> Result<Response, Pending> {
-        let Pending { target, step } = pending;
-        match step {
-            Err(Parked::Lookup { now }) => self.look_up(target, now),
-            Err(Parked::Conclude(step)) => {
-                let (miss, answer) = *step;
-                let step = Ok(Box::new(miss));
-                self.answer(Pending { target, step }, answer)
-            }
-            step => Err(Pending { target, step }),
-        }
-    }
-
-    /// Run `f` while the shard owning `target` is held, as by another
-    /// thread: inside `f` every step there parks, and a call that waits
-    /// for the lock (`drain`) never returns.
-    pub fn holding<R>(&self, target: &str, f: impl FnOnce() -> R) -> R {
-        let shard = self.state.shard_of(target);
-        self.state.cache.with_shard(shard, |_, _| f())
+    pub fn fail(&self, pending: Pending, e: FetchError) -> Response {
+        let Pending { target, miss } = pending;
+        miss.conclude(&self.config, &self.state, &target, Err(e))
     }
 
     /// The persister's drain of one shard: its buffered journal records.

@@ -4,6 +4,16 @@
 //! thread that drains, fsyncs and snapshots them, and the application of
 //! recovered snapshots and journals to a cold cache.
 //!
+//! The persister never touches a shard. While the proxy serves, the event
+//! loop is the only thread that does: the persister asks on its [`line()`]
+//! for every shard's records, or for every shard captured, rings the
+//! loop's eventfd, and reads back what the loop took in its next turn.
+//! The journal buffers stay the loop's, in each shard's `ShardExt`. When
+//! the loop exits, its last act is to capture every shard for the
+//! persister's final drain and snapshot. Recovery ([`apply_recovery`],
+//! [`install_journals`]) runs before the loop starts, and locks the
+//! shards itself.
+//!
 //! The write path is proportional to what is still resident when the
 //! persister gets to it (DESIGN.md D24): a buffered `Insert` whose
 //! document is evicted before the drain is rewritten as an `Evict` and
@@ -15,11 +25,13 @@
 use crate::cache_proxy::{ProxyState, RecoveryReport, Resident, ShardCache, ShardExt};
 use crate::iofault::IoFaultInjector;
 use crate::persist::{self, JournalOp, PersistConfig, PersistError};
+use crate::reactor::EventFd;
 use crate::serve::{install, refresh_resident, touch_resident};
 use crate::stats::{Counters, ProxyStats};
 use crate::url_table::UrlTable;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webcache_core::cache::{CacheState, DocMeta, RestoreOutcome};
@@ -296,23 +308,125 @@ fn log_persist_error(context: &str, e: &PersistError) {
     eprintln!("webcache-proxy: persist: {context}: {e}");
 }
 
-/// The background persister: drains per-shard journal buffers every tick,
-/// group-fsyncs on [`PersistConfig::journal_fsync`], snapshots on
-/// [`PersistConfig::snapshot_interval`], and — once `stop` is raised —
-/// performs a final drain + fsync + snapshot before exiting. Shard locks
-/// are held only for the drain/export critical sections; all file I/O
-/// happens with no lock held, so the serving hit path never waits on the
-/// disk.
+/// What the event loop took from every shard, in shard order, in one
+/// turn: the answer to an ask, or, `last`, the capture it makes before
+/// it exits.
+struct Answer {
+    shards: Vec<Taken>,
+    last: bool,
+}
+
+/// What the event loop took from one shard, in one visit.
+struct Taken {
+    /// The records buffered since the last visit.
+    pending: VecDeque<(u64, JournalOp)>,
+    /// Sequence number of the newest record assigned so far: a capture
+    /// made in the same visit covers every record up to it.
+    newest_seq: u64,
+    /// The logical clock at the visit.
+    now: u64,
+    /// For a capture, the shard's state and each entry's URL, body and
+    /// fetch time, in the order of the state's documents: refcount
+    /// clones, no text copied.
+    capture: Option<(CacheState, Vec<Resident>)>,
+}
+
+/// The event loop's end of the persister's line. An ask is for every
+/// shard's buffered journal records and, `true`, for every shard itself,
+/// for a snapshot.
+pub(crate) struct LoopEnd {
+    asks: Receiver<bool>,
+    answers: Sender<Answer>,
+    health: Arc<PersistHealthState>,
+    /// The journal buffers are gone: persistence is disabled.
+    freed: bool,
+}
+
+/// The persister's end of its line to the event loop.
+pub(crate) struct PersisterEnd {
+    asks: Sender<bool>,
+    answers: Receiver<Answer>,
+}
+
+/// The line between the event loop and the persister: asks one way,
+/// answers the other.
+pub(crate) fn line(health: &Arc<PersistHealthState>) -> (LoopEnd, PersisterEnd) {
+    let (ask, asks) = mpsc::channel();
+    let (answer, answers) = mpsc::channel();
+    let loop_end = LoopEnd {
+        asks,
+        answers: answer,
+        health: Arc::clone(health),
+        freed: false,
+    };
+    (loop_end, PersisterEnd { asks: ask, answers })
+}
+
+impl LoopEnd {
+    /// On the event loop, rung by the persister: once persistence is
+    /// disabled, free every shard's journal buffer (`ShardExt::log_op`
+    /// becomes a no-op again and the memory is returned); then answer
+    /// every queued ask.
+    pub(crate) fn answer(&mut self, state: &ProxyState) {
+        if !self.freed && self.health.health() == PersistHealth::Disabled {
+            for s in 0..state.cache.shard_count() {
+                state.cache.with_shard(s, |_, ext| ext.journal = None);
+            }
+            self.freed = true;
+        }
+        while let Ok(capture) = self.asks.try_recv() {
+            let shards = take_all(state, capture);
+            let _ = self.answers.send(Answer {
+                shards,
+                last: false,
+            });
+        }
+    }
+
+    /// The event loop's last act, once it has closed every connection:
+    /// every shard captured for the persister's final drain and snapshot.
+    /// Nothing once persistence is disabled.
+    pub(crate) fn finish(self, state: &ProxyState) {
+        if self.health.health() != PersistHealth::Disabled {
+            let shards = take_all(state, true);
+            let _ = self.answers.send(Answer { shards, last: true });
+        }
+    }
+}
+
+/// Take every shard's records, and with `capture` the shard itself, one
+/// visit each.
+fn take_all(state: &ProxyState, capture: bool) -> Vec<Taken> {
+    let now = state.now.load(Ordering::SeqCst);
+    let take = |cache: &mut ShardCache, ext: &mut ShardExt| Taken {
+        pending: take_pending(ext),
+        newest_seq: newest_seq(ext),
+        now,
+        capture: capture.then(|| cache.export_entries()),
+    };
+    (0..state.cache.shard_count())
+        .map(|s| state.cache.with_shard(s, take))
+        .collect()
+}
+
+/// The background persister: drains the per-shard journal buffers every
+/// tick, group-fsyncs on [`PersistConfig::journal_fsync`], snapshots on
+/// [`PersistConfig::snapshot_interval`], and — with the event loop's last
+/// capture — performs a final drain + fsync + snapshot before exiting. It
+/// never touches a shard: it posts an ask, rings the loop, and the loop
+/// answers in its next turn ([`LoopEnd::answer`]), so all file I/O
+/// happens off the loop and the serving path never waits on the disk.
 ///
 /// This loop also drives the [`PersistHealth`] state machine:
 ///
 /// * **Healthy** — as above, except that a journal nothing was appended
 ///   to is not fsynced, and a snapshot due on cadence is skipped when no
-///   shard has logged a record since the last committed one (what is on
-///   disk is what is in memory). Any persist write error (append, sync,
-///   snapshot) transitions to Degraded; the first re-arm probe is
-///   scheduled one `degraded_backoff` out. A forced-snapshot demand
-///   (buffer overflow dropped records) snapshots immediately.
+///   shard had logged a record since the last committed one at this
+///   tick's drain (what is on disk is what is in memory). Any persist
+///   write error (append, sync, snapshot) transitions to Degraded; the
+///   first re-arm probe is scheduled one `degraded_backoff` out. A
+///   forced-snapshot demand (buffer overflow dropped records) snapshots
+///   immediately.
 /// * **Degraded** — journaling is suspended ([`JournalBuf::log`] counts
 ///   instead of buffering; anything still pending is discarded as
 ///   counted loss, since appending past a torn tail would be unreadable
@@ -326,74 +440,77 @@ fn log_persist_error(context: &str, e: &PersistError) {
 ///   exponentially (capped at 32x) and after
 ///   [`PersistConfig::degraded_max_retries`] in a row persistence is
 ///   Disabled.
-/// * **Disabled** — journal buffers are freed and the loop idles until
-///   stop. The proxy serves from memory; the exit status reports it.
+/// * **Disabled** — the loop, rung, frees the journal buffers itself; the
+///   persister idles until the loop exits. The proxy serves
+///   from memory; the exit status reports it.
 ///
-/// On stop the loop attempts one final drain + sync + snapshot in
-/// Healthy or Degraded (never probing, so a dead disk cannot delay
-/// shutdown) and exits in whatever state it reached.
+/// With the loop's last capture the persister makes one final drain +
+/// sync + snapshot in Healthy, or one final snapshot in Degraded (never
+/// probing, so a dead disk cannot delay shutdown), and exits in whatever
+/// state it reached.
 pub(crate) fn persister_loop(
-    state: &Arc<ProxyState>,
     cfg: &PersistConfig,
-    mut writers: Vec<persist::JournalWriter>,
-    mut gen: u64,
-    stop: &AtomicBool,
-    health: &Arc<PersistHealthState>,
+    writers: Vec<persist::JournalWriter>,
+    gen: u64,
+    line: PersisterEnd,
+    bell: Arc<EventFd>,
+    health: &PersistHealthState,
     hook: Option<&IoFaultInjector>,
 ) {
     let tick = cfg
         .journal_fsync
         .min(cfg.snapshot_interval)
         .clamp(Duration::from_millis(1), Duration::from_millis(50));
+    let mut p = Persister {
+        cfg,
+        writers,
+        gen,
+        covered: None,
+        line,
+        bell,
+        last: None,
+        health,
+        hook,
+    };
     let mut last_sync = Instant::now();
     let mut last_snap = Instant::now();
     let mut probe_failures: u32 = 0;
     let mut next_probe = Instant::now();
-    let mut journals_freed = false;
-    // Per shard, the sequence number the last committed snapshot covers.
-    let mut covered: Option<Vec<u64>> = None;
-    // Every snapshot attempt consumes a generation, success or not: a
-    // retry must never reuse a generation some file may already carry.
-    let snapshot_once = |writers: &mut Vec<persist::JournalWriter>,
-                         gen: &mut u64,
-                         covered: &mut Option<Vec<u64>>|
-     -> Result<(), PersistError> {
-        let r = take_snapshot(state, cfg, writers, *gen, health, hook);
-        *gen += 1;
-        *covered = Some(r?);
-        Ok(())
-    };
+    // A visit that comes back `None` means the loop has exited: its last
+    // capture, if any, is in `p.last`.
     loop {
-        let stopping = stop.load(Ordering::SeqCst);
+        match p.line.answers.recv_timeout(tick) {
+            // No ask is outstanding between ticks: only the last capture
+            // comes unasked.
+            Ok(answer) => {
+                p.last = Some(answer.shards);
+                break;
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
         match health.health() {
             PersistHealth::Healthy => {
-                drain_pending(state, &mut writers, health);
+                let Some(newest) = p.drain() else { break };
                 if health.health() == PersistHealth::Healthy
-                    && (stopping || last_sync.elapsed() >= cfg.journal_fsync)
+                    && last_sync.elapsed() >= cfg.journal_fsync
                 {
-                    for w in &mut writers {
-                        if let Err(e) = w.sync() {
-                            health.degrade("journal sync", &e);
-                            break;
-                        }
-                    }
+                    p.sync();
                     last_sync = Instant::now();
                 }
                 let force = health.take_force_snapshot();
                 if health.health() == PersistHealth::Healthy
-                    && (stopping || force || last_snap.elapsed() >= cfg.snapshot_interval)
+                    && (force || last_snap.elapsed() >= cfg.snapshot_interval)
                 {
                     // On cadence alone, a cache no record has touched
                     // since the last snapshot is already on disk.
-                    let idle = !stopping
-                        && !force
-                        && covered
-                            .as_deref()
-                            .is_some_and(|covered| nothing_logged_since(state, covered));
-                    if idle {
-                        state.counters.snapshots_skipped.add(1);
-                    } else if let Err(e) = snapshot_once(&mut writers, &mut gen, &mut covered) {
-                        health.degrade("snapshot", &e);
+                    if !force && p.covered.as_ref() == Some(&newest) {
+                        health.counters.snapshots_skipped.add(1);
+                    } else {
+                        let Some(snapshot) = p.snapshot() else { break };
+                        if let Err(e) = snapshot {
+                            health.degrade("snapshot", &e);
+                        }
                     }
                     last_snap = Instant::now();
                 }
@@ -404,26 +521,23 @@ pub(crate) fn persister_loop(
                 }
             }
             PersistHealth::Degraded => {
-                discard_pending(state, health);
-                if stopping || last_snap.elapsed() >= cfg.snapshot_interval {
-                    if let Err(e) = snapshot_once(&mut writers, &mut gen, &mut covered) {
+                let Some(()) = p.discard() else { break };
+                if last_snap.elapsed() >= cfg.snapshot_interval {
+                    let Some(snapshot) = p.snapshot() else { break };
+                    if let Err(e) = snapshot {
                         log_persist_error("degraded snapshot", &e);
                     }
                     last_snap = Instant::now();
                 }
-                if !stopping && Instant::now() >= next_probe {
+                if Instant::now() >= next_probe {
                     let healed = match persist::probe_disk(&cfg.dir, hook) {
-                        Ok(()) => match snapshot_once(&mut writers, &mut gen, &mut covered) {
-                            Ok(()) => {
-                                last_snap = Instant::now();
-                                true
-                            }
-                            Err(e) => {
-                                log_persist_error("re-arm snapshot", &e);
-                                last_snap = Instant::now();
-                                false
-                            }
-                        },
+                        Ok(()) => {
+                            let Some(snapshot) = p.snapshot() else { break };
+                            last_snap = Instant::now();
+                            snapshot
+                                .map_err(|e| log_persist_error("re-arm snapshot", &e))
+                                .is_ok()
+                        }
                         Err(e) => {
                             log_persist_error("disk probe", &e);
                             false
@@ -435,11 +549,13 @@ pub(crate) fn persister_loop(
                         // What changed between that snapshot's capture
                         // and this moment was counted, not numbered: the
                         // next cadence snapshot is not one to skip.
-                        covered = None;
+                        p.covered = None;
                     } else {
                         probe_failures += 1;
                         if probe_failures >= cfg.degraded_max_retries {
                             health.disable(probe_failures);
+                            // The loop frees the journal buffers.
+                            p.bell.notify();
                         } else {
                             let shift = probe_failures.min(5); // cap at 32x
                             next_probe = Instant::now() + cfg.degraded_backoff * (1 << shift);
@@ -447,35 +563,198 @@ pub(crate) fn persister_loop(
                     }
                 }
             }
-            PersistHealth::Disabled => {
-                if !journals_freed {
-                    free_journal_buffers(state);
-                    journals_freed = true;
-                }
-            }
+            PersistHealth::Disabled => {}
         }
-        if stopping {
-            break;
-        }
-        std::thread::sleep(tick);
+    }
+    if let Some(last) = p.last.take() {
+        p.finish(last);
     }
 }
 
-/// Move every shard's buffered journal records to its writer (append
-/// only — durability comes from the caller's group fsync). An append
-/// failure is explicit durability loss: the batch is counted (the next
-/// successful snapshot covers the state it described) and the store
-/// degrades; remaining shards still get their drain, since their
-/// journal files may be on healthier ground.
-fn drain_pending(
-    state: &Arc<ProxyState>,
-    writers: &mut [persist::JournalWriter],
-    health: &PersistHealthState,
-) {
-    for (s, w) in writers.iter_mut().enumerate() {
-        let mut pending = state.cache.with_shard(s, |_, ext| take_pending(ext));
-        if let Err(e) = append_counted(w, &mut pending, health) {
-            health.degrade("journal append", &e);
+/// The persister's working state: its journal files, the next snapshot
+/// generation, what the last committed snapshot covers, and its line to
+/// the event loop.
+struct Persister<'a> {
+    cfg: &'a PersistConfig,
+    writers: Vec<persist::JournalWriter>,
+    /// Every snapshot attempt consumes a generation, success or not: a
+    /// retry must never reuse a generation some file may already carry.
+    gen: u64,
+    /// Per shard, the sequence number the last committed snapshot covers.
+    covered: Option<Vec<u64>>,
+    line: PersisterEnd,
+    bell: Arc<EventFd>,
+    /// The loop's last capture, once it has exited.
+    last: Option<Vec<Taken>>,
+    health: &'a PersistHealthState,
+    hook: Option<&'a IoFaultInjector>,
+}
+
+impl Persister<'_> {
+    /// Every shard's records, and with `capture` every shard, taken in one
+    /// turn of the event loop. `None` once the loop has exited.
+    fn visit(&mut self, capture: bool) -> Option<Vec<Taken>> {
+        let _ = self.line.asks.send(capture);
+        self.bell.notify();
+        let answer = self.line.answers.recv().ok()?;
+        if answer.last {
+            self.last = Some(answer.shards);
+            return None;
+        }
+        Some(answer.shards)
+    }
+
+    /// Move `taken`'s records to the journal files (append only —
+    /// durability comes from the group fsync). An append failure is
+    /// explicit durability loss: the batch is counted (the next
+    /// successful snapshot covers the state it described) and the store
+    /// degrades; remaining shards still get theirs, since their journal
+    /// files may be on healthier ground.
+    fn append(&mut self, taken: &mut [Taken]) {
+        for (w, t) in self.writers.iter_mut().zip(taken) {
+            if let Err(e) = append_counted(w, &mut t.pending, self.health) {
+                self.health.degrade("journal append", &e);
+            }
+        }
+    }
+
+    /// Drain every shard into the journal files; each shard's newest
+    /// sequence number at the drain.
+    fn drain(&mut self) -> Option<Vec<u64>> {
+        let mut taken = self.visit(false)?;
+        self.append(&mut taken);
+        Some(taken.iter().map(|t| t.newest_seq).collect())
+    }
+
+    /// Throw away buffered records while degraded, counting them as loss.
+    /// Appending them would be futile: an errored journal file may end in
+    /// a torn frame, making everything after it unreadable on replay. The
+    /// healing snapshot covers the live state they described.
+    fn discard(&mut self) -> Option<()> {
+        let mut taken = self.visit(false)?;
+        self.lose(&mut taken);
+        Some(())
+    }
+
+    /// Count `taken`'s records as lost, and drop them.
+    fn lose(&self, taken: &mut [Taken]) {
+        let lost = taken
+            .iter_mut()
+            .map(|t| std::mem::take(&mut t.pending).len());
+        let lost = lost.sum::<usize>() as u64;
+        if lost > 0 {
+            self.health.count_lost(lost);
+        }
+    }
+
+    /// Group-fsync every journal; the first failure degrades the store.
+    fn sync(&mut self) {
+        for w in &mut self.writers {
+            if let Err(e) = w.sync() {
+                self.health.degrade("journal sync", &e);
+                break;
+            }
+        }
+    }
+
+    /// Capture every shard and write it as the next snapshot generation.
+    fn snapshot(&mut self) -> Option<Result<(), PersistError>> {
+        let captured = self.visit(true)?;
+        Some(self.commit(captured))
+    }
+
+    /// Write `captured` as the next snapshot generation: per-shard
+    /// snapshots, then rotate the journals. Every attempt consumes a
+    /// generation, success or not. Crash-ordering argument:
+    ///
+    /// 1. Records taken in the capture (all `seq <= snap_seq`) are appended
+    ///    *before* the snapshot that supersedes them — a crash before the
+    ///    snapshot commits still replays them from the journal.
+    /// 2. A shard's snapshot is one file, written atomically (tmp + fsync +
+    ///    rename: the rename is its commit), so recovery sees either the old
+    ///    or the new generation of the shard, never a torn one.
+    /// 3. Journals rotate only after every snapshot of this generation is
+    ///    durable; every record dropped has `seq <= snap_seq`, which replay
+    ///    skips anyway — a crash between commit and rotation is harmless.
+    ///
+    /// Committed, each shard's `snap_seq` is what the snapshots cover.
+    fn commit(&mut self, mut captured: Vec<Taken>) -> Result<(), PersistError> {
+        let (gen, health) = (self.gen, self.health);
+        self.gen += 1;
+        let nshards = self.writers.len();
+        for (w, t) in self.writers.iter_mut().zip(&mut captured) {
+            // A failed append here is tolerable: every taken record has
+            // `seq <= snap_seq`, so the snapshot about to be written
+            // covers the same state. Count the loss (a crash before
+            // the snapshot commits would lose them) and carry on.
+            if let Err(e) = append_counted(w, &mut t.pending, health) {
+                log_persist_error("snapshot pre-append", &e);
+            }
+        }
+        let covered = captured.iter().map(|t| t.newest_seq).collect();
+        for (s, t) in captured.into_iter().enumerate() {
+            // Every snapshot is written from a visit that captured.
+            let Some((cs, residents)) = t.capture else {
+                continue;
+            };
+            let docs = std::iter::zip(cs.docs, residents)
+                .map(|(meta, resident)| persist::SnapshotDoc {
+                    meta,
+                    url: resident.url.to_string(),
+                    fetched_at: resident.fetched_at,
+                    body: resident.body,
+                })
+                .collect();
+            let written = persist::write_shard_snapshot_hooked(
+                &self.cfg.dir,
+                &persist::ShardSnapshot {
+                    shard: s as u32,
+                    nshards: nshards as u32,
+                    gen,
+                    seq: t.newest_seq,
+                    now: t.now,
+                    capacity: cs.capacity,
+                    current_day: cs.current_day,
+                    stats: cs.stats,
+                    policy_state: cs.policy_state,
+                    docs,
+                },
+                self.hook,
+            )?;
+            health.counters.snapshot_bytes.add(written);
+        }
+        for w in self.writers.iter_mut() {
+            w.sync()?;
+            w.rotate()?;
+        }
+        persist::gc_old_generations(&self.cfg.dir, nshards as u32, gen);
+        health.counters.snapshots.add(1);
+        self.covered = Some(covered);
+        Ok(())
+    }
+
+    /// The loop's last capture: a final drain + sync + snapshot in
+    /// Healthy, a final snapshot in Degraded.
+    fn finish(mut self, mut last: Vec<Taken>) {
+        match self.health.health() {
+            PersistHealth::Healthy => {
+                self.append(&mut last);
+                if self.health.health() == PersistHealth::Healthy {
+                    self.sync();
+                }
+                if self.health.health() == PersistHealth::Healthy {
+                    if let Err(e) = self.commit(last) {
+                        self.health.degrade("snapshot", &e);
+                    }
+                }
+            }
+            PersistHealth::Degraded => {
+                self.lose(&mut last);
+                if let Err(e) = self.commit(last) {
+                    log_persist_error("degraded snapshot", &e);
+                }
+            }
+            PersistHealth::Disabled => {}
         }
     }
 }
@@ -499,30 +778,8 @@ fn append_counted(
     appended
 }
 
-/// Whether every shard's newest assigned sequence number is still the one
-/// in `covered` (per shard, what the last committed snapshot covers).
-fn nothing_logged_since(state: &Arc<ProxyState>, covered: &[u64]) -> bool {
-    covered
-        .iter()
-        .enumerate()
-        .all(|(s, &seq)| state.cache.with_shard(s, |_, ext| newest_seq(ext)) == seq)
-}
-
-/// Throw away buffered records while degraded, counting them as loss.
-/// Appending them would be futile: an errored journal file may end in a
-/// torn frame, making everything after it unreadable on replay. The
-/// healing snapshot covers the live state they described.
-fn discard_pending(state: &Arc<ProxyState>, health: &PersistHealthState) {
-    for s in 0..state.cache.shard_count() {
-        let n = state.cache.with_shard(s, |_, ext| take_pending(ext).len());
-        if n > 0 {
-            health.count_lost(n as u64);
-        }
-    }
-}
-
-/// Empty a shard's journal buffer (under its lock): the records awaiting
-/// the persister. Nothing without a buffer.
+/// Empty a shard's journal buffer: the records awaiting the persister.
+/// Nothing without a buffer.
 pub(crate) fn take_pending(ext: &mut ShardExt) -> VecDeque<(u64, JournalOp)> {
     let pending = ext.journal.as_deref_mut().map(JournalBuf::take);
     pending.unwrap_or_default()
@@ -551,110 +808,6 @@ pub(crate) fn install_journals(
 /// assigned so far; zero without a buffer.
 fn newest_seq(ext: &ShardExt) -> u64 {
     ext.journal.as_deref().map_or(0, JournalBuf::newest_seq)
-}
-
-/// Remove the per-shard journal buffers once persistence is Disabled:
-/// `ShardExt::log_op` becomes a no-op again and the buffers' memory is
-/// returned.
-fn free_journal_buffers(state: &Arc<ProxyState>) {
-    for s in 0..state.cache.shard_count() {
-        state.cache.with_shard(s, |_, ext| {
-            ext.journal = None;
-        });
-    }
-}
-
-/// One shard's state captured under its lock for snapshotting.
-struct CapturedShard {
-    snap_seq: u64,
-    cs: CacheState,
-    /// URL, body and fetch time per entry of `cs.docs`, in the same
-    /// order: refcount clones, no text copied under the lock.
-    residents: Vec<Resident>,
-}
-
-/// Write one consistent generation: per-shard snapshots, then rotate the
-/// journals. Crash-ordering argument:
-///
-/// 1. Records drained during capture (all `seq <= snap_seq`) are
-///    appended *before* the snapshot that supersedes them — a crash
-///    before the snapshot commits still replays them from the journal.
-/// 2. A shard's snapshot is one file, written atomically (tmp + fsync +
-///    rename: the rename is its commit), so recovery sees either the old
-///    or the new generation of the shard, never a torn one.
-/// 3. Journals rotate only after every snapshot of this generation is
-///    durable; every record dropped has `seq <= snap_seq`, which replay
-///    skips anyway — a crash between commit and rotation is harmless.
-///
-/// Returns each shard's `snap_seq`: what the committed generation covers.
-fn take_snapshot(
-    state: &Arc<ProxyState>,
-    cfg: &PersistConfig,
-    writers: &mut [persist::JournalWriter],
-    gen: u64,
-    health: &PersistHealthState,
-    hook: Option<&IoFaultInjector>,
-) -> Result<Vec<u64>, PersistError> {
-    let nshards = writers.len();
-    let mut caps = Vec::with_capacity(nshards);
-    for (s, w) in writers.iter_mut().enumerate() {
-        let (mut pending, cap) = state.cache.with_shard(s, |cache, ext| {
-            let pending = take_pending(ext);
-            let (cs, residents) = cache.export_entries();
-            (
-                pending,
-                CapturedShard {
-                    snap_seq: newest_seq(ext),
-                    cs,
-                    residents,
-                },
-            )
-        });
-        // A failed append here is tolerable: every taken record has
-        // `seq <= snap_seq`, so the snapshot this function is about to
-        // write covers the same state. Count the loss (a crash before
-        // the snapshot commits would lose them) and carry on.
-        if let Err(e) = append_counted(w, &mut pending, health) {
-            log_persist_error("snapshot pre-append", &e);
-        }
-        caps.push(cap);
-    }
-    let now = state.now.load(Ordering::SeqCst);
-    let covered = caps.iter().map(|cap| cap.snap_seq).collect();
-    for (s, cap) in caps.into_iter().enumerate() {
-        let docs = std::iter::zip(cap.cs.docs, cap.residents)
-            .map(|(meta, resident)| persist::SnapshotDoc {
-                meta,
-                url: resident.url.to_string(),
-                fetched_at: resident.fetched_at,
-                body: resident.body,
-            })
-            .collect();
-        let written = persist::write_shard_snapshot_hooked(
-            &cfg.dir,
-            &persist::ShardSnapshot {
-                shard: s as u32,
-                nshards: nshards as u32,
-                gen,
-                seq: cap.snap_seq,
-                now,
-                capacity: cap.cs.capacity,
-                current_day: cap.cs.current_day,
-                stats: cap.cs.stats,
-                policy_state: cap.cs.policy_state,
-                docs,
-            },
-            hook,
-        )?;
-        state.counters.snapshot_bytes.add(written);
-    }
-    for w in writers.iter_mut() {
-        w.sync()?;
-        w.rotate()?;
-    }
-    persist::gc_old_generations(&cfg.dir, nshards as u32, gen);
-    state.counters.snapshots.add(1);
-    Ok(covered)
 }
 
 /// Reinstate recovered snapshots + journals into a freshly built (empty)
@@ -1020,7 +1173,7 @@ mod tests {
             shard.state.cache.with_shard(0, |_, ext| indexed(ext)),
             Some(1)
         );
-        free_journal_buffers(&shard.state);
+        shard.state.cache.with_shard(0, |_, ext| ext.journal = None);
         assert_eq!(shard.state.cache.with_shard(0, |_, ext| indexed(ext)), None);
         // Logging is a no-op again.
         shard.request("http://j.test/b.html", served("world"));

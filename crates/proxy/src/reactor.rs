@@ -1,6 +1,7 @@
 //! The serving engine: one event-loop thread waits on every client
 //! socket and on every origin and cluster-peer socket, and serves every
-//! request from accept to close. No request is handed to another thread.
+//! request from accept to close. No request is handed to another thread,
+//! and no other thread touches a cache shard while the loop runs.
 //!
 //! A thread per in-flight connection would cap concurrency at the pool
 //! size regardless of what those connections are doing — a thousand
@@ -13,9 +14,9 @@
 //! alike — are bounded by file descriptors, not threads.
 //!
 //! Ownership rule: the loop holds every `TcpStream` it serves with, and
-//! each is in exactly one place — a client stream in the loop's slab, an
-//! origin stream in the idle pool or in the `Fetching` state of one
-//! connection in the slab — and moves between them by value.
+//! each is in exactly one place — a client or inbound peer stream in the
+//! loop's slab, an origin stream in the idle pool or in the `Fetching`
+//! state of one connection in the slab — and moves between them by value.
 //!
 //! ## Anatomy
 //!
@@ -76,13 +77,16 @@
 //!   descriptor to accept into (`EMFILE` and kin): it goes back at the
 //!   next tick or the loop's next close, whichever is first, instead of
 //!   waking the loop at once, forever.
-//! * **cache** — a parsed request is offered to the cache under a single
-//!   `try_lock`ed shard guard ([`lookup`]). A fresh hit is served right
-//!   there. The loop never waits for a lock: when another thread (the
-//!   persister, a cluster peer's query) holds the shard, the step — the
-//!   lookup, or a fetch's conclusion with its answer — is parked in the
-//!   connection's slot ([`Parked`]) and retried after the loop's next
-//!   wait, which lasts at most [`PARKED_WAIT`] while anything is parked.
+//! * **cache** — the loop is the only thread that touches a cache shard
+//!   while it runs, so it never waits for a shard's lock. A request is
+//!   looked up in one shard visit ([`lookup`]) and a fresh hit served
+//!   right there. A cluster node's peer port is a second listener: a peer
+//!   connection reads one frame ([`FrameReader::inbound`]), is answered
+//!   in the turn it is whole ([`answer_peer`]; a `FOUND` writes the
+//!   shard's `Bytes` behind its header, uncopied), and is closed. The
+//!   persister posts its asks and rings the waker; the loop answers them
+//!   in that turn (`persister::LoopEnd`), and its last act before it
+//!   exits is to capture every shard for the final snapshot.
 //! * **fetch** — a miss or an expired copy is fetched by the loop, one
 //!   attempt machine per connection in `Fetching`: in cluster mode a
 //!   non-owner first asks the key's owner with a `QUERY` frame (under
@@ -109,9 +113,10 @@ use crate::config::ProxyConfig;
 use crate::conn::{Conn, ConnState, Event, Fetch};
 use crate::fetch::Tries;
 use crate::http::{Response, ResponseReader};
+use crate::persister::LoopEnd;
 use crate::serve::{
-    begin_request, finalize_response, lookup, peer_answered, peer_query, peer_to_ask, Answer,
-    Lookup, Miss, Parked,
+    answer_peer, begin_request, finalize_response, lookup, peer_answered, peer_query, peer_to_ask,
+    Answer, Lookup, Miss,
 };
 use crate::stats::{admin_stats_response, ADMIN_STATS_TARGET};
 use crate::upstream::{encode_request, Exchange, Failure, Fetched, Progress, Reply, MAX_IDLE};
@@ -362,9 +367,9 @@ impl Epoll {
     }
 
     /// Stop watching an fd that stays open: a client socket parked
-    /// behind a fetch or a held shard, an origin socket going back to the
-    /// idle pool, a listener with no descriptor to accept into. Closing a socket that was never duplicated removes it from
-    /// the set by itself.
+    /// behind a fetch, an origin socket going back to the idle pool, a
+    /// listener with no descriptor to accept into. Closing a socket that
+    /// was never duplicated removes it from the set by itself.
     fn del(&self, fd: RawFd) {
         let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
     }
@@ -402,9 +407,9 @@ impl Drop for Epoll {
     }
 }
 
-/// An `eventfd`-based waker: shutdown's doorbell, nudging the event loop
-/// out of `epoll_wait`.
-struct EventFd {
+/// An `eventfd`-based waker, nudging the event loop out of `epoll_wait`:
+/// for shutdown, and for the persister's asks.
+pub(crate) struct EventFd {
     fd: RawFd,
 }
 
@@ -417,7 +422,7 @@ impl EventFd {
         Ok(EventFd { fd })
     }
 
-    fn notify(&self) {
+    pub(crate) fn notify(&self) {
         let one: u64 = 1;
         unsafe {
             write(self.fd, one.to_ne_bytes().as_ptr(), 8);
@@ -445,6 +450,7 @@ impl Drop for EventFd {
 
 const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKER_TOKEN: u64 = u64::MAX - 1;
+const PEER_LISTENER_TOKEN: u64 = u64::MAX - 2;
 
 fn pack_token(idx: usize, gen: u32) -> u64 {
     ((gen as u64) << 32) | idx as u64
@@ -617,10 +623,6 @@ impl Wheel {
 // ---------------------------------------------------------------------
 // The reactor proper.
 
-/// How long the loop waits while a connection is parked on a held shard:
-/// the next retry comes after at most this, never in a busy spin.
-const PARKED_WAIT: Duration = Duration::from_millis(1);
-
 /// Response readers kept for the next origin exchange (16 KiB each).
 const MAX_SPARE_READERS: usize = 8;
 
@@ -632,12 +634,16 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    /// Take ownership of a bound listener and start serving on it.
+    /// Take ownership of a bound listener and start serving on it; in
+    /// cluster mode, on the node's peer port `peers` too, and with
+    /// persistence, answering the persister at `persister`.
     pub fn start(
         listener: TcpListener,
+        peers: Option<TcpListener>,
         origin: SocketAddr,
         config: ProxyConfig,
-        state: Arc<ProxyState>,
+        state: &Arc<ProxyState>,
+        persister: Option<LoopEnd>,
     ) -> io::Result<Reactor> {
         listener.set_nonblocking(true)?;
         defer_accept(&listener, config.read_timeout)?;
@@ -647,16 +653,22 @@ impl Reactor {
         let epoll = Epoll::new()?;
         let waker = Arc::new(EventFd::new()?);
         epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
+        if let Some(peers) = &peers {
+            peers.set_nonblocking(true)?;
+            epoll.add(peers.as_raw_fd(), EPOLLIN, PEER_LISTENER_TOKEN)?;
+        }
         epoll.add(waker.fd, EPOLLIN, WAKER_TOKEN)?;
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let event_loop = {
             let shutdown = Arc::clone(&shutdown);
             let waker = Arc::clone(&waker);
+            let state = Arc::clone(state);
             std::thread::spawn(move || {
                 let mut lp = EventLoop {
                     epoll,
-                    listener,
+                    listener: Listener::new(listener, LISTENER_TOKEN),
+                    peers: peers.map(|l| Listener::new(l, PEER_LISTENER_TOKEN)),
                     waker,
                     shutdown,
                     slab: Slab::default(),
@@ -666,10 +678,9 @@ impl Reactor {
                     idle: Vec::with_capacity(MAX_IDLE),
                     readers: Vec::new(),
                     request: Vec::new(),
-                    parked: Vec::new(),
                     fired_scratch: Vec::new(),
                     read_buf: vec![0; READ_BUF].into_boxed_slice(),
-                    listener_parked: false,
+                    persister,
                     config,
                     state,
                 };
@@ -684,9 +695,15 @@ impl Reactor {
         })
     }
 
+    /// The waker the persister rings with its asks.
+    pub fn waker(&self) -> Arc<EventFd> {
+        Arc::clone(&self.waker)
+    }
+
     /// Stop the event loop and join it. Every socket closes with the
     /// loop: the clients in its slab, the exchanges in flight and the idle
-    /// origin connections.
+    /// origin connections; then the loop captures every shard for the
+    /// persister's final snapshot.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.waker.notify();
@@ -696,9 +713,34 @@ impl Reactor {
     }
 }
 
+/// A listening socket the loop accepts from: the client port, or a
+/// cluster node's peer port.
+struct Listener {
+    socket: TcpListener,
+    token: u64,
+    /// Out of epoll because the last `accept4` found the process or the
+    /// kernel out of descriptors: level-triggered, it would wake the loop
+    /// again at once, for as long as that lasts. It goes back in when the
+    /// loop next closes a connection or the wheel next ticks, whichever
+    /// comes first.
+    parked: bool,
+}
+
+impl Listener {
+    fn new(socket: TcpListener, token: u64) -> Listener {
+        Listener {
+            socket,
+            token,
+            parked: false,
+        }
+    }
+}
+
 struct EventLoop {
     epoll: Epoll,
-    listener: TcpListener,
+    listener: Listener,
+    /// A cluster node's peer port.
+    peers: Option<Listener>,
     waker: Arc<EventFd>,
     shutdown: Arc<AtomicBool>,
     slab: Slab,
@@ -714,18 +756,12 @@ struct EventLoop {
     readers: Vec<ResponseReader>,
     /// The request an exchange sends, encoded here.
     request: Vec<u8>,
-    /// Connections parked on a held shard, retried after the next wait.
-    parked: Vec<u64>,
     /// Reused output buffer for [`Wheel::advance_into`].
     fired_scratch: Vec<u64>,
     /// Every client read goes through this one buffer, zeroed once.
     read_buf: Box<[u8]>,
-    /// The listener is out of epoll because the last `accept4` found the
-    /// process or the kernel out of descriptors: level-triggered, it
-    /// would wake the loop again at once, for as long as that lasts. It
-    /// goes back in when the loop next closes a connection or the wheel
-    /// next ticks, whichever comes first.
-    listener_parked: bool,
+    /// The loop's end of the persister's line, with persistence.
+    persister: Option<LoopEnd>,
     config: ProxyConfig,
     state: Arc<ProxyState>,
 }
@@ -735,9 +771,8 @@ impl EventLoop {
         let mut events = vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
         loop {
             let now = Instant::now();
-            let timeout = if !self.parked.is_empty() {
-                Some(PARKED_WAIT)
-            } else if self.listener_parked {
+            let parked = self.listener.parked || self.peers.as_ref().is_some_and(|l| l.parked);
+            let timeout = if parked {
                 Some(self.wheel.until_next_tick(now))
             } else {
                 self.wheel.next_timeout(now)
@@ -753,69 +788,93 @@ impl EventLoop {
                 // into it would be UB.
                 let (evs, token) = (ev.events, ev.data);
                 match token {
-                    LISTENER_TOKEN => self.accept_ready(),
-                    WAKER_TOKEN => self.waker.drain(),
+                    LISTENER_TOKEN | PEER_LISTENER_TOKEN => self.accept_ready(token),
+                    WAKER_TOKEN => {
+                        self.waker.drain();
+                        if let Some(persister) = &mut self.persister {
+                            persister.answer(&self.state);
+                        }
+                    }
                     _ => self.conn_ready(token, evs),
                 }
             }
-            self.retry_parked();
             self.expire_deadlines();
         }
-        // Shutdown: close every connection the loop holds.
+        // Shutdown: close every connection the loop holds, then hand the
+        // persister the final capture of every shard.
         for token in self.slab.tokens() {
             self.close_conn(token);
         }
-    }
-
-    /// Accept one connection per readiness; the level-triggered listener
-    /// reports the next (module docs, *first turn*). Accepting is cheap (a
-    /// few hundred bytes of state), so the reactor admits every connection
-    /// it has a descriptor for. Out of descriptors, the listener is parked
-    /// rather than polled (see [`EventLoop::listener_parked`]).
-    fn accept_ready(&mut self) {
-        loop {
-            match accept_nonblocking(&self.listener) {
-                Ok(stream) => return self.admit(stream),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if e.raw_os_error()
-                        .is_some_and(|n| OUT_OF_RESOURCES.contains(&n)) =>
-                {
-                    self.epoll.del(self.listener.as_raw_fd());
-                    self.listener_parked = true;
-                    return;
-                }
-                Err(_) => return,
-            }
+        if let Some(persister) = self.persister.take() {
+            persister.finish(&self.state);
         }
     }
 
-    /// Put a parked listener back into epoll.
-    fn unpark_listener(&mut self) {
-        if self.listener_parked
-            && self
-                .epoll
-                .add(self.listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)
-                .is_ok()
-        {
-            self.listener_parked = false;
+    /// Accept one connection per readiness of the listener `token`; the
+    /// level-triggered listener reports the next (module docs, *first
+    /// turn*). Accepting is cheap (a few hundred bytes of state), so the
+    /// reactor admits every connection it has a descriptor for. Out of
+    /// descriptors, the listener is parked rather than polled (see
+    /// [`Listener::parked`]).
+    fn accept_ready(&mut self, token: u64) {
+        let listener = match (token, &mut self.peers) {
+            (PEER_LISTENER_TOKEN, Some(peers)) => peers,
+            (PEER_LISTENER_TOKEN, None) => return,
+            _ => &mut self.listener,
+        };
+        let accepted = loop {
+            match accept_nonblocking(&listener.socket) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                accepted => break accepted,
+            }
+        };
+        match accepted {
+            Ok(stream) => self.admit(stream, token == PEER_LISTENER_TOKEN),
+            Err(e)
+                if e.raw_os_error()
+                    .is_some_and(|n| OUT_OF_RESOURCES.contains(&n)) =>
+            {
+                self.epoll.del(listener.socket.as_raw_fd());
+                listener.parked = true;
+            }
+            Err(_) => {}
+        }
+    }
+
+    /// Put parked listeners back into epoll.
+    fn unpark_listeners(&mut self) {
+        for l in std::iter::once(&mut self.listener).chain(self.peers.as_mut()) {
+            if l.parked
+                && self
+                    .epoll
+                    .add(l.socket.as_raw_fd(), EPOLLIN, l.token)
+                    .is_ok()
+            {
+                l.parked = false;
+            }
         }
     }
 
     /// Give a fresh accept a slab slot, an I/O deadline and its first
-    /// turn, in `Reading`, unregistered, read at once (module docs, *first
-    /// turn*); if that turn leaves it in the slab, a wheel entry.
-    fn admit(&mut self, stream: TcpStream) {
+    /// turn, in `Reading` (in `Peer` from the peer port), unregistered,
+    /// read at once (module docs, *first turn*); if that turn leaves it in
+    /// the slab, a wheel entry.
+    fn admit(&mut self, stream: TcpStream, peer: bool) {
         let deadline = Instant::now() + self.config.read_timeout;
         let (parser, head) = (self.pool.get_parser(), self.pool.get_head());
-        let token = self.slab.insert(Conn::new(
-            stream,
-            parser,
-            head,
-            ConnState::Reading,
-            deadline,
-        ));
-        self.read_request(token);
+        let state = if peer {
+            ConnState::Peer(FrameReader::inbound())
+        } else {
+            ConnState::Reading
+        };
+        let token = self
+            .slab
+            .insert(Conn::new(stream, parser, head, state, deadline));
+        if peer {
+            self.read_peer(token);
+        } else {
+            self.read_request(token);
+        }
         if let Some(conn) = self.slab.get(token) {
             let deadline = conn.deadline;
             self.wheel.schedule(token, deadline);
@@ -858,6 +917,34 @@ impl EventLoop {
             }
             Event::Reject(status) => self.reject(token, status),
             Event::Done => self.close_conn(token),
+        }
+    }
+
+    /// Read what a cluster peer has sent of its request frame. A whole
+    /// frame is answered in this turn and the connection closed once the
+    /// reply is written; one still incomplete waits under `EPOLLIN` like a
+    /// client's head. A frame that is not a request, or a length prefix
+    /// no request has, closes the connection.
+    fn read_peer(&mut self, token: u64) {
+        let Some(conn) = self.slab.get(token) else {
+            return;
+        };
+        let ConnState::Peer(reader) = &mut conn.state else {
+            return;
+        };
+        match reader.resume(&mut conn.stream) {
+            Ok(None) if conn.watched => self.arm_deadline(token),
+            Ok(None) => self.watch_client(token, EPOLLIN),
+            Ok(Some(frame)) => {
+                match answer_peer(&self.config, &self.state, frame, &mut conn.head) {
+                    Some(body) => {
+                        conn.state = ConnState::Writing { body, pos: 0 };
+                        self.flush_response(token);
+                    }
+                    None => self.close_conn(token),
+                }
+            }
+            Err(_) => self.close_conn(token),
         }
     }
 
@@ -910,21 +997,20 @@ impl EventLoop {
             return; // stale event for a recycled slot
         };
         // Fetching, only the exchange's socket is registered under this
-        // token, and its errors and hang-ups surface from its I/O; parked,
-        // nothing is, and the event is stale.
+        // token, and its errors and hang-ups surface from its I/O.
         if matches!(conn.state, ConnState::Fetching(_)) {
             return self.exchange_ready(token, events);
-        }
-        if matches!(conn.state, ConnState::Parked(_)) {
-            return;
         }
         if events & (EPOLLERR | EPOLLHUP) != 0 && events & (EPOLLIN | EPOLLOUT) == 0 {
             self.close_conn(token);
             return;
         }
-        if events & EPOLLIN != 0 && matches!(conn.state, ConnState::Reading) {
-            self.read_request(token);
-            return;
+        if events & EPOLLIN != 0 {
+            match conn.state {
+                ConnState::Reading => return self.read_request(token),
+                ConnState::Peer(_) => return self.read_peer(token),
+                _ => {}
+            }
         }
         if events & EPOLLOUT != 0 {
             let Some(conn) = self.slab.get(token) else {
@@ -967,40 +1053,32 @@ impl EventLoop {
     }
 
     /// Look a request admitted at `now` up: serve a fresh hit inline,
-    /// fetch a miss, park the lookup if its shard is held.
+    /// fetch a miss.
     fn look_up(&mut self, token: u64, now: u64) {
-        let next = {
-            let Some(conn) = self.slab.get(token) else {
-                return;
-            };
-            match lookup(&self.config, &self.state, conn.parser.target(), now) {
-                Some(Lookup::Hit {
-                    body,
-                    last_modified,
-                }) => {
-                    // Inline replica of `finalize_response`'s only
-                    // applicable arm (status is always 200 here): a
-                    // conditional GET whose copy is not newer gets a
-                    // bodyless 304 that still counts as a hit.
-                    let not_modified = conn
-                        .parser
-                        .if_modified_since()
-                        .is_some_and(|since| last_modified.is_some_and(|lm| lm <= since));
-                    if not_modified {
-                        conn.start_not_modified_hit();
-                    } else {
-                        conn.start_hit(body, last_modified);
-                    }
-                    None
-                }
-                Some(Lookup::Miss(miss)) => Some(Ok(miss)),
-                None => Some(Err(Parked::Lookup { now })),
-            }
+        let Some(conn) = self.slab.get(token) else {
+            return;
         };
-        match next {
-            None => self.flush_response(token),
-            Some(Ok(miss)) => self.start_fetch(token, miss),
-            Some(Err(step)) => self.park(token, step),
+        match lookup(&self.config, &self.state, conn.parser.target(), now) {
+            Lookup::Hit {
+                body,
+                last_modified,
+            } => {
+                // Inline replica of `finalize_response`'s only applicable
+                // arm (status is always 200 here): a conditional GET whose
+                // copy is not newer gets a bodyless 304 that still counts
+                // as a hit.
+                let not_modified = conn
+                    .parser
+                    .if_modified_since()
+                    .is_some_and(|since| last_modified.is_some_and(|lm| lm <= since));
+                if not_modified {
+                    conn.start_not_modified_hit();
+                } else {
+                    conn.start_hit(body, last_modified);
+                }
+                self.flush_response(token);
+            }
+            Lookup::Miss(miss) => self.start_fetch(token, miss),
         }
     }
 
@@ -1013,34 +1091,6 @@ impl EventLoop {
         if let Some(conn) = self.slab.get(token) {
             if std::mem::take(&mut conn.watched) {
                 self.epoll.del(conn.stream.as_raw_fd());
-            }
-        }
-    }
-
-    /// Park a step whose shard is held; it is retried after the next wait.
-    fn park(&mut self, token: u64, step: Parked) {
-        self.unwatch_client(token);
-        if let Some(conn) = self.slab.get(token) {
-            conn.state = ConnState::Parked(step);
-            self.parked.push(token);
-        }
-    }
-
-    /// Retry every parked step once. One whose shard is still held parks
-    /// again, for the next batch.
-    fn retry_parked(&mut self) {
-        for token in std::mem::take(&mut self.parked) {
-            let Some(conn) = self.slab.get(token) else {
-                continue;
-            };
-            let state = std::mem::replace(&mut conn.state, ConnState::Reading);
-            match state {
-                ConnState::Parked(Parked::Lookup { now }) => self.look_up(token, now),
-                ConnState::Parked(Parked::Conclude(step)) => {
-                    let (miss, answer) = *step;
-                    self.conclude(token, miss, answer);
-                }
-                other => conn.state = other,
             }
         }
     }
@@ -1336,34 +1386,25 @@ impl EventLoop {
         }
     }
 
-    /// The fetch is over, with the origin's answer or without one.
+    /// The fetch is over, with the origin's answer or without one:
+    /// conclude — store, count, build the response — and write it.
     fn conclude_fetch(&mut self, token: u64, answer: Answer) {
         let Some(conn) = self.slab.get(token) else {
             return;
         };
-        if let ConnState::Fetching(fetch) = std::mem::replace(&mut conn.state, ConnState::Reading) {
-            self.conclude(token, fetch.miss, answer);
-        }
-    }
-
-    /// Conclude — store, count, build the response — and write it; or,
-    /// the shard held, park the conclusion with the answer riding along.
-    fn conclude(&mut self, token: u64, miss: Miss, answer: Answer) {
-        let Some(conn) = self.slab.get(token) else {
+        let ConnState::Fetching(fetch) = std::mem::replace(&mut conn.state, ConnState::Reading)
+        else {
             return;
         };
-        let answered = answer.is_ok();
-        match miss.conclude(&self.config, &self.state, conn.parser.target(), answer) {
-            Ok(resp) => {
-                if answered {
-                    self.state.counters.inline_fetches.add(1);
-                }
-                let resp = finalize_response(conn.parser.if_modified_since(), resp);
-                conn.start_response(&resp);
-                self.flush_response(token);
-            }
-            Err(step) => self.park(token, Parked::Conclude(step)),
+        if answer.is_ok() {
+            self.state.counters.inline_fetches.add(1);
         }
+        let resp = fetch
+            .miss
+            .conclude(&self.config, &self.state, conn.parser.target(), answer);
+        let resp = finalize_response(conn.parser.if_modified_since(), resp);
+        conn.start_response(&resp);
+        self.flush_response(token);
     }
 
     /// Queue a response on the connection and start draining it.
@@ -1393,7 +1434,7 @@ impl EventLoop {
     /// Act on connections whose deadline passed: a client stalled
     /// mid-request gets `504`; a client stalled mid-response is dropped;
     /// an exchange that made no progress fails its attempt; a backoff
-    /// that ran out starts the next attempt; a parked step waits on. A
+    /// that ran out starts the next attempt; a silent peer is dropped. A
     /// tick also gives a parked listener its next try, for descriptors
     /// freed outside the loop (another process).
     fn expire_deadlines(&mut self) {
@@ -1402,7 +1443,7 @@ impl EventLoop {
         // steady-state ticks do not allocate.
         let mut fired = std::mem::take(&mut self.fired_scratch);
         if self.wheel.advance_into(now, &mut fired) {
-            self.unpark_listener();
+            self.unpark_listeners();
         }
         for &token in &fired {
             let Some(conn) = self.slab.get(token) else {
@@ -1422,7 +1463,6 @@ impl EventLoop {
             match (&conn.state, stalled_exchange) {
                 (_, Some(true)) => self.exchange_failed(token, Failure::TimedOut),
                 (_, Some(false)) => self.attempt(token, false),
-                (ConnState::Parked(_), _) => conn.deadline = now + self.config.read_timeout,
                 (ConnState::Reading, _) => {
                     // One best-effort shot at the 504, uncorked like every
                     // refusal — the client is stalled, not necessarily
@@ -1455,7 +1495,7 @@ impl EventLoop {
             self.pool.put_parser(parser);
             self.pool.put_head(head);
             drop(stream);
-            self.unpark_listener();
+            self.unpark_listeners();
         }
     }
 }
@@ -1473,7 +1513,7 @@ mod tests {
         assert_ne!(pack_token(1, 0), pack_token(1, 1));
         // The sentinel tokens sit above any token a real slab can mint
         // (slot indices are bounded far below 2^32 by the fd limit).
-        assert!(pack_token(0xFFFF_FFFD, u32::MAX) < WAKER_TOKEN);
+        assert!(pack_token(0xFFFF_FFFC, u32::MAX) < PEER_LISTENER_TOKEN);
     }
 
     #[test]
@@ -1517,94 +1557,6 @@ mod tests {
         post.method = "POST".to_string();
         http::write_request(&mut s, &post).unwrap();
         assert_eq!(http::read_response(&mut s).unwrap().status, 501);
-    }
-
-    /// The loop looked the document up, found nothing and went to the
-    /// origin itself; by the time the body is in, someone else holds the
-    /// shard. The loop must not wait for it: the conclusion is parked with
-    /// the body and retried until the shard is free, and every other
-    /// connection is served meanwhile.
-    #[test]
-    fn a_fetch_that_finds_its_shard_busy_is_parked_and_concluded_by_the_loop() {
-        use crate::cache_proxy::test_support::{get, state_of};
-        use crate::{ProxyConfig, ProxyServer};
-        use std::sync::mpsc::channel;
-        use webcache_core::policy::named;
-
-        // A keep-alive origin of one connection that answers its second
-        // request only when told to.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let origin_addr = listener.local_addr().unwrap();
-        let (asked_tx, asked) = channel();
-        let (answer, answer_rx) = channel::<()>();
-        let requests = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let served = Arc::clone(&requests);
-        let origin = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = std::io::BufReader::new(stream);
-            for nth in 0.. {
-                let Ok(req) = http::read_request_from(&mut reader) else {
-                    return;
-                };
-                if nth == 1 {
-                    asked_tx.send(()).unwrap();
-                    answer_rx.recv().unwrap();
-                }
-                let body = http::synthetic_body(&req.target, 900);
-                let resp = Response::ok(body, Some(10)).with_connection(true);
-                http::write_response(reader.get_mut(), &resp).unwrap();
-                served.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-
-        let config = ProxyConfig::new(100_000);
-        let proxy = ProxyServer::start(origin_addr, config, || Box::new(named::lru())).unwrap();
-        let state = state_of(&proxy);
-        assert_eq!(get(&proxy, "http://o.test/warm.html").status, 200);
-
-        let url = "http://o.test/contended.html";
-        let addr = proxy.addr();
-        let client = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            http::write_request(&mut s, &Request::get(url)).unwrap();
-            http::read_response(&mut s).unwrap()
-        });
-        // The request is at the origin, so the loop's lookup is behind it.
-        asked.recv().unwrap();
-        let (held_tx, held) = channel();
-        let (let_go, let_go_rx) = channel::<()>();
-        let holder = {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || {
-                state.cache.with_shard(0, |_, _| {
-                    held_tx.send(()).unwrap();
-                    let_go_rx.recv().unwrap();
-                })
-            })
-        };
-        held.recv().unwrap();
-        answer.send(()).unwrap();
-        while requests.load(Ordering::SeqCst) < 2 {
-            std::thread::yield_now();
-        }
-        // The loop has the body and no lock: nothing is stored or counted,
-        // and the client waits.
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!((proxy.stats().misses, proxy.cached_bytes()), (1, 900));
-        assert!(!client.is_finished(), "answered while the shard was held");
-        let_go.send(()).unwrap();
-        holder.join().unwrap();
-        let resp = client.join().unwrap();
-        assert_eq!(resp.status, 200);
-        assert!(!resp.is_cache_hit());
-        assert_eq!(resp.body, http::synthetic_body(url, 900));
-        assert_eq!((proxy.stats().misses, proxy.cached_bytes()), (2, 1800));
-        // The body rode along: the origin was not asked again.
-        assert_eq!(requests.load(Ordering::SeqCst), 2);
-        assert_eq!(proxy.stats().inline_fetches, 2);
-        assert!(get(&proxy, url).is_cache_hit());
-        drop(proxy);
-        origin.join().unwrap();
     }
 
     #[test]

@@ -1,23 +1,22 @@
 //! The per-request cache logic: the three cases of the paper's section 1
 //! as lookup → fetch → conclude. [`lookup`] and [`Miss::conclude`] are the
 //! cache's side of a request; the event loop calls them between the
-//! steps of the origin exchange it runs under `epoll` (`reactor.rs`), and
-//! only ever tries a shard's lock: what it cannot take at once it parks
-//! and tries again ([`Parked`]). The cluster peer glue is here too.
-//! Everything runs under at most one shard lock and never holds it across
-//! network I/O.
+//! steps of the origin exchange it runs under `epoll` (`reactor.rs`). The
+//! cluster peer glue is here too, both the asking side and the answer to
+//! an inbound peer frame ([`answer_peer`]). Everything runs on the event
+//! loop, the only thread that visits a shard while the proxy serves, one
+//! shard at a time and never across network I/O.
 
 use crate::breaker::Admission;
 use crate::cache_proxy::{ProxyState, Resident, ShardCache, ShardExt};
-use crate::cluster::{self, ClusterState};
+use crate::cluster::{self, ClusterState, Frame};
 use crate::config::ProxyConfig;
 use crate::fetch::{error_response, FetchError};
 use crate::http::Response;
 use crate::persist::JournalOp;
 use crate::upstream::Fetched;
 use bytes::Bytes;
-use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use webcache_core::cache::{DocMeta, Outcome};
@@ -63,15 +62,15 @@ pub(crate) fn peek(
     Some((id, *meta, copy.clone(), fresh))
 }
 
-/// Run `f` under the lock of the shard owning `target` if it is free at
-/// once; `None`, with nothing done, when another thread holds it. The
-/// event loop never waits for a lock.
+/// Run `f` on the shard owning `target`. The event loop is the only
+/// thread that visits a shard while the proxy serves, so its lock is
+/// never contended there.
 fn visit<R>(
     state: &ProxyState,
     target: &str,
     f: impl FnOnce(&mut ShardCache, &mut ShardExt) -> R,
-) -> Option<R> {
-    state.cache.try_with_shard(state.shard_of(target), f)
+) -> R {
+    state.cache.with_shard(state.shard_of(target), f)
 }
 
 /// A request admitted by [`begin_request`] that the cache could not
@@ -82,25 +81,12 @@ pub(crate) struct Miss {
     /// The resident copy past its freshness lifetime, if there is one:
     /// the fetch is then a revalidation (case 2), else a plain GET
     /// (case 3). Size, type and dates are the copy's; the id in the
-    /// metadata was its slot's when the guard was held and is not used
-    /// again.
+    /// metadata was its slot's at the lookup and is not used again.
     pub expired: Option<(DocMeta, Resident)>,
 }
 
 /// What the origin exchange came to: the answer, or why there is none.
 pub(crate) type Answer = Result<Fetched, FetchError>;
-
-/// A step the event loop could not take because another thread held the
-/// shard: it is tried again after the loop's next wait, as it stands.
-#[derive(Debug)]
-pub(crate) enum Parked {
-    /// The lookup of a request admitted at `now` (the logical clock ticks
-    /// once per request, however often its lookup is tried).
-    Lookup { now: u64 },
-    /// The conclusion of a fetch, with the origin's answer riding along.
-    /// (Boxed: it is the rare case, and a slab slot holds the variant.)
-    Conclude(Box<(Miss, Answer)>),
-}
 
 /// What the cache says to a request.
 pub(crate) enum Lookup {
@@ -126,24 +112,17 @@ fn count_hit(config: &ProxyConfig, state: &ProxyState, target: &str, now: u64, s
 }
 
 /// Consult the cache for a request admitted by [`begin_request`]. Peek
-/// and (for a fresh copy) policy touch happen under one shard guard, so
-/// a hit enters the shard lock exactly once. `None` — nothing looked at,
-/// nothing counted — when the shard is contended; the lookup is then
-/// parked and tried again with the same `now`.
-pub(crate) fn lookup(
-    config: &ProxyConfig,
-    state: &ProxyState,
-    target: &str,
-    now: u64,
-) -> Option<Lookup> {
+/// and (for a fresh copy) policy touch happen in one shard visit, so a
+/// hit enters the shard exactly once.
+pub(crate) fn lookup(config: &ProxyConfig, state: &ProxyState, target: &str, now: u64) -> Lookup {
     let resident = visit(state, target, |cache, ext| {
         let (id, meta, copy, fresh) = peek(cache, ext, target, config.ttl, now)?;
         if fresh {
             touch_resident(cache, ext, id, &meta, &copy, now);
         }
         Some((meta, copy, fresh))
-    })?;
-    Some(match resident {
+    });
+    match resident {
         Some((meta, copy, true)) => {
             count_hit(config, state, target, now, meta.size);
             Lookup::Hit {
@@ -155,7 +134,7 @@ pub(crate) fn lookup(
             now,
             expired: expired.map(|(meta, copy, _)| (meta, copy)),
         }),
-    })
+    }
 }
 
 impl Miss {
@@ -184,15 +163,14 @@ impl Miss {
     /// policy) unless this node is not the key's home, and any other
     /// status passes through while our copy, if any, stays. No answer
     /// serves the expired copy degraded when serve-stale is on, and the
-    /// failure's status otherwise. `Err` gives everything back untouched
-    /// and uncounted: the shard is contended.
+    /// failure's status otherwise.
     pub fn conclude(
         self,
         config: &ProxyConfig,
         state: &ProxyState,
         target: &str,
         answer: Answer,
-    ) -> Result<Response, Box<(Miss, Answer)>> {
+    ) -> Response {
         let now = self.now;
         let fetched = match answer {
             Ok(fetched) => fetched,
@@ -200,19 +178,15 @@ impl Miss {
         };
         match (&self.expired, fetched.status) {
             (Some((meta, copy)), 304) => {
-                // The shard guard was dropped for the origin round trip,
-                // so this is a second visit (fresh hits touch under the
-                // guard they peeked with).
-                let refreshed = visit(state, target, |cache, ext| {
+                // The origin round trip came between, so this is a second
+                // visit (fresh hits touch in the visit they peeked in).
+                visit(state, target, |cache, ext| {
                     let id = bind(cache, ext, copy);
                     refresh_resident(cache, ext, id, meta, copy, now);
                 });
-                if refreshed.is_none() {
-                    return Err(Box::new((self, Ok(fetched))));
-                }
                 state.counters.revalidated.add(1);
                 count_hit(config, state, target, now, meta.size);
-                Ok(Response::ok(copy.body.clone(), meta.last_modified).with_cache_status(true))
+                Response::ok(copy.body.clone(), meta.last_modified).with_cache_status(true)
             }
             (expired, 200) => {
                 let size = fetched.body.len() as u64;
@@ -229,21 +203,18 @@ impl Miss {
                     };
                     let (doc_type, last_modified) =
                         (DocType::classify(target), fetched.last_modified);
-                    let stored = visit(state, target, |cache, ext| {
+                    visit(state, target, |cache, ext| {
                         install(cache, ext, now, doc_type, last_modified, &copy)
                     });
-                    if stored.is_none() {
-                        return Err(Box::new((self, Ok(fetched))));
-                    }
                 }
                 state.counters.misses.add(1);
                 state.counters.bytes_from_origin.add(size);
                 state.log_access(config.access_log, now, target, size, "MISS");
-                Ok(Response::ok(fetched.body, fetched.last_modified).with_cache_status(false))
+                Response::ok(fetched.body, fetched.last_modified).with_cache_status(false)
             }
             // The origin answered, but with neither a document nor a
             // `304` to a revalidation (e.g. the document is gone).
-            _ => Ok(fetched.into_response()),
+            _ => fetched.into_response(),
         }
     }
 
@@ -254,9 +225,9 @@ impl Miss {
         state: &ProxyState,
         target: &str,
         e: FetchError,
-    ) -> Result<Response, Box<(Miss, Answer)>> {
+    ) -> Response {
         let Some((meta, copy)) = self.expired.as_ref().filter(|_| config.serve_stale) else {
-            return Ok(error_response(&e));
+            return error_response(&e);
         };
         // Revalidation failed: serve the expired copy, marked degraded,
         // rather than surfacing the origin failure (`stale-if-error`).
@@ -264,19 +235,16 @@ impl Miss {
         // revalidates again. The policy sees the reference, but no hit
         // is counted: degraded serves are reported in `stale_serves`.
         let now = self.now;
-        let touched = visit(state, target, |cache, ext| {
+        visit(state, target, |cache, ext| {
             let id = bind(cache, ext, copy);
             touch_resident(cache, ext, id, meta, copy, now)
         });
-        if touched.is_none() {
-            return Err(Box::new((self, Err(e))));
-        }
         state.counters.stale_serves.add(1);
         state.counters.bytes_from_cache.add(meta.size);
         state.log_access(config.access_log, now, target, meta.size, "STALE");
-        Ok(Response::ok(copy.body.clone(), meta.last_modified)
+        Response::ok(copy.body.clone(), meta.last_modified)
             .with_cache_status(true)
-            .with_degraded())
+            .with_degraded()
     }
 }
 
@@ -377,50 +345,46 @@ pub(crate) fn peer_answered(
     }
 }
 
-/// One inbound peer connection, one frame. A `Query` is answered from
-/// the local cache only — never by fetching from the origin on a peer's
-/// behalf, so lookups cannot recurse — and a `Membership` is adopted if
+/// Answer one inbound peer frame, on the event loop: the reply's head
+/// goes into `head` and its body is returned, empty but for a `FOUND`,
+/// whose body is the shard's copy itself. A `QUERY` is answered from the
+/// local cache only — never by fetching from the origin on a peer's
+/// behalf, so lookups cannot recurse — and a `MEMBERSHIP` is adopted if
 /// strictly newer, then answered with whatever this node now believes.
-pub(crate) fn serve_peer_connection(
-    mut stream: TcpStream,
-    config: ProxyConfig,
-    state: &Arc<ProxyState>,
-    cluster: &Arc<ClusterState>,
-) {
-    let timeout = cluster.config().peer_timeout;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let Ok(frame) = cluster::read_frame(&mut stream) else {
-        return;
-    };
+/// `None` for a frame that is itself a reply, a protocol error: the
+/// connection is dropped.
+pub(crate) fn answer_peer(
+    config: &ProxyConfig,
+    state: &ProxyState,
+    frame: Frame,
+    head: &mut Vec<u8>,
+) -> Option<Bytes> {
+    let cluster = state.cluster.as_ref()?;
     let reply = match frame {
-        cluster::Frame::Query { url, .. } => match peer_lookup_local(&config, state, &url) {
+        Frame::Query { url, .. } => match peer_lookup_local(config, state, &url) {
             Some((body, last_modified)) => {
                 state.counters.peer_served.add(1);
-                cluster::Frame::Found {
-                    epoch: cluster.epoch(),
-                    last_modified,
-                    body: body.to_vec(),
-                }
+                cluster::encode_found_head(head, cluster.epoch(), last_modified, body.len());
+                return Some(body);
             }
-            None => cluster::Frame::Miss {
+            None => Frame::Miss {
                 epoch: cluster.epoch(),
             },
         },
-        cluster::Frame::Membership { epoch, members, .. } => {
+        Frame::Membership { epoch, members, .. } => {
             let _ = cluster.install(Membership::new(epoch, members));
             let m = cluster.current_membership();
-            cluster::Frame::Membership {
+            Frame::Membership {
                 sender: cluster.node_id(),
                 epoch: m.epoch,
                 members: m.members,
             }
         }
-        // FOUND/MISS are replies; receiving one as a request is a
-        // protocol error — drop the connection.
-        _ => return,
+        Frame::Found { .. } | Frame::Miss { .. } => return None,
     };
-    let _ = stream.write_all(&cluster::encode_frame(&reply));
+    head.clear();
+    head.extend_from_slice(&cluster::encode_frame(&reply));
+    Some(Bytes::new())
 }
 
 /// Look up `target` in the local cache on behalf of a peer: a fresh
@@ -429,13 +393,11 @@ pub(crate) fn serve_peer_connection(
 /// policy, since the document was genuinely referenced.
 fn peer_lookup_local(
     config: &ProxyConfig,
-    state: &Arc<ProxyState>,
+    state: &ProxyState,
     target: &str,
 ) -> Option<(Bytes, Option<u64>)> {
     let now = state.now.load(Ordering::SeqCst);
-    // A peer connection's own thread: it may wait for the lock.
-    let shard = state.shard_of(target);
-    state.cache.with_shard(shard, |cache, ext| {
+    visit(state, target, |cache, ext| {
         let (id, meta, copy, fresh) = peek(cache, ext, target, config.ttl, now)?;
         if !fresh || meta.size > cluster::MAX_PEER_BODY {
             return None;
@@ -446,19 +408,18 @@ fn peer_lookup_local(
 }
 
 /// The id this shard has for `copy`'s URL, bound now if it has none: for
-/// a second visit to the shard, whose first guard — and with it the id
-/// [`peek`] found — is gone, and for a document about to be stored.
+/// a second visit to the shard, after which the id [`peek`] found says
+/// nothing, and for a document about to be stored.
 fn bind(cache: &ShardCache, ext: &mut ShardExt, copy: &Resident) -> UrlId {
     ext.urls
         .bind(&copy.url, cache.len(), |id| cache.contains(id))
 }
 
 /// Re-reference a document we are serving from memory, so the policy
-/// sees it, under the guard that gave `id`: the fast path touches under
-/// the same `try_lock` it peeked with, so peek and touch are one atomic
-/// step. A second visit tolerates losing a race with an eviction since
-/// the peek: the cache request then re-inserts `copy`, the one being
-/// served.
+/// sees it, in the visit that gave `id`: the fast path touches in the
+/// same visit it peeked in, so peek and touch are one step. A second
+/// visit tolerates an eviction since the peek: the cache request then
+/// re-inserts `copy`, the one being served.
 pub(crate) fn touch_resident(
     cache: &mut ShardCache,
     ext: &mut ShardExt,

@@ -397,8 +397,9 @@ mod tests {
         }
 
         // A mixed exchange through a live proxy: a miss, a hit, a `404`
-        // passed through, a revalidation answered `304`, a miss parked
-        // while this test holds the one shard's lock, and a hit on it.
+        // passed through, a revalidation answered `304`, a miss whose
+        // lookup waits while this test holds the one shard's lock, and a
+        // hit on it.
         let store = Arc::new(DocStore::new());
         for url in ["http://o.test/a.html", "http://o.test/b.html"] {
             store.put_synthetic(url, 1000, 10);
@@ -421,13 +422,13 @@ mod tests {
         };
         let b = "http://o.test/b.html";
         let requests = proxy.stats().requests;
-        let mut parked = state_of(&proxy).cache.with_shard(0, |_, _| {
+        let mut waiting = state_of(&proxy).cache.with_shard(0, |_, _| {
             let mut s = TcpStream::connect(proxy.addr()).unwrap();
             crate::http::write_request(&mut s, &crate::http::Request::get(b)).unwrap();
             wait_for("the lookup", &|| proxy.stats().requests == requests + 1);
             s
         });
-        let resp = crate::http::read_response(&mut parked).unwrap();
+        let resp = crate::http::read_response(&mut waiting).unwrap();
         assert_eq!((resp.status, resp.is_cache_hit()), (200, false));
         assert!(get(&proxy, b).is_cache_hit());
 

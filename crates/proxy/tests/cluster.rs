@@ -14,6 +14,8 @@
 //!   owner's URL tables, and nothing to the asker's (DESIGN.md D26);
 //! * the `GET /__webcache/stats` admin endpoint reports the cluster
 //!   block (and `null` without one);
+//! * a peer that connects and sends nothing is closed at the read
+//!   timeout;
 //! * as child processes, with clients that route by the same ring: the
 //!   paper's Undergrad workload through 1, 2 and 4 nodes, and through two
 //!   nodes one of which is SIGKILLed half-way, never surfaces an error to
@@ -22,8 +24,10 @@
 mod common;
 
 use common::{drive, stat, ChildProxy};
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use webcache_core::cluster::{HashRing, Membership, DEFAULT_VNODES};
 use webcache_core::policy::named;
 use webcache_proxy::cache_proxy::ADMIN_STATS_TARGET;
@@ -32,15 +36,14 @@ use webcache_proxy::http::{self, Request, Response};
 use webcache_proxy::origin::{DocStore, OriginServer};
 use webcache_proxy::{ClusterConfig, ProxyConfig, ProxyServer};
 
-/// Reserve `n` distinct ephemeral addresses (bind, record, drop).
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
+/// How often a cluster is started on fresh ports. A port is free from
+/// its reservation's release to the node's bind, a moment in which
+/// another socket may take it; the whole cluster then starts over.
+const START_ATTEMPTS: usize = 8;
+
+/// The seed list of nodes 0, 1, … on the `reserved` addresses.
+fn seed_list(reserved: &[(SocketAddr, TcpListener)]) -> Vec<(u32, SocketAddr)> {
+    (0..).zip(reserved.iter().map(|(addr, _)| *addr)).collect()
 }
 
 /// An origin holding `docs` synthetic documents of 1000 bytes each.
@@ -55,20 +58,30 @@ fn origin_with_docs(docs: u32) -> OriginServer {
 /// Start an `n`-node cluster against `origin` with the given breaker
 /// threshold (low thresholds make dead-peer detection immediate).
 fn start_cluster(origin: SocketAddr, n: u32, breaker_threshold: u32) -> Vec<ProxyServer> {
-    let peers = free_addrs(n as usize);
-    let seed_list: Vec<(u32, SocketAddr)> = (0..n).map(|i| (i, peers[i as usize])).collect();
-    (0..n)
-        .map(|i| {
-            let config = ProxyConfig::new(200_000).with_breaker(breaker_threshold, 10_000);
-            ProxyServer::start_clustered(
-                origin,
-                config,
-                ClusterConfig::new(i, seed_list.clone()),
-                || Box::new(named::lru()),
-            )
-            .expect("cluster node start")
-        })
-        .collect()
+    let config = ProxyConfig::new(200_000).with_breaker(breaker_threshold, 10_000);
+    start_cluster_with(origin, n, config)
+}
+
+/// Start an `n`-node cluster against `origin`, every node on `config`.
+fn start_cluster_with(origin: SocketAddr, n: u32, config: ProxyConfig) -> Vec<ProxyServer> {
+    for _ in 0..START_ATTEMPTS {
+        let reserved = common::reserve_addrs(n as usize);
+        let seeds = seed_list(&reserved);
+        let mut nodes = Vec::new();
+        for ((id, _), (_, held)) in seeds.iter().zip(reserved) {
+            drop(held);
+            let cluster = ClusterConfig::new(*id, seeds.clone());
+            match ProxyServer::start_clustered(origin, config, cluster, || Box::new(named::lru())) {
+                Ok(node) => nodes.push(node),
+                Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => break,
+                Err(e) => panic!("cluster node start: {e}"),
+            }
+        }
+        if nodes.len() == n as usize {
+            return nodes;
+        }
+    }
+    panic!("no {n} free peer ports in {START_ATTEMPTS} attempts")
 }
 
 fn get(addr: SocketAddr, url: &str) -> Response {
@@ -256,18 +269,47 @@ fn admin_stats_works_without_cluster() {
     assert!(body.contains("\"cached_bytes\":1000"), "{body}");
 }
 
+/// A peer that connects to a node's peer port and sends nothing is
+/// closed at the node's read timeout, as a silent client is: the event
+/// loop holds its socket until then, and nothing else holds it after.
+#[test]
+fn a_silent_peer_is_closed_at_the_read_timeout() {
+    let origin = origin_with_docs(1);
+    let read_timeout = Duration::from_millis(300);
+    let config = ProxyConfig::new(200_000).with_timeouts(Duration::from_secs(1), read_timeout);
+    let nodes = start_cluster_with(origin.addr(), 1, config);
+    let cluster = nodes[0].cluster_state().expect("clustered node");
+    let peer_port = cluster.config().self_addr().expect("in its seed list");
+    let mut silent = TcpStream::connect(peer_port).expect("connect peer port");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let since = Instant::now();
+    let mut byte = [0u8; 1];
+    let read = silent.read(&mut byte).map_err(|e| e.kind());
+    let waited = since.elapsed();
+    assert!(
+        matches!(read, Ok(0) | Err(ErrorKind::ConnectionReset)),
+        "{read:?}"
+    );
+    assert!(waited >= read_timeout, "closed after {waited:?}");
+    assert!(waited < 4 * read_timeout, "closed after {waited:?}");
+}
+
 /// `n` child nodes on one ring. No persistence: the binary takes either
 /// `--persist-dir` or `--cluster-seed-list`.
 fn spawn_ring(origin: SocketAddr, n: u32, capacity_per_node: u64) -> Vec<ChildProxy> {
-    let seed_list = free_addrs(n as usize)
-        .iter()
-        .enumerate()
-        .map(|(i, a)| format!("{i}={a}"))
-        .collect::<Vec<_>>()
-        .join(",");
-    (0..n)
-        .map(|i| {
-            ChildProxy::spawn(&[
+    for _ in 0..START_ATTEMPTS {
+        let reserved = common::reserve_addrs(n as usize);
+        let seeds = seed_list(&reserved)
+            .iter()
+            .map(|(i, a)| format!("{i}={a}"))
+            .collect::<Vec<_>>()
+            .join(",");
+        let mut nodes = Vec::new();
+        for (i, (_, held)) in reserved.into_iter().enumerate() {
+            drop(held);
+            let node = ChildProxy::try_spawn(&[
                 "--origin",
                 &origin.to_string(),
                 "--capacity",
@@ -277,12 +319,18 @@ fn spawn_ring(origin: SocketAddr, n: u32, capacity_per_node: u64) -> Vec<ChildPr
                 "--policy",
                 "lru",
                 "--cluster-seed-list",
-                &seed_list,
+                &seeds,
                 "--node-id",
                 &i.to_string(),
-            ])
-        })
-        .collect()
+            ]);
+            let Some(node) = node else { break };
+            nodes.push(node);
+        }
+        if nodes.len() == n as usize {
+            return nodes;
+        }
+    }
+    panic!("no {n} free peer ports in {START_ATTEMPTS} attempts")
 }
 
 /// The ring as the nodes build it from their seed list (same seed, same

@@ -10,7 +10,7 @@
 pub mod reference;
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,6 +36,12 @@ pub struct ChildProxy {
 impl ChildProxy {
     /// Spawn `webcache-proxy ARGS` and wait for its address.
     pub fn spawn<S: AsRef<str>>(args: &[S]) -> ChildProxy {
+        ChildProxy::try_spawn(args).expect("webcache-proxy exited before listening")
+    }
+
+    /// [`ChildProxy::spawn`], or `None` when the child exits before it
+    /// listens (a port in its arguments was taken meanwhile, say).
+    pub fn try_spawn<S: AsRef<str>>(args: &[S]) -> Option<ChildProxy> {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_webcache-proxy"));
         cmd.args(args.iter().map(|a| a.as_ref()));
         ChildProxy::start(cmd)
@@ -50,10 +56,10 @@ impl ChildProxy {
             .arg(format!("ulimit -n {nofile} && exec \"$0\" \"$@\""))
             .arg(env!("CARGO_BIN_EXE_webcache-proxy"))
             .args(args.iter().map(|a| a.as_ref()));
-        ChildProxy::start(cmd)
+        ChildProxy::start(cmd).expect("webcache-proxy exited before listening")
     }
 
-    fn start(mut cmd: Command) -> ChildProxy {
+    fn start(mut cmd: Command) -> Option<ChildProxy> {
         let mut child = cmd
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -65,7 +71,10 @@ impl ChildProxy {
         let addr = loop {
             line.clear();
             let n = reader.read_line(&mut line).expect("read child stdout");
-            assert!(n > 0, "webcache-proxy exited before listening");
+            if n == 0 {
+                let _ = child.wait();
+                return None;
+            }
             let line = line.trim();
             if let Some(rest) = line.strip_prefix("webcache-proxy: recovered ") {
                 recovered_docs = rest
@@ -78,12 +87,12 @@ impl ChildProxy {
                 break rest.parse().expect("parse child address");
             }
         };
-        ChildProxy {
+        Some(ChildProxy {
             child,
             addr,
             recovered_docs,
             stdout: Some(reader),
-        }
+        })
     }
 
     /// SIGKILL: no flush, no final snapshot.
@@ -143,6 +152,17 @@ impl Drop for ChildProxy {
     fn drop(&mut self) {
         self.sigkill();
     }
+}
+
+/// `n` distinct ephemeral addresses, each held by its listener: a node
+/// drops the one it takes right before it binds its address.
+pub fn reserve_addrs(n: usize) -> Vec<(SocketAddr, TcpListener)> {
+    (0..n)
+        .map(|_| {
+            let l = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+            (l.local_addr().expect("local addr"), l)
+        })
+        .collect()
 }
 
 /// One GET through the proxy; the response when it is a `200`.

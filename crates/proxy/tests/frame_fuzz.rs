@@ -16,7 +16,9 @@
 //!   re-encoding the frame gives back exactly the bytes it was read from.
 //!   So a payload with bytes after the frame's last field is refused;
 //! * the largest allocation follows the bytes received, whatever the
-//!   length prefix or a count field inside the payload claims.
+//!   length prefix or a count field inside the payload claims;
+//! * a peer port's reader refuses a length prefix longer than any
+//!   request, before it reads a payload byte.
 
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRunner};
@@ -24,7 +26,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read};
-use webcache_proxy::cluster::{encode_frame, read_frame, Frame, FrameReader, MAX_FRAME};
+use webcache_proxy::cluster::{
+    encode_frame, read_frame, Frame, FrameReader, MAX_FRAME, MAX_REQUEST_FRAME,
+};
 
 // -----------------------------------------------------------------------
 // Largest single allocation per thread.
@@ -384,4 +388,56 @@ fn a_last_modified_the_wire_cannot_carry_goes_one_lower() {
             body: b"x".to_vec(),
         })
     );
+}
+
+/// A peer port reads with [`FrameReader::inbound`]: it refuses a length
+/// prefix longer than the longest request [`encode_frame`] makes — a
+/// `MEMBERSHIP` of `u16::MAX` members — on the prefix alone, reading
+/// nothing after it, while that longest request and the longest `QUERY`
+/// read whole. A reply's reader takes the same prefix and waits for its
+/// payload.
+#[test]
+fn an_inbound_reader_refuses_a_prefix_no_request_has() {
+    let membership = encode_frame(&Frame::Membership {
+        sender: 1,
+        epoch: 2,
+        members: (0..u32::from(u16::MAX)).collect(),
+    });
+    assert_eq!(membership.len(), 4 + MAX_REQUEST_FRAME as usize);
+    let query = encode_frame(&Frame::Query {
+        sender: 1,
+        epoch: 2,
+        url: "q".repeat(u16::MAX.into()),
+    });
+    assert!(query.len() < membership.len());
+    for wire in [&membership, &query] {
+        let read = FrameReader::inbound().resume(&mut &wire[..]);
+        assert!(matches!(read, Ok(Some(_))), "{:?}", read.map(|_| ()));
+    }
+
+    let mut wire = (MAX_REQUEST_FRAME + 1).to_le_bytes().to_vec();
+    wire.extend_from_slice(&[4; 64]);
+    for step in [1, usize::MAX] {
+        let mut r = Trickle {
+            rest: &wire,
+            step,
+            dry: Some(false),
+        };
+        let mut reader = FrameReader::inbound();
+        let refused = loop {
+            match reader.resume(&mut r) {
+                Ok(None) => {}
+                done => break done,
+            }
+        };
+        let kind = refused.map(|_| ()).map_err(|e| e.kind());
+        assert_eq!(kind, Err(ErrorKind::InvalidData), "step {step}");
+        assert_eq!(r.rest.len(), wire.len() - 4, "read past the prefix");
+    }
+    let mut reply = FrameReader::default();
+    let read = reply
+        .resume(&mut &wire[..4])
+        .map(|_| ())
+        .map_err(|e| e.kind());
+    assert_eq!(read, Err(ErrorKind::UnexpectedEof));
 }

@@ -1,7 +1,7 @@
 //! The interleavings a running proxy leaves to the clock, chosen one by
 //! one through the socketless driver (DESIGN.md D36): two misses for one
-//! URL in flight at once, a lookup and a conclusion parked because
-//! another thread holds the shard, and a revalidation the origin fails. Each case
+//! URL in flight at once, two misses for two URLs concluded in the
+//! reverse of their order, and a revalidation the origin fails. Each case
 //! journals, and ends by draining every shard into a journal file and
 //! recovering it into a cold driver, which must hold what the live one
 //! holds.
@@ -89,7 +89,6 @@ fn two_misses_for_one_url_both_count_and_the_later_copy_stays() {
         };
         for (miss, body) in [earlier, later] {
             let served = live.conclude(miss, ok(body, Some(1)).expect("ok"));
-            let served = served.expect("no shard is held");
             assert_eq!((served.status, served.is_cache_hit()), (200, false));
             assert_eq!(&served.body[..], body.as_bytes());
         }
@@ -107,52 +106,29 @@ fn two_misses_for_one_url_both_count_and_the_later_copy_stays() {
     }
 }
 
-/// A conclusion tried while another thread holds the shard gives
-/// everything back, uncounted and unstored, parked with the answer; the
-/// loop's retry once the shard is free concludes it without asking the
-/// origin again. A request begun while the shard is held is parked before
-/// its lookup, at its tick.
+/// Two misses for two URLs are in flight at once: nothing is stored,
+/// counted or journaled until each is concluded, and the later begun,
+/// concluded first, is stored with its own answer all the same.
 #[test]
-fn a_conclusion_refused_under_try_is_parked_and_retried() {
+fn two_misses_in_flight_are_each_concluded_with_their_own_answer() {
     let config = ProxyConfig::new(100_000);
     let live = driver(config);
-    let miss = begin_miss(&live, URL);
-    let before = live.stats();
-    let (refused, queued) = live.holding(URL, || {
-        let refused = live.conclude(miss, ok("hello", None).expect("ok"));
-        let Err(refused) = refused else {
-            panic!("concluded while the shard was held")
-        };
-        // Retried while the shard is still held, it parks again.
-        let refused = live.retry(refused).expect_err("the shard is held");
-        let queued = live.begin("http://mix.test/b.html");
-        (refused, queued)
-    });
+    let first = begin_miss(&live, URL);
+    let second = begin_miss(&live, "http://mix.test/b.html");
     let stats = live.stats();
     assert_eq!(
         (stats.misses, stats.hits, stats.bytes_from_origin),
         (0, 0, 0)
     );
-    assert_eq!(
-        stats.requests,
-        before.requests + 1,
-        "only the second request ticked"
-    );
+    assert_eq!(stats.requests, 2, "each request ticked once");
     assert!(live.shards()[0].0.is_empty(), "nothing stored");
     assert!(live.drain(0).is_empty(), "nothing journaled");
-    // The refused conclusion is retried as it stands: the body rode
-    // along.
-    let served = live.retry(refused).expect("the shard is free");
-    assert_eq!((served.status, &served.body[..]), (200, &b"hello"[..]));
-    let Err(queued) = queued else {
-        panic!("begun while the shard was held, and answered")
-    };
-    // The parked lookup finds no copy: a miss, to fetch.
-    let queued = live.retry(queued).expect_err("not resident");
-    assert_eq!(queued.if_modified_since(), None);
-    let served = live.conclude(queued, ok("world", None).expect("ok"));
-    let served = served.expect("the shard is free");
+    assert_eq!(second.if_modified_since(), None);
+    let served = live.conclude(second, ok("world", None).expect("ok"));
     assert_eq!((served.status, served.is_cache_hit()), (200, false));
+    assert_eq!(&served.body[..], b"world");
+    let served = live.conclude(first, ok("hello", None).expect("ok"));
+    assert_eq!((served.status, &served.body[..]), (200, &b"hello"[..]));
     let stats = live.stats();
     assert_eq!((stats.requests, stats.misses, stats.hits), (2, 2, 0));
     assert_eq!(live.shards()[0].0.len(), 2);
@@ -182,7 +158,7 @@ fn a_failed_revalidation_serves_stale_or_fails() {
                 let served = if on_loop {
                     let miss = begin_miss(&live, URL);
                     let e = fail(miss.if_modified_since()).expect_err("a failure");
-                    live.fail(miss, e).expect("no shard is held")
+                    live.fail(miss, e)
                 } else {
                     live.request(URL, fail)
                 };

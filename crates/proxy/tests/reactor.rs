@@ -17,7 +17,8 @@
 //! on its listener. Each listener wake-up takes one connection, yet a
 //! queue of connections strands none; a kept origin socket the origin
 //! closes while it idles in the pool never wakes the loop; and the proxy
-//! runs on two threads, `main` and the loop.
+//! runs on two threads, `main` and the loop, however many cluster peers
+//! it holds connections from.
 
 mod common;
 
@@ -936,6 +937,45 @@ fn the_proxy_runs_on_main_and_one_event_loop() {
     assert_eq!(common::get(child.addr, "http://o.test/a.html"), Some(false));
     assert_eq!(common::get(child.addr, "http://o.test/a.html"), Some(true));
     assert_eq!(child.threads(), 2);
+}
+
+/// A cluster node's inbound peer connections are the event loop's, as
+/// its clients are: two hundred peers, each holding the port open with
+/// half a frame's length prefix, leave the child on the two threads it
+/// runs without them.
+#[test]
+#[ignore = "reads the child's /proc/<pid>/status and fd table: run with --ignored --test-threads 1"]
+fn peer_connections_add_no_thread_to_a_clustered_child() {
+    const PEERS: usize = 200;
+    let origin = origin_with_docs();
+    let (child, peer_port) = (0..8)
+        .find_map(|_| {
+            let (peer_port, held) = common::reserve_addrs(1).pop().expect("one address");
+            drop(held);
+            let seeds = format!("0={peer_port}");
+            let args = [
+                "--origin",
+                &origin.addr().to_string(),
+                "--cluster-seed-list",
+                &seeds,
+            ];
+            Some((common::ChildProxy::try_spawn(&args)?, peer_port))
+        })
+        .expect("a free peer port");
+    // The start-up membership exchange runs on a thread of its own, gone
+    // once it has asked every other seed: here, none.
+    wait_for("the start-up exchange to end", || child.threads() == 2);
+    let fds = child.open_fds();
+    let peers: Vec<TcpStream> = (0..PEERS)
+        .map(|_| {
+            let mut s = TcpStream::connect(peer_port).unwrap();
+            s.write_all(&[0, 1]).unwrap();
+            s
+        })
+        .collect();
+    wait_for("every peer accepted", || child.open_fds() >= fds + PEERS);
+    assert_eq!(child.threads(), 2);
+    drop(peers);
 }
 
 /// How long the kernel holds a connection that sends nothing when the

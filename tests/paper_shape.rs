@@ -251,8 +251,8 @@ fn partitioned_cache_shape() {
     assert!(e.runs[0].non_audio_whr >= e.runs[2].non_audio_whr - 0.01);
 }
 
-/// MaxNeeded ordering across workloads matches the paper:
-/// U ≫ G ≈ BL > C ≈ BR.
+/// MaxNeeded ordering across workloads matches the paper's
+/// U ≫ G ≈ BL > C ≈ BR where our traces keep it: every pair but C/BR.
 #[test]
 fn max_needed_ordering_matches_paper() {
     // 0.08 rather than the file-wide SCALE: at 0.04 the G/BR and BL/BR
@@ -263,11 +263,13 @@ fn max_needed_ordering_matches_paper() {
         .into_iter()
         .map(|w| (w, max_needed(&ctx.trace(w))))
         .collect();
-    // Only the scale-robust orderings: U is by far the biggest and BR by
-    // far the smallest. (G vs C flips at reduced scale because C's
-    // classroom working sets do not shrink with the request budget; the
-    // full-scale ordering in EXPERIMENTS.md matches the paper on all
-    // five.)
+    // Only the scale-robust orderings: U is by far the biggest, and G
+    // and BL sit above BR. (G vs C flips at reduced scale because C's
+    // classroom working sets do not shrink with the request budget. At
+    // full scale, `results/full_output.txt` has U 1282 ≫ BL 378 ≈ G 366
+    // > BR 292 > C 217 MB: BR overshoots the paper's 198 MB and lands
+    // above C, the reverse of the paper's C 221 > BR 198, EXPERIMENTS.md
+    // known difference 4.)
     assert!(mn["U"] > mn["G"]);
     assert!(mn["U"] > mn["BL"]);
     assert!(mn["G"] > mn["BR"]);
