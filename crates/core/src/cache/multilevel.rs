@@ -1,5 +1,6 @@
 //! Two-level cache hierarchies (Experiment 3, section 4.6), including the
-//! shared-L2 extension of section 5, open problem 3.
+//! shared-L2 extension of section 5, open problem 3: one type, with one
+//! first level or several.
 //!
 //! Semantics follow the paper exactly: "When a document request is a miss
 //! in the primary cache, the request is sent to the second level cache. If
@@ -12,11 +13,13 @@
 use crate::cache::{Cache, Counts, Outcome};
 use webcache_trace::Request;
 
-/// A first-level cache backed by a (typically much larger or infinite)
-/// second-level cache.
+/// First-level caches backed by one (typically much larger or infinite)
+/// second-level cache. Most hierarchies have one first level; several
+/// share the second level the way section 5's open problem 3 asks, each
+/// request routed to first level `client % n`.
 #[derive(Debug)]
 pub struct TwoLevelCache {
-    l1: Cache,
+    l1s: Vec<Cache>,
     l2: Cache,
     /// L2 counters measured over *all client requests*, the way Figs 16-18
     /// report them (an L2 hit is an L1 miss satisfied by L2).
@@ -39,8 +42,16 @@ impl TwoLevelCache {
     /// [`Cache::infinite`] "to derive the maximum possible second level
     /// hit rate".
     pub fn new(l1: Cache, l2: Cache) -> TwoLevelCache {
+        TwoLevelCache::shared(vec![l1], l2)
+    }
+
+    /// Several first-level caches sharing `l2` — the multi-proxy
+    /// configuration of section 5, open problem 3. A request goes to the
+    /// first level its client id selects, modulo their number.
+    pub fn shared(l1s: Vec<Cache>, l2: Cache) -> TwoLevelCache {
+        assert!(!l1s.is_empty(), "need at least one first-level cache");
         TwoLevelCache {
-            l1,
+            l1s,
             l2,
             l2_over_all: Counts::default(),
         }
@@ -51,9 +62,11 @@ impl TwoLevelCache {
         self.l2_over_all.requests += 1;
         self.l2_over_all.bytes_requested += r.size;
 
-        // L1 sees every request; push its evictions down to L2 so the
-        // paper's inclusion property holds even when L2 is finite.
-        let l1_outcome = self.l1.request(r);
+        // L1 sees every request of its clients; push its evictions down to
+        // L2 so the paper's inclusion property holds even when L2 is
+        // finite.
+        let group = r.client.0 as usize % self.l1s.len();
+        let l1_outcome = self.l1s[group].request(r);
         match l1_outcome {
             Outcome::Hit => LevelOutcome::L1Hit,
             Outcome::Miss { evicted } | Outcome::MissModified { evicted } => {
@@ -92,9 +105,14 @@ impl TwoLevelCache {
         }
     }
 
-    /// First-level cache.
+    /// The first (or only) first-level cache.
     pub fn l1(&self) -> &Cache {
-        &self.l1
+        &self.l1s[0]
+    }
+
+    /// Every first-level cache, in routing order.
+    pub fn l1s(&self) -> &[Cache] {
+        &self.l1s
     }
 
     /// Second-level cache.
@@ -103,72 +121,6 @@ impl TwoLevelCache {
     }
 
     /// L2 counters measured against all client requests (Figs 16-18).
-    pub fn l2_counts_over_all_requests(&self) -> Counts {
-        self.l2_over_all
-    }
-}
-
-/// Several first-level caches sharing one second-level cache — the
-/// multi-proxy configuration of section 5, open problem 3. Requests are
-/// routed to an L1 by a caller-supplied client partition.
-#[derive(Debug)]
-pub struct SharedL2 {
-    l1s: Vec<Cache>,
-    l2: Cache,
-    l2_over_all: Counts,
-}
-
-impl SharedL2 {
-    /// Build from per-group L1 caches and the shared L2.
-    pub fn new(l1s: Vec<Cache>, l2: Cache) -> SharedL2 {
-        assert!(!l1s.is_empty(), "need at least one first-level cache");
-        SharedL2 {
-            l1s,
-            l2,
-            l2_over_all: Counts::default(),
-        }
-    }
-
-    /// Number of first-level caches.
-    pub fn group_count(&self) -> usize {
-        self.l1s.len()
-    }
-
-    /// Handle a request routed to L1 `group`.
-    pub fn request(&mut self, group: usize, r: &Request) -> LevelOutcome {
-        self.l2_over_all.requests += 1;
-        self.l2_over_all.bytes_requested += r.size;
-        let outcome = self.l1s[group].request(r);
-        match outcome {
-            Outcome::Hit => LevelOutcome::L1Hit,
-            _ => match self.l2.request(r) {
-                Outcome::Hit => {
-                    self.l2_over_all.hits += 1;
-                    self.l2_over_all.bytes_hit += r.size;
-                    LevelOutcome::L2Hit
-                }
-                _ => LevelOutcome::BothMiss,
-            },
-        }
-    }
-
-    /// Route by client id (stable modulo assignment).
-    pub fn request_by_client(&mut self, r: &Request) -> LevelOutcome {
-        let group = r.client.0 as usize % self.l1s.len();
-        self.request(group, r)
-    }
-
-    /// The per-group first-level caches.
-    pub fn l1s(&self) -> &[Cache] {
-        &self.l1s
-    }
-
-    /// The shared second-level cache.
-    pub fn l2(&self) -> &Cache {
-        &self.l2
-    }
-
-    /// L2 counters over all requests from all groups.
     pub fn l2_counts_over_all_requests(&self) -> Counts {
         self.l2_over_all
     }
@@ -271,15 +223,12 @@ mod tests {
             Cache::new(100, Box::new(named::size())),
             Cache::new(100, Box::new(named::size())),
         ];
-        let mut s = SharedL2::new(l1s, Cache::infinite(Box::new(named::lru())));
-        assert_eq!(s.group_count(), 2);
+        let mut s = TwoLevelCache::shared(l1s, Cache::infinite(Box::new(named::lru())));
+        assert_eq!(s.l1s().len(), 2);
         // Client 0 (group 0) fetches a doc; client 1 (group 1) then finds
         // it in the shared L2 even though its own L1 missed.
-        assert_eq!(
-            s.request_by_client(&req(0, 0, 7, 40)),
-            LevelOutcome::BothMiss
-        );
-        assert_eq!(s.request_by_client(&req(1, 1, 7, 40)), LevelOutcome::L2Hit);
+        assert_eq!(s.request(&req(0, 0, 7, 40)), LevelOutcome::BothMiss);
+        assert_eq!(s.request(&req(1, 1, 7, 40)), LevelOutcome::L2Hit);
         assert_eq!(s.l2_counts_over_all_requests().hits, 1);
     }
 

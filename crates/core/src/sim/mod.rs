@@ -11,9 +11,9 @@
 pub mod instrument;
 pub mod multi;
 
-pub use multi::{LaneSpec, MultiSim};
+pub use multi::{run_lanes, Lane, MultiSim};
 
-use crate::cache::multilevel::{SharedL2, TwoLevelCache};
+use crate::cache::multilevel::TwoLevelCache;
 use crate::cache::partitioned::PartitionedCache;
 use crate::cache::{Cache, Counts};
 use crate::policy::{NeverEvict, RemovalPolicy};
@@ -37,9 +37,43 @@ pub trait CacheSystem {
     /// Named gauges reported at the end of simulation (e.g. `max_used`,
     /// the paper's *MaxNeeded* when the cache is infinite).
     fn gauges(&self) -> Vec<(String, u64)>;
+
+    /// The day loop every simulation runs: feed each day's requests to
+    /// [`handle`](CacheSystem::handle), then record the day's delta of
+    /// every stream. The names are read once and every buffer is sized up
+    /// front, so a day allocates nothing. Each implementation gets its
+    /// own copy of this loop with `handle` called directly, so a boxed
+    /// system pays one virtual call per trace, not one per request.
+    fn replay_days(&mut self, trace: &Trace) -> Vec<StreamResult> {
+        let names = self.stream_names();
+        let days = trace.duration_days() as usize;
+        let mut prev = vec![Counts::default(); names.len()];
+        let mut now = prev.clone();
+        let mut daily: Vec<Vec<Counts>> = names.iter().map(|_| Vec::with_capacity(days)).collect();
+        for (_day, requests) in trace.days() {
+            for r in requests {
+                self.handle(r);
+            }
+            self.snapshot(&mut now);
+            for ((daily, now), prev) in daily.iter_mut().zip(&now).zip(&mut prev) {
+                daily.push(now.delta(prev));
+                *prev = *now;
+            }
+        }
+        self.snapshot(&mut now);
+        names
+            .into_iter()
+            .zip(daily)
+            .zip(now)
+            .map(|((name, daily), total)| StreamResult { name, daily, total })
+            .collect()
+    }
 }
 
 impl CacheSystem for Cache {
+    // Inlined into the day loop wherever that is compiled: without it a
+    // hit costs ~1 ns more (DESIGN.md D43).
+    #[inline]
     fn handle(&mut self, r: &Request) {
         self.request_hit(r);
     }
@@ -69,19 +103,30 @@ impl CacheSystem for TwoLevelCache {
         let _ = self.request(r);
     }
 
+    /// `l1` and `l2`, or `l1_0`, `l1_1`, … and `l2`.
     fn stream_names(&self) -> Vec<String> {
-        vec!["l1".to_string(), "l2".to_string()]
+        let n = self.l1s().len();
+        let l1s = (0..n).map(|i| match n {
+            1 => "l1".to_string(),
+            _ => format!("l1_{i}"),
+        });
+        l1s.chain(std::iter::once("l2".to_string())).collect()
     }
 
     fn snapshot(&self, out: &mut [Counts]) {
-        out.copy_from_slice(&[self.l1().counts(), self.l2_counts_over_all_requests()]);
+        let (l2, l1s) = out.split_last_mut().expect("an l2 stream");
+        for (out, c) in l1s.iter_mut().zip(self.l1s()) {
+            *out = c.counts();
+        }
+        *l2 = self.l2_counts_over_all_requests();
     }
 
+    /// Each level's `max_used`, named after its stream.
     fn gauges(&self) -> Vec<(String, u64)> {
-        vec![
-            ("l1_max_used".to_string(), self.l1().stats().max_used),
-            ("l2_max_used".to_string(), self.l2().stats().max_used),
-        ]
+        let caches = self.l1s().iter().chain(std::iter::once(self.l2()));
+        (self.stream_names().into_iter().zip(caches))
+            .map(|(name, c)| (format!("{name}_max_used"), c.stats().max_used))
+            .collect()
     }
 }
 
@@ -112,29 +157,6 @@ impl CacheSystem for PartitionedCache {
             .iter()
             .map(|p| (format!("{}_max_used", p.name), p.cache.stats().max_used))
             .collect()
-    }
-}
-
-impl CacheSystem for SharedL2 {
-    fn handle(&mut self, r: &Request) {
-        let _ = self.request_by_client(r);
-    }
-
-    fn stream_names(&self) -> Vec<String> {
-        let l1s = (0..self.l1s().len()).map(|i| format!("l1_{i}"));
-        l1s.chain(std::iter::once("l2".to_string())).collect()
-    }
-
-    fn snapshot(&self, out: &mut [Counts]) {
-        let (l2, l1s) = out.split_last_mut().expect("an l2 stream");
-        for (out, c) in l1s.iter_mut().zip(self.l1s()) {
-            *out = c.counts();
-        }
-        *l2 = self.l2_counts_over_all_requests();
-    }
-
-    fn gauges(&self) -> Vec<(String, u64)> {
-        vec![("l2_max_used".to_string(), self.l2().stats().max_used)]
     }
 }
 
@@ -193,49 +215,20 @@ impl SimResult {
     }
 }
 
-/// Drive `trace` through `system`, collecting per-day deltas of every
-/// stream.
-pub fn simulate<S: CacheSystem>(trace: &Trace, system: &mut S, label: &str) -> SimResult {
-    let streams = replay_days(trace, system, |s, r| s.handle(r));
+/// Drive `trace` through `system` on the calling thread, collecting
+/// per-day deltas of every stream ([`CacheSystem::replay_days`]) and the
+/// system's final gauges, under the label `label`. The result of a lane
+/// of [`run_lanes`] is this function's result for that lane's system;
+/// call it directly to read the system back afterwards (an
+/// [`InstrumentedCache`](instrument::InstrumentedCache)'s report).
+pub fn simulate<S: CacheSystem + ?Sized>(trace: &Trace, system: &mut S, label: &str) -> SimResult {
+    let streams = system.replay_days(trace);
     SimResult {
         workload: trace.name.clone(),
         system: label.to_string(),
         streams,
         gauges: system.gauges(),
     }
-}
-
-/// The day loop every simulation runs ([`simulate`] and each
-/// [`MultiSim`] lane): feed each day's requests to `step`, then record
-/// the day's delta of every stream `system` exposes. The names are read
-/// once and every buffer is sized up front, so a day allocates nothing.
-fn replay_days<S: CacheSystem>(
-    trace: &Trace,
-    system: &mut S,
-    mut step: impl FnMut(&mut S, &Request),
-) -> Vec<StreamResult> {
-    let names = system.stream_names();
-    let days = trace.duration_days() as usize;
-    let mut prev = vec![Counts::default(); names.len()];
-    let mut now = prev.clone();
-    let mut daily: Vec<Vec<Counts>> = names.iter().map(|_| Vec::with_capacity(days)).collect();
-    for (_day, requests) in trace.days() {
-        for r in requests {
-            step(system, r);
-        }
-        system.snapshot(&mut now);
-        for ((daily, now), prev) in daily.iter_mut().zip(&now).zip(&mut prev) {
-            daily.push(now.delta(prev));
-            *prev = *now;
-        }
-    }
-    system.snapshot(&mut now);
-    names
-        .into_iter()
-        .zip(daily)
-        .zip(now)
-        .map(|((name, daily), total)| StreamResult { name, daily, total })
-        .collect()
 }
 
 /// Experiment 1: simulate an infinite cache. The result's `max_used` gauge
@@ -252,16 +245,6 @@ pub fn max_needed(trace: &Trace) -> u64 {
     simulate_infinite(trace)
         .gauge("max_used")
         .expect("infinite cache reports max_used")
-}
-
-/// Render a caught panic's payload as a one-line message, for the
-/// per-lane and per-cell error strings of a sweep that salvages its
-/// healthy results.
-pub fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
-    e.downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| e.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Simulate a finite single-level cache under the given policy.

@@ -1,62 +1,83 @@
-//! [`MultiSim`]: the multi-policy simulation engine.
+//! The simulation engine: every experiment's cache systems, driven as
+//! *lanes* in parallel.
 //!
-//! A policy sweep (Experiment 2 runs 36 policies per workload) used to
-//! hand-roll a [`simulate_policy`](crate::sim::simulate_policy) loop per
-//! caller, re-implementing day-boundary bookkeeping and per-day stream
-//! snapshots each time. `MultiSim` drives N independent [`Cache`] *lanes*
-//! over one shared borrowed [`&Trace`](Trace) behind a single API. Each
-//! worker thread claims the next undriven lane, builds its cache, replays
-//! the whole day-ordered trace into it and drops the cache again, so a
-//! thread holds one resident set at a time (interleaving many resident
-//! sets, or keeping them all allocated at once, costs far more than
-//! re-iterating the borrowed trace — DESIGN.md D8) and lanes of unequal
-//! cost balance across the cores (D23).
+//! A [`Lane`] is a label, the [`&Trace`](Trace) it replays and a
+//! constructor of its [`CacheSystem`], which carries its own capacity: a
+//! [`Cache`] under one policy (Experiment 2 runs 36 per workload), a
+//! two-level or partitioned cache (Experiments 3 and 4), a wrapped cache
+//! that measures more (Experiment 5, Appendix A). [`run_lanes`] hands the
+//! lanes to the worker threads one at a time; a worker builds the
+//! system, replays the whole trace into it with one call of
+//! [`CacheSystem::replay_days`] and drops it, so a thread holds one
+//! resident set at a time (DESIGN.md D8) and lanes of unequal cost
+//! balance across the cores (D23). A lane that panics reports its
+//! message; every other lane's result is kept. Lanes share no mutable
+//! state, so each result is **bit-identical to [`simulate`] on that
+//! lane's system** — `tests/sweep_identity.rs` and the tests below hold
+//! the engine to that, stream by stream and gauge by gauge.
 //!
-//! Because lanes never share mutable state and results are stored by lane
-//! index, the output is **bit-identical to running [`simulate_policy`]
-//! serially per policy** — `tests/sweep_identity.rs` and the determinism
-//! tests in `webcache-experiments` assert exactly this, stream by stream
-//! and gauge by gauge.
-//!
-//! [`simulate_policy`]: crate::sim::simulate_policy
+//! [`MultiSim`] is the shorthand for a policy sweep: one [`Cache`] lane
+//! per policy, at one capacity. Its lanes are built in this crate, so a
+//! `Cache` lane's day loop is compiled here whoever calls it (D43).
 
-use crate::cache::{Cache, MetaDecorator};
+use crate::cache::Cache;
 use crate::policy::RemovalPolicy;
-use crate::sim::{panic_message, replay_days, CacheSystem, SimResult};
+use crate::sim::{simulate, CacheSystem, SimResult};
 use rayon::prelude::*;
-use webcache_trace::{Request, Trace};
+use webcache_trace::Trace;
 
-/// One simulation lane: a policy plus optional per-lane configuration.
-pub struct LaneSpec {
-    /// Caller's label for this lane, returned alongside its result (it
-    /// need not match the policy's display name).
-    pub label: String,
-    /// The removal policy driving this lane's cache.
-    pub policy: Box<dyn RemovalPolicy>,
-    /// Optional metadata decorator (Experiment 5 attaches latency/expiry
-    /// models here).
-    pub decorator: Option<MetaDecorator>,
+/// One simulation lane.
+pub struct Lane<'t> {
+    label: String,
+    trace: &'t Trace,
+    build: Box<dyn FnOnce() -> Box<dyn CacheSystem> + Send + 't>,
 }
 
-impl LaneSpec {
-    /// A plain lane with no decorator.
-    pub fn new(label: impl Into<String>, policy: Box<dyn RemovalPolicy>) -> LaneSpec {
-        LaneSpec {
+impl<'t> Lane<'t> {
+    /// A lane labelled `label` (its result's [`SimResult::system`]) that
+    /// replays `trace` through the system `build` returns. `build` runs on
+    /// the worker thread that drives the lane, so the system need not be
+    /// `Send`.
+    pub fn new<S: CacheSystem + 'static>(
+        label: impl Into<String>,
+        trace: &'t Trace,
+        build: impl FnOnce() -> S + Send + 't,
+    ) -> Lane<'t> {
+        Lane {
             label: label.into(),
-            policy,
-            decorator: None,
+            trace,
+            build: Box::new(move || Box::new(build()) as Box<dyn CacheSystem>),
         }
     }
-
-    /// Attach a metadata decorator to this lane's cache.
-    pub fn with_decorator(mut self, d: MetaDecorator) -> LaneSpec {
-        self.decorator = Some(d);
-        self
-    }
 }
 
-/// The single-pass engine. Construct with a shared trace and a per-lane
-/// capacity, then [`run`](MultiSim::run) a set of policies.
+/// Drive every lane, in parallel. Output order is input order; each
+/// `Ok` result is what [`simulate`] returns for that lane's trace, system
+/// and label, and a lane that panics reports the panic's message instead
+/// while every other lane's result is kept.
+pub fn run_lanes(lanes: Vec<Lane<'_>>) -> Vec<(String, Result<SimResult, String>)> {
+    lanes
+        .into_par_iter()
+        .map(|lane| {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                simulate(lane.trace, &mut *(lane.build)(), &lane.label)
+            }))
+            .map_err(panic_message);
+            (lane.label, result)
+        })
+        .collect()
+}
+
+/// Render a caught panic's payload as a one-line message.
+fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
+    e.downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| e.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Policy sweeps: one [`Cache`] lane per policy, every lane over one
+/// trace at one capacity.
 pub struct MultiSim<'t> {
     trace: &'t Trace,
     capacity: u64,
@@ -68,115 +89,69 @@ impl<'t> MultiSim<'t> {
         MultiSim { trace, capacity }
     }
 
-    /// Simulate every `(label, policy)` lane in one pass. Output order
-    /// matches input order, and each [`SimResult`] is identical to what
+    /// Simulate every `(label, policy)` lane. Output order matches input
+    /// order, and each [`SimResult`] is identical to what
     /// `simulate_policy(trace, capacity, policy)` returns for that policy.
+    /// A lane that panics panics the call, once every lane has run.
     pub fn run(&self, policies: Vec<(String, Box<dyn RemovalPolicy>)>) -> Vec<(String, SimResult)> {
-        let lanes = policies
+        self.run_checked(policies)
             .into_iter()
-            .map(|(label, policy)| LaneSpec::new(label, policy))
-            .collect();
-        self.run_observed(lanes, || (), |_, _, _| ())
-            .into_iter()
-            .map(|(label, result, ())| (label, result))
-            .collect()
-    }
-
-    /// Like [`run`](MultiSim::run), but a panicking lane no longer takes
-    /// the whole sweep down: each lane is driven under
-    /// [`catch_unwind`](std::panic::catch_unwind) and reports
-    /// `Err(panic message)` while every other lane's result is salvaged.
-    /// Output order still matches input order, and `Ok` results are still
-    /// bit-identical to serial [`simulate_policy`].
-    pub fn run_checked(
-        &self,
-        policies: Vec<(String, Box<dyn RemovalPolicy>)>,
-    ) -> Vec<(String, Result<SimResult, String>)> {
-        let (trace, capacity) = (self.trace, self.capacity);
-        policies
-            .into_par_iter()
-            .map(|(label, policy)| {
-                let spec = LaneSpec::new(label.clone(), policy);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    drive(trace, capacity, spec, (), &|_: &mut (), _: &Request, _| ()).1
-                }))
-                .map_err(panic_message);
-                (label, result)
+            .map(|(label, result)| match result {
+                Ok(result) => (label, result),
+                Err(e) => panic!("lane {label} panicked: {e}"),
             })
             .collect()
     }
 
-    /// Like [`run`](MultiSim::run), but every lane also feeds each
-    /// request and whether it hit into a per-lane observer state built by
-    /// `init` — how Experiment 5 computes text-only hit rates and latency
-    /// totals without a second pass.
-    pub fn run_observed<O, F>(
+    /// Like [`run`](MultiSim::run), but a lane that panics reports
+    /// `Err(panic message)` while every other lane's result is kept.
+    pub fn run_checked(
         &self,
-        specs: Vec<LaneSpec>,
-        init: impl Fn() -> O,
-        observe: F,
-    ) -> Vec<(String, SimResult, O)>
-    where
-        O: Send,
-        F: Fn(&mut O, &Request, bool) + Sync,
-    {
-        let (trace, capacity) = (self.trace, self.capacity);
-        let lanes: Vec<(LaneSpec, O)> = specs.into_iter().map(|spec| (spec, init())).collect();
-        lanes
-            .into_par_iter()
-            .map(|(spec, observer)| drive(trace, capacity, spec, observer, &observe))
+        policies: Vec<(String, Box<dyn RemovalPolicy>)>,
+    ) -> Vec<(String, Result<SimResult, String>)> {
+        let capacity = self.capacity;
+        let (labels, lanes): (Vec<String>, Vec<Lane<'t>>) = policies
+            .into_iter()
+            .map(|(label, policy)| {
+                let lane = Lane::new(policy.name(), self.trace, move || {
+                    Cache::new(capacity, policy)
+                });
+                (label, lane)
+            })
+            .unzip();
+        labels
+            .into_iter()
+            .zip(run_lanes(lanes))
+            .map(|(label, (_, result))| (label, result))
             .collect()
     }
-}
-
-/// Drive one lane through the whole trace in the day loop `simulate()`
-/// runs, telling the observer of each request whether it hit. The cache
-/// is built here and dropped here, so a thread holds one resident set at
-/// a time.
-fn drive<O, F>(
-    trace: &Trace,
-    capacity: u64,
-    spec: LaneSpec,
-    mut observer: O,
-    observe: &F,
-) -> (String, SimResult, O)
-where
-    F: Fn(&mut O, &Request, bool) + Sync,
-{
-    let mut cache = Cache::new(capacity, spec.policy);
-    if let Some(d) = spec.decorator {
-        cache = cache.with_decorator(d);
-    }
-    let streams = replay_days(trace, &mut cache, |cache, r| {
-        let hit = cache.request_hit(r);
-        observe(&mut observer, r, hit);
-    });
-    let result = SimResult {
-        workload: trace.name.clone(),
-        system: cache.policy_name(),
-        streams,
-        gauges: cache.gauges(),
-    };
-    (spec.label, result, observer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::multilevel::TwoLevelCache;
+    use crate::cache::partitioned::PartitionedCache;
     use crate::policy::named;
+    use crate::sim::instrument::InstrumentedCache;
     use crate::sim::simulate_policy;
     use webcache_trace::RawRequest;
 
+    /// Three clients, and every third document audio.
     fn trace() -> Trace {
         let day = webcache_trace::SECONDS_PER_DAY;
-        let raws: Vec<RawRequest> = (0..400u64)
-            .map(|i| RawRequest {
-                time: i * day / 80,
-                client: "c".into(),
-                url: format!("http://s/{}.html", (i * 7) % 23),
-                status: 200,
-                size: 100 + (i % 11) * 150,
-                last_modified: None,
+        let raws: Vec<RawRequest> = (0..600u64)
+            .map(|i| {
+                let doc = (i * 7) % 29;
+                let ext = if doc % 3 == 0 { "au" } else { "html" };
+                RawRequest {
+                    time: i * day / 90,
+                    client: format!("c{}", i % 3),
+                    url: format!("http://s/{doc}.{ext}"),
+                    status: 200,
+                    size: 100 + (doc % 11) * 150,
+                    last_modified: None,
+                }
             })
             .collect();
         Trace::from_raw("T", &raws)
@@ -197,47 +172,62 @@ mod tests {
     #[test]
     fn lanes_match_serial_simulate_policy() {
         let t = trace();
-        let cap = 2_000;
-        let out = MultiSim::new(&t, cap).run(vec![
-            ("SIZE".into(), Box::new(named::size())),
-            ("LRU".into(), Box::new(named::lru())),
-            ("FIFO".into(), Box::new(named::fifo())),
-        ]);
+        let makes: [fn() -> Box<dyn RemovalPolicy>; 3] = [
+            || Box::new(named::size()),
+            || Box::new(named::lru()),
+            || Box::new(named::fifo()),
+        ];
+        let lanes = makes.iter().map(|make| (make().name(), make())).collect();
+        let out = MultiSim::new(&t, 2_000).run(lanes);
         assert_eq!(out.len(), 3);
-        for ((label, got), make) in out.iter().zip([
-            &|| Box::new(named::size()) as Box<dyn RemovalPolicy>,
-            &|| Box::new(named::lru()) as Box<dyn RemovalPolicy>,
-            &|| Box::new(named::fifo()) as Box<dyn RemovalPolicy>,
-        ]
-            as [&dyn Fn() -> Box<dyn RemovalPolicy>; 3])
-        {
-            let want = simulate_policy(&t, cap, make());
+        for ((label, got), make) in out.iter().zip(makes) {
+            let want = simulate_policy(&t, 2_000, make());
             assert_eq!(label, &want.system);
             assert_same(got, &want);
         }
     }
 
+    /// A lane of `build`'s system, and `simulate`'s result for another.
+    fn lane<'t, S: CacheSystem + 'static>(
+        t: &'t Trace,
+        label: &str,
+        build: fn() -> S,
+    ) -> (Lane<'t>, SimResult) {
+        (Lane::new(label, t, build), simulate(t, &mut build(), label))
+    }
+
     #[test]
-    fn observer_sees_every_request_once_per_lane() {
+    fn lanes_of_every_system_match_simulate() {
         let t = trace();
-        let out = MultiSim::new(&t, 5_000).run_observed(
-            vec![
-                LaneSpec::new("a", Box::new(named::lru())),
-                LaneSpec::new("b", Box::new(named::size())),
-            ],
-            || (0u64, 0u64),
-            |acc, r, hit| {
-                acc.0 += 1;
-                if hit {
-                    acc.1 += r.size;
-                }
-            },
-        );
-        for (_, result, (seen, hit_bytes)) in &out {
-            let total = result.stream("cache").unwrap().total;
-            assert_eq!(*seen, total.requests);
-            assert_eq!(*hit_bytes, total.bytes_hit);
+        let (lanes, want): (Vec<_>, Vec<_>) = [
+            lane(&t, "cache", || Cache::new(8_000, Box::new(named::size()))),
+            lane(&t, "two-level", || {
+                TwoLevelCache::new(
+                    Cache::new(6_000, Box::new(named::size())),
+                    Cache::infinite(Box::new(named::lru())),
+                )
+            }),
+            lane(&t, "shared L2", || {
+                let l1 = || Cache::new(5_000, Box::new(named::size()));
+                TwoLevelCache::shared(vec![l1(), l1()], Cache::new(12_000, Box::new(named::lru())))
+            }),
+            lane(&t, "partitioned", || {
+                PartitionedCache::audio_split(12_000, 0.5, || Box::new(named::size()))
+            }),
+            lane(&t, "instrumented", || {
+                InstrumentedCache::new(Cache::new(10_000, Box::new(named::size())), 7)
+            }),
+        ]
+        .into_iter()
+        .unzip();
+        let out = run_lanes(lanes);
+        assert_eq!(out.len(), want.len());
+        for ((label, got), want) in out.iter().zip(&want) {
+            assert_eq!(label, &want.system, "output order is input order");
+            assert_same(got.as_ref().expect("no lane panics"), want);
+            assert!(want.streams.iter().all(|s| s.total.hits > 0), "{label}");
         }
+        assert_eq!(want[2].streams.len(), 3, "l1_0, l1_1 and l2");
     }
 
     /// A policy that panics after a fixed number of insertions, for
@@ -303,6 +293,22 @@ mod tests {
         // Healthy lanes still match serial simulation exactly.
         let want = simulate_policy(&t, cap, Box::new(named::lru()));
         assert_same(out[0].1.as_ref().unwrap(), &want);
+    }
+
+    #[test]
+    #[should_panic(expected = "synthetic lane failure")]
+    fn run_propagates_a_lane_panic() {
+        let t = trace();
+        MultiSim::new(&t, 2_000).run(vec![
+            ("LRU".into(), Box::new(named::lru())),
+            (
+                "BROKEN".into(),
+                Box::new(PanicAfter {
+                    inner: Box::new(named::lru()),
+                    inserts_left: 5,
+                }),
+            ),
+        ]);
     }
 
     #[test]

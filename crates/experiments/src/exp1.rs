@@ -7,7 +7,6 @@
 
 use crate::runner::{Ctx, PAPER_MAX_NEEDED_MB, WORKLOADS};
 use serde::{Deserialize, Serialize};
-use webcache_core::sim::simulate_infinite;
 use webcache_stats::series::DailySeries;
 use webcache_stats::{report, Table};
 
@@ -39,8 +38,7 @@ pub struct Exp1 {
 
 /// Run Experiment 1 on one workload.
 pub fn run_one(ctx: &Ctx, workload: &str) -> Exp1Workload {
-    let trace = ctx.trace(workload);
-    let res = simulate_infinite(&trace);
+    let res = ctx.infinite(workload);
     let stream = res.stream("cache").expect("single cache stream");
     let hr = DailySeries::new(stream.daily_hr());
     let whr = DailySeries::new(stream.daily_whr());

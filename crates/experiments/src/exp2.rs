@@ -8,7 +8,7 @@
 use crate::runner::Ctx;
 use serde::{Deserialize, Serialize};
 use webcache_core::policy::{named, Key, KeySpec, RemovalPolicy, SortedPolicy};
-use webcache_core::sim::{simulate_infinite, MultiSim, SimResult};
+use webcache_core::sim::{MultiSim, SimResult};
 use webcache_stats::series::{ratio_percent, DailySeries};
 use webcache_stats::{report, Table};
 
@@ -94,36 +94,20 @@ fn spec_policy(spec: KeySpec) -> (String, Box<dyn RemovalPolicy>) {
     (spec.name(), Box::new(SortedPolicy::new(spec)))
 }
 
-/// The infinite-cache reference numbers shared by every Experiment 2 run
-/// of one workload.
-struct InfiniteRef {
-    capacity: u64,
-    infinite_hr: f64,
-    infinite_whr: f64,
-    hr_ma: DailySeries,
-    whr_ma: DailySeries,
-}
-
-fn infinite_ref(trace: &webcache_trace::Trace, cache_fraction: f64) -> InfiniteRef {
-    let inf = simulate_infinite(trace);
-    let inf_stream = inf.stream("cache").expect("cache stream");
-    let max_needed = inf.gauge("max_used").expect("max_used");
-    InfiniteRef {
-        capacity: ((max_needed as f64 * cache_fraction) as u64).max(1),
-        infinite_hr: inf_stream.total.hit_rate(),
-        infinite_whr: inf_stream.total.weighted_hit_rate(),
-        hr_ma: DailySeries::new(inf_stream.daily_hr()).moving_average(7),
-        whr_ma: DailySeries::new(inf_stream.daily_whr()).moving_average(7),
-    }
-}
-
-/// Derive one policy's Figs. 8-12 row from its simulation result.
-fn policy_run(policy: String, res: &SimResult, inf: &InfiniteRef) -> PolicyRun {
+/// The 7-day moving averages of a result's daily HR and WHR.
+fn moving_averages(res: &SimResult) -> (DailySeries, DailySeries) {
     let s = res.stream("cache").expect("cache stream");
     let hr_ma = DailySeries::new(s.daily_hr()).moving_average(7);
-    let whr_ma = DailySeries::new(s.daily_whr()).moving_average(7);
-    let hr_ratio = ratio_percent(&hr_ma, &inf.hr_ma);
-    let whr_ratio = ratio_percent(&whr_ma, &inf.whr_ma);
+    (hr_ma, DailySeries::new(s.daily_whr()).moving_average(7))
+}
+
+/// Derive one policy's Figs. 8-12 row from its simulation result and the
+/// infinite cache's moving averages.
+fn policy_run(policy: String, res: &SimResult, inf: &(DailySeries, DailySeries)) -> PolicyRun {
+    let s = res.stream("cache").expect("cache stream");
+    let (hr_ma, whr_ma) = moving_averages(res);
+    let hr_ratio = ratio_percent(&hr_ma, &inf.0);
+    let whr_ratio = ratio_percent(&whr_ma, &inf.1);
     PolicyRun {
         policy,
         total_hr: s.total.hit_rate(),
@@ -141,22 +125,25 @@ fn policy_run(policy: String, res: &SimResult, inf: &InfiniteRef) -> PolicyRun {
 /// healthy lane's result is kept.
 pub fn run_one(ctx: &Ctx, workload: &str, cache_fraction: f64, set: PolicySet) -> Exp2Workload {
     let trace = ctx.trace(workload);
-    let inf = infinite_ref(&trace, cache_fraction);
-    let results = MultiSim::new(&trace, inf.capacity).run_checked(policies(set));
+    let capacity = ctx.capacity(workload, cache_fraction);
+    let inf = ctx.infinite(workload);
+    let inf_ma = moving_averages(&inf);
+    let results = MultiSim::new(&trace, capacity).run_checked(policies(set));
     let mut runs = Vec::with_capacity(results.len());
     let mut failed = Vec::new();
     for (policy, res) in results {
         match res {
-            Ok(res) => runs.push(policy_run(policy, &res, &inf)),
+            Ok(res) => runs.push(policy_run(policy, &res, &inf_ma)),
             Err(e) => failed.push((policy, e)),
         }
     }
+    let inf = inf.stream("cache").expect("cache stream").total;
     Exp2Workload {
         workload: workload.to_string(),
         cache_fraction,
-        capacity: inf.capacity,
-        infinite_hr: inf.infinite_hr,
-        infinite_whr: inf.infinite_whr,
+        capacity,
+        infinite_hr: inf.hit_rate(),
+        infinite_whr: inf.weighted_hit_rate(),
         runs,
         partial: !failed.is_empty(),
         failed,
@@ -220,7 +207,7 @@ impl Exp2Workload {
             .map(|r| (r.policy.as_str(), &r.hr_pct_of_infinite_ma))
             .collect();
         format!(
-            "Primary-key HR as %% of infinite-cache HR, workload {} ({:.0}%% cache)\n{}",
+            "Primary-key HR as % of infinite-cache HR, workload {} ({:.0}% cache)\n{}",
             self.workload,
             self.cache_fraction * 100.0,
             report::ascii_plot(&series, 16, 0.0, 105.0)
@@ -244,8 +231,7 @@ pub struct SecondaryStudy {
 /// Run the secondary-key study.
 pub fn run_secondary(ctx: &Ctx, workload: &str, cache_fraction: f64) -> SecondaryStudy {
     let trace = ctx.trace(workload);
-    let max_needed = webcache_core::sim::max_needed(&trace);
-    let capacity = ((max_needed as f64 * cache_fraction) as u64).max(1);
+    let capacity = ctx.capacity(workload, cache_fraction);
 
     let secondaries = [
         Key::Random,
@@ -261,21 +247,13 @@ pub fn run_secondary(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Secondar
         .collect();
     let results = MultiSim::new(&trace, capacity).run(jobs);
 
-    let whr_of = |idx: usize| {
-        let s = results[idx].1.stream("cache").expect("cache stream");
-        DailySeries::new(s.daily_whr()).moving_average(7)
-    };
-    let hr_of = |idx: usize| {
-        let s = results[idx].1.stream("cache").expect("cache stream");
-        DailySeries::new(s.daily_hr()).moving_average(7)
-    };
-    let rand_whr = whr_of(0);
-    let rand_hr = hr_of(0);
+    let (rand_hr, rand_whr) = moving_averages(&results[0].1);
     let mut series = Vec::new();
     let mut hr_series = Vec::new();
-    for (i, &key) in secondaries.iter().enumerate().skip(1) {
-        let whr_ratio = ratio_percent(&whr_of(i), &rand_whr);
-        let hr_ratio = ratio_percent(&hr_of(i), &rand_hr);
+    for ((_, res), &key) in results.iter().zip(&secondaries).skip(1) {
+        let (hr_ma, whr_ma) = moving_averages(res);
+        let whr_ratio = ratio_percent(&whr_ma, &rand_whr);
+        let hr_ratio = ratio_percent(&hr_ma, &rand_hr);
         let whr_overall = whr_ratio.mean();
         let hr_overall = hr_ratio.mean();
         series.push((key.label().to_string(), whr_ratio, whr_overall));

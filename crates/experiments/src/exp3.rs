@@ -6,13 +6,12 @@
 //! Also implements the section 5 open-problem extension: several primary
 //! caches sharing one second-level cache.
 
-use crate::runner::Ctx;
-use rayon::prelude::*;
+use crate::runner::{Ctx, WORKLOADS};
 use serde::{Deserialize, Serialize};
-use webcache_core::cache::multilevel::{SharedL2, TwoLevelCache};
+use webcache_core::cache::multilevel::TwoLevelCache;
 use webcache_core::cache::Cache;
 use webcache_core::policy::{named, NeverEvict};
-use webcache_core::sim::{panic_message, simulate};
+use webcache_core::sim::{run_lanes, simulate, Lane, SimResult};
 use webcache_stats::series::DailySeries;
 use webcache_stats::{report, Table};
 
@@ -37,16 +36,20 @@ pub struct Exp3Workload {
     pub l2_whr: f64,
 }
 
-/// Run Experiment 3 for one workload.
-pub fn run_one(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Exp3Workload {
-    let trace = ctx.trace(workload);
-    let max_needed = webcache_core::sim::max_needed(&trace);
-    let l1_capacity = ((max_needed as f64 * cache_fraction) as u64).max(1);
-    let mut system = TwoLevelCache::new(
-        Cache::new(l1_capacity, Box::new(named::size())),
-        Cache::infinite(Box::new(NeverEvict::new())),
-    );
-    let res = simulate(&trace, &mut system, "SIZE L1 + infinite L2");
+/// Experiment 3's hierarchy: `l1s` SIZE caches of `l1_capacity` bytes
+/// each, sharing an infinite L2.
+fn hierarchy(l1s: usize, l1_capacity: u64) -> TwoLevelCache {
+    let l1s = (0..l1s)
+        .map(|_| Cache::new(l1_capacity, Box::new(named::size())))
+        .collect();
+    TwoLevelCache::shared(l1s, Cache::infinite(Box::new(NeverEvict::new())))
+}
+
+/// What the single-L1 hierarchy is called in its [`SimResult`].
+const LABEL: &str = "SIZE L1 + infinite L2";
+
+/// One workload's row from its simulation result.
+fn row(workload: &str, l1_capacity: u64, res: &SimResult) -> Exp3Workload {
     let l1 = res.stream("l1").expect("l1 stream");
     let l2 = res.stream("l2").expect("l2 stream");
     Exp3Workload {
@@ -59,6 +62,14 @@ pub fn run_one(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Exp3Workload {
         l2_hr: l2.total.hit_rate(),
         l2_whr: l2.total.weighted_hit_rate(),
     }
+}
+
+/// Run Experiment 3 for one workload.
+pub fn run_one(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Exp3Workload {
+    let trace = ctx.trace(workload);
+    let l1_capacity = ctx.capacity(workload, cache_fraction);
+    let res = simulate(&trace, &mut hierarchy(1, l1_capacity), LABEL);
+    row(workload, l1_capacity, &res)
 }
 
 /// Experiment 3 output across workloads, with per-workload salvage: a
@@ -75,26 +86,23 @@ pub struct Exp3Output {
 }
 
 /// Run Experiment 3 on the workloads the paper plots (BR, C, G) plus the
-/// other two for completeness, one workload per thread. Output keeps the
+/// other two for completeness, one lane per workload. Output keeps the
 /// paper's workload order; a failing workload is salvaged into
 /// [`failed`](Exp3Output::failed) rather than dropping the whole sweep.
 pub fn run(ctx: &Ctx, cache_fraction: f64) -> Exp3Output {
-    let outcomes: Vec<(&str, Result<Exp3Workload, String>)> = crate::runner::WORKLOADS
-        .as_slice()
-        .par_iter()
-        .map(|&w| {
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_one(ctx, w, cache_fraction)
-            }))
-            .map_err(panic_message);
-            (w, r)
+    let inputs: Vec<_> = (WORKLOADS.iter())
+        .map(|&w| (w, ctx.trace(w), ctx.capacity(w, cache_fraction)))
+        .collect();
+    let lanes = (inputs.iter())
+        .map(|&(_, ref trace, l1_capacity)| {
+            Lane::new(LABEL, trace, move || hierarchy(1, l1_capacity))
         })
         .collect();
     let mut rows = Vec::new();
     let mut failed = Vec::new();
-    for (w, r) in outcomes {
-        match r {
-            Ok(row) => rows.push(row),
+    for ((w, _, l1_capacity), (_, res)) in inputs.iter().zip(run_lanes(lanes)) {
+        match res {
+            Ok(res) => rows.push(row(w, *l1_capacity, &res)),
             Err(e) => failed.push((w.to_string(), e)),
         }
     }
@@ -126,7 +134,7 @@ pub fn table(results: &[Exp3Workload]) -> String {
 /// 10% of MaxNeeded / groups, sharing one infinite L2. Returns
 /// `(per-L1 hit rates, shared L2 HR, shared L2 WHR)`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SharedL2Result {
+pub struct Exp3Shared {
     /// Workload name.
     pub workload: String,
     /// Number of first-level caches.
@@ -140,26 +148,16 @@ pub struct SharedL2Result {
 }
 
 /// Run the shared-L2 extension.
-pub fn run_shared(ctx: &Ctx, workload: &str, cache_fraction: f64, groups: usize) -> SharedL2Result {
-    assert!(groups >= 1);
+pub fn run_shared(ctx: &Ctx, workload: &str, cache_fraction: f64, groups: usize) -> Exp3Shared {
     let trace = ctx.trace(workload);
-    let max_needed = webcache_core::sim::max_needed(&trace);
-    let per_l1 = ((max_needed as f64 * cache_fraction / groups as f64) as u64).max(1);
-    let l1s = (0..groups)
-        .map(|_| Cache::new(per_l1, Box::new(named::size())))
-        .collect();
-    let mut system = SharedL2::new(l1s, Cache::infinite(Box::new(NeverEvict::new())));
-    let res = simulate(&trace, &mut system, "shared L2");
-    let l1_hrs = (0..groups)
-        .map(|i| {
-            res.stream(&format!("l1_{i}"))
-                .expect("l1 stream")
-                .total
-                .hit_rate()
-        })
+    let per_l1 = ((ctx.max_needed(workload) as f64 * cache_fraction / groups as f64) as u64).max(1);
+    let res = simulate(&trace, &mut hierarchy(groups, per_l1), "shared L2");
+    let l1_hrs = (res.streams.iter())
+        .filter(|s| s.name != "l2")
+        .map(|s| s.total.hit_rate())
         .collect();
     let l2 = res.stream("l2").expect("l2 stream");
-    SharedL2Result {
+    Exp3Shared {
         workload: workload.to_string(),
         groups,
         l1_hrs,
@@ -197,9 +195,6 @@ mod tests {
         let r = run_one(&ctx, "G", 0.1);
         assert!(r.l2_hr > 0.005, "L2 HR {}", r.l2_hr);
         assert!(r.l2_whr > 0.05, "L2 WHR {}", r.l2_whr);
-        // L1 plus L2 can't beat the infinite cache.
-        let inf = crate::exp1::run_one(&ctx, "G");
-        let _ = inf; // level comparison is in integration tests
     }
 
     #[test]

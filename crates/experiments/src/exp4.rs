@@ -10,10 +10,9 @@ use crate::runner::Ctx;
 use serde::{Deserialize, Serialize};
 use webcache_core::cache::partitioned::PartitionedCache;
 use webcache_core::policy::named;
-use webcache_core::sim::{panic_message, simulate, simulate_infinite};
+use webcache_core::sim::{run_lanes, Lane, SimResult};
 use webcache_stats::series::DailySeries;
 use webcache_stats::{report, Table};
-use webcache_trace::DocType;
 
 /// One partition configuration's results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,71 +52,59 @@ pub struct Exp4 {
     pub failed: Vec<(String, String)>,
 }
 
-/// Audio/non-audio byte-hit shares of an infinite cache, over all
-/// requests.
-fn infinite_split(ctx: &Ctx, workload: &str) -> (f64, f64) {
-    let trace = ctx.trace(workload);
-    // Infinite partitioned cache: partition capacities are irrelevant at
-    // u64::MAX/2 each; hit rates equal the unpartitioned infinite cache's.
-    let mut system = PartitionedCache::new(vec![
-        (
-            "audio".to_string(),
-            vec![DocType::Audio],
-            u64::MAX / 2,
-            Box::new(named::size()),
-        ),
-        (
-            "non-audio".to_string(),
-            Vec::new(),
-            u64::MAX / 2,
-            Box::new(named::size()),
-        ),
-    ]);
-    let res = simulate(&trace, &mut system, "infinite partitioned");
-    let audio = res.stream("audio").expect("audio stream").total;
-    let non = res.stream("non-audio").expect("non-audio stream").total;
-    (audio.weighted_hit_rate(), non.weighted_hit_rate())
+/// The audio shares of Experiment 4's three partitioned caches.
+const AUDIO_FRACTIONS: [f64; 3] = [0.25, 0.5, 0.75];
+
+/// One partition configuration's row from its simulation result.
+fn partition_run(audio_fraction: f64, res: &SimResult) -> PartitionRun {
+    let audio = res.stream("audio").expect("audio stream");
+    let non = res.stream("non-audio").expect("non-audio stream");
+    let total = res.stream("total").expect("total stream");
+    PartitionRun {
+        audio_fraction,
+        audio_whr_ma: DailySeries::new(audio.daily_whr()).moving_average(7),
+        non_audio_whr_ma: DailySeries::new(non.daily_whr()).moving_average(7),
+        audio_whr: audio.total.weighted_hit_rate(),
+        non_audio_whr: non.total.weighted_hit_rate(),
+        total_whr: total.total.weighted_hit_rate(),
+    }
 }
 
-/// Run Experiment 4.
+/// Run Experiment 4, one lane per partition configuration; a failing one
+/// is salvaged into [`failed`](Exp4::failed).
 pub fn run(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Exp4 {
     let trace = ctx.trace(workload);
-    let inf = simulate_infinite(&trace);
-    let max_needed = inf.gauge("max_used").expect("max_used");
-    let capacity = ((max_needed as f64 * cache_fraction) as u64).max(4);
-    let (infinite_audio_whr, infinite_non_audio_whr) = infinite_split(ctx, workload);
-
+    let capacity = ctx.capacity(workload, cache_fraction).max(4);
+    let split = |capacity, audio_fraction| {
+        move || PartitionedCache::audio_split(capacity, audio_fraction, || Box::new(named::size()))
+    };
+    // Partitions of about 2^63 bytes never evict: the infinite cache.
+    let mut lanes = vec![Lane::new(
+        "infinite partitioned",
+        &trace,
+        split(u64::MAX, 0.5),
+    )];
+    lanes.extend(AUDIO_FRACTIONS.map(|f| Lane::new("partitioned", &trace, split(capacity, f))));
+    let mut results = run_lanes(lanes).into_iter().map(|(_, res)| res);
+    let infinite = (results.next().expect("the infinite lane"))
+        .unwrap_or_else(|e| panic!("infinite partitioned cache: {e}"));
+    let whr = |name| {
+        let stream = infinite.stream(name).expect("partition stream");
+        stream.total.weighted_hit_rate()
+    };
     let mut runs = Vec::new();
     let mut failed = Vec::new();
-    for audio_fraction in [0.25, 0.5, 0.75] {
-        // One failing partition configuration must not discard the
-        // completed configurations' results.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut system =
-                PartitionedCache::audio_split(capacity, audio_fraction, || Box::new(named::size()));
-            let res = simulate(&trace, &mut system, "partitioned");
-            let audio = res.stream("audio").expect("audio stream");
-            let non = res.stream("non-audio").expect("non-audio stream");
-            let total = res.stream("total").expect("total stream");
-            PartitionRun {
-                audio_fraction,
-                audio_whr_ma: DailySeries::new(audio.daily_whr()).moving_average(7),
-                non_audio_whr_ma: DailySeries::new(non.daily_whr()).moving_average(7),
-                audio_whr: audio.total.weighted_hit_rate(),
-                non_audio_whr: non.total.weighted_hit_rate(),
-                total_whr: total.total.weighted_hit_rate(),
-            }
-        }));
-        match outcome {
-            Ok(r) => runs.push(r),
-            Err(e) => failed.push((format!("{audio_fraction}"), panic_message(e))),
+    for (audio_fraction, res) in AUDIO_FRACTIONS.into_iter().zip(results) {
+        match res {
+            Ok(res) => runs.push(partition_run(audio_fraction, &res)),
+            Err(e) => failed.push((format!("{audio_fraction}"), e)),
         }
     }
     Exp4 {
         workload: workload.to_string(),
         capacity,
-        infinite_audio_whr,
-        infinite_non_audio_whr,
+        infinite_audio_whr: whr("audio"),
+        infinite_non_audio_whr: whr("non-audio"),
         runs,
         partial: !failed.is_empty(),
         failed,

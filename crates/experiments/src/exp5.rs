@@ -7,9 +7,9 @@
 
 use crate::runner::Ctx;
 use serde::{Deserialize, Serialize};
-use webcache_core::cache::DocMeta;
+use webcache_core::cache::{Cache, Counts, DocMeta};
 use webcache_core::policy::{Key, KeySpec, RemovalPolicy, SortedPolicy};
-use webcache_core::sim::{max_needed, LaneSpec, MultiSim};
+use webcache_core::sim::{run_lanes, CacheSystem, Lane, MultiSim};
 use webcache_stats::{report, Table};
 use webcache_trace::{DocType, Request, ServerId};
 
@@ -58,38 +58,60 @@ fn combined_model(r: &Request, m: &mut DocMeta) {
     expiry_model(r, m);
 }
 
-/// Per-lane extension metrics accumulated during the single shared pass.
-#[derive(Debug, Default, Clone, Copy)]
-struct ExtObserver {
-    text_reqs: u64,
+/// A lane's cache, with gauges for what the extension keys aim at:
+/// `text_requests`, `text_hits`, and `refetch_ms`, the modelled refetch
+/// latency of every miss (hits cost nothing).
+struct Observed {
+    cache: Cache,
+    text_requests: u64,
     text_hits: u64,
-    latency_total: u64,
+    refetch_ms: u64,
 }
 
-impl ExtObserver {
-    fn observe(&mut self, r: &Request, hit: bool) {
+impl CacheSystem for Observed {
+    fn handle(&mut self, r: &Request) {
+        let hit = self.cache.request_hit(r);
         if r.doc_type == DocType::Text {
-            self.text_reqs += 1;
-            if hit {
-                self.text_hits += 1;
-            }
+            self.text_requests += 1;
+            self.text_hits += u64::from(hit);
         }
         if !hit {
-            // Cost of refetching from this server; hits cost nothing.
-            self.latency_total += server_latency_ms(r.server);
+            self.refetch_ms += server_latency_ms(r.server);
         }
+    }
+
+    fn stream_names(&self) -> Vec<String> {
+        self.cache.stream_names()
+    }
+
+    fn snapshot(&self, out: &mut [Counts]) {
+        self.cache.snapshot(out);
+    }
+
+    fn gauges(&self) -> Vec<(String, u64)> {
+        let mut gauges = self.cache.gauges();
+        gauges.extend([
+            ("text_requests".to_string(), self.text_requests),
+            ("text_hits".to_string(), self.text_hits),
+            ("refetch_ms".to_string(), self.refetch_ms),
+        ]);
+        gauges
     }
 }
 
 /// Run the extension-key comparison on one workload: all five policies as
-/// [`MultiSim`] lanes over one pass, each with the extension decorators
-/// and a metrics observer attached.
+/// lanes over one trace, each cache with the extension decorators.
 pub fn run(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Vec<ExtensionRun> {
     let trace = ctx.trace(workload);
-    let capacity = ((max_needed(&trace) as f64 * cache_fraction) as u64).max(1);
+    let capacity = ctx.capacity(workload, cache_fraction);
     let lane = |label: &str, spec: KeySpec| {
-        let policy = Box::new(SortedPolicy::new(spec)) as Box<dyn RemovalPolicy>;
-        LaneSpec::new(label, policy).with_decorator(combined_model)
+        Lane::new(label, &trace, move || Observed {
+            cache: Cache::new(capacity, Box::new(SortedPolicy::new(spec)))
+                .with_decorator(combined_model),
+            text_requests: 0,
+            text_hits: 0,
+            refetch_ms: 0,
+        })
     };
     let lanes = vec![
         lane("SIZE", KeySpec::primary(Key::Size)),
@@ -101,21 +123,23 @@ pub fn run(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Vec<ExtensionRun> 
         lane("EXPIRY+SIZE", KeySpec::pair(Key::Expiry, Key::Size)),
         lane("LRU", KeySpec::primary(Key::AccessTime)),
     ];
-    MultiSim::new(&trace, capacity)
-        .run_observed(lanes, ExtObserver::default, ExtObserver::observe)
+    run_lanes(lanes)
         .into_iter()
-        .map(|(label, result, obs)| {
+        .map(|(label, result)| {
+            let result = result.unwrap_or_else(|e| panic!("lane {label} panicked: {e}"));
             let c = result.stream("cache").expect("cache stream").total;
+            let gauge = |name| result.gauge(name).expect("an observed gauge");
+            let text_requests = gauge("text_requests");
             ExtensionRun {
                 policy: label,
                 hr: c.hit_rate(),
                 whr: c.weighted_hit_rate(),
-                text_hr: if obs.text_reqs == 0 {
+                text_hr: if text_requests == 0 {
                     0.0
                 } else {
-                    obs.text_hits as f64 / obs.text_reqs as f64
+                    gauge("text_hits") as f64 / text_requests as f64
                 },
-                mean_latency_ms: obs.latency_total as f64 / c.requests.max(1) as f64,
+                mean_latency_ms: gauge("refetch_ms") as f64 / c.requests.max(1) as f64,
             }
         })
         .collect()
@@ -189,7 +213,7 @@ pub fn replicate(
     for seed in seeds {
         let ctx = Ctx::with_scale(scale, seed);
         let trace = ctx.trace(workload);
-        let capacity = ((max_needed(&trace) as f64 * cache_fraction) as u64).max(1);
+        let capacity = ctx.capacity(workload, cache_fraction);
         let make =
             |key| Box::new(SortedPolicy::new(KeySpec::primary(key))) as Box<dyn RemovalPolicy>;
         let out = MultiSim::new(&trace, capacity).run(vec![

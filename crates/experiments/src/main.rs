@@ -37,6 +37,23 @@ fn parse_flag<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
         .unwrap_or_else(|_| usage_error(&format!("{flag} got unparseable value {v:?}")))
 }
 
+/// Positional argument `i`, parsed like a flag's value: `default` when
+/// absent, a usage error when it does not parse or `valid` refuses it.
+fn positional<T: std::str::FromStr>(
+    rest: &[String],
+    i: usize,
+    name: &str,
+    default: T,
+    valid: fn(&T) -> bool,
+) -> T {
+    match rest.get(i) {
+        None => default,
+        Some(v) => Some(parse_flag(name, Some(v.clone())))
+            .filter(valid)
+            .unwrap_or_else(|| usage_error(&format!("{name} got out-of-range value {v:?}"))),
+    }
+}
+
 /// Write a result JSON atomically via the workspace's shared tmp+rename
 /// helper. A crash mid-write can cost the file, never leave a
 /// half-written one.
@@ -47,14 +64,11 @@ fn write_json_atomic(dir: &str, name: &str, json: &str) -> std::io::Result<Strin
     Ok(path)
 }
 
-/// Warn on stderr about policy lanes salvaged out of a partial Experiment
-/// 2 result.
-fn report_failed_lanes(e: &exp2::Exp2Workload) {
-    for (policy, err) in &e.failed {
-        eprintln!(
-            "warning: workload {} policy {policy} failed: {err} (healthy lanes kept, partial: true)",
-            e.workload
-        );
+/// Warn on stderr about the lanes salvaged out of a partial result, each
+/// `(lane, error)` of its `failed` list.
+fn report_failed(what: &str, failed: &[(String, String)]) {
+    for (lane, err) in failed {
+        eprintln!("warning: {what} {lane} failed: {err} (healthy lanes kept, partial: true)");
     }
 }
 
@@ -86,6 +100,8 @@ fn main() {
     };
     let cmd = rest.first().map(String::as_str).unwrap_or("help");
     let arg = |i: usize| rest.get(i).map(String::as_str);
+    // A cache size as a fraction of MaxNeeded.
+    let frac = |i: usize| positional(&rest, i, "FRAC", 0.1, |f: &f64| *f > 0.0 && *f <= 1.0);
     // Workload-name positional argument: reject unknown names here, with
     // a usage message, rather than panicking deep inside the runner.
     let wl_arg = |i: usize, default: &'static str| -> String {
@@ -167,12 +183,15 @@ fn main() {
             println!("{}", e.summary_table(ctx.scale()));
         }
         "exp2" => {
-            let frac: f64 = arg(2).and_then(|v| v.parse().ok()).unwrap_or(0.1);
+            let frac = frac(2);
             let set = match arg(3).unwrap_or("figures") {
+                "figures" => exp2::PolicySet::Figures,
                 "primaries" => exp2::PolicySet::Primaries,
                 "all36" => exp2::PolicySet::All36,
                 "named" => exp2::PolicySet::Named,
-                _ => exp2::PolicySet::Figures,
+                other => usage_error(&format!(
+                    "SET got unknown policy set {other:?} (expected figures, primaries, all36 or named)"
+                )),
             };
             let workloads: Vec<String> = match arg(1) {
                 Some(_) => vec![wl_arg(1, "BL")],
@@ -183,7 +202,7 @@ fn main() {
             };
             for w in &workloads {
                 let e = exp2::run_one(&ctx, w, frac, set);
-                report_failed_lanes(&e);
+                report_failed(&format!("workload {w} policy"), &e.failed);
                 save(&format!("exp2_{w}"), &e);
                 println!("{}", e.figure());
                 println!("{}", e.table());
@@ -191,25 +210,20 @@ fn main() {
         }
         "exp2b" => {
             let wl = &wl_arg(1, "G");
-            let frac: f64 = arg(2).and_then(|v| v.parse().ok()).unwrap_or(0.1);
+            let frac = frac(2);
             let s = exp2::run_secondary(&ctx, wl, frac);
             save("exp2b", &s);
             println!("{}", s.table());
         }
         "exp3" => {
-            let frac: f64 = arg(1).and_then(|v| v.parse().ok()).unwrap_or(0.1);
-            let out = exp3::run(&ctx, frac);
-            for (w, err) in &out.failed {
-                eprintln!(
-                    "warning: workload {w} failed: {err} (completed rows kept, partial: true)"
-                );
-            }
+            let out = exp3::run(&ctx, frac(1));
+            report_failed("workload", &out.failed);
             save("exp3", &out);
             println!("{}", exp3::table(&out.rows));
         }
         "exp3-shared" => {
             let wl = &wl_arg(1, "BL");
-            let groups: usize = arg(2).and_then(|v| v.parse().ok()).unwrap_or(4);
+            let groups = positional(&rest, 2, "GROUPS", 4, |&n: &usize| n >= 1);
             let r = exp3::run_shared(&ctx, wl, 0.1, groups);
             save("exp3_shared", &r);
             println!(
@@ -224,14 +238,13 @@ fn main() {
         }
         "exp5" => {
             let wl = &wl_arg(1, "BL");
-            let frac: f64 = arg(2).and_then(|v| v.parse().ok()).unwrap_or(0.1);
-            let runs = exp5::run(&ctx, wl, frac);
+            let runs = exp5::run(&ctx, wl, frac(2));
             save("exp5", &runs);
             println!("{}", exp5::table(wl, &runs));
         }
         "replicate" => {
             let wl = &wl_arg(1, "G");
-            let seeds: u64 = arg(2).and_then(|v| v.parse().ok()).unwrap_or(5);
+            let seeds = positional(&rest, 2, "SEEDS", 5, |&n: &u64| n >= 1);
             let (shr, lhr, swhr, lwhr) = exp5::replicate(wl, scale, 0.1, 1..1 + seeds);
             println!(
                 "workload {wl}, {seeds} seeds, 10% cache:\n\
@@ -255,7 +268,7 @@ fn main() {
             use webcache_core::sim::simulate;
             let wl = &wl_arg(1, "BL");
             let trace = ctx.trace(wl);
-            let capacity = webcache_core::sim::max_needed(&trace) / 10;
+            let capacity = ctx.max_needed(wl) / 10;
             for make in [named::lru, named::size] {
                 let policy = make();
                 let label = webcache_core::policy::RemovalPolicy::name(&policy);
@@ -281,14 +294,8 @@ fn main() {
             }
         }
         "exp4" => {
-            let frac: f64 = arg(1).and_then(|v| v.parse().ok()).unwrap_or(0.1);
-            let e = exp4::run(&ctx, "BR", frac);
-            for (fraction, err) in &e.failed {
-                eprintln!(
-                    "warning: audio fraction {fraction} failed: {err} \
-                     (completed configurations kept, partial: true)"
-                );
-            }
+            let e = exp4::run(&ctx, "BR", frac(1));
+            report_failed("audio fraction", &e.failed);
             save("exp4", &e);
             println!("{}", e.table());
         }
@@ -307,7 +314,7 @@ fn main() {
             println!("{}", e1.summary_table(ctx.scale()));
             for w in webcache_experiments::runner::WORKLOADS {
                 let e = exp2::run_one(&ctx, w, 0.1, exp2::PolicySet::Figures);
-                report_failed_lanes(&e);
+                report_failed(&format!("workload {w} policy"), &e.failed);
                 save(&format!("exp2_{w}"), &e);
                 println!("{}", e.table());
             }
@@ -315,9 +322,11 @@ fn main() {
             save("exp2b", &s);
             println!("{}", s.table());
             let e3 = exp3::run(&ctx, 0.1);
+            report_failed("workload", &e3.failed);
             save("exp3", &e3);
             println!("{}", exp3::table(&e3.rows));
             let e4 = exp4::run(&ctx, "BR", 0.1);
+            report_failed("audio fraction", &e4.failed);
             save("exp4", &e4);
             println!("{}", e4.table());
         }

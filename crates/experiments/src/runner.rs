@@ -1,10 +1,11 @@
-//! Shared orchestration: trace caching and the Table 5 experiment design
-//! constants. Policy sweeps call `webcache_core::sim::MultiSim` directly.
+//! Shared orchestration: each workload's trace and infinite cache, made
+//! once, and the Table 5 experiment design constants.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
+use webcache_core::sim::{simulate_infinite, SimResult};
 use webcache_trace::{binfmt, Trace};
 use webcache_workload::profiles;
 
@@ -56,12 +57,14 @@ pub const PAPER_MAX_NEEDED_MB: [(&str, u64); 5] = [
 pub const WORKLOADS: [&str; 5] = ["U", "G", "C", "BR", "BL"];
 
 /// Experiment context: generates each workload's trace once (optionally
-/// scaled down) and shares it across experiments.
+/// scaled down), simulates its infinite cache once, and shares both
+/// across experiments.
 pub struct Ctx {
     scale: f64,
     seed: u64,
     pack_dir: Option<PathBuf>,
     traces: Mutex<HashMap<String, Arc<Trace>>>,
+    infinite: Mutex<HashMap<String, Arc<SimResult>>>,
 }
 
 impl Ctx {
@@ -105,6 +108,7 @@ impl Ctx {
             seed,
             pack_dir,
             traces: Mutex::new(HashMap::new()),
+            infinite: Mutex::new(HashMap::new()),
         })
     }
 
@@ -191,6 +195,29 @@ impl Ctx {
             .insert(name.to_string(), Arc::clone(&trace));
         Ok(trace)
     }
+
+    /// The infinite-cache simulation of a workload (Experiment 1), run
+    /// once, on first use.
+    pub fn infinite(&self, name: &str) -> Arc<SimResult> {
+        let mut memo = self.infinite.lock();
+        let r = (memo.entry(name.to_string()))
+            .or_insert_with(|| Arc::new(simulate_infinite(&self.trace(name))));
+        Arc::clone(r)
+    }
+
+    /// MaxNeeded of a workload: the high-water mark of its infinite
+    /// cache, in bytes.
+    pub fn max_needed(&self, name: &str) -> u64 {
+        self.infinite(name)
+            .gauge("max_used")
+            .expect("infinite cache reports max_used")
+    }
+
+    /// A cache of `fraction` of a workload's MaxNeeded, in bytes, and at
+    /// least one.
+    pub fn capacity(&self, name: &str, fraction: f64) -> u64 {
+        ((self.max_needed(name) as f64 * fraction) as u64).max(1)
+    }
 }
 
 impl Default for Ctx {
@@ -210,6 +237,17 @@ mod tests {
         let b = ctx.trace("BL");
         assert!(Arc::ptr_eq(&a, &b));
         assert!(a.len() > 100);
+    }
+
+    #[test]
+    fn ctx_simulates_each_infinite_cache_once() {
+        let ctx = Ctx::with_scale(0.01, 7);
+        let a = ctx.infinite("BL");
+        assert!(Arc::ptr_eq(&a, &ctx.infinite("BL")));
+        let needed = webcache_core::sim::max_needed(&ctx.trace("BL"));
+        assert_eq!(ctx.max_needed("BL"), needed);
+        assert_eq!(ctx.capacity("BL", 0.1), (needed as f64 * 0.1) as u64);
+        assert_eq!(ctx.capacity("BL", 1e-12), 1);
     }
 
     #[test]

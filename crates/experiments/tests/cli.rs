@@ -31,6 +31,35 @@ fn unknown_flags_and_commands_exit_2_with_nothing_on_stdout() {
     }
 }
 
+/// A positional argument the command would ignore or misread — a
+/// fraction that does not parse or is not in (0, 1], an unknown policy
+/// set, no L1 group, no seed — is a usage error too, before anything
+/// runs.
+#[test]
+fn bad_positional_arguments_exit_2_with_nothing_on_stdout() {
+    for args in [
+        &["--scale", "0.01", "exp2", "BL", "abc"][..],
+        &["--scale", "0.01", "exp2", "BL", "0.1", "bogus"],
+        &["--scale", "0.01", "exp2b", "G", "1.5"],
+        &["--scale", "0.01", "exp3", "-1"],
+        &["--scale", "0.01", "exp3", "0"],
+        &["--scale", "0.01", "exp4", "NaN"],
+        &["--scale", "0.01", "exp5", "BL", "x"],
+        &["--scale", "0.01", "exp3-shared", "BL", "0"],
+        &["--scale", "0.01", "exp3-shared", "BL", "two"],
+        &["--scale", "0.01", "replicate", "G", "abc"],
+        &["--scale", "0.01", "replicate", "G", "0"],
+    ] {
+        let out = experiments(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("error:"),
+            "{args:?}"
+        );
+    }
+}
+
 #[test]
 fn help_exits_0_and_lists_no_checkpoint_flag() {
     for args in [&["help"][..], &[]] {
