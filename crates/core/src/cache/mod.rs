@@ -285,6 +285,14 @@ impl Cache {
         self.resolve(r, || (), &mut |_| ()) == Resolution::Hit
     }
 
+    /// Handle one client request and say whether it hit, appending what
+    /// was evicted to make room to `evicted`, in removal order: the path
+    /// of a hierarchy that pushes its first level's evictions down, with
+    /// one buffer kept across requests.
+    pub(crate) fn request_evicting(&mut self, r: &Request, evicted: &mut Vec<DocMeta>) -> bool {
+        self.resolve(r, || (), &mut |meta| evicted.push(meta)) == Resolution::Hit
+    }
+
     /// Reinstate a snapshot into a freshly constructed cache (same
     /// capacity, same policy, nothing resident); see
     /// [`Cache::restore_entries`]. Returns `false` if the snapshot is
@@ -389,6 +397,17 @@ impl<P> Cache<P> {
     pub fn enable_position_tracking(&mut self) {
         self.policy.enable_position_tracking(&self.docs);
         self.observes_hits = self.policy.observes_hits();
+    }
+
+    /// Size the slab of resident documents, and the policy's own tables
+    /// indexed by URL id ([`RemovalPolicy::reserve_urls`]), for every URL
+    /// id below `urls`, so that no insert grows them. A total: asking again
+    /// with the same or a smaller count allocates nothing. A replay calls
+    /// it with its trace's URL count before the first request (DESIGN.md
+    /// D44).
+    pub fn reserve_urls(&mut self, urls: usize) {
+        self.docs.reserve_urls(urls);
+        self.policy.reserve_urls(urls);
     }
 
     /// Iterate over resident documents (arbitrary order).

@@ -10,7 +10,7 @@
 //! … when a primary cache removes a document, the document will always be
 //! in the second level cache."
 
-use crate::cache::{Cache, Counts, Outcome};
+use crate::cache::{Cache, Counts, DocMeta};
 use webcache_trace::Request;
 
 /// First-level caches backed by one (typically much larger or infinite)
@@ -24,6 +24,9 @@ pub struct TwoLevelCache {
     /// L2 counters measured over *all client requests*, the way Figs 16-18
     /// report them (an L2 hit is an L1 miss satisfied by L2).
     l2_over_all: Counts,
+    /// The first level's evictions for the request in hand, pushed down
+    /// once L2 has been consulted: one buffer for every request.
+    evicted: Vec<DocMeta>,
 }
 
 /// What happened to one request in a two-level hierarchy.
@@ -54,6 +57,15 @@ impl TwoLevelCache {
             l1s,
             l2,
             l2_over_all: Counts::default(),
+            evicted: Vec::new(),
+        }
+    }
+
+    /// Size every level for URL ids below `urls`
+    /// ([`Cache::reserve_urls`]).
+    pub fn reserve_urls(&mut self, urls: usize) {
+        for cache in self.l1s.iter_mut().chain(std::iter::once(&mut self.l2)) {
+            cache.reserve_urls(urls);
         }
     }
 
@@ -66,28 +78,23 @@ impl TwoLevelCache {
         // L2 so the paper's inclusion property holds even when L2 is
         // finite.
         let group = r.client.0 as usize % self.l1s.len();
-        let l1_outcome = self.l1s[group].request(r);
-        match l1_outcome {
-            Outcome::Hit => LevelOutcome::L1Hit,
-            Outcome::Miss { evicted } | Outcome::MissModified { evicted } => {
-                let out = self.consult_l2(r);
-                self.push_down(&evicted, r);
-                out
-            }
-            Outcome::MissTooBig => self.consult_l2(r),
+        if self.l1s[group].request_evicting(r, &mut self.evicted) {
+            return LevelOutcome::L1Hit;
         }
+        let out = self.consult_l2(r);
+        self.push_down(r);
+        out
     }
 
     /// An L1 miss consults L2; L2's own counters are updated by its
-    /// `request` call, and the over-all-requests counters here.
+    /// `request_hit` call, and the over-all-requests counters here.
     fn consult_l2(&mut self, r: &Request) -> LevelOutcome {
-        match self.l2.request(r) {
-            Outcome::Hit => {
-                self.l2_over_all.hits += 1;
-                self.l2_over_all.bytes_hit += r.size;
-                LevelOutcome::L2Hit
-            }
-            _ => LevelOutcome::BothMiss,
+        if self.l2.request_hit(r) {
+            self.l2_over_all.hits += 1;
+            self.l2_over_all.bytes_hit += r.size;
+            LevelOutcome::L2Hit
+        } else {
+            LevelOutcome::BothMiss
         }
     }
 
@@ -96,12 +103,12 @@ impl TwoLevelCache {
     /// infinite L2 (the paper's Experiment 3) this is a no-op — everything
     /// fetched was already "placed in both" — but with a finite L2 it
     /// re-enters documents L2 may have dropped.
-    fn push_down(&mut self, evicted: &[crate::cache::DocMeta], r: &Request) {
-        for meta in evicted {
+    fn push_down(&mut self, r: &Request) {
+        for meta in self.evicted.drain(..) {
             if meta.url == r.url || self.l2.contains(meta.url) {
                 continue;
             }
-            self.l2.insert_meta(*meta, ());
+            self.l2.insert_meta(meta, ());
         }
     }
 

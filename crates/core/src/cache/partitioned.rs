@@ -11,7 +11,7 @@
 //! references)" — each partition's counters are divided by *total* traffic,
 //! not by its own class's traffic. Per-class rates are also available.
 
-use crate::cache::{Cache, Counts, Outcome};
+use crate::cache::{Cache, Counts};
 use crate::policy::RemovalPolicy;
 use webcache_trace::{DocType, Request};
 
@@ -100,21 +100,31 @@ impl PartitionedCache {
         &mut self.partitions[idx]
     }
 
-    /// Handle one request, routing it to the partition owning its type.
-    pub fn request(&mut self, r: &Request) -> Outcome {
+    /// Handle one request, routing it to the partition owning its type,
+    /// and say whether it hit. What is evicted is dropped as it goes
+    /// ([`Cache::request_hit`]): no eviction list is built per miss.
+    pub fn request(&mut self, r: &Request) -> bool {
         self.total.requests += 1;
         self.total.bytes_requested += r.size;
         let part = self.route(r.doc_type);
         part.class_counts.requests += 1;
         part.class_counts.bytes_requested += r.size;
-        let out = part.cache.request(r);
-        if out.is_hit() {
+        let hit = part.cache.request_hit(r);
+        if hit {
             part.class_counts.hits += 1;
             part.class_counts.bytes_hit += r.size;
             self.total.hits += 1;
             self.total.bytes_hit += r.size;
         }
-        out
+        hit
+    }
+
+    /// Size every partition for URL ids below `urls`
+    /// ([`Cache::reserve_urls`]).
+    pub fn reserve_urls(&mut self, urls: usize) {
+        for p in &mut self.partitions {
+            p.cache.reserve_urls(urls);
+        }
     }
 
     /// All partitions.

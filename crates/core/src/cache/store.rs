@@ -16,7 +16,9 @@ use webcache_trace::UrlId;
 /// at most one document per URL, `insert` replacing (and returning) any
 /// previous entry. Lookups are a bounds check and an index; memory is
 /// proportional to the highest URL id seen, which for interned trace ids
-/// equals the number of distinct URLs.
+/// equals the number of distinct URLs. A replay knows that number before
+/// its first request and reserves it ([`SlabStore::reserve_urls`]), so
+/// the slab is never re-copied as it grows (DESIGN.md D44).
 #[derive(Debug, Clone)]
 pub struct SlabStore<P = ()> {
     slots: Vec<Option<(DocMeta, P)>>,
@@ -33,6 +35,14 @@ impl<P> Default for SlabStore<P> {
 }
 
 impl<P> SlabStore<P> {
+    /// Make room for every URL id below `urls`: inserting one then never
+    /// grows the slab. `urls` is a total, not an increment, so asking
+    /// again with the same or a smaller count allocates nothing.
+    pub fn reserve_urls(&mut self, urls: usize) {
+        self.slots
+            .reserve_exact(urls.saturating_sub(self.slots.len()));
+    }
+
     /// Metadata of a resident document.
     pub fn get(&self, url: UrlId) -> Option<&DocMeta> {
         self.entry(url).map(|(m, _)| m)
@@ -152,5 +162,26 @@ mod tests {
         assert_eq!(s.remove(UrlId(3)).unwrap().1, "c");
         assert!(s.remove(UrlId(3)).is_none());
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn reserving_urls_sizes_the_slab_once() {
+        let mut s = SlabStore::default();
+        s.insert(meta(2, 10), ());
+        s.reserve_urls(100);
+        let (capacity, slots) = (s.slots.capacity(), s.slots.as_ptr());
+        assert!(capacity >= 100);
+        // A total, not an increment: the same count or a smaller one
+        // again changes nothing.
+        for urls in [100, 50, 0] {
+            s.reserve_urls(urls);
+            assert_eq!((s.slots.capacity(), s.slots.as_ptr()), (capacity, slots));
+        }
+        // Every id below the count inserts in place, the last one first.
+        for url in (0..100).rev() {
+            s.insert(meta(url, 1), ());
+            assert_eq!((s.slots.capacity(), s.slots.as_ptr()), (capacity, slots));
+        }
+        assert_eq!(s.len(), 100);
     }
 }

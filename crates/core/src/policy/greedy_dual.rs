@@ -107,6 +107,10 @@ impl RemovalPolicy for GreedyDualSize {
         self.list.remove(url);
     }
 
+    fn reserve_urls(&mut self, urls: usize) {
+        self.list.reserve_urls(urls);
+    }
+
     fn victim(
         &mut self,
         _now: Timestamp,

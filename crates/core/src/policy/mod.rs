@@ -92,6 +92,15 @@ pub trait RemovalPolicy: Send {
     /// A document left the cache (eviction or invalidation).
     fn on_remove(&mut self, url: UrlId);
 
+    /// Every URL id the cache will hand this policy is below `urls`: a
+    /// policy that keeps a table indexed by URL id may size it once, here,
+    /// instead of growing it as ids arrive. `urls` is a total, so asking
+    /// again with the same or a smaller count must allocate nothing. The
+    /// cache calls it before a trace is replayed (DESIGN.md D44); a policy
+    /// that ignores it, as the default does, is only slower; so is a
+    /// wrapper that does not forward it to the policy it wraps.
+    fn reserve_urls(&mut self, _urls: usize) {}
+
     /// Choose the next document to remove. `incoming_size` is the size of
     /// the document being fetched (LRU-MIN keys its thresholds off it;
     /// taxonomy policies ignore it). `docs` is the cache's metadata of

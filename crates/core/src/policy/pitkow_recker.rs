@@ -87,6 +87,11 @@ impl RemovalPolicy for PitkowRecker {
         self.by_size.remove(url);
     }
 
+    fn reserve_urls(&mut self, urls: usize) {
+        self.by_day.reserve_urls(urls);
+        self.by_size.reserve_urls(urls);
+    }
+
     fn victim(
         &mut self,
         now: Timestamp,

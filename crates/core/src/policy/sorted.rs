@@ -118,6 +118,13 @@ impl RankSlab {
         self.slot(url).map(|(rank, _)| rank)
     }
 
+    /// Make room for every URL id below `urls`; a total, as for
+    /// [`SlabStore::reserve_urls`](crate::cache::SlabStore::reserve_urls).
+    fn reserve(&mut self, urls: usize) {
+        self.slots
+            .reserve_exact(urls.saturating_sub(self.slots.len()));
+    }
+
     /// `url`'s slot, the slab grown to hold it.
     fn slot_mut(&mut self, url: UrlId) -> &mut Slot {
         let i = url.0 as usize;
@@ -284,6 +291,11 @@ pub(crate) struct SortedList {
 }
 
 impl SortedList {
+    /// Size the rank slab for every URL id below `urls` (DESIGN.md D44).
+    pub(crate) fn reserve_urls(&mut self, urls: usize) {
+        self.ranks.reserve(urls);
+    }
+
     /// File `url` at `rank`, replacing its previous rank if it has one.
     pub(crate) fn upsert(&mut self, url: UrlId, rank: Rank) {
         self.update(url, |_| Some(rank));
@@ -610,6 +622,10 @@ impl RemovalPolicy for SortedPolicy {
         self.moving.is_some() && self.list.tracks_positions()
     }
 
+    fn reserve_urls(&mut self, urls: usize) {
+        self.list.reserve_urls(urls);
+    }
+
     fn on_remove(&mut self, url: UrlId) {
         self.list.remove(url);
     }
@@ -920,6 +936,29 @@ mod tests {
             }
             assert!(state(&p) == before, "{}", spec.name());
         }
+    }
+
+    #[test]
+    fn reserving_urls_sizes_the_rank_slab_once() {
+        let mut p = WithDocs::new(SortedPolicy::new(KeySpec::primary(Key::Size)));
+        p.on_insert(&meta(2, 10, 0, 0, 1));
+        p.reserve_urls(100);
+        let slab = |p: &SortedPolicy| (p.list.ranks.slots.capacity(), p.list.ranks.slots.as_ptr());
+        let before = slab(&p);
+        assert!(before.0 >= 100);
+        // A total, not an increment: the same count or a smaller one
+        // again changes nothing.
+        for urls in [100, 50, 0] {
+            p.reserve_urls(urls);
+            assert_eq!(slab(&p), before);
+        }
+        // Every id below the count is filed in place, the last one first.
+        for url in (0..100).rev() {
+            p.on_insert(&meta(url, 1 + u64::from(url), 0, 0, 1));
+            assert_eq!(slab(&p), before);
+        }
+        assert_eq!(p.len(), 100);
+        assert_eq!(p.victim(0, 0), Some(UrlId(99)));
     }
 
     #[test]

@@ -153,6 +153,10 @@ impl CacheSystem for InstrumentedCache {
         let _ = self.request(r);
     }
 
+    fn reserve_urls(&mut self, urls: usize) {
+        self.cache.reserve_urls(urls);
+    }
+
     fn stream_names(&self) -> Vec<String> {
         self.cache.stream_names()
     }

@@ -38,13 +38,24 @@ pub trait CacheSystem {
     /// the paper's *MaxNeeded* when the cache is infinite).
     fn gauges(&self) -> Vec<(String, u64)>;
 
+    /// Size every table the system indexes by URL id for ids below
+    /// `urls`, so that no request grows one: the replay of a trace calls
+    /// it with the trace's URL count before its first request. A total,
+    /// as for [`Cache::reserve_urls`]. A system that holds caches passes
+    /// it to each; the default does nothing, which is only slower.
+    fn reserve_urls(&mut self, _urls: usize) {}
+
     /// The day loop every simulation runs: feed each day's requests to
     /// [`handle`](CacheSystem::handle), then record the day's delta of
     /// every stream. The names are read once and every buffer is sized up
-    /// front, so a day allocates nothing. Each implementation gets its
-    /// own copy of this loop with `handle` called directly, so a boxed
-    /// system pays one virtual call per trace, not one per request.
+    /// front, the system's per-URL tables included
+    /// ([`reserve_urls`](CacheSystem::reserve_urls)), so a day allocates
+    /// nothing and a cold replay copies no slab as it fills (DESIGN.md
+    /// D44). Each implementation gets its own copy of this loop with
+    /// `handle` called directly, so a boxed system pays one virtual call
+    /// per trace, not one per request.
     fn replay_days(&mut self, trace: &Trace) -> Vec<StreamResult> {
+        self.reserve_urls(trace.interner.url_count());
         let names = self.stream_names();
         let days = trace.duration_days() as usize;
         let mut prev = vec![Counts::default(); names.len()];
@@ -78,6 +89,10 @@ impl CacheSystem for Cache {
         self.request_hit(r);
     }
 
+    fn reserve_urls(&mut self, urls: usize) {
+        Cache::reserve_urls(self, urls);
+    }
+
     fn stream_names(&self) -> Vec<String> {
         vec!["cache".to_string()]
     }
@@ -101,6 +116,10 @@ impl CacheSystem for Cache {
 impl CacheSystem for TwoLevelCache {
     fn handle(&mut self, r: &Request) {
         let _ = self.request(r);
+    }
+
+    fn reserve_urls(&mut self, urls: usize) {
+        TwoLevelCache::reserve_urls(self, urls);
     }
 
     /// `l1` and `l2`, or `l1_0`, `l1_1`, … and `l2`.
@@ -132,7 +151,11 @@ impl CacheSystem for TwoLevelCache {
 
 impl CacheSystem for PartitionedCache {
     fn handle(&mut self, r: &Request) {
-        let _ = self.request(r);
+        self.request(r);
+    }
+
+    fn reserve_urls(&mut self, urls: usize) {
+        PartitionedCache::reserve_urls(self, urls);
     }
 
     fn stream_names(&self) -> Vec<String> {

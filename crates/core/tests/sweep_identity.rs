@@ -11,14 +11,20 @@
 //!   while `Cache::request` still returns the exact eviction list; and the
 //!   day loop around it snapshots each day's counters into buffers it
 //!   made once, so a multi-day replay adds nothing per day.
+//! * **No growth of a per-URL table.** A replay sizes every slab indexed
+//!   by URL id from its trace before the first request (DESIGN.md D44),
+//!   so even a cold cache re-copies none of them as it fills: only the
+//!   policies' queues, a few entries per resident document, grow.
 //!
 //! The allocator below counts only on a thread that asked for it, so the
 //! identity test's worker threads do not disturb the allocation test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use webcache_core::cache::{Cache, Outcome};
-use webcache_core::policy::{named, KeySpec, RemovalPolicy, SortedPolicy};
+use webcache_core::cache::multilevel::TwoLevelCache;
+use webcache_core::cache::partitioned::PartitionedCache;
+use webcache_core::cache::{Cache, DocMeta, Outcome};
+use webcache_core::policy::{named, KeySpec, NeverEvict, RemovalPolicy, SortedPolicy};
 use webcache_core::sim::{max_needed, simulate, simulate_policy, CacheSystem, MultiSim, SimResult};
 use webcache_trace::{Request, Trace};
 use webcache_workload::{generate, profiles};
@@ -28,11 +34,19 @@ struct CountingAllocator;
 thread_local! {
     /// Allocations and reallocations made by this thread while counting.
     static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Bytes of the blocks this thread handed to `realloc` while counting:
+    /// what its growing containers copied.
+    static REALLOCATED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 fn count() {
     // Unreachable during thread teardown; those allocations are nobody's.
     let _ = ALLOCS.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+fn count_realloc(old_size: usize) {
+    count();
+    let _ = REALLOCATED.try_with(|c| c.set(c.get().map(|n| n + old_size as u64)));
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
@@ -48,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count_realloc(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -61,6 +75,15 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCS.with(|c| c.set(Some(0)));
     f();
     ALLOCS.with(|c| c.replace(None)).expect("counting was on")
+}
+
+/// Bytes of the blocks the calling thread reallocates while `f` runs.
+fn reallocated_during(f: impl FnOnce()) -> u64 {
+    REALLOCATED.with(|c| c.set(Some(0)));
+    f();
+    REALLOCATED
+        .with(|c| c.replace(None))
+        .expect("counting was on")
 }
 
 /// The paper's Undergrad workload at 5 %: 8.7 k requests over its 190
@@ -205,6 +228,49 @@ fn a_warmed_lane_replays_its_days_without_allocating_per_day() {
             allocations <= 2 * again.len().ilog2() as u64,
             "{name}: {allocations} allocations over {} requests and {days} days",
             again.len()
+        );
+    }
+}
+
+#[test]
+fn a_cold_replay_grows_no_per_url_table() {
+    let (trace, capacity) = u_trace(14);
+    let urls = trace.interner.url_count();
+    // A slab that grew by doubling as ids arrived would have re-copied
+    // about its own final size: more than this for the docs slab alone.
+    let bound = (urls * std::mem::size_of::<DocMeta>()) as u64;
+    let lru = || Cache::new(capacity, Box::new(named::lru()));
+    let size = || Cache::new(capacity, Box::new(named::size()));
+    let systems: Vec<(&str, Box<dyn CacheSystem>)> = vec![
+        ("LRU", Box::new(lru())),
+        ("SIZE", Box::new(size())),
+        // A wrapper passes the count on to every cache it holds.
+        (
+            "two levels",
+            Box::new(TwoLevelCache::shared(
+                vec![lru(), size()],
+                Cache::infinite(Box::new(NeverEvict::new())),
+            )),
+        ),
+        (
+            "partitions",
+            Box::new(PartitionedCache::audio_split(capacity, 0.5, || {
+                Box::new(named::size())
+            })),
+        ),
+    ];
+    for (name, mut system) in systems {
+        let mut result = None;
+        let reallocated =
+            reallocated_during(|| result = Some(simulate(&trace, &mut *system, name)));
+        let result = result.expect("ran");
+        // A plain lane fills and then evicts, so its queues grow too.
+        if let Some(evictions) = result.gauge("evictions") {
+            assert!(evictions > 1_000, "{name}: only {evictions} evictions");
+        }
+        assert!(
+            reallocated < bound,
+            "{name}: {reallocated} bytes re-copied by growth, for {urls} URLs (bound {bound})"
         );
     }
 }

@@ -80,6 +80,10 @@ impl CacheSystem for Observed {
         }
     }
 
+    fn reserve_urls(&mut self, urls: usize) {
+        self.cache.reserve_urls(urls);
+    }
+
     fn stream_names(&self) -> Vec<String> {
         self.cache.stream_names()
     }
