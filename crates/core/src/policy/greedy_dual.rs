@@ -12,10 +12,11 @@
 //! Including it lets the benchmarks show how the 1996 taxonomy's best key
 //! (SIZE) compares with its 1997 successor on the same workloads. It is a
 //! rank function over the module's one sorted list: the documents are a
-//! `SortedList` ranked by `H`, ties broken by url.
+//! `SortedList` whose digest is `H`, exact in its top 64 bits, so ties are
+//! broken by url.
 
 use crate::cache::DocMeta;
-use crate::policy::sorted::{filed, rank_of, value_of, Rank, SortedList};
+use crate::policy::sorted::{url_of, Entry, Filed, SortedList};
 use crate::policy::{RemovalPolicy, ResidentMeta};
 use webcache_trace::{Timestamp, UrlId};
 
@@ -39,13 +40,19 @@ pub struct GreedyDualSize {
     cost: GdCost,
     /// Current inflation value `L` (fixed point).
     inflation: u64,
-    /// Resident docs by ascending `H` (fixed point, through [`rank_of`]).
+    /// Resident docs by ascending `H` (fixed point, through [`digest`]).
     list: SortedList,
 }
 
-/// The list rank of a document whose value is `h`.
-fn rank(h: u64) -> Rank {
-    (rank_of(h), 0, 0)
+/// The list digest of a document whose value is `h`: `h` in the top 64
+/// bits.
+fn digest(h: u64) -> u128 {
+    u128::from(h) << 64
+}
+
+/// The value `H` of an entry.
+fn value(entry: Entry) -> u64 {
+    (entry >> 64) as u64
 }
 
 impl Default for GreedyDualSize {
@@ -82,7 +89,7 @@ impl GreedyDualSize {
     }
 
     fn upsert(&mut self, meta: &DocMeta) {
-        self.list.upsert(meta.url, rank(self.h_value(meta)));
+        self.list.upsert(meta.url, digest(self.h_value(meta)));
     }
 }
 
@@ -117,10 +124,10 @@ impl RemovalPolicy for GreedyDualSize {
         _incoming_size: u64,
         _docs: &dyn ResidentMeta,
     ) -> Option<UrlId> {
-        let ((h, _, _), url) = self.list.head(filed)?;
+        let head = self.list.head(&Filed)?;
         // Aging: the evicted document's H becomes the inflation level.
-        self.inflation = value_of(h);
-        Some(url)
+        self.inflation = value(head);
+        Some(url_of(head))
     }
 
     fn len(&self) -> usize {
@@ -128,11 +135,11 @@ impl RemovalPolicy for GreedyDualSize {
     }
 
     fn removal_position(&self, url: UrlId, _docs: &dyn ResidentMeta) -> Option<usize> {
-        self.list.position(url, filed)
+        self.list.position(url, &Filed)
     }
 
     fn enable_position_tracking(&mut self, _docs: &dyn ResidentMeta) {
-        self.list.track_positions(filed);
+        self.list.track_positions(&Filed);
     }
 
     /// GDS state depends on eviction history, not just resident metadata:
@@ -142,9 +149,9 @@ impl RemovalPolicy for GreedyDualSize {
     fn export_state(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.list.len() * 12);
         out.extend_from_slice(&self.inflation.to_le_bytes());
-        for ((h, _, _), url) in self.list.entries() {
-            out.extend_from_slice(&url.0.to_le_bytes());
-            out.extend_from_slice(&value_of(h).to_le_bytes());
+        for entry in self.list.entries() {
+            out.extend_from_slice(&url_of(entry).0.to_le_bytes());
+            out.extend_from_slice(&value(entry).to_le_bytes());
         }
         out
     }
@@ -183,7 +190,7 @@ impl RemovalPolicy for GreedyDualSize {
             updates.push((url, u64_at(at + 4)));
         }
         for (url, h) in updates {
-            self.list.upsert(url, rank(h));
+            self.list.upsert(url, digest(h));
         }
         self.inflation = inflation;
         true

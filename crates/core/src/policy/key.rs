@@ -117,6 +117,45 @@ impl Key {
     pub fn access_sensitive(self) -> bool {
         matches!(self, Key::AccessTime | Key::DayOfAccess | Key::NRef)
     }
+
+    /// This key's 32-bit word of a document's digest
+    /// ([`KeySpec::digest`]), and whether the word is exact: `false` when
+    /// it is saturated or truncated, and so may tie two documents the key
+    /// orders. SIZE is `u32::MAX − min(size, u32::MAX)`, LOG2(SIZE) is
+    /// `63 − ⌊log₂ size⌋`, RANDOM is the top 32 bits of its 63, and every
+    /// other key is its own value saturating at `u32::MAX` (an absent
+    /// expiry is `u64::MAX`). Each word is monotone in [`Key::rank`] for
+    /// every value below 2⁶³, where the rank's `i64` keeps the value's
+    /// order.
+    pub(crate) fn word(self, meta: &DocMeta, salt: u64) -> (u32, bool) {
+        let own = |v: u64| (v.min(u64::from(u32::MAX)) as u32, v < u64::from(u32::MAX));
+        match self {
+            Key::Size => {
+                let (w, exact) = own(meta.size);
+                (u32::MAX - w, exact)
+            }
+            Key::Log2Size => (63 - meta.size.max(1).ilog2(), true),
+            Key::EntryTime => own(meta.entry_time),
+            Key::AccessTime => own(meta.last_access),
+            Key::DayOfAccess => own(day_of(meta.last_access)),
+            Key::NRef => own(meta.nrefs),
+            Key::Random => ((self.rank(meta, salt) >> 31) as u32, false),
+            Key::DocTypePriority => own(meta.type_priority.into()),
+            Key::Latency => own(meta.refetch_latency_ms),
+            Key::Expiry => own(meta.expires.unwrap_or(u64::MAX)),
+        }
+    }
+
+    /// Whether `word`, this key's word of some digest, is one that
+    /// [`Key::word`] reports as not exact.
+    fn lossy(self, word: u32) -> bool {
+        match self {
+            Key::Size => word == 0,
+            Key::Log2Size => false,
+            Key::Random => true,
+            _ => word == u32::MAX,
+        }
+    }
 }
 
 impl std::fmt::Display for Key {
@@ -176,13 +215,66 @@ impl KeySpec {
     /// the minimum is removed first. A fourth component (the URL id) is
     /// appended by the sorted structure to guarantee a total order.
     pub fn rank(&self, meta: &DocMeta) -> (i64, i64, i64) {
-        (
-            self.primary.rank(meta, self.salt),
-            // Distinct salts so secondary/tertiary Random orders are
-            // independent of each other.
-            self.secondary.rank(meta, self.salt ^ 0xA5A5_5A5A_DEAD_BEEF),
-            self.tertiary.rank(meta, self.salt ^ 0x0F0F_F0F0_1234_5678),
-        )
+        let [p, s, t] = self.salted().map(|(key, salt)| key.rank(meta, salt));
+        (p, s, t)
+    }
+
+    /// The three keys, each with its salt: distinct salts so that the
+    /// secondary and tertiary Random orders are independent of each other.
+    fn salted(&self) -> [(Key, u64); 3] {
+        [
+            (self.primary, self.salt),
+            (self.secondary, self.salt ^ 0xA5A5_5A5A_DEAD_BEEF),
+            (self.tertiary, self.salt ^ 0x0F0F_F0F0_1234_5678),
+        ]
+    }
+
+    /// A document's 96-bit digest, in the top 96 bits of a `u128` whose
+    /// low 32 are zero: each key's [`Key::word`] in key order, and every
+    /// word after the first that is not exact zero. So the digest is
+    /// monotone in [`KeySpec::rank`] — a lower rank never has a higher
+    /// digest — and equal digests mean equal ranks unless
+    /// [`KeySpec::digest_exact`] says otherwise. Only the first RANDOM
+    /// key is read, and only its top 32 bits (DESIGN.md D45).
+    pub(crate) fn digest(&self, meta: &DocMeta) -> u128 {
+        self.digest_with(meta, None)
+    }
+
+    /// [`KeySpec::digest`] of a document whose digest was `filed` and
+    /// whose metadata is now `meta`, nothing but its ATIME and NREF
+    /// having risen since (as on a hit): the RANDOM word is `filed`'s, not
+    /// recomputed. A risen word that saturates zeroes the RANDOM word;
+    /// otherwise the words before it were exact in `filed` too, so
+    /// `filed` holds it.
+    pub(crate) fn raised(&self, meta: &DocMeta, filed: u128) -> u128 {
+        self.digest_with(meta, Some(filed))
+    }
+
+    fn digest_with(&self, meta: &DocMeta, filed: Option<u128>) -> u128 {
+        let [a, b, c] = self.salted();
+        let word = |(key, salt): (Key, u64), shift: u32| {
+            let (word, exact) = match (key, filed) {
+                (Key::Random, Some(filed)) => ((filed >> shift) as u32, false),
+                _ => key.word(meta, salt),
+            };
+            (u128::from(word) << shift, exact)
+        };
+        let (first, exact) = word(a, 96);
+        if !exact {
+            return first;
+        }
+        let (second, exact) = word(b, 64);
+        if !exact {
+            return first | second;
+        }
+        first | second | word(c, 32).0
+    }
+
+    /// Whether every document whose digest is `digest` has the same rank:
+    /// no word of it is saturated or truncated.
+    pub(crate) fn digest_exact(&self, digest: u128) -> bool {
+        let keys = [self.primary, self.secondary, self.tertiary];
+        (0..3).all(|i| !keys[i].lossy((digest >> (96 - 32 * i)) as u32))
     }
 
     /// Whether any component key is access-sensitive.

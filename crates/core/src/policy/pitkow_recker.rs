@@ -14,13 +14,46 @@
 //! Ties within a day (and between equal sizes) are broken by the
 //! deterministic random order, matching the paper's use of random
 //! tie-breaks throughout: the full 64-bit `splitmix64(url ^ salt)`, then
-//! the url. The two orders are two of the module's sorted lists.
+//! the url. The two orders are two of the module's sorted lists, each
+//! digest the 64-bit primary key and the tie-break's top 32 bits; a tie
+//! on both is settled at the head from the url.
 
 use crate::cache::DocMeta;
 use crate::policy::key::splitmix64;
-use crate::policy::sorted::{filed, rank_of, value_of, SortedList};
+use crate::policy::sorted::{digest_of, url_of, Entry, Order, SortedList};
 use crate::policy::{RemovalPolicy, ResidentMeta};
+use std::cmp::Ordering;
 use webcache_trace::{day_of, Timestamp, UrlId};
+
+/// Both lists' order past their digests: the full tie-break, then the
+/// url. The lists' owner files every change.
+struct Tiebreak(u64);
+
+impl Tiebreak {
+    fn of(&self, url: UrlId) -> u64 {
+        splitmix64(u64::from(url.0) ^ self.0)
+    }
+}
+
+impl Order for Tiebreak {
+    fn current(&self, filed: Entry) -> u128 {
+        digest_of(filed)
+    }
+
+    fn ties(&self, _digest: u128) -> bool {
+        true
+    }
+
+    fn cmp(&self, a: UrlId, b: UrlId) -> Ordering {
+        (self.of(a), a).cmp(&(self.of(b), b))
+    }
+}
+
+/// A list digest: `key` in the top 64 bits, then the top half of `url`'s
+/// tie-break.
+fn digest(key: u64, url: UrlId, ties: &Tiebreak) -> u128 {
+    u128::from(key) << 64 | u128::from(ties.of(url) >> 32) << 32
+}
 
 /// The exact Pitkow/Recker removal policy.
 #[derive(Debug, Clone)]
@@ -70,12 +103,12 @@ impl RemovalPolicy for PitkowRecker {
     }
 
     fn on_insert(&mut self, meta: &DocMeta) {
-        let tiebreak = rank_of(splitmix64(meta.url.0 as u64 ^ self.salt));
-        let day = rank_of(day_of(meta.last_access));
-        self.by_day.upsert(meta.url, (day, tiebreak, 0));
+        let ties = Tiebreak(self.salt);
+        let day = day_of(meta.last_access);
+        self.by_day.upsert(meta.url, digest(day, meta.url, &ties));
         // `!size` is `u64::MAX - size`: the largest document ranks lowest.
         self.by_size
-            .upsert(meta.url, (rank_of(!meta.size), tiebreak, 0));
+            .upsert(meta.url, digest(!meta.size, meta.url, &ties));
     }
 
     fn on_access(&mut self, meta: &DocMeta) {
@@ -98,13 +131,14 @@ impl RemovalPolicy for PitkowRecker {
         _incoming_size: u64,
         _docs: &dyn ResidentMeta,
     ) -> Option<UrlId> {
-        let ((stalest_day, _, _), stale_url) = self.by_day.head(filed)?;
-        if value_of(stalest_day) < day_of(now) {
+        let ties = Tiebreak(self.salt);
+        let stalest = self.by_day.head(&ties)?;
+        if ((stalest >> 64) as u64) < day_of(now) {
             // Some document was not accessed today: evict by DAY(ATIME).
-            Some(stale_url)
+            Some(url_of(stalest))
         } else {
             // Everything was accessed today: evict the largest document.
-            self.by_size.head(filed).map(|(_, url)| url)
+            self.by_size.head(&ties).map(url_of)
         }
     }
 

@@ -3,56 +3,73 @@
 //!
 //! "If the list is kept sorted as the proxy operates, then the removal
 //! policy merely removes the head of the list" (section 1.3). Every ordered
-//! policy here is a rank function over a `SortedList` of `(rank, url)`
-//! entries: [`SortedPolicy`] ranks by its [`KeySpec`], GreedyDual-Size by
-//! its value `H`, Pitkow/Recker by `DAY(ATIME)` in one list and by
-//! descending `SIZE` in another. Only LRU-MIN keeps its own buckets (its
-//! module says why). The list is two queues with *lazy deletion*: a rank
-//! update leaves the old entry in place, and the head query drops entries
-//! whose rank no longer matches the [`RankSlab`] ground truth.
+//! policy here is a rank function over a `SortedList`: [`SortedPolicy`]
+//! ranks by its [`KeySpec`], GreedyDual-Size by its value `H`,
+//! Pitkow/Recker by `DAY(ATIME)` in one list and by descending `SIZE` in
+//! another. Only LRU-MIN keeps its own buckets (its module says why).
+//!
+//! An entry is one `u128`: an order-preserving 96-bit *digest* of the
+//! document's rank in the top bits and its url in the low 32, so entries
+//! order as plain integers, by digest and then by url. A digest is
+//! monotone in the rank — `KeySpec::digest` gives each key a 32-bit
+//! word, saturating, and keeps only the top 32 bits of the first RANDOM
+//! key; GreedyDual-Size's `H` takes 64 bits unchanged — so the order
+//! equals `(rank, url)` except among documents whose digests are equal.
+//! Those are settled at the head, off the comparator: the owner's
+//! `Order` says whether a digest can tie unequal ranks and orders such
+//! documents by their full rank. The rank slab stores the digest too, so
+//! every slot and queued entry is 16 bytes (DESIGN.md D45).
+//!
+//! The list is two queues with *lazy deletion*: a rank update leaves the
+//! old entry in place, and the head query drops entries whose digest no
+//! longer matches the [`RankSlab`] ground truth.
 //!
 //! * The **run** is a `VecDeque` of entries that arrived in non-decreasing
 //!   order — each was no smaller than the run's back when it was filed, so
 //!   the run is a sorted list and its head leaves in O(1). Keys that grow
 //!   with the clock (ETIME, ATIME: FIFO and LRU) file nearly everything
 //!   here.
-//! * The **heap** is a binary min-heap that takes every other entry, at
-//!   amortised `O(log n)` with array (not pointer-chasing) constants. Keys
-//!   unrelated to arrival order (SIZE, NREF) file mostly here.
+//! * The **heap** is std's binary heap, a min-heap of every other entry,
+//!   at amortised `O(log n)` with array (not pointer-chasing) constants.
+//!   Keys unrelated to arrival order (SIZE, NREF) file mostly here.
 //!
 //! Which queue an entry joins is decided by the data's own arrival order,
 //! never by the key's name. Inserts, falls in rank and raises that belong
 //! at the back of the run are filed. A raise that does not files nothing:
-//! the slab records the new rank as *unfiled*, and the entry already
-//! queued, at or below the old rank, stays as a **lower bound**. A hit
+//! the slab records the new digest as *unfiled*, and the entry already
+//! queued, at or below the old one, stays as a **lower bound**. A hit
 //! files nothing at all, not even in the slab: the head query asks its
-//! owner for each document's *current* rank, which [`SortedPolicy`]
+//! owner for each document's *current* digest, which [`SortedPolicy`]
 //! recomputes from the cache's metadata — only the components a hit can
 //! move, which only rise. The head query looks only at the smaller of the
 //! two queue fronts: when that entry is below its document's current
-//! rank, the query re-files the document there and marks it filed (its
-//! other queued entries are then stale), and a stale entry it drops. So
-//! every resident document keeps a queued entry at or below its rank, and
-//! the first front that is its document's current rank is exactly the
-//! entry a fully-sorted list would remove, the smallest live `(rank,
-//! url)`: a hit costs the list nothing, and only a document that nears
-//! eviction pays for its new place. Stale entries that never reach a head are discarded
-//! wholesale once they outnumber the live ones by [`STALE_FACTOR`] and
-//! [`STALE_FLOOR`], so memory stays proportional to the resident set.
-//! A list that tracks positions for Appendix A is the exception: its
-//! position index needs every rank current, so its owner files each hit.
-//! An untracked [`SortedPolicy`] answers `false` to
-//! [`RemovalPolicy::observes_hits`], so the cache does not call it on a
-//! hit at all; it answers `true` once tracking is on.
-//! DESIGN.md decisions D1, D8, D23, D34, D37, D38, D39 and D41;
+//! digest, the query re-files the document there, always in the heap, and
+//! marks it filed (its other queued entries are then stale), and a stale
+//! entry it drops. So every resident document keeps a queued entry at or
+//! below its digest, and the first front that is its document's current
+//! digest is the smallest live entry; when the next entry up shares its
+//! digest, and the owner says that digest can tie, every entry at it is
+//! settled and the first in the owner's full order is the head. So the
+//! head is exactly the entry a fully-sorted list would remove, the
+//! smallest live `(rank, url)`: a hit costs the list nothing, and only a
+//! document that nears eviction pays for its new place. Stale entries
+//! that never reach a head are discarded wholesale once they outnumber
+//! the live ones by [`STALE_FACTOR`] and [`STALE_FLOOR`], so memory stays
+//! proportional to the resident set. A list that tracks positions for
+//! Appendix A is the exception: its position index needs every digest
+//! current, so its owner files each hit. An untracked [`SortedPolicy`]
+//! answers `false` to [`RemovalPolicy::observes_hits`], so the cache does
+//! not call it on a hit at all; it answers `true` once tracking is on.
+//! DESIGN.md decisions D1, D8, D23, D34, D37, D38, D39, D41 and D45;
 //! `core/tests/sorted_model.rs` holds the list to a sort of its rank slab,
 //! and GreedyDual-Size and Pitkow/Recker to naive scans;
-//! `core/tests/rerank.rs` holds a tracked hit's re-rank to a full one.
+//! `core/tests/rerank.rs` holds a tracked hit's re-rank to a full one;
+//! `core/tests/digest_ties.rs` forces every tie a digest makes.
 
 use crate::cache::DocMeta;
-use crate::policy::key::{Key, KeySpec};
+use crate::policy::key::KeySpec;
 use crate::policy::{RemovalPolicy, ResidentMeta};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 use webcache_trace::{Timestamp, UrlId};
 
@@ -62,60 +79,112 @@ thread_local! {
     /// they reached that path.
     #[doc(hidden)]
     pub static REFILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+
+    /// Heads [`SortedList::head`] has settled among entries whose digests
+    /// tie, on this thread. For tests that must show they reached that
+    /// path.
+    #[doc(hidden)]
+    pub static TIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// A document's sort key: documents are removed in ascending order.
-pub(crate) type Rank = (i64, i64, i64);
+/// A list entry: a document's digest in the top 96 bits and its url in
+/// the low 32. Entries order as plain integers: by digest, then by url.
+pub(crate) type Entry = u128;
 
-/// Rank triple plus URL id: a total order over cached documents.
-type Entry = (Rank, UrlId);
+/// The low word of an entry (its url) or of a slab slot (its flags). A
+/// *digest* is an entry with this word zero.
+const LOW: u128 = 0xFFFF_FFFF;
 
-/// Map a `u64` into `i64` keeping its order, so an unsigned value can be a
-/// rank component: flipping the top bit sends `0` to `i64::MIN` and
-/// `u64::MAX` to `i64::MAX`.
-pub(crate) fn rank_of(x: u64) -> i64 {
-    (x ^ (1 << 63)) as i64
+/// `url`'s entry at `digest`.
+fn entry(digest: u128, url: UrlId) -> Entry {
+    digest | u128::from(url.0)
 }
 
-/// The inverse of [`rank_of`].
-pub(crate) fn value_of(rank: i64) -> u64 {
-    (rank as u64) ^ (1 << 63)
+/// The url an entry names.
+pub(crate) fn url_of(entry: Entry) -> UrlId {
+    UrlId(entry as u32)
 }
 
-/// A document's rank as its slab slot holds it: [`SortedList::head`]'s
-/// `current` for a list whose owner files every change.
-pub(crate) fn filed((rank, _): Entry) -> Rank {
-    rank
+/// An entry's digest: the entry with its url cleared.
+pub(crate) fn digest_of(entry: Entry) -> u128 {
+    entry & !LOW
 }
 
-/// A rank slab slot: the document's rank as last filed or raised, and
-/// whether an entry at exactly that rank has been filed in a queue. An
-/// unfiled rank is one a raise left behind the queues: they hold an entry
-/// below it, a lower bound, which [`SortedList::head`] re-files when it
-/// reaches a head. Hits the owner does not file leave the slot as it is:
-/// the document's current rank is then at or above it. Same size as an
-/// `Option<Rank>`: the `bool` is the niche.
-type Slot = Option<(Rank, bool)>;
+/// What a [`SortedList`]'s owner knows that the list does not: each
+/// document's digest now, and its order among documents whose digests are
+/// equal. The list's order is `(rank, url)`; a digest is monotone in the
+/// rank, so the list orders by digest and asks only about a tie.
+pub(crate) trait Order {
+    /// The current digest of the document `filed` names, `filed` being its
+    /// slab slot's digest with the url in the low word. A digest only
+    /// ever rises.
+    fn current(&self, filed: Entry) -> u128;
 
-const _: () = assert!(std::mem::size_of::<Slot>() == std::mem::size_of::<Option<Rank>>());
+    /// Whether documents whose current digests are all `digest` may rank
+    /// other than by url: `false` when such a digest keeps every component
+    /// of the rank exactly.
+    fn ties(&self, digest: u128) -> bool;
 
-/// Filed rank of each resident URL, stored as a dense slab indexed by the
-/// interned `UrlId` — the policy-side counterpart of the cache's
-/// `SlabStore`. Every head query and every filing looks a rank up, so it
+    /// The full order of two documents whose current digests are equal:
+    /// by rank, then by url.
+    fn cmp(&self, a: UrlId, b: UrlId) -> Ordering;
+}
+
+/// The order of a list whose owner files every change and whose digest is
+/// its whole rank, as GreedyDual-Size's `H` is: the slab is current, and
+/// equal digests are settled by url.
+pub(crate) struct Filed;
+
+impl Order for Filed {
+    fn current(&self, filed: Entry) -> u128 {
+        digest_of(filed)
+    }
+
+    fn ties(&self, _digest: u128) -> bool {
+        false
+    }
+
+    fn cmp(&self, a: UrlId, b: UrlId) -> Ordering {
+        a.cmp(&b)
+    }
+}
+
+/// Two current entries in the full order: by digest, then, on a tie, as
+/// `order` ranks them.
+fn full_cmp(order: &impl Order, a: Entry, b: Entry) -> Ordering {
+    let by_digest = digest_of(a).cmp(&digest_of(b));
+    by_digest.then_with(|| order.cmp(url_of(a), url_of(b)))
+}
+
+/// A slab slot's flag: the document is resident.
+const PRESENT: u128 = 1;
+/// A slab slot's flag: an entry at exactly the slot's digest has been
+/// filed in a queue. An unfiled digest is one a raise left behind the
+/// queues: they hold an entry below it, a lower bound, which
+/// [`SortedList::head`] re-files when it reaches a head. Hits the owner
+/// does not file leave the slot as it is: the document's current digest
+/// is then at or above it.
+const FILED: u128 = 2;
+
+/// Filed digest of each resident URL, stored as a dense slab indexed by
+/// the interned `UrlId` — the policy-side counterpart of the cache's
+/// `SlabStore`. Every head query and every filing looks a digest up, so it
 /// sits squarely on the sweep hot path; a slab makes it one bounds check
-/// instead of a hash-and-probe.
+/// instead of a hash-and-probe. A slot is the digest with [`PRESENT`] and
+/// [`FILED`] in its low word, 16 bytes; an empty slot is zero.
 #[derive(Debug, Clone, Default)]
 struct RankSlab {
-    slots: Vec<Slot>,
+    slots: Vec<u128>,
 }
 
 impl RankSlab {
-    fn slot(&self, url: UrlId) -> Slot {
-        *self.slots.get(url.0 as usize)?
+    fn slot(&self, url: UrlId) -> u128 {
+        self.slots.get(url.0 as usize).copied().unwrap_or(0)
     }
 
-    fn get(&self, url: UrlId) -> Option<Rank> {
-        self.slot(url).map(|(rank, _)| rank)
+    fn get(&self, url: UrlId) -> Option<u128> {
+        let slot = self.slot(url);
+        (slot & PRESENT != 0).then_some(digest_of(slot))
     }
 
     /// Make room for every URL id below `urls`; a total, as for
@@ -126,44 +195,46 @@ impl RankSlab {
     }
 
     /// `url`'s slot, the slab grown to hold it.
-    fn slot_mut(&mut self, url: UrlId) -> &mut Slot {
+    fn slot_mut(&mut self, url: UrlId) -> &mut u128 {
         let i = url.0 as usize;
         if i >= self.slots.len() {
-            self.slots.resize(i + 1, None);
+            self.slots.resize(i + 1, 0);
         }
         &mut self.slots[i]
     }
 
-    fn remove(&mut self, url: UrlId) -> Option<Rank> {
-        let (rank, _) = self.slots.get_mut(url.0 as usize)?.take()?;
-        Some(rank)
+    fn remove(&mut self, url: UrlId) -> Option<u128> {
+        let slot = std::mem::take(self.slots.get_mut(url.0 as usize)?);
+        (slot & PRESENT != 0).then_some(digest_of(slot))
     }
 
-    /// All live `(rank, url)` entries, in slab (that is, url) order.
+    /// Every live entry at its filed digest, in slab (that is, url)
+    /// order.
     fn entries(&self) -> impl Iterator<Item = Entry> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.map(|(rank, _)| (rank, UrlId(i as u32))))
+        let live = self.slots.iter().enumerate();
+        live.filter(|(_, &slot)| slot & PRESENT != 0)
+            .map(|(i, &slot)| entry(digest_of(slot), UrlId(i as u32)))
     }
 
-    /// Set every rank to `current` of it, unfiled where that differs.
-    fn raise(&mut self, current: impl Fn(Entry) -> Rank) {
+    /// Set every digest to `current` of it, unfiled where that differs.
+    fn raise(&mut self, current: impl Fn(Entry) -> u128) {
         for (i, slot) in self.slots.iter_mut().enumerate() {
-            if let Some((rank, _)) = *slot {
-                let now = current((rank, UrlId(i as u32)));
-                if now != rank {
-                    *slot = Some((now, false));
+            if *slot & PRESENT != 0 {
+                let now = current(entry(digest_of(*slot), UrlId(i as u32)));
+                if now != digest_of(*slot) {
+                    *slot = now | PRESENT;
                 }
             }
         }
     }
 
-    /// Mark every rank filed: the queues have just been rebuilt from the
-    /// slab.
+    /// Mark every digest filed: the queues have just been rebuilt from
+    /// the slab.
     fn mark_all_filed(&mut self) {
-        for (_, filed) in self.slots.iter_mut().flatten() {
-            *filed = true;
+        for slot in &mut self.slots {
+            if *slot & PRESENT != 0 {
+                *slot |= FILED;
+            }
         }
     }
 }
@@ -239,17 +310,22 @@ impl PositionIndex {
         }
     }
 
-    /// Number of entries strictly before `e` in the total order.
-    fn position(&self, e: &Entry) -> usize {
+    /// The number of entries below `digest`, and the entries at it, in
+    /// ascending order.
+    fn group(&self, digest: u128) -> (usize, impl Iterator<Item = Entry> + '_) {
         let mut acc = 0;
-        for b in &self.buckets {
-            if b.last().is_some_and(|last| last < e) {
+        let mut at = (self.buckets.len(), 0);
+        for (i, b) in self.buckets.iter().enumerate() {
+            if b.last().is_some_and(|&last| last < digest) {
                 acc += b.len();
             } else {
-                return acc + b.partition_point(|x| x < e);
+                let p = b.partition_point(|&x| x < digest);
+                (acc, at) = (acc + p, (i, p));
+                break;
             }
         }
-        acc
+        let rest = self.buckets[at.0..].iter().flatten().skip(at.1);
+        (acc, rest.copied().take_while(move |&x| x <= digest | LOW))
     }
 }
 
@@ -270,24 +346,27 @@ const STALE_FACTOR: usize = 8;
 const STALE_FLOOR: usize = 1 << 16;
 
 /// The resident documents sorted by `(rank, url)`, smallest first: a sorted
-/// run in front of a lazy heap, with the rank slab as ground truth (see the
-/// module docs).
+/// run in front of a lazy heap of entries, with the rank slab as ground
+/// truth (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SortedList {
     /// Entries that were no smaller than the back when filed: ascending.
     run: VecDeque<Entry>,
     /// Min-heap of every other entry. In both queues an entry below its
-    /// document's current rank is a lower bound, re-filed when it reaches
-    /// a head during [`head`](SortedList::head), if it is at its slab
-    /// slot's rank or the slot is unfiled and above it; any other entry
-    /// that disagrees with `ranks` is stale: dropped there, or by a
+    /// document's current digest is a lower bound, re-filed when it
+    /// reaches a head during [`head`](SortedList::head), if it is at its
+    /// slab slot's digest or the slot is unfiled and above it; any other
+    /// entry that disagrees with `ranks` is stale: dropped there, or by a
     /// rebuild. `ranks` is the ground truth for residency and, with the
-    /// owner's `current`, for rank; the queues only order it.
+    /// owner's [`Order::current`], for rank; the queues only order it.
     heap: BinaryHeap<Reverse<Entry>>,
     ranks: RankSlab,
     /// Live entry count (the queue lengths include stale entries).
     live: usize,
     positions: Option<PositionIndex>,
+    /// The group of entries a tie at the head gathers, kept between
+    /// calls so that settling one allocates nothing once it has grown.
+    tied: Vec<Entry>,
 }
 
 impl SortedList {
@@ -296,45 +375,38 @@ impl SortedList {
         self.ranks.reserve(urls);
     }
 
-    /// File `url` at `rank`, replacing its previous rank if it has one.
-    pub(crate) fn upsert(&mut self, url: UrlId, rank: Rank) {
-        self.update(url, |_| Some(rank));
-    }
-
-    /// File `url` at `rank(old)`, `old` being its rank if it has one; a
-    /// `None` rank leaves the list as it is. The slab slot is looked up
-    /// once, for the read and the write.
-    fn update(&mut self, url: UrlId, rank: impl FnOnce(Option<Rank>) -> Option<Rank>) {
+    /// File `url` at `digest`, replacing its previous digest if it has
+    /// one. The slab slot is looked up once, for the read and the write.
+    pub(crate) fn upsert(&mut self, url: UrlId, digest: u128) {
         let slot = self.ranks.slot_mut(url);
-        let Some(rank) = rank(slot.map(|(old, _)| old)) else {
-            return;
-        };
-        let entry = (rank, url);
-        let filed = match *slot {
-            // Rank unchanged: the queued entry (or lower bound) still
+        let old = (*slot & PRESENT != 0).then_some(digest_of(*slot));
+        let new = entry(digest, url);
+        let filed = match old {
+            // Digest unchanged: the queued entry (or lower bound) still
             // stands, nothing to do.
-            Some((old, _)) if old == rank => return,
-            Some((old, _)) => {
+            Some(old) if old == digest => return,
+            Some(old) => {
                 if let Some(idx) = &mut self.positions {
-                    idx.remove(&(old, url));
+                    idx.remove(&entry(old, url));
                 }
                 // A raise files nothing unless it belongs at the back of
-                // the run: the entry queued at or below the old rank stays
-                // as a lower bound, and head() re-files it if it ever gets
-                // there. A fall is filed, and the old entry goes stale.
-                old > rank || self.run.back().is_none_or(|back| entry >= *back)
+                // the run: the entry queued at or below the old digest
+                // stays as a lower bound, and head() re-files it if it
+                // ever gets there. A fall is filed, and the old entry goes
+                // stale.
+                old > digest || self.run.back().is_none_or(|&back| new >= back)
             }
             None => {
                 self.live += 1;
                 true
             }
         };
-        *slot = Some((rank, filed));
+        *slot = digest | PRESENT | if filed { FILED } else { 0 };
         if let Some(idx) = &mut self.positions {
-            idx.insert(entry);
+            idx.insert(new);
         }
         if filed {
-            self.file(entry);
+            self.file(new);
             if self.queued() > STALE_FACTOR * self.live + STALE_FLOOR {
                 self.rebuild_queues();
             }
@@ -344,7 +416,7 @@ impl SortedList {
     /// Queue `entry`: at the back of the run if it is no smaller than the
     /// back, else in the heap.
     fn file(&mut self, entry: Entry) {
-        if self.run.back().is_some_and(|back| entry < *back) {
+        if self.run.back().is_some_and(|&back| entry < back) {
             self.heap.push(Reverse(entry));
         } else {
             self.run.push_back(entry);
@@ -354,76 +426,149 @@ impl SortedList {
     /// Take `url` out of the list, if it is there; its queued entry goes
     /// stale and the head query drops it lazily.
     pub(crate) fn remove(&mut self, url: UrlId) {
-        if let Some(rank) = self.ranks.remove(url) {
+        if let Some(digest) = self.ranks.remove(url) {
             self.live -= 1;
             if let Some(idx) = &mut self.positions {
-                idx.remove(&(rank, url));
+                idx.remove(&entry(digest, url));
             }
         }
     }
 
-    /// The smallest live `(rank, url)`, or `None` when the list is empty.
-    /// `current` gives a document's rank now from the one its slab slot
-    /// holds: [`filed`] for a list whose owner files every change, the
-    /// rank recomputed from the cache's metadata for one that leaves its
-    /// hits unfiled. Either way a rank only ever rises.
-    pub(crate) fn head(&mut self, current: impl Fn(Entry) -> Rank) -> Option<Entry> {
+    /// The smaller of the two queue fronts, and whether it is the run's.
+    fn front(&self) -> Option<(Entry, bool)> {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(&a), Some(&Reverse(b))) => Some(if a <= b { (a, true) } else { (b, false) }),
+            (Some(&a), None) => Some((a, true)),
+            (None, Some(&Reverse(b))) => Some((b, false)),
+            (None, None) => None,
+        }
+    }
+
+    /// The smallest live entry at its document's current digest, or
+    /// `None` when the list is empty: of the documents with the smallest
+    /// digest, the first in `order`, which is the smallest live `(rank,
+    /// url)`.
+    pub(crate) fn head(&mut self, order: &impl Order) -> Option<Entry> {
         // Settle the smaller of the two queue fronts until it is its
-        // document's current rank: a lower bound is re-filed there,
+        // document's current digest: a lower bound is re-filed there,
         // anything else that disagrees with the slab (a removed document,
-        // a superseded rank) is dropped. Every queued entry is at or above
-        // that front, and every resident document keeps one at or below
-        // its rank, so a settled front is the smallest live `(rank, url)`,
-        // exactly what a fully-sorted list would remove.
+        // a superseded digest) is dropped. Every queued entry is at or
+        // above that front, and every resident document keeps one at or
+        // below its digest, so a settled front is the smallest live
+        // entry. It is the head a fully-sorted list would remove unless
+        // another document shares its digest: the next entry up, one of
+        // the fronts that are left, says.
         loop {
-            let entry = match (self.run.front(), self.heap.peek()) {
-                (Some(&a), Some(&Reverse(b))) => a.min(b),
-                (Some(&e), None) | (None, Some(&Reverse(e))) => e,
-                (None, None) => return None,
+            let (head, in_run) = self.front()?;
+            let Some(digest) = self.bounded(head) else {
+                self.pop(in_run);
+                continue;
             };
-            let (bound, url) = entry;
-            match self.ranks.slot(url) {
-                // The entry at the slab's rank, or one below a rank that
-                // was raised unfiled, still bounds its document.
-                Some((rank, filed)) if rank == bound || (!filed && rank > bound) => {
-                    let now = current((rank, url));
-                    if now == bound {
-                        return Some(entry);
-                    }
-                    self.pop(entry);
-                    self.refile(url, rank, now);
-                }
-                _ => self.pop(entry),
+            let (bound, now) = (digest_of(head), order.current(entry(digest, url_of(head))));
+            if now != bound {
+                self.refile(head, in_run, digest, now);
+            } else if self.next_shares_digest(head, in_run) && order.ties(bound) {
+                return Some(self.settle_tie(bound, order));
+            } else {
+                return Some(head);
             }
         }
     }
 
-    /// Take `entry`, the smaller of the two queue fronts, off its queue.
-    fn pop(&mut self, entry: Entry) {
-        if self.run.front() == Some(&entry) {
+    /// The digest the slab files for `queued`'s document, if `queued`
+    /// still bounds it: it is at that digest, or below one that was raised
+    /// unfiled. Any other queued entry is stale.
+    fn bounded(&self, queued: Entry) -> Option<u128> {
+        let slot = self.ranks.slot(url_of(queued));
+        let (digest, bound) = (digest_of(slot), digest_of(queued));
+        let bounds = digest == bound || (slot & FILED == 0 && digest > bound);
+        (slot & PRESENT != 0 && bounds).then_some(digest)
+    }
+
+    /// Whether the smallest entry after `head`, the smaller front, has
+    /// `head`'s digest: the run's next, or a child of the heap's root,
+    /// against the other queue's front.
+    fn next_shares_digest(&self, head: Entry, in_run: bool) -> bool {
+        let tied = |&x: &Entry| x <= head | LOW;
+        let heap = self.heap.as_slice();
+        if in_run {
+            self.run.get(1).is_some_and(tied) || heap.first().is_some_and(|e| tied(&e.0))
+        } else {
+            self.run.front().is_some_and(tied) || heap.iter().skip(1).take(2).any(|e| tied(&e.0))
+        }
+    }
+
+    /// Take the smaller of the two queue fronts off its queue.
+    fn pop(&mut self, in_run: bool) {
+        if in_run {
             self.run.pop_front();
         } else {
             self.heap.pop();
         }
     }
 
-    /// File `url` at `now`, its current rank, at or above `rank`, the one
-    /// its slot holds: an entry that bounded it has just left a head.
+    /// Move `head`, a lower bound that has just reached the front of the
+    /// run (`in_run`) or the heap, to `now`, its document's current
+    /// digest, at or above `digest`, the one its slot holds. The new
+    /// entry always goes to the heap: a re-filed document is one whose
+    /// rank rose, and at the back of the run it would send every later
+    /// insert below it to the heap.
     #[cold]
-    fn refile(&mut self, url: UrlId, rank: Rank, now: Rank) {
+    fn refile(&mut self, head: Entry, in_run: bool, digest: u128, now: u128) {
+        let url = url_of(head);
         assert!(
-            now >= rank,
-            "{url:?}: rank {rank:?} fell to {now:?} with no re-insert"
+            now >= digest,
+            "{url:?}: digest {digest:#x} fell to {now:#x} with no re-insert"
         );
-        if rank != now {
+        if digest != now {
             if let Some(idx) = &mut self.positions {
-                idx.remove(&(rank, url));
-                idx.insert((now, url));
+                idx.remove(&entry(digest, url));
+                idx.insert(entry(now, url));
             }
         }
-        *self.ranks.slot_mut(url) = Some((now, true));
-        self.file((now, url));
+        *self.ranks.slot_mut(url) = now | PRESENT | FILED;
+        let new = Reverse(entry(now, url));
+        if in_run {
+            self.run.pop_front();
+            self.heap.push(new);
+        } else if let Some(mut root) = self.heap.peek_mut() {
+            // One sift down instead of a pop and a push.
+            *root = new;
+        }
         REFILES.with(|n| n.set(n.get() + 1));
+    }
+
+    /// The head when more than one queued entry has the smallest digest,
+    /// `digest`, which a settled front has: settle every entry at it, as
+    /// [`head`](SortedList::head) does one, put the live ones back at the
+    /// front of the run, where they are the smallest, and name the first
+    /// of them in `order`.
+    #[cold]
+    fn settle_tie(&mut self, digest: u128, order: &impl Order) -> Entry {
+        let mut tied = std::mem::take(&mut self.tied);
+        while let Some((head, in_run)) = self.front().filter(|&(e, _)| e <= digest | LOW) {
+            if let Some(filed) = self.bounded(head) {
+                let now = order.current(entry(filed, url_of(head)));
+                if now != digest {
+                    self.refile(head, in_run, filed, now);
+                    continue;
+                }
+                tied.push(head);
+            }
+            self.pop(in_run);
+        }
+        // A document queued twice at the digest is one document.
+        tied.sort_unstable();
+        tied.dedup();
+        for &e in tied.iter().rev() {
+            self.run.push_front(e);
+        }
+        let by_rank = |&a: &Entry, &b: &Entry| order.cmp(url_of(a), url_of(b));
+        let first = tied.iter().copied().min_by(by_rank);
+        tied.clear();
+        self.tied = tied;
+        TIES.with(|n| n.set(n.get() + 1));
+        first.expect("a settled front is live")
     }
 
     /// Whether `url` is in the list.
@@ -431,45 +576,61 @@ impl SortedList {
         self.ranks.get(url).is_some()
     }
 
-    /// Number of live entries before `url`'s (0 = head), or `None` when it
-    /// is not in the list; `current` is as for [`head`]. O(√n) once
-    /// [`track_positions`] has run, a scan of every live entry before.
+    /// Number of live entries before `url`'s (0 = head) in `order`, or
+    /// `None` when it is not in the list. O(√n) once [`track_positions`]
+    /// has run, a scan of every live entry before.
     ///
-    /// [`head`]: SortedList::head
     /// [`track_positions`]: SortedList::track_positions
-    pub(crate) fn position(&self, url: UrlId, current: impl Fn(Entry) -> Rank) -> Option<usize> {
-        let rank = self.ranks.get(url)?;
+    pub(crate) fn position(&self, url: UrlId, order: &impl Order) -> Option<usize> {
+        let digest = self.ranks.get(url)?;
         Some(match &self.positions {
             // A tracked list's owner files every change: its slab is
-            // current.
-            Some(idx) => idx.position(&(rank, url)),
+            // current. Of the other entries at its digest, those before it
+            // in `order` come first; by url unless the digest can tie.
+            Some(idx) => {
+                let (below, group) = idx.group(digest);
+                let (mine, ties) = (entry(digest, url), order.ties(digest));
+                let earlier = |&e: &Entry| match ties {
+                    true => e != mine && order.cmp(url_of(e), url).is_lt(),
+                    false => e < mine,
+                };
+                below + group.filter(earlier).count()
+            }
             // Untracked fallback: fine for one-off test queries; per-request
             // callers must enable tracking first.
             None => {
-                let entry = (current((rank, url)), url);
-                let live = self.ranks.entries().map(|e| (current(e), e.1));
-                live.filter(|e| *e < entry).count()
+                let at = entry(order.current(entry(digest, url)), url);
+                let live = self.current_entries(order);
+                live.filter(|&e| full_cmp(order, e, at).is_lt()).count()
             }
         })
     }
 
-    /// Every live entry at its current rank, smallest first.
-    pub(crate) fn sorted(&self, current: impl Fn(Entry) -> Rank) -> Vec<Entry> {
-        let mut live: Vec<Entry> = self.ranks.entries().map(|e| (current(e), e.1)).collect();
-        live.sort_unstable();
+    /// Every live entry at its current digest, in url order.
+    fn current_entries<'a>(&'a self, order: &'a impl Order) -> impl Iterator<Item = Entry> + 'a {
+        let live = self.ranks.entries();
+        live.map(|e| entry(order.current(e), url_of(e)))
+    }
+
+    /// Every live entry at its current digest, in `order`.
+    pub(crate) fn sorted(&self, order: &impl Order) -> Vec<Entry> {
+        let mut live: Vec<Entry> = self.current_entries(order).collect();
+        live.sort_unstable_by(|&a, &b| full_cmp(order, a, b));
         live
     }
 
     /// Start maintaining the index that makes [`position`] sublinear.
     /// From here on the owner must file every change, so the slab is
-    /// first brought to each document's `current` rank: a rank that rose
-    /// is unfiled, its queued entry now a lower bound.
+    /// first brought to each document's current digest: a digest that
+    /// rose is unfiled, its queued entry now a lower bound.
     ///
     /// [`position`]: SortedList::position
-    pub(crate) fn track_positions(&mut self, current: impl Fn(Entry) -> Rank) {
+    pub(crate) fn track_positions(&mut self, order: &impl Order) {
         if self.positions.is_none() {
-            self.ranks.raise(current);
-            self.positions = Some(PositionIndex::from_sorted(self.sorted(filed).into_iter()));
+            self.ranks.raise(|e| order.current(e));
+            let mut live: Vec<Entry> = self.ranks.entries().collect();
+            live.sort_unstable();
+            self.positions = Some(PositionIndex::from_sorted(live.into_iter()));
         }
     }
 
@@ -485,7 +646,7 @@ impl SortedList {
         self.live
     }
 
-    /// Every live `(rank, url)`, in url (not rank) order.
+    /// Every live entry at its filed digest, in url (not rank) order.
     pub(crate) fn entries(&self) -> impl Iterator<Item = Entry> + '_ {
         self.ranks.entries()
     }
@@ -496,11 +657,11 @@ impl SortedList {
     }
 
     /// Forget every queued entry and queue the live ones afresh from the
-    /// slab, one per resident document at its rank, which is then filed.
-    /// That costs `O(slots)` whatever the queues held: the stale entries
-    /// and lower bounds are never looked at. The live ones go to the heap
-    /// because building a heap is linear; entries filed from now on start
-    /// a new run.
+    /// slab, one per resident document at its digest, which is then
+    /// filed. That costs `O(slots)` whatever the queues held: the stale
+    /// entries and lower bounds are never looked at. The live ones go to
+    /// the heap because building a heap is linear; entries filed from now
+    /// on start a new run.
     #[cold]
     fn rebuild_queues(&mut self) {
         self.run.clear();
@@ -514,60 +675,68 @@ impl SortedList {
 /// key), per the paper's taxonomy. 36 combinations of Table 1 keys —
 /// including FIFO, LRU, LFU and Hyper-G — are instances of this one type.
 ///
-/// A hit files nothing. Only ATIME, DAY(ATIME) and NREF move on a hit,
-/// and only upwards, so the rank the slab holds stays a lower bound of
-/// the document's rank; [`RemovalPolicy::victim`] recomputes those
-/// components from the cache's metadata when the document reaches the
-/// head, and re-files it if its rank rose (DESIGN.md D39). So, untracked,
-/// it does not observe hits and the cache skips `on_access` (D41). Once
+/// The list holds each document's `KeySpec::digest`; documents whose
+/// digests tie are ordered at the head by [`KeySpec::rank`], read from the
+/// cache's metadata (DESIGN.md D45). A hit files nothing. Only ATIME,
+/// DAY(ATIME) and NREF move on a hit, and only upwards, so the digest the
+/// slab holds stays a lower bound of the document's; [`RemovalPolicy::victim`]
+/// recomputes it from the cache's metadata when the document reaches the
+/// head, and re-files it if it rose (DESIGN.md D39). So, untracked, it
+/// does not observe hits and the cache skips `on_access` (D41). Once
 /// position tracking is on, a hit is re-ranked as it happens: the
-/// position index needs every rank current.
+/// position index needs every digest current.
 #[derive(Debug, Clone)]
 pub struct SortedPolicy {
     spec: KeySpec,
-    /// The (primary, secondary, tertiary) keys a hit can move — ATIME,
-    /// DAY(ATIME) and NREF — each in its place and `None` elsewhere; no
-    /// array at all when no key moves.
-    moving: Option<[Option<Key>; 3]>,
+    /// Whether a hit can move a key: ATIME, DAY(ATIME) or NREF.
+    moving: bool,
     list: SortedList,
     name_override: Option<&'static str>,
 }
 
-/// `rank` with its `moving` components recomputed from `meta` and every
-/// other one kept. None of the moving keys reads the salt.
-fn raised(moving: [Option<Key>; 3], (p, s, t): Rank, meta: &DocMeta) -> Rank {
-    let [a, b, c] = moving;
-    let moved = |key: Option<Key>, old: i64| key.map_or(old, |k| k.rank(meta, 0));
-    (moved(a, p), moved(b, s), moved(c, t))
+/// A [`SortedPolicy`]'s order, from the cache's metadata of every resident
+/// document.
+struct Ranks<'a> {
+    spec: KeySpec,
+    moving: bool,
+    docs: &'a dyn ResidentMeta,
 }
 
-/// A document's current rank from the one its slab slot holds: the
-/// `moving` components read from `docs`, which must hold every resident
-/// document.
-fn current(
-    moving: Option<[Option<Key>; 3]>,
-    docs: &dyn ResidentMeta,
-) -> impl Fn(Entry) -> Rank + '_ {
-    move |(rank, url)| match moving {
-        None => rank,
-        Some(keys) => {
-            let meta = docs
-                .meta(url)
-                .expect("the cache holds every resident document");
-            raised(keys, rank, meta)
+impl Ranks<'_> {
+    fn meta(&self, url: UrlId) -> &DocMeta {
+        self.docs
+            .meta(url)
+            .expect("the cache holds every resident document")
+    }
+}
+
+impl Order for Ranks<'_> {
+    /// The filed digest when no key moves, else the digest of the
+    /// document's metadata now.
+    fn current(&self, filed: Entry) -> u128 {
+        if self.moving {
+            self.spec.raised(self.meta(url_of(filed)), digest_of(filed))
+        } else {
+            digest_of(filed)
         }
+    }
+
+    fn ties(&self, digest: u128) -> bool {
+        !self.spec.digest_exact(digest)
+    }
+
+    fn cmp(&self, a: UrlId, b: UrlId) -> Ordering {
+        let (ra, rb) = (self.spec.rank(self.meta(a)), self.spec.rank(self.meta(b)));
+        ra.cmp(&rb).then(a.cmp(&b))
     }
 }
 
 impl SortedPolicy {
     /// Create a policy sorting by `spec`.
     pub fn new(spec: KeySpec) -> SortedPolicy {
-        let keys = [spec.primary, spec.secondary, spec.tertiary];
         SortedPolicy {
             spec,
-            moving: spec
-                .access_sensitive()
-                .then(|| keys.map(|k| k.access_sensitive().then_some(k))),
+            moving: spec.access_sensitive(),
             list: SortedList::default(),
             name_override: None,
         }
@@ -586,12 +755,21 @@ impl SortedPolicy {
         self.spec
     }
 
+    /// This policy's order over the documents `docs` holds.
+    fn ranks<'a>(&self, docs: &'a dyn ResidentMeta) -> Ranks<'a> {
+        Ranks {
+            spec: self.spec,
+            moving: self.moving,
+            docs,
+        }
+    }
+
     /// The documents in removal order (head first), ranked from `docs`
     /// as [`RemovalPolicy::victim`] ranks them. Exposed for tests and for
     /// reproducing Table 2's sorted lists.
     pub fn sorted_urls(&self, docs: &dyn ResidentMeta) -> Vec<UrlId> {
-        let live = self.list.sorted(current(self.moving, docs));
-        live.into_iter().map(|(_, url)| url).collect()
+        let live = self.list.sorted(&self.ranks(docs));
+        live.into_iter().map(url_of).collect()
     }
 }
 
@@ -604,22 +782,20 @@ impl RemovalPolicy for SortedPolicy {
     }
 
     fn on_insert(&mut self, meta: &DocMeta) {
-        self.list.upsert(meta.url, self.spec.rank(meta));
+        self.list.upsert(meta.url, self.spec.digest(meta));
     }
 
     fn on_access(&mut self, meta: &DocMeta) {
         // Untracked, a hit files nothing: the head reads it from the
         // cache's metadata (see the type's docs), and `observes_hits`
         // tells the cache not to call.
-        let Some(keys) = self.moving.filter(|_| self.list.tracks_positions()) else {
-            return;
-        };
-        self.list
-            .update(meta.url, |old| old.map(|rank| raised(keys, rank, meta)));
+        if self.observes_hits() {
+            self.list.upsert(meta.url, self.spec.digest(meta));
+        }
     }
 
     fn observes_hits(&self) -> bool {
-        self.moving.is_some() && self.list.tracks_positions()
+        self.moving && self.list.tracks_positions()
     }
 
     fn reserve_urls(&mut self, urls: usize) {
@@ -636,8 +812,8 @@ impl RemovalPolicy for SortedPolicy {
         _incoming_size: u64,
         docs: &dyn ResidentMeta,
     ) -> Option<UrlId> {
-        let head = self.list.head(current(self.moving, docs));
-        head.map(|(_, url)| url)
+        let ranks = self.ranks(docs);
+        self.list.head(&ranks).map(url_of)
     }
 
     fn len(&self) -> usize {
@@ -645,17 +821,19 @@ impl RemovalPolicy for SortedPolicy {
     }
 
     fn removal_position(&self, url: UrlId, docs: &dyn ResidentMeta) -> Option<usize> {
-        self.list.position(url, current(self.moving, docs))
+        self.list.position(url, &self.ranks(docs))
     }
 
     fn enable_position_tracking(&mut self, docs: &dyn ResidentMeta) {
-        self.list.track_positions(current(self.moving, docs));
+        let ranks = self.ranks(docs);
+        self.list.track_positions(&ranks);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::key::Key;
     use crate::policy::testing::WithDocs;
     use webcache_trace::DocType;
 
@@ -845,6 +1023,43 @@ mod tests {
                 let url = (x % DOCS as u64) as u32;
                 nrefs[url as usize] += 1;
                 p.on_access(&meta(url, 1024, 0, t / 64, nrefs[url as usize]));
+                assert!(
+                    p.list.queued() <= STALE_FACTOR * p.len() + STALE_FLOOR,
+                    "{}: {} entries queued for {} documents",
+                    spec.name(),
+                    p.list.queued(),
+                    p.len()
+                );
+            }
+            assert_eq!(p.len(), DOCS as usize);
+            assert_eq!(p.victim(0, 0), p.sorted_urls().first().copied());
+        }
+    }
+
+    #[test]
+    fn queues_stay_proportional_to_the_resident_set_under_invalidations() {
+        // One URL's size alternates on every request, in a cache that
+        // never fills: each request invalidates the resident copy and
+        // inserts the new one, as `Cache::resolve` does (a removal, then
+        // an insert), so each leaves a stale entry in a queue — in the
+        // run under LRU and FIFO, in the heap under SIZE. Nothing is
+        // evicted; the queues must still rebuild before they outgrow the
+        // bound.
+        const DOCS: u32 = 64;
+        for spec in [
+            KeySpec::primary(Key::AccessTime),
+            KeySpec::primary(Key::Size),
+            KeySpec::pair(Key::NRef, Key::Size),
+            KeySpec::pair(Key::EntryTime, Key::NRef),
+        ] {
+            let mut p = WithDocs::new(SortedPolicy::new(spec));
+            for url in 0..DOCS {
+                p.on_insert(&meta(url, 1024 + u64::from(url), 0, 0, 1));
+            }
+            for t in 1..=200_000u64 {
+                let size = if t % 2 == 0 { 1000 } else { 3000 };
+                p.on_remove(UrlId(0));
+                p.on_insert(&meta(0, size, t, t, 1));
                 assert!(
                     p.list.queued() <= STALE_FACTOR * p.len() + STALE_FLOOR,
                     "{}: {} entries queued for {} documents",

@@ -6,7 +6,7 @@
 //! Wraps a [`Cache`] as a [`CacheSystem`], recording those measures while
 //! delegating all semantics to the wrapped cache.
 
-use crate::cache::{Cache, Counts, Outcome};
+use crate::cache::{Cache, Counts};
 use crate::sim::CacheSystem;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -101,11 +101,13 @@ impl InstrumentedCache {
         }
     }
 
-    /// Handle a request, recording instrumentation.
-    pub fn request(&mut self, r: &Request) -> Outcome {
+    /// Handle a request, recording instrumentation; `true` on a hit. What
+    /// is evicted is dropped as it goes, as on the simulator's other
+    /// lanes ([`Cache::request_hit`]).
+    pub fn request(&mut self, r: &Request) -> bool {
         // Position must be read *before* the access reorders the policy.
         let position = self.cache.removal_position(r.url);
-        let out = self.cache.request(r);
+        let hit = self.cache.request_hit(r);
         let acc = self.report.url_access.entry(r.url).or_insert(UrlAccess {
             nrefs: 0,
             first_access: r.time,
@@ -114,7 +116,7 @@ impl InstrumentedCache {
         });
         acc.nrefs += 1;
         acc.last_access = r.time;
-        if out.is_hit() {
+        if hit {
             acc.hits += 1;
             match position {
                 Some(p) => {
@@ -129,7 +131,7 @@ impl InstrumentedCache {
             self.report.size_samples.push((r.time, self.cache.used()));
             self.report.interval_counts.push(self.cache.counts());
         }
-        out
+        hit
     }
 
     /// The wrapped cache.
@@ -150,11 +152,15 @@ impl InstrumentedCache {
 
 impl CacheSystem for InstrumentedCache {
     fn handle(&mut self, r: &Request) {
-        let _ = self.request(r);
+        self.request(r);
     }
 
+    /// The cache's tables, and the per-URL access records: a total, as
+    /// for [`Cache::reserve_urls`].
     fn reserve_urls(&mut self, urls: usize) {
         self.cache.reserve_urls(urls);
+        let access = &mut self.report.url_access;
+        access.reserve(urls.saturating_sub(access.len()));
     }
 
     fn stream_names(&self) -> Vec<String> {

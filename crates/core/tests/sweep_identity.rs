@@ -25,6 +25,7 @@ use webcache_core::cache::multilevel::TwoLevelCache;
 use webcache_core::cache::partitioned::PartitionedCache;
 use webcache_core::cache::{Cache, DocMeta, Outcome};
 use webcache_core::policy::{named, KeySpec, NeverEvict, RemovalPolicy, SortedPolicy};
+use webcache_core::sim::instrument::InstrumentedCache;
 use webcache_core::sim::{max_needed, simulate, simulate_policy, CacheSystem, MultiSim, SimResult};
 use webcache_trace::{Request, Trace};
 use webcache_workload::{generate, profiles};
@@ -257,6 +258,12 @@ fn a_cold_replay_grows_no_per_url_table() {
             Box::new(PartitionedCache::audio_split(capacity, 0.5, || {
                 Box::new(named::size())
             })),
+        ),
+        // Appendix A's lane: its per-URL access records too, and no
+        // eviction list built per miss.
+        (
+            "instrumented",
+            Box::new(InstrumentedCache::new(lru(), 1000)),
         ),
     ];
     for (name, mut system) in systems {
