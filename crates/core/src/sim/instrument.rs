@@ -3,8 +3,9 @@
 //! location in sorted list of each URL hit, current cache size, number of
 //! accesses and times of access for each URL".
 //!
-//! Wraps a [`Cache`] as a [`CacheSystem`], recording those measures while
-//! delegating all semantics to the wrapped cache.
+//! Wraps a [`Cache`] as a [`CacheSystem`], recording the last four while
+//! delegating all semantics to the wrapped cache. The first, HR and WHR
+//! at intervals, is every lane's daily [`StreamResult`](crate::sim::StreamResult)s.
 
 use crate::cache::{Cache, Counts};
 use crate::sim::CacheSystem;
@@ -27,7 +28,7 @@ pub struct UrlAccess {
 }
 
 /// Everything the instrumented run collected.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InstrumentReport {
     /// Hit-position histogram: bucket `i` counts hits whose document sat
     /// at a removal-order position in `[2^i - 1, 2^(i+1) - 1)` — i.e.
@@ -38,8 +39,6 @@ pub struct InstrumentReport {
     pub hit_position_unknown: u64,
     /// `(time, resident_bytes)` samples ("current cache size").
     pub size_samples: Vec<(Timestamp, u64)>,
-    /// Interval counter snapshots (HR/WHR "at specified intervals").
-    pub interval_counts: Vec<Counts>,
     /// Per-URL access records.
     pub url_access: HashMap<UrlId, UrlAccess>,
 }
@@ -76,15 +75,15 @@ impl InstrumentReport {
 pub struct InstrumentedCache {
     cache: Cache,
     report: InstrumentReport,
-    /// Take a size sample / interval snapshot every this many requests.
+    /// Take a size sample every this many requests.
     sample_every: u64,
     seen: u64,
 }
 
 impl InstrumentedCache {
-    /// Wrap `cache`, sampling sizes and counters every `sample_every`
-    /// requests. Position tracking is switched on so the per-request
-    /// removal-order lookup below is sublinear rather than a full scan.
+    /// Wrap `cache`, sampling its size every `sample_every` requests.
+    /// Position tracking is switched on so the per-request removal-order
+    /// lookup below is sublinear rather than a full scan.
     pub fn new(mut cache: Cache, sample_every: u64) -> InstrumentedCache {
         cache.enable_position_tracking();
         InstrumentedCache {
@@ -93,7 +92,6 @@ impl InstrumentedCache {
                 hit_position_log2: vec![0; 40],
                 hit_position_unknown: 0,
                 size_samples: Vec::new(),
-                interval_counts: Vec::new(),
                 url_access: HashMap::new(),
             },
             sample_every: sample_every.max(1),
@@ -101,10 +99,22 @@ impl InstrumentedCache {
         }
     }
 
-    /// Handle a request, recording instrumentation; `true` on a hit. What
-    /// is evicted is dropped as it goes, as on the simulator's other
-    /// lanes ([`Cache::request_hit`]).
-    pub fn request(&mut self, r: &Request) -> bool {
+    /// The collected report.
+    pub fn report(&self) -> &InstrumentReport {
+        &self.report
+    }
+
+    /// Consume the wrapper, returning the report.
+    pub fn into_report(self) -> InstrumentReport {
+        self.report
+    }
+}
+
+impl CacheSystem for InstrumentedCache {
+    /// Handle a request, recording instrumentation. What is evicted is
+    /// dropped as it goes, as on the simulator's other lanes
+    /// ([`Cache::request_hit`]).
+    fn handle(&mut self, r: &Request) {
         // Position must be read *before* the access reorders the policy.
         let position = self.cache.removal_position(r.url);
         let hit = self.cache.request_hit(r);
@@ -129,30 +139,7 @@ impl InstrumentedCache {
         self.seen += 1;
         if self.seen.is_multiple_of(self.sample_every) {
             self.report.size_samples.push((r.time, self.cache.used()));
-            self.report.interval_counts.push(self.cache.counts());
         }
-        hit
-    }
-
-    /// The wrapped cache.
-    pub fn cache(&self) -> &Cache {
-        &self.cache
-    }
-
-    /// The collected report.
-    pub fn report(&self) -> &InstrumentReport {
-        &self.report
-    }
-
-    /// Consume the wrapper, returning the report.
-    pub fn into_report(self) -> InstrumentReport {
-        self.report
-    }
-}
-
-impl CacheSystem for InstrumentedCache {
-    fn handle(&mut self, r: &Request) {
-        self.request(r);
     }
 
     /// The cache's tables, and the per-URL access records: a total, as
@@ -197,9 +184,9 @@ mod tests {
     #[test]
     fn per_url_access_records_are_complete() {
         let mut ic = InstrumentedCache::new(Cache::new(1_000, Box::new(named::lru())), 2);
-        ic.request(&req(1, 1, 100));
-        ic.request(&req(5, 1, 100));
-        ic.request(&req(9, 2, 100));
+        ic.handle(&req(1, 1, 100));
+        ic.handle(&req(5, 1, 100));
+        ic.handle(&req(9, 2, 100));
         let rep = ic.report();
         let a = rep.url_access[&UrlId(1)];
         assert_eq!(a.nrefs, 2);
@@ -215,15 +202,15 @@ mod tests {
         // LRU cache with 3 docs: re-touching the least recently used one
         // is a hit at position 0 (it was the next victim).
         let mut ic = InstrumentedCache::new(Cache::new(10_000, Box::new(named::lru())), 100);
-        ic.request(&req(1, 1, 100));
-        ic.request(&req(2, 2, 100));
-        ic.request(&req(3, 3, 100));
-        ic.request(&req(4, 1, 100)); // url 1 was position 0
+        ic.handle(&req(1, 1, 100));
+        ic.handle(&req(2, 2, 100));
+        ic.handle(&req(3, 3, 100));
+        ic.handle(&req(4, 1, 100)); // url 1 was position 0
         let rep = ic.report();
         assert_eq!(rep.hit_position_log2[0], 1);
         assert_eq!(rep.hit_position_unknown, 0);
         // Touch the most recently used (position 2 → bucket log2(3)=1).
-        ic.request(&req(5, 1, 100));
+        ic.handle(&req(5, 1, 100));
         assert_eq!(ic.report().hit_position_log2[1], 1);
         assert!(ic.report().hits_within_position(0) > 0.0);
     }
@@ -232,8 +219,8 @@ mod tests {
     fn unknown_positions_for_non_sorted_policies() {
         use crate::policy::LruMin;
         let mut ic = InstrumentedCache::new(Cache::new(10_000, Box::new(LruMin::new())), 100);
-        ic.request(&req(1, 1, 100));
-        ic.request(&req(2, 1, 100));
+        ic.handle(&req(1, 1, 100));
+        ic.handle(&req(2, 1, 100));
         assert_eq!(ic.report().hit_position_unknown, 1);
     }
 
@@ -241,11 +228,10 @@ mod tests {
     fn samples_accumulate_at_interval() {
         let mut ic = InstrumentedCache::new(Cache::new(10_000, Box::new(named::size())), 3);
         for i in 0..10 {
-            ic.request(&req(i, i as u32, 50));
+            ic.handle(&req(i, i as u32, 50));
         }
         let rep = ic.into_report();
         assert_eq!(rep.size_samples.len(), 3);
-        assert_eq!(rep.interval_counts.len(), 3);
         // Sizes are monotone here (no evictions).
         assert!(rep.size_samples.windows(2).all(|w| w[0].1 <= w[1].1));
     }

@@ -240,9 +240,8 @@ impl SimResult {
 
 /// Drive `trace` through `system` on the calling thread, collecting
 /// per-day deltas of every stream ([`CacheSystem::replay_days`]) and the
-/// system's final gauges, under the label `label`. The result of a lane
-/// of [`run_lanes`] is this function's result for that lane's system;
-/// call it directly to read the system back afterwards (an
+/// system's final gauges, under the label `label`: what a lane of
+/// [`run_lanes`] hands its `finish`, with the system to read back (an
 /// [`InstrumentedCache`](instrument::InstrumentedCache)'s report).
 pub fn simulate<S: CacheSystem + ?Sized>(trace: &Trace, system: &mut S, label: &str) -> SimResult {
     let streams = system.replay_days(trace);

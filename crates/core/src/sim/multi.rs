@@ -6,15 +6,16 @@
 //! [`Cache`] under one policy (Experiment 2 runs 36 per workload), a
 //! two-level or partitioned cache (Experiments 3 and 4), a wrapped cache
 //! that measures more (Experiment 5, Appendix A). [`run_lanes`] hands the
-//! lanes to the worker threads one at a time; a worker builds the
-//! system, replays the whole trace into it with one call of
-//! [`CacheSystem::replay_days`] and drops it, so a thread holds one
-//! resident set at a time (DESIGN.md D8) and lanes of unequal cost
-//! balance across the cores (D23). A lane that panics reports its
-//! message; every other lane's result is kept. Lanes share no mutable
-//! state, so each result is **bit-identical to [`simulate`] on that
-//! lane's system** — `tests/sweep_identity.rs` and the tests below hold
-//! the engine to that, stream by stream and gauge by gauge.
+//! lanes to the worker threads one at a time; a worker builds the system,
+//! replays the whole trace into it with one call of
+//! [`CacheSystem::replay_days`], hands the result and the system to the
+//! lane's `finish` and drops the system, so a thread holds one resident
+//! set at a time (DESIGN.md D8) and lanes of unequal cost balance across
+//! the cores (D23). A lane that panics reports its message; every other
+//! lane's result is kept. Lanes share no mutable state, so the result each
+//! `finish` gets is **bit-identical to [`simulate`] on that lane's
+//! system** — `tests/sweep_identity.rs` and the tests below hold the
+//! engine to that, stream by stream, gauge by gauge.
 //!
 //! [`MultiSim`] is the shorthand for a policy sweep: one [`Cache`] lane
 //! per policy, at one capacity. Its lanes are built in this crate, so a
@@ -24,46 +25,60 @@ use crate::cache::Cache;
 use crate::policy::RemovalPolicy;
 use crate::sim::{simulate, CacheSystem, SimResult};
 use rayon::prelude::*;
+use std::panic::AssertUnwindSafe;
 use webcache_trace::Trace;
 
-/// One simulation lane.
-pub struct Lane<'t> {
+/// One simulation lane, handing back an `R`.
+pub struct Lane<'t, R = SimResult> {
     label: String,
-    trace: &'t Trace,
-    build: Box<dyn FnOnce() -> Box<dyn CacheSystem> + Send + 't>,
+    run: Box<dyn FnOnce(&str) -> R + Send + 't>,
 }
 
-impl<'t> Lane<'t> {
+impl<'t, R> Lane<'t, R> {
     /// A lane labelled `label` (its result's [`SimResult::system`]) that
-    /// replays `trace` through the system `build` returns. `build` runs on
-    /// the worker thread that drives the lane, so the system need not be
-    /// `Send`.
-    pub fn new<S: CacheSystem + 'static>(
+    /// replays `trace` through the system `build` returns, then hands
+    /// back what `finish` makes of the result and the system. Both run
+    /// on the worker thread that drives the lane, so the system need not
+    /// be `Send`, and it is dropped there as `finish` returns.
+    pub fn with<S: CacheSystem>(
         label: impl Into<String>,
         trace: &'t Trace,
         build: impl FnOnce() -> S + Send + 't,
-    ) -> Lane<'t> {
+        finish: impl FnOnce(SimResult, S) -> R + Send + 't,
+    ) -> Lane<'t, R> {
         Lane {
             label: label.into(),
-            trace,
-            build: Box::new(move || Box::new(build()) as Box<dyn CacheSystem>),
+            run: Box::new(move |label| {
+                let mut system = build();
+                // Through `dyn`: one virtual call per lane (D43).
+                let result = simulate(trace, &mut system as &mut dyn CacheSystem, label);
+                finish(result, system)
+            }),
         }
     }
 }
 
-/// Drive every lane, in parallel. Output order is input order; each
-/// `Ok` result is what [`simulate`] returns for that lane's trace, system
-/// and label, and a lane that panics reports the panic's message instead
-/// while every other lane's result is kept.
-pub fn run_lanes(lanes: Vec<Lane<'_>>) -> Vec<(String, Result<SimResult, String>)> {
+impl<'t> Lane<'t> {
+    /// A lane that hands back its [`SimResult`] alone.
+    pub fn new<S: CacheSystem>(
+        label: impl Into<String>,
+        trace: &'t Trace,
+        build: impl FnOnce() -> S + Send + 't,
+    ) -> Lane<'t> {
+        Lane::with(label, trace, build, |result, _| result)
+    }
+}
+
+/// Drive every lane, in parallel. Output order is input order; each `Ok`
+/// is the lane's `finish` of what [`simulate`] returns for its trace,
+/// system and label, and a lane that panics reports the panic's message
+/// instead while every other lane's result is kept.
+pub fn run_lanes<R: Send>(lanes: Vec<Lane<'_, R>>) -> Vec<(String, Result<R, String>)> {
     lanes
         .into_par_iter()
-        .map(|lane| {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                simulate(lane.trace, &mut *(lane.build)(), &lane.label)
-            }))
-            .map_err(panic_message);
-            (lane.label, result)
+        .map(|Lane { label, run }| {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| run(&label)));
+            (label, result.map_err(panic_message))
         })
         .collect()
 }
@@ -110,20 +125,16 @@ impl<'t> MultiSim<'t> {
         policies: Vec<(String, Box<dyn RemovalPolicy>)>,
     ) -> Vec<(String, Result<SimResult, String>)> {
         let capacity = self.capacity;
-        let (labels, lanes): (Vec<String>, Vec<Lane<'t>>) = policies
-            .into_iter()
+        let lanes = (policies.into_iter())
             .map(|(label, policy)| {
-                let lane = Lane::new(policy.name(), self.trace, move || {
-                    Cache::new(capacity, policy)
-                });
-                (label, lane)
+                // The caller's label, and a result named after the policy.
+                let system = policy.name();
+                let cache = move || Cache::new(capacity, policy);
+                let named = |result, _| SimResult { system, ..result };
+                Lane::with(label, self.trace, cache, named)
             })
-            .unzip();
-        labels
-            .into_iter()
-            .zip(run_lanes(lanes))
-            .map(|(label, (_, result))| (label, result))
-            .collect()
+            .collect();
+        run_lanes(lanes)
     }
 }
 
@@ -214,9 +225,6 @@ mod tests {
             lane(&t, "partitioned", || {
                 PartitionedCache::audio_split(12_000, 0.5, || Box::new(named::size()))
             }),
-            lane(&t, "instrumented", || {
-                InstrumentedCache::new(Cache::new(10_000, Box::new(named::size())), 7)
-            }),
         ]
         .into_iter()
         .unzip();
@@ -228,6 +236,15 @@ mod tests {
             assert!(want.streams.iter().all(|s| s.total.hits > 0), "{label}");
         }
         assert_eq!(want[2].streams.len(), 3, "l1_0, l1_1 and l2");
+        // A lane hands back what its system measured beyond the result.
+        let build = || InstrumentedCache::new(Cache::new(10_000, Box::new(named::size())), 7);
+        let mut twin = build();
+        let want = simulate(&t, &mut twin, "instrumented");
+        let lane = Lane::with("instrumented", &t, build, |r, ic| (r, ic.into_report()));
+        let (got, report) = run_lanes(vec![lane]).remove(0).1.expect("no lane panics");
+        assert_same(&got, &want);
+        assert!(report.hit_position_log2.iter().sum::<u64>() > 0);
+        assert_eq!(&report, twin.report());
     }
 
     /// A policy that panics after a fixed number of insertions, for
@@ -274,15 +291,15 @@ mod tests {
     fn run_checked_salvages_healthy_lanes() {
         let t = trace();
         let cap = 2_000;
+        let broken = || -> Box<dyn RemovalPolicy> {
+            Box::new(PanicAfter {
+                inner: Box::new(named::lru()),
+                inserts_left: 5,
+            })
+        };
         let out = MultiSim::new(&t, cap).run_checked(vec![
             ("LRU".into(), Box::new(named::lru())),
-            (
-                "BROKEN".into(),
-                Box::new(PanicAfter {
-                    inner: Box::new(named::lru()),
-                    inserts_left: 5,
-                }),
-            ),
+            ("BROKEN".into(), broken()),
             ("SIZE".into(), Box::new(named::size())),
         ]);
         assert_eq!(out.len(), 3);
@@ -293,6 +310,20 @@ mod tests {
         // Healthy lanes still match serial simulation exactly.
         let want = simulate_policy(&t, cap, Box::new(named::lru()));
         assert_same(out[0].1.as_ref().unwrap(), &want);
+        // A lane's `finish` runs only once its replay has returned.
+        let finished = std::sync::atomic::AtomicUsize::new(0);
+        let finish = |result: SimResult, _: Cache| {
+            finished.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            result
+        };
+        let lru = || Cache::new(cap, Box::new(named::lru()));
+        let out = run_lanes(vec![
+            Lane::with("BROKEN", &t, move || Cache::new(cap, broken()), finish),
+            Lane::with("LRU", &t, lru, finish),
+        ]);
+        assert_eq!(finished.into_inner(), 1, "a broken lane never finishes");
+        assert!(out[0].1.is_err());
+        assert_same(out[1].1.as_ref().unwrap(), &want);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! Also implements the section 5 open-problem extension: several primary
 //! caches sharing one second-level cache.
 
-use crate::runner::{Ctx, WORKLOADS};
+use crate::runner::Ctx;
 use serde::{Deserialize, Serialize};
 use webcache_core::cache::multilevel::TwoLevelCache;
 use webcache_core::cache::Cache;
 use webcache_core::policy::{named, NeverEvict};
-use webcache_core::sim::{run_lanes, simulate, Lane, SimResult};
+use webcache_core::sim::{run_lanes, Lane, SimResult};
 use webcache_stats::series::DailySeries;
 use webcache_stats::{report, Table};
 
@@ -45,9 +45,6 @@ fn hierarchy(l1s: usize, l1_capacity: u64) -> TwoLevelCache {
     TwoLevelCache::shared(l1s, Cache::infinite(Box::new(NeverEvict::new())))
 }
 
-/// What the single-L1 hierarchy is called in its [`SimResult`].
-const LABEL: &str = "SIZE L1 + infinite L2";
-
 /// One workload's row from its simulation result.
 fn row(workload: &str, l1_capacity: u64, res: &SimResult) -> Exp3Workload {
     let l1 = res.stream("l1").expect("l1 stream");
@@ -64,14 +61,6 @@ fn row(workload: &str, l1_capacity: u64, res: &SimResult) -> Exp3Workload {
     }
 }
 
-/// Run Experiment 3 for one workload.
-pub fn run_one(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Exp3Workload {
-    let trace = ctx.trace(workload);
-    let l1_capacity = ctx.capacity(workload, cache_fraction);
-    let res = simulate(&trace, &mut hierarchy(1, l1_capacity), LABEL);
-    row(workload, l1_capacity, &res)
-}
-
 /// Experiment 3 output across workloads, with per-workload salvage: a
 /// workload whose simulation panics is reported in `failed` instead of
 /// discarding every other workload's completed rows.
@@ -85,24 +74,26 @@ pub struct Exp3Output {
     pub failed: Vec<(String, String)>,
 }
 
-/// Run Experiment 3 on the workloads the paper plots (BR, C, G) plus the
-/// other two for completeness, one lane per workload. Output keeps the
-/// paper's workload order; a failing workload is salvaged into
+/// Run Experiment 3 on each of `workloads`, one lane per workload (the
+/// paper plots BR, C and G; `experiments exp3` runs all five). Output
+/// keeps the given order; a failing workload is salvaged into
 /// [`failed`](Exp3Output::failed) rather than dropping the whole sweep.
-pub fn run(ctx: &Ctx, cache_fraction: f64) -> Exp3Output {
-    let inputs: Vec<_> = (WORKLOADS.iter())
+pub fn run(ctx: &Ctx, workloads: &[&str], cache_fraction: f64) -> Exp3Output {
+    let inputs: Vec<_> = (workloads.iter())
         .map(|&w| (w, ctx.trace(w), ctx.capacity(w, cache_fraction)))
         .collect();
     let lanes = (inputs.iter())
-        .map(|&(_, ref trace, l1_capacity)| {
-            Lane::new(LABEL, trace, move || hierarchy(1, l1_capacity))
+        .map(|&(w, ref trace, l1_capacity)| {
+            let hierarchy = move || hierarchy(1, l1_capacity);
+            let row = move |res, _| row(w, l1_capacity, &res);
+            Lane::with("SIZE L1 + infinite L2", trace, hierarchy, row)
         })
         .collect();
     let mut rows = Vec::new();
     let mut failed = Vec::new();
-    for ((w, _, l1_capacity), (_, res)) in inputs.iter().zip(run_lanes(lanes)) {
-        match res {
-            Ok(res) => rows.push(row(w, *l1_capacity, &res)),
+    for (&(w, ..), (_, row)) in inputs.iter().zip(run_lanes(lanes)) {
+        match row {
+            Ok(row) => rows.push(row),
             Err(e) => failed.push((w.to_string(), e)),
         }
     }
@@ -151,7 +142,9 @@ pub struct Exp3Shared {
 pub fn run_shared(ctx: &Ctx, workload: &str, cache_fraction: f64, groups: usize) -> Exp3Shared {
     let trace = ctx.trace(workload);
     let per_l1 = ((ctx.max_needed(workload) as f64 * cache_fraction / groups as f64) as u64).max(1);
-    let res = simulate(&trace, &mut hierarchy(groups, per_l1), "shared L2");
+    let lane = Lane::new("shared L2", &trace, move || hierarchy(groups, per_l1));
+    let (_, res) = run_lanes(vec![lane]).remove(0);
+    let res = res.expect("the shared-L2 lane");
     let l1_hrs = (res.streams.iter())
         .filter(|s| s.name != "l2")
         .map(|s| s.total.hit_rate())
@@ -177,7 +170,7 @@ mod tests {
         // secondary cache are for large files."
         let ctx = Ctx::with_scale(0.03, 13);
         for w in ["BR", "G", "BL"] {
-            let r = run_one(&ctx, w, 0.1);
+            let r = &run(&ctx, &[w], 0.1).rows[0];
             assert!(
                 r.l2_whr > r.l2_hr,
                 "{w}: L2 WHR {} should exceed L2 HR {}",
@@ -192,7 +185,7 @@ mod tests {
         // "a memory-starved primary cache … the second level cache reaches
         // a maximum 1.2-8% HR, and a 15-70% WHR".
         let ctx = Ctx::with_scale(0.03, 13);
-        let r = run_one(&ctx, "G", 0.1);
+        let r = &run(&ctx, &["G"], 0.1).rows[0];
         assert!(r.l2_hr > 0.005, "L2 HR {}", r.l2_hr);
         assert!(r.l2_whr > 0.05, "L2 WHR {}", r.l2_whr);
     }
@@ -204,7 +197,7 @@ mod tests {
         assert_eq!(r.l1_hrs.len(), 4);
         // Splitting L1 four ways starves each shard; the shared L2 must
         // pick up more than the single-L1 configuration's L2 does.
-        let single = run_one(&ctx, "BL", 0.1);
+        let single = &run(&ctx, &["BL"], 0.1).rows[0];
         assert!(
             r.l2_hr >= single.l2_hr,
             "shared L2 HR {} vs single {}",
@@ -216,7 +209,7 @@ mod tests {
     #[test]
     fn run_covers_all_workloads_with_no_failures() {
         let ctx = Ctx::with_scale(0.01, 13);
-        let out = run(&ctx, 0.1);
+        let out = run(&ctx, &crate::runner::WORKLOADS, 0.1);
         assert_eq!(out.rows.len(), crate::runner::WORKLOADS.len());
         assert!(!out.partial);
         assert!(out.failed.is_empty());
@@ -228,8 +221,7 @@ mod tests {
     #[test]
     fn summary_table_renders() {
         let ctx = Ctx::with_scale(0.02, 13);
-        let rows = vec![run_one(&ctx, "BR", 0.1)];
-        let t = table(&rows);
+        let t = table(&run(&ctx, &["BR"], 0.1).rows);
         assert!(t.contains("BR"));
         assert!(t.contains("L2 WHR"));
     }

@@ -58,9 +58,9 @@ fn combined_model(r: &Request, m: &mut DocMeta) {
     expiry_model(r, m);
 }
 
-/// A lane's cache, with gauges for what the extension keys aim at:
-/// `text_requests`, `text_hits`, and `refetch_ms`, the modelled refetch
-/// latency of every miss (hits cost nothing).
+/// A lane's cache, counting what the extension keys aim at: text
+/// requests and hits, and `refetch_ms`, the modelled refetch latency of
+/// every miss (hits cost nothing).
 struct Observed {
     cache: Cache,
     text_requests: u64,
@@ -93,13 +93,7 @@ impl CacheSystem for Observed {
     }
 
     fn gauges(&self) -> Vec<(String, u64)> {
-        let mut gauges = self.cache.gauges();
-        gauges.extend([
-            ("text_requests".to_string(), self.text_requests),
-            ("text_hits".to_string(), self.text_hits),
-            ("refetch_ms".to_string(), self.refetch_ms),
-        ]);
-        gauges
+        self.cache.gauges()
     }
 }
 
@@ -109,12 +103,22 @@ pub fn run(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Vec<ExtensionRun> 
     let trace = ctx.trace(workload);
     let capacity = ctx.capacity(workload, cache_fraction);
     let lane = |label: &str, spec: KeySpec| {
-        Lane::new(label, &trace, move || Observed {
+        let observed = move || Observed {
             cache: Cache::new(capacity, Box::new(SortedPolicy::new(spec)))
                 .with_decorator(combined_model),
             text_requests: 0,
             text_hits: 0,
             refetch_ms: 0,
+        };
+        Lane::with(label, &trace, observed, |result, o| {
+            let c = result.stream("cache").expect("cache stream").total;
+            ExtensionRun {
+                policy: result.system,
+                hr: c.hit_rate(),
+                whr: c.weighted_hit_rate(),
+                text_hr: o.text_hits as f64 / o.text_requests.max(1) as f64,
+                mean_latency_ms: o.refetch_ms as f64 / c.requests.max(1) as f64,
+            }
         })
     };
     let lanes = vec![
@@ -129,23 +133,7 @@ pub fn run(ctx: &Ctx, workload: &str, cache_fraction: f64) -> Vec<ExtensionRun> 
     ];
     run_lanes(lanes)
         .into_iter()
-        .map(|(label, result)| {
-            let result = result.unwrap_or_else(|e| panic!("lane {label} panicked: {e}"));
-            let c = result.stream("cache").expect("cache stream").total;
-            let gauge = |name| result.gauge(name).expect("an observed gauge");
-            let text_requests = gauge("text_requests");
-            ExtensionRun {
-                policy: label,
-                hr: c.hit_rate(),
-                whr: c.weighted_hit_rate(),
-                text_hr: if text_requests == 0 {
-                    0.0
-                } else {
-                    gauge("text_hits") as f64 / text_requests as f64
-                },
-                mean_latency_ms: gauge("refetch_ms") as f64 / c.requests.max(1) as f64,
-            }
-        })
+        .map(|(label, run)| run.unwrap_or_else(|e| panic!("lane {label} panicked: {e}")))
         .collect()
 }
 

@@ -20,6 +20,7 @@
 //!   all                        the tables, figures and experiments 1-4, in order
 //! ```
 
+use webcache_experiments::runner::WORKLOADS;
 use webcache_experiments::{exp1, exp2, exp3, exp4, exp5, figures, Ctx};
 
 /// Report a usage error and exit with status 2 (conventional bad-usage).
@@ -98,10 +99,15 @@ fn main() {
         Ok(ctx) => ctx,
         Err(e) => usage_error(&e.to_string()),
     };
+    run(&ctx, json_dir.as_deref(), &rest);
+}
+
+/// Run the command `rest[0]` (`help` if none) with its positional arguments.
+fn run(ctx: &Ctx, json_dir: Option<&str>, rest: &[String]) {
     let cmd = rest.first().map(String::as_str).unwrap_or("help");
     let arg = |i: usize| rest.get(i).map(String::as_str);
     // A cache size as a fraction of MaxNeeded.
-    let frac = |i: usize| positional(&rest, i, "FRAC", 0.1, |f: &f64| *f > 0.0 && *f <= 1.0);
+    let frac = |i: usize| positional(rest, i, "FRAC", 0.1, |f: &f64| *f > 0.0 && *f <= 1.0);
     // Workload-name positional argument: reject unknown names here, with
     // a usage message, rather than panicking deep inside the runner.
     let wl_arg = |i: usize, default: &'static str| -> String {
@@ -109,13 +115,13 @@ fn main() {
         if webcache_workload::profiles::by_name(w).is_none() {
             usage_error(&format!(
                 "unknown workload {w:?} (expected one of {})",
-                webcache_experiments::runner::WORKLOADS.join(", ")
+                WORKLOADS.join(", ")
             ));
         }
         w.to_string()
     };
     let save = |name: &str, value: &dyn erased_json::SerializeJson| {
-        if let Some(dir) = &json_dir {
+        if let Some(dir) = json_dir {
             match write_json_atomic(dir, name, &value.to_json()) {
                 Ok(path) => eprintln!("wrote {path}"),
                 Err(e) => {
@@ -129,26 +135,26 @@ fn main() {
     match cmd {
         "table1" => println!("{}", figures::table1()),
         "table3" => println!("{}", figures::table3()),
-        "table4" => println!("{}", figures::table4(&ctx)),
+        "table4" => println!("{}", figures::table4(ctx)),
         "fig1" => {
-            let f = figures::fig1(&ctx, &wl_arg(1, "BL"));
+            let f = figures::fig1(ctx, &wl_arg(1, "BL"));
             save("fig1", &f);
             println!("{}", f.render("requests"));
         }
         "fig2" => {
-            let f = figures::fig2(&ctx, &wl_arg(1, "BL"));
+            let f = figures::fig2(ctx, &wl_arg(1, "BL"));
             save("fig2", &f);
             println!("{}", f.render("bytes"));
         }
         "fig13" => {
             let wl = &wl_arg(1, "BL");
-            let h = figures::fig13(&ctx, wl);
+            let h = figures::fig13(ctx, wl);
             save("fig13", &h);
             println!("{}", figures::render_fig13(&h, wl));
         }
         "fig14" => {
             let wl = &wl_arg(1, "BL");
-            match figures::fig14(&ctx, wl) {
+            match figures::fig14(ctx, wl) {
                 Some(s) => {
                     save("fig14", &s);
                     println!(
@@ -172,9 +178,9 @@ fn main() {
         "exp1" => {
             let e = match arg(1) {
                 Some(_) => exp1::Exp1 {
-                    workloads: vec![exp1::run_one(&ctx, &wl_arg(1, "BL"))],
+                    workloads: vec![exp1::run_one(ctx, &wl_arg(1, "BL"))],
                 },
-                None => exp1::run(&ctx),
+                None => exp1::run(ctx),
             };
             save("exp1", &e);
             for w in &e.workloads {
@@ -195,13 +201,10 @@ fn main() {
             };
             let workloads: Vec<String> = match arg(1) {
                 Some(_) => vec![wl_arg(1, "BL")],
-                None => webcache_experiments::runner::WORKLOADS
-                    .iter()
-                    .map(|w| w.to_string())
-                    .collect(),
+                None => WORKLOADS.iter().map(|w| w.to_string()).collect(),
             };
             for w in &workloads {
-                let e = exp2::run_one(&ctx, w, frac, set);
+                let e = exp2::run_one(ctx, w, frac, set);
                 report_failed(&format!("workload {w} policy"), &e.failed);
                 save(&format!("exp2_{w}"), &e);
                 println!("{}", e.figure());
@@ -211,20 +214,20 @@ fn main() {
         "exp2b" => {
             let wl = &wl_arg(1, "G");
             let frac = frac(2);
-            let s = exp2::run_secondary(&ctx, wl, frac);
+            let s = exp2::run_secondary(ctx, wl, frac);
             save("exp2b", &s);
             println!("{}", s.table());
         }
         "exp3" => {
-            let out = exp3::run(&ctx, frac(1));
+            let out = exp3::run(ctx, &WORKLOADS, frac(1));
             report_failed("workload", &out.failed);
             save("exp3", &out);
             println!("{}", exp3::table(&out.rows));
         }
         "exp3-shared" => {
             let wl = &wl_arg(1, "BL");
-            let groups = positional(&rest, 2, "GROUPS", 4, |&n: &usize| n >= 1);
-            let r = exp3::run_shared(&ctx, wl, 0.1, groups);
+            let groups = positional(rest, 2, "GROUPS", 4, |&n: &usize| n >= 1);
+            let r = exp3::run_shared(ctx, wl, 0.1, groups);
             save("exp3_shared", &r);
             println!(
                 "Shared L2, workload {wl}, {groups} L1 groups: per-L1 HR {:?}, L2 HR {:.2}% WHR {:.2}%",
@@ -238,14 +241,14 @@ fn main() {
         }
         "exp5" => {
             let wl = &wl_arg(1, "BL");
-            let runs = exp5::run(&ctx, wl, frac(2));
+            let runs = exp5::run(ctx, wl, frac(2));
             save("exp5", &runs);
             println!("{}", exp5::table(wl, &runs));
         }
         "replicate" => {
             let wl = &wl_arg(1, "G");
-            let seeds = positional(&rest, 2, "SEEDS", 5, |&n: &u64| n >= 1);
-            let (shr, lhr, swhr, lwhr) = exp5::replicate(wl, scale, 0.1, 1..1 + seeds);
+            let seeds = positional(rest, 2, "SEEDS", 5, |&n: &u64| n >= 1);
+            let (shr, lhr, swhr, lwhr) = exp5::replicate(wl, ctx.scale(), 0.1, 1..1 + seeds);
             println!(
                 "workload {wl}, {seeds} seeds, 10% cache:\n\
                  SIZE HR {:.2}% ± {:.2} | LRU HR {:.2}% ± {:.2}\n\
@@ -263,18 +266,20 @@ fn main() {
         "hitpos" => {
             // Appendix A: "location in sorted list of each URL hit".
             use webcache_core::cache::Cache;
-            use webcache_core::policy::named;
+            use webcache_core::policy::{named, RemovalPolicy};
             use webcache_core::sim::instrument::InstrumentedCache;
-            use webcache_core::sim::simulate;
+            use webcache_core::sim::{run_lanes, Lane};
             let wl = &wl_arg(1, "BL");
             let trace = ctx.trace(wl);
             let capacity = ctx.max_needed(wl) / 10;
-            for make in [named::lru, named::size] {
-                let policy = make();
-                let label = webcache_core::policy::RemovalPolicy::name(&policy);
-                let mut ic = InstrumentedCache::new(Cache::new(capacity, Box::new(policy)), 1000);
-                simulate(&trace, &mut ic, &label);
-                let rep = ic.report();
+            let lanes = [named::lru(), named::size()].map(|policy| {
+                let label = policy.name();
+                let cache =
+                    move || InstrumentedCache::new(Cache::new(capacity, Box::new(policy)), 1000);
+                Lane::with(label, &trace, cache, |_, ic| ic.into_report())
+            });
+            for (label, rep) in run_lanes(lanes.into()) {
+                let rep = rep.unwrap_or_else(|e| panic!("lane {label} panicked: {e}"));
                 println!(
                     "{label} on {wl}: {:.1}% of hits within 15 places of eviction",
                     rep.hits_within_position(15) * 100.0
@@ -294,41 +299,33 @@ fn main() {
             }
         }
         "exp4" => {
-            let e = exp4::run(&ctx, "BR", frac(1));
+            let e = exp4::run(ctx, "BR", frac(1));
             report_failed("audio fraction", &e.failed);
             save("exp4", &e);
             println!("{}", e.table());
         }
         "all" => {
-            println!("{}", figures::table1());
-            println!("{}", figures::table3());
-            println!("{}", figures::table4(&ctx));
-            println!("{}", figures::fig1(&ctx, "BL").render("requests"));
-            println!("{}", figures::fig2(&ctx, "BL").render("bytes"));
+            for cmd in ["table1", "table3", "table4"] {
+                run(ctx, json_dir, &[cmd.to_string()]);
+            }
+            println!("{}", figures::fig1(ctx, "BL").render("requests"));
+            println!("{}", figures::fig2(ctx, "BL").render("bytes"));
             println!(
                 "{}",
-                figures::render_fig13(&figures::fig13(&ctx, "BL"), "BL")
+                figures::render_fig13(&figures::fig13(ctx, "BL"), "BL")
             );
-            let e1 = exp1::run(&ctx);
+            let e1 = exp1::run(ctx);
             save("exp1", &e1);
             println!("{}", e1.summary_table(ctx.scale()));
-            for w in webcache_experiments::runner::WORKLOADS {
-                let e = exp2::run_one(&ctx, w, 0.1, exp2::PolicySet::Figures);
+            for w in WORKLOADS {
+                let e = exp2::run_one(ctx, w, 0.1, exp2::PolicySet::Figures);
                 report_failed(&format!("workload {w} policy"), &e.failed);
                 save(&format!("exp2_{w}"), &e);
                 println!("{}", e.table());
             }
-            let s = exp2::run_secondary(&ctx, "G", 0.1);
-            save("exp2b", &s);
-            println!("{}", s.table());
-            let e3 = exp3::run(&ctx, 0.1);
-            report_failed("workload", &e3.failed);
-            save("exp3", &e3);
-            println!("{}", exp3::table(&e3.rows));
-            let e4 = exp4::run(&ctx, "BR", 0.1);
-            report_failed("audio fraction", &e4.failed);
-            save("exp4", &e4);
-            println!("{}", e4.table());
+            for cmd in ["exp2b", "exp3", "exp4"] {
+                run(ctx, json_dir, &[cmd.to_string()]);
+            }
         }
         "help" => {
             println!(

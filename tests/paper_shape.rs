@@ -223,7 +223,7 @@ fn all36_sweep_crowns_a_size_primary() {
 fn second_level_cache_shape() {
     let ctx = Ctx::with_scale(SCALE, SEED);
     for w in ["U", "G", "C", "BR", "BL"] {
-        let r = exp3::run_one(&ctx, w, 0.1);
+        let r = &exp3::run(&ctx, &[w], 0.1).rows[0];
         assert!(
             r.l2_whr >= r.l2_hr,
             "{w}: L2 WHR {} < L2 HR {}",
