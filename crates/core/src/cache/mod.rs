@@ -6,7 +6,7 @@
 //! proxy) — and removes both together on every removal path (DESIGN.md
 //! D20).
 //!
-//! A [`Cache`] owns a [`RemovalPolicy`](crate::policy::RemovalPolicy) and
+//! A [`Cache`] owns a [`RemovalPolicy`] and
 //! applies the paper's hit definition: a request hits iff the cache holds a
 //! copy with the *same URL and the same size*. A re-reference with a
 //! different size means the origin document was modified, so the stale copy
@@ -17,7 +17,7 @@ pub mod partitioned;
 pub mod sharded;
 pub mod store;
 
-pub use sharded::{ShardStats, ShardedCache};
+pub use sharded::{split_capacity, ShardedCache};
 pub use store::SlabStore;
 
 use crate::policy::{RemovalPolicy, ResidentMeta};

@@ -22,7 +22,7 @@
 //!
 //! The list is two queues with *lazy deletion*: a rank update leaves the
 //! old entry in place, and the head query drops entries whose digest no
-//! longer matches the [`RankSlab`] ground truth.
+//! longer matches the `RankSlab` ground truth.
 //!
 //! * The **run** is a `VecDeque` of entries that arrived in non-decreasing
 //!   order — each was no smaller than the run's back when it was filed, so
@@ -54,7 +54,7 @@
 //! smallest live `(rank, url)`: a hit costs the list nothing, and only a
 //! document that nears eviction pays for its new place. Stale entries
 //! that never reach a head are discarded wholesale once they outnumber
-//! the live ones by [`STALE_FACTOR`] and [`STALE_FLOOR`], so memory stays
+//! the live ones by `STALE_FACTOR` and `STALE_FLOOR`, so memory stays
 //! proportional to the resident set. A list that tracks positions for
 //! Appendix A is the exception: its position index needs every digest
 //! current, so its owner files each hit. An untracked [`SortedPolicy`]

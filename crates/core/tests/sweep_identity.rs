@@ -16,11 +16,14 @@
 //!   so even a cold cache re-copies none of them as it fills: only the
 //!   policies' queues, a few entries per resident document, grow.
 //!
-//! The allocator below counts only on a thread that asked for it, so the
-//! identity test's worker threads do not disturb the allocation test.
+//! The counting allocator (`tests/support/counting_alloc.rs`) reads the
+//! allocation test's own thread, so the identity test's worker threads do
+//! not disturb it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{allocations_during, reallocated_during};
 use webcache_core::cache::multilevel::TwoLevelCache;
 use webcache_core::cache::partitioned::PartitionedCache;
 use webcache_core::cache::{Cache, DocMeta, Outcome};
@@ -29,63 +32,6 @@ use webcache_core::sim::instrument::InstrumentedCache;
 use webcache_core::sim::{max_needed, simulate, simulate_policy, CacheSystem, MultiSim, SimResult};
 use webcache_trace::{Request, Trace};
 use webcache_workload::{generate, profiles};
-
-struct CountingAllocator;
-
-thread_local! {
-    /// Allocations and reallocations made by this thread while counting.
-    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
-    /// Bytes of the blocks this thread handed to `realloc` while counting:
-    /// what its growing containers copied.
-    static REALLOCATED: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-fn count() {
-    // Unreachable during thread teardown; those allocations are nobody's.
-    let _ = ALLOCS.try_with(|c| c.set(c.get().map(|n| n + 1)));
-}
-
-fn count_realloc(old_size: usize) {
-    count();
-    let _ = REALLOCATED.try_with(|c| c.set(c.get().map(|n| n + old_size as u64)));
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a thread-local `Cell` and allocates nothing itself.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_realloc(layout.size());
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-/// Allocations the calling thread makes while `f` runs.
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    ALLOCS.with(|c| c.set(Some(0)));
-    f();
-    ALLOCS.with(|c| c.replace(None)).expect("counting was on")
-}
-
-/// Bytes of the blocks the calling thread reallocates while `f` runs.
-fn reallocated_during(f: impl FnOnce()) -> u64 {
-    REALLOCATED.with(|c| c.set(Some(0)));
-    f();
-    REALLOCATED
-        .with(|c| c.replace(None))
-        .expect("counting was on")
-}
 
 /// The paper's Undergrad workload at 5 %: 8.7 k requests over its 190
 /// days, and its capacity in the Experiment 2 regime.

@@ -12,7 +12,6 @@
 //! which at worst gives a host that is still dead a fresh set of
 //! attempts before it trips again.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Circuit-breaker state for one key.
@@ -54,18 +53,18 @@ pub(crate) enum Admission {
     Refused,
 }
 
-/// The breaker table.
+/// The breaker table, owned with the rest of the proxy's state by the
+/// event loop.
 #[derive(Debug, Default)]
 pub(crate) struct Breakers {
-    table: Mutex<HashMap<String, Breaker>>,
+    table: HashMap<String, Breaker>,
 }
 
 impl Breakers {
     /// Admission for `key` at logical time `now`; an open breaker turns
     /// half-open once `cooldown` ticks have passed.
-    pub(crate) fn admit(&self, key: &str, now: u64, cooldown: u64) -> Admission {
-        let mut table = self.table.lock();
-        let Some(b) = table.get_mut(key) else {
+    pub(crate) fn admit(&mut self, key: &str, now: u64, cooldown: u64) -> Admission {
+        let Some(b) = self.table.get_mut(key) else {
             return Admission::Pristine;
         };
         match b.state {
@@ -80,15 +79,15 @@ impl Breakers {
     }
 
     /// A healthy answer forgets the key: closed, no failures on record.
-    pub(crate) fn on_success(&self, key: &str) {
-        self.table.lock().remove(key);
+    pub(crate) fn on_success(&mut self, key: &str) {
+        self.table.remove(key);
     }
 
     /// Count one failure; `true` when this failure tripped the breaker
     /// open: a failed half-open probe re-opens immediately, a closed
     /// breaker opens once consecutive failures reach `threshold`.
-    pub(crate) fn on_failure(&self, key: &str, threshold: u32, now: u64) -> bool {
-        let mut table = self.table.lock();
+    pub(crate) fn on_failure(&mut self, key: &str, threshold: u32, now: u64) -> bool {
+        let table = &mut self.table;
         if !table.contains_key(key) {
             if table.len() >= MAX_ENTRIES {
                 // Ties (entries that never opened) go by key, so which
@@ -118,7 +117,7 @@ impl Breakers {
 
     /// Keys currently holding an entry (reported as `breaker_entries`).
     pub(crate) fn len(&self) -> usize {
-        self.table.lock().len()
+        self.table.len()
     }
 }
 
@@ -134,7 +133,7 @@ mod tests {
 
     #[test]
     fn a_stream_of_distinct_dead_hosts_cannot_grow_the_table() {
-        let breakers = Breakers::default();
+        let mut breakers = Breakers::default();
         let hosts = 10 * MAX_ENTRIES as u64;
         for i in 0..hosts {
             // Threshold 1: every host trips on its first failure, at tick i.

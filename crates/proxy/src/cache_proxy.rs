@@ -19,46 +19,47 @@
 //! fails entirely (`stale-if-error` semantics). Every degradation is
 //! counted in [`ProxyStats`].
 //!
-//! ## Concurrency
+//! ## Ownership
 //!
-//! The serving path is built on [`ShardedCache`]: a document's metadata,
-//! body and freshness stamp are one cache entry ([`Resident`] is the
-//! entry's payload, DESIGN.md D20) in that URL's shard, and so is the id
-//! the URL's text has there (`url_table`, D26), so a request visits
-//! exactly one shard on the cache path and never across network I/O. One
-//! event-loop thread serves every request: it owns every client socket,
-//! answers fresh hits inline, and runs every origin and cluster peer
-//! exchange itself on non-blocking sockets under `epoll` — connect, send,
-//! read, retries after a backoff on its deadline wheel. It also answers
-//! inbound peer frames on the node's peer port and the persister's asks
-//! for journal records and snapshot captures, so while it runs it is the
-//! only thread that touches a shard (DESIGN.md D42). Concurrent exchanges
-//! are bounded by file descriptors, as clients are.
+//! A document's metadata, body and freshness stamp are one cache entry
+//! (the `Resident` payload, DESIGN.md D20) in that URL's shard, and so is
+//! the id the URL's text has there (`url_table`, D26), so a request
+//! visits exactly one shard on the cache path and never across network
+//! I/O. One event-loop thread serves every request: it owns every client
+//! socket, answers fresh hits inline, and runs every origin and cluster
+//! peer exchange itself on non-blocking sockets under `epoll` — connect,
+//! send, read, retries after a backoff on its deadline wheel. It also
+//! answers inbound peer frames on the node's peer port and the
+//! persister's asks for journal records and snapshot captures. So the
+//! loop owns the proxy's state by value (the private `ProxyState`: the
+//! shards, the logical clock, the circuit breakers) and reaches it
+//! through `&mut`, without a lock (DESIGN.md D42, D47). A
+//! [`ProxyServer`] keeps only what other threads read: the counter
+//! table, the persistence health and the cluster membership. Concurrent
+//! exchanges are bounded by file descriptors, as clients are.
 //!
 //! ## Where things live
 //!
-//! This module owns the shared state ([`ProxyState`], the per-document
-//! payload, the per-shard URL table and journal slot) and the life cycle of a
-//! [`ProxyServer`]. The request logic is in `serve`, the resilient origin
-//! fetch in `fetch`, circuit breakers in `breaker`, counters and the admin
-//! endpoint in `stats`, the persister thread and recovery in `persister`,
-//! tunables in `config`, and client socket multiplexing in `reactor`.
+//! This module owns the proxy's state (`ProxyState`, the per-document
+//! payload, the per-shard URL table and journal slot) and the life cycle
+//! of a [`ProxyServer`]. The request logic is in `serve`, the resilient
+//! origin fetch in `fetch`, circuit breakers in `breaker`, counters and
+//! the admin endpoint in `stats`, the persister thread and recovery in
+//! `persister`, tunables in `config`, and client socket multiplexing in
+//! `reactor`.
 
-use crate::accesslog::AccessLog;
 use crate::breaker::Breakers;
 use crate::cluster::{self, ClusterConfig, ClusterState};
 use crate::iofault::IoFaultInjector;
 use crate::persist::{self, JournalOp, PersistConfig, PersistError};
-use crate::persister::{self, apply_recovery, install_journals, JournalBuf};
+use crate::persister::{self, apply_recovery, install_journals, JournalBuf, LoopEnd};
 use crate::reactor::Reactor;
 use crate::stats::Counters;
 use crate::url_table::UrlTable;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, OnceLock};
-use webcache_core::cache::{Cache, ShardedCache};
+use std::sync::Arc;
+use webcache_core::cache::{split_capacity, Cache};
 use webcache_core::cluster::key_hash;
 use webcache_core::policy::RemovalPolicy;
 use webcache_core::util::splitmix64;
@@ -73,7 +74,7 @@ pub use crate::stats::{ProxyStats, ADMIN_STATS_TARGET};
 #[derive(Debug, Clone)]
 pub(crate) struct Resident {
     /// The document's URL, shared with its shard's [`UrlTable`]: the
-    /// entry's slot id says nothing outside the shard lock, this does.
+    /// entry's slot id says nothing outside its shard, this does.
     pub(crate) url: Arc<str>,
     /// The document body.
     pub(crate) body: Bytes,
@@ -104,52 +105,61 @@ impl ShardExt {
     }
 }
 
-/// Shared proxy state. The cache path visits only the owning shard; the
-/// remaining fields are either atomics or their own short-lived locks,
-/// never held across network I/O.
+/// The proxy's state: built and recovered before the event loop starts,
+/// then owned by it (or by a [`crate::driver::Driver`]). The cache path
+/// visits only the owning shard.
 pub(crate) struct ProxyState {
-    pub(crate) cache: ShardedCache<Resident, ShardExt>,
+    /// The cache's shards, each with the proxy's state beside it, indexed
+    /// by [`ProxyState::shard_of`].
+    pub(crate) shards: Vec<(ShardCache, ShardExt)>,
     /// The counter table ([`crate::stats`]); the persister and the
     /// cluster layer count into the same one.
     pub(crate) counters: Arc<Counters>,
     /// Logical clock: advances by one per request, so ATIME/ETIME/NREF
     /// behave exactly as in simulation. Wall time is deliberately not
     /// used — tests stay deterministic.
-    pub(crate) now: AtomicU64,
+    pub(crate) now: u64,
     /// Circuit breakers, per origin host and per cluster peer.
     pub(crate) breakers: Breakers,
     /// Counter feeding deterministic backoff jitter.
-    pub(crate) jitter_seq: AtomicU64,
-    log: Mutex<AccessLog>,
+    pub(crate) jitter_seq: u64,
     /// Cluster state when running as a cluster node
     /// ([`ProxyServer::start_clustered`]); `None` single-node.
     pub(crate) cluster: Option<Arc<ClusterState>>,
-    /// Persistence health, set once at startup when the proxy persists:
-    /// the one handle, read by the admin stats endpoint on the event loop
-    /// and by [`ProxyServer::persist_health`].
-    pub(crate) persist_health: OnceLock<Arc<PersistHealthState>>,
+    /// Persistence health when the proxy persists, set before it starts:
+    /// read by the admin stats endpoint on the event loop, by
+    /// [`ProxyServer::persist_health`] and by the persister.
+    pub(crate) persist_health: Option<Arc<PersistHealthState>>,
 }
 
 impl ProxyState {
     /// The shard `target` lives in, from its text alone: the same on
     /// every node and after every restart.
     pub(crate) fn shard_of(&self, target: &str) -> usize {
-        (splitmix64(key_hash(target)) & (self.cache.shard_count() as u64 - 1)) as usize
+        (splitmix64(key_hash(target)) & (self.shards.len() as u64 - 1)) as usize
     }
 
-    /// Append a line to the access log when it is on: a `200` of `size`
-    /// bytes for `target`, served as `outcome` (`HIT`, `MISS`, …).
-    pub(crate) fn log_access(&self, on: bool, now: u64, target: &str, size: u64, outcome: &str) {
-        if on {
-            self.log.lock().record(now, target, size, outcome);
-        }
+    /// The cache and the proxy's state of the shard `target` lives in.
+    pub(crate) fn shard_for(&mut self, target: &str) -> (&mut ShardCache, &mut ShardExt) {
+        let s = self.shard_of(target);
+        let (cache, ext) = &mut self.shards[s];
+        (cache, ext)
+    }
+
+    /// Bytes resident, summed over the shards.
+    pub(crate) fn cached_bytes(&self) -> u64 {
+        self.shards.iter().map(|(cache, _)| cache.used()).sum()
     }
 }
 
-/// A running caching proxy.
+/// A running caching proxy: the handles to what its event loop shares
+/// with other threads.
 pub struct ProxyServer {
     addr: SocketAddr,
-    state: Arc<ProxyState>,
+    counters: Arc<Counters>,
+    persist_health: Option<Arc<PersistHealthState>>,
+    cluster: Option<Arc<ClusterState>>,
+    shards: usize,
     reactor: Reactor,
     /// Background persister, when started via
     /// [`ProxyServer::start_persistent`]. It makes the final journal
@@ -191,16 +201,9 @@ impl ProxyServer {
         config: ProxyConfig,
         policy: impl FnMut() -> Box<dyn RemovalPolicy>,
     ) -> std::io::Result<ProxyServer> {
-        let (listener, addr) = bind_client_port()?;
+        let listener = TcpListener::bind("127.0.0.1:0")?;
         let state = new_state(&config, None, policy);
-        let reactor = Reactor::start(listener, None, origin, config, &state, None)?;
-        Ok(ProxyServer {
-            addr,
-            state,
-            reactor,
-            persister: None,
-            recovered: None,
-        })
+        ProxyServer::serve(listener, None, origin, config, state, None)
     }
 
     /// Start a proxy as one node of a cache cluster (design decision
@@ -224,7 +227,7 @@ impl ProxyServer {
         cluster_cfg: ClusterConfig,
         policy: impl FnMut() -> Box<dyn RemovalPolicy>,
     ) -> std::io::Result<ProxyServer> {
-        let (listener, addr) = bind_client_port()?;
+        let listener = TcpListener::bind("127.0.0.1:0")?;
         let cluster = Arc::new(ClusterState::new(cluster_cfg));
         let peer_addr = cluster
             .config()
@@ -233,15 +236,7 @@ impl ProxyServer {
         let peers = TcpListener::bind(peer_addr)?;
         let state = new_state(&config, Some(Arc::clone(&cluster)), policy);
         cluster::startup_exchange(&cluster);
-
-        let reactor = Reactor::start(listener, Some(peers), origin, config, &state, None)?;
-        Ok(ProxyServer {
-            addr,
-            state,
-            reactor,
-            persister: None,
-            recovered: None,
-        })
+        ProxyServer::serve(listener, Some(peers), origin, config, state, None)
     }
 
     /// Start a proxy with crash-safe persistence: recover the warm cache
@@ -265,15 +260,15 @@ impl ProxyServer {
         persist_cfg: PersistConfig,
         policy: impl FnMut() -> Box<dyn RemovalPolicy>,
     ) -> Result<ProxyServer, PersistError> {
-        let (listener, addr) = bind_client_port()?;
+        let listener = TcpListener::bind("127.0.0.1:0")?;
         std::fs::create_dir_all(&persist_cfg.dir)?;
-        let state = new_state(&config, None, policy);
-        let nshards = state.cache.shard_count();
+        let mut state = new_state(&config, None, policy);
+        let nshards = state.shards.len();
 
         // Recover before serving: the cache is warm by the time the
         // first connection is accepted.
         let rec = persist::recover(&persist_cfg.dir, nshards as u32);
-        let report = apply_recovery(&state, &rec);
+        let report = apply_recovery(&mut state, &rec);
 
         // Fault-injection hook (tests / chaos runs): threaded through
         // every journal writer and snapshot path below.
@@ -282,11 +277,11 @@ impl ProxyServer {
             .clone()
             .map(|plan| Arc::new(IoFaultInjector::new(plan)));
         let health = Arc::new(PersistHealthState::new(Arc::clone(&state.counters)));
-        let _ = state.persist_health.set(Arc::clone(&health));
+        state.persist_health = Some(Arc::clone(&health));
 
         // Install journal buffers and reopen the journals for appending,
         // truncating any torn tail replay ignored.
-        install_journals(&state, &rec, persist_cfg.journal_buf_records, &health);
+        install_journals(&mut state, &rec, persist_cfg.journal_buf_records, &health);
         let mut writers = Vec::with_capacity(nshards);
         for (s, jr) in rec.journals.iter().enumerate() {
             writers.push(
@@ -308,9 +303,10 @@ impl ProxyServer {
         }
 
         let (loop_end, persister_end) = persister::line(&health);
-        let reactor = Reactor::start(listener, None, origin, config, &state, Some(loop_end))?;
-        let persister_thread = {
-            let bell = reactor.waker();
+        let mut server = ProxyServer::serve(listener, None, origin, config, state, Some(loop_end))?;
+        server.recovered = Some(report);
+        server.persister = Some({
+            let bell = server.reactor.waker();
             let gen = rec.max_gen + 1;
             std::thread::spawn(move || {
                 persister::persister_loop(
@@ -323,13 +319,29 @@ impl ProxyServer {
                     injector.as_deref(),
                 )
             })
-        };
+        });
+        Ok(server)
+    }
+
+    /// Move `state` into a new event loop serving `listener` (and a
+    /// cluster node's `peers`), keeping the handles other threads read.
+    fn serve(
+        listener: TcpListener,
+        peers: Option<TcpListener>,
+        origin: SocketAddr,
+        config: ProxyConfig,
+        state: ProxyState,
+        persister: Option<LoopEnd>,
+    ) -> std::io::Result<ProxyServer> {
         Ok(ProxyServer {
-            addr,
-            state,
-            reactor,
-            persister: Some(persister_thread),
-            recovered: Some(report),
+            addr: listener.local_addr()?,
+            counters: Arc::clone(&state.counters),
+            persist_health: state.persist_health.clone(),
+            cluster: state.cluster.clone(),
+            shards: state.shards.len(),
+            reactor: Reactor::start(listener, peers, origin, config, state, persister)?,
+            persister: None,
+            recovered: None,
         })
     }
 
@@ -341,7 +353,7 @@ impl ProxyServer {
     /// Current persistence health; `None` when started without
     /// persistence.
     pub fn persist_health(&self) -> Option<PersistHealth> {
-        self.state.persist_health.get().map(|h| h.health())
+        self.persist_health.as_ref().map(|h| h.health())
     }
 
     /// Shared persistence-health handle, for reading health and the
@@ -349,7 +361,7 @@ impl ProxyServer {
     /// dropped (the final snapshot on drop can still change both). `None`
     /// without persistence.
     pub fn persist_health_state(&self) -> Option<Arc<PersistHealthState>> {
-        self.state.persist_health.get().cloned()
+        self.persist_health.clone()
     }
 
     /// The proxy's socket address.
@@ -359,59 +371,44 @@ impl ProxyServer {
 
     /// Snapshot of the proxy's counters.
     pub fn stats(&self) -> ProxyStats {
-        self.state.counters.snapshot()
+        self.counters.snapshot()
     }
 
     /// Shared cluster state (ring and membership), when
     /// started via [`ProxyServer::start_clustered`].
     pub fn cluster_state(&self) -> Option<Arc<ClusterState>> {
-        self.state.cluster.clone()
-    }
-
-    /// The proxy's Common-Log-Format access log: its most recent 4096
-    /// lines, oldest first. Empty unless [`ProxyConfig::access_log`] is
-    /// on.
-    pub fn access_log(&self) -> String {
-        self.state.log.lock().tail()
-    }
-
-    /// Bytes currently cached (lock-free, summed over shards).
-    pub fn cached_bytes(&self) -> u64 {
-        self.state.cache.used()
+        self.cluster.clone()
     }
 
     /// Number of cache shards the proxy is running with.
     pub fn shard_count(&self) -> usize {
-        self.state.cache.shard_count()
+        self.shards
     }
 }
 
-/// The start-up prologue every `start*` shares: bind the client port.
-fn bind_client_port() -> std::io::Result<(TcpListener, SocketAddr)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    Ok((listener, addr))
-}
-
-/// Build the shared proxy state for a fresh (cold) proxy.
+/// Build the proxy state for a fresh (cold) proxy: `config.capacity`
+/// split over `config.shards` shards as [`split_capacity`] splits it, one
+/// `policy` each.
 pub(crate) fn new_state(
     config: &ProxyConfig,
     cluster: Option<Arc<ClusterState>>,
-    policy: impl FnMut() -> Box<dyn RemovalPolicy>,
-) -> Arc<ProxyState> {
-    Arc::new(ProxyState {
-        cache: ShardedCache::new(config.capacity, config.shards, policy),
+    mut policy: impl FnMut() -> Box<dyn RemovalPolicy>,
+) -> ProxyState {
+    ProxyState {
+        shards: split_capacity(config.capacity, config.shards)
+            .into_iter()
+            .map(|cap| (Cache::with_payload(cap, policy()), ShardExt::default()))
+            .collect(),
         // A cluster node's table is its cluster state's, built first.
         counters: cluster
             .as_ref()
             .map_or_else(Arc::default, |c| Arc::clone(&c.counters)),
-        now: AtomicU64::new(0),
+        now: 0,
         breakers: Breakers::default(),
-        jitter_seq: AtomicU64::new(0),
-        log: Mutex::new(AccessLog::new()),
+        jitter_seq: 0,
         cluster,
-        persist_health: OnceLock::new(),
-    })
+        persist_health: None,
+    }
 }
 
 impl Drop for ProxyServer {
@@ -429,22 +426,24 @@ impl Drop for ProxyServer {
 /// Helpers shared by the unit tests of the modules around this one.
 #[cfg(test)]
 pub(crate) mod test_support {
-    use super::{ProxyConfig, ProxyServer, ProxyState};
+    use super::{ProxyConfig, ProxyServer, ADMIN_STATS_TARGET};
     use crate::http::{self, Request, Response};
     use std::net::{TcpListener, TcpStream};
-    use std::sync::Arc;
-
-    /// The state behind `proxy`, for tests that must hold one of its
-    /// locks at a chosen moment.
-    pub(crate) fn state_of(proxy: &ProxyServer) -> Arc<ProxyState> {
-        Arc::clone(&proxy.state)
-    }
 
     /// One GET through `proxy`.
     pub(crate) fn get(proxy: &ProxyServer, url: &str) -> Response {
         let mut s = TcpStream::connect(proxy.addr()).unwrap();
         http::write_request(&mut s, &Request::get(url)).unwrap();
         http::read_response(&mut s).unwrap()
+    }
+
+    /// The number `proxy`'s admin stats endpoint reports under its
+    /// top-level `key`.
+    pub(crate) fn stat(proxy: &ProxyServer, key: &str) -> u64 {
+        let json = String::from_utf8(get(proxy, ADMIN_STATS_TARGET).body.to_vec()).unwrap();
+        let (_, tail) = json.split_once(&format!("\"{key}\":")).unwrap();
+        let digits = tail.split(|c: char| !c.is_ascii_digit()).next();
+        digits.unwrap().parse().unwrap()
     }
 
     /// A proxy whose origin refuses connections: its port was bound, then
@@ -463,10 +462,8 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::get;
     use super::*;
-    use crate::origin::{DocStore, OriginServer};
-    use std::sync::atomic::Ordering;
+    use crate::driver::{Driver, Fetched};
     use webcache_core::policy::PitkowRecker;
     use webcache_trace::SECONDS_PER_DAY;
 
@@ -475,39 +472,42 @@ mod tests {
     /// with the entries the purge removes.
     #[test]
     fn periodic_purge_takes_the_bodies_with_it() {
-        let store = Arc::new(DocStore::new());
-        for i in 0..10 {
-            store.put_synthetic(&format!("http://o.test/d{i}.html"), 1000, 10);
-        }
-        let origin = OriginServer::start(store).unwrap();
-        let proxy = ProxyServer::start(origin.addr(), ProxyConfig::new(10_000), || {
-            Box::new(PitkowRecker::default())
-        })
-        .unwrap();
-        // Ten requests fill the cache on the last seconds of day 0.
-        proxy
-            .state
-            .now
-            .store(SECONDS_PER_DAY - 11, Ordering::SeqCst);
-        for i in 0..10 {
-            get(&proxy, &format!("http://o.test/d{i}.html"));
-        }
-        assert_eq!(proxy.cached_bytes(), 10_000);
-        // The next one crosses midnight: purge down to the comfort level.
-        get(&proxy, "http://o.test/d0.html");
-        assert_eq!(proxy.state.now.load(Ordering::SeqCst) / SECONDS_PER_DAY, 1);
-        assert!(proxy.state.cache.stats().periodic_evictions > 0);
-        assert!(proxy.cached_bytes() < 10_000);
-        let held: u64 = (0..proxy.shard_count())
-            .map(|s| {
-                proxy.state.cache.with_shard(s, |cache, _| {
-                    cache
-                        .entries()
-                        .map(|(_, r)| r.body.len() as u64)
-                        .sum::<u64>()
-                })
+        let mut proxy = Driver::new(
+            ProxyConfig::new(10_000),
+            || Box::new(PitkowRecker::default()),
+            None,
+            None,
+        );
+        let origin = |_| {
+            Ok(Fetched {
+                status: 200,
+                last_modified: None,
+                body: Bytes::from(vec![b'x'; 1000]),
             })
+        };
+        // Ten requests fill the cache on the last seconds of day 0.
+        proxy.state.now = SECONDS_PER_DAY - 11;
+        for i in 0..10 {
+            proxy.request(&format!("http://o.test/d{i}.html"), origin);
+        }
+        assert_eq!(proxy.state.cached_bytes(), 10_000);
+        // The next one crosses midnight: purge down to the comfort level.
+        proxy.request("http://o.test/d0.html", origin);
+        assert_eq!(proxy.state.now / SECONDS_PER_DAY, 1);
+        let shards = proxy.shards();
+        assert!(
+            shards
+                .iter()
+                .map(|(_, s)| s.periodic_evictions)
+                .sum::<u64>()
+                > 0
+        );
+        assert!(proxy.state.cached_bytes() < 10_000);
+        let held: u64 = shards
+            .iter()
+            .flat_map(|(docs, _)| docs)
+            .map(|d| d.body.len() as u64)
             .sum();
-        assert_eq!(held, proxy.cached_bytes());
+        assert_eq!(held, proxy.state.cached_bytes());
     }
 }

@@ -9,10 +9,10 @@ pub struct ProxyConfig {
     pub capacity: u64,
     /// Number of cache shards (nonzero power of two). `1` — the default —
     /// reproduces the paper's monolithic cache bit-for-bit; higher values
-    /// partition both the lock and the capacity per shard (each shard
-    /// gets `capacity / shards` bytes — see the
-    /// `webcache_core::cache::sharded` module docs for the accounting
-    /// invariant). Serving deployments set this from `--shards`.
+    /// partition the capacity per shard (each shard gets
+    /// `capacity / shards` bytes, split as
+    /// [`webcache_core::cache::split_capacity`] splits it). Serving
+    /// deployments set this from `--shards`.
     pub shards: usize,
     /// Freshness lifetime in seconds: a copy older than this is
     /// revalidated with a conditional GET. `None` trusts copies forever
@@ -41,18 +41,13 @@ pub struct ProxyConfig {
     /// Serve an expired cached copy (marked degraded) when revalidation
     /// fails, instead of surfacing the origin error.
     pub serve_stale: bool,
-    /// Record one CLF-like line per served request in a ring of the last
-    /// 4096, read back with [`crate::ProxyServer::access_log`]. Off by
-    /// default: the ring is behind one mutex and only a library caller
-    /// can read it.
-    pub access_log: bool,
 }
 
 impl ProxyConfig {
     /// A config with the given capacity, no TTL, one shard, and
     /// resilience defaults: 1 s connect / 2 s read timeouts, 2 retries
     /// with 10 ms backoff base, breaker opening after 5 failures for 32
-    /// ticks, serve-stale on, access log off.
+    /// ticks, serve-stale on.
     pub fn new(capacity: u64) -> ProxyConfig {
         ProxyConfig {
             capacity,
@@ -65,14 +60,7 @@ impl ProxyConfig {
             breaker_threshold: 5,
             breaker_cooldown: 32,
             serve_stale: true,
-            access_log: false,
         }
-    }
-
-    /// Enable or disable the per-request access log.
-    pub fn with_access_log(mut self, on: bool) -> ProxyConfig {
-        self.access_log = on;
-        self
     }
 
     /// Set the shard count (must be a nonzero power of two).

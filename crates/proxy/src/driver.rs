@@ -1,9 +1,10 @@
 //! The proxy core with no sockets and no threads (DESIGN.md D36), for
-//! tests that choose what a running proxy leaves to the clock. Each method
-//! is a step the event loop or `start_persistent` takes on a whole
-//! `ProxyState`; the test plays the origin and the persister.
+//! tests that choose what a running proxy leaves to the clock. A `Driver`
+//! owns the proxy's state as the event loop does, and each method is a
+//! step the loop or `start_persistent` takes on it; the test plays the
+//! origin and the persister.
 
-use crate::cache_proxy::{new_state, ProxyState};
+use crate::cache_proxy::{new_state, ProxyState, ShardCache, ShardExt};
 use crate::config::ProxyConfig;
 use crate::http::Response;
 use crate::persist::{self, JournalOp, RecoveredData, SnapshotDoc};
@@ -22,7 +23,7 @@ pub use crate::upstream::Fetched;
 /// A proxy core driven by hand.
 pub struct Driver {
     config: ProxyConfig,
-    pub(crate) state: Arc<ProxyState>,
+    pub(crate) state: ProxyState,
 }
 
 /// A request the event loop began and could not answer from memory: a
@@ -50,13 +51,13 @@ impl Driver {
         journal_records: Option<usize>,
         recover_from: Option<&Path>,
     ) -> Driver {
-        let state = new_state(&config, None, policy);
-        let shards = state.cache.shard_count() as u32;
+        let mut state = new_state(&config, None, policy);
+        let shards = state.shards.len() as u32;
         let rec = recover_from.map_or_else(RecoveredData::default, |d| persist::recover(d, shards));
-        apply_recovery(&state, &rec);
+        apply_recovery(&mut state, &rec);
         if let Some(cap) = journal_records {
             let health = Arc::new(PersistHealthState::new(Arc::clone(&state.counters)));
-            install_journals(&state, &rec, cap, &health);
+            install_journals(&mut state, &rec, cap, &health);
         }
         Driver { config, state }
     }
@@ -65,7 +66,7 @@ impl Driver {
     /// exchange, given the `If-Modified-Since` — for a miss, then
     /// [`Driver::conclude`] or [`Driver::fail`].
     pub fn request(
-        &self,
+        &mut self,
         target: &str,
         origin: impl FnOnce(Option<u64>) -> Result<Fetched, FetchError>,
     ) -> Response {
@@ -80,9 +81,9 @@ impl Driver {
 
     /// One request as the event loop begins it: `begin_request`, then
     /// `lookup`. A fresh hit is served; a miss is pending.
-    pub fn begin(&self, target: &str) -> Result<Response, Pending> {
-        let now = begin_request(&self.state);
-        match lookup(&self.config, &self.state, target, now) {
+    pub fn begin(&mut self, target: &str) -> Result<Response, Pending> {
+        let now = begin_request(&mut self.state);
+        match lookup(&self.config, &mut self.state, target, now) {
             Lookup::Hit {
                 body,
                 last_modified,
@@ -96,54 +97,44 @@ impl Driver {
 
     /// The origin's `answer` to a pending miss, concluded as the loop
     /// concludes a fetch (`Miss::conclude`).
-    pub fn conclude(&self, pending: Pending, answer: Fetched) -> Response {
+    pub fn conclude(&mut self, pending: Pending, answer: Fetched) -> Response {
         let Pending { target, miss } = pending;
-        miss.conclude(&self.config, &self.state, &target, Ok(answer))
+        miss.conclude(&self.config, &mut self.state, &target, Ok(answer))
     }
 
     /// A pending miss whose fetch failed, concluded as the loop concludes
     /// one without an answer: serve-stale or the failure's status.
-    pub fn fail(&self, pending: Pending, e: FetchError) -> Response {
+    pub fn fail(&mut self, pending: Pending, e: FetchError) -> Response {
         let Pending { target, miss } = pending;
-        miss.conclude(&self.config, &self.state, &target, Err(e))
+        miss.conclude(&self.config, &mut self.state, &target, Err(e))
     }
 
     /// The persister's drain of one shard: its buffered journal records.
-    pub fn drain(&self, shard: usize) -> Vec<(u64, JournalOp)> {
-        self.state
-            .cache
-            .with_shard(shard, |_, ext| take_pending(ext))
-            .into()
+    pub fn drain(&mut self, shard: usize) -> Vec<(u64, JournalOp)> {
+        take_pending(&mut self.state.shards[shard].1).into()
     }
 
     /// The shard `target` lives in and its slot id there: after a request,
     /// the id the request ran under.
     pub fn placement(&self, target: &str) -> (usize, Option<UrlId>) {
         let shard = self.state.shard_of(target);
-        (
-            shard,
-            self.state
-                .cache
-                .with_shard(shard, |_, ext| ext.urls.get(target)),
-        )
+        (shard, self.state.shards[shard].1.urls.get(target))
     }
 
     /// Per shard, its resident documents by URL and its statistics.
     pub fn shards(&self) -> Vec<(Vec<SnapshotDoc>, CacheStats)> {
-        let shard = |s| {
-            self.state.cache.with_shard(s, |cache, _| {
-                let docs = cache.entries().map(|(meta, copy)| SnapshotDoc {
-                    meta: *meta,
-                    url: copy.url.to_string(),
-                    fetched_at: copy.fetched_at,
-                    body: copy.body.clone(),
-                });
-                let mut docs: Vec<SnapshotDoc> = docs.collect();
-                docs.sort_by(|a, b| a.url.cmp(&b.url));
-                (docs, *cache.stats())
-            })
+        let shard = |(cache, _): &(ShardCache, ShardExt)| {
+            let docs = cache.entries().map(|(meta, copy)| SnapshotDoc {
+                meta: *meta,
+                url: copy.url.to_string(),
+                fetched_at: copy.fetched_at,
+                body: copy.body.clone(),
+            });
+            let mut docs: Vec<SnapshotDoc> = docs.collect();
+            docs.sort_by(|a, b| a.url.cmp(&b.url));
+            (docs, *cache.stats())
         };
-        (0..self.state.cache.shard_count()).map(shard).collect()
+        self.state.shards.iter().map(shard).collect()
     }
 
     /// The proxy's counters.

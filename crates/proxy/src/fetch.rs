@@ -8,7 +8,6 @@ use crate::breaker::Admission;
 use crate::cache_proxy::ProxyState;
 use crate::config::ProxyConfig;
 use crate::http::Response;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 use webcache_core::util::splitmix64;
 
@@ -68,14 +67,12 @@ impl Tries {
     /// → one probe attempt, else `1 + max_retries` attempts.
     pub(crate) fn admit(
         config: &ProxyConfig,
-        state: &ProxyState,
+        state: &mut ProxyState,
         target: &str,
     ) -> Result<Tries, FetchError> {
-        let admission = state.breakers.admit(
-            host_of(target),
-            state.now.load(Ordering::SeqCst),
-            config.breaker_cooldown,
-        );
+        let admission = state
+            .breakers
+            .admit(host_of(target), state.now, config.breaker_cooldown);
         let left = match admission {
             Admission::Refused => {
                 state.counters.breaker_fast_fails.add(1);
@@ -94,7 +91,7 @@ impl Tries {
 
     /// The origin answered below `500`: a host with failures on record
     /// is forgiven them.
-    pub(crate) fn succeeded(&self, state: &ProxyState, target: &str) {
+    pub(crate) fn succeeded(&self, state: &mut ProxyState, target: &str) {
         if !matches!(self.admission, Admission::Pristine) {
             state.breakers.on_success(host_of(target));
         }
@@ -108,7 +105,7 @@ impl Tries {
         &mut self,
         timed_out: bool,
         config: &ProxyConfig,
-        state: &ProxyState,
+        state: &mut ProxyState,
         target: &str,
     ) -> Result<Duration, FetchError> {
         if timed_out {
@@ -121,14 +118,13 @@ impl Tries {
             // time, so runs are reproducible.
             self.retries += 1;
             state.counters.retries.add(1);
-            let seq = state.jitter_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            return Ok(backoff(config.backoff_base, self.retries, seq));
+            state.jitter_seq += 1;
+            return Ok(backoff(config.backoff_base, self.retries, state.jitter_seq));
         }
         state.counters.origin_failures.add(1);
-        let now = state.now.load(Ordering::SeqCst);
         if state
             .breakers
-            .on_failure(host_of(target), config.breaker_threshold, now)
+            .on_failure(host_of(target), config.breaker_threshold, state.now)
         {
             state.counters.breaker_trips.add(1);
         }

@@ -18,7 +18,8 @@
 //!   Degrades gracefully when the origin misbehaves: connect/read
 //!   timeouts, bounded retries with backoff, a per-origin circuit
 //!   breaker, and serve-stale-on-error. One thread serves it: an epoll
-//!   event loop owning every client socket and every origin and peer
+//!   event loop owning the cache's shards, its logical clock and its
+//!   breakers by value, and every client socket and every origin and peer
 //!   socket non-blocking, so slow clients and slow origins pin buffers,
 //!   not threads. Its origin connections (the private `upstream`) are a
 //!   pool of persistent (`Connection: keep-alive`) sockets, every
@@ -55,7 +56,6 @@
 
 #![warn(missing_docs)]
 
-mod accesslog;
 mod breaker;
 mod bufpool;
 pub mod cache_proxy;

@@ -643,7 +643,7 @@ pub fn read_journal(dir: &Path, shard: u32) -> JournalRead {
     let (valid_len, why) = walk_frames(&bytes, head_len, |payload| {
         let (seq, op) = decode_op(payload).map_err(|e| format!("undecodable record ({e})"))?;
         // Within one journal file sequence numbers are contiguous by
-        // construction (assigned under the shard lock, appended in
+        // construction (assigned on the event loop, appended in
         // order). A gap means records were lost in between — a
         // drop-oldest overflow or an append the disk rejected — so
         // everything after the gap describes a state the journal cannot

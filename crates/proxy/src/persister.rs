@@ -5,14 +5,13 @@
 //! recovered snapshots and journals to a cold cache.
 //!
 //! The persister never touches a shard. While the proxy serves, the event
-//! loop is the only thread that does: the persister asks on its [`line()`]
-//! for every shard's records, or for every shard captured, rings the
-//! loop's eventfd, and reads back what the loop took in its next turn.
-//! The journal buffers stay the loop's, in each shard's `ShardExt`. When
-//! the loop exits, its last act is to capture every shard for the
-//! persister's final drain and snapshot. Recovery ([`apply_recovery`],
-//! [`install_journals`]) runs before the loop starts, and locks the
-//! shards itself.
+//! loop owns them: the persister asks on its [`line()`] for every shard's
+//! records, or for every shard captured, rings the loop's eventfd, and
+//! reads back what the loop took in its next turn. The journal buffers
+//! stay the loop's, in each shard's `ShardExt`. When the loop exits, its
+//! last act is to capture every shard for the persister's final drain and
+//! snapshot. Recovery ([`apply_recovery`], [`install_journals`]) runs on
+//! the proxy's state before the loop starts and takes it over.
 //!
 //! The write path is proportional to what is still resident when the
 //! persister gets to it (DESIGN.md D24): a buffered `Insert` whose
@@ -204,7 +203,7 @@ impl PersistHealthState {
 }
 
 /// Per-shard buffer of journal records awaiting the persister's next
-/// drain. Sequence numbers are assigned here, under the shard lock, so
+/// drain. Sequence numbers are assigned here, on the event loop, so
 /// records for one shard are totally ordered. The buffer is bounded
 /// (`PersistConfig::journal_buf_records`): a stalled persister costs
 /// the oldest records (counted, snapshot forced), never unbounded
@@ -244,7 +243,7 @@ impl JournalBuf {
         }
     }
 
-    /// Buffer one cache mutation, under the shard lock.
+    /// Buffer one cache mutation.
     pub(crate) fn log(&mut self, op: JournalOp) {
         if !self.health.is_accepting() {
             // Journaling suspended (degraded disk): the mutation is
@@ -367,10 +366,10 @@ impl LoopEnd {
     /// disabled, free every shard's journal buffer (`ShardExt::log_op`
     /// becomes a no-op again and the memory is returned); then answer
     /// every queued ask.
-    pub(crate) fn answer(&mut self, state: &ProxyState) {
+    pub(crate) fn answer(&mut self, state: &mut ProxyState) {
         if !self.freed && self.health.health() == PersistHealth::Disabled {
-            for s in 0..state.cache.shard_count() {
-                state.cache.with_shard(s, |_, ext| ext.journal = None);
+            for (_, ext) in &mut state.shards {
+                ext.journal = None;
             }
             self.freed = true;
         }
@@ -386,7 +385,7 @@ impl LoopEnd {
     /// The event loop's last act, once it has closed every connection:
     /// every shard captured for the persister's final drain and snapshot.
     /// Nothing once persistence is disabled.
-    pub(crate) fn finish(self, state: &ProxyState) {
+    pub(crate) fn finish(self, state: &mut ProxyState) {
         if self.health.health() != PersistHealth::Disabled {
             let shards = take_all(state, true);
             let _ = self.answers.send(Answer { shards, last: true });
@@ -396,17 +395,15 @@ impl LoopEnd {
 
 /// Take every shard's records, and with `capture` the shard itself, one
 /// visit each.
-fn take_all(state: &ProxyState, capture: bool) -> Vec<Taken> {
-    let now = state.now.load(Ordering::SeqCst);
-    let take = |cache: &mut ShardCache, ext: &mut ShardExt| Taken {
+fn take_all(state: &mut ProxyState, capture: bool) -> Vec<Taken> {
+    let now = state.now;
+    let take = |(cache, ext): &mut (ShardCache, ShardExt)| Taken {
         pending: take_pending(ext),
         newest_seq: newest_seq(ext),
         now,
         capture: capture.then(|| cache.export_entries()),
     };
-    (0..state.cache.shard_count())
-        .map(|s| state.cache.with_shard(s, take))
-        .collect()
+    state.shards.iter_mut().map(take).collect()
 }
 
 /// The background persister: drains the per-shard journal buffers every
@@ -788,19 +785,16 @@ pub(crate) fn take_pending(ext: &mut ShardExt) -> VecDeque<(u64, JournalOp)> {
 /// Give every shard a journal buffer of `cap` records whose sequence
 /// numbers continue above everything `rec` found on its disk.
 pub(crate) fn install_journals(
-    state: &ProxyState,
+    state: &mut ProxyState,
     rec: &persist::RecoveredData,
     cap: usize,
     health: &Arc<PersistHealthState>,
 ) {
-    for s in 0..state.cache.shard_count() {
+    for (s, (_, ext)) in state.shards.iter_mut().enumerate() {
         let snap_seq = rec.shards.get(s).and_then(|r| Some(r.as_ref()?.snap.seq));
         let last_seq = rec.journals.get(s).and_then(|jr| Some(jr.ops.last()?.0));
         let next_seq = snap_seq.max(last_seq).unwrap_or(0) + 1;
-        let journal = Box::new(JournalBuf::new(next_seq, cap, Arc::clone(health)));
-        state
-            .cache
-            .with_shard(s, |_, ext| ext.journal = Some(journal));
+        ext.journal = Some(Box::new(JournalBuf::new(next_seq, cap, Arc::clone(health))));
     }
 }
 
@@ -814,10 +808,10 @@ fn newest_seq(ext: &ShardExt) -> u64 {
 /// [`ProxyState`]. Never fails: anything that cannot be applied is
 /// skipped, leaving those documents as cache misses.
 pub(crate) fn apply_recovery(
-    state: &Arc<ProxyState>,
+    state: &mut ProxyState,
     rec: &persist::RecoveredData,
 ) -> RecoveryReport {
-    let nshards = state.cache.shard_count();
+    let nshards = state.shards.len();
     let mut report = RecoveryReport {
         quarantined: rec.shards.iter().flatten().map(|r| r.quarantined).sum(),
         truncated_journals: rec.journals.iter().filter(|j| j.note.is_some()).count() as u64,
@@ -855,7 +849,7 @@ pub(crate) fn apply_recovery(
         if docs.is_empty() {
             continue;
         }
-        let capacity = state.cache.shard_capacity(s);
+        let capacity = state.shards[s].0.capacity();
         // A changed shard layout can overfill a shard: shed the least
         // recently used documents until the snapshot fits.
         let mut total: u64 = docs.iter().map(|(_, m, _)| m.size).sum();
@@ -896,10 +890,10 @@ pub(crate) fn apply_recovery(
                 .map(|snap| snap.policy_state.clone())
                 .unwrap_or_default(),
         };
-        let outcome = state.cache.with_shard(s, |cache, ext| {
-            ext.urls = UrlTable::restore(docs.iter().map(|(_, m, c)| (Arc::clone(&c.url), m.url)));
-            cache.restore_entries(&cache_state, docs.into_iter().map(|(_, _, copy)| copy))
-        });
+        let (cache, ext) = &mut state.shards[s];
+        ext.urls = UrlTable::restore(docs.iter().map(|(_, m, c)| (Arc::clone(&c.url), m.url)));
+        let outcome =
+            cache.restore_entries(&cache_state, docs.into_iter().map(|(_, _, copy)| copy));
         debug_assert_ne!(outcome, RestoreOutcome::Failed, "shard {s} was shed to fit");
     }
 
@@ -925,12 +919,14 @@ pub(crate) fn apply_recovery(
         }
     }
 
-    report.bytes = state.cache.used();
-    report.docs = (0..nshards)
-        .map(|s| state.cache.with_shard(s, |cache, _| cache.len() as u64))
+    report.bytes = state.cached_bytes();
+    report.docs = state
+        .shards
+        .iter()
+        .map(|(cache, _)| cache.len() as u64)
         .sum();
     if max_now > 0 {
-        state.now.store(max_now, Ordering::SeqCst);
+        state.now = max_now;
     }
     report
 }
@@ -960,15 +956,14 @@ impl<'a> Names<'a> {
 
 /// Apply one replayed journal record; returns the record's clock stamp
 /// (0 when it carries none) so recovery can restore the logical clock.
-fn apply_journal_op<'a>(state: &Arc<ProxyState>, op: &'a JournalOp, names: &mut Names<'a>) -> u64 {
+fn apply_journal_op<'a>(state: &mut ProxyState, op: &'a JournalOp, names: &mut Names<'a>) -> u64 {
     // Run `f` on the document `old_id` names, if this cache holds it.
-    let resident = |old_id: &u32, f: &mut dyn FnMut(&mut ShardCache, &mut ShardExt, UrlId)| {
+    let mut resident = |old_id: &u32, f: &mut dyn FnMut(&mut ShardCache, &mut ShardExt, UrlId)| {
         if let Some(url) = names.url_of.get(old_id) {
-            state.cache.with_shard(state.shard_of(url), |cache, ext| {
-                if let Some(id) = ext.urls.get(url) {
-                    f(cache, ext, id);
-                }
-            });
+            let (cache, ext) = state.shard_for(url);
+            if let Some(id) = ext.urls.get(url) {
+                f(cache, ext, id);
+            }
         }
     };
     match op {
@@ -993,9 +988,8 @@ fn apply_journal_op<'a>(state: &Arc<ProxyState>, op: &'a JournalOp, names: &mut 
                 body: body.clone(),
                 fetched_at: *fetched_at,
             };
-            state.cache.with_shard(state.shard_of(url), |cache, ext| {
-                install(cache, ext, *now, *doc_type, *last_modified, &copy)
-            });
+            let (cache, ext) = state.shard_for(url);
+            install(cache, ext, *now, *doc_type, *last_modified, &copy);
             *now
         }
         JournalOp::Touch { old_id, now, size } => {
@@ -1156,7 +1150,7 @@ mod tests {
     #[test]
     fn freeing_the_buffers_frees_the_index() {
         let config = crate::ProxyConfig::new(1 << 20);
-        let shard = Driver::new(config, || Box::new(named::size()), Some(16), None);
+        let mut shard = Driver::new(config, || Box::new(named::size()), Some(16), None);
         let served = |body: &'static str| {
             let body = body.into();
             move |_| {
@@ -1169,12 +1163,9 @@ mod tests {
         };
         shard.request("http://j.test/a.html", served("hello"));
         let indexed = |ext: &ShardExt| ext.journal.as_deref().map(|j| j.inserts.len());
-        assert_eq!(
-            shard.state.cache.with_shard(0, |_, ext| indexed(ext)),
-            Some(1)
-        );
-        shard.state.cache.with_shard(0, |_, ext| ext.journal = None);
-        assert_eq!(shard.state.cache.with_shard(0, |_, ext| indexed(ext)), None);
+        assert_eq!(indexed(&shard.state.shards[0].1), Some(1));
+        shard.state.shards[0].1.journal = None;
+        assert_eq!(indexed(&shard.state.shards[0].1), None);
         // Logging is a no-op again.
         shard.request("http://j.test/b.html", served("world"));
         assert!(shard.drain(0).is_empty());

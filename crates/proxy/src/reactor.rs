@@ -1,7 +1,7 @@
 //! The serving engine: one event-loop thread waits on every client
 //! socket and on every origin and cluster-peer socket, and serves every
 //! request from accept to close. No request is handed to another thread,
-//! and no other thread touches a cache shard while the loop runs.
+//! and the loop owns the proxy's state, cache shards included, by value.
 //!
 //! A thread per in-flight connection would cap concurrency at the pool
 //! size regardless of what those connections are doing — a thousand
@@ -77,13 +77,14 @@
 //!   descriptor to accept into (`EMFILE` and kin): it goes back at the
 //!   next tick or the loop's next close, whichever is first, instead of
 //!   waking the loop at once, forever.
-//! * **cache** — the loop is the only thread that touches a cache shard
-//!   while it runs, so it never waits for a shard's lock. A request is
-//!   looked up in one shard visit ([`lookup`]) and a fresh hit served
-//!   right there. A cluster node's peer port is a second listener: a peer
-//!   connection reads one frame ([`FrameReader::inbound`]), is answered
-//!   in the turn it is whole ([`answer_peer`]; a `FOUND` writes the
-//!   shard's `Bytes` behind its header, uncopied), and is closed. The
+//! * **cache** — the loop owns the proxy's state (`ProxyState`: the
+//!   shards, the logical clock, the circuit breakers) and reaches it
+//!   through `&mut`, with no lock to take. A request is looked up in one
+//!   shard visit ([`lookup`]) and a fresh hit served right there. A
+//!   cluster node's peer port is a second listener: a peer connection
+//!   reads one frame ([`FrameReader::inbound`]), is answered in the turn
+//!   it is whole ([`answer_peer`]; a `FOUND` writes the shard's `Bytes`
+//!   behind its header, uncopied), and is closed. The
 //!   persister posts its asks and rings the waker; the loop answers them
 //!   in that turn (`persister::LoopEnd`), and its last act before it
 //!   exits is to capture every shard for the final snapshot.
@@ -642,7 +643,7 @@ impl Reactor {
         peers: Option<TcpListener>,
         origin: SocketAddr,
         config: ProxyConfig,
-        state: &Arc<ProxyState>,
+        state: ProxyState,
         persister: Option<LoopEnd>,
     ) -> io::Result<Reactor> {
         listener.set_nonblocking(true)?;
@@ -663,7 +664,6 @@ impl Reactor {
         let event_loop = {
             let shutdown = Arc::clone(&shutdown);
             let waker = Arc::clone(&waker);
-            let state = Arc::clone(state);
             std::thread::spawn(move || {
                 let mut lp = EventLoop {
                     epoll,
@@ -763,7 +763,7 @@ struct EventLoop {
     /// The loop's end of the persister's line, with persistence.
     persister: Option<LoopEnd>,
     config: ProxyConfig,
-    state: Arc<ProxyState>,
+    state: ProxyState,
 }
 
 impl EventLoop {
@@ -792,7 +792,7 @@ impl EventLoop {
                     WAKER_TOKEN => {
                         self.waker.drain();
                         if let Some(persister) = &mut self.persister {
-                            persister.answer(&self.state);
+                            persister.answer(&mut self.state);
                         }
                     }
                     _ => self.conn_ready(token, evs),
@@ -806,7 +806,7 @@ impl EventLoop {
             self.close_conn(token);
         }
         if let Some(persister) = self.persister.take() {
-            persister.finish(&self.state);
+            persister.finish(&mut self.state);
         }
     }
 
@@ -936,7 +936,7 @@ impl EventLoop {
             Ok(None) if conn.watched => self.arm_deadline(token),
             Ok(None) => self.watch_client(token, EPOLLIN),
             Ok(Some(frame)) => {
-                match answer_peer(&self.config, &self.state, frame, &mut conn.head) {
+                match answer_peer(&self.config, &mut self.state, frame, &mut conn.head) {
                     Some(body) => {
                         conn.state = ConnState::Writing { body, pos: 0 };
                         self.flush_response(token);
@@ -1047,7 +1047,7 @@ impl EventLoop {
             let resp = admin_stats_response(&self.state);
             self.respond(token, resp);
         } else {
-            let now = begin_request(&self.state);
+            let now = begin_request(&mut self.state);
             self.look_up(token, now);
         }
     }
@@ -1058,7 +1058,7 @@ impl EventLoop {
         let Some(conn) = self.slab.get(token) else {
             return;
         };
-        match lookup(&self.config, &self.state, conn.parser.target(), now) {
+        match lookup(&self.config, &mut self.state, conn.parser.target(), now) {
             Lookup::Hit {
                 body,
                 last_modified,
@@ -1105,7 +1105,7 @@ impl EventLoop {
             return;
         };
         let peer = match miss.expired {
-            None => peer_to_ask(&self.config, &self.state, conn.parser.target()),
+            None => peer_to_ask(&self.config, &mut self.state, conn.parser.target()),
             Some(_) => None,
         };
         conn.state = ConnState::Fetching(Fetch {
@@ -1155,7 +1155,7 @@ impl EventLoop {
             let Some(conn) = self.slab.get(token) else {
                 return;
             };
-            let admitted = Tries::admit(&self.config, &self.state, conn.parser.target());
+            let admitted = Tries::admit(&self.config, &mut self.state, conn.parser.target());
             let ConnState::Fetching(fetch) = &mut conn.state else {
                 return;
             };
@@ -1302,7 +1302,7 @@ impl EventLoop {
                 tries: Some(tries), ..
             }) = &conn.state
             {
-                tries.succeeded(&self.state, conn.parser.target());
+                tries.succeeded(&mut self.state, conn.parser.target());
             }
         }
         self.conclude_fetch(token, Ok(fetched));
@@ -1342,7 +1342,7 @@ impl EventLoop {
             else {
                 return;
             };
-            tries.failed(timed_out, &self.config, &self.state, target)
+            tries.failed(timed_out, &self.config, &mut self.state, target)
         };
         match next {
             Ok(delay) => {
@@ -1372,8 +1372,8 @@ impl EventLoop {
             let Some((owner, _)) = fetch.peer.take() else {
                 return;
             };
-            let (target, now) = (conn.parser.target(), fetch.miss.now);
-            let served = peer_answered(&self.config, &self.state, target, now, owner, reply);
+            let now = fetch.miss.now;
+            let served = peer_answered(&self.config, &mut self.state, now, owner, reply);
             served.map(|resp| {
                 conn.state = ConnState::Reading;
                 let resp = finalize_response(conn.parser.if_modified_since(), resp);
@@ -1401,7 +1401,7 @@ impl EventLoop {
         }
         let resp = fetch
             .miss
-            .conclude(&self.config, &self.state, conn.parser.target(), answer);
+            .conclude(&self.config, &mut self.state, conn.parser.target(), answer);
         let resp = finalize_response(conn.parser.if_modified_since(), resp);
         conn.start_response(&resp);
         self.flush_response(token);

@@ -4,8 +4,8 @@
 //! steps of the origin exchange it runs under `epoll` (`reactor.rs`). The
 //! cluster peer glue is here too, both the asking side and the answer to
 //! an inbound peer frame ([`answer_peer`]). Everything runs on the event
-//! loop, the only thread that visits a shard while the proxy serves, one
-//! shard at a time and never across network I/O.
+//! loop, which owns the proxy's state and visits one shard at a time,
+//! never across network I/O.
 
 use crate::breaker::Admission;
 use crate::cache_proxy::{ProxyState, Resident, ShardCache, ShardExt};
@@ -17,7 +17,6 @@ use crate::persist::JournalOp;
 use crate::upstream::Fetched;
 use bytes::Bytes;
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use webcache_core::cache::{DocMeta, Outcome};
 use webcache_core::cluster::Membership;
@@ -41,9 +40,10 @@ pub(crate) fn finalize_response(if_modified_since: Option<u64>, resp: Response) 
 
 /// Admit one request: tick the logical clock and count it. Exactly one
 /// call per client request, on the event loop, before the cache sees it.
-pub(crate) fn begin_request(state: &ProxyState) -> u64 {
+pub(crate) fn begin_request(state: &mut ProxyState) -> u64 {
     state.counters.requests.add(1);
-    state.now.fetch_add(1, Ordering::SeqCst) + 1
+    state.now += 1;
+    state.now
 }
 
 /// The resident copy of `target` — the id its shard has for it, its cache
@@ -60,17 +60,6 @@ pub(crate) fn peek(
     let (meta, copy) = cache.entry(id)?;
     let fresh = ttl.is_none_or(|ttl| now.saturating_sub(copy.fetched_at) <= ttl);
     Some((id, *meta, copy.clone(), fresh))
-}
-
-/// Run `f` on the shard owning `target`. The event loop is the only
-/// thread that visits a shard while the proxy serves, so its lock is
-/// never contended there.
-fn visit<R>(
-    state: &ProxyState,
-    target: &str,
-    f: impl FnOnce(&mut ShardCache, &mut ShardExt) -> R,
-) -> R {
-    state.cache.with_shard(state.shard_of(target), f)
 }
 
 /// A request admitted by [`begin_request`] that the cache could not
@@ -104,27 +93,31 @@ pub(crate) enum Lookup {
     Miss(Miss),
 }
 
-/// Count and log a document of `size` bytes served from memory.
-fn count_hit(config: &ProxyConfig, state: &ProxyState, target: &str, now: u64, size: u64) {
+/// Count a document of `size` bytes served from memory.
+fn count_hit(state: &ProxyState, size: u64) {
     state.counters.hits.add(1);
     state.counters.bytes_from_cache.add(size);
-    state.log_access(config.access_log, now, target, size, "HIT");
 }
 
 /// Consult the cache for a request admitted by [`begin_request`]. Peek
 /// and (for a fresh copy) policy touch happen in one shard visit, so a
 /// hit enters the shard exactly once.
-pub(crate) fn lookup(config: &ProxyConfig, state: &ProxyState, target: &str, now: u64) -> Lookup {
-    let resident = visit(state, target, |cache, ext| {
-        let (id, meta, copy, fresh) = peek(cache, ext, target, config.ttl, now)?;
+pub(crate) fn lookup(
+    config: &ProxyConfig,
+    state: &mut ProxyState,
+    target: &str,
+    now: u64,
+) -> Lookup {
+    let (cache, ext) = state.shard_for(target);
+    let resident = peek(cache, ext, target, config.ttl, now).map(|(id, meta, copy, fresh)| {
         if fresh {
             touch_resident(cache, ext, id, &meta, &copy, now);
         }
-        Some((meta, copy, fresh))
+        (meta, copy, fresh)
     });
     match resident {
         Some((meta, copy, true)) => {
-            count_hit(config, state, target, now, meta.size);
+            count_hit(state, meta.size);
             Lookup::Hit {
                 body: copy.body,
                 last_modified: meta.last_modified,
@@ -167,7 +160,7 @@ impl Miss {
     pub fn conclude(
         self,
         config: &ProxyConfig,
-        state: &ProxyState,
+        state: &mut ProxyState,
         target: &str,
         answer: Answer,
     ) -> Response {
@@ -180,12 +173,11 @@ impl Miss {
             (Some((meta, copy)), 304) => {
                 // The origin round trip came between, so this is a second
                 // visit (fresh hits touch in the visit they peeked in).
-                visit(state, target, |cache, ext| {
-                    let id = bind(cache, ext, copy);
-                    refresh_resident(cache, ext, id, meta, copy, now);
-                });
+                let (cache, ext) = state.shard_for(target);
+                let id = bind(cache, ext, copy);
+                refresh_resident(cache, ext, id, meta, copy, now);
                 state.counters.revalidated.add(1);
-                count_hit(config, state, target, now, meta.size);
+                count_hit(state, meta.size);
                 Response::ok(copy.body.clone(), meta.last_modified).with_cache_status(true)
             }
             (expired, 200) => {
@@ -203,13 +195,11 @@ impl Miss {
                     };
                     let (doc_type, last_modified) =
                         (DocType::classify(target), fetched.last_modified);
-                    visit(state, target, |cache, ext| {
-                        install(cache, ext, now, doc_type, last_modified, &copy)
-                    });
+                    let (cache, ext) = state.shard_for(target);
+                    install(cache, ext, now, doc_type, last_modified, &copy);
                 }
                 state.counters.misses.add(1);
                 state.counters.bytes_from_origin.add(size);
-                state.log_access(config.access_log, now, target, size, "MISS");
                 Response::ok(fetched.body, fetched.last_modified).with_cache_status(false)
             }
             // The origin answered, but with neither a document nor a
@@ -222,7 +212,7 @@ impl Miss {
     fn fail(
         self,
         config: &ProxyConfig,
-        state: &ProxyState,
+        state: &mut ProxyState,
         target: &str,
         e: FetchError,
     ) -> Response {
@@ -234,14 +224,11 @@ impl Miss {
         // Freshness is NOT renewed — the next request past the TTL
         // revalidates again. The policy sees the reference, but no hit
         // is counted: degraded serves are reported in `stale_serves`.
-        let now = self.now;
-        visit(state, target, |cache, ext| {
-            let id = bind(cache, ext, copy);
-            touch_resident(cache, ext, id, meta, copy, now)
-        });
+        let (cache, ext) = state.shard_for(target);
+        let id = bind(cache, ext, copy);
+        touch_resident(cache, ext, id, meta, copy, self.now);
         state.counters.stale_serves.add(1);
         state.counters.bytes_from_cache.add(meta.size);
-        state.log_access(config.access_log, now, target, meta.size, "STALE");
         Response::ok(copy.body.clone(), meta.last_modified)
             .with_cache_status(true)
             .with_degraded()
@@ -255,7 +242,7 @@ impl Miss {
 /// never add more than one timeout of latency.
 pub(crate) fn peer_to_ask(
     config: &ProxyConfig,
-    state: &ProxyState,
+    state: &mut ProxyState,
     target: &str,
 ) -> Option<(u32, SocketAddr)> {
     let cluster = state.cluster.as_ref()?;
@@ -265,11 +252,9 @@ pub(crate) fn peer_to_ask(
     }
     let addr = cluster.config().addr_of(owner)?;
     state.counters.peer_lookups.add(1);
-    let admission = state.breakers.admit(
-        &peer_key(owner),
-        state.now.load(Ordering::SeqCst),
-        config.breaker_cooldown,
-    );
+    let admission = state
+        .breakers
+        .admit(&peer_key(owner), state.now, config.breaker_cooldown);
     if matches!(admission, Admission::Refused) {
         state.counters.peer_failures.add(1);
         return None;
@@ -299,8 +284,7 @@ pub(crate) fn peer_query(cluster: &ClusterState, target: &str) -> Vec<u8> {
 /// broadcast to the survivors.
 pub(crate) fn peer_answered(
     config: &ProxyConfig,
-    state: &ProxyState,
-    target: &str,
+    state: &mut ProxyState,
     now: u64,
     owner: u32,
     reply: Option<cluster::Frame>,
@@ -317,7 +301,6 @@ pub(crate) fn peer_answered(
             let size = body.len() as u64;
             state.counters.hits.add(1);
             state.counters.bytes_from_cache.add(size);
-            state.log_access(config.access_log, now, target, size, "PEER-HIT");
             Some(Response::ok(Bytes::from(body), last_modified).with_cache_status(true))
         }
         Some(cluster::Frame::Miss { .. }) => {
@@ -355,11 +338,11 @@ pub(crate) fn peer_answered(
 /// connection is dropped.
 pub(crate) fn answer_peer(
     config: &ProxyConfig,
-    state: &ProxyState,
+    state: &mut ProxyState,
     frame: Frame,
     head: &mut Vec<u8>,
 ) -> Option<Bytes> {
-    let cluster = state.cluster.as_ref()?;
+    let cluster = Arc::clone(state.cluster.as_ref()?);
     let reply = match frame {
         Frame::Query { url, .. } => match peer_lookup_local(config, state, &url) {
             Some((body, last_modified)) => {
@@ -393,18 +376,17 @@ pub(crate) fn answer_peer(
 /// policy, since the document was genuinely referenced.
 fn peer_lookup_local(
     config: &ProxyConfig,
-    state: &ProxyState,
+    state: &mut ProxyState,
     target: &str,
 ) -> Option<(Bytes, Option<u64>)> {
-    let now = state.now.load(Ordering::SeqCst);
-    visit(state, target, |cache, ext| {
-        let (id, meta, copy, fresh) = peek(cache, ext, target, config.ttl, now)?;
-        if !fresh || meta.size > cluster::MAX_PEER_BODY {
-            return None;
-        }
-        touch_resident(cache, ext, id, &meta, &copy, now);
-        Some((copy.body, meta.last_modified))
-    })
+    let now = state.now;
+    let (cache, ext) = state.shard_for(target);
+    let (id, meta, copy, fresh) = peek(cache, ext, target, config.ttl, now)?;
+    if !fresh || meta.size > cluster::MAX_PEER_BODY {
+        return None;
+    }
+    touch_resident(cache, ext, id, &meta, &copy, now);
+    Some((copy.body, meta.last_modified))
 }
 
 /// The id this shard has for `copy`'s URL, bound now if it has none: for
@@ -564,9 +546,10 @@ fn log_insert(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache_proxy::test_support::get;
+    use crate::cache_proxy::test_support::{get, stat};
     use crate::origin::{DocStore, OriginServer};
     use crate::ProxyServer;
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
     use webcache_core::policy::named;
 
@@ -603,7 +586,7 @@ mod tests {
         get(&proxy, "http://o.test/a.html"); // 1000
         get(&proxy, "http://o.test/b.gif"); // 3000
         get(&proxy, "http://o.test/c.au"); // 6000 -> evicts c? no: inserting c (6000) needs room: 1000+3000+6000 = 10000 > 9500, SIZE evicts largest resident (b.gif 3000).
-        assert_eq!(proxy.cached_bytes(), 7000);
+        assert_eq!(stat(&proxy, "cached_bytes"), 7000);
         // a and c are hits; b was evicted and misses.
         assert!(get(&proxy, "http://o.test/a.html").is_cache_hit());
         assert!(get(&proxy, "http://o.test/c.au").is_cache_hit());
@@ -660,17 +643,6 @@ mod tests {
         assert_ne!(after.body, before.body);
         // And the fresh copy serves as a hit again.
         assert!(get(&proxy, "http://o.test/a.html").is_cache_hit());
-    }
-
-    #[test]
-    fn access_log_is_clf_like() {
-        let (_origin, proxy) = setup(ProxyConfig::new(100_000).with_access_log(true));
-        get(&proxy, "http://o.test/a.html");
-        get(&proxy, "http://o.test/a.html");
-        let log = proxy.access_log();
-        assert!(log.contains("MISS"));
-        assert!(log.contains("HIT"));
-        assert_eq!(log.lines().count(), 2);
     }
 
     #[test]

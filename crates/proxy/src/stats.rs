@@ -224,7 +224,7 @@ pub(crate) fn admin_stats_response(state: &ProxyState) -> Response {
     let s = state.counters.snapshot();
     let mut body = String::from("{");
     render(&mut body, Block::Top, state, &s);
-    match state.persist_health.get() {
+    match &state.persist_health {
         Some(h) => {
             body.push_str(",\"persist\":{");
             field(
@@ -268,13 +268,11 @@ fn render(body: &mut String, block: Block, state: &ProxyState, s: &ProxyStats) {
         for gauge in row.then {
             match gauge {
                 Gauge::HitRate => field(body, "hit_rate", format_args!("{:.6}", s.hit_rate())),
-                Gauge::CachedBytes => field(body, "cached_bytes", state.cache.used()),
+                Gauge::CachedBytes => field(body, "cached_bytes", state.cached_bytes()),
                 Gauge::BreakerEntries => field(body, "breaker_entries", state.breakers.len()),
                 Gauge::UrlTableEntries => {
-                    let entries: usize = (0..state.cache.shard_count())
-                        .map(|shard| state.cache.with_shard(shard, |_, ext| ext.urls.entries()))
-                        .sum();
-                    field(body, "url_table_entries", entries);
+                    let entries = state.shards.iter().map(|(_, ext)| ext.urls.entries());
+                    field(body, "url_table_entries", entries.sum::<usize>());
                 }
             }
         }
@@ -294,30 +292,28 @@ fn field(body: &mut String, key: &str, value: impl Display) {
 mod tests {
     use super::*;
     use crate::cache_proxy::new_state;
-    use crate::cache_proxy::test_support::{get, state_of};
+    use crate::cache_proxy::test_support::get;
     use crate::cluster::{ClusterConfig, ClusterState};
     use crate::config::ProxyConfig;
     use crate::origin::{DocStore, OriginServer};
     use crate::persister::PersistHealthState;
     use crate::ProxyServer;
-    use std::net::TcpStream;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
     use webcache_core::policy::named;
 
     /// A cold proxy state, persistence and cluster `on` or off (node 1 of
     /// three), whose counters hold 1000, 999, 998, … in table order.
-    fn counted(on: bool) -> Arc<ProxyState> {
+    fn counted(on: bool) -> ProxyState {
         let seeds = (0..3)
             .map(|id| (id, format!("127.0.0.1:{}", 17000 + id).parse().unwrap()))
             .collect();
         let cluster = on.then(|| Arc::new(ClusterState::new(ClusterConfig::new(1, seeds))));
-        let state = new_state(&ProxyConfig::new(1 << 20), cluster, || {
+        let mut state = new_state(&ProxyConfig::new(1 << 20), cluster, || {
             Box::new(named::size())
         });
         if on {
             let health = PersistHealthState::new(Arc::clone(&state.counters));
-            let _ = state.persist_health.set(Arc::new(health));
+            state.persist_health = Some(Arc::new(health));
         }
         for (i, counter) in state.counters.cells().into_iter().enumerate() {
             counter.add(1000 - i as u64);
@@ -397,9 +393,8 @@ mod tests {
         }
 
         // A mixed exchange through a live proxy: a miss, a hit, a `404`
-        // passed through, a revalidation answered `304`, a miss whose
-        // lookup waits while this test holds the one shard's lock, and a
-        // hit on it.
+        // passed through, a revalidation answered `304`, a miss, and a hit
+        // on it.
         let store = Arc::new(DocStore::new());
         for url in ["http://o.test/a.html", "http://o.test/b.html"] {
             store.put_synthetic(url, 1000, 10);
@@ -413,22 +408,8 @@ mod tests {
             .map(|url| get(&proxy, url).status)
             .collect();
         assert_eq!(statuses, [200, 200, 404, 200]);
-        let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
-            let give_up = Instant::now() + Duration::from_secs(10);
-            while !cond() {
-                assert!(Instant::now() < give_up, "timed out waiting for {what}");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        };
         let b = "http://o.test/b.html";
-        let requests = proxy.stats().requests;
-        let mut waiting = state_of(&proxy).cache.with_shard(0, |_, _| {
-            let mut s = TcpStream::connect(proxy.addr()).unwrap();
-            crate::http::write_request(&mut s, &crate::http::Request::get(b)).unwrap();
-            wait_for("the lookup", &|| proxy.stats().requests == requests + 1);
-            s
-        });
-        let resp = crate::http::read_response(&mut waiting).unwrap();
+        let resp = get(&proxy, b);
         assert_eq!((resp.status, resp.is_cache_hit()), (200, false));
         assert!(get(&proxy, b).is_cache_hit());
 

@@ -5,8 +5,9 @@
 //!
 //! ## How counting works
 //!
-//! A `#[global_allocator]` wrapper counts every `alloc`/`realloc` —
-//! except on threads that set a thread-local suppress flag. The test
+//! The counting allocator (`tests/support/counting_alloc.rs`) counts
+//! every `alloc`/`realloc` process-wide — except on threads that call its
+//! `suppress_here`. The test
 //! thread (which runs the HTTP client: connects, `Request` building,
 //! response reading — all naturally allocating) suppresses itself, so
 //! the counter sees only proxy-side threads: the reactor's one event
@@ -40,55 +41,14 @@
 //! URL). All happen before the
 //! measured window opens and are why the warmup does one miss first.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use webcache_core::policy::named;
 use webcache_proxy::http::{self, Request};
 use webcache_proxy::{DocStore, OriginServer, ProxyConfig, ProxyServer};
-
-struct CountingAllocator;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// When true, allocations on this thread are not counted. Set by
-    /// the test/client thread; proxy threads never set it, so their
-    /// allocations always count.
-    static SUPPRESS: Cell<bool> = const { Cell::new(false) };
-}
-
-fn counted() -> bool {
-    // During thread teardown the thread-local may be gone; count those
-    // allocations (conservative: false positives fail loudly, not
-    // silently pass).
-    SUPPRESS.try_with(|s| !s.get()).unwrap_or(true)
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn fetch(addr: std::net::SocketAddr, url: &str) -> http::Response {
     let mut s = TcpStream::connect(addr).unwrap();
@@ -99,7 +59,7 @@ fn fetch(addr: std::net::SocketAddr, url: &str) -> http::Response {
 #[test]
 fn warmed_reactor_serves_hits_without_allocating() {
     // The client side of the exchange allocates freely; don't count it.
-    SUPPRESS.with(|s| s.set(true));
+    counting_alloc::suppress_here();
 
     let store = Arc::new(DocStore::new());
     store.put_synthetic("http://o.test/hot.html", 4096, 10);
@@ -124,13 +84,13 @@ fn warmed_reactor_serves_hits_without_allocating() {
     let fetches_before = proxy.stats().inline_fetches;
     let read_before = proxy.stats().read_at_accept;
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = counting_alloc::allocations();
     for _ in 0..MEASURED {
         let r = fetch(proxy.addr(), "http://o.test/hot.html");
         assert!(r.is_cache_hit());
         assert_eq!(r.body.len(), 4096);
     }
-    let delta = ALLOCS.load(Ordering::SeqCst) - before;
+    let delta = counting_alloc::allocations() - before;
 
     assert_eq!(
         proxy.stats().inline_fetches,

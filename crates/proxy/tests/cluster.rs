@@ -151,7 +151,11 @@ fn non_owner_serves_but_does_not_store() {
     assert_eq!(s1.peer_misses, 2);
     assert_eq!(s1.misses, 2);
     assert_eq!(s1.hits, 0);
-    assert_eq!(nodes[1].cached_bytes(), 0, "non-owner must not store");
+    assert_eq!(
+        stat(nodes[1].addr(), "cached_bytes"),
+        0,
+        "non-owner must not store"
+    );
 
     // Once the owner warms, the same request becomes a peer hit.
     assert_eq!(get(nodes[0].addr(), &url).status, 200);

@@ -20,48 +20,16 @@
 //! * a peer port's reader refuses a length prefix longer than any
 //!   request, before it reads a payload byte.
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRunner};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read};
 use webcache_proxy::cluster::{
     encode_frame, read_frame, Frame, FrameReader, MAX_FRAME, MAX_REQUEST_FRAME,
 };
-
-// -----------------------------------------------------------------------
-// Largest single allocation per thread.
-
-struct PeakAllocator;
-
-thread_local! {
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    // The thread-local may be gone during thread teardown; skip then.
-    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
-}
-
-unsafe impl GlobalAlloc for PeakAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: PeakAllocator = PeakAllocator;
 
 // -----------------------------------------------------------------------
 
@@ -359,9 +327,9 @@ proptest! {
         for (step, reader) in [1, usize::MAX].into_iter().flat_map(|step| {
             [(step, decode as fn(&[u8], usize) -> _), (step, resume)]
         }) {
-            PEAK.with(|p| p.set(0));
+            counting_alloc::reset_peak();
             let (got, _) = reader(&wire, step);
-            let peak = PEAK.with(Cell::get);
+            let peak = counting_alloc::peak();
             prop_assert!(
                 peak <= 2 * wire.len().max(READ_AHEAD),
                 "allocated {} bytes at once for {} received ({:?})",

@@ -3,6 +3,9 @@
 //! counterpart of Experiment 3's two-level cache, and the paper's
 //! "forwards the GET message to another proxy server (as in [12])".
 
+mod common;
+
+use common::stat;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -118,7 +121,11 @@ fn starved_edge_with_big_parent_mirrors_experiment3() {
 
     get(edge.addr(), "http://o.test/a.html"); // 2 kB cached at edge
     get(edge.addr(), "http://o.test/b.gif"); // 5 kB: 2+5 > 6, a.html displaced
-    assert_eq!(edge.cached_bytes(), 5_000, "edge holds only the 5 kB doc");
+    assert_eq!(
+        stat(edge.addr(), "cached_bytes"),
+        5_000,
+        "edge holds only the 5 kB doc"
+    );
     // Re-requests of BOTH documents must be absorbed by the hierarchy:
     // the resident one at the edge, the displaced one at the parent.
     let before = origin.stats().full_responses.load(Ordering::Relaxed);

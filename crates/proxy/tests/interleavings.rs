@@ -28,7 +28,7 @@ fn ok(body: &str, last_modified: Option<u64>) -> Result<Fetched, FetchError> {
 }
 
 /// A miss the event loop began and is fetching itself.
-fn begin_miss(live: &Driver, target: &str) -> Pending {
+fn begin_miss(live: &mut Driver, target: &str) -> Pending {
     match live.begin(target) {
         Ok(_) => panic!("{target} is not resident"),
         Err(pending) => pending,
@@ -48,7 +48,7 @@ fn by_text(driver: &Driver) -> Vec<Vec<SnapshotDoc>> {
 
 /// Drain every shard of `live` into a journal file and recover the files
 /// into a cold driver: it must hold what `live` holds.
-fn recovers_to_itself(live: &Driver, config: ProxyConfig) {
+fn recovers_to_itself(live: &mut Driver, config: ProxyConfig) {
     let dir = std::env::temp_dir().join(format!(
         "wc-interleavings-{}-{:?}",
         std::process::id(),
@@ -79,9 +79,9 @@ fn recovers_to_itself(live: &Driver, config: ProxyConfig) {
 fn two_misses_for_one_url_both_count_and_the_later_copy_stays() {
     for later_first_begun in [false, true] {
         let config = ProxyConfig::new(100_000).with_shards(2);
-        let live = driver(config);
-        let first = begin_miss(&live, URL);
-        let second = begin_miss(&live, URL);
+        let mut live = driver(config);
+        let first = begin_miss(&mut live, URL);
+        let second = begin_miss(&mut live, URL);
         let (earlier, later) = if later_first_begun {
             ((second, "second"), (first, "first!"))
         } else {
@@ -102,7 +102,7 @@ fn two_misses_for_one_url_both_count_and_the_later_copy_stays() {
             "second"
         };
         assert_eq!(&resident[0].body[..], later_body.as_bytes());
-        recovers_to_itself(&live, config);
+        recovers_to_itself(&mut live, config);
     }
 }
 
@@ -112,9 +112,9 @@ fn two_misses_for_one_url_both_count_and_the_later_copy_stays() {
 #[test]
 fn two_misses_in_flight_are_each_concluded_with_their_own_answer() {
     let config = ProxyConfig::new(100_000);
-    let live = driver(config);
-    let first = begin_miss(&live, URL);
-    let second = begin_miss(&live, "http://mix.test/b.html");
+    let mut live = driver(config);
+    let first = begin_miss(&mut live, URL);
+    let second = begin_miss(&mut live, "http://mix.test/b.html");
     let stats = live.stats();
     assert_eq!(
         (stats.misses, stats.hits, stats.bytes_from_origin),
@@ -132,7 +132,7 @@ fn two_misses_in_flight_are_each_concluded_with_their_own_answer() {
     let stats = live.stats();
     assert_eq!((stats.requests, stats.misses, stats.hits), (2, 2, 0));
     assert_eq!(live.shards()[0].0.len(), 2);
-    recovers_to_itself(&live, config);
+    recovers_to_itself(&mut live, config);
 }
 
 /// An expired copy whose revalidation fails, through a whole request and
@@ -147,7 +147,7 @@ fn a_failed_revalidation_serves_stale_or_fails() {
                 let config = ProxyConfig::new(100_000)
                     .with_ttl(1)
                     .with_serve_stale(serve_stale);
-                let live = driver(config);
+                let mut live = driver(config);
                 live.request(URL, |_| ok("cached", Some(7)));
                 live.request("http://mix.test/b.html", |_| ok("b", None));
                 live.request("http://mix.test/c.html", |_| ok("c", None));
@@ -156,7 +156,7 @@ fn a_failed_revalidation_serves_stale_or_fails() {
                     Err(FetchError::Exhausted { timed_out })
                 };
                 let served = if on_loop {
-                    let miss = begin_miss(&live, URL);
+                    let miss = begin_miss(&mut live, URL);
                     let e = fail(miss.if_modified_since()).expect_err("a failure");
                     live.fail(miss, e)
                 } else {
@@ -173,7 +173,7 @@ fn a_failed_revalidation_serves_stale_or_fails() {
                     assert_eq!(served.status, if timed_out { 504 } else { 502 });
                     assert_eq!(stats.stale_serves, 0);
                 }
-                recovers_to_itself(&live, config);
+                recovers_to_itself(&mut live, config);
             }
         }
     }

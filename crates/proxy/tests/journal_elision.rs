@@ -207,7 +207,7 @@ impl Run {
 /// file must recover to the live cache.
 fn run(lru: bool, steps: &[Step], every_request: bool) -> Result<Run, TestCaseError> {
     let dir = CaseDir::new();
-    let live = Driver::new(config(), || policy(lru), Some(BUFFER), None);
+    let mut live = Driver::new(config(), || policy(lru), Some(BUFFER), None);
     let mut w = JournalWriter::create(&dir.0, 0).expect("create journal");
     let mut after = Vec::with_capacity(steps.len());
     let mut seen: HashMap<UrlId, String> = HashMap::new();

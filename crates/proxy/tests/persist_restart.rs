@@ -216,8 +216,13 @@ fn a_directory_the_parent_wrote_recovers_warm_and_loses_its_wci() {
     }
     assert_eq!(origin.stats().full_responses.load(Ordering::Relaxed), 0);
 
+    // The collector removes the three files one after another, once
+    // generation 2 is written: wait for all of it, not the first step.
+    let g1_wcs = dir.0.join("shard-0-g1.wcs");
+    let g2_wcs = dir.0.join("shard-0-g2.wcs");
+    let collected = || !wci.exists() && !wcsb.exists() && !g1_wcs.exists() && g2_wcs.exists();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while wci.exists() && Instant::now() < deadline {
+    while !collected() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(!wci.exists(), "generation 2 was collected around the .wci");

@@ -12,37 +12,15 @@
 //!   to what D27 wrote. (Length, FNV) pins: a change that moves a byte of
 //!   either file changes what every reader of it must accept.
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 use bytes::Bytes;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use webcache_core::cache::{CacheStats, DocMeta};
 use webcache_proxy::persist::{self, JournalOp, JournalWriter, ShardSnapshot, SnapshotDoc};
 use webcache_trace::binfmt::checksum;
 use webcache_trace::{DocType, UrlId};
-
-struct CountingAllocator;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// A temp dir that removes itself.
 struct TempDir(PathBuf);
@@ -128,9 +106,9 @@ fn snapshot(gen: u64, sizes: &[usize]) -> ShardSnapshot {
 }
 
 fn allocated_by(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATED.load(Ordering::SeqCst);
+    let before = counting_alloc::bytes_allocated();
     f();
-    ALLOCATED.load(Ordering::SeqCst) - before
+    counting_alloc::bytes_allocated() - before
 }
 
 // One test function: the allocator is global, so a second test running

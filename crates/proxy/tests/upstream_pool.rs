@@ -10,11 +10,11 @@
 //! allocation rule here, beside the tracker that can show it.
 
 mod common;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use common::reference::{self, Refusal};
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,40 +27,6 @@ use webcache_proxy::http::{
     MAX_LINE,
 };
 use webcache_proxy::{DocStore, FaultPlan, FaultyOrigin, OriginServer, ProxyConfig, ProxyServer};
-
-// -----------------------------------------------------------------------
-// Largest single allocation per thread, so a test can show that a hostile
-// `Content-Length` was refused before anything was reserved for it.
-
-struct PeakAllocator;
-
-thread_local! {
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    // The thread-local may be gone during thread teardown; skip then.
-    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
-}
-
-unsafe impl GlobalAlloc for PeakAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: PeakAllocator = PeakAllocator;
 
 // -----------------------------------------------------------------------
 
@@ -580,9 +546,9 @@ fn resume_to_the_end(
 #[test]
 fn frame_reader_allocates_for_bytes_received_not_bytes_promised() {
     let header = MAX_FRAME.to_le_bytes();
-    PEAK.with(|p| p.set(0));
+    counting_alloc::reset_peak();
     let got = read_frame(&mut header.as_slice());
-    let peak = PEAK.with(Cell::get);
+    let peak = counting_alloc::peak();
     let e = got.expect_err("a frame cut off after its header");
     assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}");
     assert!(
@@ -594,9 +560,9 @@ fn frame_reader_allocates_for_bytes_received_not_bytes_promised() {
     // buffer never got ahead of them by more than a doubling.
     let mut wire = header.to_vec();
     wire.resize(4 + 10 * 1024, 3);
-    PEAK.with(|p| p.set(0));
+    counting_alloc::reset_peak();
     let got = read_frame(&mut wire.as_slice());
-    let peak = PEAK.with(Cell::get);
+    let peak = counting_alloc::peak();
     assert!(got.is_err());
     assert!(peak <= 64 * 1024, "allocated {peak} bytes for 10 KiB");
 }
@@ -611,9 +577,9 @@ fn a_fetched_body_is_not_copied_on_its_way_to_the_cache() {
     let mut wire = format!("HTTP/1.0 200 OK\r\ncontent-length: {LEN}\r\n\r\n").into_bytes();
     wire.resize(wire.len() + LEN, 9);
     let mut reader = ResponseReader::new();
-    PEAK.with(|p| p.set(0));
+    counting_alloc::reset_peak();
     let (_, body) = reader.read(&mut wire.as_slice()).unwrap();
-    let peak = PEAK.with(Cell::get);
+    let peak = counting_alloc::peak();
     assert_eq!(body.len(), LEN);
     assert_eq!(
         peak, LEN,
@@ -650,9 +616,9 @@ proptest! {
         let (cuts, shorts) = (offsets(cuts), offsets(shorts));
         let mut pieces = Splits { wire: &wire, cuts, shorts, pos: 0 };
         let mut resumable = ResponseReader::new();
-        PEAK.with(|p| p.set(0));
+        counting_alloc::reset_peak();
         let in_pieces = resume_to_the_end(&mut resumable, &mut pieces, budget);
-        let peak_in_pieces = PEAK.with(Cell::get);
+        let peak_in_pieces = counting_alloc::peak();
         // The head lives in the reader's fixed buffer (room for one
         // `MAX_LINE` line and one read), so the only allocation that
         // grows with the input is the body, made once its length has
@@ -664,9 +630,9 @@ proptest! {
         );
         let expected = reference::response(&wire);
         let mut reader = ResponseReader::new();
-        PEAK.with(|p| p.set(0));
+        counting_alloc::reset_peak();
         let got = reader.read(&mut wire.as_slice());
-        let peak = PEAK.with(Cell::get);
+        let peak = counting_alloc::peak();
         let blocking = http::read_response(&mut wire.as_slice());
         match (expected, got, blocking) {
             (Ok(o), Ok((head, body)), Ok(b)) => {

@@ -13,57 +13,22 @@
 //!   shard — leave the shards' URL tables as they were (peer `QUERY`s:
 //!   `cluster.rs`).
 //!
-//! A `#[global_allocator]` counts live bytes per thread, on threads that
-//! ask for it: (a) drives its shard from the test's own thread, so what
-//! the other tests of this file allocate beside it is not in its figure.
+//! The counting allocator (`tests/support/counting_alloc.rs`) counts live
+//! bytes per thread: (a) drives its shard from the test's own thread, so
+//! what the other tests of this file allocate beside it is not in its
+//! figure.
 
 mod common;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use bytes::Bytes;
 use common::{drive, stat, ChildProxy};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 use webcache_core::policy::named;
 use webcache_proxy::driver::{Driver, Fetched};
 use webcache_proxy::url_table::SLACK;
 use webcache_proxy::{http, DocStore, OriginServer, ProxyConfig, ProxyServer};
-
-struct LiveBytes;
-
-thread_local! {
-    /// Bytes this thread has allocated and not freed, once it has set
-    /// itself to `Some`.
-    static LIVE: Cell<Option<i64>> = const { Cell::new(None) };
-}
-
-fn account(delta: i64) {
-    // A thread being torn down has no counter left: it is not counting.
-    let _ = LIVE.try_with(|live| live.set(live.get().map(|n| n + delta)));
-}
-
-// SAFETY: every call goes to `System` with the caller's arguments
-// unchanged; the accounting beside it touches only a `Cell` of this
-// thread, which allocates nothing.
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        account(layout.size() as i64);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        account(-(layout.size() as i64));
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        account(new_size as i64 - layout.size() as i64);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: LiveBytes = LiveBytes;
 
 const MIB: i64 = 1 << 20;
 
@@ -80,10 +45,10 @@ fn a_shard_keeps_nothing_for_the_urls_it_has_seen() {
     } else {
         1_000_000
     };
-    LIVE.with(|live| live.set(Some(0)));
-    let live = || LIVE.with(|live| live.get().expect("counting"));
+    let start = counting_alloc::live_bytes();
+    let live = || counting_alloc::live_bytes() - start;
     let config = ProxyConfig::new(1 << 20);
-    let shard = Driver::new(config, || Box::new(named::size()), None, None);
+    let mut shard = Driver::new(config, || Box::new(named::size()), None, None);
     let mut after_warmup = 0;
     for i in 0..urls {
         shard.request(&distinct_url(i), |_| {
@@ -193,6 +158,6 @@ fn requests_that_store_nothing_leave_the_url_tables_alone() {
         let entries = stat(proxy.addr(), "url_table_entries");
         assert!(entries <= 2 + SLACK as u64, "{entries} entries after {i}");
     }
-    assert_eq!(proxy.cached_bytes(), 1_000);
+    assert_eq!(stat(proxy.addr(), "cached_bytes"), 1_000);
     assert_eq!(proxy.stats().misses, 51);
 }

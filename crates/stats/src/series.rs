@@ -9,7 +9,7 @@
 //! Workload C adds a wrinkle: class met only four days a week, so idle
 //! days produce no data point — "Every plotted point is the average of hit
 //! rates for the previous seven *recorded* days, no matter what amount of
-//! time has elapsed" (Fig. 5 caption). [`moving_average_recorded`]
+//! time has elapsed" (Fig. 5 caption). [`DailySeries::moving_average_recorded`]
 //! implements that variant.
 
 use serde::{Deserialize, Serialize};

@@ -18,7 +18,7 @@
 //!
 //! Parsing is byte-level and zero-allocation: [`parse_line_bytes`]
 //! tokenizes a `&[u8]` line into a borrowed
-//! [`RawRequestRef`](crate::record::RawRequestRef) whose text fields point
+//! [`RawRequestRef`] whose text fields point
 //! into the input buffer, so a whole log can be ingested without building
 //! one intermediate `String`. The `&str` entry points ([`parse_line`],
 //! [`parse_log`]) are thin wrappers.

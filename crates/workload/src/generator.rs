@@ -9,7 +9,7 @@
 //!    RNG stream seeded from `(seed, day)` via a splitmix64 mix, and every
 //!    request pre-draws *all* of its randomness — document pick, the
 //!    modification/zero-size/error coins, the size perturbation factor,
-//!    the client number — into a plain [`Event`]. No draw depends on
+//!    the client number — into a plain `Event`. No draw depends on
 //!    cross-day mutable state, so days can be generated on any number of
 //!    threads in any order.
 //! 2. **Folding** (serial, cheap): the day event lists are concatenated in

@@ -163,7 +163,7 @@ impl Universe {
     /// Ranks are drawn in fixed-size chunks, each from an independent RNG
     /// stream seeded by `(seed, first_rank)`, and the chunks are mapped
     /// across rayon threads: the output is bit-identical on any thread
-    /// count because chunk boundaries depend only on [`BUILD_CHUNK`], never
+    /// count because chunk boundaries depend only on `BUILD_CHUNK`, never
     /// on scheduling. (A fresh-phase universe can be an order of magnitude
     /// larger than the request count — workload U's fall population — so
     /// the build dominates generation's fixed cost.)

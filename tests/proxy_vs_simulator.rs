@@ -150,29 +150,6 @@ fn sharded_proxy_hits_match_a_simulator_partitioned_by_the_same_hash() {
     proxy_and_simulator_agree(size_then_atime, 4);
 }
 
-#[test]
-fn proxy_log_validates_through_the_trace_pipeline() {
-    let profile = profiles::g().scaled(0.005);
-    let trace = generate(&profile, 5);
-    let (store, seq) = static_sequence(&trace);
-    let origin = OriginServer::start(store).expect("origin");
-    let config = ProxyConfig::new(10_000_000).with_access_log(true);
-    let proxy =
-        ProxyServer::start(origin.addr(), config, || Box::new(named::lru())).expect("proxy");
-    for (url, _) in &seq {
-        let mut s = TcpStream::connect(proxy.addr()).expect("connect");
-        write_request(&mut s, &Request::get(url)).expect("send");
-        read_response(&mut s).expect("recv");
-    }
-    let log = proxy.access_log();
-    assert_eq!(log.lines().count(), seq.len());
-    // Every line records a 200 with the document's actual size.
-    for line in log.lines() {
-        assert!(line.contains("\"GET http://"), "line {line:?}");
-        assert!(line.contains(" 200 "), "line {line:?}");
-    }
-}
-
 /// Bytes per shard of the proxy core under test.
 const SHARD_BYTES: u64 = 8192;
 
@@ -203,10 +180,11 @@ fn core_policy(p: usize) -> Box<dyn RemovalPolicy> {
 const ID_FREE: [&str; 4] = ["FIFO", "LRU", "HYPER-G", "LOG2SIZE-LRU"];
 
 /// One generated stream: each document's size (an index into
-/// `SIXTY_FOURTHS`) and the requests, each a document and whether the
-/// event loop's path (`begin` and `conclude`) takes it rather than a
-/// worker's (`request`).
-type Stream = (Vec<usize>, Vec<(usize, bool)>);
+/// `SIXTY_FOURTHS`), the requests, each a document and whether the
+/// event loop's path (`begin` and `conclude`) takes it rather than the
+/// one-step `request`, and whether the capacity leaves a remainder of
+/// `shards - 1` bytes for the split to spread.
+type Stream = (Vec<usize>, Vec<(usize, bool)>, bool);
 
 fn streams(max_len: usize) -> impl Strategy<Value = Stream> {
     let docs = DOCS_PER_SHARD * 8;
@@ -217,6 +195,7 @@ fn streams(max_len: usize) -> impl Strategy<Value = Stream> {
                 .map(|(d, on_loop)| (d, on_loop == 1))
                 .collect()
         }),
+        (0u8..2).prop_map(|remainder| remainder == 1),
     )
 }
 
@@ -228,9 +207,9 @@ struct Oracle {
 }
 
 impl Oracle {
-    fn new(p: usize, shards: u64) -> Oracle {
+    fn new(p: usize, capacity: u64, shards: u64) -> Oracle {
         Oracle {
-            caches: partition(SHARD_BYTES * shards, shards, || core_policy(p)),
+            caches: partition(capacity, shards, || core_policy(p)),
             names: HashMap::new(),
         }
     }
@@ -260,15 +239,16 @@ impl Oracle {
 /// first-seen ids), comparing after every request. Returns how many
 /// documents the policy evicted.
 fn core_equals_simulator(p: usize, shards: u64, stream: &Stream) -> Result<u64, TestCaseError> {
-    let (sizes, requests) = stream;
+    let (sizes, requests, remainder) = stream;
     let alphabet = DOCS_PER_SHARD * shards as usize;
-    let config = ProxyConfig::new(SHARD_BYTES * shards).with_shards(shards as usize);
-    let core = Driver::new(config, || core_policy(p), None, None);
-    let mut by_slot = Oracle::new(p, shards);
+    let capacity = SHARD_BYTES * shards + if *remainder { shards - 1 } else { 0 };
+    let config = ProxyConfig::new(capacity).with_shards(shards as usize);
+    let mut core = Driver::new(config, || core_policy(p), None, None);
+    let mut by_slot = Oracle::new(p, capacity, shards);
     let name = core_policy(p).name();
     let mut first_seen = ID_FREE
         .contains(&name.as_str())
-        .then(|| (Oracle::new(p, shards), Interner::new()));
+        .then(|| (Oracle::new(p, capacity, shards), Interner::new()));
     for (i, &(d, on_loop)) in requests.iter().enumerate() {
         let d = d % alphabet;
         let target = format!("http://core.test/d{d}.html");
